@@ -34,8 +34,9 @@
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
 //!   [`cordoba_core::PlanSpec`] the policy can evaluate.
-//! * [`thread_exec`] — a real-thread executor demonstrating the same
-//!   shared-scan machinery on OS threads (wall-clock, host-bound).
+//! * [`thread_exec`] — the same operator graph on OS threads: one
+//!   private run loop per thread, OS channels only at the sharing seam
+//!   (wall-clock, host-bound; rows bit-identical to [`run_once`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

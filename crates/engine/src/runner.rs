@@ -9,9 +9,9 @@
 use crate::dispatcher::{DispatcherTask, EngineCore};
 use crate::policy::Policy;
 use crate::query::QuerySpec;
-use cordoba_exec::wiring::WiringConfig;
+use cordoba_exec::wiring::{page_rows, stall_error, WiringConfig};
 use cordoba_exec::{ExecError, MemoryConfig, OpCost, ParallelConfig};
-use cordoba_sim::{Histogram, RunOutcome, SimStats, Simulator, StopReason, VTime};
+use cordoba_sim::{Histogram, RunOutcome, SimStats, Simulator, VTime};
 use cordoba_storage::{Catalog, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -628,12 +628,7 @@ pub fn run_open_loop_collecting(
         // lint: allow(this runner installed collection buffers when it built the core)
         .expect("collection enabled")
         .iter()
-        .map(|buf| {
-            buf.borrow()
-                .iter()
-                .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
-                .collect()
-        })
+        .map(|buf| page_rows(&buf.borrow()))
         .collect();
     let report = OpenReport::from_core(&core, submitted, makespan);
     (report, results)
@@ -664,11 +659,8 @@ pub struct OnceOutcome {
 /// neither completed nor failed — a wedged (deadlocked) or time-capped
 /// batch fails its unfinished queries instead of killing the process.
 fn fail_stalled_submissions(core: &mut EngineCore, outcome: &RunOutcome) {
-    let reason = match outcome.reason {
-        StopReason::TimeLimit => "time cap",
-        StopReason::Deadlock => "deadlock",
-        // `Idle` means every task finished; nothing can be stalled.
-        StopReason::Idle => return,
+    let Some(stalled) = stall_error(outcome) else {
+        return;
     };
     let mut finished = vec![false; core.next_submission];
     for &(submission, _) in &core.completion_records {
@@ -679,13 +671,7 @@ fn fail_stalled_submissions(core: &mut EngineCore, outcome: &RunOutcome) {
     }
     for (submission, done) in finished.into_iter().enumerate() {
         if !done {
-            core.failures.push((
-                submission,
-                ExecError::Stalled {
-                    reason,
-                    live_tasks: outcome.live_tasks,
-                },
-            ));
+            core.failures.push((submission, stalled.clone()));
             core.live_queries = core.live_queries.saturating_sub(1);
         }
     }
@@ -738,12 +724,7 @@ pub fn run_once_capped(
         // lint: allow(this runner installed collection buffers when it built the core)
         .expect("collection enabled")
         .iter()
-        .map(|buf| {
-            buf.borrow()
-                .iter()
-                .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
-                .collect()
-        })
+        .map(|buf| page_rows(&buf.borrow()))
         .collect();
     OnceOutcome {
         results,

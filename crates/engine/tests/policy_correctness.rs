@@ -2,7 +2,9 @@
 //! the threaded executor must agree with the simulated engine — results
 //! are policy-invariant even when the schedule is not.
 
-use cordoba_engine::{run_once, thread_exec, EngineConfig, MemoryConfig, Policy, QuerySpec};
+use cordoba_engine::{
+    run_once, thread_exec, EngineConfig, MemoryConfig, ParallelConfig, Policy, QuerySpec,
+};
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::{reference, JoinKind, OpCost, PhysicalPlan};
 use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value, PAGE_SIZE};
@@ -142,25 +144,83 @@ fn tiny_budget_engine_run_spills_and_preserves_results() {
     );
 }
 
+/// Rows with floats replaced by their bit patterns, so equality is
+/// bit-for-bit (`Value`'s `==` lets `-0.0 == 0.0` through).
+fn bits(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let bit = |v: &Value| match v {
+        Value::Float(f) => Value::Int(f.to_bits() as i64),
+        other => other.clone(),
+    };
+    rows.iter().map(|r| r.iter().map(bit).collect()).collect()
+}
+
+/// The real-thread executor runs the engine's own operator graph, so
+/// for every sharing mode and group size its rows are those of the
+/// serial simulated engine — same float bits, same row order — whatever
+/// `CORDOBA_WORKERS` says (this test also runs in CI's workers=4 leg;
+/// only the simulated side needs pinning).
 #[test]
 fn threaded_and_simulated_execution_agree() {
-    let catalog = catalog();
-    let spec = query();
-    let expected = reference::execute(&catalog, &spec.plan);
-    let threaded = thread_exec::run_shared(&catalog, &spec, 4);
-    for rows in &threaded.results {
-        assert_eq!(rows, &expected, "threaded shared run diverged");
-    }
-    let sim = run_once(
-        &catalog,
-        &vec![spec.clone(); 4],
-        &EngineConfig {
-            contexts: 4,
-            policy: Policy::AlwaysShare,
+    let tpch = cordoba_storage::tpch::generate(&cordoba_storage::tpch::TpchConfig {
+        scale_factor: 0.002,
+        seed: 11,
+        ..cordoba_storage::tpch::TpchConfig::default()
+    });
+    let costs = cordoba_workload::CostProfile::paper();
+    let q6 = cordoba_workload::q6(&costs);
+    // Scan pivots (q6, q1), hash-join pivots (q4, q13), and a query
+    // shared whole (no private fragment above the pivot).
+    let whole = QuerySpec::shared_at("q6-whole", q6.plan.clone(), q6.plan.clone());
+    let tpch_specs = [
+        q6,
+        cordoba_workload::q1(&costs),
+        cordoba_workload::q4(&costs),
+        cordoba_workload::q13(&costs),
+        whole,
+    ];
+    let small = catalog();
+    let cases = tpch_specs
+        .iter()
+        .map(|spec| (&tpch, spec.clone()))
+        .chain([(&small, query())]);
+    for (catalog, spec) in cases {
+        let serial = EngineConfig {
+            parallel: ParallelConfig::with_workers(1),
             ..EngineConfig::default()
-        },
-    );
-    for rows in &sim.results {
-        assert_eq!(rows, &expected, "simulated shared run diverged");
+        };
+        let sim = run_once(catalog, std::slice::from_ref(&spec), &serial);
+        assert!(sim.failures.is_empty(), "{}: {:?}", spec.name, sim.failures);
+        assert_eq!(
+            sim.results[0],
+            reference::execute(catalog, &spec.plan),
+            "{}: simulated run diverged from the reference",
+            spec.name
+        );
+        let want = bits(&sim.results[0]);
+        for m in [1usize, 2, 4] {
+            let unshared = thread_exec::run_unshared(catalog, &spec, m, 2);
+            let shared = thread_exec::run_shared(catalog, &spec, m);
+            assert_eq!((unshared.results.len(), shared.results.len()), (m, m));
+            for rows in unshared.results.iter().chain(&shared.results) {
+                assert_eq!(bits(rows), want, "{} m={m}: threads diverged", spec.name);
+            }
+        }
+        let shared_sim = run_once(
+            catalog,
+            &vec![spec.clone(); 4],
+            &EngineConfig {
+                contexts: 4,
+                policy: Policy::AlwaysShare,
+                ..serial
+            },
+        );
+        for rows in &shared_sim.results {
+            assert_eq!(
+                bits(rows),
+                want,
+                "{}: simulated shared run diverged",
+                spec.name
+            );
+        }
     }
 }

@@ -241,6 +241,16 @@ impl QueryResources {
             broker: cfg.broker(),
         }
     }
+
+    /// Fresh resources (own fault slot) charging an existing account —
+    /// for executors that run several operator graphs against one
+    /// broker.
+    pub fn charging(broker: &MemoryBroker) -> Self {
+        QueryResources {
+            fault: FaultCell::default(),
+            broker: broker.clone(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -30,15 +30,16 @@
 //! because the broker's accounting is a single atomic compare-exchange
 //! per grant.
 
+use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::{Agg, Predicate, ScalarExpr};
-use crate::memory::MemoryBroker;
+use crate::memory::{MemoryBroker, QueryResources};
 use crate::ops::aggregate::AggCore;
 use crate::ops::hash_join::{partition_of, BuildTable};
-use crate::ops::{default_row_bytes, int_key, key_of, KeyVal};
+use crate::ops::{default_row_bytes, int_key};
 use crate::plan::{JoinKind, PhysicalPlan};
-use crate::reference;
 use crate::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
+use crate::wiring;
 use cordoba_storage::{morsel_at, Catalog, Morsel, Page, PageBuilder, Schema, Table, Value};
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
@@ -578,11 +579,10 @@ fn probe_one(
 
 /// Executes `plan` with morsel-driven parallel kernels wherever the
 /// plan shape allows (scan/filter/project chains, aggregation, hash
-/// joins); sorts run single-threaded over parallel-materialized
-/// inputs, and nested-loop / merge joins fall back to the reference
-/// executor on parallel-materialized children. With the default
-/// single-worker config every kernel runs inline on the calling
-/// thread.
+/// joins); sorts, nested-loop joins and merge joins run as the engine's
+/// serial operator tasks ([`wiring::run_serial`]) over
+/// parallel-materialized children. With the default single-worker
+/// config every kernel runs inline on the calling thread.
 pub fn execute_plan(
     catalog: &Catalog,
     plan: &PhysicalPlan,
@@ -591,8 +591,8 @@ pub fn execute_plan(
     execute_plan_with_broker(catalog, plan, cfg, &MemoryBroker::unbounded())
 }
 
-/// As [`execute_plan`], charging hash-join build memory to `broker`
-/// (released before returning).
+/// As [`execute_plan`], charging hash-join build memory and the serial
+/// sort/join operators to `broker` (released before returning).
 pub fn execute_plan_with_broker(
     catalog: &Catalog,
     plan: &PhysicalPlan,
@@ -660,9 +660,10 @@ fn lower_chain(
     }
 }
 
-/// Registers `table`'s pages under a fresh temporary name so a
-/// fallback plan node can scan a parallel-materialized child.
-fn register_tmp(catalog: &mut Catalog, tmp: &mut usize, table: Arc<Table>) -> String {
+/// Registers `table`'s pages under a fresh temporary name and returns
+/// a scan of it, so a serially executed plan node can read a
+/// parallel-materialized child.
+fn tmp_scan(catalog: &mut Catalog, tmp: &mut usize, table: Arc<Table>) -> Box<PhysicalPlan> {
     let name = format!("__par_tmp_{tmp}");
     *tmp += 1;
     catalog.register(Table::from_pages(
@@ -670,7 +671,25 @@ fn register_tmp(catalog: &mut Catalog, tmp: &mut usize, table: Arc<Table>) -> St
         table.schema().clone(),
         table.pages().to_vec(),
     ));
-    name
+    Box::new(PhysicalPlan::Scan {
+        table: name,
+        cost: OpCost::default(),
+    })
+}
+
+/// Runs one plan node over its materialized (temporary-table) children
+/// as the serial operator graph, charging `broker`.
+fn run_node(
+    catalog: &Catalog,
+    node: &PhysicalPlan,
+    broker: &MemoryBroker,
+) -> Result<Arc<Table>, ExecError> {
+    let pages = wiring::run_serial(catalog, node, &QueryResources::charging(broker))?;
+    Ok(Table::from_pages(
+        "__par_serial",
+        node.try_output_schema(catalog)?,
+        pages,
+    ))
 }
 
 fn materialize(
@@ -737,31 +756,18 @@ fn materialize(
             broker.release(granted);
             Ok(Table::from_pages("__par_hash_join", out_schema, result?))
         }
-        PhysicalPlan::Sort { input, keys, .. } => {
-            // The sort itself is single-threaded (the engine's spilling
-            // external sort lives in the simulator path); its input is
-            // still produced by the parallel kernels.
-            let table = materialize(catalog, input, cfg, broker, tmp)?;
-            let schema = table.schema().clone();
-            let mut rows: Vec<(Vec<KeyVal>, Vec<u8>)> = Vec::with_capacity(table.row_count());
-            for page in table.pages() {
-                for t in page.tuples() {
-                    rows.push((key_of(&t, keys), t.raw().to_vec()));
-                }
-            }
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut out = Vec::new();
-            let mut builder = PageBuilder::new(schema.clone());
-            for (_, raw) in &rows {
-                if builder.is_full() {
-                    out.push(builder.finish_and_reset());
-                }
-                assert!(builder.push_raw(raw));
-            }
-            if !builder.is_empty() {
-                out.push(builder.finish_and_reset());
-            }
-            Ok(Table::from_pages("__par_sort", schema, out))
+        // Sorts and the order-sensitive joins are not morsel-parallel:
+        // their (parallel-materialized) children become scans of
+        // temporary tables and the node itself runs as the engine's own
+        // operator task — spilling and broker-charged like any other.
+        PhysicalPlan::Sort { input, keys, cost } => {
+            let input = materialize(catalog, input, cfg, broker, tmp)?;
+            let node = PhysicalPlan::Sort {
+                input: tmp_scan(catalog, tmp, input),
+                keys: keys.clone(),
+                cost: *cost,
+            };
+            run_node(catalog, &node, broker)
         }
         PhysicalPlan::NestedLoopJoin {
             outer,
@@ -769,23 +775,15 @@ fn materialize(
             predicate,
             cost,
         } => {
-            let o = materialize(catalog, outer, cfg, broker, tmp)?;
-            let i = materialize(catalog, inner, cfg, broker, tmp)?;
-            let o_name = register_tmp(catalog, tmp, o);
-            let i_name = register_tmp(catalog, tmp, i);
-            let rewritten = PhysicalPlan::NestedLoopJoin {
-                outer: Box::new(PhysicalPlan::Scan {
-                    table: o_name,
-                    cost: *cost,
-                }),
-                inner: Box::new(PhysicalPlan::Scan {
-                    table: i_name,
-                    cost: *cost,
-                }),
+            let outer = materialize(catalog, outer, cfg, broker, tmp)?;
+            let inner = materialize(catalog, inner, cfg, broker, tmp)?;
+            let node = PhysicalPlan::NestedLoopJoin {
+                outer: tmp_scan(catalog, tmp, outer),
+                inner: tmp_scan(catalog, tmp, inner),
                 predicate: predicate.clone(),
                 cost: *cost,
             };
-            Ok(reference::execute_table(catalog, &rewritten))
+            run_node(catalog, &node, broker)
         }
         PhysicalPlan::MergeJoin {
             left,
@@ -794,24 +792,16 @@ fn materialize(
             right_key,
             cost,
         } => {
-            let l = materialize(catalog, left, cfg, broker, tmp)?;
-            let r = materialize(catalog, right, cfg, broker, tmp)?;
-            let l_name = register_tmp(catalog, tmp, l);
-            let r_name = register_tmp(catalog, tmp, r);
-            let rewritten = PhysicalPlan::MergeJoin {
-                left: Box::new(PhysicalPlan::Scan {
-                    table: l_name,
-                    cost: *cost,
-                }),
-                right: Box::new(PhysicalPlan::Scan {
-                    table: r_name,
-                    cost: *cost,
-                }),
+            let left = materialize(catalog, left, cfg, broker, tmp)?;
+            let right = materialize(catalog, right, cfg, broker, tmp)?;
+            let node = PhysicalPlan::MergeJoin {
+                left: tmp_scan(catalog, tmp, left),
+                right: tmp_scan(catalog, tmp, right),
                 left_key: *left_key,
                 right_key: *right_key,
                 cost: *cost,
             };
-            Ok(reference::execute_table(catalog, &rewritten))
+            run_node(catalog, &node, broker)
         }
     }
 }
@@ -819,9 +809,8 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::OpCost;
     use crate::expr::CmpOp;
-    use crate::reference::canonicalize;
+    use crate::reference::{self, canonicalize};
     use cordoba_storage::{DataType, Field, TableBuilder};
 
     fn catalog() -> Catalog {

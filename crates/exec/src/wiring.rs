@@ -21,8 +21,8 @@ use crate::ops::{
 use crate::parallel::{ParallelConfig, StageSpec};
 use crate::plan::PhysicalPlan;
 use cordoba_sim::channel::{self, Receiver, Recv, Sender};
-use cordoba_sim::{Simulator, Spawner, Step, Task, TaskCtx, TaskId};
-use cordoba_storage::{Catalog, Page};
+use cordoba_sim::{RunOutcome, Simulator, Spawner, Step, StopReason, Task, TaskCtx, TaskId};
+use cordoba_storage::{Catalog, Page, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -47,12 +47,24 @@ pub struct WiringConfig {
 impl Default for WiringConfig {
     fn default() -> Self {
         Self {
-            queue_capacity: 16,
-            memory: MemoryConfig::default(),
             // Consults CORDOBA_WORKERS so a CI leg (or a user) can force
             // intra-query parallelism across every default-configured
             // run; unset, this is the single-worker serial wiring.
             parallel: ParallelConfig::from_env(),
+            ..Self::serial()
+        }
+    }
+}
+
+impl WiringConfig {
+    /// The default wiring with intra-query parallelism pinned off,
+    /// whatever `CORDOBA_WORKERS` says: one task per operator. Real-
+    /// thread executors run one such graph per OS thread.
+    pub fn serial() -> Self {
+        Self {
+            queue_capacity: 16,
+            memory: MemoryConfig::default(),
+            parallel: ParallelConfig::with_workers(1),
         }
     }
 }
@@ -484,15 +496,32 @@ fn wire(
     Ok(())
 }
 
-/// Collects all pages from a receiver synchronously after a run, via a
-/// collecting sink — convenience for tests and harnesses. Returns the
-/// query's fault (e.g. an unsorted merge input) as `Err`.
-pub fn run_and_collect(
+/// The typed failure of a run that stopped with tasks still live
+/// (`None` when every task finished): a wedged graph or a time cap
+/// fails the queries in flight, never the process.
+pub fn stall_error(outcome: &RunOutcome) -> Option<ExecError> {
+    let reason = match outcome.reason {
+        StopReason::TimeLimit => "time cap",
+        StopReason::Deadlock => "deadlock",
+        // `Idle` means every task finished; nothing can be stalled.
+        StopReason::Idle => return None,
+    };
+    Some(ExecError::Stalled {
+        reason,
+        live_tasks: outcome.live_tasks,
+    })
+}
+
+/// Runs `sim` to idle with a collecting sink on `rx` and returns the
+/// result pages. The query's fault (e.g. an unsorted merge input) comes
+/// back as `Err`, and so does a graph that wedged
+/// ([`ExecError::Stalled`]).
+pub fn run_and_collect_pages(
     sim: &mut Simulator,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
     fault: &FaultCell,
-) -> Result<Vec<Vec<cordoba_storage::Value>>, ExecError> {
+) -> Result<Vec<Arc<Page>>, ExecError> {
     use std::cell::RefCell;
     use std::rc::Rc;
     let buf = Rc::new(RefCell::new(Vec::new()));
@@ -501,18 +530,58 @@ pub fn run_and_collect(
         Box::new(crate::ops::SinkTask::new(rx, sink_cost).collecting(buf.clone())),
     );
     let outcome = sim.run_to_idle();
-    if let Some(err) = fault.take() {
+    if let Some(err) = fault.take().or_else(|| stall_error(&outcome)) {
         return Err(err);
     }
-    assert!(
-        outcome.completed_all(),
-        "query did not complete: {outcome:?}"
-    );
-    let pages = buf.borrow();
-    Ok(pages
+    Ok(buf.take())
+}
+
+/// As [`run_and_collect_pages`], decoded to rows — convenience for
+/// tests and harnesses.
+pub fn run_and_collect(
+    sim: &mut Simulator,
+    rx: Receiver<Arc<Page>>,
+    sink_cost: OpCost,
+    fault: &FaultCell,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    Ok(page_rows(&run_and_collect_pages(
+        sim, rx, sink_cost, fault,
+    )?))
+}
+
+/// Decodes result pages to rows, in page order.
+pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
+    pages
         .iter()
-        .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
-        .collect())
+        .flat_map(|p| p.tuples().map(|t| t.to_values()))
+        .collect()
+}
+
+/// Runs `plan` to completion on the calling thread — a private
+/// single-context simulator, the serial one-task-per-operator wiring
+/// ([`WiringConfig::serial`]) and the ordinary run loop — charging
+/// `resources.broker`. This is how real-thread executors run an operator
+/// graph: one such loop per OS thread, the same `ops/*` tasks as any
+/// simulated run.
+pub fn run_serial(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    resources: &QueryResources,
+) -> Result<Vec<Arc<Page>>, ExecError> {
+    let cfg = WiringConfig::serial();
+    let mut sim = Simulator::new(1);
+    let (tx, rx) = channel::bounded(cfg.queue_capacity);
+    instantiate_into(
+        &mut sim,
+        catalog,
+        plan,
+        vec![tx],
+        &mut VecDeque::new(),
+        "q",
+        &cfg,
+        resources,
+    )?;
+    run_and_collect_pages(&mut sim, rx, OpCost::default(), &resources.fault)
 }
 
 #[cfg(test)]
@@ -554,12 +623,9 @@ mod tests {
             ],
             cost: OpCost::default(),
         };
-        let cfg = WiringConfig {
-            // Pinned serial (Default consults CORDOBA_WORKERS): the
-            // assertions below name the task-per-operator wiring.
-            parallel: crate::parallel::ParallelConfig::with_workers(1),
-            ..WiringConfig::default()
-        };
+        // Pinned serial (Default consults CORDOBA_WORKERS): the
+        // assertions below name the task-per-operator wiring.
+        let cfg = WiringConfig::serial();
         let mut sim = Simulator::new(2);
         let (rx, spawned, res) = instantiate(&mut sim, &cat, &plan, "q0", &cfg).expect("wires");
         assert_eq!(spawned.len(), 3);
@@ -721,12 +787,9 @@ mod tests {
             predicate: Predicate::col_cmp(0, CmpOp::Lt, 60i64),
             cost: OpCost::default(),
         };
-        let cfg = WiringConfig {
-            // Pinned to one worker (not Default, which consults
-            // CORDOBA_WORKERS): this test is *about* the serial wiring.
-            parallel: crate::parallel::ParallelConfig::with_workers(1),
-            ..WiringConfig::default()
-        };
+        // Pinned to one worker (not Default, which consults
+        // CORDOBA_WORKERS): this test is *about* the serial wiring.
+        let cfg = WiringConfig::serial();
         let mut sim = Simulator::new(1);
         let (_rx, spawned, _res) = instantiate(&mut sim, &cat, &plan, "q0", &cfg).expect("wires");
         let mut names: Vec<&str> = spawned.iter().map(|(_, n)| n.as_str()).collect();
@@ -848,6 +911,60 @@ mod tests {
         let rows =
             run_and_collect(&mut sim, out_rx, OpCost::default(), &res.fault).expect("no fault");
         assert_eq!(rows, vec![vec![Value::Int(100)]]);
+    }
+
+    #[test]
+    fn wedged_graph_is_a_typed_stall() {
+        // A Source root whose upstream neither sends nor closes: the
+        // relay and the collector block forever.
+        let cat = catalog();
+        let fragment = PhysicalPlan::Source {
+            schema: crate::plan::SchemaRef(cat.expect("t").schema().clone()),
+        };
+        let mut sim = Simulator::new(1);
+        let (_never_sends, upstream) = channel::bounded(4);
+        let (out_tx, out_rx) = channel::bounded(4);
+        let res = QueryResources::default();
+        instantiate_into(
+            &mut sim,
+            &cat,
+            &fragment,
+            vec![out_tx],
+            &mut VecDeque::from([upstream]),
+            "wedged",
+            &WiringConfig::default(),
+            &res,
+        )
+        .expect("wires");
+        let err = run_and_collect(&mut sim, out_rx, OpCost::default(), &res.fault).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::Stalled {
+                reason: "deadlock",
+                live_tasks: 2
+            }
+        );
+    }
+
+    #[test]
+    fn run_serial_ignores_the_worker_environment() {
+        // Whatever CORDOBA_WORKERS says, the serial helper reproduces
+        // the one-worker wiring's rows.
+        let cat = paged_catalog();
+        let plan = PhysicalPlan::Sort {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::default(),
+            }),
+            keys: vec![0, 1],
+            cost: OpCost::default(),
+        };
+        let res = QueryResources::default();
+        let pages = run_serial(&cat, &plan, &res).expect("runs");
+        assert_eq!(page_rows(&pages), run_plan(&cat, &plan, 1));
+        assert!(res.broker.peak() > 0, "the sort charged the broker");
+        assert_eq!(res.broker.used(), 0);
+        assert_eq!(WiringConfig::serial().parallel.workers, 1);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * the **real-thread** executor (`cordoba_exec::parallel`): joins are
 //!   compared as sorted multisets (partitioned builds legitimately
 //!   reorder output), including under a two-page memory budget so the
-//!   partition-spill machinery runs underneath the parallel probe.
+//!   partition-spill machinery runs underneath the parallel probe;
+//!   sorts, merge joins and nested-loop joins run as the engine's
+//!   serial operator tasks and are compared row-for-row.
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
@@ -261,6 +263,55 @@ proptest! {
                 &reference::canonicalize(budgeted), &oracle,
                 "workers={} (budgeted)", workers
             );
+        }
+    }
+
+    /// Sorts, merge joins and nested-loop joins are not morsel-parallel:
+    /// the threaded executor runs them as the engine's serial operator
+    /// tasks over parallel-materialized children. Row-for-row equal to
+    /// the reference at every worker count, also when a two-page broker
+    /// forces the sorts to spill, and every grant comes back.
+    #[test]
+    fn threaded_sort_and_ordered_joins_match_reference(
+        left in kv_rows(300),
+        right in kv_rows(300),
+        cutoff in 0i64..48,
+    ) {
+        let catalog = kv_catalog(&left, &right);
+        let sorted = |input: Box<PhysicalPlan>| Box::new(PhysicalPlan::Sort {
+            input,
+            keys: vec![0, 1],
+            cost: OpCost::default(),
+        });
+        let low_left = || Box::new(PhysicalPlan::Filter {
+            input: scan("l"),
+            predicate: Predicate::col_cmp(0, CmpOp::Lt, cutoff),
+            cost: OpCost::default(),
+        });
+        let merge = PhysicalPlan::MergeJoin {
+            left: sorted(low_left()),
+            right: sorted(scan("r")),
+            left_key: 0,
+            right_key: 0,
+            cost: OpCost::default(),
+        };
+        let nlj = PhysicalPlan::NestedLoopJoin {
+            outer: low_left(),
+            inner: scan("r"),
+            predicate: Predicate::cmp(ScalarExpr::col(0), CmpOp::Eq, ScalarExpr::col(2)),
+            cost: OpCost::default(),
+        };
+        for plan in [merge, nlj] {
+            let oracle = reference::execute(&catalog, &plan);
+            for workers in [1usize, 2, 4, 8] {
+                let cfg = ParallelConfig { workers, morsel_pages: 1 };
+                for broker in [MemoryBroker::unbounded(), MemoryBroker::with_budget(2 * PAGE_SIZE)] {
+                    let got = parallel::execute_plan_with_broker(&catalog, &plan, &cfg, &broker)
+                        .expect("plan runs");
+                    prop_assert_eq!(&got, &oracle, "workers={} {}", workers, plan.op_name());
+                    prop_assert_eq!(broker.used(), 0, "grants leaked");
+                }
+            }
         }
     }
 

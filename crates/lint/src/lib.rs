@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Four rules, all line-oriented over a
+//! sanitizer CI legs). Five rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -26,6 +26,11 @@
 //!    outside the audited files (`exec::memory`'s monotone peak CAS,
 //!    `exec::parallel`'s morsel counter) is flagged, so a new Relaxed
 //!    access has to be argued into the allowlist or strengthened.
+//! 5. **Oracle out of the engine** — no `reference::execute*` in
+//!    non-test `exec` / `engine` source: the tuple-at-a-time reference
+//!    executor is the denominator tests compare against, never a code
+//!    path (a fallback to it silently measures and ships the wrong
+//!    engine).
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -51,6 +56,8 @@ pub enum Rule {
     NondeterministicClock,
     /// `Ordering::Relaxed` outside the audited allowlist.
     RelaxedOrdering,
+    /// `reference::execute*` called from non-test engine code.
+    OracleInEngine,
 }
 
 impl Rule {
@@ -62,6 +69,7 @@ impl Rule {
             Rule::PanicSite => "panic-site",
             Rule::NondeterministicClock => "nondeterministic-clock",
             Rule::RelaxedOrdering => "relaxed-ordering",
+            Rule::OracleInEngine => "oracle-in-engine",
         }
     }
 }
@@ -107,6 +115,12 @@ pub struct Config {
     pub deterministic_exceptions: Vec<String>,
     /// Files allowed to use `Ordering::Relaxed` (audited sites).
     pub relaxed_allowed_files: Vec<String>,
+    /// Path prefixes whose non-test code must not call the reference
+    /// executor.
+    pub oracle_free_prefixes: Vec<String>,
+    /// Files under those prefixes that may name it: the oracle's own
+    /// definition and test-only modules gated from their parent.
+    pub oracle_allowed_files: Vec<String>,
 }
 
 impl Config {
@@ -138,12 +152,19 @@ impl Config {
                 "crates/exec/src/memory.rs".into(),
                 "crates/exec/src/parallel.rs".into(),
                 // Work-claim fetch_add counters, same shape as the
-                // dispenser's model-checked claim path; result ordering
-                // comes from the mpsc channel, not the counter.
+                // dispenser's model-checked claim path; results are
+                // placed by claimed index once the workers are joined.
                 "crates/engine/src/thread_exec.rs".into(),
                 // Spill-file name uniquifier: a counter with no
                 // synchronization role at all.
                 "crates/storage/src/spill.rs".into(),
+            ],
+            oracle_free_prefixes: vec!["crates/exec/src".into(), "crates/engine/src".into()],
+            oracle_allowed_files: vec![
+                "crates/exec/src/reference.rs".into(),
+                // `#[cfg(test)] mod join_properties;` in ops/mod.rs: the
+                // whole file is test code.
+                "crates/exec/src/ops/join_properties.rs".into(),
             ],
         }
     }
@@ -409,6 +430,8 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     let panic_scoped = has_prefix(file, &cfg.panic_free_prefixes);
     let det_scoped = has_prefix(file, &cfg.deterministic_prefixes)
         && !listed(file, &cfg.deterministic_exceptions);
+    let oracle_scoped =
+        has_prefix(file, &cfg.oracle_free_prefixes) && !listed(file, &cfg.oracle_allowed_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -473,6 +496,16 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                 Rule::RelaxedOrdering,
                 "`Ordering::Relaxed` outside the audited allowlist; strengthen the ordering \
                  or argue the site into Config::workspace() with a model-check test"
+                    .into(),
+            );
+        }
+        // Rule 5: the oracle is a test denominator, not a code path.
+        if oracle_scoped && code.contains("reference::execute") {
+            push(
+                i,
+                Rule::OracleInEngine,
+                "`reference::execute*` in non-test engine code; run the plan through \
+                 `wiring` (e.g. `wiring::run_serial`) — the reference executor is for tests"
                     .into(),
             );
         }
@@ -569,6 +602,8 @@ mod tests {
             deterministic_prefixes: vec![file.to_string()],
             deterministic_exceptions: vec![],
             relaxed_allowed_files: vec![],
+            oracle_free_prefixes: vec![file.to_string()],
+            oracle_allowed_files: vec![],
         }
     }
 
@@ -714,6 +749,25 @@ mod tests {
     }
 
     #[test]
+    fn seeded_oracle_call_is_caught_outside_tests_only() {
+        let call = "fn f(c: &Catalog, p: &PhysicalPlan) { crate::reference::execute_table(c, p); }";
+        assert_eq!(rules(call), vec![Rule::OracleInEngine]);
+        assert_eq!(
+            rules("use crate::reference;\nfn f() { reference::execute(c, p); }"),
+            vec![Rule::OracleInEngine]
+        );
+        // Tests compare against it; other `reference::` items are fine.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{call}\n}}");
+        assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
+        assert!(rules("fn f(r: Rows) -> Rows { reference::canonicalize(r) }").is_empty());
+        // The oracle's own file (and unscoped crates) may name it.
+        let mut cfg = cfg_for("reference.rs");
+        cfg.oracle_allowed_files = vec!["reference.rs".into()];
+        assert!(lint_source("reference.rs", call, &cfg).is_empty());
+        assert!(lint_source("bench.rs", call, &cfg).is_empty());
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -742,6 +796,7 @@ mod tests {
             .iter()
             .chain(&cfg.deterministic_exceptions)
             .chain(&cfg.relaxed_allowed_files)
+            .chain(&cfg.oracle_allowed_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }
