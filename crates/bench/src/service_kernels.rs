@@ -18,8 +18,7 @@
 //!   must stay accounted.
 
 use cordoba_engine::{
-    run_service, ArrivalSchedule, EngineConfig, ParallelConfig, Policy, ServiceConfig,
-    ServiceReport,
+    run_service, ArrivalSchedule, EngineConfig, ParallelConfig, Policy, Report, ServiceConfig,
 };
 use cordoba_sim::{LatencySummary, VTime};
 use cordoba_storage::tpch::{generate, TpchConfig};
@@ -100,14 +99,9 @@ fn point(
     name: &'static str,
     suite: &'static str,
     cfg: &ServiceConfig,
-    report: &ServiceReport,
+    report: &Report,
     note: &'static str,
 ) -> ServicePoint {
-    let mean_group = if report.group_sizes.is_empty() {
-        0.0
-    } else {
-        report.group_sizes.iter().sum::<usize>() as f64 / report.group_sizes.len() as f64
-    };
     let latency = report
         .latency()
         .summary()
@@ -125,7 +119,7 @@ fn point(
         makespan: report.makespan,
         throughput: report.throughput(),
         utilization: report.stats.utilization(),
-        mean_group,
+        mean_group: report.mean_group_size(),
         latency,
         note,
     }

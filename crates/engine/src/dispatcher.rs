@@ -88,13 +88,15 @@ pub(crate) struct EngineCore {
     pub arrivals: VecDeque<Arrival>,
     pub pending: Vec<PendingGroup>,
     pub dispatcher: Option<TaskId>,
-    /// `(virtual completion time, query name)` per finished query.
-    pub completions: Vec<(VTime, String)>,
     /// `(submission id, error)` per failed query: plans rejected at
     /// instantiation and runtime faults (e.g. unsorted merge inputs,
     /// spill I/O errors, exhausted memory budgets). Failed queries
-    /// never appear in `completions` and are not resubmitted.
+    /// never appear in `completion_records` and are not resubmitted.
     pub failures: Vec<(usize, ExecError)>,
+    /// Submission ids refused at admission (bounded admission queue
+    /// full): they hold a position in every per-submission table but
+    /// never entered `arrivals`.
+    pub rejections: Vec<usize>,
     /// Submission time by submission id (0 for pre-run submissions).
     pub arrival_times: Vec<VTime>,
     /// `(submission id, completion time)` pairs, for response times.
@@ -105,7 +107,7 @@ pub(crate) struct EngineCore {
     /// Arrivals scheduled by an open-system driver but not yet
     /// submitted; keeps the dispatcher alive while the schedule drains.
     pub external_arrivals_pending: usize,
-    /// Queries submitted but not yet completed (the closed system's
+    /// Queries admitted but not yet completed (the closed system's
     /// multiprogramming level) — the denominator of the fair-share
     /// effective-processor estimate handed to the policy.
     pub live_queries: usize,
@@ -122,11 +124,11 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    pub(crate) fn submit(&mut self, spec: QuerySpec) -> usize {
-        self.submit_at(spec, 0)
-    }
-
-    pub(crate) fn submit_at(&mut self, spec: QuerySpec, now: VTime) -> usize {
+    /// Offers a query at `now`. Every offered query takes the next
+    /// submission id — so ids are offered positions — but only an
+    /// admitted one (`admit`) enters the arrival queue; a refused one is
+    /// recorded in `rejections` and never runs.
+    pub(crate) fn offer(&mut self, spec: QuerySpec, now: VTime, admit: bool) {
         let submission = self.next_submission;
         self.next_submission += 1;
         if let Some(collect) = &mut self.collect {
@@ -135,9 +137,12 @@ impl EngineCore {
         }
         debug_assert_eq!(self.arrival_times.len(), submission);
         self.arrival_times.push(now);
-        self.arrivals.push_back(Arrival { submission, spec });
-        self.live_queries += 1;
-        submission
+        if admit {
+            self.arrivals.push_back(Arrival { submission, spec });
+            self.live_queries += 1;
+        } else {
+            self.rejections.push(submission);
+        }
     }
 }
 
@@ -511,11 +516,10 @@ impl DispatcherTask {
                 core.live_queries = core.live_queries.saturating_sub(1);
                 return;
             }
-            core.completions.push((ctx.now(), spec.name.clone()));
             core.completion_records.push((submission, ctx.now()));
             core.live_queries = core.live_queries.saturating_sub(1);
             if core.resubmit {
-                core.submit_at(spec.clone(), ctx.now());
+                core.offer(spec.clone(), ctx.now(), true);
                 let dispatcher = core.dispatcher;
                 drop(core);
                 if let Some(d) = dispatcher {

@@ -22,14 +22,17 @@
 //!   (paper Section 8): the model-guided policy admits a query into a
 //!   sharing group only if the analytical model predicts a net win for
 //!   the expanded group.
-//! * [`runner`] — a closed-system client harness (every completed query
-//!   is immediately resubmitted — the Little's Law regime of
-//!   Section 1.2) measuring throughput on the simulated CMP.
-//! * [`service`] — the open-system service loop: arrivals pass a
-//!   bounded admission queue (typed rejection when full), the sharing
-//!   policy acts as a per-arrival merge controller, and every offered
-//!   query gets an explicit disposition (completed / failed / rejected
-//!   / in flight) so tail-latency accounting always balances.
+//! * [`run`] — the one run loop on the simulated CMP and its one
+//!   [`Report`]. A [`Run`] is parameterised by arrival source, admission
+//!   bound, capture and stop condition: [`run_once`] (a batch),
+//!   [`ClosedLoop`]/[`measure_throughput`] (every completion is
+//!   resubmitted — the Little's Law regime of Section 1.2) and
+//!   [`run_service`] (the open system of Section 5.1: arrivals pass a
+//!   bounded admission queue with typed rejection when full, the
+//!   sharing policy acts as a per-arrival merge controller) are
+//!   configurations of it. Every offered query gets an explicit
+//!   disposition (completed / failed / rejected / in flight), so
+//!   tail-latency accounting always balances.
 //! * [`profiling`] — the paper's Section 3.1 parameter estimation:
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
@@ -46,8 +49,7 @@ pub mod fragment_cache;
 pub mod policy;
 pub mod profiling;
 pub mod query;
-pub mod runner;
-pub mod service;
+pub mod run;
 pub mod sharing;
 pub mod thread_exec;
 
@@ -55,9 +57,8 @@ pub use cordoba_exec::{ExecError, MemoryConfig, ParallelConfig};
 pub use fragment_cache::{CachedFragment, FragmentCache};
 pub use policy::{OverlapInfo, Policy, QueryModelInfo};
 pub use query::QuerySpec;
-pub use runner::{
-    measure_throughput, poisson_arrivals, run_closed_loop, run_once, run_once_capped,
-    run_open_loop, run_open_loop_collecting, ArrivalSchedule, ClosedLoop, Disposition,
-    EngineConfig, OnceOutcome, OpenReport, RunReport, SharingCounters, Throughput,
+pub use run::{
+    measure_throughput, run_once, run_open_loop_collecting, run_service, ArrivalSchedule,
+    ClosedLoop, Disposition, EngineConfig, OnceOutcome, Report, Run, ServiceConfig, ServiceReport,
+    SharingCounters, Source, Stop, Throughput,
 };
-pub use service::{run_service, ServiceConfig, ServiceReport};

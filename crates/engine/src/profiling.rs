@@ -13,7 +13,7 @@
 
 use crate::policy::{Policy, QueryModelInfo};
 use crate::query::QuerySpec;
-use crate::runner::{run_once, EngineConfig, OnceOutcome};
+use crate::run::{run_once, EngineConfig, Report};
 use crate::sharing::pivot_preorder;
 use cordoba_core::estimate::{fit_pivot, PivotObservation};
 use cordoba_core::{ModelError, NodeId, OperatorSpec, PlanSpec};
@@ -111,10 +111,7 @@ pub fn profile_query(
     ))
 }
 
-fn find_stats<'a>(
-    out: &'a OnceOutcome,
-    prefix: &str,
-) -> Result<&'a cordoba_sim::TaskStats, ModelError> {
+fn find_stats<'a>(out: &'a Report, prefix: &str) -> Result<&'a cordoba_sim::TaskStats, ModelError> {
     out.task_stats
         .iter()
         .find(|(name, _)| name.starts_with(prefix))
@@ -127,7 +124,7 @@ fn find_stats<'a>(
 /// split across the pivot group (`g0/shared/<i>:`) and the member
 /// fragment (`q0/<name>/<j>:`).
 fn collect_ops(
-    out: &OnceOutcome,
+    out: &Report,
     plan: &PhysicalPlan,
     pivot_pre: usize,
     subtree_size: usize,

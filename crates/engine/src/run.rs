@@ -1,0 +1,1116 @@
+//! The engine's one run loop and its one report.
+//!
+//! The paper measures one engine under two regimes: the closed system
+//! of Section 1.2 (`m` clients each keep one query in flight; every
+//! completion is resubmitted — Little's Law) and the open system of
+//! Section 5.1 (arrivals independent of response times). Both, and the
+//! one-shot batches the correctness and profiling harnesses use, are the
+//! same [`Run`] — `{ Simulator, EngineCore }` built in one place and
+//! parameterised only by what varies between them:
+//!
+//! * the arrival [`Source`] (a batch submitted at t = 0, a batch whose
+//!   completions are resubmitted, or an [`ArrivalSchedule`] fed by the
+//!   arrival task),
+//! * the admission bound (`usize::MAX` = unbounded),
+//! * whether result rows and per-task statistics are captured,
+//! * the [`Stop`] condition of each [`Run::advance`] call.
+//!
+//! Every offered query ends in exactly one [`Disposition`], so the books
+//! of every [`Report`] balance:
+//!
+//! ```text
+//! offered == completed + failures + rejected + in_flight
+//! ```
+//!
+//! ## One stop rule
+//!
+//! A run that stops because the simulator wedged
+//! ([`StopReason::Deadlock`]) fails every admitted-but-unfinished query
+//! with [`ExecError::Stalled`]; a run that stops at a time cap leaves
+//! them [`Disposition::InFlight`]. The rule does not depend on the
+//! source, the bound or the capture flag.
+//!
+//! ## Sharing as an admission/merge controller
+//!
+//! Admission happens in two stages. The arrival task bounds the
+//! multiprogramming level: an arrival is refused outright
+//! ([`Disposition::Rejected`] — backpressure by load-shedding, not by
+//! blocking the client) when the admission bound's worth of queries are
+//! already live (queued, forming, or executing). An admitted arrival
+//! then wakes the dispatcher, which consults
+//! [`crate::Policy::admit_overlap`] **per arrival against the live group
+//! table** — each open formation-window group whose fingerprint matches
+//! is offered the newcomer, and the model decides (under the current
+//! fair-share `n_eff`) whether merging is a net win. Capacity decides
+//! *whether* a query enters, the model decides *where*.
+//!
+//! Arrival processes (Poisson, bursty on/off, load ramps, chaos
+//! campaigns) are generated by `cordoba-workload`'s `arrivals` module
+//! and are ordinary [`ArrivalSchedule`]s — the run is agnostic to how
+//! the schedule was drawn.
+
+use crate::dispatcher::{DispatcherTask, EngineCore};
+use crate::policy::Policy;
+use crate::query::QuerySpec;
+use cordoba_exec::wiring::{page_rows, WiringConfig};
+use cordoba_exec::{ExecError, MemoryConfig, OpCost, ParallelConfig};
+use cordoba_sim::{
+    Histogram, RunOutcome, SimStats, Simulator, Step, StopReason, Task, TaskCtx, TaskStats, VTime,
+};
+use cordoba_storage::{Catalog, Value};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// Engine/run configuration.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Simulated hardware contexts (the paper sweeps 1, 2, 8, 32).
+    pub contexts: usize,
+    /// Inter-operator channel capacity in pages.
+    pub queue_capacity: usize,
+    /// Sharing policy.
+    pub policy: Policy,
+    /// Group-formation window (virtual time): arrivals within the
+    /// window of a compatible open group may merge with it. Stands in
+    /// for stage-queue residence in the paper's packet engine.
+    pub window: VTime,
+    /// Maximum members per sharing group.
+    pub max_group: usize,
+    /// Cost charged by the client-side sink per result tuple.
+    pub sink_cost: OpCost,
+    /// Per-query memory policy: budget, spill directory, and the
+    /// hash-join repartitioning limits. The default is unbounded (no
+    /// operator ever spills), matching the engine's historic behavior.
+    pub memory: MemoryConfig,
+    /// Intra-query parallelism: morsel workers per parallelizable plan
+    /// fragment. The single-worker default keeps the classic
+    /// one-task-per-operator wiring; more workers split scan chains
+    /// and aggregates across simulated contexts.
+    pub parallel: ParallelConfig,
+    /// Capacity of the fragment cache (completed shared-fragment
+    /// outputs replayed for late subsumed arrivals). `0` disables the
+    /// cache entirely — the historic behavior, and the default.
+    pub fragment_cache: usize,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        Self {
+            contexts: 1,
+            queue_capacity: 16,
+            policy: Policy::NeverShare,
+            window: 2_000,
+            max_group: 64,
+            sink_cost: OpCost::per_tuple(0.1),
+            memory: MemoryConfig::default(),
+            // Consults CORDOBA_WORKERS (default 1) — see
+            // `ParallelConfig::from_env`.
+            parallel: ParallelConfig::from_env(),
+            fragment_cache: 0,
+        }
+    }
+}
+
+/// Configuration of one service run ([`run_service`]).
+#[derive(Debug, Clone)]
+pub struct ServiceConfig {
+    /// The engine under the service loop.
+    pub engine: EngineConfig,
+    /// Bounded admission queue: the maximum number of live queries
+    /// (queued, forming, or executing). An arrival finding the system
+    /// at capacity is refused with [`Disposition::Rejected`].
+    pub admission_capacity: usize,
+    /// Optional virtual-time cap; queries unfinished at the cap are
+    /// reported as in flight, never dropped.
+    pub time_cap: Option<VTime>,
+}
+
+/// Counters for semantic (fingerprint/subsumption) sharing activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharingCounters {
+    /// Fragment-cache lookups that found a servable subsuming fragment.
+    pub fingerprint_hits: u64,
+    /// Fragment-cache lookups that found none.
+    pub fingerprint_misses: u64,
+    /// Fragment-cache entries displaced by inserts past capacity.
+    pub fingerprint_evictions: u64,
+    /// Group admissions where the member's pivot differed from the
+    /// group pivot (joined via subsumption + residual, not equality).
+    pub subsume_joins: u64,
+    /// Times an arrival's wider pivot replaced an open group's pivot.
+    pub pivot_widenings: u64,
+}
+
+impl SharingCounters {
+    fn from_core(core: &EngineCore) -> Self {
+        let (hits, misses, evictions) = core
+            .fragment_cache
+            .as_ref()
+            .map_or((0, 0, 0), |c| (c.hits, c.misses, c.evictions));
+        Self {
+            fingerprint_hits: hits,
+            fingerprint_misses: misses,
+            fingerprint_evictions: evictions,
+            subsume_joins: core.subsume_joins,
+            pivot_widenings: core.pivot_widenings,
+        }
+    }
+}
+
+/// An arrival schedule for an open system: `(arrival time, query)`
+/// pairs sorted by time.
+pub type ArrivalSchedule = Vec<(VTime, QuerySpec)>;
+
+/// Where a run's queries come from.
+#[derive(Debug, Clone)]
+pub enum Source<'a> {
+    /// All submitted at t = 0, each run once.
+    Batch(&'a [QuerySpec]),
+    /// A closed system (paper Section 1.2): one client per entry, all
+    /// submitted at t = 0, each resubmitted on every completion.
+    Closed(&'a [QuerySpec]),
+    /// An open system (paper Section 5.1): queries arrive per schedule,
+    /// independent of completions.
+    Schedule(ArrivalSchedule),
+}
+
+/// When a [`Run::advance`] call returns. Whatever the condition, it
+/// also returns once the simulator has nothing left to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// When the schedule has drained and the engine is empty.
+    Idle,
+    /// At this virtual time.
+    TimeCap(VTime),
+    /// At `target` total completions, or at `time_cap`. Shared and
+    /// unshared modes can differ in throughput by an order of
+    /// magnitude, so a fixed horizon under-samples one of them.
+    Completions {
+        /// Total completions (since the run began) to wait for.
+        target: usize,
+        /// Virtual time at which to give up.
+        time_cap: VTime,
+    },
+}
+
+/// What became of one offered query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Disposition {
+    /// Completed normally.
+    Completed {
+        /// Virtual completion time.
+        at: VTime,
+        /// Response time (completion − arrival).
+        response: VTime,
+    },
+    /// Failed (rejected plan, runtime fault, injected chaos, or a
+    /// wedged run) — never completed.
+    Failed(ExecError),
+    /// Refused at admission (bounded admission queue full) — never
+    /// entered the engine.
+    Rejected,
+    /// Still unfinished when the run stopped at its time cap: either
+    /// in the engine (queued, forming, or executing) or a scheduled
+    /// arrival the cap cut off before it was submitted.
+    InFlight,
+}
+
+/// Feeds an arrival schedule into the engine: sleeps (off-context)
+/// between arrivals, and on each arrival either refuses it (system at
+/// capacity) or submits it and wakes the dispatcher so the merge
+/// controller sees it immediately.
+struct Arrivals {
+    core: Rc<RefCell<EngineCore>>,
+    schedule: std::vec::IntoIter<(VTime, QuerySpec)>,
+    pending: Option<(VTime, QuerySpec)>,
+    capacity: usize,
+}
+
+impl Task for Arrivals {
+    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+        let now = ctx.now();
+        loop {
+            let (at, spec) = match self.pending.take().or_else(|| self.schedule.next()) {
+                Some(x) => x,
+                None => return Step::done(0),
+            };
+            if at > now {
+                let delay = at - now;
+                self.pending = Some((at, spec));
+                return Step::sleep(0, delay);
+            }
+            let mut core = self.core.borrow_mut();
+            core.external_arrivals_pending = core.external_arrivals_pending.saturating_sub(1);
+            let admit = core.live_queries < self.capacity;
+            core.offer(spec, now, admit);
+            if !admit {
+                continue;
+            }
+            let dispatcher = core.dispatcher;
+            drop(core);
+            if let Some(d) = dispatcher {
+                ctx.wake(d);
+            }
+        }
+    }
+}
+
+/// Disposition of every offered query, by offered position — the one
+/// walk over the engine's completion, failure and rejection records.
+/// Every arrival takes the next submission id, admitted or not, so
+/// positions are submission ids; scheduled arrivals a time cap cut off
+/// follow them, in flight.
+fn dispositions_of(core: &EngineCore) -> Vec<Disposition> {
+    let offered = core.next_submission + core.external_arrivals_pending;
+    let mut dispositions = vec![Disposition::InFlight; offered];
+    for &(submission, done) in &core.completion_records {
+        dispositions[submission] = Disposition::Completed {
+            at: done,
+            response: done.saturating_sub(core.arrival_times[submission]),
+        };
+    }
+    for (submission, err) in &core.failures {
+        dispositions[*submission] = Disposition::Failed(err.clone());
+    }
+    for &submission in &core.rejections {
+        dispositions[submission] = Disposition::Rejected;
+    }
+    dispositions
+}
+
+/// One steppable engine run on the simulated CMP: build it, [`advance`]
+/// it (once, or repeatedly for adaptive measurements), read its
+/// [`report`].
+///
+/// [`advance`]: Run::advance
+/// [`report`]: Run::report
+pub struct Run {
+    sim: Simulator,
+    core: Rc<RefCell<EngineCore>>,
+}
+
+impl Run {
+    /// Builds the run without advancing it. `admission` bounds the live
+    /// queries a [`Source::Schedule`] arrival may find (at least 1;
+    /// `usize::MAX` = unbounded); `capture` keeps every query's result
+    /// rows and the per-task statistics for the [`Report`].
+    pub fn new(
+        catalog: &Catalog,
+        cfg: &EngineConfig,
+        source: Source<'_>,
+        admission: usize,
+        capture: bool,
+    ) -> Self {
+        let resubmit = matches!(source, Source::Closed(_));
+        let (batch, schedule) = match source {
+            Source::Batch(specs) | Source::Closed(specs) => (specs, None),
+            Source::Schedule(schedule) => (&[][..], Some(schedule)),
+        };
+        let core = Rc::new(RefCell::new(EngineCore {
+            catalog: Rc::new(catalog.clone()),
+            wiring: WiringConfig {
+                queue_capacity: cfg.queue_capacity,
+                memory: cfg.memory.clone(),
+                parallel: cfg.parallel,
+            },
+            policy: cfg.policy.clone(),
+            contexts: cfg.contexts,
+            window: cfg.window,
+            resubmit,
+            max_group: cfg.max_group,
+            sink_cost: cfg.sink_cost,
+            arrivals: VecDeque::new(),
+            pending: Vec::new(),
+            dispatcher: None,
+            failures: Vec::new(),
+            rejections: Vec::new(),
+            arrival_times: Vec::new(),
+            completion_records: Vec::new(),
+            group_sizes: Vec::new(),
+            next_submission: 0,
+            external_arrivals_pending: schedule.as_ref().map_or(0, Vec::len),
+            live_queries: 0,
+            group_seq: 0,
+            collect: capture.then(Vec::new),
+            fragment_cache: (cfg.fragment_cache > 0)
+                .then(|| crate::fragment_cache::FragmentCache::new(cfg.fragment_cache)),
+            subsume_joins: 0,
+            pivot_widenings: 0,
+        }));
+        let mut sim = Simulator::new(cfg.contexts);
+        // Spawn order fixes virtual time: a batch is queued before the
+        // dispatcher exists, a schedule's arrival task is spawned after.
+        for spec in batch {
+            core.borrow_mut().offer(spec.clone(), 0, true);
+        }
+        let dispatcher = sim.spawn(
+            "dispatcher",
+            Box::new(DispatcherTask { core: core.clone() }),
+        );
+        core.borrow_mut().dispatcher = Some(dispatcher);
+        if let Some(schedule) = schedule {
+            sim.spawn(
+                "arrivals",
+                Box::new(Arrivals {
+                    core: core.clone(),
+                    schedule: schedule.into_iter(),
+                    pending: None,
+                    capacity: admission.max(1),
+                }),
+            );
+        }
+        Self { sim, core }
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> VTime {
+        self.sim.now()
+    }
+
+    /// Completions so far.
+    pub fn completions(&self) -> usize {
+        self.core.borrow().completion_records.len()
+    }
+
+    /// Machine statistics so far.
+    pub fn stats(&self) -> SimStats {
+        self.sim.stats()
+    }
+
+    /// Runs until `stop` (or until the simulator has nothing left to
+    /// run) and returns why the simulator stopped. This is the one stop
+    /// rule: on [`StopReason::Deadlock`] — live tasks none of which can
+    /// ever run again, a wedged operator graph — every
+    /// admitted-but-unfinished query fails with
+    /// [`ExecError::Stalled`]; on [`StopReason::TimeLimit`] they stay
+    /// in flight and a later `advance` may finish them.
+    pub fn advance(&mut self, stop: Stop) -> StopReason {
+        let outcome = match stop {
+            Stop::Idle => self.sim.run(None),
+            Stop::TimeCap(cap) => self.sim.run(Some(cap)),
+            Stop::Completions { target, time_cap } => {
+                // Slices grow geometrically from a small initial one so
+                // the overshoot past `target` stays bounded (a fixed
+                // large slice could collect thousands of surplus
+                // completions on fast workloads).
+                let mut chunk: VTime = 10_000;
+                let mut outcome = RunOutcome {
+                    reason: StopReason::TimeLimit,
+                    now: self.sim.now(),
+                    live_tasks: 0,
+                };
+                while outcome.reason == StopReason::TimeLimit
+                    && self.completions() < target
+                    && self.sim.now() < time_cap
+                {
+                    let next = self.sim.now().saturating_add(chunk).min(time_cap);
+                    outcome = self.sim.run(Some(next));
+                    chunk = chunk.saturating_mul(2);
+                }
+                outcome
+            }
+        };
+        if outcome.reason == StopReason::Deadlock {
+            let mut core = self.core.borrow_mut();
+            let stalled = ExecError::Stalled {
+                reason: "deadlock",
+                live_tasks: outcome.live_tasks,
+            };
+            // Arrivals only: a deadlocked simulator has no arrival left
+            // to deliver, but a not-yet-offered query is never failed.
+            let arrived = core.next_submission;
+            for (submission, disposition) in dispositions_of(&core)[..arrived].iter().enumerate() {
+                if *disposition == Disposition::InFlight {
+                    core.failures.push((submission, stalled.clone()));
+                    core.live_queries = core.live_queries.saturating_sub(1);
+                }
+            }
+        }
+        outcome.reason
+    }
+
+    /// The run's report as of now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the accounting does not balance — every offered query
+    /// must be completed, failed, rejected, or in flight.
+    pub fn report(&self) -> Report {
+        let core = self.core.borrow();
+        let dispositions = dispositions_of(&core);
+        let count = |want: &Disposition| dispositions.iter().filter(|d| *d == want).count();
+        let failures: Vec<(usize, ExecError)> = dispositions
+            .iter()
+            .enumerate()
+            .filter_map(|(position, d)| match d {
+                Disposition::Failed(err) => Some((position, err.clone())),
+                _ => None,
+            })
+            .collect();
+        let (results, task_stats) = match &core.collect {
+            Some(buffers) => (
+                buffers.iter().map(|b| page_rows(&b.borrow())).collect(),
+                self.sim
+                    .all_task_stats()
+                    .map(|(_, name, stats)| (name.to_string(), *stats))
+                    .collect(),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        let report = Report {
+            offered: dispositions.len(),
+            submitted: core.next_submission - core.rejections.len(),
+            completed: core.completion_records.len(),
+            rejected: count(&Disposition::Rejected),
+            in_flight: count(&Disposition::InFlight),
+            makespan: self.sim.now(),
+            response_times: core
+                .completion_records
+                .iter()
+                .map(|&(submission, done)| done.saturating_sub(core.arrival_times[submission]))
+                .collect(),
+            dispositions,
+            failures,
+            group_sizes: core.group_sizes.clone(),
+            sharing: SharingCounters::from_core(&core),
+            stats: self.sim.stats(),
+            results,
+            task_stats,
+        };
+        assert_eq!(
+            report.offered,
+            report.completed + report.failures.len() + report.rejected + report.in_flight,
+            "run accounting must balance: {} offered vs {} completed + {} failed + {} rejected + {} in flight",
+            report.offered,
+            report.completed,
+            report.failures.len(),
+            report.rejected,
+            report.in_flight,
+        );
+        report
+    }
+}
+
+/// Outcome of a [`Run`]: one disposition per offered query, with
+/// rejections and in-flight queries first-class.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Queries offered: the source's batch or schedule, plus a closed
+    /// system's resubmissions.
+    pub offered: usize,
+    /// Queries admitted into the engine.
+    pub submitted: usize,
+    /// Queries that completed.
+    pub completed: usize,
+    /// Queries refused at admission (system at capacity).
+    pub rejected: usize,
+    /// Queries unfinished when the run stopped: engine-resident, or
+    /// scheduled arrivals a time cap cut off.
+    pub in_flight: usize,
+    /// Virtual end time.
+    pub makespan: VTime,
+    /// Response times (completion − arrival) of completed queries, in
+    /// completion order.
+    pub response_times: Vec<VTime>,
+    /// Disposition per offered query, indexed by offered position:
+    /// batch or schedule position, then a closed system's resubmissions
+    /// in order. (Every arrival takes an engine submission id, admitted
+    /// or not, so this is also the id in the engine's task labels.)
+    pub dispositions: Vec<Disposition>,
+    /// `(offered position, error)` for queries that failed in the
+    /// engine: plans rejected at instantiation, runtime faults (unsorted
+    /// merge inputs, mismatched page schemas, spill I/O errors,
+    /// exhausted budgets), injected chaos, and queries stalled by a
+    /// wedged run. Ordered by position.
+    pub failures: Vec<(usize, ExecError)>,
+    /// Sizes of the dispatched sharing groups.
+    pub group_sizes: Vec<usize>,
+    /// Fingerprint-cache and subsumption activity.
+    pub sharing: SharingCounters,
+    /// Machine statistics (utilization etc.).
+    pub stats: SimStats,
+    /// Result rows per arrived query, by offered position — filled only
+    /// when the run captures. Rejected queries have no rows, failed ones
+    /// empty (or partial, for runtime faults) rows — check `failures`.
+    pub results: Vec<Vec<Vec<Value>>>,
+    /// Per-task `(label, stats)` for profiling — filled only when the
+    /// run captures.
+    pub task_stats: Vec<(String, TaskStats)>,
+}
+
+/// The report of a [`run_once`] batch (the name `benchmark/` uses).
+pub type OnceOutcome = Report;
+/// The report of a [`run_service`] run (the name `benchmark/` uses).
+pub type ServiceReport = Report;
+
+impl Report {
+    /// Response-time distribution of the completed queries (exact
+    /// nearest-rank quantiles: p50/p99/p999 via
+    /// [`Histogram::quantile`]/[`Histogram::summary`]).
+    pub fn latency(&self) -> Histogram {
+        Histogram::from_samples(self.response_times.clone())
+    }
+
+    /// Mean response time over completed queries, or `None` when
+    /// nothing completed.
+    pub fn mean_response(&self) -> Option<f64> {
+        self.latency().mean()
+    }
+
+    /// Completions per unit of virtual time over the whole run.
+    pub fn throughput(&self) -> f64 {
+        if self.makespan == 0 {
+            return 0.0;
+        }
+        self.completed as f64 / self.makespan as f64
+    }
+
+    /// Fraction of offered queries refused at admission.
+    pub fn rejection_rate(&self) -> f64 {
+        if self.offered == 0 {
+            return 0.0;
+        }
+        self.rejected as f64 / self.offered as f64
+    }
+
+    /// Mean dispatched group size (1.0 under never-share).
+    pub fn mean_group_size(&self) -> f64 {
+        if self.group_sizes.is_empty() {
+            return 0.0;
+        }
+        self.group_sizes.iter().sum::<usize>() as f64 / self.group_sizes.len() as f64
+    }
+}
+
+/// Runs a batch of queries once to completion, capturing results and
+/// per-operator statistics. Used for correctness tests (shared results
+/// must equal unshared results) and for the Section 3.1 profiling
+/// procedure.
+///
+/// A batch that cannot finish (a wedged operator graph) fails its
+/// unfinished queries with [`ExecError::Stalled`] rather than
+/// panicking; check `failures` when the batch's health matters.
+pub fn run_once(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> OnceOutcome {
+    let mut run = Run::new(catalog, cfg, Source::Batch(specs), usize::MAX, true);
+    run.advance(Stop::Idle);
+    run.report()
+}
+
+/// Runs the service: queries arrive per `schedule`, pass the bounded
+/// admission queue, and execute under the engine's sharing policy. The
+/// run lasts until the schedule drains and the engine empties, or until
+/// `cfg.time_cap`. An `admission_capacity` of `usize::MAX` is the plain
+/// open system of paper Section 5.1.
+pub fn run_service(
+    catalog: &Catalog,
+    schedule: ArrivalSchedule,
+    cfg: &ServiceConfig,
+) -> ServiceReport {
+    let source = Source::Schedule(schedule);
+    let mut run = Run::new(catalog, &cfg.engine, source, cfg.admission_capacity, false);
+    run.advance(cfg.time_cap.map_or(Stop::Idle, Stop::TimeCap));
+    run.report()
+}
+
+/// An unbounded [`run_service`] that also captures every query's result
+/// rows (returned beside the report, indexed by schedule position). This
+/// is the correctness harness for *time-staggered* sharing:
+/// fragment-cache replay serves arrivals that come in after a fragment
+/// completed, which [`run_once`]'s everything-at-t=0 batch can never
+/// exercise.
+#[allow(clippy::type_complexity)]
+pub fn run_open_loop_collecting(
+    catalog: &Catalog,
+    schedule: ArrivalSchedule,
+    cfg: &EngineConfig,
+    time_cap: VTime,
+) -> (Report, Vec<Vec<Vec<Value>>>) {
+    let mut run = Run::new(catalog, cfg, Source::Schedule(schedule), usize::MAX, true);
+    run.advance(Stop::TimeCap(time_cap));
+    let report = run.report();
+    let rows = report.results.clone();
+    (report, rows)
+}
+
+/// A closed system (clients submitted, dispatcher spawned, nothing run
+/// yet) for adaptive measurements: a [`Run`] over [`Source::Closed`],
+/// whose accessors it exposes.
+pub struct ClosedLoop(Run);
+
+impl ClosedLoop {
+    /// Builds the closed system without running it. Each entry of
+    /// `clients` is one client's query.
+    pub fn new(catalog: &Catalog, clients: &[QuerySpec], cfg: &EngineConfig) -> Self {
+        let source = Source::Closed(clients);
+        Self(Run::new(catalog, cfg, source, usize::MAX, false))
+    }
+
+    /// Runs until at least `target` total completions or the virtual
+    /// `time_cap`; returns whether the target was reached.
+    pub fn run_until_completions(&mut self, target: usize, time_cap: VTime) -> bool {
+        self.0.advance(Stop::Completions { target, time_cap });
+        self.0.completions() >= target
+    }
+}
+
+impl std::ops::Deref for ClosedLoop {
+    type Target = Run;
+
+    fn deref(&self) -> &Run {
+        &self.0
+    }
+}
+
+/// Measured steady-state throughput of a closed system.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Throughput {
+    /// Queries per unit of virtual time over the measurement window.
+    pub per_time: f64,
+    /// Completions counted in the window.
+    pub completions: usize,
+    /// Window length (virtual time).
+    pub window: VTime,
+}
+
+/// Measures steady-state throughput adaptively: warms up until every
+/// client has completed ~once (`warm_target = clients`), then measures
+/// until `measure_target` further completions. `time_cap` bounds the
+/// whole experiment; if the cap is hit mid-measurement the throughput
+/// over the partial window is returned (0 if nothing completed).
+pub fn measure_throughput(
+    catalog: &Catalog,
+    clients: &[QuerySpec],
+    cfg: &EngineConfig,
+    measure_target: usize,
+    time_cap: VTime,
+) -> Throughput {
+    let mut cl = ClosedLoop::new(catalog, clients, cfg);
+    cl.run_until_completions(clients.len(), time_cap);
+    let t0 = cl.now();
+    let c0 = cl.completions();
+    cl.run_until_completions(c0 + measure_target, time_cap.saturating_mul(4));
+    let window = cl.now().saturating_sub(t0);
+    let completions = cl.completions() - c0;
+    Throughput {
+        per_time: if window == 0 {
+            0.0
+        } else {
+            completions as f64 / window as f64
+        },
+        completions,
+        window,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
+    use cordoba_exec::{reference, PhysicalPlan};
+    use cordoba_storage::{DataType, Field, Schema, TableBuilder};
+
+    fn catalog() -> Catalog {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+        ]);
+        let mut b = TableBuilder::new("t", schema);
+        for i in 0..512 {
+            b.push_row(&[Value::Int(i), Value::Float((i % 7) as f64)]);
+        }
+        let mut c = Catalog::new();
+        c.register(b.finish());
+        c
+    }
+
+    fn scan() -> PhysicalPlan {
+        PhysicalPlan::Scan {
+            table: "t".into(),
+            cost: OpCost::new(4.0, 2.0),
+        }
+    }
+
+    /// sum(v) over k < 256, shareable at the scan.
+    fn query() -> QuerySpec {
+        let plan = PhysicalPlan::Aggregate {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(scan()),
+                predicate: Predicate::col_cmp(0, CmpOp::Lt, 256i64),
+                cost: OpCost::per_tuple(0.5),
+            }),
+            group_by: vec![],
+            aggs: vec![("s".into(), Agg::Sum(ScalarExpr::col(1)))],
+            cost: OpCost::per_tuple(0.5),
+        };
+        QuerySpec::shared_at("q", plan, scan())
+    }
+
+    fn expected_rows(catalog: &Catalog) -> Vec<Vec<Value>> {
+        reference::execute(catalog, &query().plan)
+    }
+
+    #[test]
+    fn run_once_unshared_matches_reference() {
+        let cat = catalog();
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let out = run_once(&cat, &[query(), query()], &cfg);
+        assert_eq!(out.results.len(), 2);
+        for r in &out.results {
+            assert_eq!(r, &expected_rows(&cat));
+        }
+        // Never-share: all groups are singletons.
+        assert_eq!(out.group_sizes, vec![1, 1]);
+    }
+
+    #[test]
+    fn run_once_shared_matches_reference_and_merges() {
+        let cat = catalog();
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::AlwaysShare,
+            ..Default::default()
+        };
+        let out = run_once(&cat, &[query(), query(), query()], &cfg);
+        assert_eq!(out.group_sizes, vec![3], "all three queries must merge");
+        for r in &out.results {
+            assert_eq!(r, &expected_rows(&cat));
+        }
+    }
+
+    #[test]
+    fn shared_scan_runs_once_saving_work() {
+        let cat = catalog();
+        let never = EngineConfig {
+            contexts: 1,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let always = EngineConfig {
+            contexts: 1,
+            policy: Policy::AlwaysShare,
+            ..Default::default()
+        };
+        let out_n = run_once(&cat, &[query(), query(), query(), query()], &never);
+        let out_s = run_once(&cat, &[query(), query(), query(), query()], &always);
+        // On one context the shared batch must finish faster (the scan's
+        // private work happens once instead of four times).
+        assert!(
+            out_s.makespan < out_n.makespan,
+            "shared {} vs unshared {}",
+            out_s.makespan,
+            out_n.makespan
+        );
+        // Exactly one shared scan task vs four private ones.
+        let scans = |o: &Report| {
+            o.task_stats
+                .iter()
+                .filter(|(n, _)| n.contains("scan(t)"))
+                .count()
+        };
+        assert_eq!(scans(&out_s), 1);
+        assert_eq!(scans(&out_n), 4);
+    }
+
+    #[test]
+    fn parallel_engine_matches_reference_and_spawns_morsel_workers() {
+        let cat = catalog();
+        let cfg = EngineConfig {
+            contexts: 4,
+            policy: Policy::NeverShare,
+            parallel: ParallelConfig::with_workers(4),
+            ..Default::default()
+        };
+        let out = run_once(&cat, &[query(), query()], &cfg);
+        assert!(out.failures.is_empty(), "failures: {:?}", out.failures);
+        for r in &out.results {
+            assert_eq!(r, &expected_rows(&cat));
+        }
+        let morsel_tasks = out
+            .task_stats
+            .iter()
+            .filter(|(n, _)| n.contains(":par_"))
+            .count();
+        assert!(
+            morsel_tasks > 0,
+            "workers=4 should wire morsel-parallel task groups"
+        );
+    }
+
+    #[test]
+    fn intra_query_parallelism_shortens_makespan_on_multiple_contexts() {
+        // One query, four contexts: the serial wiring leaves three
+        // contexts idle, the morsel wiring spreads scan+filter work
+        // across all four — virtual makespan must drop. The table needs
+        // enough pages for the dispenser to hand each worker several
+        // morsels.
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+        ]);
+        let mut b = TableBuilder::with_page_size("t", schema, 32);
+        for i in 0..512 {
+            b.push_row(&[Value::Int(i), Value::Float((i % 7) as f64)]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish());
+        let serial = EngineConfig {
+            contexts: 4,
+            policy: Policy::NeverShare,
+            // Pinned (Default consults CORDOBA_WORKERS): this arm must
+            // stay serial for the comparison to mean anything.
+            parallel: ParallelConfig::with_workers(1),
+            ..Default::default()
+        };
+        let par = EngineConfig {
+            contexts: 4,
+            policy: Policy::NeverShare,
+            parallel: ParallelConfig {
+                workers: 4,
+                morsel_pages: 1,
+            },
+            ..Default::default()
+        };
+        let out_serial = run_once(&cat, &[query()], &serial);
+        let out_par = run_once(&cat, &[query()], &par);
+        assert_eq!(out_serial.results, out_par.results);
+        assert!(
+            out_par.makespan < out_serial.makespan,
+            "parallel {} vs serial {}",
+            out_par.makespan,
+            out_serial.makespan
+        );
+    }
+
+    #[test]
+    fn malformed_query_fails_without_killing_the_batch() {
+        // One malformed query (string-ish arithmetic via an
+        // out-of-range column) among healthy ones: the bad submission
+        // is recorded as a failure, everything else completes normally.
+        let cat = catalog();
+        let bad = QuerySpec::unshared(
+            "bad",
+            PhysicalPlan::Project {
+                input: Box::new(scan()),
+                exprs: vec![("e".into(), ScalarExpr::col(9))],
+                cost: OpCost::default(),
+            },
+        );
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let out = run_once(&cat, &[query(), bad, query()], &cfg);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert_eq!(out.failures[0].0, 1, "submission id of the bad query");
+        assert!(
+            matches!(out.failures[0].1, ExecError::PlanType(_)),
+            "{:?}",
+            out.failures[0].1
+        );
+        assert_eq!(out.results[0], expected_rows(&cat));
+        assert!(out.results[1].is_empty(), "failed query has no rows");
+        assert_eq!(out.results[2], expected_rows(&cat));
+    }
+
+    /// A closed system of `clients` advanced to the virtual `horizon`.
+    fn closed_loop_report(cfg: &EngineConfig, clients: usize, horizon: VTime) -> Report {
+        let cat = catalog();
+        let mut cl = ClosedLoop::new(&cat, &vec![query(); clients], cfg);
+        assert!(!cl.run_until_completions(usize::MAX, horizon));
+        assert_eq!(cl.now(), horizon);
+        cl.report()
+    }
+
+    #[test]
+    fn closed_loop_reports_throughput() {
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let report = closed_loop_report(&cfg, 2, 2_000_000);
+        assert!(report.completed > 4, "{report:?}");
+        assert!(report.throughput() > 0.0);
+        assert!((report.mean_group_size() - 1.0).abs() < 1e-9);
+        // Two clients on two contexts keep the machine mostly busy.
+        assert!(report.stats.utilization() > 0.5);
+        // Every completion was resubmitted: the two clients' current
+        // queries are the only ones in flight.
+        assert_eq!(report.offered, report.completed + 2);
+        assert_eq!(report.in_flight, 2);
+    }
+
+    #[test]
+    fn closed_loop_always_share_forms_groups_repeatedly() {
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::AlwaysShare,
+            ..Default::default()
+        };
+        let report = closed_loop_report(&cfg, 4, 2_000_000);
+        // Groups keep re-forming as the closed loop resubmits.
+        assert!(report.group_sizes.len() > 2);
+        assert!(report.mean_group_size() > 1.5, "{:?}", report.group_sizes);
+    }
+
+    #[test]
+    fn completions_are_timestamped_within_the_horizon() {
+        let cfg = EngineConfig {
+            contexts: 1,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let report = closed_loop_report(&cfg, 1, 500_000);
+        assert!(report.completed > 0);
+        for d in &report.dispositions {
+            if let Disposition::Completed { at, response } = d {
+                assert!(*at <= 500_000 && response <= at);
+            }
+        }
+    }
+
+    #[test]
+    fn measured_throughput_counts_a_window_of_completions() {
+        let cat = catalog();
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy: Policy::NeverShare,
+            ..Default::default()
+        };
+        let tp = measure_throughput(&cat, &[query(), query()], &cfg, 8, 1_000_000_000);
+        assert!(tp.completions >= 8, "{tp:?}");
+        assert!(tp.window > 0);
+        assert!((tp.per_time - tp.completions as f64 / tp.window as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn closed_loop_whose_clients_all_failed_stops_instead_of_spinning() {
+        // Every client is malformed, so nothing is ever resubmitted and
+        // the dispatcher parks forever: the completion target can never
+        // be met and virtual time cannot advance. The stop rule ends the
+        // wait (this loop used to spin on a fixed `now`).
+        let cat = catalog();
+        let bad = QuerySpec::unshared(
+            "bad",
+            PhysicalPlan::Project {
+                input: Box::new(scan()),
+                exprs: vec![("e".into(), ScalarExpr::col(9))],
+                cost: OpCost::default(),
+            },
+        );
+        let mut cl = ClosedLoop::new(&cat, &[bad], &EngineConfig::default());
+        assert!(!cl.run_until_completions(1, 1_000_000));
+        let report = cl.report();
+        assert_eq!((report.offered, report.failures.len()), (1, 1));
+    }
+
+    fn service(policy: Policy, contexts: usize, time_cap: Option<VTime>) -> ServiceConfig {
+        ServiceConfig {
+            engine: EngineConfig {
+                contexts,
+                policy,
+                ..Default::default()
+            },
+            admission_capacity: usize::MAX,
+            time_cap,
+        }
+    }
+
+    #[test]
+    fn staggered_arrivals_share_less_than_a_burst() {
+        // Arrivals far apart never co-reside in the formation window,
+        // so even always-share dispatches singletons; a burst merges.
+        let cat = catalog();
+        let cfg = service(Policy::AlwaysShare, 2, None);
+        let sparse: ArrivalSchedule = (0..6).map(|i| (i * 50_000_000, query())).collect();
+        let sparse_report = run_service(&cat, sparse, &cfg);
+        assert!(
+            sparse_report.group_sizes.iter().all(|&g| g == 1),
+            "{:?}",
+            sparse_report.group_sizes
+        );
+        let burst: ArrivalSchedule = (0..6).map(|_| (1000, query())).collect();
+        let burst_report = run_service(&cat, burst, &cfg);
+        assert_eq!(burst_report.group_sizes, vec![6]);
+        assert_eq!(burst_report.completed, 6);
+        assert!(burst_report
+            .dispositions
+            .iter()
+            .all(|d| matches!(d, Disposition::Completed { .. })));
+        let p_max = burst_report.latency().quantile(1.0).unwrap();
+        assert_eq!(p_max, *burst_report.response_times.iter().max().unwrap());
+    }
+
+    #[test]
+    fn schedule_run_respects_time_cap() {
+        let cat = catalog();
+        let schedule: ArrivalSchedule = (0..50).map(|_| (0, query())).collect();
+        let report = run_service(
+            &cat,
+            schedule,
+            &service(Policy::NeverShare, 1, Some(50_000)),
+        );
+        assert!(report.completed < 50, "cap must cut the run short");
+        assert!(report.makespan <= 50_000);
+        // The cut-off queries are accounted, not dropped: `report()`
+        // asserts offered == completed + failed + rejected + in_flight.
+        assert_eq!(
+            report.in_flight,
+            50 - report.completed - report.failures.len()
+        );
+        assert!(report.in_flight > 0);
+        let in_flight = report
+            .dispositions
+            .iter()
+            .filter(|d| **d == Disposition::InFlight)
+            .count();
+        assert_eq!(in_flight, report.in_flight);
+    }
+
+    #[test]
+    fn wedged_schedule_run_fails_admitted_queries_as_stalled() {
+        // A lost wakeup wedges the run: arrivals are admitted, but the
+        // wake meant for the dispatcher goes to a task that never
+        // finishes, so the dispatcher stays parked and the simulator
+        // deadlocks with every admitted query unfinished.
+        struct NeverCloses;
+        impl Task for NeverCloses {
+            fn step(&mut self, _ctx: &mut TaskCtx<'_>) -> Step {
+                Step::blocked(0)
+            }
+        }
+        let cat = catalog();
+        let schedule: ArrivalSchedule = (0..4).map(|i| (1_000 * (i + 1), query())).collect();
+        let cfg = EngineConfig::default();
+        let mut run = Run::new(&cat, &cfg, Source::Schedule(schedule), usize::MAX, false);
+        let wedge = run.sim.spawn("wedge", Box::new(NeverCloses));
+        run.core.borrow_mut().dispatcher = Some(wedge);
+        assert_eq!(run.advance(Stop::Idle), StopReason::Deadlock);
+        // `report()` asserts the identity; all four are typed failures.
+        let report = run.report();
+        assert_eq!((report.offered, report.submitted), (4, 4));
+        assert_eq!(report.completed + report.rejected + report.in_flight, 0);
+        assert_eq!(
+            report.failures.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        for d in &report.dispositions {
+            assert!(
+                matches!(
+                    d,
+                    Disposition::Failed(ExecError::Stalled {
+                        reason: "deadlock",
+                        live_tasks: 2
+                    })
+                ),
+                "{d:?}"
+            );
+        }
+    }
+}

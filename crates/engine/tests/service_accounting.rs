@@ -1,15 +1,20 @@
-//! Accounting invariants for capped open-loop runs and the service
-//! loop: no offered query may vanish from a report — every one is
-//! completed, failed, rejected, or in flight.
+//! Accounting invariants of the one run loop, capped and uncapped,
+//! bounded and unbounded: no offered query may vanish from a report —
+//! every one is completed, failed, rejected, or in flight — and virtual
+//! time is pinned.
 
+use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
-    poisson_arrivals, run_once, run_once_capped, run_open_loop, run_service, ArrivalSchedule,
-    Disposition, EngineConfig, ExecError, ParallelConfig, Policy, QuerySpec, ServiceConfig,
+    run_once, run_open_loop_collecting, run_service, ArrivalSchedule, Disposition, EngineConfig,
+    ExecError, ParallelConfig, Policy, QuerySpec, Report, Run, ServiceConfig, SharingCounters,
+    Source, Stop,
 };
+use cordoba_sim::VTime;
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
-use cordoba_workload::arrivals::{bursty, chaos, poisson_mix, ramp};
+use cordoba_workload::arrivals::{bursty, chaos, poisson_arrivals, poisson_mix, ramp};
 use cordoba_workload::{q1, q6, CostProfile};
+use std::collections::HashMap;
 
 fn catalog() -> Catalog {
     generate(&TpchConfig {
@@ -34,7 +39,18 @@ fn engine_cfg(policy: Policy) -> EngineConfig {
     }
 }
 
-/// `submitted == completed + failures + in_flight` over a sweep of tiny
+/// The open system of paper Section 5.1: an unbounded admission queue,
+/// optionally cut at `time_cap`.
+fn run_open(cat: &Catalog, schedule: ArrivalSchedule, time_cap: Option<VTime>) -> Report {
+    let cfg = ServiceConfig {
+        engine: engine_cfg(Policy::AlwaysShare),
+        admission_capacity: usize::MAX,
+        time_cap,
+    };
+    run_service(cat, schedule, &cfg)
+}
+
+/// `offered == completed + failures + in_flight` over a sweep of tiny
 /// time caps that cut the run at every phase: before any arrival,
 /// mid-arrivals, mid-execution, and after the drain.
 #[test]
@@ -42,19 +58,15 @@ fn capped_open_loop_accounting_balances() {
     let cat = catalog();
     let schedule = poisson_arrivals(&pool()[0], 20, 3_000, 7);
     for cap in [1, 1_000, 10_000, 100_000, 1_000_000, u64::MAX / 4] {
-        let report = run_open_loop(
-            &cat,
-            schedule.clone(),
-            &engine_cfg(Policy::AlwaysShare),
-            cap,
-        );
-        // The constructor asserts the invariant; re-check it here so a
-        // future refactor of the constructor cannot silently drop it.
+        let report = run_open(&cat, schedule.clone(), Some(cap));
+        // `Run::report` asserts the invariant; re-check it here so a
+        // future refactor of the report cannot silently drop it.
         assert_eq!(
-            report.submitted,
+            report.offered,
             report.completed + report.failures.len() + report.in_flight,
             "cap {cap}: {report:?}"
         );
+        assert_eq!(report.rejected, 0, "unbounded admission never refuses");
         assert_eq!(report.dispositions.len(), 20);
         let completed = report
             .dispositions
@@ -73,15 +85,10 @@ fn capped_bursty_schedule_accounts_for_every_query() {
     let schedule = bursty(&pool(), 4, 6, 10, 200_000, 21);
     let total = schedule.len();
     for cap in [50_000, 400_000, 900_000] {
-        let report = run_open_loop(
-            &cat,
-            schedule.clone(),
-            &engine_cfg(Policy::AlwaysShare),
-            cap,
-        );
-        assert_eq!(report.submitted, total);
+        let report = run_open(&cat, schedule.clone(), Some(cap));
+        assert_eq!(report.offered, total);
         assert_eq!(
-            report.submitted,
+            report.offered,
             report.completed + report.failures.len() + report.in_flight
         );
     }
@@ -95,12 +102,7 @@ fn capped_run_with_injected_failures_balances() {
     let schedule = chaos(poisson_mix(&pool(), 24, 2_000, 3), 0.4, 5);
     let injected = schedule.iter().filter(|(_, s)| s.chaos.is_some()).count();
     assert!(injected > 0, "campaign must mark something");
-    let report = run_open_loop(
-        &cat,
-        schedule,
-        &engine_cfg(Policy::AlwaysShare),
-        u64::MAX / 4,
-    );
+    let report = run_open(&cat, schedule, Some(u64::MAX / 4));
     assert_eq!(report.in_flight, 0, "uncapped run drains");
     assert_eq!(report.failures.len(), injected);
     assert!(report
@@ -113,25 +115,56 @@ fn capped_run_with_injected_failures_balances() {
     assert!(report.completed > 0);
 }
 
-/// A wedged/capped batch fails its unfinished queries with a typed
-/// `Stalled` error instead of killing the harness.
+/// One stop rule: a time cap leaves a batch's unfinished queries in
+/// flight (only a wedged run fails them as `Stalled`), exactly as it
+/// does a schedule's.
 #[test]
-fn run_once_capped_fails_stalled_queries_typed() {
+fn capped_batch_reports_in_flight_and_balances() {
     let cat = catalog();
     let specs: Vec<QuerySpec> = (0..6).map(|_| pool()[0].clone()).collect();
-    let out = run_once_capped(&cat, &specs, &engine_cfg(Policy::NeverShare), Some(10));
-    assert_eq!(out.failures.len(), 6, "nothing can finish in 10 units");
-    assert!(out.failures.iter().all(|(_, e)| matches!(
-        e,
-        ExecError::Stalled {
-            reason: "time cap",
-            ..
-        }
-    )));
+    let cfg = engine_cfg(Policy::NeverShare);
+    let mut run = Run::new(&cat, &cfg, Source::Batch(&specs), usize::MAX, true);
+    run.advance(Stop::TimeCap(10));
+    let out = run.report();
+    assert_eq!(out.in_flight, 6, "nothing can finish in 10 units");
+    assert!(out.dispositions.iter().all(|d| *d == Disposition::InFlight));
+    assert_eq!(
+        out.offered,
+        out.completed + out.failures.len() + out.rejected + out.in_flight
+    );
     // Uncapped, the same batch completes with no failures.
-    let out = run_once(&cat, &specs, &engine_cfg(Policy::NeverShare));
+    let out = run_once(&cat, &specs, &cfg);
     assert!(out.failures.is_empty());
-    assert_eq!(out.results.len(), 6);
+    assert_eq!((out.completed, out.results.len()), (6, 6));
+}
+
+/// Poisson arrivals through the unbounded service all complete, with
+/// positive response times and an exact tail quantile.
+#[test]
+fn open_loop_completes_all_scheduled_arrivals() {
+    let cat = catalog();
+    let schedule = poisson_arrivals(&pool()[0], 12, 5_000, 7);
+    assert_eq!(schedule.len(), 12);
+    assert!(
+        schedule.windows(2).all(|w| w[0].0 <= w[1].0),
+        "sorted by time"
+    );
+    let report = run_open(&cat, schedule, Some(1_000_000_000));
+    assert_eq!(report.completed, 12, "{report:?}");
+    assert_eq!(report.response_times.len(), 12);
+    assert!(report.response_times.iter().all(|&t| t > 0));
+    assert!(report.mean_response().unwrap() > 0.0);
+    assert!(report.throughput() > 0.0);
+    assert_eq!(
+        report.in_flight, 0,
+        "drained schedule has nothing in flight"
+    );
+    assert!(report
+        .dispositions
+        .iter()
+        .all(|d| matches!(d, Disposition::Completed { .. })));
+    let p_max = report.latency().quantile(1.0).unwrap();
+    assert_eq!(p_max, *report.response_times.iter().max().unwrap());
 }
 
 /// Service backpressure: a capacity-1 admission queue under a tight
@@ -206,7 +239,7 @@ fn capped_service_ramp_accounts_for_every_disposition() {
 }
 
 /// Chaos queries fail inside the service while their healthy peers
-/// complete; failures are schedule-indexed.
+/// complete; failures are indexed by offered (schedule) position.
 #[test]
 fn service_chaos_failures_are_isolated_and_indexed() {
     let cat = catalog();
@@ -229,4 +262,114 @@ fn service_chaos_failures_are_isolated_and_indexed() {
     assert_eq!(failed, marked, "exactly the marked queries fail");
     assert_eq!(report.completed, 20 - marked.len());
     assert_eq!(report.rejected + report.in_flight, 0);
+}
+
+/// One failure index: with capacity rejections interleaved among the
+/// admitted arrivals (so counting only admitted queries would drift
+/// from schedule positions), every `failures[k].0` names an offered
+/// position whose disposition is that failure.
+#[test]
+fn failures_index_offered_positions_under_rejections() {
+    let cat = catalog();
+    let schedule = chaos(bursty(&pool(), 3, 8, 10, 2_000_000, 21), 0.4, 5);
+    let marked: Vec<usize> = (0..schedule.len())
+        .filter(|&i| schedule[i].1.chaos.is_some())
+        .collect();
+    let cfg = ServiceConfig {
+        engine: engine_cfg(Policy::AlwaysShare),
+        admission_capacity: 3,
+        time_cap: None,
+    };
+    let report = run_service(&cat, schedule, &cfg);
+    assert!(report.rejected > 0, "{report:?}");
+    assert!(!report.failures.is_empty(), "{report:?}");
+    assert!(
+        report.failures.iter().any(|(k, _)| *k >= report.submitted),
+        "no failure lies past a rejection: an admitted-only index would pass too"
+    );
+    for (k, err) in &report.failures {
+        assert_eq!(report.dispositions[*k], Disposition::Failed(err.clone()));
+        assert!(marked.contains(k), "only marked arrivals fail: {k}");
+        assert!(matches!(err, ExecError::Injected { .. }));
+    }
+    let failed = report
+        .dispositions
+        .iter()
+        .filter(|d| matches!(d, Disposition::Failed(_)))
+        .count();
+    assert_eq!(failed, report.failures.len());
+    assert_eq!(report.submitted, report.offered - report.rejected);
+}
+
+/// Virtual time is pinned: the values below were recorded at the commit
+/// before the run loops were collapsed into `Run`, and must never move.
+#[test]
+fn virtual_time_is_pinned() {
+    let cat = catalog();
+    let mut models = HashMap::new();
+    for spec in pool() {
+        let mut profile_cfg = engine_cfg(Policy::NeverShare);
+        profile_cfg.contexts = 1;
+        let (info, _) = profile_query(&cat, &spec, &profile_cfg).expect("profiles");
+        models.insert(spec.name.clone(), info);
+    }
+    let mut engine = engine_cfg(Policy::model_guided(models));
+    engine.fragment_cache = 2;
+    let schedule = bursty(&pool(), 3, 4, 10, 200_000, 21);
+    let bounded = ServiceConfig {
+        engine: engine.clone(),
+        admission_capacity: 8,
+        time_cap: None,
+    };
+    let report = run_service(&cat, schedule.clone(), &bounded);
+    let done = |at, response| Disposition::Completed { at, response };
+    assert_eq!(report.makespan, 1_111_181);
+    assert_eq!(
+        report.response_times,
+        [714_908, 840_412, 840_443, 840_424, 916_403, 916_404, 916_405, 916_466]
+    );
+    assert_eq!(
+        report.dispositions,
+        [
+            done(875_657, 840_443),
+            done(750_132, 714_908),
+            done(875_658, 840_424),
+            done(875_656, 840_412),
+            done(1_111_118, 916_404),
+            done(1_111_180, 916_466),
+            done(1_111_119, 916_405),
+            done(1_111_117, 916_403),
+            Disposition::Rejected,
+            Disposition::Rejected,
+            Disposition::Rejected,
+            Disposition::Rejected,
+        ]
+    );
+    assert_eq!(report.group_sizes, [3, 1, 4]);
+    assert_eq!(
+        report.sharing,
+        SharingCounters {
+            fingerprint_misses: 3,
+            fingerprint_evictions: 1,
+            ..SharingCounters::default()
+        }
+    );
+
+    // Capture must not perturb time: the same schedule, unbounded, with
+    // and without row capture.
+    let unbounded = ServiceConfig {
+        admission_capacity: usize::MAX,
+        ..bounded
+    };
+    let plain = run_service(&cat, schedule.clone(), &unbounded);
+    let (captured, rows) = run_open_loop_collecting(&cat, schedule, &engine, u64::MAX / 4);
+    assert_eq!(plain.dispositions, captured.dispositions);
+    assert_eq!(plain.response_times, captured.response_times);
+    assert!(plain.results.is_empty() && plain.task_stats.is_empty());
+    assert_eq!(rows.len(), captured.offered);
+
+    let batch = [pool()[1].clone(), pool()[0].clone()];
+    let never = run_once(&cat, &batch, &engine_cfg(Policy::NeverShare));
+    let always = run_once(&cat, &batch, &engine_cfg(Policy::AlwaysShare));
+    assert_eq!((never.makespan, always.makespan), (269_630, 368_303));
 }

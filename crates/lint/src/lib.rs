@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Five rules, all line-oriented over a
+//! sanitizer CI legs). Six rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -31,6 +31,13 @@
 //!    executor is the denominator tests compare against, never a code
 //!    path (a fallback to it silently measures and ships the wrong
 //!    engine).
+//! 6. **One run loop** — in non-test `engine` source, `Simulator::new`
+//!    appears only in the run module (`engine::run`) and the real-thread
+//!    executor's private per-thread loops (`engine::thread_exec`), and a
+//!    `DispatcherTask { .. }` literal only in the run module: every
+//!    simulator-side entry point is a configuration of `engine::Run`,
+//!    never a second copy of "build core, build simulator, spawn
+//!    dispatcher".
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -58,6 +65,8 @@ pub enum Rule {
     RelaxedOrdering,
     /// `reference::execute*` called from non-test engine code.
     OracleInEngine,
+    /// A `Simulator` or dispatcher built outside the engine's run module.
+    OneRunLoop,
 }
 
 impl Rule {
@@ -70,6 +79,7 @@ impl Rule {
             Rule::NondeterministicClock => "nondeterministic-clock",
             Rule::RelaxedOrdering => "relaxed-ordering",
             Rule::OracleInEngine => "oracle-in-engine",
+            Rule::OneRunLoop => "one-run-loop",
         }
     }
 }
@@ -121,6 +131,14 @@ pub struct Config {
     /// Files under those prefixes that may name it: the oracle's own
     /// definition and test-only modules gated from their parent.
     pub oracle_allowed_files: Vec<String>,
+    /// Path prefixes that hold exactly one simulator-side run loop.
+    pub run_loop_prefixes: Vec<String>,
+    /// The run module(s): the only files under those prefixes that may
+    /// build a `Simulator` *and* construct the `DispatcherTask`.
+    pub run_loop_files: Vec<String>,
+    /// Files that may build private simulators but no dispatcher (the
+    /// real-thread executor's per-thread loops).
+    pub private_simulator_files: Vec<String>,
 }
 
 impl Config {
@@ -166,6 +184,9 @@ impl Config {
                 // whole file is test code.
                 "crates/exec/src/ops/join_properties.rs".into(),
             ],
+            run_loop_prefixes: vec!["crates/engine/src".into()],
+            run_loop_files: vec!["crates/engine/src/run.rs".into()],
+            private_simulator_files: vec!["crates/engine/src/thread_exec.rs".into()],
         }
     }
 }
@@ -394,6 +415,17 @@ fn word(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// Whether `code` builds a `name { .. }` struct literal. A `struct` /
+/// `impl` / `impl .. for` header naming the type is not a construction.
+fn constructs(code: &str, name: &str) -> bool {
+    code.match_indices(&format!("{name} {{")).any(|(at, _)| {
+        let before = code[..at].trim_end();
+        !["struct", "impl", "for"]
+            .iter()
+            .any(|kw| before.ends_with(kw))
+    })
+}
+
 /// Whether line `idx` (or the line above it) carries a
 /// `lint: allow(reason)` escape comment.
 fn has_allow(lines: &[StrippedLine], idx: usize) -> bool {
@@ -432,6 +464,9 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         && !listed(file, &cfg.deterministic_exceptions);
     let oracle_scoped =
         has_prefix(file, &cfg.oracle_free_prefixes) && !listed(file, &cfg.oracle_allowed_files);
+    let run_loop_scoped =
+        has_prefix(file, &cfg.run_loop_prefixes) && !listed(file, &cfg.run_loop_files);
+    let simulator_scoped = run_loop_scoped && !listed(file, &cfg.private_simulator_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -508,6 +543,28 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                  `wiring` (e.g. `wiring::run_serial`) — the reference executor is for tests"
                     .into(),
             );
+        }
+        // Rule 6: one run loop.
+        for (hit, tok) in [
+            (
+                simulator_scoped && code.contains("Simulator::new"),
+                "Simulator::new",
+            ),
+            (
+                run_loop_scoped && constructs(code, "DispatcherTask"),
+                "DispatcherTask {",
+            ),
+        ] {
+            if hit {
+                push(
+                    i,
+                    Rule::OneRunLoop,
+                    format!(
+                        "`{tok}` outside the engine's run module; configure `engine::Run` \
+                         (source, admission bound, capture, stop) instead of a second run loop"
+                    ),
+                );
+            }
         }
     }
     findings
@@ -604,6 +661,9 @@ mod tests {
             relaxed_allowed_files: vec![],
             oracle_free_prefixes: vec![file.to_string()],
             oracle_allowed_files: vec![],
+            run_loop_prefixes: vec![file.to_string()],
+            run_loop_files: vec![],
+            private_simulator_files: vec![],
         }
     }
 
@@ -768,6 +828,31 @@ mod tests {
     }
 
     #[test]
+    fn seeded_second_run_loop_is_caught_outside_the_run_module() {
+        let sim = "fn f(n: usize) { let mut sim = Simulator::new(n); sim.run(None); }";
+        let spawn = "fn f(core: Core) -> Box<dyn Task> { Box::new(DispatcherTask { core }) }";
+        assert_eq!(rules(sim), vec![Rule::OneRunLoop]);
+        assert_eq!(rules(spawn), vec![Rule::OneRunLoop]);
+        // Naming the type (its definition, its impls) is not building one.
+        let defs = "pub struct DispatcherTask {\n}\nimpl DispatcherTask {\n}\n\
+                    impl Task for DispatcherTask {\n}";
+        assert!(rules(defs).is_empty(), "{:?}", rules(defs));
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{sim}\n{spawn}\n}}");
+        assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
+        // The run module may do both; the real-thread executor may only
+        // build its private simulators.
+        let mut cfg = cfg_for("engine/");
+        cfg.run_loop_files = vec!["engine/run.rs".into()];
+        cfg.private_simulator_files = vec!["engine/thread_exec.rs".into()];
+        for src in [sim, spawn] {
+            assert!(lint_source("engine/run.rs", src, &cfg).is_empty());
+            assert!(lint_source("bench/x.rs", src, &cfg).is_empty());
+        }
+        assert!(lint_source("engine/thread_exec.rs", sim, &cfg).is_empty());
+        assert_eq!(lint_source("engine/thread_exec.rs", spawn, &cfg).len(), 1);
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -797,6 +882,8 @@ mod tests {
             .chain(&cfg.deterministic_exceptions)
             .chain(&cfg.relaxed_allowed_files)
             .chain(&cfg.oracle_allowed_files)
+            .chain(&cfg.run_loop_files)
+            .chain(&cfg.private_simulator_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }

@@ -1,11 +1,11 @@
 //! Seeded arrival-schedule generators for the open-system service loop.
 //!
-//! [`cordoba_engine::service`] consumes plain
+//! [`cordoba_engine::run_service`] consumes plain
 //! [`ArrivalSchedule`]s — `(arrival time, query)` pairs sorted by time —
 //! so arrival processes are just generator functions. This module
-//! provides the processes the tail-latency harness drives beyond the
-//! fixed-rate Poisson of [`cordoba_engine::poisson_arrivals`]:
+//! provides the processes the tail-latency harness drives:
 //!
+//! * [`poisson_arrivals`] — fixed-rate Poisson arrivals of one query.
 //! * [`poisson_mix`] — Poisson arrivals drawing uniformly from a pool
 //!   of query specs (heterogeneous clients, one arrival process).
 //! * [`bursty`] — an on/off source: tight bursts of back-to-back
@@ -33,6 +33,25 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 fn exp_gap(rng: &mut SmallRng, mean: VTime) -> VTime {
     let u: f64 = rng.gen_range(1e-9..1.0);
     (-u.ln() * mean as f64).round() as VTime
+}
+
+/// Builds a Poisson-like arrival schedule: `count` copies of `spec`
+/// with exponentially distributed inter-arrival gaps of the given mean
+/// (deterministic under `seed`).
+pub fn poisson_arrivals(
+    spec: &QuerySpec,
+    count: usize,
+    mean_gap: VTime,
+    seed: u64,
+) -> ArrivalSchedule {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut t: VTime = 0;
+    (0..count)
+        .map(|_| {
+            t += exp_gap(&mut rng, mean_gap);
+            (t, spec.clone())
+        })
+        .collect()
 }
 
 /// Poisson arrivals over a heterogeneous query pool: `count` arrivals
@@ -153,6 +172,14 @@ mod tests {
 
     fn times(s: &ArrivalSchedule) -> Vec<VTime> {
         s.iter().map(|(t, _)| *t).collect()
+    }
+
+    #[test]
+    fn poisson_schedule_is_deterministic_per_seed() {
+        let q = &pool()[0];
+        let a = poisson_arrivals(q, 20, 1_000, 42);
+        assert_eq!(times(&a), times(&poisson_arrivals(q, 20, 1_000, 42)));
+        assert_ne!(times(&a), times(&poisson_arrivals(q, 20, 1_000, 43)));
     }
 
     #[test]

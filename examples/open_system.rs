@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example open_system`
 
-use cordoba::engine::{poisson_arrivals, run_open_loop, EngineConfig, Policy};
+use cordoba::engine::{run_service, EngineConfig, Policy, ServiceConfig};
 use cordoba::storage::tpch::{generate, TpchConfig};
+use cordoba::workload::arrivals::poisson_arrivals;
 use cordoba::workload::{q6, CostProfile};
 
 fn main() {
@@ -27,19 +28,22 @@ fn main() {
     for mean_gap in [2_000_000u64, 500_000, 150_000, 50_000] {
         let run = |policy: Policy| {
             let schedule = poisson_arrivals(&spec, queries, mean_gap, 11);
-            let cfg = EngineConfig {
-                contexts: 2,
-                policy,
-                ..EngineConfig::default()
+            // An open system admits every arrival: no admission bound.
+            let cfg = ServiceConfig {
+                engine: EngineConfig {
+                    contexts: 2,
+                    policy,
+                    ..EngineConfig::default()
+                },
+                admission_capacity: usize::MAX,
+                time_cap: None,
             };
-            run_open_loop(&catalog, schedule, &cfg, u64::MAX / 4)
+            run_service(&catalog, schedule, &cfg)
         };
         let never = run(Policy::NeverShare);
         let always = run(Policy::AlwaysShare);
         assert_eq!(never.completed, queries);
         assert_eq!(always.completed, queries);
-        let group: f64 =
-            always.group_sizes.iter().sum::<usize>() as f64 / always.group_sizes.len() as f64;
         // Both runs completed every query (asserted above), so the
         // means exist.
         let resp_never = never.mean_response().expect("completions");
@@ -50,7 +54,7 @@ fn main() {
             resp_never,
             resp_always,
             resp_never / resp_always.max(1.0),
-            group,
+            always.mean_group_size(),
         );
     }
     println!(
