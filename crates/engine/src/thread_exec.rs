@@ -11,7 +11,10 @@
 //! [`crate::run_once`]'s — float bits and row order included.
 //!
 //! * **Unshared** — worker threads claim queries from one counter and
-//!   run one graph per query ([`wiring::run_serial`]).
+//!   run one graph per query ([`wiring::run_serial`]); the
+//!   morsel-parallel variant runs the same graph through
+//!   [`wiring::run_local`], whose `par_pipe` worker tasks get an OS
+//!   thread each.
 //! * **Shared** — the calling thread runs the pivot's graph once; its
 //!   root is a forwarding sink that hands each `Arc<Page>` (for a scan
 //!   pivot the table's own pages — nothing is copied) to one bounded OS
@@ -31,8 +34,7 @@ use crate::sharing::split_at_pivot;
 use cordoba_exec::ops::Fanout;
 use cordoba_exec::wiring::{self, WiringConfig};
 use cordoba_exec::{
-    parallel, ExecError, FaultCell, MemoryBroker, OpCost, ParallelConfig, PhysicalPlan,
-    QueryResources,
+    ExecError, FaultCell, MemoryBroker, OpCost, ParallelConfig, PhysicalPlan, QueryResources,
 };
 use cordoba_sim::channel::{self, Receiver, Recv};
 use cordoba_sim::{Simulator, Step, Task, TaskCtx};
@@ -72,14 +74,20 @@ fn report(
 
 /// Runs `job` for each of `m` queries on up to `threads` workers that
 /// claim query indexes from one counter; outcomes in submission order.
+/// A single worker is the calling thread itself: a thread that only
+/// waits for one other adds a start, a sleep and a wake-up to every
+/// call and nothing else.
 fn run_claimed(
     m: usize,
     threads: usize,
     job: impl Fn() -> Result<Rows, ExecError> + Sync,
 ) -> Vec<Result<Rows, ExecError>> {
+    if threads.min(m) <= 1 {
+        return (0..m).map(|_| job()).collect();
+    }
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, Result<Rows, ExecError>)> = thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.clamp(1, m.max(1)))
+        let workers: Vec<_> = (0..threads.min(m))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
@@ -134,14 +142,15 @@ pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usiz
 }
 
 /// Executes `m` copies of `spec` without sharing, each query running
-/// the morsel-parallel executor with `parallel.workers` threads of its
-/// own. `threads` bounds how many *queries* run concurrently, so total
-/// thread pressure is `threads × workers`.
+/// its operator graph through [`wiring::run_local`] with
+/// `parallel.workers` morsel worker threads per parallel fragment.
+/// `threads` bounds how many *queries* run concurrently, so total
+/// thread pressure is `threads × (1 + fragments × workers)`.
 ///
 /// This is the unshared baseline the contention re-fit measures: the
-/// same queries as [`run_unshared`], but each one spreading its scan →
-/// filter → project → aggregate work across morsel workers instead of a
-/// single thread of control.
+/// same queries and the same `ops/*` tasks as [`run_unshared`], but
+/// each scan → filter → project (→ aggregate) fragment spread across
+/// morsel workers instead of a single thread of control.
 pub fn run_unshared_parallel(
     catalog: &Catalog,
     spec: &QuerySpec,
@@ -150,20 +159,26 @@ pub fn run_unshared_parallel(
     parallel: &ParallelConfig,
 ) -> Result<ThreadReport, ExecError> {
     let start = Instant::now();
+    let cfg = WiringConfig {
+        parallel: *parallel,
+        ..WiringConfig::serial()
+    };
     let results = run_claimed(m, threads, || {
-        parallel::execute_plan(catalog, &spec.plan, parallel)
+        let pages = wiring::run_local(catalog, &spec.plan, &cfg, &QueryResources::default())?;
+        Ok(wiring::page_rows(&pages))
     });
     report(start, results)
 }
 
 /// Measures unshared throughput (queries per wall-clock second) of the
-/// morsel-parallel executor at each worker count, running one query at
-/// a time so the samples isolate *intra*-query scaling.
+/// engine's own operator tasks on real threads at each morsel worker
+/// count, running one query at a time so the samples isolate
+/// *intra*-query scaling.
 ///
 /// Feed the samples to [`cordoba_core::contention::estimate_k`]-style
 /// fitting to recover the scaling exponent `κ` of `e(k) = k^κ` for this
-/// host — the paper's aggregate-bandwidth contention form, re-fitted
-/// against real threads instead of simulated contexts.
+/// host — the paper's aggregate-bandwidth contention form, fitted on
+/// the same operator tasks the simulator prices.
 pub fn worker_scaling_samples(
     catalog: &Catalog,
     spec: &QuerySpec,

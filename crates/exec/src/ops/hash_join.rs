@@ -154,53 +154,6 @@ impl BuildTable {
         self.link(key, base);
     }
 
-    /// Merges `other` into this table: one bulk arena append plus a
-    /// relinked directory. Chains keep insertion order — all of
-    /// `self`'s rows for a key precede all of `other`'s — so absorbing
-    /// per-worker partition tables in worker order yields one
-    /// deterministic table. This is how the parallel partitioned build
-    /// folds its per-worker partition sets into the single `BuildTable`
-    /// the probe (and the spill path) consume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row widths differ or the merged arena exceeds
-    /// `u32` addressing.
-    pub fn absorb(&mut self, other: BuildTable) {
-        assert_eq!(other.row_width, self.row_width, "row widths must match");
-        let arena_shift = self.arena.len();
-        let entry_shift = self.entries.len() as u32;
-        self.arena.extend_from_slice(&other.arena);
-        assert!(
-            self.arena.len() <= u32::MAX as usize,
-            "build arena exceeds u32 addressing"
-        );
-        self.entries.reserve(other.entries.len());
-        for e in &other.entries {
-            self.entries.push(BuildEntry {
-                offset: e.offset + arena_shift as u32,
-                next: if e.next == NIL {
-                    NIL
-                } else {
-                    e.next + entry_shift
-                },
-            });
-        }
-        for (key, (first, last)) in other.heads {
-            let (first, last) = (first + entry_shift, last + entry_shift);
-            match self.heads.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((first, last));
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (_, own_last) = *e.get();
-                    self.entries[own_last as usize].next = first;
-                    e.get_mut().1 = last;
-                }
-            }
-        }
-    }
-
     /// Whether any build row has `key`.
     pub fn contains(&self, key: i64) -> bool {
         self.heads.contains_key(&key)

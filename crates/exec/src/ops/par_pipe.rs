@@ -1,4 +1,5 @@
-//! Sim-side morsel-driven parallel operator groups.
+//! Morsel-driven parallel operator groups — the one implementation,
+//! on both substrates.
 //!
 //! When [`crate::wiring::WiringConfig::parallel`] asks for more than
 //! one worker, the wiring replaces a {filter | project}* chain over a
@@ -11,7 +12,7 @@
 //!   [`WorkerPipeline`] one page per step, charging the *sum* of the
 //!   fused stages' input costs on the rows each stage actually sees —
 //!   the same total work as the serial task-per-operator wiring,
-//!   split `k` ways across simulated contexts;
+//!   split `k` ways;
 //! * the pipe merge task reassembles per-morsel outputs in morsel
 //!   order, so the delivered row stream is identical to the serial
 //!   wiring for any worker count (page boundaries may differ, row
@@ -22,8 +23,30 @@
 //!
 //! The chain root's per-consumer output cost (`s`) is charged by the
 //! merge task's fan-out exactly once per delivered page, as in the
-//! serial wiring; the internal worker→merge channels are an artifact
-//! of parallelization and carry no modeled cost.
+//! serial wiring; the internal worker→merge channel is an artifact of
+//! parallelization and carries no modeled cost.
+//!
+//! That channel is the only thing that differs between substrates, so
+//! its endpoints are a type parameter ([`GroupTx`] / [`GroupRx`]):
+//!
+//! * **simulator** — `cordoba_sim::channel`: a full channel blocks the
+//!   worker *task* and all `k + 1` tasks share the caller's simulator;
+//! * **OS threads** ([`crate::wiring::run_local`]) —
+//!   `std::sync::mpsc::sync_channel`: each worker task runs to
+//!   completion in a private run loop on its own thread and a full
+//!   channel blocks that *thread*; the merge task stays in the plan's
+//!   run loop and parks it in `recv` until a worker delivers. A
+//!   receiver never reports `Empty` and a dropped endpoint is a
+//!   hang-up: the merge task sees `Closed`, a worker stops claiming
+//!   morsels.
+//!
+//! **Merge buffer bound.** The pipe merge task holds every page of the
+//! morsels that finished ahead of the one it must release next. In the
+//! simulator round-robin fairness keeps workers within a few morsels of
+//! each other; on real threads nothing does (one descheduled worker
+//! holds morsel `i` while its peers run ahead), so the bound is the
+//! group's whole output — what materialising the fragment would cost,
+//! and no more. It is not charged to the query's broker.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
@@ -31,12 +54,64 @@ use crate::expr::Agg;
 use crate::ops::aggregate::{Acc, AggCore};
 use crate::ops::{Fanout, KeyVal, Outbox};
 use crate::parallel::{MorselDispenser, ParallelConfig, StageSpec, WorkerPipeline};
-use cordoba_sim::channel::{self, Receiver, Recv, Sender};
+use cordoba_sim::channel::{Receiver, Recv, Sender};
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
 use cordoba_storage::{Morsel, Page, PageBuilder, Schema};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+
+/// Why a group-internal send did not go through.
+pub(crate) enum Refused<T> {
+    /// The channel is full (simulator only): the caller registered as a
+    /// waiter and should keep the message and return [`Step::blocked`].
+    Full(T),
+    /// The merge task is gone (OS threads only): nobody will read this
+    /// worker's output, so it should finish.
+    HungUp,
+}
+
+/// Producer end of a group's worker → merge channel.
+pub(crate) trait GroupTx<T> {
+    /// Hands `msg` to the merge task.
+    fn send(&self, msg: T, ctx: &mut TaskCtx<'_>) -> Result<(), Refused<T>>;
+    /// Marks this worker finished; the channel closes with the last one.
+    fn close(&self, ctx: &mut TaskCtx<'_>);
+}
+
+/// Consumer end of a group's worker → merge channel.
+pub(crate) trait GroupRx<T> {
+    /// The next message, [`Recv::Closed`] once every worker finished.
+    fn recv(&self, ctx: &mut TaskCtx<'_>) -> Recv<T>;
+}
+
+impl<T> GroupTx<T> for Sender<T> {
+    fn send(&self, msg: T, ctx: &mut TaskCtx<'_>) -> Result<(), Refused<T>> {
+        self.try_send(msg, ctx).map_err(Refused::Full)
+    }
+    fn close(&self, ctx: &mut TaskCtx<'_>) {
+        Sender::close(self, ctx);
+    }
+}
+
+impl<T> GroupRx<T> for Receiver<T> {
+    fn recv(&self, ctx: &mut TaskCtx<'_>) -> Recv<T> {
+        self.try_recv(ctx)
+    }
+}
+
+impl<T> GroupTx<T> for mpsc::SyncSender<T> {
+    fn send(&self, msg: T, _: &mut TaskCtx<'_>) -> Result<(), Refused<T>> {
+        mpsc::SyncSender::send(self, msg).map_err(|_| Refused::HungUp)
+    }
+    /// The sender is dropped with its task when that returns `Done`.
+    fn close(&self, _: &mut TaskCtx<'_>) {}
+}
+
+impl<T> GroupRx<T> for mpsc::Receiver<T> {
+    fn recv(&self, _: &mut TaskCtx<'_>) -> Recv<T> {
+        mpsc::Receiver::recv(self).map_or(Recv::Closed, Recv::Value)
+    }
+}
 
 /// A fused scan + stage chain detected in a plan — what a parallel
 /// group's workers execute.
@@ -45,7 +120,7 @@ pub(crate) struct ParChain {
     /// so task stats still show which table one parallel group scans.
     pub table: String,
     /// The scanned table's pages, shared by all workers.
-    pub pages: Rc<[Arc<Page>]>,
+    pub pages: Arc<[Arc<Page>]>,
     /// Schema of the scanned pages.
     pub in_schema: Arc<Schema>,
     /// Scan cost, charged per input page.
@@ -93,8 +168,8 @@ impl ParChain {
 /// runs the fused pipeline one page per step, and reports the virtual
 /// cost of each page as the sum of the fused stages' input costs.
 struct FusedScan {
-    pages: Rc<[Arc<Page>]>,
-    dispenser: Rc<MorselDispenser>,
+    pages: Arc<[Arc<Page>]>,
+    dispenser: Arc<MorselDispenser>,
     pipe: WorkerPipeline,
     scan_cost: OpCost,
     stage_costs: Vec<OpCost>,
@@ -103,7 +178,7 @@ struct FusedScan {
 }
 
 impl FusedScan {
-    fn new(chain: &ParChain, dispenser: Rc<MorselDispenser>) -> Result<Self, ExecError> {
+    fn new(chain: &ParChain, dispenser: Arc<MorselDispenser>) -> Result<Self, ExecError> {
         Ok(FusedScan {
             pages: chain.pages.clone(),
             dispenser,
@@ -135,11 +210,12 @@ impl FusedScan {
     }
 
     /// Runs one page through the fused stages, returning the produced
-    /// pages and the virtual cost of the fused work.
-    fn run_page(&mut self, page: &Arc<Page>) -> (Vec<Arc<Page>>, VTime) {
+    /// pages (for the caller to drain) and the virtual cost of the
+    /// fused work.
+    fn run_page(&mut self, page: &Arc<Page>) -> (&mut Vec<Arc<Page>>, VTime) {
         let out = self
             .pipe
-            .run_pages_counted(vec![page.clone()], &mut self.stage_rows);
+            .run_pages_counted(std::slice::from_ref(page), &mut self.stage_rows);
         let mut cost = self.scan_cost.input_cost(page.rows());
         for (c, &rows) in self.stage_costs.iter().zip(&self.stage_rows) {
             cost += c.input_cost(rows);
@@ -154,29 +230,34 @@ type PipeMsg = (usize, Option<Arc<Page>>);
 
 /// One fused pipeline worker: claims morsels, processes a page per
 /// step, and streams tagged outputs to the group's merge task.
-struct ParPipeWorker {
+pub(crate) struct ParPipeWorker<S> {
     scan: FusedScan,
-    tx: Sender<PipeMsg>,
+    tx: S,
     pending: VecDeque<PipeMsg>,
 }
 
-impl ParPipeWorker {
-    /// Sends queued messages; `false` means the channel throttled us.
-    fn drain_pending(&mut self, ctx: &mut TaskCtx<'_>) -> bool {
+impl<S: GroupTx<PipeMsg>> ParPipeWorker<S> {
+    /// Sends queued messages; `Err` carries the step that ends this
+    /// turn (throttled by the channel, or finished by a hang-up).
+    fn drain_pending(&mut self, cost: VTime, ctx: &mut TaskCtx<'_>) -> Result<(), Step> {
         while let Some(msg) = self.pending.pop_front() {
-            if let Err(msg) = self.tx.try_send(msg, ctx) {
-                self.pending.push_front(msg);
-                return false;
+            match self.tx.send(msg, ctx) {
+                Ok(()) => {}
+                Err(Refused::Full(msg)) => {
+                    self.pending.push_front(msg);
+                    return Err(Step::blocked(cost));
+                }
+                Err(Refused::HungUp) => return Err(Step::done(cost)),
             }
         }
-        true
+        Ok(())
     }
 }
 
-impl Task for ParPipeWorker {
+impl<S: GroupTx<PipeMsg>> Task for ParPipeWorker<S> {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        if !self.drain_pending(ctx) {
-            return Step::blocked(0);
+        if let Err(step) = self.drain_pending(0, ctx) {
+            return step;
         }
         let Some((idx, last, page)) = self.scan.next_page() else {
             self.tx.close(ctx);
@@ -184,14 +265,13 @@ impl Task for ParPipeWorker {
         };
         ctx.add_progress(page.rows() as f64);
         let (out, cost) = self.scan.run_page(&page);
-        self.pending.extend(out.into_iter().map(|p| (idx, Some(p))));
+        self.pending.extend(out.drain(..).map(|p| (idx, Some(p))));
         if last {
             self.pending.push_back((idx, None));
         }
-        if self.drain_pending(ctx) {
-            Step::yielded(cost.max(1))
-        } else {
-            Step::blocked(cost)
+        match self.drain_pending(cost, ctx) {
+            Ok(()) => Step::yielded(cost.max(1)),
+            Err(step) => step,
         }
     }
 }
@@ -199,18 +279,16 @@ impl Task for ParPipeWorker {
 /// Reassembles per-morsel worker outputs in morsel-index order and
 /// delivers them downstream, charging the chain root's `s` once per
 /// page — the serial wiring's exact output contract.
-struct ParPipeMerge {
-    rx: Receiver<PipeMsg>,
-    /// Out-of-order morsel outputs: pages so far + completion flag.
-    /// Bounded in practice by the round-robin fairness of the
-    /// simulator (workers advance at similar rates) plus the input
-    /// channel's capacity.
+pub(crate) struct ParPipeMerge<R> {
+    rx: R,
+    /// Out-of-order morsel outputs: pages so far + completion flag
+    /// (see the module docs for its bound).
     buffer: BTreeMap<usize, (Vec<Arc<Page>>, bool)>,
     next_morsel: usize,
     outbox: Outbox,
 }
 
-impl Task for ParPipeMerge {
+impl<R: GroupRx<PipeMsg>> Task for ParPipeMerge<R> {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let (mut cost, drained) = self.outbox.flush(ctx);
         if !drained {
@@ -239,7 +317,7 @@ impl Task for ParPipeMerge {
                 Step::blocked(cost)
             };
         }
-        match self.rx.try_recv(ctx) {
+        match self.rx.recv(ctx) {
             Recv::Value((idx, msg)) => {
                 let entry = self
                     .buffer
@@ -253,59 +331,61 @@ impl Task for ParPipeMerge {
             }
             Recv::Empty => Step::blocked(cost),
             Recv::Closed => {
-                if self.buffer.is_empty() {
-                    self.outbox.close(ctx);
-                    Step::done(cost)
-                } else {
+                if self
+                    .buffer
+                    .get(&self.next_morsel)
+                    .is_some_and(|(_, done)| *done)
+                {
                     // Every worker sent its end-markers before closing,
                     // so the remaining morsels are all complete and
                     // dense from `next_morsel`; release them one per
                     // step through the branch above.
                     Step::yielded(cost.max(1))
+                } else {
+                    // Drained — or a worker died mid-morsel (its thread's
+                    // panic surfaces when the driver joins it): what is
+                    // left can never be released in order.
+                    self.outbox.close(ctx);
+                    Step::done(cost)
                 }
             }
         }
     }
 }
 
+/// What an aggregate worker deposits: its index and its folded core.
+type AggMsg = (usize, AggCore);
+
 /// One parallel aggregate worker: folds its morsels (after the fused
 /// chain) into a private [`AggCore`], then deposits the core with the
 /// merge task.
-struct ParAggWorker {
+pub(crate) struct ParAggWorker<S> {
     widx: usize,
     scan: FusedScan,
     agg_cost: OpCost,
     core: Option<AggCore>,
-    tx: Sender<(usize, AggCore)>,
+    tx: S,
 }
 
-impl Task for ParAggWorker {
+impl<S: GroupTx<AggMsg>> Task for ParAggWorker<S> {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let Some((_, _, page)) = self.scan.next_page() else {
-            return match self.core.take() {
-                Some(core) => match self.tx.try_send((self.widx, core), ctx) {
-                    Ok(()) => {
-                        self.tx.close(ctx);
-                        Step::done(0)
-                    }
-                    Err((_, core)) => {
-                        self.core = Some(core);
-                        Step::blocked(0)
-                    }
-                },
-                None => {
-                    self.tx.close(ctx);
-                    Step::done(0)
+            if let Some(core) = self.core.take() {
+                if let Err(Refused::Full((_, core))) = self.tx.send((self.widx, core), ctx) {
+                    self.core = Some(core);
+                    return Step::blocked(0);
                 }
-            };
+            }
+            self.tx.close(ctx);
+            return Step::done(0);
         };
         ctx.add_progress(page.rows() as f64);
         let (out, mut cost) = self.scan.run_page(&page);
         // lint: allow(core is only taken when the consume phase ends)
         let core = self.core.as_mut().expect("core present while consuming");
-        for p in &out {
+        for p in out.drain(..) {
             cost += self.agg_cost.input_cost(p.rows());
-            core.consume_page(p);
+            core.consume_page(&p);
         }
         Step::yielded(cost.max(1))
     }
@@ -314,9 +394,11 @@ impl Task for ParAggWorker {
 /// Merges deposited cores in worker-index order and emits sorted
 /// groups — the same emission order and page batching as the serial
 /// [`crate::ops::AggregateTask`].
-struct ParAggMerge {
-    rx: Receiver<(usize, AggCore)>,
-    deposited: Vec<(usize, AggCore)>,
+pub(crate) struct ParAggMerge<R> {
+    rx: R,
+    /// Deposits that make the set complete: one per worker.
+    expected: usize,
+    deposited: Vec<AggMsg>,
     emit: Option<EmitState>,
     emit_batch: usize,
     outbox: Outbox,
@@ -327,7 +409,7 @@ struct EmitState {
     iter: std::vec::IntoIter<(Vec<KeyVal>, Vec<Acc>)>,
 }
 
-impl Task for ParAggMerge {
+impl<R: GroupRx<AggMsg>> Task for ParAggMerge<R> {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let (mut cost, drained) = self.outbox.flush(ctx);
         if !drained {
@@ -369,7 +451,17 @@ impl Task for ParAggMerge {
                 Step::blocked(cost)
             };
         }
-        match self.rx.try_recv(ctx) {
+        // With every worker's core in hand nothing more can arrive, so
+        // the hang-up is not waited for: on an OS channel that wait is
+        // one more sleep and wake-up on the query's critical path. (In
+        // the simulator a worker closes in the step that deposits, so
+        // the channel reads `Closed` here either way.)
+        let next = if self.deposited.len() == self.expected {
+            Recv::Closed
+        } else {
+            self.rx.recv(ctx)
+        };
+        match next {
             Recv::Value(pair) => {
                 self.deposited.push(pair);
                 Step::yielded(cost.max(1))
@@ -398,99 +490,219 @@ impl Task for ParAggMerge {
 }
 
 /// Hands out exactly `n` senders: the original plus `n - 1` clones,
-/// so the channel closes when every worker has closed its own.
-fn senders_for<T>(tx: Sender<T>, n: usize) -> Vec<Sender<T>> {
-    let mut senders = Vec::with_capacity(n);
-    for _ in 1..n {
-        senders.push(tx.clone());
-    }
+/// so the channel closes when every worker has closed (or dropped) its
+/// own.
+fn senders_for<S: Clone>(tx: S, n: usize) -> Vec<S> {
+    let mut senders = vec![tx.clone(); n.saturating_sub(1)];
     senders.push(tx);
     senders
 }
 
 /// Builds the `k` fused pipeline workers plus merge task for `chain`,
-/// delivering to `outs`. Task names are `{base}:par_pipe[w]` and
-/// `{base}:par_merge(scan(<table>))` — the merge task carries the
-/// scanned table's name so each parallel group counts as exactly one
-/// scan instance in task stats, like a serial scan task does.
-pub(crate) fn build_pipe_group(
-    base: &str,
+/// delivering to `outs`. `link` makes the group-internal channel and
+/// thereby picks the substrate: `cordoba_sim::channel::bounded` or
+/// `std::sync::mpsc::sync_channel`.
+#[allow(clippy::type_complexity)]
+pub(crate) fn pipe_group<S, R>(
     chain: &ParChain,
     outs: Vec<Sender<Arc<Page>>>,
     cfg: &ParallelConfig,
     queue_capacity: usize,
-    built: &mut Vec<(String, Box<dyn Task>)>,
-) -> Result<(), ExecError> {
-    let workers = cfg.effective_workers();
-    let dispenser = Rc::new(MorselDispenser::new(chain.pages.len(), cfg.morsel_pages));
-    let (tx, rx) = channel::bounded(queue_capacity.max(1));
-    let mut senders = senders_for(tx, workers);
-    for w in 0..workers {
-        built.push((
-            format!("{base}:par_pipe[{w}]"),
-            Box::new(ParPipeWorker {
+    link: fn(usize) -> (S, R),
+) -> Result<(Vec<ParPipeWorker<S>>, ParPipeMerge<R>), ExecError>
+where
+    S: GroupTx<PipeMsg> + Clone,
+{
+    let dispenser = Arc::new(MorselDispenser::new(chain.pages.len(), cfg.morsel_pages));
+    let (tx, rx) = link(queue_capacity.max(1));
+    let workers = senders_for(tx, cfg.effective_workers())
+        .into_iter()
+        .map(|tx| {
+            Ok(ParPipeWorker {
                 scan: FusedScan::new(chain, dispenser.clone())?,
-                // lint: allow(senders vec was built with exactly `workers` entries)
-                tx: senders.pop().expect("one sender per worker"),
+                tx,
                 pending: VecDeque::new(),
-            }),
-        ));
-    }
-    built.push((
-        format!("{base}:par_merge(scan({}))", chain.table),
-        Box::new(ParPipeMerge {
-            rx,
-            buffer: BTreeMap::new(),
-            next_morsel: 0,
-            outbox: Outbox::new(Fanout::new(outs, chain.root_out_per_tuple())),
-        }),
-    ));
-    Ok(())
+            })
+        })
+        .collect::<Result<_, ExecError>>()?;
+    let merge = ParPipeMerge {
+        rx,
+        buffer: BTreeMap::new(),
+        next_morsel: 0,
+        outbox: Outbox::new(Fanout::new(outs, chain.root_out_per_tuple())),
+    };
+    Ok((workers, merge))
 }
 
-/// Builds the `k` aggregate workers plus merge/emit task for an
-/// aggregate over `chain`, delivering to `outs`. Task names are
-/// `{base}:par_agg[w]` and `{base}:par_agg_merge(scan(<table>))`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_agg_group(
-    base: &str,
+/// The aggregate a folding group computes above its chain.
+pub(crate) struct AggSpec {
+    /// Group-by columns of the chain's output.
+    pub group_by: Vec<usize>,
+    /// Aggregate functions, in output order.
+    pub aggs: Vec<Agg>,
+    /// Schema of the emitted groups.
+    pub out_schema: Arc<Schema>,
+    /// The aggregate node's plan cost.
+    pub cost: OpCost,
+}
+
+/// Builds the `k` aggregate workers plus merge/emit task for `agg` over
+/// `chain`, delivering to `outs`; `link` as in [`pipe_group`].
+#[allow(clippy::type_complexity)]
+pub(crate) fn agg_group<S, R>(
     chain: &ParChain,
-    group_by: Vec<usize>,
-    aggs: Vec<Agg>,
-    out_schema: Arc<Schema>,
-    agg_cost: OpCost,
+    agg: &AggSpec,
     outs: Vec<Sender<Arc<Page>>>,
     cfg: &ParallelConfig,
-    built: &mut Vec<(String, Box<dyn Task>)>,
-) -> Result<(), ExecError> {
-    let workers = cfg.effective_workers();
+    link: fn(usize) -> (S, R),
+) -> Result<(Vec<ParAggWorker<S>>, ParAggMerge<R>), ExecError>
+where
+    S: GroupTx<AggMsg> + Clone,
+{
+    let k = cfg.effective_workers();
     let agg_in = chain.out_schema();
-    let dispenser = Rc::new(MorselDispenser::new(chain.pages.len(), cfg.morsel_pages));
-    let (tx, rx) = channel::bounded(workers);
-    let mut senders = senders_for(tx, workers);
-    for w in 0..workers {
-        let core = AggCore::new(&agg_in, group_by.clone(), aggs.clone(), out_schema.clone())?;
-        built.push((
-            format!("{base}:par_agg[{w}]"),
-            Box::new(ParAggWorker {
-                widx: w,
+    let dispenser = Arc::new(MorselDispenser::new(chain.pages.len(), cfg.morsel_pages));
+    // Room for every worker's one deposit: nobody waits to hand it over.
+    let (tx, rx) = link(k);
+    let workers = senders_for(tx, k)
+        .into_iter()
+        .enumerate()
+        .map(|(widx, tx)| {
+            Ok(ParAggWorker {
+                widx,
                 scan: FusedScan::new(chain, dispenser.clone())?,
-                agg_cost,
-                core: Some(core),
-                // lint: allow(senders vec was built with exactly `workers` entries)
-                tx: senders.pop().expect("one sender per worker"),
-            }),
-        ));
+                agg_cost: agg.cost,
+                core: Some(AggCore::new(
+                    &agg_in,
+                    agg.group_by.clone(),
+                    agg.aggs.clone(),
+                    agg.out_schema.clone(),
+                )?),
+                tx,
+            })
+        })
+        .collect::<Result<_, ExecError>>()?;
+    let merge = ParAggMerge {
+        rx,
+        expected: k,
+        deposited: Vec::new(),
+        emit: None,
+        emit_batch: 4,
+        outbox: Outbox::new(Fanout::new(outs, agg.cost.out_per_tuple)),
+    };
+    Ok((workers, merge))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{CmpOp, Predicate};
+    use cordoba_sim::{DetachedCtx, StepStatus};
+    use cordoba_storage::{DataType, Field, TableBuilder, Value};
+
+    /// `k < 1000` over 40 sixteen-row pages of `k = 0..640`: every page
+    /// produces output.
+    fn chain() -> ParChain {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let mut b = TableBuilder::with_page_size("t", schema.clone(), 128);
+        for i in 0..640 {
+            b.push_row(&[Value::Int(i)]);
+        }
+        ParChain {
+            table: "t".into(),
+            pages: b.finish().pages().into(),
+            in_schema: schema,
+            scan_cost: OpCost::default(),
+            stages: vec![(
+                StageSpec::Filter(Predicate::col_cmp(0, CmpOp::Lt, 1000i64)),
+                OpCost::default(),
+            )],
+        }
     }
-    built.push((
-        format!("{base}:par_agg_merge(scan({}))", chain.table),
-        Box::new(ParAggMerge {
-            rx,
-            deposited: Vec::new(),
-            emit: None,
-            emit_batch: 4,
-            outbox: Outbox::new(Fanout::new(outs, agg_cost.out_per_tuple)),
-        }),
-    ));
-    Ok(())
+
+    fn os_group(
+        morsel_pages: usize,
+    ) -> (
+        Vec<ParPipeWorker<mpsc::SyncSender<PipeMsg>>>,
+        ParPipeMerge<mpsc::Receiver<PipeMsg>>,
+    ) {
+        let cfg = ParallelConfig {
+            workers: 2,
+            morsel_pages,
+        };
+        pipe_group(&chain(), Vec::new(), &cfg, 64, mpsc::sync_channel).expect("chain compiles")
+    }
+
+    #[test]
+    fn a_hung_up_worker_stops_claiming_morsels() {
+        let (mut workers, merge) = os_group(1);
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        // With its merge task listening, a worker keeps going ...
+        assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        // ... and once that is gone, its next send ends it: of the 40
+        // morsels the two workers claimed three.
+        drop(merge);
+        for worker in &mut workers {
+            assert_eq!(worker.step(ctx).status, StepStatus::Done);
+        }
+        let (next, _) = workers[0].scan.dispenser.claim().expect("morsels left");
+        assert_eq!(next, 3);
+    }
+
+    #[test]
+    fn merge_finishes_when_a_worker_dies_mid_morsel() {
+        // One page of a two-page morsel, then the workers vanish (a
+        // panicked thread drops its sender without an end-marker): the
+        // merge task must finish, not wait for a morsel that can never
+        // complete.
+        let (mut workers, mut merge) = os_group(2);
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        drop(workers);
+        assert_eq!(
+            merge.step(ctx).status,
+            StepStatus::Yield,
+            "buffers the page"
+        );
+        assert_eq!(merge.step(ctx).status, StepStatus::Done);
+    }
+
+    #[test]
+    fn agg_merge_does_not_wait_for_the_hang_up() {
+        // Both cores are in while the workers (and their senders) are
+        // still alive: the merge task must go on to emit; a `recv` here
+        // would sleep until the worker threads had exited.
+        let cfg = ParallelConfig {
+            workers: 2,
+            morsel_pages: 40,
+        };
+        let agg = AggSpec {
+            group_by: Vec::new(),
+            aggs: vec![Agg::Count],
+            out_schema: Schema::new(vec![Field::new("n", DataType::Int)]),
+            cost: OpCost::default(),
+        };
+        let (out_tx, out_rx) = cordoba_sim::channel::bounded(4);
+        let (mut workers, mut merge): (Vec<ParAggWorker<mpsc::SyncSender<AggMsg>>>, _) =
+            agg_group(&chain(), &agg, vec![out_tx], &cfg, mpsc::sync_channel)
+                .expect("chain compiles");
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for worker in &mut workers {
+            while worker.core.is_some() {
+                worker.step(ctx);
+            }
+        }
+        while merge.step(ctx).status != StepStatus::Done {}
+        let Recv::Value(page) = out_rx.try_recv(ctx) else {
+            panic!("one group emitted");
+        };
+        assert_eq!(
+            page.tuples().next().map(|t| t.to_values()),
+            Some(vec![Value::Int(640)])
+        );
+        drop(workers);
+    }
 }

@@ -9,11 +9,20 @@
 //! tasks running — never a half-wired query or a worker panic. Runtime
 //! input-contract violations (an unsorted merge input) are reported
 //! through the per-query [`FaultCell`] threaded to the tasks here.
+//!
+//! `par_chain` is the single definition of what gets parallelised:
+//! with more than one worker configured, each such fragment becomes a
+//! morsel worker group (`ops::par_pipe`). [`instantiate_into`] puts the
+//! whole group into the caller's simulator; [`run_local`] — the one
+//! local driver, how real threads run a plan — keeps the serial
+//! operators and each group's merge task in one run loop on the
+//! calling thread and gives every worker task a private run loop on an
+//! OS thread of its own.
 
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
-use crate::ops::par_pipe::{self, ParChain};
+use crate::ops::par_pipe::{self, AggSpec, ParChain};
 use crate::ops::{
     AggregateTask, Fanout, FilterTask, HashJoinTask, MergeJoinTask, NestedLoopJoinTask,
     ProjectTask, ScanTask, SortTask,
@@ -24,7 +33,8 @@ use cordoba_sim::channel::{self, Receiver, Recv, Sender};
 use cordoba_sim::{RunOutcome, Simulator, Spawner, Step, StopReason, Task, TaskCtx, TaskId};
 use cordoba_storage::{Catalog, Page, Value};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// Wiring parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +69,7 @@ impl Default for WiringConfig {
 impl WiringConfig {
     /// The default wiring with intra-query parallelism pinned off,
     /// whatever `CORDOBA_WORKERS` says: one task per operator. Real-
-    /// thread executors run one such graph per OS thread.
+    /// thread executors start from this and set `parallel` explicitly.
     pub fn serial() -> Self {
         Self {
             queue_capacity: 16,
@@ -91,8 +101,34 @@ pub fn instantiate_into(
     cfg: &WiringConfig,
     resources: &QueryResources,
 ) -> Result<SpawnedOps, ExecError> {
-    let mut built: Vec<(String, Box<dyn Task>)> = Vec::new();
-    let mut preorder = 0usize;
+    let built = build(catalog, plan, outs, sources, label, cfg, resources, None)?;
+    Ok(built
+        .into_iter()
+        .map(|(name, task)| (sim.spawn_task(name.clone(), task), name))
+        .collect())
+}
+
+/// Operator tasks built for one plan, named, in spawn order.
+type Built = Vec<(String, Box<dyn Task>)>;
+
+/// Morsel-group worker tasks bound for OS threads (see [`run_local`]).
+type ThreadWorkers = Vec<Box<dyn Task + Send>>;
+
+/// Constructs every task of `plan` without spawning any. With
+/// `threads`, morsel groups are linked by OS channels and their worker
+/// tasks land there instead of among the returned tasks.
+#[allow(clippy::too_many_arguments)]
+fn build(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    outs: Vec<Sender<Arc<Page>>>,
+    sources: &mut VecDeque<Receiver<Arc<Page>>>,
+    label: &str,
+    cfg: &WiringConfig,
+    resources: &QueryResources,
+    mut threads: Option<&mut ThreadWorkers>,
+) -> Result<Built, ExecError> {
+    let mut built = Built::new();
     let sctx = SpillContext::new(
         &cfg.memory,
         resources.broker.clone(),
@@ -106,13 +142,11 @@ pub fn instantiate_into(
         label,
         cfg,
         &sctx,
-        &mut preorder,
+        &mut 0,
         &mut built,
+        &mut threads,
     )?;
-    Ok(built
-        .into_iter()
-        .map(|(name, task)| (sim.spawn_task(name.clone(), task), name))
-        .collect())
+    Ok(built)
 }
 
 /// Instantiates `plan` and returns the root output receiver, the
@@ -188,7 +222,7 @@ fn par_chain(catalog: &Catalog, plan: &PhysicalPlan) -> Result<Option<ParChain>,
                 .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
             Ok(Some(ParChain {
                 table: table.clone(),
-                pages: t.pages().to_vec().into(),
+                pages: t.pages().into(),
                 in_schema: t.schema().clone(),
                 scan_cost: *cost,
                 stages: Vec::new(),
@@ -220,10 +254,22 @@ fn par_chain(catalog: &Catalog, plan: &PhysicalPlan) -> Result<Option<ParChain>,
     }
 }
 
+/// Names a simulator-side group's workers `{base}:{kind}[w]`, ahead of
+/// their merge task.
+fn name_workers<W: Task + 'static>(built: &mut Built, base: &str, kind: &str, workers: Vec<W>) {
+    for (w, task) in workers.into_iter().enumerate() {
+        built.push((format!("{base}:{kind}[{w}]"), Box::new(task)));
+    }
+}
+
 /// Replaces parallelizable fragments rooted at `plan` with morsel
 /// worker groups. Returns `None` when the fragment was handled, or
-/// gives `outs` back for the serial wiring.
-#[allow(clippy::type_complexity)]
+/// gives `outs` back for the serial wiring. A group's merge task is
+/// named `{base}:par_merge(scan(<table>))` /
+/// `{base}:par_agg_merge(scan(<table>))` — it carries the scanned
+/// table's name so each group counts as exactly one scan instance in
+/// task stats, like a serial scan task does.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn try_wire_parallel(
     catalog: &Catalog,
     plan: &PhysicalPlan,
@@ -231,19 +277,29 @@ fn try_wire_parallel(
     label: &str,
     cfg: &WiringConfig,
     preorder: &mut usize,
-    built: &mut Vec<(String, Box<dyn Task>)>,
+    built: &mut Built,
+    threads: &mut Option<&mut ThreadWorkers>,
 ) -> Result<Option<Vec<Sender<Arc<Page>>>>, ExecError> {
+    let base = format!("{label}/{}", *preorder);
+    let par = &cfg.parallel;
     if let Some(chain) = par_chain(catalog, plan)? {
-        let base = format!("{label}/{}", *preorder);
         *preorder += chain.node_count();
-        par_pipe::build_pipe_group(
-            &base,
-            &chain,
-            outs,
-            &cfg.parallel,
-            cfg.queue_capacity,
-            built,
-        )?;
+        let cap = cfg.queue_capacity;
+        let merge: Box<dyn Task> = match threads {
+            None => {
+                let (workers, merge) =
+                    par_pipe::pipe_group(&chain, outs, par, cap, channel::bounded)?;
+                name_workers(built, &base, "par_pipe", workers);
+                Box::new(merge)
+            }
+            Some(threads) => {
+                let (workers, merge) =
+                    par_pipe::pipe_group(&chain, outs, par, cap, mpsc::sync_channel)?;
+                threads.extend(workers.into_iter().map(|w| Box::new(w) as _));
+                Box::new(merge)
+            }
+        };
+        built.push((format!("{base}:par_merge(scan({}))", chain.table), merge));
         return Ok(None);
     }
     if let PhysicalPlan::Aggregate {
@@ -254,20 +310,31 @@ fn try_wire_parallel(
     } = plan
     {
         if let Some(chain) = par_chain(catalog, input)? {
-            let out_schema = plan.try_output_schema(catalog)?;
-            let base = format!("{label}/{}", *preorder);
+            let agg = AggSpec {
+                group_by: group_by.clone(),
+                aggs: aggs.iter().map(|(_, a)| a.clone()).collect(),
+                out_schema: plan.try_output_schema(catalog)?,
+                cost: *cost,
+            };
             *preorder += 1 + chain.node_count();
-            par_pipe::build_agg_group(
-                &base,
-                &chain,
-                group_by.clone(),
-                aggs.iter().map(|(_, a)| a.clone()).collect(),
-                out_schema,
-                *cost,
-                outs,
-                &cfg.parallel,
-                built,
-            )?;
+            let merge: Box<dyn Task> = match threads {
+                None => {
+                    let (workers, merge) =
+                        par_pipe::agg_group(&chain, &agg, outs, par, channel::bounded)?;
+                    name_workers(built, &base, "par_agg", workers);
+                    Box::new(merge)
+                }
+                Some(threads) => {
+                    let (workers, merge) =
+                        par_pipe::agg_group(&chain, &agg, outs, par, mpsc::sync_channel)?;
+                    threads.extend(workers.into_iter().map(|w| Box::new(w) as _));
+                    Box::new(merge)
+                }
+            };
+            built.push((
+                format!("{base}:par_agg_merge(scan({}))", chain.table),
+                merge,
+            ));
             return Ok(None);
         }
     }
@@ -284,10 +351,11 @@ fn wire(
     cfg: &WiringConfig,
     sctx: &SpillContext,
     preorder: &mut usize,
-    built: &mut Vec<(String, Box<dyn Task>)>,
+    built: &mut Built,
+    threads: &mut Option<&mut ThreadWorkers>,
 ) -> Result<(), ExecError> {
     let outs = if cfg.parallel.effective_workers() > 1 {
-        match try_wire_parallel(catalog, plan, outs, label, cfg, preorder, built)? {
+        match try_wire_parallel(catalog, plan, outs, label, cfg, preorder, built, threads)? {
             None => return Ok(()),
             Some(outs) => outs,
         }
@@ -299,10 +367,10 @@ fn wire(
     let name = format!("{label}/{my_idx}:{}", plan.op_name());
     // Child receivers are created before this node's task so that
     // Source receivers are consumed in preorder.
-    let child_input = |child: &PhysicalPlan,
-                       sources: &mut VecDeque<Receiver<Arc<Page>>>,
-                       preorder: &mut usize,
-                       built: &mut Vec<(String, Box<dyn Task>)>|
+    let mut child_input = |child: &PhysicalPlan,
+                           sources: &mut VecDeque<Receiver<Arc<Page>>>,
+                           preorder: &mut usize,
+                           built: &mut Built|
      -> Result<Receiver<Arc<Page>>, ExecError> {
         if let PhysicalPlan::Source { .. } = child {
             *preorder += 1;
@@ -321,6 +389,7 @@ fn wire(
             sctx,
             preorder,
             built,
+            threads,
         )?;
         Ok(rx)
     };
@@ -557,37 +626,75 @@ pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Runs `plan` to completion on the calling thread — a private
-/// single-context simulator, the serial one-task-per-operator wiring
-/// ([`WiringConfig::serial`]) and the ordinary run loop — charging
-/// `resources.broker`. This is how real-thread executors run an operator
-/// graph: one such loop per OS thread, the same `ops/*` tasks as any
-/// simulated run.
+/// Runs `plan` to completion on real threads — the one local driver,
+/// the same `ops/*` tasks as any simulated run — charging
+/// `resources.broker` (its budget is what bounds the query;
+/// `cfg.memory` contributes the spill policy).
+///
+/// The plan is wired once: serial operators and each morsel group's
+/// merge task run in a private single-context run loop on the calling
+/// thread, and every group worker task runs to completion in a run
+/// loop of its own on a scoped OS thread, feeding its merge task over a
+/// bounded OS channel. With one worker configured there are no groups
+/// and no threads: see [`run_serial`].
+pub fn run_local(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    cfg: &WiringConfig,
+    resources: &QueryResources,
+) -> Result<Vec<Arc<Page>>, ExecError> {
+    let mut sim = Simulator::new(1);
+    let (tx, rx) = channel::bounded(cfg.queue_capacity);
+    let mut workers = ThreadWorkers::new();
+    let (sources, threads) = (&mut VecDeque::new(), Some(&mut workers));
+    let built = build(
+        catalog,
+        plan,
+        vec![tx],
+        sources,
+        "q",
+        cfg,
+        resources,
+        threads,
+    )?;
+    for (name, task) in built {
+        sim.spawn(name, task);
+    }
+    // The scope joins every worker before returning and re-raises a
+    // worker's panic.
+    thread::scope(|scope| {
+        for worker in workers {
+            scope.spawn(move || {
+                let mut sim = Simulator::new(1);
+                sim.spawn("worker", worker);
+                sim.run_to_idle();
+            });
+        }
+        let pages = run_and_collect_pages(&mut sim, rx, OpCost::default(), &resources.fault);
+        // A run that stopped with merge tasks still live (a stall) must
+        // hang up on their workers, or the scope's join would wait on a
+        // full channel forever.
+        drop(sim);
+        pages
+    })
+}
+
+/// [`run_local`] at one worker, whatever `CORDOBA_WORKERS` says: the
+/// serial one-task-per-operator wiring ([`WiringConfig::serial`]) in
+/// one run loop on the calling thread.
 pub fn run_serial(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     resources: &QueryResources,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
-    let cfg = WiringConfig::serial();
-    let mut sim = Simulator::new(1);
-    let (tx, rx) = channel::bounded(cfg.queue_capacity);
-    instantiate_into(
-        &mut sim,
-        catalog,
-        plan,
-        vec![tx],
-        &mut VecDeque::new(),
-        "q",
-        &cfg,
-        resources,
-    )?;
-    run_and_collect_pages(&mut sim, rx, OpCost::default(), &resources.fault)
+    run_local(catalog, plan, &WiringConfig::serial(), resources)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{Agg, CmpOp, Predicate, ScalarExpr};
+    use crate::memory::MemoryBroker;
     use cordoba_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn catalog() -> Catalog {
@@ -965,6 +1072,201 @@ mod tests {
         assert!(res.broker.peak() > 0, "the sort charged the broker");
         assert_eq!(res.broker.used(), 0);
         assert_eq!(WiringConfig::serial().parallel.workers, 1);
+    }
+
+    fn low_keys(cutoff: i64) -> Box<PhysicalPlan> {
+        Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::default(),
+            }),
+            predicate: Predicate::col_cmp(0, CmpOp::Lt, cutoff),
+            cost: OpCost::default(),
+        })
+    }
+
+    fn threaded(workers: usize) -> WiringConfig {
+        WiringConfig {
+            parallel: crate::parallel::ParallelConfig {
+                workers,
+                morsel_pages: 1,
+            },
+            ..WiringConfig::serial()
+        }
+    }
+
+    #[test]
+    fn thread_driver_is_row_identical_to_the_serial_wiring() {
+        // Chains, aggregates, sorts and hash joins of every kind over
+        // worker groups on real threads: the same rows in the same
+        // order as one run loop on one thread.
+        use crate::plan::JoinKind;
+        let cat = paged_catalog();
+        let mut plans = vec![
+            *low_keys(60),
+            PhysicalPlan::Aggregate {
+                input: low_keys(60),
+                group_by: vec![0],
+                aggs: vec![
+                    ("n".into(), Agg::Count),
+                    ("s".into(), Agg::Sum(ScalarExpr::col(1))),
+                ],
+                cost: OpCost::default(),
+            },
+            PhysicalPlan::Sort {
+                input: low_keys(60),
+                keys: vec![0, 1],
+                cost: OpCost::default(),
+            },
+        ];
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter,
+        ] {
+            plans.push(PhysicalPlan::HashJoin {
+                build: low_keys(10),
+                probe: low_keys(80),
+                build_key: 0,
+                probe_key: 0,
+                kind,
+                build_cost: OpCost::default(),
+                probe_cost: OpCost::default(),
+            });
+        }
+        for plan in &plans {
+            let res = QueryResources::default();
+            let want = page_rows(&run_serial(&cat, plan, &res).expect("runs"));
+            assert_eq!(want, crate::reference::execute(&cat, plan));
+            for workers in [2, 4, 8] {
+                let got = run_local(&cat, plan, &threaded(workers), &res).expect("runs");
+                assert_eq!(
+                    page_rows(&got),
+                    want,
+                    "{} workers={workers}",
+                    plan.op_name()
+                );
+            }
+            assert_eq!(res.broker.used(), 0, "{}: grants leaked", plan.op_name());
+        }
+    }
+
+    #[test]
+    fn thread_driver_join_honours_its_budget() {
+        // A 12-page build side under a budget: the join is the serial
+        // wiring's `HashJoinTask`, so it spills instead of forcing
+        // grants and cleans up after itself.
+        use cordoba_storage::PAGE_SIZE;
+        let cat = paged_catalog();
+        let plan = PhysicalPlan::HashJoin {
+            build: low_keys(97),
+            probe: low_keys(97),
+            build_key: 0,
+            probe_key: 0,
+            kind: crate::plan::JoinKind::Semi,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::default(),
+        };
+        // Spilled partitions come back partition by partition: the
+        // multiset is the contract under a budget.
+        let want = crate::reference::canonicalize(crate::reference::execute(&cat, &plan));
+        let dir = std::env::temp_dir().join(format!("cordoba-wiring-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("spill dir");
+        // At two pages the operator's fixed per-partition buffers
+        // dominate (the serial wiring itself peaks at 6x); from six
+        // pages up it holds its 1.25x contract, which forced grants for
+        // the whole build side (1.5x at eight pages) would break.
+        for budget in [2 * PAGE_SIZE, 8 * PAGE_SIZE] {
+            let serial = MemoryBroker::with_budget(budget);
+            run_serial(&cat, &plan, &QueryResources::charging(&serial)).expect("serial join");
+            for workers in [2, 4] {
+                let at = format!("budget={budget} workers={workers}");
+                let mut cfg = threaded(workers);
+                cfg.memory.spill_dir = Some(dir.clone());
+                let broker = MemoryBroker::with_budget(budget);
+                let got = run_local(&cat, &plan, &cfg, &QueryResources::charging(&broker))
+                    .expect("join runs under budget");
+                let got = crate::reference::canonicalize(page_rows(&got));
+                assert_eq!(got, want, "{at}");
+                assert!(
+                    broker.peak() > budget / 2,
+                    "{at}: the build charged the broker"
+                );
+                assert!(
+                    broker.peak() <= serial.peak(),
+                    "{at}: peak {} over the serial wiring's {}",
+                    broker.peak(),
+                    serial.peak()
+                );
+                if budget == 8 * PAGE_SIZE {
+                    assert!(
+                        broker.peak() * 4 <= budget * 5,
+                        "{at}: peak {} over 1.25 x budget",
+                        broker.peak()
+                    );
+                }
+                assert_eq!(broker.used(), 0, "{at}: grants leaked");
+                let left = std::fs::read_dir(&dir).expect("spill dir").count();
+                assert_eq!(left, 0, "{at}: spill files left behind");
+            }
+        }
+        std::fs::remove_dir(&dir).expect("empty spill dir");
+    }
+
+    #[test]
+    fn thread_driver_fault_joins_every_worker() {
+        // `t`'s keys wrap after 97 rows, so a merge join over it faults
+        // within the first few pages, while both input groups' workers
+        // (188 one-page morsels each) are still producing.
+        let cat = paged_catalog();
+        let plan = PhysicalPlan::MergeJoin {
+            left: low_keys(90),
+            right: low_keys(80),
+            left_key: 0,
+            right_key: 0,
+            cost: OpCost::default(),
+        };
+        let page = cat.expect("t").pages()[0].clone();
+        let held = Arc::strong_count(&page);
+        let broker = MemoryBroker::unbounded();
+        let err = run_local(
+            &cat,
+            &plan,
+            &threaded(4),
+            &QueryResources::charging(&broker),
+        )
+        .expect_err("unsorted input");
+        assert!(
+            matches!(err, ExecError::UnsortedMergeInput { .. }),
+            "{err:?}"
+        );
+        assert_eq!(broker.used(), 0);
+        // Returning at all means no worker deadlocked on its channel;
+        // every worker shared the table's page list, so the count is
+        // back only if all eight threads are gone.
+        assert_eq!(Arc::strong_count(&page), held, "a worker outlived the run");
+    }
+
+    #[test]
+    fn thread_driver_wires_all_or_nothing() {
+        // A malformed plan (and a `Source` leaf nobody feeds) is a typed
+        // error before any thread starts.
+        let cat = paged_catalog();
+        let res = QueryResources::default();
+        let bad = PhysicalPlan::HashJoin {
+            build: low_keys(10),
+            probe: Box::new(PhysicalPlan::Source {
+                schema: crate::plan::SchemaRef(cat.expect("t").schema().clone()),
+            }),
+            build_key: 0,
+            probe_key: 0,
+            kind: crate::plan::JoinKind::Inner,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::default(),
+        };
+        let err = run_local(&cat, &bad, &threaded(4), &res).expect_err("unfed source");
+        assert!(matches!(err, ExecError::PlanType(_)), "{err:?}");
     }
 
     #[test]

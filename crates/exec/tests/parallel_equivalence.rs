@@ -1,7 +1,7 @@
 //! Property tests for morsel-driven parallelism: on random inputs, the
 //! parallel paths must be indistinguishable from the serial executor.
 //!
-//! Two substrates are pinned:
+//! One implementation, two substrates — both pinned:
 //!
 //! * the **simulated** morsel wiring (`WiringConfig.parallel`): fused
 //!   scan→filter→project worker tasks with morsel-ordered reassembly
@@ -10,17 +10,17 @@
 //!   per-worker partial aggregates merge in worker-index order, which
 //!   is bit-exact here because the float payloads are integer-valued
 //!   (exact under f64 addition in any order);
-//! * the **real-thread** executor (`cordoba_exec::parallel`): joins are
-//!   compared as sorted multisets (partitioned builds legitimately
-//!   reorder output), including under a two-page memory budget so the
-//!   partition-spill machinery runs underneath the parallel probe;
-//!   sorts, merge joins and nested-loop joins run as the engine's
-//!   serial operator tasks and are compared row-for-row.
+//! * the **real-thread** driver (`wiring::run_local`): the same worker
+//!   tasks on OS threads. Everything — joins of every kind included —
+//!   is row-for-row identical to the serial wiring at every worker
+//!   count; under a two-page budget the hash join spills (partitions
+//!   come back partition by partition) and is compared as a multiset.
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
 use cordoba_exec::{
-    parallel, reference, JoinKind, MemoryBroker, MemoryConfig, OpCost, ParallelConfig, PhysicalPlan,
+    reference, JoinKind, MemoryBroker, MemoryConfig, OpCost, ParallelConfig, PhysicalPlan,
+    QueryResources,
 };
 use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value, PAGE_SIZE};
@@ -53,6 +53,26 @@ fn run_wired(
         wiring::instantiate(&mut sim, catalog, plan, "par-eq", &cfg).expect("plan wires");
     wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault)
         .expect("parallel query must complete")
+}
+
+/// Runs `plan` through the real-thread driver with `workers` one-page-
+/// morsel workers per parallel fragment, charging `broker`.
+fn run_threaded(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    workers: usize,
+    broker: &MemoryBroker,
+) -> Vec<Vec<Value>> {
+    let cfg = WiringConfig {
+        parallel: ParallelConfig {
+            workers,
+            morsel_pages: 1,
+        },
+        ..WiringConfig::serial()
+    };
+    let pages = wiring::run_local(catalog, plan, &cfg, &QueryResources::charging(broker))
+        .expect("threaded query must complete");
+    wiring::page_rows(&pages)
 }
 
 /// Maps rows to a bit-exact representation: floats by `to_bits`.
@@ -230,46 +250,48 @@ proptest! {
         }
     }
 
-    /// The real-thread morsel executor (partitioned build, parallel
-    /// probe) matches the reference as a multiset at every worker
-    /// count, with and without a broker budget underneath.
+    /// A hash join of any kind through the real-thread driver is
+    /// row-for-row the serial wiring's at every worker count (the merge
+    /// tasks hand the join the serial row stream); under a two-page
+    /// broker it spills and matches the reference as a multiset, and
+    /// every grant comes back.
     #[test]
     fn threaded_executor_matches_reference(
         left in kv_rows(400),
         right in kv_rows(400),
     ) {
         let catalog = kv_catalog(&left, &right);
-        let plan = PhysicalPlan::HashJoin {
-            build: scan("r"),
-            probe: scan("l"),
-            build_key: 0,
-            probe_key: 0,
-            kind: JoinKind::Inner,
-            build_cost: OpCost::default(),
-            probe_cost: OpCost::default(),
-        };
-        let oracle = reference::canonicalize(reference::execute(&catalog, &plan));
-        for workers in [1usize, 2, 4, 8] {
-            let cfg = ParallelConfig::with_workers(workers);
-            let unbounded = parallel::execute_plan(&catalog, &plan, &cfg).expect("join runs");
-            prop_assert_eq!(
-                &reference::canonicalize(unbounded), &oracle,
-                "workers={}", workers
-            );
-            let broker = MemoryBroker::with_budget(2 * PAGE_SIZE);
-            let budgeted = parallel::execute_plan_with_broker(&catalog, &plan, &cfg, &broker)
-                .expect("join runs under budget");
-            prop_assert_eq!(
-                &reference::canonicalize(budgeted), &oracle,
-                "workers={} (budgeted)", workers
-            );
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti, JoinKind::LeftOuter] {
+            let plan = PhysicalPlan::HashJoin {
+                build: scan("r"),
+                probe: scan("l"),
+                build_key: 0,
+                probe_key: 0,
+                kind,
+                build_cost: OpCost::default(),
+                probe_cost: OpCost::default(),
+            };
+            let serial = run_wired(&catalog, &plan, 1, None);
+            let oracle = reference::canonicalize(reference::execute(&catalog, &plan));
+            prop_assert_eq!(&reference::canonicalize(serial.clone()), &oracle, "{:?}", kind);
+            for workers in [1usize, 2, 4, 8] {
+                let unbounded = run_threaded(&catalog, &plan, workers, &MemoryBroker::unbounded());
+                prop_assert_eq!(&unbounded, &serial, "{:?} workers={}", kind, workers);
+                let broker = MemoryBroker::with_budget(2 * PAGE_SIZE);
+                let budgeted = run_threaded(&catalog, &plan, workers, &broker);
+                prop_assert_eq!(
+                    &reference::canonicalize(budgeted), &oracle,
+                    "{:?} workers={} (budgeted)", kind, workers
+                );
+                prop_assert_eq!(broker.used(), 0, "grants leaked");
+            }
         }
     }
 
     /// Sorts, merge joins and nested-loop joins are not morsel-parallel:
-    /// the threaded executor runs them as the engine's serial operator
-    /// tasks over parallel-materialized children. Row-for-row equal to
-    /// the reference at every worker count, also when a two-page broker
+    /// they run as the serial operator tasks in the plan's run loop,
+    /// over worker groups on threads. Row-for-row equal to the
+    /// reference at every worker count, also when a two-page broker
     /// forces the sorts to spill, and every grant comes back.
     #[test]
     fn threaded_sort_and_ordered_joins_match_reference(
@@ -304,10 +326,8 @@ proptest! {
         for plan in [merge, nlj] {
             let oracle = reference::execute(&catalog, &plan);
             for workers in [1usize, 2, 4, 8] {
-                let cfg = ParallelConfig { workers, morsel_pages: 1 };
                 for broker in [MemoryBroker::unbounded(), MemoryBroker::with_budget(2 * PAGE_SIZE)] {
-                    let got = parallel::execute_plan_with_broker(&catalog, &plan, &cfg, &broker)
-                        .expect("plan runs");
+                    let got = run_threaded(&catalog, &plan, workers, &broker);
                     prop_assert_eq!(&got, &oracle, "workers={} {}", workers, plan.op_name());
                     prop_assert_eq!(broker.used(), 0, "grants leaked");
                 }
@@ -315,20 +335,24 @@ proptest! {
         }
     }
 
-    /// The threaded pipeline executor preserves row order exactly —
-    /// morsel-index reassembly, not completion order.
+    /// The threaded pipeline and aggregate groups preserve the serial
+    /// rows exactly — morsel-index reassembly and worker-order core
+    /// merging, not completion order.
     #[test]
     fn threaded_pipeline_preserves_order(
         rows in kv_rows(1000),
         cutoff in 0i64..48,
     ) {
         let catalog = kf_catalog(&rows);
-        let plan = pipeline_plan(cutoff);
-        let oracle = reference::execute(&catalog, &plan);
-        for workers in [1usize, 2, 4, 8] {
-            let cfg = ParallelConfig { workers, morsel_pages: 1 };
-            let got = parallel::execute_plan(&catalog, &plan, &cfg).expect("pipeline runs");
-            prop_assert_eq!(bit_exact(&got), bit_exact(&oracle), "workers={}", workers);
+        for plan in [pipeline_plan(cutoff), aggregate_plan(cutoff)] {
+            let oracle = reference::execute(&catalog, &plan);
+            for workers in [1usize, 2, 4, 8] {
+                let got = run_threaded(&catalog, &plan, workers, &MemoryBroker::unbounded());
+                prop_assert_eq!(
+                    bit_exact(&got), bit_exact(&oracle),
+                    "{} workers={}", plan.op_name(), workers
+                );
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Six rules, all line-oriented over a
+//! sanitizer CI legs). Seven rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -20,8 +20,8 @@
 //! 3. **Deterministic time** — no `std::time::Instant` / `SystemTime`
 //!    in simulator-deterministic modules (`core`, `sim`, `storage`,
 //!    `exec`, `engine`, `workload`), excepting the real-thread modules
-//!    (`engine::thread_exec`, `exec::parallel`). Virtual time comes
-//!    from the scheduler; wall clocks there would break replayability.
+//!    (`engine::thread_exec`). Virtual time comes from the scheduler;
+//!    wall clocks there would break replayability.
 //! 4. **`Ordering::Relaxed` allowlist** — every `Ordering::Relaxed`
 //!    outside the audited files (`exec::memory`'s monotone peak CAS,
 //!    `exec::parallel`'s morsel counter) is flagged, so a new Relaxed
@@ -38,6 +38,12 @@
 //!    simulator-side entry point is a configuration of `engine::Run`,
 //!    never a second copy of "build core, build simulator, spawn
 //!    dispatcher".
+//! 7. **One thread driver** — in non-test `exec` / `engine` source,
+//!    `thread::scope` / `thread::spawn` appear only in `exec::wiring`
+//!    (the local driver that runs `par_pipe` worker groups on OS
+//!    threads) and `engine::thread_exec` (query-level threads and the
+//!    sharing seam): operators run on threads by being wired into that
+//!    driver, never through a second executor with loops of its own.
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -67,6 +73,8 @@ pub enum Rule {
     OracleInEngine,
     /// A `Simulator` or dispatcher built outside the engine's run module.
     OneRunLoop,
+    /// OS threads started outside the two thread-driver modules.
+    OneThreadDriver,
 }
 
 impl Rule {
@@ -80,6 +88,7 @@ impl Rule {
             Rule::RelaxedOrdering => "relaxed-ordering",
             Rule::OracleInEngine => "oracle-in-engine",
             Rule::OneRunLoop => "one-run-loop",
+            Rule::OneThreadDriver => "one-thread-driver",
         }
     }
 }
@@ -139,6 +148,11 @@ pub struct Config {
     /// Files that may build private simulators but no dispatcher (the
     /// real-thread executor's per-thread loops).
     pub private_simulator_files: Vec<String>,
+    /// Path prefixes whose non-test code starts OS threads only in the
+    /// thread-driver files.
+    pub thread_driver_prefixes: Vec<String>,
+    /// The files that may call `thread::scope` / `thread::spawn`.
+    pub thread_driver_files: Vec<String>,
 }
 
 impl Config {
@@ -162,7 +176,6 @@ impl Config {
             deterministic_exceptions: vec![
                 // Real-thread executors: wall-clock timing is the point.
                 "crates/engine/src/thread_exec.rs".into(),
-                "crates/exec/src/parallel.rs".into(),
             ],
             relaxed_allowed_files: vec![
                 // Monotone peak CAS + morsel hand-out counter: audited
@@ -187,6 +200,11 @@ impl Config {
             run_loop_prefixes: vec!["crates/engine/src".into()],
             run_loop_files: vec!["crates/engine/src/run.rs".into()],
             private_simulator_files: vec!["crates/engine/src/thread_exec.rs".into()],
+            thread_driver_prefixes: vec!["crates/exec/src".into(), "crates/engine/src".into()],
+            thread_driver_files: vec![
+                "crates/exec/src/wiring.rs".into(),
+                "crates/engine/src/thread_exec.rs".into(),
+            ],
         }
     }
 }
@@ -467,6 +485,8 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     let run_loop_scoped =
         has_prefix(file, &cfg.run_loop_prefixes) && !listed(file, &cfg.run_loop_files);
     let simulator_scoped = run_loop_scoped && !listed(file, &cfg.private_simulator_files);
+    let thread_scoped =
+        has_prefix(file, &cfg.thread_driver_prefixes) && !listed(file, &cfg.thread_driver_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -562,6 +582,20 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                     format!(
                         "`{tok}` outside the engine's run module; configure `engine::Run` \
                          (source, admission bound, capture, stop) instead of a second run loop"
+                    ),
+                );
+            }
+        }
+        // Rule 7: one thread driver.
+        for tok in ["thread::scope", "thread::spawn"] {
+            if thread_scoped && code.contains(tok) {
+                push(
+                    i,
+                    Rule::OneThreadDriver,
+                    format!(
+                        "`{tok}` outside the thread drivers; wire the operator into \
+                         `wiring::run_local` (or `engine::thread_exec`) instead of a second \
+                         threaded executor"
                     ),
                 );
             }
@@ -664,6 +698,8 @@ mod tests {
             run_loop_prefixes: vec![file.to_string()],
             run_loop_files: vec![],
             private_simulator_files: vec![],
+            thread_driver_prefixes: vec![file.to_string()],
+            thread_driver_files: vec![],
         }
     }
 
@@ -853,6 +889,26 @@ mod tests {
     }
 
     #[test]
+    fn seeded_second_thread_driver_is_caught_outside_the_driver_modules() {
+        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| work()); }); }";
+        let spawned = "fn f() { let h = thread::spawn(work); let _ = h.join(); }";
+        assert_eq!(rules(scoped), vec![Rule::OneThreadDriver]);
+        assert_eq!(rules(spawned), vec![Rule::OneThreadDriver]);
+        // Tests may race whatever they like; scoped `s.spawn` alone and
+        // the driver files are fine, and so are unscoped crates.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{scoped}\n{spawned}\n}}");
+        assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
+        assert!(rules("fn f(s: &Scope) { s.spawn(|| work()); }").is_empty());
+        let mut cfg = cfg_for("exec/");
+        cfg.thread_driver_files = vec!["exec/wiring.rs".into()];
+        for src in [scoped, spawned] {
+            assert!(lint_source("exec/wiring.rs", src, &cfg).is_empty());
+            assert!(lint_source("bench/x.rs", src, &cfg).is_empty());
+            assert_eq!(lint_source("exec/parallel.rs", src, &cfg).len(), 1);
+        }
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -884,6 +940,7 @@ mod tests {
             .chain(&cfg.oracle_allowed_files)
             .chain(&cfg.run_loop_files)
             .chain(&cfg.private_simulator_files)
+            .chain(&cfg.thread_driver_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }
