@@ -172,9 +172,9 @@ pub fn virtual_pair(
 /// threads per join input, wall clock. Both inputs are bare scans, so
 /// the workers have no per-tuple work to split and the join itself is
 /// one task: the pair prices the thread seam (one bounded-channel
-/// hand-off per 4 KiB page) rather than a speedup, and sits below 1×
-/// wherever threads outnumber cores — the honest counterpart of the
-/// virtual-time pairs.
+/// hand-off per morsel of 4 KiB pages) rather than a speedup, and sits
+/// below 1× wherever threads outnumber cores — the honest counterpart
+/// of the virtual-time pairs.
 pub fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -> ParPair {
     let plan = crate::spill_kernels::join_plan();
     let serial_cfg = WiringConfig::serial();
@@ -217,7 +217,7 @@ pub fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -
         serial: time_ns(&serial_cfg),
         parallel: time_ns(&par_cfg),
         substrate: "wall-clock",
-        note: "serial wiring vs morsel worker groups on real threads feeding one hash join; bare-scan inputs leave the workers nothing but the per-page hand-off, so < 1x when threads outnumber cores",
+        note: "serial wiring vs morsel worker groups on real threads feeding one hash join; bare-scan inputs leave the workers nothing but the per-morsel hand-off, so < 1x when threads outnumber cores",
     }
 }
 

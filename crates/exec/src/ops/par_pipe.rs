@@ -13,10 +13,11 @@
 //!   fused stages' input costs on the rows each stage actually sees —
 //!   the same total work as the serial task-per-operator wiring,
 //!   split `k` ways;
-//! * the pipe merge task reassembles per-morsel outputs in morsel
-//!   order, so the delivered row stream is identical to the serial
-//!   wiring for any worker count (page boundaries may differ, row
-//!   order never does);
+//! * a pipe worker hands its merge task one message per finished
+//!   morsel — `(morsel index, every page the morsel produced)` — and
+//!   the merge task releases the morsels in index order, so the
+//!   delivered row stream is identical to the serial wiring for any
+//!   worker count (page boundaries may differ, row order never does);
 //! * aggregate workers fold their morsels into private [`AggCore`]s
 //!   which the merge task combines in worker-index order and emits
 //!   sorted — row-identical to the serial aggregate.
@@ -37,16 +38,23 @@
 //!   channel blocks that *thread*; the merge task stays in the plan's
 //!   run loop and parks it in `recv` until a worker delivers. A
 //!   receiver never reports `Empty` and a dropped endpoint is a
-//!   hang-up: the merge task sees `Closed`, a worker stops claiming
-//!   morsels.
+//!   hang-up: the merge task sees `Closed`, a worker finishes with the
+//!   morsel it holds.
 //!
-//! **Merge buffer bound.** The pipe merge task holds every page of the
-//! morsels that finished ahead of the one it must release next. In the
-//! simulator round-robin fairness keeps workers within a few morsels of
-//! each other; on real threads nothing does (one descheduled worker
-//! holds morsel `i` while its peers run ahead), so the bound is the
-//! group's whole output — what materialising the fragment would cost,
-//! and no more. It is not charged to the query's broker.
+//! Either way a hand-off costs one channel operation (on OS threads a
+//! lock and often a futex wake) per morsel, not per page, and a morsel
+//! arrives whole or not at all: a worker that dies mid-morsel leaves a
+//! gap in the index sequence, on which the merge task finishes once the
+//! channel closes.
+//!
+//! **Merge buffer bound.** The pipe merge task holds the morsels that
+//! finished ahead of the one it must release next, and the channel up
+//! to `queue_capacity` more. In the simulator round-robin fairness
+//! keeps workers within a few morsels of each other; on real threads
+//! nothing does (one descheduled worker holds morsel `i` while its
+//! peers run ahead), so the bound is the group's whole output — what
+//! materialising the fragment would cost, and no more. It is not
+//! charged to the query's broker.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
@@ -57,7 +65,7 @@ use crate::parallel::{MorselDispenser, ParallelConfig, StageSpec, WorkerPipeline
 use cordoba_sim::channel::{Receiver, Recv, Sender};
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
 use cordoba_storage::{Morsel, Page, PageBuilder, Schema};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
 /// Why a group-internal send did not go through.
@@ -224,39 +232,44 @@ impl FusedScan {
     }
 }
 
-/// A worker's message to its merge task: a produced page tagged with
-/// its morsel index, or the morsel's end-marker (`None`).
-type PipeMsg = (usize, Option<Arc<Page>>);
+/// A worker's message to its merge task: a finished morsel's index and
+/// every page it produced, in order.
+type PipeMsg = (usize, Vec<Arc<Page>>);
 
 /// One fused pipeline worker: claims morsels, processes a page per
-/// step, and streams tagged outputs to the group's merge task.
+/// step, and hands each finished morsel's output to the group's merge
+/// task in one message.
 pub(crate) struct ParPipeWorker<S> {
     scan: FusedScan,
     tx: S,
-    pending: VecDeque<PipeMsg>,
+    /// Output of the morsel in progress.
+    out: Vec<Arc<Page>>,
+    /// A finished morsel the channel had no room for.
+    pending: Option<PipeMsg>,
 }
 
 impl<S: GroupTx<PipeMsg>> ParPipeWorker<S> {
-    /// Sends queued messages; `Err` carries the step that ends this
-    /// turn (throttled by the channel, or finished by a hang-up).
-    fn drain_pending(&mut self, cost: VTime, ctx: &mut TaskCtx<'_>) -> Result<(), Step> {
-        while let Some(msg) = self.pending.pop_front() {
-            match self.tx.send(msg, ctx) {
-                Ok(()) => {}
-                Err(Refused::Full(msg)) => {
-                    self.pending.push_front(msg);
-                    return Err(Step::blocked(cost));
-                }
-                Err(Refused::HungUp) => return Err(Step::done(cost)),
+    /// Sends the finished morsel, if any; `Err` carries the step that
+    /// ends this turn (throttled by the channel, or finished by a
+    /// hang-up).
+    fn send_pending(&mut self, cost: VTime, ctx: &mut TaskCtx<'_>) -> Result<(), Step> {
+        let Some(msg) = self.pending.take() else {
+            return Ok(());
+        };
+        match self.tx.send(msg, ctx) {
+            Ok(()) => Ok(()),
+            Err(Refused::Full(msg)) => {
+                self.pending = Some(msg);
+                Err(Step::blocked(cost))
             }
+            Err(Refused::HungUp) => Err(Step::done(cost)),
         }
-        Ok(())
     }
 }
 
 impl<S: GroupTx<PipeMsg>> Task for ParPipeWorker<S> {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        if let Err(step) = self.drain_pending(0, ctx) {
+        if let Err(step) = self.send_pending(0, ctx) {
             return step;
         }
         let Some((idx, last, page)) = self.scan.next_page() else {
@@ -265,11 +278,11 @@ impl<S: GroupTx<PipeMsg>> Task for ParPipeWorker<S> {
         };
         ctx.add_progress(page.rows() as f64);
         let (out, cost) = self.scan.run_page(&page);
-        self.pending.extend(out.drain(..).map(|p| (idx, Some(p))));
+        self.out.append(out);
         if last {
-            self.pending.push_back((idx, None));
+            self.pending = Some((idx, std::mem::take(&mut self.out)));
         }
-        match self.drain_pending(cost, ctx) {
+        match self.send_pending(cost, ctx) {
             Ok(()) => Step::yielded(cost.max(1)),
             Err(step) => step,
         }
@@ -281,9 +294,9 @@ impl<S: GroupTx<PipeMsg>> Task for ParPipeWorker<S> {
 /// page — the serial wiring's exact output contract.
 pub(crate) struct ParPipeMerge<R> {
     rx: R,
-    /// Out-of-order morsel outputs: pages so far + completion flag
-    /// (see the module docs for its bound).
-    buffer: BTreeMap<usize, (Vec<Arc<Page>>, bool)>,
+    /// Morsels that finished ahead of `next_morsel` (see the module docs
+    /// for its bound).
+    buffer: BTreeMap<usize, Vec<Arc<Page>>>,
     next_morsel: usize,
     outbox: Outbox,
 }
@@ -294,16 +307,8 @@ impl<R: GroupRx<PipeMsg>> Task for ParPipeMerge<R> {
         if !drained {
             return Step::blocked(cost);
         }
-        // Release at most one completed morsel per step (bounded work).
-        if self
-            .buffer
-            .get(&self.next_morsel)
-            .is_some_and(|(_, done)| *done)
-        {
-            let (pages, _) = self
-                .buffer
-                .remove(&self.next_morsel)
-                .expect("checked above"); // lint: allow(contains_key checked in the loop condition)
+        // Release at most one morsel per step (bounded work).
+        if let Some(pages) = self.buffer.remove(&self.next_morsel) {
             self.next_morsel += 1;
             for page in pages {
                 self.outbox.push(page);
@@ -318,36 +323,18 @@ impl<R: GroupRx<PipeMsg>> Task for ParPipeMerge<R> {
             };
         }
         match self.rx.recv(ctx) {
-            Recv::Value((idx, msg)) => {
-                let entry = self
-                    .buffer
-                    .entry(idx)
-                    .or_insert_with(|| (Vec::new(), false));
-                match msg {
-                    Some(page) => entry.0.push(page),
-                    None => entry.1 = true,
-                }
+            Recv::Value((idx, pages)) => {
+                self.buffer.insert(idx, pages);
                 Step::yielded(cost.max(1))
             }
             Recv::Empty => Step::blocked(cost),
             Recv::Closed => {
-                if self
-                    .buffer
-                    .get(&self.next_morsel)
-                    .is_some_and(|(_, done)| *done)
-                {
-                    // Every worker sent its end-markers before closing,
-                    // so the remaining morsels are all complete and
-                    // dense from `next_morsel`; release them one per
-                    // step through the branch above.
-                    Step::yielded(cost.max(1))
-                } else {
-                    // Drained — or a worker died mid-morsel (its thread's
-                    // panic surfaces when the driver joins it): what is
-                    // left can never be released in order.
-                    self.outbox.close(ctx);
-                    Step::done(cost)
-                }
+                // Drained — or a worker died with its morsel (its
+                // thread's panic surfaces when the driver joins it): the
+                // gap at `next_morsel` never fills, and what is buffered
+                // behind it can never be released in order.
+                self.outbox.close(ctx);
+                Step::done(cost)
             }
         }
     }
@@ -521,7 +508,8 @@ where
             Ok(ParPipeWorker {
                 scan: FusedScan::new(chain, dispenser.clone())?,
                 tx,
-                pending: VecDeque::new(),
+                out: Vec::new(),
+                pending: None,
             })
         })
         .collect::<Result<_, ExecError>>()?;
@@ -620,30 +608,62 @@ mod tests {
         }
     }
 
+    /// Two workers and their merge task over an OS channel, delivering
+    /// to the returned receiver.
+    #[allow(clippy::type_complexity)]
     fn os_group(
         morsel_pages: usize,
     ) -> (
         Vec<ParPipeWorker<mpsc::SyncSender<PipeMsg>>>,
         ParPipeMerge<mpsc::Receiver<PipeMsg>>,
+        Receiver<Arc<Page>>,
     ) {
         let cfg = ParallelConfig {
             workers: 2,
             morsel_pages,
         };
-        pipe_group(&chain(), Vec::new(), &cfg, 64, mpsc::sync_channel).expect("chain compiles")
+        let (out_tx, out_rx) = cordoba_sim::channel::bounded(64);
+        let (workers, merge) = pipe_group(&chain(), vec![out_tx], &cfg, 64, mpsc::sync_channel)
+            .expect("chain compiles");
+        (workers, merge, out_rx)
+    }
+
+    #[test]
+    fn a_worker_sends_one_message_per_finished_morsel() {
+        // 40 pages in morsels of 3, all claimed by one worker: nothing
+        // crosses the channel until a morsel ends, then all of it does —
+        // 13 full morsels and the one-page tail, 14 messages.
+        let (mut workers, merge, _out) = os_group(3);
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for _ in 0..2 {
+            assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+            assert!(merge.rx.try_recv().is_err());
+        }
+        assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        let (idx, pages) = merge.rx.try_recv().expect("morsel 0 is over");
+        assert_eq!((idx, pages.len()), (0, 3));
+        while workers[0].step(ctx).status != StepStatus::Done {}
+        let rest: Vec<_> = merge.rx.try_iter().map(|(_, pages)| pages.len()).collect();
+        assert_eq!(rest, [&[3; 12][..], &[1]].concat());
     }
 
     #[test]
     fn a_hung_up_worker_stops_claiming_morsels() {
-        let (mut workers, merge) = os_group(1);
+        let (mut workers, merge, _out) = os_group(2);
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
-        // With its merge task listening, a worker keeps going ...
-        assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
-        // ... and once that is gone, its next send ends it: of the 40
-        // morsels the two workers claimed three.
+        // With its merge task listening, a worker hands over morsel 0
+        // and goes on ...
+        for _ in 0..2 {
+            assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        }
+        // ... and once that is gone, the send that ends the morsel it
+        // holds ends the worker: of the 20 morsels the two workers
+        // claimed three.
         drop(merge);
         for worker in &mut workers {
+            assert_eq!(worker.step(ctx).status, StepStatus::Yield);
             assert_eq!(worker.step(ctx).status, StepStatus::Done);
         }
         let (next, _) = workers[0].scan.dispenser.claim().expect("morsels left");
@@ -652,21 +672,26 @@ mod tests {
 
     #[test]
     fn merge_finishes_when_a_worker_dies_mid_morsel() {
-        // One page of a two-page morsel, then the workers vanish (a
-        // panicked thread drops its sender without an end-marker): the
-        // merge task must finish, not wait for a morsel that can never
-        // complete.
-        let (mut workers, mut merge) = os_group(2);
+        // Worker 0 dies one page into morsel 0 (a panicked thread drops
+        // its sender, and with it the morsel's output so far); worker 1
+        // delivers morsel 1 whole. The merge task must finish on the gap,
+        // not wait for a morsel that can never arrive, and must not
+        // release morsel 1 as if it were the start of the stream.
+        let (mut workers, mut merge, out) = os_group(2);
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        for _ in 0..2 {
+            assert_eq!(workers[1].step(ctx).status, StepStatus::Yield);
+        }
         drop(workers);
         assert_eq!(
             merge.step(ctx).status,
             StepStatus::Yield,
-            "buffers the page"
+            "buffers morsel 1"
         );
         assert_eq!(merge.step(ctx).status, StepStatus::Done);
+        assert!(matches!(out.try_recv(ctx), Recv::Closed));
     }
 
     #[test]
