@@ -1,4 +1,5 @@
-//! Ablations for the design choices called out in DESIGN.md:
+//! Ablations for the engine's design choices (README.md, "Vectorized
+//! execution pipeline" and "Subsumption-based sharing"):
 //!
 //! * page-size sweep — with a fixed per-page dispatch overhead, larger
 //!   pages amortize it (the locality argument of the paper's §3.2

@@ -1,575 +1,151 @@
-//! Operator hot-path micro-benchmark harness: times the paired
-//! baseline (tuple-at-a-time) vs vectorized kernels from
-//! [`cordoba_bench::vec_kernels`] and writes `BENCH_ops.json` to the
-//! current directory (run from the repo root; override the path with
-//! `CORDOBA_BENCH_OPS`). This file is the perf trajectory record:
-//! every entry carries both sides plus the speedup, so regressions and
-//! wins are visible across PRs.
+//! Deterministic operator-level gates: the scenarios only simulator
+//! virtual time can pin — what morsel-parallel wiring buys on a
+//! `k`-context machine, when subsumption sharing wins or loses, and how
+//! far past its budget a spilling operator's tracked memory peaks. The
+//! same source gives the same numbers on any host, so `BENCH_ops.json`
+//! is gated by reproduction, not by tolerance. Wall-clock questions
+//! (ns/row per operator, thread hand-offs) belong to `benchmark/`.
 //!
-//! Usage: `cargo run --release -p cordoba-bench --bin bench_ops`
-//! * `-- --quick` — CI smoke runs: fewer samples, smaller scale factor.
-//! * `-- --filter <substr>` — run only kernels whose name contains the
-//!   substring (print-only: a filtered run never rewrites the JSON).
-//! * `-- --check <path>` — compare the fresh within-run speedups
-//!   against a committed `BENCH_ops.json` instead of writing one;
-//!   exits non-zero on a gross regression, naming each offending
-//!   kernel with its committed and fresh speedups.
-//!
-//! Besides the baseline-vs-vectorized pairs, the harness records a
-//! `"parallel"` section from [`cordoba_bench::par_kernels`]: serial
-//! wiring vs morsel-parallel wiring at 4 workers. The pipeline and
-//! aggregate pairs are simulator virtual time (deterministic,
-//! host-independent); the hash-join pair is real threads and wall
-//! clock.
+//! Usage (from the repo root):
+//! `cargo run --release -p cordoba-bench --bin bench_ops`
+//! * no arguments — run every scenario and rewrite `BENCH_ops.json`.
+//! * `-- --check <file>` — render the same document and compare it byte
+//!   for byte with the committed file; prints each differing line and
+//!   exits 1.
+//! * `-- --filter <substr>` — run only the scenarios whose name
+//!   contains the substring and print them; writes nothing and cannot
+//!   be combined with `--check`. `--filter par_hash_join` also prints
+//!   the one wall-clock pair (serial vs thread-driver hash join), which
+//!   never enters the committed file.
 
+use cordoba_bench::output::{GateArgs, Json};
 use cordoba_bench::par_kernels::{self, ParPair};
 use cordoba_bench::spill_kernels;
-use cordoba_bench::subsume_kernels::{self, SubsumePoint};
-use cordoba_bench::vec_kernels::*;
-use cordoba_exec::ops::{KeyScratch, PackedKeySpec};
-use cordoba_exec::reference;
-use cordoba_exec::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
-use cordoba_storage::PAGE_SIZE;
-use cordoba_workload::FamilyConfig;
-use std::hint::black_box;
-use std::time::Instant;
+use cordoba_bench::subsume_kernels::{self, PolicyPoint, SubsumePoint};
+use cordoba_exec::PhysicalPlan;
+use cordoba_storage::Catalog;
+use cordoba_workload::{CostProfile, FamilyConfig};
+use std::cell::LazyCell;
+use std::process::ExitCode;
 
-/// A kernel's fresh within-run speedup (baseline / vectorized, both
-/// timed in the same process on the same host) may shrink to this
-/// fraction of the committed speedup before `--check` fails. The ratio
-/// is machine-independent — a slow CI runner scales both sides equally
-/// — so the gate catches a kernel silently falling back toward the
-/// tuple-at-a-time path without flaking on host speed. Generous on
-/// purpose: quick runs use a smaller scale factor and shared runners
-/// are noisy.
-const CHECK_TOLERANCE: f64 = 3.0;
+/// Scale factor of the spill and parallel scenarios' catalog.
+const SCALE_FACTOR: f64 = 0.02;
 
 /// Morsel workers for the parallel section.
 const PAR_WORKERS: usize = 4;
 
-/// Median wall-clock nanoseconds over `samples` runs of `f`.
-fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    // One warm-up run to fault in data and warm caches.
-    black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
+/// A catalog generated when the first selected scenario reads it.
+type LazyCatalog = LazyCell<Catalog>;
 
-struct Entry {
-    name: &'static str,
-    rows: usize,
-    baseline_ns: f64,
-    vectorized_ns: f64,
-    note: &'static str,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        self.baseline_ns / self.vectorized_ns
+/// Past-memory scenarios: the sort and the hash join under a quarter of
+/// their input, with output equality and the peak bound asserted.
+fn spill_section(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
+    type Scenario = fn(&Catalog) -> spill_kernels::SpillPoint;
+    let scenarios: [(&str, Scenario); 2] = [
+        ("sort_spill", spill_kernels::sort_spill),
+        ("join_spill", spill_kernels::join_spill),
+    ];
+    let mut records = Vec::new();
+    for (name, run) in scenarios {
+        if !args.wants(name) {
+            continue;
+        }
+        let p = run(cat);
+        println!(
+            "{:<24} input {:>8} B  budget {:>8} B  peak {:>8} B ({:.3}x budget)  in-memory peak {:>8} B",
+            p.name,
+            p.input_bytes,
+            p.budget_bytes,
+            p.peak_bytes,
+            p.peak_over_budget(),
+            p.in_memory_peak_bytes,
+        );
+        records.push(p.json());
     }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"rows\": {},\n",
-                "      \"baseline_ns_per_row\": {:.2},\n",
-                "      \"vectorized_ns_per_row\": {:.2},\n",
-                "      \"speedup\": {:.2},\n",
-                "      \"note\": \"{}\"\n",
-                "    }}"
-            ),
-            self.name,
-            self.rows,
-            self.baseline_ns / self.rows as f64,
-            self.vectorized_ns / self.rows as f64,
-            self.speedup(),
-            self.note,
-        )
-    }
+    records
 }
 
-fn par_json(p: &ParPair) -> String {
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"name\": \"{}\",\n",
-            "        \"rows\": {},\n",
-            "        \"workers\": {},\n",
-            "        \"substrate\": \"{}\",\n",
-            "        \"serial\": {:.0},\n",
-            "        \"parallel\": {:.0},\n",
-            "        \"speedup\": {:.2},\n",
-            "        \"note\": \"{}\"\n",
-            "      }}"
-        ),
+fn print_pair(p: &ParPair, unit: &str) {
+    println!(
+        "{:<24} {:>8} rows  serial {:>10.0} {unit}  {}-worker {:>10.0} {unit}  speedup {:.2}x",
         p.name,
         p.rows,
-        p.workers,
-        p.substrate,
         p.serial,
+        p.workers,
         p.parallel,
-        p.speedup(),
-        p.note,
-    )
+        p.speedup()
+    );
 }
 
-fn subsume_json(p: &SubsumePoint) -> String {
-    let predicted = if p.predicted_z.is_nan() {
-        "null".to_string()
-    } else {
-        format!("{:.3}", p.predicted_z)
-    };
-    let agrees = match p.advisor_agrees() {
-        Some(b) => b.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"name\": \"{}\",\n",
-            "        \"queries\": {},\n",
-            "        \"contexts\": {},\n",
-            "        \"unshared_vt\": {:.0},\n",
-            "        \"shared_vt\": {:.0},\n",
-            "        \"speedup\": {:.3},\n",
-            "        \"predicted_z\": {},\n",
-            "        \"advisor_agrees\": {},\n",
-            "        \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {} }},\n",
-            "        \"subsume_joins\": {},\n",
-            "        \"note\": \"{}\"\n",
-            "      }}"
+/// Serial wiring vs [`PAR_WORKERS`] morsel workers, virtual makespan.
+fn parallel_section(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
+    type Plan = fn() -> PhysicalPlan;
+    let scenarios: [(&str, Plan, &str); 2] = [
+        (
+            "par_scan_filter",
+            par_kernels::pipeline_plan,
+            "morsel-parallel scan+filter+project vs serial wiring, virtual makespan",
         ),
+        (
+            "par_aggregate",
+            par_kernels::aggregate_plan,
+            "per-worker partial aggregates merged in worker order, virtual makespan",
+        ),
+    ];
+    let mut records = Vec::new();
+    for (name, plan, note) in scenarios {
+        if !args.wants(name) {
+            continue;
+        }
+        let p = par_kernels::virtual_pair(cat, name, &plan(), PAR_WORKERS, note);
+        print_pair(&p, "vt");
+        records.push(p.json());
+    }
+    records
+}
+
+fn print_subsume(p: &SubsumePoint) {
+    println!(
+        "{:<24} {:>2} queries n={} unshared {:>9.0} vt  shared {:>9.0} vt  z {:.3}  \
+         predicted {:.3}  cache {}h/{}m/{}e  subsume-joins {}",
         p.name,
         p.queries,
         p.contexts,
         p.unshared_vt,
         p.shared_vt,
         p.measured_z(),
-        predicted,
-        agrees,
+        p.predicted_z,
         p.hits,
         p.misses,
         p.evictions,
         p.subsume_joins,
-        p.note,
-    )
-}
-
-fn policy_json(name: &str, p: &cordoba_bench::subsume_kernels::PolicyPoint) -> String {
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"name\": \"{}\",\n",
-            "        \"contexts\": {},\n",
-            "        \"never_vt\": {:.0},\n",
-            "        \"always_vt\": {:.0},\n",
-            "        \"model_vt\": {:.0},\n",
-            "        \"always_z\": {:.3},\n",
-            "        \"speedup\": {:.3},\n",
-            "        \"model_groups\": {:?},\n",
-            "        \"note\": \"batch makespans under never/always/model-guided sharing; speedup = never/model\"\n",
-            "      }}"
-        ),
-        name,
-        p.contexts,
-        p.never,
-        p.always,
-        p.model,
-        p.always_z(),
-        p.model_z(),
-        p.model_groups,
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let filter: Option<String> = args
-        .iter()
-        .position(|a| a == "--filter")
-        .and_then(|at| args.get(at + 1).cloned());
-    let want = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
-    let (sf, samples) = if quick { (0.002, 5) } else { (0.02, 15) };
-    let data = BenchData::generate(sf);
-    let li_rows = data.lineitem_rows();
-    let ord_rows = data.orders_rows();
-    eprintln!(
-        "bench_ops: sf={sf} lineitem={li_rows} rows, orders={ord_rows} rows, {samples} samples"
     );
-    if let Some(f) = &filter {
-        eprintln!("bench_ops: --filter '{f}' (print-only; BENCH_ops.json not rewritten)");
-    }
+}
 
-    let mut scratch = ExprScratch::default();
-    let mut entries = Vec::new();
-
-    // Filter: Q6 predicate over lineitem.
-    let pred = q6_predicate();
-    let cpred = CompiledPredicate::compile(&pred, &data.lineitem_schema).expect("compiles");
-    let mut sel = Vec::new();
-    if want("filter_q6") {
-        entries.push(Entry {
-            name: "filter_q6",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || filter_baseline(&data.lineitem, &pred)),
-            vectorized_ns: median_ns(samples, || {
-                filter_vectorized(&data.lineitem, &cpred, &mut scratch, &mut sel)
-            }),
-            note: "Q6 predicate -> selection vector",
-        });
-    }
-
-    // Expression: revenue over lineitem.
-    let expr = revenue_expr();
-    let cexpr = CompiledExpr::compile(&expr, &data.lineitem_schema).expect("compiles");
-    let mut col = Vec::new();
-    if want("expr_revenue") {
-        entries.push(Entry {
-            name: "expr_revenue",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || expr_baseline(&data.lineitem, &expr)),
-            vectorized_ns: median_ns(samples, || {
-                expr_vectorized(&data.lineitem, &cexpr, &mut scratch, &mut col)
-            }),
-            note: "extendedprice * (1 - discount), compiled postfix program",
-        });
-    }
-
-    // Join build: orders keyed by o_orderkey.
-    if want("join_build_orders") {
-        entries.push(Entry {
-            name: "join_build_orders",
-            rows: ord_rows,
-            baseline_ns: median_ns(samples, || join_build_baseline(&data.orders, 0)),
-            vectorized_ns: median_ns(samples, || {
-                join_build_vectorized(&data.orders, 0, data.orders_schema.row_width())
-            }),
-            note: "arena + chained offsets + FxHash; zero per-row allocations",
-        });
-    }
-
-    // Join probe: lineitem probing the orders table.
-    if want("join_probe_lineitem") {
-        let base_table = join_build_baseline(&data.orders, 0);
-        let vec_table = join_build_vectorized(&data.orders, 0, data.orders_schema.row_width());
-        let mut keys = Vec::new();
-        entries.push(Entry {
-            name: "join_probe_lineitem",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || {
-                join_probe_baseline(&base_table, &data.lineitem, 0)
-            }),
-            vectorized_ns: median_ns(samples, || {
-                join_probe_vectorized(&vec_table, &data.lineitem, 0, &mut keys)
-            }),
-            note: "gathered keys + FxHash lookup over arena chains",
-        });
-    }
-
-    // Aggregate: Q1 grouping with the revenue expression.
-    if want("aggregate_q1") {
-        let group_by = q1_group_by();
-        entries.push(Entry {
-            name: "aggregate_q1",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || {
-                aggregate_baseline(&data.lineitem, &group_by, &expr)
-            }),
-            vectorized_ns: median_ns(samples, || {
-                aggregate_vectorized(
-                    &data.lineitem,
-                    &data.lineitem_schema,
-                    &group_by,
-                    &cexpr,
-                    &mut scratch,
-                    &mut col,
-                )
-            }),
-            note: "packed u64 group keys + pre-evaluated input column",
-        });
-    }
-
-    // End-to-end Q6: filter -> repack -> revenue sum, both shapes.
-    if want("q6_end_to_end") {
-        entries.push(Entry {
-            name: "q6_end_to_end",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || q6_baseline(&data.lineitem, &pred, &expr)),
-            vectorized_ns: median_ns(samples, || {
-                q6_vectorized(
-                    &data.lineitem,
-                    &cpred,
-                    &cexpr,
-                    &mut scratch,
-                    &mut sel,
-                    &mut col,
-                )
-            }),
-            note: "selection vector -> dense repack -> compiled revenue over filtered pages",
-        });
-    }
-
-    // Fused scalar-literal instructions: the same compiled revenue
-    // program with literal broadcasting (the pre-fusion codegen) vs the
-    // fused MulFLit/SubLitF form.
-    if want("expr_fused_literal") {
-        let unfused =
-            CompiledExpr::compile_unfused(&expr, &data.lineitem_schema).expect("compiles");
-        entries.push(Entry {
-            name: "expr_fused_literal",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || {
-                expr_vectorized(&data.lineitem, &unfused, &mut scratch, &mut col)
-            }),
-            vectorized_ns: median_ns(samples, || {
-                expr_vectorized(&data.lineitem, &cexpr, &mut scratch, &mut col)
-            }),
-            note: "broadcast literal buffers vs fused MulFLit/SubLitF in-place passes",
-        });
-    }
-
-    // Sort: key extraction + sort by l_shipdate over lineitem.
-    if want("sort_shipdate") {
-        let sort_keys = [7usize];
-        let spec = PackedKeySpec::try_new(&data.lineitem_schema, &sort_keys).expect("4-byte key");
-        let mut kscratch = KeyScratch::default();
-        let mut packed_keys = Vec::new();
-        entries.push(Entry {
-            name: "sort_shipdate",
-            rows: li_rows,
-            baseline_ns: median_ns(samples, || sort_baseline(&data.lineitem, &sort_keys)),
-            vectorized_ns: median_ns(samples, || {
-                sort_vectorized(&data.lineitem, &spec, &mut kscratch, &mut packed_keys)
-            }),
-            note: "per-row KeyVal allocation vs packed order-preserving u64 keys",
-        });
-    }
-
-    // Merge join: orders ⋈ lineitem on orderkey (both generated sorted).
-    if want("merge_join_orderkey") {
-        let mut merge_buf = Vec::new();
-        entries.push(Entry {
-            name: "merge_join_orderkey",
-            rows: li_rows + ord_rows,
-            baseline_ns: median_ns(samples, || {
-                merge_join_baseline(&data.orders, &data.lineitem, 0, 0)
-            }),
-            vectorized_ns: median_ns(samples, || {
-                merge_join_vectorized(&data.orders, &data.lineitem, 0, 0, &mut merge_buf)
-            }),
-            note: "per-tuple get_int + assert vs page gathers + windowed sortedness sweep",
-        });
-    }
-
-    // NLJ: band join over small page subsets; rows = pairs examined.
-    if want("nlj_band_join") {
-        let (outer, inner, nlj_pred, pair_schema) = nlj_config(&data);
-        let nlj_cpred = CompiledPredicate::compile(&nlj_pred, &pair_schema).expect("compiles");
-        let outer_rows: usize = outer.iter().map(|p| p.rows()).sum();
-        let inner_rows: usize = inner.iter().map(|p| p.rows()).sum();
-        entries.push(Entry {
-            name: "nlj_band_join",
-            rows: outer_rows * inner_rows,
-            baseline_ns: median_ns(samples, || {
-                nlj_baseline(&outer, &inner, &nlj_pred, &pair_schema)
-            }),
-            vectorized_ns: median_ns(samples, || {
-                nlj_vectorized(
-                    &outer,
-                    &inner,
-                    &nlj_cpred,
-                    &pair_schema,
-                    &mut scratch,
-                    &mut sel,
-                )
-            }),
-            note: "one-row page + eval per pair vs compiled predicate over candidate pages",
-        });
-    }
-
-    // Out-of-core scenarios: the same TPC-H sort and hash join once
-    // in memory and once past memory — the broker budget is a quarter
-    // of the input, so the operators must spill to finish. One checked
-    // run per plan asserts the acceptance criteria (outputs equal, peak
-    // ≤ 1.25 × budget); the timed pairs record how much the spill path
-    // costs (ratios below 1 are expected and fine — the win is bounded
-    // memory, not speed).
-    let run_spill = want("sort_spill") || want("join_spill");
-    let run_par = want("par_scan_filter") || want("par_aggregate") || want("par_hash_join");
-    let spill_cat = if run_spill || run_par {
-        Some(spill_kernels::catalog(sf))
-    } else {
-        None
-    };
-    let mut spill_json = String::new();
-    if run_spill {
-        let spill_cat = spill_cat.as_ref().expect("catalog built above");
-        let spill_samples = if quick { 3 } else { 5 };
-        let sort_plan = spill_kernels::sort_plan();
-        let join_plan = spill_kernels::join_plan();
-        let sort_input = spill_kernels::table_bytes(spill_cat, "lineitem");
-        let join_input = spill_kernels::table_bytes(spill_cat, "orders");
-        let sort_budget = (sort_input / 4).max(8 * PAGE_SIZE);
-        let join_budget = (join_input / 4).max(8 * PAGE_SIZE);
-
-        let sort_mem = spill_kernels::run_plan(spill_cat, &sort_plan, None);
-        let sort_oc = spill_kernels::run_plan(spill_cat, &sort_plan, Some(sort_budget));
-        assert_eq!(
-            sort_oc.rows, sort_mem.rows,
-            "external sort diverged from the in-memory sort"
-        );
-        assert!(
-            sort_oc.peak_bytes <= sort_budget + sort_budget / 4,
-            "external sort peak {} exceeds 1.25 x budget {sort_budget}",
-            sort_oc.peak_bytes
-        );
-        let join_mem = spill_kernels::run_plan(spill_cat, &join_plan, None);
-        let join_oc = spill_kernels::run_plan(spill_cat, &join_plan, Some(join_budget));
-        assert_eq!(
-            reference::canonicalize(join_oc.rows.clone()),
-            reference::canonicalize(join_mem.rows.clone()),
-            "spilling hash join diverged from the in-memory join"
-        );
-        assert!(
-            join_oc.peak_bytes <= join_budget + join_budget / 4,
-            "spilling join peak {} exceeds 1.25 x budget {join_budget}",
-            join_oc.peak_bytes
-        );
-
-        if want("sort_spill") {
-            entries.push(Entry {
-                name: "sort_spill",
-                rows: li_rows,
-                baseline_ns: median_ns(spill_samples, || {
-                    spill_kernels::run_plan(spill_cat, &sort_plan, None)
-                        .rows
-                        .len()
-                }),
-                vectorized_ns: median_ns(spill_samples, || {
-                    spill_kernels::run_plan(spill_cat, &sort_plan, Some(sort_budget))
-                        .rows
-                        .len()
-                }),
-                note: "in-memory sort vs external sorted runs + k-way merge at a 1/4-input budget",
-            });
+/// Distinct-but-nested query families shared through a wide fragment
+/// plus residual filters, and the fragment cache's replay path.
+fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
+    let mut records = Vec::new();
+    let groups = [
+        (
+            "subsume_group_m4_n1",
+            FamilyConfig { seed: 11, families: 1, per_family: 4 },
+            1,
+            "4 nested Q6/Q1-family windows on 1 context: wide fragment + residuals vs private scans",
+        ),
+        (
+            "subsume_group_m8_n4",
+            FamilyConfig { seed: 13, families: 2, per_family: 4 },
+            4,
+            "two 4-member families on 4 contexts: sharing trades redundant work for lost parallelism",
+        ),
+    ];
+    for (name, family, contexts, note) in groups {
+        if !args.wants(name) {
+            continue;
         }
-        if want("join_spill") {
-            entries.push(Entry {
-                name: "join_spill",
-                rows: li_rows + ord_rows,
-                baseline_ns: median_ns(spill_samples, || {
-                    spill_kernels::run_plan(spill_cat, &join_plan, None)
-                        .rows
-                        .len()
-                }),
-                vectorized_ns: median_ns(spill_samples, || {
-                    spill_kernels::run_plan(spill_cat, &join_plan, Some(join_budget))
-                        .rows
-                        .len()
-                }),
-                note: "in-memory hash join vs dynamic hybrid hash join at a 1/4-build budget",
-            });
-        }
-
-        spill_json = format!(
-            concat!(
-                "  \"spill\": {{\n",
-                "    \"scenario\": \"budget = max(input/4, 8 pages); output equality and peak <= 1.25 x budget asserted in-harness\",\n",
-                "    \"sort\": {{ \"input_bytes\": {}, \"budget_bytes\": {}, \"peak_bytes\": {}, \"peak_over_budget\": {:.3}, \"in_memory_peak_bytes\": {} }},\n",
-                "    \"join\": {{ \"build_bytes\": {}, \"budget_bytes\": {}, \"peak_bytes\": {}, \"peak_over_budget\": {:.3}, \"in_memory_peak_bytes\": {} }}\n",
-                "  }},\n"
-            ),
-            sort_input,
-            sort_budget,
-            sort_oc.peak_bytes,
-            sort_oc.peak_bytes as f64 / sort_budget as f64,
-            sort_mem.peak_bytes,
-            join_input,
-            join_budget,
-            join_oc.peak_bytes,
-            join_oc.peak_bytes as f64 / join_budget as f64,
-            join_mem.peak_bytes,
-        );
-        eprintln!(
-            "spill: sort peak {}/{} B ({:.2}x budget), join peak {}/{} B ({:.2}x budget)",
-            sort_oc.peak_bytes,
-            sort_budget,
-            sort_oc.peak_bytes as f64 / sort_budget as f64,
-            join_oc.peak_bytes,
-            join_budget,
-            join_oc.peak_bytes as f64 / join_budget as f64,
-        );
-    }
-
-    // Morsel-parallel section: serial vs 4-worker wiring. The pipeline
-    // and aggregate pairs are simulator virtual time (deterministic);
-    // the join pair is wall clock over real threads.
-    let mut par_pairs: Vec<ParPair> = Vec::new();
-    if run_par {
-        let cat = spill_cat.as_ref().expect("catalog built above");
-        let join_samples = if quick { 1 } else { 3 };
-        if want("par_scan_filter") {
-            par_pairs.push(par_kernels::virtual_pair(
-                cat,
-                "par_scan_filter",
-                &par_kernels::pipeline_plan(),
-                PAR_WORKERS,
-                "morsel-parallel scan+filter+project vs serial wiring, virtual makespan",
-            ));
-        }
-        if want("par_aggregate") {
-            par_pairs.push(par_kernels::virtual_pair(
-                cat,
-                "par_aggregate",
-                &par_kernels::aggregate_plan(),
-                PAR_WORKERS,
-                "per-worker partial aggregates merged in worker order, virtual makespan",
-            ));
-        }
-        if want("par_hash_join") {
-            par_pairs.push(par_kernels::join_wall_clock_pair(
-                cat,
-                PAR_WORKERS,
-                join_samples,
-            ));
-        }
-    }
-
-    // Subsumption-sharing section: distinct-but-nested query families
-    // shared through a wide fragment + residual filters, the fragment
-    // cache, and the fig6-style policy comparison. Fixed scale factor
-    // and seeds even under --quick — everything here is deterministic
-    // simulator virtual time, so the numbers are stable and the gate
-    // can be tight.
-    let run_subsume = want("subsume_group_m4_n1")
-        || want("subsume_group_m8_n4")
-        || want("subsume_cache_replay_n1")
-        || want("subsume_policy");
-    let mut subsume_points: Vec<SubsumePoint> = Vec::new();
-    let mut subsume_policy: Vec<(String, subsume_kernels::PolicyPoint)> = Vec::new();
-    if run_subsume {
-        let sub_cat = subsume_kernels::catalog();
-        if want("subsume_group_m4_n1") {
-            let p = subsume_kernels::group_scenario(
-                &sub_cat,
-                "subsume_group_m4_n1",
-                &FamilyConfig {
-                    seed: 11,
-                    families: 1,
-                    per_family: 4,
-                },
-                1,
-                "4 nested Q6/Q1-family windows on 1 context: wide fragment + residuals vs private scans",
-            );
+        let p = subsume_kernels::group_scenario(cat, name, &family, contexts, note);
+        if contexts == 1 {
             assert!(
                 p.measured_z() > 1.0,
                 "sharing nested fragments on one context must win: z = {:.3}",
@@ -582,283 +158,148 @@ fn main() {
                 p.predicted_z,
                 p.measured_z()
             );
-            subsume_points.push(p);
         }
-        if want("subsume_group_m8_n4") {
-            subsume_points.push(subsume_kernels::group_scenario(
-                &sub_cat,
-                "subsume_group_m8_n4",
-                &FamilyConfig {
-                    seed: 13,
-                    families: 2,
-                    per_family: 4,
-                },
-                4,
-                "two 4-member families on 4 contexts: sharing trades redundant work for lost parallelism",
-            ));
-        }
-        if want("subsume_cache_replay_n1") {
-            let p = subsume_kernels::cache_replay_scenario(&sub_cat);
-            assert!(
-                p.measured_z() > 1.0,
-                "cache replay must beat the cold run: z = {:.3}",
-                p.measured_z()
-            );
-            subsume_points.push(p);
-        }
-        if want("subsume_policy") {
-            // Two cost profiles span the paper's win/loss regimes: under
-            // paper costs the fragment's per-consumer delivery is cheap
-            // and sharing (almost) always wins; under delivery-heavy
-            // costs always-share loses at high parallelism and the
-            // advisor must decline or downsize the groups.
-            let fam = FamilyConfig {
-                seed: 17,
-                families: 2,
-                per_family: 4,
-            };
-            let profiles = [
-                ("subsume_policy", cordoba_workload::CostProfile::paper()),
-                (
-                    "subsume_policy_heavy",
-                    subsume_kernels::delivery_heavy_costs(),
-                ),
-            ];
-            for (prefix, costs) in &profiles {
-                for contexts in [2usize, 8] {
-                    let point = subsume_kernels::policy_scenario(&sub_cat, costs, &fam, contexts);
-                    subsume_policy.push((format!("{prefix}_n{contexts}"), point));
-                }
-            }
-            let wins = &subsume_policy[0].1;
-            assert!(
-                wins.always_z() > 1.0 && wins.model_z() > 1.0,
-                "paper costs at n=2 must be a sharing win: {wins:?}"
-            );
-            let loses = &subsume_policy[3].1;
-            assert!(
-                loses.always_z() < 1.0,
-                "delivery-heavy costs at n=8 must be a sharing loss: {loses:?}"
-            );
-            assert!(
-                loses.model_z() >= 1.0,
-                "the advisor must decline losing groups: {loses:?}"
-            );
-        }
+        print_subsume(&p);
+        records.push(p.json());
     }
-
-    for e in &entries {
-        println!(
-            "{:<22} {:>10} rows  baseline {:>8.2} ns/row  vectorized {:>8.2} ns/row  speedup {:>5.2}x",
-            e.name,
-            e.rows,
-            e.baseline_ns / e.rows as f64,
-            e.vectorized_ns / e.rows as f64,
-            e.speedup()
+    if args.wants("subsume_cache_replay_n1") {
+        let p = subsume_kernels::cache_replay_scenario(cat);
+        assert!(
+            p.measured_z() > 1.0,
+            "cache replay must beat the cold run: z = {:.3}",
+            p.measured_z()
         );
+        print_subsume(&p);
+        records.push(p.json());
     }
-    for p in &par_pairs {
-        println!(
-            "{:<22} {:>10} rows  serial {:>12.0} {}  {}-worker {:>12.0}  speedup {:>5.2}x",
-            p.name,
-            p.rows,
-            p.serial,
-            if p.substrate == "sim-vtime" {
-                "vt"
-            } else {
-                "ns"
-            },
-            p.workers,
-            p.parallel,
-            p.speedup()
-        );
-    }
-    for p in &subsume_points {
-        println!(
-            "{:<22} {:>2} queries n={} unshared {:>11.0} vt  shared {:>11.0} vt  z {:>5.2}x  \
-             predicted {:>5.2}  cache {}h/{}m/{}e  subsume-joins {}",
-            p.name,
-            p.queries,
-            p.contexts,
-            p.unshared_vt,
-            p.shared_vt,
-            p.measured_z(),
-            p.predicted_z,
-            p.hits,
-            p.misses,
-            p.evictions,
-            p.subsume_joins,
-        );
-    }
-    for (name, p) in &subsume_policy {
-        println!(
-            "{:<22} n={}  makespan never {:>9.0}  always {:>9.0}  model {:>9.0}  z(always) {:>5.2}  z(model) {:>5.2}  groups {:?}",
-            name,
-            p.contexts,
-            p.never,
-            p.always,
-            p.model,
-            p.always_z(),
-            p.model_z(),
-            p.model_groups,
-        );
-    }
-
-    // Fresh (name, speedup) pairs for the regression gate: vectorized
-    // kernels, parallel pairs, and subsume scenarios alike.
-    let fresh: Vec<(String, f64)> = entries
-        .iter()
-        .map(|e| (e.name.to_string(), e.speedup()))
-        .chain(par_pairs.iter().map(|p| (p.name.to_string(), p.speedup())))
-        .chain(
-            subsume_points
-                .iter()
-                .map(|p| (p.name.to_string(), p.measured_z())),
-        )
-        .chain(subsume_policy.iter().map(|(n, p)| (n.clone(), p.model_z())))
-        .collect();
-
-    // Regression-check mode: compare against a committed BENCH_ops.json
-    // instead of writing one.
-    if let Some(at) = args.iter().position(|a| a == "--check") {
-        let path = args
-            .get(at + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_ops.json".to_string());
-        if !check_against(&path, &fresh) {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if filter.is_some() {
-        eprintln!("bench_ops: filtered run, skipping BENCH_ops.json");
-        return;
-    }
-
-    let path = std::env::var("CORDOBA_BENCH_OPS").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    let subsume_scen: Vec<String> = subsume_points.iter().map(subsume_json).collect();
-    let subsume_pol: Vec<String> = subsume_policy
-        .iter()
-        .map(|(n, p)| policy_json(n, p))
-        .collect();
-    let subsume_section = format!(
-        concat!(
-            "  \"subsume\": {{\n",
-            "    \"substrate\": \"deterministic simulator virtual time at a fixed scale factor and seeds (quick runs use the same data)\",\n",
-            "    \"scenarios\": [\n{}\n    ],\n",
-            "    \"policy\": [\n{}\n    ]\n",
-            "  }},\n"
-        ),
-        subsume_scen.join(",\n"),
-        subsume_pol.join(",\n"),
-    );
-    let par_body: Vec<String> = par_pairs.iter().map(par_json).collect();
-    let par_section = format!(
-        concat!(
-            "  \"parallel\": {{\n",
-            "    \"workers\": {},\n",
-            "    \"substrates\": \"pipeline/aggregate pairs are deterministic simulator virtual time; the join pair is wall clock over real threads\",\n",
-            "    \"pairs\": [\n{}\n    ]\n",
-            "  }},\n"
-        ),
-        PAR_WORKERS,
-        par_body.join(",\n")
-    );
-    let body: Vec<String> = entries.iter().map(Entry::json).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"suite\": \"operator hot-path microbenchmarks (baseline tuple-at-a-time vs vectorized)\",\n",
-            "  \"harness\": \"crates/bench/src/bin/bench_ops.rs (median of {} samples)\",\n",
-            "  \"scale_factor\": {},\n",
-            "  \"quick\": {},\n",
-            "  \"join_build\": {{ \"arena_backed\": true, \"per_row_heap_allocations\": 0 }},\n",
-            "{}",
-            "{}",
-            "{}",
-            "  \"benches\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        samples,
-        sf,
-        quick,
-        spill_json,
-        par_section,
-        subsume_section,
-        body.join(",\n")
-    );
-    std::fs::write(&path, json).expect("write BENCH_ops.json");
-    eprintln!("wrote {path}");
+    records
 }
 
-/// Parses the committed `BENCH_ops.json` into `(name, speedup)` pairs.
-/// Hand-rolled line scan — the file is written by this binary, so the
-/// shape is known exactly; entries from both `benches` and
-/// `parallel.pairs` are picked up.
-fn committed_numbers(body: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in body.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\": \"") {
-            name = rest.strip_suffix("\",").map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"speedup\": ") {
-            if let (Some(n), Ok(v)) = (name.take(), rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((n, v));
-            }
-        }
+/// The fig6-style policy comparison over two cost profiles that span
+/// the paper's win/loss regimes: under paper costs the fragment's
+/// per-consumer delivery is cheap and sharing (almost) always wins;
+/// under delivery-heavy costs always-share loses at high parallelism
+/// and the advisor must decline or downsize the groups.
+fn subsume_policy(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
+    if !args.wants("subsume_policy") {
+        return Vec::new();
     }
-    out
-}
-
-/// Compares each kernel's fresh within-run speedup against the
-/// committed one with [`CHECK_TOLERANCE`]; prints one verdict line per
-/// shared entry. Returns `false` when any kernel grossly regressed,
-/// naming every offender with its committed and fresh numbers.
-/// Entries present on only one side (newly added kernels) are reported
-/// but don't fail.
-fn check_against(path: &str, fresh: &[(String, f64)]) -> bool {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench check: cannot read {path}: {e}");
-            return false;
-        }
+    let family = FamilyConfig {
+        seed: 17,
+        families: 2,
+        per_family: 4,
     };
-    let committed = committed_numbers(&body);
-    let mut offenders: Vec<String> = Vec::new();
-    for (name, fresh_speedup) in fresh {
-        match committed.iter().find(|(n, _)| n == name) {
-            Some(&(_, base)) => {
-                let regressed = *fresh_speedup < base / CHECK_TOLERANCE;
-                println!(
-                    "{:<22} committed speedup {:>6.2}x  fresh {:>6.2}x  {}",
-                    name,
-                    base,
-                    fresh_speedup,
-                    if regressed { "REGRESSED" } else { "ok" }
-                );
-                if regressed {
-                    offenders.push(format!(
-                        "{name} (committed {base:.2}x, fresh {fresh_speedup:.2}x)"
-                    ));
-                }
-            }
-            None => println!(
-                "{:<22} (no committed speedup; fresh {fresh_speedup:.2}x)",
-                name
-            ),
+    let profiles = [
+        ("subsume_policy", CostProfile::paper()),
+        (
+            "subsume_policy_heavy",
+            subsume_kernels::delivery_heavy_costs(),
+        ),
+    ];
+    let mut points: Vec<(String, PolicyPoint)> = Vec::new();
+    for (prefix, costs) in &profiles {
+        for contexts in [2usize, 8] {
+            let name = format!("{prefix}_n{contexts}");
+            let p = subsume_kernels::policy_scenario(cat, costs, &family, contexts);
+            println!(
+                "{name:<24} n={}  makespan never {:>8.0}  always {:>8.0}  model {:>8.0}  \
+                 z(always) {:.3}  z(model) {:.3}  groups {:?}",
+                p.contexts,
+                p.never,
+                p.always,
+                p.model,
+                p.always_z(),
+                p.model_z(),
+                p.model_groups,
+            );
+            points.push((name, p));
         }
     }
-    if !offenders.is_empty() {
-        eprintln!(
-            "bench check: {} kernel(s) collapsed more than {CHECK_TOLERANCE}x vs {path}: {} \
-             (a vectorized path likely fell back to tuple-at-a-time)",
-            offenders.len(),
-            offenders.join(", ")
+    let wins = &points[0].1;
+    assert!(
+        wins.always_z() > 1.0 && wins.model_z() > 1.0,
+        "paper costs at n=2 must be a sharing win: {wins:?}"
+    );
+    let loses = &points[3].1;
+    assert!(
+        loses.always_z() < 1.0,
+        "delivery-heavy costs at n=8 must be a sharing loss: {loses:?}"
+    );
+    assert!(
+        loses.model_z() >= 1.0,
+        "the advisor must decline losing groups: {loses:?}"
+    );
+    points.iter().map(|(name, p)| p.json(name)).collect()
+}
+
+fn main() -> ExitCode {
+    let args = GateArgs::from_env("bench_ops");
+    let cat: LazyCatalog = LazyCell::new(|| spill_kernels::catalog(SCALE_FACTOR));
+    let sub_cat: LazyCatalog = LazyCell::new(subsume_kernels::catalog);
+
+    let spill = spill_section(&args, &cat);
+    let parallel = parallel_section(&args, &cat);
+    let scenarios = subsume_scenarios(&args, &sub_cat);
+    let policy = subsume_policy(&args, &sub_cat);
+    let mut records = spill.len() + parallel.len() + scenarios.len() + policy.len();
+    // Print-only, and only when asked for by name: a wall-clock number
+    // has no place in a file gated by reproduction.
+    if args
+        .filter
+        .as_deref()
+        .is_some_and(|f| "par_hash_join".contains(f))
+    {
+        print_pair(
+            &par_kernels::join_wall_clock_pair(&cat, PAR_WORKERS, 3),
+            "ns",
         );
-        return false;
+        records += 1;
     }
-    true
+
+    let doc = Json::Obj(vec![
+        (
+            "suite",
+            "deterministic simulator-virtual-time gates: spill peak memory, morsel-parallel wiring, subsumption sharing".into(),
+        ),
+        (
+            "harness",
+            "crates/bench/src/bin/bench_ops.rs; `--check` reproduces this file byte for byte (wall clock is measured by benchmark/)".into(),
+        ),
+        (
+            "spill",
+            Json::Obj(vec![
+                ("scale_factor", Json::fixed(SCALE_FACTOR, 2)),
+                (
+                    "scenario",
+                    "budget = max(input/4, 8 pages); output equality and peak <= 1.25 x budget asserted in-harness".into(),
+                ),
+                ("runs", Json::Arr(spill)),
+            ]),
+        ),
+        (
+            "parallel",
+            Json::Obj(vec![
+                ("scale_factor", Json::fixed(SCALE_FACTOR, 2)),
+                ("workers", PAR_WORKERS.into()),
+                ("pairs", Json::Arr(parallel)),
+            ]),
+        ),
+        (
+            "subsume",
+            Json::Obj(vec![
+                ("scale_factor", Json::fixed(subsume_kernels::SCALE_FACTOR, 3)),
+                ("scenarios", Json::Arr(scenarios)),
+                (
+                    "policy_note",
+                    "batch makespans under never/always/model-guided sharing; speedup = never/model".into(),
+                ),
+                ("policy", Json::Arr(policy)),
+            ]),
+        ),
+    ]);
+    if args.finish("BENCH_ops.json", records, &doc) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

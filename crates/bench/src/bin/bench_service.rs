@@ -1,110 +1,29 @@
-//! Open-system service-loop tail-latency harness: drives the release
+//! Open-system service-loop tail-latency gate: drives the release
 //! engine through the [`cordoba_bench::service_kernels`] scenarios
 //! (Suite A fan-out/fan-in/scalability, Suite B Poisson/burst/chaos/
 //! saturation) and records counts, throughput, and p50/p99/p999
 //! response-time quantiles. Everything is deterministic simulator
 //! virtual time under fixed seeds with morsel workers pinned to 1, so
-//! the committed numbers reproduce bit-for-bit on any host.
+//! `BENCH_service.json` is gated by reproduction, not by tolerance.
 //!
-//! Writes `BENCH_service.json` to the current directory (run from the
-//! repo root; override the path with `CORDOBA_BENCH_SERVICE`) plus one
-//! machine-readable `results/service/<scenario>/summary.json` per
-//! scenario.
-//!
-//! Usage: `cargo run --release -p cordoba-bench --bin bench_service`
-//! * `-- --quick` — accepted for CI symmetry with `bench_ops`; the
-//!   scenarios are already smoke-sized and deterministic, so quick runs
-//!   execute the identical suite.
-//! * `-- --filter <substr>` — run only scenarios whose name contains
-//!   the substring (print-only: never rewrites the JSON).
-//! * `-- --check <path>` — compare fresh counts and tail quantiles
-//!   against a committed `BENCH_service.json` instead of writing one;
-//!   exits non-zero on a gross regression, naming each offender.
+//! Usage (from the repo root):
+//! `cargo run --release -p cordoba-bench --bin bench_service`
+//! * no arguments — run every scenario and rewrite `BENCH_service.json`.
+//! * `-- --check <file>` — render the same document and compare it byte
+//!   for byte with the committed file; prints each differing line and
+//!   exits 1.
+//! * `-- --filter <substr>` — run only the scenarios whose name
+//!   contains the substring and print them; writes nothing and cannot
+//!   be combined with `--check`.
 
+use cordoba_bench::output::{GateArgs, Json};
 use cordoba_bench::service_kernels::{self, ServicePoint};
+use std::process::ExitCode;
 
-/// A scenario's fresh p50/p99/p999 may grow to this multiple of the
-/// committed value before `--check` fails. The numbers are
-/// deterministic virtual time, so in principle the gate could demand
-/// equality; the slack lets legitimate engine-timing changes land by
-/// regenerating the file while still catching order-of-magnitude tail
-/// blowups immediately.
-const LATENCY_TOLERANCE: f64 = 2.0;
-
-/// Completed-count drift allowed before `--check` fails (fraction of
-/// the committed count, floored at 2 queries).
-const COUNT_TOLERANCE: f64 = 0.25;
-
-fn scenario_json(p: &ServicePoint, indent: &str) -> String {
-    format!(
-        concat!(
-            "{i}{{\n",
-            "{i}  \"name\": \"{}\",\n",
-            "{i}  \"suite\": \"{}\",\n",
-            "{i}  \"contexts\": {},\n",
-            "{i}  \"capacity\": {},\n",
-            "{i}  \"offered\": {},\n",
-            "{i}  \"completed\": {},\n",
-            "{i}  \"failed\": {},\n",
-            "{i}  \"rejected\": {},\n",
-            "{i}  \"in_flight\": {},\n",
-            "{i}  \"makespan\": {},\n",
-            "{i}  \"throughput\": {:.9},\n",
-            "{i}  \"utilization\": {:.4},\n",
-            "{i}  \"mean_group\": {:.3},\n",
-            "{i}  \"latency\": {{ \"count\": {}, \"min\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {} }},\n",
-            "{i}  \"note\": \"{}\"\n",
-            "{i}}}"
-        ),
-        p.name,
-        p.suite,
-        p.contexts,
-        p.capacity,
-        p.offered,
-        p.completed,
-        p.failed,
-        p.rejected,
-        p.in_flight,
-        p.makespan,
-        p.throughput,
-        p.utilization,
-        p.mean_group,
-        p.latency.count,
-        p.latency.min,
-        p.latency.mean,
-        p.latency.p50,
-        p.latency.p90,
-        p.latency.p99,
-        p.latency.p999,
-        p.latency.max,
-        p.note,
-        i = indent,
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let filter: Option<String> = args
-        .iter()
-        .position(|a| a == "--filter")
-        .and_then(|at| args.get(at + 1).cloned());
-    let want = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
-    eprintln!(
-        "bench_service: sf=0.002, deterministic virtual time, workers pinned to 1{}",
-        if quick { " (--quick: same suite)" } else { "" }
-    );
-    if let Some(f) = &filter {
-        eprintln!("bench_service: --filter '{f}' (print-only; BENCH_service.json not rewritten)");
-    }
-
+fn main() -> ExitCode {
+    let args = GateArgs::from_env("bench_service");
     let cat = service_kernels::catalog();
-    let points = service_kernels::run_all(&cat, want);
-    if points.is_empty() {
-        eprintln!("bench_service: no scenario matched the filter");
-        return;
-    }
-
+    let points = service_kernels::run_all(&cat, |name| args.wants(name));
     for p in &points {
         println!(
             "{:<20} [{}] n={} cap={:<2} {:>3} offered: {:>3}c/{}f/{}r/{}i  p50 {:>9} p99 {:>9} p999 {:>9}  util {:.2}  group {:.2}",
@@ -125,169 +44,28 @@ fn main() {
         );
     }
 
-    // Regression-check mode: compare against the committed trajectory
-    // instead of writing one.
-    if let Some(at) = args.iter().position(|a| a == "--check") {
-        let path = args
-            .get(at + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_service.json".to_string());
-        if !check_against(&path, &points) {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if filter.is_some() {
-        eprintln!("bench_service: filtered run, skipping BENCH_service.json");
-        return;
-    }
-
-    // Per-scenario machine-readable summaries.
-    for p in &points {
-        let dir = format!("results/service/{}", p.name);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("bench_service: cannot create {dir}: {e}");
-            continue;
-        }
-        let body = format!("{}\n", scenario_json(p, ""));
-        let path = format!("{dir}/summary.json");
-        std::fs::write(&path, body).expect("write scenario summary");
-    }
-
-    let path =
-        std::env::var("CORDOBA_BENCH_SERVICE").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    let body: Vec<String> = points.iter().map(|p| scenario_json(p, "    ")).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"suite\": \"open-system service loop: tail-latency scenarios (Suite A fan-out/scale, Suite B Poisson/burst/chaos/saturation)\",\n",
-            "  \"harness\": \"crates/bench/src/bin/bench_service.rs (deterministic simulator virtual time, fixed seeds, workers pinned to 1)\",\n",
-            "  \"scale_factor\": 0.002,\n",
-            "  \"invariant\": \"offered == completed + failed + rejected + in_flight, asserted per run\",\n",
-            "  \"scenarios\": [\n{}\n  ]\n",
-            "}}\n"
+    let doc = Json::Obj(vec![
+        (
+            "suite",
+            "open-system service loop: tail-latency scenarios (Suite A fan-out/scale, Suite B Poisson/burst/chaos/saturation)".into(),
         ),
-        body.join(",\n")
-    );
-    std::fs::write(&path, json).expect("write BENCH_service.json");
-    eprintln!("wrote {path} and results/service/<scenario>/summary.json");
-}
-
-/// Committed per-scenario numbers the gate compares against.
-struct Committed {
-    name: String,
-    completed: f64,
-    p50: f64,
-    p99: f64,
-    p999: f64,
-}
-
-/// Parses the committed `BENCH_service.json` — a hand-rolled line scan,
-/// like `bench_ops`: the file is written by this binary, so the shape
-/// is known exactly. The `latency` object lives on one line, so p50/
-/// p99/p999 are extracted from it by key.
-fn committed_numbers(body: &str) -> Vec<Committed> {
-    fn field(line: &str, key: &str) -> Option<f64> {
-        let at = line.find(&format!("\"{key}\": "))?;
-        let rest = &line[at + key.len() + 4..];
-        let end = rest.find([',', ' ', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().ok()
+        (
+            "harness",
+            "crates/bench/src/bin/bench_service.rs; deterministic simulator virtual time, fixed seeds, workers pinned to 1; `--check` reproduces this file byte for byte".into(),
+        ),
+        ("scale_factor", Json::fixed(service_kernels::SCALE_FACTOR, 3)),
+        (
+            "invariant",
+            "offered == completed + failed + rejected + in_flight, asserted per run".into(),
+        ),
+        (
+            "scenarios",
+            Json::Arr(points.iter().map(ServicePoint::json).collect()),
+        ),
+    ]);
+    if args.finish("BENCH_service.json", points.len(), &doc) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    let mut completed: Option<f64> = None;
-    for line in body.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\": \"") {
-            name = rest.strip_suffix("\",").map(str::to_string);
-            completed = None;
-        } else if let Some(v) = field(line, "completed") {
-            completed = Some(v);
-        } else if line.starts_with("\"latency\": {") {
-            if let (Some(n), Some(c), Some(p50), Some(p99), Some(p999)) = (
-                name.take(),
-                completed.take(),
-                field(line, "p50"),
-                field(line, "p99"),
-                field(line, "p999"),
-            ) {
-                out.push(Committed {
-                    name: n,
-                    completed: c,
-                    p50,
-                    p99,
-                    p999,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Compares each scenario's fresh completed count and tail quantiles
-/// against the committed record; prints one verdict line per scenario.
-/// Returns `false` when anything grossly regressed, naming every
-/// offender. Scenarios present on only one side are reported but don't
-/// fail (newly added scenarios land with their first committed file).
-fn check_against(path: &str, fresh: &[ServicePoint]) -> bool {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_service check: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    let committed = committed_numbers(&body);
-    let mut offenders: Vec<String> = Vec::new();
-    for p in fresh {
-        let Some(base) = committed.iter().find(|c| c.name == p.name) else {
-            println!(
-                "{:<20} (no committed record; fresh p99 {})",
-                p.name, p.latency.p99
-            );
-            continue;
-        };
-        let mut bad: Vec<String> = Vec::new();
-        let count_slack = (base.completed * COUNT_TOLERANCE).max(2.0);
-        if (p.completed as f64 - base.completed).abs() > count_slack {
-            bad.push(format!(
-                "completed {} vs committed {:.0}",
-                p.completed, base.completed
-            ));
-        }
-        for (what, fresh_q, base_q) in [
-            ("p50", p.latency.p50 as f64, base.p50),
-            ("p99", p.latency.p99 as f64, base.p99),
-            ("p999", p.latency.p999 as f64, base.p999),
-        ] {
-            if fresh_q > base_q * LATENCY_TOLERANCE {
-                bad.push(format!("{what} {fresh_q:.0} vs committed {base_q:.0}"));
-            }
-        }
-        println!(
-            "{:<20} committed p50/p99/p999 {:.0}/{:.0}/{:.0}  fresh {}/{}/{}  {}",
-            p.name,
-            base.p50,
-            base.p99,
-            base.p999,
-            p.latency.p50,
-            p.latency.p99,
-            p.latency.p999,
-            if bad.is_empty() { "ok" } else { "REGRESSED" }
-        );
-        if !bad.is_empty() {
-            offenders.push(format!("{} ({})", p.name, bad.join("; ")));
-        }
-    }
-    if !offenders.is_empty() {
-        eprintln!(
-            "bench_service check: {} scenario(s) regressed vs {path}: {} \
-             (tail quantiles may grow at most {LATENCY_TOLERANCE}x; regenerate the file for intended changes)",
-            offenders.len(),
-            offenders.join(", ")
-        );
-        return false;
-    }
-    true
 }

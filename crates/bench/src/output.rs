@@ -1,6 +1,8 @@
 //! Result emission: CSV files under `results/` plus compact ASCII
 //! charts on stdout, so each figure binary both archives and displays
-//! the series the paper plots.
+//! the series the paper plots; and the JSON emitter behind the two
+//! committed trajectory files (`BENCH_ops.json`, `BENCH_service.json`),
+//! whose gate is reproduction byte for byte ([`write_or_check`]).
 
 use std::fs;
 use std::io::Write;
@@ -62,9 +64,348 @@ pub fn announce(path: &Path) {
     println!("wrote {}", path.display());
 }
 
+/// A JSON value whose objects keep insertion order, so rendering the
+/// same records twice gives the same bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, already formatted (an integer, or [`Json::fixed`]).
+    Num(String),
+    /// A string (escaped on rendering).
+    Str(String),
+    /// An array; rendered on one line when no element is a container.
+    Arr(Vec<Json>),
+    /// An object: ordered key/value records, one per line.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// A float with a fixed number of decimals.
+    pub fn fixed(v: f64, decimals: usize) -> Self {
+        Json::Num(format!("{v:.decimals$}"))
+    }
+
+    /// The whole document: two-space indent, trailing newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn render_into(&self, out: &mut String, depth: usize) {
+        let pad = |out: &mut String, depth: usize| out.push_str(&"  ".repeat(depth));
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(&b.to_string()),
+            Json::Num(n) => out.push_str(n),
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items)
+                if !items
+                    .iter()
+                    .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_))) =>
+            {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.render_into(out, depth);
+                }
+                out.push(']');
+            }
+            Json::Arr(items) => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    pad(out, depth + 1);
+                    item.render_into(out, depth + 1);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                pad(out, depth);
+                out.push(']');
+            }
+            Json::Obj(records) => {
+                out.push_str("{\n");
+                for (i, (key, value)) in records.iter().enumerate() {
+                    pad(out, depth + 1);
+                    out.push_str(&format!("\"{key}\": "));
+                    value.render_into(out, depth + 1);
+                    out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
+                }
+                pad(out, depth);
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::Num(v.to_string())
+    }
+}
+
+/// The command line of the two trajectory binaries: `--filter <substr>`
+/// runs the scenarios whose name contains the substring and only prints
+/// them; `--check <file>` gates the whole document against a committed
+/// file. Never both — a filtered check would gate a subset silently.
+#[derive(Debug, Default, PartialEq)]
+pub struct GateArgs {
+    /// `--filter`: substring a scenario name must contain.
+    pub filter: Option<String>,
+    /// `--check`: the committed file to reproduce.
+    pub check: Option<PathBuf>,
+}
+
+impl GateArgs {
+    /// Parses the arguments after the program name; the error is the
+    /// usage message.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = GateArgs::default();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--filter" => parsed.filter = Some(value()?),
+                "--check" => parsed.check = Some(value()?.into()),
+                other => return Err(format!("unknown argument '{other}'")),
+            }
+        }
+        if parsed.filter.is_some() && parsed.check.is_some() {
+            return Err("--filter with --check would gate only a subset; drop one".to_string());
+        }
+        Ok(parsed)
+    }
+
+    /// [`GateArgs::parse`] over the process arguments; prints the usage
+    /// message and exits 2 on misuse.
+    pub fn from_env(bin: &str) -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|usage| {
+            eprintln!("{bin}: {usage} (usage: {bin} [--filter <substr> | --check <file>])");
+            std::process::exit(2)
+        })
+    }
+
+    /// Whether the scenario `name` is selected.
+    pub fn wants(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
+    /// Finishes a run that produced `records` scenario records rendered
+    /// into `doc`: a filtered run is print-only, `--check` reproduces
+    /// the committed file, anything else rewrites `file`. Returns
+    /// whether the run succeeded.
+    pub fn finish(&self, file: &str, records: usize, doc: &Json) -> bool {
+        if let Some(f) = &self.filter {
+            if records == 0 {
+                eprintln!("no scenario matched the filter '{f}'");
+            } else {
+                println!("filtered run: {file} not written");
+            }
+            return records > 0;
+        }
+        let path = self.check.as_deref().unwrap_or(Path::new(file));
+        write_or_check(path, &doc.render(), self.check.is_some())
+    }
+}
+
+/// The lines on which `committed` and `fresh` differ, as `- line N:` /
+/// `+ line N:` report lines (empty when the texts are equal). Texts of
+/// equal length are compared line by line; otherwise the common head
+/// and tail are trimmed, so a removed or added record reports only
+/// itself.
+fn diff_lines(committed: &str, fresh: &str) -> Vec<String> {
+    let (old, new): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
+    let line = |sign: char, at: usize, l: &str| format!("{sign} line {}: {}", at + 1, l.trim());
+    let mut report = Vec::new();
+    if old.len() == new.len() {
+        for (at, (a, b)) in old
+            .iter()
+            .zip(&new)
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+        {
+            report.extend([line('-', at, a), line('+', at, b)]);
+        }
+    } else {
+        let head = old.iter().zip(&new).take_while(|(a, b)| a == b).count();
+        let tail = old[head..]
+            .iter()
+            .rev()
+            .zip(new[head..].iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        for (sign, lines) in [('-', &old), ('+', &new)] {
+            let changed = lines[head..lines.len() - tail].iter().enumerate();
+            report.extend(changed.map(|(i, l)| line(sign, head + i, l)));
+        }
+    }
+    if report.is_empty() && committed != fresh {
+        report.push("the files differ only in line endings".to_string());
+    }
+    report
+}
+
+/// Compares `fresh` with the file at `path` byte for byte; the error is
+/// the report to print.
+fn check_file(path: &Path, fresh: &str) -> Result<(), String> {
+    let committed =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let diff = diff_lines(&committed, fresh);
+    if diff.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} is not what this run produces (- committed, + fresh):\n{}",
+        path.display(),
+        diff.join("\n")
+    ))
+}
+
+/// With `check`, compares `text` with the committed file at `path` byte
+/// for byte and prints every differing line; otherwise writes `text`
+/// there. Returns whether the check (or the write) succeeded.
+pub fn write_or_check(path: &Path, text: &str, check: bool) -> bool {
+    let done = if check {
+        check_file(path, text).map(|()| "reproduced byte for byte")
+    } else {
+        fs::write(path, text)
+            .map(|()| "written")
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    match done {
+        Ok(what) => {
+            println!("{}: {what}", path.display());
+            true
+        }
+        Err(report) => {
+            eprintln!("{report}");
+            false
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn document(points: &[(&str, f64)]) -> String {
+        Json::Obj(vec![
+            ("suite", "demo \"quoted\"".into()),
+            ("groups", Json::Arr(vec![4usize.into(), 4usize.into()])),
+            (
+                "scenarios",
+                Json::Arr(
+                    points
+                        .iter()
+                        .map(|&(name, z)| {
+                            Json::Obj(vec![("name", name.into()), ("z", Json::fixed(z, 3))])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("predicted", Json::Null),
+            ("agrees", true.into()),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn json_renders_one_record_per_line_in_order() {
+        assert_eq!(
+            document(&[("a", 1.0)]),
+            "{\n  \"suite\": \"demo \\\"quoted\\\"\",\n  \"groups\": [4, 4],\n  \"scenarios\": [\n    \
+             {\n      \"name\": \"a\",\n      \"z\": 1.000\n    }\n  ],\n  \
+             \"predicted\": null,\n  \"agrees\": true\n}\n"
+        );
+    }
+
+    #[test]
+    fn gate_args_refuse_a_filtered_check_and_unknown_flags() {
+        let parse = |args: &[&str]| GateArgs::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(GateArgs::default()));
+        let filtered = parse(&["--filter", "par_"]).expect("a filter alone is fine");
+        assert!(filtered.wants("par_aggregate") && !filtered.wants("sort_spill"));
+        assert!(parse(&["--check", "BENCH_ops.json"]).is_ok());
+        for bad in [
+            &["--filter", "par_", "--check", "BENCH_ops.json"][..],
+            &["--quick"],
+            &["--check"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        // A filter that selects nothing is a failed run, not an empty one.
+        assert!(!filtered.finish("unused.json", 0, &Json::Null));
+    }
+
+    #[test]
+    fn check_passes_on_itself_and_names_every_differing_line() {
+        let path = std::env::temp_dir().join(format!("cordoba-check-{}.json", std::process::id()));
+        let committed = document(&[("a", 1.0), ("b", 2.5)]);
+        assert!(write_or_check(&path, &committed, false));
+        assert!(write_or_check(&path, &committed, true));
+        check_file(&path, &committed).expect("a document reproduces itself");
+
+        let digits = check_file(&path, &document(&[("a", 1.001), ("b", 2.501)])).unwrap_err();
+        for changed in [
+            "- line 7: \"z\": 1.000",
+            "+ line 7: \"z\": 1.001",
+            "- line 11: \"z\": 2.500",
+            "+ line 11: \"z\": 2.501",
+        ] {
+            assert!(digits.contains(changed), "{digits}");
+        }
+        assert_eq!(
+            digits.lines().count(),
+            5,
+            "only the changed lines: {digits}"
+        );
+
+        let removed = check_file(&path, &document(&[("a", 1.0)])).unwrap_err();
+        assert!(removed.contains("- line 10: \"name\": \"b\""), "{removed}");
+        assert!(!removed.contains("+ line 10"), "{removed}");
+
+        let added = check_file(&path, &document(&[("a", 1.0), ("b", 2.5), ("c", 3.0)]));
+        let added = added.unwrap_err();
+        assert!(added.contains("+ line 14: \"name\": \"c\""), "{added}");
+        assert!(!write_or_check(&path, &document(&[("a", 1.0)]), true));
+
+        fs::remove_file(&path).expect("remove the temp file");
+        let missing = check_file(&path, &committed).unwrap_err();
+        assert!(missing.contains(&path.display().to_string()), "{missing}");
+        assert!(!write_or_check(&path, &committed, true));
+    }
 
     #[test]
     fn csv_round_trip() {

@@ -12,21 +12,21 @@
 //!
 //! The hash-join pair is the honest counterpoint: it runs the same
 //! worker tasks on OS threads ([`wiring::run_local`]) against the serial
-//! wiring and reports wall clock, whatever the host actually delivers.
+//! wiring and reports wall clock, whatever the host actually delivers —
+//! printed by `bench_ops --filter par_hash_join`, never committed.
 
-use cordoba_exec::expr::Agg;
+use crate::output::Json;
+use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
 use cordoba_exec::{OpCost, ParallelConfig, PhysicalPlan, QueryResources};
 use cordoba_sim::Simulator;
-use cordoba_storage::{Catalog, Value};
+use cordoba_storage::{Catalog, Date, Value};
 use std::hint::black_box;
 use std::time::Instant;
 
-use crate::vec_kernels::{q1_group_by, q6_predicate, revenue_expr};
-
 /// One serial-vs-parallel measurement pair.
 pub struct ParPair {
-    /// Kernel name (stable across PRs; keyed by `--check`).
+    /// Scenario name (stable across PRs).
     pub name: &'static str,
     /// Input rows processed.
     pub rows: usize,
@@ -48,6 +48,20 @@ impl ParPair {
     pub fn speedup(&self) -> f64 {
         self.serial / self.parallel
     }
+
+    /// The pair's `BENCH_ops.json` record.
+    pub fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("name", self.name.into()),
+            ("rows", self.rows.into()),
+            ("workers", self.workers.into()),
+            ("substrate", self.substrate.into()),
+            ("serial", Json::fixed(self.serial, 0)),
+            ("parallel", Json::fixed(self.parallel, 0)),
+            ("speedup", Json::fixed(self.speedup(), 2)),
+            ("note", self.note.into()),
+        ])
+    }
 }
 
 /// Row equality up to float-summation reassociation: merging
@@ -67,6 +81,34 @@ fn rows_approx_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
                     _ => va == vb,
                 })
         })
+}
+
+/// TPC-H Q6's selection over `lineitem` (date window, discount band,
+/// quantity bound) — the canonical scan predicate.
+fn q6_predicate() -> Predicate {
+    Predicate::And(vec![
+        Predicate::col_cmp(7, CmpOp::Ge, Date::from_ymd(1994, 1, 1)),
+        Predicate::col_cmp(7, CmpOp::Lt, Date::from_ymd(1995, 1, 1)),
+        Predicate::col_cmp(3, CmpOp::Ge, 0.05),
+        Predicate::col_cmp(3, CmpOp::Le, 0.07),
+        Predicate::col_cmp(1, CmpOp::Lt, 24.0),
+    ])
+}
+
+/// Q6/Q1's revenue expression: `l_extendedprice * (1 - l_discount)`.
+fn revenue_expr() -> ScalarExpr {
+    ScalarExpr::Mul(
+        Box::new(ScalarExpr::col(2)),
+        Box::new(ScalarExpr::Sub(
+            Box::new(ScalarExpr::FloatLit(1.0)),
+            Box::new(ScalarExpr::col(3)),
+        )),
+    )
+}
+
+/// Q1's `(l_returnflag, l_linestatus)` grouping.
+fn q1_group_by() -> Vec<usize> {
+    vec![5, 6]
 }
 
 fn scan(table: &str) -> Box<PhysicalPlan> {
@@ -219,28 +261,6 @@ pub fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -
         substrate: "wall-clock",
         note: "serial wiring vs morsel worker groups on real threads feeding one hash join; bare-scan inputs leave the workers nothing but the per-morsel hand-off, so < 1x when threads outnumber cores",
     }
-}
-
-/// The full parallel section: virtual-time pipeline and aggregate
-/// pairs plus the wall-clock join pair, all at `workers` workers.
-pub fn all_pairs(catalog: &Catalog, workers: usize, join_samples: usize) -> Vec<ParPair> {
-    vec![
-        virtual_pair(
-            catalog,
-            "par_scan_filter",
-            &pipeline_plan(),
-            workers,
-            "morsel-parallel scan+filter+project vs serial wiring, virtual makespan",
-        ),
-        virtual_pair(
-            catalog,
-            "par_aggregate",
-            &aggregate_plan(),
-            workers,
-            "per-worker partial aggregates merged in worker order, virtual makespan",
-        ),
-        join_wall_clock_pair(catalog, workers, join_samples),
-    ]
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //!   the open-system regimes where rejections and in-flight strands
 //!   must stay accounted.
 
+use crate::output::Json;
 use cordoba_engine::{
     run_service, ArrivalSchedule, EngineConfig, ParallelConfig, Policy, Report, ServiceConfig,
 };
@@ -26,10 +27,13 @@ use cordoba_storage::Catalog;
 use cordoba_workload::arrivals::{bursty, chaos, poisson_mix, ramp};
 use cordoba_workload::{family_specs, CostProfile, FamilyConfig};
 
+/// Scale factor of the service scenarios' catalog.
+pub const SCALE_FACTOR: f64 = 0.002;
+
 /// The fixed benchmark catalog (same scale/seed as the subsume suite).
 pub fn catalog() -> Catalog {
     generate(&TpchConfig {
-        scale_factor: 0.002,
+        scale_factor: SCALE_FACTOR,
         seed: 11,
         ..TpchConfig::default()
     })
@@ -93,6 +97,42 @@ pub struct ServicePoint {
     pub latency: LatencySummary,
     /// One-line description for the JSON record.
     pub note: &'static str,
+}
+
+impl ServicePoint {
+    /// The scenario's `BENCH_service.json` record.
+    pub fn json(&self) -> Json {
+        let l = &self.latency;
+        Json::Obj(vec![
+            ("name", self.name.into()),
+            ("suite", self.suite.into()),
+            ("contexts", self.contexts.into()),
+            ("capacity", self.capacity.into()),
+            ("offered", self.offered.into()),
+            ("completed", self.completed.into()),
+            ("failed", self.failed.into()),
+            ("rejected", self.rejected.into()),
+            ("in_flight", self.in_flight.into()),
+            ("makespan", self.makespan.into()),
+            ("throughput", Json::fixed(self.throughput, 9)),
+            ("utilization", Json::fixed(self.utilization, 4)),
+            ("mean_group", Json::fixed(self.mean_group, 3)),
+            (
+                "latency",
+                Json::Obj(vec![
+                    ("count", l.count.into()),
+                    ("min", l.min.into()),
+                    ("mean", Json::fixed(l.mean, 1)),
+                    ("p50", l.p50.into()),
+                    ("p90", l.p90.into()),
+                    ("p99", l.p99.into()),
+                    ("p999", l.p999.into()),
+                    ("max", l.max.into()),
+                ]),
+            ),
+            ("note", self.note.into()),
+        ])
+    }
 }
 
 fn point(

@@ -4,25 +4,26 @@
 //! quarter the size of the input, forcing the external sort and the
 //! spilling hybrid hash join out of core.
 //!
-//! Unlike the [`vec_kernels`](crate::vec_kernels) pairs, the point is
-//! not a speedup (spilling costs real I/O; ratios below 1 are expected)
-//! but the *memory trajectory*: the run records the broker's high-water
-//! mark so `BENCH_ops.json` can assert the past-memory scenario — input
-//! ≥ 4× budget, peak tracked memory ≤ 1.25× budget, output identical to
-//! the in-memory run.
+//! The point is not a speedup (spilling costs real I/O; what it costs
+//! in wall clock is `benchmark/`'s `join_sort_spill` workload) but the
+//! *memory trajectory*: the run records the broker's high-water mark so
+//! `BENCH_ops.json` can assert the past-memory scenario — input ≥ 4×
+//! budget, peak tracked memory ≤ 1.25× budget, output identical to the
+//! in-memory run.
 
+use crate::output::Json;
 use cordoba_exec::wiring::{self, WiringConfig};
-use cordoba_exec::{JoinKind, MemoryConfig, OpCost, PhysicalPlan};
+use cordoba_exec::{reference, JoinKind, MemoryConfig, OpCost, PhysicalPlan};
 use cordoba_sim::Simulator;
 use cordoba_storage::tpch::{generate, TpchConfig};
-use cordoba_storage::{Catalog, Value};
+use cordoba_storage::{Catalog, Value, PAGE_SIZE};
 
 /// One simulated query execution: its rows and the broker's peak.
-pub struct SpillRun {
+struct SpillRun {
     /// Collected result rows.
-    pub rows: Vec<Vec<Value>>,
+    rows: Vec<Vec<Value>>,
     /// High-water mark of tracked operator memory, in bytes.
-    pub peak_bytes: usize,
+    peak_bytes: usize,
 }
 
 /// Deterministic TPC-H catalog for the spill scenarios.
@@ -36,7 +37,7 @@ pub fn catalog(scale_factor: f64) -> Catalog {
 
 /// Total stored bytes of `table` — the "input size" the past-memory
 /// scenario budgets against.
-pub fn table_bytes(catalog: &Catalog, table: &str) -> usize {
+fn table_bytes(catalog: &Catalog, table: &str) -> usize {
     catalog
         .expect(table)
         .pages()
@@ -55,7 +56,7 @@ fn scan(table: &str) -> Box<PhysicalPlan> {
 /// Full sort of `lineitem` by `l_shipdate` — the external-sort
 /// scenario's plan (packed 4-byte keys, every input page buffered or
 /// spilled).
-pub fn sort_plan() -> PhysicalPlan {
+fn sort_plan() -> PhysicalPlan {
     PhysicalPlan::Sort {
         input: scan("lineitem"),
         keys: vec![7],
@@ -85,7 +86,7 @@ pub fn join_plan() -> PhysicalPlan {
 ///
 /// Panics if the plan fails to wire or the query faults — the spill
 /// scenarios must complete by spilling, never by dying.
-pub fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -> SpillRun {
+fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -> SpillRun {
     let cfg = WiringConfig {
         memory: MemoryConfig {
             query_budget: budget,
@@ -104,46 +105,115 @@ pub fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -
     }
 }
 
+/// One checked past-memory scenario: the same plan run in memory and
+/// under a budget of a quarter of its input.
+pub struct SpillPoint {
+    /// Scenario name (stable across PRs).
+    pub name: &'static str,
+    /// Stored bytes of the table the budget is sized against.
+    pub input_bytes: usize,
+    /// The broker budget: `max(input / 4, 8 pages)`.
+    pub budget_bytes: usize,
+    /// Peak tracked memory of the budgeted run.
+    pub peak_bytes: usize,
+    /// Peak tracked memory of the unbounded run.
+    pub in_memory_peak_bytes: usize,
+}
+
+impl SpillPoint {
+    /// Peak tracked memory over the budget — the ratio item 5's hybrid
+    /// hash join is held to.
+    pub fn peak_over_budget(&self) -> f64 {
+        self.peak_bytes as f64 / self.budget_bytes as f64
+    }
+
+    /// The scenario's `BENCH_ops.json` record.
+    pub fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("name", self.name.into()),
+            ("input_bytes", self.input_bytes.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("peak_bytes", self.peak_bytes.into()),
+            ("peak_over_budget", Json::fixed(self.peak_over_budget(), 3)),
+            ("in_memory_peak_bytes", self.in_memory_peak_bytes.into()),
+        ])
+    }
+}
+
+/// Runs `plan` in memory and under `max(bytes of table / 4, 8 pages)`,
+/// asserting the acceptance criteria: the same rows (in order when
+/// `ordered`, as a multiset otherwise) and peak ≤ 1.25 × budget.
+fn checked_scenario(
+    catalog: &Catalog,
+    name: &'static str,
+    plan: &PhysicalPlan,
+    table: &str,
+    ordered: bool,
+) -> SpillPoint {
+    let input_bytes = table_bytes(catalog, table);
+    let budget_bytes = (input_bytes / 4).max(8 * PAGE_SIZE);
+    let in_memory = run_plan(catalog, plan, None);
+    let spilled = run_plan(catalog, plan, Some(budget_bytes));
+    let rows = |r: Vec<Vec<Value>>| {
+        if ordered {
+            r
+        } else {
+            reference::canonicalize(r)
+        }
+    };
+    assert_eq!(
+        rows(spilled.rows),
+        rows(in_memory.rows),
+        "{name}: the budgeted run diverged from the in-memory run"
+    );
+    assert!(
+        spilled.peak_bytes <= budget_bytes + budget_bytes / 4,
+        "{name}: peak {} exceeds 1.25 x budget {budget_bytes}",
+        spilled.peak_bytes
+    );
+    SpillPoint {
+        name,
+        input_bytes,
+        budget_bytes,
+        peak_bytes: spilled.peak_bytes,
+        in_memory_peak_bytes: in_memory.peak_bytes,
+    }
+}
+
+/// External sorted runs + k-way merge vs the in-memory sort; the
+/// output must be order-identical.
+pub fn sort_spill(catalog: &Catalog) -> SpillPoint {
+    checked_scenario(catalog, "sort_spill", &sort_plan(), "lineitem", true)
+}
+
+/// Dynamic hybrid hash join vs the in-memory join, budgeted against
+/// the build side; the output must be multiset-identical.
+pub fn join_spill(catalog: &Catalog) -> SpillPoint {
+    checked_scenario(catalog, "join_spill", &join_plan(), "orders", false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cordoba_exec::reference;
-    use cordoba_storage::PAGE_SIZE;
 
     /// The past-memory acceptance scenario at a small scale: input ≥ 4×
     /// budget, peak ≤ 1.25× budget, rows equal to the in-memory run.
     #[test]
     fn past_memory_scenarios_hold_at_small_scale() {
         let cat = catalog(0.002);
-        for (name, plan, input) in [
-            ("sort", sort_plan(), table_bytes(&cat, "lineitem")),
-            ("join", join_plan(), table_bytes(&cat, "orders")),
-        ] {
-            let budget = (input / 4).max(8 * PAGE_SIZE);
+        for p in [sort_spill(&cat), join_spill(&cat)] {
             assert!(
-                input >= 4 * budget,
-                "{name}: input {input} vs budget {budget}"
-            );
-            let spilled = run_plan(&cat, &plan, Some(budget));
-            let in_memory = run_plan(&cat, &plan, None);
-            assert!(
-                spilled.peak_bytes <= budget + budget / 4,
-                "{name}: peak {} exceeds 1.25 x budget {budget}",
-                spilled.peak_bytes
+                p.input_bytes >= 4 * p.budget_bytes,
+                "{}: input {} vs budget {}",
+                p.name,
+                p.input_bytes,
+                p.budget_bytes
             );
             assert!(
-                in_memory.peak_bytes >= 4 * budget,
-                "{name}: the in-memory path must actually need past-budget memory"
+                p.in_memory_peak_bytes >= 4 * p.budget_bytes,
+                "{}: the in-memory path must actually need past-budget memory",
+                p.name
             );
-            if name == "sort" {
-                assert_eq!(spilled.rows, in_memory.rows, "sort must be order-identical");
-            } else {
-                assert_eq!(
-                    reference::canonicalize(spilled.rows),
-                    reference::canonicalize(in_memory.rows),
-                    "join must be multiset-identical"
-                );
-            }
         }
     }
 }

@@ -8,6 +8,7 @@
 //! for a fixed seed and host-independent, so committed numbers can be
 //! gated tightly.
 
+use crate::output::Json;
 use cordoba_core::sharing::{GroupMember, SharingEvaluator};
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
@@ -24,13 +25,13 @@ use std::collections::HashMap;
 /// fragments exactly the way the dispatcher's admission does.
 const RESIDUAL_COST_RATIO: f64 = 0.1;
 
-/// The fixed catalog for every subsume scenario. The scale factor does
-/// NOT shrink under `--quick`: virtual-time results are deterministic,
-/// so there is nothing to save by subsampling, and the committed
-/// numbers stay comparable across runs.
+/// Scale factor of every subsume scenario's catalog.
+pub const SCALE_FACTOR: f64 = 0.002;
+
+/// The fixed catalog for every subsume scenario.
 pub fn catalog() -> Catalog {
     generate(&TpchConfig {
-        scale_factor: 0.002,
+        scale_factor: SCALE_FACTOR,
         seed: 11,
         ..TpchConfig::default()
     })
@@ -87,6 +88,40 @@ impl SubsumePoint {
         } else {
             Some((self.predicted_z >= 1.0) == (self.measured_z() >= 1.0))
         }
+    }
+
+    /// The scenario's `BENCH_ops.json` record.
+    pub fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("name", self.name.into()),
+            ("queries", self.queries.into()),
+            ("contexts", self.contexts.into()),
+            ("unshared_vt", Json::fixed(self.unshared_vt, 0)),
+            ("shared_vt", Json::fixed(self.shared_vt, 0)),
+            ("speedup", Json::fixed(self.measured_z(), 3)),
+            (
+                "predicted_z",
+                if self.predicted_z.is_nan() {
+                    Json::Null
+                } else {
+                    Json::fixed(self.predicted_z, 3)
+                },
+            ),
+            (
+                "advisor_agrees",
+                self.advisor_agrees().map_or(Json::Null, Json::from),
+            ),
+            (
+                "cache",
+                Json::Obj(vec![
+                    ("hits", self.hits.into()),
+                    ("misses", self.misses.into()),
+                    ("evictions", self.evictions.into()),
+                ]),
+            ),
+            ("subsume_joins", self.subsume_joins.into()),
+            ("note", self.note.into()),
+        ])
     }
 }
 
@@ -276,6 +311,23 @@ impl PolicyPoint {
     /// Model-guided speedup over never-share.
     pub fn model_z(&self) -> f64 {
         self.never / self.model
+    }
+
+    /// The point's `BENCH_ops.json` record (`speedup` = never / model).
+    pub fn json(&self, name: &str) -> Json {
+        Json::Obj(vec![
+            ("name", name.into()),
+            ("contexts", self.contexts.into()),
+            ("never_vt", Json::fixed(self.never, 0)),
+            ("always_vt", Json::fixed(self.always, 0)),
+            ("model_vt", Json::fixed(self.model, 0)),
+            ("always_z", Json::fixed(self.always_z(), 3)),
+            ("speedup", Json::fixed(self.model_z(), 3)),
+            (
+                "model_groups",
+                Json::Arr(self.model_groups.iter().map(|&g| g.into()).collect()),
+            ),
+        ])
     }
 }
 

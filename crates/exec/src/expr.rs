@@ -1,43 +1,10 @@
-//! Scalar expressions, predicates, and aggregate specifications,
-//! evaluated directly over page tuples (no materialization on the hot
-//! path).
+//! Scalar expressions, predicates, and aggregate specifications — the
+//! plan-side trees. Operators run them compiled ([`crate::vexpr`]); the
+//! tuple-at-a-time tree walk (`eval`) lives beside the oracle in
+//! [`crate::reference`].
 
-use cordoba_storage::{Date, TupleRef, Value};
+use cordoba_storage::Date;
 use serde::{Deserialize, Serialize};
-
-/// A scalar evaluated from a tuple.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scalar<'a> {
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Float(f64),
-    /// Date.
-    Date(Date),
-    /// Borrowed string.
-    Str(&'a str),
-}
-
-impl Scalar<'_> {
-    /// Numeric view (ints coerce to float); `None` for dates/strings.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Scalar::Int(v) => Some(*v as f64),
-            Scalar::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Owned [`Value`] (results, tests).
-    pub fn to_value(&self) -> Value {
-        match self {
-            Scalar::Int(v) => Value::Int(*v),
-            Scalar::Float(v) => Value::Float(*v),
-            Scalar::Date(v) => Value::Date(*v),
-            Scalar::Str(v) => Value::Str((*v).to_string()),
-        }
-    }
-}
 
 /// A scalar expression over a tuple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,74 +31,6 @@ impl ScalarExpr {
     /// Shorthand for a column reference.
     pub fn col(idx: usize) -> Self {
         ScalarExpr::Col(idx)
-    }
-
-    /// Evaluates against a tuple.
-    ///
-    /// # Panics
-    ///
-    /// Panics on type errors (e.g. arithmetic on strings) — plans are
-    /// validated by construction and tests; expression typing bugs are
-    /// programming errors.
-    pub fn eval<'a>(&'a self, tuple: &TupleRef<'a>) -> Scalar<'a> {
-        match self {
-            ScalarExpr::Col(i) => match tuple.get_value_type(*i) {
-                ColType::Int => Scalar::Int(tuple.get_int(*i)),
-                ColType::Float => Scalar::Float(tuple.get_float(*i)),
-                ColType::Date => Scalar::Date(tuple.get_date(*i)),
-                ColType::Str => Scalar::Str(tuple.get_str(*i)),
-            },
-            ScalarExpr::IntLit(v) => Scalar::Int(*v),
-            ScalarExpr::FloatLit(v) => Scalar::Float(*v),
-            ScalarExpr::DateLit(v) => Scalar::Date(*v),
-            ScalarExpr::StrLit(v) => Scalar::Str(v),
-            ScalarExpr::Add(a, b) => numeric(a.eval(tuple), b.eval(tuple), "+", |x, y| x + y),
-            ScalarExpr::Sub(a, b) => numeric(a.eval(tuple), b.eval(tuple), "-", |x, y| x - y),
-            ScalarExpr::Mul(a, b) => numeric(a.eval(tuple), b.eval(tuple), "*", |x, y| x * y),
-        }
-    }
-}
-
-/// Column type tag used by `eval` to pick the typed accessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ColType {
-    Int,
-    Float,
-    Date,
-    Str,
-}
-
-/// Extension trait giving [`TupleRef`] a type tag lookup.
-trait TypedTuple {
-    fn get_value_type(&self, idx: usize) -> ColType;
-}
-
-impl TypedTuple for TupleRef<'_> {
-    fn get_value_type(&self, idx: usize) -> ColType {
-        use cordoba_storage::DataType;
-        match self.schema().fields()[idx].dtype {
-            DataType::Int => ColType::Int,
-            DataType::Float => ColType::Float,
-            DataType::Date => ColType::Date,
-            DataType::Str(_) => ColType::Str,
-        }
-    }
-}
-
-fn numeric<'a>(a: Scalar<'a>, b: Scalar<'a>, op: &str, f: impl Fn(f64, f64) -> f64) -> Scalar<'a> {
-    match (a, b) {
-        (Scalar::Int(x), Scalar::Int(y)) => {
-            // Integer-preserving fast path for +,-,*.
-            let r = f(x as f64, y as f64);
-            Scalar::Int(r as i64)
-        }
-        (x, y) => {
-            let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
-                // lint: allow(plans type-check before execution; a non-numeric operand here is a checker bug)
-                panic!("non-numeric operands for '{op}': {x:?}, {y:?}")
-            };
-            Scalar::Float(f(x, y))
-        }
     }
 }
 
@@ -207,33 +106,6 @@ impl Predicate {
             right: lit.into().0,
         }
     }
-
-    /// Evaluates against a tuple.
-    pub fn eval(&self, tuple: &TupleRef<'_>) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::Cmp { left, op, right } => {
-                let (a, b) = (left.eval(tuple), right.eval(tuple));
-                let ord = match (a, b) {
-                    (Scalar::Int(x), Scalar::Int(y)) => x.cmp(&y),
-                    (Scalar::Date(x), Scalar::Date(y)) => x.cmp(&y),
-                    (Scalar::Str(x), Scalar::Str(y)) => x.cmp(y),
-                    (x, y) => {
-                        let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
-                            // lint: allow(plans type-check before execution; comparisons only reach comparable types)
-                            panic!("incomparable operands: {x:?} vs {y:?}")
-                        };
-                        x.partial_cmp(&y).expect("non-NaN comparison") // lint: allow(documented: engine data has no NaNs)
-                    }
-                };
-                op.holds(ord)
-            }
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(tuple)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.eval(tuple)),
-            Predicate::Not(p) => !p.eval(tuple),
-            Predicate::Like { col, pattern } => like_match(tuple.get_str(*col), pattern),
-        }
-    }
 }
 
 /// Wrapper allowing `col_cmp` to take plain literals.
@@ -306,7 +178,8 @@ pub enum Agg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cordoba_storage::{DataType, Field, PageBuilder, Schema};
+    use crate::reference::Scalar;
+    use cordoba_storage::{DataType, Field, PageBuilder, Schema, Value};
     use std::sync::Arc;
 
     fn page() -> Arc<cordoba_storage::Page> {

@@ -40,7 +40,7 @@ pub mod wiring;
 pub use cost::OpCost;
 pub use error::{ExecError, FaultCell};
 pub use explain::explain;
-pub use expr::{Agg, CmpOp, Predicate, Scalar, ScalarExpr};
+pub use expr::{Agg, CmpOp, Predicate, ScalarExpr};
 pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
 pub use parallel::{MorselDispenser, ParallelConfig};
 pub use plan::{JoinKind, PhysicalPlan};

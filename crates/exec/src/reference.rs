@@ -3,12 +3,15 @@
 //! Executes [`PhysicalPlan`]s directly (no simulator, no pipelining),
 //! with semantics defined to match the operator tasks exactly. Every
 //! integration test compares simulator output against this executor.
+//! The tree-walk evaluator it runs on ([`ScalarExpr::eval`],
+//! [`Predicate::eval`], [`Scalar`]) is defined here too, so it is the
+//! oracle's and the tests', not a second evaluation path for operators.
 
-use crate::expr::Agg;
+use crate::expr::{like_match, Agg, Predicate, ScalarExpr};
 use crate::ops::{key_of, KeyVal};
 use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_core::FxHashMap;
-use cordoba_storage::{Catalog, DataType, Table, TableBuilder, Value};
+use cordoba_storage::{Catalog, DataType, Date, Table, TableBuilder, TupleRef, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -288,7 +291,7 @@ impl RefAcc {
         }
     }
 
-    fn update(&mut self, agg: &Agg, tuple: &cordoba_storage::TupleRef<'_>) {
+    fn update(&mut self, agg: &Agg, tuple: &TupleRef<'_>) {
         match (self, agg) {
             (RefAcc::Count(n), Agg::Count) => *n += 1,
             // lint: allow(aggregate inputs type-check as numeric before execution)
@@ -349,6 +352,116 @@ fn default_value(dtype: DataType) -> Value {
 pub fn canonicalize(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
+}
+
+/// A scalar the tree walk evaluated from a tuple.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
+    /// Integer.
+    Int(i64),
+    /// Float.
+    Float(f64),
+    /// Date.
+    Date(Date),
+    /// Borrowed string.
+    Str(&'a str),
+}
+
+impl Scalar<'_> {
+    /// Numeric view (ints coerce to float); `None` for dates/strings.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Int(v) => Some(*v as f64),
+            Scalar::Float(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Owned [`Value`] (results, tests).
+    pub fn to_value(&self) -> Value {
+        match self {
+            Scalar::Int(v) => Value::Int(*v),
+            Scalar::Float(v) => Value::Float(*v),
+            Scalar::Date(v) => Value::Date(*v),
+            Scalar::Str(v) => Value::Str((*v).to_string()),
+        }
+    }
+}
+
+/// The tuple-at-a-time tree walk the oracle and the tests run; engine
+/// code evaluates [`crate::vexpr`] programs instead (lint rule
+/// `oracle-in-engine`).
+impl ScalarExpr {
+    /// Evaluates against a tuple.
+    ///
+    /// # Panics
+    ///
+    /// Panics on type errors (e.g. arithmetic on strings) — plans are
+    /// validated by construction and tests; expression typing bugs are
+    /// programming errors.
+    pub fn eval<'a>(&'a self, tuple: &TupleRef<'a>) -> Scalar<'a> {
+        match self {
+            ScalarExpr::Col(i) => match tuple.schema().fields()[*i].dtype {
+                DataType::Int => Scalar::Int(tuple.get_int(*i)),
+                DataType::Float => Scalar::Float(tuple.get_float(*i)),
+                DataType::Date => Scalar::Date(tuple.get_date(*i)),
+                DataType::Str(_) => Scalar::Str(tuple.get_str(*i)),
+            },
+            ScalarExpr::IntLit(v) => Scalar::Int(*v),
+            ScalarExpr::FloatLit(v) => Scalar::Float(*v),
+            ScalarExpr::DateLit(v) => Scalar::Date(*v),
+            ScalarExpr::StrLit(v) => Scalar::Str(v),
+            ScalarExpr::Add(a, b) => numeric(a.eval(tuple), b.eval(tuple), "+", |x, y| x + y),
+            ScalarExpr::Sub(a, b) => numeric(a.eval(tuple), b.eval(tuple), "-", |x, y| x - y),
+            ScalarExpr::Mul(a, b) => numeric(a.eval(tuple), b.eval(tuple), "*", |x, y| x * y),
+        }
+    }
+}
+
+fn numeric<'a>(a: Scalar<'a>, b: Scalar<'a>, op: &str, f: impl Fn(f64, f64) -> f64) -> Scalar<'a> {
+    match (a, b) {
+        (Scalar::Int(x), Scalar::Int(y)) => {
+            // Integer-preserving fast path for +,-,*.
+            let r = f(x as f64, y as f64);
+            Scalar::Int(r as i64)
+        }
+        (x, y) => {
+            let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
+                // lint: allow(plans type-check before execution; a non-numeric operand here is a checker bug)
+                panic!("non-numeric operands for '{op}': {x:?}, {y:?}")
+            };
+            Scalar::Float(f(x, y))
+        }
+    }
+}
+
+impl Predicate {
+    /// Evaluates against a tuple.
+    pub fn eval(&self, tuple: &TupleRef<'_>) -> bool {
+        match self {
+            Predicate::True => true,
+            Predicate::Cmp { left, op, right } => {
+                let (a, b) = (left.eval(tuple), right.eval(tuple));
+                let ord = match (a, b) {
+                    (Scalar::Int(x), Scalar::Int(y)) => x.cmp(&y),
+                    (Scalar::Date(x), Scalar::Date(y)) => x.cmp(&y),
+                    (Scalar::Str(x), Scalar::Str(y)) => x.cmp(y),
+                    (x, y) => {
+                        let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
+                            // lint: allow(plans type-check before execution; comparisons only reach comparable types)
+                            panic!("incomparable operands: {x:?} vs {y:?}")
+                        };
+                        x.partial_cmp(&y).expect("non-NaN comparison") // lint: allow(documented: engine data has no NaNs)
+                    }
+                };
+                op.holds(ord)
+            }
+            Predicate::And(ps) => ps.iter().all(|p| p.eval(tuple)),
+            Predicate::Or(ps) => ps.iter().any(|p| p.eval(tuple)),
+            Predicate::Not(p) => !p.eval(tuple),
+            Predicate::Like { col, pattern } => like_match(tuple.get_str(*col), pattern),
+        }
+    }
 }
 
 #[cfg(test)]

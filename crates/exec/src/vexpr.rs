@@ -157,18 +157,17 @@ struct NumProgram {
 impl NumProgram {
     /// Compiles `expr` against `schema`, erring if the expression is
     /// not numeric (string columns or literals in arithmetic, dates as
-    /// arithmetic operands). `fuse` enables the scalar-literal fused
-    /// instructions (off only for the baseline benchmark kernels).
-    fn compile(expr: &ScalarExpr, schema: &Arc<Schema>, fuse: bool) -> Result<Self, ExecError> {
+    /// arithmetic operands).
+    fn compile(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
         let mut instrs = Vec::new();
-        let out = compile_num(expr, schema, &mut instrs, fuse)?;
+        let out = compile_num(expr, schema, &mut instrs)?;
         Ok(Self { instrs, out })
     }
 
     /// As [`NumProgram::compile`], but promotes an `Int` result to
     /// `Float` (the coercion every aggregate input goes through).
-    fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>, fuse: bool) -> Result<Self, ExecError> {
-        let mut p = Self::compile(expr, schema, fuse)?;
+    fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
+        let mut p = Self::compile(expr, schema)?;
         match p.out {
             NumType::Float => {}
             NumType::Int => {
@@ -329,7 +328,6 @@ fn compile_num(
     expr: &ScalarExpr,
     schema: &Arc<Schema>,
     instrs: &mut Vec<Instr>,
-    fuse: bool,
 ) -> Result<NumType, ExecError> {
     match expr {
         ScalarExpr::Col(i) => {
@@ -370,9 +368,9 @@ fn compile_num(
         ScalarExpr::StrLit(s) => Err(ExecError::plan(format!(
             "string literal {s:?} in a numeric expression"
         ))),
-        ScalarExpr::Add(a, b) => compile_arith(a, b, schema, instrs, &ADD_OPS, fuse),
-        ScalarExpr::Sub(a, b) => compile_arith(a, b, schema, instrs, &SUB_OPS, fuse),
-        ScalarExpr::Mul(a, b) => compile_arith(a, b, schema, instrs, &MUL_OPS, fuse),
+        ScalarExpr::Add(a, b) => compile_arith(a, b, schema, instrs, &ADD_OPS),
+        ScalarExpr::Sub(a, b) => compile_arith(a, b, schema, instrs, &SUB_OPS),
+        ScalarExpr::Mul(a, b) => compile_arith(a, b, schema, instrs, &MUL_OPS),
     }
 }
 
@@ -392,7 +390,6 @@ fn compile_arith(
     schema: &Arc<Schema>,
     instrs: &mut Vec<Instr>,
     ops: &ArithOps,
-    fuse: bool,
 ) -> Result<NumType, ExecError> {
     let (ta, tb) = (expr_type_checked(a, schema)?, expr_type_checked(b, schema)?);
     let float_result = !(ta == DataType::Int && tb == DataType::Int);
@@ -401,9 +398,9 @@ fn compile_arith(
     // in-place instruction — no broadcast literal buffer, no extra
     // stream pass. Results are bit-identical to the stack form: the
     // same f64 operation on the same operand values.
-    if fuse && float_result {
+    if float_result {
         if let Some(lit) = num_literal(b) {
-            let t = compile_num(a, schema, instrs, fuse)?;
+            let t = compile_num(a, schema, instrs)?;
             ensure_numeric(t)?;
             if t == NumType::Int {
                 instrs.push(Instr::CastIF);
@@ -412,7 +409,7 @@ fn compile_arith(
             return Ok(NumType::Float);
         }
         if let Some(lit) = num_literal(a) {
-            let t = compile_num(b, schema, instrs, fuse)?;
+            let t = compile_num(b, schema, instrs)?;
             ensure_numeric(t)?;
             if t == NumType::Int {
                 instrs.push(Instr::CastIF);
@@ -421,14 +418,14 @@ fn compile_arith(
             return Ok(NumType::Float);
         }
     }
-    let ta = compile_num(a, schema, instrs, fuse)?;
+    let ta = compile_num(a, schema, instrs)?;
     ensure_numeric(ta)?;
     if ta == NumType::Int && float_result {
         // The other side is non-int; promote before it lands on the
         // stack so the binop sees two floats.
         instrs.push(Instr::CastIF);
     }
-    let tb = compile_num(b, schema, instrs, fuse)?;
+    let tb = compile_num(b, schema, instrs)?;
     ensure_numeric(tb)?;
     if !float_result {
         instrs.push(ops.int_op.clone());
@@ -471,32 +468,6 @@ impl CompiledExpr {
     /// errors (e.g. arithmetic over strings) — the plans the
     /// tree-walking `eval` would panic on at runtime.
     pub fn compile(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        Self::compile_inner(expr, schema, true)
-    }
-
-    /// As [`CompiledExpr::compile`] but with the fused scalar-literal
-    /// instructions disabled: literals broadcast page-length buffers.
-    /// Exists solely so the benchmark suite can measure the fusion win;
-    /// operators always compile fused.
-    pub fn compile_unfused(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        Self::compile_inner(expr, schema, false)
-    }
-
-    /// Compiles a **numeric** `expr` with the result promoted to `f64`
-    /// — the coercion every aggregate input goes through. String or
-    /// date expressions err here, at plan time, so
-    /// [`CompiledExpr::eval_f64_into`] cannot fail later.
-    pub fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        Ok(Self {
-            kind: ExprKind::Num(NumProgram::compile_f64(expr, schema, true)?),
-        })
-    }
-
-    fn compile_inner(
-        expr: &ScalarExpr,
-        schema: &Arc<Schema>,
-        fuse: bool,
-    ) -> Result<Self, ExecError> {
         let kind = match expr {
             ScalarExpr::Col(i)
                 if matches!(
@@ -514,9 +485,19 @@ impl CompiledExpr {
                 }
                 ExprKind::StrLit(s.clone())
             }
-            other => ExprKind::Num(NumProgram::compile(other, schema, fuse)?),
+            other => ExprKind::Num(NumProgram::compile(other, schema)?),
         };
         Ok(Self { kind })
+    }
+
+    /// Compiles a **numeric** `expr` with the result promoted to `f64`
+    /// — the coercion every aggregate input goes through. String or
+    /// date expressions err here, at plan time, so
+    /// [`CompiledExpr::eval_f64_into`] cannot fail later.
+    pub fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
+        Ok(Self {
+            kind: ExprKind::Num(NumProgram::compile_f64(expr, schema)?),
+        })
     }
 
     /// Evaluates the expression coerced to `f64` over all rows of
@@ -974,13 +955,13 @@ fn compile_cmp(
     }
     match (tl, tr) {
         (DataType::Int, DataType::Int) => instrs.push(PInstr::CmpII {
-            l: NumProgram::compile(left, schema, true)?,
-            r: NumProgram::compile(right, schema, true)?,
+            l: NumProgram::compile(left, schema)?,
+            r: NumProgram::compile(right, schema)?,
             op,
         }),
         (DataType::Date, DataType::Date) => instrs.push(PInstr::CmpDD {
-            l: NumProgram::compile(left, schema, true)?,
-            r: NumProgram::compile(right, schema, true)?,
+            l: NumProgram::compile(left, schema)?,
+            r: NumProgram::compile(right, schema)?,
             op,
         }),
         (tl, tr) if is_str(tl) && is_str(tr) => instrs.push(PInstr::CmpSS {
@@ -990,8 +971,8 @@ fn compile_cmp(
         }),
         (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
             instrs.push(PInstr::CmpFF {
-                l: NumProgram::compile_f64(left, schema, true)?,
-                r: NumProgram::compile_f64(right, schema, true)?,
+                l: NumProgram::compile_f64(left, schema)?,
+                r: NumProgram::compile_f64(right, schema)?,
                 op,
             })
         }
@@ -1017,7 +998,7 @@ fn str_operand(expr: &ScalarExpr) -> Result<StrOperand, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Scalar;
+    use crate::reference::Scalar;
     use cordoba_storage::{Date, Field, PageBuilder, Value};
 
     fn page() -> Arc<Page> {
@@ -1227,14 +1208,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_literal_programs_match_unfused_bit_for_bit() {
+    fn fused_literal_programs_match_tree_walk_bit_for_bit() {
         // `price * (1 - discount)`-shaped expressions exercise SubLitF
         // and MulFLit; `qty * 2 + 0.5` exercises MulFLit + AddFLit on a
-        // promoted int subtree. Fused and broadcast programs must agree
-        // bit-for-bit (same f64 ops on the same operands).
+        // promoted int subtree. The fused program must agree with the
+        // tree walk bit-for-bit (same f64 ops on the same operands).
         let p = page();
         let mut scratch = ExprScratch::default();
-        let (mut fused, mut plain) = (Vec::new(), Vec::new());
+        let mut fused = Vec::new();
         let exprs = [
             ScalarExpr::Mul(
                 Box::new(ScalarExpr::col(1)),
@@ -1257,13 +1238,7 @@ mod tests {
         ];
         for expr in &exprs {
             let f = CompiledExpr::compile(expr, p.schema()).expect("compiles");
-            let u = CompiledExpr::compile_unfused(expr, p.schema()).expect("compiles");
             f.eval_f64_into(&p, &mut scratch, &mut fused);
-            u.eval_f64_into(&p, &mut scratch, &mut plain);
-            for (r, (a, b)) in fused.iter().zip(&plain).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{expr:?} row {r}: {a} vs {b}");
-            }
-            // And both match the tree walk.
             for (r, t) in p.tuples().enumerate() {
                 let expected = expr.eval(&t).as_f64().expect("numeric");
                 assert_eq!(fused[r].to_bits(), expected.to_bits(), "{expr:?} row {r}");

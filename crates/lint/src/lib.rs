@@ -26,11 +26,13 @@
 //!    outside the audited files (`exec::memory`'s monotone peak CAS,
 //!    `exec::parallel`'s morsel counter) is flagged, so a new Relaxed
 //!    access has to be argued into the allowlist or strengthened.
-//! 5. **Oracle out of the engine** — no `reference::execute*` in
-//!    non-test `exec` / `engine` source: the tuple-at-a-time reference
-//!    executor is the denominator tests compare against, never a code
-//!    path (a fallback to it silently measures and ships the wrong
-//!    engine).
+//! 5. **Oracle out of the engine** — no `reference::execute*` and no
+//!    tree-walk `.eval(` (`ScalarExpr::eval` / `Predicate::eval`,
+//!    defined beside the oracle in `exec::reference`) in non-test
+//!    `exec` / `engine` source: the tuple-at-a-time reference executor
+//!    and its evaluator are the denominator tests compare against,
+//!    never a code path (a fallback to them silently measures and ships
+//!    the wrong engine).
 //! 6. **One run loop** — in non-test `engine` source, `Simulator::new`
 //!    appears only in the run module (`engine::run`) and the real-thread
 //!    executor's private per-thread loops (`engine::thread_exec`), and a
@@ -69,7 +71,8 @@ pub enum Rule {
     NondeterministicClock,
     /// `Ordering::Relaxed` outside the audited allowlist.
     RelaxedOrdering,
-    /// `reference::execute*` called from non-test engine code.
+    /// `reference::execute*` or a tree-walk `.eval(` called from
+    /// non-test engine code.
     OracleInEngine,
     /// A `Simulator` or dispatcher built outside the engine's run module.
     OneRunLoop,
@@ -135,7 +138,7 @@ pub struct Config {
     /// Files allowed to use `Ordering::Relaxed` (audited sites).
     pub relaxed_allowed_files: Vec<String>,
     /// Path prefixes whose non-test code must not call the reference
-    /// executor.
+    /// executor or its tree-walk evaluator.
     pub oracle_free_prefixes: Vec<String>,
     /// Files under those prefixes that may name it: the oracle's own
     /// definition and test-only modules gated from their parent.
@@ -555,14 +558,26 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
             );
         }
         // Rule 5: the oracle is a test denominator, not a code path.
-        if oracle_scoped && code.contains("reference::execute") {
-            push(
-                i,
-                Rule::OracleInEngine,
-                "`reference::execute*` in non-test engine code; run the plan through \
-                 `wiring` (e.g. `wiring::run_serial`) — the reference executor is for tests"
-                    .into(),
-            );
+        for (tok, instead) in [
+            (
+                "reference::execute",
+                "run the plan through `wiring` (e.g. `wiring::run_serial`)",
+            ),
+            (
+                ".eval(",
+                "compile the expression (`vexpr::CompiledExpr` / `CompiledPredicate`)",
+            ),
+        ] {
+            if oracle_scoped && code.contains(tok) {
+                push(
+                    i,
+                    Rule::OracleInEngine,
+                    format!(
+                        "`{tok}` in non-test engine code; {instead} — the reference \
+                         executor and its tree-walk evaluator are for tests"
+                    ),
+                );
+            }
         }
         // Rule 6: one run loop.
         for (hit, tok) in [
@@ -852,15 +867,22 @@ mod tests {
             rules("use crate::reference;\nfn f() { reference::execute(c, p); }"),
             vec![Rule::OracleInEngine]
         );
+        // So is the oracle's tree-walk evaluator; the compiled
+        // programs' `eval_*` methods are not.
+        let walk = "fn keep(p: &Predicate, t: &TupleRef<'_>) -> bool { p.eval(t) }";
+        assert_eq!(rules(walk), vec![Rule::OracleInEngine]);
+        assert!(rules("fn f(e: &CompiledExpr) { e.eval_f64_into(p, s, out) }").is_empty());
         // Tests compare against it; other `reference::` items are fine.
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n{call}\n}}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{call}\n{walk}\n}}");
         assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
         assert!(rules("fn f(r: Rows) -> Rows { reference::canonicalize(r) }").is_empty());
         // The oracle's own file (and unscoped crates) may name it.
         let mut cfg = cfg_for("reference.rs");
         cfg.oracle_allowed_files = vec!["reference.rs".into()];
-        assert!(lint_source("reference.rs", call, &cfg).is_empty());
-        assert!(lint_source("bench.rs", call, &cfg).is_empty());
+        for src in [call, walk] {
+            assert!(lint_source("reference.rs", src, &cfg).is_empty());
+            assert!(lint_source("bench.rs", src, &cfg).is_empty());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   queries Q1, Q6, Q4 and Q13 depend on.
 //!
 //! The generator is a from-scratch substitute for the official `dbgen`
-//! (see DESIGN.md): experiments measure *relative* throughput, which
+//! (README.md's crate map): experiments measure *relative* throughput, which
 //! depends on selectivities and cost ratios rather than absolute scale,
 //! so a scaled-down, distribution-faithful generator preserves the
 //! paper's behaviour.

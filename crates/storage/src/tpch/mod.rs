@@ -3,8 +3,8 @@
 //! Generates the three tables the paper's query mix needs — `customer`,
 //! `orders`, `lineitem` — with the value distributions that determine
 //! the selectivities of Q1, Q6, Q4 and Q13 (see each field's comment).
-//! This is a from-scratch substitute for the official `dbgen` (a
-//! substitution documented in DESIGN.md): the experiments measure
+//! This is a from-scratch substitute for the official `dbgen` (see
+//! the crate docs): the experiments measure
 //! relative throughput, which depends on selectivities and per-tuple
 //! costs, not on absolute scale.
 //!

@@ -1,5 +1,5 @@
 //! End-to-end checks that the reproduced system exhibits the paper's
-//! qualitative results (the "shape" criteria of DESIGN.md), at reduced
+//! qualitative results (README.md's "paper-shape assertions"), at reduced
 //! scale so the suite stays fast.
 
 use cordoba::engine::{measure_throughput, EngineConfig, Policy};
