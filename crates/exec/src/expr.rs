@@ -61,6 +61,18 @@ impl CmpOp {
                 | (CmpOp::Ge, Greater | Equal)
         )
     }
+
+    /// The operator with its operands swapped: `a op b` is
+    /// `b op.mirrored() a` for every pair of operands, NaN included.
+    pub(crate) fn mirrored(self) -> Self {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
 }
 
 /// A boolean predicate over a tuple.
@@ -129,35 +141,6 @@ impl From<&str> for LitValue {
     fn from(v: &str) -> Self {
         LitValue(ScalarExpr::StrLit(v.to_string()))
     }
-}
-
-/// `%`-wildcard LIKE matcher: splits the pattern at `%` and requires the
-/// fragments to appear in order, honoring anchors at the ends.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let parts: Vec<&str> = pattern.split('%').collect();
-    if parts.len() == 1 {
-        return s == pattern;
-    }
-    let mut pos = 0usize;
-    for (i, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        if i == 0 {
-            if !s.starts_with(part) {
-                return false;
-            }
-            pos = part.len();
-        } else if i == parts.len() - 1 {
-            return s.len() >= pos && s[pos..].ends_with(part);
-        } else {
-            match s[pos..].find(part) {
-                Some(at) => pos += at + part.len(),
-                None => return false,
-            }
-        }
-    }
-    true
 }
 
 /// Aggregate function specification.
@@ -283,26 +266,6 @@ mod tests {
         };
         assert!(like.eval(&p.tuple(0)));
         assert!(!like.eval(&p.tuple(1)));
-    }
-
-    #[test]
-    fn like_matcher_edge_cases() {
-        assert!(like_match("abc", "abc"));
-        assert!(!like_match("abc", "abd"));
-        assert!(like_match("abc", "%"));
-        assert!(like_match("abc", "a%"));
-        assert!(!like_match("abc", "b%"));
-        assert!(like_match("abc", "%c"));
-        assert!(!like_match("abc", "%b"));
-        assert!(like_match("abc", "a%c"));
-        assert!(like_match("special requests", "%special%requests%"));
-        assert!(like_match("specialrequests", "%special%requests%"));
-        assert!(!like_match("requests special", "%special%requests%"));
-        assert!(like_match("", "%"));
-        assert!(!like_match("", "a%"));
-        // Ordered fragments must not overlap.
-        assert!(!like_match("ab", "%ab%b%"));
-        assert!(like_match("abab", "%ab%b%"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Streaming filter, vectorized: the predicate is compiled once into a
 //! [`CompiledPredicate`] and evaluated page-at-a-time into a selection
 //! vector; survivors are repacked densely into fresh pages with bulk
-//! row copies ([`Page::copy_rows_into`] coalesces consecutive runs).
+//! row copies ([`PageBuilder::push_selected`], over
+//! [`Page::copy_rows_into`], which coalesces consecutive runs).
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
@@ -79,14 +80,10 @@ impl Task for FilterTask {
                 let mut out_page = None;
                 self.predicate
                     .select(&page, &mut self.scratch, &mut self.sel);
-                let mut taken = 0;
-                while taken < self.sel.len() {
-                    if self.builder.is_full() {
-                        debug_assert!(out_page.is_none(), "≤1 output page per input page");
-                        out_page = Some(self.builder.finish_and_reset());
-                    }
-                    taken += page.copy_rows_into(&self.sel[taken..], &mut self.builder);
-                }
+                self.builder.push_selected(&page, &self.sel, |full| {
+                    debug_assert!(out_page.is_none(), "≤1 output page per input page");
+                    out_page = Some(full);
+                });
                 if self.builder.is_full() && out_page.is_none() {
                     out_page = Some(self.builder.finish_and_reset());
                 }

@@ -88,13 +88,9 @@ impl NestedLoopJoinTask {
         let page = self.candidates.finish_and_reset();
         self.predicate
             .select(&page, &mut self.scratch, &mut self.sel);
-        let mut taken = 0;
-        while taken < self.sel.len() {
-            if self.builder.is_full() {
-                self.outbox.push(self.builder.finish_and_reset());
-            }
-            taken += page.copy_rows_into(&self.sel[taken..], &mut self.builder);
-        }
+        let outbox = &mut self.outbox;
+        self.builder
+            .push_selected(&page, &self.sel, |full| outbox.push(full));
         if self.builder.is_full() {
             self.outbox.push(self.builder.finish_and_reset());
         }

@@ -233,13 +233,7 @@ fn filter_pages(
 ) {
     for page in pages {
         pred.select(page, scratch, sel);
-        let mut taken = 0;
-        while taken < sel.len() {
-            if builder.is_full() {
-                out.push(builder.finish_and_reset());
-            }
-            taken += page.copy_rows_into(&sel[taken..], builder);
-        }
+        builder.push_selected(page, sel, |full| out.push(full));
     }
     if !builder.is_empty() {
         out.push(builder.finish_and_reset());

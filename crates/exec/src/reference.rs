@@ -7,7 +7,7 @@
 //! [`Predicate::eval`], [`Scalar`]) is defined here too, so it is the
 //! oracle's and the tests', not a second evaluation path for operators.
 
-use crate::expr::{like_match, Agg, Predicate, ScalarExpr};
+use crate::expr::{Agg, Predicate, ScalarExpr};
 use crate::ops::{key_of, KeyVal};
 use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_core::FxHashMap;
@@ -350,7 +350,7 @@ fn default_value(dtype: DataType) -> Value {
 
 /// Sorts rows into a canonical order for multiset comparison in tests.
 pub fn canonicalize(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    rows.sort_by_cached_key(|row| format!("{row:?}"));
     rows
 }
 
@@ -462,6 +462,37 @@ impl Predicate {
             Predicate::Like { col, pattern } => like_match(tuple.get_str(*col), pattern),
         }
     }
+}
+
+/// `%`-wildcard LIKE matcher: splits the pattern at `%` and requires the
+/// fragments to appear in order, honoring anchors at the ends. The tree
+/// walk's and the tests'; operators match a pattern compiled once by
+/// [`crate::vexpr`] (lint rule `oracle-in-engine`).
+pub fn like_match(s: &str, pattern: &str) -> bool {
+    let parts: Vec<&str> = pattern.split('%').collect();
+    if parts.len() == 1 {
+        return s == pattern;
+    }
+    let mut pos = 0usize;
+    for (i, part) in parts.iter().enumerate() {
+        if part.is_empty() {
+            continue;
+        }
+        if i == 0 {
+            if !s.starts_with(part) {
+                return false;
+            }
+            pos = part.len();
+        } else if i == parts.len() - 1 {
+            return s.len() >= pos && s[pos..].ends_with(part);
+        } else {
+            match s[pos..].find(part) {
+                Some(at) => pos += at + part.len(),
+                None => return false,
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -585,5 +616,25 @@ mod tests {
             schema: crate::plan::SchemaRef(schema),
         };
         execute(&cat, &plan);
+    }
+
+    #[test]
+    fn like_matcher_edge_cases() {
+        assert!(like_match("abc", "abc"));
+        assert!(!like_match("abc", "abd"));
+        assert!(like_match("abc", "%"));
+        assert!(like_match("abc", "a%"));
+        assert!(!like_match("abc", "b%"));
+        assert!(like_match("abc", "%c"));
+        assert!(!like_match("abc", "%b"));
+        assert!(like_match("abc", "a%c"));
+        assert!(like_match("special requests", "%special%requests%"));
+        assert!(like_match("specialrequests", "%special%requests%"));
+        assert!(!like_match("requests special", "%special%requests%"));
+        assert!(like_match("", "%"));
+        assert!(!like_match("", "a%"));
+        // Ordered fragments must not overlap.
+        assert!(!like_match("ab", "%ab%b%"));
+        assert!(like_match("abab", "%ab%b%"));
     }
 }

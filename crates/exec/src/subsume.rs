@@ -235,18 +235,8 @@ fn range_clause(pred: &Predicate) -> Option<(usize, Side)> {
     };
     let (col, op, value) = match (left, right) {
         (ScalarExpr::Col(c), _) => (*c, *op, literal(right)?),
-        (_, ScalarExpr::Col(c)) => {
-            // `lit op col` is `col (mirror op) lit`.
-            let mirrored = match op {
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Gt => CmpOp::Lt,
-                CmpOp::Ge => CmpOp::Le,
-                CmpOp::Eq => CmpOp::Eq,
-                CmpOp::Ne => CmpOp::Ne,
-            };
-            (*c, mirrored, literal(left)?)
-        }
+        // `lit op col` is `col (mirror op) lit`.
+        (_, ScalarExpr::Col(c)) => (*c, op.mirrored(), literal(left)?),
         _ => return None,
     };
     let side = match op {

@@ -3,13 +3,24 @@
 //! [`ScalarExpr`]/[`Predicate`] trees are walked per tuple by
 //! `eval`, paying recursive dispatch through boxed children for every
 //! row. The vectorized operators instead compile each tree **once** at
-//! task construction into a flat postfix program ([`CompiledExpr`],
-//! [`CompiledPredicate`]) and evaluate it a whole page at a time into
-//! reusable scratch buffers ([`ExprScratch`]): one typed column gather
-//! per leaf, one tight loop per operator, no per-row allocation or
-//! dispatch. Predicates produce a **selection vector** (the indices of
-//! passing rows) rather than per-tuple booleans, which downstream
-//! operators consume with bulk row copies.
+//! task construction ([`CompiledExpr`], [`CompiledPredicate`]) and
+//! evaluate it a whole page at a time into reusable scratch buffers
+//! ([`ExprScratch`]), with no per-row allocation or dispatch. An
+//! expression is a flat postfix program: one typed column gather per
+//! leaf, one tight loop per operator.
+//!
+//! A predicate **refines a selection vector** — the ascending indices
+//! of the rows still passing, which `select` returns and downstream
+//! operators consume with bulk row copies. A conjunction runs its
+//! clauses in sequence, each shrinking the selection in place, until it
+//! is empty; the clauses are ordered at compile time: column-vs-literal
+//! leaves (they read their field straight out of the rows still
+//! selected; `lit op col` becomes `col op' lit`), then dense numeric
+//! compares, then string leaves, which so see only the survivors. `Not`
+//! removes what its child keeps of a copy of the selection; `Or` is
+//! `Not` of the conjunction of its negated children. A LIKE pattern is
+//! split into byte fragments once, and string leaves test the
+//! space-trimmed field bytes in place.
 //!
 //! Semantics match the tree-walking evaluators exactly on well-typed,
 //! non-NaN inputs (the property suite in `tests/vectorized_equivalence`
@@ -26,13 +37,13 @@
 //!
 //! Scalar literals in float arithmetic fuse into the adjacent
 //! instruction ([`Instr::AddFLit`] / [`Instr::SubFLit`] /
-//! [`Instr::SubLitF`] / [`Instr::MulFLit`], mirroring the
-//! `CmpColLit*` predicate fast paths), so `extendedprice *
-//! (1 - discount)` runs two in-place passes over one gathered column
-//! instead of broadcasting page-length literal buffers.
+//! [`Instr::SubLitF`] / [`Instr::MulFLit`], mirroring the predicates'
+//! column-vs-literal leaves), so `extendedprice * (1 - discount)` runs
+//! two in-place passes over one gathered column instead of broadcasting
+//! page-length literal buffers.
 
 use crate::error::ExecError;
-use crate::expr::{like_match, CmpOp, Predicate, ScalarExpr};
+use crate::expr::{CmpOp, Predicate, ScalarExpr};
 use crate::plan::expr_type_checked;
 use cordoba_storage::{DataType, Page, Schema};
 use std::sync::Arc;
@@ -101,16 +112,16 @@ enum Buf {
 }
 
 /// Reusable evaluation state: the value stack, per-type buffer pools,
-/// and the mask stack. One scratch per task; buffers are recycled so a
-/// steady-state page evaluation allocates nothing.
+/// and the pool of temporary selections (`Not`/`Or` refine a copy). One
+/// scratch per task; buffers are recycled so a steady-state page
+/// evaluation allocates nothing.
 #[derive(Debug, Default)]
 pub struct ExprScratch {
     stack: Vec<Buf>,
     free_i: Vec<Vec<i64>>,
     free_f: Vec<Vec<f64>>,
     free_d: Vec<Vec<i32>>,
-    masks: Vec<Vec<bool>>,
-    free_m: Vec<Vec<bool>>,
+    free_sel: Vec<Vec<u32>>,
 }
 
 impl ExprScratch {
@@ -123,11 +134,6 @@ impl ExprScratch {
     fn take_d(&mut self) -> Vec<i32> {
         self.free_d.pop().unwrap_or_default()
     }
-    fn take_m(&mut self) -> Vec<bool> {
-        let mut m = self.free_m.pop().unwrap_or_default();
-        m.clear();
-        m
-    }
 
     fn recycle(&mut self, buf: Buf) {
         match buf {
@@ -135,10 +141,6 @@ impl ExprScratch {
             Buf::F(v) => self.free_f.push(v),
             Buf::D(v) => self.free_d.push(v),
         }
-    }
-
-    fn recycle_mask(&mut self, m: Vec<bool>) {
-        self.free_m.push(m);
     }
 
     fn pop(&mut self) -> Buf {
@@ -609,66 +611,254 @@ impl CompiledExpr {
     }
 }
 
-/// A string comparison operand (only columns and literals can be
-/// string-typed).
-#[derive(Debug, Clone)]
-enum StrOperand {
-    Col(usize),
-    Lit(String),
+/// A string column with its compile-time field width.
+#[derive(Debug, Clone, Copy)]
+struct StrCol {
+    col: usize,
+    width: usize,
 }
 
-/// One postfix instruction of a compiled predicate. Comparison leaves
-/// push a boolean mask; `And`/`Or`/`Not` combine masks.
+impl StrCol {
+    /// A reader of the column's bytes by row of `page`, in place and
+    /// trimmed as `get_str` trims them.
+    fn reader<'a>(self, page: &'a Page) -> impl Fn(u32) -> &'a [u8] {
+        let (off, w) = field_at(page, self.col, DataType::Str(self.width));
+        let data = page.payload();
+        move |row| {
+            let at = row as usize * w + off;
+            let field = &data[at..at + self.width];
+            &field[..field.iter().rposition(|&b| b != b' ').map_or(0, |i| i + 1)]
+        }
+    }
+}
+
+/// A `%`-wildcard LIKE pattern, split into byte fragments once at
+/// compile time (bytes compare as the tree walk's `str`s do).
 #[derive(Debug, Clone)]
-enum PInstr {
-    /// Push an all-true mask.
-    True,
-    /// Fast path: `Int column <op> literal` — gather + compare, no
-    /// program machinery.
-    CmpColLitI { col: usize, op: CmpOp, lit: i64 },
-    /// Fast path: `Float column <op> literal`.
-    CmpColLitF { col: usize, op: CmpOp, lit: f64 },
-    /// Fast path: `Date column <op> literal`.
-    CmpColLitD { col: usize, op: CmpOp, lit: i32 },
-    /// General Int ⋈ Int comparison.
-    CmpII {
+struct LikePattern {
+    /// The fragment before the first `%`: the field starts with it.
+    head: Vec<u8>,
+    /// The non-empty fragments between `%`s: found in order, no overlap.
+    middle: Vec<Vec<u8>>,
+    /// The fragment after the last `%`: the rest ends with it. `None`
+    /// for a pattern without `%`, which the field must equal.
+    tail: Option<Vec<u8>>,
+}
+
+impl LikePattern {
+    fn new(pattern: &str) -> Self {
+        let mut parts = pattern.split('%').map(|p| p.as_bytes().to_vec());
+        let head = parts.next().unwrap_or_default();
+        let tail = parts.next_back();
+        let middle = parts.filter(|p| !p.is_empty()).collect();
+        Self { head, middle, tail }
+    }
+
+    fn matches(&self, s: &[u8]) -> bool {
+        let Some(tail) = &self.tail else {
+            return s == self.head;
+        };
+        let Some(mut rest) = s.strip_prefix(&self.head[..]) else {
+            return false;
+        };
+        for frag in &self.middle {
+            match find(rest, frag) {
+                Some(at) => rest = &rest[at + frag.len()..],
+                None => return false,
+            }
+        }
+        rest.strip_suffix(&tail[..]).is_some()
+    }
+}
+
+/// First occurrence of the non-empty `needle` in `hay`.
+fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let first = *needle.first()?;
+    hay.windows(needle.len())
+        .position(|w| w[0] == first && w == needle)
+}
+
+/// The literal of a column-vs-literal leaf, typed as its column.
+#[derive(Debug, Clone, Copy)]
+enum Lit {
+    I(i64),
+    F(f64),
+    D(i32),
+}
+
+/// One node of a compiled predicate: shrinks a selection vector in
+/// place to the rows it accepts. `Or(p, q)` is `Not(And(Not p, Not q))`:
+/// each disjunct sees only the rows no earlier one accepted.
+#[derive(Debug, Clone)]
+enum Refiner {
+    /// `column <op> literal`, read straight out of the selected rows.
+    ColLit { col: usize, op: CmpOp, lit: Lit },
+    /// General numeric comparison: both programs (of one result type)
+    /// evaluate densely, then `l[row] <op> r[row]` retains the selection.
+    Cmp {
         l: NumProgram,
         r: NumProgram,
         op: CmpOp,
     },
-    /// General Date ⋈ Date comparison.
-    CmpDD {
-        l: NumProgram,
-        r: NumProgram,
+    /// `string column <op> literal` over the space-trimmed field bytes.
+    StrLit {
+        col: StrCol,
         op: CmpOp,
+        lit: Vec<u8>,
     },
-    /// General numeric comparison through `f64` (mixed int/float).
-    CmpFF {
-        l: NumProgram,
-        r: NumProgram,
-        op: CmpOp,
-    },
-    /// String comparison (trailing spaces trimmed, as `get_str` does).
-    CmpSS {
-        l: StrOperand,
-        r: StrOperand,
-        op: CmpOp,
-    },
+    /// `string column <op> string column`.
+    StrCols { l: StrCol, r: StrCol, op: CmpOp },
     /// `%`-wildcard LIKE over a string column.
-    Like { col: usize, pattern: String },
-    /// Pop `n` masks, push their conjunction (`n == 0` pushes true).
-    And(usize),
-    /// Pop `n` masks, push their disjunction (`n == 0` pushes false).
-    Or(usize),
-    /// Negate the top mask in place.
-    Not,
+    Like { col: StrCol, pattern: LikePattern },
+    /// Conjunction: the children run in sequence, cheapest class first,
+    /// until nothing is selected. Empty is `true`.
+    And(Vec<Refiner>),
+    /// Negation: the selection minus what the child keeps of it.
+    Not(Box<Refiner>),
+}
+
+impl Refiner {
+    /// Cost class ordering a conjunction: direct-read leaves, dense
+    /// compares, string leaves; a combinator's is its costliest child's.
+    fn class(&self) -> u8 {
+        match self {
+            Refiner::ColLit { .. } => 0,
+            Refiner::Cmp { .. } => 1,
+            Refiner::StrLit { .. } | Refiner::StrCols { .. } | Refiner::Like { .. } => 2,
+            Refiner::And(children) => children.iter().map(Refiner::class).max().unwrap_or(0),
+            Refiner::Not(child) => child.class(),
+        }
+    }
+
+    fn refine(&self, page: &Page, scratch: &mut ExprScratch, sel: &mut Vec<u32>) {
+        match self {
+            &Refiner::ColLit { col, op, lit } => match lit {
+                Lit::I(x) => retain_col(sel, page, col, DataType::Int, op, x, i64::from_le_bytes),
+                Lit::F(x) => retain_col(sel, page, col, DataType::Float, op, x, f64::from_le_bytes),
+                Lit::D(x) => retain_col(sel, page, col, DataType::Date, op, x, i32::from_le_bytes),
+            },
+            Refiner::Cmp { l, r, op } => {
+                let (a, b) = (l.eval_take(page, scratch), r.eval_take(page, scratch));
+                match (&a, &b) {
+                    (Buf::I(a), Buf::I(b)) => retain_pairs(sel, *op, a, b),
+                    (Buf::F(a), Buf::F(b)) => retain_pairs(sel, *op, a, b),
+                    (Buf::D(a), Buf::D(b)) => retain_pairs(sel, *op, a, b),
+                    // lint: allow(compile_cmp pairs two programs of one result type; a mismatch is a compiler bug)
+                    _ => unreachable!("comparison over buffers of two types"),
+                }
+                scratch.recycle(a);
+                scratch.recycle(b);
+            }
+            Refiner::StrLit { col, op, lit } => {
+                let field = col.reader(page);
+                retain(sel, |row| op.holds(field(row).cmp(lit)));
+            }
+            Refiner::StrCols { l, r, op } => {
+                let (a, b) = (l.reader(page), r.reader(page));
+                retain(sel, |row| op.holds(a(row).cmp(b(row))));
+            }
+            Refiner::Like { col, pattern } => {
+                let field = col.reader(page);
+                retain(sel, |row| pattern.matches(field(row)));
+            }
+            Refiner::And(children) => {
+                for child in children {
+                    if sel.is_empty() {
+                        break;
+                    }
+                    child.refine(page, scratch, sel);
+                }
+            }
+            Refiner::Not(child) => {
+                let mut kept = scratch.free_sel.pop().unwrap_or_default();
+                kept.clone_from(sel);
+                child.refine(page, scratch, &mut kept);
+                // Sorted difference: both ascend and `kept` ⊆ `sel`.
+                let mut k = 0;
+                sel.retain(|r| {
+                    let hit = kept.get(k) == Some(r);
+                    k += hit as usize;
+                    !hit
+                });
+                scratch.free_sel.push(kept);
+            }
+        }
+    }
+}
+
+/// Resolves field `col` on this page to `(offset in the row, row
+/// width)`, asserting — as `Page::gather_*` do — that it has the
+/// compile-time type: a page of another schema fails here instead of
+/// comparing another column's bytes. Reads are checked payload slices.
+fn field_at(page: &Page, col: usize, want: DataType) -> (usize, usize) {
+    let schema = page.schema();
+    let dtype = schema.fields()[col].dtype;
+    assert_eq!(dtype, want, "select type mismatch on field {col}");
+    (schema.offset(col), schema.row_width())
+}
+
+/// Keeps the rows of `sel` whose field `col`, decoded in place from its
+/// `N` bytes at `row * row_width + offset`, satisfies `<op> lit`.
+fn retain_col<T: PartialOrd + Copy, const N: usize>(
+    sel: &mut Vec<u32>,
+    page: &Page,
+    col: usize,
+    want: DataType,
+    op: CmpOp,
+    lit: T,
+    decode: impl Fn([u8; N]) -> T,
+) {
+    let (off, w) = field_at(page, col, want);
+    let data = page.payload();
+    let field = |row: u32| {
+        let at = row as usize * w + off;
+        let mut bytes = [0; N];
+        bytes.copy_from_slice(&data[at..at + N]);
+        decode(bytes)
+    };
+    retain_cmp(sel, op, field, |_| lit);
+}
+
+/// Keeps the rows of `sel` where `a[row] <op> b[row]`.
+fn retain_pairs<T: PartialOrd + Copy>(sel: &mut Vec<u32>, op: CmpOp, a: &[T], b: &[T]) {
+    retain_cmp(sel, op, |r| a[r as usize], |r| b[r as usize]);
+}
+
+/// Keeps the rows of `sel` that `keep` accepts, in order and without a
+/// branch per row.
+fn retain(sel: &mut Vec<u32>, keep: impl Fn(u32) -> bool) {
+    let mut k = 0;
+    for i in 0..sel.len() {
+        let row = sel[i];
+        sel[k] = row;
+        k += keep(row) as usize;
+    }
+    sel.truncate(k);
+}
+
+/// Keeps the rows of `sel` where `a(row) <op> b(row)`, the branch on
+/// `op` hoisted out of the loop. NaN follows IEEE: only `Ne` holds.
+fn retain_cmp<T: PartialOrd>(
+    sel: &mut Vec<u32>,
+    op: CmpOp,
+    a: impl Fn(u32) -> T,
+    b: impl Fn(u32) -> T,
+) {
+    match op {
+        CmpOp::Eq => retain(sel, |r| a(r) == b(r)),
+        CmpOp::Ne => retain(sel, |r| a(r) != b(r)),
+        CmpOp::Lt => retain(sel, |r| a(r) < b(r)),
+        CmpOp::Le => retain(sel, |r| a(r) <= b(r)),
+        CmpOp::Gt => retain(sel, |r| a(r) > b(r)),
+        CmpOp::Ge => retain(sel, |r| a(r) >= b(r)),
+    }
 }
 
 /// A predicate compiled for page-at-a-time evaluation into selection
 /// vectors.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
-    instrs: Vec<PInstr>,
+    root: Refiner,
 }
 
 impl CompiledPredicate {
@@ -676,241 +866,60 @@ impl CompiledPredicate {
     /// errors (incomparable operand types, LIKE over a non-string
     /// column, out-of-range columns).
     pub fn compile(pred: &Predicate, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        let mut instrs = Vec::new();
-        compile_pred(pred, schema, &mut instrs)?;
-        Ok(Self { instrs })
+        compile_pred(pred, schema).map(|root| Self { root })
     }
 
-    /// Evaluates over all rows of `page`, appending the indices of
-    /// passing rows to `sel` (cleared first) in ascending order.
+    /// Evaluates over all rows of `page`, leaving the indices of
+    /// passing rows in `sel` (cleared first) in ascending order.
     pub fn select(&self, page: &Page, scratch: &mut ExprScratch, sel: &mut Vec<u32>) {
-        let mask = self.eval_mask(page, scratch);
         sel.clear();
-        sel.extend(
-            mask.iter()
-                .enumerate()
-                .filter_map(|(r, &keep)| keep.then_some(r as u32)),
-        );
-        scratch.recycle_mask(mask);
-    }
-
-    /// Evaluates over all rows of `page`, returning the boolean mask
-    /// (recycled internally on the next call through the same scratch).
-    fn eval_mask(&self, page: &Page, scratch: &mut ExprScratch) -> Vec<bool> {
-        let n = page.rows();
-        debug_assert!(scratch.masks.is_empty());
-        for instr in &self.instrs {
-            match instr {
-                PInstr::True => {
-                    let mut m = scratch.take_m();
-                    m.resize(n, true);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpColLitI { col, op, lit } => {
-                    let mut vals = scratch.take_i();
-                    page.gather_i64(*col, &mut vals);
-                    let mut m = scratch.take_m();
-                    cmp_fill_lit(&vals, *lit, *op, &mut m);
-                    scratch.free_i.push(vals);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpColLitF { col, op, lit } => {
-                    let mut vals = scratch.take_f();
-                    page.gather_f64(*col, &mut vals);
-                    let mut m = scratch.take_m();
-                    cmp_fill_lit(&vals, *lit, *op, &mut m);
-                    scratch.free_f.push(vals);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpColLitD { col, op, lit } => {
-                    let mut vals = scratch.take_d();
-                    page.gather_date(*col, &mut vals);
-                    let mut m = scratch.take_m();
-                    cmp_fill_lit(&vals, *lit, *op, &mut m);
-                    scratch.free_d.push(vals);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpII { l, r, op } => {
-                    let (Buf::I(a), Buf::I(b)) =
-                        (l.eval_take(page, scratch), r.eval_take(page, scratch))
-                    else {
-                        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-                        unreachable!("CmpII over non-int buffers");
-                    };
-                    let mut m = scratch.take_m();
-                    cmp_fill(&a, &b, *op, &mut m);
-                    scratch.free_i.push(a);
-                    scratch.free_i.push(b);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpDD { l, r, op } => {
-                    let (Buf::D(a), Buf::D(b)) =
-                        (l.eval_take(page, scratch), r.eval_take(page, scratch))
-                    else {
-                        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-                        unreachable!("CmpDD over non-date buffers");
-                    };
-                    let mut m = scratch.take_m();
-                    cmp_fill(&a, &b, *op, &mut m);
-                    scratch.free_d.push(a);
-                    scratch.free_d.push(b);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpFF { l, r, op } => {
-                    let (Buf::F(a), Buf::F(b)) =
-                        (l.eval_take(page, scratch), r.eval_take(page, scratch))
-                    else {
-                        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-                        unreachable!("CmpFF over non-float buffers");
-                    };
-                    let mut m = scratch.take_m();
-                    cmp_fill(&a, &b, *op, &mut m);
-                    scratch.free_f.push(a);
-                    scratch.free_f.push(b);
-                    scratch.masks.push(m);
-                }
-                PInstr::CmpSS { l, r, op } => {
-                    let mut m = scratch.take_m();
-                    for t in page.tuples() {
-                        let a = match l {
-                            StrOperand::Col(c) => t.get_str(*c),
-                            StrOperand::Lit(s) => s.as_str(),
-                        };
-                        let b = match r {
-                            StrOperand::Col(c) => t.get_str(*c),
-                            StrOperand::Lit(s) => s.as_str(),
-                        };
-                        m.push(op.holds(a.cmp(b)));
-                    }
-                    scratch.masks.push(m);
-                }
-                PInstr::Like { col, pattern } => {
-                    let mut m = scratch.take_m();
-                    m.extend(page.tuples().map(|t| like_match(t.get_str(*col), pattern)));
-                    scratch.masks.push(m);
-                }
-                PInstr::And(0) => {
-                    let mut m = scratch.take_m();
-                    m.resize(n, true);
-                    scratch.masks.push(m);
-                }
-                PInstr::Or(0) => {
-                    let mut m = scratch.take_m();
-                    m.resize(n, false);
-                    scratch.masks.push(m);
-                }
-                PInstr::And(k) => {
-                    for _ in 1..*k {
-                        // lint: allow(compiled predicates keep k masks on the stack here)
-                        let top = scratch.masks.pop().expect("mask stack underflow");
-                        // lint: allow(compiled predicates keep k masks on the stack here)
-                        let dst = scratch.masks.last_mut().expect("mask stack underflow");
-                        for (d, s) in dst.iter_mut().zip(&top) {
-                            *d &= *s;
-                        }
-                        scratch.recycle_mask(top);
-                    }
-                }
-                PInstr::Or(k) => {
-                    for _ in 1..*k {
-                        // lint: allow(compiled predicates keep k masks on the stack here)
-                        let top = scratch.masks.pop().expect("mask stack underflow");
-                        // lint: allow(compiled predicates keep k masks on the stack here)
-                        let dst = scratch.masks.last_mut().expect("mask stack underflow");
-                        for (d, s) in dst.iter_mut().zip(&top) {
-                            *d |= *s;
-                        }
-                        scratch.recycle_mask(top);
-                    }
-                }
-                PInstr::Not => {
-                    // lint: allow(Not follows a mask-producing instruction by construction)
-                    let m = scratch.masks.last_mut().expect("mask stack underflow");
-                    for b in m.iter_mut() {
-                        *b = !*b;
-                    }
-                }
-            }
-        }
-        // lint: allow(compiled predicate programs net exactly one mask)
-        let mask = scratch.masks.pop().expect("predicate leaves one mask");
-        debug_assert!(scratch.masks.is_empty());
-        debug_assert_eq!(mask.len(), n);
-        mask
+        sel.extend(0..page.rows() as u32);
+        self.root.refine(page, scratch, sel);
     }
 }
 
-/// Fills `mask` with `vals[r] <op> lit` (branch on `op` hoisted out of
-/// the row loop). NaN operands follow IEEE: `Ne` true, all else false.
-fn cmp_fill_lit<T: PartialOrd + Copy>(vals: &[T], lit: T, op: CmpOp, mask: &mut Vec<bool>) {
-    mask.clear();
-    match op {
-        CmpOp::Eq => mask.extend(vals.iter().map(|&x| x == lit)),
-        CmpOp::Ne => mask.extend(vals.iter().map(|&x| x != lit)),
-        CmpOp::Lt => mask.extend(vals.iter().map(|&x| x < lit)),
-        CmpOp::Le => mask.extend(vals.iter().map(|&x| x <= lit)),
-        CmpOp::Gt => mask.extend(vals.iter().map(|&x| x > lit)),
-        CmpOp::Ge => mask.extend(vals.iter().map(|&x| x >= lit)),
-    }
-}
-
-/// Fills `mask` with `a[r] <op> b[r]`. NaN operands follow IEEE:
-/// `Ne` true, all else false.
-fn cmp_fill<T: PartialOrd + Copy>(a: &[T], b: &[T], op: CmpOp, mask: &mut Vec<bool>) {
-    mask.clear();
-    let pairs = a.iter().zip(b);
-    match op {
-        CmpOp::Eq => mask.extend(pairs.map(|(&x, &y)| x == y)),
-        CmpOp::Ne => mask.extend(pairs.map(|(&x, &y)| x != y)),
-        CmpOp::Lt => mask.extend(pairs.map(|(&x, &y)| x < y)),
-        CmpOp::Le => mask.extend(pairs.map(|(&x, &y)| x <= y)),
-        CmpOp::Gt => mask.extend(pairs.map(|(&x, &y)| x > y)),
-        CmpOp::Ge => mask.extend(pairs.map(|(&x, &y)| x >= y)),
-    }
-}
-
-fn compile_pred(
-    pred: &Predicate,
-    schema: &Arc<Schema>,
-    instrs: &mut Vec<PInstr>,
-) -> Result<(), ExecError> {
-    match pred {
-        Predicate::True => instrs.push(PInstr::True),
-        Predicate::Cmp { left, op, right } => compile_cmp(left, *op, right, schema, instrs)?,
-        Predicate::And(ps) => {
-            for p in ps {
-                compile_pred(p, schema, instrs)?;
-            }
-            instrs.push(PInstr::And(ps.len()));
-        }
-        Predicate::Or(ps) => {
-            for p in ps {
-                compile_pred(p, schema, instrs)?;
-            }
-            instrs.push(PInstr::Or(ps.len()));
-        }
-        Predicate::Not(p) => {
-            compile_pred(p, schema, instrs)?;
-            instrs.push(PInstr::Not);
-        }
+fn compile_pred(pred: &Predicate, schema: &Arc<Schema>) -> Result<Refiner, ExecError> {
+    Ok(match pred {
+        Predicate::True => Refiner::And(Vec::new()),
+        Predicate::Cmp { left, op, right } => compile_cmp(left, *op, right, schema)?,
+        Predicate::And(ps) => conjunction(ps.iter().map(|p| compile_pred(p, schema)))?,
+        Predicate::Or(ps) => negate(conjunction(
+            ps.iter().map(|p| compile_pred(p, schema).map(negate)),
+        )?),
+        Predicate::Not(p) => negate(compile_pred(p, schema)?),
         Predicate::Like { col, pattern } => {
             let dtype = schema
                 .fields()
                 .get(*col)
                 .map(|f| f.dtype)
                 .ok_or_else(|| crate::plan::column_range_error("LIKE", *col, schema))?;
-            if !matches!(dtype, DataType::Str(_)) {
+            let DataType::Str(width) = dtype else {
                 return Err(ExecError::plan(format!(
                     "LIKE over non-string column {col} ({dtype:?})"
                 )));
-            }
-            instrs.push(PInstr::Like {
-                col: *col,
-                pattern: pattern.clone(),
-            });
+            };
+            let (col, pattern) = (StrCol { col: *col, width }, LikePattern::new(pattern));
+            Refiner::Like { col, pattern }
         }
+    })
+}
+
+/// `Not(r)`, with a double negation cancelled.
+fn negate(r: Refiner) -> Refiner {
+    match r {
+        Refiner::Not(inner) => *inner,
+        other => Refiner::Not(Box::new(other)),
     }
-    Ok(())
+}
+
+/// The conjunction of `children`, ordered cheapest class first (stable
+/// within a class) so the costly leaves see only the survivors.
+fn conjunction(
+    children: impl Iterator<Item = Result<Refiner, ExecError>>,
+) -> Result<Refiner, ExecError> {
+    let mut all = children.collect::<Result<Vec<_>, _>>()?;
+    all.sort_by_key(Refiner::class);
+    Ok(Refiner::And(all))
 }
 
 fn compile_cmp(
@@ -918,81 +927,70 @@ fn compile_cmp(
     op: CmpOp,
     right: &ScalarExpr,
     schema: &Arc<Schema>,
-    instrs: &mut Vec<PInstr>,
-) -> Result<(), ExecError> {
+) -> Result<Refiner, ExecError> {
+    // `lit op col` is `col op' lit`, which takes the leaf path below.
+    if matches!(right, ScalarExpr::Col(_)) && !matches!(left, ScalarExpr::Col(_)) {
+        return compile_cmp(right, op.mirrored(), left, schema);
+    }
     let (tl, tr) = (
         expr_type_checked(left, schema)?,
         expr_type_checked(right, schema)?,
     );
-    let is_str = |t: DataType| matches!(t, DataType::Str(_));
-    // Column-vs-literal fast paths for the dominant predicate shape.
-    match (left, right, tl, tr) {
-        (ScalarExpr::Col(c), ScalarExpr::IntLit(v), DataType::Int, _) => {
-            instrs.push(PInstr::CmpColLitI {
-                col: *c,
-                op,
-                lit: *v,
-            });
-            return Ok(());
+    // Column-vs-literal leaves for the dominant predicate shape.
+    if let ScalarExpr::Col(col) = left {
+        let lit = match (right, tl) {
+            (ScalarExpr::IntLit(v), DataType::Int) => Some(Lit::I(*v)),
+            (ScalarExpr::FloatLit(v), DataType::Float) => Some(Lit::F(*v)),
+            (ScalarExpr::DateLit(v), DataType::Date) => Some(Lit::D(v.0)),
+            _ => None,
+        };
+        if let Some(lit) = lit {
+            return Ok(Refiner::ColLit { col: *col, op, lit });
         }
-        (ScalarExpr::Col(c), ScalarExpr::FloatLit(v), DataType::Float, _) => {
-            instrs.push(PInstr::CmpColLitF {
-                col: *c,
-                op,
-                lit: *v,
-            });
-            return Ok(());
-        }
-        (ScalarExpr::Col(c), ScalarExpr::DateLit(v), DataType::Date, _) => {
-            instrs.push(PInstr::CmpColLitD {
-                col: *c,
-                op,
-                lit: v.0,
-            });
-            return Ok(());
-        }
-        _ => {}
     }
-    match (tl, tr) {
-        (DataType::Int, DataType::Int) => instrs.push(PInstr::CmpII {
+    Ok(match (tl, tr) {
+        (DataType::Int, DataType::Int) | (DataType::Date, DataType::Date) => Refiner::Cmp {
             l: NumProgram::compile(left, schema)?,
             r: NumProgram::compile(right, schema)?,
             op,
-        }),
-        (DataType::Date, DataType::Date) => instrs.push(PInstr::CmpDD {
-            l: NumProgram::compile(left, schema)?,
-            r: NumProgram::compile(right, schema)?,
-            op,
-        }),
-        (tl, tr) if is_str(tl) && is_str(tr) => instrs.push(PInstr::CmpSS {
-            l: str_operand(left)?,
-            r: str_operand(right)?,
-            op,
-        }),
-        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
-            instrs.push(PInstr::CmpFF {
-                l: NumProgram::compile_f64(left, schema)?,
-                r: NumProgram::compile_f64(right, schema)?,
+        },
+        // Only columns and literals are string-typed, and a literal
+        // facing a column is on the right by now.
+        (DataType::Str(lw), DataType::Str(rw)) => match (left, right) {
+            (ScalarExpr::Col(col), ScalarExpr::StrLit(lit)) => Refiner::StrLit {
+                col: StrCol {
+                    col: *col,
+                    width: lw,
+                },
                 op,
-            })
-        }
+                lit: lit.as_bytes().to_vec(),
+            },
+            (ScalarExpr::Col(l), ScalarExpr::Col(r)) => Refiner::StrCols {
+                l: StrCol { col: *l, width: lw },
+                r: StrCol { col: *r, width: rw },
+                op,
+            },
+            (ScalarExpr::StrLit(a), ScalarExpr::StrLit(b)) => match op.holds(a.cmp(b)) {
+                true => Refiner::And(Vec::new()),
+                false => negate(Refiner::And(Vec::new())),
+            },
+            (l, r) => {
+                return Err(ExecError::plan(format!(
+                    "string-typed comparison operand must be a column or literal: {l:?} vs {r:?}"
+                )))
+            }
+        },
+        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => Refiner::Cmp {
+            l: NumProgram::compile_f64(left, schema)?,
+            r: NumProgram::compile_f64(right, schema)?,
+            op,
+        },
         (tl, tr) => {
             return Err(ExecError::plan(format!(
                 "incomparable operand types: {tl:?} vs {tr:?}"
             )))
         }
-    }
-    Ok(())
-}
-
-fn str_operand(expr: &ScalarExpr) -> Result<StrOperand, ExecError> {
-    match expr {
-        ScalarExpr::Col(c) => Ok(StrOperand::Col(*c)),
-        ScalarExpr::StrLit(s) => Ok(StrOperand::Lit(s.clone())),
-        other => Err(ExecError::plan(format!(
-            "string-typed comparison operand must be a column or literal: {other:?}"
-        ))),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1251,17 +1249,192 @@ mod tests {
         let p = page();
         let mut scratch = ExprScratch::default();
         let mut sel = Vec::new();
+        // Uses every pool: temporary selections (`Not`, `Or`) and the
+        // typed buffers of a dense compare.
         let pred = Predicate::And(vec![
-            Predicate::col_cmp(0, CmpOp::Ge, -100i64),
-            Predicate::col_cmp(1, CmpOp::Ge, 0.0),
+            Predicate::Not(Box::new(Predicate::Or(vec![
+                Predicate::col_cmp(0, CmpOp::Lt, -20i64),
+                Predicate::Not(Box::new(Predicate::col_cmp(3, CmpOp::Ne, "RAIL"))),
+            ]))),
+            Predicate::cmp(ScalarExpr::col(1), CmpOp::Ge, ScalarExpr::col(0)),
         ]);
         let compiled = CompiledPredicate::compile(&pred, p.schema()).expect("compiles");
-        for _ in 0..3 {
+        let footprint = |scratch: &ExprScratch, sel: &Vec<u32>| {
+            let caps = |pool: &[Vec<u32>]| pool.iter().map(Vec::capacity).collect::<Vec<_>>();
+            (
+                caps(&scratch.free_sel),
+                scratch.free_i.iter().map(Vec::capacity).collect::<Vec<_>>(),
+                scratch.free_f.iter().map(Vec::capacity).collect::<Vec<_>>(),
+                sel.capacity(),
+            )
+        };
+        compiled.select(&p, &mut scratch, &mut sel);
+        assert_eq!(sel, tree_select(&pred, &p));
+        let first = footprint(&scratch, &sel);
+        assert!(!first.0.is_empty() && !first.2.is_empty(), "{first:?}");
+        // The second and third select over the same page allocate
+        // nothing: same buffers, same capacities.
+        for _ in 0..2 {
             compiled.select(&p, &mut scratch, &mut sel);
-            assert_eq!(sel.len(), p.rows());
+            assert_eq!(sel, tree_select(&pred, &p));
+            assert!(scratch.stack.is_empty());
+            assert_eq!(footprint(&scratch, &sel), first);
         }
-        // Pools hold the recycled buffers; stacks are empty.
-        assert!(scratch.stack.is_empty() && scratch.masks.is_empty());
-        assert!(!scratch.free_m.is_empty());
+    }
+
+    /// A page of `n` rows over the fixture's schema.
+    fn page_of(n: i64) -> Arc<Page> {
+        let mut b = PageBuilder::new(page().schema().clone());
+        for i in 0..n {
+            b.push_row(&[
+                Value::Int(i),
+                Value::Float(i as f64),
+                Value::Date(Date(i as i32)),
+                Value::Str(if i % 2 == 0 { "RAIL" } else { "AIR" }.into()),
+            ]);
+        }
+        b.finish()
+    }
+
+    fn assert_matches_tree_walk(pred: &Predicate, p: &Page) -> Vec<u32> {
+        let compiled = CompiledPredicate::compile(pred, p.schema()).expect("compiles");
+        let mut sel = vec![7, 7, 7]; // `select` clears what it is given
+        compiled.select(p, &mut ExprScratch::default(), &mut sel);
+        assert_eq!(sel, tree_select(pred, p), "{pred:?} over {} rows", p.rows());
+        sel
+    }
+
+    #[test]
+    fn empty_single_and_full_pages_all_pass_and_none_pass() {
+        for n in [0, 1, 64] {
+            let p = page_of(n);
+            let everything: Vec<u32> = (0..n as u32).collect();
+            let lit = |s: &str| ScalarExpr::StrLit(s.into());
+            let ab = |op| Predicate::cmp(lit("a"), op, lit("b"));
+            for all_pass in [
+                Predicate::True,
+                ab(CmpOp::Lt),
+                Predicate::And(vec![]),
+                Predicate::col_cmp(0, CmpOp::Ge, 0i64),
+                Predicate::Not(Box::new(Predicate::Or(vec![]))),
+                Predicate::Like {
+                    col: 3,
+                    pattern: "%".into(),
+                },
+            ] {
+                assert_eq!(assert_matches_tree_walk(&all_pass, &p), everything);
+            }
+            for none_pass in [
+                Predicate::Or(vec![]),
+                ab(CmpOp::Eq),
+                Predicate::col_cmp(1, CmpOp::Lt, 0.0),
+                Predicate::Not(Box::new(Predicate::True)),
+                Predicate::col_cmp(3, CmpOp::Eq, "TRUCK"),
+            ] {
+                assert!(assert_matches_tree_walk(&none_pass, &p).is_empty());
+            }
+            let halves = assert_matches_tree_walk(&Predicate::col_cmp(3, CmpOp::Eq, "AIR"), &p);
+            assert_eq!(halves.len(), n as usize / 2);
+        }
+    }
+
+    #[test]
+    fn nested_combinators_match_tree_walk() {
+        let p = page();
+        let rail = Predicate::col_cmp(3, CmpOp::Eq, "RAIL");
+        let low = Predicate::col_cmp(0, CmpOp::Lt, -5i64);
+        let late = Predicate::col_cmp(2, CmpOp::Ge, Date(8040));
+        let diag = Predicate::cmp(ScalarExpr::col(1), CmpOp::Gt, ScalarExpr::col(0));
+        for pred in [
+            Predicate::Not(Box::new(Predicate::Or(vec![low.clone(), rail.clone()]))),
+            Predicate::Not(Box::new(Predicate::And(vec![
+                diag.clone(),
+                Predicate::Or(vec![late.clone(), rail.clone(), low.clone()]),
+            ]))),
+            Predicate::Or(vec![
+                Predicate::Not(Box::new(rail.clone())),
+                Predicate::And(vec![rail, Predicate::Not(Box::new(diag)), late]),
+            ]),
+            // `lit op col` takes the leaf path with the operator mirrored.
+            Predicate::cmp(ScalarExpr::IntLit(3), CmpOp::Lt, ScalarExpr::col(0)),
+            Predicate::cmp(ScalarExpr::FloatLit(11.5), CmpOp::Ge, ScalarExpr::col(1)),
+        ] {
+            let sel = assert_matches_tree_walk(&pred, &p);
+            assert!(!sel.is_empty() && sel.len() < p.rows(), "{pred:?}");
+        }
+    }
+
+    #[test]
+    fn nan_follows_ieee_through_the_direct_read_leaf() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]);
+        let mut b = PageBuilder::new(schema);
+        for x in [1.0, f64::NAN, 3.0] {
+            b.push_row(&[Value::Float(x)]);
+        }
+        let p = b.finish();
+        let select = |op, lit: f64| {
+            let pred = Predicate::col_cmp(0, op, lit);
+            let compiled = CompiledPredicate::compile(&pred, p.schema()).expect("compiles");
+            let mut sel = Vec::new();
+            compiled.select(&p, &mut ExprScratch::default(), &mut sel);
+            sel
+        };
+        // A NaN column value: only `Ne` holds for its row.
+        assert_eq!(select(CmpOp::Ne, 3.0), [0, 1]);
+        assert_eq!(select(CmpOp::Eq, 3.0), [2]);
+        assert_eq!(select(CmpOp::Lt, 3.0), [0]);
+        assert_eq!(select(CmpOp::Le, 3.0), [0, 2]);
+        assert_eq!(select(CmpOp::Gt, 1.0), [2]);
+        assert_eq!(select(CmpOp::Ge, 1.0), [0, 2]);
+        // A NaN literal: `Ne` holds for every row, the other five for none.
+        assert_eq!(select(CmpOp::Ne, f64::NAN), [0, 1, 2]);
+        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            assert!(select(op, f64::NAN).is_empty(), "{op:?}");
+        }
+    }
+
+    /// The fixture's rows under a schema whose field 1 is a `Date`, not
+    /// the `Float` the predicates below were compiled for.
+    fn page_of_another_schema() -> Arc<Page> {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("day", DataType::Date),
+        ]);
+        let mut b = PageBuilder::new(schema);
+        for i in 0..10 {
+            b.push_row(&[Value::Int(i), Value::Date(Date(i as i32))]);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn emptied_conjunction_leaves_later_leaves_untouched() {
+        let pred = Predicate::And(vec![
+            Predicate::col_cmp(0, CmpOp::Lt, -1000i64),
+            Predicate::col_cmp(1, CmpOp::Ge, 0.0),
+        ]);
+        let compiled = CompiledPredicate::compile(&pred, page().schema()).expect("compiles");
+        // The first leaf empties the selection, so the second — which
+        // would trip the schema assertion on this page — never runs.
+        let mut sel = vec![1];
+        compiled.select(
+            &page_of_another_schema(),
+            &mut ExprScratch::default(),
+            &mut sel,
+        );
+        assert!(sel.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "select type mismatch on field 1")]
+    fn page_of_another_schema_trips_the_assertion() {
+        let pred = Predicate::col_cmp(1, CmpOp::Ge, 0.0);
+        let compiled = CompiledPredicate::compile(&pred, page().schema()).expect("compiles");
+        let mut sel = Vec::new();
+        compiled.select(
+            &page_of_another_schema(),
+            &mut ExprScratch::default(),
+            &mut sel,
+        );
     }
 }

@@ -69,11 +69,11 @@ fn gen_num_expr(r: &mut Recipe<'_>, depth: u32) -> ScalarExpr {
     }
 }
 
-/// Builds a random well-typed predicate over the 4-column test schema.
+/// Builds a random well-typed predicate over the test schema.
 fn gen_pred(r: &mut Recipe<'_>, depth: u32) -> Predicate {
     let (kind, op_sel, lit) = r.next();
     let op = cmp_op(op_sel);
-    match kind % 11 {
+    match kind % 13 {
         0 if depth > 0 => {
             let n = 1 + (lit.unsigned_abs() % 3) as usize;
             Predicate::And((0..n).map(|_| gen_pred(r, depth - 1)).collect())
@@ -97,16 +97,35 @@ fn gen_pred(r: &mut Recipe<'_>, depth: u32) -> Predicate {
             pattern: ["%a%", "b%", "%c", "%a%b%", "abc", "%"][(lit.unsigned_abs() % 6) as usize]
                 .to_string(),
         },
+        9 => {
+            // `lit op col`: compiled as `col op' lit`.
+            let (left, col) = match lit.rem_euclid(4) {
+                0 => (ScalarExpr::IntLit(lit), 0),
+                1 => (ScalarExpr::FloatLit(lit as f64 * 0.5), 1),
+                2 => (ScalarExpr::DateLit(Date(lit as i32)), 2),
+                _ => (ScalarExpr::StrLit("ab".into()), 3),
+            };
+            Predicate::cmp(left, op, ScalarExpr::col(col))
+        }
+        10 => {
+            // Column vs column: Date/Date, Int/Int, Float/Int, Str/Str.
+            let (l, r) = [(2, 4), (0, 5), (1, 0), (3, 3)][(lit.unsigned_abs() % 4) as usize];
+            Predicate::cmp(ScalarExpr::col(l), op, ScalarExpr::col(r))
+        }
         _ => Predicate::cmp(gen_num_expr(r, 1), op, gen_num_expr(r, 1)),
     }
 }
 
+/// Columns 4 and 5 are derived from the others (a second Date and a
+/// second Int for the column-vs-column shapes).
 fn test_schema() -> Arc<Schema> {
     Schema::new(vec![
         Field::new("k", DataType::Int),
         Field::new("v", DataType::Float),
         Field::new("d", DataType::Date),
         Field::new("s", DataType::Str(3)),
+        Field::new("d2", DataType::Date),
+        Field::new("k2", DataType::Int),
     ])
 }
 
@@ -120,6 +139,8 @@ fn catalog(rows: &[RowSpec]) -> Catalog {
             Value::Float(*v as f64 * 0.5),
             Value::Date(Date(*d as i32)),
             Value::Str(s.clone()),
+            Value::Date(Date((*d + *k) as i32)),
+            Value::Int(*v / 2),
         ]);
     }
     let mut c = Catalog::new();
@@ -153,18 +174,70 @@ fn rows_strategy() -> impl Strategy<Value = Vec<RowSpec>> {
 }
 
 fn recipe_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64)>> {
-    proptest::collection::vec((0u8..=255, 0u8..=255, -30i64..30), 1..24)
+    proptest::collection::vec((0u8..=255, 0u8..=255, -30i64..30), 1..40)
+}
+
+/// Selects `LIKE pattern` and its negation over a one-column `Str(4)`
+/// table of `strings` and compares each page with the oracle's
+/// `like_match` over the trimmed field.
+fn assert_like_matches_oracle(strings: &[String], pattern: &str) {
+    let schema = Schema::new(vec![Field::new("s", DataType::Str(4))]);
+    let mut tb = TableBuilder::with_page_size("t", schema.clone(), 64);
+    for s in strings {
+        tb.push_row(&[Value::Str(s.clone())]);
+    }
+    let table = tb.finish();
+    let like = Predicate::Like {
+        col: 0,
+        pattern: pattern.to_string(),
+    };
+    let (mut scratch, mut sel) = (ExprScratch::default(), Vec::new());
+    for (pred, want) in [
+        (like.clone(), true),
+        (Predicate::Not(Box::new(like)), false),
+    ] {
+        let compiled = CompiledPredicate::compile(&pred, &schema).expect("compiles");
+        for page in table.pages() {
+            compiled.select(page, &mut scratch, &mut sel);
+            let expected: Vec<u32> = page
+                .tuples()
+                .enumerate()
+                .filter(|(_, t)| reference::like_match(t.get_str(0), pattern) == want)
+                .map(|(r, _)| r as u32)
+                .collect();
+            assert_eq!(sel, expected, "{pred:?} over {strings:?}");
+        }
+    }
+}
+
+/// The shapes a random pattern rarely hits: no, leading, trailing and
+/// doubled `%`, the empty pattern, a repeated fragment that must not
+/// overlap, a fragment longer than the field — against empty,
+/// full-width and padded fields.
+#[test]
+fn compiled_like_edge_cases_match_oracle() {
+    let strings: Vec<String> = [
+        "", "a", "b", "ab", "ba", "abb", "bab", "abab", "aabb", "a b",
+    ]
+    .map(String::from)
+    .to_vec();
+    for pattern in [
+        "", "%", "%%", "a", "ab", "abab", "ababa", "a%", "%b", "a%b", "a%%b", "ab%b", "%ab%b%",
+        "%ab%ab%", "%b%b", "ab%ab", "%ababa%", "ababa%", "%a%b%a%", "% %", "a %", "%a",
+    ] {
+        assert_like_matches_oracle(&strings, pattern);
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// CompiledPredicate::select picks exactly the rows the
     /// tree-walking Predicate::eval accepts, page by page.
     #[test]
     fn compiled_predicate_matches_tree_walk(rows in rows_strategy(), seed in recipe_strategy()) {
         let cat = catalog(&rows);
-        let pred = gen_pred(&mut Recipe::new(&seed), 2);
+        let pred = gen_pred(&mut Recipe::new(&seed), 3);
         let table = cat.expect("t");
         let compiled = CompiledPredicate::compile(&pred, table.schema()).expect("compiles");
         let mut scratch = ExprScratch::default();
@@ -179,6 +252,23 @@ proptest! {
             prop_assert_eq!(&sel, &expected, "predicate {:?}", pred);
         }
     }
+
+    /// A LIKE pattern compiled once into byte fragments accepts exactly
+    /// the fields the oracle's per-row `like_match` accepts, plain and
+    /// under `Not`. One to four fragments joined by `%` give 0–3 `%`s,
+    /// an empty fragment a leading, trailing or doubled one; together
+    /// they may exceed the field, which is empty, full-width or padded.
+    #[test]
+    fn compiled_like_matches_oracle(
+        strings in proptest::collection::vec("[ab ]{0,4}", 0..40),
+        fragments in proptest::collection::vec("[ab ]{0,2}", 1..5),
+    ) {
+        assert_like_matches_oracle(&strings, &fragments.join("%"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// CompiledExpr::eval_f64_into agrees bit-for-bit with the
     /// tree-walking ScalarExpr::eval coerced to f64 (same per-row

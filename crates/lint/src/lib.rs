@@ -26,13 +26,13 @@
 //!    outside the audited files (`exec::memory`'s monotone peak CAS,
 //!    `exec::parallel`'s morsel counter) is flagged, so a new Relaxed
 //!    access has to be argued into the allowlist or strengthened.
-//! 5. **Oracle out of the engine** — no `reference::execute*` and no
-//!    tree-walk `.eval(` (`ScalarExpr::eval` / `Predicate::eval`,
-//!    defined beside the oracle in `exec::reference`) in non-test
-//!    `exec` / `engine` source: the tuple-at-a-time reference executor
-//!    and its evaluator are the denominator tests compare against,
-//!    never a code path (a fallback to them silently measures and ships
-//!    the wrong engine).
+//! 5. **Oracle out of the engine** — no `reference::execute*`, no
+//!    tree-walk `.eval(` (`ScalarExpr::eval` / `Predicate::eval`) and
+//!    no `like_match(` (all defined beside the oracle in
+//!    `exec::reference`) in non-test `exec` / `engine` source: the
+//!    tuple-at-a-time reference executor and its evaluator are the
+//!    denominator tests compare against, never a code path (a fallback
+//!    to them silently measures and ships the wrong engine).
 //! 6. **One run loop** — in non-test `engine` source, `Simulator::new`
 //!    appears only in the run module (`engine::run`) and the real-thread
 //!    executor's private per-thread loops (`engine::thread_exec`), and a
@@ -71,8 +71,8 @@ pub enum Rule {
     NondeterministicClock,
     /// `Ordering::Relaxed` outside the audited allowlist.
     RelaxedOrdering,
-    /// `reference::execute*` or a tree-walk `.eval(` called from
-    /// non-test engine code.
+    /// `reference::execute*`, a tree-walk `.eval(` or its `like_match(`
+    /// called from non-test engine code.
     OracleInEngine,
     /// A `Simulator` or dispatcher built outside the engine's run module.
     OneRunLoop,
@@ -567,6 +567,10 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                 ".eval(",
                 "compile the expression (`vexpr::CompiledExpr` / `CompiledPredicate`)",
             ),
+            (
+                "like_match(",
+                "compile the predicate (`vexpr::CompiledPredicate` splits the pattern once)",
+            ),
         ] {
             if oracle_scoped && code.contains(tok) {
                 push(
@@ -872,14 +876,17 @@ mod tests {
         let walk = "fn keep(p: &Predicate, t: &TupleRef<'_>) -> bool { p.eval(t) }";
         assert_eq!(rules(walk), vec![Rule::OracleInEngine]);
         assert!(rules("fn f(e: &CompiledExpr) { e.eval_f64_into(p, s, out) }").is_empty());
+        // And the per-row LIKE matcher that evaluator calls.
+        let like = "fn keep(s: &str) -> bool { like_match(s, \"%special%requests%\") }";
+        assert_eq!(rules(like), vec![Rule::OracleInEngine]);
         // Tests compare against it; other `reference::` items are fine.
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n{call}\n{walk}\n}}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{call}\n{walk}\n{like}\n}}");
         assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
         assert!(rules("fn f(r: Rows) -> Rows { reference::canonicalize(r) }").is_empty());
         // The oracle's own file (and unscoped crates) may name it.
         let mut cfg = cfg_for("reference.rs");
         cfg.oracle_allowed_files = vec!["reference.rs".into()];
-        for src in [call, walk] {
+        for src in [call, walk, like] {
             assert!(lint_source("reference.rs", src, &cfg).is_empty());
             assert!(lint_source("bench.rs", src, &cfg).is_empty());
         }

@@ -450,6 +450,20 @@ impl PageBuilder {
         true
     }
 
+    /// Appends all rows of `page` selected by `sel` (ascending row
+    /// indices) with [`Page::copy_rows_into`], handing each page that
+    /// fills on the way to `emit` — the repack step after a selection.
+    /// A builder left full or partly filled is the caller's to flush.
+    pub fn push_selected(&mut self, page: &Page, sel: &[u32], mut emit: impl FnMut(Arc<Page>)) {
+        let mut taken = 0;
+        while taken < sel.len() {
+            if self.is_full() {
+                emit(self.finish_and_reset());
+            }
+            taken += page.copy_rows_into(&sel[taken..], self);
+        }
+    }
+
     /// Freezes the builder into an immutable, shareable page.
     pub fn finish(self) -> Arc<Page> {
         Arc::new(Page {
@@ -685,6 +699,39 @@ mod tests {
         assert_eq!(page.copy_rows_into(&sel, &mut small), 2);
         let got: Vec<i64> = small.finish().tuples().map(|t| t.get_int(0)).collect();
         assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn push_selected_emits_full_pages_and_keeps_the_remainder() {
+        let mut b = PageBuilder::new(schema());
+        for i in 0..10 {
+            b.push_row(&[
+                Value::Int(i),
+                Value::Float(0.0),
+                Value::Date(Date(0)),
+                Value::Str("".into()),
+            ]);
+        }
+        let page = b.finish();
+        let keys = |p: &Page| p.tuples().map(|t| t.get_int(0)).collect::<Vec<_>>();
+        // Two rows per output page: five selected rows fill two pages
+        // on the way and leave the fifth buffered.
+        let mut out = PageBuilder::with_page_size(page.schema().clone(), 52);
+        let mut emitted = Vec::new();
+        out.push_selected(&page, &[1, 2, 3, 7, 9], |full| emitted.push(keys(&full)));
+        assert_eq!(emitted, vec![vec![1, 2], vec![3, 7]]);
+        assert_eq!(out.rows(), 1);
+        // A builder left full is the caller's to flush: the next call
+        // emits it before appending.
+        out.push_selected(&page, &[0], |full| emitted.push(keys(&full)));
+        assert!(out.is_full() && emitted.len() == 2);
+        out.push_selected(&page, &[4], |full| emitted.push(keys(&full)));
+        assert_eq!(emitted[2], vec![9, 0]);
+        // An empty selection, or a page without rows, moves nothing.
+        let empty = PageBuilder::new(page.schema().clone()).finish();
+        out.push_selected(&page, &[], |_| panic!("nothing to emit"));
+        out.push_selected(&empty, &[], |_| panic!("nothing to emit"));
+        assert_eq!(keys(&out.finish()), vec![4]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ proptest! {
             go(s.as_bytes(), p.as_bytes())
         }
         prop_assert_eq!(
-            cordoba::exec::expr::like_match(&s, &pattern),
+            cordoba::exec::reference::like_match(&s, &pattern),
             oracle(&s, &pattern),
             "s={:?} pattern={:?}", s, pattern
         );
