@@ -45,4 +45,4 @@ pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
 pub use parallel::{MorselDispenser, ParallelConfig};
 pub use plan::{JoinKind, PhysicalPlan};
 pub use subsume::{coverage_estimate, fingerprint, subsume_residual, NormPred};
-pub use vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
+pub use vexpr::{CompiledExpr, CompiledExprs, CompiledPredicate, ExprScratch};

@@ -1,18 +1,33 @@
-//! Hash aggregation (stop-&-go), vectorized: aggregate input
-//! expressions compile once into [`CompiledExpr`] programs evaluated
-//! page-at-a-time into `f64` columns, and group keys take a packed
-//! fast path — any combination of group columns totalling ≤ 8 bytes
-//! (single Int, Q1's two 1-byte flags, Q13's count, a lone Date) packs
-//! into a `u64` looked up in an [`FxHashMap`] with no per-row
-//! allocation. Wider keys fall back to the ordered per-tuple map.
-//! Emission is always sorted by group key, matching the reference
-//! executor.
+//! Hash aggregation (stop-&-go), vectorized.
+//!
+//! An aggregate's whole input list compiles once into one register
+//! program ([`NumProgram`]): `Sum(e)`, `Avg(e)`, `Min(e)` and `Max(e)`
+//! over one `e` read one register, and inputs that share columns or
+//! sub-expressions share those too. Per-group state is **flat**: every
+//! group has a slot, and the state is parallel columns indexed by slot —
+//! one row count (what `Count` and every `Avg` read), one running sum
+//! per distinct `Sum`/`Avg` input, one `Option<f64>` per distinct `Min`
+//! or `Max` input. A page is folded in two passes, X100 style: first
+//! one slot index per row, then one tight loop per state column over
+//! `(slot index, input value)` — each (group, input) pair still
+//! accumulates in row order, so float sums are what a row-at-a-time
+//! walk produces.
+//!
+//! How a row finds its slot depends on the key: with no `GROUP BY`
+//! every row is slot 0 and nothing is hashed; group columns totalling
+//! ≤ 8 bytes (single Int, Q1's two 1-byte flags, Q13's count, a lone
+//! Date) pack, one pass per key field, into a `u64` looked up in a
+//! small direct-mapped memo in front of an [`FxHashMap`], with no
+//! per-row allocation; wider keys go through an ordered map of decoded
+//! keys. Partial aggregates [merge](AggCore::merge) by the same column
+//! loops. Emission is always sorted by group key, matching the
+//! reference executor.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
 use crate::ops::{encode_keyval, key_of, Fanout, KeyVal, Outbox};
-use crate::vexpr::{CompiledExpr, ExprScratch};
+use crate::vexpr::{ExprScratch, NumProgram, Reg};
 use cordoba_core::FxHashMap;
 use cordoba_sim::channel::{Receiver, Recv};
 use cordoba_sim::{Step, Task, TaskCtx};
@@ -20,106 +35,134 @@ use cordoba_storage::{Page, PageBuilder, Schema};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Accumulator state per aggregate function.
-#[derive(Debug, Clone)]
-pub(crate) enum Acc {
-    Count(i64),
-    Sum(f64),
-    Avg { sum: f64, count: i64 },
-    Min(Option<f64>),
-    Max(Option<f64>),
+/// Full pages per emit step (bounds step size during emission).
+const EMIT_BATCH_PAGES: usize = 4;
+
+/// The packed path's memo has `1 << MEMO_BITS` entries.
+const MEMO_BITS: u32 = 6;
+/// The slot of a memo entry nothing has been cached in yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// What one aggregate emits from a group's state: the row count, or
+/// column `.0` of the sums, minima or maxima.
+#[derive(Debug, Clone, Copy)]
+enum AggOut {
+    Count,
+    Sum(usize),
+    Avg(usize),
+    Min(usize),
+    Max(usize),
 }
 
-impl Acc {
-    fn new(agg: &Agg) -> Self {
-        match agg {
-            Agg::Count => Acc::Count(0),
-            Agg::Sum(_) => Acc::Sum(0.0),
-            Agg::Avg(_) => Acc::Avg { sum: 0.0, count: 0 },
-            Agg::Min(_) => Acc::Min(None),
-            Agg::Max(_) => Acc::Max(None),
-        }
-    }
+/// One state column: the running fold of one distinct input, by slot.
+struct StateCol<T> {
+    input: Reg,
+    /// The first aggregate over this input (names it in assertions).
+    agg: usize,
+    vals: Vec<T>,
+}
 
-    /// Folds in one row's pre-evaluated input (`Count` ignores it).
-    #[inline]
-    fn update(&mut self, v: f64) {
-        match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Sum(s) => *s += v,
-            Acc::Avg { sum, count } => {
-                *sum += v;
-                *count += 1;
-            }
-            Acc::Min(m) => *m = Some(m.map_or(v, |cur| cur.min(v))),
-            Acc::Max(m) => *m = Some(m.map_or(v, |cur| cur.max(v))),
-        }
-    }
+/// Per-group state as parallel columns indexed by slot: `Sum(e)` and
+/// `Avg(e)` share a sum, `Count` and every `Avg` read `rows` (never 0:
+/// a slot is appended for the row, or the merged group, that fills it).
+#[derive(Default)]
+struct GroupCols {
+    rows: Vec<i64>,
+    sums: Vec<StateCol<f64>>,
+    mins: Vec<StateCol<Option<f64>>>,
+    maxs: Vec<StateCol<Option<f64>>>,
+}
 
-    /// Folds another accumulator of the same function into this one —
-    /// the partial-aggregate merge used by the parallel workers. For
-    /// `Sum`/`Avg` the merged float total depends on merge order, so
-    /// callers must merge workers in a fixed order for determinism.
-    pub(crate) fn merge(&mut self, other: &Acc) {
-        match (self, other) {
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::Sum(s), Acc::Sum(t)) => *s += t,
-            (
-                Acc::Avg { sum, count },
-                Acc::Avg {
-                    sum: osum,
-                    count: ocount,
-                },
-            ) => {
-                *sum += osum;
-                *count += ocount;
-            }
-            (Acc::Min(m), Acc::Min(o)) => {
-                if let Some(v) = o {
-                    *m = Some(m.map_or(*v, |cur| cur.min(*v)));
-                }
-            }
-            (Acc::Max(m), Acc::Max(o)) => {
-                if let Some(v) = o {
-                    *m = Some(m.map_or(*v, |cur| cur.max(*v)));
-                }
-            }
-            // lint: allow(partials merged here were built from one shared aggregate spec)
-            _ => unreachable!("merged accumulators come from identical aggregate lists"),
-        }
+impl GroupCols {
+    /// Appends a group that has seen no rows; returns its slot.
+    fn new_slot(&mut self) -> u32 {
+        self.rows.push(0);
+        self.sums.iter_mut().for_each(|c| c.vals.push(0.0));
+        let extremes = self.mins.iter_mut().chain(&mut self.maxs);
+        extremes.for_each(|c| c.vals.push(None));
+        (self.rows.len() - 1) as u32
     }
+}
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Acc::Count(n) => out.extend_from_slice(&n.to_le_bytes()),
-            Acc::Sum(s) => out.extend_from_slice(&s.to_le_bytes()),
-            Acc::Avg { sum, count } => {
-                let avg = if *count == 0 {
-                    0.0
-                } else {
-                    sum / *count as f64
-                };
-                out.extend_from_slice(&avg.to_le_bytes());
+/// The index in `cols` of the column over `input`, appended for
+/// aggregate `agg` if it is the first to read that input.
+fn state_col<T>(cols: &mut Vec<StateCol<T>>, input: Reg, agg: usize) -> usize {
+    cols.iter()
+        .position(|c| c.input == input)
+        .unwrap_or_else(|| {
+            let vals = Vec::new();
+            cols.push(StateCol { input, agg, vals });
+            cols.len() - 1
+        })
+}
+
+/// `vals[idx[i]] += col[i]` in order of `i`: rows of a page into their
+/// groups' sums, or another core's sums into the slots they merge into.
+/// Each add waits for the one before it into the same slot (a store
+/// forwarded to the next load), so with few groups a column's pass is
+/// bound by that latency: a second column `and` rides in its shadow.
+fn add_into(vals: &mut [f64], col: &[f64], and: Option<(&mut [f64], &[f64])>, idx: &[u32]) {
+    match and {
+        Some((vals2, col2)) => {
+            for ((&slot, &v), &v2) in idx.iter().zip(col).zip(col2) {
+                vals[slot as usize] += v;
+                vals2[slot as usize] += v2;
             }
-            Acc::Min(m) => out.extend_from_slice(&m.unwrap_or(0.0).to_le_bytes()),
-            Acc::Max(m) => out.extend_from_slice(&m.unwrap_or(0.0).to_le_bytes()),
+        }
+        None => {
+            for (&slot, &v) in idx.iter().zip(col) {
+                vals[slot as usize] += v;
+            }
         }
     }
 }
 
-/// How group keys are consumed on the hot path.
-enum GroupState {
-    /// Group columns pack into ≤ 8 bytes: a `u64` key per row, slot
-    /// indices in an integer-hashed map, zero per-row allocation. The
-    /// decoded ordered key is computed once per *group* for emission.
+/// As [`add_into`] for a `Min`/`Max` column, `pick` being `f64::min` or
+/// `f64::max`; a `None` (a merged group without rows) changes nothing.
+fn pick_into(
+    vals: &mut [Option<f64>],
+    idx: &[u32],
+    col: impl Iterator<Item = Option<f64>>,
+    pick: impl Fn(f64, f64) -> f64,
+) {
+    for (&slot, v) in idx.iter().zip(col) {
+        if let Some(v) = v {
+            let m = &mut vals[slot as usize];
+            *m = Some(m.map_or(v, |cur| pick(cur, v)));
+        }
+    }
+}
+
+/// ORs bytes `[off, off + w)` of every row into its key, `shift` bits
+/// up. Inlined into each arm of the caller's `match` on `w`, so the
+/// common widths read with one fixed-width load.
+#[inline(always)]
+fn pack_field(keys: &mut [u64], page: &Page, off: usize, w: usize, shift: usize) {
+    for (key, row) in keys.iter_mut().zip(page.raw_rows()) {
+        let mut bytes = [0u8; 8];
+        bytes[..w].copy_from_slice(&row[off..off + w]);
+        *key |= u64::from_le_bytes(bytes) << shift;
+    }
+}
+
+/// How a row's group key resolves to its slot.
+enum GroupIndex {
+    /// No `GROUP BY`: every row belongs to slot 0.
+    Single,
+    /// Group columns pack into ≤ 8 bytes: a `u64` key per row, slots in
+    /// an integer-hashed map behind a direct-mapped memo of recently
+    /// seen keys, zero per-row allocation.
     Packed {
-        map: FxHashMap<u64, u32>,
-        slots: Vec<(Vec<KeyVal>, Vec<Acc>)>,
         /// `(byte offset, width)` of each group column within a row.
         fields: Vec<(usize, usize)>,
+        map: FxHashMap<u64, u32>,
+        memo: Box<[(u64, u32); 1 << MEMO_BITS]>,
+        /// The decoded ordered key of each slot, computed once per
+        /// *group* for emission.
+        keys: Vec<Vec<KeyVal>>,
     },
     /// Wide keys: ordered map keyed by the decoded tuple key.
-    General(BTreeMap<Vec<KeyVal>, Vec<Acc>>),
+    Wide(BTreeMap<Vec<KeyVal>, u32>),
 }
 
 enum PhaseState {
@@ -128,24 +171,29 @@ enum PhaseState {
     Done,
 }
 
-/// The reusable aggregation core: compiled input programs plus group
+/// The reusable aggregation core: the compiled input program plus group
 /// state, independent of any task or channel plumbing. One core serves
 /// the single-threaded [`AggregateTask`]; the parallel executor gives
 /// each morsel worker its own core and [merges](AggCore::merge) them
 /// at the sink in worker order, so partial aggregation reuses exactly
-/// the packed-u64 fast path and sorted emission of the serial path.
+/// the slot columns and sorted emission of the serial path.
 pub(crate) struct AggCore {
     group_by: Vec<usize>,
-    aggs: Vec<Agg>,
-    /// One compiled input program per aggregate (`None` for `Count`).
-    progs: Vec<Option<CompiledExpr>>,
+    /// Every distinct aggregate input, compiled as one list.
+    inputs: NumProgram,
+    /// What each aggregate reads at emission.
+    outs: Vec<AggOut>,
     out_schema: Arc<Schema>,
-    groups: GroupState,
+    index: GroupIndex,
+    cols: GroupCols,
     scratch: ExprScratch,
-    /// Per-aggregate evaluated input columns (empty for `Count`).
-    agg_cols: Vec<Vec<f64>>,
-    /// Packed per-row keys for the fast path.
-    keys: Vec<u64>,
+    /// Packed per-row keys for the packed path.
+    packed: Vec<u64>,
+    /// The slot of each row of the page in hand.
+    slots: Vec<u32>,
+    /// Groups not yet emitted, in key order.
+    order: std::vec::IntoIter<(Vec<KeyVal>, u32)>,
+    row_bytes: Vec<u8>,
 }
 
 impl AggCore {
@@ -173,110 +221,131 @@ impl AggCore {
                 return Err(crate::plan::column_range_error("group-by", c, in_schema));
             }
         }
-        let progs = aggs
-            .iter()
-            .map(|a| match a {
-                Agg::Count => Ok(None),
-                // `compile_f64` requires a numeric input, so a string
-                // or date aggregate errs here instead of panicking on
-                // the first evaluated page.
-                Agg::Sum(e) | Agg::Avg(e) | Agg::Min(e) | Agg::Max(e) => {
-                    CompiledExpr::compile_f64(e, in_schema).map(Some)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let key_width: usize = group_by
-            .iter()
-            .map(|&c| in_schema.fields()[c].dtype.width())
-            .sum();
-        let groups = if key_width <= 8 {
-            GroupState::Packed {
-                map: FxHashMap::default(),
-                slots: Vec::new(),
+        let mut inputs = NumProgram::default();
+        let mut cols = GroupCols::default();
+        let mut outs = Vec::with_capacity(aggs.len());
+        for (agg, a) in aggs.iter().enumerate() {
+            // `add_f64` requires a numeric input, so a string or date
+            // aggregate errs here instead of panicking on the first
+            // evaluated page.
+            let mut input = |e| inputs.add_f64(e, in_schema);
+            outs.push(match a {
+                Agg::Count => AggOut::Count,
+                Agg::Sum(e) => AggOut::Sum(state_col(&mut cols.sums, input(e)?, agg)),
+                Agg::Avg(e) => AggOut::Avg(state_col(&mut cols.sums, input(e)?, agg)),
+                Agg::Min(e) => AggOut::Min(state_col(&mut cols.mins, input(e)?, agg)),
+                Agg::Max(e) => AggOut::Max(state_col(&mut cols.maxs, input(e)?, agg)),
+            });
+        }
+        let width = |c: usize| in_schema.fields()[c].dtype.width();
+        let index = if group_by.is_empty() {
+            GroupIndex::Single
+        } else if group_by.iter().map(|&c| width(c)).sum::<usize>() <= 8 {
+            GroupIndex::Packed {
                 fields: group_by
                     .iter()
-                    .map(|&c| (in_schema.offset(c), in_schema.fields()[c].dtype.width()))
+                    .map(|&c| (in_schema.offset(c), width(c)))
                     .collect(),
+                map: FxHashMap::default(),
+                memo: Box::new([(0, NO_SLOT); 1 << MEMO_BITS]),
+                keys: Vec::new(),
             }
         } else {
-            GroupState::General(BTreeMap::new())
+            GroupIndex::Wide(BTreeMap::new())
         };
-        let agg_cols = vec![Vec::new(); aggs.len()];
         Ok(Self {
             group_by,
-            aggs,
-            progs,
+            inputs,
+            outs,
             out_schema,
-            groups,
+            index,
+            cols,
             scratch: ExprScratch::default(),
-            agg_cols,
-            keys: Vec::new(),
+            packed: Vec::new(),
+            slots: Vec::new(),
+            order: Vec::new().into_iter(),
+            row_bytes: Vec::new(),
         })
-    }
-
-    /// The plan-derived output schema (group columns then aggregates).
-    pub(crate) fn out_schema(&self) -> &Arc<Schema> {
-        &self.out_schema
     }
 
     /// Folds one page into the group state.
     pub(crate) fn consume_page(&mut self, page: &Page) {
-        for (col, prog) in self.agg_cols.iter_mut().zip(&self.progs) {
-            if let Some(p) = prog {
-                p.eval_f64_into(page, &mut self.scratch, col);
+        let (n, cols) = (page.rows(), &mut self.cols);
+        self.inputs.evaluate(page, &mut self.scratch);
+        self.slots.clear();
+        match &mut self.index {
+            GroupIndex::Single => {
+                if n > 0 && cols.rows.is_empty() {
+                    cols.new_slot();
+                }
+                self.slots.resize(n, 0);
             }
-        }
-        match &mut self.groups {
-            GroupState::Packed { map, slots, fields } => {
+            GroupIndex::Packed {
+                fields,
+                map,
+                memo,
+                keys,
+            } => {
                 // Pack each row's group-column bytes into a u64. Fixed
                 // widths and offsets make packed equality coincide with
                 // decoded-key equality (strings are space-padded, and
                 // float bit equality is `total_cmp` equality).
-                self.keys.clear();
-                self.keys.reserve(page.rows());
-                if let [(off, 8)] = fields[..] {
-                    // Single 8-byte column: the field bytes are the key.
-                    for raw in page.raw_rows() {
-                        // lint: allow(slice is exactly 8 bytes by construction)
-                        let bytes: [u8; 8] = raw[off..off + 8].try_into().expect("8 bytes");
-                        self.keys.push(u64::from_le_bytes(bytes));
+                self.packed.clear();
+                self.packed.resize(n, 0);
+                let mut at = 0;
+                // (A zero-width `Str(0)` field adds nothing, and after
+                // eight key bytes its shift would be the whole word.)
+                for &(off, w) in fields.iter().filter(|f| f.1 > 0) {
+                    match w {
+                        1 => pack_field(&mut self.packed, page, off, 1, at),
+                        4 => pack_field(&mut self.packed, page, off, 4, at),
+                        8 => pack_field(&mut self.packed, page, off, 8, at),
+                        w => pack_field(&mut self.packed, page, off, w, at),
                     }
-                } else {
-                    for raw in page.raw_rows() {
-                        let mut bytes = [0u8; 8];
-                        let mut at = 0;
-                        for &(off, w) in fields.iter() {
-                            bytes[at..at + w].copy_from_slice(&raw[off..off + w]);
-                            at += w;
-                        }
-                        self.keys.push(u64::from_le_bytes(bytes));
-                    }
+                    at += 8 * w;
                 }
-                for (r, &packed) in self.keys.iter().enumerate() {
-                    let idx = *map.entry(packed).or_insert_with(|| {
-                        slots.push((
-                            key_of(&page.tuple(r), &self.group_by),
-                            self.aggs.iter().map(Acc::new).collect(),
-                        ));
-                        (slots.len() - 1) as u32
-                    });
-                    let accs = &mut slots[idx as usize].1;
-                    for (acc, col) in accs.iter_mut().zip(&self.agg_cols) {
-                        acc.update(col.get(r).copied().unwrap_or(0.0));
+                for (r, &key) in self.packed.iter().enumerate() {
+                    // Fibonacci hashing: the product's top bits.
+                    let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS);
+                    let cached = &mut memo[hash as usize];
+                    if cached.0 != key || cached.1 == NO_SLOT {
+                        let slot = *map.entry(key).or_insert_with(|| {
+                            keys.push(key_of(&page.tuple(r), &self.group_by));
+                            cols.new_slot()
+                        });
+                        *cached = (key, slot);
                     }
+                    self.slots.push(cached.1);
                 }
             }
-            GroupState::General(groups) => {
-                for (r, t) in page.tuples().enumerate() {
-                    let key = key_of(&t, &self.group_by);
-                    let accs = groups
-                        .entry(key)
-                        .or_insert_with(|| self.aggs.iter().map(Acc::new).collect());
-                    for (acc, col) in accs.iter_mut().zip(&self.agg_cols) {
-                        acc.update(col.get(r).copied().unwrap_or(0.0));
-                    }
+            GroupIndex::Wide(map) => {
+                for t in page.tuples() {
+                    let slot = map.entry(key_of(&t, &self.group_by));
+                    self.slots.push(*slot.or_insert_with(|| cols.new_slot()));
                 }
             }
+        }
+        for &slot in &self.slots {
+            cols.rows[slot as usize] += 1;
+        }
+        let column = |input, agg| {
+            let col = self.scratch.f64s(input);
+            assert_eq!(col.len(), n, "input column of aggregate {agg} vs page rows");
+            col
+        };
+        let mut sums = cols.sums.iter_mut();
+        while let Some(a) = sums.next() {
+            let (col_a, b) = (column(a.input, a.agg), sums.next());
+            let b = b.map(|b| (&mut b.vals[..], column(b.input, b.agg)));
+            add_into(&mut a.vals, col_a, b, &self.slots);
+        }
+        for c in &mut cols.mins {
+            let col = column(c.input, c.agg).iter().map(|&v| Some(v));
+            pick_into(&mut c.vals, &self.slots, col, f64::min);
+        }
+        for c in &mut cols.maxs {
+            let col = column(c.input, c.agg).iter().map(|&v| Some(v));
+            pick_into(&mut c.vals, &self.slots, col, f64::max);
         }
     }
 
@@ -286,73 +355,108 @@ impl AggCore {
     /// guarantees by construction. `Sum`/`Avg` float totals depend on
     /// the merge order, so workers are always merged in index order.
     pub(crate) fn merge(&mut self, other: AggCore) {
-        match (&mut self.groups, other.groups) {
+        let cols = &mut self.cols;
+        // The slot here of each of `other`'s slots.
+        let mut into = vec![0; other.cols.rows.len()];
+        match (&mut self.index, other.index) {
+            (GroupIndex::Single, GroupIndex::Single) => {
+                if !into.is_empty() && cols.rows.is_empty() {
+                    cols.new_slot();
+                }
+            }
             (
-                GroupState::Packed { map, slots, .. },
-                GroupState::Packed {
+                GroupIndex::Packed { map, keys, .. },
+                GroupIndex::Packed {
                     map: omap,
-                    slots: oslots,
+                    keys: mut okeys,
                     ..
                 },
             ) => {
-                for (packed, oidx) in omap {
-                    let (okey, oaccs) = &oslots[oidx as usize];
-                    match map.entry(packed) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let accs = &mut slots[*e.get() as usize].1;
-                            for (acc, oacc) in accs.iter_mut().zip(oaccs) {
-                                acc.merge(oacc);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            slots.push((okey.clone(), oaccs.clone()));
-                            e.insert((slots.len() - 1) as u32);
-                        }
-                    }
+                for (key, oslot) in omap {
+                    into[oslot as usize] = *map.entry(key).or_insert_with(|| {
+                        keys.push(std::mem::take(&mut okeys[oslot as usize]));
+                        cols.new_slot()
+                    });
                 }
             }
-            (GroupState::General(groups), GroupState::General(ogroups)) => {
-                for (key, oaccs) in ogroups {
-                    match groups.entry(key) {
-                        std::collections::btree_map::Entry::Occupied(mut e) => {
-                            for (acc, oacc) in e.get_mut().iter_mut().zip(&oaccs) {
-                                acc.merge(oacc);
-                            }
-                        }
-                        std::collections::btree_map::Entry::Vacant(e) => {
-                            e.insert(oaccs);
-                        }
-                    }
+            (GroupIndex::Wide(map), GroupIndex::Wide(omap)) => {
+                for (key, oslot) in omap {
+                    into[oslot as usize] = *map.entry(key).or_insert_with(|| cols.new_slot());
                 }
             }
             // lint: allow(both states were constructed from the same aggregate config)
-            _ => unreachable!("identical aggregate configs share one GroupState variant"),
+            _ => unreachable!("identical aggregate configs share one GroupIndex variant"),
+        }
+        for (&slot, n) in into.iter().zip(&other.cols.rows) {
+            cols.rows[slot as usize] += n;
+        }
+        for (c, o) in cols.sums.iter_mut().zip(&other.cols.sums) {
+            add_into(&mut c.vals, &o.vals, None, &into);
+        }
+        for (c, o) in cols.mins.iter_mut().zip(&other.cols.mins) {
+            pick_into(&mut c.vals, &into, o.vals.iter().copied(), f64::min);
+        }
+        for (c, o) in cols.maxs.iter_mut().zip(&other.cols.maxs) {
+            pick_into(&mut c.vals, &into, o.vals.iter().copied(), f64::max);
         }
     }
 
-    /// Drains the group state into sorted emission order.
-    pub(crate) fn drain_emit_order(&mut self) -> Vec<(Vec<KeyVal>, Vec<Acc>)> {
-        match &mut self.groups {
-            GroupState::Packed { map, slots, .. } => {
-                map.clear();
-                let mut v = std::mem::take(slots);
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
+    /// Ends consumption: queues every group for emission, sorted by key.
+    pub(crate) fn start_emit(&mut self) {
+        let mut order: Vec<(Vec<KeyVal>, u32)> = match &mut self.index {
+            GroupIndex::Single => (0..self.cols.rows.len() as u32)
+                .map(|slot| (Vec::new(), slot))
+                .collect(),
+            GroupIndex::Packed { keys, .. } => std::mem::take(keys).into_iter().zip(0..).collect(),
+            GroupIndex::Wide(map) => std::mem::take(map).into_iter().collect(),
+        };
+        order.sort_by(|a, b| a.0.cmp(&b.0));
+        self.order = order.into_iter();
+    }
+
+    /// Emits queued groups (key columns then aggregate outputs, as raw
+    /// rows of the output schema) until [`EMIT_BATCH_PAGES`] pages have
+    /// filled, closing the page in hand too; returns whether it ran out
+    /// of groups.
+    pub(crate) fn emit_step(&mut self, mut emit: impl FnMut(Arc<Page>)) -> bool {
+        let mut builder = PageBuilder::new(self.out_schema.clone());
+        let mut pages = 0;
+        let exhausted = loop {
+            let Some((key, slot)) = self.order.next() else {
+                break true;
+            };
+            let (row, slot) = (&mut self.row_bytes, slot as usize);
+            row.clear();
+            for (i, k) in key.iter().enumerate() {
+                encode_keyval(row, k, self.out_schema.fields()[i].dtype);
             }
-            GroupState::General(groups) => std::mem::take(groups).into_iter().collect(),
+            let rows = self.cols.rows[slot];
+            for out in &self.outs {
+                let v = match *out {
+                    AggOut::Count => {
+                        row.extend_from_slice(&rows.to_le_bytes());
+                        continue;
+                    }
+                    AggOut::Sum(i) => self.cols.sums[i].vals[slot],
+                    AggOut::Avg(i) => self.cols.sums[i].vals[slot] / rows as f64,
+                    AggOut::Min(i) => self.cols.mins[i].vals[slot].unwrap_or_default(),
+                    AggOut::Max(i) => self.cols.maxs[i].vals[slot].unwrap_or_default(),
+                };
+                row.extend_from_slice(&v.to_le_bytes());
+            }
+            if !builder.push_raw(row) {
+                emit(builder.finish_and_reset());
+                pages += 1;
+                assert!(builder.push_raw(row));
+            }
+            if pages >= EMIT_BATCH_PAGES {
+                break false;
+            }
+        };
+        if !builder.is_empty() {
+            emit(builder.finish_and_reset());
         }
-    }
-
-    /// Encodes one emitted group row (key columns then accumulator
-    /// outputs) into `out` as raw row bytes of the output schema.
-    pub(crate) fn encode_row(&self, key: &[KeyVal], accs: &[Acc], out: &mut Vec<u8>) {
-        out.clear();
-        for (i, k) in key.iter().enumerate() {
-            encode_keyval(out, k, self.out_schema.fields()[i].dtype);
-        }
-        for acc in accs {
-            acc.encode(out);
-        }
+        exhausted
     }
 }
 
@@ -364,9 +468,6 @@ pub struct AggregateTask {
     cost: OpCost,
     state: PhaseState,
     outbox: Outbox,
-    /// Pages per emit step (bounds step size during emission).
-    emit_batch: usize,
-    emit_iter: Option<std::vec::IntoIter<(Vec<KeyVal>, Vec<Acc>)>>,
 }
 
 impl AggregateTask {
@@ -390,8 +491,6 @@ impl AggregateTask {
             cost,
             state: PhaseState::Consuming,
             outbox: Outbox::new(fanout),
-            emit_batch: 4,
-            emit_iter: None,
         })
     }
 }
@@ -414,50 +513,18 @@ impl Task for AggregateTask {
                 Recv::Empty => Step::blocked(cost),
                 Recv::Closed => {
                     self.state = PhaseState::Emitting;
-                    let ordered = self.core.drain_emit_order();
-                    self.emit_iter = Some(ordered.into_iter());
+                    self.core.start_emit();
                     Step::yielded(cost)
                 }
             },
             PhaseState::Emitting => {
-                let mut builder = PageBuilder::new(self.core.out_schema().clone());
-                let mut emitted_rows = 0usize;
-                let mut pages = 0usize;
-                let mut exhausted = false;
-                {
-                    let mut scratch = Vec::new();
-                    let iter = self
-                        .emit_iter
-                        .as_mut()
-                        .expect("emitting phase has iterator"); // lint: allow(set when entering the emitting phase)
-                    loop {
-                        let Some((key, accs)) = iter.next() else {
-                            exhausted = true;
-                            break;
-                        };
-                        self.core.encode_row(&key, &accs, &mut scratch);
-                        if !builder.push_raw(&scratch) {
-                            self.outbox.push(builder.finish_and_reset());
-                            pages += 1;
-                            assert!(builder.push_raw(&scratch));
-                        }
-                        emitted_rows += 1;
-                        if pages >= self.emit_batch {
-                            break;
-                        }
-                    }
-                }
-                if !builder.is_empty() {
-                    self.outbox.push(builder.finish_and_reset());
+                if self.core.emit_step(|page| self.outbox.push(page)) {
+                    self.state = PhaseState::Done;
                 }
                 // Per-consumer delivery cost (`s`) is charged by the
                 // fan-out; add one unit so emission steps always advance
                 // virtual time.
-                let _ = emitted_rows;
                 cost += 1;
-                if exhausted {
-                    self.state = PhaseState::Done;
-                }
                 let (c, drained) = self.outbox.flush(ctx);
                 cost += c;
                 if drained {
@@ -724,5 +791,144 @@ mod tests {
                 vec![Value::Int(1), Value::Int(2), Value::Float(40.0)],
             ]
         );
+    }
+
+    /// An [`AggCore`] over `(k: Int, k2: Int, v: Float)` rows computing
+    /// `Count, Sum(v), Avg(v), Min(v), Max(v)` per `group_by` key.
+    fn core(group_by: &[usize]) -> AggCore {
+        let field = |name: &str, dtype| Field::new(name, dtype);
+        let mut out: Vec<Field> = ["k", "k2"][..group_by.len()]
+            .iter()
+            .map(|name| field(name, DataType::Int))
+            .collect();
+        out.push(field("n", DataType::Int));
+        out.extend(["sum", "avg", "min", "max"].map(|name| field(name, DataType::Float)));
+        let v = || ScalarExpr::col(2);
+        let aggs = vec![
+            Agg::Count,
+            Agg::Sum(v()),
+            Agg::Avg(v()),
+            Agg::Min(v()),
+            Agg::Max(v()),
+        ];
+        AggCore::new(&in_schema(), group_by.to_vec(), aggs, Schema::new(out)).expect("compiles")
+    }
+
+    fn in_schema() -> Arc<Schema> {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("k2", DataType::Int),
+            Field::new("v", DataType::Float),
+        ])
+    }
+
+    /// A page of `(k, k, v)` rows for [`core`].
+    fn page_of(rows: &[(i64, f64)]) -> Arc<Page> {
+        let mut b = PageBuilder::new(in_schema());
+        for &(k, v) in rows {
+            assert!(b.push_row(&[Value::Int(k), Value::Int(k), Value::Float(v)]));
+        }
+        b.finish()
+    }
+
+    fn emitted(mut core: AggCore) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        core.start_emit();
+        while !core.emit_step(|page| rows.extend(page.tuples().map(|t| t.to_values()))) {}
+        rows
+    }
+
+    /// What [`core`] computes, one row at a time over an ordered map.
+    fn expected(key_cols: usize, rows: &[(i64, f64)]) -> Vec<Vec<Value>> {
+        let mut groups: BTreeMap<Vec<i64>, (i64, f64, f64, f64)> = BTreeMap::new();
+        for &(k, v) in rows {
+            let g = groups.entry(vec![k; key_cols]).or_insert((0, 0.0, v, v));
+            *g = (g.0 + 1, g.1 + v, g.2.min(v), g.3.max(v));
+        }
+        let row = |(key, (n, sum, min, max)): (Vec<i64>, (i64, f64, f64, f64))| {
+            let mut row: Vec<Value> = key.into_iter().map(Value::Int).collect();
+            row.push(Value::Int(n));
+            row.extend([sum, sum / n as f64, min, max].map(Value::Float));
+            row
+        };
+        groups.into_iter().map(row).collect()
+    }
+
+    /// No key, a packed 8-byte key, a wide 16-byte key.
+    const KEY_SHAPES: [&[usize]; 3] = [&[], &[0], &[0, 1]];
+
+    #[test]
+    fn empty_input_emits_nothing_on_every_key_path() {
+        for group_by in KEY_SHAPES {
+            assert!(emitted(core(group_by)).is_empty(), "{group_by:?}");
+            let mut fed_nothing = core(group_by);
+            fed_nothing.consume_page(&page_of(&[]));
+            assert!(emitted(fed_nothing).is_empty(), "{group_by:?}");
+        }
+    }
+
+    #[test]
+    fn zero_row_page_mid_stream_changes_nothing() {
+        let rows = [(3, 1.5), (1, -2.0), (3, 0.25)];
+        for group_by in KEY_SHAPES {
+            let mut c = core(group_by);
+            c.consume_page(&page_of(&rows[..2]));
+            c.consume_page(&page_of(&[]));
+            c.consume_page(&page_of(&rows[2..]));
+            assert_eq!(emitted(c), expected(group_by.len(), &rows), "{group_by:?}");
+        }
+    }
+
+    #[test]
+    fn merge_into_a_core_that_has_seen_no_rows() {
+        let rows = [(2, 0.1), (7, 0.2), (2, 0.3), (-1, 4.0)];
+        for group_by in KEY_SHAPES {
+            let (mut fresh, mut fed) = (core(group_by), core(group_by));
+            fed.consume_page(&page_of(&rows));
+            fresh.merge(fed);
+            // ... and a partial without rows folds in as nothing.
+            fresh.merge(core(group_by));
+            assert_eq!(
+                emitted(fresh),
+                expected(group_by.len(), &rows),
+                "{group_by:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_groups_than_the_memo_holds() {
+        // 1000 keys, each seen three times a thousand rows apart: every
+        // memo entry is evicted many times between two visits of a key.
+        let groups = 1000;
+        assert!(groups > 8 << MEMO_BITS);
+        let rows: Vec<(i64, f64)> = (0..3 * groups)
+            .map(|i| (i % groups - 500, i as f64 * 0.125))
+            .collect();
+        let mut c = core(&[0]);
+        for chunk in rows.chunks(64) {
+            c.consume_page(&page_of(chunk));
+        }
+        assert_eq!(emitted(c), expected(1, &rows));
+    }
+
+    #[test]
+    fn one_group_repeated_for_a_whole_page_sums_in_row_order() {
+        // Values whose float sum depends on the order they are added in.
+        let rows: Vec<(i64, f64)> = (0..64).map(|i| (7, 0.1 * (i * i) as f64 + 1e9)).collect();
+        for group_by in KEY_SHAPES {
+            let mut c = core(group_by);
+            c.consume_page(&page_of(&rows));
+            let got = emitted(c);
+            assert_eq!(got, expected(group_by.len(), &rows), "{group_by:?}");
+            assert_eq!(got.len(), 1);
+        }
+    }
+
+    #[test]
+    fn aggregates_over_one_input_share_its_state_column() {
+        let c = core(&[0]);
+        let cols = (c.cols.sums.len(), c.cols.mins.len(), c.cols.maxs.len());
+        assert_eq!(cols, (1, 1, 1), "Sum(v) and Avg(v) read one sum");
     }
 }

@@ -59,12 +59,12 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
-use crate::ops::aggregate::{Acc, AggCore};
-use crate::ops::{Fanout, KeyVal, Outbox};
+use crate::ops::aggregate::AggCore;
+use crate::ops::{Fanout, Outbox};
 use crate::parallel::{MorselDispenser, ParallelConfig, StageSpec, WorkerPipeline};
 use cordoba_sim::channel::{Receiver, Recv, Sender};
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
-use cordoba_storage::{Morsel, Page, PageBuilder, Schema};
+use cordoba_storage::{Morsel, Page, Schema};
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
@@ -386,14 +386,9 @@ pub(crate) struct ParAggMerge<R> {
     /// Deposits that make the set complete: one per worker.
     expected: usize,
     deposited: Vec<AggMsg>,
-    emit: Option<EmitState>,
-    emit_batch: usize,
+    /// The merged core, once it is emitting.
+    emit: Option<AggCore>,
     outbox: Outbox,
-}
-
-struct EmitState {
-    core: AggCore,
-    iter: std::vec::IntoIter<(Vec<KeyVal>, Vec<Acc>)>,
 }
 
 impl<R: GroupRx<AggMsg>> Task for ParAggMerge<R> {
@@ -402,29 +397,8 @@ impl<R: GroupRx<AggMsg>> Task for ParAggMerge<R> {
         if !drained {
             return Step::blocked(cost);
         }
-        if let Some(emit) = &mut self.emit {
-            let mut builder = PageBuilder::new(emit.core.out_schema().clone());
-            let mut scratch = Vec::new();
-            let mut pages = 0usize;
-            let mut exhausted = false;
-            loop {
-                let Some((key, accs)) = emit.iter.next() else {
-                    exhausted = true;
-                    break;
-                };
-                emit.core.encode_row(&key, &accs, &mut scratch);
-                if !builder.push_raw(&scratch) {
-                    self.outbox.push(builder.finish_and_reset());
-                    pages += 1;
-                    assert!(builder.push_raw(&scratch));
-                }
-                if pages >= self.emit_batch {
-                    break;
-                }
-            }
-            if !builder.is_empty() {
-                self.outbox.push(builder.finish_and_reset());
-            }
+        if let Some(core) = &mut self.emit {
+            let exhausted = core.emit_step(|page| self.outbox.push(page));
             cost += 1;
             let (c, drained) = self.outbox.flush(ctx);
             cost += c;
@@ -465,11 +439,8 @@ impl<R: GroupRx<AggMsg>> Task for ParAggMerge<R> {
                 for (_, other) in iter {
                     core.merge(other);
                 }
-                let ordered = core.drain_emit_order();
-                self.emit = Some(EmitState {
-                    core,
-                    iter: ordered.into_iter(),
-                });
+                core.start_emit();
+                self.emit = Some(core);
                 Step::yielded(cost.max(1))
             }
         }
@@ -575,7 +546,6 @@ where
         expected: k,
         deposited: Vec::new(),
         emit: None,
-        emit_batch: 4,
         outbox: Outbox::new(Fanout::new(outs, agg.cost.out_per_tuple)),
     };
     Ok((workers, merge))

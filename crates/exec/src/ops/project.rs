@@ -1,14 +1,16 @@
-//! Streaming projection, vectorized: expressions compile once into
-//! [`CompiledExpr`] programs, each page is evaluated column-at-a-time
-//! into a row-major scratch buffer, and finished rows move into output
-//! pages as raw bytes — no per-tuple expression dispatch and no
-//! [`cordoba_storage::Value`] materialization on the hot path.
+//! Streaming projection, vectorized: the expression list compiles once
+//! into one [`CompiledExprs`] program (shared columns and
+//! sub-expressions evaluate once), each page is evaluated
+//! column-at-a-time into a row-major scratch buffer, and finished rows
+//! move into output pages as raw bytes — no per-tuple expression
+//! dispatch and no [`cordoba_storage::Value`] materialization on the
+//! hot path.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::ScalarExpr;
 use crate::ops::{Fanout, Outbox};
-use crate::vexpr::{CompiledExpr, ExprScratch};
+use crate::vexpr::{CompiledExprs, ExprScratch};
 use cordoba_sim::channel::{Receiver, Recv};
 use cordoba_sim::{Step, Task, TaskCtx};
 use cordoba_storage::{Page, PageBuilder, Schema};
@@ -17,7 +19,7 @@ use std::sync::Arc;
 /// Projection task.
 pub struct ProjectTask {
     rx: Receiver<Arc<Page>>,
-    compiled: Vec<CompiledExpr>,
+    compiled: CompiledExprs,
     out_schema: Arc<Schema>,
     cost: OpCost,
     builder: PageBuilder,
@@ -49,10 +51,7 @@ impl ProjectTask {
         }
         Ok(Self {
             rx,
-            compiled: exprs
-                .iter()
-                .map(|e| CompiledExpr::compile(e, &in_schema))
-                .collect::<Result<_, _>>()?,
+            compiled: CompiledExprs::compile(&exprs, &in_schema)?,
             out_schema: out_schema.clone(),
             cost,
             builder: PageBuilder::new(out_schema),
@@ -99,22 +98,12 @@ impl Task for ProjectTask {
                 cost += self.cost.input_cost(n);
                 ctx.add_progress(n as f64);
                 let w = self.out_schema.row_width();
-                // The output fields tile the whole row width, so
-                // `encode_column` overwrites every byte — only the
-                // length needs adjusting, not the contents.
-                if self.row_bytes.len() != n * w {
-                    self.row_bytes.resize(n * w, 0);
-                }
-                for (i, ce) in self.compiled.iter().enumerate() {
-                    ce.encode_column(
-                        &page,
-                        &mut self.scratch,
-                        self.out_schema.fields()[i].dtype,
-                        &mut self.row_bytes,
-                        self.out_schema.offset(i),
-                        w,
-                    );
-                }
+                self.compiled.encode_rows(
+                    &page,
+                    &mut self.scratch,
+                    &self.out_schema,
+                    &mut self.row_bytes,
+                );
                 for row in self.row_bytes.chunks_exact(w) {
                     if self.builder.is_full() {
                         let full = self.builder.finish_and_reset();

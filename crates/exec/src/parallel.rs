@@ -16,7 +16,7 @@
 
 use crate::error::ExecError;
 use crate::expr::{Predicate, ScalarExpr};
-use crate::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
+use crate::vexpr::{CompiledExprs, CompiledPredicate, ExprScratch};
 use cordoba_storage::{morsel_at, Morsel, Page, PageBuilder, Schema};
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
@@ -129,7 +129,7 @@ enum CompiledStage {
         builder: PageBuilder,
     },
     Project {
-        progs: Vec<CompiledExpr>,
+        progs: CompiledExprs,
         out_schema: Arc<Schema>,
         builder: PageBuilder,
     },
@@ -159,12 +159,8 @@ impl WorkerPipeline {
                     builder: PageBuilder::new(cur.clone()),
                 }),
                 StageSpec::Project { exprs, out_schema } => {
-                    let progs = exprs
-                        .iter()
-                        .map(|e| CompiledExpr::compile(e, &cur))
-                        .collect::<Result<Vec<_>, _>>()?;
                     compiled.push(CompiledStage::Project {
-                        progs,
+                        progs: CompiledExprs::compile(exprs, &cur)?,
                         out_schema: out_schema.clone(),
                         builder: PageBuilder::new(out_schema.clone()),
                     });
@@ -241,7 +237,7 @@ fn filter_pages(
 }
 
 fn project_pages(
-    progs: &[CompiledExpr],
+    progs: &CompiledExprs,
     out_schema: &Arc<Schema>,
     builder: &mut PageBuilder,
     scratch: &mut ExprScratch,
@@ -251,20 +247,7 @@ fn project_pages(
 ) {
     let w = out_schema.row_width();
     for page in pages {
-        let n = page.rows();
-        if row_bytes.len() != n * w {
-            row_bytes.resize(n * w, 0);
-        }
-        for (i, ce) in progs.iter().enumerate() {
-            ce.encode_column(
-                page,
-                scratch,
-                out_schema.fields()[i].dtype,
-                row_bytes,
-                out_schema.offset(i),
-                w,
-            );
-        }
+        progs.encode_rows(page, scratch, out_schema, row_bytes);
         for row in row_bytes.chunks_exact(w) {
             if builder.is_full() {
                 out.push(builder.finish_and_reset());

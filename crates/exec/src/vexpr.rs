@@ -2,12 +2,26 @@
 //!
 //! [`ScalarExpr`]/[`Predicate`] trees are walked per tuple by
 //! `eval`, paying recursive dispatch through boxed children for every
-//! row. The vectorized operators instead compile each tree **once** at
-//! task construction ([`CompiledExpr`], [`CompiledPredicate`]) and
-//! evaluate it a whole page at a time into reusable scratch buffers
-//! ([`ExprScratch`]), with no per-row allocation or dispatch. An
-//! expression is a flat postfix program: one typed column gather per
-//! leaf, one tight loop per operator.
+//! row. The vectorized operators instead compile their trees **once** at
+//! task construction ([`CompiledExprs`], [`CompiledPredicate`]) and
+//! evaluate them a whole page at a time into reusable scratch buffers
+//! ([`ExprScratch`]), with no per-row allocation or dispatch.
+//!
+//! Numeric expressions compile, a whole *list* at a time, into one
+//! **register program** ([`NumProgram`]): a sequence of nodes — typed
+//! column gathers, literals, `Int`→`Float` casts, arithmetic — each
+//! naming its operands by the register an earlier node filled. Nodes
+//! are hash-consed as they are added (same operation, same operand
+//! registers, literals by bit pattern), so across an aggregate's or a
+//! projection's whole list every distinct column is gathered once per
+//! page and every distinct sub-expression computed once: Q1's seven
+//! aggregate inputs are four gathers and four arithmetic passes.
+//! Evaluation runs the nodes in order, one tight loop each, into
+//! per-register buffers pooled in the scratch; outputs are read from
+//! their registers by reference. Sharing never changes a result: every
+//! output is the same IEEE operations on the same operands in the same
+//! order as its own tree. An operator with one expression
+//! ([`CompiledExpr`]) runs a list of one.
 //!
 //! A predicate **refines a selection vector** — the ascending indices
 //! of the rows still passing, which `select` returns and downstream
@@ -16,11 +30,11 @@
 //! is empty; the clauses are ordered at compile time: column-vs-literal
 //! leaves (they read their field straight out of the rows still
 //! selected; `lit op col` becomes `col op' lit`), then dense numeric
-//! compares, then string leaves, which so see only the survivors. `Not`
-//! removes what its child keeps of a copy of the selection; `Or` is
-//! `Not` of the conjunction of its negated children. A LIKE pattern is
-//! split into byte fragments once, and string leaves test the
-//! space-trimmed field bytes in place.
+//! compares (both sides one two-output program), then string leaves,
+//! which so see only the survivors. `Not` removes what its child keeps
+//! of a copy of the selection; `Or` is `Not` of the conjunction of its
+//! negated children. A LIKE pattern is split into byte fragments once,
+//! and string leaves test the space-trimmed field bytes in place.
 //!
 //! Semantics match the tree-walking evaluators exactly on well-typed,
 //! non-NaN inputs (the property suite in `tests/vectorized_equivalence`
@@ -35,12 +49,11 @@
 //!   tree-walk treats NaN as a programming error and never returns on
 //!   such inputs.
 //!
-//! Scalar literals in float arithmetic fuse into the adjacent
-//! instruction ([`Instr::AddFLit`] / [`Instr::SubFLit`] /
-//! [`Instr::SubLitF`] / [`Instr::MulFLit`], mirroring the predicates'
-//! column-vs-literal leaves), so `extendedprice * (1 - discount)` runs
-//! two in-place passes over one gathered column instead of broadcasting
-//! page-length literal buffers.
+//! Scalar literals in float arithmetic fuse into the adjacent node
+//! ([`Node::AddFLit`] / [`Node::SubFLit`] / [`Node::SubLitF`] /
+//! [`Node::MulFLit`], mirroring the predicates' column-vs-literal
+//! leaves), so `extendedprice * (1 - discount)` is two passes over two
+//! gathered columns instead of broadcasting page-length literal buffers.
 
 use crate::error::ExecError;
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
@@ -48,7 +61,7 @@ use crate::plan::expr_type_checked;
 use cordoba_storage::{DataType, Page, Schema};
 use std::sync::Arc;
 
-/// Result type of a numeric program slot.
+/// Result type of a numeric program node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NumType {
     Int,
@@ -56,12 +69,22 @@ enum NumType {
     Date,
 }
 
-/// One postfix instruction of a numeric program. Type resolution
-/// happens at compile time: every arithmetic instruction knows the
-/// exact variant of its operands, so evaluation is a direct match with
-/// no per-row type dispatch.
-#[derive(Debug, Clone)]
-enum Instr {
+/// Where a node's result lives: buffer `slot` of its type's pool in the
+/// [`ExprScratch`]. Slots count up per type in node order, so a node's
+/// operands always sit below its own slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Reg {
+    ty: NumType,
+    slot: usize,
+}
+
+/// One node of a numeric program. Type resolution happens at compile
+/// time: every node knows the pool of its operands (named by slot) and
+/// of its result, so evaluation is a direct match with no per-row type
+/// dispatch. Float literals are held as bit patterns, so node equality
+/// — what hash-consing merges on — tells `0.0` from `-0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Node {
     /// Gather an `Int` column.
     ColI(usize),
     /// Gather a `Float` column.
@@ -71,310 +94,296 @@ enum Instr {
     /// Broadcast an integer literal.
     LitI(i64),
     /// Broadcast a float literal.
-    LitF(f64),
+    LitF(u64),
     /// Broadcast a date literal.
     LitD(i32),
-    /// Promote the top integer buffer to float.
-    CastIF,
+    /// Promote an integer register to float.
+    CastIF(usize),
     /// Int ⊕ Int → Int. Matches the tree-walk exactly: computed through
     /// `f64` and truncated back (`(a as f64 ⊕ b as f64) as i64`).
-    AddI,
-    /// See [`Instr::AddI`].
-    SubI,
-    /// See [`Instr::AddI`].
-    MulI,
+    AddI(usize, usize),
+    /// See [`Node::AddI`].
+    SubI(usize, usize),
+    /// See [`Node::AddI`].
+    MulI(usize, usize),
     /// Float ⊕ Float → Float (mixed int/float operands are promoted by
-    /// [`Instr::CastIF`] at compile time).
-    AddF,
-    /// See [`Instr::AddF`].
-    SubF,
-    /// See [`Instr::AddF`].
-    MulF,
-    /// Fused `top + lit` (no literal broadcast, in-place on the top
-    /// buffer). Addition commutes bitwise under IEEE 754, so this also
-    /// covers `lit + top`.
-    AddFLit(f64),
-    /// Fused `top - lit`.
-    SubFLit(f64),
-    /// Fused `lit - top` (subtraction does not commute — `1 - discount`
-    /// compiles to `[ColF(discount), SubLitF(1.0)]`).
-    SubLitF(f64),
-    /// Fused `top * lit`; covers `lit * top` as [`Instr::AddFLit`] does.
-    MulFLit(f64),
+    /// [`Node::CastIF`] at compile time).
+    AddF(usize, usize),
+    /// See [`Node::AddF`].
+    SubF(usize, usize),
+    /// See [`Node::AddF`].
+    MulF(usize, usize),
+    /// Fused `reg + lit` (no literal broadcast). Addition commutes
+    /// bitwise under IEEE 754, so this also covers `lit + reg`.
+    AddFLit(usize, u64),
+    /// Fused `reg - lit`.
+    SubFLit(usize, u64),
+    /// Fused `lit - reg` (subtraction does not commute — `1 - discount`
+    /// compiles to `[ColF(discount), SubLitF(0, 1.0)]`).
+    SubLitF(usize, u64),
+    /// Fused `reg * lit`; covers `lit * reg` as [`Node::AddFLit`] does.
+    MulFLit(usize, u64),
 }
 
-/// A typed column buffer on the evaluation stack.
-#[derive(Debug)]
-enum Buf {
-    I(Vec<i64>),
-    F(Vec<f64>),
-    D(Vec<i32>),
+impl Node {
+    fn ty(&self) -> NumType {
+        match self {
+            Node::ColI(_) | Node::LitI(_) | Node::AddI(..) | Node::SubI(..) | Node::MulI(..) => {
+                NumType::Int
+            }
+            Node::ColD(_) | Node::LitD(_) => NumType::Date,
+            _ => NumType::Float,
+        }
+    }
 }
 
-/// Reusable evaluation state: the value stack, per-type buffer pools,
-/// and the pool of temporary selections (`Not`/`Or` refine a copy). One
-/// scratch per task; buffers are recycled so a steady-state page
-/// evaluation allocates nothing.
+/// Reusable evaluation state: one buffer per program register, pooled
+/// by type, and the pool of temporary selections (`Not`/`Or` refine a
+/// copy). One scratch per task, shared by every program the task runs
+/// (each evaluation overwrites the registers it uses); the buffers keep
+/// their capacity, so a steady-state page evaluation allocates nothing.
 #[derive(Debug, Default)]
 pub struct ExprScratch {
-    stack: Vec<Buf>,
-    free_i: Vec<Vec<i64>>,
-    free_f: Vec<Vec<f64>>,
-    free_d: Vec<Vec<i32>>,
+    ints: Vec<Vec<i64>>,
+    floats: Vec<Vec<f64>>,
+    dates: Vec<Vec<i32>>,
     free_sel: Vec<Vec<u32>>,
 }
 
 impl ExprScratch {
-    fn take_i(&mut self) -> Vec<i64> {
-        self.free_i.pop().unwrap_or_default()
-    }
-    fn take_f(&mut self) -> Vec<f64> {
-        self.free_f.pop().unwrap_or_default()
-    }
-    fn take_d(&mut self) -> Vec<i32> {
-        self.free_d.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, buf: Buf) {
-        match buf {
-            Buf::I(v) => self.free_i.push(v),
-            Buf::F(v) => self.free_f.push(v),
-            Buf::D(v) => self.free_d.push(v),
-        }
-    }
-
-    fn pop(&mut self) -> Buf {
-        // lint: allow(compiled programs are stack-balanced by construction)
-        self.stack.pop().expect("non-empty eval stack")
+    /// The column the last [`NumProgram::evaluate`] left in float register
+    /// `reg` (one [`NumProgram::add_f64`] returned).
+    pub(crate) fn f64s(&self, reg: Reg) -> &[f64] {
+        debug_assert_eq!(reg.ty, NumType::Float);
+        &self.floats[reg.slot]
     }
 }
 
-/// A compiled numeric (Int/Float/Date) postfix program.
-#[derive(Debug, Clone)]
-struct NumProgram {
-    instrs: Vec<Instr>,
-    out: NumType,
+/// `out[slot] = f(pool[a], pool[b])`, row by row.
+fn zip_into<T: Copy>(pool: &mut [Vec<T>], slot: usize, a: usize, b: usize, f: impl Fn(T, T) -> T) {
+    let (done, rest) = pool.split_at_mut(slot);
+    let out = &mut rest[0];
+    out.clear();
+    out.extend(done[a].iter().zip(&done[b]).map(|(&x, &y)| f(x, y)));
+}
+
+/// `out[slot] = f(pool[a])` — the fused scalar-literal nodes' one pass.
+fn map_into(pool: &mut [Vec<f64>], slot: usize, a: usize, f: impl Fn(f64) -> f64) {
+    let (done, rest) = pool.split_at_mut(slot);
+    let out = &mut rest[0];
+    out.clear();
+    out.extend(done[a].iter().map(|&x| f(x)));
+}
+
+fn broadcast<T: Copy>(out: &mut Vec<T>, rows: usize, x: T) {
+    out.clear();
+    out.resize(rows, x);
+}
+
+/// Int ⊕ Int as the tree walk computes it: through `f64`, truncated back.
+fn via_f64(f: impl Fn(f64, f64) -> f64) -> impl Fn(i64, i64) -> i64 {
+    move |x, y| f(x as f64, y as f64) as i64
+}
+
+/// Makes sure a pool has a buffer for each of a program's `regs`.
+fn grow<T>(pool: &mut Vec<Vec<T>>, regs: usize) {
+    if pool.len() < regs {
+        pool.resize_with(regs, Vec::new);
+    }
+}
+
+/// A list of numeric (Int/Float/Date) expressions compiled into one
+/// register program; see the module docs. Built by adding expressions
+/// one after another: each `add` returns the register its value will be
+/// in after [`NumProgram::evaluate`], reusing every node an earlier
+/// expression (or sub-expression) already put there.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NumProgram {
+    /// Each node with the slot it fills, in evaluation order.
+    nodes: Vec<(Node, usize)>,
+    /// Registers in use per type (`Int`, `Float`, `Date`).
+    regs: [usize; 3],
 }
 
 impl NumProgram {
-    /// Compiles `expr` against `schema`, erring if the expression is
-    /// not numeric (string columns or literals in arithmetic, dates as
-    /// arithmetic operands).
-    fn compile(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        let mut instrs = Vec::new();
-        let out = compile_num(expr, schema, &mut instrs)?;
-        Ok(Self { instrs, out })
+    /// Adds `expr`, erring if it is not numeric (string columns or
+    /// literals in arithmetic, dates as arithmetic operands).
+    fn add(&mut self, expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Reg, ExecError> {
+        match expr {
+            ScalarExpr::Col(i) => {
+                let field = schema
+                    .fields()
+                    .get(*i)
+                    .ok_or_else(|| crate::plan::column_range_error("expression", *i, schema))?;
+                match field.dtype {
+                    DataType::Int => Ok(self.push(Node::ColI(*i))),
+                    DataType::Float => Ok(self.push(Node::ColF(*i))),
+                    DataType::Date => Ok(self.push(Node::ColD(*i))),
+                    DataType::Str(_) => Err(ExecError::plan(format!(
+                        "string column {i} in a numeric expression"
+                    ))),
+                }
+            }
+            ScalarExpr::IntLit(v) => Ok(self.push(Node::LitI(*v))),
+            ScalarExpr::FloatLit(v) => Ok(self.push(Node::LitF(v.to_bits()))),
+            ScalarExpr::DateLit(v) => Ok(self.push(Node::LitD(v.0))),
+            ScalarExpr::StrLit(s) => Err(ExecError::plan(format!(
+                "string literal {s:?} in a numeric expression"
+            ))),
+            ScalarExpr::Add(a, b) => self.add_arith(a, b, schema, &ADD_OPS),
+            ScalarExpr::Sub(a, b) => self.add_arith(a, b, schema, &SUB_OPS),
+            ScalarExpr::Mul(a, b) => self.add_arith(a, b, schema, &MUL_OPS),
+        }
     }
 
-    /// As [`NumProgram::compile`], but promotes an `Int` result to
-    /// `Float` (the coercion every aggregate input goes through).
-    fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        let mut p = Self::compile(expr, schema)?;
-        match p.out {
-            NumType::Float => {}
-            NumType::Int => {
-                p.instrs.push(Instr::CastIF);
-                p.out = NumType::Float;
+    /// As [`NumProgram::add`], with an `Int` result promoted to `Float`
+    /// (the coercion every aggregate input goes through); read the
+    /// register with [`ExprScratch::f64s`].
+    pub(crate) fn add_f64(
+        &mut self,
+        expr: &ScalarExpr,
+        schema: &Arc<Schema>,
+    ) -> Result<Reg, ExecError> {
+        let reg = self.add(expr, schema)?;
+        if reg.ty == NumType::Date {
+            return Err(ExecError::plan(
+                "expression over a date column is not numeric",
+            ));
+        }
+        Ok(self.promoted(reg))
+    }
+
+    /// The register holding `node`'s result: the one an equal node
+    /// already fills, or a fresh one.
+    fn push(&mut self, node: Node) -> Reg {
+        let ty = node.ty();
+        let slot = match self.nodes.iter().find(|(n, _)| *n == node) {
+            Some(&(_, slot)) => slot,
+            None => {
+                let slot = self.regs[ty as usize];
+                self.regs[ty as usize] += 1;
+                self.nodes.push((node, slot));
+                slot
             }
-            NumType::Date => {
-                return Err(ExecError::plan(
-                    "expression over a date column is not numeric",
-                ))
+        };
+        Reg { ty, slot }
+    }
+
+    /// A numeric (non-date) register as float: cast if `Int`.
+    fn promoted(&mut self, reg: Reg) -> Reg {
+        match reg.ty {
+            NumType::Int => self.push(Node::CastIF(reg.slot)),
+            _ => reg,
+        }
+    }
+
+    /// Adds `expr` as an arithmetic operand promoted to float.
+    fn add_float_operand(
+        &mut self,
+        expr: &ScalarExpr,
+        schema: &Arc<Schema>,
+    ) -> Result<usize, ExecError> {
+        let reg = self.add(expr, schema)?;
+        if reg.ty == NumType::Date {
+            return Err(ExecError::plan("non-numeric (date) operand in arithmetic"));
+        }
+        Ok(self.promoted(reg).slot)
+    }
+
+    fn add_arith(
+        &mut self,
+        a: &ScalarExpr,
+        b: &ScalarExpr,
+        schema: &Arc<Schema>,
+        ops: &ArithOps,
+    ) -> Result<Reg, ExecError> {
+        let (ta, tb) = (expr_type_checked(a, schema)?, expr_type_checked(b, schema)?);
+        if ta == DataType::Int && tb == DataType::Int {
+            let (ra, rb) = (self.add(a, schema)?, self.add(b, schema)?);
+            return Ok(self.push((ops.int_op)(ra.slot, rb.slot)));
+        }
+        // Fused scalar-literal fast paths: a float-typed `expr ⊕ lit` (or
+        // `lit ⊕ expr`) is the other side's register plus one node — no
+        // broadcast literal buffer, no extra stream pass. Results are
+        // bit-identical to the two-register form: the same f64 operation
+        // on the same operand values.
+        let node = if let Some(lit) = num_literal(b) {
+            (ops.fused)(self.add_float_operand(a, schema)?, lit.to_bits())
+        } else if let Some(lit) = num_literal(a) {
+            (ops.fused_rev)(self.add_float_operand(b, schema)?, lit.to_bits())
+        } else {
+            let fa = self.add_float_operand(a, schema)?;
+            (ops.float_op)(fa, self.add_float_operand(b, schema)?)
+        };
+        Ok(self.push(node))
+    }
+
+    /// Evaluates every node over all rows of `page`, leaving each
+    /// register's column in `scratch`.
+    pub(crate) fn evaluate(&self, page: &Page, scratch: &mut ExprScratch) {
+        let (ints, floats, dates) = (&mut scratch.ints, &mut scratch.floats, &mut scratch.dates);
+        let [ni, nf, nd] = self.regs;
+        grow(ints, ni);
+        grow(floats, nf);
+        grow(dates, nd);
+        let (rows, lit) = (page.rows(), f64::from_bits);
+        for &(node, slot) in &self.nodes {
+            match node {
+                Node::ColI(c) => page.gather_i64(c, &mut ints[slot]),
+                Node::ColF(c) => page.gather_f64(c, &mut floats[slot]),
+                Node::ColD(c) => page.gather_date(c, &mut dates[slot]),
+                Node::LitI(x) => broadcast(&mut ints[slot], rows, x),
+                Node::LitF(x) => broadcast(&mut floats[slot], rows, lit(x)),
+                Node::LitD(x) => broadcast(&mut dates[slot], rows, x),
+                Node::CastIF(a) => {
+                    let out = &mut floats[slot];
+                    out.clear();
+                    out.extend(ints[a].iter().map(|&x| x as f64));
+                }
+                Node::AddI(a, b) => zip_into(ints, slot, a, b, via_f64(|x, y| x + y)),
+                Node::SubI(a, b) => zip_into(ints, slot, a, b, via_f64(|x, y| x - y)),
+                Node::MulI(a, b) => zip_into(ints, slot, a, b, via_f64(|x, y| x * y)),
+                Node::AddF(a, b) => zip_into(floats, slot, a, b, |x, y| x + y),
+                Node::SubF(a, b) => zip_into(floats, slot, a, b, |x, y| x - y),
+                Node::MulF(a, b) => zip_into(floats, slot, a, b, |x, y| x * y),
+                Node::AddFLit(a, l) => map_into(floats, slot, a, |x| x + lit(l)),
+                Node::SubFLit(a, l) => map_into(floats, slot, a, |x| x - lit(l)),
+                Node::SubLitF(a, l) => map_into(floats, slot, a, |x| lit(l) - x),
+                Node::MulFLit(a, l) => map_into(floats, slot, a, |x| x * lit(l)),
             }
         }
-        Ok(p)
-    }
-
-    /// Evaluates over all rows of `page`, returning the result buffer
-    /// (callers must `scratch.recycle` it when done).
-    fn eval_take(&self, page: &Page, scratch: &mut ExprScratch) -> Buf {
-        let n = page.rows();
-        debug_assert!(scratch.stack.is_empty());
-        for instr in &self.instrs {
-            match instr {
-                Instr::ColI(c) => {
-                    let mut v = scratch.take_i();
-                    page.gather_i64(*c, &mut v);
-                    scratch.stack.push(Buf::I(v));
-                }
-                Instr::ColF(c) => {
-                    let mut v = scratch.take_f();
-                    page.gather_f64(*c, &mut v);
-                    scratch.stack.push(Buf::F(v));
-                }
-                Instr::ColD(c) => {
-                    let mut v = scratch.take_d();
-                    page.gather_date(*c, &mut v);
-                    scratch.stack.push(Buf::D(v));
-                }
-                Instr::LitI(x) => {
-                    let mut v = scratch.take_i();
-                    v.clear();
-                    v.resize(n, *x);
-                    scratch.stack.push(Buf::I(v));
-                }
-                Instr::LitF(x) => {
-                    let mut v = scratch.take_f();
-                    v.clear();
-                    v.resize(n, *x);
-                    scratch.stack.push(Buf::F(v));
-                }
-                Instr::LitD(x) => {
-                    let mut v = scratch.take_d();
-                    v.clear();
-                    v.resize(n, *x);
-                    scratch.stack.push(Buf::D(v));
-                }
-                Instr::CastIF => {
-                    let Buf::I(ints) = scratch.pop() else {
-                        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-                        unreachable!("CastIF over a non-int buffer");
-                    };
-                    let mut v = scratch.take_f();
-                    v.clear();
-                    v.extend(ints.iter().map(|&x| x as f64));
-                    scratch.free_i.push(ints);
-                    scratch.stack.push(Buf::F(v));
-                }
-                Instr::AddI => int_binop(scratch, |x, y| ((x as f64) + (y as f64)) as i64),
-                Instr::SubI => int_binop(scratch, |x, y| ((x as f64) - (y as f64)) as i64),
-                Instr::MulI => int_binop(scratch, |x, y| ((x as f64) * (y as f64)) as i64),
-                Instr::AddF => float_binop(scratch, |x, y| x + y),
-                Instr::SubF => float_binop(scratch, |x, y| x - y),
-                Instr::MulF => float_binop(scratch, |x, y| x * y),
-                Instr::AddFLit(lit) => float_mapop(scratch, |x| x + *lit),
-                Instr::SubFLit(lit) => float_mapop(scratch, |x| x - *lit),
-                Instr::SubLitF(lit) => float_mapop(scratch, |x| *lit - x),
-                Instr::MulFLit(lit) => float_mapop(scratch, |x| x * *lit),
-            }
-        }
-        let result = scratch.pop();
-        debug_assert!(scratch.stack.is_empty());
-        result
     }
 }
 
-fn int_binop(scratch: &mut ExprScratch, f: impl Fn(i64, i64) -> i64) {
-    let Buf::I(rhs) = scratch.pop() else {
-        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-        unreachable!("int binop over non-int rhs");
-    };
-    let Some(Buf::I(lhs)) = scratch.stack.last_mut() else {
-        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-        unreachable!("int binop over non-int lhs");
-    };
-    for (x, y) in lhs.iter_mut().zip(&rhs) {
-        *x = f(*x, *y);
-    }
-    scratch.free_i.push(rhs);
-}
-
-fn float_binop(scratch: &mut ExprScratch, f: impl Fn(f64, f64) -> f64) {
-    let Buf::F(rhs) = scratch.pop() else {
-        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-        unreachable!("float binop over non-float rhs");
-    };
-    let Some(Buf::F(lhs)) = scratch.stack.last_mut() else {
-        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-        unreachable!("float binop over non-float lhs");
-    };
-    for (x, y) in lhs.iter_mut().zip(&rhs) {
-        *x = f(*x, *y);
-    }
-    scratch.free_f.push(rhs);
-}
-
-/// In-place map over the top float buffer — the fused scalar-literal
-/// instructions' single pass (no literal buffer, no pop/push).
-fn float_mapop(scratch: &mut ExprScratch, f: impl Fn(f64) -> f64) {
-    let Some(Buf::F(top)) = scratch.stack.last_mut() else {
-        // lint: allow(the vector compiler emits type-correct stack programs; a mismatch is a compiler bug)
-        unreachable!("fused float op over non-float top");
-    };
-    for x in top.iter_mut() {
-        *x = f(*x);
-    }
-}
-
-/// The instruction set of one arithmetic operator: the int and float
-/// stack forms plus the fused literal forms (`fused` for `top ⊕ lit`,
-/// `fused_rev` for `lit ⊕ top` — identical for the commutative ops).
+/// The node constructors of one arithmetic operator: the int and float
+/// two-register forms plus the fused literal forms (`fused` for
+/// `reg ⊕ lit`, `fused_rev` for `lit ⊕ reg` — identical for the
+/// commutative ops).
 struct ArithOps {
-    int_op: Instr,
-    float_op: Instr,
-    fused: fn(f64) -> Instr,
-    fused_rev: fn(f64) -> Instr,
+    int_op: fn(usize, usize) -> Node,
+    float_op: fn(usize, usize) -> Node,
+    fused: fn(usize, u64) -> Node,
+    fused_rev: fn(usize, u64) -> Node,
 }
 
 const ADD_OPS: ArithOps = ArithOps {
-    int_op: Instr::AddI,
-    float_op: Instr::AddF,
-    fused: Instr::AddFLit,
-    fused_rev: Instr::AddFLit,
+    int_op: Node::AddI,
+    float_op: Node::AddF,
+    fused: Node::AddFLit,
+    fused_rev: Node::AddFLit,
 };
 const SUB_OPS: ArithOps = ArithOps {
-    int_op: Instr::SubI,
-    float_op: Instr::SubF,
-    fused: Instr::SubFLit,
-    fused_rev: Instr::SubLitF,
+    int_op: Node::SubI,
+    float_op: Node::SubF,
+    fused: Node::SubFLit,
+    fused_rev: Node::SubLitF,
 };
 const MUL_OPS: ArithOps = ArithOps {
-    int_op: Instr::MulI,
-    float_op: Instr::MulF,
-    fused: Instr::MulFLit,
-    fused_rev: Instr::MulFLit,
+    int_op: Node::MulI,
+    float_op: Node::MulF,
+    fused: Node::MulFLit,
+    fused_rev: Node::MulFLit,
 };
-
-/// Emits postfix instructions for `expr`; returns its type.
-fn compile_num(
-    expr: &ScalarExpr,
-    schema: &Arc<Schema>,
-    instrs: &mut Vec<Instr>,
-) -> Result<NumType, ExecError> {
-    match expr {
-        ScalarExpr::Col(i) => {
-            let field = schema
-                .fields()
-                .get(*i)
-                .ok_or_else(|| crate::plan::column_range_error("expression", *i, schema))?;
-            match field.dtype {
-                DataType::Int => {
-                    instrs.push(Instr::ColI(*i));
-                    Ok(NumType::Int)
-                }
-                DataType::Float => {
-                    instrs.push(Instr::ColF(*i));
-                    Ok(NumType::Float)
-                }
-                DataType::Date => {
-                    instrs.push(Instr::ColD(*i));
-                    Ok(NumType::Date)
-                }
-                DataType::Str(_) => Err(ExecError::plan(format!(
-                    "string column {i} in a numeric expression"
-                ))),
-            }
-        }
-        ScalarExpr::IntLit(v) => {
-            instrs.push(Instr::LitI(*v));
-            Ok(NumType::Int)
-        }
-        ScalarExpr::FloatLit(v) => {
-            instrs.push(Instr::LitF(*v));
-            Ok(NumType::Float)
-        }
-        ScalarExpr::DateLit(v) => {
-            instrs.push(Instr::LitD(v.0));
-            Ok(NumType::Date)
-        }
-        ScalarExpr::StrLit(s) => Err(ExecError::plan(format!(
-            "string literal {s:?} in a numeric expression"
-        ))),
-        ScalarExpr::Add(a, b) => compile_arith(a, b, schema, instrs, &ADD_OPS),
-        ScalarExpr::Sub(a, b) => compile_arith(a, b, schema, instrs, &SUB_OPS),
-        ScalarExpr::Mul(a, b) => compile_arith(a, b, schema, instrs, &MUL_OPS),
-    }
-}
 
 /// A numeric literal operand's value coerced to `f64` — exactly the
 /// coercion the tree-walk applies to mixed int/float operands.
@@ -386,110 +395,166 @@ fn num_literal(expr: &ScalarExpr) -> Option<f64> {
     }
 }
 
-fn compile_arith(
-    a: &ScalarExpr,
-    b: &ScalarExpr,
-    schema: &Arc<Schema>,
-    instrs: &mut Vec<Instr>,
-    ops: &ArithOps,
-) -> Result<NumType, ExecError> {
-    let (ta, tb) = (expr_type_checked(a, schema)?, expr_type_checked(b, schema)?);
-    let float_result = !(ta == DataType::Int && tb == DataType::Int);
-    // Fused scalar-literal fast paths: a float-typed `expr ⊕ lit` (or
-    // `lit ⊕ expr`) compiles to the other side's program plus one
-    // in-place instruction — no broadcast literal buffer, no extra
-    // stream pass. Results are bit-identical to the stack form: the
-    // same f64 operation on the same operand values.
-    if float_result {
-        if let Some(lit) = num_literal(b) {
-            let t = compile_num(a, schema, instrs)?;
-            ensure_numeric(t)?;
-            if t == NumType::Int {
-                instrs.push(Instr::CastIF);
-            }
-            instrs.push((ops.fused)(lit));
-            return Ok(NumType::Float);
-        }
-        if let Some(lit) = num_literal(a) {
-            let t = compile_num(b, schema, instrs)?;
-            ensure_numeric(t)?;
-            if t == NumType::Int {
-                instrs.push(Instr::CastIF);
-            }
-            instrs.push((ops.fused_rev)(lit));
-            return Ok(NumType::Float);
-        }
-    }
-    let ta = compile_num(a, schema, instrs)?;
-    ensure_numeric(ta)?;
-    if ta == NumType::Int && float_result {
-        // The other side is non-int; promote before it lands on the
-        // stack so the binop sees two floats.
-        instrs.push(Instr::CastIF);
-    }
-    let tb = compile_num(b, schema, instrs)?;
-    ensure_numeric(tb)?;
-    if !float_result {
-        instrs.push(ops.int_op.clone());
-        Ok(NumType::Int)
-    } else {
-        if tb == NumType::Int {
-            instrs.push(Instr::CastIF);
-        }
-        instrs.push(ops.float_op.clone());
-        Ok(NumType::Float)
-    }
-}
-
-fn ensure_numeric(t: NumType) -> Result<(), ExecError> {
-    if t == NumType::Date {
-        return Err(ExecError::plan("non-numeric (date) operand in arithmetic"));
-    }
-    Ok(())
-}
-
-/// A scalar expression compiled for page-at-a-time evaluation.
+/// One output of a compiled expression list.
 #[derive(Debug, Clone)]
-pub struct CompiledExpr {
-    kind: ExprKind,
-}
-
-#[derive(Debug, Clone)]
-enum ExprKind {
+enum Out {
     /// Pass a string column through untouched (projection only; the
     /// page bytes are already space-padded to the field width).
     StrCol(usize),
     /// Broadcast a string literal.
     StrLit(String),
-    /// A numeric postfix program.
-    Num(NumProgram),
+    /// A register of the list's numeric program.
+    Num(Reg),
 }
+
+/// A list of scalar expressions — a projection's outputs — compiled for
+/// page-at-a-time evaluation: the numeric ones as one [`NumProgram`],
+/// string columns and literals as pass-throughs.
+#[derive(Debug, Clone)]
+pub struct CompiledExprs {
+    prog: NumProgram,
+    outs: Vec<Out>,
+}
+
+impl CompiledExprs {
+    /// Compiles `exprs` against the input `schema`, erring on type
+    /// errors (e.g. arithmetic over strings) — the plans the
+    /// tree-walking `eval` would panic on at runtime.
+    pub fn compile(exprs: &[ScalarExpr], schema: &Arc<Schema>) -> Result<Self, ExecError> {
+        let mut prog = NumProgram::default();
+        let outs = exprs
+            .iter()
+            .map(|expr| match expr {
+                ScalarExpr::Col(i)
+                    if matches!(
+                        schema.fields().get(*i).map(|f| f.dtype),
+                        Some(DataType::Str(_))
+                    ) =>
+                {
+                    Ok(Out::StrCol(*i))
+                }
+                ScalarExpr::StrLit(s) if !s.is_ascii() => Err(ExecError::plan(format!(
+                    "string literal {s:?} is not ASCII (pages store ASCII only)"
+                ))),
+                ScalarExpr::StrLit(s) => Ok(Out::StrLit(s.clone())),
+                other => prog.add(other, schema).map(Out::Num),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self { prog, outs })
+    }
+
+    /// Evaluates the list over all rows of `page` once and encodes
+    /// output `i` as field `i` of `out_schema`, row-major, into `out`
+    /// (resized to `rows * row_width`; the fields tile the row, so
+    /// every byte is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledExpr::encode_column`], per output.
+    pub fn encode_rows(
+        &self,
+        page: &Page,
+        scratch: &mut ExprScratch,
+        out_schema: &Schema,
+        out: &mut Vec<u8>,
+    ) {
+        assert_eq!(self.outs.len(), out_schema.len(), "one output per field");
+        let w = out_schema.row_width();
+        out.resize(page.rows() * w, 0);
+        self.prog.evaluate(page, scratch);
+        for (i, field) in out_schema.fields().iter().enumerate() {
+            self.encode_evaluated(i, page, scratch, field.dtype, out, out_schema.offset(i), w);
+        }
+    }
+
+    /// Encodes output `i`, its register already evaluated over `page`:
+    /// row `r`'s field bytes land at `out[r * stride + offset ..]`.
+    #[allow(clippy::too_many_arguments)]
+    fn encode_evaluated(
+        &self,
+        i: usize,
+        page: &Page,
+        scratch: &ExprScratch,
+        dtype: DataType,
+        out: &mut [u8],
+        offset: usize,
+        stride: usize,
+    ) {
+        /// Writes each value's `N` little-endian bytes into its row.
+        fn scatter<T: Copy, const N: usize>(
+            vals: &[T],
+            out: &mut [u8],
+            offset: usize,
+            stride: usize,
+            bytes: impl Fn(T) -> [u8; N],
+        ) {
+            for (r, &x) in vals.iter().enumerate() {
+                let dst = r * stride + offset;
+                out[dst..dst + N].copy_from_slice(&bytes(x));
+            }
+        }
+        match &self.outs[i] {
+            Out::StrCol(c) => {
+                let DataType::Str(width) = dtype else {
+                    // lint: allow(documented '# Panics' contract of encode_column)
+                    panic!("type mismatch: string column for {dtype:?} field");
+                };
+                let in_schema = page.schema();
+                let in_off = in_schema.offset(*c);
+                let DataType::Str(in_width) = in_schema.fields()[*c].dtype else {
+                    // lint: allow(documented '# Panics' contract of encode_column)
+                    panic!("StrCol over non-string input column");
+                };
+                assert_eq!(in_width, width, "string field width mismatch");
+                for (r, raw) in page.raw_rows().enumerate() {
+                    let dst = r * stride + offset;
+                    out[dst..dst + width].copy_from_slice(&raw[in_off..in_off + width]);
+                }
+            }
+            Out::StrLit(s) => {
+                let DataType::Str(width) = dtype else {
+                    // lint: allow(documented '# Panics' contract of encode_column)
+                    panic!("type mismatch: string literal for {dtype:?} field");
+                };
+                assert!(
+                    s.len() <= width && s.is_ascii(),
+                    "string '{s}' does not fit ASCII field of width {width}"
+                );
+                let mut padded = vec![b' '; width];
+                padded[..s.len()].copy_from_slice(s.as_bytes());
+                for r in 0..page.rows() {
+                    let dst = r * stride + offset;
+                    out[dst..dst + width].copy_from_slice(&padded);
+                }
+            }
+            &Out::Num(Reg { ty, slot }) => match (ty, dtype) {
+                (NumType::Int, DataType::Int) => {
+                    scatter(&scratch.ints[slot], out, offset, stride, i64::to_le_bytes)
+                }
+                (NumType::Float, DataType::Float) => {
+                    scatter(&scratch.floats[slot], out, offset, stride, f64::to_le_bytes)
+                }
+                (NumType::Date, DataType::Date) => {
+                    scatter(&scratch.dates[slot], out, offset, stride, i32::to_le_bytes)
+                }
+                // lint: allow(documented '# Panics' contract of encode_column)
+                (ty, dtype) => panic!("type mismatch: {ty:?} column for {dtype:?} field"),
+            },
+        }
+    }
+}
+
+/// A scalar expression compiled for page-at-a-time evaluation: a
+/// [`CompiledExprs`] list of one.
+#[derive(Debug, Clone)]
+pub struct CompiledExpr(CompiledExprs);
 
 impl CompiledExpr {
     /// Compiles `expr` against the input `schema`, erring on type
     /// errors (e.g. arithmetic over strings) — the plans the
     /// tree-walking `eval` would panic on at runtime.
     pub fn compile(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        let kind = match expr {
-            ScalarExpr::Col(i)
-                if matches!(
-                    schema.fields().get(*i).map(|f| f.dtype),
-                    Some(DataType::Str(_))
-                ) =>
-            {
-                ExprKind::StrCol(*i)
-            }
-            ScalarExpr::StrLit(s) => {
-                if !s.is_ascii() {
-                    return Err(ExecError::plan(format!(
-                        "string literal {s:?} is not ASCII (pages store ASCII only)"
-                    )));
-                }
-                ExprKind::StrLit(s.clone())
-            }
-            other => ExprKind::Num(NumProgram::compile(other, schema)?),
-        };
-        Ok(Self { kind })
+        CompiledExprs::compile(std::slice::from_ref(expr), schema).map(Self)
     }
 
     /// Compiles a **numeric** `expr` with the result promoted to `f64`
@@ -497,9 +562,9 @@ impl CompiledExpr {
     /// date expressions err here, at plan time, so
     /// [`CompiledExpr::eval_f64_into`] cannot fail later.
     pub fn compile_f64(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<Self, ExecError> {
-        Ok(Self {
-            kind: ExprKind::Num(NumProgram::compile_f64(expr, schema)?),
-        })
+        let mut prog = NumProgram::default();
+        let outs = vec![Out::Num(prog.add_f64(expr, schema)?)];
+        Ok(Self(CompiledExprs { prog, outs }))
     }
 
     /// Evaluates the expression coerced to `f64` over all rows of
@@ -510,21 +575,20 @@ impl CompiledExpr {
     ///
     /// Panics if the expression is a string or date (not numeric).
     pub fn eval_f64_into(&self, page: &Page, scratch: &mut ExprScratch, out: &mut Vec<f64>) {
-        let ExprKind::Num(prog) = &self.kind else {
+        let Out::Num(Reg { ty, slot }) = self.0.outs[0] else {
             // lint: allow(documented '# Panics' contract of eval_f64_into)
             panic!("string expression is not numeric");
         };
+        self.0.prog.evaluate(page, scratch);
+        out.clear();
         // Promotion is baked in at compile time for aggregate use via
         // `compile_f64`; handle plain programs here too.
-        let buf = prog.eval_take(page, scratch);
-        out.clear();
-        match &buf {
-            Buf::F(v) => out.extend_from_slice(v),
-            Buf::I(v) => out.extend(v.iter().map(|&x| x as f64)),
+        match ty {
+            NumType::Float => out.extend_from_slice(&scratch.floats[slot]),
+            NumType::Int => out.extend(scratch.ints[slot].iter().map(|&x| x as f64)),
             // lint: allow(documented '# Panics' contract of eval_f64_into)
-            Buf::D(_) => panic!("date expression is not numeric"),
+            NumType::Date => panic!("date expression is not numeric"),
         }
-        scratch.recycle(buf);
     }
 
     /// Evaluates over all rows of `page` and encodes the result column
@@ -546,68 +610,9 @@ impl CompiledExpr {
         offset: usize,
         stride: usize,
     ) {
-        let n = page.rows();
-        match &self.kind {
-            ExprKind::StrCol(c) => {
-                let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
-                    panic!("type mismatch: string column for {dtype:?} field");
-                };
-                let in_schema = page.schema();
-                let in_off = in_schema.offset(*c);
-                let DataType::Str(in_width) = in_schema.fields()[*c].dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
-                    panic!("StrCol over non-string input column");
-                };
-                assert_eq!(in_width, width, "string field width mismatch");
-                for (r, raw) in page.raw_rows().enumerate() {
-                    let dst = r * stride + offset;
-                    out[dst..dst + width].copy_from_slice(&raw[in_off..in_off + width]);
-                }
-            }
-            ExprKind::StrLit(s) => {
-                let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
-                    panic!("type mismatch: string literal for {dtype:?} field");
-                };
-                assert!(
-                    s.len() <= width && s.is_ascii(),
-                    "string '{s}' does not fit ASCII field of width {width}"
-                );
-                let mut padded = vec![b' '; width];
-                padded[..s.len()].copy_from_slice(s.as_bytes());
-                for r in 0..n {
-                    let dst = r * stride + offset;
-                    out[dst..dst + width].copy_from_slice(&padded);
-                }
-            }
-            ExprKind::Num(prog) => {
-                let buf = prog.eval_take(page, scratch);
-                match (&buf, dtype) {
-                    (Buf::I(v), DataType::Int) => {
-                        for (r, x) in v.iter().enumerate() {
-                            let dst = r * stride + offset;
-                            out[dst..dst + 8].copy_from_slice(&x.to_le_bytes());
-                        }
-                    }
-                    (Buf::F(v), DataType::Float) => {
-                        for (r, x) in v.iter().enumerate() {
-                            let dst = r * stride + offset;
-                            out[dst..dst + 8].copy_from_slice(&x.to_le_bytes());
-                        }
-                    }
-                    (Buf::D(v), DataType::Date) => {
-                        for (r, x) in v.iter().enumerate() {
-                            let dst = r * stride + offset;
-                            out[dst..dst + 4].copy_from_slice(&x.to_le_bytes());
-                        }
-                    }
-                    // lint: allow(documented '# Panics' contract of encode_column)
-                    (buf, dtype) => panic!("type mismatch: {buf:?} column for {dtype:?} field"),
-                }
-                scratch.recycle(buf);
-            }
-        }
+        self.0.prog.evaluate(page, scratch);
+        self.0
+            .encode_evaluated(0, page, scratch, dtype, out, offset, stride);
     }
 }
 
@@ -693,11 +698,13 @@ enum Lit {
 enum Refiner {
     /// `column <op> literal`, read straight out of the selected rows.
     ColLit { col: usize, op: CmpOp, lit: Lit },
-    /// General numeric comparison: both programs (of one result type)
-    /// evaluate densely, then `l[row] <op> r[row]` retains the selection.
+    /// General numeric comparison: one program evaluates both sides
+    /// densely into registers `l` and `r` (of one type), then
+    /// `l[row] <op> r[row]` retains the selection.
     Cmp {
-        l: NumProgram,
-        r: NumProgram,
+        prog: NumProgram,
+        l: Reg,
+        r: Reg,
         op: CmpOp,
     },
     /// `string column <op> literal` over the space-trimmed field bytes.
@@ -737,17 +744,17 @@ impl Refiner {
                 Lit::F(x) => retain_col(sel, page, col, DataType::Float, op, x, f64::from_le_bytes),
                 Lit::D(x) => retain_col(sel, page, col, DataType::Date, op, x, i32::from_le_bytes),
             },
-            Refiner::Cmp { l, r, op } => {
-                let (a, b) = (l.eval_take(page, scratch), r.eval_take(page, scratch));
-                match (&a, &b) {
-                    (Buf::I(a), Buf::I(b)) => retain_pairs(sel, *op, a, b),
-                    (Buf::F(a), Buf::F(b)) => retain_pairs(sel, *op, a, b),
-                    (Buf::D(a), Buf::D(b)) => retain_pairs(sel, *op, a, b),
-                    // lint: allow(compile_cmp pairs two programs of one result type; a mismatch is a compiler bug)
-                    _ => unreachable!("comparison over buffers of two types"),
+            Refiner::Cmp { prog, l, r, op } => {
+                prog.evaluate(page, scratch);
+                let (a, b) = (l.slot, r.slot);
+                debug_assert_eq!(l.ty, r.ty, "compile_cmp pairs registers of one type");
+                match l.ty {
+                    NumType::Int => retain_pairs(sel, *op, &scratch.ints[a], &scratch.ints[b]),
+                    NumType::Float => {
+                        retain_pairs(sel, *op, &scratch.floats[a], &scratch.floats[b])
+                    }
+                    NumType::Date => retain_pairs(sel, *op, &scratch.dates[a], &scratch.dates[b]),
                 }
-                scratch.recycle(a);
-                scratch.recycle(b);
             }
             Refiner::StrLit { col, op, lit } => {
                 let field = col.reader(page);
@@ -948,12 +955,12 @@ fn compile_cmp(
             return Ok(Refiner::ColLit { col: *col, op, lit });
         }
     }
+    let mut prog = NumProgram::default();
     Ok(match (tl, tr) {
-        (DataType::Int, DataType::Int) | (DataType::Date, DataType::Date) => Refiner::Cmp {
-            l: NumProgram::compile(left, schema)?,
-            r: NumProgram::compile(right, schema)?,
-            op,
-        },
+        (DataType::Int, DataType::Int) | (DataType::Date, DataType::Date) => {
+            let (l, r) = (prog.add(left, schema)?, prog.add(right, schema)?);
+            Refiner::Cmp { prog, l, r, op }
+        }
         // Only columns and literals are string-typed, and a literal
         // facing a column is on the right by now.
         (DataType::Str(lw), DataType::Str(rw)) => match (left, right) {
@@ -980,11 +987,10 @@ fn compile_cmp(
                 )))
             }
         },
-        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => Refiner::Cmp {
-            l: NumProgram::compile_f64(left, schema)?,
-            r: NumProgram::compile_f64(right, schema)?,
-            op,
-        },
+        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
+            let (l, r) = (prog.add_f64(left, schema)?, prog.add_f64(right, schema)?);
+            Refiner::Cmp { prog, l, r, op }
+        }
         (tl, tr) => {
             return Err(ExecError::plan(format!(
                 "incomparable operand types: {tl:?} vs {tr:?}"
@@ -1093,33 +1099,63 @@ mod tests {
         assert_eq!(sel, tree_select(&pred, &p));
     }
 
+    fn bin(
+        op: fn(Box<ScalarExpr>, Box<ScalarExpr>) -> ScalarExpr,
+        a: ScalarExpr,
+        b: ScalarExpr,
+    ) -> ScalarExpr {
+        op(Box::new(a), Box::new(b))
+    }
+
+    /// `qty * (k + 3)` mixes float and int subtrees; `k * 7` is pure int.
+    fn mixed_exprs() -> [ScalarExpr; 2] {
+        use ScalarExpr::{Add, IntLit, Mul};
+        [
+            bin(
+                Mul,
+                ScalarExpr::col(1),
+                bin(Add, ScalarExpr::col(0), IntLit(3)),
+            ),
+            bin(Mul, ScalarExpr::col(0), IntLit(7)),
+        ]
+    }
+
+    /// `price * (1 - discount)`-shaped expressions exercise SubLitF and
+    /// MulFLit; `k * 2 + 0.5` exercises MulFLit + AddFLit on a promoted
+    /// int subtree; `qty - 3` an int literal against a float.
+    fn fused_exprs() -> [ScalarExpr; 3] {
+        use ScalarExpr::{Add, FloatLit, IntLit, Mul, Sub};
+        [
+            bin(
+                Mul,
+                ScalarExpr::col(1),
+                bin(Sub, FloatLit(1.0), ScalarExpr::col(1)),
+            ),
+            bin(
+                Add,
+                bin(Mul, ScalarExpr::col(0), FloatLit(2.0)),
+                FloatLit(0.5),
+            ),
+            bin(Sub, ScalarExpr::col(1), IntLit(3)),
+        ]
+    }
+
     #[test]
     fn eval_f64_matches_tree_walk() {
         let p = page();
         let mut scratch = ExprScratch::default();
         let mut out = Vec::new();
-        // qty * (k + 3) mixes float and int subtrees.
-        let expr = ScalarExpr::Mul(
-            Box::new(ScalarExpr::col(1)),
-            Box::new(ScalarExpr::Add(
-                Box::new(ScalarExpr::col(0)),
-                Box::new(ScalarExpr::IntLit(3)),
-            )),
-        );
-        let compiled = CompiledExpr::compile(&expr, p.schema()).expect("compiles");
+        let [mixed, int] = mixed_exprs();
+        let compiled = CompiledExpr::compile(&mixed, p.schema()).expect("compiles");
         compiled.eval_f64_into(&p, &mut scratch, &mut out);
         for (r, t) in p.tuples().enumerate() {
-            assert_eq!(Some(out[r]), expr.eval(&t).as_f64());
+            assert_eq!(Some(out[r]), mixed.eval(&t).as_f64());
         }
         // Pure-int expressions keep the tree-walk's f64 round-trip.
-        let expr = ScalarExpr::Mul(
-            Box::new(ScalarExpr::col(0)),
-            Box::new(ScalarExpr::IntLit(7)),
-        );
-        let compiled = CompiledExpr::compile(&expr, p.schema()).expect("compiles");
+        let compiled = CompiledExpr::compile(&int, p.schema()).expect("compiles");
         compiled.eval_f64_into(&p, &mut scratch, &mut out);
         for (r, t) in p.tuples().enumerate() {
-            match expr.eval(&t) {
+            match int.eval(&t) {
                 Scalar::Int(v) => assert_eq!(out[r], v as f64),
                 other => panic!("expected int, got {other:?}"),
             }
@@ -1207,34 +1243,12 @@ mod tests {
 
     #[test]
     fn fused_literal_programs_match_tree_walk_bit_for_bit() {
-        // `price * (1 - discount)`-shaped expressions exercise SubLitF
-        // and MulFLit; `qty * 2 + 0.5` exercises MulFLit + AddFLit on a
-        // promoted int subtree. The fused program must agree with the
-        // tree walk bit-for-bit (same f64 ops on the same operands).
+        // The fused program must agree with the tree walk bit-for-bit
+        // (same f64 ops on the same operands).
         let p = page();
         let mut scratch = ExprScratch::default();
         let mut fused = Vec::new();
-        let exprs = [
-            ScalarExpr::Mul(
-                Box::new(ScalarExpr::col(1)),
-                Box::new(ScalarExpr::Sub(
-                    Box::new(ScalarExpr::FloatLit(1.0)),
-                    Box::new(ScalarExpr::col(1)),
-                )),
-            ),
-            ScalarExpr::Add(
-                Box::new(ScalarExpr::Mul(
-                    Box::new(ScalarExpr::col(0)),
-                    Box::new(ScalarExpr::FloatLit(2.0)),
-                )),
-                Box::new(ScalarExpr::FloatLit(0.5)),
-            ),
-            ScalarExpr::Sub(
-                Box::new(ScalarExpr::col(1)),
-                Box::new(ScalarExpr::IntLit(3)),
-            ),
-        ];
-        for expr in &exprs {
+        for expr in &fused_exprs() {
             let f = CompiledExpr::compile(expr, p.schema()).expect("compiles");
             f.eval_f64_into(&p, &mut scratch, &mut fused);
             for (r, t) in p.tuples().enumerate() {
@@ -1242,6 +1256,124 @@ mod tests {
                 assert_eq!(fused[r].to_bits(), expected.to_bits(), "{expr:?} row {r}");
             }
         }
+    }
+
+    /// `(gathers, other nodes)` of a program.
+    fn shape(prog: &NumProgram) -> (usize, usize) {
+        let is_gather = |n: &Node| matches!(n, Node::ColI(_) | Node::ColF(_) | Node::ColD(_));
+        let gathers = prog.nodes.iter().filter(|(n, _)| is_gather(n)).count();
+        (gathers, prog.nodes.len() - gathers)
+    }
+
+    /// Adds every expression to one program, promoted to `f64`.
+    fn list_of(exprs: &[ScalarExpr], schema: &Arc<Schema>) -> (NumProgram, Vec<Reg>) {
+        let mut prog = NumProgram::default();
+        let add = |e| prog.add_f64(e, schema).expect("compiles");
+        let regs = exprs.iter().map(add).collect();
+        (prog, regs)
+    }
+
+    #[test]
+    fn q1_inputs_are_four_gathers_four_passes_and_five_outputs() {
+        use ScalarExpr::{Add, FloatLit, Mul, Sub};
+        let names = ["qty", "price", "disc", "tax"];
+        let schema = Schema::new(names.map(|n| Field::new(n, DataType::Float)).to_vec());
+        let [qty, price, disc, tax] = [0, 1, 2, 3].map(ScalarExpr::col);
+        let disc_price = bin(Mul, price.clone(), bin(Sub, FloatLit(1.0), disc.clone()));
+        let charge = bin(Mul, disc_price.clone(), bin(Add, FloatLit(1.0), tax));
+        // sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty,
+        // avg_price, avg_disc.
+        let inputs = [
+            qty.clone(),
+            price.clone(),
+            disc_price,
+            charge,
+            qty,
+            price,
+            disc,
+        ];
+        let (prog, regs) = list_of(&inputs, &schema);
+        assert_eq!(shape(&prog), (4, 4));
+        assert_eq!((regs[0], regs[1]), (regs[4], regs[5]));
+        let mut distinct = regs.clone();
+        distinct.sort_by_key(|r| r.slot);
+        distinct.dedup();
+        assert_eq!(distinct.len(), 5);
+
+        let mut b = PageBuilder::new(schema);
+        for i in 0..40 {
+            let x = i as f64;
+            let row = [
+                x + 1.0,
+                900.5 + 17.25 * x,
+                0.01 * (x % 11.0),
+                0.02 * (x % 5.0),
+            ];
+            b.push_row(&row.map(Value::Float));
+        }
+        let (p, mut scratch) = (b.finish(), ExprScratch::default());
+        prog.evaluate(&p, &mut scratch);
+        for (expr, reg) in inputs.iter().zip(regs) {
+            for (t, got) in p.tuples().zip(scratch.f64s(reg)) {
+                let want = expr.eval(&t).as_f64().expect("numeric");
+                assert_eq!(got.to_bits(), want.to_bits(), "{expr:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_list_equals_its_expressions_compiled_alone_on_0_1_and_64_rows() {
+        let exprs: Vec<ScalarExpr> = mixed_exprs().into_iter().chain(fused_exprs()).collect();
+        for n in [0, 1, 64] {
+            let p = page_of(n);
+            let (prog, regs) = list_of(&exprs, p.schema());
+            let (mut scratch, mut alone) = (ExprScratch::default(), Vec::new());
+            prog.evaluate(&p, &mut scratch);
+            for (expr, reg) in exprs.iter().zip(regs) {
+                let one = CompiledExpr::compile_f64(expr, p.schema()).expect("compiles");
+                one.eval_f64_into(&p, &mut ExprScratch::default(), &mut alone);
+                let bits = |col: &[f64]| col.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(scratch.f64s(reg)),
+                    bits(&alone),
+                    "{expr:?} on {n} rows"
+                );
+                let walked = p.tuples().map(|t| expr.eval(&t).as_f64().expect("numeric"));
+                assert_eq!(bits(&alone), bits(&walked.collect::<Vec<_>>()));
+            }
+        }
+    }
+
+    #[test]
+    fn nodes_merge_on_operation_operands_and_literal_bits_only() {
+        use ScalarExpr::{Add, FloatLit, IntLit, Sub};
+        let p = page();
+        let x = || ScalarExpr::col(1);
+        // `x + 1` and `1 + x` are one fused node; `x - 1` and `1 - x`
+        // are two; all four gather `x` once.
+        let commuted = [
+            bin(Add, x(), IntLit(1)),
+            bin(Add, IntLit(1), x()),
+            bin(Sub, x(), IntLit(1)),
+            bin(Sub, IntLit(1), x()),
+        ];
+        let (prog, regs) = list_of(&commuted, p.schema());
+        assert_eq!(shape(&prog), (1, 3));
+        assert_eq!(regs[0], regs[1]);
+        assert_ne!(regs[2], regs[3]);
+        // `0.0` and `-0.0` compare equal but are two literals, fused
+        // (`x + 0.0` is not `x + -0.0` at `x = -0.0`) or broadcast.
+        let zeros = [
+            bin(Add, x(), FloatLit(0.0)),
+            bin(Add, x(), FloatLit(-0.0)),
+            FloatLit(0.0),
+            FloatLit(-0.0),
+            FloatLit(0.0),
+        ];
+        let (prog, regs) = list_of(&zeros, p.schema());
+        assert_eq!(shape(&prog), (1, 4));
+        assert_eq!(regs[2], regs[4]);
+        assert_ne!(regs[2], regs[3]);
     }
 
     #[test]
@@ -1263,8 +1395,8 @@ mod tests {
             let caps = |pool: &[Vec<u32>]| pool.iter().map(Vec::capacity).collect::<Vec<_>>();
             (
                 caps(&scratch.free_sel),
-                scratch.free_i.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                scratch.free_f.iter().map(Vec::capacity).collect::<Vec<_>>(),
+                scratch.ints.iter().map(Vec::capacity).collect::<Vec<_>>(),
+                scratch.floats.iter().map(Vec::capacity).collect::<Vec<_>>(),
                 sel.capacity(),
             )
         };
@@ -1277,8 +1409,31 @@ mod tests {
         for _ in 0..2 {
             compiled.select(&p, &mut scratch, &mut sel);
             assert_eq!(sel, tree_select(&pred, &p));
-            assert!(scratch.stack.is_empty());
             assert_eq!(footprint(&scratch, &sel), first);
+        }
+    }
+
+    #[test]
+    fn a_list_allocates_nothing_after_its_first_page() {
+        let p = page();
+        let exprs: Vec<ScalarExpr> = mixed_exprs().into_iter().chain(fused_exprs()).collect();
+        let (prog, _) = list_of(&exprs, p.schema());
+        let mut scratch = ExprScratch::default();
+        let footprint = |s: &ExprScratch| {
+            let ints: Vec<_> = s.ints.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+            let floats: Vec<_> = s
+                .floats
+                .iter()
+                .map(|b| (b.as_ptr(), b.capacity()))
+                .collect();
+            (ints, floats, s.dates.len())
+        };
+        prog.evaluate(&p, &mut scratch);
+        let first = footprint(&scratch);
+        assert_eq!((first.0.len(), first.1.len(), first.2), (5, 10, 0));
+        for _ in 0..2 {
+            prog.evaluate(&p, &mut scratch);
+            assert_eq!(footprint(&scratch), first);
         }
     }
 

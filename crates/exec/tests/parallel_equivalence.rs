@@ -153,21 +153,37 @@ fn pipeline_plan(cutoff: i64) -> PhysicalPlan {
     }
 }
 
-/// Grouped sum + count over the filtered `(k, v)` table.
-fn aggregate_plan(cutoff: i64) -> PhysicalPlan {
+/// `aggs` per `group_by` key over the filtered `(k, v)` table.
+fn aggregate_plan(cutoff: i64, group_by: Vec<usize>, aggs: Vec<Agg>) -> PhysicalPlan {
     PhysicalPlan::Aggregate {
         input: Box::new(PhysicalPlan::Filter {
             input: scan("t"),
             predicate: Predicate::col_cmp(0, CmpOp::Lt, cutoff),
             cost: OpCost::default(),
         }),
-        group_by: vec![0],
-        aggs: vec![
-            ("s".into(), Agg::Sum(ScalarExpr::col(1))),
-            ("c".into(), Agg::Count),
-        ],
+        group_by,
+        aggs: (0..).map(|i| format!("a{i}")).zip(aggs).collect(),
         cost: OpCost::default(),
     }
+}
+
+/// Every function over `v`, `Sum` and `Avg` also over `v * 2` (which
+/// gathers `v` again) and `v` once more: per-worker cores share state
+/// columns between these, and the merge must not count any twice.
+fn duplicated_inputs() -> Vec<Agg> {
+    let v = || ScalarExpr::col(1);
+    let v2 = || ScalarExpr::Mul(Box::new(v()), Box::new(ScalarExpr::FloatLit(2.0)));
+    vec![
+        Agg::Sum(v()),
+        Agg::Avg(v()),
+        Agg::Min(v()),
+        Agg::Count,
+        Agg::Max(v()),
+        Agg::Avg(v2()),
+        Agg::Sum(v2()),
+        Agg::Sum(v()),
+        Agg::Count,
+    ]
 }
 
 /// Keyed rows; small key domains force duplicates and grouping.
@@ -208,13 +224,19 @@ proptest! {
         cutoff in 0i64..48,
     ) {
         let catalog = kf_catalog(&rows);
-        let plan = aggregate_plan(cutoff);
-        let serial = run_wired(&catalog, &plan, 1, None);
-        let oracle = reference::execute(&catalog, &plan);
-        prop_assert_eq!(bit_exact(&serial), bit_exact(&oracle));
-        for workers in [2usize, 4, 8] {
-            let par = run_wired(&catalog, &plan, workers, None);
-            prop_assert_eq!(bit_exact(&par), bit_exact(&serial), "workers={}", workers);
+        for (group_by, aggs) in [
+            (vec![0], vec![Agg::Sum(ScalarExpr::col(1)), Agg::Count]),
+            (vec![0], duplicated_inputs()),
+            (vec![], duplicated_inputs()),
+        ] {
+            let plan = aggregate_plan(cutoff, group_by, aggs);
+            let serial = run_wired(&catalog, &plan, 1, None);
+            let oracle = reference::execute(&catalog, &plan);
+            prop_assert_eq!(bit_exact(&serial), bit_exact(&oracle), "{:?}", plan);
+            for workers in [2usize, 4, 8] {
+                let par = run_wired(&catalog, &plan, workers, None);
+                prop_assert_eq!(bit_exact(&par), bit_exact(&serial), "workers={} {:?}", workers, plan);
+            }
         }
     }
 
@@ -344,7 +366,8 @@ proptest! {
         cutoff in 0i64..48,
     ) {
         let catalog = kf_catalog(&rows);
-        for plan in [pipeline_plan(cutoff), aggregate_plan(cutoff)] {
+        let grouped = aggregate_plan(cutoff, vec![0], duplicated_inputs());
+        for plan in [pipeline_plan(cutoff), grouped] {
             let oracle = reference::execute(&catalog, &plan);
             for workers in [1usize, 2, 4, 8] {
                 let got = run_threaded(&catalog, &plan, workers, &MemoryBroker::unbounded());

@@ -148,6 +148,70 @@ fn catalog(rows: &[RowSpec]) -> Catalog {
     c
 }
 
+/// As [`catalog`], each row with two 1-byte flags (columns 6 and 7)
+/// and a float (column 8) whose values include both zeros and NaN.
+fn flagged_catalog(rows: &[RowSpec]) -> Catalog {
+    let mut fields = test_schema().fields().to_vec();
+    fields.push(Field::new("a", DataType::Str(1)));
+    fields.push(Field::new("b", DataType::Str(1)));
+    fields.push(Field::new("f", DataType::Float));
+    let mut tb = TableBuilder::with_page_size("t", Schema::new(fields), 128);
+    let base = catalog(rows);
+    let base_rows = base.expect("t").pages().iter().flat_map(|p| p.tuples());
+    for (t, (k, v, ..)) in base_rows.zip(rows) {
+        let mut row = t.to_values();
+        row.push(Value::Str(["x", "y", ""][k.rem_euclid(3) as usize].into()));
+        row.push(Value::Str(["p", "q"][v.rem_euclid(2) as usize].into()));
+        row.push(Value::Float(
+            [0.0, -0.0, f64::NAN, 1.5][(k + v).rem_euclid(4) as usize],
+        ));
+        tb.push_row(&row);
+    }
+    let mut c = Catalog::new();
+    c.register(tb.finish());
+    c
+}
+
+/// What an aggregate list with shared inputs draws from: three
+/// generated expressions with their operands and operand-swapped forms,
+/// and fixed forms that differ only in operand order or type.
+fn shared_input_pool(r: &mut Recipe<'_>) -> Vec<ScalarExpr> {
+    use ScalarExpr::{Add, FloatLit, IntLit, Mul, Sub};
+    let op = |f: fn(Box<ScalarExpr>, Box<ScalarExpr>) -> ScalarExpr,
+              a: &ScalarExpr,
+              b: &ScalarExpr| { f(Box::new(a.clone()), Box::new(b.clone())) };
+    let (k, v, k2) = (ScalarExpr::col(0), ScalarExpr::col(1), ScalarExpr::col(5));
+    let big = op(Mul, &k, &IntLit(1 << 58));
+    let mut pool = vec![
+        op(Add, &v, &IntLit(1)),
+        op(Add, &IntLit(1), &v),
+        op(Sub, &v, &IntLit(1)),
+        op(Sub, &IntLit(1), &v),
+        // Int ⊕ Int: through f64 and truncated back.
+        op(Add, &k, &IntLit(1)),
+        op(Add, &IntLit(1), &k),
+        op(Mul, &k, &k2),
+        op(Add, &big, &k2),
+        // An Int column against Float operands.
+        op(Mul, &k, &FloatLit(0.5)),
+        op(Sub, &k, &v),
+        op(Sub, &v, &k),
+    ];
+    for _ in 0..3 {
+        let e = gen_num_expr(r, 2);
+        if let Add(a, b) | Sub(a, b) | Mul(a, b) = &e {
+            let swapped = match &e {
+                Add(..) => op(Add, b, a),
+                Sub(..) => op(Sub, b, a),
+                _ => op(Mul, b, a),
+            };
+            pool.extend([(**a).clone(), (**b).clone(), swapped]);
+        }
+        pool.push(e);
+    }
+    pool
+}
+
 fn scan() -> Box<PhysicalPlan> {
     Box::new(PhysicalPlan::Scan {
         table: "t".into(),
@@ -361,6 +425,61 @@ proptest! {
         let expected = reference::execute(&cat, &plan);
         let got = run_sim(&cat, &plan);
         prop_assert_eq!(got, expected);
+    }
+
+    /// Aggregate lists whose entries share inputs, sub-expressions and
+    /// columns — what the list program merges — reproduce the reference
+    /// executor bit for bit on every key path, including a two-field
+    /// 2-byte key and a float key holding `0.0`, `-0.0` and NaN.
+    #[test]
+    fn vectorized_aggregate_with_shared_inputs_matches_reference(
+        rows in rows_strategy(),
+        seed in recipe_strategy(),
+        len in 1usize..=8,
+        group_sel in 0u8..6,
+    ) {
+        let cat = flagged_catalog(&rows);
+        let mut r = Recipe::new(&seed);
+        let pool = shared_input_pool(&mut r);
+        let mut aggs = Vec::new();
+        while aggs.len() < len {
+            let (kind, pick, _) = r.next();
+            let e = || pool[pick as usize % pool.len()].clone();
+            match kind % 6 {
+                0 => aggs.push(Agg::Count),
+                1 => aggs.push(Agg::Sum(e())),
+                2 => aggs.push(Agg::Avg(e())),
+                3 => aggs.push(Agg::Min(e())),
+                4 => aggs.push(Agg::Max(e())),
+                // Every function over one input.
+                _ => aggs.extend([Agg::Sum(e()), Agg::Avg(e()), Agg::Min(e()), Agg::Max(e()), Agg::Count]),
+            }
+        }
+        aggs.truncate(len);
+        let group_by = match group_sel {
+            0 => vec![],         // no key: slot 0
+            1 => vec![0],        // packed: single Int
+            2 => vec![3],        // packed: 3-byte string
+            3 => vec![0, 1],     // wide: 16-byte key
+            4 => vec![6, 7],     // packed: two 1-byte fields
+            _ => vec![8],        // packed: Float, by bit pattern
+        };
+        let plan = PhysicalPlan::Aggregate {
+            input: scan(),
+            group_by,
+            aggs: (0..).map(|i| format!("a{i}")).zip(aggs).collect(),
+            cost: OpCost::default(),
+        };
+        let bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
+            let exact = |v| match v {
+                Value::Float(x) => Value::Int(x.to_bits() as i64),
+                other => other,
+            };
+            rows.into_iter().map(|row| row.into_iter().map(exact).collect()).collect()
+        };
+        let expected = reference::execute(&cat, &plan);
+        let got = run_sim(&cat, &plan);
+        prop_assert_eq!(bits(got), bits(expected), "{:?}", plan);
     }
 
     /// The arena-backed hash join reproduces the reference executor for
