@@ -17,8 +17,11 @@
 //! semantics are unchanged: with one caller, `peak` is exactly the
 //! maximum of `used` over the grant history.
 
-use crate::error::FaultCell;
-use std::path::PathBuf;
+use crate::error::{ExecError, FaultCell};
+use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
+use cordoba_storage::{Page, Schema};
+use std::io;
+use std::path::{Path, PathBuf};
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
@@ -131,30 +134,13 @@ impl MemoryBroker {
 }
 
 /// Memory policy applied to every query a wiring config instantiates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Per-query budget in bytes; `None` means unbounded (operators
     /// buffer everything in memory, as before the broker existed).
     pub query_budget: Option<usize>,
     /// Directory for spill files; `None` uses the system temp dir.
     pub spill_dir: Option<PathBuf>,
-    /// Maximum hash-join repartitioning depth before a still-oversized
-    /// partition fails the query with
-    /// [`ExecError::BudgetExhausted`](crate::ExecError::BudgetExhausted).
-    pub max_recursion: u32,
-    /// Upper bound on hash-join partition fan-out per level.
-    pub max_partitions: usize,
-}
-
-impl Default for MemoryConfig {
-    fn default() -> Self {
-        MemoryConfig {
-            query_budget: None,
-            spill_dir: None,
-            max_recursion: 4,
-            max_partitions: 64,
-        }
-    }
 }
 
 impl MemoryConfig {
@@ -168,7 +154,7 @@ impl MemoryConfig {
 }
 
 /// Everything an out-of-core operator needs to spill: the query's
-/// memory account, its fault slot, and the spill policy knobs.
+/// memory account, its fault slot, and where spill files go.
 #[derive(Debug, Clone)]
 pub struct SpillContext {
     /// The query's shared memory account.
@@ -177,10 +163,6 @@ pub struct SpillContext {
     pub fault: FaultCell,
     /// Directory spill files are created in.
     pub dir: PathBuf,
-    /// Hash-join repartitioning depth cap.
-    pub max_recursion: u32,
-    /// Hash-join partition fan-out cap.
-    pub max_partitions: usize,
 }
 
 impl SpillContext {
@@ -190,9 +172,12 @@ impl SpillContext {
             broker,
             fault,
             dir: cfg.spill_dir.clone().unwrap_or_else(std::env::temp_dir),
-            max_recursion: cfg.max_recursion,
-            max_partitions: cfg.max_partitions,
         }
+    }
+
+    /// Spill-file I/O on behalf of operator `op`.
+    pub(crate) fn io(&self, op: &'static str) -> SpillIo<'_> {
+        SpillIo { dir: &self.dir, op }
     }
 
     /// An unbounded context (never spills) — the default for direct
@@ -219,6 +204,49 @@ impl SpillContext {
 impl Default for SpillContext {
     fn default() -> Self {
         SpillContext::unbounded()
+    }
+}
+
+/// The spill-file operations of one operator, each failure typed as an
+/// [`ExecError::Spill`] naming it: the one place an I/O error of the
+/// spill path becomes a query fault.
+pub(crate) struct SpillIo<'a> {
+    dir: &'a Path,
+    op: &'static str,
+}
+
+impl SpillIo<'_> {
+    /// Types the failure of any other spill-file operation.
+    pub(crate) fn typed<T>(&self, result: io::Result<T>) -> Result<T, ExecError> {
+        result.map_err(|e| ExecError::spill(self.op, e))
+    }
+
+    /// A new row stream for rows of `schema`.
+    pub(crate) fn create(&self, schema: std::sync::Arc<Schema>) -> Result<SpillWriter, ExecError> {
+        self.typed(SpillWriter::create(self.dir, schema))
+    }
+
+    /// Appends one row ([`SpillWriter::push_row`]).
+    pub(crate) fn push(&self, to: &mut SpillWriter, row: &[u8]) -> Result<(), ExecError> {
+        self.typed(to.push_row(row))
+    }
+
+    /// Seals a stream for reading.
+    pub(crate) fn finish(&self, stream: SpillWriter) -> Result<SpillFile, ExecError> {
+        self.typed(stream.finish())
+    }
+
+    /// Opens a sealed stream.
+    pub(crate) fn open(&self, file: SpillFile) -> Result<SpillReader, ExecError> {
+        self.typed(file.into_reader())
+    }
+
+    /// The next page of an open stream, `None` at its end.
+    pub(crate) fn next_page(
+        &self,
+        from: &mut SpillReader,
+    ) -> Result<Option<std::sync::Arc<Page>>, ExecError> {
+        self.typed(from.next_page())
     }
 }
 
@@ -369,7 +397,5 @@ mod tests {
     fn spill_context_defaults_to_temp_dir() {
         let ctx = SpillContext::unbounded();
         assert_eq!(ctx.dir, std::env::temp_dir());
-        assert_eq!(ctx.max_recursion, 4);
-        assert_eq!(ctx.max_partitions, 64);
     }
 }

@@ -26,11 +26,11 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
-use crate::ops::{encode_keyval, key_of, Fanout, KeyVal, Outbox};
+use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::{encode_keyval, key_of, KeyVal};
 use crate::vexpr::{ExprScratch, NumProgram, Reg};
 use cordoba_core::FxHashMap;
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
+use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -165,15 +165,9 @@ enum GroupIndex {
     Wide(BTreeMap<Vec<KeyVal>, u32>),
 }
 
-enum PhaseState {
-    Consuming,
-    Emitting,
-    Done,
-}
-
 /// The reusable aggregation core: the compiled input program plus group
 /// state, independent of any task or channel plumbing. One core serves
-/// the single-threaded [`AggregateTask`]; the parallel executor gives
+/// the serial [`AggregateKernel`]; the parallel executor gives
 /// each morsel worker its own core and [merges](AggCore::merge) them
 /// at the sink in worker order, so partial aggregation reuses exactly
 /// the slot columns and sorted emission of the serial path.
@@ -460,84 +454,75 @@ impl AggCore {
     }
 }
 
-/// Hash-aggregate task: an [`AggCore`] fed from a channel, emitting
-/// sorted output pages through an [`Outbox`].
-pub struct AggregateTask {
-    rx: Receiver<Arc<Page>>,
+/// Hash-aggregate kernel: an [`AggCore`] plus its cost. What is left
+/// of the operator here is that fold and the sorted emission, a batch
+/// of pages per call; [`crate::ops::shell`] runs it as a task.
+pub struct AggregateKernel {
+    in_schema: Arc<Schema>,
     core: AggCore,
     cost: OpCost,
-    state: PhaseState,
-    outbox: Outbox,
+    /// Every group has been emitted.
+    emitted: bool,
 }
 
-impl AggregateTask {
-    /// Creates an aggregation task reading pages of `in_schema`.
-    /// `out_schema` must be the plan-derived schema (group columns then
-    /// aggregate columns); aggregate inputs are compiled here, once.
-    /// Errs on non-numeric aggregate inputs, out-of-range group
-    /// columns, or an output schema of the wrong arity.
+impl AggregateKernel {
+    /// Creates an aggregation over pages of `in_schema`. `out_schema`
+    /// must be the plan-derived schema (group columns then aggregate
+    /// columns); aggregate inputs are compiled here, once. Errs on
+    /// non-numeric aggregate inputs, out-of-range group columns, or an
+    /// output schema of the wrong arity.
     pub fn new(
-        rx: Receiver<Arc<Page>>,
         in_schema: Arc<Schema>,
         group_by: Vec<usize>,
         aggs: Vec<Agg>,
         out_schema: Arc<Schema>,
         cost: OpCost,
-        fanout: Fanout,
     ) -> Result<Self, ExecError> {
         Ok(Self {
-            rx,
             core: AggCore::new(&in_schema, group_by, aggs, out_schema)?,
+            in_schema,
             cost,
-            state: PhaseState::Consuming,
-            outbox: Outbox::new(fanout),
+            emitted: false,
         })
     }
 }
 
-impl Task for AggregateTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, drained) = self.outbox.flush(ctx);
-        if !drained {
-            return Step::blocked(cost);
+impl Kernel for AggregateKernel {
+    fn name(&self) -> &'static str {
+        "aggregate"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        vec![("", self.in_schema.clone())]
+    }
+
+    fn on_page(
+        &mut self,
+        _: usize,
+        page: &Arc<Page>,
+        _: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        self.core.consume_page(page);
+        Ok(PageWork {
+            cost: self.cost.input_cost(page.rows()),
+            progress: page.rows(),
+        })
+    }
+
+    fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        self.core.start_emit();
+        Ok(PortClosed::default())
+    }
+
+    /// One batch of groups per call. Per-consumer delivery cost (`s`)
+    /// is the fan-out's to charge; the unit here keeps emission steps
+    /// advancing virtual time. The closing call emits nothing.
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        if self.emitted {
+            return Ok((0, true));
         }
-        match self.state {
-            PhaseState::Consuming => match self.rx.try_recv(ctx) {
-                Recv::Value(page) => {
-                    let n = page.rows();
-                    cost += self.cost.input_cost(n);
-                    ctx.add_progress(n as f64);
-                    self.core.consume_page(&page);
-                    Step::yielded(cost)
-                }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    self.state = PhaseState::Emitting;
-                    self.core.start_emit();
-                    Step::yielded(cost)
-                }
-            },
-            PhaseState::Emitting => {
-                if self.core.emit_step(|page| self.outbox.push(page)) {
-                    self.state = PhaseState::Done;
-                }
-                // Per-consumer delivery cost (`s`) is charged by the
-                // fan-out; add one unit so emission steps always advance
-                // virtual time.
-                cost += 1;
-                let (c, drained) = self.outbox.flush(ctx);
-                cost += c;
-                if drained {
-                    Step::yielded(cost)
-                } else {
-                    Step::blocked(cost)
-                }
-            }
-            PhaseState::Done => {
-                self.outbox.close(ctx);
-                Step::done(cost)
-            }
-        }
+        self.emitted = self.core.emit_step(|page| out.push(page));
+        Ok((1, false))
     }
 }
 
@@ -545,13 +530,8 @@ impl Task for AggregateTask {
 mod tests {
     use super::*;
     use crate::expr::ScalarExpr;
-    use crate::ops::testutil::CollectingSink;
-    use crate::ops::ScanTask;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
-    use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::ops::testutil::{drive, pages_of};
+    use cordoba_storage::{DataType, Field, Value};
 
     fn run_agg(
         rows: Vec<Vec<Value>>,
@@ -560,48 +540,11 @@ mod tests {
         aggs: Vec<Agg>,
         out_schema: Arc<Schema>,
     ) -> Vec<Vec<Value>> {
-        let mut tb = TableBuilder::new("t", in_schema.clone());
-        for r in &rows {
-            tb.push_row(r);
-        }
-        let table = tb.finish();
-        let mut sim = Simulator::new(2);
-        let (tx1, rx1) = channel::bounded(4);
-        let (tx2, rx2) = channel::bounded(4);
-        sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![tx1], 0.0),
-            )),
-        );
-        sim.spawn(
-            "agg",
-            Box::new(
-                AggregateTask::new(
-                    rx1,
-                    in_schema,
-                    group_by,
-                    aggs,
-                    out_schema,
-                    OpCost::default(),
-                    Fanout::new(vec![tx2], 0.0),
-                )
-                .expect("aggregate inputs compile"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rx2,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        let out = out.borrow().clone();
-        out
+        let pages = pages_of(&in_schema, &rows);
+        let cost = OpCost::default();
+        let mut agg = AggregateKernel::new(in_schema, group_by, aggs, out_schema, cost)
+            .expect("aggregate inputs compile");
+        drive(&mut agg, &[&pages]).expect("never fails")
     }
 
     #[test]

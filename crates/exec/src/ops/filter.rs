@@ -1,108 +1,83 @@
-//! Streaming filter, vectorized: the predicate is compiled once into a
-//! [`CompiledPredicate`] and evaluated page-at-a-time into a selection
-//! vector; survivors are repacked densely into fresh pages with bulk
-//! row copies ([`PageBuilder::push_selected`], over
+//! Streaming filter kernel, vectorized: the predicate is compiled once
+//! into a [`CompiledPredicate`] and evaluated page-at-a-time into a
+//! selection vector; survivors are repacked densely into fresh pages
+//! with bulk row copies ([`PageBuilder::push_selected`], over
 //! [`Page::copy_rows_into`], which coalesces consecutive runs).
+//!
+//! What is here is the state (the compiled predicate, the page being
+//! filled) and the page function; [`crate::ops::shell`] runs it as a
+//! task, and `parallel::WorkerPipeline` runs it fused into a morsel
+//! worker, flushing the tail after every page.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Predicate;
-use crate::ops::Fanout;
+use crate::ops::shell::{Kernel, PageWork, Pages, Port};
 use crate::vexpr::{CompiledPredicate, ExprScratch};
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
+use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::sync::Arc;
 
-/// Filter task.
-pub struct FilterTask {
-    rx: Receiver<Arc<Page>>,
+/// Filter kernel.
+pub struct FilterKernel {
+    schema: Arc<Schema>,
     predicate: CompiledPredicate,
     cost: OpCost,
     builder: PageBuilder,
-    fanout: Fanout,
-    input_closed: bool,
-    flushed: bool,
     scratch: ExprScratch,
     sel: Vec<u32>,
 }
 
-impl FilterTask {
-    /// Creates a filter reading pages of `schema` from `rx`. The
-    /// predicate is compiled against `schema` here, once; a predicate
-    /// that does not type-check errs before any task is spawned.
-    pub fn new(
-        rx: Receiver<Arc<Page>>,
-        schema: Arc<Schema>,
-        predicate: Predicate,
-        cost: OpCost,
-        fanout: Fanout,
-    ) -> Result<Self, ExecError> {
+impl FilterKernel {
+    /// Creates a filter over pages of `schema`. The predicate is
+    /// compiled against `schema` here, once; a predicate that does not
+    /// type-check errs before any task is spawned.
+    pub fn new(schema: Arc<Schema>, predicate: Predicate, cost: OpCost) -> Result<Self, ExecError> {
         Ok(Self {
-            rx,
             predicate: CompiledPredicate::compile(&predicate, &schema)?,
             cost,
-            builder: PageBuilder::new(schema),
-            fanout,
-            input_closed: false,
-            flushed: false,
+            builder: PageBuilder::new(schema.clone()),
+            schema,
             scratch: ExprScratch::default(),
             sel: Vec::new(),
         })
     }
 }
 
-impl Task for FilterTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, done) = self.fanout.pump(ctx);
-        if !done {
-            return Step::blocked(cost);
+impl Kernel for FilterKernel {
+    fn name(&self) -> &'static str {
+        "filter"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        vec![("", self.schema.clone())]
+    }
+
+    fn on_page(
+        &mut self,
+        _: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        self.predicate
+            .select(page, &mut self.scratch, &mut self.sel);
+        self.builder
+            .push_selected(page, &self.sel, |full| out.push(full));
+        if self.builder.is_full() {
+            out.push(self.builder.finish_and_reset());
         }
-        if self.input_closed {
-            if !self.flushed && !self.builder.is_empty() {
-                self.flushed = true;
-                let page = self.builder.finish_and_reset();
-                self.fanout.begin(page);
-                let (c, done) = self.fanout.pump(ctx);
-                cost += c;
-                if !done {
-                    return Step::blocked(cost);
-                }
-            }
-            self.fanout.close(ctx);
-            return Step::done(cost);
+        Ok(PageWork {
+            cost: self.cost.input_cost(page.rows()),
+            progress: page.rows(),
+        })
+    }
+
+    /// The partly filled tail page, if any.
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        if !self.builder.is_empty() {
+            out.push(self.builder.finish_and_reset());
         }
-        match self.rx.try_recv(ctx) {
-            Recv::Value(page) => {
-                let n = page.rows();
-                cost += self.cost.input_cost(n);
-                ctx.add_progress(n as f64);
-                let mut out_page = None;
-                self.predicate
-                    .select(&page, &mut self.scratch, &mut self.sel);
-                self.builder.push_selected(&page, &self.sel, |full| {
-                    debug_assert!(out_page.is_none(), "≤1 output page per input page");
-                    out_page = Some(full);
-                });
-                if self.builder.is_full() && out_page.is_none() {
-                    out_page = Some(self.builder.finish_and_reset());
-                }
-                if let Some(p) = out_page {
-                    self.fanout.begin(p);
-                    let (c, done) = self.fanout.pump(ctx);
-                    cost += c;
-                    if !done {
-                        return Step::blocked(cost);
-                    }
-                }
-                Step::yielded(cost)
-            }
-            Recv::Empty => Step::blocked(cost),
-            Recv::Closed => {
-                self.input_closed = true;
-                Step::yielded(cost)
-            }
-        }
+        Ok((0, true))
     }
 }
 
@@ -110,55 +85,20 @@ impl Task for FilterTask {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
-    use crate::ops::testutil::CountingSink;
-    use crate::ops::ScanTask;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
+    use crate::ops::testutil::drive;
     use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
+    /// Rows kept of `0..rows`, fed in pages of eight.
     fn run_filter(rows: i64, predicate: Predicate) -> usize {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         let mut tb = TableBuilder::with_page_size("t", schema.clone(), 64);
         for i in 0..rows {
             tb.push_row(&[Value::Int(i)]);
         }
-        let table = tb.finish();
-        let mut sim = Simulator::new(2);
-        let (tx1, rx1) = channel::bounded(4);
-        let (tx2, rx2) = channel::bounded(4);
-        sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![tx1], 0.0),
-            )),
-        );
-        sim.spawn(
-            "filter",
-            Box::new(
-                FilterTask::new(
-                    rx1,
-                    schema,
-                    predicate,
-                    OpCost::per_tuple(1.0),
-                    Fanout::new(vec![tx2], 0.0),
-                )
-                .expect("predicate compiles"),
-            ),
-        );
-        let rows_out = Rc::new(Cell::new(0));
-        sim.spawn(
-            "sink",
-            Box::new(CountingSink {
-                rx: rx2,
-                rows: rows_out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        rows_out.get()
+        let mut filter =
+            FilterKernel::new(schema, predicate, OpCost::per_tuple(1.0)).expect("compiles");
+        let kept = drive(&mut filter, &[tb.finish().pages()]).expect("never fails");
+        kept.len()
     }
 
     #[test]
@@ -189,5 +129,27 @@ mod tests {
     #[test]
     fn empty_input_produces_no_pages() {
         assert_eq!(run_filter(0, Predicate::True), 0);
+    }
+
+    #[test]
+    fn a_page_costs_its_input_rows_and_repacks_on_the_default_page_size() {
+        // 1000 eight-byte rows over two pages, half kept: nothing is
+        // emitted until the tail, each call reports its own page.
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let mut tb = TableBuilder::new("t", schema.clone());
+        for i in 0..1000 {
+            tb.push_row(&[Value::Int(i % 2)]);
+        }
+        let pred = Predicate::col_cmp(0, CmpOp::Eq, 1i64);
+        let mut filter = FilterKernel::new(schema, pred, OpCost::per_tuple(2.0)).expect("compiles");
+        let mut out = Pages::new();
+        for page in tb.finish().pages() {
+            let work = filter.on_page(0, page, &mut out).expect("never fails");
+            let rows = page.rows();
+            assert_eq!((work.cost, work.progress), (2 * rows as VTime, rows));
+        }
+        assert!(out.is_empty(), "500 rows fit the page in hand");
+        assert_eq!(filter.drain(&mut out), Ok((0, true)));
+        assert_eq!(out.iter().map(|p| p.rows()).collect::<Vec<_>>(), [500]);
     }
 }

@@ -23,24 +23,40 @@
 //! spilled partitions are spilled alongside. After the streaming probe
 //! each (build, probe) spill pair is reloaded and joined; a pair whose
 //! build side still exceeds the budget is **recursively repartitioned**
-//! with a level-seeded hash, up to `max_recursion` levels, after which
+//! with a level-seeded hash, up to `MAX_RECURSION` (4) levels, after which
 //! the query fails with a typed
 //! [`ExecError::BudgetExhausted`](crate::ExecError::BudgetExhausted).
 //! With an unbounded broker (the default) there is a single resident
 //! partition and behaviour is unchanged from the in-memory join.
+//!
+//! What is here is the kernel — the partitions, the spilled pairs and
+//! the page functions of the build, probe and spilled-pair phases —
+//! with [`Kernel::release`] its one teardown: every grant the state
+//! holds is returned there, whatever phase a failure interrupts.
+//! [`crate::ops::shell`] runs it as a task.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::memory::SpillContext;
-use crate::ops::{default_row_bytes, int_key, Fanout, Outbox};
+use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
 use cordoba_core::FxHashMap;
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx, VTime};
+use cordoba_sim::VTime;
 use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// The operator's name in faults.
+const OP: &str = "hash join";
+
+/// Repartitioning depth at which a still-oversized partition fails the
+/// query with [`ExecError::BudgetExhausted`].
+const MAX_RECURSION: u32 = 4;
+
+/// Partition fan-out cap per level.
+const MAX_PARTITIONS: usize = 64;
 
 /// Sentinel terminating a bucket chain.
 const NIL: u32 = u32::MAX;
@@ -211,144 +227,42 @@ pub(crate) fn partition_of(key: i64, level: u32, parts: usize) -> usize {
 /// resident directory against per-partition buffer overhead (the
 /// classic hybrid-hash sizing, per Jahangiri et al.). Unbounded
 /// brokers get a single partition — the pure in-memory join.
-fn initial_partitions(budget: Option<usize>, max_parts: usize) -> usize {
+fn initial_partitions(budget: Option<usize>) -> usize {
     match budget {
         None => 1,
         Some(b) => {
             let pages = (b / PAGE_SIZE).max(1);
-            ((pages as f64).sqrt().ceil() as usize).clamp(2, max_parts)
+            ((pages as f64).sqrt().ceil() as usize).clamp(2, MAX_PARTITIONS)
         }
     }
 }
 
-/// One build partition: memory-resident until chosen as a spill
-/// victim, on disk afterwards.
-enum Partition {
+/// One partition while the build input lasts: memory-resident until
+/// chosen as a spill victim, streaming to disk afterwards.
+enum BuildPart {
     Resident {
         table: BuildTable,
         /// Bytes granted for `table`'s arena.
         granted: usize,
     },
-    // Boxed: `SpilledPart` dwarfs `Resident` and partitions are long
-    // vectors of this enum.
-    Spilled(Box<SpilledPart>),
+    /// The open row stream, holding one granted buffer page.
+    Spilling(SpillWriter),
 }
 
-/// A spilled partition: its build rows stream to disk, and during the
-/// probe phase its probe rows do too.
-struct SpilledPart {
-    writer: Option<SpillWriter>,
-    buf: PageBuilder,
-    file: Option<SpillFile>,
-    probe: Option<ProbeSpill>,
-}
-
-/// Probe-side spill stream for one spilled partition.
-struct ProbeSpill {
-    writer: SpillWriter,
-    buf: PageBuilder,
-}
-
-impl SpilledPart {
-    fn create(spill: &SpillContext, schema: Arc<Schema>) -> Result<Self, ExecError> {
-        let writer = SpillWriter::create(&spill.dir, schema.clone())
-            .map_err(|e| ExecError::spill("hash join", e))?;
-        // One in-flight buffer page that spilling cannot eliminate.
-        spill.broker.grant(PAGE_SIZE);
-        Ok(SpilledPart {
-            writer: Some(writer),
-            buf: PageBuilder::new(schema),
-            file: None,
-            probe: None,
-        })
-    }
-
-    fn push_build_row(&mut self, raw: &[u8]) -> Result<(), ExecError> {
-        if self.buf.is_full() {
-            // lint: allow(writer opens with the build phase and closes only in finish_build)
-            let writer = self.writer.as_mut().expect("open build writer");
-            writer
-                .write_page(&self.buf.finish_and_reset())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-        }
-        assert!(self.buf.push_raw(raw));
-        Ok(())
-    }
-
-    /// Seals the build stream (end of build phase) and releases its
-    /// buffer page.
-    fn finish_build(&mut self, spill: &SpillContext) -> Result<(), ExecError> {
-        // lint: allow(finish_build runs once, while the build writer is still open)
-        let mut writer = self.writer.take().expect("open build writer");
-        if !self.buf.is_empty() {
-            writer
-                .write_page(&self.buf.finish_and_reset())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-        }
-        self.file = Some(
-            writer
-                .finish()
-                .map_err(|e| ExecError::spill("hash join", e))?,
-        );
-        spill.broker.release(PAGE_SIZE);
-        Ok(())
-    }
-
-    fn push_probe_row(
-        &mut self,
-        raw: &[u8],
-        probe_schema: &Arc<Schema>,
-        spill: &SpillContext,
-    ) -> Result<(), ExecError> {
-        if self.probe.is_none() {
-            let writer = SpillWriter::create(&spill.dir, probe_schema.clone())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-            spill.broker.grant(PAGE_SIZE);
-            self.probe = Some(ProbeSpill {
-                writer,
-                buf: PageBuilder::new(probe_schema.clone()),
-            });
-        }
-        let probe = self.probe.as_mut().expect("just created"); // lint: allow(populated directly above)
-        if probe.buf.is_full() {
-            probe
-                .writer
-                .write_page(&probe.buf.finish_and_reset())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-        }
-        assert!(probe.buf.push_raw(raw));
-        Ok(())
-    }
-
-    /// Seals the probe stream (end of probe phase). Returns the
-    /// (build, probe) pair to join later, or `None` when no probe row
-    /// ever routed here — every join kind is probe-driven, so a
-    /// probe-less partition produces no output.
-    fn into_pair(mut self, spill: &SpillContext) -> Result<Option<SpillPair>, ExecError> {
-        let Some(mut probe) = self.probe.take() else {
-            return Ok(None);
-        };
-        if !probe.buf.is_empty() {
-            probe
-                .writer
-                .write_page(&probe.buf.finish_and_reset())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-        }
-        let probe_file = probe
-            .writer
-            .finish()
-            .map_err(|e| ExecError::spill("hash join", e))?;
-        spill.broker.release(PAGE_SIZE);
-        if probe_file.rows() == 0 {
-            return Ok(None);
-        }
-        let build = self.file.take().filter(|f| f.rows() > 0);
-        Ok(Some(SpillPair {
-            build,
-            probe: probe_file,
-            level: 1,
-        }))
-    }
+/// One partition while the probe input lasts.
+enum ProbePart {
+    Resident {
+        table: BuildTable,
+        /// Bytes granted for `table`'s arena.
+        granted: usize,
+    },
+    Spilled {
+        /// The sealed build rows.
+        build: SpillFile,
+        /// Probe rows routed here, once there are any: an open row
+        /// stream holding one granted buffer page.
+        probe: Option<SpillWriter>,
+    },
 }
 
 /// A spilled (build, probe) pair awaiting its out-of-core join.
@@ -372,19 +286,17 @@ struct ActivePair {
     page_granted: usize,
 }
 
-enum PhaseState {
-    Building,
-    Probing,
-    /// Streaming probe done; joining spilled partition pairs.
+/// What `drain` does next.
+enum Tail {
+    /// Join the spilled partition pairs, a probe page per call.
     SpillJoin,
-    Flushing,
+    /// Emit the partly filled last page.
+    Flush,
     Done,
 }
 
-/// Hash-join task.
-pub struct HashJoinTask {
-    rx_build: Receiver<Arc<Page>>,
-    rx_probe: Receiver<Arc<Page>>,
+/// Hash-join kernel.
+pub struct HashJoinKernel {
     build_key: usize,
     probe_key: usize,
     kind: JoinKind,
@@ -394,52 +306,51 @@ pub struct HashJoinTask {
     probe_schema: Arc<Schema>,
     build_defaults: Vec<u8>,
     builder: PageBuilder,
-    outbox: Outbox,
-    state: PhaseState,
-    probe_keys: Vec<i64>,
+    tail: Tail,
+    /// The join keys of the page in hand.
+    keys: Vec<i64>,
+    /// Rows of the build page in hand routed to each partition.
+    routed: Vec<usize>,
     spill: SpillContext,
-    partitions: Vec<Partition>,
+    /// The partitions until the build input ends, then empty ...
+    build_parts: VecDeque<BuildPart>,
+    /// ... and the same partitions from then until the probe input ends.
+    probe_parts: Vec<ProbePart>,
     pending: VecDeque<SpillPair>,
     active: Option<ActivePair>,
 }
 
-impl HashJoinTask {
+impl HashJoinKernel {
     /// Creates a hash join.
     ///
     /// `out_schema` must be the plan-derived schema for `kind`
     /// (probe ++ build for Inner/LeftOuter, probe only for Semi/Anti);
     /// `build_schema` / `probe_schema` are the input schemas (default
     /// fill for outer joins, key-column validation). `spill` supplies
-    /// the query's memory account and spill policy;
+    /// the query's memory account and spill directory;
     /// [`SpillContext::unbounded`] reproduces the fully in-memory
     /// behaviour. Errs when a key column is out of range or not `Int`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        rx_build: Receiver<Arc<Page>>,
-        rx_probe: Receiver<Arc<Page>>,
         build_key: usize,
         probe_key: usize,
         kind: JoinKind,
         build_schema: Arc<Schema>,
-        probe_schema: &Arc<Schema>,
+        probe_schema: Arc<Schema>,
         out_schema: Arc<Schema>,
         build_cost: OpCost,
         probe_cost: OpCost,
-        fanout: Fanout,
         spill: SpillContext,
     ) -> Result<Self, ExecError> {
         int_key("hash join build", &build_schema, build_key)?;
-        int_key("hash join probe", probe_schema, probe_key)?;
-        let parts = initial_partitions(spill.broker.budget(), spill.max_partitions);
-        let partitions = (0..parts)
-            .map(|_| Partition::Resident {
+        int_key("hash join probe", &probe_schema, probe_key)?;
+        let build_parts = (0..initial_partitions(spill.broker.budget()))
+            .map(|_| BuildPart::Resident {
                 table: BuildTable::new(build_schema.row_width()),
                 granted: 0,
             })
             .collect();
         Ok(Self {
-            rx_build,
-            rx_probe,
             build_key,
             probe_key,
             kind,
@@ -447,13 +358,14 @@ impl HashJoinTask {
             probe_cost,
             build_defaults: default_row_bytes(&build_schema),
             build_schema,
-            probe_schema: probe_schema.clone(),
+            probe_schema,
             builder: PageBuilder::new(out_schema),
-            outbox: Outbox::new(fanout),
-            state: PhaseState::Building,
-            probe_keys: Vec::new(),
+            tail: Tail::Flush,
+            keys: Vec::new(),
+            routed: Vec::new(),
             spill,
-            partitions,
+            build_parts,
+            probe_parts: Vec::new(),
             pending: VecDeque::new(),
             active: None,
         })
@@ -463,30 +375,30 @@ impl HashJoinTask {
     /// until the resident demand fits the budget.
     fn build_page(&mut self, page: &Page) -> Result<(), ExecError> {
         let w = self.build_schema.row_width();
-        if self.partitions.len() == 1 {
+        if let [BuildPart::Resident { table, granted }] = self.build_parts.make_contiguous() {
             // Unbounded fast path: bulk arena append, as before the
             // broker existed (try_grant on an unbounded broker always
             // succeeds; it exists to keep the accounting honest).
             let bytes = page.byte_len();
             self.spill.broker.try_grant(bytes);
-            let Partition::Resident { table, granted } = &mut self.partitions[0] else {
-                // lint: allow(partition 0 stays resident when partitioning is disabled)
-                unreachable!("single partition never spills");
-            };
             *granted += bytes;
             table.insert_page(page, self.build_key);
             return Ok(());
         }
-        page.gather_i64(self.build_key, &mut self.probe_keys);
-        let parts = self.partitions.len();
+        page.gather_i64(self.build_key, &mut self.keys);
+        let parts = self.build_parts.len();
+        self.routed.clear();
+        self.routed.resize(parts, 0);
+        for &key in &self.keys {
+            self.routed[partition_of(key, 0, parts)] += 1;
+        }
         loop {
             // Bytes this page adds to *resident* partitions.
-            let mut demand = 0usize;
-            for &key in &self.probe_keys {
-                if let Partition::Resident { .. } = self.partitions[partition_of(key, 0, parts)] {
-                    demand += w;
-                }
-            }
+            let resident = self.build_parts.iter().zip(&self.routed);
+            let demand: usize = resident
+                .filter(|(part, _)| matches!(part, BuildPart::Resident { .. }))
+                .map(|(_, &rows)| rows * w)
+                .sum();
             if demand == 0 || self.spill.broker.try_grant(demand) {
                 break;
             }
@@ -497,13 +409,18 @@ impl HashJoinTask {
                 break;
             }
         }
-        for (raw, &key) in page.raw_rows().zip(&self.probe_keys) {
-            match &mut self.partitions[partition_of(key, 0, parts)] {
-                Partition::Resident { table, granted } => {
-                    table.insert_row(key, raw);
-                    *granted += w;
-                }
-                Partition::Spilled(sp) => sp.push_build_row(raw)?,
+        // The grant is the partitions' from here on, so that a failed
+        // write below leaves nothing unaccounted for.
+        for (part, &rows) in self.build_parts.iter_mut().zip(&self.routed) {
+            if let BuildPart::Resident { granted, .. } = part {
+                *granted += rows * w;
+            }
+        }
+        let io = self.spill.io(OP);
+        for (raw, &key) in page.raw_rows().zip(&self.keys) {
+            match &mut self.build_parts[partition_of(key, 0, parts)] {
+                BuildPart::Resident { table, .. } => table.insert_row(key, raw),
+                BuildPart::Spilling(stream) => io.push(stream, raw)?,
             }
         }
         Ok(())
@@ -512,83 +429,107 @@ impl HashJoinTask {
     /// Spills the resident partition holding the most granted memory.
     /// Returns `false` when no resident partition remains.
     fn spill_victim(&mut self) -> Result<bool, ExecError> {
-        let victim = self
-            .partitions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Partition::Resident { granted, .. } => Some((i, *granted)),
-                Partition::Spilled(_) => None,
-            })
-            .max_by_key(|&(_, g)| g)
-            .map(|(i, _)| i);
-        let Some(v) = victim else {
+        let residents = self.build_parts.iter_mut().filter_map(|part| match part {
+            BuildPart::Resident { granted, .. } => Some((*granted, part)),
+            BuildPart::Spilling(_) => None,
+        });
+        let Some((granted, victim)) = residents.max_by_key(|&(granted, _)| granted) else {
             return Ok(false);
         };
-        let replacement = Box::new(SpilledPart::create(&self.spill, self.build_schema.clone())?);
-        let Partition::Resident { table, granted } =
-            std::mem::replace(&mut self.partitions[v], Partition::Spilled(replacement))
-        else {
-            // lint: allow(pick_victim only returns resident partitions)
-            unreachable!("victim chosen among residents");
-        };
-        let Partition::Spilled(sp) = &mut self.partitions[v] else {
-            unreachable!("just replaced"); // lint: allow(std::mem::replace above installed the Spilled variant)
-        };
-        sp.writer
-            .as_mut()
-            .expect("fresh writer") // lint: allow(SpilledPart::create returns with its writer open)
-            .write_raw_rows(table.arena(), table.rows())
-            .map_err(|e| ExecError::spill("hash join", e))?;
+        let io = self.spill.io(OP);
+        let mut stream = io.create(self.build_schema.clone())?;
+        if let BuildPart::Resident { table, .. } = victim {
+            io.typed(stream.write_raw_rows(table.arena(), table.rows()))?;
+        }
+        // One in-flight buffer page that spilling cannot eliminate.
+        self.spill.broker.grant(PAGE_SIZE);
         self.spill.broker.release(granted);
+        *victim = BuildPart::Spilling(stream);
         Ok(true)
     }
 
-    /// End of build input: seal every spilled partition's build stream.
+    /// End of build input: seal every spilled partition's build stream,
+    /// returning its buffer page. A partition is in exactly one of the
+    /// two lists throughout, so a failure part-way strands no grant.
     fn finish_build(&mut self) -> Result<(), ExecError> {
-        for i in 0..self.partitions.len() {
-            if let Partition::Spilled(sp) = &mut self.partitions[i] {
-                sp.finish_build(&self.spill)?;
-            }
+        while let Some(part) = self.build_parts.pop_front() {
+            self.probe_parts.push(match part {
+                BuildPart::Resident { table, granted } => ProbePart::Resident { table, granted },
+                BuildPart::Spilling(stream) => {
+                    self.spill.broker.release(PAGE_SIZE);
+                    ProbePart::Spilled {
+                        build: self.spill.io(OP).finish(stream)?,
+                        probe: None,
+                    }
+                }
+            });
         }
         Ok(())
     }
 
     /// Probes one page: resident partitions join immediately, spilled
     /// partitions buffer the probe row to disk.
-    fn probe_page(&mut self, page: &Page) -> Result<(), ExecError> {
-        page.gather_i64(self.probe_key, &mut self.probe_keys);
-        let parts = self.partitions.len();
-        for (probe_raw, &key) in page.raw_rows().zip(&self.probe_keys) {
-            match &mut self.partitions[partition_of(key, 0, parts)] {
-                Partition::Resident { table, .. } => probe_row(
+    fn probe_page(&mut self, page: &Page, out: &mut Pages) -> Result<(), ExecError> {
+        page.gather_i64(self.probe_key, &mut self.keys);
+        let parts = self.probe_parts.len();
+        let io = self.spill.io(OP);
+        for (probe_raw, &key) in page.raw_rows().zip(&self.keys) {
+            match &mut self.probe_parts[partition_of(key, 0, parts)] {
+                ProbePart::Resident { table, .. } => probe_row(
                     self.kind,
                     table,
                     key,
                     probe_raw,
                     &mut self.builder,
-                    &mut self.outbox,
+                    out,
                     &self.build_defaults,
                 ),
-                Partition::Spilled(sp) => {
-                    sp.push_probe_row(probe_raw, &self.probe_schema, &self.spill)?
+                ProbePart::Spilled { probe, .. } => {
+                    let stream = match probe {
+                        Some(stream) => stream,
+                        None => {
+                            let stream = io.create(self.probe_schema.clone())?;
+                            self.spill.broker.grant(PAGE_SIZE);
+                            probe.insert(stream)
+                        }
+                    };
+                    io.push(stream, probe_raw)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// End of probe input: release resident partitions, queue spilled
-    /// pairs for the out-of-core join phase.
+    /// Hands over the probe-phase partitions with every grant they hold
+    /// — resident tables, open probe streams' buffer pages — returned.
+    fn take_probe_parts(&mut self) -> Vec<ProbePart> {
+        let parts = std::mem::take(&mut self.probe_parts);
+        for part in &parts {
+            self.spill.broker.release(match part {
+                ProbePart::Resident { granted, .. } => *granted,
+                ProbePart::Spilled { probe: Some(_), .. } => PAGE_SIZE,
+                ProbePart::Spilled { probe: None, .. } => 0,
+            });
+        }
+        parts
+    }
+
+    /// End of probe input: release resident partitions, seal the probe
+    /// streams and queue each spilled partition a probe row ever routed
+    /// to — every join kind is probe-driven, so a probe-less partition
+    /// produces no output.
     fn finish_probe(&mut self) -> Result<(), ExecError> {
-        for part in std::mem::take(&mut self.partitions) {
-            match part {
-                Partition::Resident { granted, .. } => self.spill.broker.release(granted),
-                Partition::Spilled(sp) => {
-                    if let Some(pair) = sp.into_pair(&self.spill)? {
-                        self.pending.push_back(pair);
-                    }
-                }
+        for part in self.take_probe_parts() {
+            if let ProbePart::Spilled {
+                build,
+                probe: Some(stream),
+            } = part
+            {
+                self.pending.push_back(SpillPair {
+                    build: Some(build).filter(|f| f.rows() > 0),
+                    probe: self.spill.io(OP).finish(stream)?,
+                    level: 1,
+                });
             }
         }
         Ok(())
@@ -597,45 +538,37 @@ impl HashJoinTask {
     /// One step of the spilled-pair join: probe one page of the active
     /// pair, or start the next pair. Returns the virtual cost and
     /// whether every pair is done.
-    fn spill_join_step(&mut self) -> Result<(VTime, bool), ExecError> {
-        if let Some(active) = &mut self.active {
-            match active
-                .reader
-                .next_page()
-                .map_err(|e| ExecError::spill("hash join", e))?
-            {
-                Some(page) => {
-                    self.spill.broker.release(active.page_granted);
-                    active.page_granted = page.byte_len();
-                    self.spill.broker.grant(active.page_granted);
-                    page.gather_i64(self.probe_key, &mut self.probe_keys);
-                    for (probe_raw, &key) in page.raw_rows().zip(&self.probe_keys) {
-                        probe_row(
-                            self.kind,
-                            &active.table,
-                            key,
-                            probe_raw,
-                            &mut self.builder,
-                            &mut self.outbox,
-                            &self.build_defaults,
-                        );
-                    }
-                    Ok((self.probe_cost.input_cost(page.rows()).max(1), false))
-                }
-                None => {
-                    self.spill
-                        .broker
-                        .release(active.page_granted + active.granted);
-                    self.active = None;
-                    Ok((1, false))
-                }
-            }
-        } else if let Some(pair) = self.pending.pop_front() {
+    fn spill_join_step(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        let Some(active) = &mut self.active else {
+            let Some(pair) = self.pending.pop_front() else {
+                return Ok((1, true));
+            };
             self.start_pair(pair)?;
-            Ok((1, false))
-        } else {
-            Ok((1, true))
+            return Ok((1, false));
+        };
+        let Some(page) = self.spill.io(OP).next_page(&mut active.reader)? else {
+            self.spill
+                .broker
+                .release(active.page_granted + active.granted);
+            self.active = None;
+            return Ok((1, false));
+        };
+        self.spill.broker.release(active.page_granted);
+        active.page_granted = page.byte_len();
+        self.spill.broker.grant(active.page_granted);
+        page.gather_i64(self.probe_key, &mut self.keys);
+        for (probe_raw, &key) in page.raw_rows().zip(&self.keys) {
+            probe_row(
+                self.kind,
+                &active.table,
+                key,
+                probe_raw,
+                &mut self.builder,
+                out,
+                &self.build_defaults,
+            );
         }
+        Ok((self.probe_cost.input_cost(page.rows()).max(1), false))
     }
 
     /// Activates a spilled pair: reload its build side if it fits the
@@ -643,22 +576,11 @@ impl HashJoinTask {
     fn start_pair(&mut self, pair: SpillPair) -> Result<(), ExecError> {
         let build_bytes = pair.build.as_ref().map_or(0, |f| f.bytes() as usize);
         if build_bytes == 0 || self.spill.broker.try_grant(build_bytes) {
-            let mut table = BuildTable::new(self.build_schema.row_width());
-            if let Some(file) = pair.build {
-                let mut reader = file
-                    .into_reader()
-                    .map_err(|e| ExecError::spill("hash join", e))?;
-                while let Some(page) = reader
-                    .next_page()
-                    .map_err(|e| ExecError::spill("hash join", e))?
-                {
-                    table.insert_page(&page, self.build_key);
-                }
+            let loaded = self.load_pair(pair);
+            if loaded.is_err() {
+                self.spill.broker.release(build_bytes);
             }
-            let reader = pair
-                .probe
-                .into_reader()
-                .map_err(|e| ExecError::spill("hash join", e))?;
+            let (table, reader) = loaded?;
             self.active = Some(ActivePair {
                 table,
                 granted: build_bytes,
@@ -666,9 +588,9 @@ impl HashJoinTask {
                 page_granted: 0,
             });
             Ok(())
-        } else if pair.level >= self.spill.max_recursion {
+        } else if pair.level >= MAX_RECURSION {
             Err(ExecError::BudgetExhausted {
-                op: "hash join",
+                op: OP,
                 detail: format!(
                     "build partition of {build_bytes} B still exceeds the budget after {} \
                      repartitioning levels (skewed key?)",
@@ -680,6 +602,19 @@ impl HashJoinTask {
         }
     }
 
+    /// Reloads a pair's build side and opens its probe side.
+    fn load_pair(&self, pair: SpillPair) -> Result<(BuildTable, SpillReader), ExecError> {
+        let io = self.spill.io(OP);
+        let mut table = BuildTable::new(self.build_schema.row_width());
+        if let Some(file) = pair.build {
+            let mut reader = io.open(file)?;
+            while let Some(page) = io.next_page(&mut reader)? {
+                table.insert_page(&page, self.build_key);
+            }
+        }
+        Ok((table, io.open(pair.probe)?))
+    }
+
     /// Splits an oversized pair into sub-pairs with a deeper-level
     /// hash, sized so each sub-build targets half the budget.
     fn repartition(&mut self, pair: SpillPair) -> Result<(), ExecError> {
@@ -687,7 +622,7 @@ impl HashJoinTask {
         let build_bytes = pair.build.as_ref().map_or(0, |f| f.bytes() as usize);
         let fan = build_bytes
             .div_ceil((budget / 2).max(PAGE_SIZE))
-            .clamp(2, self.spill.max_partitions);
+            .clamp(2, MAX_PARTITIONS);
         // Transient buffer pages for both splits' writers.
         let overhead = 2 * fan * PAGE_SIZE;
         self.spill.broker.grant(overhead);
@@ -725,244 +660,171 @@ impl HashJoinTask {
         fan: usize,
         level: u32,
     ) -> Result<Vec<Option<SpillFile>>, ExecError> {
-        let schema = file.schema().clone();
-        let mut outs: Vec<(SpillWriter, PageBuilder)> = Vec::with_capacity(fan);
+        let io = self.spill.io(OP);
+        let mut outs = Vec::with_capacity(fan);
         for _ in 0..fan {
-            let writer = SpillWriter::create(&self.spill.dir, schema.clone())
-                .map_err(|e| ExecError::spill("hash join", e))?;
-            outs.push((writer, PageBuilder::new(schema.clone())));
+            outs.push(io.create(file.schema().clone())?);
         }
-        let mut reader = file
-            .into_reader()
-            .map_err(|e| ExecError::spill("hash join", e))?;
-        while let Some(page) = reader
-            .next_page()
-            .map_err(|e| ExecError::spill("hash join", e))?
-        {
-            page.gather_i64(key_col, &mut self.probe_keys);
-            for (raw, &key) in page.raw_rows().zip(&self.probe_keys) {
-                let (writer, buf) = &mut outs[partition_of(key, level, fan)];
-                if buf.is_full() {
-                    writer
-                        .write_page(&buf.finish_and_reset())
-                        .map_err(|e| ExecError::spill("hash join", e))?;
-                }
-                assert!(buf.push_raw(raw));
+        let mut reader = io.open(file)?;
+        while let Some(page) = io.next_page(&mut reader)? {
+            page.gather_i64(key_col, &mut self.keys);
+            for (raw, &key) in page.raw_rows().zip(&self.keys) {
+                io.push(&mut outs[partition_of(key, level, fan)], raw)?;
             }
         }
         let mut files = Vec::with_capacity(fan);
-        for (mut writer, mut buf) in outs {
-            if !buf.is_empty() {
-                writer
-                    .write_page(&buf.finish_and_reset())
-                    .map_err(|e| ExecError::spill("hash join", e))?;
-            }
-            let file = writer
-                .finish()
-                .map_err(|e| ExecError::spill("hash join", e))?;
-            files.push(if file.rows() == 0 { None } else { Some(file) });
+        for stream in outs {
+            files.push(Some(io.finish(stream)?).filter(|f| f.rows() > 0));
         }
         Ok(files)
-    }
-
-    /// Aborts the query: records the fault, cancels both inputs, frees
-    /// spill state and closes the output without the drain check.
-    fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
-        self.spill.fault.set(err);
-        self.rx_build.close(ctx);
-        self.rx_probe.close(ctx);
-        self.partitions.clear();
-        self.pending.clear();
-        self.active = None;
-        self.outbox.abandon();
-        self.outbox.close(ctx);
-        self.state = PhaseState::Done;
-        Step::done(1)
     }
 }
 
 /// Joins one probe row against a build table, emitting per `kind` into
-/// the builder/outbox.
+/// the builder, full pages into `out`.
 fn probe_row(
     kind: JoinKind,
     table: &BuildTable,
     key: i64,
     probe_raw: &[u8],
     builder: &mut PageBuilder,
-    outbox: &mut Outbox,
+    out: &mut Pages,
     build_defaults: &[u8],
 ) {
     match kind {
         JoinKind::Inner => {
             for build_raw in table.matches(key) {
-                emit_row(builder, outbox, probe_raw, build_raw);
+                emit_row(builder, out, probe_raw, build_raw);
             }
         }
         JoinKind::Semi => {
             if table.contains(key) {
-                emit_row(builder, outbox, probe_raw, &[]);
+                emit_row(builder, out, probe_raw, &[]);
             }
         }
         JoinKind::Anti => {
             if !table.contains(key) {
-                emit_row(builder, outbox, probe_raw, &[]);
+                emit_row(builder, out, probe_raw, &[]);
             }
         }
         JoinKind::LeftOuter => {
             let mut m = table.matches(key).peekable();
             if m.peek().is_none() {
-                emit_row(builder, outbox, probe_raw, build_defaults);
+                emit_row(builder, out, probe_raw, build_defaults);
             } else {
                 for build_raw in m {
-                    emit_row(builder, outbox, probe_raw, build_raw);
+                    emit_row(builder, out, probe_raw, build_raw);
                 }
             }
         }
     }
 }
 
-/// Appends `probe_raw ++ build_raw` to the builder, spilling full pages
-/// to the outbox. The two fragments are written directly — no
-/// intermediate row scratch buffer.
-fn emit_row(builder: &mut PageBuilder, outbox: &mut Outbox, probe_raw: &[u8], build_raw: &[u8]) {
+/// Appends `probe_raw ++ build_raw` to the builder, moving full pages
+/// to `out`. The two fragments are written directly — no intermediate
+/// row scratch buffer.
+fn emit_row(builder: &mut PageBuilder, out: &mut Pages, probe_raw: &[u8], build_raw: &[u8]) {
     if builder.is_full() {
-        outbox.push(builder.finish_and_reset());
+        out.push(builder.finish_and_reset());
     }
     assert!(builder.push_raw_parts(probe_raw, build_raw));
 }
 
-impl Task for HashJoinTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, drained) = self.outbox.flush(ctx);
-        if !drained {
-            return Step::blocked(cost);
+impl Kernel for HashJoinKernel {
+    fn name(&self) -> &'static str {
+        OP
+    }
+
+    /// The build input is read to its end before the probe input.
+    fn ports(&self) -> Vec<Port> {
+        vec![
+            ("build input", self.build_schema.clone()),
+            ("probe input", self.probe_schema.clone()),
+        ]
+    }
+
+    fn on_page(
+        &mut self,
+        port: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        let cost = if port == 0 {
+            self.build_page(page)?;
+            self.build_cost
+        } else {
+            self.probe_page(page, out)?;
+            self.probe_cost
+        };
+        Ok(PageWork {
+            cost: cost.input_cost(page.rows()),
+            progress: page.rows(),
+        })
+    }
+
+    /// Blocking steps, a tick at least: sealing the build streams, then
+    /// queueing the spilled pairs.
+    fn on_close(&mut self, port: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        if port == 0 {
+            self.finish_build()?;
+        } else {
+            self.finish_probe()?;
+            if !self.pending.is_empty() {
+                self.tail = Tail::SpillJoin;
+            }
         }
-        match self.state {
-            PhaseState::Building => match self.rx_build.try_recv(ctx) {
-                Recv::Value(page) => {
-                    if **page.schema() != *self.build_schema {
-                        return self.fail(
-                            ctx,
-                            input_mismatch(&self.build_schema, &page, "build input"),
-                        );
-                    }
-                    let n = page.rows();
-                    cost += self.build_cost.input_cost(n);
-                    ctx.add_progress(n as f64);
-                    if let Err(err) = self.build_page(&page) {
-                        return self.fail(ctx, err);
-                    }
-                    Step::yielded(cost)
+        Ok(PortClosed {
+            cost: 0,
+            min_tick: 1,
+        })
+    }
+
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        match self.tail {
+            Tail::SpillJoin => {
+                let (cost, finished) = self.spill_join_step(out)?;
+                if finished {
+                    self.tail = Tail::Flush;
                 }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    if let Err(err) = self.finish_build() {
-                        return self.fail(ctx, err);
-                    }
-                    self.state = PhaseState::Probing;
-                    Step::yielded(cost.max(1))
-                }
-            },
-            PhaseState::Probing => match self.rx_probe.try_recv(ctx) {
-                Recv::Value(page) => {
-                    if **page.schema() != *self.probe_schema {
-                        return self.fail(
-                            ctx,
-                            input_mismatch(&self.probe_schema, &page, "probe input"),
-                        );
-                    }
-                    let n = page.rows();
-                    cost += self.probe_cost.input_cost(n);
-                    ctx.add_progress(n as f64);
-                    if let Err(err) = self.probe_page(&page) {
-                        return self.fail(ctx, err);
-                    }
-                    let (c, drained) = self.outbox.flush(ctx);
-                    cost += c;
-                    if drained {
-                        Step::yielded(cost)
-                    } else {
-                        Step::blocked(cost)
-                    }
-                }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    if let Err(err) = self.finish_probe() {
-                        return self.fail(ctx, err);
-                    }
-                    self.state = if self.pending.is_empty() {
-                        PhaseState::Flushing
-                    } else {
-                        PhaseState::SpillJoin
-                    };
-                    Step::yielded(cost.max(1))
-                }
-            },
-            PhaseState::SpillJoin => match self.spill_join_step() {
-                Ok((c, finished)) => {
-                    cost += c;
-                    if finished {
-                        self.state = PhaseState::Flushing;
-                    }
-                    let (c, drained) = self.outbox.flush(ctx);
-                    cost += c;
-                    if drained {
-                        Step::yielded(cost)
-                    } else {
-                        Step::blocked(cost)
-                    }
-                }
-                Err(err) => self.fail(ctx, err),
-            },
-            PhaseState::Flushing => {
+                Ok((cost, false))
+            }
+            Tail::Flush => {
                 if !self.builder.is_empty() {
-                    let tail = self.builder.finish_and_reset();
-                    self.outbox.push(tail);
+                    out.push(self.builder.finish_and_reset());
                 }
-                self.state = PhaseState::Done;
-                let (c, drained) = self.outbox.flush(ctx);
-                cost += c + 1;
-                if drained {
-                    Step::yielded(cost)
-                } else {
-                    Step::blocked(cost)
-                }
+                self.tail = Tail::Done;
+                Ok((1, false))
             }
-            PhaseState::Done => {
-                self.outbox.close(ctx);
-                Step::done(cost)
-            }
+            Tail::Done => Ok((0, true)),
         }
     }
-}
 
-/// Builds the typed fault for a page whose schema differs from what
-/// the operator was wired for.
-fn input_mismatch(expected: &Arc<Schema>, page: &Page, which: &str) -> ExecError {
-    ExecError::InputPageMismatch {
-        op: "hash join",
-        detail: format!(
-            "{which}: expected {} columns / {} B rows, got {} columns / {} B rows",
-            expected.len(),
-            expected.row_width(),
-            page.schema().len(),
-            page.schema().row_width()
-        ),
+    /// Every partition's grant in whichever phase it is, the spilled
+    /// pairs, the active pair's table and probe page. (A repartition
+    /// returns its transient overhead itself, failed or not.)
+    fn release(&mut self) {
+        for part in self.build_parts.drain(..) {
+            self.spill.broker.release(match part {
+                BuildPart::Resident { granted, .. } => granted,
+                BuildPart::Spilling(_) => PAGE_SIZE,
+            });
+        }
+        drop(self.take_probe_parts());
+        self.pending.clear();
+        if let Some(active) = self.active.take() {
+            self.spill
+                .broker
+                .release(active.granted + active.page_granted);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryBroker;
-    use crate::ops::testutil::CollectingSink;
-    use crate::ops::ScanTask;
+    use crate::ops::testutil::{drive, pages_of, run_shell};
     use crate::plan::concat_schemas;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
     use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn build_side() -> (Arc<Schema>, Vec<Vec<Value>>) {
         let schema = Schema::new(vec![
@@ -1054,13 +916,13 @@ mod tests {
 
     #[test]
     fn initial_partition_count_is_growth_aware() {
-        assert_eq!(initial_partitions(None, 64), 1);
+        assert_eq!(initial_partitions(None), 1);
         // 16 pages -> √16 = 4 partitions.
-        assert_eq!(initial_partitions(Some(16 * PAGE_SIZE), 64), 4);
+        assert_eq!(initial_partitions(Some(16 * PAGE_SIZE)), 4);
         // Tiny budgets still get the minimum split.
-        assert_eq!(initial_partitions(Some(1), 64), 2);
-        // The cap wins for huge budgets.
-        assert_eq!(initial_partitions(Some(1 << 30), 8), 8);
+        assert_eq!(initial_partitions(Some(1)), 2);
+        // The cap wins for huge budgets (√262144 pages = 512).
+        assert_eq!(initial_partitions(Some(1 << 30)), MAX_PARTITIONS);
     }
 
     fn run_join_with(kind: JoinKind, spill: SpillContext) -> Vec<Vec<Value>> {
@@ -1069,80 +931,45 @@ mod tests {
         run_join_rows(kind, spill, (bs, brows), (ps, prows))
     }
 
+    /// An inner/outer/semi/anti join of `ps` rows with `bs` rows on
+    /// their first columns, at the default costs.
+    fn join_of(
+        kind: JoinKind,
+        spill: SpillContext,
+        bs: &Arc<Schema>,
+        ps: &Arc<Schema>,
+    ) -> HashJoinKernel {
+        let out_schema = match kind {
+            JoinKind::Semi | JoinKind::Anti => ps.clone(),
+            _ => concat_schemas(ps, bs),
+        };
+        let cost = OpCost::default();
+        HashJoinKernel::new(
+            0,
+            0,
+            kind,
+            bs.clone(),
+            ps.clone(),
+            out_schema,
+            cost,
+            cost,
+            spill,
+        )
+        .expect("valid keys")
+    }
+
     fn run_join_rows(
         kind: JoinKind,
         spill: SpillContext,
         (bs, brows): (Arc<Schema>, Vec<Vec<Value>>),
         (ps, prows): (Arc<Schema>, Vec<Vec<Value>>),
     ) -> Vec<Vec<Value>> {
-        let mut tb = TableBuilder::new("b", bs.clone());
-        for r in &brows {
-            tb.push_row(r);
-        }
-        let btable = tb.finish();
-        let mut tp = TableBuilder::new("p", ps.clone());
-        for r in &prows {
-            tp.push_row(r);
-        }
-        let ptable = tp.finish();
-
-        let out_schema = match kind {
-            JoinKind::Semi | JoinKind::Anti => ps.clone(),
-            _ => concat_schemas(&ps, &bs),
-        };
-        let mut sim = Simulator::new(2);
-        let (txb, rxb) = channel::bounded(4);
-        let (txp, rxp) = channel::bounded(4);
-        let (txo, rxo) = channel::bounded(4);
-        sim.spawn(
-            "scan_b",
-            Box::new(ScanTask::new(
-                btable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txb], 0.0),
-            )),
-        );
-        sim.spawn(
-            "scan_p",
-            Box::new(ScanTask::new(
-                ptable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txp], 0.0),
-            )),
-        );
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "join",
-            Box::new(
-                HashJoinTask::new(
-                    rxb,
-                    rxp,
-                    0,
-                    0,
-                    kind,
-                    bs,
-                    &ps,
-                    out_schema,
-                    OpCost::default(),
-                    OpCost::default(),
-                    Fanout::new(vec![txo], 0.0),
-                    spill,
-                )
-                .expect("valid keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxo,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        assert_eq!(fault.get(), None, "join must not fault");
-        let out = out.borrow().clone();
-        out
+        let inputs = [pages_of(&bs, &brows), pages_of(&ps, &prows)];
+        drive(
+            &mut join_of(kind, spill, &bs, &ps),
+            &[&inputs[0], &inputs[1]],
+        )
+        .expect("join must not fault")
     }
 
     fn run_join(kind: JoinKind) -> Vec<Vec<Value>> {
@@ -1286,8 +1113,10 @@ mod tests {
 
     #[test]
     fn multi_level_recursion_still_joins_correctly() {
-        // max_partitions = 2 with a build ≫ budget forces sub-pairs to
-        // repartition recursively before they fit.
+        // A one-page budget against a 31-page build side: the two
+        // first-level partitions are far over budget, and of the sixteen
+        // sub-pairs each splits into some are still over a page, so they
+        // repartition again before they fit.
         let (build, probe) = spill_fixture();
         let want = run_join_rows(
             JoinKind::Inner,
@@ -1295,104 +1124,37 @@ mod tests {
             (build.0.clone(), build.1.clone()),
             (probe.0.clone(), probe.1.clone()),
         );
-        let mut spill = SpillContext::with_budget(4 * PAGE_SIZE);
-        spill.max_partitions = 2;
-        spill.max_recursion = 8;
+        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let broker = spill.broker.clone();
         let got = run_join_rows(JoinKind::Inner, spill, build, probe);
         assert_eq!(sorted(got), sorted(want));
+        assert_eq!(broker.used(), 0);
     }
 
     #[test]
     fn skewed_key_exhausts_budget_with_typed_error() {
         // Every build row has the same key: no amount of repartitioning
         // shrinks the partition, so the recursion cap must trip.
-        let bs = Schema::new(vec![
-            Field::new("bk", DataType::Int),
-            Field::new("bv", DataType::Int),
-        ]);
-        let ps = Schema::new(vec![
-            Field::new("pk", DataType::Int),
-            Field::new("pv", DataType::Int),
-        ]);
+        let (bs, _) = build_side();
+        let (ps, _) = probe_side();
         let brows: Vec<Vec<Value>> = (0..8000)
             .map(|i| vec![Value::Int(42), Value::Int(i)])
             .collect();
-        let prows = vec![vec![Value::Int(42), Value::Int(0)]];
-
-        let mut tb = TableBuilder::new("b", bs.clone());
-        for r in &brows {
-            tb.push_row(r);
-        }
-        let btable = tb.finish();
-        let mut tp = TableBuilder::new("p", ps.clone());
-        for r in &prows {
-            tp.push_row(r);
-        }
-        let ptable = tp.finish();
-
-        let mut sim = Simulator::new(2);
-        let (txb, rxb) = channel::bounded(4);
-        let (txp, rxp) = channel::bounded(4);
-        let (txo, rxo) = channel::bounded(4);
-        sim.spawn(
-            "scan_b",
-            Box::new(ScanTask::new(
-                btable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txb], 0.0),
-            )),
-        );
-        sim.spawn(
-            "scan_p",
-            Box::new(ScanTask::new(
-                ptable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txp], 0.0),
-            )),
-        );
-        let mut spill = SpillContext::with_budget(4 * PAGE_SIZE);
-        spill.max_recursion = 2;
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "join",
-            Box::new(
-                HashJoinTask::new(
-                    rxb,
-                    rxp,
-                    0,
-                    0,
-                    JoinKind::Inner,
-                    bs.clone(),
-                    &ps,
-                    concat_schemas(&ps, &bs),
-                    OpCost::default(),
-                    OpCost::default(),
-                    Fanout::new(vec![txo], 0.0),
-                    spill,
-                )
-                .expect("valid keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxo,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
+        let inputs = [
+            pages_of(&bs, &brows),
+            pages_of(&ps, &[vec![Value::Int(42), Value::Int(0)]]),
+        ];
+        let spill = SpillContext::with_budget(4 * PAGE_SIZE);
+        let broker = spill.broker.clone();
+        let mut join = join_of(JoinKind::Inner, spill, &bs, &ps);
+        let err = drive(&mut join, &[&inputs[0], &inputs[1]]).expect_err("cannot fit");
+        let detail = format!("after {MAX_RECURSION} repartitioning levels");
         assert!(
-            matches!(
-                fault.get(),
-                Some(ExecError::BudgetExhausted {
-                    op: "hash join",
-                    ..
-                })
-            ),
-            "got {:?}",
-            fault.get()
+            matches!(&err, ExecError::BudgetExhausted { op: "hash join", detail: d } if d.contains(&detail)),
+            "{err:?}"
         );
+        join.release();
+        assert_eq!(broker.used(), 0);
     }
 
     #[test]
@@ -1402,78 +1164,24 @@ mod tests {
         // Probe pages arrive with the *build* schema widths but a
         // different column count — a malformed upstream.
         let wrong = Schema::new(vec![Field::new("solo", DataType::Int)]);
-        let mut tb = TableBuilder::new("b", bs.clone());
-        for r in &brows {
-            tb.push_row(r);
-        }
-        let btable = tb.finish();
-        let mut tw = TableBuilder::new("w", wrong.clone());
-        tw.push_row(&[Value::Int(1)]);
-        let wtable = tw.finish();
-
-        let mut sim = Simulator::new(2);
-        let (txb, rxb) = channel::bounded(4);
-        let (txp, rxp) = channel::bounded(4);
-        let (txo, rxo) = channel::bounded(4);
-        sim.spawn(
-            "scan_b",
-            Box::new(ScanTask::new(
-                btable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txb], 0.0),
-            )),
-        );
-        sim.spawn(
-            "scan_w",
-            Box::new(ScanTask::new(
-                wtable.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txp], 0.0),
-            )),
-        );
+        let inputs = vec![
+            pages_of(&bs, &brows),
+            pages_of(&wrong, &[vec![Value::Int(1)]]),
+        ];
         let spill = SpillContext::unbounded();
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "join",
-            Box::new(
-                HashJoinTask::new(
-                    rxb,
-                    rxp,
-                    0,
-                    0,
-                    JoinKind::Inner,
-                    bs.clone(),
-                    &ps,
-                    concat_schemas(&ps, &bs),
-                    OpCost::default(),
-                    OpCost::default(),
-                    Fanout::new(vec![txo], 0.0),
-                    spill,
-                )
-                .expect("valid keys"),
-            ),
+        let (fault, broker) = (spill.fault.clone(), spill.broker.clone());
+        let join = join_of(JoinKind::Inner, spill, &bs, &ps);
+        let out = run_shell(Box::new(join), inputs, &fault);
+        assert_eq!(
+            fault.get(),
+            Some(ExecError::InputPageMismatch {
+                op: "hash join",
+                detail: "probe input: expected 2 columns / 16 B rows, got 1 columns / 8 B rows"
+                    .into()
+            })
         );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxo,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        assert!(
-            matches!(
-                fault.get(),
-                Some(ExecError::InputPageMismatch {
-                    op: "hash join",
-                    ..
-                })
-            ),
-            "got {:?}",
-            fault.get()
-        );
-        assert!(out.borrow().is_empty());
+        assert!(out.is_empty());
+        assert_eq!(broker.used(), 0, "the build table's grant came back");
     }
 
     #[test]
@@ -1481,10 +1189,7 @@ mod tests {
         let (build, probe) = spill_fixture();
         // Build side ~125 KiB vs a 32 KiB budget (≈4× over).
         let budget = 8 * PAGE_SIZE;
-        let spill = SpillContext {
-            broker: MemoryBroker::with_budget(budget),
-            ..SpillContext::unbounded()
-        };
+        let spill = SpillContext::with_budget(budget);
         let broker = spill.broker.clone();
         let got = run_join_rows(JoinKind::Inner, spill, build, probe);
         assert!(!got.is_empty());

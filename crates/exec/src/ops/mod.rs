@@ -1,4 +1,10 @@
-//! Operator tasks and shared machinery (fan-out, key encoding).
+//! Operators and their shared machinery (fan-out, key encoding).
+//!
+//! Filter, project, aggregate, sort, hash join and nested-loop join are
+//! [`Kernel`]s — state plus a page function — that one task, the
+//! [`OperatorShell`], runs behind the page-exchange protocol (see
+//! [`shell`]). Scan, sink, merge join and the morsel groups of
+//! `par_pipe` are tasks of their own.
 
 pub mod aggregate;
 pub mod filter;
@@ -8,6 +14,7 @@ pub mod nlj;
 pub(crate) mod par_pipe;
 pub mod project;
 pub mod scan;
+pub mod shell;
 pub mod sink;
 pub mod sort;
 pub mod sort_key;
@@ -17,15 +24,16 @@ mod join_properties;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use aggregate::AggregateTask;
-pub use filter::FilterTask;
-pub use hash_join::{BuildTable, HashJoinTask};
+pub use aggregate::AggregateKernel;
+pub use filter::FilterKernel;
+pub use hash_join::{BuildTable, HashJoinKernel};
 pub use merge_join::MergeJoinTask;
-pub use nlj::NestedLoopJoinTask;
-pub use project::ProjectTask;
+pub use nlj::NljKernel;
+pub use project::ProjectKernel;
 pub use scan::ScanTask;
+pub use shell::{Kernel, OperatorShell, Pages};
 pub use sink::SinkTask;
-pub use sort::SortTask;
+pub use sort::SortKernel;
 pub use sort_key::{KeyScratch, PackedKeySpec};
 
 use cordoba_sim::channel::Sender;
@@ -144,6 +152,11 @@ impl Outbox {
     /// Queues a page for delivery.
     pub fn push(&mut self, page: Arc<Page>) {
         self.queue.push_back(page);
+    }
+
+    /// Queues every page of `pages`, in order, leaving it empty.
+    pub fn extend(&mut self, pages: &mut Vec<Arc<Page>>) {
+        self.queue.extend(pages.drain(..));
     }
 
     /// Whether all queued pages have been fully delivered.

@@ -11,94 +11,84 @@
 //! the old one-row-page-per-pair `Predicate::eval` loop. The inner side
 //! lands in one contiguous arena (a bulk payload copy per page, no
 //! boxed row per tuple).
+//!
+//! What is here is the kernel: the inner arena, the candidate page and
+//! the pairing function. [`crate::ops::shell`] runs it as a task,
+//! reading the inner input to its end before the outer one.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Predicate;
-use crate::ops::{Fanout, Outbox};
+use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::vexpr::{CompiledPredicate, ExprScratch};
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
+use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::sync::Arc;
 
-enum PhaseState {
-    LoadingInner,
-    Streaming,
-    Flushing,
-    Done,
-}
-
-/// Nested-loop join task.
-pub struct NestedLoopJoinTask {
-    rx_outer: Receiver<Arc<Page>>,
-    rx_inner: Receiver<Arc<Page>>,
+/// Nested-loop join kernel.
+pub struct NljKernel {
+    outer_schema: Arc<Schema>,
+    inner_schema: Arc<Schema>,
     predicate: CompiledPredicate,
     cost: OpCost,
     /// Materialized inner rows, contiguous.
     inner_arena: Vec<u8>,
-    /// Byte width of one inner row (set when the first page arrives).
-    inner_width: usize,
     inner_rows: usize,
     builder: PageBuilder,
     /// Reused candidate-pair page under construction.
     candidates: PageBuilder,
-    outbox: Outbox,
-    state: PhaseState,
+    /// The partly filled last page has been emitted.
+    flushed: bool,
     scratch: ExprScratch,
     sel: Vec<u32>,
 }
 
-impl NestedLoopJoinTask {
-    /// Creates a nested-loop join. `pair_schema` is outer ++ inner (the
-    /// output schema); the predicate is compiled against it here, once,
-    /// erring on type mismatches or out-of-range columns.
+impl NljKernel {
+    /// Creates a nested-loop join of `outer_schema` rows with
+    /// `inner_schema` rows. `pair_schema` is outer ++ inner (the output
+    /// schema); the predicate is compiled against it here, once, erring
+    /// on type mismatches or out-of-range columns.
     pub fn new(
-        rx_outer: Receiver<Arc<Page>>,
-        rx_inner: Receiver<Arc<Page>>,
+        outer_schema: Arc<Schema>,
+        inner_schema: Arc<Schema>,
         predicate: Predicate,
         pair_schema: Arc<Schema>,
         cost: OpCost,
-        fanout: Fanout,
     ) -> Result<Self, ExecError> {
         Ok(Self {
-            rx_outer,
-            rx_inner,
+            outer_schema,
+            inner_schema,
             predicate: CompiledPredicate::compile(&predicate, &pair_schema)?,
             cost,
             inner_arena: Vec::new(),
-            inner_width: 0,
             inner_rows: 0,
             builder: PageBuilder::new(pair_schema.clone()),
             candidates: PageBuilder::new(pair_schema),
-            outbox: Outbox::new(fanout),
-            state: PhaseState::LoadingInner,
+            flushed: false,
             scratch: ExprScratch::default(),
             sel: Vec::new(),
         })
     }
 
     /// Evaluates the buffered candidate page and moves the selected
-    /// pairs into the output builder (full output pages go to the
-    /// outbox).
-    fn flush_candidates(&mut self) {
+    /// pairs into the output builder (full output pages go to `out`).
+    fn flush_candidates(&mut self, out: &mut Pages) {
         if self.candidates.is_empty() {
             return;
         }
         let page = self.candidates.finish_and_reset();
         self.predicate
             .select(&page, &mut self.scratch, &mut self.sel);
-        let outbox = &mut self.outbox;
         self.builder
-            .push_selected(&page, &self.sel, |full| outbox.push(full));
+            .push_selected(&page, &self.sel, |full| out.push(full));
         if self.builder.is_full() {
-            self.outbox.push(self.builder.finish_and_reset());
+            out.push(self.builder.finish_and_reset());
         }
     }
 
     /// Pairs one outer page against the whole inner arena through the
     /// candidate page.
-    fn stream_page(&mut self, page: &Page) {
+    fn stream_page(&mut self, page: &Page, out: &mut Pages) {
         if self.inner_rows == 0 {
             return; // empty inner: inner join emits nothing
         }
@@ -107,81 +97,74 @@ impl NestedLoopJoinTask {
         let arena = std::mem::take(&mut self.inner_arena);
         for t in page.tuples() {
             let outer = t.raw();
-            for inner in arena.chunks_exact(self.inner_width) {
+            for inner in arena.chunks_exact(self.inner_schema.row_width()) {
                 if !self.candidates.push_raw_parts(outer, inner) {
-                    self.flush_candidates();
+                    self.flush_candidates(out);
                     let pushed = self.candidates.push_raw_parts(outer, inner);
                     debug_assert!(pushed, "candidate page just flushed");
                 }
             }
         }
         self.inner_arena = arena;
-        self.flush_candidates();
+        self.flush_candidates(out);
     }
 }
 
-impl Task for NestedLoopJoinTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, drained) = self.outbox.flush(ctx);
-        if !drained {
-            return Step::blocked(cost);
+impl Kernel for NljKernel {
+    fn name(&self) -> &'static str {
+        "nested-loop join"
+    }
+
+    /// The inner input is read to its end before the outer input.
+    fn ports(&self) -> Vec<Port> {
+        vec![
+            ("inner input", self.inner_schema.clone()),
+            ("outer input", self.outer_schema.clone()),
+        ]
+    }
+
+    fn on_page(
+        &mut self,
+        port: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        let n = page.rows();
+        if port == 0 {
+            // Loading the inner side is no forward progress yet.
+            self.inner_rows += n;
+            self.inner_arena.extend_from_slice(page.payload());
+            return Ok(PageWork {
+                cost: self.cost.input_cost(n),
+                progress: 0,
+            });
         }
-        match self.state {
-            PhaseState::LoadingInner => match self.rx_inner.try_recv(ctx) {
-                Recv::Value(page) => {
-                    let n = page.rows();
-                    cost += self.cost.input_cost(n);
-                    self.inner_width = page.schema().row_width();
-                    self.inner_rows += n;
-                    self.inner_arena.extend_from_slice(page.payload());
-                    Step::yielded(cost)
-                }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    self.state = PhaseState::Streaming;
-                    Step::yielded(cost.max(1))
-                }
-            },
-            PhaseState::Streaming => match self.rx_outer.try_recv(ctx) {
-                Recv::Value(page) => {
-                    let n = page.rows();
-                    // Pair-examination cost: every (outer, inner) pair.
-                    cost += self.cost.input_cost(n * self.inner_rows.max(1));
-                    ctx.add_progress(n as f64);
-                    self.stream_page(&page);
-                    let (c, drained) = self.outbox.flush(ctx);
-                    cost += c;
-                    if drained {
-                        Step::yielded(cost)
-                    } else {
-                        Step::blocked(cost)
-                    }
-                }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    self.state = PhaseState::Flushing;
-                    Step::yielded(cost.max(1))
-                }
-            },
-            PhaseState::Flushing => {
-                if !self.builder.is_empty() {
-                    let tail = self.builder.finish_and_reset();
-                    self.outbox.push(tail);
-                }
-                self.state = PhaseState::Done;
-                let (c, drained) = self.outbox.flush(ctx);
-                cost += c + 1;
-                if drained {
-                    Step::yielded(cost)
-                } else {
-                    Step::blocked(cost)
-                }
-            }
-            PhaseState::Done => {
-                self.outbox.close(ctx);
-                Step::done(cost)
-            }
+        self.stream_page(page, out);
+        Ok(PageWork {
+            // Pair-examination cost: every (outer, inner) pair.
+            cost: self.cost.input_cost(n * self.inner_rows.max(1)),
+            progress: n,
+        })
+    }
+
+    /// Either input's end is a step of its own, a tick at least.
+    fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        Ok(PortClosed {
+            cost: 0,
+            min_tick: 1,
+        })
+    }
+
+    /// The partly filled last page, then the closing call.
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        if self.flushed {
+            return Ok((0, true));
         }
+        if !self.builder.is_empty() {
+            out.push(self.builder.finish_and_reset());
+        }
+        self.flushed = true;
+        Ok((1, false))
     }
 }
 
@@ -189,77 +172,31 @@ impl Task for NestedLoopJoinTask {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, ScalarExpr};
-    use crate::ops::testutil::CollectingSink;
-    use crate::ops::ScanTask;
+    use crate::ops::testutil::{drive, pages_of};
     use crate::plan::concat_schemas;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
-    use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use cordoba_storage::{DataType, Field, Value};
+
+    /// `a <op> b` over every (outer `a`, inner `b`) pair.
+    fn run_nlj(op: CmpOp, outer: &[i64], inner: &[i64]) -> Vec<Vec<Value>> {
+        let ls = Schema::new(vec![Field::new("a", DataType::Int)]);
+        let rs = Schema::new(vec![Field::new("b", DataType::Int)]);
+        let rows =
+            |vs: &[i64]| -> Vec<Vec<Value>> { vs.iter().map(|&v| vec![Value::Int(v)]).collect() };
+        let inputs = [pages_of(&rs, &rows(inner)), pages_of(&ls, &rows(outer))];
+        let pred = Predicate::Cmp {
+            left: ScalarExpr::col(0),
+            op,
+            right: ScalarExpr::col(1),
+        };
+        let pair = concat_schemas(&ls, &rs);
+        let mut nlj =
+            NljKernel::new(ls, rs, pred, pair, OpCost::default()).expect("predicate compiles");
+        drive(&mut nlj, &[&inputs[0], &inputs[1]]).expect("never fails")
+    }
 
     #[test]
     fn equi_predicate_matches_hash_join_inner() {
-        let ls = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let rs = Schema::new(vec![Field::new("b", DataType::Int)]);
-        let mut lt = TableBuilder::new("l", ls.clone());
-        for v in [1i64, 2, 3] {
-            lt.push_row(&[Value::Int(v)]);
-        }
-        let mut rt = TableBuilder::new("r", rs.clone());
-        for v in [2i64, 3, 4, 3] {
-            rt.push_row(&[Value::Int(v)]);
-        }
-        let pair = concat_schemas(&ls, &rs);
-        let pred = Predicate::Cmp {
-            left: ScalarExpr::col(0),
-            op: CmpOp::Eq,
-            right: ScalarExpr::col(1),
-        };
-        let mut sim = Simulator::new(2);
-        let (txo, rxo) = channel::bounded(4);
-        let (txi, rxi) = channel::bounded(4);
-        let (txout, rxout) = channel::bounded(4);
-        sim.spawn(
-            "outer",
-            Box::new(ScanTask::new(
-                lt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txo], 0.0),
-            )),
-        );
-        sim.spawn(
-            "inner",
-            Box::new(ScanTask::new(
-                rt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txi], 0.0),
-            )),
-        );
-        sim.spawn(
-            "nlj",
-            Box::new(
-                NestedLoopJoinTask::new(
-                    rxo,
-                    rxi,
-                    pred,
-                    pair,
-                    OpCost::default(),
-                    Fanout::new(vec![txout], 0.0),
-                )
-                .expect("predicate compiles"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxout,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        let mut got = out.borrow().clone();
+        let mut got = run_nlj(CmpOp::Eq, &[1, 2, 3], &[2, 3, 4, 3]);
         got.sort_by_key(|r| (r[0].as_int(), r[1].as_int()));
         assert_eq!(
             got,
@@ -274,67 +211,9 @@ mod tests {
     #[test]
     fn inequality_predicate_band_join() {
         // a < b: band joins are NLJ's raison d'être.
-        let ls = Schema::new(vec![Field::new("a", DataType::Int)]);
-        let rs = Schema::new(vec![Field::new("b", DataType::Int)]);
-        let mut lt = TableBuilder::new("l", ls.clone());
-        for v in [1i64, 5] {
-            lt.push_row(&[Value::Int(v)]);
-        }
-        let mut rt = TableBuilder::new("r", rs.clone());
-        for v in [3i64, 6] {
-            rt.push_row(&[Value::Int(v)]);
-        }
-        let pair = concat_schemas(&ls, &rs);
-        let pred = Predicate::Cmp {
-            left: ScalarExpr::col(0),
-            op: CmpOp::Lt,
-            right: ScalarExpr::col(1),
-        };
-        let mut sim = Simulator::new(1);
-        let (txo, rxo) = channel::bounded(4);
-        let (txi, rxi) = channel::bounded(4);
-        let (txout, rxout) = channel::bounded(4);
-        sim.spawn(
-            "outer",
-            Box::new(ScanTask::new(
-                lt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txo], 0.0),
-            )),
-        );
-        sim.spawn(
-            "inner",
-            Box::new(ScanTask::new(
-                rt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txi], 0.0),
-            )),
-        );
-        sim.spawn(
-            "nlj",
-            Box::new(
-                NestedLoopJoinTask::new(
-                    rxo,
-                    rxi,
-                    pred,
-                    pair,
-                    OpCost::default(),
-                    Fanout::new(vec![txout], 0.0),
-                )
-                .expect("predicate compiles"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxout,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
+        let got = run_nlj(CmpOp::Lt, &[1, 5], &[3, 6]);
         // pairs: (1,3),(1,6),(5,6)
-        assert_eq!(out.borrow().len(), 3);
+        assert_eq!(got.len(), 3);
     }
 
     #[test]
@@ -342,8 +221,6 @@ mod tests {
         let ls = Schema::new(vec![Field::new("a", DataType::Int)]);
         let rs = Schema::new(vec![Field::new("b", DataType::Str(4))]);
         let pair = concat_schemas(&ls, &rs);
-        let (_txo, rxo) = channel::bounded::<Arc<Page>>(1);
-        let (_txi, rxi) = channel::bounded::<Arc<Page>>(1);
         // Int vs Str comparison: incomparable, caught before any task
         // is spawned.
         let pred = Predicate::Cmp {
@@ -351,16 +228,22 @@ mod tests {
             op: CmpOp::Eq,
             right: ScalarExpr::col(1),
         };
-        let err = NestedLoopJoinTask::new(
-            rxo,
-            rxi,
-            pred,
-            pair,
-            OpCost::default(),
-            Fanout::new(vec![], 0.0),
-        )
-        .err()
-        .expect("constructor must reject");
+        let err = NljKernel::new(ls, rs, pred, pair, OpCost::default())
+            .err()
+            .expect("constructor must reject");
         assert!(err.to_string().contains("incomparable"), "{err}");
+    }
+
+    #[test]
+    fn loading_the_inner_side_is_charged_but_is_no_progress() {
+        let s = Schema::new(vec![Field::new("a", DataType::Int)]);
+        let pair = concat_schemas(&s, &s);
+        let page = &pages_of(&s, &[vec![Value::Int(1)], vec![Value::Int(2)]])[0];
+        let mut nlj = NljKernel::new(s.clone(), s, Predicate::True, pair, OpCost::default())
+            .expect("compiles");
+        let mut out = Pages::new();
+        let work = |cost, progress| Ok(PageWork { cost, progress });
+        assert_eq!(nlj.on_page(0, page, &mut out), work(2, 0));
+        assert_eq!(nlj.on_page(1, page, &mut out), work(4, 2), "2 x 2 pairs");
     }
 }

@@ -163,10 +163,6 @@ impl ParChain {
             .unwrap_or_else(|| self.in_schema.clone())
     }
 
-    fn specs(&self) -> Vec<StageSpec> {
-        self.stages.iter().map(|(s, _)| s.clone()).collect()
-    }
-
     fn costs(&self) -> Vec<OpCost> {
         self.stages.iter().map(|(_, c)| *c).collect()
     }
@@ -190,7 +186,7 @@ impl FusedScan {
         Ok(FusedScan {
             pages: chain.pages.clone(),
             dispenser,
-            pipe: WorkerPipeline::new(&chain.in_schema, &chain.specs())?,
+            pipe: WorkerPipeline::new(&chain.in_schema, &chain.stages)?,
             scan_cost: chain.scan_cost,
             stage_costs: chain.costs(),
             stage_rows: Vec::new(),
@@ -380,7 +376,7 @@ impl<S: GroupTx<AggMsg>> Task for ParAggWorker<S> {
 
 /// Merges deposited cores in worker-index order and emits sorted
 /// groups — the same emission order and page batching as the serial
-/// [`crate::ops::AggregateTask`].
+/// [`crate::ops::AggregateKernel`].
 pub(crate) struct ParAggMerge<R> {
     rx: R,
     /// Deposits that make the set complete: one per worker.

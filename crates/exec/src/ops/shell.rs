@@ -1,0 +1,662 @@
+//! The one operator task: a [`Kernel`] behind the page-exchange
+//! protocol.
+//!
+//! The paper prices every operator with the same two numbers over one
+//! protocol (Section 3.2): work `w` per unit of forward progress and a
+//! per-consumer output cost `s`, exchanged a page at a time. That
+//! protocol is written here, once. An operator is a [`Kernel`] — state
+//! plus a page function, no channels, no scheduler — and
+//! [`OperatorShell`] is the [`Task`] that runs it:
+//!
+//! * **Flush first.** A step begins by delivering what earlier steps
+//!   produced. A full consumer ends the step ([`Step::blocked`]) before
+//!   anything new is read, so pages are neither lost nor reordered and
+//!   at most one kernel call's output is ever queued.
+//! * **One page per step.** With the outbox empty the shell reads one
+//!   page from the *current port* — ports are read to their end one
+//!   after the other, in the order of [`Kernel::ports`] (build before
+//!   probe, inner before outer) — checks its schema, and hands it to
+//!   [`Kernel::on_page`]. An empty channel registers the task as a
+//!   waiter and blocks. A closed one calls [`Kernel::on_close`] and
+//!   moves to the next port; the step still yields, for at least the
+//!   `min_tick` the kernel asks (the blocking operators' close step
+//!   always advances virtual time, the streaming ones' costs nothing).
+//! * **Drain.** With every port closed each step calls
+//!   [`Kernel::drain`] until it reports `last`; once that output is
+//!   delivered the shell closes its consumers and is done — in the same
+//!   step when nothing is left to deliver. (Filter and project end
+//!   that way: tail and close in one step. The operators that emit in
+//!   batches have always finished with a separate closing step, and
+//!   keep it by answering a final `(0, true)`.)
+//! * **Who charges what.** The kernel returns the work (`w` side) of
+//!   each call and the progress it stands for; the shell adds the
+//!   delivery cost (`s` side) its [`Fanout`] charges per consumer, and
+//!   reports both to the scheduler. Nothing else costs virtual time.
+//! * **Input check.** A page is accepted when its schema is the very
+//!   `Arc` last accepted on that port, else when it equals the port's
+//!   expected schema (and becomes the remembered `Arc`): one deep
+//!   compare per upstream schema object, a pointer compare per page.
+//!   Anything else is [`ExecError::InputPageMismatch`].
+//! * **Failure, in one place.** An error from the input check or from
+//!   any kernel call ends the task the same way: the query's
+//!   [`FaultCell`] takes the error, every input is closed (upstream
+//!   runs out into the void instead of blocking), [`Kernel::release`]
+//!   returns the kernel's grants and files, undelivered output is
+//!   abandoned, the consumers see end-of-stream, and the step is
+//!   [`Step::done`] at cost 1.
+//!
+//! Outside the shell, on purpose: the merge join polls *two* inputs
+//! inside one step (whichever side its merge is starved on), scan and
+//! sink have no input or no output, and the morsel tasks of `par_pipe`
+//! and the sharing seam of `thread_exec` exchange morsels over channels
+//! of their own — folding any of them in would make the shell branch on
+//! its caller. `par_pipe`'s workers do run the same filter and project
+//! kernels, through [`crate::parallel`]'s `WorkerPipeline`.
+
+use crate::error::{ExecError, FaultCell};
+use crate::ops::{Fanout, Outbox};
+use cordoba_sim::channel::{Receiver, Recv};
+use cordoba_sim::{Step, Task, TaskCtx, VTime};
+use cordoba_storage::{Page, Schema};
+use std::sync::Arc;
+
+/// Pages a kernel call produced, in delivery order.
+pub type Pages = Vec<Arc<Page>>;
+
+/// One input of a kernel: what a mismatch fault calls it (`"build
+/// input"`; empty for an operator with one input) and the schema every
+/// page on it must have.
+pub type Port = (&'static str, Arc<Schema>);
+
+/// What [`Kernel::on_page`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageWork {
+    /// Virtual work of the call.
+    pub cost: VTime,
+    /// Rows of forward progress it stands for (0 while an operator only
+    /// loads the side it will later be probed with).
+    pub progress: usize,
+}
+
+/// What [`Kernel::on_close`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PortClosed {
+    /// Virtual work of the call (the sort itself, a merge cascade).
+    pub cost: VTime,
+    /// The least this step may cost in all.
+    pub min_tick: VTime,
+}
+
+/// An operator: state plus a page function. See the [module docs](self)
+/// for when the shell makes each call.
+pub trait Kernel {
+    /// The operator's name in faults.
+    fn name(&self) -> &'static str;
+
+    /// The inputs, in the order they are read to their end.
+    fn ports(&self) -> Vec<Port>;
+
+    /// Takes one page of input `port`.
+    fn on_page(
+        &mut self,
+        port: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError>;
+
+    /// Input `port` has ended.
+    fn on_close(&mut self, _port: usize, _out: &mut Pages) -> Result<PortClosed, ExecError> {
+        Ok(PortClosed::default())
+    }
+
+    /// Produces output after the last input ended: the cost of the call,
+    /// and whether it was the last.
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError>;
+
+    /// Returns every memory grant and spill file the kernel holds — the
+    /// only teardown. The shell calls it once, when the query fails; a
+    /// kernel may call it itself when it has emitted everything, so it
+    /// must be harmless to repeat.
+    fn release(&mut self) {}
+}
+
+/// One input as the shell reads it.
+struct Input {
+    rx: Receiver<Arc<Page>>,
+    port: Port,
+    /// The schema `Arc` last accepted here.
+    accepted: Arc<Schema>,
+}
+
+impl Input {
+    fn check(&mut self, page: &Page, op: &'static str) -> Result<(), ExecError> {
+        let ((what, want), got) = (&self.port, page.schema());
+        if Arc::ptr_eq(got, &self.accepted) {
+            return Ok(());
+        }
+        if **got == **want {
+            self.accepted = got.clone();
+            return Ok(());
+        }
+        let which = match *what {
+            "" => String::new(),
+            what => format!("{what}: "),
+        };
+        Err(ExecError::InputPageMismatch {
+            op,
+            detail: format!(
+                "{which}expected {} columns / {} B rows, got {} columns / {} B rows",
+                want.len(),
+                want.row_width(),
+                got.len(),
+                got.row_width()
+            ),
+        })
+    }
+}
+
+/// The task that runs a [`Kernel`]. See the [module docs](self).
+pub struct OperatorShell {
+    kernel: Box<dyn Kernel>,
+    /// The kernel's name, for faults.
+    op: &'static str,
+    inputs: Vec<Input>,
+    /// The port being read; `inputs.len()` once all have ended.
+    port: usize,
+    /// `drain` reported its last call: close once the outbox is empty.
+    last: bool,
+    out: Pages,
+    outbox: Outbox,
+    fault: FaultCell,
+}
+
+impl OperatorShell {
+    /// Runs `kernel` over `inputs` — one receiver per [`Kernel::ports`]
+    /// entry, in that order — delivering to `fanout` and reporting a
+    /// failure to `fault`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver count differs from the kernel's ports.
+    pub fn new(
+        kernel: Box<dyn Kernel>,
+        inputs: Vec<Receiver<Arc<Page>>>,
+        fanout: Fanout,
+        fault: FaultCell,
+    ) -> Self {
+        let ports = kernel.ports();
+        assert_eq!(inputs.len(), ports.len(), "{}: inputs", kernel.name());
+        let inputs = inputs.into_iter().zip(ports).map(|(rx, port)| Input {
+            rx,
+            accepted: port.1.clone(),
+            port,
+        });
+        OperatorShell {
+            inputs: inputs.collect(),
+            op: kernel.name(),
+            kernel,
+            port: 0,
+            last: false,
+            out: Pages::new(),
+            outbox: Outbox::new(fanout),
+            fault,
+        }
+    }
+
+    /// The kernel call this step is for; `None` when the current input
+    /// has nothing yet. Returns the call's cost and the step's floor.
+    fn call_kernel(&mut self, ctx: &mut TaskCtx<'_>) -> Result<Option<(VTime, VTime)>, ExecError> {
+        let Some(input) = self.inputs.get_mut(self.port) else {
+            let (cost, last) = self.kernel.drain(&mut self.out)?;
+            self.last = last;
+            return Ok(Some((cost, 0)));
+        };
+        match input.rx.try_recv(ctx) {
+            Recv::Value(page) => {
+                input.check(&page, self.op)?;
+                let work = self.kernel.on_page(self.port, &page, &mut self.out)?;
+                ctx.add_progress(work.progress as f64);
+                Ok(Some((work.cost, 0)))
+            }
+            Recv::Empty => Ok(None),
+            Recv::Closed => {
+                let closed = self.kernel.on_close(self.port, &mut self.out)?;
+                self.port += 1;
+                Ok(Some((closed.cost, closed.min_tick)))
+            }
+        }
+    }
+
+    /// The failure path (see the [module docs](self)).
+    fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
+        self.fault.set(err);
+        for input in &self.inputs {
+            input.rx.close(ctx);
+        }
+        self.kernel.release();
+        self.out.clear();
+        self.outbox.abandon();
+        self.outbox.close(ctx);
+        Step::done(1)
+    }
+}
+
+impl Task for OperatorShell {
+    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+        let (mut cost, mut drained) = self.outbox.flush(ctx);
+        let mut min_tick = 0;
+        if drained && !self.last {
+            match self.call_kernel(ctx) {
+                Ok(Some((work, floor))) => {
+                    self.outbox.extend(&mut self.out);
+                    let (delivery, all) = self.outbox.flush(ctx);
+                    cost += work + delivery;
+                    (drained, min_tick) = (all, floor);
+                }
+                Ok(None) => return Step::blocked(cost),
+                Err(err) => return self.fail(ctx, err),
+            }
+        }
+        if !drained {
+            Step::blocked(cost)
+        } else if self.last {
+            self.outbox.close(ctx);
+            Step::done(cost)
+        } else {
+            Step::yielded(cost.max(min_tick))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::memory::SpillContext;
+    use crate::ops::testutil::pages_of;
+    use cordoba_sim::channel::{self, Sender};
+    use cordoba_sim::{DetachedCtx, StepStatus};
+    use cordoba_storage::spill::SpillFile;
+    use cordoba_storage::{DataType, Field, Value};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The shell's task id in these tests.
+    const SHELL: usize = 7;
+
+    /// A kernel that does what its fields say and logs every call.
+    struct Scripted {
+        ports: usize,
+        calls: Rc<RefCell<Vec<String>>>,
+        /// The call that fails: `"page"`, `"close"` or `"drain"`.
+        fails: &'static str,
+        /// How many times `on_page` emits the page it was given.
+        copies: usize,
+        /// `drain` calls that emit a page before the last one.
+        batches: usize,
+        /// The last `drain` call emits a page too.
+        tail: bool,
+        min_tick: VTime,
+        /// What a running operator holds: a grant and a spill file.
+        held: Option<(SpillContext, SpillFile)>,
+    }
+
+    impl Scripted {
+        fn call(&self, name: String) -> Result<(), ExecError> {
+            let failing = name.starts_with(self.fails) && !self.fails.is_empty();
+            self.calls.borrow_mut().push(name);
+            if failing {
+                let detail = self.fails.into();
+                return Err(ExecError::Injected { detail });
+            }
+            Ok(())
+        }
+    }
+
+    impl Kernel for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn ports(&self) -> Vec<Port> {
+            let names = &["first input", "second input"][..self.ports];
+            names.iter().map(|&what| (what, schema())).collect()
+        }
+        fn on_page(
+            &mut self,
+            port: usize,
+            page: &Arc<Page>,
+            out: &mut Pages,
+        ) -> Result<PageWork, ExecError> {
+            self.call(format!("page{port}"))?;
+            out.extend(std::iter::repeat_n(page.clone(), self.copies));
+            Ok(PageWork {
+                cost: 10,
+                progress: page.rows(),
+            })
+        }
+        fn on_close(&mut self, port: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+            self.call(format!("close{port}"))?;
+            Ok(PortClosed {
+                cost: 3,
+                min_tick: self.min_tick,
+            })
+        }
+        fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+            self.call("drain".into())?;
+            let last = self.batches == 0;
+            if !last || self.tail {
+                out.push(page(-1));
+            }
+            self.batches = self.batches.saturating_sub(1);
+            Ok((if last { 0 } else { 2 }, last))
+        }
+        fn release(&mut self) {
+            self.calls.borrow_mut().push("release".into());
+            if let Some((spill, _file)) = self.held.take() {
+                spill.broker.release(64);
+            }
+        }
+    }
+
+    fn schema() -> Arc<Schema> {
+        Schema::new(vec![Field::new("x", DataType::Int)])
+    }
+
+    /// A one-row page holding `x`.
+    fn page(x: i64) -> Arc<Page> {
+        pages_of(&schema(), &[vec![Value::Int(x)]])[0].clone()
+    }
+
+    /// Both ends of an input channel.
+    type Ends = (Sender<Arc<Page>>, Receiver<Arc<Page>>);
+
+    /// A shell over a [`Scripted`] kernel, with both ends of its
+    /// channels and the context it is stepped in.
+    struct Rig {
+        shell: OperatorShell,
+        inputs: Vec<Ends>,
+        out: Receiver<Arc<Page>>,
+        calls: Rc<RefCell<Vec<String>>>,
+        fault: FaultCell,
+        detached: DetachedCtx,
+    }
+
+    impl Rig {
+        /// `script` adjusts the default kernel: one port, one copy per
+        /// page, a lone closing `drain`, no failure. The consumer's
+        /// channel holds `capacity` pages.
+        fn new(capacity: usize, script: impl FnOnce(&mut Scripted)) -> Self {
+            let calls = Rc::new(RefCell::new(Vec::new()));
+            let mut kernel = Scripted {
+                ports: 1,
+                calls: calls.clone(),
+                fails: "",
+                copies: 1,
+                batches: 0,
+                tail: false,
+                min_tick: 0,
+                held: None,
+            };
+            script(&mut kernel);
+            let inputs: Vec<_> = (0..kernel.ports).map(|_| channel::bounded(8)).collect();
+            let (tx, out) = channel::bounded(capacity);
+            let fault = FaultCell::default();
+            let rxs = inputs.iter().map(|(_, rx)| rx.clone()).collect();
+            let fanout = Fanout::new(vec![tx], 1.0);
+            Rig {
+                shell: OperatorShell::new(Box::new(kernel), rxs, fanout, fault.clone()),
+                inputs,
+                out,
+                calls,
+                fault,
+                detached: DetachedCtx::new(),
+            }
+        }
+
+        fn step(&mut self) -> Step {
+            self.shell.step(&mut self.detached.ctx(SHELL))
+        }
+
+        /// Sends `xs` as one-row pages into input `port`, as another task.
+        fn feed(&mut self, port: usize, xs: &[i64]) {
+            for &x in xs {
+                let sent = self.inputs[port]
+                    .0
+                    .try_send(page(x), &mut self.detached.ctx(0));
+                assert!(sent.is_ok());
+            }
+        }
+
+        fn close(&mut self, port: usize) {
+            self.inputs[port].0.close(&mut self.detached.ctx(0));
+        }
+
+        /// What the consumer reads next: `Ok(x)` for a page, else
+        /// whether the stream has ended.
+        fn read(&mut self) -> Result<i64, bool> {
+            match self.out.try_recv(&mut self.detached.ctx(1)) {
+                Recv::Value(page) => Ok(page.tuple(0).get_int(0)),
+                Recv::Empty => Err(false),
+                Recv::Closed => Err(true),
+            }
+        }
+
+        fn calls(&self) -> String {
+            self.calls.borrow().join(" ")
+        }
+    }
+
+    #[test]
+    fn a_full_consumer_blocks_without_losing_or_reordering_pages() {
+        // Three copies of each page into a one-page channel: the shell
+        // blocks mid-delivery and reads nothing new until the consumer
+        // has taken all three.
+        let mut rig = Rig::new(1, |k| k.copies = 3);
+        rig.feed(0, &[1, 2]);
+        rig.close(0);
+        let first = rig.step();
+        assert_eq!((first.cost, first.status), (10 + 1, StepStatus::Blocked));
+        let mut seen = Vec::new();
+        loop {
+            match rig.read() {
+                Ok(x) => seen.push(x),
+                Err(true) => break,
+                Err(false) => {
+                    rig.step();
+                }
+            }
+            if seen.len() < 2 {
+                // Two read, the third in the channel: only then is the
+                // outbox empty and the next page read.
+                assert_eq!(rig.calls(), "page0", "page 2 waits for page 1's copies");
+            }
+        }
+        assert_eq!(seen, [1, 1, 1, 2, 2, 2]);
+        assert_eq!(rig.calls(), "page0 page0 close0 drain");
+    }
+
+    #[test]
+    fn an_empty_input_registers_a_waiter() {
+        let mut rig = Rig::new(4, |_| ());
+        let step = rig.step();
+        assert_eq!((step.cost, step.status), (0, StepStatus::Blocked));
+        assert_eq!(rig.calls(), "");
+        rig.feed(0, &[5]);
+        let woken: Vec<usize> = rig
+            .detached
+            .drain_wakes()
+            .iter()
+            .map(|t| t.index())
+            .collect();
+        assert_eq!(woken, [SHELL], "the send wakes the blocked shell");
+        assert_eq!(rig.step().status, StepStatus::Yield);
+        assert_eq!(rig.read(), Ok(5));
+    }
+
+    #[test]
+    fn ports_are_read_in_the_order_asked() {
+        // The second input is ready from the start; the shell still
+        // waits on the first, and turns to the second only at its end.
+        let mut rig = Rig::new(8, |k| k.ports = 2);
+        rig.feed(1, &[20, 21]);
+        rig.close(1);
+        assert_eq!(rig.step().status, StepStatus::Blocked);
+        assert_eq!(rig.inputs[1].1.len(), 2, "untouched");
+        rig.feed(0, &[10]);
+        rig.close(0);
+        while rig.step().status != StepStatus::Done {}
+        assert_eq!(rig.calls(), "page0 close0 page1 page1 close1 drain");
+        assert_eq!(
+            [rig.read(), rig.read(), rig.read()],
+            [Ok(10), Ok(20), Ok(21)]
+        );
+        assert_eq!(rig.read(), Err(true));
+    }
+
+    #[test]
+    fn min_tick_and_last_are_honoured() {
+        let mut rig = Rig::new(1, |k| {
+            k.min_tick = 5;
+            k.batches = 2;
+        });
+        rig.close(0);
+        // The close step costs the kernel's 3, raised to its floor of 5.
+        let close = rig.step();
+        assert_eq!((close.cost, close.status), (5, StepStatus::Yield));
+        // A batch: 2 of work, 1 to deliver its one row to one consumer.
+        let batch = rig.step();
+        assert_eq!((batch.cost, batch.status), (3, StepStatus::Yield));
+        // The next finds the consumer full; its page waits in the
+        // outbox and `drain` is not called again until it has left.
+        let blocked = rig.step();
+        assert_eq!((blocked.cost, blocked.status), (2, StepStatus::Blocked));
+        assert_eq!(rig.step().status, StepStatus::Blocked);
+        assert_eq!(rig.calls(), "close0 drain drain");
+        assert_eq!(rig.read(), Ok(-1));
+        // Delivered; the call that reports `last` also closes.
+        let last = rig.step();
+        assert_eq!((last.cost, last.status), (1, StepStatus::Done));
+        assert_eq!(rig.calls(), "close0 drain drain drain");
+        assert_eq!([rig.read(), rig.read()], [Ok(-1), Err(true)]);
+    }
+
+    #[test]
+    fn last_with_output_still_queued_closes_without_another_call() {
+        // A kernel whose last call emits (a streaming operator's tail)
+        // into a full consumer: blocked, then done — no second call.
+        let mut rig = Rig::new(1, |k| k.tail = true);
+        rig.feed(0, &[1]);
+        rig.close(0);
+        assert_eq!(rig.step().status, StepStatus::Yield);
+        assert_eq!(rig.step().status, StepStatus::Yield, "the close");
+        assert_eq!(rig.step().status, StepStatus::Blocked, "tail behind page 1");
+        assert_eq!(rig.read(), Ok(1));
+        assert_eq!(rig.step().status, StepStatus::Done);
+        assert_eq!(rig.calls(), "page0 close0 drain");
+        assert_eq!([rig.read(), rig.read()], [Ok(-1), Err(true)]);
+    }
+
+    #[test]
+    fn a_kernel_error_at_any_call_runs_the_failure_path_exactly_once() {
+        for fails in ["page", "close", "drain"] {
+            let dir =
+                std::env::temp_dir().join(format!("cordoba-shell-{fails}-{}", std::process::id()));
+            let mut spill = SpillContext::with_budget(1 << 20);
+            spill.dir = dir.clone();
+            let io = spill.io("scripted");
+            let mut stream = io.create(schema()).expect("spill dir");
+            io.push(&mut stream, page(1).payload()).expect("row");
+            let file = io.finish(stream).expect("sealed");
+            spill.broker.grant(64);
+            let broker = spill.broker.clone();
+            let mut rig = Rig::new(8, |k| {
+                k.ports = 2;
+                k.fails = fails;
+                k.held = Some((spill, file));
+                k.copies = 3;
+            });
+            // A failure on the first input leaves the second with
+            // pages queued that nobody will read.
+            match fails {
+                "page" => {
+                    rig.feed(1, &[7, 8]);
+                    rig.feed(0, &[1]);
+                }
+                "close" => {
+                    rig.feed(1, &[7, 8]);
+                    rig.close(0);
+                }
+                _ => {
+                    rig.close(0);
+                    rig.close(1);
+                }
+            }
+            let failed = loop {
+                let step = rig.step();
+                if step.status == StepStatus::Done {
+                    break step;
+                }
+                assert_eq!(rig.read(), Err(false), "{fails}: nothing was emitted");
+            };
+            assert_eq!(failed.cost, 1, "{fails}");
+            let injected = ExecError::Injected {
+                detail: fails.into(),
+            };
+            assert_eq!(rig.fault.get(), Some(injected), "{fails}");
+            let calls = rig.calls();
+            assert!(
+                calls.ends_with(" release") || calls == "release",
+                "{fails}: {calls}"
+            );
+            assert_eq!(calls.matches("release").count(), 1, "{fails}: {calls}");
+            assert_eq!(broker.used(), 0, "{fails}: the grant came back");
+            let left = std::fs::read_dir(&dir).expect("spill dir").count();
+            assert_eq!(left, 0, "{fails}: spill files left behind");
+            std::fs::remove_dir(&dir).expect("empty spill dir");
+            for (_, rx) in &rig.inputs {
+                assert!(rx.is_finished(), "{fails}: an input was left open");
+            }
+            assert_eq!(rig.read(), Err(true), "{fails}: end of stream, no page");
+        }
+    }
+
+    #[test]
+    fn a_foreign_page_is_a_typed_fault_and_a_schema_is_compared_deeply_once() {
+        let mut rig = Rig::new(8, |k| k.ports = 2);
+        // Equal schemas behind two different `Arc`s are both accepted ...
+        rig.feed(0, &[1, 2]);
+        assert_eq!(rig.step().status, StepStatus::Yield);
+        let accepted = rig.shell.inputs[0].accepted.clone();
+        assert!(!Arc::ptr_eq(&accepted, &rig.shell.inputs[0].port.1));
+        // ... a page of the remembered `Arc` by pointer alone ...
+        let mut same = cordoba_storage::PageBuilder::new(accepted.clone());
+        assert!(same.push_row(&[Value::Int(3)]));
+        let same = same.finish();
+        assert!(rig.inputs[0]
+            .0
+            .try_send(same, &mut rig.detached.ctx(0))
+            .is_ok());
+        assert_eq!(rig.step().status, StepStatus::Yield);
+        assert_eq!(rig.step().status, StepStatus::Yield);
+        assert!(Arc::ptr_eq(&accepted, &rig.shell.inputs[0].accepted));
+        // ... and a wider one fails the query, naming the port.
+        let wide = Schema::new(vec![
+            Field::new("x", DataType::Int),
+            Field::new("y", DataType::Int),
+        ]);
+        let foreign = pages_of(&wide, &[vec![Value::Int(1), Value::Int(2)]])[0].clone();
+        assert!(rig.inputs[0]
+            .0
+            .try_send(foreign, &mut rig.detached.ctx(0))
+            .is_ok());
+        assert_eq!(rig.step(), Step::done(1));
+        assert_eq!(
+            rig.fault.get(),
+            Some(ExecError::InputPageMismatch {
+                op: "scripted",
+                detail: "first input: expected 1 columns / 8 B rows, got 2 columns / 16 B rows"
+                    .into()
+            })
+        );
+        assert_eq!(rig.calls(), "page0 page0 page0 release");
+    }
+}

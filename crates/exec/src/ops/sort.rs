@@ -26,14 +26,23 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::SpillContext;
+use crate::memory::{MemoryBroker, SpillContext};
+use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
-use crate::ops::{key_of, Fanout, KeyVal, Outbox};
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx, VTime};
-use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
+use crate::ops::{key_of, KeyVal};
+use cordoba_sim::VTime;
+use cordoba_storage::spill::{SpillFile, SpillReader};
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::sync::Arc;
+
+/// The operator's name in faults.
+const OP: &str = "sort";
+
+/// Bytes emitted per `drain` call during the output phase (≈4 pages).
+const EMIT_BYTES: usize = 16 * 1024;
+
+/// Cursor fan-in cap for one merge pass.
+const MAX_MERGE_FANOUT: usize = 64;
 
 /// Per-row sort keys, packed when they fit a machine word.
 enum Keys {
@@ -45,16 +54,20 @@ enum Keys {
     General(Vec<Vec<KeyVal>>),
 }
 
-enum PhaseState {
-    Consuming,
-    Emitting { order: Vec<u32>, next: usize },
-    Merging(KWayMerge),
-    Done,
+/// Where `drain` takes the sorted rows from.
+enum Emit {
+    /// Nothing: the input has not ended, or every row has left.
+    Nothing,
+    /// The buffered pages, in `order` from position `next`.
+    Buffered { order: Vec<u32>, next: usize },
+    /// The spilled runs.
+    Runs(KWayMerge),
 }
 
-/// Sort task (ascending by the given key columns, major first).
-pub struct SortTask {
-    rx: Receiver<Arc<Page>>,
+/// Sort kernel (ascending by the given key columns, major first): the
+/// buffered pages and their keys, the spilled runs, and the emission
+/// cursor. [`crate::ops::shell`] runs it as a task.
+pub struct SortKernel {
     key_cols: Vec<usize>,
     cost: OpCost,
     schema: Arc<Schema>,
@@ -63,8 +76,7 @@ pub struct SortTask {
     /// `(page, row)` of each buffered row, aligned with the keys.
     locs: Vec<(u32, u32)>,
     keys: Keys,
-    state: PhaseState,
-    outbox: Outbox,
+    emit: Emit,
     emit_batch_rows: usize,
     spill: SpillContext,
     /// Bytes currently granted for the buffered pages.
@@ -73,17 +85,15 @@ pub struct SortTask {
     runs: Vec<SpillFile>,
 }
 
-impl SortTask {
+impl SortKernel {
     /// Creates a sort over pages of `schema`, erring when a key column
     /// is out of range. `spill` supplies the query's memory account and
-    /// spill policy; [`SpillContext::unbounded`] reproduces the fully
+    /// spill directory; [`SpillContext::unbounded`] reproduces the fully
     /// in-memory behaviour.
     pub fn new(
-        rx: Receiver<Arc<Page>>,
         schema: Arc<Schema>,
         keys: Vec<usize>,
         cost: OpCost,
-        fanout: Fanout,
         spill: SpillContext,
     ) -> Result<Self, ExecError> {
         for &k in &keys {
@@ -91,7 +101,6 @@ impl SortTask {
                 return Err(crate::plan::column_range_error("sort key", k, &schema));
             }
         }
-        let emit_batch_rows = (DEFAULT_EMIT_BYTES / schema.row_width()).max(1);
         let keys_state = match PackedKeySpec::try_new(&schema, &keys) {
             Some(spec) => Keys::Packed {
                 spec,
@@ -101,38 +110,18 @@ impl SortTask {
             None => Keys::General(Vec::new()),
         };
         Ok(Self {
-            rx,
             key_cols: keys,
             cost,
+            emit_batch_rows: (EMIT_BYTES / schema.row_width()).max(1),
             schema,
             pages: Vec::new(),
             locs: Vec::new(),
             keys: keys_state,
-            state: PhaseState::Consuming,
-            outbox: Outbox::new(fanout),
-            emit_batch_rows,
+            emit: Emit::Nothing,
             spill,
             granted: 0,
             runs: Vec::new(),
         })
-    }
-
-    /// Buffers one page: record row locations and extract its keys.
-    fn consume_page(&mut self, page: Arc<Page>) {
-        let page_idx = self.pages.len() as u32;
-        self.locs
-            .extend((0..page.rows()).map(|r| (page_idx, r as u32)));
-        match &mut self.keys {
-            Keys::Packed {
-                spec,
-                scratch,
-                keys,
-            } => spec.extend_keys(&page, scratch, keys),
-            Keys::General(keys) => {
-                keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
-            }
-        }
-        self.pages.push(page);
     }
 
     /// Computes the sorted row permutation (stable: equal keys keep
@@ -159,6 +148,14 @@ impl SortTask {
         order
     }
 
+    /// Drops the buffered pages and returns their grant.
+    fn free_buffered(&mut self) {
+        self.pages.clear();
+        self.locs.clear();
+        self.spill.broker.release(self.granted);
+        self.granted = 0;
+    }
+
     /// Sorts the buffered batch, writes it out as one run, and frees
     /// its memory. Returns the number of rows spilled.
     fn spill_run(&mut self) -> Result<usize, ExecError> {
@@ -166,30 +163,14 @@ impl SortTask {
             return Ok(0);
         }
         let order = self.sorted_order();
-        let mut writer = SpillWriter::create(&self.spill.dir, self.schema.clone())
-            .map_err(|e| ExecError::spill("sort", e))?;
-        let mut builder = PageBuilder::new(self.schema.clone());
+        let io = self.spill.io(OP);
+        let mut run = io.create(self.schema.clone())?;
         for &idx in &order {
             let (p, r) = self.locs[idx as usize];
-            let raw = self.pages[p as usize].tuple(r as usize).raw();
-            if !builder.push_raw(raw) {
-                writer
-                    .write_page(&builder.finish_and_reset())
-                    .map_err(|e| ExecError::spill("sort", e))?;
-                assert!(builder.push_raw(raw));
-            }
+            io.push(&mut run, self.pages[p as usize].tuple(r as usize).raw())?;
         }
-        if !builder.is_empty() {
-            writer
-                .write_page(&builder.finish_and_reset())
-                .map_err(|e| ExecError::spill("sort", e))?;
-        }
-        self.runs
-            .push(writer.finish().map_err(|e| ExecError::spill("sort", e))?);
-        self.pages.clear();
-        self.locs.clear();
-        self.spill.broker.release(self.granted);
-        self.granted = 0;
+        self.runs.push(io.finish(run)?);
+        self.free_buffered();
         Ok(order.len())
     }
 
@@ -210,36 +191,15 @@ impl SortTask {
         let rest = self.runs.split_off(k);
         let front = std::mem::replace(&mut self.runs, rest);
         let mut merge = KWayMerge::open(front, &mut self.keys, &self.key_cols, &self.spill)?;
-        let mut writer = SpillWriter::create(&self.spill.dir, self.schema.clone())
-            .map_err(|e| ExecError::spill("sort", e))?;
-        let mut builder = PageBuilder::new(self.schema.clone());
+        let io = self.spill.io(OP);
+        let mut merged = io.create(self.schema.clone())?;
         let mut rows = 0usize;
-        while let Some(i) = merge.min_cursor(&self.keys) {
-            let cursor = &merge.cursors[i];
-            let raw = cursor
-                .page
-                .as_ref()
-                // lint: allow(min_cursor only returns cursors holding a page)
-                .expect("live cursor")
-                .tuple(cursor.row)
-                .raw();
-            if !builder.push_raw(raw) {
-                writer
-                    .write_page(&builder.finish_and_reset())
-                    .map_err(|e| ExecError::spill("sort", e))?;
-                assert!(builder.push_raw(raw));
-            }
+        while let Some((i, raw)) = merge.min_row(&self.keys) {
+            io.push(&mut merged, raw)?;
             rows += 1;
             merge.advance(i, &mut self.keys, &self.key_cols, &self.spill)?;
         }
-        if !builder.is_empty() {
-            writer
-                .write_page(&builder.finish_and_reset())
-                .map_err(|e| ExecError::spill("sort", e))?;
-        }
-        merge.release_all(&self.spill);
-        let merged = writer.finish().map_err(|e| ExecError::spill("sort", e))?;
-        self.runs.insert(0, merged);
+        self.runs.insert(0, io.finish(merged)?);
         Ok(rows)
     }
 
@@ -251,78 +211,138 @@ impl SortTask {
         let mut cost = self.cost.input_cost(spilled);
         let fanout = self.merge_fanout();
         while self.runs.len() > fanout {
-            let k = fanout.min(self.runs.len());
-            let merged = self.merge_front_runs(k)?;
+            let merged = self.merge_front_runs(fanout)?;
             cost += self.cost.input_cost(merged);
         }
         let runs = std::mem::take(&mut self.runs);
         let merge = KWayMerge::open(runs, &mut self.keys, &self.key_cols, &self.spill)?;
         Ok((cost, merge))
     }
+}
 
-    /// One output step of the final merge: emit up to a batch of rows.
-    /// Returns the virtual cost and whether the merge is finished.
-    fn merge_step(&mut self) -> Result<(VTime, bool), ExecError> {
-        let PhaseState::Merging(merge) = &mut self.state else {
-            // lint: allow(callers dispatch on phase before calling merge_step)
-            unreachable!("merge_step outside Merging");
-        };
-        let mut builder = PageBuilder::new(self.schema.clone());
-        let mut emitted = 0usize;
-        while emitted < self.emit_batch_rows {
-            let Some(i) = merge.min_cursor(&self.keys) else {
-                break;
-            };
-            let cursor = &merge.cursors[i];
-            let raw = cursor
-                .page
-                .as_ref()
-                // lint: allow(min_cursor only returns cursors holding a page)
-                .expect("live cursor")
-                .tuple(cursor.row)
-                .raw();
-            if !builder.push_raw(raw) {
-                self.outbox.push(builder.finish_and_reset());
-                assert!(builder.push_raw(raw));
-            }
-            emitted += 1;
-            merge.advance(i, &mut self.keys, &self.key_cols, &self.spill)?;
-        }
-        if !builder.is_empty() {
-            self.outbox.push(builder.finish_and_reset());
-        }
-        let finished = merge.min_cursor(&self.keys).is_none();
-        if finished {
-            merge.release_all(&self.spill);
-        }
-        Ok((self.cost.input_cost(emitted).max(1), finished))
-    }
-
-    /// Aborts the query: records the fault, cancels the input, frees
-    /// buffered state and closes the output without the drain check.
-    fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
-        self.spill.fault.set(err);
-        self.rx.close(ctx);
-        self.pages.clear();
-        self.locs.clear();
-        self.runs.clear();
-        self.spill.broker.release(self.granted);
-        self.granted = 0;
-        if let PhaseState::Merging(merge) = &mut self.state {
-            merge.release_all(&self.spill);
-        }
-        self.outbox.abandon();
-        self.outbox.close(ctx);
-        self.state = PhaseState::Done;
-        Step::done(1)
+/// Appends `raw` to the page being built, moving a full page to `out`.
+fn emit_row(builder: &mut PageBuilder, out: &mut Pages, raw: &[u8]) {
+    if !builder.push_raw(raw) {
+        out.push(builder.finish_and_reset());
+        assert!(builder.push_raw(raw));
     }
 }
 
-/// Bytes emitted per step during the output phase (≈4 pages).
-const DEFAULT_EMIT_BYTES: usize = 16 * 1024;
+impl Kernel for SortKernel {
+    fn name(&self) -> &'static str {
+        OP
+    }
 
-/// Cursor fan-in cap for one merge pass.
-const MAX_MERGE_FANOUT: usize = 64;
+    fn ports(&self) -> Vec<Port> {
+        vec![("", self.schema.clone())]
+    }
+
+    /// Buffers one page: record row locations and extract its keys.
+    fn on_page(
+        &mut self,
+        _: usize,
+        page: &Arc<Page>,
+        _: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        let mut cost = self.cost.input_cost(page.rows());
+        let bytes = page.byte_len();
+        if !self.spill.broker.try_grant(bytes) {
+            // Over budget: spill the buffered batch as a sorted run,
+            // then retry (forcing if a single page alone exceeds the
+            // budget).
+            let spilled = self.spill_run()?;
+            cost += self.cost.input_cost(spilled);
+            if !self.spill.broker.try_grant(bytes) {
+                self.spill.broker.grant(bytes);
+            }
+        }
+        self.granted += bytes;
+        let page_idx = self.pages.len() as u32;
+        self.locs
+            .extend((0..page.rows()).map(|r| (page_idx, r as u32)));
+        match &mut self.keys {
+            Keys::Packed {
+                spec,
+                scratch,
+                keys,
+            } => spec.extend_keys(page, scratch, keys),
+            Keys::General(keys) => {
+                keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
+            }
+        }
+        self.pages.push(page.clone());
+        Ok(PageWork {
+            cost,
+            progress: page.rows(),
+        })
+    }
+
+    /// The sort itself, or — with runs on disk — the cascade down to
+    /// one final merge. A blocking step: it costs at least a tick.
+    fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        let cost = if self.runs.is_empty() {
+            // Fully in-memory: the actual sort. Charged linearly per
+            // tuple to keep the model's per-unit-progress cost
+            // structure; the log factor is ~constant across the paper's
+            // scales.
+            let order = self.sorted_order();
+            let cost = self.cost.input_cost(order.len());
+            self.emit = Emit::Buffered { order, next: 0 };
+            cost
+        } else {
+            let (cost, merge) = self.begin_merge()?;
+            self.emit = Emit::Runs(merge);
+            cost
+        };
+        Ok(PortClosed { cost, min_tick: 1 })
+    }
+
+    /// Up to a batch of rows per call, always at least a tick so
+    /// emission advances virtual time. The closing call emits nothing.
+    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        let mut builder = PageBuilder::new(self.schema.clone());
+        let (cost, finished) = match &mut self.emit {
+            Emit::Nothing => return Ok((0, true)),
+            Emit::Buffered { order, next } => {
+                let end = (*next + self.emit_batch_rows).min(order.len());
+                for &idx in &order[*next..end] {
+                    let (p, r) = self.locs[idx as usize];
+                    let raw = self.pages[p as usize].tuple(r as usize).raw();
+                    emit_row(&mut builder, out, raw);
+                }
+                *next = end;
+                (1, end == order.len())
+            }
+            Emit::Runs(merge) => {
+                let mut emitted = 0usize;
+                while emitted < self.emit_batch_rows {
+                    let Some((i, raw)) = merge.min_row(&self.keys) else {
+                        break;
+                    };
+                    emit_row(&mut builder, out, raw);
+                    emitted += 1;
+                    merge.advance(i, &mut self.keys, &self.key_cols, &self.spill)?;
+                }
+                let finished = merge.min_cursor(&self.keys).is_none();
+                (self.cost.input_cost(emitted).max(1), finished)
+            }
+        };
+        if !builder.is_empty() {
+            out.push(builder.finish_and_reset());
+        }
+        if finished {
+            self.release();
+        }
+        Ok((cost, false))
+    }
+
+    /// Buffered pages and their grant, spilled runs, open merge cursors.
+    fn release(&mut self) {
+        self.free_buffered();
+        self.runs.clear();
+        self.emit = Emit::Nothing;
+    }
+}
 
 /// A read cursor over one sorted run: the current page, the row within
 /// it, and that page's extracted sort keys.
@@ -349,10 +369,7 @@ impl RunCursor {
     ) -> Result<(), ExecError> {
         spill.broker.release(self.granted);
         self.granted = 0;
-        self.page = self
-            .reader
-            .next_page()
-            .map_err(|e| ExecError::spill("sort", e))?;
+        self.page = spill.io(OP).next_page(&mut self.reader)?;
         self.row = 0;
         if let Some(page) = &self.page {
             self.granted = page.byte_len();
@@ -370,11 +387,13 @@ impl RunCursor {
 }
 
 /// A k-way merge over sorted runs. Cursor order is run (arrival)
-/// order; [`KWayMerge::min_cursor`] resolves equal keys toward the
-/// lowest cursor index, which makes the merged output exactly the
-/// stable in-memory sort.
+/// order; [`KWayMerge::min_row`] resolves equal keys toward the lowest
+/// cursor index, which makes the merged output exactly the stable
+/// in-memory sort. Dropping the merge returns every cursor's page
+/// grant and deletes the runs.
 struct KWayMerge {
     cursors: Vec<RunCursor>,
+    broker: MemoryBroker,
 }
 
 impl KWayMerge {
@@ -385,10 +404,13 @@ impl KWayMerge {
         key_cols: &[usize],
         spill: &SpillContext,
     ) -> Result<Self, ExecError> {
-        let mut cursors = Vec::with_capacity(runs.len());
+        let mut merge = KWayMerge {
+            cursors: Vec::with_capacity(runs.len()),
+            broker: spill.broker.clone(),
+        };
         for run in runs {
             let mut cursor = RunCursor {
-                reader: run.into_reader().map_err(|e| ExecError::spill("sort", e))?,
+                reader: spill.io(OP).open(run)?,
                 page: None,
                 row: 0,
                 packed: Vec::new(),
@@ -396,9 +418,9 @@ impl KWayMerge {
                 granted: 0,
             };
             cursor.load_next(keys, key_cols, spill)?;
-            cursors.push(cursor);
+            merge.cursors.push(cursor);
         }
-        Ok(KWayMerge { cursors })
+        Ok(merge)
     }
 
     /// Index of the cursor holding the smallest current key; ties go to
@@ -434,6 +456,13 @@ impl KWayMerge {
         best
     }
 
+    /// [`KWayMerge::min_cursor`] and the raw bytes of its current row.
+    fn min_row(&self, keys: &Keys) -> Option<(usize, &[u8])> {
+        let i = self.min_cursor(keys)?;
+        let cursor = &self.cursors[i];
+        Some((i, cursor.page.as_ref()?.tuple(cursor.row).raw()))
+    }
+
     /// Steps cursor `i` past its current row.
     fn advance(
         &mut self,
@@ -443,149 +472,23 @@ impl KWayMerge {
         spill: &SpillContext,
     ) -> Result<(), ExecError> {
         let cursor = &mut self.cursors[i];
-        let rows = cursor.page.as_ref().map_or(0, |p| p.rows());
-        if cursor.row + 1 < rows {
-            cursor.row += 1;
-            if let Keys::General(_) = keys {
-                // lint: allow(rows > 0 above implies the page is present)
-                let page = cursor.page.as_ref().expect("live cursor");
-                cursor.gkey = key_of(&page.tuple(cursor.row), key_cols);
+        match &cursor.page {
+            Some(page) if cursor.row + 1 < page.rows() => {
+                cursor.row += 1;
+                if let Keys::General(_) = keys {
+                    cursor.gkey = key_of(&page.tuple(cursor.row), key_cols);
+                }
+                Ok(())
             }
-            Ok(())
-        } else {
-            cursor.load_next(keys, key_cols, spill)
-        }
-    }
-
-    /// Returns every cursor's page grant to the broker.
-    fn release_all(&mut self, spill: &SpillContext) {
-        for cursor in &mut self.cursors {
-            spill.broker.release(cursor.granted);
-            cursor.granted = 0;
-            cursor.page = None;
+            _ => cursor.load_next(keys, key_cols, spill),
         }
     }
 }
 
-impl Task for SortTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, drained) = self.outbox.flush(ctx);
-        if !drained {
-            return Step::blocked(cost);
-        }
-        match &mut self.state {
-            PhaseState::Consuming => match self.rx.try_recv(ctx) {
-                Recv::Value(page) => {
-                    if **page.schema() != *self.schema {
-                        return self.fail(
-                            ctx,
-                            ExecError::InputPageMismatch {
-                                op: "sort",
-                                detail: format!(
-                                    "expected {} columns / {} B rows, got {} columns / {} B rows",
-                                    self.schema.len(),
-                                    self.schema.row_width(),
-                                    page.schema().len(),
-                                    page.schema().row_width()
-                                ),
-                            },
-                        );
-                    }
-                    let n = page.rows();
-                    cost += self.cost.input_cost(n);
-                    ctx.add_progress(n as f64);
-                    let bytes = page.byte_len();
-                    if !self.spill.broker.try_grant(bytes) {
-                        // Over budget: spill the buffered batch as a
-                        // sorted run, then retry (forcing if a single
-                        // page alone exceeds the budget).
-                        match self.spill_run() {
-                            Ok(spilled) => cost += self.cost.input_cost(spilled),
-                            Err(err) => return self.fail(ctx, err),
-                        }
-                        if !self.spill.broker.try_grant(bytes) {
-                            self.spill.broker.grant(bytes);
-                        }
-                    }
-                    self.granted += bytes;
-                    self.consume_page(page);
-                    Step::yielded(cost)
-                }
-                Recv::Empty => Step::blocked(cost),
-                Recv::Closed => {
-                    if self.runs.is_empty() {
-                        // Fully in-memory: the actual sort. Charged
-                        // linearly per tuple to keep the model's
-                        // per-unit-progress cost structure; the log
-                        // factor is ~constant across the paper's scales.
-                        let order = self.sorted_order();
-                        cost += self.cost.input_cost(order.len());
-                        self.state = PhaseState::Emitting { order, next: 0 };
-                        Step::yielded(cost.max(1))
-                    } else {
-                        match self.begin_merge() {
-                            Ok((c, merge)) => {
-                                cost += c;
-                                self.state = PhaseState::Merging(merge);
-                                Step::yielded(cost.max(1))
-                            }
-                            Err(err) => self.fail(ctx, err),
-                        }
-                    }
-                }
-            },
-            PhaseState::Emitting { order, next } => {
-                let mut builder = PageBuilder::new(self.schema.clone());
-                let end = (*next + self.emit_batch_rows).min(order.len());
-                for &idx in &order[*next..end] {
-                    let (p, r) = self.locs[idx as usize];
-                    let raw = self.pages[p as usize].tuple(r as usize).raw();
-                    if !builder.push_raw(raw) {
-                        self.outbox.push(builder.finish_and_reset());
-                        assert!(builder.push_raw(raw));
-                    }
-                }
-                *next = end;
-                if !builder.is_empty() {
-                    self.outbox.push(builder.finish_and_reset());
-                }
-                let finished = *next >= order.len();
-                if finished {
-                    self.pages.clear();
-                    self.locs.clear();
-                    self.spill.broker.release(self.granted);
-                    self.granted = 0;
-                    self.state = PhaseState::Done;
-                }
-                cost += 1; // keep emission steps advancing virtual time
-                let (c, drained) = self.outbox.flush(ctx);
-                cost += c;
-                if drained {
-                    Step::yielded(cost)
-                } else {
-                    Step::blocked(cost)
-                }
-            }
-            PhaseState::Merging(_) => match self.merge_step() {
-                Ok((c, finished)) => {
-                    cost += c;
-                    if finished {
-                        self.state = PhaseState::Done;
-                    }
-                    let (c, drained) = self.outbox.flush(ctx);
-                    cost += c;
-                    if drained {
-                        Step::yielded(cost)
-                    } else {
-                        Step::blocked(cost)
-                    }
-                }
-                Err(err) => self.fail(ctx, err),
-            },
-            PhaseState::Done => {
-                self.outbox.close(ctx);
-                Step::done(cost)
-            }
+impl Drop for KWayMerge {
+    fn drop(&mut self) {
+        for cursor in &self.cursors {
+            self.broker.release(cursor.granted);
         }
     }
 }
@@ -593,14 +496,13 @@ impl Task for SortTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryBroker;
-    use crate::ops::testutil::CollectingSink;
-    use crate::ops::ScanTask;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
-    use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::error::FaultCell;
+    use crate::ops::testutil::{drive, pages_of, run_shell};
+    use cordoba_storage::{DataType, Field, Value};
+
+    fn sort_of(schema: &Arc<Schema>, keys: Vec<usize>, spill: SpillContext) -> SortKernel {
+        SortKernel::new(schema.clone(), keys, OpCost::default(), spill).expect("valid sort keys")
+    }
 
     fn run_sort_with(
         rows: Vec<Vec<Value>>,
@@ -608,49 +510,8 @@ mod tests {
         keys: Vec<usize>,
         spill: SpillContext,
     ) -> Vec<Vec<Value>> {
-        let mut tb = TableBuilder::new("t", schema.clone());
-        for r in &rows {
-            tb.push_row(r);
-        }
-        let table = tb.finish();
-        let mut sim = Simulator::new(2);
-        let (tx1, rx1) = channel::bounded(4);
-        let (tx2, rx2) = channel::bounded(4);
-        sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![tx1], 0.0),
-            )),
-        );
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "sort",
-            Box::new(
-                SortTask::new(
-                    rx1,
-                    schema,
-                    keys,
-                    OpCost::default(),
-                    Fanout::new(vec![tx2], 0.0),
-                    spill,
-                )
-                .expect("valid sort keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rx2,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        assert_eq!(fault.get(), None, "sort must not fault");
-        let out = out.borrow().clone();
-        out
+        let pages = pages_of(&schema, &rows);
+        drive(&mut sort_of(&schema, keys, spill), &[&pages]).expect("sort must not fault")
     }
 
     fn run_sort(rows: Vec<Vec<Value>>, schema: Arc<Schema>, keys: Vec<usize>) -> Vec<Vec<Value>> {
@@ -787,13 +648,10 @@ mod tests {
     #[test]
     fn out_of_range_key_errors_at_construction() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let (_tx, rx) = channel::bounded::<Arc<Page>>(1);
-        let err = SortTask::new(
-            rx,
+        let err = SortKernel::new(
             schema,
             vec![7],
             OpCost::default(),
-            Fanout::new(vec![], 0.0),
             SpillContext::unbounded(),
         )
         .err()
@@ -870,55 +728,18 @@ mod tests {
             Field::new("a", DataType::Int),
             Field::new("b", DataType::Int),
         ]);
-        let mut tb = TableBuilder::new("w", wrong.clone());
-        tb.push_row(&[Value::Int(1), Value::Int(2)]);
-        let table = tb.finish();
-
-        let mut sim = Simulator::new(2);
-        let (tx1, rx1) = channel::bounded(4);
-        let (tx2, rx2) = channel::bounded(4);
-        sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![tx1], 0.0),
-            )),
+        let pages = pages_of(&wrong, &[vec![Value::Int(1), Value::Int(2)]]);
+        let sort = sort_of(&sort_schema, vec![0], SpillContext::unbounded());
+        let fault = FaultCell::default();
+        let out = run_shell(Box::new(sort), vec![pages], &fault);
+        assert_eq!(
+            fault.get(),
+            Some(ExecError::InputPageMismatch {
+                op: "sort",
+                detail: "expected 1 columns / 8 B rows, got 2 columns / 16 B rows".into()
+            })
         );
-        let spill = SpillContext::unbounded();
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "sort",
-            Box::new(
-                SortTask::new(
-                    rx1,
-                    sort_schema,
-                    vec![0],
-                    OpCost::default(),
-                    Fanout::new(vec![tx2], 0.0),
-                    spill,
-                )
-                .expect("valid keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rx2,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
-        assert!(
-            matches!(
-                fault.get(),
-                Some(ExecError::InputPageMismatch { op: "sort", .. })
-            ),
-            "got {:?}",
-            fault.get()
-        );
-        assert!(out.borrow().is_empty());
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -928,56 +749,19 @@ mod tests {
         let blocker =
             std::env::temp_dir().join(format!("cordoba-sort-blocker-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").expect("create blocker");
-
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let mut tb = TableBuilder::new("t", schema.clone());
-        for i in 0..2000 {
-            tb.push_row(&[Value::Int(i)]);
-        }
-        let table = tb.finish();
-
-        let mut sim = Simulator::new(2);
-        let (tx1, rx1) = channel::bounded(4);
-        let (tx2, rx2) = channel::bounded(4);
-        sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![tx1], 0.0),
-            )),
-        );
+        let rows: Vec<Vec<Value>> = (0..2000).map(|i| vec![Value::Int(i)]).collect();
         let mut spill = SpillContext::with_budget(PAGE_SIZE);
         spill.dir = blocker.clone();
-        let fault = spill.fault.clone();
-        sim.spawn(
-            "sort",
-            Box::new(
-                SortTask::new(
-                    rx1,
-                    schema,
-                    vec![0],
-                    OpCost::default(),
-                    Fanout::new(vec![tx2], 0.0),
-                    spill,
-                )
-                .expect("valid keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rx2,
-                rows: out.clone(),
-            }),
-        );
-        assert!(sim.run_to_idle().completed_all());
+        let broker = spill.broker.clone();
+        let mut sort = sort_of(&schema, vec![0], spill);
+        let err = drive(&mut sort, &[&pages_of(&schema, &rows)]).expect_err("cannot spill");
         assert!(
-            matches!(fault.get(), Some(ExecError::Spill { op: "sort", .. })),
-            "got {:?}",
-            fault.get()
+            matches!(err, ExecError::Spill { op: "sort", .. }),
+            "{err:?}"
         );
+        sort.release();
+        assert_eq!(broker.used(), 0, "the buffered page's grant came back");
         let _ = std::fs::remove_file(&blocker);
     }
 
@@ -987,10 +771,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..20_000).rev().map(|v| vec![Value::Int(v)]).collect();
         // ~156 KiB of input against a 32 KiB budget (≥ 4× over).
         let budget = 8 * PAGE_SIZE;
-        let spill = SpillContext {
-            broker: MemoryBroker::with_budget(budget),
-            ..SpillContext::unbounded()
-        };
+        let spill = SpillContext::with_budget(budget);
         let broker = spill.broker.clone();
         let got = run_sort_with(rows, schema, vec![0], spill);
         assert_eq!(got.len(), 20_000);

@@ -1,11 +1,73 @@
 //! Shared helpers for operator unit tests.
 
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
-use cordoba_storage::{Page, Value};
+use crate::cost::OpCost;
+use crate::error::{ExecError, FaultCell};
+use crate::ops::{Fanout, Kernel, OperatorShell, Pages, ScanTask};
+use crate::wiring::page_rows;
+use cordoba_sim::channel::{self, Receiver, Recv};
+use cordoba_sim::{Simulator, Step, Task, TaskCtx};
+use cordoba_storage::{Page, Schema, TableBuilder, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// `rows` as pages of `schema`, at the default page size.
+pub(crate) fn pages_of(schema: &Arc<Schema>, rows: &[Vec<Value>]) -> Vec<Arc<Page>> {
+    let mut tb = TableBuilder::new("t", schema.clone());
+    for r in rows {
+        tb.push_row(r);
+    }
+    tb.finish().pages().to_vec()
+}
+
+/// Runs a kernel to its end with no task around it, as the shell would
+/// call it: each input's pages then its close, port after port, then
+/// `drain` until it reports its last call. Returns the emitted rows.
+pub(crate) fn drive(
+    kernel: &mut dyn Kernel,
+    inputs: &[&[Arc<Page>]],
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let mut out = Pages::new();
+    for (port, pages) in inputs.iter().enumerate() {
+        for page in *pages {
+            kernel.on_page(port, page, &mut out)?;
+        }
+        kernel.on_close(port, &mut out)?;
+    }
+    while !kernel.drain(&mut out)?.1 {}
+    Ok(page_rows(&out))
+}
+
+/// Runs `kernel` behind an [`OperatorShell`] on a two-context
+/// simulator, a scan feeding each input and a collecting sink on the
+/// output. Returns the rows the sink saw; a failure is in `fault`.
+pub(crate) fn run_shell(
+    kernel: Box<dyn Kernel>,
+    inputs: Vec<Vec<Arc<Page>>>,
+    fault: &FaultCell,
+) -> Vec<Vec<Value>> {
+    let mut sim = Simulator::new(2);
+    let mut rxs = Vec::new();
+    for (i, pages) in inputs.into_iter().enumerate() {
+        let (tx, rx) = channel::bounded(4);
+        let fanout = Fanout::new(vec![tx], 0.0);
+        let scan = ScanTask::new(pages, OpCost::default(), fanout);
+        sim.spawn(format!("scan{i}"), Box::new(scan));
+        rxs.push(rx);
+    }
+    let (tx, rx) = channel::bounded(4);
+    let fanout = Fanout::new(vec![tx], 0.0);
+    let shell = OperatorShell::new(kernel, rxs, fanout, fault.clone());
+    sim.spawn("op", Box::new(shell));
+    let rows = Rc::new(RefCell::new(Vec::new()));
+    let sink = CollectingSink {
+        rx,
+        rows: rows.clone(),
+    };
+    sim.spawn("sink", Box::new(sink));
+    assert!(sim.run_to_idle().completed_all());
+    rows.take()
+}
 
 /// Drains a page stream, counting rows.
 pub(crate) struct CountingSink {

@@ -14,10 +14,11 @@
 //! [`ParallelConfig::default`] is one worker: the wiring is then the
 //! classic one-task-per-operator layout and nothing here runs.
 
+use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::{Predicate, ScalarExpr};
-use crate::vexpr::{CompiledExprs, CompiledPredicate, ExprScratch};
-use cordoba_storage::{morsel_at, Morsel, Page, PageBuilder, Schema};
+use crate::ops::{FilterKernel, Kernel, Pages, ProjectKernel};
+use cordoba_storage::{morsel_at, Morsel, Page, Schema};
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
@@ -123,71 +124,53 @@ pub enum StageSpec {
     },
 }
 
-enum CompiledStage {
-    Filter {
-        pred: CompiledPredicate,
-        builder: PageBuilder,
-    },
-    Project {
-        progs: CompiledExprs,
-        out_schema: Arc<Schema>,
-        builder: PageBuilder,
-    },
-}
-
-/// One worker's fused pipeline: privately compiled programs plus
-/// reusable scratch, builders and page lists, so steady-state calls
-/// allocate nothing but the output pages themselves.
+/// One worker's fused pipeline: the chain's stages as privately
+/// compiled kernels — the [`FilterKernel`] and [`ProjectKernel`] the
+/// serial wiring runs behind a shell, here called back to back — plus
+/// reusable page lists, so steady-state calls allocate nothing but the
+/// output pages themselves.
 pub(crate) struct WorkerPipeline {
-    stages: Vec<CompiledStage>,
-    scratch: ExprScratch,
-    sel: Vec<u32>,
-    row_bytes: Vec<u8>,
+    stages: Vec<Box<dyn Kernel + Send>>,
     /// The stage input in hand and the output being produced; swapped
     /// after every stage.
-    bufs: [Vec<Arc<Page>>; 2],
+    bufs: [Pages; 2],
 }
 
 impl WorkerPipeline {
-    pub(crate) fn new(in_schema: &Arc<Schema>, stages: &[StageSpec]) -> Result<Self, ExecError> {
+    pub(crate) fn new(
+        in_schema: &Arc<Schema>,
+        stages: &[(StageSpec, OpCost)],
+    ) -> Result<Self, ExecError> {
         let mut cur = in_schema.clone();
-        let mut compiled = Vec::with_capacity(stages.len());
-        for stage in stages {
-            match stage {
-                StageSpec::Filter(p) => compiled.push(CompiledStage::Filter {
-                    pred: CompiledPredicate::compile(p, &cur)?,
-                    builder: PageBuilder::new(cur.clone()),
-                }),
+        let mut kernels: Vec<Box<dyn Kernel + Send>> = Vec::with_capacity(stages.len());
+        for (stage, cost) in stages {
+            kernels.push(match stage {
+                StageSpec::Filter(p) => Box::new(FilterKernel::new(cur.clone(), p.clone(), *cost)?),
                 StageSpec::Project { exprs, out_schema } => {
-                    compiled.push(CompiledStage::Project {
-                        progs: CompiledExprs::compile(exprs, &cur)?,
-                        out_schema: out_schema.clone(),
-                        builder: PageBuilder::new(out_schema.clone()),
-                    });
+                    let (input, out) = (cur, out_schema.clone());
                     cur = out_schema.clone();
+                    Box::new(ProjectKernel::new(input, out, exprs.clone(), *cost)?)
                 }
-            }
+            });
         }
         Ok(WorkerPipeline {
-            stages: compiled,
-            scratch: ExprScratch::default(),
-            sel: Vec::new(),
-            row_bytes: Vec::new(),
+            stages: kernels,
             bufs: [Vec::new(), Vec::new()],
         })
     }
 
     /// Runs `pages` through every stage, repacking densely per stage
-    /// (each stage flushes its builder at the end of the call, so output
+    /// (each stage's tail is drained at the end of the call, so output
     /// page boundaries depend only on this call's row stream), and
     /// records into `stage_rows` the number of rows entering each stage
     /// — the input sizes the fused workers charge their virtual costs
-    /// on. The caller drains the returned list.
+    /// on (one charge per stage per call; the per-page work the kernels
+    /// report is not used here). The caller drains the returned list.
     pub(crate) fn run_pages_counted(
         &mut self,
         pages: &[Arc<Page>],
         stage_rows: &mut Vec<usize>,
-    ) -> &mut Vec<Arc<Page>> {
+    ) -> &mut Pages {
         stage_rows.clear();
         let [cur, next] = &mut self.bufs;
         cur.clear();
@@ -195,68 +178,20 @@ impl WorkerPipeline {
         for stage in &mut self.stages {
             stage_rows.push(cur.iter().map(|p| p.rows()).sum());
             next.clear();
-            match stage {
-                CompiledStage::Filter { pred, builder } => {
-                    filter_pages(pred, builder, &mut self.scratch, &mut self.sel, cur, next)
+            let mut run = || {
+                for page in cur.iter() {
+                    stage.on_page(0, page, next)?;
                 }
-                CompiledStage::Project {
-                    progs,
-                    out_schema,
-                    builder,
-                } => project_pages(
-                    progs,
-                    out_schema,
-                    builder,
-                    &mut self.scratch,
-                    &mut self.row_bytes,
-                    cur,
-                    next,
-                ),
-            }
+                stage.drain(next)
+            };
+            let ran = run();
+            assert!(
+                ran.is_ok(),
+                "filter and project kernels do not fail: {ran:?}"
+            );
             std::mem::swap(cur, next);
         }
         cur
-    }
-}
-
-fn filter_pages(
-    pred: &CompiledPredicate,
-    builder: &mut PageBuilder,
-    scratch: &mut ExprScratch,
-    sel: &mut Vec<u32>,
-    pages: &[Arc<Page>],
-    out: &mut Vec<Arc<Page>>,
-) {
-    for page in pages {
-        pred.select(page, scratch, sel);
-        builder.push_selected(page, sel, |full| out.push(full));
-    }
-    if !builder.is_empty() {
-        out.push(builder.finish_and_reset());
-    }
-}
-
-fn project_pages(
-    progs: &CompiledExprs,
-    out_schema: &Arc<Schema>,
-    builder: &mut PageBuilder,
-    scratch: &mut ExprScratch,
-    row_bytes: &mut Vec<u8>,
-    pages: &[Arc<Page>],
-    out: &mut Vec<Arc<Page>>,
-) {
-    let w = out_schema.row_width();
-    for page in pages {
-        progs.encode_rows(page, scratch, out_schema, row_bytes);
-        for row in row_bytes.chunks_exact(w) {
-            if builder.is_full() {
-                out.push(builder.finish_and_reset());
-            }
-            assert!(builder.push_raw(row));
-        }
-    }
-    if !builder.is_empty() {
-        out.push(builder.finish_and_reset());
     }
 }
 

@@ -1,6 +1,8 @@
-//! Spawns a physical plan into a simulator: one task per operator,
-//! bounded channels between them (unshared wiring — the engine crate
-//! layers packet merging and shared pivots on top of these pieces).
+//! Spawns a physical plan into a simulator: one task per operator —
+//! for filter, project, aggregate, sort, hash join and nested-loop join
+//! an [`OperatorShell`] around the operator's kernel — with bounded
+//! channels between them (unshared wiring — the engine crate layers
+//! packet merging and shared pivots on top of these pieces).
 //!
 //! Instantiation is **two-phase and fallible**: every operator task is
 //! constructed first (compiling expressions, validating key columns),
@@ -24,8 +26,8 @@ use crate::error::{ExecError, FaultCell};
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
 use crate::ops::par_pipe::{self, AggSpec, ParChain};
 use crate::ops::{
-    AggregateTask, Fanout, FilterTask, HashJoinTask, MergeJoinTask, NestedLoopJoinTask,
-    ProjectTask, ScanTask, SortTask,
+    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, MergeJoinTask, NljKernel,
+    OperatorShell, ProjectKernel, ScanTask, SortKernel,
 };
 use crate::parallel::{ParallelConfig, StageSpec};
 use crate::plan::PhysicalPlan;
@@ -341,6 +343,21 @@ fn try_wire_parallel(
     Ok(Some(outs))
 }
 
+/// The task that runs `kernel`: an [`OperatorShell`] reading `inputs`
+/// (in the kernel's port order) and delivering to `outs` at the
+/// per-consumer output cost of `cost`.
+fn shell(
+    kernel: impl Kernel + 'static,
+    inputs: Vec<Receiver<Arc<Page>>>,
+    outs: Vec<Sender<Arc<Page>>>,
+    cost: &OpCost,
+    sctx: &SpillContext,
+) -> Box<dyn Task> {
+    let fanout = Fanout::new(outs, cost.out_per_tuple);
+    let fault = sctx.fault.clone();
+    Box::new(OperatorShell::new(Box::new(kernel), inputs, fanout, fault))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn wire(
     catalog: &Catalog,
@@ -430,28 +447,16 @@ fn wire(
         } => {
             let schema = input.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
-            let task = FilterTask::new(
-                rx,
-                schema,
-                predicate.clone(),
-                *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-            )?;
-            built.push((name, Box::new(task)));
+            let kernel = FilterKernel::new(schema, predicate.clone(), *cost)?;
+            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
         }
         PhysicalPlan::Project { input, exprs, cost } => {
             let in_schema = input.try_output_schema(catalog)?;
             let out_schema = plan.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
-            let task = ProjectTask::new(
-                rx,
-                in_schema,
-                out_schema,
-                exprs.iter().map(|(_, e)| e.clone()).collect(),
-                *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-            )?;
-            built.push((name, Box::new(task)));
+            let exprs = exprs.iter().map(|(_, e)| e.clone()).collect();
+            let kernel = ProjectKernel::new(in_schema, out_schema, exprs, *cost)?;
+            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
         }
         PhysicalPlan::Aggregate {
             input,
@@ -462,29 +467,16 @@ fn wire(
             let in_schema = input.try_output_schema(catalog)?;
             let out_schema = plan.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
-            let task = AggregateTask::new(
-                rx,
-                in_schema,
-                group_by.clone(),
-                aggs.iter().map(|(_, a)| a.clone()).collect(),
-                out_schema,
-                *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-            )?;
-            built.push((name, Box::new(task)));
+            let aggs = aggs.iter().map(|(_, a)| a.clone()).collect();
+            let kernel =
+                AggregateKernel::new(in_schema, group_by.clone(), aggs, out_schema, *cost)?;
+            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
         }
         PhysicalPlan::Sort { input, keys, cost } => {
             let schema = input.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
-            let task = SortTask::new(
-                rx,
-                schema,
-                keys.clone(),
-                *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-                sctx.clone(),
-            )?;
-            built.push((name, Box::new(task)));
+            let kernel = SortKernel::new(schema, keys.clone(), *cost, sctx.clone())?;
+            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
         }
         PhysicalPlan::HashJoin {
             build,
@@ -500,21 +492,21 @@ fn wire(
             let out_schema = plan.try_output_schema(catalog)?;
             let rx_build = child_input(build, sources, preorder, built)?;
             let rx_probe = child_input(probe, sources, preorder, built)?;
-            let task = HashJoinTask::new(
-                rx_build,
-                rx_probe,
+            let kernel = HashJoinKernel::new(
                 *build_key,
                 *probe_key,
                 *kind,
                 build_schema,
-                &probe_schema,
+                probe_schema,
                 out_schema,
                 *build_cost,
                 *probe_cost,
-                Fanout::new(outs, probe_cost.out_per_tuple),
                 sctx.clone(),
             )?;
-            built.push((name, Box::new(task)));
+            built.push((
+                name,
+                shell(kernel, vec![rx_build, rx_probe], outs, probe_cost, sctx),
+            ));
         }
         PhysicalPlan::NestedLoopJoin {
             outer,
@@ -522,18 +514,17 @@ fn wire(
             predicate,
             cost,
         } => {
+            let outer_schema = outer.try_output_schema(catalog)?;
+            let inner_schema = inner.try_output_schema(catalog)?;
             let pair_schema = plan.try_output_schema(catalog)?;
             let rx_outer = child_input(outer, sources, preorder, built)?;
             let rx_inner = child_input(inner, sources, preorder, built)?;
-            let task = NestedLoopJoinTask::new(
-                rx_outer,
-                rx_inner,
-                predicate.clone(),
-                pair_schema,
-                *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-            )?;
-            built.push((name, Box::new(task)));
+            let predicate = predicate.clone();
+            let kernel = NljKernel::new(outer_schema, inner_schema, predicate, pair_schema, *cost)?;
+            built.push((
+                name,
+                shell(kernel, vec![rx_inner, rx_outer], outs, cost, sctx),
+            ));
         }
         PhysicalPlan::MergeJoin {
             left,
@@ -1155,7 +1146,7 @@ mod tests {
     #[test]
     fn thread_driver_join_honours_its_budget() {
         // A 12-page build side under a budget: the join is the serial
-        // wiring's `HashJoinTask`, so it spills instead of forcing
+        // wiring's `HashJoinKernel`, so it spills instead of forcing
         // grants and cleans up after itself.
         use cordoba_storage::PAGE_SIZE;
         let cat = paged_catalog();

@@ -186,6 +186,39 @@ fn duplicated_inputs() -> Vec<Agg> {
     ]
 }
 
+/// A {filter | project}* chain over the `(k, v)` table, one stage per
+/// `(kind, n)` pair, bottom-up. Every stage leaves `(Int, Float)` in
+/// its first two columns, so any stage can follow any other; kind 4
+/// widens the rows by a third column (output pages fill faster than
+/// input pages drain), kind 3 narrows them back.
+fn chain_plan(stages: &[(u8, i64)]) -> PhysicalPlan {
+    let col = ScalarExpr::col;
+    let int = |e: ScalarExpr, n: i64| ScalarExpr::Add(Box::new(e), Box::new(ScalarExpr::IntLit(n)));
+    let twice = |e: ScalarExpr| ScalarExpr::Mul(Box::new(e), Box::new(ScalarExpr::FloatLit(2.0)));
+    let mut plan = *scan("t");
+    for &(kind, n) in stages {
+        let (input, cost) = (Box::new(plan), OpCost::default());
+        let filter = |predicate| PhysicalPlan::Filter {
+            input: input.clone(),
+            predicate,
+            cost,
+        };
+        let project = |exprs: Vec<ScalarExpr>| PhysicalPlan::Project {
+            input: input.clone(),
+            exprs: (0..).map(|i| format!("c{i}")).zip(exprs).collect(),
+            cost,
+        };
+        plan = match kind {
+            0 => filter(Predicate::col_cmp(0, CmpOp::Lt, n)),
+            1 => filter(Predicate::col_cmp(0, CmpOp::Ge, n / 2)),
+            2 => project(vec![int(col(0), n), twice(col(1))]),
+            3 => project(vec![col(0), col(1)]),
+            _ => project(vec![col(0), col(1), int(col(0), -n)]),
+        };
+    }
+    plan
+}
+
 /// Keyed rows; small key domains force duplicates and grouping.
 fn kv_rows(max: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
     proptest::collection::vec((0i64..48, -1000i64..1000), 0..max)
@@ -209,6 +242,28 @@ proptest! {
         let oracle = reference::execute(&catalog, &plan);
         prop_assert_eq!(bit_exact(&serial), bit_exact(&oracle));
         for workers in [2usize, 4, 8] {
+            let par = run_wired(&catalog, &plan, workers, None);
+            prop_assert_eq!(bit_exact(&par), bit_exact(&serial), "workers={}", workers);
+        }
+    }
+
+    /// Any {filter | project}* chain yields the same rows through the
+    /// serial wiring — one operator shell per stage — and through the
+    /// morsel workers' fused pipelines. Both run the same filter and
+    /// project kernels, so this pins the two wirings around them: stage
+    /// order, schemas handed from stage to stage, tails flushed per
+    /// morsel page against tails flushed at end of stream.
+    #[test]
+    fn any_filter_project_chain_is_row_identical_through_shells_and_workers(
+        rows in kv_rows(1200),
+        stages in proptest::collection::vec((0u8..5, 0i64..48), 0..6),
+    ) {
+        let catalog = kf_catalog(&rows);
+        let plan = chain_plan(&stages);
+        let serial = run_wired(&catalog, &plan, 1, None);
+        let oracle = reference::execute(&catalog, &plan);
+        prop_assert_eq!(bit_exact(&serial), bit_exact(&oracle));
+        for workers in [2usize, 3] {
             let par = run_wired(&catalog, &plan, workers, None);
             prop_assert_eq!(bit_exact(&par), bit_exact(&serial), "workers={}", workers);
         }

@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Seven rules, all line-oriented over a
+//! sanitizer CI legs). Eight rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -46,6 +46,12 @@
 //!    threads) and `engine::thread_exec` (query-level threads and the
 //!    sharing seam): operators run on threads by being wired into that
 //!    driver, never through a second executor with loops of its own.
+//! 8. **One operator shell** — in non-test source under
+//!    `exec::ops`, `impl .. Task for` appears only in the shell
+//!    (`ops::shell`) and the tasks it leaves out on purpose (`scan`,
+//!    `sink`, `merge_join`, `par_pipe`): an operator is a `Kernel` the
+//!    shell runs, so the step protocol, the input check and the failure
+//!    path are not spelled out a second time.
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -78,6 +84,8 @@ pub enum Rule {
     OneRunLoop,
     /// OS threads started outside the two thread-driver modules.
     OneThreadDriver,
+    /// An operator implementing `Task` itself instead of `Kernel`.
+    OneOperatorShell,
 }
 
 impl Rule {
@@ -92,6 +100,7 @@ impl Rule {
             Rule::OracleInEngine => "oracle-in-engine",
             Rule::OneRunLoop => "one-run-loop",
             Rule::OneThreadDriver => "one-thread-driver",
+            Rule::OneOperatorShell => "one-operator-shell",
         }
     }
 }
@@ -156,6 +165,13 @@ pub struct Config {
     pub thread_driver_prefixes: Vec<String>,
     /// The files that may call `thread::scope` / `thread::spawn`.
     pub thread_driver_files: Vec<String>,
+    /// Path prefixes whose non-test code holds operators: kernels, run
+    /// by the one shell.
+    pub operator_prefixes: Vec<String>,
+    /// The files under those prefixes that may `impl Task`: the shell,
+    /// the tasks it leaves out on purpose, and test-only modules gated
+    /// from their parent.
+    pub operator_task_files: Vec<String>,
 }
 
 impl Config {
@@ -207,6 +223,18 @@ impl Config {
             thread_driver_files: vec![
                 "crates/exec/src/wiring.rs".into(),
                 "crates/engine/src/thread_exec.rs".into(),
+            ],
+            operator_prefixes: vec!["crates/exec/src/ops/".into()],
+            operator_task_files: vec![
+                "crates/exec/src/ops/shell.rs".into(),
+                // No input, no output, two inputs polled in one step,
+                // morsels over channels of their own.
+                "crates/exec/src/ops/scan.rs".into(),
+                "crates/exec/src/ops/sink.rs".into(),
+                "crates/exec/src/ops/merge_join.rs".into(),
+                "crates/exec/src/ops/par_pipe.rs".into(),
+                // `#[cfg(test)] mod testutil;` in ops/mod.rs.
+                "crates/exec/src/ops/testutil.rs".into(),
             ],
         }
     }
@@ -436,6 +464,15 @@ fn word(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// Whether `code` is the header of an `impl .. Task for ..` (the trait
+/// named `Task` itself, by any path — not `SubTask`).
+fn impls_task(code: &str) -> bool {
+    code.match_indices("Task for ").any(|(at, _)| {
+        let before = code[..at].chars().next_back();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
 /// Whether `code` builds a `name { .. }` struct literal. A `struct` /
 /// `impl` / `impl .. for` header naming the type is not a construction.
 fn constructs(code: &str, name: &str) -> bool {
@@ -490,6 +527,8 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     let simulator_scoped = run_loop_scoped && !listed(file, &cfg.private_simulator_files);
     let thread_scoped =
         has_prefix(file, &cfg.thread_driver_prefixes) && !listed(file, &cfg.thread_driver_files);
+    let operator_scoped =
+        has_prefix(file, &cfg.operator_prefixes) && !listed(file, &cfg.operator_task_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -619,6 +658,17 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                 );
             }
         }
+        // Rule 8: one operator shell.
+        if operator_scoped && impls_task(code) {
+            push(
+                i,
+                Rule::OneOperatorShell,
+                "`impl Task` in an operator module; implement `ops::shell::Kernel` and let \
+                 the one `OperatorShell` run it (step protocol, input check and failure \
+                 path live there)"
+                    .into(),
+            );
+        }
     }
     findings
 }
@@ -704,7 +754,10 @@ pub fn lint_paths(paths: &[PathBuf], cfg: &Config) -> std::io::Result<(Vec<Findi
 mod tests {
     use super::*;
 
-    /// A config that scopes every rule onto the probed file name.
+    /// A config that scopes every rule onto the probed file name —
+    /// except the operator-shell rule, which takes the fixtures of other
+    /// rules (a dispatcher's `impl Task`) for operators; its own test
+    /// scopes it.
     fn cfg_for(file: &str) -> Config {
         Config {
             unsafe_allowed_files: vec![],
@@ -719,6 +772,8 @@ mod tests {
             private_simulator_files: vec![],
             thread_driver_prefixes: vec![file.to_string()],
             thread_driver_files: vec![],
+            operator_prefixes: vec![],
+            operator_task_files: vec![],
         }
     }
 
@@ -938,6 +993,39 @@ mod tests {
     }
 
     #[test]
+    fn seeded_operator_task_is_caught_outside_the_shell() {
+        let mut cfg = cfg_for("exec/ops/");
+        cfg.operator_prefixes = vec!["exec/ops/".into()];
+        cfg.operator_task_files = vec!["exec/ops/shell.rs".into(), "exec/ops/scan.rs".into()];
+        let rules = |file: &str, src: &str| -> Vec<Rule> {
+            let found = lint_source(file, src, &cfg);
+            found.into_iter().map(|f| f.rule).collect()
+        };
+        let own_step = "impl Task for LimitTask {\n    fn step(&mut self) -> Step { go() }\n}";
+        let generic = "impl<S: GroupTx<Msg>> cordoba_sim::Task for Worker<S> {\n}";
+        for seeded in [own_step, generic] {
+            let got = rules("exec/ops/limit.rs", seeded);
+            assert_eq!(got, vec![Rule::OneOperatorShell], "{seeded}");
+            // The shell and the tasks it leaves out may; so may code
+            // that holds no operators.
+            for file in ["exec/ops/shell.rs", "exec/ops/scan.rs", "exec/wiring.rs"] {
+                assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
+            }
+        }
+        // A kernel is the way in; other traits named `..Task`, boxed
+        // tasks and test sinks are no operator with a step of its own.
+        for fine in [
+            "impl Kernel for LimitKernel {\n}",
+            "impl SubTask for Limit {\n}",
+            "fn f(t: Box<dyn Task>) -> Box<dyn Task + Send> { t }",
+            "#[cfg(test)]\nmod tests {\nimpl Task for Probe {\n}\n}",
+        ] {
+            let got = rules("exec/ops/limit.rs", fine);
+            assert!(got.is_empty(), "{fine}: {got:?}");
+        }
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -970,6 +1058,7 @@ mod tests {
             .chain(&cfg.run_loop_files)
             .chain(&cfg.private_simulator_files)
             .chain(&cfg.thread_driver_files)
+            .chain(&cfg.operator_task_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }

@@ -33,6 +33,11 @@ pub struct SpillWriter {
     file: BufWriter<File>,
     path: PathBuf,
     schema: Arc<Schema>,
+    /// Rows pushed one at a time, not yet a record: at most a page's worth.
+    row_buf: Vec<u8>,
+    /// Payload bytes of a full record: the rows one default-sized page
+    /// holds.
+    record_bytes: usize,
     pages: usize,
     rows: u64,
     bytes: u64,
@@ -51,10 +56,13 @@ impl SpillWriter {
         );
         let path = dir.join(name);
         let file = BufWriter::new(File::create(&path)?);
+        let w = schema.row_width();
         Ok(Self {
             file,
             path,
             schema,
+            row_buf: Vec::new(),
+            record_bytes: (PAGE_SIZE / w).max(1) * w,
             pages: 0,
             rows: 0,
             bytes: 0,
@@ -77,9 +85,38 @@ impl SpillWriter {
         self.bytes
     }
 
-    /// Writes one page as one record. Empty pages are skipped.
+    /// Appends one pre-encoded row. Rows gather into records of a
+    /// page's worth each — the records, and so the read-back page
+    /// boundaries, of filling a [`crate::PageBuilder`] and writing each
+    /// page as it fills; [`SpillWriter::finish`] writes the partial tail.
+    pub fn push_row(&mut self, row: &[u8]) -> io::Result<()> {
+        assert_eq!(row.len(), self.schema.row_width(), "spilled row width");
+        self.row_buf.extend_from_slice(row);
+        if self.row_buf.len() == self.record_bytes {
+            self.flush_rows()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the pushed rows in hand, if any, as one record.
+    fn flush_rows(&mut self) -> io::Result<()> {
+        if self.row_buf.is_empty() {
+            return Ok(());
+        }
+        // Detached so `write_record` can borrow the writer; handed back
+        // to keep its allocation.
+        let buf = std::mem::take(&mut self.row_buf);
+        let written = self.write_record(&buf, buf.len() / self.schema.row_width());
+        self.row_buf = buf;
+        self.row_buf.clear();
+        written
+    }
+
+    /// Writes one page as one record, after any rows pushed before it.
+    /// Empty pages are skipped.
     pub fn write_page(&mut self, page: &Page) -> io::Result<()> {
         debug_assert_eq!(page.schema().row_width(), self.schema.row_width());
+        self.flush_rows()?;
         self.write_record(page.payload(), page.rows())
     }
 
@@ -89,8 +126,8 @@ impl SpillWriter {
     pub fn write_raw_rows(&mut self, payload: &[u8], rows: usize) -> io::Result<()> {
         let w = self.schema.row_width();
         debug_assert_eq!(payload.len(), rows * w);
-        let rows_per_record = (PAGE_SIZE / w).max(1);
-        for chunk in payload.chunks(rows_per_record * w) {
+        self.flush_rows()?;
+        for chunk in payload.chunks(self.record_bytes) {
             self.write_record(chunk, chunk.len() / w)?;
         }
         Ok(())
@@ -108,8 +145,10 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Flushes and seals the file for reading.
+    /// Writes the pushed rows still in hand, flushes, and seals the
+    /// file for reading.
     pub fn finish(mut self) -> io::Result<SpillFile> {
+        self.flush_rows()?;
         self.file.flush()?;
         self.finished = true;
         Ok(SpillFile {
@@ -301,6 +340,42 @@ mod tests {
             }
         }
         assert_eq!(n, rows);
+    }
+
+    #[test]
+    fn pushed_rows_read_back_as_the_pages_a_builder_would_fill() {
+        // Two and a half pages of rows, one at a time: the records are
+        // the pages a `PageBuilder` flush loop would have written, and
+        // rows pushed before a whole page keep their place ahead of it.
+        let s = schema();
+        let per_page = PAGE_SIZE / s.row_width();
+        let rows = 2 * per_page + per_page / 2;
+        let mut w = SpillWriter::create(&dir(), s.clone()).expect("create");
+        let mut b = PageBuilder::new(s.clone());
+        let mut want = Vec::new();
+        for i in 0..rows {
+            let row = [Value::Int(i as i64), Value::Float(i as f64)];
+            if !b.push_row(&row) {
+                want.push(b.finish_and_reset());
+                assert!(b.push_row(&row));
+            }
+        }
+        want.push(b.finish_and_reset());
+        for page in &want {
+            for raw in page.raw_rows() {
+                w.push_row(raw).expect("push");
+            }
+        }
+        want.push(make_page(&s, -7, 3));
+        w.write_page(&want[3]).expect("page after rows");
+        let f = w.finish().expect("finish");
+        assert_eq!((f.pages(), f.rows()), (4, rows as u64 + 3));
+        let mut r = f.into_reader().expect("open");
+        for page in &want {
+            let got = r.next_page().expect("read").expect("a record per page");
+            assert_eq!(got.payload(), page.payload());
+        }
+        assert!(r.next_page().expect("read").is_none());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! run under the simulator, must achieve the model's x(n) within a few
 //! percent (pipeline-fill and page-granularity effects).
 
-use cordoba::exec::ops::{Fanout, ScanTask, SinkTask};
-use cordoba::exec::OpCost;
+use cordoba::exec::ops::{Fanout, FilterKernel, OperatorShell, ScanTask, SinkTask};
+use cordoba::exec::{FaultCell, OpCost};
 use cordoba::model::{OperatorSpec, PlanSpec, QueryModel};
 use cordoba::sim::{channel, Simulator};
 use cordoba::storage::{DataType, Field, Schema, TableBuilder, Value};
@@ -30,25 +30,22 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
             Fanout::new(vec![tx0], 0.0),
         )),
     );
-    // Middle stages: model them as pass-through filters with the given
-    // per-tuple work (FilterTask with True predicate would change the
-    // cost shape; reuse ScanTask-like relays via exec's Source relay is
-    // 0-cost, so use FilterTask with Predicate::True and exact cost).
+    // Middle stages: pass-through filters with the given per-tuple work
+    // (exec's Source relay costs nothing, so a filter kernel with
+    // `Predicate::True` and the exact cost, behind the operator shell).
     for (i, &c) in stage_costs[1..].iter().enumerate() {
         let (tx, rx) = channel::bounded(16);
-        sim.spawn(
-            format!("stage{i}"),
-            Box::new(
-                cordoba::exec::ops::FilterTask::new(
-                    prev_rx,
-                    schema.clone(),
-                    cordoba::exec::expr::Predicate::True,
-                    OpCost::per_tuple(c),
-                    Fanout::new(vec![tx], 0.0),
-                )
-                .expect("True predicate compiles"),
-            ),
+        let pass = cordoba::exec::expr::Predicate::True;
+        let filter = FilterKernel::new(schema.clone(), pass, OpCost::per_tuple(c))
+            .expect("True predicate compiles");
+        let fanout = Fanout::new(vec![tx], 0.0);
+        let stage = OperatorShell::new(
+            Box::new(filter),
+            vec![prev_rx],
+            fanout,
+            FaultCell::default(),
         );
+        sim.spawn(format!("stage{i}"), Box::new(stage));
         prev_rx = rx;
     }
     sim.spawn(
