@@ -2,14 +2,16 @@
 //! other. Supports inner, semi (EXISTS — TPC-H Q4), anti, and left
 //! outer (TPC-H Q13) semantics on integer equi-keys.
 //!
-//! The build side is allocation-free per row: every build page's
-//! payload is appended to one contiguous arena in a single copy, and
-//! rows sharing a key are chained through index links in a flat entry
-//! vector keyed by an [`FxHashMap`] (integer hashing, no SipHash) —
-//! the layout Jahangiri et al. (PAPERS.md) show join throughput hinges
-//! on, replacing the old `HashMap<i64, Vec<Box<[u8]>>>` with its
-//! boxed-row heap allocation per build tuple. Probe keys are gathered
-//! page-at-a-time through [`Page::gather_i64`].
+//! The build side only appends: every build page's payload goes into
+//! one contiguous arena in a single copy and its key column is gathered
+//! beside it ([`Page::gather_i64`]), so row `i` is `arena[i * width..]`
+//! and nothing is hashed or linked while rows arrive — Jahangiri et
+//! al. (PAPERS.md) keep the build as append-then-index for the same
+//! reason. The first probe builds the index in one pass: a
+//! power-of-two array of bucket heads plus one `next` link per row,
+//! filled last row first so that a chain ascends in build order. A
+//! lookup walks its bucket's chain and keeps the rows whose stored key
+//! matches. Probe keys are gathered page-at-a-time too.
 //!
 //! # Out-of-core operation (dynamic hybrid hash join)
 //!
@@ -41,12 +43,11 @@ use crate::memory::SpillContext;
 use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
-use cordoba_core::FxHashMap;
 use cordoba_sim::VTime;
 use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The operator's name in faults.
 const OP: &str = "hash join";
@@ -58,30 +59,56 @@ const MAX_RECURSION: u32 = 4;
 /// Partition fan-out cap per level.
 const MAX_PARTITIONS: usize = 64;
 
-/// Sentinel terminating a bucket chain.
+/// Sentinel terminating a bucket chain; build rows are numbered below it.
 const NIL: u32 = u32::MAX;
 
-/// One chained build row: the byte offset of its row in the arena and
-/// the index of the next row with the same key.
-#[derive(Debug, Clone, Copy)]
-struct BuildEntry {
-    offset: u32,
-    next: u32,
-}
-
-/// The arena-backed hash-join build table: contiguous row bytes,
-/// chained same-key rows, and an integer-hashed directory. Insertion
-/// performs zero per-row heap allocations (the arena and entry vector
-/// grow amortized, by page).
+/// The arena-backed hash-join build table: contiguous fixed-width row
+/// bytes and, beside them, each row's key — row `i` is
+/// `arena[i * row_width..]`. Insertion only appends (no per-row heap
+/// allocation, no hashing); the bucket directory is built in one pass
+/// by the first lookup after an insert.
 #[derive(Debug, Default)]
 pub struct BuildTable {
-    /// key -> (first, last) entry index; `last` keeps chains in
-    /// insertion order so inner joins emit matches in build order.
-    heads: FxHashMap<i64, (u32, u32)>,
-    entries: Vec<BuildEntry>,
     arena: Vec<u8>,
+    /// The key of each row, in insertion order.
+    keys: Vec<i64>,
     row_width: usize,
     key_scratch: Vec<i64>,
+    /// Built by the first lookup, cleared by every insert.
+    directory: OnceLock<Directory>,
+}
+
+/// Bucket heads and chain links over a [`BuildTable`]'s rows. A chain
+/// holds every row whose key hashes to the bucket, in insertion order.
+#[derive(Debug)]
+struct Directory {
+    /// The first row of each bucket's chain; a power of two long.
+    heads: Vec<u32>,
+    /// The row after row `i` in its chain.
+    next: Vec<u32>,
+}
+
+impl Directory {
+    /// One pass over the keys, last row first, each row pushed onto
+    /// the front of its bucket: chains therefore ascend in build order.
+    fn build(keys: &[i64]) -> Self {
+        let mut dir = Directory {
+            heads: vec![NIL; keys.len().next_power_of_two().max(2)],
+            next: vec![NIL; keys.len()],
+        };
+        for (row, &key) in keys.iter().enumerate().rev() {
+            let bucket = dir.bucket(key);
+            dir.next[row] = std::mem::replace(&mut dir.heads[bucket], row as u32);
+        }
+        dir
+    }
+
+    /// Multiplicative (Fibonacci) hashing: the product's high bits
+    /// index the bucket array.
+    fn bucket(&self, key: i64) -> usize {
+        let hash = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> (64 - self.heads.len().trailing_zeros())) as usize
+    }
 }
 
 impl BuildTable {
@@ -95,7 +122,7 @@ impl BuildTable {
 
     /// Number of build rows inserted.
     pub fn rows(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Arena bytes in use (diagnostics / memory accounting).
@@ -110,46 +137,33 @@ impl BuildTable {
         &self.arena
     }
 
-    /// Links the entry for the row at `offset` into `key`'s chain.
-    fn link(&mut self, key: i64, offset: usize) {
-        let idx = self.entries.len() as u32;
-        self.entries.push(BuildEntry {
-            offset: offset as u32,
-            next: NIL,
-        });
-        match self.heads.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((idx, idx));
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (_, last) = *e.get();
-                self.entries[last as usize].next = idx;
-                e.get_mut().1 = idx;
-            }
-        }
+    /// After an append: the directory is stale, and chain links must
+    /// still be able to number every row.
+    fn appended(&mut self) {
+        self.directory.take();
+        assert!(
+            self.keys.len() < NIL as usize,
+            "build table exceeds u32 row addressing"
+        );
     }
 
     /// Inserts every row of `page`, keyed by Int column `key_col`: one
-    /// bulk payload copy plus one directory update per row.
+    /// bulk payload copy plus one gathered key column. A lookup after
+    /// this rebuilds the bucket directory over all rows, so insert
+    /// everything first.
     ///
     /// # Panics
     ///
-    /// Panics if the page's rows are not `row_width` wide or the arena
-    /// exceeds `u32` addressing (> 4 GiB of build rows).
+    /// Panics if the page's rows are not `row_width` wide or the table
+    /// would hold `u32::MAX` rows or more (chain links are `u32` row
+    /// numbers; arena offsets are `usize` and have no limit of their
+    /// own).
     pub fn insert_page(&mut self, page: &Page, key_col: usize) {
         assert_eq!(page.schema().row_width(), self.row_width);
-        let base = self.arena.len();
         self.arena.extend_from_slice(page.payload());
-        assert!(
-            self.arena.len() <= u32::MAX as usize,
-            "build arena exceeds u32 addressing"
-        );
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        page.gather_i64(key_col, &mut keys);
-        for (r, &key) in keys.iter().enumerate() {
-            self.link(key, base + r * self.row_width);
-        }
-        self.key_scratch = keys;
+        page.gather_i64(key_col, &mut self.key_scratch);
+        self.keys.extend_from_slice(&self.key_scratch);
+        self.appended();
     }
 
     /// Inserts a single pre-encoded row under `key` (the partitioned
@@ -157,36 +171,38 @@ impl BuildTable {
     ///
     /// # Panics
     ///
-    /// Panics if `raw` is not `row_width` bytes or the arena exceeds
-    /// `u32` addressing.
+    /// Panics if `raw` is not `row_width` bytes or the table would
+    /// hold `u32::MAX` rows or more.
     pub fn insert_row(&mut self, key: i64, raw: &[u8]) {
         assert_eq!(raw.len(), self.row_width);
-        let base = self.arena.len();
         self.arena.extend_from_slice(raw);
-        assert!(
-            self.arena.len() <= u32::MAX as usize,
-            "build arena exceeds u32 addressing"
-        );
-        self.link(key, base);
+        self.keys.push(key);
+        self.appended();
     }
 
     /// Whether any build row has `key`.
     pub fn contains(&self, key: i64) -> bool {
-        self.heads.contains_key(&key)
+        self.matches(key).next().is_some()
     }
 
     /// Iterates the raw rows matching `key`, in insertion order.
     pub fn matches(&self, key: i64) -> MatchIter<'_> {
+        let directory = self.directory.get_or_init(|| Directory::build(&self.keys));
         MatchIter {
             table: self,
-            next: self.heads.get(&key).map_or(NIL, |&(first, _)| first),
+            links: &directory.next,
+            key,
+            next: directory.heads[directory.bucket(key)],
         }
     }
 }
 
-/// Iterator over a key's chained build rows.
+/// Iterator over a key's build rows: its bucket's chain, filtered on
+/// the stored key.
 pub struct MatchIter<'a> {
     table: &'a BuildTable,
+    links: &'a [u32],
+    key: i64,
     next: u32,
 }
 
@@ -194,13 +210,15 @@ impl<'a> Iterator for MatchIter<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        if self.next == NIL {
-            return None;
+        while self.next != NIL {
+            let row = self.next as usize;
+            self.next = self.links[row];
+            if self.table.keys[row] == self.key {
+                let width = self.table.row_width;
+                return Some(&self.table.arena[row * width..][..width]);
+            }
         }
-        let entry = self.table.entries[self.next as usize];
-        self.next = entry.next;
-        let at = entry.offset as usize;
-        Some(&self.table.arena[at..at + self.table.row_width])
+        None
     }
 }
 

@@ -2,24 +2,28 @@
 //! the result — the canonical blocking operator of the paper's
 //! Section 5.2 phase decomposition.
 //!
-//! Key extraction is vectorized: buffered pages are kept whole and key
-//! columns are gathered page-at-a-time. Keys totalling ≤ 8 bytes take
-//! the packed-`u64` fast path ([`PackedKeySpec`], order-preserving —
-//! the sort compares machine words); wider keys fall back to per-row
-//! [`KeyVal`] tuples. Either way the sort orders a `(page, row)`
-//! permutation and emission copies raw rows straight out of the
-//! buffered pages — no per-row boxed copies on intake.
+//! Buffered pages are kept whole; intake appends one `(key, (page,
+//! row))` entry per row to a single flat vector and the sort orders
+//! that vector, so no row moves until emission slices it straight out
+//! of its page's payload. Keys totalling ≤ 8 bytes pack into an
+//! order-preserving `u64` ([`PackedKeySpec`], gathered page-at-a-time)
+//! and are ordered by a stable LSD **radix sort** that skips every
+//! byte position on which all keys of the batch agree (a date key
+//! spanning a few years takes 2 passes of 8). Wider keys fall back to
+//! per-row [`KeyVal`] tuples under a stable comparison sort.
 //!
 //! # Out-of-core operation
 //!
 //! The buffered input is charged to the query's
 //! [`MemoryBroker`](crate::MemoryBroker). When a grant is refused the
 //! task **spills**: it sorts the buffered batch, writes it to a
-//! [`SpillFile`] as a sorted run, and releases the memory. After input
-//! ends the runs are k-way merged — cascaded first if there are more
-//! runs than the budget allows open cursors — reusing the same packed
-//! keys for the merge comparisons. Runs are chronological and the
-//! merge breaks key ties toward the earliest run, so spilled output is
+//! [`SpillFile`] as a sorted run, and releases the memory (the key
+//! vectors keep their capacity for the next batch). After input ends
+//! the runs are k-way merged — cascaded first if there are more runs
+//! than the budget allows open cursors — by a **loser tree** over
+//! `(key, run index)`: one root-to-leaf replay per row instead of a
+//! scan of every cursor. Runs are chronological and the run index
+//! breaks key ties toward the earliest run, so spilled output is
 //! *identical*, row for row, to the in-memory stable sort. With an
 //! unbounded broker (the default) no spilling occurs and behaviour is
 //! unchanged.
@@ -44,24 +48,84 @@ const EMIT_BYTES: usize = 16 * 1024;
 /// Cursor fan-in cap for one merge pass.
 const MAX_MERGE_FANOUT: usize = 64;
 
-/// Per-row sort keys, packed when they fit a machine word.
+/// Where a buffered row sits: `(page, row)` into the kernel's pages.
+type Loc = (u32, u32);
+
+/// How rows get their sort word: packed into it when the key columns
+/// fit a machine word, else kept beside as per-row tuples.
 enum Keys {
     Packed {
         spec: PackedKeySpec,
         scratch: KeyScratch,
-        keys: Vec<u64>,
+        /// The keys of the page in hand.
+        page_keys: Vec<u64>,
+        /// The buffer the radix passes alternate the rows with.
+        tmp: Vec<(u64, Loc)>,
     },
+    /// The wide keys of the buffered rows, in arrival order.
     General(Vec<Vec<KeyVal>>),
 }
 
+/// Sorts `rows` by key: a stable LSD radix sort, one byte of the key
+/// per pass, least significant first. A first scan ORs `key ^ first`
+/// to learn on which byte positions the keys differ at all; only those
+/// get a counting pass (the others would move nothing). The passes
+/// scatter between `rows` and `tmp`, and the result ends up in `rows`.
+fn radix_sort(rows: &mut Vec<(u64, Loc)>, tmp: &mut Vec<(u64, Loc)>) {
+    let Some(&(first, _)) = rows.first() else {
+        return;
+    };
+    let differing = rows.iter().fold(0, |acc, &(key, _)| acc | (key ^ first));
+    let shifts: Vec<u32> = (0..64)
+        .step_by(8)
+        .filter(|&shift| (differing >> shift) & 0xFF != 0)
+        .collect();
+    if shifts.is_empty() {
+        return;
+    }
+    let mut counts = vec![[0usize; 256]; shifts.len()];
+    for &(key, _) in rows.iter() {
+        for (count, &shift) in counts.iter_mut().zip(&shifts) {
+            count[(key >> shift) as u8 as usize] += 1;
+        }
+    }
+    // Every slot is overwritten by the first scatter; only new ones
+    // need a value.
+    tmp.resize(rows.len(), (0, (0, 0)));
+    for (slots, &shift) in counts.iter_mut().zip(&shifts) {
+        // Digit counts become each digit's first output slot.
+        let mut at = 0;
+        for slot in slots.iter_mut() {
+            at += std::mem::replace(slot, at);
+        }
+        for &row in rows.iter() {
+            let slot = &mut slots[(row.0 >> shift) as u8 as usize];
+            tmp[*slot] = row;
+            *slot += 1;
+        }
+        std::mem::swap(rows, tmp);
+    }
+}
+
+/// The raw bytes of row `row` of `page`: one slice of its payload.
+fn raw_row(page: &Page, row: usize) -> &[u8] {
+    let width = page.schema().row_width();
+    &page.payload()[row * width..][..width]
+}
+
 /// Where `drain` takes the sorted rows from.
-enum Emit {
-    /// Nothing: the input has not ended, or every row has left.
-    Nothing,
-    /// The buffered pages, in `order` from position `next`.
-    Buffered { order: Vec<u32>, next: usize },
+enum Source {
+    /// The buffered pages, in key order from position `next`.
+    Buffered { next: usize },
     /// The spilled runs.
     Runs(KWayMerge),
+}
+
+/// The output phase: the page being filled — one builder for the whole
+/// emission — and where its rows come from.
+struct Emit {
+    builder: PageBuilder,
+    from: Source,
 }
 
 /// Sort kernel (ascending by the given key columns, major first): the
@@ -73,10 +137,14 @@ pub struct SortKernel {
     schema: Arc<Schema>,
     /// Buffered input pages (rows are emitted from here by reference).
     pages: Vec<Arc<Page>>,
-    /// `(page, row)` of each buffered row, aligned with the keys.
-    locs: Vec<(u32, u32)>,
+    /// What the sort orders, one entry per buffered row: its sort word
+    /// — the packed key, or on the wide-key path the row's arrival
+    /// number, which indexes [`Keys::General`] — and where the row is.
+    rows: Vec<(u64, Loc)>,
     keys: Keys,
-    emit: Emit,
+    /// `None` until the input has ended and again once every row has
+    /// left.
+    emit: Option<Emit>,
     emit_batch_rows: usize,
     spill: SpillContext,
     /// Bytes currently granted for the buffered pages.
@@ -105,7 +173,8 @@ impl SortKernel {
             Some(spec) => Keys::Packed {
                 spec,
                 scratch: KeyScratch::default(),
-                keys: Vec::new(),
+                page_keys: Vec::new(),
+                tmp: Vec::new(),
             },
             None => Keys::General(Vec::new()),
         };
@@ -115,43 +184,34 @@ impl SortKernel {
             emit_batch_rows: (EMIT_BYTES / schema.row_width()).max(1),
             schema,
             pages: Vec::new(),
-            locs: Vec::new(),
+            rows: Vec::new(),
             keys: keys_state,
-            emit: Emit::Nothing,
+            emit: None,
             spill,
             granted: 0,
             runs: Vec::new(),
         })
     }
 
-    /// Computes the sorted row permutation (stable: equal keys keep
-    /// arrival order, matching the reference executor).
-    fn sorted_order(&mut self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.locs.len() as u32).collect();
-        match &self.keys {
-            Keys::Packed { keys, .. } => order.sort_by_key(|&r| keys[r as usize]),
-            Keys::General(keys) => {
-                order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-            }
-        }
-        // The keys are no longer needed; free them before emission.
+    /// Orders `rows` by key (stable: equal keys keep arrival order,
+    /// matching the reference executor). The wide keys are not needed
+    /// after it.
+    fn sort_rows(&mut self) {
         match &mut self.keys {
-            Keys::Packed { keys, .. } => {
-                keys.clear();
-                keys.shrink_to_fit();
-            }
+            Keys::Packed { tmp, .. } => radix_sort(&mut self.rows, tmp),
             Keys::General(keys) => {
+                let key = |row: &(u64, Loc)| &keys[row.0 as usize];
+                self.rows.sort_by(|a, b| key(a).cmp(key(b)));
                 keys.clear();
-                keys.shrink_to_fit();
             }
         }
-        order
     }
 
-    /// Drops the buffered pages and returns their grant.
+    /// Drops the buffered pages and returns their grant; `rows` keeps
+    /// its capacity for the next batch.
     fn free_buffered(&mut self) {
         self.pages.clear();
-        self.locs.clear();
+        self.rows.clear();
         self.spill.broker.release(self.granted);
         self.granted = 0;
     }
@@ -159,19 +219,19 @@ impl SortKernel {
     /// Sorts the buffered batch, writes it out as one run, and frees
     /// its memory. Returns the number of rows spilled.
     fn spill_run(&mut self) -> Result<usize, ExecError> {
-        if self.locs.is_empty() {
+        let rows = self.rows.len();
+        if rows == 0 {
             return Ok(0);
         }
-        let order = self.sorted_order();
+        self.sort_rows();
         let io = self.spill.io(OP);
         let mut run = io.create(self.schema.clone())?;
-        for &idx in &order {
-            let (p, r) = self.locs[idx as usize];
-            io.push(&mut run, self.pages[p as usize].tuple(r as usize).raw())?;
+        for &(_, (page, row)) in &self.rows {
+            io.push(&mut run, raw_row(&self.pages[page as usize], row as usize))?;
         }
         self.runs.push(io.finish(run)?);
         self.free_buffered();
-        Ok(order.len())
+        Ok(rows)
     }
 
     /// How many run cursors the budget allows open at once during a
@@ -194,10 +254,10 @@ impl SortKernel {
         let io = self.spill.io(OP);
         let mut merged = io.create(self.schema.clone())?;
         let mut rows = 0usize;
-        while let Some((i, raw)) = merge.min_row(&self.keys) {
+        while let Some(raw) = merge.min_row() {
             io.push(&mut merged, raw)?;
             rows += 1;
-            merge.advance(i, &mut self.keys, &self.key_cols, &self.spill)?;
+            merge.advance(&mut self.keys, &self.key_cols, &self.spill)?;
         }
         self.runs.insert(0, io.finish(merged)?);
         Ok(rows)
@@ -258,16 +318,22 @@ impl Kernel for SortKernel {
         }
         self.granted += bytes;
         let page_idx = self.pages.len() as u32;
-        self.locs
-            .extend((0..page.rows()).map(|r| (page_idx, r as u32)));
+        let locs = (0..page.rows() as u32).map(|r| (page_idx, r));
         match &mut self.keys {
             Keys::Packed {
                 spec,
                 scratch,
-                keys,
-            } => spec.extend_keys(page, scratch, keys),
+                page_keys,
+                ..
+            } => {
+                page_keys.clear();
+                spec.extend_keys(page, scratch, page_keys);
+                self.rows.extend(page_keys.iter().copied().zip(locs));
+            }
             Keys::General(keys) => {
+                let arrivals = keys.len() as u64..;
                 keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
+                self.rows.extend(arrivals.zip(locs));
             }
         }
         self.pages.push(page.clone());
@@ -280,50 +346,56 @@ impl Kernel for SortKernel {
     /// The sort itself, or — with runs on disk — the cascade down to
     /// one final merge. A blocking step: it costs at least a tick.
     fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
-        let cost = if self.runs.is_empty() {
+        let (cost, from) = if self.runs.is_empty() {
             // Fully in-memory: the actual sort. Charged linearly per
             // tuple to keep the model's per-unit-progress cost
             // structure; the log factor is ~constant across the paper's
             // scales.
-            let order = self.sorted_order();
-            let cost = self.cost.input_cost(order.len());
-            self.emit = Emit::Buffered { order, next: 0 };
-            cost
+            self.sort_rows();
+            let cost = self.cost.input_cost(self.rows.len());
+            (cost, Source::Buffered { next: 0 })
         } else {
             let (cost, merge) = self.begin_merge()?;
-            self.emit = Emit::Runs(merge);
-            cost
+            (cost, Source::Runs(merge))
         };
+        self.emit = Some(Emit {
+            builder: PageBuilder::new(self.schema.clone()),
+            from,
+        });
         Ok(PortClosed { cost, min_tick: 1 })
     }
 
     /// Up to a batch of rows per call, always at least a tick so
-    /// emission advances virtual time. The closing call emits nothing.
+    /// emission advances virtual time; a call ends its last page even
+    /// when partly filled. The closing call emits nothing.
     fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
-        let mut builder = PageBuilder::new(self.schema.clone());
-        let (cost, finished) = match &mut self.emit {
-            Emit::Nothing => return Ok((0, true)),
-            Emit::Buffered { order, next } => {
-                let end = (*next + self.emit_batch_rows).min(order.len());
-                for &idx in &order[*next..end] {
-                    let (p, r) = self.locs[idx as usize];
-                    let raw = self.pages[p as usize].tuple(r as usize).raw();
-                    emit_row(&mut builder, out, raw);
+        let Some(Emit { builder, from }) = &mut self.emit else {
+            return Ok((0, true));
+        };
+        let (cost, finished) = match from {
+            Source::Buffered { next } => {
+                let end = (*next + self.emit_batch_rows).min(self.rows.len());
+                for &(_, (page, row)) in &self.rows[*next..end] {
+                    emit_row(
+                        builder,
+                        out,
+                        raw_row(&self.pages[page as usize], row as usize),
+                    );
                 }
                 *next = end;
-                (1, end == order.len())
+                (1, end == self.rows.len())
             }
-            Emit::Runs(merge) => {
+            Source::Runs(merge) => {
                 let mut emitted = 0usize;
                 while emitted < self.emit_batch_rows {
-                    let Some((i, raw)) = merge.min_row(&self.keys) else {
+                    let Some(raw) = merge.min_row() else {
                         break;
                     };
-                    emit_row(&mut builder, out, raw);
+                    emit_row(builder, out, raw);
                     emitted += 1;
-                    merge.advance(i, &mut self.keys, &self.key_cols, &self.spill)?;
+                    merge.advance(&mut self.keys, &self.key_cols, &self.spill)?;
                 }
-                let finished = merge.min_cursor(&self.keys).is_none();
+                let finished = merge.min_row().is_none();
                 (self.cost.input_cost(emitted).max(1), finished)
             }
         };
@@ -336,11 +408,90 @@ impl Kernel for SortKernel {
         Ok((cost, false))
     }
 
-    /// Buffered pages and their grant, spilled runs, open merge cursors.
+    /// Buffered pages and their grant, spilled runs, open merge cursors,
+    /// the output builder.
     fn release(&mut self) {
         self.free_buffered();
         self.runs.clear();
-        self.emit = Emit::Nothing;
+        self.emit = None;
+    }
+}
+
+/// A run's current key as the merge compares it. The derived order is
+/// the key order (one sort's keys are all of one kind) with an
+/// exhausted run after every key.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Head {
+    Packed(u64),
+    General(Vec<KeyVal>),
+    Done,
+}
+
+/// A loser tree over the runs' heads: the smallest `(head, run index)`
+/// — equal keys go to the earliest run — found again after the winning
+/// run moves on by one replay of its leaf-to-root path, `⌈log₂ k⌉`
+/// comparisons instead of a scan of all `k` runs.
+///
+/// The tree is implicit over `k` leaves: node `n`'s children are `2n`
+/// and `2n + 1`, run `i` is leaf `k + i`. `tree[n]` for `n ≥ 1` holds
+/// the run that *lost* the match at node `n`, `tree[0]` the overall
+/// winner.
+struct Tournament {
+    heads: Vec<Head>,
+    tree: Vec<u32>,
+}
+
+impl Tournament {
+    /// Plays every match once, bottom-up.
+    fn new(heads: Vec<Head>) -> Self {
+        let k = heads.len();
+        let mut t = Tournament {
+            heads,
+            tree: vec![0; k.max(1)],
+        };
+        // Winner of the subtree under each node; the leaves are the runs.
+        let mut winners = vec![0u32; 2 * k];
+        for (run, leaf) in winners[k..].iter_mut().enumerate() {
+            *leaf = run as u32;
+        }
+        for n in (1..k).rev() {
+            let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+            let (winner, loser) = if t.beats(a, b) { (a, b) } else { (b, a) };
+            winners[n] = winner;
+            t.tree[n] = loser;
+        }
+        t.tree[0] = winners.get(1).copied().unwrap_or(0);
+        t
+    }
+
+    /// Whether run `a` comes out before run `b`.
+    fn beats(&self, a: u32, b: u32) -> bool {
+        (&self.heads[a as usize], a) < (&self.heads[b as usize], b)
+    }
+
+    /// The run holding the smallest head, `None` when every run is
+    /// exhausted.
+    fn winner(&self) -> Option<usize> {
+        let run = self.tree[0] as usize;
+        match self.heads.get(run)? {
+            Head::Done => None,
+            _ => Some(run),
+        }
+    }
+
+    /// Gives the winning run its next head and replays its matches up
+    /// to the root.
+    fn replace_winner(&mut self, head: Head) {
+        let mut winner = self.tree[0];
+        self.heads[winner as usize] = head;
+        let mut n = (self.heads.len() + winner as usize) / 2;
+        while n >= 1 {
+            if self.beats(self.tree[n], winner) {
+                std::mem::swap(&mut self.tree[n], &mut winner);
+            }
+            n /= 2;
+        }
+        self.tree[0] = winner;
     }
 }
 
@@ -352,8 +503,6 @@ struct RunCursor {
     row: usize,
     /// Packed keys for the current page (packed mode).
     packed: Vec<u64>,
-    /// Key of the current row (general mode).
-    gkey: Vec<KeyVal>,
     /// Bytes granted for the current page.
     granted: usize,
 }
@@ -361,12 +510,7 @@ struct RunCursor {
 impl RunCursor {
     /// Loads the next page of the run (releasing the previous page's
     /// grant) and extracts its keys.
-    fn load_next(
-        &mut self,
-        keys: &mut Keys,
-        key_cols: &[usize],
-        spill: &SpillContext,
-    ) -> Result<(), ExecError> {
+    fn load_next(&mut self, keys: &mut Keys, spill: &SpillContext) -> Result<(), ExecError> {
         spill.broker.release(self.granted);
         self.granted = 0;
         self.page = spill.io(OP).next_page(&mut self.reader)?;
@@ -374,25 +518,35 @@ impl RunCursor {
         if let Some(page) = &self.page {
             self.granted = page.byte_len();
             spill.broker.grant(self.granted);
-            match keys {
-                Keys::Packed { spec, scratch, .. } => {
-                    self.packed.clear();
-                    spec.extend_keys(page, scratch, &mut self.packed);
-                }
-                Keys::General(_) => self.gkey = key_of(&page.tuple(0), key_cols),
+            if let Keys::Packed { spec, scratch, .. } = keys {
+                self.packed.clear();
+                spec.extend_keys(page, scratch, &mut self.packed);
             }
         }
         Ok(())
     }
+
+    /// The key of the current row.
+    fn head(&self, keys: &Keys, key_cols: &[usize]) -> Head {
+        match (&self.page, keys) {
+            (None, _) => Head::Done,
+            (Some(_), Keys::Packed { .. }) => Head::Packed(self.packed[self.row]),
+            (Some(page), Keys::General(_)) => {
+                Head::General(key_of(&page.tuple(self.row), key_cols))
+            }
+        }
+    }
 }
 
 /// A k-way merge over sorted runs. Cursor order is run (arrival)
-/// order; [`KWayMerge::min_row`] resolves equal keys toward the lowest
+/// order and the tournament resolves equal keys toward the lowest
 /// cursor index, which makes the merged output exactly the stable
 /// in-memory sort. Dropping the merge returns every cursor's page
 /// grant and deletes the runs.
 struct KWayMerge {
     cursors: Vec<RunCursor>,
+    /// Which cursor holds the smallest current key.
+    tournament: Tournament,
     broker: MemoryBroker,
 }
 
@@ -406,6 +560,7 @@ impl KWayMerge {
     ) -> Result<Self, ExecError> {
         let mut merge = KWayMerge {
             cursors: Vec::with_capacity(runs.len()),
+            tournament: Tournament::new(Vec::new()),
             broker: spill.broker.clone(),
         };
         for run in runs {
@@ -414,74 +569,40 @@ impl KWayMerge {
                 page: None,
                 row: 0,
                 packed: Vec::new(),
-                gkey: Vec::new(),
                 granted: 0,
             };
-            cursor.load_next(keys, key_cols, spill)?;
+            cursor.load_next(keys, spill)?;
             merge.cursors.push(cursor);
         }
+        let heads = merge.cursors.iter().map(|c| c.head(keys, key_cols));
+        merge.tournament = Tournament::new(heads.collect());
         Ok(merge)
     }
 
-    /// Index of the cursor holding the smallest current key; ties go to
-    /// the lowest index (earliest run). `None` when every run is
-    /// exhausted.
-    fn min_cursor(&self, keys: &Keys) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        match keys {
-            Keys::Packed { .. } => {
-                let mut best_key = 0u64;
-                for (i, c) in self.cursors.iter().enumerate() {
-                    if c.page.is_none() {
-                        continue;
-                    }
-                    let k = c.packed[c.row];
-                    if best.is_none() || k < best_key {
-                        best = Some(i);
-                        best_key = k;
-                    }
-                }
-            }
-            Keys::General(_) => {
-                for (i, c) in self.cursors.iter().enumerate() {
-                    if c.page.is_none() {
-                        continue;
-                    }
-                    if best.is_none_or(|b| c.gkey < self.cursors[b].gkey) {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
+    /// The raw bytes of the smallest current row; ties go to the
+    /// earliest run. `None` when every run is exhausted.
+    fn min_row(&self) -> Option<&[u8]> {
+        let cursor = &self.cursors[self.tournament.winner()?];
+        Some(raw_row(cursor.page.as_ref()?, cursor.row))
     }
 
-    /// [`KWayMerge::min_cursor`] and the raw bytes of its current row.
-    fn min_row(&self, keys: &Keys) -> Option<(usize, &[u8])> {
-        let i = self.min_cursor(keys)?;
-        let cursor = &self.cursors[i];
-        Some((i, cursor.page.as_ref()?.tuple(cursor.row).raw()))
-    }
-
-    /// Steps cursor `i` past its current row.
+    /// Steps the cursor [`KWayMerge::min_row`] read from past that row.
     fn advance(
         &mut self,
-        i: usize,
         keys: &mut Keys,
         key_cols: &[usize],
         spill: &SpillContext,
     ) -> Result<(), ExecError> {
-        let cursor = &mut self.cursors[i];
+        let Some(winner) = self.tournament.winner() else {
+            return Ok(());
+        };
+        let cursor = &mut self.cursors[winner];
         match &cursor.page {
-            Some(page) if cursor.row + 1 < page.rows() => {
-                cursor.row += 1;
-                if let Keys::General(_) = keys {
-                    cursor.gkey = key_of(&page.tuple(cursor.row), key_cols);
-                }
-                Ok(())
-            }
-            _ => cursor.load_next(keys, key_cols, spill),
+            Some(page) if cursor.row + 1 < page.rows() => cursor.row += 1,
+            _ => cursor.load_next(keys, spill)?,
         }
+        self.tournament.replace_winner(cursor.head(keys, key_cols));
+        Ok(())
     }
 }
 
@@ -693,6 +814,100 @@ mod tests {
         let want = run_sort(rows.clone(), schema.clone(), vec![0]);
         let got = run_sort_with(rows, schema, vec![0], SpillContext::with_budget(PAGE_SIZE));
         assert_eq!(got, want);
+    }
+
+    /// The merge the tournament replaced: scan every run's current
+    /// row, the lowest run index winning ties.
+    fn linear_scan_merge(runs: &[Vec<(i64, i64)>]) -> Vec<(i64, i64)> {
+        let mut at = vec![0usize; runs.len()];
+        let mut out = Vec::new();
+        loop {
+            let mut best: Option<usize> = None;
+            for (i, run) in runs.iter().enumerate() {
+                if at[i] < run.len() && best.is_none_or(|b| run[at[i]].0 < runs[b][at[b]].0) {
+                    best = Some(i);
+                }
+            }
+            let Some(b) = best else {
+                return out;
+            };
+            out.push(runs[b][at[b]]);
+            at[b] += 1;
+        }
+    }
+
+    /// Hands `runs` of `(k, seq)` rows, each in key order, to a sort as
+    /// its spilled runs and ends its input: what the (cascaded) merge
+    /// emits.
+    fn merge_runs(runs: &[Vec<(i64, i64)>]) -> Vec<(i64, i64)> {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("seq", DataType::Int),
+        ]);
+        let mut sort = sort_of(&schema, vec![0], SpillContext::unbounded());
+        let io = sort.spill.io(OP);
+        for run in runs {
+            let mut stream = io.create(schema.clone()).expect("create run");
+            for (k, seq) in run {
+                let raw = [k.to_le_bytes(), seq.to_le_bytes()].concat();
+                io.push(&mut stream, &raw).expect("write run");
+            }
+            sort.runs.push(io.finish(stream).expect("seal run"));
+        }
+        let got = drive(&mut sort, &[&[]]).expect("merge must not fault");
+        assert_eq!(sort.spill.broker.used(), 0, "cursor pages returned");
+        got.iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn loser_tree_merge_matches_linear_scan() {
+        // 65 runs exceed the fan-in cap of 64: a cascade, then a
+        // two-way final merge.
+        for k in [1usize, 2, 3, 64, 65] {
+            // Run lengths 1..=600 (some a single row, some several
+            // pages), so runs drain at different times; five distinct
+            // keys, so nearly every comparison is a tie between runs.
+            let mut seq = 0i64;
+            let runs: Vec<Vec<(i64, i64)>> = (0..k)
+                .map(|i| {
+                    let len = [1, 600, 2, 37, 300][i % 5] + i / 5;
+                    let mut keys: Vec<i64> = (0..len).map(|j| ((j * 7 + i) % 5) as i64).collect();
+                    keys.sort_unstable();
+                    let stamped = keys.into_iter().map(|key| {
+                        seq += 1;
+                        (key, seq)
+                    });
+                    stamped.collect()
+                })
+                .collect();
+            let got = merge_runs(&runs);
+            assert_eq!(got, linear_scan_merge(&runs), "{k} runs");
+            // Stability: runs are chronological, so within a key the
+            // arrival stamps ascend.
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "{k} runs: (key, seq) must ascend strictly"
+            );
+        }
+    }
+
+    #[test]
+    fn loser_tree_merges_distinct_keys_and_extremes() {
+        let runs = vec![
+            vec![(i64::MIN, 0), (-1, 1), (7, 2)],
+            vec![(0, 3)],
+            vec![(-1, 4), (i64::MAX, 5)],
+            vec![(i64::MIN, 6), (i64::MAX, 7)],
+        ];
+        let got = merge_runs(&runs);
+        assert_eq!(got, linear_scan_merge(&runs));
+        let keys: Vec<i64> = got.iter().map(|r| r.0).collect();
+        assert_eq!(
+            keys,
+            vec![i64::MIN, i64::MIN, -1, -1, 0, 7, i64::MAX, i64::MAX]
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! produces. Key extraction then runs page-at-a-time — one typed
 //! [`Page`] gather per key column folded into the packed buffer —
 //! instead of materializing a `Vec<KeyVal>` (one heap allocation plus
-//! per-field dispatch) for every row, and the sort itself compares
-//! single machine words instead of walking enum vectors.
+//! per-field dispatch) for every row, and the sort itself radix-sorts
+//! the words (the merge compares them) instead of walking enum vectors.
 //!
 //! Per-column encodings (each placed big-endian-style, major key in the
 //! most significant bytes, zero-padded at the bottom):

@@ -8,6 +8,7 @@
 //! inputs fail the query with an [`ExecError`], not the process.
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
+use cordoba_exec::ops::BuildTable;
 use cordoba_exec::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
 use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, PhysicalPlan};
 use cordoba_sim::Simulator;
@@ -611,6 +612,179 @@ fn kv_catalog(left: &[(i64, i64)], right: &[(i64, i64)]) -> Catalog {
         cat.register(tb.finish());
     }
     cat
+}
+
+/// The sort keys of one adversarial shape, one `Vec<Value>` per row,
+/// drawn from `raw`: what a byte-skipping radix sort could get wrong.
+fn adversarial_keys(shape: u8, raw: &[i64]) -> (Vec<Field>, Vec<Vec<Value>>) {
+    let int = |f: &dyn Fn(i64) -> i64| {
+        let keys = raw.iter().map(|&x| vec![Value::Int(f(x))]).collect();
+        (vec![Field::new("k", DataType::Int)], keys)
+    };
+    let float = |f: &dyn Fn(i64) -> f64| {
+        let keys = raw.iter().map(|&x| vec![Value::Float(f(x))]).collect();
+        (vec![Field::new("k", DataType::Float)], keys)
+    };
+    let pick = |x: i64, n: usize| (x.unsigned_abs() % n as u64) as usize;
+    match shape {
+        // Every key equal: no byte position differs, no pass runs.
+        0 => int(&|_| 42),
+        // Keys differing only in the top byte, only in the bottom byte.
+        1 => int(&|x| (x << 56) | 0x1234),
+        2 => int(&|x| (x & 0xFF) | 0x1234_0000),
+        3 => int(&|x| [i64::MIN, i64::MAX, -1, 0, 1][pick(x, 5)]),
+        // All eight byte positions differ.
+        4 => int(&|x| x),
+        5 => float(&|x| {
+            let specials = [
+                f64::NAN,
+                -f64::NAN,
+                -0.0,
+                0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.5,
+                -1.5,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+            ];
+            specials[pick(x, 10)]
+        }),
+        6 => float(&|x| f64::from_bits(x as u64)),
+        // A packed composite: Str(2) major, Date minor.
+        _ => {
+            let fields = vec![
+                Field::new("s", DataType::Str(2)),
+                Field::new("d", DataType::Date),
+            ];
+            let keys = raw.iter().map(|&x| {
+                let s = ["", "a", "ab", "b", "zz"][pick(x, 5)];
+                let d = [i32::MIN, -1, 0, 1, i32::MAX, (x >> 8) as i32][pick(x >> 4, 6)];
+                vec![Value::Str(s.into()), Value::Date(Date(d))]
+            });
+            (fields, keys.collect())
+        }
+    }
+}
+
+/// The order the sort operator must realize on key tuples, written
+/// without the engine: integers and dates numerically, floats by IEEE
+/// total order, strings bytewise, major column first.
+fn key_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    let pairs = a.iter().zip(b).map(|pair| match pair {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
+        (Value::Date(x), Value::Date(y)) => x.0.cmp(&y.0),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        other => panic!("mixed key columns {other:?}"),
+    });
+    pairs.fold(std::cmp::Ordering::Equal, std::cmp::Ordering::then)
+}
+
+/// Runs `keys` (with an arrival stamp appended to each row) through the
+/// sort operator; the stamps in output order.
+fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>]) -> Vec<usize> {
+    let ncols = fields.len();
+    fields.push(Field::new("seq", DataType::Int));
+    let mut tb = TableBuilder::with_page_size("t", Schema::new(fields), 256);
+    for (seq, key) in keys.iter().enumerate() {
+        let mut row = key.clone();
+        row.push(Value::Int(seq as i64));
+        tb.push_row(&row);
+    }
+    let mut cat = Catalog::new();
+    cat.register(tb.finish());
+    let plan = PhysicalPlan::Sort {
+        input: scan(),
+        keys: (0..ncols).collect(),
+        cost: OpCost::default(),
+    };
+    let stamp = |row: &Vec<Value>| row[ncols].as_int().expect("seq is Int") as usize;
+    run_sim(&cat, &plan).iter().map(stamp).collect()
+}
+
+/// What `BuildTable::matches` / `contains` must answer for each of
+/// `probes`: the payloads of the `(key, payload)` rows with that key,
+/// in insertion order.
+fn assert_lookups(table: &BuildTable, rows: &[(i64, i64)], probes: &[i64]) {
+    for &key in probes {
+        let want: Vec<i64> = rows.iter().filter(|r| r.0 == key).map(|r| r.1).collect();
+        let payload = |raw: &[u8]| i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
+        let got: Vec<i64> = table.matches(key).map(payload).collect();
+        assert_eq!(got, want, "key {key}");
+        assert_eq!(table.contains(key), !want.is_empty(), "key {key}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The packed-key radix sort orders rows exactly as a stable
+    /// `sort_by` on the key does — every adversarial key shape at every
+    /// size around the 256-bucket histogram's edges.
+    #[test]
+    fn radix_order_is_the_stable_sort_by_key(
+        raw in proptest::collection::vec(any::<i64>(), 3000..3001),
+    ) {
+        for shape in 0u8..8 {
+            for n in [0usize, 1, 2, 255, 256, 257, 1000 + raw[0].unsigned_abs() as usize % 2000] {
+                let (fields, keys) = adversarial_keys(shape, &raw[..n]);
+                let mut want: Vec<usize> = (0..n).collect();
+                want.sort_by(|&a, &b| key_order(&keys[a], &keys[b]));
+                prop_assert_eq!(sorted_stamps(fields, &keys), want, "shape {} n {}", shape, n);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `BuildTable::matches(k)` is "the rows with key k, in insertion
+    /// order" — on an empty table, with one hot key on every row, with
+    /// far more distinct keys than buckets (so chains mix keys), and
+    /// again after further inserts (the directory must be rebuilt) —
+    /// and a table built row by row equals one built page by page.
+    #[test]
+    fn build_table_lookups_match_definition(
+        raw in proptest::collection::vec((any::<i64>(), 0i64..1000), 0..200),
+        shape in 0u8..4,
+    ) {
+        let rows: Vec<(i64, i64)> = raw
+            .iter()
+            .map(|&(k, v)| match shape {
+                0 => (k % 8, v),  // few keys, long same-key chains
+                1 => (7, v),      // one hot key on every row
+                2 => (k << 40, v), // low bits all zero
+                _ => (k, v),      // all distinct, all 64 bits in use
+            })
+            .collect();
+        let mut probes: Vec<i64> = rows.iter().flat_map(|r| [r.0, r.0 ^ 1, !r.0]).collect();
+        probes.extend(-10..10);
+
+        let cat = kv_catalog(&rows, &[]);
+        let pages = cat.expect("l").pages();
+        let first = pages.len() / 2;
+        let first_rows: usize = pages[..first].iter().map(|p| p.rows()).sum();
+        let mut by_page = BuildTable::new(16);
+        assert_lookups(&by_page, &[], &probes);
+        for page in &pages[..first] {
+            by_page.insert_page(page, 0);
+        }
+        assert_lookups(&by_page, &rows[..first_rows], &probes);
+        for page in &pages[first..] {
+            by_page.insert_page(page, 0);
+        }
+        assert_lookups(&by_page, &rows, &probes);
+
+        let mut by_row = BuildTable::new(16);
+        for &(k, v) in &rows {
+            by_row.insert_row(k, &[k.to_le_bytes(), v.to_le_bytes()].concat());
+        }
+        prop_assert_eq!(by_row.arena(), by_page.arena());
+        prop_assert_eq!(by_row.rows(), rows.len());
+        assert_lookups(&by_row, &rows, &probes);
+    }
 }
 
 /// Builds a random well-typed predicate over `ncols` Int columns.
