@@ -130,7 +130,8 @@ fn workers() {
             .map(|&m| {
                 let z = SharingEvaluator::homogeneous(&plan, pivot, m)
                     .expect("synthetic plan valid")
-                    .speedup_with_workers(32.0, scaling);
+                    .with_workers(scaling)
+                    .speedup(32.0);
                 (m as f64, z)
             })
             .collect();

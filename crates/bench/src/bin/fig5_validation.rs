@@ -9,13 +9,13 @@
 //! workers) grid: the intra-query scaling exponent κ is re-fitted from
 //! solo-query throughput at each worker count (the Section 4.1.4
 //! aggregate-bandwidth form, applied within a query), then
-//! `Z(m, n, k)` from `speedup_with_workers` is compared against the
+//! `Z(m, n, k)` from the evaluator `with_workers` is compared against the
 //! engine measured at the same worker counts. The host's real-thread κ
 //! is reported alongside for contrast.
 
 use cordoba_bench::experiments::{
-    fit_sim_kappa, fit_thread_kappa, model_speedup, model_speedup_with_workers, profile_all,
-    sharing_speedup_with_workers, speedup_sweep, ExpConfig,
+    fit_sim_kappa, fit_thread_kappa, model_speedup, profile_all, sharing_speedup_with_workers,
+    speedup_sweep, ExpConfig,
 };
 use cordoba_bench::output::{announce, f, write_csv};
 use cordoba_core::sharing::WorkerScaling;
@@ -42,7 +42,7 @@ fn panel(cfg: &ExpConfig, specs: &[QuerySpec], csv: &str) -> PanelSummary {
         let measured = speedup_sweep(&catalog, spec, &clients, &contexts, cfg.measure_floor);
         let info = &models[&spec.name];
         for p in &measured {
-            let predicted = model_speedup(info, p.clients, p.contexts);
+            let predicted = model_speedup(info, p.clients, p.contexts, WorkerScaling::serial());
             let err = (predicted - p.z).abs() / p.z.max(1e-9);
             errs.push(err);
             decisions += 1;
@@ -127,7 +127,7 @@ fn worker_panel(cfg: &ExpConfig, spec: &QuerySpec) -> PanelSummary {
                 work,
                 cfg.measure_floor,
             );
-            let predicted = model_speedup_with_workers(info, m, contexts, scaling);
+            let predicted = model_speedup(info, m, contexts, scaling);
             let err = (predicted - p.z).abs() / p.z.max(1e-9);
             errs.push(err);
             decisions += 1;

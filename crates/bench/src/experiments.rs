@@ -1,7 +1,9 @@
 //! Measurement routines for every experiment in the paper.
 
+use crate::engine_cfg;
 use cordoba_core::contention::estimate_k;
-use cordoba_core::sharing::{SharingEvaluator, WorkerScaling};
+use cordoba_core::sharing::WorkerScaling;
+use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
     measure_throughput, run_once, thread_exec, EngineConfig, ParallelConfig, Policy,
@@ -61,28 +63,15 @@ impl ExpConfig {
 /// Approximate total virtual work of one query instance (sum of all
 /// operator active times in a solo run); used to size time caps.
 pub fn query_work(catalog: &Catalog, spec: &QuerySpec) -> VTime {
-    let cfg = EngineConfig {
-        contexts: 1,
-        ..EngineConfig::default()
-    };
+    let cfg = engine_cfg(1, Policy::NeverShare);
     let out = run_once(catalog, std::slice::from_ref(spec), &cfg);
     out.task_stats.iter().map(|(_, s)| s.active).sum()
 }
 
-fn engine_cfg(contexts: usize, policy: Policy) -> EngineConfig {
-    EngineConfig {
-        contexts,
-        policy,
-        ..EngineConfig::default()
-    }
-}
-
 fn engine_cfg_workers(contexts: usize, policy: Policy, workers: usize) -> EngineConfig {
     EngineConfig {
-        contexts,
-        policy,
         parallel: ParallelConfig::with_workers(workers),
-        ..EngineConfig::default()
+        ..engine_cfg(contexts, policy)
     }
 }
 
@@ -102,7 +91,7 @@ pub struct SpeedupPoint {
 }
 
 /// Measures the speedup of always-share over never-share for `m`
-/// identical copies of `spec` on `contexts` contexts.
+/// identical copies of `spec` on `contexts` contexts, one worker each.
 pub fn sharing_speedup(
     catalog: &Catalog,
     spec: &QuerySpec,
@@ -111,41 +100,15 @@ pub fn sharing_speedup(
     work_hint: VTime,
     measure_floor: usize,
 ) -> SpeedupPoint {
-    let specs = vec![spec.clone(); clients];
-    // ~6 closed-loop "rounds" per estimate: shared groups complete in
-    // bursts of m, so the window must span several bursts.
-    let target = measure_floor.max(6 * clients);
-    // Generous cap: enough for ~8x the target at the slowest plausible
-    // rate (all work serialized on one context).
-    let cap = work_hint
-        .saturating_mul(clients as u64)
-        .saturating_mul(16)
-        .max(10_000_000);
-    let shared = measure_throughput(
+    sharing_speedup_with_workers(
         catalog,
-        &specs,
-        &engine_cfg(contexts, Policy::AlwaysShare),
-        target,
-        cap,
-    );
-    let unshared = measure_throughput(
-        catalog,
-        &specs,
-        &engine_cfg(contexts, Policy::NeverShare),
-        target,
-        cap,
-    );
-    SpeedupPoint {
+        spec,
         clients,
         contexts,
-        shared: shared.per_time,
-        unshared: unshared.per_time,
-        z: if unshared.per_time > 0.0 {
-            shared.per_time / unshared.per_time
-        } else {
-            f64::NAN
-        },
-    }
+        1,
+        work_hint,
+        measure_floor,
+    )
 }
 
 /// Sweeps clients × contexts for one query (a full panel of Figure 1/2).
@@ -167,25 +130,20 @@ pub fn speedup_sweep(
 }
 
 /// Model-predicted speedup for `m` sharers of the profiled query on `n`
-/// contexts (Figure 5 model series; Figure 4 uses the synthetic plans
-/// directly).
-pub fn model_speedup(info: &QueryModelInfo, clients: usize, contexts: usize) -> f64 {
-    SharingEvaluator::homogeneous(&info.plan, info.pivot, clients)
-        .expect("profiled plan is valid")
-        .speedup(contexts as f64)
-}
-
-/// Model-predicted speedup with every query running `scaling.workers`
-/// morsel workers (the (m × k) grid's model series).
-pub fn model_speedup_with_workers(
+/// contexts, every query running `scaling.workers` morsel workers
+/// (Figure 5's model series and its (m × k) grid; Figure 4 uses the
+/// synthetic plans directly). The group is the policy's own pricing of
+/// `m` exact-overlap members.
+pub fn model_speedup(
     info: &QueryModelInfo,
     clients: usize,
     contexts: usize,
     scaling: WorkerScaling,
 ) -> f64 {
-    SharingEvaluator::homogeneous(&info.plan, info.pivot, clients)
+    sharing_group(&vec![(info, 1.0); clients])
         .expect("profiled plan is valid")
-        .speedup_with_workers(contexts as f64, scaling)
+        .with_workers(scaling)
+        .speedup(contexts as f64)
 }
 
 /// Measures the always-share vs never-share speedup with every query
@@ -200,7 +158,11 @@ pub fn sharing_speedup_with_workers(
     measure_floor: usize,
 ) -> SpeedupPoint {
     let specs = vec![spec.clone(); clients];
+    // ~6 closed-loop "rounds" per estimate: shared groups complete in
+    // bursts of m, so the window must span several bursts.
     let target = measure_floor.max(6 * clients);
+    // Generous cap: enough for ~8x the target at the slowest plausible
+    // rate (all work serialized on one context).
     let cap = work_hint
         .saturating_mul(clients as u64)
         .saturating_mul(16)
@@ -262,7 +224,7 @@ pub fn fit_thread_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[u3
 /// Profiles every query in `specs` (paper Section 3.1), returning the
 /// per-name model map the model-guided policy needs.
 pub fn profile_all(catalog: &Catalog, specs: &[QuerySpec]) -> HashMap<String, QueryModelInfo> {
-    let cfg = EngineConfig::default();
+    let cfg = engine_cfg(1, Policy::NeverShare);
     specs
         .iter()
         .map(|spec| {

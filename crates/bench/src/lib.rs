@@ -23,9 +23,24 @@
 //! two gates, `bench_ops` and `bench_service`. Wall-clock measurement
 //! is `benchmark/`'s job.
 
+use cordoba_engine::{EngineConfig, ParallelConfig, Policy};
+
 pub mod experiments;
 pub mod output;
 pub mod par_kernels;
 pub mod service_kernels;
 pub mod spill_kernels;
 pub mod subsume_kernels;
+
+/// The crate's one engine configuration: explicit contexts and policy,
+/// morsel workers pinned to 1 so `CORDOBA_WORKERS` in the environment
+/// cannot perturb a committed number (`EngineConfig::default()` reads
+/// it). Scenarios that want more set the field over this base.
+pub fn engine_cfg(contexts: usize, policy: Policy) -> EngineConfig {
+    EngineConfig {
+        contexts,
+        policy,
+        parallel: ParallelConfig::with_workers(1),
+        ..EngineConfig::default()
+    }
+}

@@ -17,10 +17,9 @@
 //!   the open-system regimes where rejections and in-flight strands
 //!   must stay accounted.
 
+use crate::engine_cfg;
 use crate::output::Json;
-use cordoba_engine::{
-    run_service, ArrivalSchedule, EngineConfig, ParallelConfig, Policy, Report, ServiceConfig,
-};
+use cordoba_engine::{run_service, ArrivalSchedule, Policy, Report, ServiceConfig};
 use cordoba_sim::{LatencySummary, VTime};
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
@@ -37,18 +36,6 @@ pub fn catalog() -> Catalog {
         seed: 11,
         ..TpchConfig::default()
     })
-}
-
-/// Engine configuration for service scenarios: explicit contexts and
-/// policy, morsel workers pinned to 1 so `CORDOBA_WORKERS` in the
-/// environment cannot perturb the committed numbers.
-fn engine_cfg(contexts: usize, policy: Policy) -> EngineConfig {
-    EngineConfig {
-        contexts,
-        policy,
-        parallel: ParallelConfig::with_workers(1),
-        ..EngineConfig::default()
-    }
 }
 
 /// The seeded family workload: distinct but nested Q6/Q1-style

@@ -8,22 +8,18 @@
 //! for a fixed seed and host-independent, so committed numbers can be
 //! gated tightly.
 
+use crate::engine_cfg;
 use crate::output::Json;
-use cordoba_core::sharing::{GroupMember, SharingEvaluator};
+use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
     run_once, run_open_loop_collecting, EngineConfig, Policy, QueryModelInfo, QuerySpec,
 };
-use cordoba_exec::subsume::{coverage_estimate, MIN_COVERAGE};
+use cordoba_exec::subsume::coverage_estimate;
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::{family_specs, CostProfile, FamilyConfig};
 use std::collections::HashMap;
-
-/// Mirrors the policy's residual-pricing constant (see
-/// `cordoba_engine::policy`): the advisor validation must price
-/// fragments exactly the way the dispatcher's admission does.
-const RESIDUAL_COST_RATIO: f64 = 0.1;
 
 /// Scale factor of every subsume scenario's catalog.
 pub const SCALE_FACTOR: f64 = 0.002;
@@ -37,13 +33,18 @@ pub fn catalog() -> Catalog {
     })
 }
 
-fn engine_cfg(contexts: usize, policy: Policy, cache: usize) -> EngineConfig {
+fn cached_cfg(contexts: usize, policy: Policy, cache: usize) -> EngineConfig {
     EngineConfig {
-        contexts,
-        policy,
         fragment_cache: cache,
-        ..EngineConfig::default()
+        ..engine_cfg(contexts, policy)
     }
+}
+
+/// Profiles `spec` the way the model-guided policy consumes it.
+fn profiled(catalog: &Catalog, spec: &QuerySpec) -> QueryModelInfo {
+    profile_query(catalog, spec, &engine_cfg(1, Policy::NeverShare))
+        .unwrap_or_else(|e| panic!("profiling {} failed: {e}", spec.name))
+        .0
 }
 
 /// One measured subsumption scenario.
@@ -125,53 +126,23 @@ impl SubsumePoint {
     }
 }
 
-/// Predicts `Z` for one family chain sharing its widest member's
-/// fragment, using per-member profiled models and the same coverage /
-/// residual pricing the dispatcher's `admit_overlap` applies.
+/// Predicts `Z` for one family chain sharing its widest (first)
+/// member's fragment: per-member profiled models and coverage
+/// estimates — what the dispatcher hands `Policy::admit_overlap` —
+/// through the policy's own pricing ([`sharing_group`]).
 /// `effective_contexts` is the group's fair share of the machine.
 fn predicted_chain_z(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: f64) -> f64 {
-    let cfg = EngineConfig::default();
-    let models: Vec<QueryModelInfo> = chain
-        .iter()
-        .map(|spec| {
-            profile_query(catalog, spec, &cfg)
-                .unwrap_or_else(|e| panic!("profiling {} failed: {e}", spec.name))
-                .0
-        })
-        .collect();
     let wide_pivot = chain[0].pivot.as_ref().expect("family specs have pivots");
-    let wide_model = &models[0];
-    let below: Vec<f64> = wide_model
-        .plan
-        .below(wide_model.pivot)
-        .expect("pivot in plan")
-        .into_iter()
-        .map(|id| wide_model.plan.op(id).p())
-        .collect();
-    let pivot_work = wide_model.plan.op(wide_model.pivot).w();
-    let members: Vec<GroupMember> = chain
+    let models: Vec<QueryModelInfo> = chain.iter().map(|spec| profiled(catalog, spec)).collect();
+    let members: Vec<_> = chain
         .iter()
         .zip(&models)
         .map(|(spec, model)| {
             let narrow = spec.pivot.as_ref().expect("family specs have pivots");
-            let c = coverage_estimate(wide_pivot, narrow).clamp(MIN_COVERAGE, 1.0);
-            let s_wide = model.plan.op(model.pivot).s_per_consumer() / c;
-            let residual = if c < 1.0 - 1e-12 {
-                RESIDUAL_COST_RATIO * s_wide
-            } else {
-                0.0
-            };
-            let above = model
-                .plan
-                .above(model.pivot)
-                .expect("pivot in plan")
-                .into_iter()
-                .map(|id| model.plan.op(id).p())
-                .collect();
-            GroupMember::new(s_wide, above).with_partial_overlap(c, residual)
+            (model, coverage_estimate(wide_pivot, narrow))
         })
         .collect();
-    SharingEvaluator::from_parts(below, pivot_work, members)
+    sharing_group(&members)
         .expect("profiled parameters are valid")
         .speedup(effective_contexts.max(1.0))
 }
@@ -195,12 +166,12 @@ pub fn group_scenario(
     let shared = run_once(
         catalog,
         &specs,
-        &engine_cfg(contexts, Policy::AlwaysShare, 8),
+        &cached_cfg(contexts, Policy::AlwaysShare, 8),
     );
     let unshared = run_once(
         catalog,
         &specs,
-        &engine_cfg(contexts, Policy::NeverShare, 0),
+        &cached_cfg(contexts, Policy::NeverShare, 0),
     );
     assert!(shared.failures.is_empty(), "{:?}", shared.failures);
     assert!(unshared.failures.is_empty(), "{:?}", unshared.failures);
@@ -253,7 +224,7 @@ pub fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
         (40_000_000, specs[1].clone()),
         (40_000_000, specs[2].clone()),
     ];
-    let cfg = engine_cfg(1, Policy::AlwaysShare, 8);
+    let cfg = cached_cfg(1, Policy::AlwaysShare, 8);
     let (report, _results) = run_open_loop_collecting(catalog, schedule, &cfg, u64::MAX / 4);
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     assert_eq!(report.completed, 3, "{report:?}");
@@ -359,15 +330,12 @@ pub fn policy_scenario(
 ) -> PolicyPoint {
     let specs = family_specs(costs, family_cfg);
     let mut models: HashMap<String, QueryModelInfo> = HashMap::new();
-    let profile_cfg = EngineConfig::default();
     for spec in &specs {
         if !models.contains_key(&spec.name) {
-            let (info, _) = profile_query(catalog, spec, &profile_cfg)
-                .unwrap_or_else(|e| panic!("profiling {} failed: {e}", spec.name));
-            models.insert(spec.name.clone(), info);
+            models.insert(spec.name.clone(), profiled(catalog, spec));
         }
     }
-    let run = |policy: Policy| run_once(catalog, &specs, &engine_cfg(contexts, policy, 0));
+    let run = |policy: Policy| run_once(catalog, &specs, &cached_cfg(contexts, policy, 0));
     let never = run(Policy::NeverShare);
     let always = run(Policy::AlwaysShare);
     let model = run(Policy::model_guided(models));
@@ -382,5 +350,71 @@ pub fn policy_scenario(
         always: always.makespan as f64,
         model: model.makespan as f64,
         model_groups: model.group_sizes.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cordoba_engine::OverlapInfo;
+
+    /// The "predicted" value a subsume scenario reports is the number
+    /// the model-guided policy itself computes when the chain's last
+    /// member arrives at a group holding the others: same wide member,
+    /// same residual constant, bit for bit. (Family members are named
+    /// per shape; the policy keys its models by name, so the chain is
+    /// renamed per member to hand it the bench's per-member models.)
+    #[test]
+    fn predicted_z_is_the_policys_own_number() {
+        let catalog = catalog();
+        let heavy = delivery_heavy_costs();
+        let paper = CostProfile::paper();
+        // (costs, family seed, families, contexts) of every
+        // `subsume_group*` / `subsume_policy*` scenario of `bench_ops`.
+        for (costs, seed, families, contexts) in [
+            (&paper, 11, 1, vec![1]),
+            (&paper, 13, 2, vec![4]),
+            (&paper, 17, 2, vec![2, 8]),
+            (&heavy, 17, 2, vec![2, 8]),
+        ] {
+            let cfg = FamilyConfig {
+                seed,
+                families,
+                per_family: 4,
+            };
+            let specs = family_specs(costs, &cfg);
+            let chain: Vec<QuerySpec> = (0..cfg.per_family)
+                .map(|j| QuerySpec {
+                    name: format!("member{j}"),
+                    ..specs[j * families].clone()
+                })
+                .collect();
+            let chain: Vec<&QuerySpec> = chain.iter().collect();
+            let models: HashMap<String, QueryModelInfo> = chain
+                .iter()
+                .map(|spec| (spec.name.clone(), profiled(&catalog, spec)))
+                .collect();
+            let policy = Policy::model_guided(models);
+            let wide = chain[0].pivot.as_ref().unwrap();
+            let infos: Vec<OverlapInfo<'_>> = chain
+                .iter()
+                .map(|spec| OverlapInfo {
+                    name: &spec.name,
+                    coverage: coverage_estimate(wide, spec.pivot.as_ref().unwrap()),
+                })
+                .collect();
+            let (candidate, group) = infos.split_last().unwrap();
+            for n in contexts {
+                let n_eff = n as f64 * cfg.per_family as f64 / specs.len() as f64;
+                let decided = policy.decide(group, *candidate, n_eff).unwrap();
+                let predicted = predicted_chain_z(&catalog, &chain, n_eff);
+                assert_eq!(
+                    predicted.to_bits(),
+                    decided.speedup.z.to_bits(),
+                    "seed {seed} n={n}: bench {predicted} vs policy {}",
+                    decided.speedup.z
+                );
+            }
+        }
     }
 }

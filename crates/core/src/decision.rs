@@ -4,7 +4,9 @@
 //! paper), but its *binary recommendations* are nearly always correct.
 //! [`ShareAdvisor`] wraps a hardware description and answers the only
 //! question the engine needs: *given this group and this machine, should
-//! we share?*
+//! we share?* The verdict itself — [`Decision::for_group`] — is shared
+//! with the engine's model-guided policy, which prices its groups at a
+//! fractional fair share of the machine instead of a [`HardwareModel`].
 
 use crate::contention::HardwareModel;
 use crate::error::Result;
@@ -15,7 +17,8 @@ use serde::{Deserialize, Serialize};
 /// A share/don't-share recommendation with its supporting numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Decision {
-    /// Whether sharing is predicted to be a net win (`Z > 1`).
+    /// Whether to share: [`Speedup::favors_sharing`] at the decider's
+    /// hysteresis (`Z ≥ 1 + hysteresis`; ties share).
     pub share: bool,
     /// The predicted speedup details.
     pub speedup: Speedup,
@@ -25,12 +28,33 @@ pub struct Decision {
     pub n_unshared: f64,
 }
 
+impl Decision {
+    /// Prices `group` at the given effective processors per execution
+    /// mode and takes the verdict — the workspace's one share /
+    /// don't-share comparison.
+    pub fn for_group(
+        group: &SharingEvaluator,
+        n_shared: f64,
+        n_unshared: f64,
+        hysteresis: f64,
+    ) -> Result<Self> {
+        let speedup = group.evaluate_split(n_shared, n_unshared)?;
+        Ok(Self {
+            share: speedup.favors_sharing(hysteresis),
+            speedup,
+            n_shared,
+            n_unshared,
+        })
+    }
+}
+
 /// Stateless advisor binding the model to a hardware description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShareAdvisor {
     hardware: HardwareModel,
     /// Margin of predicted benefit required before recommending sharing;
-    /// `0.0` recommends sharing whenever `Z > 1` exactly. A small
+    /// `0.0` recommends sharing whenever `Z ≥ 1` (a neutral group is
+    /// shared, exactly as the engine's policy does). A small
     /// positive hysteresis (e.g. `0.02`) avoids flapping on borderline
     /// groups whose parameters carry measurement noise.
     hysteresis: f64,
@@ -45,7 +69,7 @@ impl ShareAdvisor {
         }
     }
 
-    /// Requires `Z > 1 + hysteresis` before recommending sharing.
+    /// Requires `Z ≥ 1 + hysteresis` before recommending sharing.
     #[must_use]
     pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
         self.hysteresis = hysteresis.max(0.0);
@@ -59,23 +83,12 @@ impl ShareAdvisor {
 
     /// Evaluates a prepared sharing group.
     pub fn advise(&self, group: &SharingEvaluator) -> Result<Decision> {
-        let n_shared = self.hardware.effective_shared();
-        let n_unshared = self.hardware.effective_unshared();
-        let x_shared = group.shared_rate(n_shared)?;
-        let x_unshared = group.unshared_rate(n_unshared)?;
-        let speedup = Speedup {
-            z: x_shared / x_unshared,
-            x_shared,
-            x_unshared,
-            shared_utilization: group.shared_utilization(),
-            unshared_utilization: group.unshared_utilization(),
-        };
-        Ok(Decision {
-            share: speedup.z > 1.0 + self.hysteresis,
-            speedup,
-            n_shared,
-            n_unshared,
-        })
+        Decision::for_group(
+            group,
+            self.hardware.effective_shared(),
+            self.hardware.effective_unshared(),
+            self.hysteresis,
+        )
     }
 
     /// Convenience: evaluates sharing `m` identical queries at `pivot`.

@@ -68,8 +68,9 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-/// Validates that a cost parameter is finite and non-negative.
-pub(crate) fn check_cost(what: &str, value: f64) -> Result<f64> {
+/// Validates that a cost parameter is finite and non-negative. `what`
+/// is only rendered for the error (pass `format_args!`, not `format!`).
+pub(crate) fn check_cost(what: impl fmt::Display, value: f64) -> Result<f64> {
     if value.is_finite() && value >= 0.0 {
         Ok(value)
     } else {

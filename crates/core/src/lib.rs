@@ -22,7 +22,15 @@
 //! | `u'` | total work per unit of forward progress, `Σ_k p_k` | [`QueryModel::total_work`] |
 //! | `φ`  | the pivot operator: highest node where sharing is possible | [`plan::PivotedPlan`] |
 //! | `x(m,n)` | group rate of forward progress | [`sharing::SharingEvaluator::unshared_rate`], [`sharing::SharingEvaluator::shared_rate`] |
-//! | `Z(m,n)` | benefit of sharing, `x_shared / x_unshared` | [`sharing::SharingEvaluator::speedup`] |
+//! | `Z(m,n)` | benefit of sharing, `x_shared / x_unshared` | [`sharing::SharingEvaluator::speedup`], all of it in [`sharing::SharingEvaluator::evaluate`] |
+//! | `r_unshared`, `u_unshared` | an unshared group's peak rate and utilization, closed or open system (Section 5.1) | [`sharing::SharingEvaluator::unshared_rate`] / [`unshared_utilization`](sharing::SharingEvaluator::unshared_utilization); [`mismatch::UnsharedGroup`] is the degenerate group asking only this |
+//! | `e(k) = k^κ` | effective speedup of `k` morsel workers; divides every `w`-derived term, never `s` | [`sharing::SharingEvaluator::with_workers`] |
+//! | share? | `Z ≥ 1 + hysteresis`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by [`Decision::for_group`] |
+//!
+//! Each equation is written once: one evaluator family serves the
+//! serial model and the worker-scaled one, the advisor
+//! ([`ShareAdvisor`]) and the engine's model-guided policy take the
+//! same verdict over the same [`Speedup`] assembly.
 //!
 //! ## Quick start
 //!

@@ -1,52 +1,54 @@
 //! Group-level modeling of queries with mismatched rates
 //! (paper Section 5.1), independent of any sharing structure.
 //!
-//! [`crate::sharing::SharingEvaluator`] already applies these rules to
-//! its unshared baseline; this module exposes the same math for
+//! The closed/open rules are written once, in
+//! `SharingEvaluator::unshared_peak`; this module exposes them for
 //! arbitrary sets of queries, which is useful when reasoning about
 //! workload mixes (e.g. the Q1/Q4 mix of the paper's Section 8.2).
+//! An [`UnsharedGroup`] is the degenerate sharing group — nothing below
+//! the pivot, a zero-cost pivot, every operator of a query "above" it —
+//! asked only for its unshared side.
 
 pub use crate::sharing::SystemKind;
 
-use crate::error::{ModelError, Result};
+use crate::error::Result;
 use crate::plan::PlanSpec;
-use crate::query::QueryModel;
+use crate::sharing::{GroupMember, SharingEvaluator};
 
 /// A set of queries executing independently (no sharing), possibly with
 /// different peak rates.
 #[derive(Debug, Clone)]
-pub struct UnsharedGroup<'a> {
-    queries: Vec<QueryModel<'a>>,
-    system: SystemKind,
+pub struct UnsharedGroup {
+    group: SharingEvaluator,
 }
 
-impl<'a> UnsharedGroup<'a> {
+impl UnsharedGroup {
     /// Builds a group over the given plans.
-    pub fn new(plans: &[&'a PlanSpec]) -> Result<Self> {
-        if plans.is_empty() {
-            return Err(ModelError::EmptyGroup);
-        }
+    pub fn new(plans: &[&PlanSpec]) -> Result<Self> {
+        let members = plans
+            .iter()
+            .map(|plan| GroupMember::new(0.0, plan.node_ids().map(|id| plan.op(id).p()).collect()))
+            .collect();
         Ok(Self {
-            queries: plans.iter().map(|p| QueryModel::new(p)).collect(),
-            system: SystemKind::Closed,
+            group: SharingEvaluator::from_parts(Vec::new(), 0.0, members)?,
         })
     }
 
     /// Selects the queueing regime (default: closed).
     #[must_use]
     pub fn with_system(mut self, system: SystemKind) -> Self {
-        self.system = system;
+        self.group = self.group.with_system(system);
         self
     }
 
     /// Number of queries in the group.
     pub fn len(&self) -> usize {
-        self.queries.len()
+        self.group.m()
     }
 
     /// Whether the group is empty (never true once constructed).
     pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.len() == 0
     }
 
     /// Group peak rate `r_unshared`:
@@ -56,56 +58,26 @@ impl<'a> UnsharedGroup<'a> {
     /// * open — all members throttled to the slowest,
     ///   `M / max_m p_max(m)`.
     pub fn peak_rate(&self) -> f64 {
-        let m = self.queries.len() as f64;
-        match self.system {
-            SystemKind::Closed => {
-                let sum_pmax: f64 = self.queries.iter().map(|q| q.p_max()).sum();
-                m * (m / sum_pmax)
-            }
-            SystemKind::Open => {
-                let max_pmax = self
-                    .queries
-                    .iter()
-                    .map(|q| q.p_max())
-                    .fold(0.0_f64, f64::max);
-                m / max_pmax
-            }
-        }
+        self.group.unshared_peak().0
     }
 
     /// Group peak utilization `u_unshared`: each member throttled by its
     /// own `p_max` (closed) or by the group max (open).
     pub fn peak_utilization(&self) -> f64 {
-        match self.system {
-            SystemKind::Closed => self
-                .queries
-                .iter()
-                .map(|q| q.total_work() / q.p_max())
-                .sum(),
-            SystemKind::Open => {
-                let max_pmax = self
-                    .queries
-                    .iter()
-                    .map(|q| q.p_max())
-                    .fold(0.0_f64, f64::max);
-                self.queries.iter().map(|q| q.total_work()).sum::<f64>() / max_pmax
-            }
-        }
+        self.group.unshared_utilization()
     }
 
     /// Group rate of forward progress with `n` processors:
     /// `x = r_unshared · min(1, n / u_unshared)`.
     pub fn rate(&self, n: f64) -> Result<f64> {
-        if n.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !n.is_finite() {
-            return Err(ModelError::InvalidProcessors(n));
-        }
-        Ok(self.peak_rate() * (n / self.peak_utilization()).min(1.0))
+        self.group.unshared_rate(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ModelError;
     use crate::operator::OperatorSpec;
 
     fn pipeline(costs: &[f64]) -> PlanSpec {

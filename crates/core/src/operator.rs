@@ -53,10 +53,10 @@ impl OperatorSpec {
     ) -> Result<Self> {
         let name = name.into();
         for (i, w) in input_work.iter().enumerate() {
-            check_cost(&format!("{name}.w[{i}]"), *w)?;
+            check_cost(format_args!("{name}.w[{i}]"), *w)?;
         }
         for (j, s) in output_cost.iter().enumerate() {
-            check_cost(&format!("{name}.s[{j}]"), *s)?;
+            check_cost(format_args!("{name}.s[{j}]"), *s)?;
         }
         Ok(Self {
             name,

@@ -73,9 +73,15 @@ impl WorkerScaling {
         }
     }
 
-    /// Effective speedup of parallelizable work: `e(k) = k^κ`.
+    /// Effective speedup of parallelizable work: `e(k) = k^κ`
+    /// (`1` exactly for one worker, without the `powf`: the serial
+    /// model is the one admission evaluates per arrival).
     pub fn effective(&self) -> f64 {
-        (self.workers as f64).powf(self.kappa)
+        if self.workers == 1 {
+            1.0
+        } else {
+            (self.workers as f64).powf(self.kappa)
+        }
     }
 }
 
@@ -132,6 +138,16 @@ impl GroupMember {
 /// 2. the pivot must multiplex output to all `M` consumers:
 ///    `p_φ(M) = w_φ + Σ_m s_mφ`,
 /// 3. the slowest operator in the group throttles every query.
+///
+/// With `k` morsel workers per query ([`Self::with_workers`]),
+/// parallelizable operator work runs `e(k) = k^κ` times faster, so every
+/// `w`-derived `p` term is divided by `e`. The pivot's `Σ s_mφ` output
+/// multiplexing is NOT divided: in the morsel engine every parallel
+/// group funnels through a single merge task, so delivering to `M`
+/// consumers stays serial. Total work `u'` is conserved — parallelism
+/// moves work onto more processors, it does not remove any. The default
+/// [`WorkerScaling::serial`] has `e = 1` exactly and is the paper's
+/// model unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SharingEvaluator {
     /// `p_k` for operators strictly below the pivot (single shared instance).
@@ -142,6 +158,8 @@ pub struct SharingEvaluator {
     members: Vec<GroupMember>,
     /// Queueing regime for the unshared baseline.
     system: SystemKind,
+    /// Morsel workers every query of the group runs.
+    scaling: WorkerScaling,
 }
 
 /// Full result of one sharing evaluation at a given processor count.
@@ -157,6 +175,17 @@ pub struct Speedup {
     pub shared_utilization: f64,
     /// Peak processor utilization of the unshared group (`u_unshared`).
     pub unshared_utilization: f64,
+}
+
+impl Speedup {
+    /// The share / don't-share verdict: `Z ≥ 1 + hysteresis`, up to
+    /// rounding. Ties (`Z = 1`) share: sharing that predicts neither
+    /// gain nor loss still removes redundant work from the system,
+    /// freeing capacity for *other* queries the single-group model
+    /// cannot see.
+    pub fn favors_sharing(&self, hysteresis: f64) -> bool {
+        self.z >= 1.0 + hysteresis - 1e-9
+    }
 }
 
 impl SharingEvaluator {
@@ -202,12 +231,7 @@ impl SharingEvaluator {
                 ))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            below,
-            pivot_work,
-            members,
-            system: SystemKind::Closed,
-        })
+        Ok(Self::unchecked(below, pivot_work, members))
     }
 
     /// Builds an evaluator directly from raw parameters, bypassing plan
@@ -219,14 +243,14 @@ impl SharingEvaluator {
         }
         crate::error::check_cost("pivot w", pivot_work)?;
         for (i, p) in below.iter().enumerate() {
-            crate::error::check_cost(&format!("below[{i}].p"), *p)?;
+            crate::error::check_cost(format_args!("below[{i}].p"), *p)?;
         }
         for (i, mbr) in members.iter().enumerate() {
-            crate::error::check_cost(&format!("member[{i}].s"), mbr.pivot_output_cost)?;
+            crate::error::check_cost(format_args!("member[{i}].s"), mbr.pivot_output_cost)?;
             for (k, p) in mbr.above.iter().enumerate() {
-                crate::error::check_cost(&format!("member[{i}].above[{k}]"), *p)?;
+                crate::error::check_cost(format_args!("member[{i}].above[{k}]"), *p)?;
             }
-            crate::error::check_cost(&format!("member[{i}].residual"), mbr.residual_cost)?;
+            crate::error::check_cost(format_args!("member[{i}].residual"), mbr.residual_cost)?;
             if !(mbr.coverage > 0.0 && mbr.coverage <= 1.0) {
                 return Err(ModelError::InvalidCost {
                     what: format!("member[{i}].coverage (must be in (0, 1])"),
@@ -234,12 +258,17 @@ impl SharingEvaluator {
                 });
             }
         }
-        Ok(Self {
+        Ok(Self::unchecked(below, pivot_work, members))
+    }
+
+    fn unchecked(below: Vec<f64>, pivot_work: f64, members: Vec<GroupMember>) -> Self {
+        Self {
             below,
             pivot_work,
             members,
             system: SystemKind::Closed,
-        })
+            scaling: WorkerScaling::serial(),
+        }
     }
 
     /// Selects the queueing regime used for the unshared baseline.
@@ -249,32 +278,58 @@ impl SharingEvaluator {
         self
     }
 
+    /// Selects the morsel workers every query of the group runs
+    /// (default: [`WorkerScaling::serial`]).
+    ///
+    /// On a machine large enough that neither side is work-saturated
+    /// (`n ≥ u'`), `Z` is non-increasing in `k`: both sides become
+    /// pipeline-bound, and only the unshared side's pivot scales with
+    /// workers (its `s` serves one consumer), so real intra-query
+    /// parallelism erodes the case for sharing — the paper's
+    /// aggressive-scheduling argument, with `e(k)` measured rather than
+    /// assumed. On a *saturated* machine (`n < u'`) the opposite can
+    /// happen: throughput is work-bound on both sides, but parallelizing
+    /// `w_φ` relieves the shared pivot's pipeline bottleneck, so modest
+    /// `k` can raise `Z` until the shared side is work-bound too.
+    #[must_use]
+    pub fn with_workers(mut self, scaling: WorkerScaling) -> Self {
+        self.scaling = scaling;
+        self
+    }
+
     /// Number of queries in the group (`m`).
     pub fn m(&self) -> usize {
         self.members.len()
     }
 
-    /// `p_φ(M) = w_φ + Σ_m s_mφ`: the pivot's per-unit-progress work when
-    /// serving every member (paper Section 4.3).
+    /// `max_k p_k / e(k)` over operator costs that scale with workers.
+    fn scaled_max(&self, costs: impl Iterator<Item = f64>) -> f64 {
+        costs.fold(0.0_f64, f64::max) / self.scaling.effective()
+    }
+
+    /// `Σ_m s_mφ`: the pivot's serial output multiplexing.
+    fn multiplex_cost(&self) -> f64 {
+        self.members.iter().map(|m| m.pivot_output_cost).sum()
+    }
+
+    /// `p_φ(M, k) = w_φ/e(k) + Σ_m s_mφ`: the pivot's per-unit-progress
+    /// work when serving every member (paper Section 4.3).
     pub fn pivot_p(&self) -> f64 {
-        self.pivot_work
-            + self
-                .members
-                .iter()
-                .map(|m| m.pivot_output_cost)
-                .sum::<f64>()
+        self.pivot_work / self.scaling.effective() + self.multiplex_cost()
     }
 
     /// `p_max` of the shared plan: the slowest of {operators below φ,
     /// the multiplexing pivot, all members' operators above φ and their
-    /// residual filters}.
+    /// residual filters}. As `k → ∞` this floors at the serial
+    /// multiplexing cost `Σ_m s_mφ` — the pivot bottleneck intra-query
+    /// parallelism cannot dissolve.
     pub fn shared_p_max(&self) -> f64 {
-        let below = self.below.iter().copied().fold(0.0_f64, f64::max);
-        let above = self
-            .members
-            .iter()
-            .flat_map(|m| m.above.iter().copied().chain([m.residual_cost]))
-            .fold(0.0_f64, f64::max);
+        let below = self.scaled_max(self.below.iter().copied());
+        let above = self.scaled_max(
+            self.members
+                .iter()
+                .flat_map(|m| m.above.iter().copied().chain([m.residual_cost])),
+        );
         below.max(self.pivot_p()).max(above)
     }
 
@@ -288,7 +343,7 @@ impl SharingEvaluator {
             .iter()
             .map(|m| m.residual_cost + m.above.iter().sum::<f64>())
             .sum();
-        below + self.pivot_p() + above
+        below + (self.pivot_work + self.multiplex_cost()) + above
     }
 
     /// Peak processor utilization under sharing,
@@ -303,9 +358,10 @@ impl SharingEvaluator {
     /// the sub-plan; its pivot serves exactly one consumer and emits only
     /// the member's own `c_m` fraction of the wide pivot's output).
     fn member_p_max(&self, member: &GroupMember) -> f64 {
-        let below = self.below.iter().copied().fold(0.0_f64, f64::max);
-        let pivot = self.pivot_work + member.coverage * member.pivot_output_cost;
-        let above = member.above.iter().copied().fold(0.0_f64, f64::max);
+        let below = self.scaled_max(self.below.iter().copied());
+        let pivot =
+            self.pivot_work / self.scaling.effective() + member.coverage * member.pivot_output_cost;
+        let above = self.scaled_max(member.above.iter().copied());
         below.max(pivot).max(above)
     }
 
@@ -319,69 +375,51 @@ impl SharingEvaluator {
             + member.above.iter().sum::<f64>()
     }
 
-    /// Group rate without sharing, `x_unshared(M, n)`.
-    ///
-    /// * Matched rates (identical members) reduce to paper Section 4.2:
-    ///   `x = M · min(1/p_max, n / Σ_m u'_m)`.
-    /// * Mismatched rates use the Section 5.1 closed-system approximation:
-    ///   `r̄` is the harmonic mean of member peak rates and each member is
-    ///   throttled only by its own `p_max`, so
-    ///   `x = M · r̄ · min(1, n / Σ_m (u'_m / p_max_m))`.
-    /// * Under [`SystemKind::Open`], all members are modeled as throttled
-    ///   to the slowest one.
-    pub fn unshared_rate(&self, n: f64) -> Result<f64> {
-        check_n(n)?;
+    /// `(r_unshared, u_unshared)`: the unshared group's peak rate and
+    /// peak utilization — the one place the Section 5.1 regimes differ
+    /// (see [`Self::unshared_rate`]).
+    pub(crate) fn unshared_peak(&self) -> (f64, f64) {
         let m = self.m() as f64;
+        let members = || {
+            self.members
+                .iter()
+                .map(|mb| (self.member_total_work(mb), self.member_p_max(mb)))
+        };
         match self.system {
             SystemKind::Closed => {
-                let sum_pmax: f64 = self.members.iter().map(|mb| self.member_p_max(mb)).sum();
-                let r_mean = m / sum_pmax;
-                let u_group: f64 = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb) / self.member_p_max(mb))
-                    .sum();
-                Ok(m * r_mean * (n / u_group).min(1.0))
+                let sum_pmax: f64 = members().map(|(_, p_max)| p_max).sum();
+                let utilization = members().map(|(work, p_max)| work / p_max).sum();
+                (m * (m / sum_pmax), utilization)
             }
             SystemKind::Open => {
-                let p_max = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_p_max(mb))
-                    .fold(0.0_f64, f64::max);
-                let total: f64 = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb))
-                    .sum();
-                Ok(m * (1.0 / p_max).min(n / total))
+                let p_max = members().map(|(_, p)| p).fold(0.0_f64, f64::max);
+                let work: f64 = members().map(|(work, _)| work).sum();
+                (m / p_max, work / p_max)
             }
         }
+    }
+
+    /// Group rate without sharing,
+    /// `x_unshared(M, n) = r_unshared · min(1, n / u_unshared)`.
+    ///
+    /// * Closed system (Section 5.1): `r = M · M / Σ_m p_max_m` (`M`
+    ///   times the harmonic mean of member peak rates) and each member
+    ///   is throttled only by its own `p_max`, `u = Σ_m u'_m / p_max_m`.
+    /// * Open system: every member is throttled to the slowest,
+    ///   `r = M / max_m p_max_m`, `u = Σ_m u'_m / max_m p_max_m`.
+    ///
+    /// For identical members both reduce to paper Section 4.2's
+    /// `M · min(1/p_max, n / Σ_m u'_m)`.
+    pub fn unshared_rate(&self, n: f64) -> Result<f64> {
+        check_n(n)?;
+        Ok(throttled(self.unshared_peak(), n))
     }
 
     /// Peak processor utilization of the unshared group,
     /// `u_unshared = Σ_m u'_m / p_max_m` (closed) — grows without bound
     /// as members are added, unlike `u_shared`.
     pub fn unshared_utilization(&self) -> f64 {
-        match self.system {
-            SystemKind::Closed => self
-                .members
-                .iter()
-                .map(|mb| self.member_total_work(mb) / self.member_p_max(mb))
-                .sum(),
-            SystemKind::Open => {
-                let p_max = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_p_max(mb))
-                    .fold(0.0_f64, f64::max);
-                self.members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb))
-                    .sum::<f64>()
-                    / p_max
-            }
-        }
+        self.unshared_peak().1
     }
 
     /// Group rate with sharing,
@@ -401,162 +439,31 @@ impl SharingEvaluator {
 
     /// Computes the full set of group quantities at `n` processors.
     pub fn evaluate(&self, n: f64) -> Result<Speedup> {
-        let x_shared = self.shared_rate(n)?;
-        let x_unshared = self.unshared_rate(n)?;
+        self.evaluate_split(n, n)
+    }
+
+    /// [`Self::evaluate`] with different effective processors per
+    /// execution mode (contention can depend on whether the system
+    /// shares — paper Section 4.1.4).
+    pub(crate) fn evaluate_split(&self, n_shared: f64, n_unshared: f64) -> Result<Speedup> {
+        let x_shared = self.shared_rate(n_shared)?;
+        check_n(n_unshared)?;
+        let unshared = self.unshared_peak();
+        let x_unshared = throttled(unshared, n_unshared);
         Ok(Speedup {
             z: x_shared / x_unshared,
             x_shared,
             x_unshared,
             shared_utilization: self.shared_utilization(),
-            unshared_utilization: self.unshared_utilization(),
+            unshared_utilization: unshared.1,
         })
     }
+}
 
-    // --- intra-query worker scaling --------------------------------------
-    //
-    // With `k` morsel workers per query, parallelizable operator work
-    // runs `e(k) = k^κ` times faster, so every `w`-derived `p` term is
-    // divided by `e`. The pivot's `Σ s_mφ` output multiplexing is NOT
-    // divided: in the morsel engine every parallel group funnels through
-    // a single merge task, so delivering to `M` consumers stays serial.
-    // Total work `u'` is conserved — parallelism moves work onto more
-    // processors, it does not remove any.
-
-    /// `p_φ(M, k) = w_φ/e(k) + Σ_m s_mφ`.
-    fn pivot_p_e(&self, e: f64) -> f64 {
-        self.pivot_work / e
-            + self
-                .members
-                .iter()
-                .map(|m| m.pivot_output_cost)
-                .sum::<f64>()
-    }
-
-    fn shared_p_max_e(&self, e: f64) -> f64 {
-        let below = self.below.iter().copied().fold(0.0_f64, f64::max) / e;
-        let above = self
-            .members
-            .iter()
-            .flat_map(|m| m.above.iter().copied().chain([m.residual_cost]))
-            .fold(0.0_f64, f64::max)
-            / e;
-        below.max(self.pivot_p_e(e)).max(above)
-    }
-
-    fn member_p_max_e(&self, member: &GroupMember, e: f64) -> f64 {
-        let below = self.below.iter().copied().fold(0.0_f64, f64::max) / e;
-        let pivot = self.pivot_work / e + member.coverage * member.pivot_output_cost;
-        let above = member.above.iter().copied().fold(0.0_f64, f64::max) / e;
-        below.max(pivot).max(above)
-    }
-
-    /// `p_max` of the shared plan when every query runs `k` morsel
-    /// workers. As `k → ∞` this floors at the serial multiplexing cost
-    /// `Σ_m s_mφ` — the pivot bottleneck intra-query parallelism cannot
-    /// dissolve.
-    pub fn shared_p_max_with_workers(&self, scaling: WorkerScaling) -> f64 {
-        self.shared_p_max_e(scaling.effective())
-    }
-
-    /// Group rate with sharing at `n` processors and `k` workers per
-    /// query: `x = M · min(1/p_max(k), n/u'_shared)`.
-    pub fn shared_rate_with_workers(&self, n: f64, scaling: WorkerScaling) -> Result<f64> {
-        check_n(n)?;
-        let m = self.m() as f64;
-        Ok(m * (1.0 / self.shared_p_max_e(scaling.effective())).min(n / self.shared_total_work()))
-    }
-
-    /// Group rate without sharing at `n` processors and `k` workers per
-    /// query (same closed/open split as [`Self::unshared_rate`], with
-    /// each member's `p_max` shrunk by `e(k)` except its private `s_mφ`).
-    pub fn unshared_rate_with_workers(&self, n: f64, scaling: WorkerScaling) -> Result<f64> {
-        check_n(n)?;
-        let e = scaling.effective();
-        let m = self.m() as f64;
-        match self.system {
-            SystemKind::Closed => {
-                let sum_pmax: f64 = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_p_max_e(mb, e))
-                    .sum();
-                let r_mean = m / sum_pmax;
-                let u_group: f64 = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb) / self.member_p_max_e(mb, e))
-                    .sum();
-                Ok(m * r_mean * (n / u_group).min(1.0))
-            }
-            SystemKind::Open => {
-                let p_max = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_p_max_e(mb, e))
-                    .fold(0.0_f64, f64::max);
-                let total: f64 = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb))
-                    .sum();
-                Ok(m * (1.0 / p_max).min(n / total))
-            }
-        }
-    }
-
-    /// `Z(m, n, k) = x_shared(k) / x_unshared(k)`: the sharing advisor's
-    /// decision value when the engine runs `k` morsel workers per query.
-    ///
-    /// On a machine large enough that neither side is work-saturated
-    /// (`n ≥ u'`), `Z` is non-increasing in `k`: both sides become
-    /// pipeline-bound, and only the unshared side's pivot scales with
-    /// workers (its `s` serves one consumer), so real intra-query
-    /// parallelism erodes the case for sharing — the paper's
-    /// aggressive-scheduling argument, with `e(k)` measured rather than
-    /// assumed. On a *saturated* machine (`n < u'`) the opposite can
-    /// happen: throughput is work-bound on both sides, but parallelizing
-    /// `w_φ` relieves the shared pivot's pipeline bottleneck, so modest
-    /// `k` can raise `Z` until the shared side is work-bound too.
-    pub fn speedup_with_workers(&self, n: f64, scaling: WorkerScaling) -> f64 {
-        self.evaluate_with_workers(n, scaling)
-            .map(|s| s.z)
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Computes the full set of group quantities at `n` processors with
-    /// `k` morsel workers per query. [`WorkerScaling::serial`] reproduces
-    /// [`Self::evaluate`] exactly.
-    pub fn evaluate_with_workers(&self, n: f64, scaling: WorkerScaling) -> Result<Speedup> {
-        let e = scaling.effective();
-        let x_shared = self.shared_rate_with_workers(n, scaling)?;
-        let x_unshared = self.unshared_rate_with_workers(n, scaling)?;
-        let unshared_utilization = match self.system {
-            SystemKind::Closed => self
-                .members
-                .iter()
-                .map(|mb| self.member_total_work(mb) / self.member_p_max_e(mb, e))
-                .sum(),
-            SystemKind::Open => {
-                let p_max = self
-                    .members
-                    .iter()
-                    .map(|mb| self.member_p_max_e(mb, e))
-                    .fold(0.0_f64, f64::max);
-                self.members
-                    .iter()
-                    .map(|mb| self.member_total_work(mb))
-                    .sum::<f64>()
-                    / p_max
-            }
-        };
-        Ok(Speedup {
-            z: x_shared / x_unshared,
-            x_shared,
-            x_unshared,
-            shared_utilization: self.shared_total_work() / self.shared_p_max_e(e),
-            unshared_utilization,
-        })
-    }
+/// `x(n) = r · min(1, n / u)`: the rate of a group with peak rate `r`
+/// and peak utilization `u` on `n` processors.
+fn throttled((peak_rate, utilization): (f64, f64), n: f64) -> f64 {
+    peak_rate * (n / utilization).min(1.0)
 }
 
 fn check_n(n: f64) -> Result<()> {
@@ -859,25 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_worker_scaling_reproduces_evaluate() {
-        let serial = WorkerScaling::serial();
-        for (plan, pivot) in [q6(), synthetic()] {
-            for m in [1usize, 4, 16] {
-                let ev = SharingEvaluator::homogeneous(&plan, pivot, m).unwrap();
-                for n in [1.0, 4.0, 32.0] {
-                    let base = ev.evaluate(n).unwrap();
-                    let with = ev.evaluate_with_workers(n, serial).unwrap();
-                    assert_eq!(base.z, with.z, "m={m} n={n}");
-                    assert_eq!(base.x_shared, with.x_shared);
-                    assert_eq!(base.x_unshared, with.x_unshared);
-                    assert_eq!(base.shared_utilization, with.shared_utilization);
-                    assert_eq!(base.unshared_utilization, with.unshared_utilization);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn worker_scaling_erodes_sharing_benefit_on_unsaturated_machines() {
         // With processors to spare, both sides are pipeline-bound.
         // Intra-query parallelism speeds the unshared group's pivots
@@ -890,7 +778,10 @@ mod tests {
                 let ev = SharingEvaluator::homogeneous(&plan, pivot, m).unwrap();
                 let mut prev = f64::INFINITY;
                 for k in [1u32, 2, 4, 8, 16] {
-                    let z = ev.speedup_with_workers(n, WorkerScaling::ideal(k).unwrap());
+                    let z = ev
+                        .clone()
+                        .with_workers(WorkerScaling::ideal(k).unwrap())
+                        .speedup(n);
                     assert!(
                         z <= prev + 1e-12,
                         "Z must not increase with workers: m={m} k={k} z={z} prev={prev}"
@@ -911,20 +802,17 @@ mod tests {
         // parallelism and work sharing are complements, not rivals.
         let (plan, pivot) = synthetic();
         let ev = SharingEvaluator::homogeneous(&plan, pivot, 8).unwrap();
+        let ev2 = ev.clone().with_workers(WorkerScaling::ideal(2).unwrap());
         let n = 8.0;
-        let z1 = ev.speedup_with_workers(n, WorkerScaling::serial());
-        let z2 = ev.speedup_with_workers(n, WorkerScaling::ideal(2).unwrap());
+        let z1 = ev.speedup(n);
+        let z2 = ev2.speedup(n);
         assert!(
             z2 > z1,
             "parallelizing the shared pivot should relieve its bottleneck: z1={z1} z2={z2}"
         );
         // The unshared side is work-bound throughout, so flat in k.
-        let xu1 = ev
-            .unshared_rate_with_workers(n, WorkerScaling::serial())
-            .unwrap();
-        let xu2 = ev
-            .unshared_rate_with_workers(n, WorkerScaling::ideal(2).unwrap())
-            .unwrap();
+        let xu1 = ev.unshared_rate(n).unwrap();
+        let xu2 = ev2.unshared_rate(n).unwrap();
         assert!((xu1 - xu2).abs() < 1e-12);
     }
 
@@ -935,7 +823,7 @@ mod tests {
         // s_mφ = 1.0 per member, 8 members: no amount of intra-query
         // parallelism pushes the shared pivot below Σ s_mφ = 8.
         let huge = WorkerScaling::new(1 << 20, 1.0).unwrap();
-        let floor = ev.shared_p_max_with_workers(huge);
+        let floor = ev.clone().with_workers(huge).shared_p_max();
         assert!(
             (floor - 8.0).abs() < 1e-2,
             "shared p_max should floor at Σ s_mφ, got {floor}"
@@ -943,7 +831,10 @@ mod tests {
         // And scaling monotonically lowers p_max toward that floor.
         let mut prev = f64::INFINITY;
         for k in [1u32, 2, 4, 8, 64] {
-            let p = ev.shared_p_max_with_workers(WorkerScaling::ideal(k).unwrap());
+            let p = ev
+                .clone()
+                .with_workers(WorkerScaling::ideal(k).unwrap())
+                .shared_p_max();
             assert!(p <= prev + 1e-12);
             assert!(p + 1e-12 >= 8.0);
             prev = p;
@@ -955,9 +846,10 @@ mod tests {
         let (plan, pivot) = synthetic();
         let ev = SharingEvaluator::homogeneous(&plan, pivot, 4).unwrap();
         let n = 1.0e6; // unsaturated: the regime where Z is monotone in e(k)
-        let z1 = ev.speedup_with_workers(n, WorkerScaling::serial());
-        let z_half = ev.speedup_with_workers(n, WorkerScaling::new(4, 0.5).unwrap());
-        let z_ideal = ev.speedup_with_workers(n, WorkerScaling::ideal(4).unwrap());
+        let z_at = |scaling| ev.clone().with_workers(scaling).speedup(n);
+        let z1 = z_at(WorkerScaling::serial());
+        let z_half = z_at(WorkerScaling::new(4, 0.5).unwrap());
+        let z_ideal = z_at(WorkerScaling::ideal(4).unwrap());
         assert!(
             z_ideal <= z_half + 1e-12 && z_half <= z1 + 1e-12,
             "κ should interpolate: z1={z1} z_half={z_half} z_ideal={z_ideal}"
@@ -1044,7 +936,9 @@ mod tests {
         ]);
         assert_eq!(ev.shared_p_max(), 500.0);
         // Worker scaling divides residual work like any other above term.
-        let p = ev.shared_p_max_with_workers(WorkerScaling::ideal(4).unwrap());
+        let p = ev
+            .with_workers(WorkerScaling::ideal(4).unwrap())
+            .shared_p_max();
         assert!((p - 125.0).abs() < 1e-9);
     }
 

@@ -20,8 +20,9 @@
 //!   shared pivot's output channels via [`cordoba_exec::PhysicalPlan::Source`].
 //! * [`Policy`] — `AlwaysShare`, `NeverShare`, and `ModelGuided`
 //!   (paper Section 8): the model-guided policy admits a query into a
-//!   sharing group only if the analytical model predicts a net win for
-//!   the expanded group.
+//!   sharing group only if the analytical model predicts the expanded
+//!   group does not lose ([`policy::sharing_group`] is the one pricing,
+//!   `cordoba-core`'s `Decision` the one verdict).
 //! * [`run`] — the one run loop on the simulated CMP and its one
 //!   [`Report`]. A [`Run`] is parameterised by arrival source, admission
 //!   bound, capture and stop condition: [`run_once`] (a batch),

@@ -1,7 +1,12 @@
 //! Sharing policies: always, never, and model-guided (paper Section 8).
+//!
+//! [`sharing_group`] is the one place outside `cordoba-core` that turns
+//! profiled queries into the model's group; the verdict over it is
+//! `cordoba-core`'s [`Decision::for_group`].
 
 use cordoba_core::sharing::{GroupMember, SharingEvaluator};
-use cordoba_core::{NodeId, PlanSpec};
+use cordoba_core::{Decision, ModelError, NodeId, PlanSpec};
+use cordoba_exec::subsume::MIN_COVERAGE;
 use std::collections::HashMap;
 
 /// One (prospective) member of a subsumption-sharing group as the
@@ -34,6 +39,52 @@ pub struct QueryModelInfo {
     pub pivot: NodeId,
 }
 
+/// Prices a sharing group: profiled members, each with its coverage of
+/// the group's wide pivot, become the model's `Z(m, n)` group.
+///
+/// The shared sub-plan's parameters (below-pivot work and pivot input
+/// work `w`) come from the member closest to the wide pivot: the one
+/// with the highest coverage, and among equally wide members the
+/// *first* (in an exact-overlap group the one that opened it, as
+/// `SharingEvaluator::heterogeneous` reads its first query; the
+/// committed `BENCH_ops.json` / `BENCH_service.json` reproduce under
+/// either order). Each member's profiled `s` was measured on its own
+/// (narrow) pivot output; per unit of the *wide* pivot's progress it
+/// receives `1/c` as much, so its delivery cost is `s / c`, its
+/// unshared baseline keeps only its own `c` fraction, and a
+/// residual-filter cost of `RESIDUAL_COST_RATIO · s/c` is charged
+/// to the shared side. Exact overlap is coverage 1: `s` unscaled, no
+/// residual — the paper's equations unchanged. Unlike `heterogeneous`
+/// this does not compare the members' pivot subtrees: the dispatcher
+/// only groups queries whose pivots subsume one another, and fitted
+/// costs that differ in the last digit are no reason to refuse.
+pub fn sharing_group(members: &[(&QueryModelInfo, f64)]) -> Result<SharingEvaluator, ModelError> {
+    // `min_by` over the reversed order: the first of the widest.
+    let (wide, _) = members
+        .iter()
+        .min_by(|(_, a), (_, b)| b.total_cmp(a))
+        .ok_or(ModelError::EmptyGroup)?;
+    let costs =
+        |plan: &PlanSpec, ids: Vec<NodeId>| ids.into_iter().map(|id| plan.op(id).p()).collect();
+    let below = costs(&wide.plan, wide.plan.below(wide.pivot)?);
+    let pivot_work = wide.plan.op(wide.pivot).w();
+    let members = members
+        .iter()
+        .map(|&(model, coverage)| {
+            let c = coverage.clamp(MIN_COVERAGE, 1.0);
+            let s_wide = model.plan.op(model.pivot).s_per_consumer() / c;
+            let residual = if c < 1.0 - 1e-12 {
+                RESIDUAL_COST_RATIO * s_wide
+            } else {
+                0.0
+            };
+            let above = costs(&model.plan, model.plan.above(model.pivot)?);
+            Ok(GroupMember::new(s_wide, above).with_partial_overlap(c, residual))
+        })
+        .collect::<Result<_, ModelError>>()?;
+    SharingEvaluator::from_parts(below, pivot_work, members)
+}
+
 /// A sharing policy.
 #[derive(Debug, Clone, Default)]
 pub enum Policy {
@@ -43,7 +94,7 @@ pub enum Policy {
     #[default]
     NeverShare,
     /// Merge only when the analytical model predicts the expanded group
-    /// outperforms unshared execution (`Z(m+1, n) > 1 + hysteresis`).
+    /// does not lose to unshared execution (`Z(m+1, n) ≥ 1 + hysteresis`).
     ModelGuided {
         /// Per-query-name model parameters (from profiling).
         models: HashMap<String, QueryModelInfo>,
@@ -67,14 +118,38 @@ impl Policy {
         !matches!(self, Policy::NeverShare)
     }
 
-    /// Decides whether a query named `candidate` should join an open
-    /// group currently holding `group_names` queries of the same pivot,
-    /// with `effective_contexts` processors effectively available to the
-    /// expanded group.
+    /// The model-guided verdict on `candidate` joining `group`, with the
+    /// numbers behind it (predicted `Z`, `x_shared`, `x_unshared`):
+    /// [`sharing_group`] priced at `effective_contexts`. `None` for the
+    /// static policies, and when a member has no profiled model or the
+    /// profiled parameters do not form a valid group.
+    pub fn decide(
+        &self,
+        group: &[OverlapInfo<'_>],
+        candidate: OverlapInfo<'_>,
+        effective_contexts: f64,
+    ) -> Option<Decision> {
+        let Policy::ModelGuided { models, hysteresis } = self else {
+            return None;
+        };
+        let members = group
+            .iter()
+            .chain([&candidate])
+            .map(|m| Some((models.get(m.name)?, m.coverage)))
+            .collect::<Option<Vec<_>>>()?;
+        // Sub-1 fair shares are clamped to the uniprocessor case.
+        let n = effective_contexts.max(1.0);
+        Decision::for_group(&sharing_group(&members).ok()?, n, n, *hysteresis).ok()
+    }
+
+    /// Decides whether `candidate` should join an open group currently
+    /// holding `group`, each member consuming its `coverage` of the
+    /// group's (wide) pivot, with `effective_contexts` processors
+    /// effectively available to the expanded group.
     ///
-    /// `AlwaysShare` says yes; `NeverShare` no; `ModelGuided` evaluates
-    /// `Z(m+1, n_eff)` for the expanded (possibly heterogeneous) group.
-    /// A query with no profiled model is conservatively not shared.
+    /// `AlwaysShare` says yes; `NeverShare` no; `ModelGuided` shares iff
+    /// [`Policy::decide`] does. A query with no profiled model is
+    /// conservatively not shared.
     ///
     /// `effective_contexts` implements the "conditions at runtime" of
     /// paper Section 8: on a loaded machine a group does not have all
@@ -82,42 +157,6 @@ impl Policy {
     /// `n · (m + 1) / live_queries`, which makes sharing more attractive
     /// exactly when the machine is saturated (the regime where the
     /// paper shows sharing pays off).
-    pub fn admit(&self, group_names: &[String], candidate: &str, effective_contexts: f64) -> bool {
-        match self {
-            Policy::AlwaysShare => true,
-            Policy::NeverShare => false,
-            Policy::ModelGuided { models, hysteresis } => {
-                let mut members: Vec<(&PlanSpec, NodeId)> = Vec::new();
-                for name in group_names.iter().map(String::as_str).chain([candidate]) {
-                    match models.get(name) {
-                        Some(info) => members.push((&info.plan, info.pivot)),
-                        None => return false,
-                    }
-                }
-                match SharingEvaluator::heterogeneous(&members) {
-                    // Ties (Z = 1) are accepted: sharing that predicts
-                    // neither gain nor loss still removes redundant work
-                    // from the system, freeing capacity for *other*
-                    // queries the single-group model cannot see.
-                    Ok(eval) => {
-                        eval.speedup(effective_contexts.max(1.0)) >= 1.0 + hysteresis - 1e-9
-                    }
-                    Err(_) => false,
-                }
-            }
-        }
-    }
-
-    /// Decides whether `candidate` should join a subsumption-sharing
-    /// group whose wide pivot it would only partially consume.
-    ///
-    /// Exact overlap (all coverages 1) delegates to [`Policy::admit`],
-    /// so byte-identical groups behave precisely as before. Partial
-    /// overlap prices the group with the extended `Z(m, n)` model: each
-    /// member's delivery cost is scaled up to the wide output
-    /// (`s / c_m`), its unshared baseline keeps only its own `c_m`
-    /// fraction, and a residual-filter cost of
-    /// [`RESIDUAL_COST_RATIO`]` · s/c_m` is charged to the shared side.
     pub fn admit_overlap(
         &self,
         group: &[OverlapInfo<'_>],
@@ -127,67 +166,21 @@ impl Policy {
         match self {
             Policy::AlwaysShare => true,
             Policy::NeverShare => false,
-            Policy::ModelGuided { models, hysteresis } => {
-                let all: Vec<OverlapInfo<'_>> = group.iter().copied().chain([candidate]).collect();
-                if all.iter().all(|i| i.coverage >= 1.0 - 1e-12) {
-                    let names: Vec<String> = group.iter().map(|i| i.name.to_string()).collect();
-                    return self.admit(&names, candidate.name, effective_contexts);
-                }
-                let mut infos = Vec::with_capacity(all.len());
-                for member in &all {
-                    match models.get(member.name) {
-                        Some(info) => infos.push((member, info)),
-                        None => return false,
-                    }
-                }
-                // The shared sub-plan's parameters (below-pivot work and
-                // pivot input work `w`) come from the member closest to
-                // the wide pivot — the one with the highest coverage.
-                let Some((_, wide_model)) = infos
-                    .iter()
-                    .max_by(|(a, _), (b, _)| a.coverage.total_cmp(&b.coverage))
-                else {
-                    return false; // empty group: nothing to admit against
-                };
-                let Ok(below_ids) = wide_model.plan.below(wide_model.pivot) else {
-                    return false;
-                };
-                let below: Vec<f64> = below_ids
-                    .into_iter()
-                    .map(|id| wide_model.plan.op(id).p())
-                    .collect();
-                let pivot_work = wide_model.plan.op(wide_model.pivot).w();
-                let mut members = Vec::with_capacity(infos.len());
-                for (overlap, model) in &infos {
-                    let c = overlap
-                        .coverage
-                        .clamp(cordoba_exec::subsume::MIN_COVERAGE, 1.0);
-                    // The profiled `s` was measured on the member's own
-                    // (narrow) pivot output; per unit of the *wide*
-                    // pivot's progress the member receives 1/c as much.
-                    let s_wide = model.plan.op(model.pivot).s_per_consumer() / c;
-                    let residual = if c < 1.0 - 1e-12 {
-                        RESIDUAL_COST_RATIO * s_wide
-                    } else {
-                        0.0
-                    };
-                    let Ok(above_ids) = model.plan.above(model.pivot) else {
-                        return false;
-                    };
-                    let above = above_ids
-                        .into_iter()
-                        .map(|id| model.plan.op(id).p())
-                        .collect();
-                    members.push(GroupMember::new(s_wide, above).with_partial_overlap(c, residual));
-                }
-                match SharingEvaluator::from_parts(below, pivot_work, members) {
-                    Ok(eval) => {
-                        eval.speedup(effective_contexts.max(1.0)) >= 1.0 + hysteresis - 1e-9
-                    }
-                    Err(_) => false,
-                }
-            }
+            Policy::ModelGuided { .. } => self
+                .decide(group, candidate, effective_contexts)
+                .is_some_and(|d| d.share),
         }
+    }
+
+    /// [`Policy::admit_overlap`] for an exact-overlap group given by
+    /// name (every coverage 1). Kept because `benchmark/` times it.
+    pub fn admit(&self, group_names: &[String], candidate: &str, effective_contexts: f64) -> bool {
+        let exact = |name| OverlapInfo {
+            name,
+            coverage: 1.0,
+        };
+        let group: Vec<_> = group_names.iter().map(|n| exact(n.as_str())).collect();
+        self.admit_overlap(&group, exact(candidate), effective_contexts)
     }
 }
 
@@ -286,6 +279,43 @@ mod tests {
 
     fn overlap(name: &str, coverage: f64) -> OverlapInfo<'_> {
         OverlapInfo { name, coverage }
+    }
+
+    #[test]
+    fn neutral_group_gets_one_verdict_from_advisor_and_policy() {
+        // A group of one is neutral (Z = 1): the library's advisor and
+        // the engine's policy must agree on it — ties share.
+        use cordoba_core::{HardwareModel, ShareAdvisor};
+        let policy = model_policy();
+        for (name, info) in [("q6", q6_info()), ("q4", join_info())] {
+            let alone = SharingEvaluator::homogeneous(&info.plan, info.pivot, 1).unwrap();
+            for contexts in [1u32, 4, 32] {
+                let advised = ShareAdvisor::new(HardwareModel::ideal(contexts))
+                    .advise(&alone)
+                    .unwrap();
+                let decided = policy
+                    .decide(&[], overlap(name, 1.0), contexts as f64)
+                    .expect("profiled member");
+                assert!((advised.speedup.z - 1.0).abs() < 1e-12);
+                assert_eq!(advised.speedup, decided.speedup, "{name} n={contexts}");
+                assert!(advised.share && decided.share, "{name} n={contexts}");
+                assert!(policy.admit_overlap(&[], overlap(name, 1.0), contexts as f64));
+            }
+        }
+    }
+
+    #[test]
+    fn decision_carries_the_numbers_behind_the_verdict() {
+        let p = model_policy();
+        let group: Vec<OverlapInfo<'_>> = (0..8).map(|_| overlap("q6", 1.0)).collect();
+        let d = p.decide(&group, overlap("q6", 1.0), 32.0).unwrap();
+        assert!(!d.share && d.speedup.z < 1.0);
+        assert_eq!(d.speedup.z, d.speedup.x_shared / d.speedup.x_unshared);
+        assert_eq!((d.n_shared, d.n_unshared), (32.0, 32.0));
+        assert_eq!(d.share, p.admit_overlap(&group, overlap("q6", 1.0), 32.0));
+        assert!(Policy::AlwaysShare
+            .decide(&group, overlap("q6", 1.0), 32.0)
+            .is_none());
     }
 
     #[test]

@@ -41,10 +41,11 @@ pub fn split_at_pivot(
     if plan == pivot {
         return Ok(None);
     }
-    let schema = pivot.output_schema(catalog);
-    let mut replaced = false;
-    let fragment = replace_first(plan, pivot, &SchemaRef(schema), &mut replaced);
-    if !replaced {
+    let source = PhysicalPlan::Source {
+        schema: SchemaRef(pivot.output_schema(catalog)),
+    };
+    let mut fragment = plan.clone();
+    if !rewrite_first(&mut fragment, &|node| node == pivot, &source) {
         return Err(ExecError::plan("pivot sub-plan not found in query plan"));
     }
     Ok(Some(fragment))
@@ -89,100 +90,29 @@ pub fn split_with_residual(
         // Whole plan == own pivot: the member becomes just the
         // residual filter over the shared output.
         None => Ok(Some(filtered_source)),
-        Some(fragment) => {
-            let mut grafted = false;
-            let out = graft_over_source(&fragment, &filtered_source, &mut grafted);
+        Some(mut fragment) => {
+            let is_source = |node: &PhysicalPlan| matches!(node, PhysicalPlan::Source { .. });
+            let grafted = rewrite_first(&mut fragment, &is_source, &filtered_source);
             debug_assert!(grafted, "split fragment must contain a Source leaf");
-            Ok(Some(out))
+            Ok(Some(fragment))
         }
     }
 }
 
-/// Replaces the first (preorder) `Source` leaf of `fragment` with
-/// `replacement` (the residual filter over a fresh `Source`).
-fn graft_over_source(
-    fragment: &PhysicalPlan,
+/// Rewrites the first (preorder) node of `plan` that `matches` into
+/// `replacement`, in place; returns whether there was one.
+fn rewrite_first(
+    plan: &mut PhysicalPlan,
+    matches: &impl Fn(&PhysicalPlan) -> bool,
     replacement: &PhysicalPlan,
-    grafted: &mut bool,
-) -> PhysicalPlan {
-    if !*grafted {
-        if let PhysicalPlan::Source { .. } = fragment {
-            *grafted = true;
-            return replacement.clone();
-        }
+) -> bool {
+    if matches(plan) {
+        *plan = replacement.clone();
+        return true;
     }
-    let mut clone = fragment.clone();
-    match &mut clone {
-        PhysicalPlan::Scan { .. } | PhysicalPlan::Source { .. } => {}
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Aggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. } => {
-            **input = graft_over_source(input, replacement, grafted);
-        }
-        PhysicalPlan::HashJoin { build, probe, .. } => {
-            **build = graft_over_source(build, replacement, grafted);
-            if !*grafted {
-                **probe = graft_over_source(probe, replacement, grafted);
-            }
-        }
-        PhysicalPlan::NestedLoopJoin { outer, inner, .. } => {
-            **outer = graft_over_source(outer, replacement, grafted);
-            if !*grafted {
-                **inner = graft_over_source(inner, replacement, grafted);
-            }
-        }
-        PhysicalPlan::MergeJoin { left, right, .. } => {
-            **left = graft_over_source(left, replacement, grafted);
-            if !*grafted {
-                **right = graft_over_source(right, replacement, grafted);
-            }
-        }
-    }
-    clone
-}
-
-fn replace_first(
-    plan: &PhysicalPlan,
-    pivot: &PhysicalPlan,
-    schema: &SchemaRef,
-    replaced: &mut bool,
-) -> PhysicalPlan {
-    if !*replaced && plan == pivot {
-        *replaced = true;
-        return PhysicalPlan::Source {
-            schema: schema.clone(),
-        };
-    }
-    let mut clone = plan.clone();
-    match &mut clone {
-        PhysicalPlan::Scan { .. } | PhysicalPlan::Source { .. } => {}
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Aggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. } => {
-            **input = replace_first(input, pivot, schema, replaced);
-        }
-        PhysicalPlan::HashJoin { build, probe, .. } => {
-            **build = replace_first(build, pivot, schema, replaced);
-            if !*replaced {
-                **probe = replace_first(probe, pivot, schema, replaced);
-            }
-        }
-        PhysicalPlan::NestedLoopJoin { outer, inner, .. } => {
-            **outer = replace_first(outer, pivot, schema, replaced);
-            if !*replaced {
-                **inner = replace_first(inner, pivot, schema, replaced);
-            }
-        }
-        PhysicalPlan::MergeJoin { left, right, .. } => {
-            **left = replace_first(left, pivot, schema, replaced);
-            if !*replaced {
-                **right = replace_first(right, pivot, schema, replaced);
-            }
-        }
-    }
-    clone
+    plan.children_mut()
+        .into_iter()
+        .any(|child| rewrite_first(child, matches, replacement))
 }
 
 /// Preorder index of the first occurrence of `pivot` within `plan`

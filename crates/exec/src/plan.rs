@@ -246,6 +246,20 @@ impl PhysicalPlan {
         }
     }
 
+    /// The same children, for in-place plan rewrites.
+    pub fn children_mut(&mut self) -> Vec<&mut PhysicalPlan> {
+        match self {
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Source { .. } => vec![],
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. } => vec![input],
+            PhysicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
+            PhysicalPlan::NestedLoopJoin { outer, inner, .. } => vec![outer, inner],
+            PhysicalPlan::MergeJoin { left, right, .. } => vec![left, right],
+        }
+    }
+
     /// Short operator name for task labels and profiles.
     pub fn op_name(&self) -> String {
         match self {

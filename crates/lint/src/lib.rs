@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Eight rules, all line-oriented over a
+//! sanitizer CI legs). Nine rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -52,6 +52,13 @@
 //!    `sink`, `merge_join`, `par_pipe`): an operator is a `Kernel` the
 //!    shell runs, so the step protocol, the input check and the failure
 //!    path are not spelled out a second time.
+//! 9. **One sharing model** — outside `cordoba-core`, non-test source
+//!    names `GroupMember::new`, `SharingEvaluator::from_parts` and
+//!    `SharingEvaluator::heterogeneous` only in `engine::policy`, whose
+//!    `sharing_group` turns profiled queries into the model's group:
+//!    a bench or a figure that wants a predicted `Z` calls it (or
+//!    `SharingEvaluator::homogeneous` on a plan), never a second pricing
+//!    with its own wide member and residual constant.
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -86,6 +93,8 @@ pub enum Rule {
     OneThreadDriver,
     /// An operator implementing `Task` itself instead of `Kernel`.
     OneOperatorShell,
+    /// A sharing group priced outside `engine::policy`.
+    OneSharingModel,
 }
 
 impl Rule {
@@ -101,6 +110,7 @@ impl Rule {
             Rule::OneRunLoop => "one-run-loop",
             Rule::OneThreadDriver => "one-thread-driver",
             Rule::OneOperatorShell => "one-operator-shell",
+            Rule::OneSharingModel => "one-sharing-model",
         }
     }
 }
@@ -172,6 +182,12 @@ pub struct Config {
     /// the tasks it leaves out on purpose, and test-only modules gated
     /// from their parent.
     pub operator_task_files: Vec<String>,
+    /// Path prefixes that own the sharing model and may build its
+    /// groups from raw parts.
+    pub sharing_model_prefixes: Vec<String>,
+    /// The files outside those prefixes that may: the one function
+    /// pricing a group from profiled queries.
+    pub sharing_model_files: Vec<String>,
 }
 
 impl Config {
@@ -236,6 +252,8 @@ impl Config {
                 // `#[cfg(test)] mod testutil;` in ops/mod.rs.
                 "crates/exec/src/ops/testutil.rs".into(),
             ],
+            sharing_model_prefixes: vec!["crates/core/src".into()],
+            sharing_model_files: vec!["crates/engine/src/policy.rs".into()],
         }
     }
 }
@@ -529,6 +547,8 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         has_prefix(file, &cfg.thread_driver_prefixes) && !listed(file, &cfg.thread_driver_files);
     let operator_scoped =
         has_prefix(file, &cfg.operator_prefixes) && !listed(file, &cfg.operator_task_files);
+    let sharing_scoped =
+        !has_prefix(file, &cfg.sharing_model_prefixes) && !listed(file, &cfg.sharing_model_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -669,6 +689,24 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                     .into(),
             );
         }
+        // Rule 9: one sharing model.
+        for tok in [
+            "GroupMember::new",
+            "SharingEvaluator::from_parts",
+            "SharingEvaluator::heterogeneous",
+        ] {
+            if sharing_scoped && code.contains(tok) {
+                push(
+                    i,
+                    Rule::OneSharingModel,
+                    format!(
+                        "`{tok}` outside cordoba-core and `engine::policy`; price the group \
+                         with `policy::sharing_group` (wide member, `s / c`, residual ratio \
+                         live there) instead of a second pricing"
+                    ),
+                );
+            }
+        }
     }
     findings
 }
@@ -774,6 +812,8 @@ mod tests {
             thread_driver_files: vec![],
             operator_prefixes: vec![],
             operator_task_files: vec![],
+            sharing_model_prefixes: vec![],
+            sharing_model_files: vec![],
         }
     }
 
@@ -1026,6 +1066,44 @@ mod tests {
     }
 
     #[test]
+    fn seeded_second_group_pricing_is_caught_outside_the_policy() {
+        let mut cfg = cfg_for("bench/");
+        cfg.sharing_model_prefixes = vec!["core/src".into()];
+        cfg.sharing_model_files = vec!["engine/src/policy.rs".into()];
+        let rules = |file: &str, src: &str| -> Vec<Rule> {
+            let found = lint_source(file, src, &cfg);
+            found.into_iter().map(|f| f.rule).collect()
+        };
+        let member = "fn m(s: f64) -> GroupMember { GroupMember::new(s / 0.5, vec![]) }";
+        let parts = "fn z(m: Vec<GroupMember>) -> f64 {\n\
+                     SharingEvaluator::from_parts(vec![], 1.0, m).map_or(0.0, |e| e.speedup(1.0))\n}";
+        let hetero =
+            "fn g(q: &[(&PlanSpec, NodeId)]) { let _ = SharingEvaluator::heterogeneous(q); }";
+        for seeded in [member, parts, hetero] {
+            assert_eq!(
+                rules("bench/src/predict.rs", seeded),
+                vec![Rule::OneSharingModel],
+                "{seeded}"
+            );
+            // The model's own crate and the policy's pricing may.
+            for file in ["core/src/mismatch.rs", "engine/src/policy.rs"] {
+                assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
+            }
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{seeded}\n}}");
+            assert!(rules("bench/src/predict.rs", &in_test).is_empty());
+        }
+        // Asking the evaluator is what everyone else does.
+        for fine in [
+            "fn z(p: &PlanSpec, n: NodeId) -> f64 { SharingEvaluator::homogeneous(p, n, 4).map_or(0.0, |e| e.speedup(1.0)) }",
+            "fn z(m: &[(&QueryModelInfo, f64)]) -> f64 { sharing_group(m).map_or(0.0, |e| e.speedup(1.0)) }",
+            "fn f(m: &GroupMember) -> f64 { m.coverage }",
+        ] {
+            let got = rules("bench/src/predict.rs", fine);
+            assert!(got.is_empty(), "{fine}: {got:?}");
+        }
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -1059,6 +1137,7 @@ mod tests {
             .chain(&cfg.private_simulator_files)
             .chain(&cfg.thread_driver_files)
             .chain(&cfg.operator_task_files)
+            .chain(&cfg.sharing_model_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }

@@ -5,7 +5,8 @@
 use cordoba::exec::expr::{CmpOp, Predicate};
 use cordoba::exec::{reference, OpCost, PhysicalPlan};
 use cordoba::model::estimate::{fit_pivot, PivotObservation};
-use cordoba::model::sharing::SharingEvaluator;
+use cordoba::model::mismatch::UnsharedGroup;
+use cordoba::model::sharing::{GroupMember, SharingEvaluator, SystemKind, WorkerScaling};
 use cordoba::model::{OperatorSpec, PlanSpec, QueryModel};
 use cordoba::storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;
@@ -16,6 +17,31 @@ fn cost() -> impl Strategy<Value = f64> {
 
 fn pipeline_costs() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(cost(), 2..6)
+}
+
+/// A group member: `s`, its operators above the pivot, coverage in
+/// `(0, 1]` and a residual cost (zero under exact overlap).
+fn member() -> impl Strategy<Value = GroupMember> {
+    (
+        cost(),
+        proptest::collection::vec(cost(), 0..4),
+        1u32..=20,
+        0u32..=300,
+    )
+        .prop_map(|(s, above, c, r)| {
+            let residual = if c == 20 { 0.0 } else { r as f64 / 100.0 };
+            GroupMember::new(s, above).with_partial_overlap(c as f64 / 20.0, residual)
+        })
+}
+
+fn system() -> impl Strategy<Value = SystemKind> {
+    (0u8..2).prop_map(|open| {
+        if open == 1 {
+            SystemKind::Open
+        } else {
+            SystemKind::Closed
+        }
+    })
 }
 
 proptest! {
@@ -49,6 +75,87 @@ proptest! {
         let plan = b.finish(top).unwrap();
         let ev = SharingEvaluator::homogeneous(&plan, piv, 1).unwrap();
         prop_assert!((ev.speedup(n as f64) - 1.0).abs() < 1e-9);
+    }
+
+    /// One Z(m, n): the serial worker scaling is the paper's model bit
+    /// for bit — against the default evaluator and, in a closed system,
+    /// against the Section 4.2–4.3 / 5.1 equations written out here with
+    /// no `e(k)` in them — and `Z` is the ratio of the two rates.
+    #[test]
+    fn serial_scaling_is_the_paper_model(
+        below in proptest::collection::vec(cost(), 0..4),
+        w in cost(),
+        members in proptest::collection::vec(member(), 1..8),
+        system in system(),
+        n in cost(),
+    ) {
+        let ev = SharingEvaluator::from_parts(below.clone(), w, members.clone())
+            .unwrap()
+            .with_system(system);
+        let base = ev.evaluate(n).unwrap();
+        let serial = ev.clone().with_workers(WorkerScaling::serial()).evaluate(n).unwrap();
+        for (a, b) in [
+            (base.z, serial.z),
+            (base.x_shared, serial.x_shared),
+            (base.x_unshared, serial.x_unshared),
+            (base.shared_utilization, serial.shared_utilization),
+            (base.unshared_utilization, serial.unshared_utilization),
+        ] {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        prop_assert_eq!(base.z.to_bits(), (base.x_shared / base.x_unshared).to_bits());
+
+        let max = |it: &mut dyn Iterator<Item = f64>| it.fold(0.0_f64, f64::max);
+        let m = members.len() as f64;
+        let below_max = max(&mut below.iter().copied());
+        let below_sum: f64 = below.iter().sum();
+        let pivot_p = w + members.iter().map(|mb| mb.pivot_output_cost).sum::<f64>();
+        let above_max = max(&mut members.iter().flat_map(|mb| mb.above.iter().copied().chain([mb.residual_cost])));
+        let shared_work = below_sum
+            + pivot_p
+            + members.iter().map(|mb| mb.residual_cost + mb.above.iter().sum::<f64>()).sum::<f64>();
+        let x_shared = m * (1.0 / below_max.max(pivot_p).max(above_max)).min(n / shared_work);
+        prop_assert_eq!(base.x_shared.to_bits(), x_shared.to_bits());
+        if system == SystemKind::Closed {
+            let p_max = |mb: &GroupMember| {
+                below_max
+                    .max(w + mb.coverage * mb.pivot_output_cost)
+                    .max(max(&mut mb.above.iter().copied()))
+            };
+            let work = |mb: &GroupMember| {
+                below_sum + w + mb.coverage * mb.pivot_output_cost + mb.above.iter().sum::<f64>()
+            };
+            let r_mean = m / members.iter().map(p_max).sum::<f64>();
+            let u_group: f64 = members.iter().map(|mb| work(mb) / p_max(mb)).sum();
+            prop_assert_eq!(base.x_unshared.to_bits(), (m * r_mean * (n / u_group).min(1.0)).to_bits());
+            prop_assert_eq!(base.unshared_utilization.to_bits(), u_group.to_bits());
+        }
+    }
+
+    /// `mismatch::UnsharedGroup` has no formula of its own: it is the
+    /// degenerate sharing group (nothing below the pivot, a zero-cost
+    /// pivot) asked for its unshared side.
+    #[test]
+    fn unshared_group_is_the_degenerate_sharing_group(
+        queries in proptest::collection::vec(pipeline_costs(), 1..6),
+        system in system(),
+        n in cost(),
+    ) {
+        let plans: Vec<PlanSpec> = queries.iter().map(|costs| PlanSpec::pipeline(
+            costs.iter().enumerate()
+                .map(|(i, &c)| OperatorSpec::new(format!("s{i}"), vec![c], vec![]))
+                .collect(),
+        ).unwrap()).collect();
+        let group = UnsharedGroup::new(&plans.iter().collect::<Vec<_>>())
+            .unwrap()
+            .with_system(system);
+        let degenerate = SharingEvaluator::from_parts(
+            vec![],
+            0.0,
+            queries.iter().map(|costs| GroupMember::new(0.0, costs.clone())).collect(),
+        ).unwrap().with_system(system);
+        prop_assert_eq!(group.rate(n).unwrap().to_bits(), degenerate.unshared_rate(n).unwrap().to_bits());
+        prop_assert_eq!(group.peak_utilization().to_bits(), degenerate.unshared_utilization().to_bits());
     }
 
     /// On a uniprocessor, sharing never hurts (any saved work helps,
