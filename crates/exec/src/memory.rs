@@ -10,6 +10,20 @@
 //! the acceptance criterion "peak tracked memory ≤ 1.25 × budget" is
 //! measured against.
 //!
+//! # Spill streams
+//!
+//! What an operator spills to is a stream it opens through
+//! `SpillContext::io`, and a stream's memory is its **frame** (see
+//! [`cordoba_storage::spill`]): `SpillIo::create` / `open` grant the
+//! frame for the life of the stream and finishing or dropping the
+//! stream returns it, so an open stream is on the books for exactly as
+//! long as it exists and no operator accounts for a stream buffer
+//! itself. How many pages a frame gets is not configured but derived
+//! where the stream is opened, from the budget, what is left of it and
+//! the number of streams the operator is about to hold open at once
+//! (`SpillContext::frame_pages`); operators then fit themselves in
+//! beside their frames (`SpillContext::grant_beside`).
+//!
 //! The account is lock-free atomic state behind an `Arc`, so one
 //! broker can serve operator graphs running on several OS threads
 //! (`engine::thread_exec` charges a whole batch to one) as well as the
@@ -18,10 +32,10 @@
 //! maximum of `used` over the grant history.
 
 use crate::error::{ExecError, FaultCell};
-use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
-use cordoba_storage::{Page, Schema};
+use cordoba_storage::spill::{self, SpillFile, SpillReader, SpillWriter, MAX_FRAME_PAGES};
+use cordoba_storage::{Page, Schema, PAGE_SIZE};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
@@ -83,13 +97,20 @@ impl MemoryBroker {
     /// are one atomic compare-exchange, so racing grants can never
     /// jointly overshoot the budget.
     pub fn try_grant(&self, bytes: usize) -> bool {
+        self.try_grant_leaving(bytes, 0)
+    }
+
+    /// [`MemoryBroker::try_grant`], refused unless `headroom` more
+    /// bytes would still fit afterwards: how an operator keeps room for
+    /// the frame of the stream it will spill to.
+    pub fn try_grant_leaving(&self, bytes: usize, headroom: usize) -> bool {
         let granted = self
             .0
             .used
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |used| {
                 let next = used.saturating_add(bytes);
                 match self.0.budget {
-                    Some(budget) if next > budget => None,
+                    Some(budget) if next.saturating_add(headroom) > budget => None,
                     _ => Some(next),
                 }
             });
@@ -103,8 +124,8 @@ impl MemoryBroker {
     }
 
     /// Takes `bytes` unconditionally, still tracked against the peak.
-    /// For small fixed overheads that spilling cannot eliminate (one
-    /// in-flight page per spill buffer or merge cursor).
+    /// For fixed overheads that spilling cannot eliminate (the frame of
+    /// an open spill stream).
     pub fn grant(&self, bytes: usize) {
         let prev = self.0.used.fetch_add(bytes, Ordering::AcqRel);
         self.0.bump_peak(prev.saturating_add(bytes));
@@ -177,7 +198,25 @@ impl SpillContext {
 
     /// Spill-file I/O on behalf of operator `op`.
     pub(crate) fn io(&self, op: &'static str) -> SpillIo<'_> {
-        SpillIo { dir: &self.dir, op }
+        SpillIo { ctx: self, op }
+    }
+
+    /// Pages in the frame of each of the `streams` spill streams an
+    /// operator is about to hold open at once: together the frames take
+    /// at most half the budget and no more than what is left of it,
+    /// each at least a page and at most [`MAX_FRAME_PAGES`].
+    pub(crate) fn frame_pages(&self, streams: usize) -> usize {
+        let budget = self.broker.budget().unwrap_or(usize::MAX);
+        let left = budget.saturating_sub(self.broker.used());
+        ((budget / 2).min(left) / PAGE_SIZE / streams.max(1)).clamp(1, MAX_FRAME_PAGES)
+    }
+
+    /// Requests `bytes` for what an operator buffers, refused unless
+    /// the frame of the stream it would spill that to — `pages` pages
+    /// of `schema` rows — still fits afterwards.
+    pub(crate) fn grant_beside(&self, bytes: usize, schema: &Schema, pages: usize) -> bool {
+        let frame = spill::frame_bytes(schema, pages);
+        self.broker.try_grant_leaving(bytes, frame)
     }
 
     /// An unbounded context (never spills) — the default for direct
@@ -207,46 +246,111 @@ impl Default for SpillContext {
     }
 }
 
+/// An open spill stream and the grant for its frame, taken when the
+/// stream was opened and returned when it is finished or dropped —
+/// whoever holds the stream holds its memory, and nobody else accounts
+/// for it.
+pub(crate) struct Framed<S> {
+    stream: S,
+    _frame: FrameGrant,
+}
+
+/// A row stream being written.
+pub(crate) type SpillStream = Framed<SpillWriter>;
+/// A sealed stream being read back.
+pub(crate) type SpillCursor = Framed<SpillReader>;
+
+struct FrameGrant {
+    broker: MemoryBroker,
+    bytes: usize,
+}
+
+impl Drop for FrameGrant {
+    fn drop(&mut self) {
+        self.broker.release(self.bytes);
+    }
+}
+
 /// The spill-file operations of one operator, each failure typed as an
 /// [`ExecError::Spill`] naming it: the one place an I/O error of the
-/// spill path becomes a query fault.
+/// spill path becomes a query fault, and the one place a stream's frame
+/// is granted.
 pub(crate) struct SpillIo<'a> {
-    dir: &'a Path,
+    ctx: &'a SpillContext,
     op: &'static str,
 }
 
 impl SpillIo<'_> {
-    /// Types the failure of any other spill-file operation.
-    pub(crate) fn typed<T>(&self, result: io::Result<T>) -> Result<T, ExecError> {
+    /// Types the failure of a spill-file operation.
+    fn typed<T>(&self, result: io::Result<T>) -> Result<T, ExecError> {
         result.map_err(|e| ExecError::spill(self.op, e))
     }
 
-    /// A new row stream for rows of `schema`.
-    pub(crate) fn create(&self, schema: std::sync::Arc<Schema>) -> Result<SpillWriter, ExecError> {
-        self.typed(SpillWriter::create(self.dir, schema))
+    /// The stream just opened, if it was, with `bytes` granted for its
+    /// frame.
+    fn framed<S>(&self, bytes: usize, opened: io::Result<S>) -> Result<Framed<S>, ExecError> {
+        let stream = self.typed(opened)?;
+        let broker = self.ctx.broker.clone();
+        broker.grant(bytes);
+        let _frame = FrameGrant { broker, bytes };
+        Ok(Framed { stream, _frame })
+    }
+
+    /// A new row stream for rows of `schema`, with a granted frame of
+    /// `frame_pages` pages (see [`SpillContext::frame_pages`]).
+    pub(crate) fn create(
+        &self,
+        schema: std::sync::Arc<Schema>,
+        frame_pages: usize,
+    ) -> Result<SpillStream, ExecError> {
+        let bytes = spill::frame_bytes(&schema, frame_pages);
+        let opened = SpillWriter::create_framed(&self.ctx.dir, schema, frame_pages);
+        self.framed(bytes, opened)
     }
 
     /// Appends one row ([`SpillWriter::push_row`]).
-    pub(crate) fn push(&self, to: &mut SpillWriter, row: &[u8]) -> Result<(), ExecError> {
-        self.typed(to.push_row(row))
+    pub(crate) fn push(&self, to: &mut SpillStream, row: &[u8]) -> Result<(), ExecError> {
+        self.typed(to.stream.push_row(row))
     }
 
-    /// Seals a stream for reading.
-    pub(crate) fn finish(&self, stream: SpillWriter) -> Result<SpillFile, ExecError> {
-        self.typed(stream.finish())
+    /// Appends `rows` contiguous rows as records of their own
+    /// ([`SpillWriter::write_raw_rows`]).
+    pub(crate) fn push_rows(
+        &self,
+        to: &mut SpillStream,
+        payload: &[u8],
+        rows: usize,
+    ) -> Result<(), ExecError> {
+        self.typed(to.stream.write_raw_rows(payload, rows))
     }
 
-    /// Opens a sealed stream.
-    pub(crate) fn open(&self, file: SpillFile) -> Result<SpillReader, ExecError> {
-        self.typed(file.into_reader())
+    /// Seals a stream for reading; its frame goes back.
+    pub(crate) fn finish(&self, stream: SpillStream) -> Result<SpillFile, ExecError> {
+        self.typed(stream.stream.finish())
+    }
+
+    /// Opens a sealed stream with a granted frame of `frame_pages`
+    /// pages. The grant covers the page in hand: all but one of the
+    /// frame's pages buffer the file, the last is the page
+    /// [`SpillIo::next_page`] hands out. A cursor cannot do with less
+    /// than a page of each, so under a one-page frame it holds, and is
+    /// granted, two.
+    pub(crate) fn open(
+        &self,
+        file: SpillFile,
+        frame_pages: usize,
+    ) -> Result<SpillCursor, ExecError> {
+        let buffered = frame_pages.saturating_sub(1).max(1);
+        let bytes = spill::frame_bytes(file.schema(), buffered + 1);
+        self.framed(bytes, file.into_reader_framed(buffered))
     }
 
     /// The next page of an open stream, `None` at its end.
     pub(crate) fn next_page(
         &self,
-        from: &mut SpillReader,
+        from: &mut SpillCursor,
     ) -> Result<Option<std::sync::Arc<Page>>, ExecError> {
-        self.typed(from.next_page())
+        self.typed(from.stream.next_page())
     }
 }
 

@@ -31,6 +31,14 @@
 //! With an unbounded broker (the default) there is a single resident
 //! partition and behaviour is unchanged from the in-memory join.
 //!
+//! Every open stream holds its frame, granted where it is opened
+//! (`SpillContext::io`) for as long as it is open: sized for one stream
+//! per partition in the build and probe phases, for the fan-out and the
+//! file being split in a repartition, for two in a spilled pair. The
+//! resident partitions share what those frames leave, with one frame of
+//! headroom for the next victim, so the tracked peak stays inside the
+//! budget with the streams counted.
+//!
 //! What is here is the kernel — the partitions, the spilled pairs and
 //! the page functions of the build, probe and spilled-pair phases —
 //! with [`Kernel::release`] its one teardown: every grant the state
@@ -39,12 +47,12 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::SpillContext;
+use crate::memory::{SpillContext, SpillCursor, SpillStream};
 use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
 use cordoba_sim::VTime;
-use cordoba_storage::spill::{SpillFile, SpillReader, SpillWriter};
+use cordoba_storage::spill::SpillFile;
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -263,8 +271,8 @@ enum BuildPart {
         /// Bytes granted for `table`'s arena.
         granted: usize,
     },
-    /// The open row stream, holding one granted buffer page.
-    Spilling(SpillWriter),
+    /// The open row stream.
+    Spilling(SpillStream),
 }
 
 /// One partition while the probe input lasts.
@@ -277,9 +285,8 @@ enum ProbePart {
     Spilled {
         /// The sealed build rows.
         build: SpillFile,
-        /// Probe rows routed here, once there are any: an open row
-        /// stream holding one granted buffer page.
-        probe: Option<SpillWriter>,
+        /// Probe rows routed here, once there are any.
+        probe: Option<SpillStream>,
     },
 }
 
@@ -299,9 +306,7 @@ struct ActivePair {
     table: BuildTable,
     /// Bytes granted for the reloaded table.
     granted: usize,
-    reader: SpillReader,
-    /// Bytes granted for the probe page in flight.
-    page_granted: usize,
+    reader: SpillCursor,
 }
 
 /// What `drain` does next.
@@ -330,6 +335,12 @@ pub struct HashJoinKernel {
     /// Rows of the build page in hand routed to each partition.
     routed: Vec<usize>,
     spill: SpillContext,
+    /// Pages in the frame of a partition's stream: every partition may
+    /// have one open, in the build phase and again in the probe phase.
+    /// Sized as for twice as many, which leaves three quarters of the
+    /// budget to the partitions still resident — what they hold is what
+    /// the probe side need not spill.
+    frame: usize,
     /// The partitions until the build input ends, then empty ...
     build_parts: VecDeque<BuildPart>,
     /// ... and the same partitions from then until the probe input ends.
@@ -362,7 +373,8 @@ impl HashJoinKernel {
     ) -> Result<Self, ExecError> {
         int_key("hash join build", &build_schema, build_key)?;
         int_key("hash join probe", &probe_schema, probe_key)?;
-        let build_parts = (0..initial_partitions(spill.broker.budget()))
+        let parts = initial_partitions(spill.broker.budget());
+        let build_parts = (0..parts)
             .map(|_| BuildPart::Resident {
                 table: BuildTable::new(build_schema.row_width()),
                 granted: 0,
@@ -381,6 +393,7 @@ impl HashJoinKernel {
             tail: Tail::Flush,
             keys: Vec::new(),
             routed: Vec::new(),
+            frame: spill.frame_pages(2 * parts),
             spill,
             build_parts,
             probe_parts: Vec::new(),
@@ -417,7 +430,10 @@ impl HashJoinKernel {
                 .filter(|(part, _)| matches!(part, BuildPart::Resident { .. }))
                 .map(|(_, &rows)| rows * w)
                 .sum();
-            if demand == 0 || self.spill.broker.try_grant(demand) {
+            // Room is kept for the frame the next victim's stream takes
+            // before its arena is released.
+            let spill = &self.spill;
+            if demand == 0 || spill.grant_beside(demand, &self.build_schema, self.frame) {
                 break;
             }
             if !self.spill_victim()? {
@@ -455,31 +471,26 @@ impl HashJoinKernel {
             return Ok(false);
         };
         let io = self.spill.io(OP);
-        let mut stream = io.create(self.build_schema.clone())?;
+        let mut stream = io.create(self.build_schema.clone(), self.frame)?;
         if let BuildPart::Resident { table, .. } = victim {
-            io.typed(stream.write_raw_rows(table.arena(), table.rows()))?;
+            io.push_rows(&mut stream, table.arena(), table.rows())?;
         }
-        // One in-flight buffer page that spilling cannot eliminate.
-        self.spill.broker.grant(PAGE_SIZE);
         self.spill.broker.release(granted);
         *victim = BuildPart::Spilling(stream);
         Ok(true)
     }
 
-    /// End of build input: seal every spilled partition's build stream,
-    /// returning its buffer page. A partition is in exactly one of the
-    /// two lists throughout, so a failure part-way strands no grant.
+    /// End of build input: seal every spilled partition's build stream.
+    /// A partition is in exactly one of the two lists throughout, so a
+    /// failure part-way strands no grant.
     fn finish_build(&mut self) -> Result<(), ExecError> {
         while let Some(part) = self.build_parts.pop_front() {
             self.probe_parts.push(match part {
                 BuildPart::Resident { table, granted } => ProbePart::Resident { table, granted },
-                BuildPart::Spilling(stream) => {
-                    self.spill.broker.release(PAGE_SIZE);
-                    ProbePart::Spilled {
-                        build: self.spill.io(OP).finish(stream)?,
-                        probe: None,
-                    }
-                }
+                BuildPart::Spilling(stream) => ProbePart::Spilled {
+                    build: self.spill.io(OP).finish(stream)?,
+                    probe: None,
+                },
             });
         }
         Ok(())
@@ -505,11 +516,7 @@ impl HashJoinKernel {
                 ProbePart::Spilled { probe, .. } => {
                     let stream = match probe {
                         Some(stream) => stream,
-                        None => {
-                            let stream = io.create(self.probe_schema.clone())?;
-                            self.spill.broker.grant(PAGE_SIZE);
-                            probe.insert(stream)
-                        }
+                        None => probe.insert(io.create(self.probe_schema.clone(), self.frame)?),
                     };
                     io.push(stream, probe_raw)?;
                 }
@@ -518,16 +525,14 @@ impl HashJoinKernel {
         Ok(())
     }
 
-    /// Hands over the probe-phase partitions with every grant they hold
-    /// — resident tables, open probe streams' buffer pages — returned.
+    /// Hands over the probe-phase partitions with the resident tables'
+    /// grants returned (an open probe stream carries its own).
     fn take_probe_parts(&mut self) -> Vec<ProbePart> {
         let parts = std::mem::take(&mut self.probe_parts);
         for part in &parts {
-            self.spill.broker.release(match part {
-                ProbePart::Resident { granted, .. } => *granted,
-                ProbePart::Spilled { probe: Some(_), .. } => PAGE_SIZE,
-                ProbePart::Spilled { probe: None, .. } => 0,
-            });
+            if let ProbePart::Resident { granted, .. } = part {
+                self.spill.broker.release(*granted);
+            }
         }
         parts
     }
@@ -565,15 +570,10 @@ impl HashJoinKernel {
             return Ok((1, false));
         };
         let Some(page) = self.spill.io(OP).next_page(&mut active.reader)? else {
-            self.spill
-                .broker
-                .release(active.page_granted + active.granted);
+            self.spill.broker.release(active.granted);
             self.active = None;
             return Ok((1, false));
         };
-        self.spill.broker.release(active.page_granted);
-        active.page_granted = page.byte_len();
-        self.spill.broker.grant(active.page_granted);
         page.gather_i64(self.probe_key, &mut self.keys);
         for (probe_raw, &key) in page.raw_rows().zip(&self.keys) {
             probe_row(
@@ -603,7 +603,6 @@ impl HashJoinKernel {
                 table,
                 granted: build_bytes,
                 reader,
-                page_granted: 0,
             });
             Ok(())
         } else if pair.level >= MAX_RECURSION {
@@ -620,17 +619,19 @@ impl HashJoinKernel {
         }
     }
 
-    /// Reloads a pair's build side and opens its probe side.
-    fn load_pair(&self, pair: SpillPair) -> Result<(BuildTable, SpillReader), ExecError> {
+    /// Reloads a pair's build side and opens its probe side: two
+    /// streams, read one after the other beside the granted table.
+    fn load_pair(&self, pair: SpillPair) -> Result<(BuildTable, SpillCursor), ExecError> {
         let io = self.spill.io(OP);
+        let frame = self.spill.frame_pages(2);
         let mut table = BuildTable::new(self.build_schema.row_width());
         if let Some(file) = pair.build {
-            let mut reader = io.open(file)?;
+            let mut reader = io.open(file, frame)?;
             while let Some(page) = io.next_page(&mut reader)? {
                 table.insert_page(&page, self.build_key);
             }
         }
-        Ok((table, io.open(pair.probe)?))
+        Ok((table, io.open(pair.probe, frame)?))
     }
 
     /// Splits an oversized pair into sub-pairs with a deeper-level
@@ -641,15 +642,6 @@ impl HashJoinKernel {
         let fan = build_bytes
             .div_ceil((budget / 2).max(PAGE_SIZE))
             .clamp(2, MAX_PARTITIONS);
-        // Transient buffer pages for both splits' writers.
-        let overhead = 2 * fan * PAGE_SIZE;
-        self.spill.broker.grant(overhead);
-        let result = self.repartition_inner(pair, fan);
-        self.spill.broker.release(overhead);
-        result
-    }
-
-    fn repartition_inner(&mut self, pair: SpillPair, fan: usize) -> Result<(), ExecError> {
         let level = pair.level;
         let builds = match pair.build {
             Some(file) => self.split_file(file, self.build_key, fan, level)?,
@@ -679,11 +671,13 @@ impl HashJoinKernel {
         level: u32,
     ) -> Result<Vec<Option<SpillFile>>, ExecError> {
         let io = self.spill.io(OP);
+        // The file being split and its `fan` outputs share the grant.
+        let frame = self.spill.frame_pages(fan + 1);
         let mut outs = Vec::with_capacity(fan);
         for _ in 0..fan {
-            outs.push(io.create(file.schema().clone())?);
+            outs.push(io.create(file.schema().clone(), frame)?);
         }
-        let mut reader = io.open(file)?;
+        let mut reader = io.open(file, frame)?;
         while let Some(page) = io.next_page(&mut reader)? {
             page.gather_i64(key_col, &mut self.keys);
             for (raw, &key) in page.raw_rows().zip(&self.keys) {
@@ -817,22 +811,19 @@ impl Kernel for HashJoinKernel {
         }
     }
 
-    /// Every partition's grant in whichever phase it is, the spilled
-    /// pairs, the active pair's table and probe page. (A repartition
-    /// returns its transient overhead itself, failed or not.)
+    /// Every resident partition's grant in whichever phase it is, the
+    /// spilled pairs, the active pair's table. (Open streams return
+    /// their frames as they drop.)
     fn release(&mut self) {
         for part in self.build_parts.drain(..) {
-            self.spill.broker.release(match part {
-                BuildPart::Resident { granted, .. } => granted,
-                BuildPart::Spilling(_) => PAGE_SIZE,
-            });
+            if let BuildPart::Resident { granted, .. } = part {
+                self.spill.broker.release(granted);
+            }
         }
         drop(self.take_probe_parts());
         self.pending.clear();
         if let Some(active) = self.active.take() {
-            self.spill
-                .broker
-                .release(active.granted + active.page_granted);
+            self.spill.broker.release(active.granted);
         }
     }
 }

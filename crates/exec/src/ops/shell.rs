@@ -563,7 +563,7 @@ mod tests {
             let mut spill = SpillContext::with_budget(1 << 20);
             spill.dir = dir.clone();
             let io = spill.io("scripted");
-            let mut stream = io.create(schema()).expect("spill dir");
+            let mut stream = io.create(schema(), 1).expect("spill dir");
             io.push(&mut stream, page(1).payload()).expect("row");
             let file = io.finish(stream).expect("sealed");
             spill.broker.grant(64);

@@ -15,8 +15,9 @@
 //! # Out-of-core operation
 //!
 //! The buffered input is charged to the query's
-//! [`MemoryBroker`](crate::MemoryBroker). When a grant is refused the
-//! task **spills**: it sorts the buffered batch, writes it to a
+//! [`MemoryBroker`](crate::MemoryBroker), which is asked to leave room
+//! for the frame of the run stream. When a grant is refused the task
+//! **spills**: it sorts the buffered batch, writes it to a
 //! [`SpillFile`] as a sorted run, and releases the memory (the key
 //! vectors keep their capacity for the next batch). After input ends
 //! the runs are k-way merged — cascaded first if there are more runs
@@ -30,12 +31,12 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::{MemoryBroker, SpillContext};
+use crate::memory::{SpillContext, SpillCursor};
 use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
 use crate::ops::{key_of, KeyVal};
 use cordoba_sim::VTime;
-use cordoba_storage::spill::{SpillFile, SpillReader};
+use cordoba_storage::spill::SpillFile;
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::sync::Arc;
 
@@ -147,6 +148,8 @@ pub struct SortKernel {
     emit: Option<Emit>,
     emit_batch_rows: usize,
     spill: SpillContext,
+    /// Pages in the frame of the stream a run is written through.
+    run_frame: usize,
     /// Bytes currently granted for the buffered pages.
     granted: usize,
     /// Sorted runs spilled so far, in arrival (chronological) order.
@@ -187,6 +190,7 @@ impl SortKernel {
             rows: Vec::new(),
             keys: keys_state,
             emit: None,
+            run_frame: spill.frame_pages(1),
             spill,
             granted: 0,
             runs: Vec::new(),
@@ -225,7 +229,7 @@ impl SortKernel {
         }
         self.sort_rows();
         let io = self.spill.io(OP);
-        let mut run = io.create(self.schema.clone())?;
+        let mut run = io.create(self.schema.clone(), self.run_frame)?;
         for &(_, (page, row)) in &self.rows {
             io.push(&mut run, raw_row(&self.pages[page as usize], row as usize))?;
         }
@@ -235,11 +239,12 @@ impl SortKernel {
     }
 
     /// How many run cursors the budget allows open at once during a
-    /// merge (each holds one page; two pages are reserved for the
-    /// output builder and slack).
+    /// merge (each holds two pages at least, one buffering the file and
+    /// the one in hand; two pages are reserved for the output builder
+    /// and slack).
     fn merge_fanout(&self) -> usize {
         match self.spill.broker.budget() {
-            Some(b) => ((b / PAGE_SIZE).saturating_sub(2)).clamp(2, MAX_MERGE_FANOUT),
+            Some(b) => ((b / PAGE_SIZE).saturating_sub(2) / 2).clamp(2, MAX_MERGE_FANOUT),
             None => MAX_MERGE_FANOUT,
         }
     }
@@ -250,9 +255,11 @@ impl SortKernel {
     fn merge_front_runs(&mut self, k: usize) -> Result<usize, ExecError> {
         let rest = self.runs.split_off(k);
         let front = std::mem::replace(&mut self.runs, rest);
-        let mut merge = KWayMerge::open(front, &mut self.keys, &self.key_cols, &self.spill)?;
+        // The cursors and the output stream share the grant.
+        let frame = self.spill.frame_pages(k + 1);
+        let mut merge = KWayMerge::open(front, frame, &mut self.keys, &self.key_cols, &self.spill)?;
         let io = self.spill.io(OP);
-        let mut merged = io.create(self.schema.clone())?;
+        let mut merged = io.create(self.schema.clone(), frame)?;
         let mut rows = 0usize;
         while let Some(raw) = merge.min_row() {
             io.push(&mut merged, raw)?;
@@ -275,7 +282,8 @@ impl SortKernel {
             cost += self.cost.input_cost(merged);
         }
         let runs = std::mem::take(&mut self.runs);
-        let merge = KWayMerge::open(runs, &mut self.keys, &self.key_cols, &self.spill)?;
+        let frame = self.spill.frame_pages(runs.len());
+        let merge = KWayMerge::open(runs, frame, &mut self.keys, &self.key_cols, &self.spill)?;
         Ok((cost, merge))
     }
 }
@@ -306,15 +314,13 @@ impl Kernel for SortKernel {
     ) -> Result<PageWork, ExecError> {
         let mut cost = self.cost.input_cost(page.rows());
         let bytes = page.byte_len();
-        if !self.spill.broker.try_grant(bytes) {
-            // Over budget: spill the buffered batch as a sorted run,
-            // then retry (forcing if a single page alone exceeds the
-            // budget).
+        if !self.spill.grant_beside(bytes, &self.schema, self.run_frame) {
+            // Over budget with the run stream's frame counted: spill
+            // the buffered batch as a sorted run and take the page, as
+            // the operator's whole holding, whatever the budget.
             let spilled = self.spill_run()?;
             cost += self.cost.input_cost(spilled);
-            if !self.spill.broker.try_grant(bytes) {
-                self.spill.broker.grant(bytes);
-            }
+            self.spill.broker.grant(bytes);
         }
         self.granted += bytes;
         let page_idx = self.pages.len() as u32;
@@ -495,29 +501,23 @@ impl Tournament {
     }
 }
 
-/// A read cursor over one sorted run: the current page, the row within
-/// it, and that page's extracted sort keys.
+/// A read cursor over one sorted run: the current page (a page of the
+/// open stream's frame), the row within it, and that page's extracted
+/// sort keys.
 struct RunCursor {
-    reader: SpillReader,
+    reader: SpillCursor,
     page: Option<Arc<Page>>,
     row: usize,
     /// Packed keys for the current page (packed mode).
     packed: Vec<u64>,
-    /// Bytes granted for the current page.
-    granted: usize,
 }
 
 impl RunCursor {
-    /// Loads the next page of the run (releasing the previous page's
-    /// grant) and extracts its keys.
+    /// Loads the next page of the run and extracts its keys.
     fn load_next(&mut self, keys: &mut Keys, spill: &SpillContext) -> Result<(), ExecError> {
-        spill.broker.release(self.granted);
-        self.granted = 0;
         self.page = spill.io(OP).next_page(&mut self.reader)?;
         self.row = 0;
         if let Some(page) = &self.page {
-            self.granted = page.byte_len();
-            spill.broker.grant(self.granted);
             if let Keys::Packed { spec, scratch, .. } = keys {
                 self.packed.clear();
                 spec.extend_keys(page, scratch, &mut self.packed);
@@ -541,19 +541,20 @@ impl RunCursor {
 /// A k-way merge over sorted runs. Cursor order is run (arrival)
 /// order and the tournament resolves equal keys toward the lowest
 /// cursor index, which makes the merged output exactly the stable
-/// in-memory sort. Dropping the merge returns every cursor's page
-/// grant and deletes the runs.
+/// in-memory sort. Dropping the merge returns every cursor's frame
+/// and deletes the runs.
 struct KWayMerge {
     cursors: Vec<RunCursor>,
     /// Which cursor holds the smallest current key.
     tournament: Tournament,
-    broker: MemoryBroker,
 }
 
 impl KWayMerge {
-    /// Opens every run and primes the first page of each.
+    /// Opens every run with a frame of `frame` pages and primes the
+    /// first page of each.
     fn open(
         runs: Vec<SpillFile>,
+        frame: usize,
         keys: &mut Keys,
         key_cols: &[usize],
         spill: &SpillContext,
@@ -561,15 +562,13 @@ impl KWayMerge {
         let mut merge = KWayMerge {
             cursors: Vec::with_capacity(runs.len()),
             tournament: Tournament::new(Vec::new()),
-            broker: spill.broker.clone(),
         };
         for run in runs {
             let mut cursor = RunCursor {
-                reader: spill.io(OP).open(run)?,
+                reader: spill.io(OP).open(run, frame)?,
                 page: None,
                 row: 0,
                 packed: Vec::new(),
-                granted: 0,
             };
             cursor.load_next(keys, spill)?;
             merge.cursors.push(cursor);
@@ -603,14 +602,6 @@ impl KWayMerge {
         }
         self.tournament.replace_winner(cursor.head(keys, key_cols));
         Ok(())
-    }
-}
-
-impl Drop for KWayMerge {
-    fn drop(&mut self) {
-        for cursor in &self.cursors {
-            self.broker.release(cursor.granted);
-        }
     }
 }
 
@@ -847,7 +838,7 @@ mod tests {
         let mut sort = sort_of(&schema, vec![0], SpillContext::unbounded());
         let io = sort.spill.io(OP);
         for run in runs {
-            let mut stream = io.create(schema.clone()).expect("create run");
+            let mut stream = io.create(schema.clone(), 1).expect("create run");
             for (k, seq) in run {
                 let raw = [k.to_le_bytes(), seq.to_le_bytes()].concat();
                 io.push(&mut stream, &raw).expect("write run");

@@ -1150,15 +1150,28 @@ mod tests {
         // grants and cleans up after itself.
         use cordoba_storage::PAGE_SIZE;
         let cat = paged_catalog();
-        let plan = PhysicalPlan::HashJoin {
-            build: low_keys(97),
-            probe: low_keys(97),
+        let join = |input: fn() -> Box<PhysicalPlan>| PhysicalPlan::HashJoin {
+            build: input(),
+            probe: input(),
             build_key: 0,
             probe_key: 0,
             kind: crate::plan::JoinKind::Semi,
             build_cost: OpCost::default(),
             probe_cost: OpCost::default(),
         };
+        let plan = join(|| low_keys(97));
+        // Every row passes `k < 97`, so the workers' one-page morsels
+        // hand the join the table's own 16-row pages in table order.
+        // The serial wiring's filter would repack them sixteen to a
+        // page, and inside a budget the peak follows the size of the
+        // steps it is approached in; over the bare scans the serial
+        // join sees the pages the workers deliver.
+        let same_pages = join(|| {
+            Box::new(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::default(),
+            })
+        });
         // Spilled partitions come back partition by partition: the
         // multiset is the contract under a budget.
         let want = crate::reference::canonicalize(crate::reference::execute(&cat, &plan));
@@ -1170,7 +1183,7 @@ mod tests {
         // the whole build side (1.5x at eight pages) would break.
         for budget in [2 * PAGE_SIZE, 8 * PAGE_SIZE] {
             let serial = MemoryBroker::with_budget(budget);
-            run_serial(&cat, &plan, &QueryResources::charging(&serial)).expect("serial join");
+            run_serial(&cat, &same_pages, &QueryResources::charging(&serial)).expect("serial join");
             for workers in [2, 4] {
                 let at = format!("budget={budget} workers={workers}");
                 let mut cfg = threaded(workers);

@@ -1,6 +1,7 @@
 //! The failure contract of [`OperatorShell`], with the real kernels
 //! behind it: whatever fails a query and wherever — a page of a foreign
-//! schema on an input, a spill file gone bad — the query's fault cell
+//! schema on an input, a spill file cut short (to nothing, inside a
+//! frame, inside a record header) — the query's fault cell
 //! names it, every granted byte is back with the broker, no spill file
 //! survives, every input is closed, and downstream sees end-of-stream
 //! — after the pages delivered before the fault, and nothing else.
@@ -51,13 +52,36 @@ fn budgeted(tag: &str, budget: usize) -> (SpillContext, MemoryBroker, PathBuf) {
     (spill, broker, dir)
 }
 
-/// Cuts every spill file in `dir` to nothing: what is left to read of
-/// an open run fails, and so does opening a sealed one.
-fn ruin_spill_files(dir: &PathBuf) {
+/// Where [`ruin_spill_files`] cuts a file.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// At its start: nothing is left.
+    Everything,
+    /// Half-way, inside the rows of a record — part-way through a frame
+    /// of whoever reads it.
+    MidFrame,
+    /// Half-way, two bytes into a record's header.
+    MidHeader,
+}
+
+/// Cuts every spill file in `dir` short: what is left to read of an
+/// open stream ends before the records its writer counted.
+fn ruin_spill_files(dir: &PathBuf, cut: Cut) {
+    // A record of `kv_schema` rows: its header and a page of rows.
+    let record = 4 + PAGE_SIZE as u64;
     for entry in std::fs::read_dir(dir).expect("spill dir") {
         let path = entry.expect("entry").path();
         let file = std::fs::OpenOptions::new().write(true).open(path);
-        file.expect("spill file").set_len(0).expect("truncate");
+        let file = file.expect("spill file");
+        let len = file.metadata().expect("spill file").len();
+        let half = len / record / 2 * record;
+        let keep = match cut {
+            Cut::Everything => 0,
+            Cut::MidFrame => half + 4 + 1000,
+            Cut::MidHeader => half + 2,
+        };
+        file.set_len(keep.min(len.saturating_sub(1)))
+            .expect("truncate");
     }
 }
 
@@ -71,7 +95,7 @@ fn run_to_fault(
     kernel: Box<dyn Kernel>,
     inputs: Vec<Vec<Arc<Page>>>,
     spill: &SpillContext,
-    ruin_after_inputs: Option<&PathBuf>,
+    ruin_after_inputs: Option<(&PathBuf, Cut)>,
 ) -> (ExecError, usize) {
     let mut detached = DetachedCtx::new();
     let mut rxs = Vec::new();
@@ -98,8 +122,8 @@ fn run_to_fault(
                 if rxs.iter().all(|rx| rx.is_finished()) {
                     dry_steps += 1;
                 }
-                if let (3, Some(dir)) = (dry_steps, ruin_after_inputs) {
-                    ruin_spill_files(dir);
+                if let (3, Some((dir, cut))) = (dry_steps, ruin_after_inputs) {
+                    ruin_spill_files(dir, cut);
                 }
                 let step = shell.step(&mut detached.ctx(2));
                 failed = step.status == StepStatus::Done;
@@ -129,8 +153,8 @@ fn poisoned(mut pages: Vec<Arc<Page>>, at: usize) -> Vec<Arc<Page>> {
 #[test]
 fn a_failed_sort_returns_its_memory_and_files() {
     // 16 000 rows (63 pages) under a four-page budget: runs on disk and
-    // pages in memory when the foreign page arrives; a two-run final
-    // merge under way when the files go bad.
+    // pages in memory when the foreign page arrives; the final merge
+    // under way when the files are cut short.
     let sort = |spill: &SpillContext| {
         let cost = OpCost::default();
         Box::new(SortKernel::new(kv_schema(), vec![0], cost, spill.clone()).expect("valid keys"))
@@ -147,14 +171,17 @@ fn a_failed_sort_returns_its_memory_and_files() {
     assert_eq!(read, 0, "a sort emits nothing before its input ends");
     assert_nothing_left("mid-consume", &broker, &dir);
 
-    let (spill, broker, dir) = budgeted("sort-merge", 4 * PAGE_SIZE);
-    let (err, read) = run_to_fault(sort(&spill), vec![pages], &spill, Some(&dir));
-    assert!(
-        matches!(err, ExecError::Spill { op: "sort", .. }),
-        "{err:?}"
-    );
-    assert!(read > 0, "the merge was emitting");
-    assert_nothing_left("mid-merge", &broker, &dir);
+    for cut in [Cut::Everything, Cut::MidFrame, Cut::MidHeader] {
+        let (spill, broker, dir) = budgeted("sort-merge", 4 * PAGE_SIZE);
+        let ruin = Some((&dir, cut));
+        let (err, read) = run_to_fault(sort(&spill), vec![pages.clone()], &spill, ruin);
+        assert!(
+            matches!(err, ExecError::Spill { op: "sort", .. }),
+            "{cut:?}: {err:?}"
+        );
+        assert!(read > 0, "{cut:?}: the merge was emitting");
+        assert_nothing_left("mid-merge", &broker, &dir);
+    }
 }
 
 #[test]
@@ -189,19 +216,20 @@ fn a_failed_hash_join_returns_its_memory_and_files() {
     assert_eq!(err, mismatch(&detail.replace("build", "probe")));
     assert_nothing_left("mid-probe", &broker, &dir);
 
-    let (spill, broker, dir) = budgeted("join-pairs", 8 * PAGE_SIZE);
-    let (err, _) = run_to_fault(join(&spill), vec![build, probe], &spill, Some(&dir));
-    assert!(
-        matches!(
+    for cut in [Cut::Everything, Cut::MidFrame, Cut::MidHeader] {
+        let (spill, broker, dir) = budgeted("join-pairs", 8 * PAGE_SIZE);
+        let inputs = vec![build.clone(), probe.clone()];
+        let (err, _) = run_to_fault(join(&spill), inputs, &spill, Some((&dir, cut)));
+        let spill_fault = matches!(
             err,
             ExecError::Spill {
                 op: "hash join",
                 ..
             }
-        ),
-        "{err:?}"
-    );
-    assert_nothing_left("mid-spill-join", &broker, &dir);
+        );
+        assert!(spill_fault, "{cut:?}: {err:?}");
+        assert_nothing_left("mid-spill-join", &broker, &dir);
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The engine's hottest invariants live in hand-rolled atomics and
 //! `unsafe` gathers; this crate is the static half of the correctness
 //! gate (the dynamic half is the `shuttle-lite` model checker and the
-//! sanitizer CI legs). Nine rules, all line-oriented over a
+//! sanitizer CI legs). Ten rules, all line-oriented over a
 //! comment/string-stripped view of each file:
 //!
 //! 1. **`unsafe` hygiene** — every line containing the `unsafe` keyword
@@ -59,6 +59,12 @@
 //!    a bench or a figure that wants a predicted `Z` calls it (or
 //!    `SharingEvaluator::homogeneous` on a plan), never a second pricing
 //!    with its own wide member and residual constant.
+//! 10. **One spill I/O** — in non-test `storage` / `exec` / `engine`
+//!     source only `storage::spill` names `std::fs` / `File`, and within
+//!     `exec` only `exec::memory` opens a spill stream
+//!     (`SpillWriter::create*`, `SpillFile::into_reader*`): a stream's
+//!     frame is granted where it is opened, an I/O error becomes a query
+//!     fault there, and no operator grows a file path of its own.
 //!
 //! The checks are deliberately lexical: no rustc plumbing, zero
 //! dependencies, fast enough to run on every CI push. The stripping
@@ -95,6 +101,9 @@ pub enum Rule {
     OneOperatorShell,
     /// A sharing group priced outside `engine::policy`.
     OneSharingModel,
+    /// File I/O outside `storage::spill`, or a spill stream opened
+    /// outside `exec::memory`.
+    OneSpillIo,
 }
 
 impl Rule {
@@ -111,6 +120,7 @@ impl Rule {
             Rule::OneThreadDriver => "one-thread-driver",
             Rule::OneOperatorShell => "one-operator-shell",
             Rule::OneSharingModel => "one-sharing-model",
+            Rule::OneSpillIo => "one-spill-io",
         }
     }
 }
@@ -188,6 +198,17 @@ pub struct Config {
     /// The files outside those prefixes that may: the one function
     /// pricing a group from profiled queries.
     pub sharing_model_files: Vec<String>,
+    /// Path prefixes whose non-test code touches the file system only
+    /// in the spill-file modules.
+    pub file_io_prefixes: Vec<String>,
+    /// The files under those prefixes that may name `std::fs` / `File`.
+    pub file_io_files: Vec<String>,
+    /// Path prefixes whose non-test code opens spill streams only in
+    /// the spill-stream modules.
+    pub spill_stream_prefixes: Vec<String>,
+    /// The files under those prefixes that may: where a stream's frame
+    /// is granted.
+    pub spill_stream_files: Vec<String>,
 }
 
 impl Config {
@@ -254,6 +275,14 @@ impl Config {
             ],
             sharing_model_prefixes: vec!["crates/core/src".into()],
             sharing_model_files: vec!["crates/engine/src/policy.rs".into()],
+            file_io_prefixes: vec![
+                "crates/storage/src".into(),
+                "crates/exec/src".into(),
+                "crates/engine/src".into(),
+            ],
+            file_io_files: vec!["crates/storage/src/spill.rs".into()],
+            spill_stream_prefixes: vec!["crates/exec/src".into()],
+            spill_stream_files: vec!["crates/exec/src/memory.rs".into()],
         }
     }
 }
@@ -549,6 +578,10 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         has_prefix(file, &cfg.operator_prefixes) && !listed(file, &cfg.operator_task_files);
     let sharing_scoped =
         !has_prefix(file, &cfg.sharing_model_prefixes) && !listed(file, &cfg.sharing_model_files);
+    let file_io_scoped =
+        has_prefix(file, &cfg.file_io_prefixes) && !listed(file, &cfg.file_io_files);
+    let spill_stream_scoped =
+        has_prefix(file, &cfg.spill_stream_prefixes) && !listed(file, &cfg.spill_stream_files);
     for (i, l) in lines.iter().enumerate() {
         let code = &l.code;
         // Rule 1: unsafe hygiene (workspace-wide, tests included —
@@ -707,6 +740,31 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                 );
             }
         }
+        // Rule 10: one spill I/O.
+        for (hit, tok) in [
+            (file_io_scoped && word(code, "fs"), "fs"),
+            (file_io_scoped && word(code, "File"), "File"),
+            (
+                spill_stream_scoped && code.contains("SpillWriter::create"),
+                "SpillWriter::create",
+            ),
+            (
+                spill_stream_scoped && code.contains(".into_reader"),
+                ".into_reader",
+            ),
+        ] {
+            if hit {
+                push(
+                    i,
+                    Rule::OneSpillIo,
+                    format!(
+                        "`{tok}` outside the spill modules; files are `storage::spill`'s, and \
+                         an operator opens a stream through `SpillContext::io` (`exec::memory`), \
+                         which grants its frame and types its errors"
+                    ),
+                );
+            }
+        }
     }
     findings
 }
@@ -814,6 +872,10 @@ mod tests {
             operator_task_files: vec![],
             sharing_model_prefixes: vec![],
             sharing_model_files: vec![],
+            file_io_prefixes: vec![],
+            file_io_files: vec![],
+            spill_stream_prefixes: vec![],
+            spill_stream_files: vec![],
         }
     }
 
@@ -1104,6 +1166,57 @@ mod tests {
     }
 
     #[test]
+    fn seeded_spill_io_is_caught_outside_its_modules() {
+        let mut cfg = cfg_for("none");
+        cfg.file_io_prefixes = vec!["storage/src".into(), "exec/src".into()];
+        cfg.file_io_files = vec!["storage/src/spill.rs".into()];
+        cfg.spill_stream_prefixes = vec!["exec/src".into()];
+        cfg.spill_stream_files = vec!["exec/src/memory.rs".into()];
+        let rules = |file: &str, src: &str| -> Vec<Rule> {
+            let found = lint_source(file, src, &cfg);
+            found.into_iter().map(|f| f.rule).collect()
+        };
+        // A file path of an operator's own.
+        let own_file = "fn dump(p: &Path, b: &[u8]) { let _ = std::fs::write(p, b); }";
+        let imported = "use std::fs::File;";
+        let opened = "fn open(p: &Path) -> io::Result<File> { File::open(p) }";
+        for (seeded, hits) in [(own_file, 1), (imported, 2), (opened, 1)] {
+            let got = rules("exec/src/ops/sort.rs", seeded);
+            assert_eq!(got, vec![Rule::OneSpillIo; hits], "{seeded}");
+            assert!(rules("storage/src/spill.rs", seeded).is_empty(), "{seeded}");
+            assert!(rules("bench/src/output.rs", seeded).is_empty(), "{seeded}");
+            let in_test = format!("#[cfg(test)]\nmod tests {{\n{seeded}\n}}");
+            assert!(rules("exec/src/ops/sort.rs", &in_test).is_empty());
+        }
+        // A stream opened past the one place that grants its frame.
+        let created = "fn run(d: &Path, s: Arc<Schema>) { let _ = SpillWriter::create(d, s); }";
+        let framed =
+            "fn run(d: &Path, s: Arc<Schema>) { let _ = SpillWriter::create_framed(d, s, 4); }";
+        let reopened = "fn back(f: SpillFile) { let _ = f.into_reader_framed(2); }";
+        for seeded in [created, framed, reopened] {
+            let got = rules("exec/src/ops/hash_join.rs", seeded);
+            assert_eq!(got, vec![Rule::OneSpillIo], "{seeded}");
+            for file in [
+                "exec/src/memory.rs",
+                "storage/src/spill.rs",
+                "bench/src/x.rs",
+            ] {
+                assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
+            }
+        }
+        // Holding a spill file, or asking the context for a stream, is
+        // what operators do.
+        for fine in [
+            "struct Pair { build: Option<SpillFile>, probe: SpillFile }",
+            "fn run(io: &SpillIo<'_>, s: Arc<Schema>) { let _ = io.create(s, 4); }",
+            "fn offs(x: &Prefs) -> usize { x.fs_offset }",
+        ] {
+            let got = rules("exec/src/ops/hash_join.rs", fine);
+            assert!(got.is_empty(), "{fine}: {got:?}");
+        }
+    }
+
+    #[test]
     fn char_literals_and_lifetimes_lex_cleanly() {
         // A brace in a char literal must not corrupt the test-region
         // brace balance; lifetimes must not open a bogus literal.
@@ -1138,6 +1251,8 @@ mod tests {
             .chain(&cfg.thread_driver_files)
             .chain(&cfg.operator_task_files)
             .chain(&cfg.sharing_model_files)
+            .chain(&cfg.file_io_files)
+            .chain(&cfg.spill_stream_files)
         {
             assert!(root.join(f).is_file(), "allowlisted file {f} is gone");
         }

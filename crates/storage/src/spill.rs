@@ -9,11 +9,29 @@
 //! — so a spill file is only meaningful to the query that wrote it.
 //! Files delete themselves when dropped: a finished query, successful
 //! or failed, leaves no residue in the spill directory.
+//!
+//! # Frames
+//!
+//! The unit of I/O is the **frame**: a contiguous run of whole records,
+//! sized in pages ([`frame_bytes`]) by whoever opens the stream. A
+//! [`SpillWriter`] owns one frame; rows are appended straight into it
+//! (a pushed row's record gets its header when it completes) and a full
+//! frame leaves in one `write_all` on the bare file. A [`SpillReader`]
+//! fills its frame with one `read`, cuts pages out of it, and carries a
+//! record the read split over to the front before the next one — so
+//! the two sides need not agree on a frame size, and on disk a file is
+//! the plain record sequence whatever frames wrote it. There is no
+//! second buffer on either side: each row is copied once on its way
+//! out, each page once on its way in.
+//!
+//! What comes back is checked, not trusted: a file that ends inside a
+//! record is [`io::ErrorKind::UnexpectedEof`], a record of no rows or
+//! of more than `MAX_RECORD_BYTES` is [`io::ErrorKind::InvalidData`].
 
 use crate::page::{Page, PAGE_SIZE};
 use crate::schema::Schema;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,98 +43,135 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// corruption guard (writers never exceed one page per record).
 const MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
 
+/// The largest frame, in pages, and the frame of a stream opened
+/// without one: past 64 KiB a bigger write buys no more bandwidth.
+pub const MAX_FRAME_PAGES: usize = 16;
+
+/// Payload bytes of a full record: the rows one default-sized page
+/// holds (one row, when a row is wider than a page).
+fn record_bytes(schema: &Schema) -> usize {
+    let w = schema.row_width();
+    (PAGE_SIZE / w).max(1) * w
+}
+
+/// Bytes a frame of `pages` pages takes for rows of `schema`: room for
+/// that many full records with their headers. It is what a stream
+/// opened with such a frame holds in memory.
+pub fn frame_bytes(schema: &Schema, pages: usize) -> usize {
+    pages * (4 + record_bytes(schema))
+}
+
 /// Streams rows into a new spill file. Call [`SpillWriter::finish`] to
 /// obtain the readable [`SpillFile`]; a writer dropped unfinished
 /// removes its partial file.
 #[derive(Debug)]
 pub struct SpillWriter {
-    file: BufWriter<File>,
+    file: File,
     path: PathBuf,
     schema: Arc<Schema>,
-    /// Rows pushed one at a time, not yet a record: at most a page's worth.
-    row_buf: Vec<u8>,
-    /// Payload bytes of a full record: the rows one default-sized page
-    /// holds.
+    /// Whole records, and last the one pushed rows are gathering in,
+    /// not yet written. Its capacity is the frame's size: what has no
+    /// room in it waits for the frame to be written out.
+    frame: Vec<u8>,
+    /// Rows pushed into the last record, which has no header yet.
+    open_rows: usize,
+    /// Payload bytes of a full record.
     record_bytes: usize,
     pages: usize,
     rows: u64,
-    bytes: u64,
     finished: bool,
 }
 
 impl SpillWriter {
     /// Creates a uniquely named spill file in `dir` (created if
-    /// missing) for rows of `schema`.
+    /// missing) for rows of `schema`, with the largest frame.
     pub fn create(dir: &Path, schema: Arc<Schema>) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
+        Self::create_framed(dir, schema, MAX_FRAME_PAGES)
+    }
+
+    /// [`SpillWriter::create`] with a frame of `frame_pages` pages
+    /// ([`frame_bytes`] of memory).
+    pub fn create_framed(dir: &Path, schema: Arc<Schema>, frame_pages: usize) -> io::Result<Self> {
         let name = format!(
             "cordoba-spill-{}-{}.bin",
             std::process::id(),
             SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
         );
         let path = dir.join(name);
-        let file = BufWriter::new(File::create(&path)?);
-        let w = schema.row_width();
+        // The directory is made when it turns out to be missing, not
+        // looked for on every stream.
+        let file = File::create(&path).or_else(|e| match e.kind() {
+            io::ErrorKind::NotFound => fs::create_dir_all(dir).and_then(|()| File::create(&path)),
+            _ => Err(e),
+        })?;
         Ok(Self {
             file,
             path,
+            record_bytes: record_bytes(&schema),
+            frame: Vec::with_capacity(frame_bytes(&schema, frame_pages.max(1))),
             schema,
-            row_buf: Vec::new(),
-            record_bytes: (PAGE_SIZE / w).max(1) * w,
+            open_rows: 0,
             pages: 0,
             rows: 0,
-            bytes: 0,
             finished: false,
         })
     }
 
-    /// Schema of the spilled rows.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
     /// Rows written so far.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.rows + self.open_rows as u64
     }
 
     /// Payload bytes written so far (excluding record headers).
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.rows() * self.schema.row_width() as u64
     }
 
     /// Appends one pre-encoded row. Rows gather into records of a
     /// page's worth each — the records, and so the read-back page
     /// boundaries, of filling a [`crate::PageBuilder`] and writing each
-    /// page as it fills; [`SpillWriter::finish`] writes the partial tail.
+    /// page as it fills; [`SpillWriter::finish`] ends the partial tail.
     pub fn push_row(&mut self, row: &[u8]) -> io::Result<()> {
         assert_eq!(row.len(), self.schema.row_width(), "spilled row width");
-        self.row_buf.extend_from_slice(row);
-        if self.row_buf.len() == self.record_bytes {
-            self.flush_rows()?;
+        if self.open_rows == 0 {
+            self.begin_record(self.record_bytes)?;
+        }
+        self.frame.extend_from_slice(row);
+        self.open_rows += 1;
+        if self.open_rows * row.len() == self.record_bytes {
+            self.end_record();
         }
         Ok(())
     }
 
-    /// Writes the pushed rows in hand, if any, as one record.
-    fn flush_rows(&mut self) -> io::Result<()> {
-        if self.row_buf.is_empty() {
-            return Ok(());
+    /// Makes room for a record of `payload` bytes — the frame leaves in
+    /// one write if it has none — and appends its header, the row count
+    /// still to come.
+    fn begin_record(&mut self, payload: usize) -> io::Result<()> {
+        if self.frame.len() + 4 + payload > self.frame.capacity() {
+            self.file.write_all(&self.frame)?;
+            self.frame.clear();
         }
-        // Detached so `write_record` can borrow the writer; handed back
-        // to keep its allocation.
-        let buf = std::mem::take(&mut self.row_buf);
-        let written = self.write_record(&buf, buf.len() / self.schema.row_width());
-        self.row_buf = buf;
-        self.row_buf.clear();
-        written
+        self.frame.extend_from_slice(&[0; 4]);
+        Ok(())
+    }
+
+    /// Ends the frame's last record, if it is open: its `open_rows`
+    /// rows are counted into its header.
+    fn end_record(&mut self) {
+        let rows = std::mem::take(&mut self.open_rows);
+        if rows > 0 {
+            let header = self.frame.len() - rows * self.schema.row_width() - 4;
+            self.frame[header..header + 4].copy_from_slice(&(rows as u32).to_le_bytes());
+            self.pages += 1;
+            self.rows += rows as u64;
+        }
     }
 
     /// Writes one page as one record, after any rows pushed before it.
     /// Empty pages are skipped.
     pub fn write_page(&mut self, page: &Page) -> io::Result<()> {
         debug_assert_eq!(page.schema().row_width(), self.schema.row_width());
-        self.flush_rows()?;
         self.write_record(page.payload(), page.rows())
     }
 
@@ -126,7 +181,6 @@ impl SpillWriter {
     pub fn write_raw_rows(&mut self, payload: &[u8], rows: usize) -> io::Result<()> {
         let w = self.schema.row_width();
         debug_assert_eq!(payload.len(), rows * w);
-        self.flush_rows()?;
         for chunk in payload.chunks(self.record_bytes) {
             self.write_record(chunk, chunk.len() / w)?;
         }
@@ -134,29 +188,28 @@ impl SpillWriter {
     }
 
     fn write_record(&mut self, payload: &[u8], rows: usize) -> io::Result<()> {
-        if rows == 0 {
-            return Ok(());
+        self.end_record();
+        if rows > 0 {
+            self.begin_record(payload.len())?;
+            self.frame.extend_from_slice(payload);
+            self.open_rows = rows;
+            self.end_record();
         }
-        self.file.write_all(&(rows as u32).to_le_bytes())?;
-        self.file.write_all(payload)?;
-        self.pages += 1;
-        self.rows += rows as u64;
-        self.bytes += payload.len() as u64;
         Ok(())
     }
 
-    /// Writes the pushed rows still in hand, flushes, and seals the
-    /// file for reading.
+    /// Ends the record of the pushed rows still in hand, writes the
+    /// last frame, and seals the file for reading.
     pub fn finish(mut self) -> io::Result<SpillFile> {
-        self.flush_rows()?;
-        self.file.flush()?;
+        self.end_record();
+        self.file.write_all(&self.frame)?;
         self.finished = true;
         Ok(SpillFile {
             path: self.path.clone(),
             schema: self.schema.clone(),
             pages: self.pages,
             rows: self.rows,
-            bytes: self.bytes,
+            bytes: self.bytes(),
         })
     }
 }
@@ -206,12 +259,20 @@ impl SpillFile {
         &self.path
     }
 
-    /// Opens the file for sequential page-at-a-time reading. The
-    /// reader owns the file, which is deleted when the reader drops.
+    /// Opens the file for sequential page-at-a-time reading with the
+    /// largest frame. The reader owns the file, which is deleted when
+    /// the reader drops.
     pub fn into_reader(self) -> io::Result<SpillReader> {
-        let file = BufReader::new(File::open(&self.path)?);
+        self.into_reader_framed(MAX_FRAME_PAGES)
+    }
+
+    /// [`SpillFile::into_reader`] with a frame of `frame_pages` pages
+    /// ([`frame_bytes`] of memory, beside the page handed out).
+    pub fn into_reader_framed(self, frame_pages: usize) -> io::Result<SpillReader> {
         Ok(SpillReader {
-            file,
+            file: File::open(&self.path)?,
+            frame: vec![0; frame_bytes(&self.schema, frame_pages.max(1))],
+            unread: 0..0,
             source: self,
             read_pages: 0,
         })
@@ -227,7 +288,12 @@ impl Drop for SpillFile {
 /// Sequential reader over a spill file's page records.
 #[derive(Debug)]
 pub struct SpillReader {
-    file: BufReader<File>,
+    file: File,
+    /// Zeroed once when the file is opened and refilled in place.
+    frame: Vec<u8>,
+    /// The part of the frame read from the file and not yet cut into
+    /// pages.
+    unread: std::ops::Range<usize>,
     source: SpillFile,
     read_pages: usize,
 }
@@ -238,28 +304,49 @@ impl SpillReader {
         &self.source.schema
     }
 
+    /// Makes the next `bytes` of the file available at the front of
+    /// `unread`. What is buffered already moves to the front of the
+    /// frame and one read fills the rest (a regular file gives all it
+    /// is asked for while it lasts); the frame grows only for a record
+    /// larger than it. A file that ends first is cut short.
+    fn buffer(&mut self, bytes: usize) -> io::Result<()> {
+        if self.unread.len() < bytes {
+            self.frame.copy_within(self.unread.clone(), 0);
+            self.unread = 0..self.unread.len();
+            self.frame.resize(self.frame.len().max(bytes), 0);
+        }
+        while self.unread.len() < bytes {
+            match self.file.read(&mut self.frame[self.unread.end..])? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                read => self.unread.end += read,
+            }
+        }
+        Ok(())
+    }
+
     /// Reads the next page, or `None` when every record has been
     /// consumed.
     pub fn next_page(&mut self) -> io::Result<Option<Arc<Page>>> {
         if self.read_pages == self.source.pages {
             return Ok(None);
         }
-        let mut header = [0u8; 4];
-        self.file.read_exact(&mut header)?;
-        let rows = u32::from_le_bytes(header) as usize;
-        let len = rows * self.source.schema.row_width();
+        self.buffer(4)?;
+        let header = &self.frame[self.unread.start..];
+        let rows = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let len = rows.saturating_mul(self.source.schema.row_width());
         if rows == 0 || len > MAX_RECORD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("corrupt spill record: {rows} rows"),
             ));
         }
-        let mut data = vec![0u8; len];
-        self.file.read_exact(&mut data)?;
+        self.buffer(4 + len)?;
+        let at = self.unread.start + 4;
+        self.unread.start = at + len;
         self.read_pages += 1;
         Ok(Some(Page::from_payload(
             self.source.schema.clone(),
-            data.into_boxed_slice(),
+            self.frame[at..at + len].into(),
             rows,
         )))
     }
