@@ -17,6 +17,15 @@
 //!   in a FIFO run queue (round-robin fairness, like the T1); each
 //!   context repeatedly pops a task, executes one step, and becomes free
 //!   again `cost` virtual time units later.
+//! * A step's effects (re-queue, wake-ups, spawns, freeing the context)
+//!   land at its end through an event heap — or *in place*, skipping
+//!   the heap, when no context is idle, nothing queued lands at or
+//!   before that end, the end is within the run's limit and the step
+//!   is not a sleep. The run loop would pop exactly those effects next,
+//!   in the same order, and no step can start between them, so the
+//!   schedule is the same either way. A one-context simulator (each
+//!   thread of the wall-clock substrate runs one) rarely touches the
+//!   heap.
 //! * Tasks communicate through bounded [`channel`]s. A full channel
 //!   throttles its producer and an empty one parks its consumer — the
 //!   finite-buffering assumption of the paper's model ("slow consumers

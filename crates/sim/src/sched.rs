@@ -1,6 +1,18 @@
 //! The event-driven scheduler: `n` contexts, FIFO run queue
 //! (round-robin fairness, like the UltraSparc T1), per-step cost
 //! accounting in virtual time.
+//!
+//! A step's effects — its task re-queued if it yielded, each woken and
+//! each spawned task made ready, its context freed — land at its `end`,
+//! queued on the event heap in that order. They are applied *in place*
+//! instead (clock to `end`, effects at once, same order) when no context
+//! is idle, every queued event is strictly later than `end` (an
+//! equal-time one has a smaller `seq` and lands first), `end` is within
+//! the run's limit and the step is not a `Sleep`: those effects are
+//! what the run loop would pop next, and with no idle context `dispatch`
+//! does nothing between them, so the schedule is unchanged. A
+//! one-context simulator touches the heap only when a task sleeps or a
+//! step ends past the run's limit.
 
 use crate::stats::{SimStats, TaskStats};
 use crate::task::{Step, StepStatus, Task, TaskCtx, TaskId};
@@ -47,7 +59,8 @@ struct TaskSlot {
     zero_spins: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Heap order is `(time, seq)`; `seq` is unique, so `Ord` here never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     ContextFree(usize),
     TaskReady(TaskId),
@@ -88,29 +101,17 @@ pub struct Simulator {
     slots: Vec<TaskSlot>,
     names: Vec<String>,
     run_queue: VecDeque<TaskId>,
-    events: BinaryHeap<Reverse<(VTime, u64, EventOrd)>>,
+    events: BinaryHeap<Reverse<(VTime, u64, Event)>>,
     idle_contexts: Vec<usize>, // kept sorted descending; pop() yields smallest
     now: VTime,
-    seq: u64,
+    /// The current `run`'s limit (`VTime::MAX` for none).
+    limit: VTime,
+    seq: u64, // one per heap push, so also their count
     busy: Vec<VTime>,
     live_tasks: usize,
     trace: Vec<crate::trace::Span>,
-}
-
-/// Orderable wrapper so the heap stays deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventOrd {
-    ContextFree(usize),
-    TaskReady(usize),
-}
-
-impl From<Event> for EventOrd {
-    fn from(e: Event) -> Self {
-        match e {
-            Event::ContextFree(c) => EventOrd::ContextFree(c),
-            Event::TaskReady(t) => EventOrd::TaskReady(t.0),
-        }
-    }
+    #[cfg(test)]
+    force_heap: bool, // apply every step through the heap
 }
 
 impl crate::task::Spawner for Simulator {
@@ -141,10 +142,13 @@ impl Simulator {
             events: BinaryHeap::new(),
             idle_contexts: idle,
             now: 0,
+            limit: VTime::MAX,
             seq: 0,
             busy: vec![0; config.contexts],
             live_tasks: 0,
             trace: Vec::new(),
+            #[cfg(test)]
+            force_heap: false,
         }
     }
 
@@ -208,6 +212,7 @@ impl Simulator {
 
     /// Runs until idle, deadlock, or (if given) a virtual-time limit.
     pub fn run(&mut self, limit: Option<VTime>) -> RunOutcome {
+        self.limit = limit.unwrap_or(VTime::MAX);
         loop {
             self.dispatch();
             let Some(&Reverse((t, _, _))) = self.events.peek() else {
@@ -222,37 +227,19 @@ impl Simulator {
                     live_tasks: self.live_tasks,
                 };
             };
-            if let Some(lim) = limit {
-                if t > lim {
-                    self.now = lim;
-                    return RunOutcome {
-                        reason: StopReason::TimeLimit,
-                        now: self.now,
-                        live_tasks: self.live_tasks,
-                    };
-                }
+            if t > self.limit {
+                // A limit already behind the clock must not rewind it.
+                self.now = self.now.max(self.limit);
+                return RunOutcome {
+                    reason: StopReason::TimeLimit,
+                    now: self.now,
+                    live_tasks: self.live_tasks,
+                };
             }
             let Reverse((t, _, ev)) = self.events.pop().expect("peeked");
             debug_assert!(t >= self.now, "time must be monotone");
             self.now = t;
-            match ev {
-                EventOrd::ContextFree(ctx) => {
-                    // Keep the idle list sorted descending so pop()
-                    // yields the lowest-numbered context first.
-                    let pos = self
-                        .idle_contexts
-                        .binary_search_by(|&c| ctx.cmp(&c))
-                        .unwrap_err();
-                    self.idle_contexts.insert(pos, ctx);
-                }
-                EventOrd::TaskReady(t) => {
-                    let id = TaskId(t);
-                    if self.slots[id.0].state == TaskState::Blocked {
-                        self.slots[id.0].state = TaskState::Ready;
-                        self.run_queue.push_back(id);
-                    }
-                }
-            }
+            self.apply_event(ev);
         }
     }
 
@@ -263,7 +250,42 @@ impl Simulator {
 
     fn push_event(&mut self, time: VTime, event: Event) {
         self.seq += 1;
-        self.events.push(Reverse((time, self.seq, event.into())));
+        self.events.push(Reverse((time, self.seq, event)));
+    }
+
+    /// Lands one effect of a step ending at `end`: at once when the step
+    /// is applied in place (the clock is already at `end`), else queued.
+    fn land(&mut self, in_place: bool, end: VTime, event: Event) {
+        if in_place {
+            self.apply_event(event);
+        } else {
+            self.push_event(end, event);
+        }
+    }
+
+    fn apply_event(&mut self, event: Event) {
+        match event {
+            Event::ContextFree(ctx) => self.free_context(ctx),
+            Event::TaskReady(id) => self.make_ready(id),
+        }
+    }
+
+    fn free_context(&mut self, ctx: usize) {
+        // Descending order, so pop() yields the lowest-numbered context.
+        let pos = self
+            .idle_contexts
+            .binary_search_by(|&c| ctx.cmp(&c))
+            .unwrap_err();
+        self.idle_contexts.insert(pos, ctx);
+    }
+
+    /// Re-queues a parked task (a no-op for one that is not parked).
+    fn make_ready(&mut self, id: TaskId) {
+        let slot = &mut self.slots[id.0];
+        if slot.state == TaskState::Blocked {
+            slot.state = TaskState::Ready;
+            self.run_queue.push_back(id);
+        }
     }
 
     /// Starts as many ready tasks as there are idle contexts, at the
@@ -334,6 +356,16 @@ impl Simulator {
                 end,
             });
         }
+        // In place: nothing else can happen before `end` (module docs).
+        let in_place = !matches!(step.status, StepStatus::Sleep(_))
+            && self.idle_contexts.is_empty()
+            && end <= self.limit
+            && self.events.peek().is_none_or(|&Reverse((t, ..))| t > end);
+        #[cfg(test)]
+        let in_place = in_place && !self.force_heap;
+        if in_place {
+            self.now = end;
+        }
         match step.status {
             StepStatus::Yield => {
                 // The task becomes runnable again when its step's cost
@@ -341,7 +373,7 @@ impl Simulator {
                 // re-queues it (the uniform wake-up path).
                 slot.task = Some(task);
                 slot.state = TaskState::Blocked;
-                self.push_event(end, Event::TaskReady(id));
+                self.land(in_place, end, Event::TaskReady(id));
             }
             StepStatus::Blocked => {
                 slot.task = Some(task);
@@ -363,7 +395,7 @@ impl Simulator {
         }
         // Effects (wake-ups, spawns) land when the step's work completes.
         for w in wakes {
-            self.push_event(end, Event::TaskReady(w));
+            self.land(in_place, end, Event::TaskReady(w));
         }
         for (name, t) in spawns {
             let new_id = TaskId(self.slots.len());
@@ -375,9 +407,9 @@ impl Simulator {
             });
             self.names.push(name);
             self.live_tasks += 1;
-            self.push_event(end, Event::TaskReady(new_id));
+            self.land(in_place, end, Event::TaskReady(new_id));
         }
-        self.push_event(end, Event::ContextFree(ctx_id));
+        self.land(in_place, end, Event::ContextFree(ctx_id));
     }
 }
 
@@ -542,9 +574,14 @@ mod tests {
         }
     }
 
-    /// Builds source -> pipe -> sink with the given per-stage costs and
-    /// returns (makespan, forwarded_count_of_last_stage).
+    /// Builds source -> pipe -> sink with the given per-stage costs, runs
+    /// it to completion and returns the makespan.
     fn run_pipeline(contexts: usize, items: u64, costs: &[VTime], cap: usize) -> VTime {
+        pipeline(contexts, items, costs, cap).now()
+    }
+
+    /// [`run_pipeline`]'s simulator after the run.
+    fn pipeline(contexts: usize, items: u64, costs: &[VTime], cap: usize) -> Simulator {
         let mut sim = Simulator::new(contexts);
         let (tx0, mut rx_prev) = channel::bounded(cap);
         sim.spawn(
@@ -585,7 +622,7 @@ mod tests {
         }
         let out = sim.run_to_idle();
         assert!(out.completed_all(), "{out:?}");
-        sim.now()
+        sim
     }
 
     #[test]
@@ -812,5 +849,258 @@ mod tests {
         sim.run_to_idle();
         // One task on four contexts: utilization = 1/4.
         assert!((sim.stats().utilization() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn time_limit_behind_the_clock_does_not_rewind_it() {
+        let mut sim = Simulator::new(1);
+        sim.spawn(
+            "burn",
+            Box::new(Burn {
+                steps: 100,
+                cost: 10,
+            }),
+        );
+        assert_eq!(sim.run(Some(550)).now, 550);
+        let out = sim.run(Some(200));
+        assert_eq!(out.reason, StopReason::TimeLimit);
+        assert_eq!((out.now, sim.now()), (550, 550));
+        assert!(sim.run_to_idle().completed_all());
+        assert_eq!(sim.now(), 1000);
+    }
+
+    #[test]
+    fn one_context_pipeline_never_touches_the_heap() {
+        let sim = pipeline(1, 200, &[10, 30, 10], 2);
+        assert_eq!(sim.seq, 0, "seq counts heap pushes");
+        assert_eq!(sim.stats().busy, vec![sim.now()]);
+    }
+
+    #[test]
+    fn two_context_lockstep_still_goes_through_the_heap() {
+        let mut sim = Simulator::new(2);
+        sim.spawn("a", Box::new(Burn { steps: 5, cost: 10 }));
+        sim.spawn("b", Box::new(Burn { steps: 5, cost: 10 }));
+        assert!(sim.run_to_idle().completed_all());
+        assert!(sim.seq > 0);
+        assert_eq!(sim.stats().busy, vec![50, 50]);
+    }
+
+    /// Deterministic test RNG (SplitMix64).
+    #[derive(Clone)]
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+        /// A step cost: small, often zero, so equal-time events collide.
+        fn cost(&mut self) -> VTime {
+            [0, 0, 1, 2, 3, 5, 8, 13][self.below(8) as usize]
+        }
+    }
+
+    /// One instruction of a [`Scripted`] task.
+    #[derive(Clone)]
+    enum Op {
+        Work(VTime),
+        Nap(VTime, VTime),
+        /// Sends one value on channel `.0`, blocking while it is full.
+        Send(usize, VTime),
+        /// Receives from channel `.0` until it is closed.
+        Drain(usize, VTime),
+        Spawn(Vec<Op>, VTime),
+    }
+
+    /// Runs its script, then closes the channels it sends on and
+    /// finishes with a step of cost `finish`.
+    struct Scripted {
+        ops: Vec<Op>,
+        pc: usize,
+        finish: VTime,
+        txs: Vec<(usize, channel::Sender<u64>)>,
+        rxs: Vec<(usize, channel::Receiver<u64>)>,
+    }
+    impl Scripted {
+        fn new(ops: Vec<Op>, finish: VTime) -> Self {
+            Self {
+                ops,
+                pc: 0,
+                finish,
+                txs: Vec::new(),
+                rxs: Vec::new(),
+            }
+        }
+    }
+    impl Task for Scripted {
+        fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+            ctx.add_progress(1.0);
+            let Some(op) = self.ops.get(self.pc).cloned() else {
+                for (_, tx) in &self.txs {
+                    tx.close(ctx);
+                }
+                return Step::done(self.finish);
+            };
+            match op {
+                Op::Work(c) => {
+                    self.pc += 1;
+                    Step::yielded(c)
+                }
+                Op::Nap(c, d) => {
+                    self.pc += 1;
+                    Step::sleep(c, d)
+                }
+                Op::Send(ch, c) => {
+                    let tx = &self.txs.iter().find(|(i, _)| *i == ch).expect("sender").1;
+                    match tx.try_send(self.pc as u64, ctx) {
+                        Ok(()) => {
+                            self.pc += 1;
+                            Step::yielded(c)
+                        }
+                        Err(_) => Step::blocked(0),
+                    }
+                }
+                Op::Drain(ch, c) => {
+                    let rx = &self.rxs.iter().find(|(i, _)| *i == ch).expect("receiver").1;
+                    match rx.try_recv(ctx) {
+                        Recv::Value(_) => Step::yielded(c),
+                        Recv::Empty => Step::blocked(0),
+                        Recv::Closed => {
+                            self.pc += 1;
+                            Step::yielded(0)
+                        }
+                    }
+                }
+                Op::Spawn(child, c) => {
+                    self.pc += 1;
+                    ctx.spawn("child", Box::new(Scripted::new(child, c)));
+                    Step::yielded(c)
+                }
+            }
+        }
+    }
+
+    /// A random task set: contexts, `(capacity, producer, consumer)`
+    /// per channel, and each task's script and final cost.
+    struct Spec {
+        contexts: usize,
+        channels: Vec<(usize, usize, usize)>,
+        tasks: Vec<(Vec<Op>, VTime)>,
+    }
+
+    fn random_ops(rng: &mut Rng, len: u64, depth: u32) -> Vec<Op> {
+        let kinds = if depth > 0 { 4 } else { 3 };
+        (0..len)
+            .map(|_| match rng.below(kinds) {
+                0 | 1 => Op::Work(rng.cost()),
+                2 => Op::Nap(rng.cost(), [0, 0, 1, 7, 40][rng.below(5) as usize]),
+                _ => {
+                    let len = rng.below(4);
+                    Op::Spawn(random_ops(rng, len, depth - 1), rng.cost())
+                }
+            })
+            .collect()
+    }
+
+    fn random_spec(rng: &mut Rng) -> Spec {
+        let contexts = 1 + rng.below(4) as usize;
+        let n = 1 + rng.below(5) as usize;
+        let mut scripts: Vec<Vec<Op>> = (0..n)
+            .map(|_| {
+                let len = rng.below(8);
+                random_ops(rng, len, 2)
+            })
+            .collect();
+        let mut channels = Vec::new();
+        let n_channels = if n > 1 { rng.below(4) as usize } else { 0 };
+        for ch in 0..n_channels {
+            let producer = rng.below(n as u64) as usize;
+            let consumer = (producer + 1 + rng.below(n as u64 - 1) as usize) % n;
+            channels.push((1 + rng.below(3) as usize, producer, consumer));
+            for _ in 0..rng.below(7) {
+                let at = rng.below(scripts[producer].len() as u64 + 1) as usize;
+                scripts[producer].insert(at, Op::Send(ch, rng.cost()));
+            }
+            let at = rng.below(scripts[consumer].len() as u64 + 1) as usize;
+            scripts[consumer].insert(at, Op::Drain(ch, rng.cost()));
+        }
+        let tasks = scripts.into_iter().map(|s| (s, rng.cost())).collect();
+        Spec {
+            contexts,
+            channels,
+            tasks,
+        }
+    }
+
+    /// Everything a schedule determines: each run's outcome, per-task
+    /// stats, per-context busy time and the trace.
+    type Observed = (
+        Vec<RunOutcome>,
+        Vec<(String, TaskStats)>,
+        Vec<VTime>,
+        Vec<crate::trace::Span>,
+    );
+
+    /// Builds `spec`, runs it in slices cut by `rng` (some limits behind
+    /// the clock) and then to idle; returns what it observed and the
+    /// heap pushes it took.
+    fn observe(spec: &Spec, mut rng: Rng, force_heap: bool) -> (Observed, u64) {
+        let mut sim = Simulator::with_config(SimConfig {
+            contexts: spec.contexts,
+            trace: true,
+            ..SimConfig::default()
+        });
+        sim.force_heap = force_heap;
+        let mut tasks: Vec<Scripted> = spec
+            .tasks
+            .iter()
+            .map(|(ops, finish)| Scripted::new(ops.clone(), *finish))
+            .collect();
+        for (ch, &(cap, producer, consumer)) in spec.channels.iter().enumerate() {
+            let (tx, rx) = channel::bounded(cap);
+            tasks[producer].txs.push((ch, tx));
+            tasks[consumer].rxs.push((ch, rx));
+        }
+        for (i, t) in tasks.into_iter().enumerate() {
+            sim.spawn(format!("t{i}"), Box::new(t));
+        }
+        let mut outcomes = Vec::new();
+        for _ in 0..rng.below(12) {
+            let limit = (sim.now() + rng.below(60)).saturating_sub(10);
+            let out = sim.run(Some(limit));
+            outcomes.push(out);
+            if out.reason != StopReason::TimeLimit {
+                break;
+            }
+        }
+        outcomes.push(sim.run_to_idle());
+        let stats = sim
+            .all_task_stats()
+            .map(|(_, name, s)| (name.to_string(), *s))
+            .collect();
+        let observed = (outcomes, stats, sim.stats().busy, sim.trace().to_vec());
+        (observed, sim.seq)
+    }
+
+    #[test]
+    fn in_place_steps_schedule_exactly_like_the_heap() {
+        let (mut heap_pushes, mut in_place_pushes) = (0, 0);
+        for case in 0..2000u64 {
+            let mut rng = Rng(case);
+            let spec = random_spec(&mut rng);
+            let (heap, pushed) = observe(&spec, rng.clone(), true);
+            heap_pushes += pushed;
+            let (in_place, pushed) = observe(&spec, rng, false);
+            in_place_pushes += pushed;
+            assert_eq!(in_place, heap, "case {case}");
+        }
+        // Both paths were exercised, side by side in the same runs.
+        assert!(
+            0 < in_place_pushes && in_place_pushes < heap_pushes,
+            "{in_place_pushes} of {heap_pushes} pushes left"
+        );
     }
 }
