@@ -13,6 +13,22 @@
 //! lookup walks its bucket's chain and keeps the rows whose stored key
 //! matches. Probe keys are gathered page-at-a-time too.
 //!
+//! # Existence joins keep keys
+//!
+//! A semi or anti join only ever asks whether a probe key has a build
+//! match, so its build side keeps keys and nothing else: its tables are
+//! [`BuildTable`]s at row width 0, which hold each kept key's 8 bytes
+//! and no arena, and the kernel grants exactly that, 8 B a kept key. A
+//! build key equal to the last key the join kept is skipped, checked
+//! across pages, so a run of one key keeps its first. Every key of a
+//! run routes to the same partition, so the collapse needs no hashing;
+//! inputs clustered on the join key (`lineitem` on its order key, TPC-H
+//! Q4's build side) arrive in such runs. On unclustered input nothing
+//! collapses and the table holds 8 B a row. A key-only partition spills
+//! to a one-column `Int` schema, and everything that reads a build
+//! partition back — reload, repartitioning — reads that stored schema
+//! and its key column 0.
+//!
 //! # Out-of-core operation (dynamic hybrid hash join)
 //!
 //! With a budgeted [`MemoryBroker`](crate::MemoryBroker) the join
@@ -47,13 +63,13 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::{SpillContext, SpillCursor, SpillStream};
+use crate::memory::{SpillContext, SpillCursor, SpillIo, SpillStream};
 use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
 use cordoba_sim::VTime;
 use cordoba_storage::spill::SpillFile;
-use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
+use cordoba_storage::{DataType, Field, Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -70,11 +86,17 @@ const MAX_PARTITIONS: usize = 64;
 /// Sentinel terminating a bucket chain; build rows are numbered below it.
 const NIL: u32 = u32::MAX;
 
+/// What a key-only table holds for each key, and what it is granted.
+const KEY_BYTES: usize = 8;
+
 /// The arena-backed hash-join build table: contiguous fixed-width row
 /// bytes and, beside them, each row's key — row `i` is
 /// `arena[i * row_width..]`. Insertion only appends (no per-row heap
 /// allocation, no hashing); the bucket directory is built in one pass
 /// by the first lookup after an insert.
+///
+/// At row width 0 the table is key-only, what an existence join keeps:
+/// its keys and no arena, and each match is an empty row.
 #[derive(Debug, Default)]
 pub struct BuildTable {
     arena: Vec<u8>,
@@ -120,7 +142,8 @@ impl Directory {
 }
 
 impl BuildTable {
-    /// Creates an empty build table for rows of `row_width` bytes.
+    /// Creates an empty build table for rows of `row_width` bytes; at
+    /// row width 0, a key-only table.
     pub fn new(row_width: usize) -> Self {
         Self {
             row_width,
@@ -133,9 +156,14 @@ impl BuildTable {
         self.keys.len()
     }
 
-    /// Arena bytes in use (diagnostics / memory accounting).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
+    /// Bytes held for the rows, what the join is granted for the table:
+    /// the arena, or at row width 0 the keys.
+    pub fn bytes(&self) -> usize {
+        if self.row_width == 0 {
+            self.keys.len() * KEY_BYTES
+        } else {
+            self.arena.len()
+        }
     }
 
     /// The raw row arena — `rows()` contiguous rows of `row_width`
@@ -156,19 +184,22 @@ impl BuildTable {
     }
 
     /// Inserts every row of `page`, keyed by Int column `key_col`: one
-    /// bulk payload copy plus one gathered key column. A lookup after
+    /// bulk payload copy plus one gathered key column (at row width 0,
+    /// the key column alone, whatever the page's width). A lookup after
     /// this rebuilds the bucket directory over all rows, so insert
     /// everything first.
     ///
     /// # Panics
     ///
-    /// Panics if the page's rows are not `row_width` wide or the table
-    /// would hold `u32::MAX` rows or more (chain links are `u32` row
-    /// numbers; arena offsets are `usize` and have no limit of their
-    /// own).
+    /// Panics if the page's rows are not `row_width` wide (at a nonzero
+    /// width) or the table would hold `u32::MAX` rows or more (chain
+    /// links are `u32` row numbers; arena offsets are `usize` and have
+    /// no limit of their own).
     pub fn insert_page(&mut self, page: &Page, key_col: usize) {
-        assert_eq!(page.schema().row_width(), self.row_width);
-        self.arena.extend_from_slice(page.payload());
+        if self.row_width > 0 {
+            assert_eq!(page.schema().row_width(), self.row_width);
+            self.arena.extend_from_slice(page.payload());
+        }
         page.gather_i64(key_col, &mut self.key_scratch);
         self.keys.extend_from_slice(&self.key_scratch);
         self.appended();
@@ -186,6 +217,17 @@ impl BuildTable {
         self.arena.extend_from_slice(raw);
         self.keys.push(key);
         self.appended();
+    }
+
+    /// Writes the rows to `stream`: the arena in one bulk push, or at
+    /// row width 0 each key as an 8-byte row.
+    fn spill_to(&self, io: &SpillIo<'_>, stream: &mut SpillStream) -> Result<(), ExecError> {
+        if self.row_width > 0 {
+            return io.push_rows(stream, &self.arena, self.rows());
+        }
+        self.keys
+            .iter()
+            .try_for_each(|key| io.push(stream, &key.to_le_bytes()))
     }
 
     /// Whether any build row has `key`.
@@ -268,10 +310,10 @@ fn initial_partitions(budget: Option<usize>) -> usize {
 enum BuildPart {
     Resident {
         table: BuildTable,
-        /// Bytes granted for `table`'s arena.
+        /// Bytes granted for `table` ([`BuildTable::bytes`]).
         granted: usize,
     },
-    /// The open row stream.
+    /// The open stream of stored rows.
     Spilling(SpillStream),
 }
 
@@ -279,11 +321,11 @@ enum BuildPart {
 enum ProbePart {
     Resident {
         table: BuildTable,
-        /// Bytes granted for `table`'s arena.
+        /// Bytes granted for `table` ([`BuildTable::bytes`]).
         granted: usize,
     },
     Spilled {
-        /// The sealed build rows.
+        /// The sealed stored rows.
         build: SpillFile,
         /// Probe rows routed here, once there are any.
         probe: Option<SpillStream>,
@@ -327,6 +369,13 @@ pub struct HashJoinKernel {
     probe_cost: OpCost,
     build_schema: Arc<Schema>,
     probe_schema: Arc<Schema>,
+    /// What the build side keeps, spills and reloads: its rows, or for
+    /// an existence join its keys alone, as one `Int` column ...
+    stored: Arc<Schema>,
+    /// ... keyed by this column of it.
+    stored_key: usize,
+    /// The last build key an existence join kept.
+    last_key: Option<i64>,
     build_defaults: Vec<u8>,
     builder: PageBuilder,
     tail: Tail,
@@ -373,14 +422,15 @@ impl HashJoinKernel {
     ) -> Result<Self, ExecError> {
         int_key("hash join build", &build_schema, build_key)?;
         int_key("hash join probe", &probe_schema, probe_key)?;
+        let (stored, stored_key) = match kind {
+            JoinKind::Semi | JoinKind::Anti => {
+                let key = Field::new(build_schema.fields()[build_key].name.clone(), DataType::Int);
+                (Schema::new(vec![key]), 0)
+            }
+            JoinKind::Inner | JoinKind::LeftOuter => (build_schema.clone(), build_key),
+        };
         let parts = initial_partitions(spill.broker.budget());
-        let build_parts = (0..parts)
-            .map(|_| BuildPart::Resident {
-                table: BuildTable::new(build_schema.row_width()),
-                granted: 0,
-            })
-            .collect();
-        Ok(Self {
+        let mut join = Self {
             build_key,
             probe_key,
             kind,
@@ -389,27 +439,57 @@ impl HashJoinKernel {
             build_defaults: default_row_bytes(&build_schema),
             build_schema,
             probe_schema,
+            stored,
+            stored_key,
+            last_key: None,
             builder: PageBuilder::new(out_schema),
             tail: Tail::Flush,
             keys: Vec::new(),
             routed: Vec::new(),
             frame: spill.frame_pages(2 * parts),
             spill,
-            build_parts,
+            build_parts: VecDeque::new(),
             probe_parts: Vec::new(),
             pending: VecDeque::new(),
             active: None,
+        };
+        join.build_parts = (0..parts)
+            .map(|_| BuildPart::Resident {
+                table: join.new_table(),
+                granted: 0,
+            })
+            .collect();
+        Ok(join)
+    }
+
+    /// Whether the join only asks if a build key exists, and so keeps
+    /// keys alone.
+    fn keys_only(&self) -> bool {
+        matches!(self.kind, JoinKind::Semi | JoinKind::Anti)
+    }
+
+    /// An empty build table: key-only for an existence join.
+    fn new_table(&self) -> BuildTable {
+        BuildTable::new(if self.keys_only() {
+            0
+        } else {
+            self.stored.row_width()
         })
     }
 
     /// Routes one build page into the partitions, spilling victims
-    /// until the resident demand fits the budget.
+    /// until the resident demand fits the budget. An existence join
+    /// first drops each key equal to the one kept before it.
     fn build_page(&mut self, page: &Page) -> Result<(), ExecError> {
-        let w = self.build_schema.row_width();
-        if let [BuildPart::Resident { table, granted }] = self.build_parts.make_contiguous() {
-            // Unbounded fast path: bulk arena append, as before the
-            // broker existed (try_grant on an unbounded broker always
-            // succeeds; it exists to keep the accounting honest).
+        let keys_only = self.keys_only();
+        if let (false, [BuildPart::Resident { table, granted }]) =
+            (keys_only, self.build_parts.make_contiguous())
+        {
+            // Unbounded fast path of a row table: bulk arena append, as
+            // before the broker existed (try_grant on an unbounded
+            // broker always succeeds; it exists to keep the accounting
+            // honest). Key-only tables take the routed path below, which
+            // collapses runs first.
             let bytes = page.byte_len();
             self.spill.broker.try_grant(bytes);
             *granted += bytes;
@@ -417,6 +497,11 @@ impl HashJoinKernel {
             return Ok(());
         }
         page.gather_i64(self.build_key, &mut self.keys);
+        if keys_only {
+            let last = &mut self.last_key;
+            self.keys.retain(|&key| last.replace(key) != Some(key));
+        }
+        let w = self.stored.row_width();
         let parts = self.build_parts.len();
         self.routed.clear();
         self.routed.resize(parts, 0);
@@ -433,7 +518,7 @@ impl HashJoinKernel {
             // Room is kept for the frame the next victim's stream takes
             // before its arena is released.
             let spill = &self.spill;
-            if demand == 0 || spill.grant_beside(demand, &self.build_schema, self.frame) {
+            if demand == 0 || spill.grant_beside(demand, &self.stored, self.frame) {
                 break;
             }
             if !self.spill_victim()? {
@@ -451,6 +536,15 @@ impl HashJoinKernel {
             }
         }
         let io = self.spill.io(OP);
+        if keys_only {
+            for &key in &self.keys {
+                match &mut self.build_parts[partition_of(key, 0, parts)] {
+                    BuildPart::Resident { table, .. } => table.insert_row(key, &[]),
+                    BuildPart::Spilling(stream) => io.push(stream, &key.to_le_bytes())?,
+                }
+            }
+            return Ok(());
+        }
         for (raw, &key) in page.raw_rows().zip(&self.keys) {
             match &mut self.build_parts[partition_of(key, 0, parts)] {
                 BuildPart::Resident { table, .. } => table.insert_row(key, raw),
@@ -471,9 +565,9 @@ impl HashJoinKernel {
             return Ok(false);
         };
         let io = self.spill.io(OP);
-        let mut stream = io.create(self.build_schema.clone(), self.frame)?;
+        let mut stream = io.create(self.stored.clone(), self.frame)?;
         if let BuildPart::Resident { table, .. } = victim {
-            io.push_rows(&mut stream, table.arena(), table.rows())?;
+            table.spill_to(&io, &mut stream)?;
         }
         self.spill.broker.release(granted);
         *victim = BuildPart::Spilling(stream);
@@ -624,11 +718,11 @@ impl HashJoinKernel {
     fn load_pair(&self, pair: SpillPair) -> Result<(BuildTable, SpillCursor), ExecError> {
         let io = self.spill.io(OP);
         let frame = self.spill.frame_pages(2);
-        let mut table = BuildTable::new(self.build_schema.row_width());
+        let mut table = self.new_table();
         if let Some(file) = pair.build {
             let mut reader = io.open(file, frame)?;
             while let Some(page) = io.next_page(&mut reader)? {
-                table.insert_page(&page, self.build_key);
+                table.insert_page(&page, self.stored_key);
             }
         }
         Ok((table, io.open(pair.probe, frame)?))
@@ -644,7 +738,7 @@ impl HashJoinKernel {
             .clamp(2, MAX_PARTITIONS);
         let level = pair.level;
         let builds = match pair.build {
-            Some(file) => self.split_file(file, self.build_key, fan, level)?,
+            Some(file) => self.split_file(file, self.stored_key, fan, level)?,
             None => (0..fan).map(|_| None).collect(),
         };
         let probes = self.split_file(pair.probe, self.probe_key, fan, level)?;
@@ -833,7 +927,9 @@ mod tests {
     use super::*;
     use crate::ops::testutil::{drive, pages_of, run_shell};
     use crate::plan::concat_schemas;
-    use cordoba_storage::{DataType, Field, TableBuilder, Value};
+    use crate::wiring::page_rows;
+    use cordoba_storage::{TableBuilder, Value};
+    use std::path::PathBuf;
 
     fn build_side() -> (Arc<Schema>, Vec<Vec<Value>>) {
         let schema = Schema::new(vec![
@@ -875,7 +971,7 @@ mod tests {
             bt.insert_page(page, 0);
         }
         assert_eq!(bt.rows(), 4);
-        assert_eq!(bt.arena_bytes(), 4 * schema.row_width());
+        assert_eq!(bt.bytes(), 4 * schema.row_width());
         assert!(bt.contains(1) && bt.contains(2) && bt.contains(4));
         assert!(!bt.contains(3));
         // Key 2's two rows come back in build order (20 then 21).
@@ -1208,5 +1304,158 @@ mod tests {
             broker.peak(),
             budget
         );
+    }
+
+    /// `n` build rows `(i / run, i)`: keys in runs of `run`, clustered
+    /// on the key as `lineitem` is on its order key.
+    fn clustered_rows(n: i64, run: i64) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| vec![Value::Int(i / run), Value::Int(i)])
+            .collect()
+    }
+
+    /// `rows` in a scattered order (`i * 7919 % n` for prime 7919, a
+    /// permutation when 7919 does not divide `n`): the runs broken up.
+    fn scattered(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        let n = rows.len();
+        (0..n).map(|i| rows[i * 7919 % n].clone()).collect()
+    }
+
+    /// 3 000 probe rows `((i * 7) % 2000, i)`, in probe order.
+    fn probe_rows() -> Vec<Vec<Value>> {
+        (0..3000)
+            .map(|i| vec![Value::Int((i * 7) % 2000), Value::Int(i)])
+            .collect()
+    }
+
+    /// What an existence join of `kind` over build keys `0..keys` emits:
+    /// the matching (semi) or unmatched (anti) probe rows in probe order.
+    fn existence(kind: JoinKind, keys: i64, probe: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        let semi = kind == JoinKind::Semi;
+        let matched = |row: &&Vec<Value>| row[0].as_int().is_some_and(|k| k < keys);
+        probe
+            .iter()
+            .filter(|row| matched(row) == semi)
+            .cloned()
+            .collect()
+    }
+
+    /// Rows stably ordered by their key: each key's rows keep the order
+    /// they came in (spilled partitions only reorder across keys).
+    fn by_key(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort_by_key(|row| row[0].as_int());
+        rows
+    }
+
+    /// A budgeted spill context whose directory does not exist yet: the
+    /// first spill file a join opens creates it.
+    fn fresh_dir_budget(tag: &str, budget: usize) -> (SpillContext, PathBuf) {
+        let name = format!("cordoba-hash-join-{tag}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spill = SpillContext::with_budget(budget);
+        spill.dir = dir.clone();
+        (spill, dir)
+    }
+
+    #[test]
+    fn an_existence_join_whose_keys_fit_opens_no_spill_file() {
+        // 40 000 build rows (625 KiB) against a 16-page (64 KiB) budget,
+        // but 1 000 keys in runs of 40: kept as keys, one per run, the
+        // build side is 8 KB and stays resident.
+        let (bs, _) = build_side();
+        let (ps, _) = probe_side();
+        let budget = 16 * PAGE_SIZE;
+        for kind in [JoinKind::Semi, JoinKind::Anti] {
+            let (spill, dir) = fresh_dir_budget(&format!("{kind:?}-fits"), budget);
+            let broker = spill.broker.clone();
+            let build = (bs.clone(), clustered_rows(40_000, 40));
+            let got = run_join_rows(kind, spill, build, (ps.clone(), probe_rows()));
+            assert_eq!(got, existence(kind, 1000, &probe_rows()), "{kind:?}");
+            assert!(!dir.exists(), "{kind:?}: a spill file was opened");
+            assert!(broker.peak() <= budget, "{kind:?}: peak {}", broker.peak());
+            assert_eq!(broker.used(), 0, "{kind:?}");
+        }
+    }
+
+    /// The ([`SpillFile`]) build sides of the partitions that spilled.
+    fn spilled_builds(join: &HashJoinKernel) -> Vec<&SpillFile> {
+        let spilled = join.probe_parts.iter().filter_map(|part| match part {
+            ProbePart::Spilled { build, .. } => Some(build),
+            ProbePart::Resident { .. } => None,
+        });
+        spilled.collect()
+    }
+
+    #[test]
+    fn a_scattered_existence_join_spills_eight_byte_keys_inside_its_budget() {
+        // The same rows with their runs broken up: nothing collapses, and
+        // 40 000 keys (312 KiB) cannot stay inside 64 KiB.
+        let (bs, _) = build_side();
+        let (ps, _) = probe_side();
+        let budget = 16 * PAGE_SIZE;
+        let build = pages_of(&bs, &scattered(&clustered_rows(40_000, 40)));
+        let probe = pages_of(&ps, &probe_rows());
+        for kind in [JoinKind::Semi, JoinKind::Anti] {
+            let (spill, dir) = fresh_dir_budget(&format!("{kind:?}-scattered"), budget);
+            let broker = spill.broker.clone();
+            let mut join = join_of(kind, spill, &bs, &ps);
+            let mut out = Pages::new();
+            for page in &build {
+                join.on_page(0, page, &mut out).expect("build page");
+            }
+            join.on_close(0, &mut out).expect("end of build");
+            let spilled = spilled_builds(&join);
+            assert!(!spilled.is_empty(), "{kind:?}: nothing spilled");
+            for file in spilled {
+                assert_eq!(file.schema().fields().len(), 1, "{kind:?}: a key column");
+                assert_eq!(file.bytes(), file.rows() * KEY_BYTES as u64, "{kind:?}");
+            }
+            for page in &probe {
+                join.on_page(1, page, &mut out).expect("probe page");
+            }
+            join.on_close(1, &mut out).expect("end of probe");
+            while !join.drain(&mut out).expect("spilled pairs").1 {}
+            let want = existence(kind, 1000, &probe_rows());
+            assert_eq!(by_key(page_rows(&out)), by_key(want), "{kind:?}");
+            assert!(broker.peak() <= budget, "{kind:?}: peak {}", broker.peak());
+            assert_eq!(broker.used(), 0, "{kind:?}");
+            let left = std::fs::read_dir(&dir).expect("spill dir").count();
+            assert_eq!(left, 0, "{kind:?}: spill files left behind");
+            std::fs::remove_dir(&dir).expect("empty spill dir");
+        }
+    }
+
+    #[test]
+    fn a_one_page_budget_repartitions_a_key_file() {
+        // 8 000 scattered keys are 62.5 KiB in two partitions against a
+        // 4 KiB budget: neither key file fits when its pair starts, so
+        // each is split by the next level's hash, as key files again.
+        let (bs, _) = build_side();
+        let (ps, _) = probe_side();
+        let build = pages_of(&bs, &scattered(&clustered_rows(8000, 1)));
+        let probe = pages_of(&ps, &probe_rows());
+        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let broker = spill.broker.clone();
+        let mut join = join_of(JoinKind::Semi, spill, &bs, &ps);
+        let mut out = Pages::new();
+        for (port, pages) in [&build, &probe].into_iter().enumerate() {
+            for page in pages {
+                join.on_page(port, page, &mut out).expect("input page");
+            }
+            join.on_close(port, &mut out).expect("end of input");
+        }
+        let mut split_key_files = 0;
+        while !join.drain(&mut out).expect("spilled pairs").1 {
+            let split = join.pending.iter().filter(|pair| pair.level > 1);
+            let key_files = split.filter_map(|pair| pair.build.as_ref());
+            split_key_files += key_files
+                .filter(|file| file.schema().row_width() == KEY_BYTES)
+                .count();
+        }
+        assert!(split_key_files > 0, "no key file was repartitioned");
+        let want = existence(JoinKind::Semi, 8000, &probe_rows());
+        assert_eq!(by_key(page_rows(&out)), by_key(want));
+        assert_eq!(broker.used(), 0);
     }
 }

@@ -64,6 +64,18 @@ enum Cut {
     MidHeader,
 }
 
+/// When [`run_to_fault`] cuts the spill files short.
+#[derive(Debug, Clone, Copy)]
+enum When {
+    /// Before the kernel's step `n` (counted from 0), inputs still
+    /// arriving: a stream still being written goes on past the cut,
+    /// over a hole its reader finds zeroed.
+    Step(usize),
+    /// Two steps after the last input ran dry — once the kernel has
+    /// been told and has begun to drain.
+    Drained,
+}
+
 /// Cuts every spill file in `dir` short: what is left to read of an
 /// open stream ends before the records its writer counted.
 fn ruin_spill_files(dir: &PathBuf, cut: Cut) {
@@ -86,16 +98,15 @@ fn ruin_spill_files(dir: &PathBuf, cut: Cut) {
 }
 
 /// Runs `kernel` behind a shell over `inputs`, a consumer reading every
-/// page as it arrives. With `ruin_after_inputs`, the spill files are
-/// ruined two steps after the last input ran dry — once the kernel has
-/// been told and has begun to drain. Returns the fault and how many
-/// pages the consumer read, having checked that the inputs are closed
-/// and that the consumer was left with end-of-stream.
+/// page as it arrives. With `ruin`, the spill files in its directory are
+/// cut as it says, when it says. Returns the fault and how many pages
+/// the consumer read, having checked that the inputs are closed and
+/// that the consumer was left with end-of-stream.
 fn run_to_fault(
     kernel: Box<dyn Kernel>,
     inputs: Vec<Vec<Arc<Page>>>,
     spill: &SpillContext,
-    ruin_after_inputs: Option<(&PathBuf, Cut)>,
+    ruin: Option<(&PathBuf, Cut, When)>,
 ) -> (ExecError, usize) {
     let mut detached = DetachedCtx::new();
     let mut rxs = Vec::new();
@@ -110,7 +121,7 @@ fn run_to_fault(
     let (tx, out) = channel::bounded(4);
     let fanout = Fanout::new(vec![tx], 0.0);
     let mut shell = OperatorShell::new(kernel, rxs.clone(), fanout, spill.fault.clone());
-    let (mut read, mut dry_steps) = (0, 0);
+    let (mut read, mut steps, mut dry_steps) = (0, 0, 0);
     let mut failed = false;
     // (A step delivers what earlier steps produced before it reads the
     // page that fails it, so the last pages are read after that step.)
@@ -122,9 +133,16 @@ fn run_to_fault(
                 if rxs.iter().all(|rx| rx.is_finished()) {
                     dry_steps += 1;
                 }
-                if let (3, Some((dir, cut))) = (dry_steps, ruin_after_inputs) {
-                    ruin_spill_files(dir, cut);
+                if let Some((dir, cut, when)) = ruin {
+                    let due = match when {
+                        When::Step(n) => steps == n,
+                        When::Drained => dry_steps == 3,
+                    };
+                    if due {
+                        ruin_spill_files(dir, cut);
+                    }
                 }
+                steps += 1;
                 let step = shell.step(&mut detached.ctx(2));
                 failed = step.status == StepStatus::Done;
                 assert!(!failed || step.cost == 1, "the failure step");
@@ -173,7 +191,7 @@ fn a_failed_sort_returns_its_memory_and_files() {
 
     for cut in [Cut::Everything, Cut::MidFrame, Cut::MidHeader] {
         let (spill, broker, dir) = budgeted("sort-merge", 4 * PAGE_SIZE);
-        let ruin = Some((&dir, cut));
+        let ruin = Some((&dir, cut, When::Drained));
         let (err, read) = run_to_fault(sort(&spill), vec![pages.clone()], &spill, ruin);
         assert!(
             matches!(err, ExecError::Spill { op: "sort", .. }),
@@ -219,7 +237,8 @@ fn a_failed_hash_join_returns_its_memory_and_files() {
     for cut in [Cut::Everything, Cut::MidFrame, Cut::MidHeader] {
         let (spill, broker, dir) = budgeted("join-pairs", 8 * PAGE_SIZE);
         let inputs = vec![build.clone(), probe.clone()];
-        let (err, _) = run_to_fault(join(&spill), inputs, &spill, Some((&dir, cut)));
+        let ruin = Some((&dir, cut, When::Drained));
+        let (err, _) = run_to_fault(join(&spill), inputs, &spill, ruin);
         let spill_fault = matches!(
             err,
             ExecError::Spill {
@@ -229,6 +248,39 @@ fn a_failed_hash_join_returns_its_memory_and_files() {
         );
         assert!(spill_fault, "{cut:?}: {err:?}");
         assert_nothing_left("mid-spill-join", &broker, &dir);
+    }
+}
+
+#[test]
+fn a_semi_join_whose_key_files_are_cut_returns_its_memory_and_files() {
+    // 16 000 distinct scattered build keys, 125 KiB even kept as keys,
+    // under an eight-page budget: key-only partitions spill. Their files
+    // are cut once mid-build-spill, 40 of 63 build pages in, while the
+    // build still writes them (the only spill files there are then),
+    // and once mid-spilled-pair, key files among the probe files.
+    let semi = |spill: &SpillContext| {
+        let (k, s, cost) = (JoinKind::Semi, kv_schema(), OpCost::default());
+        let spill = spill.clone();
+        let join = HashJoinKernel::new(0, 0, k, s.clone(), s.clone(), s, cost, cost, spill);
+        Box::new(join.expect("valid keys"))
+    };
+    let inputs = vec![kv_pages(16_000, 16_000), kv_pages(3000, 16_000)];
+    for (at, cut, when) in [
+        ("mid-build-spill", Cut::Everything, When::Step(40)),
+        ("mid-spilled-pair", Cut::MidFrame, When::Drained),
+    ] {
+        let (spill, broker, dir) = budgeted(&format!("semi-{at}"), 8 * PAGE_SIZE);
+        let ruin = Some((&dir, cut, when));
+        let (err, _) = run_to_fault(semi(&spill), inputs.clone(), &spill, ruin);
+        let spill_fault = matches!(
+            err,
+            ExecError::Spill {
+                op: "hash join",
+                ..
+            }
+        );
+        assert!(spill_fault, "{at}: {err:?}");
+        assert_nothing_left(at, &broker, &dir);
     }
 }
 
