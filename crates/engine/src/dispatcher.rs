@@ -22,7 +22,7 @@ use crate::fragment_cache::CachedFragment;
 use crate::policy::{OverlapInfo, Policy};
 use crate::query::QuerySpec;
 use crate::sharing::split_with_residual;
-use cordoba_exec::ops::{Fanout, ScanTask, SinkTask};
+use cordoba_exec::ops::{Fanout, OperatorShell, ScanKernel, SinkKernel};
 use cordoba_exec::subsume::{coverage_estimate, fingerprint, subsume_residual};
 use cordoba_exec::wiring::{instantiate_into, WiringConfig};
 use cordoba_exec::{ExecError, FaultCell, OpCost, PhysicalPlan, QueryResources};
@@ -296,15 +296,10 @@ impl DispatcherTask {
                     // Replay the cached pages: the pivot's input work is
                     // already paid; only per-consumer delivery remains.
                     let pages = hit.pages.borrow().clone();
-                    let s = root_out_per_tuple(&pivot);
-                    ctx.spawn_task(
-                        format!("g{gid}/cached"),
-                        Box::new(ScanTask::new(
-                            pages,
-                            OpCost::per_tuple(0.0),
-                            Fanout::new(outs, s),
-                        )),
-                    );
+                    let replay = Box::new(ScanKernel::new(pages, OpCost::per_tuple(0.0)));
+                    let fanout = Fanout::new(outs, root_out_per_tuple(&pivot));
+                    let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default());
+                    ctx.spawn_task(format!("g{gid}/cached"), Box::new(task));
                     pivot_fault = None;
                 } else {
                     // The shared pivot gets its own broker/fault pair;
@@ -347,15 +342,22 @@ impl DispatcherTask {
                         );
                         let ready = entry.ready.clone();
                         let fault = pivot_res.fault.clone();
-                        let sink = SinkTask::new(rx, OpCost::per_tuple(0.0))
-                            .collecting(entry.pages.clone())
-                            .on_done(Box::new(move |_ctx, _rows| {
-                                // Servable only if the pivot drained
-                                // without faulting.
-                                if fault.get().is_none() {
-                                    ready.set(true);
-                                }
-                            }));
+                        let capture =
+                            SinkKernel::new(OpCost::per_tuple(0.0)).collecting(entry.pages.clone());
+                        let none = Fanout::new(Vec::new(), 0.0);
+                        let sink = OperatorShell::new(
+                            Box::new(capture),
+                            vec![rx],
+                            none,
+                            FaultCell::default(),
+                        )
+                        .on_done(Box::new(move |_ctx| {
+                            // Servable only if the pivot drained
+                            // without faulting.
+                            if fault.get().is_none() {
+                                ready.set(true);
+                            }
+                        }));
                         ctx.spawn_task(format!("g{gid}/capture"), Box::new(sink));
                         // The cache was present when the capture channel
                         // opened, but a teardown path may have dropped it
@@ -496,11 +498,13 @@ impl DispatcherTask {
             cell.set(err.clone());
             faults.push(cell);
         }
-        let mut sink = SinkTask::new(rx, core.sink_cost);
+        let mut kernel = SinkKernel::new(core.sink_cost);
         if let Some(collect) = &core.collect {
-            sink = sink.collecting(collect[member.submission].clone());
+            kernel = kernel.collecting(collect[member.submission].clone());
         }
-        let sink = sink.on_done(Box::new(move |ctx, _rows| {
+        let none = Fanout::new(Vec::new(), 0.0);
+        let sink = OperatorShell::new(Box::new(kernel), vec![rx], none, FaultCell::default());
+        let sink = sink.on_done(Box::new(move |ctx| {
             // The engine core can be gone when a time-capped or
             // cancelled run tears down while sinks still drain; there
             // is nobody left to report to, so just exit.

@@ -9,9 +9,9 @@
 //! * runs as a cooperative [`cordoba_sim::Task`], doing one page of real
 //!   computation per step and charging a **calibrated virtual cost**
 //!   ([`OpCost`]): `per_tuple` input work (the model's `w`) plus
-//!   `out_per_tuple` per consumer delivered (the model's `s`) — for
-//!   most operators that task is the one [`ops::OperatorShell`], and
-//!   the operator itself an [`ops::Kernel`]: state plus a page function;
+//!   `out_per_tuple` per consumer delivered (the model's `s`) — that
+//!   task is the one [`ops::OperatorShell`], and the operator itself an
+//!   [`ops::Kernel`]: state plus a page function;
 //! * can fan its output out to *multiple* consumers ([`ops::Fanout`]) —
 //!   the mechanism work sharing uses, and precisely the serialization
 //!   point the paper analyzes: a pivot with `M` consumers pays

@@ -26,11 +26,10 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
-use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{encode_keyval, key_of, KeyVal};
 use crate::vexpr::{ExprScratch, NumProgram, Reg};
 use cordoba_core::FxHashMap;
-use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -493,7 +492,7 @@ impl Kernel for AggregateKernel {
     }
 
     fn ports(&self) -> Vec<Port> {
-        vec![("", self.in_schema.clone())]
+        vec![("", Some(self.in_schema.clone()))]
     }
 
     fn on_page(
@@ -517,12 +516,12 @@ impl Kernel for AggregateKernel {
     /// One batch of groups per call. Per-consumer delivery cost (`s`)
     /// is the fan-out's to charge; the unit here keeps emission steps
     /// advancing virtual time. The closing call emits nothing.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         if self.emitted {
-            return Ok((0, true));
+            return Ok(Drained::LAST);
         }
         self.emitted = self.core.emit_step(|page| out.push(page));
-        Ok((1, false))
+        Ok(Drained::batch(1))
     }
 }
 

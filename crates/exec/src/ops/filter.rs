@@ -12,9 +12,8 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Predicate;
-use crate::ops::shell::{Kernel, PageWork, Pages, Port};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port};
 use crate::vexpr::{CompiledPredicate, ExprScratch};
-use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::sync::Arc;
 
@@ -50,7 +49,7 @@ impl Kernel for FilterKernel {
     }
 
     fn ports(&self) -> Vec<Port> {
-        vec![("", self.schema.clone())]
+        vec![("", Some(self.schema.clone()))]
     }
 
     fn on_page(
@@ -73,11 +72,11 @@ impl Kernel for FilterKernel {
     }
 
     /// The partly filled tail page, if any.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         if !self.builder.is_empty() {
             out.push(self.builder.finish_and_reset());
         }
-        Ok((0, true))
+        Ok(Drained::LAST)
     }
 }
 
@@ -86,6 +85,7 @@ mod tests {
     use super::*;
     use crate::expr::CmpOp;
     use crate::ops::testutil::drive;
+    use cordoba_sim::VTime;
     use cordoba_storage::{DataType, Field, TableBuilder, Value};
 
     /// Rows kept of `0..rows`, fed in pages of eight.
@@ -149,7 +149,7 @@ mod tests {
             assert_eq!((work.cost, work.progress), (2 * rows as VTime, rows));
         }
         assert!(out.is_empty(), "500 rows fit the page in hand");
-        assert_eq!(filter.drain(&mut out), Ok((0, true)));
+        assert_eq!(filter.drain(&mut out), Ok(Drained::LAST));
         assert_eq!(out.iter().map(|p| p.rows()).collect::<Vec<_>>(), [500]);
     }
 }

@@ -64,7 +64,7 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::memory::{SpillContext, SpillCursor, SpillIo, SpillStream};
-use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
 use cordoba_sim::VTime;
@@ -844,8 +844,8 @@ impl Kernel for HashJoinKernel {
     /// The build input is read to its end before the probe input.
     fn ports(&self) -> Vec<Port> {
         vec![
-            ("build input", self.build_schema.clone()),
-            ("probe input", self.probe_schema.clone()),
+            ("build input", Some(self.build_schema.clone())),
+            ("probe input", Some(self.probe_schema.clone())),
         ]
     }
 
@@ -882,26 +882,27 @@ impl Kernel for HashJoinKernel {
         Ok(PortClosed {
             cost: 0,
             min_tick: 1,
+            last: false,
         })
     }
 
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         match self.tail {
             Tail::SpillJoin => {
                 let (cost, finished) = self.spill_join_step(out)?;
                 if finished {
                     self.tail = Tail::Flush;
                 }
-                Ok((cost, false))
+                Ok(Drained::batch(cost))
             }
             Tail::Flush => {
                 if !self.builder.is_empty() {
                     out.push(self.builder.finish_and_reset());
                 }
                 self.tail = Tail::Done;
-                Ok((1, false))
+                Ok(Drained::batch(1))
             }
-            Tail::Done => Ok((0, true)),
+            Tail::Done => Ok(Drained::LAST),
         }
     }
 
@@ -1415,7 +1416,7 @@ mod tests {
                 join.on_page(1, page, &mut out).expect("probe page");
             }
             join.on_close(1, &mut out).expect("end of probe");
-            while !join.drain(&mut out).expect("spilled pairs").1 {}
+            while !join.drain(&mut out).expect("spilled pairs").last {}
             let want = existence(kind, 1000, &probe_rows());
             assert_eq!(by_key(page_rows(&out)), by_key(want), "{kind:?}");
             assert!(broker.peak() <= budget, "{kind:?}: peak {}", broker.peak());
@@ -1446,7 +1447,7 @@ mod tests {
             join.on_close(port, &mut out).expect("end of input");
         }
         let mut split_key_files = 0;
-        while !join.drain(&mut out).expect("spilled pairs").1 {
+        while !join.drain(&mut out).expect("spilled pairs").last {
             let split = join.pending.iter().filter(|pair| pair.level > 1);
             let key_files = split.filter_map(|pair| pair.build.as_ref());
             split_key_files += key_files

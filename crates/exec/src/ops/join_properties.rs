@@ -7,14 +7,11 @@
 
 use crate::cost::OpCost;
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
-use crate::ops::testutil::CollectingSink;
 use crate::plan::{JoinKind, PhysicalPlan};
 use crate::{reference, wiring};
 use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Registers `l` and `r` as two-column (key, payload) tables.
 fn kv_catalog(left: &[(i64, i64)], right: &[(i64, i64)]) -> Catalog {
@@ -158,19 +155,10 @@ proptest! {
         let expected = reference::canonicalize(reference::execute(&catalog, &plan));
 
         let mut sim = Simulator::new(3);
-        let (rx, _ops, _fault) =
+        let (rx, _ops, res) =
             wiring::instantiate(&mut sim, &catalog, &plan, "hj", &wiring::WiringConfig::default())
                 .expect("plan wires"); // lint: allow(property-test harness; generated plans always wire)
-        let rows = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx,
-                rows: rows.clone(),
-            }),
-        );
-        prop_assert!(sim.run_to_idle().completed_all());
-        let got = reference::canonicalize(rows.borrow().clone());
-        prop_assert_eq!(got, expected);
+        let rows = wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
+        prop_assert_eq!(rows.map(reference::canonicalize), Ok(expected));
     }
 }

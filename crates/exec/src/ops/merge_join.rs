@@ -1,377 +1,262 @@
 //! Streaming inner merge join over two key-sorted inputs.
 //!
-//! Unlike the hash join, neither input is materialized: the task
-//! buffers just enough rows on each side to assemble the current
-//! equal-key groups, emits their cross product, and discards them —
-//! the fully-pipelinable merge phase of the paper's Section 5.3.2
+//! Unlike the hash join, neither input is materialized: the kernel
+//! buffers just enough of each side to assemble the current equal-key
+//! groups, emits their cross product, and discards them — the
+//! fully-pipelinable merge phase of the paper's Section 5.3.2
 //! merge-join decomposition (the blocking sorts are separate upstream
 //! operators).
 //!
-//! Join keys are extracted with one [`Page::gather_i64`] per arriving
-//! page (no per-tuple `get_int`), and the sorted-ascending input
-//! contract is checked on the gathered column. A violation does **not**
-//! abort the process: the task records a typed
-//! [`ExecError::UnsortedMergeInput`] in the query's [`FaultCell`],
-//! cancels its inputs, closes its outputs, and finishes — the query
-//! fails, the simulator (and every other query in it) keeps running.
+//! A side buffers the pages it is handed — the producer's `Arc<Page>`s,
+//! not copies — with their join keys, gathered once per page with
+//! [`Page::gather_i64`], behind a row cursor; a row's bytes are copied
+//! once, into the joined row. The shell reads the two ports
+//! interleaved, as [`Kernel::next_port`] answers: the side whose
+//! buffer is empty, otherwise the side whose last buffered key is
+//! smaller — the side the merge is starved on.
+//!
+//! The sorted-ascending input contract is checked on the gathered
+//! column. A violation does **not** abort the process: the kernel
+//! returns a typed [`ExecError::UnsortedMergeInput`] and the shell
+//! fails the query — the simulator (and every other query in it) keeps
+//! running.
 
 use crate::cost::OpCost;
-use crate::error::{ExecError, FaultCell};
-use crate::ops::{int_key, Fanout, Outbox};
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
+use crate::error::ExecError;
+use crate::ops::int_key;
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One buffered side of the merge.
+/// One input of the merge: the pages it has buffered and where the
+/// merge stands in them.
+#[derive(Default)]
 struct Side {
-    rx: Receiver<Arc<Page>>,
-    key_idx: usize,
-    name: &'static str,
-    rows: VecDeque<(i64, Box<[u8]>)>,
+    /// Buffered pages, oldest first; the front page's rows before `pos`
+    /// are consumed.
+    pages: VecDeque<Arc<Page>>,
+    pos: usize,
+    /// The keys of the rows not yet consumed, in order.
+    keys: VecDeque<i64>,
     closed: bool,
+    /// The last key this side delivered: the next may not be smaller.
     last_key: Option<i64>,
-    /// Reused gathered-key buffer (one gather per page).
-    key_buf: Vec<i64>,
 }
 
 impl Side {
-    /// Pulls one page into the buffer. Returns `Ok(Some(tuples))` when a
-    /// page arrived, `Ok(None)` when the channel was empty (waiter
-    /// registered) or just closed, and `Err` when the page violates the
-    /// sorted-ascending key contract.
-    fn pull(&mut self, ctx: &mut TaskCtx<'_>) -> Result<Option<usize>, ExecError> {
-        match self.rx.try_recv(ctx) {
-            Recv::Value(page) => {
-                let n = page.rows();
-                page.gather_i64(self.key_idx, &mut self.key_buf);
-                // Vectorized sortedness check over the gathered column:
-                // page-start continuity plus in-page monotonicity.
-                if let (Some(&first), Some(prev)) = (self.key_buf.first(), self.last_key) {
-                    if first < prev {
-                        return Err(self.unsorted(prev, first));
-                    }
-                }
-                if let Some(w) = self.key_buf.windows(2).find(|w| w[1] < w[0]) {
-                    return Err(self.unsorted(w[0], w[1]));
-                }
-                self.last_key = self.key_buf.last().copied().or(self.last_key);
-                for (&key, raw) in self.key_buf.iter().zip(page.raw_rows()) {
-                    self.rows.push_back((key, raw.to_vec().into_boxed_slice()));
-                }
-                Ok(Some(n))
-            }
-            Recv::Empty => Ok(None),
-            Recv::Closed => {
-                self.closed = true;
-                Ok(None)
-            }
+    /// Buffers `page`, whose `keys` must continue ascending.
+    fn push(
+        &mut self,
+        page: &Arc<Page>,
+        keys: &[i64],
+        side: &'static str,
+    ) -> Result<(), ExecError> {
+        // Each key against the one before it, the first against the
+        // previous page's last.
+        let prevs = self.last_key.iter().chain(keys);
+        let keys_after = keys.iter().skip(usize::from(self.last_key.is_none()));
+        if let Some((&prev, &key)) = prevs.zip(keys_after).find(|(prev, key)| key < prev) {
+            return Err(ExecError::UnsortedMergeInput { side, prev, key });
         }
+        self.last_key = keys.last().copied().or(self.last_key);
+        self.pages.push_back(page.clone());
+        self.keys.extend(keys);
+        Ok(())
     }
 
-    fn unsorted(&self, prev: i64, key: i64) -> ExecError {
-        ExecError::UnsortedMergeInput {
-            side: self.name,
-            prev,
-            key,
-        }
+    /// The length of the run of `key` under the cursor, once it is
+    /// complete: a larger key follows it, or the side has ended.
+    fn group(&self, key: i64) -> Option<usize> {
+        let len = self.keys.partition_point(|&k| k == key);
+        (len < self.keys.len() || self.closed).then_some(len)
     }
 
-    /// Whether the group starting at the buffer front is complete: a
-    /// larger key follows it, or the stream has ended.
-    fn front_group_len(&self) -> Option<usize> {
-        let (front_key, _) = self.rows.front()?;
-        match self.rows.iter().position(|(k, _)| k != front_key) {
-            Some(len) => Some(len),
-            None if self.closed => Some(self.rows.len()),
-            None => None, // group may continue in unseen pages
-        }
+    /// The first `n` rows from the cursor on, as raw bytes.
+    fn rows(&self, n: usize) -> impl Iterator<Item = &[u8]> {
+        let mut pages = self.pages.iter();
+        let first = pages.next().map(|page| page.raw_rows().skip(self.pos));
+        let rest = pages.flat_map(|page| page.raw_rows());
+        first.into_iter().flatten().chain(rest).take(n)
     }
 
-    fn exhausted(&self) -> bool {
-        self.closed && self.rows.is_empty()
+    /// Moves the cursor `n` rows on, dropping the pages it passes.
+    fn consume(&mut self, n: usize) {
+        self.keys.drain(..n);
+        self.pos += n;
+        while let Some(page) = self.pages.front().filter(|page| page.rows() <= self.pos) {
+            self.pos -= page.rows();
+            self.pages.pop_front();
+        }
     }
 }
 
-/// Merge-join task.
-pub struct MergeJoinTask {
-    left: Side,
-    right: Side,
+/// Merge-join kernel: port 0 is the left input, port 1 the right.
+pub struct MergeJoinKernel {
+    /// Each side's schema and key column.
+    inputs: [(Arc<Schema>, usize); 2],
+    sides: [Side; 2],
     cost: OpCost,
     builder: PageBuilder,
-    outbox: Outbox,
-    fault: FaultCell,
-    done: bool,
+    /// Reused gathered-key buffer (one gather per page).
+    keys: Vec<i64>,
 }
 
-impl MergeJoinTask {
-    /// Creates a merge join; `out_schema` must be left ++ right. Errs
-    /// when a key column is out of range or not `Int`.
-    #[allow(clippy::too_many_arguments)]
+impl MergeJoinKernel {
+    /// Creates a merge join of `left` and `right` on their `Int`
+    /// columns `left_key` and `right_key`; `out_schema` must be
+    /// left ++ right. Errs when a key column is out of range or not
+    /// `Int`.
     pub fn new(
-        rx_left: Receiver<Arc<Page>>,
-        rx_right: Receiver<Arc<Page>>,
-        left_schema: &Arc<Schema>,
-        right_schema: &Arc<Schema>,
+        left: Arc<Schema>,
+        right: Arc<Schema>,
         left_key: usize,
         right_key: usize,
         out_schema: Arc<Schema>,
         cost: OpCost,
-        fanout: Fanout,
-        fault: FaultCell,
     ) -> Result<Self, ExecError> {
-        int_key("merge join left", left_schema, left_key)?;
-        int_key("merge join right", right_schema, right_key)?;
+        int_key("merge join left", &left, left_key)?;
+        int_key("merge join right", &right, right_key)?;
         Ok(Self {
-            left: Side {
-                rx: rx_left,
-                key_idx: left_key,
-                name: "left",
-                rows: VecDeque::new(),
-                closed: false,
-                last_key: None,
-                key_buf: Vec::new(),
-            },
-            right: Side {
-                rx: rx_right,
-                key_idx: right_key,
-                name: "right",
-                rows: VecDeque::new(),
-                closed: false,
-                last_key: None,
-                key_buf: Vec::new(),
-            },
+            inputs: [(left, left_key), (right, right_key)],
+            sides: Default::default(),
             cost,
             builder: PageBuilder::new(out_schema),
-            outbox: Outbox::new(fanout),
-            fault,
-            done: false,
+            keys: Vec::new(),
         })
     }
 
-    /// Merges as far as the buffered rows allow. Returns emitted rows.
-    fn merge_available(&mut self) -> usize {
-        let mut emitted = 0;
-        loop {
-            // One side exhausted: nothing further can match.
-            if self.left.exhausted() || self.right.exhausted() {
-                self.left.rows.clear();
-                self.right.rows.clear();
-                if self.left.closed && self.right.closed {
-                    self.done = true;
-                }
-                return emitted;
-            }
-            let (Some(&(lk, _)), Some(&(rk, _))) =
-                (self.left.rows.front(), self.right.rows.front())
-            else {
-                return emitted; // need more input
-            };
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => {
-                    self.left.rows.pop_front();
-                }
-                std::cmp::Ordering::Greater => {
-                    self.right.rows.pop_front();
-                }
-                std::cmp::Ordering::Equal => {
-                    let (Some(lg), Some(rg)) =
-                        (self.left.front_group_len(), self.right.front_group_len())
-                    else {
-                        return emitted; // groups not complete yet
-                    };
-                    for li in 0..lg {
-                        for ri in 0..rg {
-                            let (lrow, rrow) = (&self.left.rows[li].1, &self.right.rows[ri].1);
-                            if !self.builder.push_raw_parts(lrow, rrow) {
-                                let full = self.builder.finish_and_reset();
-                                self.outbox.push(full);
-                                assert!(self.builder.push_raw_parts(lrow, rrow));
-                            }
-                            emitted += 1;
+    /// Merges as far as the buffered rows allow, emitting full pages.
+    fn merge(&mut self, out: &mut Pages) {
+        let [left, right] = &mut self.sides;
+        while let (Some(&lk), Some(&rk)) = (left.keys.front(), right.keys.front()) {
+            if lk < rk {
+                left.consume(left.keys.partition_point(|&k| k < rk));
+            } else if rk < lk {
+                right.consume(right.keys.partition_point(|&k| k < lk));
+            } else {
+                let (Some(ln), Some(rn)) = (left.group(lk), right.group(rk)) else {
+                    return; // a group may go on in pages not yet seen
+                };
+                for l in left.rows(ln) {
+                    for r in right.rows(rn) {
+                        if !self.builder.push_raw_parts(l, r) {
+                            out.push(self.builder.finish_and_reset());
+                            assert!(self.builder.push_raw_parts(l, r));
                         }
                     }
-                    self.left.rows.drain(..lg);
-                    self.right.rows.drain(..rg);
                 }
+                left.consume(ln);
+                right.consume(rn);
             }
         }
-    }
-
-    /// Fails the query: records the fault, cancels both inputs, drops
-    /// all buffered state, and closes the outputs without delivering
-    /// further pages.
-    fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
-        self.fault.set(err);
-        self.left.rx.close(ctx);
-        self.right.rx.close(ctx);
-        self.left.rows.clear();
-        self.right.rows.clear();
-        self.outbox.abandon();
-        self.outbox.close(ctx);
-        self.done = true;
-        Step::done(1)
+        if left.closed && left.keys.is_empty() || right.closed && right.keys.is_empty() {
+            // One side has ended: nothing further can match.
+            left.consume(left.keys.len());
+            right.consume(right.keys.len());
+        }
     }
 }
 
-impl Task for MergeJoinTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, drained) = self.outbox.flush(ctx);
-        if !drained {
-            return Step::blocked(cost);
-        }
-        if self.done {
-            if !self.builder.is_empty() {
-                let tail = self.builder.finish_and_reset();
-                self.outbox.push(tail);
-                let (c, drained) = self.outbox.flush(ctx);
-                cost += c;
-                if !drained {
-                    return Step::blocked(cost);
-                }
-            }
-            self.outbox.close(ctx);
-            return Step::done(cost.max(1));
-        }
-        // Pull from whichever side the merge is starved on (prefer the
-        // side with fewer buffered rows).
-        let mut pulled = 0usize;
-        let order: [bool; 2] = if self.left.rows.len() <= self.right.rows.len() {
-            [true, false]
-        } else {
-            [false, true]
+impl Kernel for MergeJoinKernel {
+    fn name(&self) -> &'static str {
+        "merge join"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        let names = ["left input", "right input"];
+        let schemas = self.inputs.iter().map(|(schema, _)| Some(schema.clone()));
+        names.into_iter().zip(schemas).collect()
+    }
+
+    /// The side whose buffer is empty, otherwise the side whose last
+    /// buffered key is smaller; a side that has ended gives way.
+    fn next_port(&self, open: &[bool]) -> usize {
+        let [left, right] = &self.sides;
+        let starved = match (left.keys.back(), right.keys.back()) {
+            (Some(l), Some(r)) => usize::from(r < l),
+            (l, _) => usize::from(l.is_some()),
         };
-        for is_left in order {
-            let side = if is_left {
-                &mut self.left
-            } else {
-                &mut self.right
-            };
-            if !side.closed {
-                match side.pull(ctx) {
-                    Ok(Some(n)) => {
-                        pulled += n;
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(err) => return self.fail(ctx, err),
-                }
-            }
+        // The other side when that one has ended.
+        starved ^ usize::from(!open[starved])
+    }
+
+    fn on_page(
+        &mut self,
+        port: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        page.gather_i64(self.inputs[port].1, &mut self.keys);
+        self.sides[port].push(page, &self.keys, ["left", "right"][port])?;
+        self.merge(out);
+        Ok(PageWork {
+            cost: self.cost.input_cost(page.rows()),
+            progress: page.rows(),
+        })
+    }
+
+    fn on_close(&mut self, port: usize, out: &mut Pages) -> Result<PortClosed, ExecError> {
+        self.sides[port].closed = true;
+        self.merge(out);
+        Ok(PortClosed::default())
+    }
+
+    /// The partly filled tail page, if any.
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
+        if !self.builder.is_empty() {
+            out.push(self.builder.finish_and_reset());
         }
-        cost += self.cost.input_cost(pulled);
-        if pulled > 0 {
-            ctx.add_progress(pulled as f64);
-        }
-        self.merge_available();
-        let (c, drained) = self.outbox.flush(ctx);
-        cost += c;
-        if !drained {
-            return Step::blocked(cost);
-        }
-        if self.done || pulled > 0 {
-            Step::yielded(cost.max(1))
-        } else if self.left.closed && self.right.closed {
-            // Both streams ended; finish next step.
-            self.done = true;
-            Step::yielded(cost.max(1))
-        } else {
-            Step::blocked(cost)
-        }
+        Ok(Drained::LAST)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::CollectingSink;
-    use crate::ops::ScanTask;
+    use crate::error::FaultCell;
+    use crate::ops::testutil::{pages_of, run_shell};
     use crate::plan::concat_schemas;
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
     use cordoba_storage::{DataType, Field, TableBuilder, Value};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+
+    /// A two-column (`{name}k`, `{name}v`) Int schema.
+    fn kv_schema(name: &str) -> Arc<Schema> {
+        Schema::new(vec![
+            Field::new(format!("{name}k"), DataType::Int),
+            Field::new(format!("{name}v"), DataType::Int),
+        ])
+    }
+
+    /// `rows` on 64-byte pages: four 16-byte rows a page.
+    fn kv_pages(schema: &Arc<Schema>, rows: &[(i64, i64)]) -> Vec<Arc<Page>> {
+        let mut tb = TableBuilder::with_page_size("t", schema.clone(), 64);
+        for (k, v) in rows {
+            tb.push_row(&[Value::Int(*k), Value::Int(*v)]);
+        }
+        tb.finish().pages().to_vec()
+    }
+
+    /// Runs `inputs` (left, right) through a merge join on column 0
+    /// behind the shell; a failed query is its fault.
+    fn try_join(
+        (ls, rs): (Arc<Schema>, Arc<Schema>),
+        inputs: Vec<Vec<Arc<Page>>>,
+    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        let out_schema = concat_schemas(&ls, &rs);
+        let kernel =
+            MergeJoinKernel::new(ls, rs, 0, 0, out_schema, OpCost::default()).expect("valid keys");
+        let fault = FaultCell::default();
+        let rows = run_shell(Box::new(kernel), inputs, &fault);
+        fault.take().map_or(Ok(rows), Err)
+    }
 
     fn try_run_merge(
         left: Vec<(i64, i64)>,
         right: Vec<(i64, i64)>,
     ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let ls = Schema::new(vec![
-            Field::new("lk", DataType::Int),
-            Field::new("lv", DataType::Int),
-        ]);
-        let rs = Schema::new(vec![
-            Field::new("rk", DataType::Int),
-            Field::new("rv", DataType::Int),
-        ]);
-        let mut lt = TableBuilder::with_page_size("l", ls.clone(), 64);
-        for (k, v) in &left {
-            lt.push_row(&[Value::Int(*k), Value::Int(*v)]);
-        }
-        let mut rt = TableBuilder::with_page_size("r", rs.clone(), 64);
-        for (k, v) in &right {
-            rt.push_row(&[Value::Int(*k), Value::Int(*v)]);
-        }
-        let out_schema = concat_schemas(&ls, &rs);
-        let fault = FaultCell::default();
-        let mut sim = Simulator::new(2);
-        let (txl, rxl) = channel::bounded(2);
-        let (txr, rxr) = channel::bounded(2);
-        let (txo, rxo) = channel::bounded(2);
-        sim.spawn(
-            "l",
-            Box::new(ScanTask::new(
-                lt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txl], 0.0),
-            )),
-        );
-        sim.spawn(
-            "r",
-            Box::new(ScanTask::new(
-                rt.finish().pages().to_vec(),
-                OpCost::default(),
-                Fanout::new(vec![txr], 0.0),
-            )),
-        );
-        sim.spawn(
-            "mj",
-            Box::new(
-                MergeJoinTask::new(
-                    rxl,
-                    rxr,
-                    &ls,
-                    &rs,
-                    0,
-                    0,
-                    out_schema,
-                    OpCost::default(),
-                    Fanout::new(vec![txo], 0.0),
-                    fault.clone(),
-                )
-                .expect("valid keys"),
-            ),
-        );
-        let out = Rc::new(RefCell::new(Vec::new()));
-        sim.spawn(
-            "sink",
-            Box::new(CollectingSink {
-                rx: rxo,
-                rows: out.clone(),
-            }),
-        );
-        let outcome = sim.run_to_idle();
-        if let Some(err) = fault.take() {
-            assert!(
-                outcome.completed_all(),
-                "failure must not wedge: {outcome:?}"
-            );
-            return Err(err);
-        }
-        assert!(outcome.completed_all(), "{outcome:?}");
-        let out = out.borrow().clone();
-        Ok(out)
+        let (ls, rs) = (kv_schema("l"), kv_schema("r"));
+        let inputs = vec![kv_pages(&ls, &left), kv_pages(&rs, &right)];
+        try_join((ls, rs), inputs)
     }
 
     fn run_merge(left: Vec<(i64, i64)>, right: Vec<(i64, i64)>) -> Vec<Vec<Value>> {
@@ -421,7 +306,7 @@ mod tests {
 
     #[test]
     fn groups_spanning_page_boundaries() {
-        // 8 rows per page (64-byte pages, 16-byte rows): a key group of
+        // 4 rows per page (64-byte pages, 16-byte rows): a key group of
         // 12 spans pages; the join must wait for the full group.
         let left: Vec<(i64, i64)> = (0..12).map(|i| (7, i)).chain([(9, 99)]).collect();
         let right = vec![(7, 1000), (9, 900)];
@@ -479,26 +364,52 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_page_on_either_side_is_a_typed_mismatch() {
+        // A Float key of the same row width on the left (the key gather
+        // would panic) and a wider row on the right (the joined rows
+        // would be cut at the wrong bytes): each fails the query with
+        // the shell's typed fault, naming its side.
+        let (ls, rs) = (kv_schema("l"), kv_schema("r"));
+        let float_key = Schema::new(vec![
+            Field::new("lk", DataType::Float),
+            Field::new("lv", DataType::Int),
+        ]);
+        let wide = Schema::new(vec![
+            Field::new("rk", DataType::Int),
+            Field::new("rv", DataType::Int),
+            Field::new("rw", DataType::Int),
+        ]);
+        let left = pages_of(&float_key, &[vec![Value::Float(1.0), Value::Int(1)]]);
+        let right = pages_of(&wide, &[vec![Value::Int(1); 3]]);
+        for (inputs, want) in [
+            (
+                vec![left, kv_pages(&rs, &[(1, 1)])],
+                "left input: expected 2 columns / 16 B rows, got 2 columns / 16 B rows",
+            ),
+            (
+                vec![kv_pages(&ls, &[(1, 1)]), right],
+                "right input: expected 2 columns / 16 B rows, got 3 columns / 24 B rows",
+            ),
+        ] {
+            let err = try_join((ls.clone(), rs.clone()), inputs).unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::InputPageMismatch {
+                    op: "merge join",
+                    detail: want.into()
+                }
+            );
+        }
+    }
+
+    #[test]
     fn non_int_key_errors_at_construction() {
         let ls = Schema::new(vec![Field::new("lk", DataType::Float)]);
         let rs = Schema::new(vec![Field::new("rk", DataType::Int)]);
         let out = concat_schemas(&ls, &rs);
-        let (_txl, rxl) = channel::bounded::<Arc<Page>>(1);
-        let (_txr, rxr) = channel::bounded::<Arc<Page>>(1);
-        let err = MergeJoinTask::new(
-            rxl,
-            rxr,
-            &ls,
-            &rs,
-            0,
-            0,
-            out,
-            OpCost::default(),
-            Fanout::new(vec![], 0.0),
-            FaultCell::default(),
-        )
-        .err()
-        .expect("constructor must reject");
+        let err = MergeJoinKernel::new(ls, rs, 0, 0, out, OpCost::default())
+            .err()
+            .expect("constructor must reject");
         assert!(err.to_string().contains("must be Int"), "{err}");
     }
 }

@@ -1,10 +1,10 @@
 //! Operators and their shared machinery (fan-out, key encoding).
 //!
-//! Filter, project, aggregate, sort, hash join and nested-loop join are
-//! [`Kernel`]s — state plus a page function — that one task, the
-//! [`OperatorShell`], runs behind the page-exchange protocol (see
-//! [`shell`]). Scan, sink, merge join and the morsel groups of
-//! `par_pipe` are tasks of their own.
+//! Every operator — scan, filter, project, aggregate, sort, hash join,
+//! merge join, nested-loop join and sink — is a [`Kernel`]: state plus
+//! a page function that one task, the [`OperatorShell`], runs behind
+//! the page-exchange protocol (see [`shell`]). Only the morsel groups
+//! of `par_pipe` are tasks of their own.
 
 pub mod aggregate;
 pub mod filter;
@@ -27,12 +27,12 @@ pub(crate) mod testutil;
 pub use aggregate::AggregateKernel;
 pub use filter::FilterKernel;
 pub use hash_join::{BuildTable, HashJoinKernel};
-pub use merge_join::MergeJoinTask;
+pub use merge_join::MergeJoinKernel;
 pub use nlj::NljKernel;
 pub use project::ProjectKernel;
-pub use scan::ScanTask;
+pub use scan::ScanKernel;
 pub use shell::{Kernel, OperatorShell, Pages};
-pub use sink::SinkTask;
+pub use sink::SinkKernel;
 pub use sort::SortKernel;
 pub use sort_key::{KeyScratch, PackedKeySpec};
 
@@ -154,9 +154,17 @@ impl Outbox {
         self.queue.push_back(page);
     }
 
-    /// Queues every page of `pages`, in order, leaving it empty.
+    /// Queues every page of `pages`, in order, leaving it empty. A lone
+    /// page with nothing ahead of it — a scan's, most filters' — goes
+    /// straight to the fan-out, sparing the hot path the queue.
     pub fn extend(&mut self, pages: &mut Vec<Arc<Page>>) {
-        self.queue.extend(pages.drain(..));
+        match pages.pop() {
+            Some(page) if pages.is_empty() && self.is_drained() => self.fanout.begin(page),
+            last => {
+                self.queue.extend(pages.drain(..));
+                self.queue.extend(last);
+            }
+        }
     }
 
     /// Whether all queued pages have been fully delivered.

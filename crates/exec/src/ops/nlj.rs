@@ -19,9 +19,8 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Predicate;
-use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::vexpr::{CompiledPredicate, ExprScratch};
-use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::sync::Arc;
 
@@ -118,8 +117,8 @@ impl Kernel for NljKernel {
     /// The inner input is read to its end before the outer input.
     fn ports(&self) -> Vec<Port> {
         vec![
-            ("inner input", self.inner_schema.clone()),
-            ("outer input", self.outer_schema.clone()),
+            ("inner input", Some(self.inner_schema.clone())),
+            ("outer input", Some(self.outer_schema.clone())),
         ]
     }
 
@@ -152,19 +151,20 @@ impl Kernel for NljKernel {
         Ok(PortClosed {
             cost: 0,
             min_tick: 1,
+            last: false,
         })
     }
 
     /// The partly filled last page, then the closing call.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         if self.flushed {
-            return Ok((0, true));
+            return Ok(Drained::LAST);
         }
         if !self.builder.is_empty() {
             out.push(self.builder.finish_and_reset());
         }
         self.flushed = true;
-        Ok((1, false))
+        Ok(Drained::batch(1))
     }
 }
 

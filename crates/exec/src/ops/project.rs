@@ -14,9 +14,8 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::ScalarExpr;
-use crate::ops::shell::{Kernel, PageWork, Pages, Port};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port};
 use crate::vexpr::{CompiledExprs, ExprScratch};
-use cordoba_sim::VTime;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::sync::Arc;
 
@@ -66,7 +65,7 @@ impl Kernel for ProjectKernel {
     }
 
     fn ports(&self) -> Vec<Port> {
-        vec![("", self.in_schema.clone())]
+        vec![("", Some(self.in_schema.clone()))]
     }
 
     fn on_page(
@@ -94,11 +93,11 @@ impl Kernel for ProjectKernel {
     }
 
     /// The partly filled tail page, if any.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         if !self.builder.is_empty() {
             out.push(self.builder.finish_and_reset());
         }
-        Ok((0, true))
+        Ok(Drained::LAST)
     }
 }
 

@@ -4,65 +4,69 @@
 //! shared, it reads each page once and delivers it to every consumer —
 //! paying the per-consumer output cost `s` that the paper identifies as
 //! the serialization bottleneck.
+//!
+//! A kernel with no ports: the shell calls [`Kernel::drain`] from its
+//! first step, and each call emits the next page at the page's input
+//! cost, standing for its rows of progress. The call after the last
+//! page emits nothing and is the last — the scan's own closing step.
 
 use crate::cost::OpCost;
-use crate::ops::Fanout;
-use cordoba_sim::{Step, Task, TaskCtx};
+use crate::error::ExecError;
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port};
 use cordoba_storage::Page;
 use std::sync::Arc;
 
-/// Scan task over a snapshot of table pages.
-pub struct ScanTask {
-    pages: Vec<Arc<Page>>,
-    pos: usize,
+/// Scan kernel over a snapshot of table pages.
+pub struct ScanKernel {
+    /// The pages not yet emitted.
+    pages: std::vec::IntoIter<Arc<Page>>,
     cost: OpCost,
-    fanout: Fanout,
 }
 
-impl ScanTask {
-    /// Creates a scan over `pages` delivering to `fanout`.
-    pub fn new(pages: Vec<Arc<Page>>, cost: OpCost, fanout: Fanout) -> Self {
-        Self {
-            pages,
-            pos: 0,
-            cost,
-            fanout,
-        }
+impl ScanKernel {
+    /// Creates a scan over `pages`, charging `cost`'s input side per
+    /// page (the shell's fan-out charges the output side).
+    pub fn new(pages: Vec<Arc<Page>>, cost: OpCost) -> Self {
+        let pages = pages.into_iter();
+        Self { pages, cost }
     }
 }
 
-impl Task for ScanTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        // Finish any partially delivered page first.
-        let (mut cost, done) = self.fanout.pump(ctx);
-        if !done {
-            return Step::blocked(cost);
-        }
-        if self.pos >= self.pages.len() {
-            self.fanout.close(ctx);
-            return Step::done(cost);
-        }
-        let page = self.pages[self.pos].clone();
-        self.pos += 1;
-        let tuples = page.rows();
-        cost += self.cost.input_cost(tuples);
-        ctx.add_progress(tuples as f64);
-        self.fanout.begin(page);
-        let (c2, done) = self.fanout.pump(ctx);
-        cost += c2;
-        if done {
-            Step::yielded(cost)
-        } else {
-            Step::blocked(cost)
-        }
+impl Kernel for ScanKernel {
+    fn name(&self) -> &'static str {
+        "scan"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        Vec::new()
+    }
+
+    /// Never called: a scan has no ports.
+    fn on_page(&mut self, _: usize, _: &Arc<Page>, _: &mut Pages) -> Result<PageWork, ExecError> {
+        Ok(PageWork::default())
+    }
+
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
+        let Some(page) = self.pages.next() else {
+            return Ok(Drained::LAST);
+        };
+        let (cost, progress) = (self.cost.input_cost(page.rows()), page.rows());
+        out.push(page);
+        Ok(Drained {
+            cost,
+            progress,
+            last: false,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::testutil::scan_task;
+    use crate::ops::Fanout;
     use cordoba_sim::channel::{self, Recv};
-    use cordoba_sim::Simulator;
+    use cordoba_sim::{Simulator, Step, Task, TaskCtx};
     use cordoba_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn table_pages(rows: usize) -> Vec<Arc<Page>> {
@@ -83,11 +87,11 @@ mod tests {
         let rows = std::rc::Rc::new(std::cell::Cell::new(0));
         sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
+            scan_task(
                 table_pages(37),
                 OpCost::per_tuple(2.0),
                 Fanout::new(vec![tx], 0.5),
-            )),
+            ),
         );
         sim.spawn(
             "sink",
@@ -108,11 +112,11 @@ mod tests {
         let rows = std::rc::Rc::new(std::cell::Cell::new(0));
         let scan = sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
+            scan_task(
                 table_pages(37),
                 OpCost::new(2.0, 0.5),
                 Fanout::new(vec![tx], 0.5),
-            )),
+            ),
         );
         sim.spawn("sink", Box::new(CountingSink { rx, rows }));
         sim.run_to_idle();
@@ -139,11 +143,11 @@ mod tests {
         }
         let scan = sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
+            scan_task(
                 table_pages(32),
                 OpCost::new(2.0, 1.0),
                 Fanout::new(txs, 1.0),
-            )),
+            ),
         );
         let counts: Vec<_> = rxs
             .into_iter()
@@ -174,11 +178,7 @@ mod tests {
         let rows = std::rc::Rc::new(std::cell::Cell::new(0));
         sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
-                vec![],
-                OpCost::default(),
-                Fanout::new(vec![tx], 0.0),
-            )),
+            scan_task(vec![], OpCost::default(), Fanout::new(vec![tx], 0.0)),
         );
         sim.spawn(
             "sink",
@@ -211,11 +211,11 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         let scan = sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
+            scan_task(
                 table_pages(32),
                 OpCost::per_tuple(1.0),
                 Fanout::new(vec![tx], 0.0),
-            )),
+            ),
         );
         sim.spawn("sink", Box::new(SlowSink { rx }));
         assert!(sim.run_to_idle().completed_all());

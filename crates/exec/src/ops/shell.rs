@@ -6,28 +6,36 @@
 //! per-consumer output cost `s`, exchanged a page at a time. That
 //! protocol is written here, once. An operator is a [`Kernel`] — state
 //! plus a page function, no channels, no scheduler — and
-//! [`OperatorShell`] is the [`Task`] that runs it:
+//! [`OperatorShell`] is the [`Task`] that runs it. Every operator is
+//! one, the ends of a plan included: the scan is a kernel with no
+//! ports, the sink one with no consumers, and the merge join one that
+//! reads its two ports interleaved.
 //!
 //! * **Flush first.** A step begins by delivering what earlier steps
 //!   produced. A full consumer ends the step ([`Step::blocked`]) before
 //!   anything new is read, so pages are neither lost nor reordered and
 //!   at most one kernel call's output is ever queued.
 //! * **One page per step.** With the outbox empty the shell reads one
-//!   page from the *current port* — ports are read to their end one
-//!   after the other, in the order of [`Kernel::ports`] (build before
-//!   probe, inner before outer) — checks its schema, and hands it to
+//!   page from the port [`Kernel::next_port`] names — by default the
+//!   first open one in the order of [`Kernel::ports`] (build before
+//!   probe, inner before outer), so ports are read to their end one
+//!   after the other; the merge join names the side its merge is
+//!   starved on — checks its schema, and hands it to
 //!   [`Kernel::on_page`]. An empty channel registers the task as a
-//!   waiter and blocks. A closed one calls [`Kernel::on_close`] and
-//!   moves to the next port; the step still yields, for at least the
-//!   `min_tick` the kernel asks (the blocking operators' close step
-//!   always advances virtual time, the streaming ones' costs nothing).
-//! * **Drain.** With every port closed each step calls
+//!   waiter and blocks. A closed one calls [`Kernel::on_close`]; the
+//!   step still yields, for at least the `min_tick` the kernel asks
+//!   (the blocking operators' close step always advances virtual time,
+//!   the streaming ones' costs nothing). A kernel that answers `last`
+//!   there (the sink) is done: the shell closes its consumers and
+//!   finishes in that same step, at no less than `min_tick`.
+//! * **Drain.** With every port closed — from the first step, for a
+//!   kernel with none (the scan, one page per call) — each step calls
 //!   [`Kernel::drain`] until it reports `last`; once that output is
 //!   delivered the shell closes its consumers and is done — in the same
 //!   step when nothing is left to deliver. (Filter and project end
 //!   that way: tail and close in one step. The operators that emit in
 //!   batches have always finished with a separate closing step, and
-//!   keep it by answering a final `(0, true)`.)
+//!   keep it by answering a final [`Drained::LAST`].)
 //! * **Who charges what.** The kernel returns the work (`w` side) of
 //!   each call and the progress it stands for; the shell adds the
 //!   delivery cost (`s` side) its [`Fanout`] charges per consumer, and
@@ -36,7 +44,9 @@
 //!   `Arc` last accepted on that port, else when it equals the port's
 //!   expected schema (and becomes the remembered `Arc`): one deep
 //!   compare per upstream schema object, a pointer compare per page.
-//!   Anything else is [`ExecError::InputPageMismatch`].
+//!   Anything else is [`ExecError::InputPageMismatch`]. A port that
+//!   declares no schema (the sink's, whose rows nobody reads) is not
+//!   checked.
 //! * **Failure, in one place.** An error from the input check or from
 //!   any kernel call ends the task the same way: the query's
 //!   [`FaultCell`] takes the error, every input is closed (upstream
@@ -44,13 +54,14 @@
 //!   returns the kernel's grants and files, undelivered output is
 //!   abandoned, the consumers see end-of-stream, and the step is
 //!   [`Step::done`] at cost 1.
+//! * **Done, once.** The hook set with [`OperatorShell::on_done`] runs
+//!   in the step that returns [`Step::done`], on the failure path too:
+//!   the engine's query accounting hangs off its sinks'.
 //!
-//! Outside the shell, on purpose: the merge join polls *two* inputs
-//! inside one step (whichever side its merge is starved on), scan and
-//! sink have no input or no output, and the morsel tasks of `par_pipe`
-//! and the sharing seam of `thread_exec` exchange morsels over channels
-//! of their own — folding any of them in would make the shell branch on
-//! its caller. `par_pipe`'s workers do run the same filter and project
+//! Outside the shell, on purpose: the morsel tasks of `par_pipe` and
+//! the sharing seam of `thread_exec` exchange morsels over channels of
+//! their own — folding them in would make the shell branch on its
+//! caller. `par_pipe`'s workers do run the same filter and project
 //! kernels, through [`crate::parallel`]'s `WorkerPipeline`.
 
 use crate::error::{ExecError, FaultCell};
@@ -65,8 +76,13 @@ pub type Pages = Vec<Arc<Page>>;
 
 /// One input of a kernel: what a mismatch fault calls it (`"build
 /// input"`; empty for an operator with one input) and the schema every
-/// page on it must have.
-pub type Port = (&'static str, Arc<Schema>);
+/// page on it must have — `None` for a port whose pages the kernel
+/// never reads, which is not checked.
+pub type Port = (&'static str, Option<Arc<Schema>>);
+
+/// Runs once, in the step the shell finishes (see
+/// [`OperatorShell::on_done`]).
+pub type OnDone = Box<dyn FnOnce(&mut TaskCtx<'_>)>;
 
 /// What [`Kernel::on_page`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,6 +101,38 @@ pub struct PortClosed {
     pub cost: VTime,
     /// The least this step may cost in all.
     pub min_tick: VTime,
+    /// The kernel is done: no `drain` follows, and the task finishes
+    /// once this call's output is delivered.
+    pub last: bool,
+}
+
+/// What [`Kernel::drain`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Drained {
+    /// Virtual work of the call.
+    pub cost: VTime,
+    /// Rows of forward progress it stands for (a scan's page).
+    pub progress: usize,
+    /// It was the last call.
+    pub last: bool,
+}
+
+impl Drained {
+    /// The last call, emitting nothing at no cost.
+    pub const LAST: Drained = Drained {
+        cost: 0,
+        progress: 0,
+        last: true,
+    };
+
+    /// A call that is not the last, costing `cost`.
+    pub const fn batch(cost: VTime) -> Self {
+        Drained {
+            cost,
+            progress: 0,
+            last: false,
+        }
+    }
 }
 
 /// An operator: state plus a page function. See the [module docs](self)
@@ -93,8 +141,15 @@ pub trait Kernel {
     /// The operator's name in faults.
     fn name(&self) -> &'static str;
 
-    /// The inputs, in the order they are read to their end.
+    /// The inputs (none for a scan).
     fn ports(&self) -> Vec<Port>;
+
+    /// The port to read next, given which are still `open` (at least
+    /// one is); it must name an open one. By default they are read to
+    /// their end one after the other, in [`Kernel::ports`] order.
+    fn next_port(&self, open: &[bool]) -> usize {
+        open.iter().position(|&open| open).unwrap_or_default()
+    }
 
     /// Takes one page of input `port`.
     fn on_page(
@@ -109,9 +164,11 @@ pub trait Kernel {
         Ok(PortClosed::default())
     }
 
-    /// Produces output after the last input ended: the cost of the call,
-    /// and whether it was the last.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError>;
+    /// Produces output after the last input ended. The default emits
+    /// nothing and is the last call.
+    fn drain(&mut self, _out: &mut Pages) -> Result<Drained, ExecError> {
+        Ok(Drained::LAST)
+    }
 
     /// Returns every memory grant and spill file the kernel holds — the
     /// only teardown. The shell calls it once, when the query fails; a
@@ -125,17 +182,19 @@ struct Input {
     rx: Receiver<Arc<Page>>,
     port: Port,
     /// The schema `Arc` last accepted here.
-    accepted: Arc<Schema>,
+    accepted: Option<Arc<Schema>>,
 }
 
 impl Input {
     fn check(&mut self, page: &Page, op: &'static str) -> Result<(), ExecError> {
-        let ((what, want), got) = (&self.port, page.schema());
-        if Arc::ptr_eq(got, &self.accepted) {
+        let ((what, Some(want)), got) = (&self.port, page.schema()) else {
+            return Ok(());
+        };
+        if self.accepted.as_ref().is_some_and(|a| Arc::ptr_eq(got, a)) {
             return Ok(());
         }
         if **got == **want {
-            self.accepted = got.clone();
+            self.accepted = Some(got.clone());
             return Ok(());
         }
         let which = match *what {
@@ -158,16 +217,16 @@ impl Input {
 /// The task that runs a [`Kernel`]. See the [module docs](self).
 pub struct OperatorShell {
     kernel: Box<dyn Kernel>,
-    /// The kernel's name, for faults.
-    op: &'static str,
     inputs: Vec<Input>,
-    /// The port being read; `inputs.len()` once all have ended.
-    port: usize,
-    /// `drain` reported its last call: close once the outbox is empty.
+    /// Which inputs have not ended yet, in port order.
+    open: Vec<bool>,
+    /// The kernel reported its last call: close once the outbox is
+    /// empty.
     last: bool,
     out: Pages,
     outbox: Outbox,
     fault: FaultCell,
+    on_done: Option<OnDone>,
 }
 
 impl OperatorShell {
@@ -192,36 +251,48 @@ impl OperatorShell {
             port,
         });
         OperatorShell {
+            open: vec![true; inputs.len()],
             inputs: inputs.collect(),
-            op: kernel.name(),
             kernel,
-            port: 0,
             last: false,
             out: Pages::new(),
             outbox: Outbox::new(fanout),
             fault,
+            on_done: None,
         }
     }
 
-    /// The kernel call this step is for; `None` when the current input
+    /// Runs `f` once, in the step this task finishes — whether the
+    /// kernel ended or failed.
+    #[must_use]
+    pub fn on_done(mut self, f: OnDone) -> Self {
+        self.on_done = Some(f);
+        self
+    }
+
+    /// The kernel call this step is for; `None` when the input it reads
     /// has nothing yet. Returns the call's cost and the step's floor.
     fn call_kernel(&mut self, ctx: &mut TaskCtx<'_>) -> Result<Option<(VTime, VTime)>, ExecError> {
-        let Some(input) = self.inputs.get_mut(self.port) else {
-            let (cost, last) = self.kernel.drain(&mut self.out)?;
-            self.last = last;
-            return Ok(Some((cost, 0)));
-        };
+        if !self.open.contains(&true) {
+            let drained = self.kernel.drain(&mut self.out)?;
+            ctx.add_progress(drained.progress as f64);
+            self.last = drained.last;
+            return Ok(Some((drained.cost, 0)));
+        }
+        let port = self.kernel.next_port(&self.open);
+        let input = &mut self.inputs[port];
         match input.rx.try_recv(ctx) {
             Recv::Value(page) => {
-                input.check(&page, self.op)?;
-                let work = self.kernel.on_page(self.port, &page, &mut self.out)?;
+                input.check(&page, self.kernel.name())?;
+                let work = self.kernel.on_page(port, &page, &mut self.out)?;
                 ctx.add_progress(work.progress as f64);
                 Ok(Some((work.cost, 0)))
             }
             Recv::Empty => Ok(None),
             Recv::Closed => {
-                let closed = self.kernel.on_close(self.port, &mut self.out)?;
-                self.port += 1;
+                let closed = self.kernel.on_close(port, &mut self.out)?;
+                self.open[port] = false;
+                self.last = closed.last;
                 Ok(Some((closed.cost, closed.min_tick)))
             }
         }
@@ -236,8 +307,17 @@ impl OperatorShell {
         self.kernel.release();
         self.out.clear();
         self.outbox.abandon();
+        self.finish(ctx, 1)
+    }
+
+    /// Ends the stream downstream, runs the `on_done` hook, and ends
+    /// the task at `cost`.
+    fn finish(&mut self, ctx: &mut TaskCtx<'_>, cost: VTime) -> Step {
         self.outbox.close(ctx);
-        Step::done(1)
+        if let Some(on_done) = self.on_done.take() {
+            on_done(ctx);
+        }
+        Step::done(cost)
     }
 }
 
@@ -248,10 +328,12 @@ impl Task for OperatorShell {
         if drained && !self.last {
             match self.call_kernel(ctx) {
                 Ok(Some((work, floor))) => {
-                    self.outbox.extend(&mut self.out);
-                    let (delivery, all) = self.outbox.flush(ctx);
-                    cost += work + delivery;
-                    (drained, min_tick) = (all, floor);
+                    (cost, min_tick) = (cost + work, floor);
+                    if !self.out.is_empty() {
+                        self.outbox.extend(&mut self.out);
+                        let (delivery, all) = self.outbox.flush(ctx);
+                        (cost, drained) = (cost + delivery, all);
+                    }
                 }
                 Ok(None) => return Step::blocked(cost),
                 Err(err) => return self.fail(ctx, err),
@@ -260,8 +342,7 @@ impl Task for OperatorShell {
         if !drained {
             Step::blocked(cost)
         } else if self.last {
-            self.outbox.close(ctx);
-            Step::done(cost)
+            self.finish(ctx, cost.max(min_tick))
         } else {
             Step::yielded(cost.max(min_tick))
         }
@@ -272,12 +353,12 @@ impl Task for OperatorShell {
 mod tests {
     use super::*;
     use crate::memory::SpillContext;
-    use crate::ops::testutil::pages_of;
+    use crate::ops::testutil::{pages_of, CountingSink};
     use cordoba_sim::channel::{self, Sender};
     use cordoba_sim::{DetachedCtx, StepStatus};
     use cordoba_storage::spill::SpillFile;
     use cordoba_storage::{DataType, Field, Value};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     /// The shell's task id in these tests.
@@ -296,6 +377,10 @@ mod tests {
         /// The last `drain` call emits a page too.
         tail: bool,
         min_tick: VTime,
+        /// `on_close` answers `last`.
+        close_last: bool,
+        /// `next_port` names the last open port, not the first.
+        reversed: bool,
         /// What a running operator holds: a grant and a spill file.
         held: Option<(SpillContext, SpillFile)>,
     }
@@ -318,7 +403,13 @@ mod tests {
         }
         fn ports(&self) -> Vec<Port> {
             let names = &["first input", "second input"][..self.ports];
-            names.iter().map(|&what| (what, schema())).collect()
+            names.iter().map(|&what| (what, Some(schema()))).collect()
+        }
+        fn next_port(&self, open: &[bool]) -> usize {
+            match self.reversed {
+                true => open.iter().rposition(|&open| open).expect("one is open"),
+                false => open.iter().position(|&open| open).expect("one is open"),
+            }
         }
         fn on_page(
             &mut self,
@@ -338,16 +429,23 @@ mod tests {
             Ok(PortClosed {
                 cost: 3,
                 min_tick: self.min_tick,
+                last: self.close_last,
             })
         }
-        fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+        /// Each page emitted stands for its one row of progress.
+        fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
             self.call("drain".into())?;
             let last = self.batches == 0;
-            if !last || self.tail {
+            let emits = !last || self.tail;
+            if emits {
                 out.push(page(-1));
             }
             self.batches = self.batches.saturating_sub(1);
-            Ok((if last { 0 } else { 2 }, last))
+            Ok(Drained {
+                cost: if last { 0 } else { 2 },
+                progress: usize::from(emits),
+                last,
+            })
         }
         fn release(&mut self) {
             self.calls.borrow_mut().push("release".into());
@@ -377,6 +475,8 @@ mod tests {
         out: Receiver<Arc<Page>>,
         calls: Rc<RefCell<Vec<String>>>,
         fault: FaultCell,
+        /// How often the `on_done` hook has run.
+        done: Rc<Cell<usize>>,
         detached: DetachedCtx,
     }
 
@@ -394,6 +494,8 @@ mod tests {
                 batches: 0,
                 tail: false,
                 min_tick: 0,
+                close_last: false,
+                reversed: false,
                 held: None,
             };
             script(&mut kernel);
@@ -402,12 +504,17 @@ mod tests {
             let fault = FaultCell::default();
             let rxs = inputs.iter().map(|(_, rx)| rx.clone()).collect();
             let fanout = Fanout::new(vec![tx], 1.0);
+            let done = Rc::new(Cell::new(0));
+            let count = done.clone();
+            let shell = OperatorShell::new(Box::new(kernel), rxs, fanout, fault.clone())
+                .on_done(Box::new(move |_| count.set(count.get() + 1)));
             Rig {
-                shell: OperatorShell::new(Box::new(kernel), rxs, fanout, fault.clone()),
+                shell,
                 inputs,
                 out,
                 calls,
                 fault,
+                done,
                 detached: DetachedCtx::new(),
             }
         }
@@ -532,11 +639,85 @@ mod tests {
         assert_eq!(rig.step().status, StepStatus::Blocked);
         assert_eq!(rig.calls(), "close0 drain drain");
         assert_eq!(rig.read(), Ok(-1));
+        assert_eq!(rig.done.get(), 0, "not before the step that ends it");
         // Delivered; the call that reports `last` also closes.
         let last = rig.step();
         assert_eq!((last.cost, last.status), (1, StepStatus::Done));
         assert_eq!(rig.calls(), "close0 drain drain drain");
         assert_eq!([rig.read(), rig.read()], [Ok(-1), Err(true)]);
+        assert_eq!(rig.done.get(), 1, "on_done ran in the step that ended");
+    }
+
+    #[test]
+    fn next_port_is_the_port_read() {
+        // A kernel that reads its second port first: the first is
+        // ready from the start but waits until the second has ended.
+        let mut rig = Rig::new(8, |k| {
+            k.ports = 2;
+            k.reversed = true;
+        });
+        rig.feed(0, &[10]);
+        rig.close(0);
+        assert_eq!(rig.step().status, StepStatus::Blocked);
+        assert_eq!(rig.inputs[0].1.len(), 1, "untouched");
+        assert_eq!(rig.calls(), "");
+        rig.feed(1, &[20, 21]);
+        rig.close(1);
+        while rig.step().status != StepStatus::Done {}
+        assert_eq!(rig.calls(), "page1 page1 close1 page0 close0 drain");
+        assert_eq!(
+            [rig.read(), rig.read(), rig.read()],
+            [Ok(20), Ok(21), Ok(10)]
+        );
+        assert_eq!(rig.read(), Err(true));
+        assert_eq!(rig.done.get(), 1);
+    }
+
+    #[test]
+    fn last_at_close_finishes_in_the_close_step_at_min_tick() {
+        let mut rig = Rig::new(8, |k| {
+            k.close_last = true;
+            k.min_tick = 5;
+        });
+        rig.feed(0, &[1]);
+        rig.close(0);
+        assert_eq!(rig.step(), Step::yielded(10 + 1));
+        // The close costs the kernel's 3, raised to 5; no `drain` call.
+        assert_eq!(rig.step(), Step::done(5));
+        assert_eq!(rig.calls(), "page0 close0");
+        assert_eq!([rig.read(), rig.read()], [Ok(1), Err(true)]);
+        assert_eq!(rig.done.get(), 1);
+    }
+
+    #[test]
+    fn a_kernel_without_ports_drains_from_the_first_step_with_progress() {
+        // Three batches then a bare last call, as a scan emits: each
+        // batch costs 2 of work plus 1 to deliver its one row, and
+        // stands for one row of progress.
+        let Rig {
+            shell,
+            out,
+            calls,
+            done,
+            ..
+        } = Rig::new(8, |k| {
+            k.ports = 0;
+            k.batches = 3;
+        });
+        let mut sim = cordoba_sim::Simulator::new(2);
+        let id = sim.spawn("shell", Box::new(shell));
+        let rows = Rc::new(Cell::new(0));
+        let sink = CountingSink {
+            rx: out,
+            rows: rows.clone(),
+        };
+        sim.spawn("sink", Box::new(sink));
+        assert!(sim.run_to_idle().completed_all());
+        assert_eq!(calls.borrow().join(" "), "drain drain drain drain");
+        assert_eq!(rows.get(), 3);
+        let stats = sim.task_stats(id);
+        assert_eq!((stats.active, stats.progress), (3 * (2 + 1), 3.0));
+        assert_eq!(done.get(), 1);
     }
 
     #[test]
@@ -608,6 +789,7 @@ mod tests {
                 "{fails}: {calls}"
             );
             assert_eq!(calls.matches("release").count(), 1, "{fails}: {calls}");
+            assert_eq!(rig.done.get(), 1, "{fails}: on_done ran once");
             assert_eq!(broker.used(), 0, "{fails}: the grant came back");
             let left = std::fs::read_dir(&dir).expect("spill dir").count();
             assert_eq!(left, 0, "{fails}: spill files left behind");
@@ -625,8 +807,10 @@ mod tests {
         // Equal schemas behind two different `Arc`s are both accepted ...
         rig.feed(0, &[1, 2]);
         assert_eq!(rig.step().status, StepStatus::Yield);
-        let accepted = rig.shell.inputs[0].accepted.clone();
-        assert!(!Arc::ptr_eq(&accepted, &rig.shell.inputs[0].port.1));
+        let input = &rig.shell.inputs[0];
+        let (accepted, want) = (input.accepted.clone(), input.port.1.clone());
+        let accepted = accepted.expect("a checked port");
+        assert!(!Arc::ptr_eq(&accepted, &want.expect("a schema")));
         // ... a page of the remembered `Arc` by pointer alone ...
         let mut same = cordoba_storage::PageBuilder::new(accepted.clone());
         assert!(same.push_row(&[Value::Int(3)]));
@@ -637,7 +821,8 @@ mod tests {
             .is_ok());
         assert_eq!(rig.step().status, StepStatus::Yield);
         assert_eq!(rig.step().status, StepStatus::Yield);
-        assert!(Arc::ptr_eq(&accepted, &rig.shell.inputs[0].accepted));
+        let still = rig.shell.inputs[0].accepted.as_ref();
+        assert!(still.is_some_and(|a| Arc::ptr_eq(&accepted, a)));
         // ... and a wider one fails the query, naming the port.
         let wide = Schema::new(vec![
             Field::new("x", DataType::Int),
@@ -658,5 +843,6 @@ mod tests {
             })
         );
         assert_eq!(rig.calls(), "page0 page0 page0 release");
+        assert_eq!(rig.done.get(), 1, "the input check's failure path too");
     }
 }

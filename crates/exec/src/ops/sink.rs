@@ -1,36 +1,33 @@
-//! Query sink: the root consumer. Counts/collects result rows and fires
-//! a completion callback — the hook the engine's closed-system client
-//! logic uses to resubmit queries (Little's Law regime, paper §1.2).
+//! Query sink: the root consumer. Drains result pages, optionally
+//! collecting them; the completion callback the engine's closed-system client logic uses to
+//! resubmit queries (Little's Law regime, paper §1.2) is the shell's
+//! [`OperatorShell::on_done`](crate::ops::OperatorShell::on_done) hook.
+//!
+//! A kernel with one port and no consumers. Its port declares no
+//! schema: the sink never reads a row, and whoever spawns it may hold
+//! only the receiver. The close step ends the task, at one tick.
 
 use crate::cost::OpCost;
-use cordoba_sim::channel::{Receiver, Recv};
-use cordoba_sim::{Step, Task, TaskCtx};
+use crate::error::ExecError;
+use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
 use cordoba_storage::Page;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Callback invoked (inside the final step) when the sink's input closes.
-pub type OnDone = Box<dyn FnMut(&mut TaskCtx<'_>, u64)>;
-
 /// Terminal operator of a query instance.
-pub struct SinkTask {
-    rx: Receiver<Arc<Page>>,
+pub struct SinkKernel {
     cost: OpCost,
-    rows_seen: u64,
     collect_into: Option<Rc<RefCell<Vec<Arc<Page>>>>>,
-    on_done: Option<OnDone>,
 }
 
-impl SinkTask {
-    /// Creates a sink that merely drains and counts.
-    pub fn new(rx: Receiver<Arc<Page>>, cost: OpCost) -> Self {
+impl SinkKernel {
+    /// Creates a sink that merely drains, charging `cost`'s input side
+    /// per page.
+    pub fn new(cost: OpCost) -> Self {
         Self {
-            rx,
             cost,
-            rows_seen: 0,
             collect_into: None,
-            on_done: None,
         }
     }
 
@@ -40,47 +37,57 @@ impl SinkTask {
         self.collect_into = Some(into);
         self
     }
-
-    /// Invoke `f(ctx, result_rows)` when the query completes.
-    #[must_use]
-    pub fn on_done(mut self, f: OnDone) -> Self {
-        self.on_done = Some(f);
-        self
-    }
 }
 
-impl Task for SinkTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        match self.rx.try_recv(ctx) {
-            Recv::Value(page) => {
-                let n = page.rows();
-                self.rows_seen += n as u64;
-                let cost = self.cost.input_cost(n);
-                ctx.add_progress(n as f64);
-                if let Some(buf) = &self.collect_into {
-                    buf.borrow_mut().push(page);
-                }
-                Step::yielded(cost)
-            }
-            Recv::Empty => Step::blocked(0),
-            Recv::Closed => {
-                if let Some(mut f) = self.on_done.take() {
-                    f(ctx, self.rows_seen);
-                }
-                Step::done(1)
-            }
+impl Kernel for SinkKernel {
+    fn name(&self) -> &'static str {
+        "sink"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        vec![("", None)]
+    }
+
+    fn on_page(
+        &mut self,
+        _: usize,
+        page: &Arc<Page>,
+        _: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        if let Some(buf) = &self.collect_into {
+            buf.borrow_mut().push(page.clone());
         }
+        Ok(PageWork {
+            cost: self.cost.input_cost(page.rows()),
+            progress: page.rows(),
+        })
+    }
+
+    fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        Ok(PortClosed {
+            cost: 0,
+            min_tick: 1,
+            last: true,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Fanout, ScanTask};
-    use cordoba_sim::channel;
-    use cordoba_sim::Simulator;
+    use crate::error::FaultCell;
+    use crate::ops::testutil::scan_task;
+    use crate::ops::{Fanout, OperatorShell};
+    use cordoba_sim::channel::{self, Receiver};
+    use cordoba_sim::{Simulator, Step, Task, TaskCtx};
     use cordoba_storage::{DataType, Field, Schema, TableBuilder, Value};
     use std::cell::Cell;
+
+    /// `kernel` behind the shell, reading `rx`.
+    fn sink(rx: Receiver<Arc<Page>>, kernel: SinkKernel) -> OperatorShell {
+        let fanout = Fanout::new(vec![], 0.0);
+        OperatorShell::new(Box::new(kernel), vec![rx], fanout, FaultCell::default())
+    }
 
     fn pages(n: usize) -> Vec<Arc<Page>> {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
@@ -97,21 +104,18 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
-                pages(20),
-                OpCost::default(),
-                Fanout::new(vec![tx], 0.0),
-            )),
+            scan_task(pages(20), OpCost::default(), Fanout::new(vec![tx], 0.0)),
         );
         let seen = Rc::new(Cell::new(0u64));
         let seen2 = seen.clone();
+        let buf = Rc::new(RefCell::new(Vec::<Arc<Page>>::new()));
+        let rows = buf.clone();
+        let kernel = SinkKernel::new(OpCost::default()).collecting(buf);
         sim.spawn(
             "sink",
-            Box::new(
-                SinkTask::new(rx, OpCost::default()).on_done(Box::new(move |_, rows| {
-                    seen2.set(rows);
-                })),
-            ),
+            Box::new(sink(rx, kernel).on_done(Box::new(move |_| {
+                seen2.set(rows.borrow().iter().map(|p| p.rows() as u64).sum());
+            }))),
         );
         assert!(sim.run_to_idle().completed_all());
         assert_eq!(seen.get(), 20);
@@ -123,16 +127,15 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
-                pages(20),
-                OpCost::default(),
-                Fanout::new(vec![tx], 0.0),
-            )),
+            scan_task(pages(20), OpCost::default(), Fanout::new(vec![tx], 0.0)),
         );
         let buf = Rc::new(RefCell::new(Vec::new()));
         sim.spawn(
             "sink",
-            Box::new(SinkTask::new(rx, OpCost::default()).collecting(buf.clone())),
+            Box::new(sink(
+                rx,
+                SinkKernel::new(OpCost::default()).collecting(buf.clone()),
+            )),
         );
         assert!(sim.run_to_idle().completed_all());
         let total: usize = buf.borrow().iter().map(|p| p.rows()).sum();
@@ -146,16 +149,12 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            Box::new(ScanTask::new(
-                pages(4),
-                OpCost::default(),
-                Fanout::new(vec![tx], 0.0),
-            )),
+            scan_task(pages(4), OpCost::default(), Fanout::new(vec![tx], 0.0)),
         );
         sim.spawn(
             "sink",
             Box::new(
-                SinkTask::new(rx, OpCost::default()).on_done(Box::new(|ctx, _| {
+                sink(rx, SinkKernel::new(OpCost::default())).on_done(Box::new(|ctx| {
                     struct Follow;
                     impl Task for Follow {
                         fn step(&mut self, _: &mut TaskCtx<'_>) -> Step {

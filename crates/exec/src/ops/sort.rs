@@ -32,7 +32,7 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::memory::{SpillContext, SpillCursor};
-use crate::ops::shell::{Kernel, PageWork, Pages, Port, PortClosed};
+use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
 use crate::ops::{key_of, KeyVal};
 use cordoba_sim::VTime;
@@ -302,7 +302,7 @@ impl Kernel for SortKernel {
     }
 
     fn ports(&self) -> Vec<Port> {
-        vec![("", self.schema.clone())]
+        vec![("", Some(self.schema.clone()))]
     }
 
     /// Buffers one page: record row locations and extract its keys.
@@ -368,15 +368,19 @@ impl Kernel for SortKernel {
             builder: PageBuilder::new(self.schema.clone()),
             from,
         });
-        Ok(PortClosed { cost, min_tick: 1 })
+        Ok(PortClosed {
+            cost,
+            min_tick: 1,
+            last: false,
+        })
     }
 
     /// Up to a batch of rows per call, always at least a tick so
     /// emission advances virtual time; a call ends its last page even
     /// when partly filled. The closing call emits nothing.
-    fn drain(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         let Some(Emit { builder, from }) = &mut self.emit else {
-            return Ok((0, true));
+            return Ok(Drained::LAST);
         };
         let (cost, finished) = match from {
             Source::Buffered { next } => {
@@ -411,7 +415,7 @@ impl Kernel for SortKernel {
         if finished {
             self.release();
         }
-        Ok((cost, false))
+        Ok(Drained::batch(cost))
     }
 
     /// Buffered pages and their grant, spilled runs, open merge cursors,

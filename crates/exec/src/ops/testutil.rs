@@ -2,12 +2,12 @@
 
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
-use crate::ops::{Fanout, Kernel, OperatorShell, Pages, ScanTask};
-use crate::wiring::page_rows;
+use crate::ops::{Fanout, Kernel, OperatorShell, Pages, ScanKernel};
+use crate::wiring::{page_rows, run_and_collect};
 use cordoba_sim::channel::{self, Receiver, Recv};
 use cordoba_sim::{Simulator, Step, Task, TaskCtx};
 use cordoba_storage::{Page, Schema, TableBuilder, Value};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -34,8 +34,19 @@ pub(crate) fn drive(
         }
         kernel.on_close(port, &mut out)?;
     }
-    while !kernel.drain(&mut out)?.1 {}
+    while !kernel.drain(&mut out)?.last {}
     Ok(page_rows(&out))
+}
+
+/// A scan over `pages` behind the shell, delivering to `fanout`.
+pub(crate) fn scan_task(pages: Vec<Arc<Page>>, cost: OpCost, fanout: Fanout) -> Box<dyn Task> {
+    let scan = Box::new(ScanKernel::new(pages, cost));
+    Box::new(OperatorShell::new(
+        scan,
+        vec![],
+        fanout,
+        FaultCell::default(),
+    ))
 }
 
 /// Runs `kernel` behind an [`OperatorShell`] on a two-context
@@ -51,22 +62,20 @@ pub(crate) fn run_shell(
     for (i, pages) in inputs.into_iter().enumerate() {
         let (tx, rx) = channel::bounded(4);
         let fanout = Fanout::new(vec![tx], 0.0);
-        let scan = ScanTask::new(pages, OpCost::default(), fanout);
-        sim.spawn(format!("scan{i}"), Box::new(scan));
+        sim.spawn(
+            format!("scan{i}"),
+            scan_task(pages, OpCost::default(), fanout),
+        );
         rxs.push(rx);
     }
     let (tx, rx) = channel::bounded(4);
     let fanout = Fanout::new(vec![tx], 0.0);
     let shell = OperatorShell::new(kernel, rxs, fanout, fault.clone());
     sim.spawn("op", Box::new(shell));
-    let rows = Rc::new(RefCell::new(Vec::new()));
-    let sink = CollectingSink {
-        rx,
-        rows: rows.clone(),
-    };
-    sim.spawn("sink", Box::new(sink));
-    assert!(sim.run_to_idle().completed_all());
-    rows.take()
+    // `fault` stays the caller's to read; a stalled graph fails here.
+    let rows = run_and_collect(&mut sim, rx, OpCost::default(), &FaultCell::default());
+    assert!(rows.is_ok(), "every task finishes: {rows:?}");
+    rows.unwrap_or_default()
 }
 
 /// Drains a page stream, counting rows.
@@ -80,28 +89,6 @@ impl Task for CountingSink {
         match self.rx.try_recv(ctx) {
             Recv::Value(p) => {
                 self.rows.set(self.rows.get() + p.rows());
-                Step::yielded(1)
-            }
-            Recv::Empty => Step::blocked(0),
-            Recv::Closed => Step::done(0),
-        }
-    }
-}
-
-/// Drains a page stream, materializing every row.
-pub(crate) struct CollectingSink {
-    pub rx: Receiver<Arc<Page>>,
-    pub rows: Rc<RefCell<Vec<Vec<Value>>>>,
-}
-
-impl Task for CollectingSink {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        match self.rx.try_recv(ctx) {
-            Recv::Value(p) => {
-                let mut rows = self.rows.borrow_mut();
-                for t in p.tuples() {
-                    rows.push(t.to_values());
-                }
                 Step::yielded(1)
             }
             Recv::Empty => Step::blocked(0),

@@ -1,8 +1,9 @@
-//! Spawns a physical plan into a simulator: one task per operator —
-//! for filter, project, aggregate, sort, hash join and nested-loop join
-//! an [`OperatorShell`] around the operator's kernel — with bounded
-//! channels between them (unshared wiring — the engine crate layers
-//! packet merging and shared pivots on top of these pieces).
+//! Spawns a physical plan into a simulator: one task per operator — an
+//! [`OperatorShell`] around the operator's kernel, the relay of a bare
+//! `Source` root included — with bounded channels between them
+//! (unshared wiring — the engine crate layers packet merging and shared
+//! pivots on top of these pieces). Tasks of its own it holds none: the
+//! morsel groups' are `par_pipe`'s.
 //!
 //! Instantiation is **two-phase and fallible**: every operator task is
 //! constructed first (compiling expressions, validating key columns),
@@ -25,15 +26,16 @@ use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
 use crate::ops::par_pipe::{self, AggSpec, ParChain};
+use crate::ops::shell::{PageWork, Port, PortClosed};
 use crate::ops::{
-    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, MergeJoinTask, NljKernel,
-    OperatorShell, ProjectKernel, ScanTask, SortKernel,
+    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, MergeJoinKernel, NljKernel,
+    OperatorShell, Pages, ProjectKernel, ScanKernel, SinkKernel, SortKernel,
 };
 use crate::parallel::{ParallelConfig, StageSpec};
 use crate::plan::PhysicalPlan;
-use cordoba_sim::channel::{self, Receiver, Recv, Sender};
-use cordoba_sim::{RunOutcome, Simulator, Spawner, Step, StopReason, Task, TaskCtx, TaskId};
-use cordoba_storage::{Catalog, Page, Value};
+use cordoba_sim::channel::{self, Receiver, Sender};
+use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskId};
+use cordoba_storage::{Catalog, Page, Schema, Value};
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -178,37 +180,38 @@ pub fn instantiate(
     Ok((rx, spawned, resources))
 }
 
-/// Forwards pages from a receiver to a fan-out at zero private cost —
-/// used when a [`PhysicalPlan::Source`] is itself the plan root.
-struct RelayTask {
-    rx: Receiver<Arc<Page>>,
-    fanout: Fanout,
-}
+/// A [`PhysicalPlan::Source`] as the plan root: its pages pass through
+/// unchanged, at no cost, and the task ends in the step that sees its
+/// input end.
+struct Relay(Arc<Schema>);
 
-impl Task for RelayTask {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, done) = self.fanout.pump(ctx);
-        if !done {
-            return Step::blocked(cost);
-        }
-        match self.rx.try_recv(ctx) {
-            Recv::Value(page) => {
-                ctx.add_progress(page.rows() as f64);
-                self.fanout.begin(page);
-                let (c, done) = self.fanout.pump(ctx);
-                cost += c;
-                if done {
-                    Step::yielded(cost.max(1))
-                } else {
-                    Step::blocked(cost)
-                }
-            }
-            Recv::Empty => Step::blocked(cost),
-            Recv::Closed => {
-                self.fanout.close(ctx);
-                Step::done(cost)
-            }
-        }
+impl Kernel for Relay {
+    fn name(&self) -> &'static str {
+        "relay"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        vec![("", Some(self.0.clone()))]
+    }
+
+    fn on_page(
+        &mut self,
+        _: usize,
+        page: &Arc<Page>,
+        out: &mut Pages,
+    ) -> Result<PageWork, ExecError> {
+        out.push(page.clone());
+        Ok(PageWork {
+            cost: 0,
+            progress: page.rows(),
+        })
+    }
+
+    fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        Ok(PortClosed {
+            last: true,
+            ..PortClosed::default()
+        })
     }
 }
 
@@ -418,26 +421,18 @@ fn wire(
                 .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?
                 .pages()
                 .to_vec();
-            built.push((
-                name,
-                Box::new(ScanTask::new(
-                    pages,
-                    *cost,
-                    Fanout::new(outs, cost.out_per_tuple),
-                )),
-            ));
+            let kernel = ScanKernel::new(pages, *cost);
+            built.push((name, shell(kernel, vec![], outs, cost, sctx)));
         }
-        PhysicalPlan::Source { .. } => {
+        PhysicalPlan::Source { schema } => {
             // Source as root: relay external pages to the consumers.
             let rx = sources
                 .pop_front()
                 .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
+            let free = OpCost::per_tuple(0.0);
             built.push((
                 name,
-                Box::new(RelayTask {
-                    rx,
-                    fanout: Fanout::new(outs, 0.0),
-                }),
+                shell(Relay(schema.0.clone()), vec![rx], outs, &free, sctx),
             ));
         }
         PhysicalPlan::Filter {
@@ -538,19 +533,18 @@ fn wire(
             let out_schema = plan.try_output_schema(catalog)?;
             let rx_left = child_input(left, sources, preorder, built)?;
             let rx_right = child_input(right, sources, preorder, built)?;
-            let task = MergeJoinTask::new(
-                rx_left,
-                rx_right,
-                &left_schema,
-                &right_schema,
+            let kernel = MergeJoinKernel::new(
+                left_schema,
+                right_schema,
                 *left_key,
                 *right_key,
                 out_schema,
                 *cost,
-                Fanout::new(outs, cost.out_per_tuple),
-                sctx.fault.clone(),
             )?;
-            built.push((name, Box::new(task)));
+            built.push((
+                name,
+                shell(kernel, vec![rx_left, rx_right], outs, cost, sctx),
+            ));
         }
     }
     Ok(())
@@ -585,10 +579,10 @@ pub fn run_and_collect_pages(
     use std::cell::RefCell;
     use std::rc::Rc;
     let buf = Rc::new(RefCell::new(Vec::new()));
-    sim.spawn(
-        "collector",
-        Box::new(crate::ops::SinkTask::new(rx, sink_cost).collecting(buf.clone())),
-    );
+    let sink = Box::new(SinkKernel::new(sink_cost).collecting(buf.clone()));
+    let fanout = Fanout::new(Vec::new(), 0.0);
+    let collector = OperatorShell::new(sink, vec![rx], fanout, fault.clone());
+    sim.spawn("collector", Box::new(collector));
     let outcome = sim.run_to_idle();
     if let Some(err) = fault.take().or_else(|| stall_error(&outcome)) {
         return Err(err);
@@ -986,11 +980,11 @@ mod tests {
         let (scan_tx, scan_rx) = channel::bounded(8);
         sim.spawn(
             "ext-scan",
-            Box::new(ScanTask::new(
+            crate::ops::testutil::scan_task(
                 cat.expect("t").pages().to_vec(),
                 OpCost::default(),
                 Fanout::new(vec![scan_tx], 0.0),
-            )),
+            ),
         );
         let (out_tx, out_rx) = channel::bounded(8);
         let mut sources = VecDeque::from([scan_rx]);
@@ -1284,11 +1278,11 @@ mod tests {
         let (scan_tx, scan_rx) = channel::bounded(4);
         sim.spawn(
             "ext-scan",
-            Box::new(ScanTask::new(
+            crate::ops::testutil::scan_task(
                 cat.expect("t").pages().to_vec(),
                 OpCost::default(),
                 Fanout::new(vec![scan_tx], 0.0),
-            )),
+            ),
         );
         let (out_tx, out_rx) = channel::bounded(4);
         let mut sources = VecDeque::from([scan_rx]);

@@ -54,7 +54,7 @@ fn feed(kernel: &mut dyn Kernel, inputs: &[&[Arc<Page>]], out: &mut Pages) {
 fn run(kernel: &mut dyn Kernel, inputs: &[&[Arc<Page>]]) -> Vec<(i64, i64, i64)> {
     let mut out = Pages::new();
     feed(kernel, inputs, &mut out);
-    while !kernel.drain(&mut out).expect("drains").1 {}
+    while !kernel.drain(&mut out).expect("drains").last {}
     let rows = out.iter().flat_map(|page| {
         let wide = page.schema().len() > 2;
         let row = move |t: cordoba_storage::TupleRef<'_>| {
@@ -101,7 +101,7 @@ fn the_cursors_of_a_merge_are_on_the_brokers_books() {
         let held = frame_bytes(&kv_schema(), 1) + PAGE_SIZE;
         assert!(broker.used() >= runs * held, "granted what is held");
         assert!(broker.peak() <= 64 * PAGE_SIZE, "peak {}", broker.peak());
-        while !sort.drain(&mut out).expect("drains").1 {}
+        while !sort.drain(&mut out).expect("drains").last {}
         assert_eq!(
             out.iter().map(|p| p.rows()).sum::<usize>(),
             runs * run_pages * 256

@@ -545,24 +545,47 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// The vectorized merge join (gathered key columns) reproduces the
-    /// reference executor on sorted random inputs with duplicate keys
-    /// and empty sides. Inputs are sorted by the (vectorized) sort
-    /// operator, so this also pins the sort → merge composition.
+    /// The vectorized merge join (gathered key columns, pages buffered
+    /// behind row cursors) reproduces the reference executor on sorted
+    /// random inputs with duplicate keys and empty sides, on tables of
+    /// every power-of-two page size from 64 B (four rows) up to the
+    /// default: equal-key groups then span pages and the join switches
+    /// ports mid-group.
+    /// With `hot`, both sides carry one key over three or more 64-byte
+    /// pages. Inputs are sorted either by the (vectorized) sort operator,
+    /// which pins the sort → merge composition, or beforehand, so the
+    /// join reads the table's own pages.
     #[test]
     fn vectorized_merge_join_matches_reference(
         left in proptest::collection::vec((0i64..6, 0i64..100), 0..40),
         right in proptest::collection::vec((0i64..6, 0i64..100), 0..40),
+        page_size in (6u32..=12).prop_map(|log| 1usize << log),
+        hot in any::<bool>(),
+        sort_op in any::<bool>(),
     ) {
-        let cat = kv_catalog(&left, &right);
-        let sorted = |table: &str| Box::new(PhysicalPlan::Sort {
-            input: Box::new(PhysicalPlan::Scan { table: table.into(), cost: OpCost::default() }),
-            keys: vec![0],
-            cost: OpCost::default(),
-        });
+        let (mut left, mut right, mut page_size) = (left, right, page_size);
+        if hot {
+            for side in [&mut left, &mut right] {
+                side.resize(side.len().max(12), (0, 0));
+                side.iter_mut().for_each(|row| row.0 = 3);
+            }
+            page_size = 64;
+        }
+        if !sort_op {
+            left.sort_by_key(|row| row.0);
+            right.sort_by_key(|row| row.0);
+        }
+        let cat = kv_catalog(&left, &right, page_size);
+        let input = |table: &str| {
+            let scan = Box::new(PhysicalPlan::Scan { table: table.into(), cost: OpCost::default() });
+            match sort_op {
+                true => Box::new(PhysicalPlan::Sort { input: scan, keys: vec![0], cost: OpCost::default() }),
+                false => scan,
+            }
+        };
         let plan = PhysicalPlan::MergeJoin {
-            left: sorted("l"),
-            right: sorted("r"),
+            left: input("l"),
+            right: input("r"),
             left_key: 0,
             right_key: 0,
             cost: OpCost::default(),
@@ -582,7 +605,7 @@ proptest! {
         right in proptest::collection::vec((0i64..6, -20i64..20), 0..12),
         seed in recipe_strategy(),
     ) {
-        let cat = kv_catalog(&left, &right);
+        let cat = kv_catalog(&left, &right, 128);
         let plan = PhysicalPlan::NestedLoopJoin {
             outer: Box::new(PhysicalPlan::Scan { table: "l".into(), cost: OpCost::default() }),
             inner: Box::new(PhysicalPlan::Scan { table: "r".into(), cost: OpCost::default() }),
@@ -597,15 +620,16 @@ proptest! {
 }
 
 /// Registers `l` and `r` as two-column (Int key, Int payload) tables on
-/// small pages so non-trivial inputs span several pages.
-fn kv_catalog(left: &[(i64, i64)], right: &[(i64, i64)]) -> Catalog {
+/// pages of `page_size` bytes — small ones (128 B is eight rows) so
+/// non-trivial inputs span several pages.
+fn kv_catalog(left: &[(i64, i64)], right: &[(i64, i64)], page_size: usize) -> Catalog {
     let mut cat = Catalog::new();
     for (name, rows) in [("l", left), ("r", right)] {
         let schema = Schema::new(vec![
             Field::new(format!("{name}k"), DataType::Int),
             Field::new(format!("{name}v"), DataType::Int),
         ]);
-        let mut tb = TableBuilder::with_page_size(name, schema, 128);
+        let mut tb = TableBuilder::with_page_size(name, schema, page_size);
         for (k, v) in rows {
             tb.push_row(&[Value::Int(*k), Value::Int(*v)]);
         }
@@ -762,7 +786,7 @@ proptest! {
         let mut probes: Vec<i64> = rows.iter().flat_map(|r| [r.0, r.0 ^ 1, !r.0]).collect();
         probes.extend(-10..10);
 
-        let cat = kv_catalog(&rows, &[]);
+        let cat = kv_catalog(&rows, &[], 128);
         let pages = cat.expect("l").pages();
         let first = pages.len() / 2;
         let first_rows: usize = pages[..first].iter().map(|p| p.rows()).sum();
@@ -812,7 +836,7 @@ fn gen_int_pred(r: &mut Recipe<'_>, depth: u32, ncols: usize) -> Predicate {
 /// worker thread (simulator) and sibling tasks keep running.
 #[test]
 fn unsorted_merge_input_returns_typed_error() {
-    let cat = kv_catalog(&[(5, 1), (2, 2), (9, 3)], &[(1, 1), (2, 2)]);
+    let cat = kv_catalog(&[(5, 1), (2, 2), (9, 3)], &[(1, 1), (2, 2)], 128);
     // No sorts below the merge join: the left scan violates the
     // contract at runtime, after instantiation succeeded.
     let plan = PhysicalPlan::MergeJoin {

@@ -46,12 +46,13 @@
 //!    threads) and `engine::thread_exec` (query-level threads and the
 //!    sharing seam): operators run on threads by being wired into that
 //!    driver, never through a second executor with loops of its own.
-//! 8. **One operator shell** — in non-test source under
-//!    `exec::ops`, `impl .. Task for` appears only in the shell
-//!    (`ops::shell`) and the tasks it leaves out on purpose (`scan`,
-//!    `sink`, `merge_join`, `par_pipe`): an operator is a `Kernel` the
-//!    shell runs, so the step protocol, the input check and the failure
-//!    path are not spelled out a second time.
+//! 8. **One operator shell** — in non-test `exec` source,
+//!    `impl .. Task for` appears only in the shell (`ops::shell`) and
+//!    the morsel tasks it leaves out on purpose (`ops::par_pipe`):
+//!    every operator — scan, sink and merge join included, and any
+//!    helper the wiring needs — is a `Kernel` the shell runs, so the
+//!    step protocol, the input check and the failure path are not
+//!    spelled out a second time.
 //! 9. **One sharing model** — outside `cordoba-core`, non-test source
 //!    names `GroupMember::new`, `SharingEvaluator::from_parts` and
 //!    `SharingEvaluator::heterogeneous` only in `engine::policy`, whose
@@ -189,8 +190,8 @@ pub struct Config {
     /// by the one shell.
     pub operator_prefixes: Vec<String>,
     /// The files under those prefixes that may `impl Task`: the shell,
-    /// the tasks it leaves out on purpose, and test-only modules gated
-    /// from their parent.
+    /// the morsel tasks it leaves out on purpose, and test-only modules
+    /// gated from their parent.
     pub operator_task_files: Vec<String>,
     /// Path prefixes that own the sharing model and may build its
     /// groups from raw parts.
@@ -261,14 +262,10 @@ impl Config {
                 "crates/exec/src/wiring.rs".into(),
                 "crates/engine/src/thread_exec.rs".into(),
             ],
-            operator_prefixes: vec!["crates/exec/src/ops/".into()],
+            operator_prefixes: vec!["crates/exec/src/".into()],
             operator_task_files: vec![
                 "crates/exec/src/ops/shell.rs".into(),
-                // No input, no output, two inputs polled in one step,
-                // morsels over channels of their own.
-                "crates/exec/src/ops/scan.rs".into(),
-                "crates/exec/src/ops/sink.rs".into(),
-                "crates/exec/src/ops/merge_join.rs".into(),
+                // Morsels over channels of their own.
                 "crates/exec/src/ops/par_pipe.rs".into(),
                 // `#[cfg(test)] mod testutil;` in ops/mod.rs.
                 "crates/exec/src/ops/testutil.rs".into(),
@@ -716,7 +713,7 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
             push(
                 i,
                 Rule::OneOperatorShell,
-                "`impl Task` in an operator module; implement `ops::shell::Kernel` and let \
+                "`impl Task` in exec outside the shell; implement `ops::shell::Kernel` and let \
                  the one `OperatorShell` run it (step protocol, input check and failure \
                  path live there)"
                     .into(),
@@ -1096,9 +1093,12 @@ mod tests {
 
     #[test]
     fn seeded_operator_task_is_caught_outside_the_shell() {
-        let mut cfg = cfg_for("exec/ops/");
-        cfg.operator_prefixes = vec!["exec/ops/".into()];
-        cfg.operator_task_files = vec!["exec/ops/shell.rs".into(), "exec/ops/scan.rs".into()];
+        let mut cfg = cfg_for("exec/src/ops/");
+        cfg.operator_prefixes = vec!["exec/src/".into()];
+        cfg.operator_task_files = vec![
+            "exec/src/ops/shell.rs".into(),
+            "exec/src/ops/par_pipe.rs".into(),
+        ];
         let rules = |file: &str, src: &str| -> Vec<Rule> {
             let found = lint_source(file, src, &cfg);
             found.into_iter().map(|f| f.rule).collect()
@@ -1106,11 +1106,15 @@ mod tests {
         let own_step = "impl Task for LimitTask {\n    fn step(&mut self) -> Step { go() }\n}";
         let generic = "impl<S: GroupTx<Msg>> cordoba_sim::Task for Worker<S> {\n}";
         for seeded in [own_step, generic] {
-            let got = rules("exec/ops/limit.rs", seeded);
+            let got = rules("exec/src/ops/limit.rs", seeded);
             assert_eq!(got, vec![Rule::OneOperatorShell], "{seeded}");
-            // The shell and the tasks it leaves out may; so may code
-            // that holds no operators.
-            for file in ["exec/ops/shell.rs", "exec/ops/scan.rs", "exec/wiring.rs"] {
+            // The shell and the morsel tasks may; so may code that holds
+            // no operators.
+            for file in [
+                "exec/src/ops/shell.rs",
+                "exec/src/ops/par_pipe.rs",
+                "engine/run.rs",
+            ] {
                 assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
             }
         }
@@ -1122,8 +1126,32 @@ mod tests {
             "fn f(t: Box<dyn Task>) -> Box<dyn Task + Send> { t }",
             "#[cfg(test)]\nmod tests {\nimpl Task for Probe {\n}\n}",
         ] {
-            let got = rules("exec/ops/limit.rs", fine);
+            let got = rules("exec/src/ops/limit.rs", fine);
             assert!(got.is_empty(), "{fine}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn seeded_task_outside_ops_is_caught_under_the_workspace_policy() {
+        // The rule covers all of exec, not just `ops/`: a relay or a
+        // collector the wiring needs is a kernel too, never a task of
+        // its own beside the wiring.
+        let cfg = Config::workspace();
+        let relay = "struct RelayTask {\n    rx: Receiver<Arc<Page>>,\n}\n\
+                     impl Task for RelayTask {\n    fn step(&mut self, ctx: &mut TaskCtx) -> Step {\n\
+                     self.pump(ctx)\n    }\n}";
+        for file in ["crates/exec/src/wiring.rs", "crates/exec/src/relay.rs"] {
+            let got: Vec<Rule> = lint_source(file, relay, &cfg)
+                .into_iter()
+                .map(|f| f.rule)
+                .collect();
+            assert_eq!(got, vec![Rule::OneOperatorShell], "{file}");
+        }
+        for file in [
+            "crates/exec/src/ops/shell.rs",
+            "crates/engine/src/dispatcher.rs",
+        ] {
+            assert!(lint_source(file, relay, &cfg).is_empty(), "{file}");
         }
     }
 

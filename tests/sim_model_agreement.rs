@@ -3,7 +3,7 @@
 //! run under the simulator, must achieve the model's x(n) within a few
 //! percent (pipeline-fill and page-granularity effects).
 
-use cordoba::exec::ops::{Fanout, FilterKernel, OperatorShell, ScanTask, SinkTask};
+use cordoba::exec::ops::{Fanout, FilterKernel, OperatorShell, ScanKernel, SinkKernel};
 use cordoba::exec::{FaultCell, OpCost};
 use cordoba::model::{OperatorSpec, PlanSpec, QueryModel};
 use cordoba::sim::{channel, Simulator};
@@ -22,14 +22,10 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
     let table = tb.finish();
     let mut sim = Simulator::new(contexts);
     let (tx0, mut prev_rx) = channel::bounded(16);
-    sim.spawn(
-        "scan",
-        Box::new(ScanTask::new(
-            table.pages().to_vec(),
-            OpCost::per_tuple(stage_costs[0]),
-            Fanout::new(vec![tx0], 0.0),
-        )),
-    );
+    let scan = ScanKernel::new(table.pages().to_vec(), OpCost::per_tuple(stage_costs[0]));
+    let fanout = Fanout::new(vec![tx0], 0.0);
+    let scan = OperatorShell::new(Box::new(scan), vec![], fanout, FaultCell::default());
+    sim.spawn("scan", Box::new(scan));
     // Middle stages: pass-through filters with the given per-tuple work
     // (exec's Source relay costs nothing, so a filter kernel with
     // `Predicate::True` and the exact cost, behind the operator shell).
@@ -48,10 +44,10 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
         sim.spawn(format!("stage{i}"), Box::new(stage));
         prev_rx = rx;
     }
-    sim.spawn(
-        "sink",
-        Box::new(SinkTask::new(prev_rx, OpCost::per_tuple(0.0))),
-    );
+    let sink = Box::new(SinkKernel::new(OpCost::per_tuple(0.0)));
+    let none = Fanout::new(vec![], 0.0);
+    let sink = OperatorShell::new(sink, vec![prev_rx], none, FaultCell::default());
+    sim.spawn("sink", Box::new(sink));
     let out = sim.run_to_idle();
     assert!(out.completed_all(), "{out:?}");
     ROWS as f64 / sim.now() as f64
@@ -125,16 +121,15 @@ fn shared_fanout_matches_model_pivot_equation() {
         for _ in 0..m {
             let (tx, rx) = channel::bounded(16);
             txs.push(tx);
-            sim.spawn("sink", Box::new(SinkTask::new(rx, OpCost::per_tuple(0.0))));
+            let sink = Box::new(SinkKernel::new(OpCost::per_tuple(0.0)));
+            let none = Fanout::new(vec![], 0.0);
+            let sink = OperatorShell::new(sink, vec![rx], none, FaultCell::default());
+            sim.spawn("sink", Box::new(sink));
         }
-        let scan = sim.spawn(
-            "scan",
-            Box::new(ScanTask::new(
-                table.pages().to_vec(),
-                OpCost::new(9.66, 10.34),
-                Fanout::new(txs, 10.34),
-            )),
-        );
+        let scan = ScanKernel::new(table.pages().to_vec(), OpCost::new(9.66, 10.34));
+        let fanout = Fanout::new(txs, 10.34);
+        let scan = OperatorShell::new(Box::new(scan), vec![], fanout, FaultCell::default());
+        let scan = sim.spawn("scan", Box::new(scan));
         sim.run_to_idle();
         let stats = sim.task_stats(scan);
         let p = stats.active as f64 / stats.progress;
