@@ -12,9 +12,8 @@
 //!   bounded sharing groups, measured against the model's
 //!   `optimal_partition` recommendation.
 
-use cordoba_bench::experiments::{query_work, sharing_speedup, ExpConfig};
+use cordoba_bench::experiments::{optimal_partition, query_work, sharing_speedup, ExpConfig};
 use cordoba_bench::output::{announce, f, write_csv};
-use cordoba_core::decision::optimal_partition;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{measure_throughput, EngineConfig, Policy};
 use cordoba_exec::OpCost;

@@ -114,7 +114,7 @@ fn print_subsume(p: &SubsumePoint) {
         p.unshared_vt,
         p.shared_vt,
         p.measured_z(),
-        p.predicted_z,
+        p.predicted_z(),
         p.hits,
         p.misses,
         p.evictions,
@@ -155,7 +155,7 @@ fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
                 p.advisor_agrees(),
                 Some(true),
                 "advisor must call the uniprocessor win: predicted {:.3}, measured {:.3}",
-                p.predicted_z,
+                p.predicted_z(),
                 p.measured_z()
             );
         }

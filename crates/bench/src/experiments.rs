@@ -1,8 +1,9 @@
 //! Measurement routines for every experiment in the paper.
 
 use crate::engine_cfg;
-use cordoba_core::contention::estimate_k;
-use cordoba_core::sharing::WorkerScaling;
+use cordoba_core::estimate::estimate_k;
+use cordoba_core::sharing::{SharingEvaluator, WorkerScaling};
+use cordoba_core::{ModelError, NodeId, PlanSpec};
 use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
@@ -144,6 +145,91 @@ pub fn model_speedup(
         .expect("profiled plan is valid")
         .with_workers(scaling)
         .speedup(contexts as f64)
+}
+
+/// A recommended partition of `m` identical queries into sharing groups
+/// (paper Section 8.1: "sharing fewer queries at a time is one
+/// potential way to exploit work sharing while reducing the
+/// serialization penalty").
+#[derive(Debug, Clone, PartialEq)]
+pub struct Partition {
+    /// Group sizes (non-increasing; sizes differ by at most one).
+    pub groups: Vec<usize>,
+    /// Predicted aggregate rate of forward progress.
+    pub rate: f64,
+    /// Predicted rate of the two baselines, for reporting.
+    pub never_share_rate: f64,
+    /// Predicted rate of the single-group (always-share) extreme.
+    pub one_group_rate: f64,
+}
+
+impl Partition {
+    /// The dominant group size.
+    pub fn group_size(&self) -> usize {
+        self.groups.first().copied().unwrap_or(0)
+    }
+}
+
+/// Finds the group size that maximizes predicted aggregate throughput
+/// when partitioning `m` identical queries into sharing groups on `n`
+/// processors, assuming the processors are divided among groups in
+/// proportion to their sizes.
+///
+/// For each candidate size `g`, the queries split into
+/// `ceil(m/g)` groups (sizes as equal as possible); a group of size
+/// `gᵢ` receives `n · gᵢ / m` processors and contributes
+/// `x_shared(gᵢ, n·gᵢ/m)`. `g = 1` reproduces the never-share baseline
+/// and `g = m` the always-share extreme, so the result is never worse
+/// than either.
+pub fn optimal_partition(
+    plan: &PlanSpec,
+    pivot: NodeId,
+    m: usize,
+    n: f64,
+) -> cordoba_core::Result<Partition> {
+    if m == 0 {
+        return Err(ModelError::EmptyGroup);
+    }
+    let rate_for = |sizes: &[usize]| -> cordoba_core::Result<f64> {
+        let mut total = 0.0;
+        for &g in sizes {
+            let share = (n * g as f64 / m as f64).max(f64::MIN_POSITIVE);
+            total += SharingEvaluator::homogeneous(plan, pivot, g)?.shared_rate(share)?;
+        }
+        Ok(total)
+    };
+    let sizes_for = |g: usize| -> Vec<usize> {
+        // Distribute m into ceil(m/g) groups with sizes differing by <= 1.
+        let k = m.div_ceil(g);
+        let base = m / k;
+        let extra = m % k;
+        let mut sizes: Vec<usize> = (0..k).map(|i| base + usize::from(i < extra)).collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        sizes
+    };
+    let mut best: Option<Partition> = None;
+    let never = rate_for(&sizes_for(1))?;
+    let one_group = rate_for(&sizes_for(m))?;
+    for g in 1..=m {
+        let sizes = sizes_for(g);
+        let rate = rate_for(&sizes)?;
+        // Ties break toward larger groups: equal predicted rate but
+        // more redundant work eliminated (leaving more slack for
+        // anything else the machine runs).
+        let better = match &best {
+            None => true,
+            Some(b) => rate > b.rate + 1e-12 || (rate >= b.rate - 1e-12 && g > b.group_size()),
+        };
+        if better {
+            best = Some(Partition {
+                groups: sizes,
+                rate,
+                never_share_rate: never,
+                one_group_rate: one_group,
+            });
+        }
+    }
+    Ok(best.expect("at least g=1 evaluated"))
 }
 
 /// Measures the always-share vs never-share speedup with every query
@@ -311,5 +397,77 @@ mod tests {
             let p = sharing_speedup(&catalog, &spec, 8, contexts, work, cfg.measure_floor);
             assert!(p.z > 1.0, "contexts={contexts}: {p:?}");
         }
+    }
+}
+
+#[cfg(test)]
+mod partition_tests {
+    use super::*;
+    use cordoba_core::OperatorSpec;
+
+    fn q6() -> (PlanSpec, NodeId) {
+        let mut b = PlanSpec::new();
+        let scan = b.add_leaf(OperatorSpec::new("scan", vec![9.66], vec![10.34]));
+        let agg = b.add_node(OperatorSpec::new("agg", vec![0.97], vec![]), vec![scan]);
+        (b.finish(agg).unwrap(), scan)
+    }
+
+    fn join_heavy() -> (PlanSpec, NodeId) {
+        let mut b = PlanSpec::new();
+        let s1 = b.add_leaf(OperatorSpec::new("scan1", vec![12.0], vec![1.0]));
+        let s2 = b.add_leaf(OperatorSpec::new("scan2", vec![30.0], vec![1.0]));
+        let join = b.add_node(
+            OperatorSpec::new("join", vec![1.0, 2.0], vec![0.05]),
+            vec![s1, s2],
+        );
+        let agg = b.add_node(OperatorSpec::new("agg", vec![0.5], vec![]), vec![join]);
+        (b.finish(agg).unwrap(), join)
+    }
+
+    #[test]
+    fn optimal_partition_never_worse_than_either_extreme() {
+        let (plan, scan) = q6();
+        for (m, n) in [(8usize, 4.0), (16, 8.0), (48, 32.0), (4, 1.0)] {
+            let p = optimal_partition(&plan, scan, m, n).unwrap();
+            assert!(p.rate >= p.never_share_rate - 1e-12, "m={m} n={n}: {p:?}");
+            assert!(p.rate >= p.one_group_rate - 1e-12, "m={m} n={n}: {p:?}");
+            assert_eq!(p.groups.iter().sum::<usize>(), m);
+        }
+    }
+
+    #[test]
+    fn optimal_partition_uses_one_group_on_uniprocessor() {
+        // On 1 CPU sharing everything is best for Q6 (Figure 1).
+        let (plan, scan) = q6();
+        let p = optimal_partition(&plan, scan, 16, 1.0).unwrap();
+        assert_eq!(p.groups, vec![16]);
+    }
+
+    #[test]
+    fn optimal_partition_prefers_small_groups_on_big_machine() {
+        // Section 8.1: on 32 CPUs with 48 Q6 clients, a single group
+        // serializes and singletons waste sharing; small groups win.
+        let (plan, scan) = q6();
+        let p = optimal_partition(&plan, scan, 48, 32.0).unwrap();
+        assert!(
+            p.group_size() >= 2 && p.group_size() <= 6,
+            "expected small groups, got {:?}",
+            p.groups
+        );
+        assert!(p.rate > p.never_share_rate * 1.01);
+        assert!(p.rate > p.one_group_rate * 1.5);
+    }
+
+    #[test]
+    fn optimal_partition_join_heavy_prefers_one_group() {
+        let (plan, join) = join_heavy();
+        let p = optimal_partition(&plan, join, 16, 8.0).unwrap();
+        assert_eq!(p.groups, vec![16], "join-heavy should coalesce fully");
+    }
+
+    #[test]
+    fn optimal_partition_rejects_empty() {
+        let (plan, scan) = q6();
+        assert!(optimal_partition(&plan, scan, 0, 8.0).is_err());
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::engine_cfg;
 use crate::output::Json;
+use cordoba_core::sharing::Speedup;
 use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
@@ -60,9 +61,9 @@ pub struct SubsumePoint {
     pub unshared_vt: f64,
     /// Virtual time (or response) of the shared/subsumed run.
     pub shared_vt: f64,
-    /// The partial-overlap model's predicted `Z` for the scenario's
-    /// group (NaN when the scenario has no single-group prediction).
-    pub predicted_z: f64,
+    /// The partial-overlap model's prediction for the scenario's group
+    /// (`None` when the scenario has no single-group prediction).
+    pub predicted: Option<Speedup>,
     /// Fragment-cache hits observed in the shared run.
     pub hits: u64,
     /// Fragment-cache misses observed in the shared run.
@@ -81,14 +82,17 @@ impl SubsumePoint {
         self.unshared_vt / self.shared_vt
     }
 
-    /// Whether the advisor's win/loss call matches the measurement
-    /// (`None` when the scenario carries no prediction).
+    /// The predicted `Z` (NaN when the scenario carries no prediction).
+    pub fn predicted_z(&self) -> f64 {
+        self.predicted.map_or(f64::NAN, |s| s.z)
+    }
+
+    /// Whether the advisor's verdict ([`Speedup::favors_sharing`], ties
+    /// share) matches the measured win/loss (`None` when the scenario
+    /// carries no prediction).
     pub fn advisor_agrees(&self) -> Option<bool> {
-        if self.predicted_z.is_nan() {
-            None
-        } else {
-            Some((self.predicted_z >= 1.0) == (self.measured_z() >= 1.0))
-        }
+        self.predicted
+            .map(|s| s.favors_sharing(0.0) == (self.measured_z() >= 1.0))
     }
 
     /// The scenario's `BENCH_ops.json` record.
@@ -102,11 +106,7 @@ impl SubsumePoint {
             ("speedup", Json::fixed(self.measured_z(), 3)),
             (
                 "predicted_z",
-                if self.predicted_z.is_nan() {
-                    Json::Null
-                } else {
-                    Json::fixed(self.predicted_z, 3)
-                },
+                self.predicted.map_or(Json::Null, |s| Json::fixed(s.z, 3)),
             ),
             (
                 "advisor_agrees",
@@ -126,12 +126,12 @@ impl SubsumePoint {
     }
 }
 
-/// Predicts `Z` for one family chain sharing its widest (first)
+/// Predicts the speedup of one family chain sharing its widest (first)
 /// member's fragment: per-member profiled models and coverage
 /// estimates — what the dispatcher hands `Policy::admit_overlap` —
 /// through the policy's own pricing ([`sharing_group`]).
 /// `effective_contexts` is the group's fair share of the machine.
-fn predicted_chain_z(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: f64) -> f64 {
+fn predicted_chain(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: f64) -> Speedup {
     let wide_pivot = chain[0].pivot.as_ref().expect("family specs have pivots");
     let models: Vec<QueryModelInfo> = chain.iter().map(|spec| profiled(catalog, spec)).collect();
     let members: Vec<_> = chain
@@ -143,8 +143,8 @@ fn predicted_chain_z(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts
         })
         .collect();
     sharing_group(&members)
+        .and_then(|group| group.evaluate(effective_contexts.max(1.0)))
         .expect("profiled parameters are valid")
-        .speedup(effective_contexts.max(1.0))
 }
 
 /// Runs a family workload shared (always-share, cache on) and unshared
@@ -190,14 +190,13 @@ pub fn group_scenario(
         .map(|j| &specs[j * family_cfg.families])
         .collect();
     let n_eff = contexts as f64 * family_cfg.per_family as f64 / specs.len() as f64;
-    let predicted_z = predicted_chain_z(catalog, &chain, n_eff);
     SubsumePoint {
         name,
         queries: specs.len(),
         contexts,
         unshared_vt: unshared.makespan as f64,
         shared_vt: shared.makespan as f64,
-        predicted_z,
+        predicted: Some(predicted_chain(catalog, &chain, n_eff)),
         hits: shared.sharing.fingerprint_hits,
         misses: shared.sharing.fingerprint_misses,
         evictions: shared.sharing.fingerprint_evictions,
@@ -245,7 +244,7 @@ pub fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
         contexts: 1,
         unshared_vt: cold,
         shared_vt: warm,
-        predicted_z: f64::NAN,
+        predicted: None,
         hits: report.sharing.fingerprint_hits,
         misses: report.sharing.fingerprint_misses,
         evictions: report.sharing.fingerprint_evictions,
@@ -357,6 +356,10 @@ pub fn policy_scenario(
 mod tests {
     use super::*;
     use cordoba_engine::OverlapInfo;
+
+    fn predicted_chain_z(catalog: &Catalog, chain: &[&QuerySpec], n_eff: f64) -> f64 {
+        predicted_chain(catalog, chain, n_eff).z
+    }
 
     /// The "predicted" value a subsume scenario reports is the number
     /// the model-guided policy itself computes when the chain's last

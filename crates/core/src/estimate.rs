@@ -10,6 +10,11 @@
 //! * **shared** runs at different group sizes `M` give the pivot's
 //!   `p_φ(M) = w_φ + M·s_φ`; a least-squares fit over two or more values
 //!   of `M` separates `w_φ` from `s_φ`.
+//!
+//! The one contention term, `e(k) = k^κ`
+//! ([`WorkerScaling`](crate::sharing::WorkerScaling); paper Section
+//! 4.1.4's `n^κ` effective processors), takes its exponent from
+//! [`estimate_k`] over measured throughputs.
 
 use crate::error::{ModelError, Result};
 use crate::linalg;
@@ -127,6 +132,41 @@ pub fn fit_pivot(observations: &[PivotObservation]) -> Result<PivotFit> {
     })
 }
 
+/// Estimates the contention exponent `k` from measured saturated
+/// throughputs at different context counts: under saturation
+/// `x(n) ∝ n^k`, so `ln x = k·ln n + c` and `k` is the slope of a
+/// log-log least-squares fit ("k is easy to measure empirically",
+/// paper Section 4.1.4). The result is clamped into `(0, 1]`.
+pub fn estimate_k(samples: &[(u32, f64)]) -> Result<f64> {
+    let usable: Vec<(f64, f64)> = samples
+        .iter()
+        .filter(|&&(n, x)| n >= 1 && x > 0.0 && x.is_finite())
+        .map(|&(n, x)| ((n as f64).ln(), x.ln()))
+        .collect();
+    if usable.len() < 2 {
+        return Err(ModelError::Estimation(format!(
+            "need at least 2 valid (contexts, throughput) samples, got {}",
+            usable.len()
+        )));
+    }
+    let distinct_n = {
+        let mut ns: Vec<u64> = usable.iter().map(|(ln_n, _)| ln_n.to_bits()).collect();
+        ns.sort_unstable();
+        ns.dedup();
+        ns.len()
+    };
+    if distinct_n < 2 {
+        return Err(ModelError::Estimation(
+            "samples must cover at least 2 distinct context counts".into(),
+        ));
+    }
+    let rows = usable.len();
+    let a: Vec<f64> = usable.iter().flat_map(|&(ln_n, _)| [1.0, ln_n]).collect();
+    let b: Vec<f64> = usable.iter().map(|&(_, ln_x)| ln_x).collect();
+    let x = linalg::least_squares(&a, &b, rows, 2)?;
+    Ok(x[1].clamp(f64::MIN_POSITIVE, 1.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,5 +248,48 @@ mod tests {
             progress_units: 0.0,
         };
         assert!(fit_pivot(&[obs(1, 5.0), bad]).is_err());
+    }
+
+    #[test]
+    fn estimate_k_recovers_exact_exponent() {
+        for true_k in [0.5, 0.75, 0.9, 1.0] {
+            let samples: Vec<(u32, f64)> = [1u32, 2, 4, 8, 16, 32]
+                .iter()
+                .map(|&n| (n, 3.0 * (n as f64).powf(true_k)))
+                .collect();
+            let k = estimate_k(&samples).unwrap();
+            assert!((k - true_k).abs() < 1e-9, "k={k} vs {true_k}");
+        }
+    }
+
+    #[test]
+    fn estimate_k_clamps_superlinear_to_one() {
+        let samples: Vec<(u32, f64)> = [1u32, 2, 4]
+            .iter()
+            .map(|&n| (n, (n as f64).powf(1.4)))
+            .collect();
+        assert_eq!(estimate_k(&samples).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn estimate_k_tolerates_noise() {
+        let samples: Vec<(u32, f64)> = [1u32, 2, 4, 8, 16]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let noise = if i % 2 == 0 { 1.03 } else { 0.97 };
+                (n, (n as f64).powf(0.8) * noise)
+            })
+            .collect();
+        let k = estimate_k(&samples).unwrap();
+        assert!((k - 0.8).abs() < 0.05, "k={k}");
+    }
+
+    #[test]
+    fn estimate_k_rejects_degenerate_inputs() {
+        assert!(estimate_k(&[]).is_err());
+        assert!(estimate_k(&[(4, 2.0)]).is_err());
+        assert!(estimate_k(&[(4, 2.0), (4, 2.1)]).is_err());
+        assert!(estimate_k(&[(1, 0.0), (2, -1.0)]).is_err());
     }
 }

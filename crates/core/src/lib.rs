@@ -23,14 +23,15 @@
 //! | `φ`  | the pivot operator: highest node where sharing is possible | [`plan::PivotedPlan`] |
 //! | `x(m,n)` | group rate of forward progress | [`sharing::SharingEvaluator::unshared_rate`], [`sharing::SharingEvaluator::shared_rate`] |
 //! | `Z(m,n)` | benefit of sharing, `x_shared / x_unshared` | [`sharing::SharingEvaluator::speedup`], all of it in [`sharing::SharingEvaluator::evaluate`] |
-//! | `r_unshared`, `u_unshared` | an unshared group's peak rate and utilization, closed or open system (Section 5.1) | [`sharing::SharingEvaluator::unshared_rate`] / [`unshared_utilization`](sharing::SharingEvaluator::unshared_utilization); [`mismatch::UnsharedGroup`] is the degenerate group asking only this |
-//! | `e(k) = k^κ` | effective speedup of `k` morsel workers; divides every `w`-derived term, never `s` | [`sharing::SharingEvaluator::with_workers`] |
-//! | share? | `Z ≥ 1 + hysteresis`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by [`Decision::for_group`] |
+//! | `r_unshared`, `u_unshared` | an unshared group's peak rate and utilization, closed or open system (Section 5.1); queries sharing nothing are the degenerate group (nothing below a zero-cost pivot) | [`sharing::SharingEvaluator::unshared_rate`] / [`unshared_utilization`](sharing::SharingEvaluator::unshared_utilization) |
+//! | `e(k) = k^κ` | the one contention term (Section 4.1.4's `n^κ`): effective speedup of `k` morsel workers; divides every `w`-derived term, never `s`; `κ` from [`estimate::estimate_k`] | [`WorkerScaling`], taken by [`sharing::SharingEvaluator::with_workers`] |
+//! | share? | `Z ≥ 1 + hysteresis`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by `cordoba-engine`'s `Policy::decide` |
 //!
 //! Each equation is written once: one evaluator family serves the
-//! serial model and the worker-scaled one, the advisor
-//! ([`ShareAdvisor`]) and the engine's model-guided policy take the
-//! same verdict over the same [`Speedup`] assembly.
+//! serial model and the worker-scaled one, contention is the one
+//! [`WorkerScaling`] term, and the one advisor — the engine's
+//! `Policy::decide` — takes its verdict over the [`Speedup`] assembled
+//! here.
 //!
 //! ## Quick start
 //!
@@ -51,31 +52,26 @@
 //! assert!(eval.speedup(32.0) < 0.5);
 //! ```
 //!
-//! The extensions of Section 5 are in [`mismatch`] (open/closed systems,
-//! mismatched rates), [`phases`] (stop-&-go operators) and [`joins`]
-//! (NLJ / merge / hash join decomposition). Parameter estimation from
-//! profiled operator active times (Section 3.1) is in [`estimate`].
+//! The extensions of Section 5 are in [`sharing`] (open/closed systems,
+//! mismatched rates: [`sharing::SystemKind`]), [`phases`] (stop-&-go
+//! operators) and [`joins`] (NLJ / merge / hash join decomposition).
+//! Parameter estimation from profiled operator active times (Section
+//! 3.1) and the contention exponent are in [`estimate`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod contention;
-pub mod decision;
 pub mod error;
 pub mod estimate;
 pub mod fxhash;
 pub mod joins;
 pub mod linalg;
-pub mod littles_law;
-pub mod mismatch;
 pub mod operator;
 pub mod phases;
 pub mod plan;
 pub mod query;
 pub mod sharing;
 
-pub use contention::HardwareModel;
-pub use decision::{Decision, ShareAdvisor};
 pub use error::{ModelError, Result};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use operator::OperatorSpec;

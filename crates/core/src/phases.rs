@@ -482,6 +482,36 @@ mod tests {
         assert!((z - 1.0).abs() < 1e-9);
     }
 
+    /// The paper's profiled Q6: scan (w=9.66, s=10.34) feeding a p=0.97
+    /// aggregate, shareable at the scan.
+    fn q6() -> (PlanSpec, NodeId) {
+        let mut b = PlanSpec::new();
+        let scan = b.add_leaf(OperatorSpec::new("scan", vec![9.66], vec![10.34]));
+        let agg = b.add_node(OperatorSpec::new("agg", vec![0.97], vec![]), vec![scan]);
+        (b.finish(agg).unwrap(), scan)
+    }
+
+    #[test]
+    fn phased_and_flat_evaluation_agree_on_pipelinable_plans() {
+        // A plan with no blocking operators decomposes into one phase, so
+        // the phased speedup must equal the flat evaluator's.
+        use crate::sharing::SharingEvaluator;
+        let (plan, scan) = q6();
+        let phased = PhasedEvaluator::new(&plan).unwrap();
+        assert_eq!(phased.phases().len(), 1);
+        let (idx, node) = phased.find_op("scan").unwrap();
+        for (m, n) in [(4usize, 1.0), (16, 8.0), (32, 32.0)] {
+            let whole = phased.speedup(idx, node, m, n).unwrap();
+            let flat = SharingEvaluator::homogeneous(&plan, scan, m)
+                .unwrap()
+                .speedup(n);
+            assert!(
+                (whole - flat).abs() < 1e-9,
+                "m={m} n={n}: {whole} vs {flat}"
+            );
+        }
+    }
+
     #[test]
     fn phased_sharing_rejects_bad_phase_index() {
         let ev = PhasedEvaluator::new(&sort_query()).unwrap();

@@ -24,11 +24,11 @@ pub enum SystemKind {
     Open,
 }
 
-/// Intra-query worker scaling: `k` morsel workers deliver an effective
-/// `k^κ`-fold speedup of parallelizable operator work, with `κ`
-/// re-fitted from measured throughput of the threaded engine at
-/// several worker counts (the same aggregate-bandwidth form as the
-/// paper's Section 4.1.4 contention model, applied *within* a query).
+/// The model's one contention term: `k` morsel workers deliver an
+/// effective `k^κ`-fold speedup of parallelizable operator work — the
+/// paper's Section 4.1.4 `n^κ` effective processors, applied *within* a
+/// query — with `κ` fitted by [`crate::estimate::estimate_k`] from
+/// measured throughput at several worker counts.
 ///
 /// The pivot's per-member output multiplexing `Σ s_mφ` stays serial —
 /// in the morsel engine every parallel group funnels through one merge
@@ -378,7 +378,7 @@ impl SharingEvaluator {
     /// `(r_unshared, u_unshared)`: the unshared group's peak rate and
     /// peak utilization — the one place the Section 5.1 regimes differ
     /// (see [`Self::unshared_rate`]).
-    pub(crate) fn unshared_peak(&self) -> (f64, f64) {
+    fn unshared_peak(&self) -> (f64, f64) {
         let m = self.m() as f64;
         let members = || {
             self.members
@@ -439,17 +439,9 @@ impl SharingEvaluator {
 
     /// Computes the full set of group quantities at `n` processors.
     pub fn evaluate(&self, n: f64) -> Result<Speedup> {
-        self.evaluate_split(n, n)
-    }
-
-    /// [`Self::evaluate`] with different effective processors per
-    /// execution mode (contention can depend on whether the system
-    /// shares — paper Section 4.1.4).
-    pub(crate) fn evaluate_split(&self, n_shared: f64, n_unshared: f64) -> Result<Speedup> {
-        let x_shared = self.shared_rate(n_shared)?;
-        check_n(n_unshared)?;
+        let x_shared = self.shared_rate(n)?;
         let unshared = self.unshared_peak();
-        let x_unshared = throttled(unshared, n_unshared);
+        let x_unshared = throttled(unshared, n);
         Ok(Speedup {
             z: x_shared / x_unshared,
             x_shared,
@@ -657,6 +649,70 @@ mod tests {
         assert!(closed > open, "closed {closed} should beat open {open}");
         // Shared: both throttled by the heavy top (p_max = 20).
         assert!((ev.shared_p_max() - 20.0).abs() < 1e-12);
+    }
+
+    // --- the degenerate group: independent queries (Section 5.1) --------
+
+    /// Queries sharing nothing: nothing below the pivot, a zero-cost
+    /// pivot, every operator of each pipeline above it — asked only for
+    /// its unshared side.
+    fn degenerate(pipelines: &[&[f64]]) -> SharingEvaluator {
+        let members = pipelines
+            .iter()
+            .map(|costs| GroupMember::new(0.0, costs.to_vec()))
+            .collect();
+        SharingEvaluator::from_parts(vec![], 0.0, members).unwrap()
+    }
+
+    #[test]
+    fn degenerate_group_matches_section_4_2() {
+        // M identical queries: x = M * min(1/p_max, n / (M u')).
+        let q: &[f64] = &[10.0, 5.0];
+        let group = degenerate(&[q, q, q, q]);
+        // r = 4 / 10, u = 4 * 1.5
+        assert!((group.unshared_peak().0 - 0.4).abs() < 1e-12);
+        assert!((group.unshared_utilization() - 6.0).abs() < 1e-12);
+        // Saturated region: n = 3 < u = 6 -> x = 0.4 * 3/6 = 0.2.
+        assert!((group.unshared_rate(3.0).unwrap() - 0.2).abs() < 1e-12);
+        // Unsaturated: n = 12 -> x = 0.4.
+        assert!((group.unshared_rate(12.0).unwrap() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn degenerate_group_closed_system_lets_fast_queries_raise_throughput() {
+        let closed = degenerate(&[&[2.0], &[20.0]]);
+        let open = closed.clone().with_system(SystemKind::Open);
+        // Closed: 2 * harmonic-mean(1/2, 1/20) = 2 * 2/22.
+        assert!((closed.unshared_peak().0 - 4.0 / 22.0).abs() < 1e-12);
+        // Open: both at the slow rate, 2/20.
+        assert!((open.unshared_peak().0 - 0.1).abs() < 1e-12);
+        assert!(closed.unshared_peak().0 > open.unshared_peak().0);
+    }
+
+    #[test]
+    fn degenerate_group_regimes_agree_for_identical_members() {
+        let q: &[f64] = &[10.0, 10.0, 5.0];
+        let closed = degenerate(&[q, q, q]);
+        let open = closed.clone().with_system(SystemKind::Open);
+        for n in [1.0, 2.0, 8.0, 32.0] {
+            let gap = closed.unshared_rate(n).unwrap() - open.unshared_rate(n).unwrap();
+            assert!(gap.abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn degenerate_group_rejects_empty() {
+        assert!(matches!(
+            SharingEvaluator::from_parts(vec![], 0.0, vec![]),
+            Err(ModelError::EmptyGroup)
+        ));
+    }
+
+    #[test]
+    fn degenerate_group_rejects_invalid_n() {
+        let g = degenerate(&[&[1.0]]);
+        assert!(g.unshared_rate(0.0).is_err());
+        assert!(g.unshared_rate(f64::NAN).is_err());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Sharing policies: always, never, and model-guided (paper Section 8).
 //!
 //! [`sharing_group`] is the one place outside `cordoba-core` that turns
-//! profiled queries into the model's group; the verdict over it is
-//! `cordoba-core`'s [`Decision::for_group`].
+//! profiled queries into the model's group, and [`Policy::decide`] is
+//! the one advisor: its [`Decision`] takes the model's one verdict,
+//! [`Speedup::favors_sharing`].
 
-use cordoba_core::sharing::{GroupMember, SharingEvaluator};
-use cordoba_core::{Decision, ModelError, NodeId, PlanSpec};
+use cordoba_core::sharing::{GroupMember, SharingEvaluator, Speedup};
+use cordoba_core::{ModelError, NodeId, PlanSpec};
 use cordoba_exec::subsume::MIN_COVERAGE;
 use std::collections::HashMap;
 
@@ -85,6 +86,18 @@ pub fn sharing_group(members: &[(&QueryModelInfo, f64)]) -> Result<SharingEvalua
     SharingEvaluator::from_parts(below, pivot_work, members)
 }
 
+/// A share/don't-share verdict with the numbers behind it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// Whether to share: [`Speedup::favors_sharing`] at the policy's
+    /// hysteresis (`Z ≥ 1 + hysteresis`; ties share).
+    pub share: bool,
+    /// The predicted speedup (`Z`, `x_shared`, `x_unshared`, ...).
+    pub speedup: Speedup,
+    /// Processors the group was priced at.
+    pub n: f64,
+}
+
 /// A sharing policy.
 #[derive(Debug, Clone, Default)]
 pub enum Policy {
@@ -139,7 +152,12 @@ impl Policy {
             .collect::<Option<Vec<_>>>()?;
         // Sub-1 fair shares are clamped to the uniprocessor case.
         let n = effective_contexts.max(1.0);
-        Decision::for_group(&sharing_group(&members).ok()?, n, n, *hysteresis).ok()
+        let speedup = sharing_group(&members).ok()?.evaluate(n).ok()?;
+        Some(Decision {
+            share: speedup.favors_sharing(*hysteresis),
+            speedup,
+            n,
+        })
     }
 
     /// Decides whether `candidate` should join an open group currently
@@ -282,24 +300,17 @@ mod tests {
     }
 
     #[test]
-    fn neutral_group_gets_one_verdict_from_advisor_and_policy() {
-        // A group of one is neutral (Z = 1): the library's advisor and
-        // the engine's policy must agree on it — ties share.
-        use cordoba_core::{HardwareModel, ShareAdvisor};
+    fn neutral_group_is_shared() {
+        // A group of one is neutral (Z = 1): ties share.
         let policy = model_policy();
-        for (name, info) in [("q6", q6_info()), ("q4", join_info())] {
-            let alone = SharingEvaluator::homogeneous(&info.plan, info.pivot, 1).unwrap();
-            for contexts in [1u32, 4, 32] {
-                let advised = ShareAdvisor::new(HardwareModel::ideal(contexts))
-                    .advise(&alone)
-                    .unwrap();
+        for name in ["q6", "q4"] {
+            for contexts in [1.0, 4.0, 32.0] {
                 let decided = policy
-                    .decide(&[], overlap(name, 1.0), contexts as f64)
+                    .decide(&[], overlap(name, 1.0), contexts)
                     .expect("profiled member");
-                assert!((advised.speedup.z - 1.0).abs() < 1e-12);
-                assert_eq!(advised.speedup, decided.speedup, "{name} n={contexts}");
-                assert!(advised.share && decided.share, "{name} n={contexts}");
-                assert!(policy.admit_overlap(&[], overlap(name, 1.0), contexts as f64));
+                assert!((decided.speedup.z - 1.0).abs() < 1e-12);
+                assert!(decided.share, "{name} n={contexts}");
+                assert!(policy.admit_overlap(&[], overlap(name, 1.0), contexts));
             }
         }
     }
@@ -311,7 +322,7 @@ mod tests {
         let d = p.decide(&group, overlap("q6", 1.0), 32.0).unwrap();
         assert!(!d.share && d.speedup.z < 1.0);
         assert_eq!(d.speedup.z, d.speedup.x_shared / d.speedup.x_unshared);
-        assert_eq!((d.n_shared, d.n_unshared), (32.0, 32.0));
+        assert_eq!(d.n, 32.0);
         assert_eq!(d.share, p.admit_overlap(&group, overlap("q6", 1.0), 32.0));
         assert!(Policy::AlwaysShare
             .decide(&group, overlap("q6", 1.0), 32.0)

@@ -181,8 +181,8 @@ pub fn run_unshared_parallel(
 /// count, running one query at a time so the samples isolate
 /// *intra*-query scaling.
 ///
-/// Feed the samples to [`cordoba_core::contention::estimate_k`]-style
-/// fitting to recover the scaling exponent `κ` of `e(k) = k^κ` for this
+/// Feed the samples to [`cordoba_core::estimate::estimate_k`] to
+/// recover the scaling exponent `κ` of `e(k) = k^κ` for this
 /// host — the paper's aggregate-bandwidth contention form, fitted on
 /// the same operator tasks the simulator prices.
 pub fn worker_scaling_samples(

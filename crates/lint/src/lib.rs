@@ -1176,7 +1176,7 @@ mod tests {
                 "{seeded}"
             );
             // The model's own crate and the policy's pricing may.
-            for file in ["core/src/mismatch.rs", "engine/src/policy.rs"] {
+            for file in ["core/src/sharing.rs", "engine/src/policy.rs"] {
                 assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
             }
             let in_test = format!("#[cfg(test)]\nmod tests {{\n{seeded}\n}}");

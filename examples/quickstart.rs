@@ -7,10 +7,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use cordoba::engine::profiling::profile_query;
-use cordoba::engine::{measure_throughput, EngineConfig, Policy};
-use cordoba::model::sharing::SharingEvaluator;
+use cordoba::engine::{measure_throughput, EngineConfig, OverlapInfo, Policy};
 use cordoba::storage::tpch::{generate, TpchConfig};
 use cordoba::workload::{q6, CostProfile};
+use std::collections::HashMap;
 
 fn main() {
     // 1. A memory-resident TPC-H subset (deterministic).
@@ -60,17 +60,21 @@ fn main() {
         "\nprofiled scan parameters: w = {:.2}, s = {:.2} (paper: 9.66, 10.34)",
         report.pivot_w, report.pivot_s
     );
+    // The engine's model-guided verdict on the 8th client joining the
+    // other 7.
+    let policy = Policy::model_guided(HashMap::from([(spec.name.clone(), info)]));
+    let member = OverlapInfo {
+        name: &spec.name,
+        coverage: 1.0,
+    };
     for (contexts, z_measured) in measured {
-        let z_model = SharingEvaluator::homogeneous(&info.plan, info.pivot, 8)
-            .unwrap()
-            .speedup(contexts as f64);
+        let d = policy
+            .decide(&[member; 7], member, contexts as f64)
+            .expect("profiled parameters are valid");
         println!(
-            "n = {contexts:>2}: measured Z = {z_measured:.3}, model Z = {z_model:.3} -> {}",
-            if z_model > 1.0 {
-                "SHARE"
-            } else {
-                "DON'T SHARE"
-            }
+            "n = {contexts:>2}: measured Z = {z_measured:.3}, model Z = {:.3} -> {}",
+            d.speedup.z,
+            if d.share { "SHARE" } else { "DON'T SHARE" }
         );
     }
     println!("\nSharing a scan-heavy query helps on a uniprocessor and hurts on a CMP —");

@@ -1,15 +1,16 @@
 //! Share advisor: profiles the four TPC-H queries and prints a
 //! share/don't-share decision matrix over machine sizes and client
-//! counts — the model applied exactly as a DBMS would at runtime.
+//! counts — the model-guided policy's own verdict, exactly as the
+//! engine takes it at runtime.
 //!
 //! Run with: `cargo run --release --example share_advisor`
 
 use cordoba::engine::profiling::profile_query;
-use cordoba::engine::EngineConfig;
-use cordoba::model::sharing::SharingEvaluator;
+use cordoba::engine::{EngineConfig, OverlapInfo, Policy};
 use cordoba::storage::tpch::{generate, TpchConfig};
 use cordoba::workload::queries::all;
 use cordoba::workload::CostProfile;
+use std::collections::HashMap;
 
 fn main() {
     let catalog = generate(&TpchConfig::scale(0.002));
@@ -24,6 +25,11 @@ fn main() {
             "== {} ==  pivot w = {:.2}, s = {:.2}",
             spec.name, report.pivot_w, report.pivot_s
         );
+        let policy = Policy::model_guided(HashMap::from([(spec.name.clone(), info)]));
+        let member = OverlapInfo {
+            name: &spec.name,
+            coverage: 1.0,
+        };
         print!("{:>12}", "m \\ n");
         for n in contexts {
             print!("{n:>8}");
@@ -31,21 +37,17 @@ fn main() {
         println!();
         for m in clients {
             print!("{m:>12}");
+            // The m-th client arriving at a group of m - 1.
+            let group = vec![member; m - 1];
             for n in contexts {
-                let z = SharingEvaluator::homogeneous(&info.plan, info.pivot, m)
-                    .unwrap()
-                    .speedup(n as f64);
-                let verdict = if z > 1.0 + 1e-9 {
-                    format!("+{z:.2}")
-                } else if z < 1.0 - 1e-9 {
-                    format!("-{z:.2}")
-                } else {
-                    "=1.00".to_string()
-                };
+                let d = policy
+                    .decide(&group, member, n as f64)
+                    .expect("profiled parameters are valid");
+                let verdict = format!("{}{:.2}", if d.share { '+' } else { '-' }, d.speedup.z);
                 print!("{verdict:>8}");
             }
             println!();
         }
-        println!("  (+Z share, -Z don't, =1 indifferent)\n");
+        println!("  (+Z share, -Z don't; ties share)\n");
     }
 }

@@ -5,7 +5,6 @@
 use cordoba::exec::expr::{CmpOp, Predicate};
 use cordoba::exec::{reference, OpCost, PhysicalPlan};
 use cordoba::model::estimate::{fit_pivot, PivotObservation};
-use cordoba::model::mismatch::UnsharedGroup;
 use cordoba::model::sharing::{GroupMember, SharingEvaluator, SystemKind, WorkerScaling};
 use cordoba::model::{OperatorSpec, PlanSpec, QueryModel};
 use cordoba::storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -130,32 +129,6 @@ proptest! {
             prop_assert_eq!(base.x_unshared.to_bits(), (m * r_mean * (n / u_group).min(1.0)).to_bits());
             prop_assert_eq!(base.unshared_utilization.to_bits(), u_group.to_bits());
         }
-    }
-
-    /// `mismatch::UnsharedGroup` has no formula of its own: it is the
-    /// degenerate sharing group (nothing below the pivot, a zero-cost
-    /// pivot) asked for its unshared side.
-    #[test]
-    fn unshared_group_is_the_degenerate_sharing_group(
-        queries in proptest::collection::vec(pipeline_costs(), 1..6),
-        system in system(),
-        n in cost(),
-    ) {
-        let plans: Vec<PlanSpec> = queries.iter().map(|costs| PlanSpec::pipeline(
-            costs.iter().enumerate()
-                .map(|(i, &c)| OperatorSpec::new(format!("s{i}"), vec![c], vec![]))
-                .collect(),
-        ).unwrap()).collect();
-        let group = UnsharedGroup::new(&plans.iter().collect::<Vec<_>>())
-            .unwrap()
-            .with_system(system);
-        let degenerate = SharingEvaluator::from_parts(
-            vec![],
-            0.0,
-            queries.iter().map(|costs| GroupMember::new(0.0, costs.clone())).collect(),
-        ).unwrap().with_system(system);
-        prop_assert_eq!(group.rate(n).unwrap().to_bits(), degenerate.unshared_rate(n).unwrap().to_bits());
-        prop_assert_eq!(group.peak_utilization().to_bits(), degenerate.unshared_utilization().to_bits());
     }
 
     /// On a uniprocessor, sharing never hurts (any saved work helps,
