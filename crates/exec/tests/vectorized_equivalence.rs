@@ -1,223 +1,23 @@
-//! Property tests for the vectorized execution path: compiled
-//! expression/predicate programs must agree with the tree-walking
-//! evaluators row for row, and the vectorized operator tasks (filter,
-//! project, aggregate, sort, hash join, merge join, nested-loop join)
-//! must reproduce the tuple-at-a-time reference executor on randomized
-//! schemas, pages, and plans. Typed-error behavior rides along:
-//! malformed plans are rejected at instantiation and unsorted merge
-//! inputs fail the query with an [`ExecError`], not the process.
+//! Vectorized operator pieces held to definitions written without the
+//! engine: compiled `LIKE` against the oracle's matcher, the radix sort
+//! against a stable `sort_by`, and `BuildTable` lookups against "the
+//! rows with this key, in insertion order". Typed-error behavior rides
+//! along: malformed plans are rejected at instantiation and unsorted
+//! merge inputs fail the query with an [`ExecError`], not the process.
+//! Whole plans against the reference executor are the root
+//! `tests/equivalence.rs` fuzzer's.
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::ops::BuildTable;
-use cordoba_exec::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
+use cordoba_exec::vexpr::{CompiledPredicate, ExprScratch};
 use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, PhysicalPlan};
 use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, DataType, Date, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-/// One random row: (Int, Float source, Date day, short string).
-type RowSpec = (i64, i64, i64, String);
-
-/// A stream of random recipe triples driving expression/predicate
-/// construction; runs out gracefully (defaults end recursion).
-struct Recipe<'a> {
-    items: &'a [(u8, u8, i64)],
-    at: usize,
-}
-
-impl<'a> Recipe<'a> {
-    fn new(items: &'a [(u8, u8, i64)]) -> Self {
-        Self { items, at: 0 }
-    }
-
-    fn next(&mut self) -> (u8, u8, i64) {
-        let item = self.items.get(self.at).copied().unwrap_or((3, 0, 1));
-        self.at += 1;
-        item
-    }
-}
-
-fn cmp_op(sel: u8) -> CmpOp {
-    [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-    ][(sel % 6) as usize]
-}
-
-/// Builds a random well-typed numeric expression over columns 0 (Int)
-/// and 1 (Float).
-fn gen_num_expr(r: &mut Recipe<'_>, depth: u32) -> ScalarExpr {
-    let (kind, _, lit) = r.next();
-    match kind % 8 {
-        0..=2 if depth > 0 => {
-            let a = Box::new(gen_num_expr(r, depth - 1));
-            let b = Box::new(gen_num_expr(r, depth - 1));
-            match kind % 3 {
-                0 => ScalarExpr::Add(a, b),
-                1 => ScalarExpr::Sub(a, b),
-                _ => ScalarExpr::Mul(a, b),
-            }
-        }
-        0 | 4 => ScalarExpr::col(0),
-        1 | 5 => ScalarExpr::col(1),
-        2 | 6 => ScalarExpr::IntLit(lit),
-        _ => ScalarExpr::FloatLit(lit as f64 * 0.5),
-    }
-}
-
-/// Builds a random well-typed predicate over the test schema.
-fn gen_pred(r: &mut Recipe<'_>, depth: u32) -> Predicate {
-    let (kind, op_sel, lit) = r.next();
-    let op = cmp_op(op_sel);
-    match kind % 13 {
-        0 if depth > 0 => {
-            let n = 1 + (lit.unsigned_abs() % 3) as usize;
-            Predicate::And((0..n).map(|_| gen_pred(r, depth - 1)).collect())
-        }
-        1 if depth > 0 => {
-            let n = 1 + (lit.unsigned_abs() % 3) as usize;
-            Predicate::Or((0..n).map(|_| gen_pred(r, depth - 1)).collect())
-        }
-        2 if depth > 0 => Predicate::Not(Box::new(gen_pred(r, depth - 1))),
-        3 => Predicate::True,
-        4 => Predicate::col_cmp(0, op, lit),
-        5 => Predicate::col_cmp(1, op, lit as f64 * 0.5),
-        6 => Predicate::col_cmp(2, op, Date(lit as i32)),
-        7 => Predicate::col_cmp(
-            3,
-            op,
-            ["", "a", "ab", "bca", "c"][(lit.unsigned_abs() % 5) as usize],
-        ),
-        8 => Predicate::Like {
-            col: 3,
-            pattern: ["%a%", "b%", "%c", "%a%b%", "abc", "%"][(lit.unsigned_abs() % 6) as usize]
-                .to_string(),
-        },
-        9 => {
-            // `lit op col`: compiled as `col op' lit`.
-            let (left, col) = match lit.rem_euclid(4) {
-                0 => (ScalarExpr::IntLit(lit), 0),
-                1 => (ScalarExpr::FloatLit(lit as f64 * 0.5), 1),
-                2 => (ScalarExpr::DateLit(Date(lit as i32)), 2),
-                _ => (ScalarExpr::StrLit("ab".into()), 3),
-            };
-            Predicate::cmp(left, op, ScalarExpr::col(col))
-        }
-        10 => {
-            // Column vs column: Date/Date, Int/Int, Float/Int, Str/Str.
-            let (l, r) = [(2, 4), (0, 5), (1, 0), (3, 3)][(lit.unsigned_abs() % 4) as usize];
-            Predicate::cmp(ScalarExpr::col(l), op, ScalarExpr::col(r))
-        }
-        _ => Predicate::cmp(gen_num_expr(r, 1), op, gen_num_expr(r, 1)),
-    }
-}
-
-/// Columns 4 and 5 are derived from the others (a second Date and a
-/// second Int for the column-vs-column shapes).
-fn test_schema() -> Arc<Schema> {
-    Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("v", DataType::Float),
-        Field::new("d", DataType::Date),
-        Field::new("s", DataType::Str(3)),
-        Field::new("d2", DataType::Date),
-        Field::new("k2", DataType::Int),
-    ])
-}
-
-/// Registers the random rows as table `t` with small (128 B) pages so
-/// non-trivial inputs span several pages.
-fn catalog(rows: &[RowSpec]) -> Catalog {
-    let mut tb = TableBuilder::with_page_size("t", test_schema(), 128);
-    for (k, v, d, s) in rows {
-        tb.push_row(&[
-            Value::Int(*k),
-            Value::Float(*v as f64 * 0.5),
-            Value::Date(Date(*d as i32)),
-            Value::Str(s.clone()),
-            Value::Date(Date((*d + *k) as i32)),
-            Value::Int(*v / 2),
-        ]);
-    }
-    let mut c = Catalog::new();
-    c.register(tb.finish());
-    c
-}
-
-/// As [`catalog`], each row with two 1-byte flags (columns 6 and 7)
-/// and a float (column 8) whose values include both zeros and NaN.
-fn flagged_catalog(rows: &[RowSpec]) -> Catalog {
-    let mut fields = test_schema().fields().to_vec();
-    fields.push(Field::new("a", DataType::Str(1)));
-    fields.push(Field::new("b", DataType::Str(1)));
-    fields.push(Field::new("f", DataType::Float));
-    let mut tb = TableBuilder::with_page_size("t", Schema::new(fields), 128);
-    let base = catalog(rows);
-    let base_rows = base.expect("t").pages().iter().flat_map(|p| p.tuples());
-    for (t, (k, v, ..)) in base_rows.zip(rows) {
-        let mut row = t.to_values();
-        row.push(Value::Str(["x", "y", ""][k.rem_euclid(3) as usize].into()));
-        row.push(Value::Str(["p", "q"][v.rem_euclid(2) as usize].into()));
-        row.push(Value::Float(
-            [0.0, -0.0, f64::NAN, 1.5][(k + v).rem_euclid(4) as usize],
-        ));
-        tb.push_row(&row);
-    }
-    let mut c = Catalog::new();
-    c.register(tb.finish());
-    c
-}
-
-/// What an aggregate list with shared inputs draws from: three
-/// generated expressions with their operands and operand-swapped forms,
-/// and fixed forms that differ only in operand order or type.
-fn shared_input_pool(r: &mut Recipe<'_>) -> Vec<ScalarExpr> {
-    use ScalarExpr::{Add, FloatLit, IntLit, Mul, Sub};
-    let op = |f: fn(Box<ScalarExpr>, Box<ScalarExpr>) -> ScalarExpr,
-              a: &ScalarExpr,
-              b: &ScalarExpr| { f(Box::new(a.clone()), Box::new(b.clone())) };
-    let (k, v, k2) = (ScalarExpr::col(0), ScalarExpr::col(1), ScalarExpr::col(5));
-    let big = op(Mul, &k, &IntLit(1 << 58));
-    let mut pool = vec![
-        op(Add, &v, &IntLit(1)),
-        op(Add, &IntLit(1), &v),
-        op(Sub, &v, &IntLit(1)),
-        op(Sub, &IntLit(1), &v),
-        // Int ⊕ Int: through f64 and truncated back.
-        op(Add, &k, &IntLit(1)),
-        op(Add, &IntLit(1), &k),
-        op(Mul, &k, &k2),
-        op(Add, &big, &k2),
-        // An Int column against Float operands.
-        op(Mul, &k, &FloatLit(0.5)),
-        op(Sub, &k, &v),
-        op(Sub, &v, &k),
-    ];
-    for _ in 0..3 {
-        let e = gen_num_expr(r, 2);
-        if let Add(a, b) | Sub(a, b) | Mul(a, b) = &e {
-            let swapped = match &e {
-                Add(..) => op(Add, b, a),
-                Sub(..) => op(Sub, b, a),
-                _ => op(Mul, b, a),
-            };
-            pool.extend([(**a).clone(), (**b).clone(), swapped]);
-        }
-        pool.push(e);
-    }
-    pool
-}
-
-fn scan() -> Box<PhysicalPlan> {
-    Box::new(PhysicalPlan::Scan {
-        table: "t".into(),
-        cost: OpCost::default(),
-    })
+fn scan(table: &str) -> Box<PhysicalPlan> {
+    let (table, cost) = (table.into(), OpCost::default());
+    Box::new(PhysicalPlan::Scan { table, cost })
 }
 
 /// Runs `plan` through the simulator wiring; `Err` carries either an
@@ -227,19 +27,6 @@ fn try_run_sim(cat: &Catalog, plan: &PhysicalPlan) -> Result<Vec<Vec<Value>>, Ex
     let (rx, _ops, res) =
         wiring::instantiate(&mut sim, cat, plan, "vq", &wiring::WiringConfig::default())?;
     wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault)
-}
-
-/// Runs `plan` through the simulator wiring and collects result rows.
-fn run_sim(cat: &Catalog, plan: &PhysicalPlan) -> Vec<Vec<Value>> {
-    try_run_sim(cat, plan).expect("plan wires and runs")
-}
-
-fn rows_strategy() -> impl Strategy<Value = Vec<RowSpec>> {
-    proptest::collection::vec((-20i64..20, -40i64..40, 0i64..30, "[a-c]{0,3}"), 0..100)
-}
-
-fn recipe_strategy() -> impl Strategy<Value = Vec<(u8, u8, i64)>> {
-    proptest::collection::vec((0u8..=255, 0u8..=255, -30i64..30), 1..40)
 }
 
 /// Selects `LIKE pattern` and its negation over a one-column `Str(4)`
@@ -297,27 +84,6 @@ fn compiled_like_edge_cases_match_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// CompiledPredicate::select picks exactly the rows the
-    /// tree-walking Predicate::eval accepts, page by page.
-    #[test]
-    fn compiled_predicate_matches_tree_walk(rows in rows_strategy(), seed in recipe_strategy()) {
-        let cat = catalog(&rows);
-        let pred = gen_pred(&mut Recipe::new(&seed), 3);
-        let table = cat.expect("t");
-        let compiled = CompiledPredicate::compile(&pred, table.schema()).expect("compiles");
-        let mut scratch = ExprScratch::default();
-        let mut sel = Vec::new();
-        for page in table.pages() {
-            compiled.select(page, &mut scratch, &mut sel);
-            let expected: Vec<u32> = page
-                .tuples()
-                .enumerate()
-                .filter_map(|(r, t)| pred.eval(&t).then_some(r as u32))
-                .collect();
-            prop_assert_eq!(&sel, &expected, "predicate {:?}", pred);
-        }
-    }
-
     /// A LIKE pattern compiled once into byte fragments accepts exactly
     /// the fields the oracle's per-row `like_match` accepts, plain and
     /// under `Not`. One to four fragments joined by `%` give 0–3 `%`s,
@@ -332,293 +98,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// CompiledExpr::eval_f64_into agrees bit-for-bit with the
-    /// tree-walking ScalarExpr::eval coerced to f64 (same per-row
-    /// operation order, so float results are identical, not just close).
-    #[test]
-    fn compiled_expr_matches_tree_walk(rows in rows_strategy(), seed in recipe_strategy()) {
-        let cat = catalog(&rows);
-        let expr = gen_num_expr(&mut Recipe::new(&seed), 3);
-        let table = cat.expect("t");
-        let compiled = CompiledExpr::compile(&expr, table.schema()).expect("compiles");
-        let mut scratch = ExprScratch::default();
-        let mut out = Vec::new();
-        for page in table.pages() {
-            compiled.eval_f64_into(page, &mut scratch, &mut out);
-            prop_assert_eq!(out.len(), page.rows());
-            for (r, t) in page.tuples().enumerate() {
-                let expected = expr.eval(&t).as_f64().expect("numeric expression");
-                prop_assert_eq!(
-                    out[r].to_bits(), expected.to_bits(),
-                    "expr {:?} row {}: {} vs {}", expr, r, out[r], expected
-                );
-            }
-        }
-    }
-
-    /// The vectorized filter task reproduces the reference executor.
-    #[test]
-    fn vectorized_filter_matches_reference(rows in rows_strategy(), seed in recipe_strategy()) {
-        let cat = catalog(&rows);
-        let plan = PhysicalPlan::Filter {
-            input: scan(),
-            predicate: gen_pred(&mut Recipe::new(&seed), 2),
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The vectorized projection task reproduces the reference
-    /// executor, including string pass-through and literal columns.
-    #[test]
-    fn vectorized_project_matches_reference(rows in rows_strategy(), seed in recipe_strategy()) {
-        let cat = catalog(&rows);
-        let mut r = Recipe::new(&seed);
-        let plan = PhysicalPlan::Project {
-            input: scan(),
-            exprs: vec![
-                ("e0".into(), gen_num_expr(&mut r, 2)),
-                ("e1".into(), gen_num_expr(&mut r, 2)),
-                ("s".into(), ScalarExpr::col(3)),
-                ("lit".into(), ScalarExpr::StrLit("xy".into())),
-            ],
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The vectorized aggregate task reproduces the reference executor
-    /// across all key paths: no groups, packed narrow keys (Int,
-    /// string), and wide keys on the general path.
-    #[test]
-    fn vectorized_aggregate_matches_reference(
-        rows in rows_strategy(),
-        seed in recipe_strategy(),
-        group_sel in 0u8..4,
-    ) {
-        let cat = catalog(&rows);
-        let mut r = Recipe::new(&seed);
-        let group_by = match group_sel {
-            0 => vec![],         // packed: zero-width key
-            1 => vec![0],        // packed: single Int
-            2 => vec![3],        // packed: 3-byte string
-            _ => vec![0, 1],     // general: 16-byte key
-        };
-        let plan = PhysicalPlan::Aggregate {
-            input: scan(),
-            group_by,
-            aggs: vec![
-                ("n".into(), Agg::Count),
-                ("sum".into(), Agg::Sum(gen_num_expr(&mut r, 2))),
-                ("avg".into(), Agg::Avg(gen_num_expr(&mut r, 2))),
-                ("min".into(), Agg::Min(gen_num_expr(&mut r, 2))),
-                ("max".into(), Agg::Max(gen_num_expr(&mut r, 2))),
-            ],
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Aggregate lists whose entries share inputs, sub-expressions and
-    /// columns — what the list program merges — reproduce the reference
-    /// executor bit for bit on every key path, including a two-field
-    /// 2-byte key and a float key holding `0.0`, `-0.0` and NaN.
-    #[test]
-    fn vectorized_aggregate_with_shared_inputs_matches_reference(
-        rows in rows_strategy(),
-        seed in recipe_strategy(),
-        len in 1usize..=8,
-        group_sel in 0u8..6,
-    ) {
-        let cat = flagged_catalog(&rows);
-        let mut r = Recipe::new(&seed);
-        let pool = shared_input_pool(&mut r);
-        let mut aggs = Vec::new();
-        while aggs.len() < len {
-            let (kind, pick, _) = r.next();
-            let e = || pool[pick as usize % pool.len()].clone();
-            match kind % 6 {
-                0 => aggs.push(Agg::Count),
-                1 => aggs.push(Agg::Sum(e())),
-                2 => aggs.push(Agg::Avg(e())),
-                3 => aggs.push(Agg::Min(e())),
-                4 => aggs.push(Agg::Max(e())),
-                // Every function over one input.
-                _ => aggs.extend([Agg::Sum(e()), Agg::Avg(e()), Agg::Min(e()), Agg::Max(e()), Agg::Count]),
-            }
-        }
-        aggs.truncate(len);
-        let group_by = match group_sel {
-            0 => vec![],         // no key: slot 0
-            1 => vec![0],        // packed: single Int
-            2 => vec![3],        // packed: 3-byte string
-            3 => vec![0, 1],     // wide: 16-byte key
-            4 => vec![6, 7],     // packed: two 1-byte fields
-            _ => vec![8],        // packed: Float, by bit pattern
-        };
-        let plan = PhysicalPlan::Aggregate {
-            input: scan(),
-            group_by,
-            aggs: (0..).map(|i| format!("a{i}")).zip(aggs).collect(),
-            cost: OpCost::default(),
-        };
-        let bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
-            let exact = |v| match v {
-                Value::Float(x) => Value::Int(x.to_bits() as i64),
-                other => other,
-            };
-            rows.into_iter().map(|row| row.into_iter().map(exact).collect()).collect()
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(bits(got), bits(expected), "{:?}", plan);
-    }
-
-    /// The arena-backed hash join reproduces the reference executor for
-    /// every join kind.
-    #[test]
-    fn vectorized_hash_join_matches_reference(
-        left in proptest::collection::vec((0i64..8, 0i64..100), 0..40),
-        right in proptest::collection::vec((0i64..8, 0i64..100), 0..40),
-        kind_sel in 0u8..4,
-    ) {
-        let kind = [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti, JoinKind::LeftOuter]
-            [kind_sel as usize];
-        let mut cat = Catalog::new();
-        for (name, rows) in [("l", &left), ("r", &right)] {
-            let schema = Schema::new(vec![
-                Field::new(format!("{name}k"), DataType::Int),
-                Field::new(format!("{name}v"), DataType::Int),
-            ]);
-            let mut tb = TableBuilder::with_page_size(name, schema, 128);
-            for (k, v) in rows {
-                tb.push_row(&[Value::Int(*k), Value::Int(*v)]);
-            }
-            cat.register(tb.finish());
-        }
-        let plan = PhysicalPlan::HashJoin {
-            build: Box::new(PhysicalPlan::Scan { table: "r".into(), cost: OpCost::default() }),
-            probe: Box::new(PhysicalPlan::Scan { table: "l".into(), cost: OpCost::default() }),
-            build_key: 0,
-            probe_key: 0,
-            kind,
-            build_cost: OpCost::default(),
-            probe_cost: OpCost::default(),
-        };
-        let expected = reference::canonicalize(reference::execute(&cat, &plan));
-        let got = reference::canonicalize(run_sim(&cat, &plan));
-        prop_assert_eq!(got, expected, "{:?}", kind);
-    }
-
-    /// The vectorized sort task (packed-u64 fast path and the wide-key
-    /// fallback alike) reproduces the reference executor, including
-    /// duplicate keys (stability) and empty inputs.
-    #[test]
-    fn vectorized_sort_matches_reference(rows in rows_strategy(), key_sel in 0u8..8) {
-        let cat = catalog(&rows);
-        let keys = match key_sel {
-            0 => vec![0],        // packed: Int
-            1 => vec![1],        // packed: Float (total order)
-            2 => vec![2],        // packed: Date
-            3 => vec![3],        // packed: Str(3)
-            4 => vec![2, 3],     // packed: 7-byte Date+Str composite
-            5 => vec![3, 2],     // packed: Str-major composite
-            6 => vec![0, 1],     // general: 16-byte key
-            _ => vec![3, 0],     // general: 11-byte key
-        };
-        let plan = PhysicalPlan::Sort {
-            input: scan(),
-            keys,
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The vectorized merge join (gathered key columns, pages buffered
-    /// behind row cursors) reproduces the reference executor on sorted
-    /// random inputs with duplicate keys and empty sides, on tables of
-    /// every power-of-two page size from 64 B (four rows) up to the
-    /// default: equal-key groups then span pages and the join switches
-    /// ports mid-group.
-    /// With `hot`, both sides carry one key over three or more 64-byte
-    /// pages. Inputs are sorted either by the (vectorized) sort operator,
-    /// which pins the sort → merge composition, or beforehand, so the
-    /// join reads the table's own pages.
-    #[test]
-    fn vectorized_merge_join_matches_reference(
-        left in proptest::collection::vec((0i64..6, 0i64..100), 0..40),
-        right in proptest::collection::vec((0i64..6, 0i64..100), 0..40),
-        page_size in (6u32..=12).prop_map(|log| 1usize << log),
-        hot in any::<bool>(),
-        sort_op in any::<bool>(),
-    ) {
-        let (mut left, mut right, mut page_size) = (left, right, page_size);
-        if hot {
-            for side in [&mut left, &mut right] {
-                side.resize(side.len().max(12), (0, 0));
-                side.iter_mut().for_each(|row| row.0 = 3);
-            }
-            page_size = 64;
-        }
-        if !sort_op {
-            left.sort_by_key(|row| row.0);
-            right.sort_by_key(|row| row.0);
-        }
-        let cat = kv_catalog(&left, &right, page_size);
-        let input = |table: &str| {
-            let scan = Box::new(PhysicalPlan::Scan { table: table.into(), cost: OpCost::default() });
-            match sort_op {
-                true => Box::new(PhysicalPlan::Sort { input: scan, keys: vec![0], cost: OpCost::default() }),
-                false => scan,
-            }
-        };
-        let plan = PhysicalPlan::MergeJoin {
-            left: input("l"),
-            right: input("r"),
-            left_key: 0,
-            right_key: 0,
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The vectorized nested-loop join (compiled predicate over
-    /// candidate pages with selection vectors) reproduces the reference
-    /// executor on random inputs and random predicates — including
-    /// always-false predicates and empty sides.
-    #[test]
-    fn vectorized_nlj_matches_reference(
-        left in proptest::collection::vec((0i64..6, -20i64..20), 0..12),
-        right in proptest::collection::vec((0i64..6, -20i64..20), 0..12),
-        seed in recipe_strategy(),
-    ) {
-        let cat = kv_catalog(&left, &right, 128);
-        let plan = PhysicalPlan::NestedLoopJoin {
-            outer: Box::new(PhysicalPlan::Scan { table: "l".into(), cost: OpCost::default() }),
-            inner: Box::new(PhysicalPlan::Scan { table: "r".into(), cost: OpCost::default() }),
-            // Predicate over the concatenated 4-Int-column pair schema.
-            predicate: gen_int_pred(&mut Recipe::new(&seed), 2, 4),
-            cost: OpCost::default(),
-        };
-        let expected = reference::execute(&cat, &plan);
-        let got = run_sim(&cat, &plan);
-        prop_assert_eq!(got, expected, "{:?}", plan);
-    }
-}
-
 /// Registers `l` and `r` as two-column (Int key, Int payload) tables on
 /// pages of `page_size` bytes — small ones (128 B is eight rows) so
 /// non-trivial inputs span several pages.
@@ -630,9 +109,8 @@ fn kv_catalog(left: &[(i64, i64)], right: &[(i64, i64)], page_size: usize) -> Ca
             Field::new(format!("{name}v"), DataType::Int),
         ]);
         let mut tb = TableBuilder::with_page_size(name, schema, page_size);
-        for (k, v) in rows {
-            tb.push_row(&[Value::Int(*k), Value::Int(*v)]);
-        }
+        rows.iter()
+            .for_each(|&(k, v)| tb.push_row(&[Value::Int(k), Value::Int(v)]));
         cat.register(tb.finish());
     }
     cat
@@ -712,19 +190,18 @@ fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>]) -> Vec<usize> {
     fields.push(Field::new("seq", DataType::Int));
     let mut tb = TableBuilder::with_page_size("t", Schema::new(fields), 256);
     for (seq, key) in keys.iter().enumerate() {
-        let mut row = key.clone();
-        row.push(Value::Int(seq as i64));
-        tb.push_row(&row);
+        tb.push_row(&[key.clone(), vec![Value::Int(seq as i64)]].concat());
     }
     let mut cat = Catalog::new();
     cat.register(tb.finish());
     let plan = PhysicalPlan::Sort {
-        input: scan(),
+        input: scan("t"),
         keys: (0..ncols).collect(),
         cost: OpCost::default(),
     };
     let stamp = |row: &Vec<Value>| row[ncols].as_int().expect("seq is Int") as usize;
-    run_sim(&cat, &plan).iter().map(stamp).collect()
+    let rows = try_run_sim(&cat, &plan).expect("sort runs");
+    rows.iter().map(stamp).collect()
 }
 
 /// What `BuildTable::matches` / `contains` must answer for each of
@@ -811,27 +288,6 @@ proptest! {
     }
 }
 
-/// Builds a random well-typed predicate over `ncols` Int columns.
-fn gen_int_pred(r: &mut Recipe<'_>, depth: u32, ncols: usize) -> Predicate {
-    let (kind, op_sel, lit) = r.next();
-    let op = cmp_op(op_sel);
-    let col = |sel: i64| ScalarExpr::col(sel.unsigned_abs() as usize % ncols);
-    match kind % 8 {
-        0 if depth > 0 => {
-            let n = 1 + (lit.unsigned_abs() % 3) as usize;
-            Predicate::And((0..n).map(|_| gen_int_pred(r, depth - 1, ncols)).collect())
-        }
-        1 if depth > 0 => {
-            let n = 1 + (lit.unsigned_abs() % 3) as usize;
-            Predicate::Or((0..n).map(|_| gen_int_pred(r, depth - 1, ncols)).collect())
-        }
-        2 if depth > 0 => Predicate::Not(Box::new(gen_int_pred(r, depth - 1, ncols))),
-        3 => Predicate::True,
-        4 | 5 => Predicate::cmp(col(lit), op, ScalarExpr::IntLit(lit)),
-        _ => Predicate::cmp(col(lit), op, col(lit.wrapping_add(op_sel as i64))),
-    }
-}
-
 /// An unsorted merge input fails the query with a typed error — the
 /// worker thread (simulator) and sibling tasks keep running.
 #[test]
@@ -840,98 +296,82 @@ fn unsorted_merge_input_returns_typed_error() {
     // No sorts below the merge join: the left scan violates the
     // contract at runtime, after instantiation succeeded.
     let plan = PhysicalPlan::MergeJoin {
-        left: Box::new(PhysicalPlan::Scan {
-            table: "l".into(),
-            cost: OpCost::default(),
-        }),
-        right: Box::new(PhysicalPlan::Scan {
-            table: "r".into(),
-            cost: OpCost::default(),
-        }),
+        left: scan("l"),
+        right: scan("r"),
         left_key: 0,
         right_key: 0,
         cost: OpCost::default(),
     };
     let err = try_run_sim(&cat, &plan).expect_err("unsorted input must fail");
-    assert_eq!(
-        err,
-        ExecError::UnsortedMergeInput {
-            side: "left",
-            prev: 5,
-            key: 2
-        }
-    );
+    let (side, prev, key) = ("left", 5, 2);
+    assert_eq!(err, ExecError::UnsortedMergeInput { side, prev, key });
 }
 
 /// Malformed plans come back as typed instantiation errors — every
 /// operator constructor validates, nothing is spawned, nothing panics.
 #[test]
 fn malformed_plans_return_typed_errors() {
-    let cat = catalog(&[(1, 2, 3, "a".into())]);
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::Float),
+        Field::new("d", DataType::Date),
+        Field::new("s", DataType::Str(3)),
+    ]);
+    let mut tb = TableBuilder::new("t", schema);
+    let date = Value::Date(Date(3));
+    tb.push_row(&[Value::Int(1), Value::Float(1.0), date, "a".into()]);
+    let mut cat = Catalog::new();
+    cat.register(tb.finish());
+    let cost = OpCost::default();
+    let filter = |predicate| PhysicalPlan::Filter {
+        input: scan("t"),
+        predicate,
+        cost,
+    };
+    let add = |a, b| ScalarExpr::Add(Box::new(a), Box::new(b));
     let cases: Vec<PhysicalPlan> = vec![
         // String column in arithmetic.
         PhysicalPlan::Project {
-            input: scan(),
-            exprs: vec![(
-                "e".into(),
-                ScalarExpr::Add(
-                    Box::new(ScalarExpr::col(3)),
-                    Box::new(ScalarExpr::IntLit(1)),
-                ),
-            )],
-            cost: OpCost::default(),
+            input: scan("t"),
+            exprs: vec![("e".into(), add(ScalarExpr::col(3), ScalarExpr::IntLit(1)))],
+            cost,
         },
         // String literal in a numeric filter expression.
-        PhysicalPlan::Filter {
-            input: scan(),
-            predicate: Predicate::cmp(
-                ScalarExpr::Add(
-                    Box::new(ScalarExpr::col(0)),
-                    Box::new(ScalarExpr::StrLit("x".into())),
-                ),
-                CmpOp::Eq,
-                ScalarExpr::IntLit(1),
-            ),
-            cost: OpCost::default(),
-        },
+        filter(Predicate::cmp(
+            add(ScalarExpr::col(0), ScalarExpr::StrLit("x".into())),
+            CmpOp::Eq,
+            ScalarExpr::IntLit(1),
+        )),
         // Date vs float comparison.
-        PhysicalPlan::Filter {
-            input: scan(),
-            predicate: Predicate::col_cmp(2, CmpOp::Lt, 3.0),
-            cost: OpCost::default(),
-        },
+        filter(Predicate::col_cmp(2, CmpOp::Lt, 3.0)),
         // LIKE over a numeric column.
-        PhysicalPlan::Filter {
-            input: scan(),
-            predicate: Predicate::Like {
-                col: 0,
-                pattern: "%a%".into(),
-            },
-            cost: OpCost::default(),
-        },
+        filter(Predicate::Like {
+            col: 0,
+            pattern: "%a%".into(),
+        }),
         // Aggregate over a string input.
         PhysicalPlan::Aggregate {
-            input: scan(),
+            input: scan("t"),
             group_by: vec![],
             aggs: vec![("s".into(), Agg::Sum(ScalarExpr::col(3)))],
-            cost: OpCost::default(),
+            cost,
         },
         // Hash join keyed on a non-Int column.
         PhysicalPlan::HashJoin {
-            build: scan(),
-            probe: scan(),
+            build: scan("t"),
+            probe: scan("t"),
             build_key: 1,
             probe_key: 0,
             kind: JoinKind::Inner,
-            build_cost: OpCost::default(),
-            probe_cost: OpCost::default(),
+            build_cost: cost,
+            probe_cost: cost,
         },
         // NLJ predicate referencing an out-of-range pair column.
         PhysicalPlan::NestedLoopJoin {
-            outer: scan(),
-            inner: scan(),
+            outer: scan("t"),
+            inner: scan("t"),
             predicate: Predicate::col_cmp(99, CmpOp::Eq, 1i64),
-            cost: OpCost::default(),
+            cost,
         },
     ];
     for plan in cases {
