@@ -1,14 +1,15 @@
-//! Property tests for join-family semantics on the reference executor:
-//! on random inputs the hash, nested-loop, and merge joins must agree
-//! with each other (the paper's Section 5.3 treats the families as
-//! interchangeable once blocking phases are accounted for), and the
-//! semi/anti pair must partition the probe side. That the operator tasks
-//! reproduce the reference is the root `tests/equivalence.rs` fuzzer's.
+//! Property tests for join-family correctness: on random inputs the
+//! hash, nested-loop, and merge joins must agree with each other (the
+//! paper's Section 5.3 treats the families as interchangeable once
+//! blocking phases are accounted for), the semi/anti pair must
+//! partition the probe side, and the simulated operator tasks must
+//! reproduce the synchronous reference executor.
 
 use crate::cost::OpCost;
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
 use crate::plan::{JoinKind, PhysicalPlan};
-use crate::reference;
+use crate::{reference, wiring};
+use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;
 
@@ -145,4 +146,19 @@ proptest! {
         prop_assert_eq!(n_outer, n_inner + n_anti);
     }
 
+    /// The simulated hash-join task pipeline (scan → build/probe →
+    /// sink) produces exactly the reference executor's rows.
+    #[test]
+    fn simulated_hash_join_matches_reference(left in kv_rows(), right in kv_rows()) {
+        let catalog = kv_catalog(&left, &right);
+        let plan = hash_inner();
+        let expected = reference::canonicalize(reference::execute(&catalog, &plan));
+
+        let mut sim = Simulator::new(3);
+        let (rx, _ops, res) =
+            wiring::instantiate(&mut sim, &catalog, &plan, "hj", &wiring::WiringConfig::default())
+                .expect("plan wires"); // lint: allow(property-test harness; generated plans always wire)
+        let rows = wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
+        prop_assert_eq!(rows.map(reference::canonicalize), Ok(expected));
+    }
 }

@@ -37,10 +37,12 @@
 //! and string leaves test the space-trimmed field bytes in place.
 //!
 //! Semantics match the tree-walking evaluators exactly on well-typed,
-//! non-NaN inputs (the root `tests/equivalence.rs` fuzzer holds every
-//! operator's compiled programs to the reference executor's tree walk,
-//! and `crates/exec/tests/vectorized_equivalence.rs` compiled `LIKE` to
-//! the oracle's matcher), with two deliberate differences:
+//! non-NaN inputs (the root differential fuzzer holds every operator's
+//! compiled programs to the reference executor's tree walk, and the
+//! root `tests/vectorized_equivalence.rs` compiled predicates and
+//! expressions directly; `crates/exec/tests/vectorized_equivalence.rs`
+//! holds compiled `LIKE` to the oracle's matcher), with two deliberate
+//! differences:
 //!
 //! * type errors (arithmetic on strings, comparing a date to a float)
 //!   surface as typed [`ExecError`]s at **compile** time instead of

@@ -4,8 +4,9 @@
 //! rows with this key, in insertion order". Typed-error behavior rides
 //! along: malformed plans are rejected at instantiation and unsorted
 //! merge inputs fail the query with an [`ExecError`], not the process.
-//! Whole plans against the reference executor are the root
-//! `tests/equivalence.rs` fuzzer's.
+//! Compiled programs against the tree walk, and whole plans against the
+//! reference executor, are the root differential fuzzer's (the root
+//! `tests/vectorized_equivalence.rs` and `tests/equivalence.rs`).
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::ops::BuildTable;

@@ -4,21 +4,21 @@
 //! generator (`fuzz`) draws the cases; each substrate runs its own
 //! default cases here, and `deep` runs ten times as many of each
 //! (`cargo test --release --test equivalence -- --ignored`). A failing
-//! case prints its number; add it to `REGRESSIONS` to replay it.
+//! case prints its number, here or in any file that runs the fuzzer; add
+//! it to `REGRESSIONS` to replay it.
 //!
-//! The named regressions below are fixed cases through the same check.
+//! Slices of the same case space, and each feature's fixed cases, run
+//! through the same check in `parallel_equivalence.rs`,
+//! `spill_equivalence.rs`, `subsume_equivalence.rs`,
+//! `policy_correctness.rs` and `vectorized_equivalence.rs`.
 
 mod fuzz;
 
-use cordoba::engine::QuerySpec;
-use cordoba::exec::{JoinKind, OpCost, PhysicalPlan};
-use cordoba::storage::{Catalog, DataType, Date, Field, Schema, TableBuilder, Value};
-use cordoba::workload::{family_specs, CostProfile, FamilyConfig};
-use fuzz::{Case, Config, Observed, Substrate};
-use std::sync::OnceLock;
+use cordoba::storage::{Date, Value};
+use fuzz::Substrate;
 
 /// Default cases per substrate.
-const CASES: u64 = 64;
+const CASES: u64 = 48;
 
 /// Case numbers that once failed, replayed on every run.
 const REGRESSIONS: &[u64] = &[];
@@ -72,160 +72,5 @@ fn one_row_encoding_tells_strings_dates_and_signed_zeros_apart() {
         assert!(!same(&base, &row("ba", 10, 0.0)));
         assert!(!same(&base, &row("ab", 99, 0.0)));
         assert!(!same(&base, &row("ab", 10, -0.0)));
-    }
-}
-
-fn checked(case: &Case) -> Observed {
-    fuzz::check(case).unwrap_or_else(|why| panic!("{why}\n{case:?}"))
-}
-
-fn scan(table: &str) -> Box<PhysicalPlan> {
-    Box::new(PhysicalPlan::Scan {
-        table: table.into(),
-        cost: OpCost::default(),
-    })
-}
-
-/// 6 000 distinct scattered keys are 47 KiB, and every one of them is
-/// probed: a key lost on its way to or from a key file shows. Victims
-/// spill what they hold from two pages up; under one page, two
-/// partitions of them do not fit when their pairs start, and each key
-/// file is split by the next level's hash (the kernel's own tests watch
-/// that happen) before the pairs join.
-#[test]
-fn distinct_key_files_spill_and_repartition_without_losing_a_key() {
-    let mut catalog = Catalog::new();
-    // Both tables' rows are `(k, k)`, `k` distinct and scattered: 9 000
-    // probe keys, 6 000 build keys (7919 is a prime above 6000).
-    for (name, n, step) in [("l", 9000, 7), ("r", 6000, 7919)] {
-        let fields = ["k", "v"].map(|c| Field::new(format!("{name}{c}"), DataType::Int));
-        let mut tb = TableBuilder::new(name, Schema::new(fields.to_vec()));
-        (0..n).for_each(|i| tb.push_row(&[Value::Int(i * step % n), Value::Int(i * step % n)]));
-        catalog.register(tb.finish());
-    }
-    for kind in [JoinKind::Semi, JoinKind::Anti] {
-        for pages in [1, 2, 4, 8] {
-            // The build is keyed by its second column: what a key-only
-            // partition stores is then not where the key was.
-            let plan = PhysicalPlan::HashJoin {
-                build: scan("r"),
-                probe: scan("l"),
-                build_key: 1,
-                probe_key: 0,
-                kind,
-                build_cost: OpCost::default(),
-                probe_cost: OpCost::default(),
-            };
-            let queries = vec![(0, QuerySpec::unshared("distinct", plan))];
-            let mut config = Config::default();
-            (config.substrate, config.budget_pages) = (Substrate::Threads, Some(pages));
-            let catalog = catalog.clone();
-            let seen = checked(&Case {
-                catalog,
-                queries,
-                config,
-            });
-            assert!(seen.spilled, "{kind:?} at {pages} pages");
-        }
-    }
-}
-
-/// A small TPC-H instance for the fixed cases.
-fn tpch() -> &'static Catalog {
-    static CATALOG: OnceLock<Catalog> = OnceLock::new();
-    CATALOG.get_or_init(|| {
-        cordoba::storage::tpch::generate(&cordoba::storage::tpch::TpchConfig {
-            scale_factor: 0.002,
-            seed: 11,
-            ..Default::default()
-        })
-    })
-}
-
-/// One nested-window family of `members`, the widest arriving first and
-/// the rest long after it completed, always shared.
-fn staggered_family(members: usize, cache: usize) -> Case {
-    let family = FamilyConfig {
-        seed: 42,
-        families: 1,
-        per_family: members,
-    };
-    let specs = family_specs(&CostProfile::paper(), &family).into_iter();
-    let queries = specs
-        .enumerate()
-        .map(|(i, q)| (40_000_000 * u64::from(i > 0), q));
-    let config = Config {
-        substrate: Substrate::Schedule,
-        share: true,
-        cache,
-        contexts: 2,
-        ..Config::default()
-    };
-    let (catalog, queries) = (tpch().clone(), queries.collect());
-    Case {
-        catalog,
-        queries,
-        config,
-    }
-}
-
-/// A late arrival whose window is nested inside an already-completed
-/// fragment is served from the fragment cache: the replay is row for row
-/// the reference, and faster than the cold run.
-#[test]
-fn cache_replay_serves_late_arrivals_exactly() {
-    let seen = checked(&staggered_family(3, 8));
-    assert!(seen.sharing.fingerprint_hits >= 1, "{:?}", seen.sharing);
-    // Replayed queries skip the scan entirely.
-    let (cold, warm) = seen.response_times.split_first().expect("completions");
-    assert!(warm.iter().all(|w| w < cold), "{warm:?} vs cold {cold}");
-}
-
-/// With the cache off (the default) the same schedule records no cache
-/// activity: the knob really gates the subsystem.
-#[test]
-fn cache_disabled_by_default_records_no_activity() {
-    let seen = checked(&staggered_family(2, 0));
-    let lookups = seen.sharing.fingerprint_hits + seen.sharing.fingerprint_misses;
-    assert_eq!(lookups, 0);
-}
-
-/// The real-thread seam runs the engine's own operator graph: shared or
-/// not, its rows are the reference's, float bits and row order
-/// included, and so are the simulated engine's when four copies share.
-#[test]
-fn threaded_and_simulated_execution_agree() {
-    let costs = CostProfile::paper();
-    let q6 = cordoba::workload::q6(&costs);
-    // Scan pivots (q6, q1), hash-join pivots (q4, q13), and a query
-    // shared whole (no private fragment above the pivot).
-    let whole = QuerySpec::shared_at("q6-whole", q6.plan.clone(), q6.plan.clone());
-    let specs = [
-        q6,
-        cordoba::workload::q1(&costs),
-        cordoba::workload::q4(&costs),
-        cordoba::workload::q13(&costs),
-        whole,
-    ];
-    for spec in specs {
-        // Four copies each: across the seam shared, and unshared on two
-        // threads; in the serial simulated engine, shared.
-        let seam = |share| (Substrate::Seam, share, 2, vec![(0, spec.clone())]);
-        let simulated = (Substrate::Batch, true, 1, vec![(0, spec.clone()); 4]);
-        for (substrate, share, workers, queries) in [seam(true), seam(false), simulated] {
-            let config = Config {
-                substrate,
-                share,
-                workers,
-                contexts: 4,
-                ..Config::default()
-            };
-            let catalog = tpch().clone();
-            checked(&Case {
-                catalog,
-                queries,
-                config,
-            });
-        }
     }
 }

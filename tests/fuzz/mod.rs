@@ -22,6 +22,13 @@
 //! A failing case shrinks greedily (halve a table, replace a plan node
 //! by a child, step a config axis toward its default) and the panic
 //! prints the case number and the minimal case.
+//!
+//! `tests/equivalence.rs` runs each substrate's default cases; the
+//! per-feature files run slices of the case space ([`run_slice`]) and
+//! fixed cases through the same [`check`].
+
+// Each test file uses its own part of the module.
+#![allow(dead_code)]
 
 use cordoba::engine::sharing::contains_subtree;
 use cordoba::engine::{thread_exec, ArrivalSchedule, EngineConfig, ParallelConfig, Policy};
@@ -38,7 +45,7 @@ use cordoba::storage::{TableBuilder, Value, PAGE_SIZE};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use Substrate::{Batch, Schedule, Seam, Threads};
 
 type Rows = Vec<Vec<Value>>;
@@ -179,6 +186,25 @@ impl Case {
             queries,
             config,
         }
+    }
+
+    /// Every plan node of every query.
+    pub fn nodes(&self) -> Vec<&Plan> {
+        let mut plans: Vec<&Plan> = self.queries.iter().map(|(_, q)| &q.plan).collect();
+        let mut nodes = Vec::new();
+        while let Some(plan) = plans.pop() {
+            plans.extend(plan.children());
+            nodes.push(plan);
+        }
+        nodes
+    }
+
+    /// Whether some node is `op`, named plainly (`hashjoin`) or with its
+    /// label (`hashjoin(Semi)`).
+    pub fn has(&self, op: &str) -> bool {
+        self.nodes()
+            .into_iter()
+            .any(|p| labels(p).iter().any(|l| l == op))
     }
 
     /// Plan nodes and table rows: what shrinking minimises.
@@ -702,6 +728,33 @@ impl Gen {
     }
 }
 
+/// A table and, over its schema, a predicate and a numeric expression
+/// drawn as the plan generator draws a filter's and a projection's, all
+/// from seed `n`.
+pub fn expressions(n: u64) -> (Arc<Table>, Predicate, ScalarExpr) {
+    let mut g = Gen {
+        rng: Rng(n),
+        catalog: Catalog::new(),
+        names: 0,
+    };
+    g.table(0);
+    let table = g.catalog.expect("t0").clone();
+    let (pred, expr) = (g.pred(table.schema(), 3), g.num(table.schema(), 3));
+    (table, pred, expr)
+}
+
+/// A small TPC-H instance for the fixed cases.
+pub fn tpch() -> &'static Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        cordoba::storage::tpch::generate(&cordoba::storage::tpch::TpchConfig {
+            scale_factor: 0.002,
+            seed: 11,
+            ..Default::default()
+        })
+    })
+}
+
 /// A value under the one row encoding: floats by their bits, everything
 /// else by value. `-0.0` and `0.0` differ; two NaNs with the same bits
 /// are equal.
@@ -816,6 +869,11 @@ pub fn check(case: &Case) -> Result<Observed, String> {
     Ok(seen)
 }
 
+/// [`check`]s a fixed case, panicking with it on failure.
+pub fn checked(case: &Case) -> Observed {
+    check(case).unwrap_or_else(|why| panic!("{why}\n{case:?}"))
+}
+
 /// Runs `case` on its substrate.
 fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed), String> {
     let (c, cat, q) = (&case.config, &case.catalog, &case.queries[0].1);
@@ -887,17 +945,21 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
     Ok((outcomes, seen))
 }
 
+/// `plan`'s operator named plainly (`hashjoin`) and with its label
+/// (`hashjoin(Semi)`).
+fn labels(plan: &Plan) -> [String; 2] {
+    let full = plan.op_name();
+    [full.split('(').next().unwrap_or_default().into(), full]
+}
+
 /// Adds what a passing case covered to `seen`: its operators, its
-/// substrate, and `spill`, `group>1`, `subsume`, `cache-hit` and
-/// `merge-span` (an equal-key group of a merge-join input across a page
-/// boundary, pages as the reference lays them out: the sort's and a
-/// scanned table's own).
+/// substrate, `shared` or `unshared`, and `spill`, `group>1`, `subsume`,
+/// `cache-hit` and `merge-span` (an equal-key group of a merge-join input
+/// across a page boundary, pages as the reference lays them out: the
+/// sort's and a scanned table's own).
 fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
-    let mut plans: Vec<&Plan> = case.queries.iter().map(|(_, q)| &q.plan).collect();
-    while let Some(plan) = plans.pop() {
-        seen.insert(plan.op_name().split('(').next().unwrap_or_default().into());
-        seen.insert(plan.op_name());
-        plans.extend(plan.children());
+    for plan in case.nodes() {
+        seen.extend(labels(plan));
         let Plan::MergeJoin {
             left_key: l,
             right_key: r,
@@ -918,8 +980,10 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
             }
         }
     }
+    let sharing = ["unshared", "shared"][usize::from(case.config.share)];
     let flags = [
         (format!("{:?}", case.config.substrate), true),
+        (sharing.into(), true),
         ("spill".into(), observed.spilled),
         ("group>1".into(), observed.groups.iter().any(|&g| g > 1)),
         ("subsume".into(), observed.sharing.subsume_joins > 0),
@@ -935,19 +999,49 @@ const EVERY_OPERATOR: &str = "scan filter project aggregate sort nlj mergejoin h
 /// Runs the first `cases` cases of `substrate` and asserts they reached
 /// every operator, every join kind and `floor`.
 pub fn run_cases(substrate: Substrate, cases: u64, floor: &[&str]) {
+    let every = EVERY_OPERATOR.split_whitespace();
+    let floor: Vec<&str> = every.chain(floor.iter().copied()).collect();
+    run(substrate, 0, cases, |_| true, &floor);
+}
+
+/// Runs `cases` cases of `substrate` that `keep` admits and asserts they
+/// reached `floor`. The candidates start at a case number `name` hashes
+/// to, far past the default cases, so slices do not repeat each other's
+/// cases; a slice that admits fewer than one candidate in 64 fails.
+pub fn run_slice(
+    name: &str,
+    substrate: Substrate,
+    cases: u64,
+    keep: impl Fn(&Case) -> bool,
+    floor: &[&str],
+) {
+    // FNV-1a, cut to 40 bits.
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    let from = name.bytes().fold(0xcbf2_9ce4_8422_2325, fnv) >> 24;
+    run(substrate, from, cases, keep, floor);
+}
+
+fn run(substrate: Substrate, from: u64, cases: u64, keep: impl Fn(&Case) -> bool, floor: &[&str]) {
     let lane = SUBSTRATES.iter().position(|&s| s == substrate).unwrap_or(0) as u64;
-    let mut seen = BTreeSet::new();
-    for n in (0..cases).map(|i| i * 4 + lane) {
+    let (mut seen, mut ran) = (BTreeSet::new(), 0);
+    for n in (from..from + 64 * cases).map(|i| i * 4 + lane) {
         let case = catch_unwind(|| Case::generate(n));
         let case = case.unwrap_or_else(|p| panic!("case {n}: the generator {}", panic_text(p)));
+        if !keep(&case) {
+            continue;
+        }
         match check(&case) {
             Ok(observed) => cover(&case, &observed, &mut seen),
             Err(why) => fail(n, case, why),
         }
+        ran += 1;
+        if ran == cases {
+            break;
+        }
     }
+    assert_eq!(ran, cases, "{substrate:?}: too few candidates admitted");
     let label = format!("{substrate:?}");
     let want = [label.as_str()].into_iter().chain(floor.iter().copied());
-    let want = want.chain(EVERY_OPERATOR.split_whitespace());
     let missing: Vec<&str> = want.filter(|l| !seen.contains(*l)).collect();
     assert!(missing.is_empty(), "{substrate:?} missed {missing:?}");
 }
@@ -971,7 +1065,7 @@ fn fail(n: u64, case: Case, why: String) -> ! {
     let (to_nodes, to_rows) = small.size();
     panic!(
         "case {n} fails: {why}\nshrunk from {nodes} plan nodes over {rows} rows to {to_nodes} \
-         over {to_rows}:\n{small:?}replay it by adding {n} to REGRESSIONS"
+         over {to_rows}:\n{small:?}replay it by adding {n} to REGRESSIONS in tests/equivalence.rs"
     );
 }
 

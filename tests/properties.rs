@@ -225,6 +225,59 @@ proptest! {
         );
     }
 
+    /// A merge join over sorted inputs equals a hash inner join on the
+    /// same data (§5.3's claim that the join families are semantically
+    /// interchangeable once their blocking phases are accounted for).
+    #[test]
+    fn merge_join_equals_hash_join(
+        left in proptest::collection::vec((0i64..20, 0i64..1000), 0..60),
+        right in proptest::collection::vec((0i64..20, 0i64..1000), 0..60),
+    ) {
+        let schema_l = Schema::new(vec![
+            Field::new("lk", DataType::Int),
+            Field::new("lv", DataType::Int),
+        ]);
+        let schema_r = Schema::new(vec![
+            Field::new("rk", DataType::Int),
+            Field::new("rv", DataType::Int),
+        ]);
+        let mut tl = TableBuilder::new("l", schema_l);
+        for (k, v) in &left {
+            tl.push_row(&[Value::Int(*k), Value::Int(*v)]);
+        }
+        let mut tr = TableBuilder::new("r", schema_r);
+        for (k, v) in &right {
+            tr.push_row(&[Value::Int(*k), Value::Int(*v)]);
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(tl.finish());
+        catalog.register(tr.finish());
+        let sorted = |t: &str| Box::new(PhysicalPlan::Sort {
+            input: Box::new(PhysicalPlan::Scan { table: t.into(), cost: OpCost::default() }),
+            keys: vec![0],
+            cost: OpCost::default(),
+        });
+        let mj = PhysicalPlan::MergeJoin {
+            left: sorted("l"),
+            right: sorted("r"),
+            left_key: 0,
+            right_key: 0,
+            cost: OpCost::default(),
+        };
+        let hj = PhysicalPlan::HashJoin {
+            build: Box::new(PhysicalPlan::Scan { table: "r".into(), cost: OpCost::default() }),
+            probe: Box::new(PhysicalPlan::Scan { table: "l".into(), cost: OpCost::default() }),
+            build_key: 0,
+            probe_key: 0,
+            kind: cordoba::exec::JoinKind::Inner,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::default(),
+        };
+        let mj_rows = reference::canonicalize(reference::execute(&catalog, &mj));
+        let hj_rows = reference::canonicalize(reference::execute(&catalog, &hj));
+        prop_assert_eq!(mj_rows, hj_rows);
+    }
+
     /// Filter through the reference executor equals a plain row filter.
     #[test]
     fn reference_filter_equals_direct_filter(
