@@ -18,7 +18,7 @@ use cordoba::storage::{Date, Value};
 use fuzz::Substrate;
 
 /// Default cases per substrate.
-const CASES: u64 = 48;
+const CASES: u64 = 40;
 
 /// Case numbers that once failed, replayed on every run.
 const REGRESSIONS: &[u64] = &[];

@@ -1,9 +1,10 @@
 //! The differential fuzzer: one plan generator × one configuration
 //! generator, every case checked against [`reference::execute`].
 //!
-//! Case `n` is a pure function of `n` (its substrate `SUBSTRATES[n % 4]`,
-//! the rest drawn from a generator seeded with `n`) that reads no
-//! environment: a case number names one case in every CI leg.
+//! Case `n` is a pure function of `n` that reads no environment: a case
+//! number names one case in every CI leg. Its substrate is
+//! `SUBSTRATES[n % 4]`; the rest of its configuration and its data and
+//! plans come from two generators seeded with `n`.
 //!
 //! * Tables have an `Int` key and up to four `Int`, `Float`, `Date` or
 //!   `Str` columns. They are empty, hot-key, few-key or distinct-key, on
@@ -42,8 +43,10 @@ use cordoba::exec::{reference, ExecError, JoinKind, MemoryConfig, OpCost, Physic
 use cordoba::sim::Simulator;
 use cordoba::storage::{Catalog, DataType, Date, Field, Page, PageBuilder, Schema, Table};
 use cordoba::storage::{TableBuilder, Value, PAGE_SIZE};
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use Substrate::{Batch, Schedule, Seam, Threads};
@@ -109,6 +112,13 @@ impl Default for Config {
 }
 
 impl Config {
+    /// Case `n`'s configuration, drawn apart from its data and plans, so a
+    /// slice can pass over case numbers by their configuration alone.
+    pub fn of(n: u64) -> Self {
+        let substrate = SUBSTRATES[(n % 4) as usize];
+        Config::draw(&mut Rng(!n), substrate)
+    }
+
     /// Draws the axes `substrate` reads; the others keep their default.
     fn draw(rng: &mut Rng, substrate: Substrate) -> Self {
         let mut c = Config::default();
@@ -152,7 +162,6 @@ fn down<T: Copy + PartialEq>(axis: &[T], v: &mut T) -> bool {
 
 /// One case: data, queries with their arrival times, and where and how
 /// they run.
-#[derive(Clone)]
 pub struct Case {
     /// The tables the plans scan.
     pub catalog: Catalog,
@@ -160,43 +169,72 @@ pub struct Case {
     pub queries: ArrivalSchedule,
     /// The configuration.
     pub config: Config,
+    /// Every plan the generator drew or [`Case::output`] was asked about,
+    /// each with the reference's output of it once worked out. It holds
+    /// while `catalog` does; the shrinker's edits start without it.
+    drawn: RefCell<Vec<Node>>,
 }
 
 impl Case {
+    /// A fixed case.
+    pub fn new(catalog: Catalog, queries: ArrivalSchedule, config: Config) -> Case {
+        let drawn = RefCell::default();
+        Case {
+            catalog,
+            queries,
+            config,
+            drawn,
+        }
+    }
+
     /// Case `n`.
     pub fn generate(n: u64) -> Case {
-        let substrate = SUBSTRATES[(n % 4) as usize];
-        let mut g = Gen {
-            rng: Rng(n),
-            catalog: Catalog::new(),
-            names: 0,
-        };
+        let mut g = Gen::new(n);
         for t in 0..2 + g.rng.below(2) {
             g.table(t);
         }
-        let config = Config::draw(&mut g.rng, substrate);
         let (members, depth) = (1 + g.rng.below(4), 1 + g.rng.below(3) as u32);
-        let queries = match substrate {
-            Threads => vec![(0, QuerySpec::unshared("q0", g.plan(depth, None).0))],
+        let config = Config::of(n);
+        let queries = match config.substrate {
+            Threads => {
+                let plan = g.plan(depth, None).plan().clone();
+                vec![(0, QuerySpec::unshared("q0", plan))]
+            }
             Seam => g.batch(1, false),
-            _ => g.batch(members, substrate == Schedule),
+            s => g.batch(members, s == Schedule),
         };
-        Case {
-            catalog: g.catalog,
-            queries,
-            config,
+        let mut case = Case::new(g.catalog, queries, config);
+        case.drawn = RefCell::new(g.drawn);
+        case
+    }
+
+    /// The reference's output of `plan`, worked out once per case.
+    fn output(&self, plan: &Plan) -> Result<Arc<Table>, String> {
+        let known = self
+            .drawn
+            .borrow()
+            .iter()
+            .find(|d| d.plan() == plan)
+            .cloned();
+        let run = || match &known {
+            Some(node) => node.output().clone(),
+            None => reference::execute_table(&self.catalog, plan),
+        };
+        let table = catch_unwind(AssertUnwindSafe(run));
+        let table = table.map_err(|p| format!("reference {}", panic_text(p)))?;
+        if known.is_none() {
+            let node = Node::known(plan.clone(), table.clone());
+            self.drawn.borrow_mut().push(node);
         }
+        Ok(table)
     }
 
     /// Every plan node of every query.
     pub fn nodes(&self) -> Vec<&Plan> {
-        let mut plans: Vec<&Plan> = self.queries.iter().map(|(_, q)| &q.plan).collect();
-        let mut nodes = Vec::new();
-        while let Some(plan) = plans.pop() {
-            plans.extend(plan.children());
-            nodes.push(plan);
-        }
-        nodes
+        self.queries
+            .iter()
+            .flat_map(|(_, q)| nodes(&q.plan))
+            .collect()
     }
 
     /// Whether some node is `op`, named plainly (`hashjoin`) or with its
@@ -267,13 +305,57 @@ impl Rng {
     }
 }
 
-/// A generated sub-plan and the reference's output of it.
-type Node = (Plan, Arc<Table>);
+/// A generated sub-plan. The reference's output of it is worked out from
+/// its children's, once, when something first asks (a join's bound, a
+/// merge input's order, a query's answer): a candidate a slice turns
+/// away costs its tables and its joins' inputs, no more.
+#[derive(Clone)]
+struct Node(Rc<Drawn>);
 
-/// The reference's output of `plan` over its children's outputs `kids`,
-/// so each node runs once however deep it sits; `None` when a join would
-/// exceed [`MAX_ROWS`].
-fn output(plan: &Plan, kids: &[&Arc<Table>], cat: &Catalog) -> Option<Arc<Table>> {
+struct Drawn {
+    plan: Plan,
+    schema: Arc<Schema>,
+    kids: Vec<Node>,
+    output: OnceCell<Arc<Table>>,
+}
+
+impl Node {
+    fn new(plan: Plan, schema: Arc<Schema>, kids: Vec<Node>) -> Node {
+        let output = OnceCell::new();
+        Node(Rc::new(Drawn {
+            plan,
+            schema,
+            kids,
+            output,
+        }))
+    }
+
+    /// A node whose output is known: a stored table, or the reference's.
+    fn known(plan: Plan, table: Arc<Table>) -> Node {
+        let node = Node::new(plan, table.schema().clone(), Vec::new());
+        let _ = node.0.output.set(table);
+        node
+    }
+
+    fn plan(&self) -> &Plan {
+        &self.0.plan
+    }
+
+    fn schema(&self) -> &Arc<Schema> {
+        &self.0.schema
+    }
+
+    fn output(&self) -> &Arc<Table> {
+        self.0.output.get_or_init(|| {
+            let kids: Vec<&Arc<Table>> = self.0.kids.iter().map(Node::output).collect();
+            evaluate(&self.0.plan, &kids)
+        })
+    }
+}
+
+/// Whether `plan` over its children's outputs `kids` stays within
+/// [`MAX_ROWS`]; only a join can outgrow it.
+fn fits<'a>(plan: &Plan, kid: impl Fn(usize) -> &'a Arc<Table>) -> bool {
     let rows = match *plan {
         // Semi and anti joins keep at most the probe's rows.
         Plan::HashJoin {
@@ -284,33 +366,42 @@ fn output(plan: &Plan, kids: &[&Arc<Table>], cat: &Catalog) -> Option<Arc<Table>
             build_key: b,
             probe_key: p,
             ..
-        } => join_rows(kids[0], b, kids[1], p) + kids[1].row_count(),
+        } => join_rows(kid(0), b, kid(1), p) + kid(1).row_count(),
         Plan::MergeJoin {
             left_key: l,
             right_key: r,
             ..
-        } => join_rows(kids[0], l, kids[1], r),
-        Plan::NestedLoopJoin { .. } => kids[0].row_count() * kids[1].row_count(),
+        } => join_rows(kid(0), l, kid(1), r),
+        Plan::NestedLoopJoin { .. } => kid(0).row_count() * kid(1).row_count(),
         _ => 0,
     };
-    if rows > MAX_ROWS {
-        return None;
-    }
-    let (mut local, mut node) = (cat.clone(), plan.clone());
+    rows <= MAX_ROWS
+}
+
+/// The reference's output of the operator at the root of `plan` over its
+/// children's outputs `kids`, so each node runs once however deep it
+/// sits.
+fn evaluate(plan: &Plan, kids: &[&Arc<Table>]) -> Arc<Table> {
+    let (mut local, mut node) = (Catalog::new(), plan.clone());
     for (k, (child, t)) in node.children_mut().into_iter().zip(kids).enumerate() {
         let (table, cost) = (format!("#{k}"), OpCost::default());
         let (schema, pages) = (t.schema().clone(), t.pages().to_vec());
         local.register(Table::from_pages(&table, schema, pages));
         *child = Plan::Scan { table, cost };
     }
-    Some(reference::execute_table(&local, &node))
+    reference::execute_table(&local, &node)
 }
 
-/// [`output`] of every node of `plan`.
+/// The reference's output of `plan`, node by node; `None` when a join in
+/// it would exceed [`MAX_ROWS`].
 fn materialize(plan: &Plan, cat: &Catalog) -> Option<Arc<Table>> {
+    if let Plan::Scan { table, .. } = plan {
+        return cat.get(table).cloned();
+    }
     let kids = plan.children().into_iter().map(|c| materialize(c, cat));
     let kids: Vec<Arc<Table>> = kids.collect::<Option<_>>()?;
-    output(plan, &kids.iter().collect::<Vec<_>>(), cat)
+    let kids: Vec<&Arc<Table>> = kids.iter().collect();
+    fits(plan, |k| kids[k]).then(|| evaluate(plan, &kids))
 }
 
 fn int_column(t: &Table, col: usize) -> Vec<i64> {
@@ -318,18 +409,35 @@ fn int_column(t: &Table, col: usize) -> Vec<i64> {
     rows.map(|r| r.get_int(col)).collect()
 }
 
-/// Rows of the inner equi-join of `a` and `b` on `ka` = `kb`.
-fn join_rows(a: &Table, ka: usize, b: &Table, kb: usize) -> usize {
-    let mut count: HashMap<i64, usize> = HashMap::new();
-    for k in int_column(a, ka) {
+/// How many rows of `t` hold each key of its `Int` column `col`.
+fn key_counts(t: &Table, col: usize) -> HashMap<i64, usize> {
+    let mut count = HashMap::new();
+    for k in int_column(t, col) {
         *count.entry(k).or_insert(0) += 1;
     }
+    count
+}
+
+/// Rows of the inner equi-join of `a` and `b` on `ka` = `kb`.
+fn join_rows(a: &Table, ka: usize, b: &Table, kb: usize) -> usize {
+    let count = key_counts(a, ka);
     int_column(b, kb).iter().filter_map(|k| count.get(k)).sum()
 }
 
+/// Every node of `plan`.
+fn nodes(plan: &Plan) -> Vec<&Plan> {
+    let (mut plans, mut nodes) = (vec![plan], Vec::new());
+    while let Some(plan) = plans.pop() {
+        plans.extend(plan.children());
+        nodes.push(plan);
+    }
+    nodes
+}
+
 fn has_hash_join(plan: &Plan) -> bool {
-    let kids = plan.children().into_iter().any(has_hash_join);
-    kids || matches!(plan, Plan::HashJoin { .. })
+    nodes(plan)
+        .into_iter()
+        .any(|p| matches!(p, Plan::HashJoin { .. }))
 }
 
 /// An exotic column: a `Float` that may hold NaN or `-0.0`.
@@ -373,9 +481,20 @@ struct Gen {
     catalog: Catalog,
     /// Aggregate outputs drawn so far: each gets a name of its own.
     names: usize,
+    /// Every operator drawn so far.
+    drawn: Vec<Node>,
 }
 
 impl Gen {
+    fn new(seed: u64) -> Self {
+        Gen {
+            rng: Rng(seed),
+            catalog: Catalog::new(),
+            names: 0,
+            drawn: Vec::new(),
+        }
+    }
+
     /// Table `t{t}`; its columns are named after it, so joins of
     /// different tables need no `_r` suffix.
     fn table(&mut self, t: usize) {
@@ -427,9 +546,15 @@ impl Gen {
         cost.with_per_page(self.rng.pick(&[0.0, 3.0]))
     }
 
-    fn node(&self, plan: Plan, kids: &[&Node]) -> Option<Node> {
-        let kids: Vec<&Arc<Table>> = kids.iter().map(|(_, t)| t).collect();
-        output(&plan, &kids, &self.catalog).map(|t| (plan, t))
+    /// `plan` over `kids`, unless it is a join too large to draw.
+    fn node(&mut self, plan: Plan, kids: &[&Node]) -> Option<Node> {
+        if !fits(&plan, |k| kids[k].output()) {
+            return None;
+        }
+        let schema = plan.output_schema(&self.catalog);
+        let node = Node::new(plan, schema, kids.iter().map(|&k| k.clone()).collect());
+        self.drawn.push(node.clone());
+        Some(node)
     }
 
     /// A plan `depth` operators deep at most; with `pivot`, the pivot
@@ -442,7 +567,7 @@ impl Gen {
             let names: Vec<String> = self.catalog.iter().map(|(n, _)| n.into()).collect();
             let table = self.rng.pick(&names);
             let (t, cost) = (self.catalog.expect(&table).clone(), self.cost());
-            return (Plan::Scan { table, cost }, t);
+            return Node::known(Plan::Scan { table, cost }, t);
         }
         if self.rng.chance(40) {
             let input = self.plan(depth - 1, pivot);
@@ -458,8 +583,8 @@ impl Gen {
     }
 
     fn unary(&mut self, input: Node) -> Node {
-        let (schema, cost) = (input.1.schema().clone(), self.cost());
-        let (boxed, key) = (Box::new(input.0.clone()), self.rng.below(schema.len()));
+        let (schema, cost) = (input.schema().clone(), self.cost());
+        let (boxed, key) = (Box::new(input.plan().clone()), self.rng.below(schema.len()));
         let plan = match self.rng.below(4) {
             0 => Plan::Filter {
                 input: boxed,
@@ -479,13 +604,13 @@ impl Gen {
     }
 
     fn join(&mut self, a: &Node, b: &Node) -> Option<Node> {
-        let int = |n: &Node| cols(n.1.schema(), |f| f.dtype == DataType::Int);
+        let int = |n: &Node| cols(n.schema(), |f| f.dtype == DataType::Int);
         let (ia, ib) = (int(a), int(b));
         let keyed = !ia.is_empty() && !ib.is_empty();
         let (ka, kb) = (self.rng.index(&ia), self.rng.index(&ib));
         // Semi and anti joins keep the probe's schema; the others need
         // `concat_schemas` to name every column.
-        let (sa, sb) = (a.1.schema(), b.1.schema());
+        let (sa, sb) = (a.schema(), b.schema());
         let pairs = concat_ok(sa, sb) && concat_ok(sb, sa);
         let cost = self.cost();
         match self.rng.below(5) {
@@ -496,8 +621,8 @@ impl Gen {
                 let (sides, s) = ([(a, ka), (b, kb)], self.rng.below(2));
                 let ((build, bk), (probe, pk)) = (sides[s], sides[1 - s]);
                 let plan = Plan::HashJoin {
-                    build: Box::new(build.0.clone()),
-                    probe: Box::new(probe.0.clone()),
+                    build: Box::new(build.plan().clone()),
+                    probe: Box::new(probe.plan().clone()),
                     build_key: bk,
                     probe_key: pk,
                     kind,
@@ -513,8 +638,8 @@ impl Gen {
                     false => self.pred(&concat_schemas(sa, sb), 2),
                 };
                 let plan = Plan::NestedLoopJoin {
-                    outer: Box::new(a.0.clone()),
-                    inner: Box::new(b.0.clone()),
+                    outer: Box::new(a.plan().clone()),
+                    inner: Box::new(b.plan().clone()),
                     predicate,
                     cost,
                 };
@@ -523,8 +648,8 @@ impl Gen {
             _ if keyed && pairs => {
                 let (l, r) = (self.sorted(a, ka), self.sorted(b, kb));
                 let plan = Plan::MergeJoin {
-                    left: Box::new(l.0.clone()),
-                    right: Box::new(r.0.clone()),
+                    left: Box::new(l.plan().clone()),
+                    right: Box::new(r.plan().clone()),
                     left_key: ka,
                     right_key: kb,
                     cost,
@@ -539,7 +664,7 @@ impl Gen {
     /// when it already is (a table stored sorted, say) and no hash join
     /// in it may reorder its rows by spilling, else sorted.
     fn sorted(&mut self, input: &Node, key: usize) -> Node {
-        let kept = !has_hash_join(&input.0) && int_column(&input.1, key).is_sorted();
+        let kept = !has_hash_join(input.plan()) && int_column(input.output(), key).is_sorted();
         match kept && self.rng.chance(70) {
             true => input.clone(),
             false => self.sort(input, key),
@@ -549,11 +674,11 @@ impl Gen {
     /// `input` under a sort on `key`, sometimes with a second column.
     fn sort(&mut self, node: &Node, key: usize) -> Node {
         let mut keys = vec![key];
-        let second = self.rng.below(node.1.schema().len());
+        let second = self.rng.below(node.schema().len());
         if second != key && self.rng.chance(40) {
             keys.push(second);
         }
-        let (input, cost) = (Box::new(node.0.clone()), self.cost());
+        let (input, cost) = (Box::new(node.plan().clone()), self.cost());
         let sort = Plan::Sort { input, keys, cost };
         self.node(sort, &[node]).expect("a sort keeps its rows")
     }
@@ -686,7 +811,7 @@ impl Gen {
     fn batch(&mut self, members: usize, staggered: bool) -> ArrivalSchedule {
         let depth = self.rng.below(2) as u32;
         let base = self.plan(depth, None);
-        let schema = base.1.schema().clone();
+        let schema = base.schema().clone();
         let ordered = cols(&schema, |f| numeric(f) || f.dtype == DataType::Date);
         let window = !ordered.is_empty() && self.rng.chance(85);
         let col = self.rng.index(&ordered);
@@ -705,7 +830,7 @@ impl Gen {
             if self.rng.chance(20) {
                 clauses.push(self.pred(&schema, 1));
             }
-            let (input, predicate) = (Box::new(base.0.clone()), Predicate::And(clauses));
+            let (input, predicate) = (Box::new(base.plan().clone()), Predicate::And(clauses));
             let filter = Plan::Filter {
                 input,
                 predicate,
@@ -716,12 +841,15 @@ impl Gen {
                 false => base.clone(),
             };
             let depth = self.rng.below(3) as u32;
-            let plan = self.plan(depth, Some(&pivot)).0;
+            let plan = self.plan(depth, Some(&pivot));
+            let plan = plan.plan().clone();
             let at = self.rng.pick(&[0, 1_000, LATE, LATE]) * u64::from(staggered && i > 0);
-            queries.push((at, QuerySpec::shared_at(format!("q{i}"), plan, pivot.0)));
+            let pivot = pivot.plan().clone();
+            queries.push((at, QuerySpec::shared_at(format!("q{i}"), plan, pivot)));
         }
         if members > 1 && self.rng.chance(25) {
-            queries.push((0, QuerySpec::unshared("u", self.plan(2, None).0)));
+            let plan = self.plan(2, None);
+            queries.push((0, QuerySpec::unshared("u", plan.plan().clone())));
         }
         queries.sort_by_key(|(at, _)| *at);
         queries
@@ -732,11 +860,7 @@ impl Gen {
 /// drawn as the plan generator draws a filter's and a projection's, all
 /// from seed `n`.
 pub fn expressions(n: u64) -> (Arc<Table>, Predicate, ScalarExpr) {
-    let mut g = Gen {
-        rng: Rng(n),
-        catalog: Catalog::new(),
-        names: 0,
-    };
+    let mut g = Gen::new(n);
     g.table(0);
     let table = g.catalog.expect("t0").clone();
     let (pred, expr) = (g.pred(table.schema(), 3), g.num(table.schema(), 3));
@@ -794,10 +918,49 @@ pub fn same_rows(got: &[Vec<Value>], want: &[Vec<Value>], ordered: bool) -> Resu
     Err(msg)
 }
 
+/// Whether `case` may end in a typed `BudgetExhausted` rather than spill
+/// its way through: a query holds two or more buffering operators (sorts
+/// and hash joins) under a budget of four pages or fewer, whose frames
+/// and runs leave too little for a spilled partition; or an inner or
+/// left-outer hash join builds one key in over a quarter of the budget:
+/// no repartitioning level splits a key, and a partition at the last
+/// level holds a few of them beside its streams' frames.
+pub fn may_exhaust(case: &Case) -> bool {
+    let Some(pages) = case.config.budget_pages else {
+        return false;
+    };
+    let hot = |plan: &&Plan| {
+        let Plan::HashJoin {
+            build,
+            build_key,
+            kind: JoinKind::Inner | JoinKind::LeftOuter,
+            ..
+        } = plan
+        else {
+            return false;
+        };
+        let Ok(table) = case.output(build) else {
+            return false;
+        };
+        let most = key_counts(&table, *build_key)
+            .into_values()
+            .max()
+            .unwrap_or(0);
+        4 * most * table.schema().row_width() > pages * PAGE_SIZE
+    };
+    case.queries.iter().any(|(_, q)| {
+        let nodes = nodes(&q.plan);
+        let buffering = nodes
+            .iter()
+            .filter(|p| matches!(p, Plan::Sort { .. } | Plan::HashJoin { .. }));
+        (pages <= 4 && buffering.count() >= 2) || nodes.iter().any(hot)
+    })
+}
+
 /// What a passing case observed beyond its rows.
 #[derive(Debug, Default)]
 pub struct Observed {
-    /// Whether the case opened a spill file.
+    /// Whether the case opened a spill file and every query completed.
     pub spilled: bool,
     /// Sizes of the sharing groups (on the seam: the shared copies).
     pub groups: Vec<usize>,
@@ -819,11 +982,11 @@ fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `case` and checks it: every query's rows equal the reference's,
-/// nothing failed (a typed `BudgetExhausted` under a budget aside),
-/// every granted byte came back where the substrate exposes its broker,
-/// and no spill file survived. Rows are compared row for row, as
-/// multisets only where a hash join spilled (its partitions come back
-/// partition by partition).
+/// nothing failed (a typed `BudgetExhausted` aside, where
+/// [`may_exhaust`] allows it), every granted byte came back where the
+/// substrate exposes its broker, and no spill file survived. Rows are
+/// compared row for row, as multisets only where a hash join spilled
+/// (its partitions come back partition by partition).
 pub fn check(case: &Case) -> Result<Observed, String> {
     let n = SPILL_DIRS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("cordoba-fuzz-{}-{n}", std::process::id()));
@@ -840,37 +1003,27 @@ pub fn check(case: &Case) -> Result<Observed, String> {
         return Err(format!("{left} spill files left behind"));
     }
     let (outcomes, mut seen) = ran?;
-    seen.spilled = spilled;
-    // The reference's rows, once per distinct plan.
-    let mut wants: Vec<(&Plan, Rows)> = Vec::new();
+    let mut completed = true;
     for (i, outcome) in outcomes {
         let q = &case.queries[i].1;
-        let at = match wants.iter().position(|(plan, _)| *plan == &q.plan) {
-            Some(at) => at,
-            None => {
-                let run = || reference::execute(&case.catalog, &q.plan);
-                let want = catch_unwind(AssertUnwindSafe(run));
-                let want = want.map_err(|p| format!("reference {}", panic_text(p)))?;
-                wants.push((&q.plan, want));
-                wants.len() - 1
-            }
-        };
         match outcome {
             Ok(got) => {
                 let ordered = !(spilled && has_hash_join(&q.plan));
-                same_rows(&got, &wants[at].1, ordered).map_err(|e| format!("{}: {e}", q.name))?;
+                let want: Rows = case.output(&q.plan)?.scan_values().collect();
+                same_rows(&got, &want, ordered).map_err(|e| format!("{}: {e}", q.name))?;
             }
-            // A hot key a join cannot repartition, or buffering operators
-            // sharing a few pages, may exhaust a budget: a typed failure.
-            Err(ExecError::BudgetExhausted { .. }) if query_budget.is_some() => {}
+            Err(ExecError::BudgetExhausted { .. }) if may_exhaust(case) => completed = false,
             Err(e) => return Err(format!("{} failed: {e}", q.name)),
         }
     }
+    seen.spilled = spilled && completed;
     Ok(seen)
 }
 
-/// [`check`]s a fixed case, panicking with it on failure.
+/// [`check`]s a fixed case, panicking with it on failure. A fixed case
+/// must complete: it may not be one a budget may exhaust.
 pub fn checked(case: &Case) -> Observed {
+    assert!(!may_exhaust(case), "a fixed case must spill, not fail");
     check(case).unwrap_or_else(|why| panic!("{why}\n{case:?}"))
 }
 
@@ -974,7 +1127,9 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
         for (input, key) in plan.children().into_iter().zip([l, r]) {
             let last = |w: &[Arc<Page>]| w[0].tuple(w[0].rows() - 1).get_int(key);
             let edge = |w: &[Arc<Page>]| last(w) == w[1].tuple(0).get_int(key);
-            let table = reference::execute_table(&case.catalog, input);
+            let Ok(table) = case.output(input) else {
+                continue;
+            };
             if table.pages().windows(2).any(edge) {
                 seen.insert("merge-span".into());
             }
@@ -992,39 +1147,82 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
     seen.extend(flags.into_iter().filter(|f| f.1).map(|f| f.0));
 }
 
-/// What every substrate's default cases must reach.
-const EVERY_OPERATOR: &str = "scan filter project aggregate sort nlj mergejoin hashjoin(Inner) \
-                              hashjoin(Semi) hashjoin(Anti) hashjoin(LeftOuter)";
+/// The four hash-join kinds, as [`Case::has`] names them.
+pub const JOIN_KINDS: [&str; 4] = [
+    "hashjoin(Inner)",
+    "hashjoin(Semi)",
+    "hashjoin(Anti)",
+    "hashjoin(LeftOuter)",
+];
+
+/// Every operator but the hash join, which [`JOIN_KINDS`] names.
+const OPERATORS: [&str; 7] = [
+    "scan",
+    "filter",
+    "project",
+    "aggregate",
+    "sort",
+    "nlj",
+    "mergejoin",
+];
+
+/// A slice's `config` that admits every configuration.
+pub fn any(_: &Config) -> bool {
+    true
+}
 
 /// Runs the first `cases` cases of `substrate` and asserts they reached
 /// every operator, every join kind and `floor`.
 pub fn run_cases(substrate: Substrate, cases: u64, floor: &[&str]) {
-    let every = EVERY_OPERATOR.split_whitespace();
-    let floor: Vec<&str> = every.chain(floor.iter().copied()).collect();
-    run(substrate, 0, cases, |_| true, &floor);
+    let every = OPERATORS.iter().chain(&JOIN_KINDS).chain(floor);
+    run(
+        substrate,
+        0,
+        cases,
+        any,
+        |_| true,
+        &every.copied().collect::<Vec<_>>(),
+    );
 }
 
-/// Runs `cases` cases of `substrate` that `keep` admits and asserts they
-/// reached `floor`. The candidates start at a case number `name` hashes
-/// to, far past the default cases, so slices do not repeat each other's
-/// cases; a slice that admits fewer than one candidate in 64 fails.
+/// Runs `cases` cases of `substrate` whose configuration `config` admits
+/// and whose plans `keep` admits, none of them one a budget may exhaust
+/// ([`may_exhaust`]), and asserts they reached `floor`. The candidates
+/// start at a case number `name` hashes to, far past the default cases,
+/// so slices do not repeat each other's cases. `config` reads what
+/// [`Config::of`] draws apart from the plans, so a case it turns away is
+/// never generated; a slice whose `keep` admits fewer than one generated
+/// candidate in 64 fails.
 pub fn run_slice(
     name: &str,
     substrate: Substrate,
     cases: u64,
+    config: impl Fn(&Config) -> bool,
     keep: impl Fn(&Case) -> bool,
     floor: &[&str],
 ) {
     // FNV-1a, cut to 40 bits.
     let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
     let from = name.bytes().fold(0xcbf2_9ce4_8422_2325, fnv) >> 24;
-    run(substrate, from, cases, keep, floor);
+    let keep = |c: &Case| keep(c) && !may_exhaust(c);
+    run(substrate, from, cases, config, keep, floor);
 }
 
-fn run(substrate: Substrate, from: u64, cases: u64, keep: impl Fn(&Case) -> bool, floor: &[&str]) {
+fn run(
+    substrate: Substrate,
+    from: u64,
+    cases: u64,
+    config: impl Fn(&Config) -> bool,
+    keep: impl Fn(&Case) -> bool,
+    floor: &[&str],
+) {
     let lane = SUBSTRATES.iter().position(|&s| s == substrate).unwrap_or(0) as u64;
     let (mut seen, mut ran) = (BTreeSet::new(), 0);
-    for n in (from..from + 64 * cases).map(|i| i * 4 + lane) {
+    let numbers = (from..from + 4096 * cases).map(|i| i * 4 + lane);
+    for n in numbers
+        .filter(|&n| config(&Config::of(n)))
+        .take(64 * cases as usize)
+    {
         let case = catch_unwind(|| Case::generate(n));
         let case = case.unwrap_or_else(|p| panic!("case {n}: the generator {}", panic_text(p)));
         if !keep(&case) {
@@ -1087,7 +1285,11 @@ fn shrink(mut case: Case, mut why: String) -> (Case, String) {
 fn simpler(case: &Case) -> Vec<Case> {
     let mut out = Vec::new();
     let mut edit = |f: &dyn Fn(&mut Case)| {
-        let mut c = case.clone();
+        let mut c = Case::new(
+            case.catalog.clone(),
+            case.queries.clone(),
+            case.config.clone(),
+        );
         f(&mut c);
         c.queries.sort_by_key(|(at, _)| *at);
         out.push(c);

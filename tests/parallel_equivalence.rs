@@ -10,14 +10,14 @@
 
 mod fuzz;
 
-use fuzz::Case;
 use fuzz::Substrate::{Batch, Schedule, Threads};
+use fuzz::{any, Case, Config, JOIN_KINDS};
 
 /// Cases per slice.
 const CASES: u64 = 4;
 
-fn parallel(c: &Case) -> bool {
-    c.config.workers > 1
+fn parallel(c: &Config) -> bool {
+    c.workers > 1
 }
 
 fn pipeline(c: &Case) -> bool {
@@ -28,36 +28,35 @@ fn pipeline(c: &Case) -> bool {
 /// workers.
 #[test]
 fn parallel_pipeline_is_row_identical_to_serial() {
-    let keep = |c: &Case| parallel(c) && pipeline(c);
     let name = "parallel_pipeline_is_row_identical_to_serial";
-    fuzz::run_slice(name, Batch, CASES, keep, &["filter", "project"]);
+    let floor = ["filter", "project"];
+    fuzz::run_slice(name, Batch, CASES, parallel, pipeline, &floor);
 }
 
 /// Filter and project chains through the operator shells, on one to
 /// eight workers, arriving over time.
 #[test]
 fn any_filter_project_chain_is_row_identical_through_shells_and_workers() {
-    let keep = pipeline;
     let name = "any_filter_project_chain_is_row_identical_through_shells_and_workers";
-    fuzz::run_slice(name, Schedule, CASES, keep, &["filter", "project"]);
+    fuzz::run_slice(name, Schedule, CASES, any, pipeline, &["filter", "project"]);
 }
 
 /// Aggregates over morsel-parallel inputs: the partials merge bit for
 /// bit (the generator's floats sum exactly in any order).
 #[test]
 fn parallel_aggregate_is_bit_exact() {
-    let keep = |c: &Case| parallel(c) && c.has("aggregate");
+    let keep = |c: &Case| c.has("aggregate");
     let name = "parallel_aggregate_is_bit_exact";
-    fuzz::run_slice(name, Batch, CASES, keep, &["aggregate"]);
+    fuzz::run_slice(name, Batch, CASES, parallel, keep, &["aggregate"]);
 }
 
 /// Hash joins over parallel inputs under budgets of one to four pages.
 #[test]
 fn parallel_join_with_tiny_budget_matches_reference() {
-    let tiny = |c: &Case| c.config.budget_pages.is_some_and(|p| p <= 4);
-    let keep = |c: &Case| parallel(c) && tiny(c) && c.has("hashjoin");
+    let tiny = |c: &Config| parallel(c) && c.budget_pages.is_some_and(|p| p <= 4);
+    let keep = |c: &Case| c.has("hashjoin");
     let name = "parallel_join_with_tiny_budget_matches_reference";
-    fuzz::run_slice(name, Batch, CASES, keep, &["hashjoin"]);
+    fuzz::run_slice(name, Batch, CASES, tiny, keep, &["hashjoin"]);
 }
 
 /// Every join kind on OS threads, budgeted or not; the broker is empty
@@ -65,29 +64,18 @@ fn parallel_join_with_tiny_budget_matches_reference() {
 #[test]
 fn threaded_executor_matches_reference() {
     let keep = |c: &Case| c.has("hashjoin");
-    let kinds = [
-        "hashjoin(Inner)",
-        "hashjoin(Semi)",
-        "hashjoin(Anti)",
-        "hashjoin(LeftOuter)",
-    ];
     let name = "threaded_executor_matches_reference";
-    fuzz::run_slice(name, Threads, 3 * CASES, keep, &kinds);
+    fuzz::run_slice(name, Threads, 2 * CASES, any, keep, &JOIN_KINDS);
 }
 
-/// Pipelines and grouped aggregates on two to eight OS threads keep
-/// the serial row order.
+/// Filters feeding projections or grouped aggregates on two to eight OS
+/// threads keep the serial row order.
 #[test]
 fn threaded_pipeline_preserves_order() {
-    let keep = |c: &Case| parallel(c) && c.has("aggregate");
+    let keep = |c: &Case| c.has("filter") && (c.has("project") || c.has("aggregate"));
     let name = "threaded_pipeline_preserves_order";
-    fuzz::run_slice(
-        name,
-        Threads,
-        CASES,
-        keep,
-        &["filter", "project", "aggregate"],
-    );
+    let floor = ["filter", "project", "aggregate"];
+    fuzz::run_slice(name, Threads, CASES, parallel, keep, &floor);
 }
 
 /// Sorts, merge joins and nested-loop joins on OS threads, budgeted or
@@ -96,5 +84,6 @@ fn threaded_pipeline_preserves_order() {
 fn threaded_sort_and_ordered_joins_match_reference() {
     let keep = |c: &Case| c.has("sort") || c.has("mergejoin") || c.has("nlj");
     let name = "threaded_sort_and_ordered_joins_match_reference";
-    fuzz::run_slice(name, Threads, CASES, keep, &["sort", "mergejoin", "nlj"]);
+    let floor = ["sort", "mergejoin", "nlj"];
+    fuzz::run_slice(name, Threads, CASES, any, keep, &floor);
 }

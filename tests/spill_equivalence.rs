@@ -2,10 +2,12 @@
 //! differential fuzzer (`fuzz`) under budgets of one to 64 pages, where
 //! the external sort and the hybrid hash join spill, and a fixed case of
 //! 6 000 distinct keys. Every case goes through the fuzzer's one check:
-//! the rows are the reference's (a sort's row for row, float bits
-//! included; a spilled join's as a multiset), and no granted byte or
-//! spill file is left behind. A failing case prints its number for
-//! `REGRESSIONS` in `tests/equivalence.rs`.
+//! every query spills rather than fails (slices pass over the cases
+//! `fuzz::may_exhaust` names, so a `BudgetExhausted` fails them), the
+//! rows are the reference's (a sort's row for row, float bits included;
+//! a spilled join's as a multiset), and no granted byte or spill file is
+//! left behind. A failing case prints its number for `REGRESSIONS` in
+//! `tests/equivalence.rs`.
 
 mod fuzz;
 
@@ -18,50 +20,45 @@ use fuzz::{Case, Config};
 /// Cases per slice.
 const CASES: u64 = 4;
 
-fn budgeted(c: &Case) -> bool {
-    c.config.budget_pages.is_some()
+fn budgeted(c: &Config) -> bool {
+    c.budget_pages.is_some()
 }
 
 /// A sort under a budget of one or two pages merges its runs back into
 /// the in-memory order, ties and signed zeros included.
 #[test]
 fn spilled_sort_is_bit_identical_to_in_memory() {
-    let tiny = |c: &Case| c.config.budget_pages.is_some_and(|p| p <= 2);
-    let keep = |c: &Case| tiny(c) && c.has("sort");
+    let tiny = |c: &Config| c.budget_pages.is_some_and(|p| p <= 2);
+    let keep = |c: &Case| c.has("sort");
     let name = "spilled_sort_is_bit_identical_to_in_memory";
-    fuzz::run_slice(name, Threads, CASES, keep, &["sort", "spill"]);
+    fuzz::run_slice(name, Threads, CASES, tiny, keep, &["sort", "spill"]);
 }
 
-/// An inner hash join under a budget returns the in-memory join's rows.
+/// An inner hash join under a budget, in the engine, returns the
+/// in-memory join's rows.
 #[test]
 fn spilled_join_matches_in_memory_join() {
-    let keep = |c: &Case| budgeted(c) && c.has("hashjoin(Inner)");
+    let keep = |c: &Case| c.has("hashjoin(Inner)");
     let name = "spilled_join_matches_in_memory_join";
-    fuzz::run_slice(name, Threads, CASES, keep, &["spill"]);
+    fuzz::run_slice(name, Batch, CASES, budgeted, keep, &["spill"]);
 }
 
 /// Every join kind under a budget, in the engine.
 #[test]
 fn spilled_join_kinds_match_in_memory() {
-    let keep = |c: &Case| budgeted(c) && c.has("hashjoin");
-    let kinds = [
-        "hashjoin(Inner)",
-        "hashjoin(Semi)",
-        "hashjoin(Anti)",
-        "hashjoin(LeftOuter)",
-    ];
+    let keep = |c: &Case| c.has("hashjoin");
     let name = "spilled_join_kinds_match_in_memory";
-    fuzz::run_slice(name, Batch, 2 * CASES, keep, &kinds);
+    fuzz::run_slice(name, Batch, 2 * CASES, budgeted, keep, &fuzz::JOIN_KINDS);
 }
 
 /// Semi and anti joins keep only their build keys: over hot-key,
 /// few-key, distinct-key and empty builds, at every budget.
 #[test]
 fn existence_joins_match_the_reference_at_every_budget_and_shape() {
-    let keep = |c: &Case| budgeted(c) && (c.has("hashjoin(Semi)") || c.has("hashjoin(Anti)"));
+    let keep = |c: &Case| c.has("hashjoin(Semi)") || c.has("hashjoin(Anti)");
     let name = "existence_joins_match_the_reference_at_every_budget_and_shape";
     let floor = ["hashjoin(Semi)", "hashjoin(Anti)", "spill"];
-    fuzz::run_slice(name, Threads, 2 * CASES, keep, &floor);
+    fuzz::run_slice(name, Threads, 2 * CASES, budgeted, keep, &floor);
 }
 
 fn scan(table: &str) -> Box<PhysicalPlan> {
@@ -89,28 +86,26 @@ fn distinct_key_files_spill_and_repartition_without_losing_a_key() {
         catalog.register(tb.finish());
     }
     for kind in [JoinKind::Semi, JoinKind::Anti] {
+        // The build is keyed by its second column: what a key-only
+        // partition stores is then not where the key was.
+        let plan = PhysicalPlan::HashJoin {
+            build: scan("r"),
+            probe: scan("l"),
+            build_key: 1,
+            probe_key: 0,
+            kind,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::default(),
+        };
+        let queries = vec![(0, QuerySpec::unshared("distinct", plan))];
+        let threads = Config {
+            substrate: Threads,
+            ..Config::default()
+        };
+        let mut case = Case::new(catalog.clone(), queries, threads);
         for pages in [1, 2, 4, 8] {
-            // The build is keyed by its second column: what a key-only
-            // partition stores is then not where the key was.
-            let plan = PhysicalPlan::HashJoin {
-                build: scan("r"),
-                probe: scan("l"),
-                build_key: 1,
-                probe_key: 0,
-                kind,
-                build_cost: OpCost::default(),
-                probe_cost: OpCost::default(),
-            };
-            let queries = vec![(0, QuerySpec::unshared("distinct", plan))];
-            let mut config = Config::default();
-            (config.substrate, config.budget_pages) = (Threads, Some(pages));
-            let catalog = catalog.clone();
-            let seen = fuzz::checked(&Case {
-                catalog,
-                queries,
-                config,
-            });
-            assert!(seen.spilled, "{kind:?} at {pages} pages");
+            case.config.budget_pages = Some(pages);
+            assert!(fuzz::checked(&case).spilled, "{kind:?} at {pages} pages");
         }
     }
 }

@@ -16,9 +16,9 @@ use fuzz::{Case, Config};
 /// contexts and the fragment cache: subsumption joins run.
 #[test]
 fn shared_subsumption_is_bit_exact() {
-    let keep = |c: &Case| c.config.share && c.queries.len() > 1;
+    let (shared, members) = (|c: &Config| c.share, |c: &Case| c.queries.len() > 1);
     let name = "shared_subsumption_is_bit_exact";
-    fuzz::run_slice(name, Batch, 4, keep, &["group>1", "subsume"]);
+    fuzz::run_slice(name, Batch, 4, shared, members, &["group>1", "subsume"]);
 }
 
 /// One nested-window family of `members`, the widest arriving first and
@@ -40,12 +40,7 @@ fn staggered_family(members: usize, cache: usize) -> Case {
         contexts: 2,
         ..Config::default()
     };
-    let (catalog, queries) = (fuzz::tpch().clone(), queries.collect());
-    Case {
-        catalog,
-        queries,
-        config,
-    }
+    Case::new(fuzz::tpch().clone(), queries.collect(), config)
 }
 
 /// A late arrival whose window is nested inside an already-completed

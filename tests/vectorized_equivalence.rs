@@ -2,7 +2,8 @@
 //! predicate and expression programs with the tree-walking evaluators,
 //! row for row and bit for bit, over the differential fuzzer's (`fuzz`)
 //! tables and expressions; and each vectorized operator task with
-//! `exec::reference`, over fuzzer slices whose plans hold it. A failing plan case prints its number for `REGRESSIONS` in
+//! `exec::reference`, over fuzzer slices whose plans hold it. A failing
+//! plan case prints its number for `REGRESSIONS` in
 //! `tests/equivalence.rs`. The kernels' own checks (compiled `LIKE`,
 //! radix order, `BuildTable` lookups, typed errors) are in
 //! `crates/exec/tests/vectorized_equivalence.rs`.
@@ -13,15 +14,15 @@ use cordoba::exec::expr::Agg;
 use cordoba::exec::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
 use cordoba::exec::PhysicalPlan;
 use fuzz::Case;
-use fuzz::Substrate::Threads;
+use fuzz::Substrate::{self, Batch, Threads};
 
 /// Cases per operator slice.
 const CASES: u64 = 4;
 
-/// Runs `cases` cases whose plans hold `op`.
-fn op_slice(op: &'static str, cases: u64, floor: &[&str]) {
-    let keep = move |c: &Case| c.has(op);
-    fuzz::run_slice(&format!("vectorized {op}"), Threads, cases, keep, floor);
+/// Runs `cases` cases on `substrate` whose plans hold `op`.
+fn op_slice(op: &'static str, substrate: Substrate, cases: u64, floor: &[&str]) {
+    let (name, keep) = (format!("vectorized {op}"), move |c: &Case| c.has(op));
+    fuzz::run_slice(&name, substrate, cases, fuzz::any, keep, floor);
 }
 
 /// `CompiledPredicate::select` picks exactly the rows the tree-walking
@@ -70,19 +71,19 @@ fn compiled_expr_matches_tree_walk() {
 
 #[test]
 fn vectorized_filter_matches_reference() {
-    op_slice("filter", CASES, &["filter"]);
+    op_slice("filter", Batch, CASES, &["filter"]);
 }
 
 /// Pass-through, numeric, string and date literal columns.
 #[test]
 fn vectorized_project_matches_reference() {
-    op_slice("project", CASES, &["project"]);
+    op_slice("project", Batch, CASES, &["project"]);
 }
 
 /// No group, one key and two keys of every type.
 #[test]
 fn vectorized_aggregate_matches_reference() {
-    op_slice("aggregate", CASES, &["aggregate"]);
+    op_slice("aggregate", Batch, CASES, &["aggregate"]);
 }
 
 /// Aggregate lists whose entries share an input, the list program's
@@ -103,19 +104,13 @@ fn vectorized_aggregate_with_shared_inputs_matches_reference() {
     };
     let keep = |c: &Case| c.nodes().into_iter().any(shares);
     let name = "vectorized_aggregate_with_shared_inputs_matches_reference";
-    fuzz::run_slice(name, Threads, CASES, keep, &["aggregate"]);
+    fuzz::run_slice(name, Batch, CASES, fuzz::any, keep, &["aggregate"]);
 }
 
 /// The arena-backed hash join, every kind.
 #[test]
 fn vectorized_hash_join_matches_reference() {
-    let kinds = [
-        "hashjoin(Inner)",
-        "hashjoin(Semi)",
-        "hashjoin(Anti)",
-        "hashjoin(LeftOuter)",
-    ];
-    op_slice("hashjoin", CASES, &kinds);
+    op_slice("hashjoin", Threads, CASES, &fuzz::JOIN_KINDS);
 }
 
 /// Sorted scans on 64 B to 4 KiB pages and sorts, hot keys included: an
@@ -123,17 +118,17 @@ fn vectorized_hash_join_matches_reference() {
 #[test]
 fn vectorized_merge_join_matches_reference() {
     let floor = ["mergejoin", "merge-span"];
-    op_slice("mergejoin", 2 * CASES, &floor);
+    op_slice("mergejoin", Batch, 2 * CASES, &floor);
 }
 
 /// Equi and random predicates over candidate pages.
 #[test]
 fn vectorized_nlj_matches_reference() {
-    op_slice("nlj", CASES, &["nlj"]);
+    op_slice("nlj", Batch, CASES, &["nlj"]);
 }
 
 /// One or two keys of every type, floats in total order, ties stable.
 #[test]
 fn vectorized_sort_matches_reference() {
-    op_slice("sort", CASES, &["sort"]);
+    op_slice("sort", Batch, CASES, &["sort"]);
 }
