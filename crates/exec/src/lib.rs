@@ -28,7 +28,6 @@
 
 pub mod cost;
 pub mod error;
-pub mod explain;
 pub mod expr;
 pub mod memory;
 pub mod ops;
@@ -41,7 +40,6 @@ pub mod wiring;
 
 pub use cost::OpCost;
 pub use error::{ExecError, FaultCell};
-pub use explain::explain;
 pub use expr::{Agg, CmpOp, Predicate, ScalarExpr};
 pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
 pub use parallel::{MorselDispenser, ParallelConfig};

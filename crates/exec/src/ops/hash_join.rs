@@ -25,45 +25,52 @@
 //! inputs clustered on the join key (`lineitem` on its order key, TPC-H
 //! Q4's build side) arrive in such runs. On unclustered input nothing
 //! collapses and the table holds 8 B a row. A key-only partition spills
-//! to a one-column `Int` schema, and everything that reads a build
-//! partition back — reload, repartitioning — reads that stored schema
-//! and its key column 0.
+//! to a one-column `Int` schema, and a later pass, which reads a build
+//! partition back, reads that stored schema and its key column 0.
 //!
 //! # Out-of-core operation (dynamic hybrid hash join)
 //!
-//! With a budgeted [`MemoryBroker`](crate::MemoryBroker) the join
-//! follows the dynamic hybrid design of Jahangiri et al.: the build
-//! input is split into a growth-aware number of partitions, each
-//! starting memory-resident. When a grant is refused, the largest
-//! resident partition is the **spill victim** — its arena is dumped to
-//! a [`SpillFile`] and further rows for it stream to disk. Probe rows
-//! for resident partitions are joined immediately; probe rows for
-//! spilled partitions are spilled alongside. After the streaming probe
-//! each (build, probe) spill pair is reloaded and joined; a pair whose
-//! build side still exceeds the budget is **recursively repartitioned**
-//! with a level-seeded hash, up to `MAX_RECURSION` (4) levels, after which
-//! the query fails with a typed
-//! [`ExecError::BudgetExhausted`](crate::ExecError::BudgetExhausted).
-//! With an unbounded broker (the default) there is a single resident
-//! partition and behaviour is unchanged from the in-memory join.
+//! With a budgeted [`MemoryBroker`] the join follows the dynamic hybrid
+//! design of Jahangiri et al. at every level. A **pass** routes its
+//! build rows into partitions, each starting memory-resident. When a
+//! grant is refused, the largest resident partition is the **spill
+//! victim**: its table is dumped to a spill stream and further rows for
+//! it stream to disk. Probe rows for resident partitions are joined at
+//! once; probe rows for spilled partitions are spilled beside them, and
+//! each such (build, probe) pair is queued for a pass of its own at the
+//! next level.
+//!
+//! The level-0 pass reads the two ports. Every later pass reads one
+//! pair's build file and then its probe file, a page per `drain` step,
+//! through the same page functions, routing with a hash seeded by its
+//! level. A pair whose build side fits the budget is granted it up
+//! front and joined by a pass of one partition: it is reloaded. A pair
+//! that does not fit is split into enough partitions for each to fill
+//! half the budget, and those that fit stay resident. A pair still over
+//! the budget at level `MAX_RECURSION` (4) fails the query with a typed
+//! [`ExecError::BudgetExhausted`].
+//! With an unbounded broker (the default) the one pass has a single
+//! resident partition and behaviour is unchanged from the in-memory
+//! join.
 //!
 //! Every open stream holds its frame, granted where it is opened
-//! (`SpillContext::io`) for as long as it is open: sized for one stream
-//! per partition in the build and probe phases, for the fan-out and the
-//! file being split in a repartition, for two in a spilled pair. The
-//! resident partitions share what those frames leave, with one frame of
-//! headroom for the next victim, so the tracked peak stays inside the
-//! budget with the streams counted.
+//! (`SpillContext::io`) for as long as it is open. A pass sizes the
+//! frames of the streams it opens when it starts, for one stream per
+//! partition in each of its two phases; at a later level the cursor of
+//! the file it reads fits beside them. The resident partitions share
+//! what those frames leave, with one frame of headroom for the next
+//! victim, so the tracked peak stays inside the budget with the streams
+//! counted.
 //!
-//! What is here is the kernel — the partitions, the spilled pairs and
-//! the page functions of the build, probe and spilled-pair phases —
-//! with [`Kernel::release`] its one teardown: every grant the state
-//! holds is returned there, whatever phase a failure interrupts.
+//! What is here is the kernel — the open pass, the pending pairs and the
+//! page functions of the build and probe phases — with
+//! [`Kernel::release`] its one teardown: every grant the state holds is
+//! returned there, whatever phase a failure interrupts.
 //! [`crate::ops::shell`] runs it as a task.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::{SpillContext, SpillCursor, SpillIo, SpillStream};
+use crate::memory::{MemoryBroker, SpillContext, SpillCursor, SpillIo, SpillStream};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{default_row_bytes, int_key};
 use crate::plan::JoinKind;
@@ -76,7 +83,7 @@ use std::sync::{Arc, OnceLock};
 /// The operator's name in faults.
 const OP: &str = "hash join";
 
-/// Repartitioning depth at which a still-oversized partition fails the
+/// The level at which a pass over a still-oversized pair fails the
 /// query with [`ExecError::BudgetExhausted`].
 const MAX_RECURSION: u32 = 4;
 
@@ -273,11 +280,11 @@ impl<'a> Iterator for MatchIter<'a> {
 }
 
 /// Routes `key` to one of `parts` partitions. `level` seeds the hash
-/// so each repartitioning pass redistributes keys that collided at the
-/// previous level. Uses a splitmix64 finalizer rather than FxHash:
-/// the routing takes `hash % parts`, and FxHash's low bits are too
-/// weak for that (its low bit tracks key parity at every level, which
-/// would make recursive repartitioning a no-op).
+/// so each pass redistributes keys that collided at the level before.
+/// Uses a splitmix64 finalizer rather than FxHash: the routing takes
+/// `hash % parts`, and FxHash's low bits are too weak for that (its
+/// low bit tracks key parity at every level, which would make every
+/// later pass route a pair as the one before it did).
 pub(crate) fn partition_of(key: i64, level: u32, parts: usize) -> usize {
     if parts <= 1 {
         return 0;
@@ -290,71 +297,85 @@ pub(crate) fn partition_of(key: i64, level: u32, parts: usize) -> usize {
     (x % parts as u64) as usize
 }
 
-/// Growth-aware initial partition count: with budget `b` bytes and
-/// page-granular spill buffers, √(b / page) partitions balance the
-/// resident directory against per-partition buffer overhead (the
-/// classic hybrid-hash sizing, per Jahangiri et al.). Unbounded
-/// brokers get a single partition — the pure in-memory join.
-fn initial_partitions(budget: Option<usize>) -> usize {
-    match budget {
-        None => 1,
-        Some(b) => {
-            let pages = (b / PAGE_SIZE).max(1);
-            ((pages as f64).sqrt().ceil() as usize).clamp(2, MAX_PARTITIONS)
-        }
-    }
+/// The fan-out of a pass, from the budget and, for a spilled pair, its
+/// build side's bytes. One partition where nothing can spill: an
+/// unbounded join, or a pair whose build side `broker` grants here, up
+/// front. Otherwise, within `[2, MAX_PARTITIONS]`: at level 0, where
+/// the build size is unknown, ⌈√(budget pages)⌉ — the classic
+/// hybrid-hash sizing (Jahangiri et al.), balancing the resident tables
+/// against one stream frame per partition — and for a pair, enough
+/// partitions for each to fill half the budget.
+fn fan_out(broker: &MemoryBroker, build: Option<usize>) -> usize {
+    let Some(budget) = broker.budget() else {
+        return 1;
+    };
+    let fan = match build {
+        None => ((budget / PAGE_SIZE).max(1) as f64).sqrt().ceil() as usize,
+        Some(bytes) if bytes == 0 || broker.try_grant(bytes) => return 1,
+        Some(bytes) => bytes.div_ceil((budget / 2).max(PAGE_SIZE)),
+    };
+    fan.clamp(2, MAX_PARTITIONS)
 }
 
-/// One partition while the build input lasts: memory-resident until
-/// chosen as a spill victim, streaming to disk afterwards.
-enum BuildPart {
+/// One partition of a pass: memory-resident until it is chosen as a
+/// spill victim, on disk from then on.
+enum Part {
     Resident {
         table: BuildTable,
-        /// Bytes granted for `table` ([`BuildTable::bytes`]).
-        granted: usize,
-    },
-    /// The open stream of stored rows.
-    Spilling(SpillStream),
-}
-
-/// One partition while the probe input lasts.
-enum ProbePart {
-    Resident {
-        table: BuildTable,
-        /// Bytes granted for `table` ([`BuildTable::bytes`]).
+        /// Bytes granted for `table`: what it holds, or, in a pass of
+        /// one partition over a spilled pair, that pair's build side.
         granted: usize,
     },
     Spilled {
-        /// The sealed stored rows.
-        build: SpillFile,
-        /// Probe rows routed here, once there are any.
-        probe: Option<SpillStream>,
+        /// Where the rows routed here go: the build rows while the
+        /// build input lasts, then the probe rows, opened by the first
+        /// of them ...
+        stream: Option<SpillStream>,
+        /// ... and the build rows, sealed when the build input ended.
+        build: Option<SpillFile>,
     },
 }
 
-/// A spilled (build, probe) pair awaiting its out-of-core join.
-/// `build: None` means the build side was empty — Anti and LeftOuter
-/// still emit for such pairs, so the probe file is joined against an
-/// empty table.
+/// One partitioning pass. Level 0 reads the two ports; each later level
+/// reads one spilled pair's build file and then its probe file.
+#[derive(Default)]
+struct Pass {
+    /// Seeds the routing hash; the pairs the pass spills are the next
+    /// level's.
+    level: u32,
+    /// Pages in the frame of each stream the pass opens, sized when the
+    /// pass opens as for two per partition, one in each phase. That
+    /// leaves three quarters of the budget to the partitions still
+    /// resident — what they hold is what the probe side need not spill.
+    frame: usize,
+    /// Routed to by `partition_of(key, level, parts.len())`.
+    parts: Vec<Part>,
+    /// The last build key an existence join kept.
+    last_key: Option<i64>,
+}
+
+/// A spilled (build, probe) pair awaiting its pass. `build: None`
+/// means the build side was empty — Anti and LeftOuter still emit for
+/// such pairs, so the probe file is joined against an empty table.
 struct SpillPair {
     build: Option<SpillFile>,
     probe: SpillFile,
     level: u32,
 }
 
-/// The pair currently being joined: its reloaded build table and the
-/// streaming probe reader.
-struct ActivePair {
-    table: BuildTable,
-    /// Bytes granted for the reloaded table.
-    granted: usize,
-    reader: SpillCursor,
+/// What a later pass reads next, a page per `drain` step.
+enum Reading {
+    /// Its pair's build file (no cursor when the side is empty), and
+    /// the probe file to open after it.
+    Build(Option<SpillCursor>, SpillFile),
+    /// Its pair's probe file.
+    Probe(SpillCursor),
 }
 
 /// What `drain` does next.
 enum Tail {
-    /// Join the spilled partition pairs, a probe page per call.
-    SpillJoin,
+    /// Run a pass over each spilled pair, a page per call.
+    Pairs,
     /// Emit the partly filled last page.
     Flush,
     Done,
@@ -374,8 +395,6 @@ pub struct HashJoinKernel {
     stored: Arc<Schema>,
     /// ... keyed by this column of it.
     stored_key: usize,
-    /// The last build key an existence join kept.
-    last_key: Option<i64>,
     build_defaults: Vec<u8>,
     builder: PageBuilder,
     tail: Tail,
@@ -384,18 +403,12 @@ pub struct HashJoinKernel {
     /// Rows of the build page in hand routed to each partition.
     routed: Vec<usize>,
     spill: SpillContext,
-    /// Pages in the frame of a partition's stream: every partition may
-    /// have one open, in the build phase and again in the probe phase.
-    /// Sized as for twice as many, which leaves three quarters of the
-    /// budget to the partitions still resident — what they hold is what
-    /// the probe side need not spill.
-    frame: usize,
-    /// The partitions until the build input ends, then empty ...
-    build_parts: VecDeque<BuildPart>,
-    /// ... and the same partitions from then until the probe input ends.
-    probe_parts: Vec<ProbePart>,
+    /// The open pass: level 0's until the probe input ends, then each
+    /// pending pair's in turn.
+    pass: Pass,
+    /// What the open pass reads, when it is a later one.
+    reading: Option<Reading>,
     pending: VecDeque<SpillPair>,
-    active: Option<ActivePair>,
 }
 
 impl HashJoinKernel {
@@ -429,7 +442,6 @@ impl HashJoinKernel {
             }
             JoinKind::Inner | JoinKind::LeftOuter => (build_schema.clone(), build_key),
         };
-        let parts = initial_partitions(spill.broker.budget());
         let mut join = Self {
             build_key,
             probe_key,
@@ -441,24 +453,16 @@ impl HashJoinKernel {
             probe_schema,
             stored,
             stored_key,
-            last_key: None,
             builder: PageBuilder::new(out_schema),
             tail: Tail::Flush,
             keys: Vec::new(),
             routed: Vec::new(),
-            frame: spill.frame_pages(2 * parts),
             spill,
-            build_parts: VecDeque::new(),
-            probe_parts: Vec::new(),
+            pass: Pass::default(),
+            reading: None,
             pending: VecDeque::new(),
-            active: None,
         };
-        join.build_parts = (0..parts)
-            .map(|_| BuildPart::Resident {
-                table: join.new_table(),
-                granted: 0,
-            })
-            .collect();
+        join.pass = join.new_pass(0, None)?;
         Ok(join)
     }
 
@@ -477,128 +481,161 @@ impl HashJoinKernel {
         })
     }
 
-    /// Routes one build page into the partitions, spilling victims
-    /// until the resident demand fits the budget. An existence join
-    /// first drops each key equal to the one kept before it.
-    fn build_page(&mut self, page: &Page) -> Result<(), ExecError> {
-        let keys_only = self.keys_only();
-        if let (false, [BuildPart::Resident { table, granted }]) =
-            (keys_only, self.build_parts.make_contiguous())
-        {
-            // Unbounded fast path of a row table: bulk arena append, as
-            // before the broker existed (try_grant on an unbounded
-            // broker always succeeds; it exists to keep the accounting
-            // honest). Key-only tables take the routed path below, which
-            // collapses runs first.
-            let bytes = page.byte_len();
-            self.spill.broker.try_grant(bytes);
-            *granted += bytes;
-            table.insert_page(page, self.build_key);
-            return Ok(());
+    /// A pass at `level` of [`fan_out`] resident partitions, over a
+    /// build side of `build` bytes when that is known (a spilled
+    /// pair's). A pair still over the budget at the recursion cap fails
+    /// the query instead.
+    fn new_pass(&self, level: u32, build: Option<usize>) -> Result<Pass, ExecError> {
+        let fan = fan_out(&self.spill.broker, build);
+        let bytes = build.unwrap_or(0);
+        if fan > 1 && level >= MAX_RECURSION {
+            return Err(ExecError::BudgetExhausted {
+                op: OP,
+                detail: format!(
+                    "build partition of {bytes} B still exceeds the budget after {level} \
+                     repartitioning levels (skewed key?)"
+                ),
+            });
         }
-        page.gather_i64(self.build_key, &mut self.keys);
+        // A lone partition holds what `fan_out` granted for it.
+        let granted = if fan == 1 { bytes } else { 0 };
+        let table = || Part::Resident {
+            table: self.new_table(),
+            granted,
+        };
+        Ok(Pass {
+            level,
+            frame: self.spill.frame_pages(2 * fan),
+            parts: (0..fan).map(|_| table()).collect(),
+            last_key: None,
+        })
+    }
+
+    /// Routes one build page of the open pass, keyed by its column
+    /// `key_col`, into the partitions, spilling victims until the
+    /// resident demand fits the budget. An existence join first drops
+    /// each key equal to the one kept before it.
+    fn build_page(&mut self, page: &Page, key_col: usize) -> Result<(), ExecError> {
+        let keys_only = self.keys_only();
+        let lone = matches!(self.pass.parts[..], [Part::Resident { .. }]);
+        if keys_only || !lone {
+            page.gather_i64(key_col, &mut self.keys);
+        }
         if keys_only {
-            let last = &mut self.last_key;
+            let last = &mut self.pass.last_key;
             self.keys.retain(|&key| last.replace(key) != Some(key));
         }
+        if let [Part::Resident { table, granted }] = &mut self.pass.parts[..] {
+            // A lone partition never spills: the join is unbounded, or
+            // its pair's build side was granted up front. A row table
+            // takes the page in one arena append, and the grant is
+            // topped up to what the table holds.
+            if keys_only {
+                self.keys.iter().for_each(|&key| table.insert_row(key, &[]));
+            } else {
+                table.insert_page(page, key_col);
+            }
+            let more = table.bytes().saturating_sub(*granted);
+            self.spill.broker.grant(more);
+            *granted += more;
+            return Ok(());
+        }
         let w = self.stored.row_width();
-        let parts = self.build_parts.len();
+        let (level, fan, frame) = (self.pass.level, self.pass.parts.len(), self.pass.frame);
         self.routed.clear();
-        self.routed.resize(parts, 0);
+        self.routed.resize(fan, 0);
         for &key in &self.keys {
-            self.routed[partition_of(key, 0, parts)] += 1;
+            self.routed[partition_of(key, level, fan)] += 1;
         }
         loop {
             // Bytes this page adds to *resident* partitions.
-            let resident = self.build_parts.iter().zip(&self.routed);
+            let resident = self.pass.parts.iter().zip(&self.routed);
             let demand: usize = resident
-                .filter(|(part, _)| matches!(part, BuildPart::Resident { .. }))
+                .filter(|(part, _)| matches!(part, Part::Resident { .. }))
                 .map(|(_, &rows)| rows * w)
                 .sum();
             // Room is kept for the frame the next victim's stream takes
-            // before its arena is released.
-            let spill = &self.spill;
-            if demand == 0 || spill.grant_beside(demand, &self.stored, self.frame) {
+            // before its table is released.
+            if demand == 0 || self.spill.grant_beside(demand, &self.stored, frame) {
                 break;
             }
-            if !self.spill_victim()? {
-                // Nothing left to spill; take the memory anyway (a
-                // single page exceeding the whole budget).
-                self.spill.broker.grant(demand);
-                break;
-            }
+            self.spill_victim()?;
         }
         // The grant is the partitions' from here on, so that a failed
         // write below leaves nothing unaccounted for.
-        for (part, &rows) in self.build_parts.iter_mut().zip(&self.routed) {
-            if let BuildPart::Resident { granted, .. } = part {
+        for (part, &rows) in self.pass.parts.iter_mut().zip(&self.routed) {
+            if let Part::Resident { granted, .. } = part {
                 *granted += rows * w;
             }
         }
         let io = self.spill.io(OP);
+        let parts = &mut self.pass.parts;
         if keys_only {
             for &key in &self.keys {
-                match &mut self.build_parts[partition_of(key, 0, parts)] {
-                    BuildPart::Resident { table, .. } => table.insert_row(key, &[]),
-                    BuildPart::Spilling(stream) => io.push(stream, &key.to_le_bytes())?,
+                match &mut parts[partition_of(key, level, fan)] {
+                    Part::Resident { table, .. } => table.insert_row(key, &[]),
+                    Part::Spilled { stream, .. } => {
+                        spill_row(&io, stream, &self.stored, frame, &key.to_le_bytes())?
+                    }
                 }
             }
             return Ok(());
         }
         for (raw, &key) in page.raw_rows().zip(&self.keys) {
-            match &mut self.build_parts[partition_of(key, 0, parts)] {
-                BuildPart::Resident { table, .. } => table.insert_row(key, raw),
-                BuildPart::Spilling(stream) => io.push(stream, raw)?,
+            match &mut parts[partition_of(key, level, fan)] {
+                Part::Resident { table, .. } => table.insert_row(key, raw),
+                Part::Spilled { stream, .. } => spill_row(&io, stream, &self.stored, frame, raw)?,
             }
         }
         Ok(())
     }
 
-    /// Spills the resident partition holding the most granted memory.
-    /// Returns `false` when no resident partition remains.
-    fn spill_victim(&mut self) -> Result<bool, ExecError> {
-        let residents = self.build_parts.iter_mut().filter_map(|part| match part {
-            BuildPart::Resident { granted, .. } => Some((*granted, part)),
-            BuildPart::Spilling(_) => None,
+    /// Spills the resident partition holding the most granted memory:
+    /// its table goes to a new stream, and so do the rows routed to it
+    /// from here on. (There is one while a page's demand is resident.)
+    fn spill_victim(&mut self) -> Result<(), ExecError> {
+        let residents = self.pass.parts.iter_mut().filter_map(|part| match part {
+            Part::Resident { granted, .. } => Some((*granted, part)),
+            Part::Spilled { .. } => None,
         });
         let Some((granted, victim)) = residents.max_by_key(|&(granted, _)| granted) else {
-            return Ok(false);
+            return Ok(());
         };
         let io = self.spill.io(OP);
-        let mut stream = io.create(self.stored.clone(), self.frame)?;
-        if let BuildPart::Resident { table, .. } = victim {
+        let mut stream = io.create(self.stored.clone(), self.pass.frame)?;
+        if let Part::Resident { table, .. } = victim {
             table.spill_to(&io, &mut stream)?;
         }
         self.spill.broker.release(granted);
-        *victim = BuildPart::Spilling(stream);
-        Ok(true)
+        *victim = Part::Spilled {
+            stream: Some(stream),
+            build: None,
+        };
+        Ok(())
     }
 
-    /// End of build input: seal every spilled partition's build stream.
-    /// A partition is in exactly one of the two lists throughout, so a
-    /// failure part-way strands no grant.
+    /// End of a pass's build input: seal every spilled partition's
+    /// build stream.
     fn finish_build(&mut self) -> Result<(), ExecError> {
-        while let Some(part) = self.build_parts.pop_front() {
-            self.probe_parts.push(match part {
-                BuildPart::Resident { table, granted } => ProbePart::Resident { table, granted },
-                BuildPart::Spilling(stream) => ProbePart::Spilled {
-                    build: self.spill.io(OP).finish(stream)?,
-                    probe: None,
-                },
-            });
+        let io = self.spill.io(OP);
+        for part in &mut self.pass.parts {
+            if let Part::Spilled { stream, build } = part {
+                *build = stream.take().map(|rows| io.finish(rows)).transpose()?;
+            }
         }
         Ok(())
     }
 
-    /// Probes one page: resident partitions join immediately, spilled
-    /// partitions buffer the probe row to disk.
+    /// Probes one page of the open pass: resident partitions join it at
+    /// once, spilled partitions stream its rows to disk.
     fn probe_page(&mut self, page: &Page, out: &mut Pages) -> Result<(), ExecError> {
         page.gather_i64(self.probe_key, &mut self.keys);
-        let parts = self.probe_parts.len();
+        let pass = &mut self.pass;
+        let fan = pass.parts.len();
         let io = self.spill.io(OP);
         for (probe_raw, &key) in page.raw_rows().zip(&self.keys) {
-            match &mut self.probe_parts[partition_of(key, 0, parts)] {
-                ProbePart::Resident { table, .. } => probe_row(
+            match &mut pass.parts[partition_of(key, pass.level, fan)] {
+                Part::Resident { table, .. } => probe_row(
                     self.kind,
                     table,
                     key,
@@ -607,183 +644,114 @@ impl HashJoinKernel {
                     out,
                     &self.build_defaults,
                 ),
-                ProbePart::Spilled { probe, .. } => {
-                    let stream = match probe {
-                        Some(stream) => stream,
-                        None => probe.insert(io.create(self.probe_schema.clone(), self.frame)?),
-                    };
-                    io.push(stream, probe_raw)?;
+                Part::Spilled { stream, .. } => {
+                    spill_row(&io, stream, &self.probe_schema, pass.frame, probe_raw)?
                 }
             }
         }
         Ok(())
     }
 
-    /// Hands over the probe-phase partitions with the resident tables'
-    /// grants returned (an open probe stream carries its own).
-    fn take_probe_parts(&mut self) -> Vec<ProbePart> {
-        let parts = std::mem::take(&mut self.probe_parts);
+    /// Hands over the open pass's partitions with the resident tables'
+    /// grants returned (an open stream carries its own).
+    fn take_parts(&mut self) -> Vec<Part> {
+        let parts = std::mem::take(&mut self.pass.parts);
         for part in &parts {
-            if let ProbePart::Resident { granted, .. } = part {
+            if let Part::Resident { granted, .. } = part {
                 self.spill.broker.release(*granted);
             }
         }
         parts
     }
 
-    /// End of probe input: release resident partitions, seal the probe
-    /// streams and queue each spilled partition a probe row ever routed
-    /// to — every join kind is probe-driven, so a probe-less partition
-    /// produces no output.
+    /// End of a pass's probe input: release its resident partitions,
+    /// seal the probe streams and queue each spilled partition a probe
+    /// row ever routed to as a pair of the next level — every join kind
+    /// is probe-driven, so a probe-less partition produces no output.
     fn finish_probe(&mut self) -> Result<(), ExecError> {
-        for part in self.take_probe_parts() {
-            if let ProbePart::Spilled {
+        let level = self.pass.level + 1;
+        for part in self.take_parts() {
+            if let Part::Spilled {
+                stream: Some(probe),
                 build,
-                probe: Some(stream),
             } = part
             {
                 self.pending.push_back(SpillPair {
-                    build: Some(build).filter(|f| f.rows() > 0),
-                    probe: self.spill.io(OP).finish(stream)?,
-                    level: 1,
+                    build: build.filter(|f| f.rows() > 0),
+                    probe: self.spill.io(OP).finish(probe)?,
+                    level,
                 });
             }
         }
         Ok(())
     }
 
-    /// One step of the spilled-pair join: probe one page of the active
-    /// pair, or start the next pair. Returns the virtual cost and
-    /// whether every pair is done.
-    fn spill_join_step(&mut self, out: &mut Pages) -> Result<(VTime, bool), ExecError> {
-        let Some(active) = &mut self.active else {
-            let Some(pair) = self.pending.pop_front() else {
-                return Ok((1, true));
+    /// One step of the later passes: open the next pending pair's pass,
+    /// or feed the open one a page of its build file, then of its probe
+    /// file. Returns the step's virtual cost.
+    fn pair_step(&mut self, out: &mut Pages) -> Result<VTime, ExecError> {
+        let io = self.spill.io(OP);
+        let (cursor, building) = match &mut self.reading {
+            Some(Reading::Build(cursor, _)) => (cursor.as_mut(), true),
+            Some(Reading::Probe(cursor)) => (Some(cursor), false),
+            None => {
+                match self.pending.pop_front() {
+                    Some(pair) => self.start_pass(pair)?,
+                    None => self.tail = Tail::Flush,
+                }
+                return Ok(1);
+            }
+        };
+        let page = cursor.map(|cursor| io.next_page(cursor)).transpose()?;
+        if let Some(page) = page.flatten() {
+            let cost = if building {
+                self.build_page(&page, self.stored_key)?;
+                self.build_cost
+            } else {
+                self.probe_page(&page, out)?;
+                self.probe_cost
             };
-            self.start_pair(pair)?;
-            return Ok((1, false));
-        };
-        let Some(page) = self.spill.io(OP).next_page(&mut active.reader)? else {
-            self.spill.broker.release(active.granted);
-            self.active = None;
-            return Ok((1, false));
-        };
-        page.gather_i64(self.probe_key, &mut self.keys);
-        for (probe_raw, &key) in page.raw_rows().zip(&self.keys) {
-            probe_row(
-                self.kind,
-                &active.table,
-                key,
-                probe_raw,
-                &mut self.builder,
-                out,
-                &self.build_defaults,
-            );
+            return Ok(cost.input_cost(page.rows()).max(1));
         }
-        Ok((self.probe_cost.input_cost(page.rows()).max(1), false))
-    }
-
-    /// Activates a spilled pair: reload its build side if it fits the
-    /// budget, otherwise repartition (or fail at the recursion cap).
-    fn start_pair(&mut self, pair: SpillPair) -> Result<(), ExecError> {
-        let build_bytes = pair.build.as_ref().map_or(0, |f| f.bytes() as usize);
-        if build_bytes == 0 || self.spill.broker.try_grant(build_bytes) {
-            let loaded = self.load_pair(pair);
-            if loaded.is_err() {
-                self.spill.broker.release(build_bytes);
+        match self.reading.take() {
+            Some(Reading::Build(cursor, probe)) => {
+                // The build file's frame goes back before the probe
+                // file's is granted.
+                drop(cursor);
+                self.finish_build()?;
+                let cursor = self.spill.io(OP).open(probe, self.pass.frame)?;
+                self.reading = Some(Reading::Probe(cursor));
             }
-            let (table, reader) = loaded?;
-            self.active = Some(ActivePair {
-                table,
-                granted: build_bytes,
-                reader,
-            });
-            Ok(())
-        } else if pair.level >= MAX_RECURSION {
-            Err(ExecError::BudgetExhausted {
-                op: OP,
-                detail: format!(
-                    "build partition of {build_bytes} B still exceeds the budget after {} \
-                     repartitioning levels (skewed key?)",
-                    pair.level
-                ),
-            })
-        } else {
-            self.repartition(pair)
+            _ => self.finish_probe()?,
         }
+        Ok(1)
     }
 
-    /// Reloads a pair's build side and opens its probe side: two
-    /// streams, read one after the other beside the granted table.
-    fn load_pair(&self, pair: SpillPair) -> Result<(BuildTable, SpillCursor), ExecError> {
+    /// Opens the pass over a spilled pair, reading its build file first.
+    fn start_pass(&mut self, pair: SpillPair) -> Result<(), ExecError> {
+        let bytes = pair.build.as_ref().map_or(0, |f| f.bytes() as usize);
+        self.pass = self.new_pass(pair.level, Some(bytes))?;
         let io = self.spill.io(OP);
-        let frame = self.spill.frame_pages(2);
-        let mut table = self.new_table();
-        if let Some(file) = pair.build {
-            let mut reader = io.open(file, frame)?;
-            while let Some(page) = io.next_page(&mut reader)? {
-                table.insert_page(&page, self.stored_key);
-            }
-        }
-        Ok((table, io.open(pair.probe, frame)?))
-    }
-
-    /// Splits an oversized pair into sub-pairs with a deeper-level
-    /// hash, sized so each sub-build targets half the budget.
-    fn repartition(&mut self, pair: SpillPair) -> Result<(), ExecError> {
-        let budget = self.spill.broker.budget().unwrap_or(usize::MAX);
-        let build_bytes = pair.build.as_ref().map_or(0, |f| f.bytes() as usize);
-        let fan = build_bytes
-            .div_ceil((budget / 2).max(PAGE_SIZE))
-            .clamp(2, MAX_PARTITIONS);
-        let level = pair.level;
-        let builds = match pair.build {
-            Some(file) => self.split_file(file, self.stored_key, fan, level)?,
-            None => (0..fan).map(|_| None).collect(),
-        };
-        let probes = self.split_file(pair.probe, self.probe_key, fan, level)?;
-        for (build, probe) in builds.into_iter().zip(probes) {
-            // Probe-less sub-pairs produce no output for any join kind.
-            if let Some(probe) = probe {
-                self.pending.push_back(SpillPair {
-                    build,
-                    probe,
-                    level: level + 1,
-                });
-            }
-        }
+        let build = pair.build.map(|file| io.open(file, self.pass.frame));
+        self.reading = Some(Reading::Build(build.transpose()?, pair.probe));
         Ok(())
     }
+}
 
-    /// Hash-splits one spill file into `fan` new files by `key_col`,
-    /// seeded with `level`. Empty outputs come back as `None`.
-    fn split_file(
-        &mut self,
-        file: SpillFile,
-        key_col: usize,
-        fan: usize,
-        level: u32,
-    ) -> Result<Vec<Option<SpillFile>>, ExecError> {
-        let io = self.spill.io(OP);
-        // The file being split and its `fan` outputs share the grant.
-        let frame = self.spill.frame_pages(fan + 1);
-        let mut outs = Vec::with_capacity(fan);
-        for _ in 0..fan {
-            outs.push(io.create(file.schema().clone(), frame)?);
-        }
-        let mut reader = io.open(file, frame)?;
-        while let Some(page) = io.next_page(&mut reader)? {
-            page.gather_i64(key_col, &mut self.keys);
-            for (raw, &key) in page.raw_rows().zip(&self.keys) {
-                io.push(&mut outs[partition_of(key, level, fan)], raw)?;
-            }
-        }
-        let mut files = Vec::with_capacity(fan);
-        for stream in outs {
-            files.push(Some(io.finish(stream)?).filter(|f| f.rows() > 0));
-        }
-        Ok(files)
-    }
+/// Appends `row` to a spilled partition's `stream`, first opening it
+/// for rows of `schema` with a `frame`-page frame when there is none.
+fn spill_row(
+    io: &SpillIo<'_>,
+    stream: &mut Option<SpillStream>,
+    schema: &Arc<Schema>,
+    frame: usize,
+    row: &[u8],
+) -> Result<(), ExecError> {
+    let stream = match stream {
+        Some(stream) => stream,
+        None => stream.insert(io.create(schema.clone(), frame)?),
+    };
+    io.push(stream, row)
 }
 
 /// Joins one probe row against a build table, emitting per `kind` into
@@ -856,7 +824,7 @@ impl Kernel for HashJoinKernel {
         out: &mut Pages,
     ) -> Result<PageWork, ExecError> {
         let cost = if port == 0 {
-            self.build_page(page)?;
+            self.build_page(page, self.build_key)?;
             self.build_cost
         } else {
             self.probe_page(page, out)?;
@@ -876,7 +844,7 @@ impl Kernel for HashJoinKernel {
         } else {
             self.finish_probe()?;
             if !self.pending.is_empty() {
-                self.tail = Tail::SpillJoin;
+                self.tail = Tail::Pairs;
             }
         }
         Ok(PortClosed {
@@ -888,13 +856,7 @@ impl Kernel for HashJoinKernel {
 
     fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
         match self.tail {
-            Tail::SpillJoin => {
-                let (cost, finished) = self.spill_join_step(out)?;
-                if finished {
-                    self.tail = Tail::Flush;
-                }
-                Ok(Drained::batch(cost))
-            }
+            Tail::Pairs => Ok(Drained::batch(self.pair_step(out)?)),
             Tail::Flush => {
                 if !self.builder.is_empty() {
                     out.push(self.builder.finish_and_reset());
@@ -906,20 +868,13 @@ impl Kernel for HashJoinKernel {
         }
     }
 
-    /// Every resident partition's grant in whichever phase it is, the
-    /// spilled pairs, the active pair's table. (Open streams return
-    /// their frames as they drop.)
+    /// The open pass's resident grants, the pending pairs and what a
+    /// later pass reads. (Open streams return their frames as they
+    /// drop.)
     fn release(&mut self) {
-        for part in self.build_parts.drain(..) {
-            if let BuildPart::Resident { granted, .. } = part {
-                self.spill.broker.release(granted);
-            }
-        }
-        drop(self.take_probe_parts());
+        drop(self.take_parts());
         self.pending.clear();
-        if let Some(active) = self.active.take() {
-            self.spill.broker.release(active.granted);
-        }
+        self.reading = None;
     }
 }
 
@@ -1022,13 +977,21 @@ mod tests {
 
     #[test]
     fn initial_partition_count_is_growth_aware() {
-        assert_eq!(initial_partitions(None), 1);
+        let level_0 = |budget: usize| fan_out(&MemoryBroker::with_budget(budget), None);
+        assert_eq!(fan_out(&MemoryBroker::unbounded(), None), 1);
         // 16 pages -> √16 = 4 partitions.
-        assert_eq!(initial_partitions(Some(16 * PAGE_SIZE)), 4);
+        assert_eq!(level_0(16 * PAGE_SIZE), 4);
         // Tiny budgets still get the minimum split.
-        assert_eq!(initial_partitions(Some(1)), 2);
+        assert_eq!(level_0(1), 2);
         // The cap wins for huge budgets (√262144 pages = 512).
-        assert_eq!(initial_partitions(Some(1 << 30)), MAX_PARTITIONS);
+        assert_eq!(level_0(1 << 30), MAX_PARTITIONS);
+        // A pair whose build side fits is granted it: one partition.
+        let broker = MemoryBroker::with_budget(16 * PAGE_SIZE);
+        assert_eq!(fan_out(&broker, Some(10 * PAGE_SIZE)), 1);
+        assert_eq!(broker.used(), 10 * PAGE_SIZE);
+        // One that does not gets partitions of half the budget each.
+        assert_eq!(fan_out(&broker, Some(20 * PAGE_SIZE)), 3);
+        assert_eq!(broker.used(), 10 * PAGE_SIZE, "nothing granted");
     }
 
     fn run_join_with(kind: JoinKind, spill: SpillContext) -> Vec<Vec<Value>> {
@@ -1379,11 +1342,12 @@ mod tests {
         }
     }
 
-    /// The ([`SpillFile`]) build sides of the partitions that spilled.
+    /// The sealed ([`SpillFile`]) build sides of the open pass's
+    /// partitions that spilled.
     fn spilled_builds(join: &HashJoinKernel) -> Vec<&SpillFile> {
-        let spilled = join.probe_parts.iter().filter_map(|part| match part {
-            ProbePart::Spilled { build, .. } => Some(build),
-            ProbePart::Resident { .. } => None,
+        let spilled = join.pass.parts.iter().filter_map(|part| match part {
+            Part::Spilled { build, .. } => build.as_ref(),
+            Part::Resident { .. } => None,
         });
         spilled.collect()
     }
@@ -1430,8 +1394,9 @@ mod tests {
     #[test]
     fn a_one_page_budget_repartitions_a_key_file() {
         // 8 000 scattered keys are 62.5 KiB in two partitions against a
-        // 4 KiB budget: neither key file fits when its pair starts, so
-        // each is split by the next level's hash, as key files again.
+        // 4 KiB budget: neither key file fits when its pair's pass
+        // starts, so the pass splits it by the next level's hash and
+        // spills the parts as key files again.
         let (bs, _) = build_side();
         let (ps, _) = probe_side();
         let build = pages_of(&bs, &scattered(&clustered_rows(8000, 1)));
@@ -1448,15 +1413,57 @@ mod tests {
         }
         let mut split_key_files = 0;
         while !join.drain(&mut out).expect("spilled pairs").last {
-            let split = join.pending.iter().filter(|pair| pair.level > 1);
-            let key_files = split.filter_map(|pair| pair.build.as_ref());
-            split_key_files += key_files
-                .filter(|file| file.schema().row_width() == KEY_BYTES)
-                .count();
+            if join.pass.level > 0 {
+                split_key_files += spilled_builds(&join)
+                    .into_iter()
+                    .filter(|file| file.schema().row_width() == KEY_BYTES)
+                    .count();
+            }
         }
         assert!(split_key_files > 0, "no key file was repartitioned");
         let want = existence(JoinKind::Semi, 8000, &probe_rows());
         assert_eq!(by_key(page_rows(&out)), by_key(want));
+        assert_eq!(broker.used(), 0);
+    }
+
+    #[test]
+    fn a_pass_over_a_pair_under_twice_the_budget_keeps_a_part_resident() {
+        // 375 KiB of build rows in four level-0 partitions against a
+        // 16-page (64 KiB) budget: each spilled pair's build side is
+        // over the budget and under twice it, so its pass splits it in
+        // three, keeps what fits and joins those probe rows at once.
+        let (mut build, probe) = spill_fixture();
+        build.1 = (0..24_000)
+            .map(|i| vec![Value::Int(i % 6000), Value::Int(i)])
+            .collect();
+        let budget = 16 * PAGE_SIZE;
+        let inputs = [pages_of(&build.0, &build.1), pages_of(&probe.0, &probe.1)];
+        let spill = SpillContext::with_budget(budget);
+        let broker = spill.broker.clone();
+        let mut join = join_of(JoinKind::Inner, spill, &build.0, &probe.0);
+        let mut out = Pages::new();
+        for (port, pages) in inputs.iter().enumerate() {
+            for page in pages {
+                join.on_page(port, page, &mut out).expect("input page");
+            }
+            join.on_close(port, &mut out).expect("end of input");
+        }
+        let pair = join.pending.front().expect("a spilled pair");
+        let read = pair.build.as_ref().map_or(0, |file| file.bytes());
+        assert_eq!(pair.level, 1);
+        assert!(read > budget as u64 && read < 2 * budget as u64, "{read} B");
+        while !matches!(join.reading, Some(Reading::Probe(_))) {
+            join.drain(&mut out).expect("the pair's build file");
+        }
+        assert_eq!(join.pass.level, 1);
+        let resident = join.pass.parts.iter();
+        let resident = resident.filter(|part| matches!(part, Part::Resident { .. }));
+        assert!(resident.count() > 0, "every part spilled");
+        let written: u64 = spilled_builds(&join).iter().map(|file| file.bytes()).sum();
+        assert!(written < read, "wrote {written} B of {read}");
+        while !join.drain(&mut out).expect("spilled pairs").last {}
+        let want = run_join_rows(JoinKind::Inner, SpillContext::unbounded(), build, probe);
+        assert_eq!(sorted(page_rows(&out)), sorted(want));
         assert_eq!(broker.used(), 0);
     }
 }

@@ -285,16 +285,15 @@ impl PhysicalPlan {
     }
 }
 
-/// Concatenates two schemas (left fields first); name collisions on the
-/// right get a `_r` suffix.
+/// Concatenates two schemas (left fields first); a name on the right
+/// that is taken gets `_r` suffixes until it is not.
 pub fn concat_schemas(left: &Arc<Schema>, right: &Arc<Schema>) -> Arc<Schema> {
     let mut fields: Vec<Field> = left.fields().to_vec();
     for f in right.fields() {
-        let name = if fields.iter().any(|g| g.name == f.name) {
-            format!("{}_r", f.name)
-        } else {
-            f.name.clone()
-        };
+        let mut name = f.name.clone();
+        while fields.iter().any(|g| g.name == name) {
+            name.push_str("_r");
+        }
         fields.push(Field::new(name, f.dtype));
     }
     Schema::new(fields)
@@ -452,6 +451,32 @@ mod tests {
         );
         let outer = join(JoinKind::LeftOuter).output_schema(&cat);
         assert_eq!(outer.len(), 6);
+    }
+
+    #[test]
+    fn a_three_way_self_join_names_every_column_apart() {
+        let cat = catalog();
+        let join = |build: PhysicalPlan| PhysicalPlan::HashJoin {
+            build: Box::new(build),
+            probe: Box::new(scan()),
+            build_key: 0,
+            probe_key: 0,
+            kind: JoinKind::Inner,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::default(),
+        };
+        let plan = join(join(scan()));
+        let schema = plan.try_output_schema(&cat).expect("a schema, not a panic");
+        assert_eq!(
+            schema.field_names(),
+            vec!["k", "v", "tag", "k_r", "v_r", "tag_r", "k_r_r", "v_r_r", "tag_r_r"]
+        );
+        let res = crate::QueryResources::default();
+        let pages = crate::wiring::run_serial(&cat, &plan, &res).expect("runs");
+        assert_eq!(
+            crate::wiring::page_rows(&pages),
+            crate::reference::execute(&cat, &plan)
+        );
     }
 
     #[test]

@@ -120,25 +120,27 @@ pub struct ColInterval {
 }
 
 impl ColInterval {
-    fn tighten_lo(&mut self, b: Bound) {
-        let tighter = match self.lo {
-            None => true,
+    /// Narrows the lower bound to `b` where `b` is tighter. Returns
+    /// `false`, changing nothing, when `b` cannot be ordered against the
+    /// bound in place (a literal of another type, or NaN).
+    fn tighten_lo(&mut self, b: Bound) -> bool {
+        match self.lo {
+            Some(old) if old.value.cmp_same(&b.value).is_none() => return false,
             // The new bound is tighter iff the old one covers it.
-            Some(old) => lo_covers(Some(old), Some(b)) && old != b,
-        };
-        if tighter {
-            self.lo = Some(b);
+            Some(old) if !lo_covers(Some(old), Some(b)) => {}
+            _ => self.lo = Some(b),
         }
+        true
     }
 
-    fn tighten_hi(&mut self, b: Bound) {
-        let tighter = match self.hi {
-            None => true,
-            Some(old) => hi_covers(Some(old), Some(b)) && old != b,
-        };
-        if tighter {
-            self.hi = Some(b);
+    /// Mirror of [`ColInterval::tighten_lo`] for the upper bound.
+    fn tighten_hi(&mut self, b: Bound) -> bool {
+        match self.hi {
+            Some(old) if old.value.cmp_same(&b.value).is_none() => return false,
+            Some(old) if !hi_covers(Some(old), Some(b)) => {}
+            _ => self.hi = Some(b),
         }
+        true
     }
 
     /// Whether `self` (the wide interval) contains `other` (the narrow
@@ -160,23 +162,22 @@ pub struct NormPred {
 }
 
 impl NormPred {
-    /// Normalizes a predicate treated as a conjunction.
+    /// Normalizes a predicate treated as a conjunction. A range clause
+    /// its column's interval cannot order (a literal of another type
+    /// than the bound in place, or NaN) stays whole in `rest`.
     pub fn normalize(pred: &Predicate) -> Self {
         let mut norm = NormPred::default();
         for clause in flatten_conjuncts(pred) {
-            match range_clause(clause) {
-                Some((col, side)) => {
-                    let iv = norm.bounds.entry(col).or_default();
-                    match side {
-                        Side::Lo(b) => iv.tighten_lo(b),
-                        Side::Hi(b) => iv.tighten_hi(b),
-                        Side::Point(b) => {
-                            iv.tighten_lo(b);
-                            iv.tighten_hi(b);
-                        }
-                    }
+            let ordered = range_clause(clause).is_some_and(|(col, side)| {
+                let iv = norm.bounds.entry(col).or_default();
+                match side {
+                    Side::Lo(b) => iv.tighten_lo(b),
+                    Side::Hi(b) => iv.tighten_hi(b),
+                    Side::Point(b) => iv.tighten_lo(b) && iv.tighten_hi(b),
                 }
-                None => norm.rest.push(clause.clone()),
+            });
+            if !ordered {
+                norm.rest.push(clause.clone());
             }
         }
         norm
@@ -584,6 +585,39 @@ mod tests {
         // Every narrow clause is strictly tighter than the wide side,
         // so all four survive.
         assert_eq!(flatten_conjuncts(&residual).len(), 4);
+    }
+
+    #[test]
+    fn a_bound_the_interval_cannot_order_stays_in_rest() {
+        // `k <= 10 AND k < 3.5`: the float bound cannot be ordered
+        // against the int one, so it is kept whole instead of lost.
+        let float = Predicate::col_cmp(0, CmpOp::Lt, 3.5f64);
+        let wide = Predicate::And(vec![Predicate::col_cmp(0, CmpOp::Le, 10i64), float.clone()]);
+        let norm = NormPred::normalize(&wide);
+        let ten = BoundValue::Int(10);
+        assert_eq!(norm.bounds[&0].hi.map(|b| b.value), Some(ten));
+        assert_eq!(norm.rest, vec![float]);
+        // So a member filtering `10 >= k` is not served from it with
+        // residual `True`: the wide side lacks its rows with 3.5 <= k.
+        let narrow = Predicate::Cmp {
+            left: ScalarExpr::IntLit(10),
+            op: CmpOp::Ge,
+            right: ScalarExpr::Col(0),
+        };
+        assert_eq!(
+            subsume_residual(&filtered("t", wide), &filtered("t", narrow)),
+            None
+        );
+        // A NaN literal orders against nothing either (and equals
+        // nothing, so the clause is matched by its form).
+        let nan = Predicate::col_cmp(0, CmpOp::Ge, f64::NAN);
+        let both = Predicate::And(vec![Predicate::col_cmp(0, CmpOp::Ge, 1.0f64), nan.clone()]);
+        let norm = NormPred::normalize(&both);
+        assert_eq!(format!("{:?}", norm.rest), format!("{:?}", [nan]));
+        assert_eq!(
+            norm.bounds[&0].lo.map(|b| b.value),
+            Some(BoundValue::Float(1.0))
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@ use fuzz::Substrate;
 const CASES: u64 = 40;
 
 /// Case numbers that once failed, replayed on every run.
-const REGRESSIONS: &[u64] = &[];
+const REGRESSIONS: &[u64] = &[
+    // Subsumption lost `k < 3.5` beside `k <= 10` (an int bound cannot
+    // order a float one) and served `10 >= k` with residual `True`.
+    549_755_815_364,
+];
 
 #[test]
 fn engine_batch() {
