@@ -22,7 +22,7 @@ use crate::fragment_cache::CachedFragment;
 use crate::policy::{OverlapInfo, Policy};
 use crate::query::QuerySpec;
 use crate::sharing::split_with_residual;
-use cordoba_exec::ops::{Fanout, OperatorShell, ScanKernel, SinkKernel};
+use cordoba_exec::ops::{Fanout, OperatorShell, Outlet, ScanKernel, SinkKernel};
 use cordoba_exec::subsume::{coverage_estimate, fingerprint, subsume_residual};
 use cordoba_exec::wiring::{instantiate_into, WiringConfig};
 use cordoba_exec::{ExecError, FaultCell, OpCost, PhysicalPlan, QueryResources};
@@ -285,7 +285,7 @@ impl DispatcherTask {
                 let mut rxs = Vec::with_capacity(group.members.len());
                 for _ in &group.members {
                     let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
-                    outs.push(tx);
+                    outs.push(Outlet::from(tx));
                     rxs.push(rx);
                 }
                 // Faults of the shared producer each member must watch
@@ -314,7 +314,7 @@ impl DispatcherTask {
                     let capture_rx = (core.policy.may_share() && core.fragment_cache.is_some())
                         .then(|| {
                             let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
-                            outs.push(tx);
+                            outs.push(tx.into());
                             rx
                         });
                     let mut no_sources = VecDeque::new();
@@ -344,11 +344,10 @@ impl DispatcherTask {
                         let fault = pivot_res.fault.clone();
                         let capture =
                             SinkKernel::new(OpCost::per_tuple(0.0)).collecting(entry.pages.clone());
-                        let none = Fanout::new(Vec::new(), 0.0);
                         let sink = OperatorShell::new(
                             Box::new(capture),
-                            vec![rx],
-                            none,
+                            vec![rx.into()],
+                            Fanout::none(),
                             FaultCell::default(),
                         )
                         .on_done(Box::new(move |_ctx| {
@@ -391,12 +390,12 @@ impl DispatcherTask {
                             // fragment is rejected, the pivot must not
                             // block forever on this member's channel.
                             let rx_cancel = rx.clone();
-                            let mut sources = VecDeque::from([rx]);
+                            let mut sources = VecDeque::from([rx.into()]);
                             match instantiate_into(
                                 ctx,
                                 &catalog,
                                 &fragment,
-                                vec![sink_tx],
+                                vec![sink_tx.into()],
                                 &mut sources,
                                 &label,
                                 &core.wiring,
@@ -454,7 +453,7 @@ impl DispatcherTask {
                         ctx,
                         &catalog,
                         &member.spec.plan,
-                        vec![tx],
+                        vec![tx.into()],
                         &mut no_sources,
                         &label,
                         &core.wiring,
@@ -502,8 +501,12 @@ impl DispatcherTask {
         if let Some(collect) = &core.collect {
             kernel = kernel.collecting(collect[member.submission].clone());
         }
-        let none = Fanout::new(Vec::new(), 0.0);
-        let sink = OperatorShell::new(Box::new(kernel), vec![rx], none, FaultCell::default());
+        let sink = OperatorShell::new(
+            Box::new(kernel),
+            vec![rx.into()],
+            Fanout::none(),
+            FaultCell::default(),
+        );
         let sink = sink.on_done(Box::new(move |ctx| {
             // The engine core can be gone when a time-capped or
             // cancelled run tears down while sinks still drain; there

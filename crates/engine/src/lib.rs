@@ -40,8 +40,9 @@
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
 //!   [`cordoba_core::PlanSpec`] the policy can evaluate.
-//! * [`thread_exec`] — the same operator graph on OS threads: one
-//!   private run loop per thread, OS channels only at the sharing seam
+//! * [`thread_exec`] — the same operator graph on OS threads, through
+//!   the wiring's one local driver: OS links only at the sharing seam,
+//!   where a pivot's fan-out feeds consumer fragments' ports
 //!   (wall-clock, host-bound; rows bit-identical to [`run_once`]).
 
 #![warn(missing_docs)]

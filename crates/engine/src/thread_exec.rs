@@ -2,52 +2,55 @@
 //!
 //! The simulator is the measurement substrate (deterministic, scales to
 //! 32 contexts on any host); this module runs the *same* engine on real
-//! hardware. There is no second executor: every OS thread builds a
-//! private single-context [`Simulator`], wires its plan with
-//! [`cordoba_exec::wiring`] (serial wiring — `CORDOBA_WORKERS` cannot
-//! perturb it) and drives it with the ordinary run loop, so compiled
-//! expressions, [`FaultCell`] and [`MemoryBroker`] behave exactly as in
-//! a simulated run and the rows are bit-identical to
-//! [`crate::run_once`]'s — float bits and row order included.
+//! hardware. There is no second executor: every plan runs through the
+//! one local driver ([`wiring::run_local`], serial wiring —
+//! `CORDOBA_WORKERS` cannot perturb it), a private single-context run
+//! loop per OS thread, so compiled expressions, [`FaultCell`] and
+//! [`MemoryBroker`] behave exactly as in a simulated run and the rows
+//! are bit-identical to [`crate::run_once`]'s — float bits and row
+//! order included.
 //!
 //! * **Unshared** — worker threads claim queries from one counter and
 //!   run one graph per query ([`wiring::run_serial`]); the
 //!   morsel-parallel variant runs the same graph through
 //!   [`wiring::run_local`], whose `par_pipe` worker tasks get an OS
 //!   thread each.
-//! * **Shared** — the calling thread runs the pivot's graph once; its
-//!   root is a forwarding sink that gathers the pivot's `Arc<Page>`s
-//!   (for a scan pivot the table's own pages — nothing is copied) into
-//!   morsels of [`ParallelConfig::morsel_pages`] pages and hands each
-//!   morsel to one bounded OS channel per consumer: one hand-off (a
+//! * **Shared** — the calling thread runs the pivot's graph once and
+//!   its root fans out to one thread per consumer, as a simulated
+//!   shared pivot fans out to its members: the root's [`Fanout`] writes
+//!   OS links ([`Outlet::os`]) where it would write simulator channels,
+//!   and each consumer's private above-fragment reads its link through
+//!   the port of the operator above its `Source` leaf ([`Inlet::os`]) —
+//!   no task in between on either side
+//!   ([`wiring::run_local_between`]). A link hands off morsels of
+//!   [`ParallelConfig::morsel_pages`] pivot pages (for a scan pivot the
+//!   table's own `Arc<Page>`s — nothing is copied): one hand-off (a
 //!   lock, often a futex wake) per morsel per consumer, not per page.
-//!   Each consumer thread runs its private above-fragment, whose
-//!   `Source` leaf is fed one page per step by a bridge task that
-//!   blocks on that channel. OS channels exist only at this sharing
-//!   seam, exactly where the model's per-consumer `s` lives — the
-//!   producer pays the real (wall-clock) `M·s`. A channel holds
-//!   `queue_capacity` hand-offs, so at most `queue_capacity ×
-//!   morsel_pages` pages (16 × 4) are in flight per consumer, as
-//!   `Arc`s.
+//!   OS channels exist only at this sharing seam, exactly where the
+//!   model's per-consumer `s` lives — the producer pays the real
+//!   (wall-clock) `M·s`. A link holds `queue_capacity` hand-offs, so at
+//!   most `queue_capacity × morsel_pages` pages (16 × 4) are in flight
+//!   per consumer, as `Arc`s.
 //!
-//! Faults stay per query: a consumer that fails hangs up its channel
-//! and the producer stops serving it at its next hand-off while its
-//! peers go on; a pivot fault travels down every channel, so no
-//! consumer mistakes a truncated pivot for end-of-stream.
+//! Faults stay per query: a consumer that fails hangs up its link and
+//! the producer stops serving it at its next hand-off while its peers
+//! go on, and once every consumer has hung up the pivot's root stops
+//! too; a pivot fault travels down every link, so no consumer mistakes
+//! a truncated pivot for end-of-stream.
+//!
+//! [`Fanout`]: cordoba_exec::ops::Fanout
+//! [`FaultCell`]: cordoba_exec::FaultCell
 
 use crate::query::QuerySpec;
 use crate::sharing::split_at_pivot;
-use cordoba_exec::ops::Fanout;
+use cordoba_exec::ops::{Handoff, Inlet, Outlet};
+use cordoba_exec::plan::SchemaRef;
 use cordoba_exec::wiring::{self, WiringConfig};
-use cordoba_exec::{
-    ExecError, FaultCell, MemoryBroker, OpCost, ParallelConfig, PhysicalPlan, QueryResources,
-};
-use cordoba_sim::channel::{self, Receiver, Recv};
-use cordoba_sim::{Simulator, Step, Task, TaskCtx};
-use cordoba_storage::{Catalog, Page, Value};
-use std::collections::VecDeque;
+use cordoba_exec::{ExecError, MemoryBroker, ParallelConfig, PhysicalPlan, QueryResources};
+use cordoba_storage::{Catalog, Value};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -61,10 +64,6 @@ pub struct ThreadReport {
 }
 
 type Rows = Vec<Vec<Value>>;
-
-/// One hand-off across the sharing seam: a morsel of pivot pages, or
-/// the error that ended the pivot early.
-type Shared = Result<Vec<Arc<Page>>, ExecError>;
 
 /// The report of a batch every query of which succeeded, else its first
 /// (submission-order) error.
@@ -109,8 +108,7 @@ fn run_claimed(
             .collect();
         workers
             .into_iter()
-            // lint: allow(a worker panic must propagate; join is the propagation point)
-            .flat_map(|w| w.join().expect("query worker panicked"))
+            .flat_map(|w| w.join().unwrap_or_else(|p| panic::resume_unwind(p)))
             .collect()
     });
     // fetch_add handed each index 0..m to exactly one worker.
@@ -201,147 +199,25 @@ pub fn worker_scaling_samples(
     Ok(samples)
 }
 
-/// Root of the pivot's graph: gathers the pivot's pages into morsels
-/// and hands each full morsel — and, when the pivot closes, the partial
-/// last one — to each consumer's OS channel in turn: the pivot's `M·s`
-/// serialization, in wall-clock time. A full channel blocks the whole
-/// producer thread, which is the back-pressure the model assumes.
-///
-/// Nothing is handed off once the pivot has faulted: the pages in hand
-/// are discarded and [`produce`] sends the error instead, so no
-/// consumer computes a result from a truncated pivot.
-struct SeamFanout {
-    rx: Receiver<Arc<Page>>,
-    txs: Vec<mpsc::SyncSender<Shared>>,
-    /// Pages per hand-off.
-    morsel_pages: usize,
-    /// The morsel being gathered.
-    morsel: Vec<Arc<Page>>,
-    /// The pivot's fault.
-    fault: FaultCell,
-}
-
-impl SeamFanout {
-    /// Hands the gathered pages to every consumer still listening — a
-    /// consumer that hung up (its own failure) stops being served, its
-    /// peers go on. `false` when nobody is left to produce for.
-    fn flush(&mut self) -> bool {
-        if !self.morsel.is_empty() && !self.fault.is_set() {
-            let morsel = &self.morsel;
-            self.txs.retain(|tx| tx.send(Ok(morsel.clone())).is_ok());
-        }
-        self.morsel.clear();
-        !self.txs.is_empty()
-    }
-}
-
-impl Task for SeamFanout {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        match self.rx.try_recv(ctx) {
-            Recv::Value(page) => {
-                self.morsel.push(page);
-                if self.morsel.len() >= self.morsel_pages && !self.flush() {
-                    // Cancel the pivot.
-                    self.rx.close(ctx);
-                    return Step::done(0);
-                }
-                Step::yielded(1)
-            }
-            Recv::Empty => Step::blocked(0),
-            Recv::Closed => {
-                self.flush();
-                Step::done(0)
-            }
-        }
-    }
-}
-
-/// Leaf of a consumer's graph: feeds the fragment's `Source` from the
-/// consumer's OS channel, one page per step whatever the hand-off held.
-/// Blocking in `recv` parks this consumer's whole run loop until the
-/// pivot delivers again; a consumer that keeps up with the pivot
-/// therefore runs at most one morsel behind it.
-struct SeamSource {
-    rx: mpsc::Receiver<Shared>,
-    /// The hand-off being unpacked.
-    morsel: std::vec::IntoIter<Arc<Page>>,
-    fanout: Fanout,
-    fault: FaultCell,
-}
-
-impl Task for SeamSource {
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        if !self.fanout.pump(ctx).1 {
-            return Step::blocked(0);
-        }
-        // A fragment that already failed needs no more input: finishing
-        // drops the channel, so the producer stops serving this consumer.
-        while !self.fault.is_set() {
-            if let Some(page) = self.morsel.next() {
-                self.fanout.begin(page);
-                return if self.fanout.pump(ctx).1 {
-                    Step::yielded(1)
-                } else {
-                    Step::blocked(0)
-                };
-            }
-            match self.rx.recv() {
-                Ok(Ok(pages)) => self.morsel = pages.into_iter(),
-                Ok(Err(pivot_fault)) => self.fault.set(pivot_fault),
-                // The pivot closed and hung up: end of stream.
-                Err(mpsc::RecvError) => break,
-            }
-        }
-        self.fanout.close(ctx);
-        Step::done(0)
-    }
-}
-
-/// Runs the pivot's graph once on the calling thread, fanning its pages
-/// out to `txs`. A pivot that fails (or wedges) sends its error down
-/// every channel instead of just hanging up — after discarding the
-/// morsel its fan-out was still gathering, so the error is the last
-/// thing a consumer reads and no page behind it is ever served.
+/// Runs the pivot's graph once on the calling thread, its root feeding
+/// every link in `txs`. A pivot that fails (or wedges) sends its error
+/// down every link instead of just hanging up — once its run has ended
+/// and its outlets have discarded the morsels they were gathering — so
+/// the error is the last thing a consumer reads and no page behind it
+/// is ever served.
 fn produce(
     catalog: &Catalog,
     pivot: &PhysicalPlan,
-    txs: Vec<mpsc::SyncSender<Shared>>,
+    txs: Vec<mpsc::SyncSender<Handoff>>,
     cfg: &WiringConfig,
     broker: &MemoryBroker,
 ) {
     let res = QueryResources::charging(broker);
-    let mut sim = Simulator::new(1);
-    let (tx, rx) = channel::bounded(cfg.queue_capacity);
-    let wired = wiring::instantiate_into(
-        &mut sim,
-        catalog,
-        pivot,
-        vec![tx],
-        &mut VecDeque::new(),
-        "shared",
-        cfg,
-        &res,
-    );
-    let failure = match wired {
-        Ok(_) => {
-            sim.spawn(
-                "shared/fanout",
-                Box::new(SeamFanout {
-                    rx,
-                    txs: txs.clone(),
-                    morsel_pages: cfg.parallel.morsel_pages.max(1),
-                    morsel: Vec::new(),
-                    fault: res.fault.clone(),
-                }),
-            );
-            let outcome = sim.run_to_idle();
-            res.fault.take().or_else(|| wiring::stall_error(&outcome))
-        }
-        Err(err) => Some(err),
-    };
-    if let Some(err) = failure {
-        // In this order: the fan-out and its partial morsel go first.
-        drop(sim);
+    let morsel = cfg.parallel.morsel_pages;
+    let outs = txs
+        .iter()
+        .map(|tx| Outlet::os(tx.clone(), morsel, &res.fault));
+    if let Err(err) = wiring::run_local_between(catalog, pivot, vec![], outs.collect(), cfg, &res) {
         for tx in &txs {
             // A consumer that already hung up has its own error.
             let _ = tx.send(Err(err.clone()));
@@ -350,47 +226,26 @@ fn produce(
 }
 
 /// Runs one consumer: its private above-fragment of `plan` (everything
-/// above the pivot) over the pages arriving on `rx`.
+/// above the pivot, or a bare `Source` when the whole plan is shared)
+/// over the pivot's pages arriving on `rx`.
 fn consume(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     pivot: &PhysicalPlan,
-    rx: mpsc::Receiver<Shared>,
+    rx: mpsc::Receiver<Handoff>,
     cfg: &WiringConfig,
     broker: &MemoryBroker,
 ) -> Result<Rows, ExecError> {
-    let fragment = split_at_pivot(plan, pivot, catalog)?;
-    let res = QueryResources::charging(broker);
-    let mut sim = Simulator::new(1);
-    let (tx, from_pivot) = channel::bounded(cfg.queue_capacity);
-    sim.spawn(
-        "q/bridge",
-        Box::new(SeamSource {
-            rx,
-            morsel: Vec::new().into_iter(),
-            fanout: Fanout::new(vec![tx], 0.0),
-            fault: res.fault.clone(),
-        }),
-    );
-    let out = match fragment {
-        Some(fragment) => {
-            let (tx, out) = channel::bounded(cfg.queue_capacity);
-            wiring::instantiate_into(
-                &mut sim,
-                catalog,
-                &fragment,
-                vec![tx],
-                &mut VecDeque::from([from_pivot]),
-                "q",
-                cfg,
-                &res,
-            )?;
-            out
-        }
-        // The whole plan is shared: the pivot's output is the result.
-        None => from_pivot,
+    let fragment = match split_at_pivot(plan, pivot, catalog)? {
+        Some(fragment) => fragment,
+        None => PhysicalPlan::Source {
+            schema: SchemaRef(pivot.try_output_schema(catalog)?),
+        },
     };
-    wiring::run_and_collect(&mut sim, out, OpCost::default(), &res.fault)
+    let res = QueryResources::charging(broker);
+    let feed = vec![Inlet::os(rx, &res.fault)];
+    let pages = wiring::run_local_between(catalog, &fragment, feed, vec![], cfg, &res)?;
+    Ok(wiring::page_rows(&pages))
 }
 
 /// The fallible core of [`run_shared`]: `pivot` runs once and feeds one
@@ -407,7 +262,7 @@ fn try_shared(
     }
     let cfg = &WiringConfig::serial();
     thread::scope(|scope| {
-        // One bounded channel per consumer: the fan-out serialization
+        // One bounded link per consumer: the fan-out serialization
         // point of the model.
         let (txs, consumers): (Vec<_>, Vec<_>) = plans
             .iter()
@@ -420,15 +275,14 @@ fn try_shared(
         produce(catalog, pivot, txs, cfg, broker);
         consumers
             .into_iter()
-            // lint: allow(a consumer panic must propagate; join is the propagation point)
-            .map(|c| c.join().expect("consumer thread panicked"))
+            .map(|c| c.join().unwrap_or_else(|p| panic::resume_unwind(p)))
             .collect()
     })
 }
 
 /// Executes `m` copies of `spec` with the pivot sub-plan shared: the
 /// pivot's operator graph runs once and fans its pages out, a morsel
-/// per hand-off, to `m` consumer threads over bounded channels.
+/// per hand-off, to `m` consumer threads over bounded links.
 ///
 /// # Panics
 ///
@@ -453,10 +307,12 @@ mod tests {
     use super::*;
     use crate::{run_once, EngineConfig};
     use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
-    use cordoba_exec::{reference, JoinKind, OpCost};
-    use cordoba_sim::channel::Sender;
-    use cordoba_sim::{DetachedCtx, StepStatus};
-    use cordoba_storage::{DataType, Field, PageBuilder, Schema, TableBuilder};
+    use cordoba_exec::ops::Fanout;
+    use cordoba_exec::{reference, FaultCell, JoinKind, OpCost};
+    use cordoba_sim::channel::Recv;
+    use cordoba_sim::{DetachedCtx, TaskCtx};
+    use cordoba_storage::{DataType, Field, Page, PageBuilder, Schema, TableBuilder};
+    use std::sync::Arc;
 
     fn kv_schema() -> Arc<Schema> {
         Schema::new(vec![
@@ -756,50 +612,38 @@ mod tests {
             .collect()
     }
 
-    /// A seam stepped by hand: the pivot's output channel, its fault
-    /// cell, the fan-out over `consumers` channels, `produce`'s own
-    /// senders, and the consumers' receiving ends.
+    /// A seam stepped by hand: the pivot root's fan-out over one link
+    /// per consumer, the pivot's fault cell, and `produce`'s own
+    /// senders; the consumers' receiving ends go to the caller.
     struct Seam {
-        pivot: Sender<Arc<Page>>,
+        fanout: Fanout,
         fault: FaultCell,
-        fanout: SeamFanout,
-        txs: Vec<mpsc::SyncSender<Shared>>,
+        txs: Vec<mpsc::SyncSender<Handoff>>,
     }
 
-    fn seam(consumers: usize) -> (Seam, Vec<mpsc::Receiver<Shared>>) {
-        let (pivot, rx) = channel::bounded(64);
+    fn seam(consumers: usize, morsel_pages: usize) -> (Seam, Vec<mpsc::Receiver<Handoff>>) {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..consumers).map(|_| mpsc::sync_channel(16)).unzip();
         let fault = FaultCell::default();
-        let fanout = SeamFanout {
-            rx,
-            txs: txs.clone(),
-            morsel_pages: MORSEL,
-            morsel: Vec::new(),
-            fault: fault.clone(),
-        };
-        let seam = Seam {
-            pivot,
-            fault,
-            fanout,
-            txs,
-        };
-        (seam, rxs)
+        let outs = txs
+            .iter()
+            .map(|tx| Outlet::os(tx.clone(), morsel_pages, &fault))
+            .collect();
+        let fanout = Fanout::new(outs, 0.0);
+        (Seam { fanout, fault, txs }, rxs)
     }
 
     impl Seam {
-        /// The pivot emits `pages`; the fan-out takes them one per step.
-        fn emit(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) -> StepStatus {
-            let mut status = StepStatus::Yield;
+        /// The pivot's root delivers `pages`, one per step.
+        fn emit(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) {
             for page in pages {
-                assert!(self.pivot.try_send(page.clone(), ctx).is_ok());
-                status = self.fanout.step(ctx).status;
+                self.fanout.begin(page.clone());
+                assert!(self.fanout.pump(ctx).1, "an OS link is never full");
             }
-            status
         }
 
-        /// As `produce` ends: the fan-out goes (with whatever it was
-        /// gathering), then the pivot's error if it failed, then the
-        /// hang-up.
+        /// As `produce` ends: the run's ports go (with whatever they
+        /// were gathering), then the pivot's error if it failed, then
+        /// the hang-up.
         fn finish(self) {
             drop(self.fanout);
             if let Some(err) = self.fault.take() {
@@ -810,36 +654,23 @@ mod tests {
         }
     }
 
-    /// A consumer's bridge task on `rx`, what it delivers, and its
-    /// query's fault cell.
-    fn seam_source(rx: mpsc::Receiver<Shared>) -> (SeamSource, Receiver<Arc<Page>>, FaultCell) {
-        let (tx, out) = channel::bounded(64);
-        let fault = FaultCell::default();
-        let source = SeamSource {
-            rx,
-            morsel: Vec::new().into_iter(),
-            fanout: Fanout::new(vec![tx], 0.0),
-            fault: fault.clone(),
-        };
-        (source, out, fault)
-    }
-
-    /// Steps `source` to the end; the pages it fed, and how many steps
-    /// that took.
-    fn drain_source(
-        source: &mut SeamSource,
-        out: &Receiver<Arc<Page>>,
+    /// Reads `inlet` to its end as the port of a consumer's operator:
+    /// the pages it fed, how many reads that took, and the pivot's error
+    /// if one ended it.
+    fn read_all(
+        mut inlet: Inlet,
         ctx: &mut TaskCtx<'_>,
-    ) -> (Vec<Arc<Page>>, usize) {
-        let (mut fed, mut steps) = (Vec::new(), 1);
-        while source.step(ctx).status != StepStatus::Done {
-            steps += 1;
+    ) -> (Vec<Arc<Page>>, usize, Option<ExecError>) {
+        let (mut fed, mut reads) = (Vec::new(), 0);
+        loop {
+            reads += 1;
+            match inlet.recv(ctx) {
+                Ok(Recv::Value(page)) => fed.push(page),
+                Ok(Recv::Closed) => return (fed, reads, None),
+                Ok(Recv::Empty) => panic!("an OS link blocks instead"),
+                Err(err) => return (fed, reads, Some(err)),
+            }
         }
-        while let Recv::Value(page) = out.try_recv(ctx) {
-            fed.push(page);
-        }
-        assert!(matches!(out.try_recv(ctx), Recv::Closed));
-        (fed, steps)
     }
 
     fn same_pages(got: &[Arc<Page>], want: &[Arc<Page>]) -> bool {
@@ -860,12 +691,11 @@ mod tests {
             2 * MORSEL,
         ] {
             let pages = pivot_pages(n);
-            let (mut seam, mut rxs) = seam(2);
+            let (mut seam, mut rxs) = seam(2, MORSEL);
             seam.emit(&pages, ctx);
-            seam.pivot.close(ctx);
-            assert_eq!(seam.fanout.step(ctx).status, StepStatus::Done, "n={n}");
+            seam.fanout.close(ctx);
             seam.finish();
-            // One consumer's raw channel: full morsels, then the tail,
+            // One consumer's raw link: full morsels, then the tail,
             // never an empty hand-off.
             let raw = rxs.remove(0);
             let handoffs: Vec<_> = raw.try_iter().map(|h| h.expect("no fault")).collect();
@@ -874,13 +704,13 @@ mod tests {
             want.extend((n % MORSEL > 0).then_some(n % MORSEL));
             assert_eq!(sizes, want, "n={n}");
             assert!(same_pages(&handoffs.concat(), &pages), "n={n}");
-            // The other's bridge task: the same pages (not copies), one
-            // per step, then end-of-stream.
-            let (mut source, out, fault) = seam_source(rxs.remove(0));
-            let (fed, steps) = drain_source(&mut source, &out, ctx);
+            // The other's port: the same pages (not copies), one per
+            // read, then end-of-stream.
+            let port = Inlet::os(rxs.remove(0), &FaultCell::default());
+            let (fed, reads, fault) = read_all(port, ctx);
             assert!(same_pages(&fed, &pages), "n={n}");
-            assert_eq!(steps, n + 1, "n={n}");
-            assert!(!fault.is_set(), "n={n}");
+            assert_eq!(reads, n + 1, "n={n}");
+            assert!(fault.is_none(), "n={n}");
         }
     }
 
@@ -889,28 +719,36 @@ mod tests {
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         let pages = pivot_pages(3 * MORSEL);
-        let (mut seam, mut rxs) = seam(2);
+        // How many outlets are gathering a page: its strong count less
+        // the test's own.
+        let gathering = |page: &Arc<Page>| Arc::strong_count(page) - 1;
+        let (mut seam, mut rxs) = seam(2, MORSEL);
         let peer = rxs.remove(1);
-        // Consumer 0 fails before the first hand-off: it is noticed at
-        // that flush, and its peer is served on, exactly.
-        rxs.clear();
-        assert_eq!(seam.emit(&pages[..MORSEL], ctx), StepStatus::Yield);
-        assert_eq!(seam.fanout.txs.len(), 1);
-        let got = peer.try_recv().expect("a hand-off").expect("no fault");
-        assert!(same_pages(&got, &pages[..MORSEL]));
+        let failed = FaultCell::default();
+        let mut port = Inlet::os(rxs.remove(0), &failed);
+        seam.emit(&pages[..MORSEL], ctx);
+        // Consumer 0's query fails after the first hand-off, in an
+        // operator other than the one reading the link: its port reads
+        // as closed, the morsel in hand unread, and hangs up. Nothing
+        // tells the fan-out until the next hand-off; from then on the
+        // peer alone is served, exactly.
+        failed.set(ExecError::plan("consumer broke"));
+        assert!(matches!(port.recv(ctx), Ok(Recv::Closed)));
+        seam.emit(&pages[MORSEL..2 * MORSEL - 1], ctx);
+        assert_eq!(gathering(&pages[MORSEL]), 2);
+        seam.emit(&pages[2 * MORSEL - 1..=2 * MORSEL], ctx);
+        assert_eq!(gathering(&pages[2 * MORSEL]), 1, "the peer's outlet only");
+        let got: Vec<_> = peer.try_iter().map(|h| h.expect("no fault")).collect();
+        assert!(same_pages(&got.concat(), &pages[..2 * MORSEL]));
         // The last consumer goes: nothing tells the fan-out until the
-        // next morsel is full, and then it cancels the pivot.
+        // next morsel is full, and then it reports that nobody listens,
+        // which the pivot root's shell takes as the end of its output.
         drop(peer);
-        assert_eq!(
-            seam.emit(&pages[MORSEL..2 * MORSEL - 1], ctx),
-            StepStatus::Yield
-        );
-        assert!(!seam.fanout.rx.is_finished());
-        assert_eq!(
-            seam.emit(&pages[2 * MORSEL - 1..2 * MORSEL], ctx),
-            StepStatus::Done
-        );
-        assert!(seam.fanout.rx.is_finished(), "the pivot is cancelled");
+        seam.emit(&pages[2 * MORSEL + 1..3 * MORSEL - 1], ctx);
+        assert!(!seam.fanout.is_unheard());
+        seam.emit(&pages[3 * MORSEL - 1..3 * MORSEL], ctx);
+        assert_eq!(gathering(&pages[3 * MORSEL - 1]), 0);
+        assert!(seam.fanout.is_unheard(), "the pivot is cancelled");
     }
 
     #[test]
@@ -918,22 +756,21 @@ mod tests {
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         let pages = pivot_pages(MORSEL + 2);
-        let (mut seam, mut rxs) = seam(1);
-        let (mut source, out, fault) = seam_source(rxs.remove(0));
+        let (mut seam, mut rxs) = seam(1, MORSEL);
+        let inlet = Inlet::os(rxs.remove(0), &FaultCell::default());
         // One full hand-off is out and two pages are in hand when the
-        // pivot faults and closes, as a failing operator does.
+        // pivot faults and its root ends the stream, as a failing
+        // operator's shell does.
         seam.emit(&pages, ctx);
         let err = ExecError::plan("pivot broke");
         seam.fault.set(err.clone());
-        seam.pivot.close(ctx);
-        assert_eq!(seam.fanout.step(ctx).status, StepStatus::Done);
-        assert!(seam.fanout.morsel.is_empty());
+        seam.fanout.close(ctx);
         seam.finish();
         // The consumer was fed the first morsel and nothing of the
         // second, and its query fails with the pivot's error.
-        let (fed, _) = drain_source(&mut source, &out, ctx);
+        let (fed, _, fault) = read_all(inlet, ctx);
         assert!(same_pages(&fed, &pages[..MORSEL]));
-        assert_eq!(fault.take(), Some(err));
+        assert_eq!(fault, Some(err));
     }
 
     /// Model check of the batched seam, in the manner of
@@ -952,30 +789,33 @@ mod tests {
         const MORSEL: usize = 2;
         const PAGES: usize = 3;
 
-        /// One consumer thread. A thread blocked in `recv` makes no
-        /// progress, so a step that would park is skipped; to know
-        /// which steps would, the fan-out's channel ends at `tap` and a
-        /// hand-off crosses to the bridge task's own channel (`wire`)
-        /// only at the step that takes it.
+        /// One consumer thread, reading its link through the port of
+        /// the operator above its `Source` leaf. A thread blocked in
+        /// `recv` makes no progress, so a step that would park is
+        /// skipped; to know which steps would, the link ends at `tap`
+        /// and a hand-off crosses to the port's own link (`wire`) only
+        /// at the step that needs it.
         struct Consumer {
-            tap: mpsc::Receiver<Shared>,
-            wire: Option<mpsc::SyncSender<Shared>>,
-            source: SeamSource,
-            out: Receiver<Arc<Page>>,
-            fault: FaultCell,
+            tap: mpsc::Receiver<Handoff>,
+            wire: Option<mpsc::SyncSender<Handoff>>,
+            port: Inlet,
+            /// Reads the hand-offs crossed so far still hold.
+            unread: usize,
+            fed: Vec<Arc<Page>>,
+            fault: Option<ExecError>,
             done: bool,
         }
 
         impl Consumer {
-            fn new(tap: mpsc::Receiver<Shared>) -> Self {
+            fn new(tap: mpsc::Receiver<Handoff>) -> Self {
                 let (wire, rx) = mpsc::sync_channel(1);
-                let (source, out, fault) = seam_source(rx);
                 Consumer {
                     tap,
                     wire: Some(wire),
-                    source,
-                    out,
-                    fault,
+                    port: Inlet::os(rx, &FaultCell::default()),
+                    unread: 0,
+                    fed: Vec::new(),
+                    fault: None,
                     done: false,
                 }
             }
@@ -984,22 +824,32 @@ mod tests {
                 if self.done {
                     return;
                 }
-                if self.source.morsel.len() == 0 {
+                if self.unread == 0 {
                     match self.tap.try_recv() {
                         Ok(handoff) => {
+                            self.unread = handoff.as_ref().map_or(1, Vec::len);
                             let wire = self.wire.as_ref().expect("the pivot has not hung up");
-                            wire.send(handoff).expect("the bridge task listens");
+                            wire.send(handoff).expect("the port listens");
                         }
                         Err(mpsc::TryRecvError::Empty) => return,
                         Err(mpsc::TryRecvError::Disconnected) => self.wire = None,
                     }
                 }
-                self.done = self.source.step(ctx).status == StepStatus::Done;
+                match self.port.recv(ctx) {
+                    Ok(Recv::Value(page)) => {
+                        self.fed.push(page);
+                        self.unread -= 1;
+                    }
+                    Ok(Recv::Closed) => self.done = true,
+                    Ok(Recv::Empty) => panic!("an OS link blocks instead"),
+                    Err(err) => (self.fault, self.done) = (Some(err), true),
+                }
             }
         }
 
-        /// The producer thread: `emitted` pages, then the pivot closes —
-        /// after faulting, if `faulty` — then `produce`'s tail.
+        /// The producer thread: `emitted` pages, then the pivot's root
+        /// ends the stream — after it faulted, if `faulty` — then
+        /// `produce`'s tail.
         struct Producer {
             seam: Option<Seam>,
             pages: Vec<Arc<Page>>,
@@ -1019,8 +869,7 @@ mod tests {
                     if self.faulty {
                         seam.fault.set(ExecError::plan("pivot broke"));
                     }
-                    seam.pivot.close(ctx);
-                    seam.fanout.step(ctx);
+                    seam.fanout.close(ctx);
                 } else {
                     self.seam.take().expect("checked above").finish();
                 }
@@ -1037,8 +886,7 @@ mod tests {
             let (explored, exhausted) = interleavings(&lens, usize::MAX, |seq| {
                 let mut detached = DetachedCtx::new();
                 let ctx = &mut detached.ctx(0);
-                let (mut seam, taps) = seam(2);
-                seam.fanout.morsel_pages = MORSEL;
+                let (seam, taps) = seam(2, MORSEL);
                 let mut producer = Producer {
                     seam: Some(seam),
                     pages: pages.clone(),
@@ -1057,7 +905,7 @@ mod tests {
                         c => {
                             if c == 1 && hang_up == Some(ops[1]) {
                                 // Its own failure: the thread ends and
-                                // drops its end of the channel.
+                                // drops its end of the link.
                                 consumers[0] = None;
                             }
                             if let Some(consumer) = &mut consumers[c - 1] {
@@ -1075,23 +923,20 @@ mod tests {
                     while !consumer.done {
                         consumer.step(ctx);
                     }
-                    let mut fed = Vec::new();
-                    while let Recv::Value(page) = consumer.out.try_recv(ctx) {
-                        fed.push(page);
-                    }
-                    match consumer.fault.take() {
+                    let fed = &consumer.fed;
+                    match &consumer.fault {
                         Some(err) => assert!(faulty, "seq {seq:?}: {err} from a healthy pivot"),
                         None => {
                             assert!(!faulty, "seq {seq:?}: a failed pivot read as end-of-stream");
                             assert!(
-                                same_pages(&fed, &pages[..emitted]),
+                                same_pages(fed, &pages[..emitted]),
                                 "seq {seq:?}: truncated or reordered: {} of {emitted} pages",
                                 fed.len()
                             );
                         }
                     }
                     // Whatever was fed is a prefix of the pivot's output.
-                    assert!(same_pages(&fed, &pages[..fed.len()]), "seq {seq:?}");
+                    assert!(same_pages(fed, &pages[..fed.len()]), "seq {seq:?}");
                 }
             });
             assert!(exhausted);

@@ -3,8 +3,9 @@
 //! Every operator — scan, filter, project, aggregate, sort, hash join,
 //! merge join, nested-loop join and sink — is a [`Kernel`]: state plus
 //! a page function that one task, the [`OperatorShell`], runs behind
-//! the page-exchange protocol (see [`shell`]). Only the morsel groups
-//! of `par_pipe` are tasks of their own.
+//! the page-exchange protocol (see [`shell`]), reading and delivering
+//! through the one channel layer ([`port`]) on either substrate. Only
+//! the morsel groups of `par_pipe` are tasks of their own.
 
 pub mod aggregate;
 pub mod filter;
@@ -12,6 +13,7 @@ pub mod hash_join;
 pub mod merge_join;
 pub mod nlj;
 pub(crate) mod par_pipe;
+pub mod port;
 pub mod project;
 pub mod scan;
 pub mod shell;
@@ -29,6 +31,7 @@ pub use filter::FilterKernel;
 pub use hash_join::{BuildTable, HashJoinKernel};
 pub use merge_join::MergeJoinKernel;
 pub use nlj::NljKernel;
+pub use port::{Handoff, Inlet, Outlet};
 pub use project::ProjectKernel;
 pub use scan::ScanKernel;
 pub use shell::{Kernel, OperatorShell, Pages};
@@ -36,7 +39,6 @@ pub use sink::SinkKernel;
 pub use sort::SortKernel;
 pub use sort_key::{KeyScratch, PackedKeySpec};
 
-use cordoba_sim::channel::Sender;
 use cordoba_sim::{TaskCtx, VTime};
 use cordoba_storage::{DataType, Page, Schema, TupleRef};
 use std::sync::Arc;
@@ -46,18 +48,18 @@ use std::sync::Arc;
 ///
 /// This is the serialization point the paper analyzes: a pivot shared by
 /// `M` queries delivers every page `M` times, paying `M · s` per tuple
-/// of forward progress, all in a single thread of control.
+/// of forward progress, all in a single thread of control — whether
+/// its consumers run in the same run loop or on threads of their own
+/// ([`Outlet`]).
 pub struct Fanout {
-    outs: Vec<Sender<Arc<Page>>>,
+    outs: Vec<Outlet>,
     pending: Option<(Arc<Page>, usize)>,
     out_per_tuple: f64,
 }
 
 impl Fanout {
-    /// Creates a fan-out over the given consumers. An empty consumer
-    /// list is allowed (a root operator nobody listens to — used in
-    /// drain benchmarks).
-    pub fn new(outs: Vec<Sender<Arc<Page>>>, out_per_tuple: f64) -> Self {
+    /// Creates a fan-out over the given consumers.
+    pub fn new(outs: Vec<Outlet>, out_per_tuple: f64) -> Self {
         Self {
             outs,
             pending: None,
@@ -65,9 +67,19 @@ impl Fanout {
         }
     }
 
-    /// Number of consumers.
-    pub fn consumers(&self) -> usize {
-        self.outs.len()
+    /// A fan-out nobody listens to: a sink's, or a root operator's in a
+    /// drain benchmark.
+    pub fn none() -> Self {
+        Self::new(Vec::new(), 0.0)
+    }
+
+    /// Whether every consumer is an OS link found hung up, so nothing
+    /// delivered from now on is read: the producer should stop. A
+    /// fan-out with no consumers, or with a simulator channel among
+    /// them, is never unheard.
+    #[inline]
+    pub fn is_unheard(&self) -> bool {
+        !self.outs.is_empty() && self.outs.iter().all(Outlet::is_hung_up)
     }
 
     /// Whether a page is mid-delivery (some consumers not yet served).
@@ -96,7 +108,7 @@ impl Fanout {
         let tuples = page.rows();
         let mut cost = 0;
         while next < self.outs.len() {
-            match self.outs[next].try_send(page.clone(), ctx) {
+            match self.outs[next].send(page.clone(), ctx) {
                 Ok(()) => {
                     cost += (self.out_per_tuple * tuples as f64).round() as VTime;
                     next += 1;
@@ -112,7 +124,7 @@ impl Fanout {
 
     /// Closes all consumer channels (end of stream).
     pub fn close(&mut self, ctx: &mut TaskCtx<'_>) {
-        for out in &self.outs {
+        for out in &mut self.outs {
             out.close(ctx);
         }
     }
@@ -142,11 +154,6 @@ impl Outbox {
             queue: std::collections::VecDeque::new(),
             fanout,
         }
-    }
-
-    /// Number of consumers of the underlying fan-out.
-    pub fn consumers(&self) -> usize {
-        self.fanout.consumers()
     }
 
     /// Queues a page for delivery.
@@ -187,6 +194,13 @@ impl Outbox {
                 None => return (cost, true),
             }
         }
+    }
+
+    /// Whether nobody reads the fan-out any more
+    /// ([`Fanout::is_unheard`]).
+    #[inline]
+    pub fn is_unheard(&self) -> bool {
+        self.fanout.is_unheard()
     }
 
     /// Closes all consumer channels.

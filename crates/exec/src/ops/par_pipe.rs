@@ -60,7 +60,7 @@ use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
 use crate::ops::aggregate::AggCore;
-use crate::ops::{Fanout, Outbox};
+use crate::ops::{Fanout, Outbox, Outlet};
 use crate::parallel::{MorselDispenser, ParallelConfig, StageSpec, WorkerPipeline};
 use cordoba_sim::channel::{Receiver, Recv, Sender};
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
@@ -459,7 +459,7 @@ fn senders_for<S: Clone>(tx: S, n: usize) -> Vec<S> {
 #[allow(clippy::type_complexity)]
 pub(crate) fn pipe_group<S, R>(
     chain: &ParChain,
-    outs: Vec<Sender<Arc<Page>>>,
+    outs: Vec<Outlet>,
     cfg: &ParallelConfig,
     queue_capacity: usize,
     link: fn(usize) -> (S, R),
@@ -507,7 +507,7 @@ pub(crate) struct AggSpec {
 pub(crate) fn agg_group<S, R>(
     chain: &ParChain,
     agg: &AggSpec,
-    outs: Vec<Sender<Arc<Page>>>,
+    outs: Vec<Outlet>,
     cfg: &ParallelConfig,
     link: fn(usize) -> (S, R),
 ) -> Result<(Vec<ParAggWorker<S>>, ParAggMerge<R>), ExecError>
@@ -589,8 +589,9 @@ mod tests {
             morsel_pages,
         };
         let (out_tx, out_rx) = cordoba_sim::channel::bounded(64);
-        let (workers, merge) = pipe_group(&chain(), vec![out_tx], &cfg, 64, mpsc::sync_channel)
-            .expect("chain compiles");
+        let (workers, merge) =
+            pipe_group(&chain(), vec![out_tx.into()], &cfg, 64, mpsc::sync_channel)
+                .expect("chain compiles");
         (workers, merge, out_rx)
     }
 
@@ -676,9 +677,14 @@ mod tests {
             cost: OpCost::default(),
         };
         let (out_tx, out_rx) = cordoba_sim::channel::bounded(4);
-        let (mut workers, mut merge): (Vec<ParAggWorker<mpsc::SyncSender<AggMsg>>>, _) =
-            agg_group(&chain(), &agg, vec![out_tx], &cfg, mpsc::sync_channel)
-                .expect("chain compiles");
+        let (mut workers, mut merge): (Vec<ParAggWorker<mpsc::SyncSender<AggMsg>>>, _) = agg_group(
+            &chain(),
+            &agg,
+            vec![out_tx.into()],
+            &cfg,
+            mpsc::sync_channel,
+        )
+        .expect("chain compiles");
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         for worker in &mut workers {

@@ -90,7 +90,7 @@ mod tests {
             scan_task(
                 table_pages(37),
                 OpCost::per_tuple(2.0),
-                Fanout::new(vec![tx], 0.5),
+                Fanout::new(vec![tx.into()], 0.5),
             ),
         );
         sim.spawn(
@@ -115,7 +115,7 @@ mod tests {
             scan_task(
                 table_pages(37),
                 OpCost::new(2.0, 0.5),
-                Fanout::new(vec![tx], 0.5),
+                Fanout::new(vec![tx.into()], 0.5),
             ),
         );
         sim.spawn("sink", Box::new(CountingSink { rx, rows }));
@@ -138,7 +138,7 @@ mod tests {
         let mut txs = Vec::new();
         for _ in 0..3 {
             let (tx, rx) = channel::bounded(100);
-            txs.push(tx);
+            txs.push(tx.into());
             rxs.push(rx);
         }
         let scan = sim.spawn(
@@ -178,7 +178,7 @@ mod tests {
         let rows = std::rc::Rc::new(std::cell::Cell::new(0));
         sim.spawn(
             "scan",
-            scan_task(vec![], OpCost::default(), Fanout::new(vec![tx], 0.0)),
+            scan_task(vec![], OpCost::default(), Fanout::new(vec![tx.into()], 0.0)),
         );
         sim.spawn(
             "sink",
@@ -214,7 +214,7 @@ mod tests {
             scan_task(
                 table_pages(32),
                 OpCost::per_tuple(1.0),
-                Fanout::new(vec![tx], 0.0),
+                Fanout::new(vec![tx.into()], 0.0),
             ),
         );
         sim.spawn("sink", Box::new(SlowSink { rx }));

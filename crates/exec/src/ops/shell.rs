@@ -22,12 +22,14 @@
 //!   after the other; the merge join names the side its merge is
 //!   starved on — checks its schema, and hands it to
 //!   [`Kernel::on_page`]. An empty channel registers the task as a
-//!   waiter and blocks. A closed one calls [`Kernel::on_close`]; the
-//!   step still yields, for at least the `min_tick` the kernel asks
-//!   (the blocking operators' close step always advances virtual time,
-//!   the streaming ones' costs nothing). A kernel that answers `last`
-//!   there (the sink) is done: the shell closes its consumers and
-//!   finishes in that same step, at no less than `min_tick`.
+//!   waiter and blocks (an input from another thread blocks the thread
+//!   instead: see [`port`](super::port)). A closed one calls
+//!   [`Kernel::on_close`]; the step still yields, for at least the
+//!   `min_tick` the kernel asks (the blocking operators' close step
+//!   always advances virtual time, the streaming ones' costs nothing).
+//!   A kernel that answers `last` there (the sink) is done: the shell
+//!   closes its consumers and finishes in that same step, at no less
+//!   than `min_tick`.
 //! * **Drain.** With every port closed — from the first step, for a
 //!   kernel with none (the scan, one page per call) — each step calls
 //!   [`Kernel::drain`] until it reports `last`; once that output is
@@ -47,26 +49,37 @@
 //!   Anything else is [`ExecError::InputPageMismatch`]. A port that
 //!   declares no schema (the sink's, whose rows nobody reads) is not
 //!   checked.
-//! * **Failure, in one place.** An error from the input check or from
-//!   any kernel call ends the task the same way: the query's
-//!   [`FaultCell`] takes the error, every input is closed (upstream
-//!   runs out into the void instead of blocking), [`Kernel::release`]
-//!   returns the kernel's grants and files, undelivered output is
-//!   abandoned, the consumers see end-of-stream, and the step is
-//!   [`Step::done`] at cost 1.
+//! * **Failure, in one place.** An error from the input check, from
+//!   any kernel call or from an input's producer on another thread ends
+//!   the task the same way: the query's [`FaultCell`] takes the error,
+//!   every input is closed (upstream runs out into the void instead of
+//!   blocking; a producer on another thread stops serving this query),
+//!   [`Kernel::release`] returns the kernel's grants and files,
+//!   undelivered output is abandoned, the consumers see end-of-stream,
+//!   and the step is [`Step::done`] at cost 1.
+//! * **Nobody listening.** Once every consumer is an OS link found hung
+//!   up ([`Fanout::is_unheard`]) the step that delivered ends the task
+//!   the same way, but sets no fault and keeps its cost: a pivot whose
+//!   consumer threads have all failed stops within a morsel instead of
+//!   running on for nobody. A simulator channel never reports this;
+//!   there a consumer's abort is the engine's to propagate.
 //! * **Done, once.** The hook set with [`OperatorShell::on_done`] runs
 //!   in the step that returns [`Step::done`], on the failure path too:
 //!   the engine's query accounting hangs off its sinks'.
 //!
-//! Outside the shell, on purpose: the morsel tasks of `par_pipe` and
-//! the sharing seam of `thread_exec` exchange morsels over channels of
-//! their own — folding them in would make the shell branch on its
-//! caller. `par_pipe`'s workers do run the same filter and project
-//! kernels, through [`crate::parallel`]'s `WorkerPipeline`.
+//! The ports and the fan-out are the one channel layer's [`Inlet`]s and
+//! [`Outlet`](super::Outlet)s, so the same shell runs on either side of
+//! a thread boundary: `engine::thread_exec`'s sharing seam is a pivot
+//! whose root fans out to consumers on other threads, each reading the
+//! pivot's pages through its own port. Outside the shell, on purpose:
+//! the morsel tasks of `par_pipe`, which exchange messages of their own
+//! (finished morsels, folded aggregates). Its workers do run the same
+//! filter and project kernels, through [`crate::parallel`]'s
+//! `WorkerPipeline`.
 
 use crate::error::{ExecError, FaultCell};
-use crate::ops::{Fanout, Outbox};
-use cordoba_sim::channel::{Receiver, Recv};
+use crate::ops::{Fanout, Inlet, Outbox};
+use cordoba_sim::channel::Recv;
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
 use cordoba_storage::{Page, Schema};
 use std::sync::Arc;
@@ -179,7 +192,7 @@ pub trait Kernel {
 
 /// One input as the shell reads it.
 struct Input {
-    rx: Receiver<Arc<Page>>,
+    rx: Inlet,
     port: Port,
     /// The schema `Arc` last accepted here.
     accepted: Option<Arc<Schema>>,
@@ -230,16 +243,16 @@ pub struct OperatorShell {
 }
 
 impl OperatorShell {
-    /// Runs `kernel` over `inputs` — one receiver per [`Kernel::ports`]
-    /// entry, in that order — delivering to `fanout` and reporting a
-    /// failure to `fault`.
+    /// Runs `kernel` over `inputs` — one per [`Kernel::ports`] entry,
+    /// in that order — delivering to `fanout` and reporting a failure to
+    /// `fault`.
     ///
     /// # Panics
     ///
-    /// Panics if the receiver count differs from the kernel's ports.
+    /// Panics if the input count differs from the kernel's ports.
     pub fn new(
         kernel: Box<dyn Kernel>,
-        inputs: Vec<Receiver<Arc<Page>>>,
+        inputs: Vec<Inlet>,
         fanout: Fanout,
         fault: FaultCell,
     ) -> Self {
@@ -281,7 +294,7 @@ impl OperatorShell {
         }
         let port = self.kernel.next_port(&self.open);
         let input = &mut self.inputs[port];
-        match input.rx.try_recv(ctx) {
+        match input.rx.recv(ctx)? {
             Recv::Value(page) => {
                 input.check(&page, self.kernel.name())?;
                 let work = self.kernel.on_page(port, &page, &mut self.out)?;
@@ -301,13 +314,20 @@ impl OperatorShell {
     /// The failure path (see the [module docs](self)).
     fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
         self.fault.set(err);
-        for input in &self.inputs {
+        self.out.clear();
+        self.outbox.abandon();
+        self.stop(ctx, 1)
+    }
+
+    /// Ends the task before its inputs have: they close, so upstream
+    /// runs out into the void, and the kernel returns its grants and
+    /// files.
+    fn stop(&mut self, ctx: &mut TaskCtx<'_>, cost: VTime) -> Step {
+        for input in &mut self.inputs {
             input.rx.close(ctx);
         }
         self.kernel.release();
-        self.out.clear();
-        self.outbox.abandon();
-        self.finish(ctx, 1)
+        self.finish(ctx, cost)
     }
 
     /// Ends the stream downstream, runs the `on_done` hook, and ends
@@ -343,6 +363,8 @@ impl Task for OperatorShell {
             Step::blocked(cost)
         } else if self.last {
             self.finish(ctx, cost.max(min_tick))
+        } else if self.outbox.is_unheard() {
+            self.stop(ctx, cost.max(min_tick))
         } else {
             Step::yielded(cost.max(min_tick))
         }
@@ -354,7 +376,8 @@ mod tests {
     use super::*;
     use crate::memory::SpillContext;
     use crate::ops::testutil::{pages_of, CountingSink};
-    use cordoba_sim::channel::{self, Sender};
+    use crate::ops::Outlet;
+    use cordoba_sim::channel::{self, Receiver, Sender};
     use cordoba_sim::{DetachedCtx, StepStatus};
     use cordoba_storage::spill::SpillFile;
     use cordoba_storage::{DataType, Field, Value};
@@ -386,6 +409,23 @@ mod tests {
     }
 
     impl Scripted {
+        /// One port, one copy per page, a lone closing `drain`, no
+        /// failure; every call logged to `calls`.
+        fn new(calls: &Rc<RefCell<Vec<String>>>) -> Self {
+            Scripted {
+                ports: 1,
+                calls: calls.clone(),
+                fails: "",
+                copies: 1,
+                batches: 0,
+                tail: false,
+                min_tick: 0,
+                close_last: false,
+                reversed: false,
+                held: None,
+            }
+        }
+
         fn call(&self, name: String) -> Result<(), ExecError> {
             let failing = name.starts_with(self.fails) && !self.fails.is_empty();
             self.calls.borrow_mut().push(name);
@@ -486,24 +526,13 @@ mod tests {
         /// channel holds `capacity` pages.
         fn new(capacity: usize, script: impl FnOnce(&mut Scripted)) -> Self {
             let calls = Rc::new(RefCell::new(Vec::new()));
-            let mut kernel = Scripted {
-                ports: 1,
-                calls: calls.clone(),
-                fails: "",
-                copies: 1,
-                batches: 0,
-                tail: false,
-                min_tick: 0,
-                close_last: false,
-                reversed: false,
-                held: None,
-            };
+            let mut kernel = Scripted::new(&calls);
             script(&mut kernel);
             let inputs: Vec<_> = (0..kernel.ports).map(|_| channel::bounded(8)).collect();
             let (tx, out) = channel::bounded(capacity);
             let fault = FaultCell::default();
-            let rxs = inputs.iter().map(|(_, rx)| rx.clone()).collect();
-            let fanout = Fanout::new(vec![tx], 1.0);
+            let rxs = inputs.iter().map(|(_, rx)| rx.clone().into()).collect();
+            let fanout = Fanout::new(vec![tx.into()], 1.0);
             let done = Rc::new(Cell::new(0));
             let count = done.clone();
             let shell = OperatorShell::new(Box::new(kernel), rxs, fanout, fault.clone())
@@ -799,6 +828,75 @@ mod tests {
             }
             assert_eq!(rig.read(), Err(true), "{fails}: end of stream, no page");
         }
+    }
+
+    #[test]
+    fn an_input_from_another_thread_fails_the_query_with_its_producers_error() {
+        // A link from a producer on another thread: one hand-off of two
+        // pages, then the error that ended the producer.
+        let (link, rx) = std::sync::mpsc::sync_channel(4);
+        let broke = ExecError::plan("producer broke");
+        assert!(link.send(Ok(vec![page(1), page(2)])).is_ok());
+        assert!(link.send(Err(broke.clone())).is_ok());
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let (tx, out) = channel::bounded(8);
+        let fault = FaultCell::default();
+        let kernel = Box::new(Scripted::new(&calls));
+        let fanout = Fanout::new(vec![tx.into()], 1.0);
+        let mut shell =
+            OperatorShell::new(kernel, vec![Inlet::os(rx, &fault)], fanout, fault.clone());
+        let mut detached = DetachedCtx::new();
+        // A page per step, whatever the hand-off held ...
+        for _ in 0..2 {
+            assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(10 + 1));
+        }
+        // ... then the producer's error is the query's, through the one
+        // failure path, which hangs the link up.
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(1));
+        assert_eq!(fault.get(), Some(broke));
+        assert_eq!(calls.borrow().join(" "), "page0 page0 release");
+        assert!(link.send(Ok(vec![page(3)])).is_err(), "hung up");
+        let ctx = &mut detached.ctx(1);
+        let read = [out.try_recv(ctx), out.try_recv(ctx)];
+        assert!(matches!(read, [Recv::Value(_), Recv::Value(_)]));
+        assert!(matches!(out.try_recv(ctx), Recv::Closed));
+    }
+
+    #[test]
+    fn a_shell_whose_consumers_on_other_threads_all_hung_up_stops_within_a_morsel() {
+        // Two consumers on other threads, two pages per hand-off; the
+        // first is gone from the start.
+        let (gone, _) = std::sync::mpsc::sync_channel(4);
+        let (link, peer) = std::sync::mpsc::sync_channel(4);
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let fault = FaultCell::default();
+        let outs = [gone, link].map(|tx| Outlet::os(tx, 2, &fault));
+        let (tx, rx) = channel::bounded(8);
+        let mut shell = OperatorShell::new(
+            Box::new(Scripted::new(&calls)),
+            vec![rx.clone().into()],
+            Fanout::new(outs.into(), 1.0),
+            fault.clone(),
+        );
+        let mut detached = DetachedCtx::new();
+        for x in 0..5 {
+            assert!(tx.try_send(page(x), &mut detached.ctx(0)).is_ok());
+        }
+        // The first hand-off finds one consumer gone; its peer is served.
+        for _ in 0..2 {
+            assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(10 + 2));
+        }
+        assert_eq!(peer.try_iter().count(), 1);
+        // The peer goes too: nothing tells the shell until the next
+        // hand-off, and then it stops, unfaulted, its input closed with a
+        // page unread and its kernel released.
+        drop(peer);
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(10 + 2));
+        assert!(!rx.is_finished());
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(10 + 2));
+        assert!(rx.is_finished(), "the producer is cancelled");
+        assert_eq!(calls.borrow().join(" "), "page0 page0 page0 page0 release");
+        assert!(!fault.is_set());
     }
 
     #[test]

@@ -85,8 +85,13 @@ mod tests {
 
     /// `kernel` behind the shell, reading `rx`.
     fn sink(rx: Receiver<Arc<Page>>, kernel: SinkKernel) -> OperatorShell {
-        let fanout = Fanout::new(vec![], 0.0);
-        OperatorShell::new(Box::new(kernel), vec![rx], fanout, FaultCell::default())
+        let fanout = Fanout::none();
+        OperatorShell::new(
+            Box::new(kernel),
+            vec![rx.into()],
+            fanout,
+            FaultCell::default(),
+        )
     }
 
     fn pages(n: usize) -> Vec<Arc<Page>> {
@@ -104,7 +109,11 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            scan_task(pages(20), OpCost::default(), Fanout::new(vec![tx], 0.0)),
+            scan_task(
+                pages(20),
+                OpCost::default(),
+                Fanout::new(vec![tx.into()], 0.0),
+            ),
         );
         let seen = Rc::new(Cell::new(0u64));
         let seen2 = seen.clone();
@@ -127,7 +136,11 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            scan_task(pages(20), OpCost::default(), Fanout::new(vec![tx], 0.0)),
+            scan_task(
+                pages(20),
+                OpCost::default(),
+                Fanout::new(vec![tx.into()], 0.0),
+            ),
         );
         let buf = Rc::new(RefCell::new(Vec::new()));
         sim.spawn(
@@ -149,7 +162,11 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         sim.spawn(
             "scan",
-            scan_task(pages(4), OpCost::default(), Fanout::new(vec![tx], 0.0)),
+            scan_task(
+                pages(4),
+                OpCost::default(),
+                Fanout::new(vec![tx.into()], 0.0),
+            ),
         );
         sim.spawn(
             "sink",

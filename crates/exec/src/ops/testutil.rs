@@ -61,15 +61,15 @@ pub(crate) fn run_shell(
     let mut rxs = Vec::new();
     for (i, pages) in inputs.into_iter().enumerate() {
         let (tx, rx) = channel::bounded(4);
-        let fanout = Fanout::new(vec![tx], 0.0);
+        let fanout = Fanout::new(vec![tx.into()], 0.0);
         sim.spawn(
             format!("scan{i}"),
             scan_task(pages, OpCost::default(), fanout),
         );
-        rxs.push(rx);
+        rxs.push(rx.into());
     }
     let (tx, rx) = channel::bounded(4);
-    let fanout = Fanout::new(vec![tx], 0.0);
+    let fanout = Fanout::new(vec![tx.into()], 0.0);
     let shell = OperatorShell::new(kernel, rxs, fanout, fault.clone());
     sim.spawn("op", Box::new(shell));
     // `fault` stays the caller's to read; a stalled graph fails here.

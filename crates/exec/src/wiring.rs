@@ -21,6 +21,12 @@
 //! operators and each group's merge task in one run loop on the
 //! calling thread and gives every worker task a private run loop on an
 //! OS thread of its own.
+//!
+//! A plan's ends are the channel layer's ports ([`Inlet`], [`Outlet`]):
+//! `Source` leaves read inlets and the root delivers to outlets, each
+//! either a simulator channel or a link to another thread. A plan on
+//! one thread therefore feeds or reads a plan on another through the
+//! same operators, with no task in between ([`run_local_between`]).
 
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
@@ -28,15 +34,17 @@ use crate::memory::{MemoryConfig, QueryResources, SpillContext};
 use crate::ops::par_pipe::{self, AggSpec, ParChain};
 use crate::ops::shell::{PageWork, Port, PortClosed};
 use crate::ops::{
-    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, MergeJoinKernel, NljKernel,
-    OperatorShell, Pages, ProjectKernel, ScanKernel, SinkKernel, SortKernel,
+    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Inlet, Kernel, MergeJoinKernel,
+    NljKernel, OperatorShell, Outlet, Pages, ProjectKernel, ScanKernel, SinkKernel, SortKernel,
 };
 use crate::parallel::{ParallelConfig, StageSpec};
 use crate::plan::PhysicalPlan;
-use cordoba_sim::channel::{self, Receiver, Sender};
+use cordoba_sim::channel::{self, Receiver};
 use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskId};
 use cordoba_storage::{Catalog, Page, Schema, Value};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::{mpsc, Arc};
 use std::thread;
 
@@ -87,9 +95,9 @@ impl WiringConfig {
 /// Ids are `None` when spawned mid-run through a [`TaskCtx`].
 pub type SpawnedOps = Vec<(Option<TaskId>, String)>;
 
-/// Instantiates `plan`, delivering root output to every sender in
+/// Instantiates `plan`, delivering root output to every outlet in
 /// `outs` (the root's `cost.out_per_tuple` is charged per consumer).
-/// [`PhysicalPlan::Source`] leaves consume receivers from `sources` in
+/// [`PhysicalPlan::Source`] leaves consume inlets from `sources` in
 /// plan preorder. Runtime faults land in `resources.fault`; buffering
 /// operators charge `resources.broker` and spill per `cfg.memory`.
 ///
@@ -99,8 +107,8 @@ pub fn instantiate_into(
     sim: &mut dyn Spawner,
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    outs: Vec<Sender<Arc<Page>>>,
-    sources: &mut VecDeque<Receiver<Arc<Page>>>,
+    outs: Vec<Outlet>,
+    sources: &mut VecDeque<Inlet>,
     label: &str,
     cfg: &WiringConfig,
     resources: &QueryResources,
@@ -125,8 +133,8 @@ type ThreadWorkers = Vec<Box<dyn Task + Send>>;
 fn build(
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    outs: Vec<Sender<Arc<Page>>>,
-    sources: &mut VecDeque<Receiver<Arc<Page>>>,
+    outs: Vec<Outlet>,
+    sources: &mut VecDeque<Inlet>,
     label: &str,
     cfg: &WiringConfig,
     resources: &QueryResources,
@@ -171,7 +179,7 @@ pub fn instantiate(
         sim,
         catalog,
         plan,
-        vec![tx],
+        vec![tx.into()],
         &mut sources,
         label,
         cfg,
@@ -278,13 +286,13 @@ fn name_workers<W: Task + 'static>(built: &mut Built, base: &str, kind: &str, wo
 fn try_wire_parallel(
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    outs: Vec<Sender<Arc<Page>>>,
+    outs: Vec<Outlet>,
     label: &str,
     cfg: &WiringConfig,
     preorder: &mut usize,
     built: &mut Built,
     threads: &mut Option<&mut ThreadWorkers>,
-) -> Result<Option<Vec<Sender<Arc<Page>>>>, ExecError> {
+) -> Result<Option<Vec<Outlet>>, ExecError> {
     let base = format!("{label}/{}", *preorder);
     let par = &cfg.parallel;
     if let Some(chain) = par_chain(catalog, plan)? {
@@ -351,8 +359,8 @@ fn try_wire_parallel(
 /// per-consumer output cost of `cost`.
 fn shell(
     kernel: impl Kernel + 'static,
-    inputs: Vec<Receiver<Arc<Page>>>,
-    outs: Vec<Sender<Arc<Page>>>,
+    inputs: Vec<Inlet>,
+    outs: Vec<Outlet>,
     cost: &OpCost,
     sctx: &SpillContext,
 ) -> Box<dyn Task> {
@@ -365,8 +373,8 @@ fn shell(
 fn wire(
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    outs: Vec<Sender<Arc<Page>>>,
-    sources: &mut VecDeque<Receiver<Arc<Page>>>,
+    outs: Vec<Outlet>,
+    sources: &mut VecDeque<Inlet>,
     label: &str,
     cfg: &WiringConfig,
     sctx: &SpillContext,
@@ -388,10 +396,10 @@ fn wire(
     // Child receivers are created before this node's task so that
     // Source receivers are consumed in preorder.
     let mut child_input = |child: &PhysicalPlan,
-                           sources: &mut VecDeque<Receiver<Arc<Page>>>,
+                           sources: &mut VecDeque<Inlet>,
                            preorder: &mut usize,
                            built: &mut Built|
-     -> Result<Receiver<Arc<Page>>, ExecError> {
+     -> Result<Inlet, ExecError> {
         if let PhysicalPlan::Source { .. } = child {
             *preorder += 1;
             return sources
@@ -402,7 +410,7 @@ fn wire(
         wire(
             catalog,
             child,
-            vec![tx],
+            vec![tx.into()],
             sources,
             label,
             cfg,
@@ -411,7 +419,7 @@ fn wire(
             built,
             threads,
         )?;
-        Ok(rx)
+        Ok(rx.into())
     };
 
     match plan {
@@ -550,22 +558,6 @@ fn wire(
     Ok(())
 }
 
-/// The typed failure of a run that stopped with tasks still live
-/// (`None` when every task finished): a wedged graph or a time cap
-/// fails the queries in flight, never the process.
-pub fn stall_error(outcome: &RunOutcome) -> Option<ExecError> {
-    let reason = match outcome.reason {
-        StopReason::TimeLimit => "time cap",
-        StopReason::Deadlock => "deadlock",
-        // `Idle` means every task finished; nothing can be stalled.
-        StopReason::Idle => return None,
-    };
-    Some(ExecError::Stalled {
-        reason,
-        live_tasks: outcome.live_tasks,
-    })
-}
-
 /// Runs `sim` to idle with a collecting sink on `rx` and returns the
 /// result pages. The query's fault (e.g. an unsorted merge input) comes
 /// back as `Err`, and so does a graph that wedged
@@ -576,18 +568,44 @@ pub fn run_and_collect_pages(
     sink_cost: OpCost,
     fault: &FaultCell,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    let buf = spawn_collector(sim, rx, sink_cost, fault);
+    let outcome = sim.run_to_idle();
+    failure_of(&outcome, fault)?;
+    Ok(buf.take())
+}
+
+/// Spawns a sink that collects the pages on `rx` into the returned
+/// buffer.
+fn spawn_collector(
+    sim: &mut Simulator,
+    rx: Receiver<Arc<Page>>,
+    sink_cost: OpCost,
+    fault: &FaultCell,
+) -> Rc<RefCell<Vec<Arc<Page>>>> {
     let buf = Rc::new(RefCell::new(Vec::new()));
     let sink = Box::new(SinkKernel::new(sink_cost).collecting(buf.clone()));
-    let fanout = Fanout::new(Vec::new(), 0.0);
-    let collector = OperatorShell::new(sink, vec![rx], fanout, fault.clone());
+    let collector = OperatorShell::new(sink, vec![rx.into()], Fanout::none(), fault.clone());
     sim.spawn("collector", Box::new(collector));
-    let outcome = sim.run_to_idle();
-    if let Some(err) = fault.take().or_else(|| stall_error(&outcome)) {
+    buf
+}
+
+/// How a finished run failed, if it did: the query's fault, else the
+/// typed stall of a run that stopped with tasks still live — a wedged
+/// graph or a time cap fails the queries in flight, never the process.
+fn failure_of(outcome: &RunOutcome, fault: &FaultCell) -> Result<(), ExecError> {
+    if let Some(err) = fault.take() {
         return Err(err);
     }
-    Ok(buf.take())
+    let reason = match outcome.reason {
+        StopReason::TimeLimit => "time cap",
+        StopReason::Deadlock => "deadlock",
+        // `Idle` means every task finished; nothing can be stalled.
+        StopReason::Idle => return Ok(()),
+    };
+    Err(ExecError::Stalled {
+        reason,
+        live_tasks: outcome.live_tasks,
+    })
 }
 
 /// As [`run_and_collect_pages`], decoded to rows — convenience for
@@ -628,23 +646,41 @@ pub fn run_local(
     cfg: &WiringConfig,
     resources: &QueryResources,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
+    run_local_between(catalog, plan, Vec::new(), Vec::new(), cfg, resources)
+}
+
+/// [`run_local`] between ports of the caller's — typically links to
+/// plans on other threads ([`Inlet::os`], [`Outlet::os`]): `sources`
+/// feed the plan's `Source` leaves in preorder, and the root delivers
+/// to `outs` or, when there are none, into the pages returned. Either
+/// way the run has ended, and dropped every port, when this returns.
+pub fn run_local_between(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    sources: Vec<Inlet>,
+    outs: Vec<Outlet>,
+    cfg: &WiringConfig,
+    resources: &QueryResources,
+) -> Result<Vec<Arc<Page>>, ExecError> {
     let mut sim = Simulator::new(1);
-    let (tx, rx) = channel::bounded(cfg.queue_capacity);
+    let mut collect = None;
+    let outs = if outs.is_empty() {
+        let (tx, rx) = channel::bounded(cfg.queue_capacity);
+        collect = Some(rx);
+        vec![tx.into()]
+    } else {
+        outs
+    };
     let mut workers = ThreadWorkers::new();
-    let (sources, threads) = (&mut VecDeque::new(), Some(&mut workers));
-    let built = build(
-        catalog,
-        plan,
-        vec![tx],
-        sources,
-        "q",
-        cfg,
-        resources,
-        threads,
-    )?;
+    let (sources, threads) = (&mut sources.into(), Some(&mut workers));
+    let built = build(catalog, plan, outs, sources, "q", cfg, resources, threads)?;
     for (name, task) in built {
         sim.spawn(name, task);
     }
+    let collected = collect.map(|rx| {
+        let fault = &resources.fault;
+        spawn_collector(&mut sim, rx, OpCost::default(), fault)
+    });
     // The scope joins every worker before returning and re-raises a
     // worker's panic.
     thread::scope(|scope| {
@@ -655,12 +691,13 @@ pub fn run_local(
                 sim.run_to_idle();
             });
         }
-        let pages = run_and_collect_pages(&mut sim, rx, OpCost::default(), &resources.fault);
+        let outcome = sim.run_to_idle();
         // A run that stopped with merge tasks still live (a stall) must
         // hang up on their workers, or the scope's join would wait on a
         // full channel forever.
         drop(sim);
-        pages
+        failure_of(&outcome, &resources.fault)?;
+        Ok(collected.map(|buf| buf.take()).unwrap_or_default())
     })
 }
 
@@ -983,17 +1020,17 @@ mod tests {
             crate::ops::testutil::scan_task(
                 cat.expect("t").pages().to_vec(),
                 OpCost::default(),
-                Fanout::new(vec![scan_tx], 0.0),
+                Fanout::new(vec![scan_tx.into()], 0.0),
             ),
         );
         let (out_tx, out_rx) = channel::bounded(8);
-        let mut sources = VecDeque::from([scan_rx]);
+        let mut sources = VecDeque::from([scan_rx.into()]);
         let res = QueryResources::default();
         instantiate_into(
             &mut sim,
             &cat,
             &fragment,
-            vec![out_tx],
+            vec![out_tx.into()],
             &mut sources,
             "frag",
             &WiringConfig::default(),
@@ -1021,8 +1058,8 @@ mod tests {
             &mut sim,
             &cat,
             &fragment,
-            vec![out_tx],
-            &mut VecDeque::from([upstream]),
+            vec![out_tx.into()],
+            &mut VecDeque::from([upstream.into()]),
             "wedged",
             &WiringConfig::default(),
             &res,
@@ -1281,17 +1318,17 @@ mod tests {
             crate::ops::testutil::scan_task(
                 cat.expect("t").pages().to_vec(),
                 OpCost::default(),
-                Fanout::new(vec![scan_tx], 0.0),
+                Fanout::new(vec![scan_tx.into()], 0.0),
             ),
         );
         let (out_tx, out_rx) = channel::bounded(4);
-        let mut sources = VecDeque::from([scan_rx]);
+        let mut sources = VecDeque::from([scan_rx.into()]);
         let res = QueryResources::default();
         instantiate_into(
             &mut sim,
             &cat,
             &fragment,
-            vec![out_tx],
+            vec![out_tx.into()],
             &mut sources,
             "relay",
             &WiringConfig::default(),

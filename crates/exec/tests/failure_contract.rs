@@ -119,8 +119,9 @@ fn run_to_fault(
         rxs.push(rx);
     }
     let (tx, out) = channel::bounded(4);
-    let fanout = Fanout::new(vec![tx], 0.0);
-    let mut shell = OperatorShell::new(kernel, rxs.clone(), fanout, spill.fault.clone());
+    let fanout = Fanout::new(vec![tx.into()], 0.0);
+    let inputs = rxs.iter().map(|rx| rx.clone().into()).collect();
+    let mut shell = OperatorShell::new(kernel, inputs, fanout, spill.fault.clone());
     let (mut read, mut steps, mut dry_steps) = (0, 0, 0);
     let mut failed = false;
     // (A step delivers what earlier steps produced before it reads the

@@ -34,25 +34,27 @@
 //!    denominator tests compare against, never a code path (a fallback
 //!    to them silently measures and ships the wrong engine).
 //! 6. **One run loop** — in non-test `engine` source, `Simulator::new`
-//!    appears only in the run module (`engine::run`) and the real-thread
-//!    executor's private per-thread loops (`engine::thread_exec`), and a
-//!    `DispatcherTask { .. }` literal only in the run module: every
-//!    simulator-side entry point is a configuration of `engine::Run`,
-//!    never a second copy of "build core, build simulator, spawn
-//!    dispatcher".
+//!    and a `DispatcherTask { .. }` literal appear only in the run module
+//!    (`engine::run`): every simulator-side entry point is a
+//!    configuration of `engine::Run`, never a second copy of "build
+//!    core, build simulator, spawn dispatcher", and a plan on real
+//!    threads runs in `exec::wiring`'s local driver, never in a run loop
+//!    of the engine's own.
 //! 7. **One thread driver** — in non-test `exec` / `engine` source,
 //!    `thread::scope` / `thread::spawn` appear only in `exec::wiring`
 //!    (the local driver that runs `par_pipe` worker groups on OS
 //!    threads) and `engine::thread_exec` (query-level threads and the
-//!    sharing seam): operators run on threads by being wired into that
-//!    driver, never through a second executor with loops of its own.
-//! 8. **One operator shell** — in non-test `exec` source,
-//!    `impl .. Task for` appears only in the shell (`ops::shell`) and
-//!    the morsel tasks it leaves out on purpose (`ops::par_pipe`):
-//!    every operator — scan, sink and merge join included, and any
-//!    helper the wiring needs — is a `Kernel` the shell runs, so the
-//!    step protocol, the input check and the failure path are not
-//!    spelled out a second time.
+//!    sharing seam's consumers): operators run on threads by being wired
+//!    into that driver, never through a second executor with loops of
+//!    its own.
+//! 8. **One operator shell** — in non-test `exec` / `engine` source,
+//!    `impl .. Task for` appears only in the shell (`ops::shell`), the
+//!    morsel tasks it leaves out on purpose (`ops::par_pipe`) and the
+//!    engine's own control tasks (`engine::run`'s arrivals,
+//!    `engine::dispatcher`): every operator — scan, sink and merge join
+//!    included, and any helper the wiring or the sharing seam needs —
+//!    is a `Kernel` the shell runs, so the step protocol, the input
+//!    check and the failure path are not spelled out a second time.
 //! 9. **One sharing model** — outside `cordoba-core`, non-test source
 //!    names `GroupMember::new`, `SharingEvaluator::from_parts` and
 //!    `SharingEvaluator::heterogeneous` only in `engine::policy`, whose
@@ -176,11 +178,8 @@ pub struct Config {
     /// Path prefixes that hold exactly one simulator-side run loop.
     pub run_loop_prefixes: Vec<String>,
     /// The run module(s): the only files under those prefixes that may
-    /// build a `Simulator` *and* construct the `DispatcherTask`.
+    /// build a `Simulator` or construct the `DispatcherTask`.
     pub run_loop_files: Vec<String>,
-    /// Files that may build private simulators but no dispatcher (the
-    /// real-thread executor's per-thread loops).
-    pub private_simulator_files: Vec<String>,
     /// Path prefixes whose non-test code starts OS threads only in the
     /// thread-driver files.
     pub thread_driver_prefixes: Vec<String>,
@@ -190,8 +189,8 @@ pub struct Config {
     /// by the one shell.
     pub operator_prefixes: Vec<String>,
     /// The files under those prefixes that may `impl Task`: the shell,
-    /// the morsel tasks it leaves out on purpose, and test-only modules
-    /// gated from their parent.
+    /// the morsel tasks it leaves out on purpose, the engine's control
+    /// tasks, and test-only modules gated from their parent.
     pub operator_task_files: Vec<String>,
     /// Path prefixes that own the sharing model and may build its
     /// groups from raw parts.
@@ -256,19 +255,21 @@ impl Config {
             ],
             run_loop_prefixes: vec!["crates/engine/src".into()],
             run_loop_files: vec!["crates/engine/src/run.rs".into()],
-            private_simulator_files: vec!["crates/engine/src/thread_exec.rs".into()],
             thread_driver_prefixes: vec!["crates/exec/src".into(), "crates/engine/src".into()],
             thread_driver_files: vec![
                 "crates/exec/src/wiring.rs".into(),
                 "crates/engine/src/thread_exec.rs".into(),
             ],
-            operator_prefixes: vec!["crates/exec/src/".into()],
+            operator_prefixes: vec!["crates/exec/src/".into(), "crates/engine/src/".into()],
             operator_task_files: vec![
                 "crates/exec/src/ops/shell.rs".into(),
                 // Morsels over channels of their own.
                 "crates/exec/src/ops/par_pipe.rs".into(),
                 // `#[cfg(test)] mod testutil;` in ops/mod.rs.
                 "crates/exec/src/ops/testutil.rs".into(),
+                // Control, not operators: arrivals and the dispatcher.
+                "crates/engine/src/run.rs".into(),
+                "crates/engine/src/dispatcher.rs".into(),
             ],
             sharing_model_prefixes: vec!["crates/core/src".into()],
             sharing_model_files: vec!["crates/engine/src/policy.rs".into()],
@@ -568,7 +569,6 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         has_prefix(file, &cfg.oracle_free_prefixes) && !listed(file, &cfg.oracle_allowed_files);
     let run_loop_scoped =
         has_prefix(file, &cfg.run_loop_prefixes) && !listed(file, &cfg.run_loop_files);
-    let simulator_scoped = run_loop_scoped && !listed(file, &cfg.private_simulator_files);
     let thread_scoped =
         has_prefix(file, &cfg.thread_driver_prefixes) && !listed(file, &cfg.thread_driver_files);
     let operator_scoped =
@@ -675,7 +675,7 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         // Rule 6: one run loop.
         for (hit, tok) in [
             (
-                simulator_scoped && code.contains("Simulator::new"),
+                run_loop_scoped && code.contains("Simulator::new"),
                 "Simulator::new",
             ),
             (
@@ -713,7 +713,7 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
             push(
                 i,
                 Rule::OneOperatorShell,
-                "`impl Task` in exec outside the shell; implement `ops::shell::Kernel` and let \
+                "`impl Task` outside the shell; implement `ops::shell::Kernel` and let \
                  the one `OperatorShell` run it (step protocol, input check and failure \
                  path live there)"
                     .into(),
@@ -862,7 +862,6 @@ mod tests {
             oracle_allowed_files: vec![],
             run_loop_prefixes: vec![file.to_string()],
             run_loop_files: vec![],
-            private_simulator_files: vec![],
             thread_driver_prefixes: vec![file.to_string()],
             thread_driver_files: vec![],
             operator_prefixes: vec![],
@@ -1058,17 +1057,16 @@ mod tests {
         assert!(rules(defs).is_empty(), "{:?}", rules(defs));
         let in_test = format!("#[cfg(test)]\nmod tests {{\n{sim}\n{spawn}\n}}");
         assert!(rules(&in_test).is_empty(), "{:?}", rules(&in_test));
-        // The run module may do both; the real-thread executor may only
-        // build its private simulators.
+        // The run module may do both; no other engine module may do
+        // either, the real-thread executor included (its plans run in
+        // the wiring's local driver).
         let mut cfg = cfg_for("engine/");
         cfg.run_loop_files = vec!["engine/run.rs".into()];
-        cfg.private_simulator_files = vec!["engine/thread_exec.rs".into()];
         for src in [sim, spawn] {
             assert!(lint_source("engine/run.rs", src, &cfg).is_empty());
             assert!(lint_source("bench/x.rs", src, &cfg).is_empty());
+            assert_eq!(lint_source("engine/thread_exec.rs", src, &cfg).len(), 1);
         }
-        assert!(lint_source("engine/thread_exec.rs", sim, &cfg).is_empty());
-        assert_eq!(lint_source("engine/thread_exec.rs", spawn, &cfg).len(), 1);
     }
 
     #[test]
@@ -1133,14 +1131,19 @@ mod tests {
 
     #[test]
     fn seeded_task_outside_ops_is_caught_under_the_workspace_policy() {
-        // The rule covers all of exec, not just `ops/`: a relay or a
-        // collector the wiring needs is a kernel too, never a task of
+        // The rule covers all of exec, not just `ops/`, and the engine:
+        // a relay or a collector the wiring needs, or a bridge across
+        // the sharing seam, is a kernel or a port too, never a task of
         // its own beside the wiring.
         let cfg = Config::workspace();
         let relay = "struct RelayTask {\n    rx: Receiver<Arc<Page>>,\n}\n\
                      impl Task for RelayTask {\n    fn step(&mut self, ctx: &mut TaskCtx) -> Step {\n\
                      self.pump(ctx)\n    }\n}";
-        for file in ["crates/exec/src/wiring.rs", "crates/exec/src/relay.rs"] {
+        for file in [
+            "crates/exec/src/wiring.rs",
+            "crates/exec/src/relay.rs",
+            "crates/engine/src/thread_exec.rs",
+        ] {
             let got: Vec<Rule> = lint_source(file, relay, &cfg)
                 .into_iter()
                 .map(|f| f.rule)
@@ -1275,7 +1278,6 @@ mod tests {
             .chain(&cfg.relaxed_allowed_files)
             .chain(&cfg.oracle_allowed_files)
             .chain(&cfg.run_loop_files)
-            .chain(&cfg.private_simulator_files)
             .chain(&cfg.thread_driver_files)
             .chain(&cfg.operator_task_files)
             .chain(&cfg.sharing_model_files)

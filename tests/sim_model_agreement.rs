@@ -23,7 +23,7 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
     let mut sim = Simulator::new(contexts);
     let (tx0, mut prev_rx) = channel::bounded(16);
     let scan = ScanKernel::new(table.pages().to_vec(), OpCost::per_tuple(stage_costs[0]));
-    let fanout = Fanout::new(vec![tx0], 0.0);
+    let fanout = Fanout::new(vec![tx0.into()], 0.0);
     let scan = OperatorShell::new(Box::new(scan), vec![], fanout, FaultCell::default());
     sim.spawn("scan", Box::new(scan));
     // Middle stages: pass-through filters with the given per-tuple work
@@ -34,10 +34,10 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
         let pass = cordoba::exec::expr::Predicate::True;
         let filter = FilterKernel::new(schema.clone(), pass, OpCost::per_tuple(c))
             .expect("True predicate compiles");
-        let fanout = Fanout::new(vec![tx], 0.0);
+        let fanout = Fanout::new(vec![tx.into()], 0.0);
         let stage = OperatorShell::new(
             Box::new(filter),
-            vec![prev_rx],
+            vec![prev_rx.into()],
             fanout,
             FaultCell::default(),
         );
@@ -45,8 +45,8 @@ fn simulated_rate(stage_costs: &[f64], contexts: usize) -> f64 {
         prev_rx = rx;
     }
     let sink = Box::new(SinkKernel::new(OpCost::per_tuple(0.0)));
-    let none = Fanout::new(vec![], 0.0);
-    let sink = OperatorShell::new(sink, vec![prev_rx], none, FaultCell::default());
+    let none = Fanout::none();
+    let sink = OperatorShell::new(sink, vec![prev_rx.into()], none, FaultCell::default());
     sim.spawn("sink", Box::new(sink));
     let out = sim.run_to_idle();
     assert!(out.completed_all(), "{out:?}");
@@ -120,10 +120,10 @@ fn shared_fanout_matches_model_pivot_equation() {
         let mut txs = Vec::new();
         for _ in 0..m {
             let (tx, rx) = channel::bounded(16);
-            txs.push(tx);
+            txs.push(tx.into());
             let sink = Box::new(SinkKernel::new(OpCost::per_tuple(0.0)));
-            let none = Fanout::new(vec![], 0.0);
-            let sink = OperatorShell::new(sink, vec![rx], none, FaultCell::default());
+            let none = Fanout::none();
+            let sink = OperatorShell::new(sink, vec![rx.into()], none, FaultCell::default());
             sim.spawn("sink", Box::new(sink));
         }
         let scan = ScanKernel::new(table.pages().to_vec(), OpCost::new(9.66, 10.34));
