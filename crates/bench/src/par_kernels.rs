@@ -4,16 +4,17 @@
 //!
 //! Pipeline-shaped plans (scan → filter → project, scan → filter →
 //! aggregate) are measured in **simulator virtual time**: the morsel
-//! wiring spreads per-tuple work across `k` fused worker tasks on `k`
+//! wiring spreads per-tuple work across `k` worker shells on `k`
 //! contexts, so the virtual makespan contracts by roughly the work
 //! split — a deterministic, host-independent record of what the
 //! threading model buys on a `k`-context machine. (Wall clock would be
 //! meaningless here: CI containers often pin this harness to one core.)
 //!
 //! The hash-join pair is the honest counterpoint: it runs the same
-//! worker tasks on OS threads ([`wiring::run_local`]) against the serial
-//! wiring and reports wall clock, whatever the host actually delivers —
-//! printed by `bench_ops --filter par_hash_join`, never committed.
+//! worker shells on OS threads ([`wiring::run_local`]) against the
+//! serial wiring and reports wall clock, whatever the host actually
+//! delivers — printed by `bench_ops --filter par_hash_join`, never
+//! committed.
 
 use crate::output::Json;
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
@@ -284,6 +285,36 @@ mod tests {
                 pair.serial,
                 pair.parallel
             );
+        }
+    }
+
+    #[test]
+    fn morsel_workers_do_the_pinned_work() {
+        // The summed virtual active time of a pair's four worker tasks
+        // at the committed scale, pinned to the unit: a worker charges
+        // the scan's and each kernel's input cost of the page it runs
+        // (at least 1 a page) and nothing for its hand-offs, so the sum
+        // does not depend on how the schedule spreads the morsels.
+        let cat = catalog(0.02);
+        for (name, plan) in [
+            ("par_scan_filter", pipeline_plan()),
+            ("par_aggregate", aggregate_plan()),
+        ] {
+            let cfg = WiringConfig {
+                parallel: ParallelConfig {
+                    workers: 4,
+                    morsel_pages: 1,
+                },
+                ..WiringConfig::default()
+            };
+            let mut sim = Simulator::new(4);
+            let (rx, tasks, res) =
+                wiring::instantiate(&mut sim, &cat, &plan, name, &cfg).expect("plan wires");
+            wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault).expect("runs");
+            let workers = tasks.iter().filter(|(_, n)| n.ends_with(']'));
+            let ids: Vec<_> = workers.filter_map(|(id, _)| *id).collect();
+            let active: u64 = ids.iter().map(|&id| sim.task_stats(id).active).sum();
+            assert_eq!((ids.len(), active), (4, 602_953), "{name}");
         }
     }
 

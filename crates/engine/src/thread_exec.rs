@@ -13,7 +13,7 @@
 //! * **Unshared** — worker threads claim queries from one counter and
 //!   run one graph per query ([`wiring::run_serial`]); the
 //!   morsel-parallel variant runs the same graph through
-//!   [`wiring::run_local`], whose `par_pipe` worker tasks get an OS
+//!   [`wiring::run_local`], whose morsel workers' shells get an OS
 //!   thread each.
 //! * **Shared** — the calling thread runs the pivot's graph once and
 //!   its root fans out to one thread per consumer, as a simulated
@@ -201,10 +201,9 @@ pub fn worker_scaling_samples(
 
 /// Runs the pivot's graph once on the calling thread, its root feeding
 /// every link in `txs`. A pivot that fails (or wedges) sends its error
-/// down every link instead of just hanging up — once its run has ended
-/// and its outlets have discarded the morsels they were gathering — so
-/// the error is the last thing a consumer reads and no page behind it
-/// is ever served.
+/// down every link instead of just hanging up ([`wiring::run_feeding`]),
+/// so the error is the last thing a consumer reads and no page behind
+/// it is ever served.
 fn produce(
     catalog: &Catalog,
     pivot: &PhysicalPlan,
@@ -214,15 +213,12 @@ fn produce(
 ) {
     let res = QueryResources::charging(broker);
     let morsel = cfg.parallel.morsel_pages;
-    let outs = txs
-        .iter()
-        .map(|tx| Outlet::os(tx.clone(), morsel, &res.fault));
-    if let Err(err) = wiring::run_local_between(catalog, pivot, vec![], outs.collect(), cfg, &res) {
-        for tx in &txs {
-            // A consumer that already hung up has its own error.
-            let _ = tx.send(Err(err.clone()));
-        }
-    }
+    wiring::run_feeding(&txs, || {
+        let outs = txs
+            .iter()
+            .map(|tx| Outlet::os(tx.clone(), morsel, &res.fault));
+        wiring::run_local_between(catalog, pivot, vec![], outs.collect(), cfg, &res)
+    });
 }
 
 /// Runs one consumer: its private above-fragment of `plan` (everything

@@ -32,7 +32,7 @@ use crate::vexpr::{ExprScratch, NumProgram, Reg};
 use cordoba_core::FxHashMap;
 use cordoba_storage::{Page, PageBuilder, Schema};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Full pages per emit step (bounds step size during emission).
 const EMIT_BATCH_PAGES: usize = 4;
@@ -166,10 +166,10 @@ enum GroupIndex {
 
 /// The reusable aggregation core: the compiled input program plus group
 /// state, independent of any task or channel plumbing. One core serves
-/// the serial [`AggregateKernel`]; the parallel executor gives
-/// each morsel worker its own core and [merges](AggCore::merge) them
-/// at the sink in worker order, so partial aggregation reuses exactly
-/// the slot columns and sorted emission of the serial path.
+/// the serial [`AggregateKernel`]; a morsel group gives each worker its
+/// own core and its merge [merges](AggCore::merge) them in worker order
+/// ([`Deposit`]), so partial aggregation reuses exactly the slot columns
+/// and sorted emission of the serial path.
 pub(crate) struct AggCore {
     group_by: Vec<usize>,
     /// Every distinct aggregate input, compiled as one list.
@@ -453,6 +453,37 @@ impl AggCore {
     }
 }
 
+/// Where the workers of a morsel group's aggregate leave their folded
+/// cores for the group's merge: one slot per worker.
+#[derive(Clone)]
+pub(crate) struct Deposit(Arc<[Mutex<Option<AggCore>>]>);
+
+impl Deposit {
+    /// Empty slots for `workers` workers.
+    pub(crate) fn new(workers: usize) -> Self {
+        Deposit((0..workers).map(|_| Mutex::new(None)).collect())
+    }
+
+    /// Leaves `worker`'s core.
+    pub(crate) fn put(&self, worker: usize, core: AggCore) {
+        *self.0[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(core);
+    }
+
+    /// The cores left so far, merged in worker order (float sums depend
+    /// on the order); `None` when none was.
+    fn merged(&self) -> Option<AggCore> {
+        let mut cores = self.0.iter().filter_map(|slot| {
+            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            slot.take()
+        });
+        let mut core = cores.next()?;
+        cores.for_each(|other| core.merge(other));
+        Some(core)
+    }
+}
+
 /// Hash-aggregate kernel: an [`AggCore`] plus its cost. What is left
 /// of the operator here is that fold and the sorted emission, a batch
 /// of pages per call; [`crate::ops::shell`] runs it as a task.
@@ -462,6 +493,8 @@ pub struct AggregateKernel {
     cost: OpCost,
     /// Every group has been emitted.
     emitted: bool,
+    /// A morsel group's merge: where its workers' cores are.
+    deposit: Option<Deposit>,
 }
 
 impl AggregateKernel {
@@ -482,7 +515,16 @@ impl AggregateKernel {
             in_schema,
             cost,
             emitted: false,
+            deposit: None,
         })
+    }
+
+    /// The merge of a morsel group's aggregate: its port carries no
+    /// rows, and when it closes — every worker has ended — the cores the
+    /// workers left in `deposit` are merged and emitted.
+    pub(crate) fn merging(self, deposit: Deposit) -> Self {
+        let deposit = Some(deposit);
+        Self { deposit, ..self }
     }
 }
 
@@ -509,6 +551,9 @@ impl Kernel for AggregateKernel {
     }
 
     fn on_close(&mut self, _: usize, _: &mut Pages) -> Result<PortClosed, ExecError> {
+        if let Some(core) = self.deposit.as_ref().and_then(Deposit::merged) {
+            self.core = core;
+        }
         self.core.start_emit();
         Ok(PortClosed::default())
     }

@@ -4,15 +4,15 @@
 //! merge join, nested-loop join and sink — is a [`Kernel`]: state plus
 //! a page function that one task, the [`OperatorShell`], runs behind
 //! the page-exchange protocol (see [`shell`]), reading and delivering
-//! through the one channel layer ([`port`]) on either substrate. Only
-//! the morsel groups of `par_pipe` are tasks of their own.
+//! through the one channel layer ([`port`]) on either substrate. So is
+//! every task of a morsel group: its workers
+//! (`parallel::MorselKernel`) and its merge.
 
 pub mod aggregate;
 pub mod filter;
 pub mod hash_join;
 pub mod merge_join;
 pub mod nlj;
-pub(crate) mod par_pipe;
 pub mod port;
 pub mod project;
 pub mod scan;
@@ -53,8 +53,16 @@ use std::sync::Arc;
 /// ([`Outlet`]).
 pub struct Fanout {
     outs: Vec<Outlet>,
-    pending: Option<(Arc<Page>, usize)>,
+    /// What is mid-delivery, and the first consumer not yet served.
+    pending: Option<(Delivery, usize)>,
     out_per_tuple: f64,
+}
+
+/// What a fan-out delivers: a page, or the end of the producer's
+/// morsel with this index ([`Outlet::end_morsel`]).
+enum Delivery {
+    Page(Arc<Page>),
+    MorselEnd(usize),
 }
 
 impl Fanout {
@@ -94,30 +102,44 @@ impl Fanout {
     /// Panics if a delivery is already pending — callers must pump to
     /// completion first.
     pub fn begin(&mut self, page: Arc<Page>) {
+        self.start(Delivery::Page(page));
+    }
+
+    /// Begins telling all consumers that the producer's morsel `index`
+    /// has ended, at no cost; panics as [`Fanout::begin`] does.
+    fn begin_morsel_end(&mut self, index: usize) {
+        self.start(Delivery::MorselEnd(index));
+    }
+
+    fn start(&mut self, what: Delivery) {
         assert!(self.pending.is_none(), "fanout already has a pending page");
-        self.pending = Some((page, 0));
+        self.pending = Some((what, 0));
     }
 
     /// Continues the pending delivery. Returns the cost accrued this
     /// call and whether delivery completed (`false` = blocked on a full
     /// consumer queue; the task should return [`cordoba_sim::Step::blocked`]).
     pub fn pump(&mut self, ctx: &mut TaskCtx<'_>) -> (VTime, bool) {
-        let Some((page, mut next)) = self.pending.take() else {
+        let Some((what, mut next)) = self.pending.take() else {
             return (0, true);
         };
-        let tuples = page.rows();
+        let charge = match &what {
+            Delivery::Page(page) => (self.out_per_tuple * page.rows() as f64).round() as VTime,
+            Delivery::MorselEnd(_) => 0,
+        };
         let mut cost = 0;
         while next < self.outs.len() {
-            match self.outs[next].send(page.clone(), ctx) {
-                Ok(()) => {
-                    cost += (self.out_per_tuple * tuples as f64).round() as VTime;
-                    next += 1;
-                }
-                Err(_) => {
-                    self.pending = Some((page, next));
-                    return (cost, false);
-                }
+            let out = &mut self.outs[next];
+            let delivered = match &what {
+                Delivery::Page(page) => out.send(page.clone(), ctx).is_ok(),
+                Delivery::MorselEnd(index) => out.end_morsel(*index, ctx),
+            };
+            if !delivered {
+                self.pending = Some((what, next));
+                return (cost, false);
             }
+            cost += charge;
+            next += 1;
         }
         (cost, true)
     }
@@ -144,6 +166,8 @@ impl Fanout {
 /// reordering.
 pub struct Outbox {
     queue: std::collections::VecDeque<Arc<Page>>,
+    /// The morsel the queued pages end, told after them.
+    morsel_end: Option<usize>,
     fanout: Fanout,
 }
 
@@ -152,6 +176,7 @@ impl Outbox {
     pub fn new(fanout: Fanout) -> Self {
         Self {
             queue: std::collections::VecDeque::new(),
+            morsel_end: None,
             fanout,
         }
     }
@@ -174,9 +199,15 @@ impl Outbox {
         }
     }
 
+    /// Queues the end of the producer's morsel `index`, told to the
+    /// consumers once the pages queued before it are delivered.
+    pub fn end_morsel(&mut self, index: usize) {
+        self.morsel_end = Some(index);
+    }
+
     /// Whether all queued pages have been fully delivered.
     pub fn is_drained(&self) -> bool {
-        self.queue.is_empty() && !self.fanout.is_pending()
+        self.queue.is_empty() && self.morsel_end.is_none() && !self.fanout.is_pending()
     }
 
     /// Delivers as much as possible; returns accrued cost and whether
@@ -189,9 +220,12 @@ impl Outbox {
             if !done {
                 return (cost, false);
             }
-            match self.queue.pop_front() {
-                Some(page) => self.fanout.begin(page),
-                None => return (cost, true),
+            if let Some(page) = self.queue.pop_front() {
+                self.fanout.begin(page);
+            } else if let Some(index) = self.morsel_end.take() {
+                self.fanout.begin_morsel_end(index);
+            } else {
+                return (cost, true);
             }
         }
     }
@@ -216,6 +250,7 @@ impl Outbox {
     /// close without delivering stale results downstream.
     pub fn abandon(&mut self) {
         self.queue.clear();
+        self.morsel_end = None;
         self.fanout.abandon();
     }
 }

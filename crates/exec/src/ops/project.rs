@@ -7,9 +7,9 @@
 //! hot path.
 //!
 //! What is here is the state (the program, the page being filled) and
-//! the page function; [`crate::ops::shell`] runs it as a task, and
-//! `parallel::WorkerPipeline` runs it fused into a morsel worker,
-//! flushing the tail after every page.
+//! the page function; [`crate::ops::shell`] runs it as a task, or a
+//! morsel worker (`parallel::MorselKernel`) calls it, flushing
+//! the tail after every page.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;

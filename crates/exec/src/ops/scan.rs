@@ -53,9 +53,8 @@ impl Kernel for ScanKernel {
         let (cost, progress) = (self.cost.input_cost(page.rows()), page.rows());
         out.push(page);
         Ok(Drained {
-            cost,
             progress,
-            last: false,
+            ..Drained::batch(cost)
         })
     }
 }

@@ -71,11 +71,11 @@
 //! [`Outlet`](super::Outlet)s, so the same shell runs on either side of
 //! a thread boundary: `engine::thread_exec`'s sharing seam is a pivot
 //! whose root fans out to consumers on other threads, each reading the
-//! pivot's pages through its own port. Outside the shell, on purpose:
-//! the morsel tasks of `par_pipe`, which exchange messages of their own
-//! (finished morsels, folded aggregates). Its workers do run the same
-//! filter and project kernels, through [`crate::parallel`]'s
-//! `WorkerPipeline`.
+//! pivot's pages through its own port. A morsel group is shells too: a
+//! worker is a kernel with no ports whose calls each report the morsel
+//! they finish ([`Drained::morsel`]), and its outlet hands each morsel to
+//! the group's merge whole; the merge is a kernel reading the group's
+//! link through one port.
 
 use crate::error::{ExecError, FaultCell};
 use crate::ops::{Fanout, Inlet, Outbox};
@@ -128,6 +128,10 @@ pub struct Drained {
     pub progress: usize,
     /// It was the last call.
     pub last: bool,
+    /// The call finished the producer's morsel with this index: the
+    /// shell tells its consumers after the call's pages
+    /// ([`Outlet::end_morsel`](super::Outlet::end_morsel)).
+    pub morsel: Option<usize>,
 }
 
 impl Drained {
@@ -136,6 +140,7 @@ impl Drained {
         cost: 0,
         progress: 0,
         last: true,
+        morsel: None,
     };
 
     /// A call that is not the last, costing `cost`.
@@ -144,6 +149,7 @@ impl Drained {
             cost,
             progress: 0,
             last: false,
+            morsel: None,
         }
     }
 }
@@ -290,6 +296,9 @@ impl OperatorShell {
             let drained = self.kernel.drain(&mut self.out)?;
             ctx.add_progress(drained.progress as f64);
             self.last = drained.last;
+            if let Some(index) = drained.morsel {
+                self.outbox.end_morsel(index);
+            }
             return Ok(Some((drained.cost, 0)));
         }
         let port = self.kernel.next_port(&self.open);
@@ -351,6 +360,8 @@ impl Task for OperatorShell {
                     (cost, min_tick) = (cost + work, floor);
                     if !self.out.is_empty() {
                         self.outbox.extend(&mut self.out);
+                    }
+                    if !self.outbox.is_drained() {
                         let (delivery, all) = self.outbox.flush(ctx);
                         (cost, drained) = (cost + delivery, all);
                     }
@@ -485,6 +496,7 @@ mod tests {
                 cost: if last { 0 } else { 2 },
                 progress: usize::from(emits),
                 last,
+                morsel: None,
             })
         }
         fn release(&mut self) {

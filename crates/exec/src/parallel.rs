@@ -1,24 +1,38 @@
-//! The shared pieces of morsel-driven intra-query parallelism.
+//! Morsel-driven intra-query parallelism.
 //!
-//! A {filter | project}* chain over a scan is split into page-range
-//! [morsels](cordoba_storage::morsel) claimed from a shared atomic
-//! [`MorselDispenser`]; each worker owns a fused `WorkerPipeline` (its
-//! own compiled programs, scratch and output buffers — no shared
-//! mutable state). This module holds exactly those pieces plus the
-//! [`ParallelConfig`] knob. The worker and merge *tasks* built from
-//! them live in `ops::par_pipe`, and there is one implementation of
-//! them: the simulator schedules the group on virtual contexts
-//! ([`crate::wiring::instantiate`]), and [`crate::wiring::run_local`]
-//! runs the same worker tasks on OS threads.
+//! With more than one worker configured, the wiring runs a {filter |
+//! project}* chain over a scan — and an aggregate directly above one —
+//! as a morsel group: `k` workers plus a merge, every one of them an
+//! [`OperatorShell`](crate::ops::OperatorShell). The table is split into
+//! page-range [morsels](cordoba_storage::morsel) claimed from a shared
+//! atomic [`MorselDispenser`], and each worker is a `MorselKernel`: a
+//! kernel with no ports that runs its claimed pages through privately
+//! compiled copies of the chain's own kernels (no shared mutable state),
+//! charging what those kernels charge — the same total work as the
+//! serial task-per-operator wiring, split `k` ways.
 //!
-//! [`ParallelConfig::default`] is one worker: the wiring is then the
-//! classic one-task-per-operator layout and nothing here runs.
+//! * A pipe group's workers hand each finished morsel to the merge over
+//!   the group's link ([`crate::ops::port`]), which releases them in
+//!   index order: the merge relays them, charging the chain root's
+//!   per-consumer output cost once per delivered page as the serial
+//!   wiring does; the link itself carries no modeled cost.
+//! * An aggregate group's workers fold their pages into private
+//!   `AggCore`s, which the merge combines in worker order and emits
+//!   sorted — row-identical to the serial aggregate.
+//!
+//! The simulator schedules the whole group on virtual contexts
+//! ([`crate::wiring::instantiate`]); [`crate::wiring::run_local`] gives
+//! each worker an OS thread of its own. [`ParallelConfig::default`] is
+//! one worker: the wiring is then the classic one-task-per-operator
+//! layout and nothing here runs.
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::expr::{Predicate, ScalarExpr};
-use crate::ops::{FilterKernel, Kernel, Pages, ProjectKernel};
-use cordoba_storage::{morsel_at, Morsel, Page, Schema};
+use crate::ops::aggregate::{AggCore, Deposit};
+use crate::ops::shell::{Drained, PageWork, Port};
+use crate::ops::{Kernel, Pages};
+use cordoba_storage::{morsel_at, Morsel, Page};
+use std::ops::Range;
 // std re-exports in normal builds; model-checked shims under
 // `--features model` (see tests/model_check.rs).
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
@@ -109,89 +123,132 @@ impl MorselDispenser {
     }
 }
 
-/// One pipeline stage above a scan, in execution order — the plan
-/// fragment each worker compiles privately.
-#[derive(Debug, Clone)]
-pub enum StageSpec {
-    /// Row filter.
-    Filter(Predicate),
-    /// Projection to `out_schema` via the expressions.
-    Project {
-        /// Output expressions, one per output field.
-        exprs: Vec<ScalarExpr>,
-        /// Schema the stage produces.
-        out_schema: Arc<Schema>,
-    },
-}
-
-/// One worker's fused pipeline: the chain's stages as privately
-/// compiled kernels — the [`FilterKernel`] and [`ProjectKernel`] the
-/// serial wiring runs behind a shell, here called back to back — plus
-/// reusable page lists, so steady-state calls allocate nothing but the
-/// output pages themselves.
-pub(crate) struct WorkerPipeline {
+/// One worker of a morsel group: a kernel with no ports, each call of
+/// which runs the next page of its claimed morsel — claiming a fresh
+/// one from the group's dispenser when the last is done — through the
+/// chain's kernels, the page's tail flushed by each (so output page
+/// boundaries depend only on that page's rows). It charges the scan's
+/// input cost plus what each kernel reports, at least 1, and reports
+/// the page's rows as progress. A pipe worker emits the chain's pages
+/// and reports each morsel it finishes; an aggregate worker folds them
+/// instead and leaves its core for the merge when the table runs out.
+pub(crate) struct MorselKernel {
+    pages: Arc<[Arc<Page>]>,
+    dispenser: Arc<MorselDispenser>,
+    scan_cost: OpCost,
+    /// The chain above the scan, bottom-up.
     stages: Vec<Box<dyn Kernel + Send>>,
-    /// The stage input in hand and the output being produced; swapped
-    /// after every stage.
+    /// The morsel in hand: its index and the pages of it not yet run.
+    morsel: Option<(usize, Range<usize>)>,
+    /// A stage's input and its output, swapped after every stage.
     bufs: [Pages; 2],
+    fold: Option<Fold>,
 }
 
-impl WorkerPipeline {
+/// What an aggregate group's worker does with the chain's pages.
+pub(crate) struct Fold {
+    /// Its private core.
+    pub core: AggCore,
+    /// The aggregate's plan cost, charged per folded page.
+    pub cost: OpCost,
+    /// The worker's index: its slot in `deposit`.
+    pub worker: usize,
+    /// Where the core goes when the table runs out.
+    pub deposit: Deposit,
+}
+
+impl MorselKernel {
+    /// A worker over the morsels `dispenser` hands out of `pages`, at
+    /// `scan_cost` per page, running `stages` and then `fold`, if any.
     pub(crate) fn new(
-        in_schema: &Arc<Schema>,
-        stages: &[(StageSpec, OpCost)],
-    ) -> Result<Self, ExecError> {
-        let mut cur = in_schema.clone();
-        let mut kernels: Vec<Box<dyn Kernel + Send>> = Vec::with_capacity(stages.len());
-        for (stage, cost) in stages {
-            kernels.push(match stage {
-                StageSpec::Filter(p) => Box::new(FilterKernel::new(cur.clone(), p.clone(), *cost)?),
-                StageSpec::Project { exprs, out_schema } => {
-                    let (input, out) = (cur, out_schema.clone());
-                    cur = out_schema.clone();
-                    Box::new(ProjectKernel::new(input, out, exprs.clone(), *cost)?)
-                }
-            });
-        }
-        Ok(WorkerPipeline {
-            stages: kernels,
+        pages: Arc<[Arc<Page>]>,
+        dispenser: Arc<MorselDispenser>,
+        scan_cost: OpCost,
+        stages: Vec<Box<dyn Kernel + Send>>,
+        fold: Option<Fold>,
+    ) -> Self {
+        MorselKernel {
+            pages,
+            dispenser,
+            scan_cost,
+            stages,
+            morsel: None,
             bufs: [Vec::new(), Vec::new()],
-        })
+            fold,
+        }
     }
 
-    /// Runs `pages` through every stage, repacking densely per stage
-    /// (each stage's tail is drained at the end of the call, so output
-    /// page boundaries depend only on this call's row stream), and
-    /// records into `stage_rows` the number of rows entering each stage
-    /// — the input sizes the fused workers charge their virtual costs
-    /// on (one charge per stage per call; the per-page work the kernels
-    /// report is not used here). The caller drains the returned list.
-    pub(crate) fn run_pages_counted(
-        &mut self,
-        pages: &[Arc<Page>],
-        stage_rows: &mut Vec<usize>,
-    ) -> &mut Pages {
-        stage_rows.clear();
+    /// The next page to run, the index of its morsel and whether it is
+    /// the morsel's last; `None` once the dispenser is exhausted.
+    fn next_page(&mut self) -> Option<(usize, Arc<Page>, bool)> {
+        if self.morsel.as_ref().is_none_or(|(_, left)| left.is_empty()) {
+            self.morsel = self.dispenser.claim().map(|(i, m)| (i, m.start..m.end));
+        }
+        let (index, left) = self.morsel.as_mut()?;
+        let page = self.pages[left.next()?].clone();
+        Some((*index, page, Range::is_empty(left)))
+    }
+}
+
+impl Kernel for MorselKernel {
+    fn name(&self) -> &'static str {
+        "morsel worker"
+    }
+
+    fn ports(&self) -> Vec<Port> {
+        Vec::new()
+    }
+
+    /// Never called: a worker has no ports.
+    fn on_page(&mut self, _: usize, _: &Arc<Page>, _: &mut Pages) -> Result<PageWork, ExecError> {
+        Ok(PageWork::default())
+    }
+
+    fn drain(&mut self, out: &mut Pages) -> Result<Drained, ExecError> {
+        let Some((index, page, ends)) = self.next_page() else {
+            if let Some(Fold {
+                core,
+                worker,
+                deposit,
+                ..
+            }) = self.fold.take()
+            {
+                deposit.put(worker, core);
+            }
+            return Ok(Drained::LAST);
+        };
+        let rows = page.rows();
+        let mut cost = self.scan_cost.input_cost(rows);
         let [cur, next] = &mut self.bufs;
         cur.clear();
-        cur.extend_from_slice(pages);
+        cur.push(page);
         for stage in &mut self.stages {
-            stage_rows.push(cur.iter().map(|p| p.rows()).sum());
             next.clear();
-            let mut run = || {
-                for page in cur.iter() {
-                    stage.on_page(0, page, next)?;
-                }
-                stage.drain(next)
-            };
-            let ran = run();
-            assert!(
-                ran.is_ok(),
-                "filter and project kernels do not fail: {ran:?}"
-            );
+            for p in cur.iter() {
+                cost += stage.on_page(0, p, next)?.cost;
+            }
+            cost += stage.drain(next)?.cost;
             std::mem::swap(cur, next);
         }
-        cur
+        let morsel = match &mut self.fold {
+            Some(fold) => {
+                for p in cur.drain(..) {
+                    cost += fold.cost.input_cost(p.rows());
+                    fold.core.consume_page(&p);
+                }
+                None
+            }
+            None => {
+                out.append(cur);
+                ends.then_some(index)
+            }
+        };
+        Ok(Drained {
+            cost: cost.max(1),
+            progress: rows,
+            last: false,
+            morsel,
+        })
     }
 }
 

@@ -2,8 +2,7 @@
 //! [`OperatorShell`] around the operator's kernel, the relay of a bare
 //! `Source` root included — with bounded channels between them
 //! (unshared wiring — the engine crate layers packet merging and shared
-//! pivots on top of these pieces). Tasks of its own it holds none: the
-//! morsel groups' are `par_pipe`'s.
+//! pivots on top of these pieces).
 //!
 //! Instantiation is **two-phase and fallible**: every operator task is
 //! constructed first (compiling expressions, validating key columns),
@@ -13,14 +12,15 @@
 //! input-contract violations (an unsorted merge input) are reported
 //! through the per-query [`FaultCell`] threaded to the tasks here.
 //!
-//! `par_chain` is the single definition of what gets parallelised:
-//! with more than one worker configured, each such fragment becomes a
-//! morsel worker group (`ops::par_pipe`). [`instantiate_into`] puts the
+//! `group` is the single definition of what gets parallelised: with
+//! more than one worker configured, each such fragment becomes a morsel
+//! group ([`crate::parallel`]) — worker shells and a merge shell, linked
+//! by the channel layer's group link. [`instantiate_into`] puts the
 //! whole group into the caller's simulator; [`run_local`] — the one
 //! local driver, how real threads run a plan — keeps the serial
-//! operators and each group's merge task in one run loop on the
-//! calling thread and gives every worker task a private run loop on an
-//! OS thread of its own.
+//! operators and each group's merge in one run loop on the calling
+//! thread and builds every worker's shell on an OS thread of its own,
+//! driven as any producer feeding another thread is ([`run_feeding`]).
 //!
 //! A plan's ends are the channel layer's ports ([`Inlet`], [`Outlet`]):
 //! `Source` leaves read inlets and the root delivers to outlets, each
@@ -30,14 +30,16 @@
 
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
+use crate::expr::Agg;
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
-use crate::ops::par_pipe::{self, AggSpec, ParChain};
+use crate::ops::aggregate::{AggCore, Deposit};
+use crate::ops::port::{GroupHandoff, LinkRx, LinkTx};
 use crate::ops::shell::{PageWork, Port, PortClosed};
 use crate::ops::{
     AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Inlet, Kernel, MergeJoinKernel,
     NljKernel, OperatorShell, Outlet, Pages, ProjectKernel, ScanKernel, SinkKernel, SortKernel,
 };
-use crate::parallel::{ParallelConfig, StageSpec};
+use crate::parallel::{Fold, MorselDispenser, MorselKernel, ParallelConfig};
 use crate::plan::PhysicalPlan;
 use cordoba_sim::channel::{self, Receiver};
 use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskId};
@@ -60,9 +62,8 @@ pub struct WiringConfig {
     /// Intra-query parallelism. With the default single worker the
     /// wiring is exactly the classic one-task-per-operator layout;
     /// with more, {filter | project}* chains over scans (and
-    /// aggregates directly above them) become morsel-parallel worker
-    /// groups (see [`crate::ops`]' `par_pipe`), which preserve the
-    /// serial row order.
+    /// aggregates directly above them) become morsel groups (see
+    /// [`crate::parallel`]), which preserve the serial row order.
     pub parallel: ParallelConfig,
 }
 
@@ -123,12 +124,13 @@ pub fn instantiate_into(
 /// Operator tasks built for one plan, named, in spawn order.
 type Built = Vec<(String, Box<dyn Task>)>;
 
-/// Morsel-group worker tasks bound for OS threads (see [`run_local`]).
-type ThreadWorkers = Vec<Box<dyn Task + Send>>;
+/// Morsel-group workers bound for OS threads, each with its end of its
+/// group's link (see [`run_local`]).
+type ThreadWorkers = Vec<(Box<dyn Kernel + Send>, mpsc::SyncSender<GroupHandoff>)>;
 
 /// Constructs every task of `plan` without spawning any. With
-/// `threads`, morsel groups are linked by OS channels and their worker
-/// tasks land there instead of among the returned tasks.
+/// `threads`, morsel groups are linked by OS channels and their
+/// workers land there instead of among the returned tasks.
 #[allow(clippy::too_many_arguments)]
 fn build(
     catalog: &Catalog,
@@ -188,9 +190,10 @@ pub fn instantiate(
     Ok((rx, spawned, resources))
 }
 
-/// A [`PhysicalPlan::Source`] as the plan root: its pages pass through
-/// unchanged, at no cost, and the task ends in the step that sees its
-/// input end.
+/// Pages passed through unchanged, at no cost, the task ending in the
+/// step that sees its input end: a [`PhysicalPlan::Source`] as the plan
+/// root, and the merge of a pipe group (its port releases the workers'
+/// morsels in order).
 struct Relay(Arc<Schema>);
 
 impl Kernel for Relay {
@@ -223,150 +226,218 @@ impl Kernel for Relay {
     }
 }
 
-/// The fused scan + stage chain rooted at `plan`, when it is a
-/// {filter | project}* chain over a scan — the shape the parallel
-/// worker groups execute. `None` for any other plan shape (including
-/// `Source` leaves, which stay on the serial wiring).
-fn par_chain(catalog: &Catalog, plan: &PhysicalPlan) -> Result<Option<ParChain>, ExecError> {
-    match plan {
+/// A {filter | project}* chain over a scan — what a morsel group's
+/// workers run.
+struct Chain<'p> {
+    /// The scanned table's name.
+    table: &'p str,
+    /// The scanned table's pages, shared by all workers.
+    pages: Arc<[Arc<Page>]>,
+    /// Scan cost, charged per input page.
+    scan_cost: OpCost,
+    /// The nodes above the scan, bottom-up, each with the schemas it
+    /// reads and produces (one `Arc` each, shared by every worker).
+    stages: Vec<(&'p PhysicalPlan, Arc<Schema>, Arc<Schema>)>,
+    /// The schema the chain produces.
+    schema: Arc<Schema>,
+    /// The chain root's per-consumer output cost (`s`).
+    out_per_tuple: f64,
+}
+
+/// The chain rooted at `plan`, when it is one; `None` for any other
+/// plan shape (including `Source` leaves, which stay on the serial
+/// wiring).
+fn chain<'p>(catalog: &Catalog, plan: &'p PhysicalPlan) -> Result<Option<Chain<'p>>, ExecError> {
+    let (input, cost) = match plan {
         PhysicalPlan::Scan { table, cost } => {
             let t = catalog
                 .get(table)
                 .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
-            Ok(Some(ParChain {
-                table: table.clone(),
+            return Ok(Some(Chain {
+                table,
                 pages: t.pages().into(),
-                in_schema: t.schema().clone(),
                 scan_cost: *cost,
                 stages: Vec::new(),
-            }))
+                schema: t.schema().clone(),
+                out_per_tuple: cost.out_per_tuple,
+            }));
         }
-        PhysicalPlan::Filter {
-            input,
-            predicate,
-            cost,
-        } => Ok(par_chain(catalog, input)?.map(|mut c| {
-            c.stages.push((StageSpec::Filter(predicate.clone()), *cost));
-            c
-        })),
-        PhysicalPlan::Project { input, exprs, cost } => match par_chain(catalog, input)? {
-            Some(mut c) => {
-                let out_schema = plan.try_output_schema(catalog)?;
-                c.stages.push((
-                    StageSpec::Project {
-                        exprs: exprs.iter().map(|(_, e)| e.clone()).collect(),
-                        out_schema,
-                    },
-                    *cost,
-                ));
-                Ok(Some(c))
-            }
-            None => Ok(None),
-        },
-        _ => Ok(None),
+        PhysicalPlan::Filter { input, cost, .. } | PhysicalPlan::Project { input, cost, .. } => {
+            (input, cost)
+        }
+        _ => return Ok(None),
+    };
+    let Some(mut chain) = chain(catalog, input)? else {
+        return Ok(None);
+    };
+    let output = match plan {
+        PhysicalPlan::Project { .. } => plan.try_output_schema(catalog)?,
+        _ => chain.schema.clone(),
+    };
+    let input = std::mem::replace(&mut chain.schema, output.clone());
+    chain.stages.push((plan, input, output));
+    chain.out_per_tuple = cost.out_per_tuple;
+    Ok(Some(chain))
+}
+
+impl Chain<'_> {
+    /// Plan nodes the chain covers (scan + stages).
+    fn nodes(&self) -> usize {
+        1 + self.stages.len()
+    }
+
+    /// The group's workers, sharing one dispenser, each with private
+    /// copies of the chain's kernels; worker `w` folds into `fold(w)`,
+    /// if any.
+    fn workers(
+        &self,
+        par: &ParallelConfig,
+        fold: impl Fn(usize) -> Result<Option<Fold>, ExecError>,
+    ) -> Result<Vec<Box<dyn Kernel + Send>>, ExecError> {
+        let dispenser = Arc::new(MorselDispenser::new(self.pages.len(), par.morsel_pages));
+        (0..par.effective_workers())
+            .map(|w| {
+                let stages = self.stages.iter();
+                let stages = stages.map(|(node, input, output)| row_kernel(node, input, output));
+                let (pages, scan) = (self.pages.clone(), self.scan_cost);
+                let stages = stages.collect::<Result<_, ExecError>>()?;
+                let kernel = MorselKernel::new(pages, dispenser.clone(), scan, stages, fold(w)?);
+                Ok(Box::new(kernel) as Box<dyn Kernel + Send>)
+            })
+            .collect()
     }
 }
 
-/// Names a simulator-side group's workers `{base}:{kind}[w]`, ahead of
-/// their merge task.
-fn name_workers<W: Task + 'static>(built: &mut Built, base: &str, kind: &str, workers: Vec<W>) {
-    for (w, task) in workers.into_iter().enumerate() {
-        built.push((format!("{base}:{kind}[{w}]"), Box::new(task)));
-    }
+/// A morsel group's kernels, before they are placed.
+struct Group {
+    /// One per configured worker.
+    workers: Vec<Box<dyn Kernel + Send>>,
+    merge: Box<dyn Kernel>,
+    /// The merge's per-consumer output cost (`s`).
+    out_per_tuple: f64,
+    /// What the workers are called: `par_pipe` or `par_agg`.
+    kind: &'static str,
+    /// The merge task's name. It carries the scanned table's, so each
+    /// group counts as exactly one scan instance in task stats, like a
+    /// serial scan task does.
+    merge_name: String,
+    /// Plan nodes the group covers.
+    nodes: usize,
 }
 
-/// Replaces parallelizable fragments rooted at `plan` with morsel
-/// worker groups. Returns `None` when the fragment was handled, or
-/// gives `outs` back for the serial wiring. A group's merge task is
-/// named `{base}:par_merge(scan(<table>))` /
-/// `{base}:par_agg_merge(scan(<table>))` — it carries the scanned
-/// table's name so each group counts as exactly one scan instance in
-/// task stats, like a serial scan task does.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// The morsel group rooted at `plan`: a pipe group for a chain, a
+/// folding one for an aggregate directly above a chain, `None` for any
+/// other plan.
+fn group(
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    par: &ParallelConfig,
+) -> Result<Option<Group>, ExecError> {
+    let PhysicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        cost,
+    } = plan
+    else {
+        let Some(chain) = chain(catalog, plan)? else {
+            return Ok(None);
+        };
+        return Ok(Some(Group {
+            workers: chain.workers(par, |_| Ok(None))?,
+            merge: Box::new(Relay(chain.schema.clone())),
+            out_per_tuple: chain.out_per_tuple,
+            kind: "par_pipe",
+            merge_name: format!("par_merge(scan({}))", chain.table),
+            nodes: chain.nodes(),
+        }));
+    };
+    let Some(chain) = chain(catalog, input)? else {
+        return Ok(None);
+    };
+    let out_schema = plan.try_output_schema(catalog)?;
+    let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
+    let deposit = Deposit::new(par.effective_workers());
+    let workers = chain.workers(par, |worker| {
+        let (by, aggs, out) = (group_by.clone(), aggs.clone(), out_schema.clone());
+        Ok(Some(Fold {
+            core: AggCore::new(&chain.schema, by, aggs, out)?,
+            cost: *cost,
+            worker,
+            deposit: deposit.clone(),
+        }))
+    })?;
+    let (input, by) = (chain.schema.clone(), group_by.clone());
+    let merge = AggregateKernel::new(input, by, aggs, out_schema, *cost)?.merging(deposit);
+    Ok(Some(Group {
+        workers,
+        merge: Box::new(merge),
+        out_per_tuple: cost.out_per_tuple,
+        kind: "par_agg",
+        merge_name: format!("par_agg_merge(scan({}))", chain.table),
+        nodes: 1 + chain.nodes(),
+    }))
+}
+
+/// Wires the morsel group rooted at `plan`, if it is one, delivering
+/// to `outs` (which are given back otherwise). Its workers are named
+/// `{base}:{kind}[w]`, its merge `{base}:{merge_name}`. The group is the
+/// same on both substrates; this only decides where the worker shells
+/// run: in the caller's simulator, linked to the merge by a simulator
+/// channel, or — with `threads` — each on an OS thread of its own,
+/// linked by an OS one.
+#[allow(clippy::too_many_arguments)]
 fn try_wire_parallel(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     outs: Vec<Outlet>,
     label: &str,
     cfg: &WiringConfig,
+    fault: &FaultCell,
     preorder: &mut usize,
     built: &mut Built,
     threads: &mut Option<&mut ThreadWorkers>,
 ) -> Result<Option<Vec<Outlet>>, ExecError> {
+    let Some(group) = group(catalog, plan, &cfg.parallel)? else {
+        return Ok(Some(outs));
+    };
     let base = format!("{label}/{}", *preorder);
-    let par = &cfg.parallel;
-    if let Some(chain) = par_chain(catalog, plan)? {
-        *preorder += chain.node_count();
-        let cap = cfg.queue_capacity;
-        let merge: Box<dyn Task> = match threads {
-            None => {
-                let (workers, merge) =
-                    par_pipe::pipe_group(&chain, outs, par, cap, channel::bounded)?;
-                name_workers(built, &base, "par_pipe", workers);
-                Box::new(merge)
+    *preorder += group.nodes;
+    let k = group.workers.len();
+    let inlet = match threads {
+        None => {
+            let (tx, rx) = channel::bounded(cfg.queue_capacity);
+            let links = std::iter::repeat_n(tx, k);
+            for (w, (kernel, tx)) in group.workers.into_iter().zip(links).enumerate() {
+                let outlet = Outlet::group(LinkTx::Sim(tx), fault);
+                let worker = shell(kernel, vec![], vec![outlet], 0.0, fault);
+                built.push((format!("{base}:{}[{w}]", group.kind), worker));
             }
-            Some(threads) => {
-                let (workers, merge) =
-                    par_pipe::pipe_group(&chain, outs, par, cap, mpsc::sync_channel)?;
-                threads.extend(workers.into_iter().map(|w| Box::new(w) as _));
-                Box::new(merge)
-            }
-        };
-        built.push((format!("{base}:par_merge(scan({}))", chain.table), merge));
-        return Ok(None);
-    }
-    if let PhysicalPlan::Aggregate {
-        input,
-        group_by,
-        aggs,
-        cost,
-    } = plan
-    {
-        if let Some(chain) = par_chain(catalog, input)? {
-            let agg = AggSpec {
-                group_by: group_by.clone(),
-                aggs: aggs.iter().map(|(_, a)| a.clone()).collect(),
-                out_schema: plan.try_output_schema(catalog)?,
-                cost: *cost,
-            };
-            *preorder += 1 + chain.node_count();
-            let merge: Box<dyn Task> = match threads {
-                None => {
-                    let (workers, merge) =
-                        par_pipe::agg_group(&chain, &agg, outs, par, channel::bounded)?;
-                    name_workers(built, &base, "par_agg", workers);
-                    Box::new(merge)
-                }
-                Some(threads) => {
-                    let (workers, merge) =
-                        par_pipe::agg_group(&chain, &agg, outs, par, mpsc::sync_channel)?;
-                    threads.extend(workers.into_iter().map(|w| Box::new(w) as _));
-                    Box::new(merge)
-                }
-            };
-            built.push((
-                format!("{base}:par_agg_merge(scan({}))", chain.table),
-                merge,
-            ));
-            return Ok(None);
+            Inlet::group(LinkRx::GroupSim(rx), k, fault)
         }
-    }
-    Ok(Some(outs))
+        Some(threads) => {
+            let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
+            threads.extend(group.workers.into_iter().zip(std::iter::repeat_n(tx, k)));
+            Inlet::group(LinkRx::GroupOs(rx), k, fault)
+        }
+    };
+    let merge = shell(group.merge, vec![inlet], outs, group.out_per_tuple, fault);
+    built.push((format!("{base}:{}", group.merge_name), merge));
+    Ok(None)
 }
 
 /// The task that runs `kernel`: an [`OperatorShell`] reading `inputs`
-/// (in the kernel's port order) and delivering to `outs` at the
-/// per-consumer output cost of `cost`.
+/// (in the kernel's port order) and delivering to `outs` at
+/// `out_per_tuple` per consumer, its failure the query's `fault`.
 fn shell(
-    kernel: impl Kernel + 'static,
+    kernel: Box<dyn Kernel>,
     inputs: Vec<Inlet>,
     outs: Vec<Outlet>,
-    cost: &OpCost,
-    sctx: &SpillContext,
+    out_per_tuple: f64,
+    fault: &FaultCell,
 ) -> Box<dyn Task> {
-    let fanout = Fanout::new(outs, cost.out_per_tuple);
-    let fault = sctx.fault.clone();
-    Box::new(OperatorShell::new(Box::new(kernel), inputs, fanout, fault))
+    let fanout = Fanout::new(outs, out_per_tuple);
+    Box::new(OperatorShell::new(kernel, inputs, fanout, fault.clone()))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -382,8 +453,12 @@ fn wire(
     built: &mut Built,
     threads: &mut Option<&mut ThreadWorkers>,
 ) -> Result<(), ExecError> {
+    let fault = &sctx.fault;
     let outs = if cfg.parallel.effective_workers() > 1 {
-        match try_wire_parallel(catalog, plan, outs, label, cfg, preorder, built, threads)? {
+        let wired = try_wire_parallel(
+            catalog, plan, outs, label, cfg, fault, preorder, built, threads,
+        )?;
+        match wired {
             None => return Ok(()),
             Some(outs) => outs,
         }
@@ -422,7 +497,9 @@ fn wire(
         Ok(rx.into())
     };
 
-    match plan {
+    // The node's kernel, its inputs in the kernel's port order, and its
+    // per-consumer output cost.
+    let (kernel, inputs, out_per_tuple): (Box<dyn Kernel>, Vec<Inlet>, f64) = match plan {
         PhysicalPlan::Scan { table, cost } => {
             let pages = catalog
                 .get(table)
@@ -430,36 +507,21 @@ fn wire(
                 .pages()
                 .to_vec();
             let kernel = ScanKernel::new(pages, *cost);
-            built.push((name, shell(kernel, vec![], outs, cost, sctx)));
+            (Box::new(kernel), vec![], cost.out_per_tuple)
         }
         PhysicalPlan::Source { schema } => {
             // Source as root: relay external pages to the consumers.
             let rx = sources
                 .pop_front()
                 .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
-            let free = OpCost::per_tuple(0.0);
-            built.push((
-                name,
-                shell(Relay(schema.0.clone()), vec![rx], outs, &free, sctx),
-            ));
+            (Box::new(Relay(schema.0.clone())), vec![rx], 0.0)
         }
-        PhysicalPlan::Filter {
-            input,
-            predicate,
-            cost,
-        } => {
-            let schema = input.try_output_schema(catalog)?;
-            let rx = child_input(input, sources, preorder, built)?;
-            let kernel = FilterKernel::new(schema, predicate.clone(), *cost)?;
-            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
-        }
-        PhysicalPlan::Project { input, exprs, cost } => {
+        PhysicalPlan::Filter { input, cost, .. } | PhysicalPlan::Project { input, cost, .. } => {
             let in_schema = input.try_output_schema(catalog)?;
             let out_schema = plan.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
-            let exprs = exprs.iter().map(|(_, e)| e.clone()).collect();
-            let kernel = ProjectKernel::new(in_schema, out_schema, exprs, *cost)?;
-            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
+            let kernel = row_kernel(plan, &in_schema, &out_schema)?;
+            (kernel, vec![rx], cost.out_per_tuple)
         }
         PhysicalPlan::Aggregate {
             input,
@@ -473,13 +535,13 @@ fn wire(
             let aggs = aggs.iter().map(|(_, a)| a.clone()).collect();
             let kernel =
                 AggregateKernel::new(in_schema, group_by.clone(), aggs, out_schema, *cost)?;
-            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
+            (Box::new(kernel), vec![rx], cost.out_per_tuple)
         }
         PhysicalPlan::Sort { input, keys, cost } => {
             let schema = input.try_output_schema(catalog)?;
             let rx = child_input(input, sources, preorder, built)?;
             let kernel = SortKernel::new(schema, keys.clone(), *cost, sctx.clone())?;
-            built.push((name, shell(kernel, vec![rx], outs, cost, sctx)));
+            (Box::new(kernel), vec![rx], cost.out_per_tuple)
         }
         PhysicalPlan::HashJoin {
             build,
@@ -506,10 +568,8 @@ fn wire(
                 *probe_cost,
                 sctx.clone(),
             )?;
-            built.push((
-                name,
-                shell(kernel, vec![rx_build, rx_probe], outs, probe_cost, sctx),
-            ));
+            let inputs = vec![rx_build, rx_probe];
+            (Box::new(kernel), inputs, probe_cost.out_per_tuple)
         }
         PhysicalPlan::NestedLoopJoin {
             outer,
@@ -524,10 +584,11 @@ fn wire(
             let rx_inner = child_input(inner, sources, preorder, built)?;
             let predicate = predicate.clone();
             let kernel = NljKernel::new(outer_schema, inner_schema, predicate, pair_schema, *cost)?;
-            built.push((
-                name,
-                shell(kernel, vec![rx_inner, rx_outer], outs, cost, sctx),
-            ));
+            (
+                Box::new(kernel),
+                vec![rx_inner, rx_outer],
+                cost.out_per_tuple,
+            )
         }
         PhysicalPlan::MergeJoin {
             left,
@@ -549,13 +610,43 @@ fn wire(
                 out_schema,
                 *cost,
             )?;
-            built.push((
-                name,
-                shell(kernel, vec![rx_left, rx_right], outs, cost, sctx),
-            ));
+            (
+                Box::new(kernel),
+                vec![rx_left, rx_right],
+                cost.out_per_tuple,
+            )
         }
-    }
+    };
+    built.push((name, shell(kernel, inputs, outs, out_per_tuple, fault)));
     Ok(())
+}
+
+/// The kernel of a filter or project `node`, reading `input` pages and
+/// producing `output` ones: the serial wiring's task, or one stage of a
+/// morsel worker.
+fn row_kernel(
+    node: &PhysicalPlan,
+    input: &Arc<Schema>,
+    output: &Arc<Schema>,
+) -> Result<Box<dyn Kernel + Send>, ExecError> {
+    match node {
+        PhysicalPlan::Filter {
+            predicate, cost, ..
+        } => Ok(Box::new(FilterKernel::new(
+            input.clone(),
+            predicate.clone(),
+            *cost,
+        )?)),
+        PhysicalPlan::Project { exprs, cost, .. } => {
+            let exprs = exprs.iter().map(|(_, e)| e.clone()).collect();
+            let (input, output) = (input.clone(), output.clone());
+            Ok(Box::new(ProjectKernel::new(input, output, exprs, *cost)?))
+        }
+        other => Err(ExecError::plan(format!(
+            "{} is no row stage",
+            other.op_name()
+        ))),
+    }
 }
 
 /// Runs `sim` to idle with a collecting sink on `rx` and returns the
@@ -630,16 +721,16 @@ pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
 }
 
 /// Runs `plan` to completion on real threads — the one local driver,
-/// the same `ops/*` tasks as any simulated run — charging
+/// the same `ops/*` kernels as any simulated run — charging
 /// `resources.broker` (its budget is what bounds the query;
 /// `cfg.memory` contributes the spill policy).
 ///
 /// The plan is wired once: serial operators and each morsel group's
-/// merge task run in a private single-context run loop on the calling
-/// thread, and every group worker task runs to completion in a run
-/// loop of its own on a scoped OS thread, feeding its merge task over a
-/// bounded OS channel. With one worker configured there are no groups
-/// and no threads: see [`run_serial`].
+/// merge run in a private single-context run loop on the calling
+/// thread, and every group worker's shell is built on a scoped OS
+/// thread of its own, in a run loop of its own, feeding its group's
+/// merge over a bounded OS link ([`run_feeding`]). With one worker
+/// configured there are no groups and no threads: see [`run_serial`].
 pub fn run_local(
     catalog: &Catalog,
     plan: &PhysicalPlan,
@@ -684,21 +775,48 @@ pub fn run_local_between(
     // The scope joins every worker before returning and re-raises a
     // worker's panic.
     thread::scope(|scope| {
-        for worker in workers {
-            scope.spawn(move || {
-                let mut sim = Simulator::new(1);
-                sim.spawn("worker", worker);
-                sim.run_to_idle();
-            });
+        for (kernel, link) in workers {
+            scope.spawn(move || run_worker(kernel, link));
         }
         let outcome = sim.run_to_idle();
-        // A run that stopped with merge tasks still live (a stall) must
-        // hang up on their workers, or the scope's join would wait on a
-        // full channel forever.
+        // A run that stopped with merges still live (a stall) must hang
+        // up on their workers, or the scope's join would wait on a full
+        // link forever.
         drop(sim);
         failure_of(&outcome, &resources.fault)?;
         Ok(collected.map(|buf| buf.take()).unwrap_or_default())
     })
+}
+
+/// Runs a producer on this thread whose consumers are on other threads,
+/// each reading one of `links`. `run` is the producer's whole run: when
+/// it returns, its outlets over `links` are gone, with whatever they
+/// were gathering. A producer that failed then sends its error down
+/// every link, after everything it handed off, so no consumer mistakes
+/// a truncated stream for end-of-stream. (A consumer that already hung
+/// up has an error of its own.)
+pub fn run_feeding<T, R>(
+    links: &[mpsc::SyncSender<Result<T, ExecError>>],
+    run: impl FnOnce() -> Result<R, ExecError>,
+) {
+    if let Err(err) = run() {
+        for tx in links {
+            let _ = tx.send(Err(err.clone()));
+        }
+    }
+}
+
+/// Runs one morsel worker on this thread: its shell is built here, with
+/// a fault cell of its own, and runs to its end in a run loop of its own,
+/// feeding its group's `link`.
+fn run_worker(kernel: Box<dyn Kernel + Send>, link: mpsc::SyncSender<GroupHandoff>) {
+    run_feeding(std::slice::from_ref(&link), || {
+        let fault = FaultCell::default();
+        let outlet = Outlet::group(LinkTx::Os(link.clone()), &fault);
+        let mut sim = Simulator::new(1);
+        sim.spawn("worker", shell(kernel, vec![], vec![outlet], 0.0, &fault));
+        failure_of(&sim.run_to_idle(), &fault)
+    });
 }
 
 /// [`run_local`] at one worker, whatever `CORDOBA_WORKERS` says: the
@@ -715,8 +833,9 @@ pub fn run_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Agg, CmpOp, Predicate, ScalarExpr};
+    use crate::expr::{CmpOp, Predicate, ScalarExpr};
     use crate::memory::MemoryBroker;
+    use cordoba_sim::StepStatus;
     use cordoba_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn catalog() -> Catalog {
@@ -1302,6 +1421,260 @@ mod tests {
         };
         let err = run_local(&cat, &bad, &threaded(4), &res).expect_err("unfed source");
         assert!(matches!(err, ExecError::PlanType(_)), "{err:?}");
+    }
+
+    /// `t40`: `k = 0..640` in forty sixteen-row pages.
+    fn forty_pages() -> Catalog {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let mut b = TableBuilder::with_page_size("t40", schema, 128);
+        for i in 0..640 {
+            b.push_row(&[Value::Int(i)]);
+        }
+        let mut c = Catalog::new();
+        c.register(b.finish());
+        c
+    }
+
+    /// `k >= from` over `t40`.
+    fn from_key(from: i64) -> PhysicalPlan {
+        PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "t40".into(),
+                cost: OpCost::default(),
+            }),
+            predicate: Predicate::col_cmp(0, CmpOp::Ge, from),
+            cost: OpCost::default(),
+        }
+    }
+
+    /// The morsel group `plan` becomes at `workers` workers and morsels
+    /// of `morsel_pages` pages.
+    fn group_of(cat: &Catalog, plan: &PhysicalPlan, workers: usize, morsel_pages: usize) -> Group {
+        let par = ParallelConfig {
+            workers,
+            morsel_pages,
+        };
+        group(cat, plan, &par).expect("wires").expect("a group")
+    }
+
+    /// A worker's shell feeding its end of a group's OS link.
+    fn os_worker(
+        kernel: Box<dyn Kernel + Send>,
+        link: &mpsc::SyncSender<GroupHandoff>,
+    ) -> Box<dyn Task> {
+        let fault = FaultCell::default();
+        shell(
+            kernel,
+            vec![],
+            vec![Outlet::group(LinkTx::Os(link.clone()), &fault)],
+            0.0,
+            &fault,
+        )
+    }
+
+    #[test]
+    fn morsel_group_worker_hands_off_each_finished_morsel_whole() {
+        // Forty pages in morsels of 3, all claimed by one worker, under
+        // `k >= 48`: nothing crosses the link until a morsel ends, then
+        // all of it does — morsel 0 with no row kept, 12 full morsels,
+        // the one-page tail, and the end of the worker's stream.
+        let mut group = group_of(&forty_pages(), &from_key(48), 1, 3);
+        let (link, rx) = mpsc::sync_channel(64);
+        let mut worker = os_worker(group.workers.remove(0), &link);
+        let mut detached = cordoba_sim::DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for _ in 0..2 {
+            assert_eq!(worker.step(ctx).status, StepStatus::Yield);
+            assert!(rx.try_recv().is_err());
+        }
+        assert_eq!(worker.step(ctx).status, StepStatus::Yield);
+        let first = rx.try_recv().expect("morsel 0 is over");
+        assert!(matches!(first, Ok(Some((0, ref pages))) if pages.is_empty()));
+        while worker.step(ctx).status != StepStatus::Done {}
+        let rest: Vec<_> = rx.try_iter().map(|h| h.expect("no fault")).collect();
+        let sizes: Vec<_> = rest.iter().flatten().map(|(i, p)| (*i, p.len())).collect();
+        let want: Vec<_> = (1..13).map(|i| (i, 3)).chain([(13, 1)]).collect();
+        assert_eq!(sizes, want);
+        assert!(rest.last().is_some_and(Option::is_none), "the stream's end");
+    }
+
+    #[test]
+    fn morsel_group_worker_stops_within_a_morsel_of_its_merge_hanging_up() {
+        let cat = forty_pages();
+        let pages: Arc<[Arc<Page>]> = cat.expect("t40").pages().into();
+        let schema = cat.expect("t40").schema().clone();
+        let dispenser = Arc::new(MorselDispenser::new(pages.len(), 2));
+        let (link, merge) = mpsc::sync_channel(64);
+        let mut workers: Vec<_> = (0..2)
+            .map(|_| {
+                let filter = FilterKernel::new(schema.clone(), Predicate::True, OpCost::default());
+                let stages: Vec<Box<dyn Kernel + Send>> = vec![Box::new(filter.expect("compiles"))];
+                let (pages, dispenser) = (pages.clone(), dispenser.clone());
+                let kernel = MorselKernel::new(pages, dispenser, OpCost::default(), stages, None);
+                os_worker(Box::new(kernel), &link)
+            })
+            .collect();
+        let mut detached = cordoba_sim::DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        // With its merge listening, a worker hands over morsel 0 and
+        // goes on ...
+        for _ in 0..2 {
+            assert_eq!(workers[0].step(ctx).status, StepStatus::Yield);
+        }
+        // ... and once that is gone, the hand-off that ends the morsel
+        // it holds ends the worker: of the 20 morsels the two workers
+        // claimed three.
+        drop(merge);
+        for worker in &mut workers {
+            assert_eq!(worker.step(ctx).status, StepStatus::Yield);
+            assert_eq!(worker.step(ctx).status, StepStatus::Done);
+        }
+        assert_eq!(dispenser.claim().map(|(next, _)| next), Some(3));
+    }
+
+    #[test]
+    fn morsel_group_aggregate_merge_emits_after_the_last_worker_step() {
+        // Both workers have run their last step while their threads —
+        // here, the test's own clone of the link — are still alive: the
+        // merge must go on to emit, not wait for the link to hang up.
+        let cat = forty_pages();
+        let plan = PhysicalPlan::Aggregate {
+            input: Box::new(from_key(0)),
+            group_by: Vec::new(),
+            aggs: vec![("n".into(), Agg::Count)],
+            cost: OpCost::default(),
+        };
+        let group = group_of(&cat, &plan, 2, 40);
+        let (link, rx) = mpsc::sync_channel(4);
+        let mut detached = cordoba_sim::DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for kernel in group.workers {
+            let mut worker = os_worker(kernel, &link);
+            while worker.step(ctx).status != StepStatus::Done {}
+        }
+        let fault = FaultCell::default();
+        let (out, emitted) = channel::bounded(4);
+        let inlet = Inlet::group(LinkRx::GroupOs(rx), 2, &fault);
+        let mut merge = shell(group.merge, vec![inlet], vec![out.into()], 0.0, &fault);
+        while merge.step(ctx).status != StepStatus::Done {}
+        let cordoba_sim::channel::Recv::Value(page) = emitted.try_recv(ctx) else {
+            panic!("one group emitted");
+        };
+        assert_eq!(page_rows(&[page]), [[Value::Int(640)]]);
+        drop(link);
+    }
+
+    /// A stage that fails on the page after its first `pages`.
+    struct FailsAfter(usize);
+
+    impl Kernel for FailsAfter {
+        fn name(&self) -> &'static str {
+            "fails"
+        }
+        fn ports(&self) -> Vec<Port> {
+            vec![("", None)]
+        }
+        fn on_page(
+            &mut self,
+            _: usize,
+            page: &Arc<Page>,
+            out: &mut Pages,
+        ) -> Result<PageWork, ExecError> {
+            let detail = "worker broke".into();
+            self.0 = self
+                .0
+                .checked_sub(1)
+                .ok_or(ExecError::Injected { detail })?;
+            out.push(page.clone());
+            Ok(PageWork::default())
+        }
+    }
+
+    #[test]
+    fn morsel_group_worker_error_fails_the_query_on_both_substrates() {
+        // Three workers over four-page morsels feed a sort (which holds
+        // grants) through the group's link; worker 0 fails on the third
+        // page of its second morsel.
+        let cat = paged_catalog();
+        let t = cat.expect("t");
+        let pages: Arc<[Arc<Page>]> = t.pages().into();
+        let workers = || -> Vec<Box<dyn Kernel + Send>> {
+            let dispenser = Arc::new(MorselDispenser::new(pages.len(), 4));
+            (0..3)
+                .map(|w| {
+                    let stage = FailsAfter(if w == 0 { 6 } else { usize::MAX });
+                    let stages: Vec<Box<dyn Kernel + Send>> = vec![Box::new(stage)];
+                    let (pages, dispenser) = (pages.clone(), dispenser.clone());
+                    let kernel =
+                        MorselKernel::new(pages, dispenser, OpCost::default(), stages, None);
+                    Box::new(kernel) as Box<dyn Kernel + Send>
+                })
+                .collect()
+        };
+        let sort = PhysicalPlan::Sort {
+            input: Box::new(PhysicalPlan::Source {
+                schema: crate::plan::SchemaRef(t.schema().clone()),
+            }),
+            keys: vec![0, 1],
+            cost: OpCost::default(),
+        };
+        let broke = ExecError::Injected {
+            detail: "worker broke".into(),
+        };
+        let cfg = WiringConfig::serial();
+        // The simulator: the workers' shells beside the sort's, their
+        // fault the query's.
+        let broker = MemoryBroker::unbounded();
+        let res = QueryResources::charging(&broker);
+        let mut sim = Simulator::new(2);
+        let (link, rx) = channel::bounded(4);
+        for (w, (kernel, tx)) in workers()
+            .into_iter()
+            .zip(std::iter::repeat_n(link, 3))
+            .enumerate()
+        {
+            let outlet = Outlet::group(LinkTx::Sim(tx), &res.fault);
+            sim.spawn(
+                format!("w{w}"),
+                shell(kernel, vec![], vec![outlet], 0.0, &res.fault),
+            );
+        }
+        let mut sources = VecDeque::from([Inlet::group(LinkRx::GroupSim(rx), 3, &res.fault)]);
+        let (out, collected) = channel::bounded(4);
+        instantiate_into(
+            &mut sim,
+            &cat,
+            &sort,
+            vec![out.into()],
+            &mut sources,
+            "q",
+            &cfg,
+            &res,
+        )
+        .expect("wires");
+        let got = run_and_collect(&mut sim, collected, OpCost::default(), &res.fault);
+        assert_eq!(got, Err(broke.clone()), "simulator");
+        assert!(broker.peak() > 0, "the sort charged the broker");
+        assert_eq!(broker.used(), 0, "simulator: grants leaked");
+        // OS threads: each worker driven as `run_local` drives it.
+        let held = Arc::strong_count(&pages[0]);
+        let broker = MemoryBroker::unbounded();
+        let res = QueryResources::charging(&broker);
+        let (link, rx) = mpsc::sync_channel(4);
+        thread::scope(|scope| {
+            for (kernel, link) in workers().into_iter().zip(std::iter::repeat_n(link, 3)) {
+                scope.spawn(move || run_worker(kernel, link));
+            }
+            let sources = vec![Inlet::group(LinkRx::GroupOs(rx), 3, &res.fault)];
+            let got = run_local_between(&cat, &sort, sources, vec![], &cfg, &res);
+            assert_eq!(got.map(|pages| pages.len()), Err(broke), "threads");
+        });
+        assert_eq!(broker.used(), 0, "threads: grants leaked");
+        assert_eq!(
+            Arc::strong_count(&pages[0]),
+            held,
+            "a worker outlived the run"
+        );
     }
 
     #[test]

@@ -42,19 +42,19 @@
 //!    of the engine's own.
 //! 7. **One thread driver** — in non-test `exec` / `engine` source,
 //!    `thread::scope` / `thread::spawn` appear only in `exec::wiring`
-//!    (the local driver that runs `par_pipe` worker groups on OS
-//!    threads) and `engine::thread_exec` (query-level threads and the
-//!    sharing seam's consumers): operators run on threads by being wired
-//!    into that driver, never through a second executor with loops of
-//!    its own.
+//!    (the local driver, which builds each morsel group worker's shell
+//!    on an OS thread of its own) and `engine::thread_exec` (query-level
+//!    threads and the sharing seam's consumers): operators run on threads
+//!    by being wired into that driver, never through a second executor
+//!    with loops of its own.
 //! 8. **One operator shell** — in non-test `exec` / `engine` source,
-//!    `impl .. Task for` appears only in the shell (`ops::shell`), the
-//!    morsel tasks it leaves out on purpose (`ops::par_pipe`) and the
+//!    `impl .. Task for` appears only in the shell (`ops::shell`) and the
 //!    engine's own control tasks (`engine::run`'s arrivals,
 //!    `engine::dispatcher`): every operator — scan, sink and merge join
-//!    included, and any helper the wiring or the sharing seam needs —
-//!    is a `Kernel` the shell runs, so the step protocol, the input
-//!    check and the failure path are not spelled out a second time.
+//!    included, a morsel group's workers and merge too, and any helper
+//!    the wiring or the sharing seam needs — is a `Kernel` the shell
+//!    runs, so the step protocol, the input check and the failure path
+//!    are not spelled out a second time.
 //! 9. **One sharing model** — outside `cordoba-core`, non-test source
 //!    names `GroupMember::new`, `SharingEvaluator::from_parts` and
 //!    `SharingEvaluator::heterogeneous` only in `engine::policy`, whose
@@ -189,8 +189,8 @@ pub struct Config {
     /// by the one shell.
     pub operator_prefixes: Vec<String>,
     /// The files under those prefixes that may `impl Task`: the shell,
-    /// the morsel tasks it leaves out on purpose, the engine's control
-    /// tasks, and test-only modules gated from their parent.
+    /// the engine's control tasks, and test-only modules gated from
+    /// their parent.
     pub operator_task_files: Vec<String>,
     /// Path prefixes that own the sharing model and may build its
     /// groups from raw parts.
@@ -263,8 +263,6 @@ impl Config {
             operator_prefixes: vec!["crates/exec/src/".into(), "crates/engine/src/".into()],
             operator_task_files: vec![
                 "crates/exec/src/ops/shell.rs".into(),
-                // Morsels over channels of their own.
-                "crates/exec/src/ops/par_pipe.rs".into(),
                 // `#[cfg(test)] mod testutil;` in ops/mod.rs.
                 "crates/exec/src/ops/testutil.rs".into(),
                 // Control, not operators: arrivals and the dispatcher.
@@ -1093,10 +1091,7 @@ mod tests {
     fn seeded_operator_task_is_caught_outside_the_shell() {
         let mut cfg = cfg_for("exec/src/ops/");
         cfg.operator_prefixes = vec!["exec/src/".into()];
-        cfg.operator_task_files = vec![
-            "exec/src/ops/shell.rs".into(),
-            "exec/src/ops/par_pipe.rs".into(),
-        ];
+        cfg.operator_task_files = vec!["exec/src/ops/shell.rs".into()];
         let rules = |file: &str, src: &str| -> Vec<Rule> {
             let found = lint_source(file, src, &cfg);
             found.into_iter().map(|f| f.rule).collect()
@@ -1104,15 +1099,22 @@ mod tests {
         let own_step = "impl Task for LimitTask {\n    fn step(&mut self) -> Step { go() }\n}";
         let generic = "impl<S: GroupTx<Msg>> cordoba_sim::Task for Worker<S> {\n}";
         for seeded in [own_step, generic] {
-            let got = rules("exec/src/ops/limit.rs", seeded);
-            assert_eq!(got, vec![Rule::OneOperatorShell], "{seeded}");
-            // The shell and the morsel tasks may; so may code that holds
-            // no operators.
+            // A morsel group's worker or merge is a kernel too: a task
+            // of its own is caught wherever it lands in exec.
             for file in [
-                "exec/src/ops/shell.rs",
+                "exec/src/ops/limit.rs",
                 "exec/src/ops/par_pipe.rs",
-                "engine/run.rs",
+                "exec/src/parallel.rs",
+                "exec/src/wiring.rs",
             ] {
+                assert_eq!(
+                    rules(file, seeded),
+                    vec![Rule::OneOperatorShell],
+                    "{file}: {seeded}"
+                );
+            }
+            // The shell may; so may code that holds no operators.
+            for file in ["exec/src/ops/shell.rs", "engine/run.rs"] {
                 assert!(rules(file, seeded).is_empty(), "{file}: {seeded}");
             }
         }
