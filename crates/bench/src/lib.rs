@@ -7,25 +7,29 @@
 //!   comparison) over the simulated CMP.
 //! * [`output`] — CSV emission and quick ASCII charts so each figure
 //!   binary prints the same series the paper plots; the ordered JSON
-//!   emitter, command line and byte-for-byte `--check` gate shared by
-//!   the two trajectory binaries.
+//!   emitter, the byte-for-byte comparison and the command line of the
+//!   two trajectory binaries.
+//! * [`gates`] — the two committed trajectory documents,
+//!   `BENCH_ops.json` and `BENCH_service.json`, which `tests/gates.rs`
+//!   reproduces byte for byte.
 //! * [`par_kernels`], [`subsume_kernels`], [`spill_kernels`] — the
-//!   deterministic simulator-virtual-time scenarios `bench_ops` records
-//!   in `BENCH_ops.json` (morsel-parallel wiring, subsumption sharing
-//!   and policy points, spill peak memory).
-//! * [`service_kernels`] — the open-system tail-latency scenarios
-//!   `bench_service` records in `BENCH_service.json`.
+//!   deterministic simulator-virtual-time scenarios of `BENCH_ops.json`
+//!   (morsel-parallel wiring, subsumption sharing and policy points,
+//!   spill peak memory).
+//! * [`service_kernels`] — the open-system tail-latency scenarios of
+//!   `BENCH_service.json`.
 //!
 //! Binaries: one per table/figure (see README.md's "Quick tour") —
 //! `fig1_q6_sharing`, `fig2_speedups`, `fig4_sensitivity`,
 //! `fig5_validation`, `fig6_policies`, `sec44_params`, `ablations`, and
-//! `all_figures` (runs everything, writes `results/*.csv`) — plus the
-//! two gates, `bench_ops` and `bench_service`. Wall-clock measurement
-//! is `benchmark/`'s job.
+//! `all_figures` (runs everything, writes `results/*.csv`) — plus
+//! `bench_ops` and `bench_service`, which rewrite the two committed
+//! documents. Wall-clock measurement is `benchmark/`'s job.
 
 use cordoba_engine::{EngineConfig, ParallelConfig, Policy};
 
 pub mod experiments;
+pub mod gates;
 pub mod output;
 pub mod par_kernels;
 pub mod service_kernels;

@@ -2,7 +2,7 @@
 //! charts on stdout, so each figure binary both archives and displays
 //! the series the paper plots; and the JSON emitter behind the two
 //! committed trajectory files (`BENCH_ops.json`, `BENCH_service.json`),
-//! whose gate is reproduction byte for byte ([`write_or_check`]).
+//! whose gate is reproduction byte for byte ([`check_file`]).
 
 use std::fs;
 use std::io::Write;
@@ -179,14 +179,11 @@ impl From<u64> for Json {
 
 /// The command line of the two trajectory binaries: `--filter <substr>`
 /// runs the scenarios whose name contains the substring and only prints
-/// them; `--check <file>` gates the whole document against a committed
-/// file. Never both — a filtered check would gate a subset silently.
+/// them; without it the binary rewrites its file.
 #[derive(Debug, Default, PartialEq)]
 pub struct GateArgs {
     /// `--filter`: substring a scenario name must contain.
     pub filter: Option<String>,
-    /// `--check`: the committed file to reproduce.
-    pub check: Option<PathBuf>,
 }
 
 impl GateArgs {
@@ -195,15 +192,10 @@ impl GateArgs {
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut parsed = GateArgs::default();
         while let Some(arg) = args.next() {
-            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
             match arg.as_str() {
-                "--filter" => parsed.filter = Some(value()?),
-                "--check" => parsed.check = Some(value()?.into()),
+                "--filter" => parsed.filter = Some(args.next().ok_or("--filter needs a value")?),
                 other => return Err(format!("unknown argument '{other}'")),
             }
-        }
-        if parsed.filter.is_some() && parsed.check.is_some() {
-            return Err("--filter with --check would gate only a subset; drop one".to_string());
         }
         Ok(parsed)
     }
@@ -212,7 +204,7 @@ impl GateArgs {
     /// message and exits 2 on misuse.
     pub fn from_env(bin: &str) -> Self {
         Self::parse(std::env::args().skip(1)).unwrap_or_else(|usage| {
-            eprintln!("{bin}: {usage} (usage: {bin} [--filter <substr> | --check <file>])");
+            eprintln!("{bin}: {usage} (usage: {bin} [--filter <substr>])");
             std::process::exit(2)
         })
     }
@@ -223,9 +215,8 @@ impl GateArgs {
     }
 
     /// Finishes a run that produced `records` scenario records rendered
-    /// into `doc`: a filtered run is print-only, `--check` reproduces
-    /// the committed file, anything else rewrites `file`. Returns
-    /// whether the run succeeded.
+    /// into `doc`: a filtered run is print-only, anything else rewrites
+    /// `file`. Returns whether the run succeeded.
     pub fn finish(&self, file: &str, records: usize, doc: &Json) -> bool {
         if let Some(f) = &self.filter {
             if records == 0 {
@@ -235,8 +226,16 @@ impl GateArgs {
             }
             return records > 0;
         }
-        let path = self.check.as_deref().unwrap_or(Path::new(file));
-        write_or_check(path, &doc.render(), self.check.is_some())
+        match fs::write(file, doc.render()) {
+            Ok(()) => {
+                println!("{file}: written");
+                true
+            }
+            Err(e) => {
+                eprintln!("cannot write {file}: {e}");
+                false
+            }
+        }
     }
 }
 
@@ -278,8 +277,8 @@ fn diff_lines(committed: &str, fresh: &str) -> Vec<String> {
 }
 
 /// Compares `fresh` with the file at `path` byte for byte; the error is
-/// the report to print.
-fn check_file(path: &Path, fresh: &str) -> Result<(), String> {
+/// the report to print, naming every differing line.
+pub fn check_file(path: &Path, fresh: &str) -> Result<(), String> {
     let committed =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let diff = diff_lines(&committed, fresh);
@@ -291,29 +290,6 @@ fn check_file(path: &Path, fresh: &str) -> Result<(), String> {
         path.display(),
         diff.join("\n")
     ))
-}
-
-/// With `check`, compares `text` with the committed file at `path` byte
-/// for byte and prints every differing line; otherwise writes `text`
-/// there. Returns whether the check (or the write) succeeded.
-pub fn write_or_check(path: &Path, text: &str, check: bool) -> bool {
-    let done = if check {
-        check_file(path, text).map(|()| "reproduced byte for byte")
-    } else {
-        fs::write(path, text)
-            .map(|()| "written")
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    };
-    match done {
-        Ok(what) => {
-            println!("{}: {what}", path.display());
-            true
-        }
-        Err(report) => {
-            eprintln!("{report}");
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -352,17 +328,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_args_refuse_a_filtered_check_and_unknown_flags() {
+    fn gate_args_take_a_filter_and_nothing_else() {
         let parse = |args: &[&str]| GateArgs::parse(args.iter().map(|a| a.to_string()));
         assert_eq!(parse(&[]), Ok(GateArgs::default()));
-        let filtered = parse(&["--filter", "par_"]).expect("a filter alone is fine");
+        let filtered = parse(&["--filter", "par_"]).expect("a filter parses");
         assert!(filtered.wants("par_aggregate") && !filtered.wants("sort_spill"));
-        assert!(parse(&["--check", "BENCH_ops.json"]).is_ok());
-        for bad in [
-            &["--filter", "par_", "--check", "BENCH_ops.json"][..],
-            &["--quick"],
-            &["--check"],
-        ] {
+        assert_eq!(
+            parse(&["--check", "BENCH_ops.json"]),
+            Err("unknown argument '--check'".to_string()),
+            "the committed files are gated by tests/gates.rs"
+        );
+        for bad in [&["--filter"][..], &["--quick"], &["--filter", "par_", "x"]] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
         // A filter that selects nothing is a failed run, not an empty one.
@@ -373,8 +349,7 @@ mod tests {
     fn check_passes_on_itself_and_names_every_differing_line() {
         let path = std::env::temp_dir().join(format!("cordoba-check-{}.json", std::process::id()));
         let committed = document(&[("a", 1.0), ("b", 2.5)]);
-        assert!(write_or_check(&path, &committed, false));
-        assert!(write_or_check(&path, &committed, true));
+        fs::write(&path, &committed).expect("write the temp file");
         check_file(&path, &committed).expect("a document reproduces itself");
 
         let digits = check_file(&path, &document(&[("a", 1.001), ("b", 2.501)])).unwrap_err();
@@ -399,12 +374,10 @@ mod tests {
         let added = check_file(&path, &document(&[("a", 1.0), ("b", 2.5), ("c", 3.0)]));
         let added = added.unwrap_err();
         assert!(added.contains("+ line 14: \"name\": \"c\""), "{added}");
-        assert!(!write_or_check(&path, &document(&[("a", 1.0)]), true));
 
         fs::remove_file(&path).expect("remove the temp file");
         let missing = check_file(&path, &committed).unwrap_err();
         assert!(missing.contains(&path.display().to_string()), "{missing}");
-        assert!(!write_or_check(&path, &committed, true));
     }
 
     #[test]

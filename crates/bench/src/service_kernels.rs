@@ -1,10 +1,10 @@
-//! Service-loop tail-latency scenarios for `bench_service`.
+//! Service-loop tail-latency scenarios of `BENCH_service.json`.
 //!
 //! Everything here runs the release engine inside the deterministic
 //! simulator with fixed seeds and `workers = 1` pinned, so every number
 //! — counts, makespans, and the p50/p99/p999 response-time quantiles —
-//! is bit-reproducible across hosts and CI runners, and the `--check`
-//! gate can compare against committed values directly.
+//! is bit-reproducible across hosts and CI runners, and
+//! `tests/gates.rs` can compare against committed values directly.
 //!
 //! Two suites, following the WIND harness split:
 //!
@@ -54,7 +54,7 @@ fn family_pool(seed: u64, families: usize, per_family: usize) -> Vec<cordoba_eng
 /// One scenario's committed record.
 #[derive(Debug, Clone)]
 pub struct ServicePoint {
-    /// Scenario name (stable; the `--check` join key).
+    /// Scenario name (stable; a renamed scenario fails the byte gate).
     pub name: &'static str,
     /// `"A"` (deterministic structure) or `"B"` (stochastic, seeded).
     pub suite: &'static str,

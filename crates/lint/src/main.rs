@@ -2,22 +2,22 @@
 //!
 //! ```text
 //! cargo run --release -p cordoba-lint            # lint the workspace
-//! cargo run --release -p cordoba-lint -- --paths <file-or-dir>...
 //! ```
 //!
-//! Exit code 0 when clean, 1 on violations (one `file:line: [rule]
-//! message` offender line each), 2 on usage/IO errors. `--paths` lints
-//! an explicit file set under the same policy — CI uses it to prove the
-//! gate actually fails on a seeded violation.
+//! Takes no argument. Exit code 0 when clean, 1 on violations (one
+//! `file:line: [rule] message` offender line each), 2 on an argument or
+//! an IO error. `cargo test -p cordoba-lint` runs the same gate: the
+//! workspace must be clean, and each seeded violation, linted from a
+//! scratch root of its own, must make this binary exit 1 naming its rule.
 
-use cordoba_lint::{lint_paths, lint_workspace, Config};
+use cordoba_lint::{lint_workspace, Config};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn workspace_root() -> PathBuf {
-    // Prefer the invocation directory (CI runs from the repo root);
-    // fall back to the compile-time manifest location for `cargo run`
-    // from anywhere inside the tree.
+    // Prefer the invocation directory (the repo root, or a scratch root
+    // laid out like it); fall back to the compile-time manifest location
+    // for `cargo run` from anywhere inside the tree.
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     if cwd.join("crates").is_dir() && cwd.join("Cargo.toml").is_file() {
         return cwd;
@@ -26,20 +26,11 @@ fn workspace_root() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = Config::workspace();
-    let result = match args.split_first() {
-        None => lint_workspace(&workspace_root(), &cfg),
-        Some((flag, rest)) if flag == "--paths" && !rest.is_empty() => {
-            let paths: Vec<PathBuf> = rest.iter().map(PathBuf::from).collect();
-            lint_paths(&paths, &cfg)
-        }
-        _ => {
-            eprintln!("usage: cordoba-lint [--paths <file-or-dir>...]");
-            return ExitCode::from(2);
-        }
-    };
-    match result {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: cordoba-lint (takes no argument; lints the workspace)");
+        return ExitCode::from(2);
+    }
+    match lint_workspace(&workspace_root(), &Config::workspace()) {
         Ok((findings, scanned)) => {
             for f in &findings {
                 println!("{f}");
