@@ -715,12 +715,15 @@ mod tests {
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Float),
         ]);
-        let mut b = TableBuilder::new("t", schema);
+        let mut b = TableBuilder::new("t", schema.clone());
+        let mut u = TableBuilder::new("u", schema);
         for i in 0..512 {
             b.push_row(&[Value::Int(i), Value::Float((i % 7) as f64)]);
+            u.push_row(&[Value::Int(i % 5), Value::Float((i % 3) as f64)]);
         }
         let mut c = Catalog::new();
         c.register(b.finish());
+        c.register(u.finish());
         c
     }
 
@@ -916,6 +919,120 @@ mod tests {
         assert_eq!(out.results[0], expected_rows(&cat));
         assert!(out.results[1].is_empty(), "failed query has no rows");
         assert_eq!(out.results[2], expected_rows(&cat));
+    }
+
+    /// Runs `specs` as one always-share batch on one context and on
+    /// two. Channels hold a page, and the pivot emits more than one to
+    /// each member, so a member feed left open wedges the pivot.
+    fn shared_batches(cat: &Catalog, specs: &[QuerySpec]) -> [Report; 2] {
+        [1, 2].map(|contexts| {
+            let cfg = EngineConfig {
+                contexts,
+                policy: Policy::AlwaysShare,
+                queue_capacity: 1,
+                ..Default::default()
+            };
+            run_once(cat, specs, &cfg)
+        })
+    }
+
+    /// `plan`'s row count.
+    fn count(plan: PhysicalPlan) -> PhysicalPlan {
+        PhysicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by: vec![],
+            aggs: vec![("n".into(), Agg::Count)],
+            cost: OpCost::default(),
+        }
+    }
+
+    #[test]
+    fn an_ill_typed_pivot_fails_its_group_and_no_other() {
+        let cat = catalog();
+        // Column 9 of a two-column table: the pivot fails to
+        // instantiate, which fails every member of its group.
+        let pivot = PhysicalPlan::Filter {
+            input: Box::new(scan()),
+            predicate: Predicate::col_cmp(9, CmpOp::Lt, 256i64),
+            cost: OpCost::per_tuple(0.5),
+        };
+        let bad = QuerySpec::shared_at("bad", count(pivot.clone()), pivot);
+        let u = PhysicalPlan::Scan {
+            table: "u".into(),
+            cost: OpCost::new(4.0, 2.0),
+        };
+        let other = QuerySpec::shared_at("other", count(u.clone()), u);
+        let specs = [bad.clone(), other.clone(), bad, other.clone()];
+        for out in shared_batches(&cat, &specs) {
+            let failed: Vec<_> = out.failures.iter().map(|(k, _)| *k).collect();
+            assert_eq!(failed, [0, 2], "{:?}", out.failures);
+            for (_, err) in &out.failures {
+                assert!(matches!(err, ExecError::PlanType(_)), "{err:?}");
+            }
+            let want = reference::execute(&cat, &other.plan);
+            assert_eq!((&out.results[1], &out.results[3]), (&want, &want));
+            assert_eq!(out.group_sizes, [2, 2]);
+        }
+    }
+
+    #[test]
+    fn a_member_whose_plan_lacks_its_pivot_fails_alone() {
+        let cat = catalog();
+        // Its pivot is its peers', but its plan scans `t` at another
+        // cost, so the split finds nothing to cut at. `shared_at`
+        // refuses such a spec; the fields do not.
+        let stray = QuerySpec {
+            name: "stray".into(),
+            plan: count(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::per_tuple(1.0),
+            }),
+            pivot: Some(scan()),
+            chaos: None,
+        };
+        for out in shared_batches(&cat, &[query(), stray.clone(), query()]) {
+            assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+            let (k, err) = &out.failures[0];
+            assert_eq!(*k, 1);
+            assert!(
+                err.to_string().contains("pivot sub-plan not found"),
+                "{err}"
+            );
+            assert_eq!(out.group_sizes, [3], "it joined the group");
+            assert_eq!(out.results[0], expected_rows(&cat));
+            assert_eq!(out.results[2], expected_rows(&cat));
+        }
+    }
+
+    #[test]
+    fn an_ill_typed_fragment_over_a_shared_pivot_fails_alone() {
+        let cat = catalog();
+        // The pivot is sound; the member's own fragment above it reads
+        // column 9 and fails to instantiate. Its feed must close, or
+        // the pivot blocks on it and its peers never finish.
+        let bad = QuerySpec::shared_at(
+            "bad",
+            PhysicalPlan::Project {
+                input: Box::new(scan()),
+                exprs: vec![("e".into(), ScalarExpr::col(9))],
+                cost: OpCost::default(),
+            },
+            scan(),
+        );
+        for out in shared_batches(&cat, &[query(), bad.clone(), query()]) {
+            assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+            let (k, err) = &out.failures[0];
+            assert_eq!(*k, 1);
+            assert!(matches!(err, ExecError::PlanType(_)), "{err:?}");
+            assert_eq!(out.group_sizes, [3]);
+            assert_eq!(out.results[0], expected_rows(&cat));
+            assert_eq!(out.results[2], expected_rows(&cat));
+            assert_eq!(
+                out.offered,
+                out.completed + out.failures.len() + out.rejected + out.in_flight
+            );
+            assert_eq!((out.completed, out.in_flight), (2, 0));
+        }
     }
 
     /// A closed system of `clients` advanced to the virtual `horizon`.
