@@ -5,7 +5,11 @@
 //! engine); compatible queries whose admission the [`Policy`] approves
 //! merge into a sharing group. At dispatch, the group's pivot sub-plan
 //! is instantiated **once** with one output channel per member, and each
-//! member's private above-fragment is grafted onto its channel.
+//! member's private above-fragment is grafted onto its channel. Every
+//! member, shared or not, is attached the same way: its fragment (its
+//! whole plan when unshared) is instantiated over its feed, or its sink
+//! reads the feed itself when the whole query is the pivot, and any
+//! error closes the feed and fails that query alone.
 //!
 //! Compatibility is *semantic*, not structural: pivots are bucketed by
 //! [`cordoba_exec::subsume::fingerprint`] and an arrival joins a group
@@ -277,218 +281,164 @@ impl DispatcherTask {
         core.group_sizes.push(group.members.len());
         let gid = core.group_seq;
         core.group_seq += 1;
-        let catalog = core.catalog.clone();
-        match group.pivot.clone() {
-            Some(pivot) => {
-                // One pivot instance, one output channel per member.
-                let mut outs = Vec::with_capacity(group.members.len() + 1);
-                let mut rxs = Vec::with_capacity(group.members.len());
-                for _ in &group.members {
-                    let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
-                    outs.push(Outlet::from(tx));
-                    rxs.push(rx);
-                }
-                // Faults of the shared producer each member must watch
-                // (none for a cached replay: those pages are from an
-                // already-completed, fault-free run).
-                let pivot_fault: Option<FaultCell>;
-                if let Some(hit) = &group.cached {
-                    // Replay the cached pages: the pivot's input work is
-                    // already paid; only per-consumer delivery remains.
-                    let pages = hit.pages.borrow().clone();
-                    let replay = Box::new(ScanKernel::new(pages, OpCost::per_tuple(0.0)));
-                    let fanout = Fanout::new(outs, root_out_per_tuple(&pivot));
-                    let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default());
-                    ctx.spawn_task(format!("g{gid}/cached"), Box::new(task));
-                    pivot_fault = None;
-                } else {
-                    // The shared pivot gets its own broker/fault pair;
-                    // each member's private fragment gets another below,
-                    // so one member's overrun cannot starve its peers.
-                    let pivot_res = QueryResources::for_config(&core.wiring.memory);
-                    // With a cache configured, one extra consumer
-                    // captures the pivot's pages for later replay — the
-                    // pivot pays the same `s` for it as for any member.
-                    // Under never-share the cache is never consulted, so
-                    // capturing would be pure overhead: skip it.
-                    let capture_rx = (core.policy.may_share() && core.fragment_cache.is_some())
-                        .then(|| {
-                            let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
-                            outs.push(tx.into());
-                            rx
-                        });
-                    let mut no_sources = VecDeque::new();
-                    if let Err(err) = instantiate_into(
-                        ctx,
-                        &catalog,
-                        &pivot,
-                        outs,
-                        &mut no_sources,
-                        &format!("g{gid}/shared"),
-                        &core.wiring,
-                        &pivot_res,
-                    ) {
-                        // Malformed pivot: the whole group fails; nothing
-                        // was spawned (instantiation is all-or-nothing).
-                        for member in group.members {
-                            Self::fail_query(core, member.submission, &err);
-                        }
-                        return;
-                    }
-                    if let Some(rx) = capture_rx {
-                        let entry = CachedFragment::in_flight(
-                            group.fingerprint.unwrap_or_else(|| fingerprint(&pivot)),
-                            pivot.clone(),
-                        );
-                        let ready = entry.ready.clone();
-                        let fault = pivot_res.fault.clone();
-                        let capture =
-                            SinkKernel::new(OpCost::per_tuple(0.0)).collecting(entry.pages.clone());
-                        let sink = OperatorShell::new(
-                            Box::new(capture),
-                            vec![rx.into()],
-                            Fanout::none(),
-                            FaultCell::default(),
-                        )
-                        .on_done(Box::new(move |_ctx| {
-                            // Servable only if the pivot drained
-                            // without faulting.
-                            if fault.get().is_none() {
-                                ready.set(true);
-                            }
-                        }));
-                        ctx.spawn_task(format!("g{gid}/capture"), Box::new(sink));
-                        // The cache was present when the capture channel
-                        // opened, but a teardown path may have dropped it
-                        // since; the capture sink then just drains.
-                        if let Some(cache) = core.fragment_cache.as_mut() {
-                            cache.insert(entry);
-                        }
-                    }
-                    pivot_fault = Some(pivot_res.fault);
-                }
-                for (member, rx) in group.members.into_iter().zip(rxs) {
-                    let label = format!("q{}/{}", member.submission, member.spec.name);
-                    // A member without a pivot cannot be split against
-                    // the group's: fail just that query (closing its
-                    // feed so the pivot never blocks on it) and keep
-                    // dispatching the rest of the group.
-                    let Some(own_pivot) = member.spec.pivot.as_ref() else {
-                        rx.close(ctx);
-                        Self::fail_query(
-                            core,
-                            member.submission,
-                            &ExecError::plan("grouped member lost its pivot before dispatch"),
-                        );
-                        continue;
-                    };
-                    match split_with_residual(&member.spec.plan, own_pivot, &pivot, &catalog) {
-                        Ok(Some(fragment)) => {
-                            let member_res = QueryResources::for_config(&core.wiring.memory);
-                            let (sink_tx, sink_rx) = channel::bounded(core.wiring.queue_capacity);
-                            // Keep a cancellation handle: if the private
-                            // fragment is rejected, the pivot must not
-                            // block forever on this member's channel.
-                            let rx_cancel = rx.clone();
-                            let mut sources = VecDeque::from([rx.into()]);
-                            match instantiate_into(
-                                ctx,
-                                &catalog,
-                                &fragment,
-                                vec![sink_tx.into()],
-                                &mut sources,
-                                &label,
-                                &core.wiring,
-                                &member_res,
-                            ) {
-                                Ok(_) => Self::spawn_sink(
-                                    core,
-                                    core_rc,
-                                    ctx,
-                                    sink_rx,
-                                    member,
-                                    &label,
-                                    pivot_fault
-                                        .iter()
-                                        .cloned()
-                                        .chain([member_res.fault])
-                                        .collect(),
-                                ),
-                                Err(err) => {
-                                    rx_cancel.close(ctx);
-                                    Self::fail_query(core, member.submission, &err);
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            // Entire query shared: sink reads the pivot
-                            // output directly.
-                            Self::spawn_sink(
-                                core,
-                                core_rc,
-                                ctx,
-                                rx,
-                                member,
-                                &label,
-                                pivot_fault.iter().cloned().collect(),
-                            );
-                        }
-                        Err(err) => {
-                            // Bad sharing decision (pivot missing from
-                            // the plan, or subsumption violated): fail
-                            // only this query.
-                            rx.close(ctx);
-                            Self::fail_query(core, member.submission, &err);
-                        }
-                    }
-                }
+        let Some(pivot) = &group.pivot else {
+            for member in group.members {
+                let plan = member.spec.plan.clone();
+                Self::spawn_member(core, core_rc, ctx, member, Ok(Some(plan)), None, vec![]);
             }
-            None => {
-                for member in group.members {
-                    let label = format!("q{}/{}", member.submission, member.spec.name);
-                    let res = QueryResources::for_config(&core.wiring.memory);
-                    let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
-                    let mut no_sources = VecDeque::new();
-                    match instantiate_into(
-                        ctx,
-                        &catalog,
-                        &member.spec.plan,
-                        vec![tx.into()],
-                        &mut no_sources,
-                        &label,
-                        &core.wiring,
-                        &res,
-                    ) {
-                        Ok(_) => Self::spawn_sink(
-                            core,
-                            core_rc,
-                            ctx,
-                            rx,
-                            member,
-                            &label,
-                            vec![res.fault],
-                        ),
-                        Err(err) => Self::fail_query(core, member.submission, &err),
-                    }
-                }
-            }
+            return;
+        };
+        // One pivot instance, one feed per member.
+        let (outs, feeds): (Vec<Outlet>, Vec<_>) = group
+            .members
+            .iter()
+            .map(|_| {
+                let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+                (tx.into(), rx)
+            })
+            .unzip();
+        let shared = Self::spawn_pivot(core, ctx, gid, &group, pivot, outs);
+        for (member, feed) in group.members.into_iter().zip(feeds) {
+            // A member without a pivot of its own is split at the
+            // group's, which fails it unless its plan holds that.
+            let own = member.spec.pivot.as_ref().unwrap_or(pivot);
+            let fragment = match &shared {
+                Ok(_) => split_with_residual(&member.spec.plan, own, pivot, &core.catalog),
+                Err(err) => Err(err.clone()),
+            };
+            let faults = shared.iter().flatten().cloned().collect();
+            Self::spawn_member(core, core_rc, ctx, member, fragment, Some(feed), faults);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_sink(
+    /// Spawns a group's pivot delivering to `outs`: a replay of its
+    /// cached pages, or one instance of `pivot` (with a capture sink
+    /// when a fragment cache is configured). Returns the fault cell the
+    /// members' sinks must watch — none for a replay, whose pages come
+    /// from a completed, fault-free run — or the error that rejected
+    /// the pivot, in which case nothing was spawned.
+    fn spawn_pivot(
+        core: &mut EngineCore,
+        ctx: &mut TaskCtx<'_>,
+        gid: u64,
+        group: &PendingGroup,
+        pivot: &PhysicalPlan,
+        mut outs: Vec<Outlet>,
+    ) -> Result<Option<FaultCell>, ExecError> {
+        if let Some(hit) = &group.cached {
+            // Replay the cached pages: the pivot's input work is
+            // already paid; only per-consumer delivery remains.
+            let pages = hit.pages.borrow().clone();
+            let replay = Box::new(ScanKernel::new(pages, OpCost::per_tuple(0.0)));
+            let fanout = Fanout::new(outs, root_out_per_tuple(pivot));
+            let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default());
+            ctx.spawn_task(format!("g{gid}/cached"), Box::new(task));
+            return Ok(None);
+        }
+        // The shared pivot gets its own broker/fault pair; each
+        // member's private fragment gets another, so one member's
+        // overrun cannot starve its peers.
+        let res = QueryResources::for_config(&core.wiring.memory);
+        // With a cache configured, one extra consumer captures the
+        // pivot's pages for later replay — the pivot pays the same `s`
+        // for it as for any member. Under never-share the cache is
+        // never consulted, so capturing would be pure overhead: skip it.
+        let capture_rx = (core.policy.may_share() && core.fragment_cache.is_some()).then(|| {
+            let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+            outs.push(tx.into());
+            rx
+        });
+        instantiate_into(
+            ctx,
+            &core.catalog,
+            pivot,
+            outs,
+            &mut VecDeque::new(),
+            &format!("g{gid}/shared"),
+            &core.wiring,
+            &res,
+        )?;
+        if let Some(rx) = capture_rx {
+            let entry = CachedFragment::in_flight(
+                group.fingerprint.unwrap_or_else(|| fingerprint(pivot)),
+                pivot.clone(),
+            );
+            let ready = entry.ready.clone();
+            let fault = res.fault.clone();
+            let capture = SinkKernel::new(OpCost::per_tuple(0.0)).collecting(entry.pages.clone());
+            let sink = OperatorShell::new(
+                Box::new(capture),
+                vec![rx.into()],
+                Fanout::none(),
+                FaultCell::default(),
+            )
+            .on_done(Box::new(move |_ctx| {
+                // Servable only if the pivot drained without faulting.
+                if fault.get().is_none() {
+                    ready.set(true);
+                }
+            }));
+            ctx.spawn_task(format!("g{gid}/capture"), Box::new(sink));
+            // The cache was present when the capture channel opened,
+            // but a teardown path may have dropped it since; the
+            // capture sink then just drains.
+            if let Some(cache) = core.fragment_cache.as_mut() {
+                cache.insert(entry);
+            }
+        }
+        Ok(Some(res.fault))
+    }
+
+    /// Attaches one member: instantiates its `fragment` over `feed`, the
+    /// member's channel from its group's pivot if it shares one, and
+    /// spawns its sink over the fragment's output — over `feed` itself
+    /// when `fragment` is `None`, the whole query being the pivot. The
+    /// sink fails the query on a fault in any of `faults` (the
+    /// pivot's, first), in the fragment, or injected by chaos. On an
+    /// error the feed is closed, so the pivot never blocks on it, and
+    /// only this query fails.
+    fn spawn_member(
         core: &mut EngineCore,
         core_rc: &Rc<RefCell<EngineCore>>,
         ctx: &mut TaskCtx<'_>,
-        rx: channel::Receiver<Arc<Page>>,
         member: Arrival,
-        label: &str,
-        faults: Vec<FaultCell>,
+        fragment: Result<Option<PhysicalPlan>, ExecError>,
+        feed: Option<channel::Receiver<Arc<Page>>>,
+        mut faults: Vec<FaultCell>,
     ) {
-        let engine = Rc::downgrade(core_rc);
-        let spec = member.spec.clone();
-        let submission = member.submission;
-        let mut faults = faults;
+        let label = format!("q{}/{}", member.submission, member.spec.name);
+        let input = fragment.and_then(|fragment| {
+            let Some(plan) = fragment else {
+                return feed
+                    .clone()
+                    .ok_or_else(|| ExecError::plan("no pivot feeds the member"));
+            };
+            let res = QueryResources::for_config(&core.wiring.memory);
+            let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+            let mut sources = feed.iter().map(|feed| feed.clone().into()).collect();
+            instantiate_into(
+                ctx,
+                &core.catalog,
+                &plan,
+                vec![tx.into()],
+                &mut sources,
+                &label,
+                &core.wiring,
+                &res,
+            )?;
+            faults.push(res.fault);
+            Ok(rx)
+        });
+        let rx = match input {
+            Ok(rx) => rx,
+            Err(err) => {
+                if let Some(feed) = feed {
+                    feed.close(ctx);
+                }
+                Self::fail_query(core, member.submission, &err);
+                return;
+            }
+        };
         if let Some(err) = &member.spec.chaos {
             // Chaos injection: a pre-set fault cell only this member's
             // sink watches, so the query fails while its group peers
@@ -501,6 +451,8 @@ impl DispatcherTask {
         if let Some(collect) = &core.collect {
             kernel = kernel.collecting(collect[member.submission].clone());
         }
+        let engine = Rc::downgrade(core_rc);
+        let (spec, submission) = (member.spec, member.submission);
         let sink = OperatorShell::new(
             Box::new(kernel),
             vec![rx.into()],
@@ -526,7 +478,7 @@ impl DispatcherTask {
             core.completion_records.push((submission, ctx.now()));
             core.live_queries = core.live_queries.saturating_sub(1);
             if core.resubmit {
-                core.offer(spec.clone(), ctx.now(), true);
+                core.offer(spec, ctx.now(), true);
                 let dispatcher = core.dispatcher;
                 drop(core);
                 if let Some(d) = dispatcher {

@@ -1,19 +1,16 @@
 //! Sub-plan surgery: detecting shareable subtrees and splitting a
 //! member query into (shared pivot sub-plan, private above-fragment).
 //!
-//! Two splitting modes:
-//!
-//! * [`split_at_pivot`] — the historic exact mode: the member's own
-//!   pivot subtree occurs structurally in its plan and is replaced by a
-//!   [`PhysicalPlan::Source`] leaf.
-//! * [`split_with_residual`] — the subsumption mode: the group runs a
-//!   *wider* pivot that semantically contains the member's own pivot
-//!   ([`cordoba_exec::subsume`]); the member attaches through a residual
-//!   filter that re-applies the clauses its pivot has beyond the
-//!   group's. When the pivots are structurally equal the residual is
-//!   [`Predicate::True`] and this degenerates to [`split_at_pivot`] —
-//!   the wiring (operator count, labels, costs) is byte-identical to
-//!   the exact path.
+//! [`split_with_residual`] is the one split, on both substrates: the
+//! dispatcher calls it for every member of a sharing group, and
+//! `thread_exec` for each consumer of its pivot. The group runs a pivot
+//! that semantically contains the member's own
+//! ([`cordoba_exec::subsume`]); the member's own pivot subtree becomes a
+//! [`PhysicalPlan::Source`] leaf, under a residual filter that
+//! re-applies the clauses its pivot has beyond the group's. When the
+//! pivots are equal the residual is [`Predicate::True`] and no filter
+//! is added, so the wiring (operator count, labels, costs) is that of
+//! the exact split.
 
 use cordoba_exec::expr::Predicate;
 use cordoba_exec::plan::SchemaRef;
@@ -33,7 +30,7 @@ pub fn contains_subtree(plan: &PhysicalPlan, needle: &PhysicalPlan) -> bool {
 /// shared and the consumer attaches directly to the pivot's output),
 /// and a typed plan error when `pivot` does not occur in `plan` — a bad
 /// sharing decision fails only the query it concerns.
-pub fn split_at_pivot(
+fn split_at_pivot(
     plan: &PhysicalPlan,
     pivot: &PhysicalPlan,
     catalog: &Catalog,
@@ -42,7 +39,7 @@ pub fn split_at_pivot(
         return Ok(None);
     }
     let source = PhysicalPlan::Source {
-        schema: SchemaRef(pivot.output_schema(catalog)),
+        schema: SchemaRef(pivot.try_output_schema(catalog)?),
     };
     let mut fragment = plan.clone();
     if !rewrite_first(&mut fragment, &|node| node == pivot, &source) {
@@ -69,7 +66,6 @@ pub fn split_with_residual(
         return Err(ExecError::plan("group pivot does not subsume member pivot"));
     };
     if residual == Predicate::True {
-        // Exact coverage: wire precisely as the historic path would.
         return split_at_pivot(plan, own_pivot, catalog);
     }
     // The Source leaf carries the *group* pivot's output schema (same
@@ -77,7 +73,7 @@ pub fn split_with_residual(
     // residual filter restores member-pivot semantics above it. The
     // filter is priced like the member's own outermost peeled filter:
     // the residual work is real per-tuple selection-vector work.
-    let schema = SchemaRef(group_pivot.output_schema(catalog));
+    let schema = SchemaRef(group_pivot.try_output_schema(catalog)?);
     let residual_cost = peel_filters(own_pivot).filter_cost.unwrap_or_default();
     let filtered_source = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::Source {
@@ -295,16 +291,37 @@ mod tests {
     #[test]
     fn residual_split_with_equal_pivots_matches_exact_split() {
         let cat = catalog();
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(banded(10, 20)),
-            group_by: vec![],
-            aggs: vec![],
-            cost: OpCost::default(),
+        let join = PhysicalPlan::HashJoin {
+            build: Box::new(scan()),
+            probe: Box::new(banded(10, 20)),
+            build_key: 0,
+            probe_key: 0,
+            kind: cordoba_exec::JoinKind::Inner,
+            build_cost: OpCost::default(),
+            probe_cost: OpCost::per_tuple(1.0),
         };
-        let exact = split_at_pivot(&plan, &banded(10, 20), &cat).unwrap();
-        let via_residual =
-            split_with_residual(&plan, &banded(10, 20), &banded(10, 20), &cat).unwrap();
-        assert_eq!(exact, via_residual);
+        // A NaN literal equals nothing under `f64`'s `==`, and orders
+        // against no bound.
+        let nan = PhysicalPlan::Filter {
+            input: Box::new(scan()),
+            predicate: Predicate::col_cmp(0, CmpOp::Lt, f64::NAN),
+            cost: OpCost::per_tuple(2.0),
+        };
+        for pivot in [banded(10, 20), join, nan] {
+            let above = PhysicalPlan::Aggregate {
+                input: Box::new(pivot.clone()),
+                group_by: vec![],
+                aggs: vec![],
+                cost: OpCost::default(),
+            };
+            // Over the pivot, and the whole plan the pivot.
+            for plan in [above, pivot.clone()] {
+                let exact = split_at_pivot(&plan, &pivot, &cat).unwrap();
+                let via_residual = split_with_residual(&plan, &pivot, &pivot, &cat).unwrap();
+                assert_eq!(exact, via_residual, "{plan:?}");
+                assert_eq!(exact.is_none(), plan == pivot, "{plan:?}");
+            }
+        }
     }
 
     #[test]

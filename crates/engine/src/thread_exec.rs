@@ -42,7 +42,7 @@
 //! [`FaultCell`]: cordoba_exec::FaultCell
 
 use crate::query::QuerySpec;
-use crate::sharing::split_at_pivot;
+use crate::sharing::split_with_residual;
 use cordoba_exec::ops::{Handoff, Inlet, Outlet};
 use cordoba_exec::plan::SchemaRef;
 use cordoba_exec::wiring::{self, WiringConfig};
@@ -232,7 +232,7 @@ fn consume(
     cfg: &WiringConfig,
     broker: &MemoryBroker,
 ) -> Result<Rows, ExecError> {
-    let fragment = match split_at_pivot(plan, pivot, catalog)? {
+    let fragment = match split_with_residual(plan, pivot, pivot, catalog)? {
         Some(fragment) => fragment,
         None => PhysicalPlan::Source {
             schema: SchemaRef(pivot.try_output_schema(catalog)?),
@@ -632,8 +632,8 @@ mod tests {
         /// The pivot's root delivers `pages`, one per step.
         fn emit(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) {
             for page in pages {
-                self.fanout.begin(page.clone());
-                assert!(self.fanout.pump(ctx).1, "an OS link is never full");
+                self.fanout.extend(&mut vec![page.clone()]);
+                assert!(self.fanout.flush(ctx).1, "an OS link is never full");
             }
         }
 

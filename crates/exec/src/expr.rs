@@ -7,7 +7,7 @@ use cordoba_storage::Date;
 use serde::{Deserialize, Serialize};
 
 /// A scalar expression over a tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ScalarExpr {
     /// Column by index (resolved against the input schema at plan build).
     Col(usize),
@@ -25,6 +25,26 @@ pub enum ScalarExpr {
     Sub(Box<ScalarExpr>, Box<ScalarExpr>),
     /// Numeric multiplication.
     Mul(Box<ScalarExpr>, Box<ScalarExpr>),
+}
+
+/// Structural equality, float literals compared by their bits: a NaN
+/// literal equals itself, so every plan equals its clone (the sharing
+/// split finds a pivot by `==`), and `-0.0` is not `0.0`.
+impl PartialEq for ScalarExpr {
+    fn eq(&self, other: &Self) -> bool {
+        use ScalarExpr::*;
+        match (self, other) {
+            (FloatLit(a), FloatLit(b)) => a.to_bits() == b.to_bits(),
+            (Col(a), Col(b)) => a == b,
+            (IntLit(a), IntLit(b)) => a == b,
+            (DateLit(a), DateLit(b)) => a == b,
+            (StrLit(a), StrLit(b)) => a == b,
+            (Add(a, b), Add(c, d)) | (Sub(a, b), Sub(c, d)) | (Mul(a, b), Mul(c, d)) => {
+                a == c && b == d
+            }
+            _ => false,
+        }
+    }
 }
 
 impl ScalarExpr {

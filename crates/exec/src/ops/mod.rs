@@ -41,21 +41,30 @@ pub use sort_key::{KeyScratch, PackedKeySpec};
 
 use cordoba_sim::{TaskCtx, VTime};
 use cordoba_storage::{DataType, Page, Schema, TupleRef};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Delivers produced pages to one or more consumers, charging the
-/// operator's per-consumer output cost (`s`) for each delivery.
+/// Delivers produced pages, in order, to one or more consumers,
+/// charging the operator's per-consumer output cost (`s`) for each
+/// delivery.
 ///
 /// This is the serialization point the paper analyzes: a pivot shared by
 /// `M` queries delivers every page `M` times, paying `M · s` per tuple
 /// of forward progress, all in a single thread of control — whether
 /// its consumers run in the same run loop or on threads of their own
-/// ([`Outlet`]).
+/// ([`Outlet`]). A kernel call may emit several pages (projections that
+/// widen rows, joins, aggregate emission); they queue behind the one
+/// in delivery, and a full consumer pauses the queue without
+/// reordering it.
 pub struct Fanout {
     outs: Vec<Outlet>,
     /// What is mid-delivery, and the first consumer not yet served.
     pending: Option<(Delivery, usize)>,
     out_per_tuple: f64,
+    /// Pages waiting behind `pending`.
+    queue: VecDeque<Arc<Page>>,
+    /// The morsel the queued pages end, told after them.
+    morsel_end: Option<usize>,
 }
 
 /// What a fan-out delivers: a page, or the end of the producer's
@@ -72,6 +81,8 @@ impl Fanout {
             outs,
             pending: None,
             out_per_tuple,
+            queue: VecDeque::new(),
+            morsel_end: None,
         }
     }
 
@@ -90,108 +101,14 @@ impl Fanout {
         !self.outs.is_empty() && self.outs.iter().all(Outlet::is_hung_up)
     }
 
-    /// Whether a page is mid-delivery (some consumers not yet served).
-    pub fn is_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Begins delivering `page` to all consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a delivery is already pending — callers must pump to
-    /// completion first.
-    pub fn begin(&mut self, page: Arc<Page>) {
-        self.start(Delivery::Page(page));
-    }
-
-    /// Begins telling all consumers that the producer's morsel `index`
-    /// has ended, at no cost; panics as [`Fanout::begin`] does.
-    fn begin_morsel_end(&mut self, index: usize) {
-        self.start(Delivery::MorselEnd(index));
-    }
-
-    fn start(&mut self, what: Delivery) {
-        assert!(self.pending.is_none(), "fanout already has a pending page");
-        self.pending = Some((what, 0));
-    }
-
-    /// Continues the pending delivery. Returns the cost accrued this
-    /// call and whether delivery completed (`false` = blocked on a full
-    /// consumer queue; the task should return [`cordoba_sim::Step::blocked`]).
-    pub fn pump(&mut self, ctx: &mut TaskCtx<'_>) -> (VTime, bool) {
-        let Some((what, mut next)) = self.pending.take() else {
-            return (0, true);
-        };
-        let charge = match &what {
-            Delivery::Page(page) => (self.out_per_tuple * page.rows() as f64).round() as VTime,
-            Delivery::MorselEnd(_) => 0,
-        };
-        let mut cost = 0;
-        while next < self.outs.len() {
-            let out = &mut self.outs[next];
-            let delivered = match &what {
-                Delivery::Page(page) => out.send(page.clone(), ctx).is_ok(),
-                Delivery::MorselEnd(index) => out.end_morsel(*index, ctx),
-            };
-            if !delivered {
-                self.pending = Some((what, next));
-                return (cost, false);
-            }
-            cost += charge;
-            next += 1;
-        }
-        (cost, true)
-    }
-
-    /// Closes all consumer channels (end of stream).
-    pub fn close(&mut self, ctx: &mut TaskCtx<'_>) {
-        for out in &mut self.outs {
-            out.close(ctx);
-        }
-    }
-
-    /// Discards a mid-delivery page (query abort): consumers already
-    /// served keep it, the rest never see it.
-    pub fn abandon(&mut self) {
-        self.pending = None;
-    }
-}
-
-/// An ordered queue of produced pages awaiting fan-out delivery.
-///
-/// Operators that can emit several pages from one step (projections that
-/// widen rows, joins, aggregate emission) push here and flush; pages are
-/// delivered in order, and a blocked consumer pauses the queue without
-/// reordering.
-pub struct Outbox {
-    queue: std::collections::VecDeque<Arc<Page>>,
-    /// The morsel the queued pages end, told after them.
-    morsel_end: Option<usize>,
-    fanout: Fanout,
-}
-
-impl Outbox {
-    /// Wraps a fan-out in an ordered outbox.
-    pub fn new(fanout: Fanout) -> Self {
-        Self {
-            queue: std::collections::VecDeque::new(),
-            morsel_end: None,
-            fanout,
-        }
-    }
-
-    /// Queues a page for delivery.
-    pub fn push(&mut self, page: Arc<Page>) {
-        self.queue.push_back(page);
-    }
-
     /// Queues every page of `pages`, in order, leaving it empty. A lone
     /// page with nothing ahead of it — a scan's, most filters' — goes
-    /// straight to the fan-out, sparing the hot path the queue.
+    /// straight to delivery, sparing the hot path the queue.
     pub fn extend(&mut self, pages: &mut Vec<Arc<Page>>) {
         match pages.pop() {
-            Some(page) if pages.is_empty() && self.is_drained() => self.fanout.begin(page),
+            Some(page) if pages.is_empty() && self.is_drained() => {
+                self.pending = Some((Delivery::Page(page), 0));
+            }
             last => {
                 self.queue.extend(pages.drain(..));
                 self.queue.extend(last);
@@ -201,57 +118,67 @@ impl Outbox {
 
     /// Queues the end of the producer's morsel `index`, told to the
     /// consumers once the pages queued before it are delivered.
-    pub fn end_morsel(&mut self, index: usize) {
+    pub(crate) fn end_morsel(&mut self, index: usize) {
         self.morsel_end = Some(index);
     }
 
-    /// Whether all queued pages have been fully delivered.
-    pub fn is_drained(&self) -> bool {
-        self.queue.is_empty() && self.morsel_end.is_none() && !self.fanout.is_pending()
+    fn is_drained(&self) -> bool {
+        self.pending.is_none() && self.queue.is_empty() && self.morsel_end.is_none()
     }
 
-    /// Delivers as much as possible; returns accrued cost and whether
-    /// the outbox fully drained (`false` = blocked on a consumer).
+    /// Delivers as much as possible, each page to every consumer in
+    /// turn. Returns the cost accrued and whether everything queued was
+    /// delivered (`false` = blocked on a full consumer queue; the task
+    /// should return [`cordoba_sim::Step::blocked`]).
     pub fn flush(&mut self, ctx: &mut TaskCtx<'_>) -> (VTime, bool) {
         let mut cost = 0;
         loop {
-            let (c, done) = self.fanout.pump(ctx);
-            cost += c;
-            if !done {
-                return (cost, false);
-            }
-            if let Some(page) = self.queue.pop_front() {
-                self.fanout.begin(page);
+            let (what, mut next) = if let Some(pending) = self.pending.take() {
+                pending
+            } else if let Some(page) = self.queue.pop_front() {
+                (Delivery::Page(page), 0)
             } else if let Some(index) = self.morsel_end.take() {
-                self.fanout.begin_morsel_end(index);
+                (Delivery::MorselEnd(index), 0)
             } else {
                 return (cost, true);
+            };
+            let charge = match &what {
+                Delivery::Page(page) => (self.out_per_tuple * page.rows() as f64).round() as VTime,
+                Delivery::MorselEnd(_) => 0,
+            };
+            while next < self.outs.len() {
+                let out = &mut self.outs[next];
+                let delivered = match &what {
+                    Delivery::Page(page) => out.send(page.clone(), ctx).is_ok(),
+                    Delivery::MorselEnd(index) => out.end_morsel(*index, ctx),
+                };
+                if !delivered {
+                    self.pending = Some((what, next));
+                    return (cost, false);
+                }
+                cost += charge;
+                next += 1;
             }
         }
     }
 
-    /// Whether nobody reads the fan-out any more
-    /// ([`Fanout::is_unheard`]).
-    #[inline]
-    pub fn is_unheard(&self) -> bool {
-        self.fanout.is_unheard()
-    }
-
-    /// Closes all consumer channels.
+    /// Closes all consumer channels (end of stream).
     pub fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         debug_assert!(
             self.is_drained(),
-            "closing an outbox with undelivered pages"
+            "closing a fan-out with undelivered pages"
         );
-        self.fanout.close(ctx);
+        for out in &mut self.outs {
+            out.close(ctx);
+        }
     }
 
-    /// Discards every undelivered page (query abort) so the outbox can
-    /// close without delivering stale results downstream.
-    pub fn abandon(&mut self) {
+    /// Discards everything undelivered (query abort): consumers already
+    /// served a page keep it, the rest never see it.
+    pub(crate) fn abandon(&mut self) {
+        self.pending = None;
         self.queue.clear();
         self.morsel_end = None;
-        self.fanout.abandon();
     }
 }
 

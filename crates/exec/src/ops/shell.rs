@@ -15,12 +15,12 @@
 //!   produced. A full consumer ends the step ([`Step::blocked`]) before
 //!   anything new is read, so pages are neither lost nor reordered and
 //!   at most one kernel call's output is ever queued.
-//! * **One page per step.** With the outbox empty the shell reads one
-//!   page from the port [`Kernel::next_port`] names — by default the
-//!   first open one in the order of [`Kernel::ports`] (build before
-//!   probe, inner before outer), so ports are read to their end one
-//!   after the other; the merge join names the side its merge is
-//!   starved on — checks its schema, and hands it to
+//! * **One page per step.** With nothing left to deliver the shell
+//!   reads one page from the port [`Kernel::next_port`] names — by
+//!   default the first open one in the order of [`Kernel::ports`]
+//!   (build before probe, inner before outer), so ports are read to
+//!   their end one after the other; the merge join names the side its
+//!   merge is starved on — checks its schema, and hands it to
 //!   [`Kernel::on_page`]. An empty channel registers the task as a
 //!   waiter and blocks (an input from another thread blocks the thread
 //!   instead: see [`port`](super::port)). A closed one calls
@@ -78,7 +78,7 @@
 //! link through one port.
 
 use crate::error::{ExecError, FaultCell};
-use crate::ops::{Fanout, Inlet, Outbox};
+use crate::ops::{Fanout, Inlet};
 use cordoba_sim::channel::Recv;
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
 use cordoba_storage::{Page, Schema};
@@ -239,11 +239,11 @@ pub struct OperatorShell {
     inputs: Vec<Input>,
     /// Which inputs have not ended yet, in port order.
     open: Vec<bool>,
-    /// The kernel reported its last call: close once the outbox is
-    /// empty.
+    /// The kernel reported its last call: close once the fan-out has
+    /// delivered everything.
     last: bool,
     out: Pages,
-    outbox: Outbox,
+    fanout: Fanout,
     fault: FaultCell,
     on_done: Option<OnDone>,
 }
@@ -275,7 +275,7 @@ impl OperatorShell {
             kernel,
             last: false,
             out: Pages::new(),
-            outbox: Outbox::new(fanout),
+            fanout,
             fault,
             on_done: None,
         }
@@ -297,7 +297,7 @@ impl OperatorShell {
             ctx.add_progress(drained.progress as f64);
             self.last = drained.last;
             if let Some(index) = drained.morsel {
-                self.outbox.end_morsel(index);
+                self.fanout.end_morsel(index);
             }
             return Ok(Some((drained.cost, 0)));
         }
@@ -324,7 +324,7 @@ impl OperatorShell {
     fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
         self.fault.set(err);
         self.out.clear();
-        self.outbox.abandon();
+        self.fanout.abandon();
         self.stop(ctx, 1)
     }
 
@@ -342,7 +342,7 @@ impl OperatorShell {
     /// Ends the stream downstream, runs the `on_done` hook, and ends
     /// the task at `cost`.
     fn finish(&mut self, ctx: &mut TaskCtx<'_>, cost: VTime) -> Step {
-        self.outbox.close(ctx);
+        self.fanout.close(ctx);
         if let Some(on_done) = self.on_done.take() {
             on_done(ctx);
         }
@@ -352,19 +352,17 @@ impl OperatorShell {
 
 impl Task for OperatorShell {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
-        let (mut cost, mut drained) = self.outbox.flush(ctx);
+        let (mut cost, mut drained) = self.fanout.flush(ctx);
         let mut min_tick = 0;
         if drained && !self.last {
             match self.call_kernel(ctx) {
                 Ok(Some((work, floor))) => {
                     (cost, min_tick) = (cost + work, floor);
                     if !self.out.is_empty() {
-                        self.outbox.extend(&mut self.out);
+                        self.fanout.extend(&mut self.out);
                     }
-                    if !self.outbox.is_drained() {
-                        let (delivery, all) = self.outbox.flush(ctx);
-                        (cost, drained) = (cost + delivery, all);
-                    }
+                    let (delivery, all) = self.fanout.flush(ctx);
+                    (cost, drained) = (cost + delivery, all);
                 }
                 Ok(None) => return Step::blocked(cost),
                 Err(err) => return self.fail(ctx, err),
@@ -374,7 +372,7 @@ impl Task for OperatorShell {
             Step::blocked(cost)
         } else if self.last {
             self.finish(ctx, cost.max(min_tick))
-        } else if self.outbox.is_unheard() {
+        } else if self.fanout.is_unheard() {
             self.stop(ctx, cost.max(min_tick))
         } else {
             Step::yielded(cost.max(min_tick))
@@ -614,7 +612,7 @@ mod tests {
             }
             if seen.len() < 2 {
                 // Two read, the third in the channel: only then is the
-                // outbox empty and the next page read.
+                // fan-out empty and the next page read.
                 assert_eq!(rig.calls(), "page0", "page 2 waits for page 1's copies");
             }
         }
@@ -674,7 +672,7 @@ mod tests {
         let batch = rig.step();
         assert_eq!((batch.cost, batch.status), (3, StepStatus::Yield));
         // The next finds the consumer full; its page waits in the
-        // outbox and `drain` is not called again until it has left.
+        // fan-out and `drain` is not called again until it has left.
         let blocked = rig.step();
         assert_eq!((blocked.cost, blocked.status), (2, StepStatus::Blocked));
         assert_eq!(rig.step().status, StepStatus::Blocked);

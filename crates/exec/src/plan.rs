@@ -299,17 +299,6 @@ pub fn concat_schemas(left: &Arc<Schema>, right: &Arc<Schema>) -> Arc<Schema> {
     Schema::new(fields)
 }
 
-/// Infers the storage type of an expression against a schema.
-///
-/// # Panics
-///
-/// Panics on out-of-range column indices — use [`expr_type_checked`]
-/// for a fallible derivation.
-pub fn expr_type(expr: &ScalarExpr, schema: &Arc<Schema>) -> DataType {
-    // lint: allow(documented '# Panics' wrapper; fallible twin is expr_type_checked)
-    expr_type_checked(expr, schema).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Infers the storage type of an expression against a schema, returning
 /// a typed error on out-of-range column indices.
 pub fn expr_type_checked(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<DataType, ExecError> {

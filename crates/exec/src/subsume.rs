@@ -122,7 +122,7 @@ pub struct ColInterval {
 impl ColInterval {
     /// Narrows the lower bound to `b` where `b` is tighter. Returns
     /// `false`, changing nothing, when `b` cannot be ordered against the
-    /// bound in place (a literal of another type, or NaN).
+    /// bound in place (a literal of another type).
     fn tighten_lo(&mut self, b: Bound) -> bool {
         match self.lo {
             Some(old) if old.value.cmp_same(&b.value).is_none() => return false,
@@ -222,7 +222,8 @@ fn flatten_conjuncts(pred: &Predicate) -> Vec<&Predicate> {
 fn literal(expr: &ScalarExpr) -> Option<BoundValue> {
     match expr {
         ScalarExpr::IntLit(v) => Some(BoundValue::Int(*v)),
-        ScalarExpr::FloatLit(v) => Some(BoundValue::Float(*v)),
+        // NaN orders against no bound: the clause stays whole.
+        ScalarExpr::FloatLit(v) if !v.is_nan() => Some(BoundValue::Float(*v)),
         ScalarExpr::DateLit(d) => Some(BoundValue::Date(*d)),
         _ => None,
     }
@@ -608,8 +609,8 @@ mod tests {
             subsume_residual(&filtered("t", wide), &filtered("t", narrow)),
             None
         );
-        // A NaN literal orders against nothing either (and equals
-        // nothing, so the clause is matched by its form).
+        // A NaN literal orders against nothing either, so the clause
+        // is matched by its form.
         let nan = Predicate::col_cmp(0, CmpOp::Ge, f64::NAN);
         let both = Predicate::And(vec![Predicate::col_cmp(0, CmpOp::Ge, 1.0f64), nan.clone()]);
         let norm = NormPred::normalize(&both);

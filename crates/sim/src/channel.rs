@@ -117,12 +117,6 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Space remaining before the channel throttles its producers.
-    pub fn free_slots(&self) -> usize {
-        let inner = self.inner.borrow();
-        inner.capacity.saturating_sub(inner.queue.len())
-    }
-
     /// Marks this producer as finished. When the last clone of the
     /// sender closes, the channel is closed and waiting receivers are
     /// woken so they can observe [`Recv::Closed`].
@@ -366,15 +360,13 @@ mod tests {
     }
 
     #[test]
-    fn len_and_free_slots_track_queue() {
+    fn len_tracks_queue() {
         let (tx, rx) = bounded(3);
-        assert_eq!(tx.free_slots(), 3);
         assert!(rx.is_empty());
         let (_, _) = with_ctx(0, |ctx| {
             tx.try_send(1u32, ctx).unwrap();
             tx.try_send(2u32, ctx).unwrap();
         });
         assert_eq!(rx.len(), 2);
-        assert_eq!(tx.free_slots(), 1);
     }
 }

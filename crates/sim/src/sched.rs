@@ -183,11 +183,6 @@ impl Simulator {
         &self.slots[id.0].stats
     }
 
-    /// The name a task was spawned with.
-    pub fn task_name(&self, id: TaskId) -> &str {
-        &self.names[id.0]
-    }
-
     /// Iterates over `(id, name, stats)` for every task ever spawned.
     pub fn all_task_stats(&self) -> impl Iterator<Item = (TaskId, &str, &TaskStats)> {
         self.slots

@@ -20,14 +20,6 @@ pub struct TaskStats {
     pub completed_at: Option<VTime>,
 }
 
-impl TaskStats {
-    /// Active time per unit of forward progress — the empirical `p` of
-    /// the model (active/progress), or `None` if no progress was made.
-    pub fn p_estimate(&self) -> Option<f64> {
-        (self.progress > 0.0).then(|| self.active as f64 / self.progress)
-    }
-}
-
 /// Machine-level statistics for a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
@@ -154,23 +146,6 @@ impl Histogram {
             p999: self.quantile(0.999).expect("non-empty"),
         })
     }
-
-    /// Power-of-two histogram buckets as `(upper bound, count)` pairs in
-    /// ascending bound order, empty buckets skipped: a sample `v` lands
-    /// in the smallest bucket with `v ≤ bound`. Zero samples land in the
-    /// `1` bucket.
-    pub fn log2_buckets(&mut self) -> Vec<(VTime, u64)> {
-        self.ensure_sorted();
-        let mut out: Vec<(VTime, u64)> = Vec::new();
-        for &v in &self.samples {
-            let bound = v.max(1).next_power_of_two();
-            match out.last_mut() {
-                Some((b, n)) if *b == bound => *n += 1,
-                _ => out.push((bound, 1)),
-            }
-        }
-        out
-    }
 }
 
 /// The tail-latency summary of one [`Histogram`] (quantiles are
@@ -198,19 +173,6 @@ pub struct LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn p_estimate_divides_active_by_progress() {
-        let s = TaskStats {
-            active: 200,
-            steps: 10,
-            progress: 10.0,
-            completed_at: None,
-        };
-        assert_eq!(s.p_estimate(), Some(20.0));
-        let none = TaskStats::default();
-        assert_eq!(none.p_estimate(), None);
-    }
 
     #[test]
     fn utilization_bounds() {
@@ -266,7 +228,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
         assert!(h.summary().is_none());
-        assert!(h.log2_buckets().is_empty());
     }
 
     #[test]
@@ -313,17 +274,5 @@ mod tests {
         a.record(2);
         let mut c = Histogram::from_samples(vec![1, 2, 3, 5, 7, 9]);
         assert_eq!(a.summary(), c.summary(), "same multiset, same summary");
-    }
-
-    #[test]
-    fn log2_buckets_cover_all_samples() {
-        let mut h = Histogram::from_samples(vec![0, 1, 2, 3, 4, 5, 8, 9, 1000]);
-        let buckets = h.log2_buckets();
-        assert_eq!(
-            buckets,
-            vec![(1, 2), (2, 1), (4, 2), (8, 2), (16, 1), (1024, 1)]
-        );
-        let total: u64 = buckets.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, h.len() as u64);
     }
 }

@@ -52,20 +52,6 @@ pub fn render_gantt(spans: &[Span], contexts: usize, width: usize) -> String {
     out
 }
 
-/// Busy fraction per context over the traced interval.
-pub fn utilization_per_context(spans: &[Span], contexts: usize) -> Vec<f64> {
-    let mut busy = vec![0u128; contexts];
-    let t0 = spans.iter().map(|s| s.start).min().unwrap_or(0);
-    let t1 = spans.iter().map(|s| s.end).max().unwrap_or(0);
-    for s in spans {
-        if s.context < contexts {
-            busy[s.context] += (s.end - s.start) as u128;
-        }
-    }
-    let span = (t1 - t0).max(1) as f64;
-    busy.into_iter().map(|b| b as f64 / span).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,18 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn utilization_per_context_fractions() {
-        let spans = vec![span(0, 0, 0, 100), span(1, 1, 0, 25)];
-        let u = utilization_per_context(&spans, 2);
-        assert!((u[0] - 1.0).abs() < 1e-12);
-        assert!((u[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn out_of_range_contexts_ignored() {
         let spans = vec![span(0, 7, 0, 10)];
-        let u = utilization_per_context(&spans, 2);
-        assert_eq!(u, vec![0.0, 0.0]);
         let g = render_gantt(&spans, 2, 10);
         assert!(g.contains("ctx  0"));
     }
