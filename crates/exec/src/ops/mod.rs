@@ -339,6 +339,35 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_page_queues_behind_a_blocked_delivery() {
+        use cordoba_sim::channel::{self, Recv};
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let page = |x| {
+            let mut b = PageBuilder::new(schema.clone());
+            b.push_row(&[Value::Int(x)]);
+            b.finish()
+        };
+        let (tx, rx) = channel::bounded(1);
+        let mut fanout = Fanout::new(vec![tx.into()], 1.0);
+        // Only the first lone page goes straight to delivery; the other
+        // two queue behind it in order.
+        for x in [1, 2, 3] {
+            fanout.extend(&mut vec![page(x)]);
+        }
+        let mut detached = cordoba_sim::DetachedCtx::new();
+        let mut read = Vec::new();
+        // A page costs 1 to deliver; each flush fills the one slot.
+        for done in [false, false, true] {
+            assert_eq!(fanout.flush(&mut detached.ctx(0)), (1, done));
+            match rx.try_recv(&mut detached.ctx(1)) {
+                Recv::Value(page) => read.push(page.tuple(0).get_int(0)),
+                other => panic!("expected a page, got {other:?}"),
+            }
+        }
+        assert_eq!(read, [1, 2, 3]);
+    }
+
+    #[test]
     fn keyvals_sort_lexicographically() {
         let a = vec![KeyVal::Str("A".into()), KeyVal::Str("F".into())];
         let b = vec![KeyVal::Str("A".into()), KeyVal::Str("O".into())];
