@@ -91,29 +91,8 @@ pub struct SpeedupPoint {
     pub z: f64,
 }
 
-/// Measures the speedup of always-share over never-share for `m`
-/// identical copies of `spec` on `contexts` contexts, one worker each.
-pub fn sharing_speedup(
-    catalog: &Catalog,
-    spec: &QuerySpec,
-    clients: usize,
-    contexts: usize,
-    work_hint: VTime,
-    measure_floor: usize,
-) -> SpeedupPoint {
-    sharing_speedup_with_workers(
-        catalog,
-        spec,
-        clients,
-        contexts,
-        1,
-        work_hint,
-        measure_floor,
-    )
-}
-
 /// Sweeps clients × contexts for one query (a full panel of Figure 1/2).
-pub fn speedup_sweep(
+pub(crate) fn speedup_sweep(
     catalog: &Catalog,
     spec: &QuerySpec,
     clients: &[usize],
@@ -124,7 +103,7 @@ pub fn speedup_sweep(
     let mut out = Vec::new();
     for &n in contexts {
         for &m in clients {
-            out.push(sharing_speedup(catalog, spec, m, n, work, measure_floor));
+            out.push(sharing_speedup(catalog, spec, m, n, 1, work, measure_floor));
         }
     }
     out
@@ -135,7 +114,7 @@ pub fn speedup_sweep(
 /// (Figure 5's model series and its (m × k) grid; Figure 4 uses the
 /// synthetic plans directly). The group is the policy's own pricing of
 /// `m` exact-overlap members.
-pub fn model_speedup(
+pub(crate) fn model_speedup(
     info: &QueryModelInfo,
     clients: usize,
     contexts: usize,
@@ -152,7 +131,7 @@ pub fn model_speedup(
 /// potential way to exploit work sharing while reducing the
 /// serialization penalty").
 #[derive(Debug, Clone, PartialEq)]
-pub struct Partition {
+pub(crate) struct Partition {
     /// Group sizes (non-increasing; sizes differ by at most one).
     pub groups: Vec<usize>,
     /// Predicted aggregate rate of forward progress.
@@ -165,7 +144,7 @@ pub struct Partition {
 
 impl Partition {
     /// The dominant group size.
-    pub fn group_size(&self) -> usize {
+    pub(crate) fn group_size(&self) -> usize {
         self.groups.first().copied().unwrap_or(0)
     }
 }
@@ -181,7 +160,7 @@ impl Partition {
 /// `x_shared(gᵢ, n·gᵢ/m)`. `g = 1` reproduces the never-share baseline
 /// and `g = m` the always-share extreme, so the result is never worse
 /// than either.
-pub fn optimal_partition(
+pub(crate) fn optimal_partition(
     plan: &PlanSpec,
     pivot: NodeId,
     m: usize,
@@ -232,9 +211,10 @@ pub fn optimal_partition(
     Ok(best.expect("at least g=1 evaluated"))
 }
 
-/// Measures the always-share vs never-share speedup with every query
-/// running `workers` morsel workers — one point of the (m × k) grid.
-pub fn sharing_speedup_with_workers(
+/// Measures the speedup of always-share over never-share for `clients`
+/// identical copies of `spec` on `contexts` contexts, every query
+/// running `workers` morsel workers.
+pub fn sharing_speedup(
     catalog: &Catalog,
     spec: &QuerySpec,
     clients: usize,
@@ -284,7 +264,7 @@ pub fn sharing_speedup_with_workers(
 /// solo-query virtual throughput (1 / makespan) at each worker count,
 /// log-log least-squares — the same aggregate-bandwidth form as the
 /// paper's Section 4.1.4 contention fit, applied to worker counts.
-pub fn fit_sim_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[usize]) -> f64 {
+pub(crate) fn fit_sim_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[usize]) -> f64 {
     let samples: Vec<(u32, f64)> = worker_counts
         .iter()
         .map(|&k| {
@@ -301,7 +281,7 @@ pub fn fit_sim_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[usize
 /// [`cordoba_engine::thread_exec::worker_scaling_samples`]. On a
 /// single-core runner the samples are flat and `κ` fits ≈ 0 — the
 /// honest answer that intra-query parallelism buys this host nothing.
-pub fn fit_thread_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[u32]) -> f64 {
+pub(crate) fn fit_thread_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[u32]) -> f64 {
     let samples = thread_exec::worker_scaling_samples(catalog, spec, 3, worker_counts)
         .expect("threaded scaling run");
     estimate_k(&samples).unwrap_or(f64::MIN_POSITIVE)
@@ -366,37 +346,6 @@ pub fn policy_comparison(
             models: models.clone(),
             hysteresis: 0.0,
         }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cordoba_workload::{q4, q6};
-
-    #[test]
-    fn q6_sharing_helps_on_one_context_hurts_on_many() {
-        // The headline result (Figure 1) on the real engine.
-        let cfg = ExpConfig::quick();
-        let catalog = cfg.catalog();
-        let spec = q6(&cfg.costs);
-        let work = query_work(&catalog, &spec);
-        let uni = sharing_speedup(&catalog, &spec, 8, 1, work, cfg.measure_floor);
-        assert!(uni.z > 1.2, "n=1 expected sharing win, got {uni:?}");
-        let cmp = sharing_speedup(&catalog, &spec, 8, 32, work, cfg.measure_floor);
-        assert!(cmp.z < 0.7, "n=32 expected sharing loss, got {cmp:?}");
-    }
-
-    #[test]
-    fn q4_sharing_always_helps() {
-        let cfg = ExpConfig::quick();
-        let catalog = cfg.catalog();
-        let spec = q4(&cfg.costs);
-        let work = query_work(&catalog, &spec);
-        for contexts in [1usize, 8] {
-            let p = sharing_speedup(&catalog, &spec, 8, contexts, work, cfg.measure_floor);
-            assert!(p.z > 1.0, "contexts={contexts}: {p:?}");
-        }
     }
 }
 

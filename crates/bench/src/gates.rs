@@ -1,26 +1,32 @@
-//! The two committed trajectory documents, `BENCH_ops.json` and
-//! `BENCH_service.json`: every number in them is simulator virtual time
-//! or tracked bytes under fixed seeds, so the same source renders the
-//! same bytes on any host and a document is gated by reproduction, not
-//! by tolerance. `tests/gates.rs` renders each one and compares it byte
-//! for byte with the committed file ([`crate::output::check_file`]); the
-//! `bench_ops` and `bench_service` binaries rewrite a file, or print a
-//! `--filter` subset. Wall-clock questions (ns/row per operator, thread
-//! hand-offs) belong to `benchmark/`.
+//! The three committed documents, `BENCH_ops.json`,
+//! `BENCH_service.json` and `BENCH_paper.json`: every number in them is
+//! simulator virtual time, tracked bytes or the analytical model under
+//! fixed seeds, so the same source renders the same bytes on any host
+//! and a document is gated by reproduction, not by tolerance.
+//! `tests/gates.rs` renders each one and compares it byte for byte with
+//! the committed file ([`crate::output::check_file`]); the `bench_ops`
+//! and `bench_service` binaries rewrite a file, or print a `--filter`
+//! subset, and `figures all` rewrites `BENCH_paper.json`. Wall-clock
+//! questions (ns/row per operator, thread hand-offs) belong to
+//! `benchmark/`.
 //!
 //! * [`ops`] — what only virtual time can pin at operator level: what
 //!   morsel-parallel wiring buys on a `k`-context machine, when
 //!   subsumption sharing wins or loses, and how far past its budget a
 //!   spilling operator's tracked memory peaks.
 //! * [`service`] — the open-system service loop's counts, throughput
-//!   and p50/p99/p999 response times ([`crate::service_kernels`]).
+//!   and p50/p99/p999 response times.
+//! * [`paper`] — the paper's model-only figures: Figure 4's sweeps and
+//!   Section 4.4's profiled parameters.
 
+use crate::figures::{self, Table};
 use crate::output::{GateArgs, Json};
 use crate::par_kernels::{self, ParPair};
 use crate::service_kernels::{self, ServicePoint};
 use crate::spill_kernels;
 use crate::subsume_kernels::{self, PolicyPoint, SubsumePoint};
 use cordoba_exec::PhysicalPlan;
+use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::{CostProfile, FamilyConfig};
 use std::cell::LazyCell;
@@ -31,8 +37,23 @@ pub const OPS_FILE: &str = "BENCH_ops.json";
 /// The file [`service`] renders.
 pub const SERVICE_FILE: &str = "BENCH_service.json";
 
+/// The file [`paper`] renders.
+pub const PAPER_FILE: &str = "BENCH_paper.json";
+
 /// Scale factor of the spill and parallel scenarios' catalog.
 const SCALE_FACTOR: f64 = 0.02;
+
+/// Scale factor of the catalog the subsume and service scenarios share.
+const FAMILY_SCALE_FACTOR: f64 = 0.002;
+
+/// The catalog the subsume and service scenarios share.
+pub(crate) fn family_catalog() -> Catalog {
+    generate(&TpchConfig {
+        scale_factor: FAMILY_SCALE_FACTOR,
+        seed: 11,
+        ..TpchConfig::default()
+    })
+}
 
 /// Morsel workers for the parallel section.
 const PAR_WORKERS: usize = 4;
@@ -242,7 +263,7 @@ fn subsume_policy(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
 /// enters the document.
 pub fn ops(args: &GateArgs) -> (Json, usize) {
     let cat: LazyCatalog = LazyCell::new(|| spill_kernels::catalog(SCALE_FACTOR));
-    let sub_cat: LazyCatalog = LazyCell::new(subsume_kernels::catalog);
+    let sub_cat: LazyCatalog = LazyCell::new(family_catalog);
 
     let spill = spill_section(args, &cat);
     let parallel = parallel_section(args, &cat);
@@ -294,7 +315,7 @@ pub fn ops(args: &GateArgs) -> (Json, usize) {
         (
             "subsume",
             Json::Obj(vec![
-                ("scale_factor", Json::fixed(subsume_kernels::SCALE_FACTOR, 3)),
+                ("scale_factor", Json::fixed(FAMILY_SCALE_FACTOR, 3)),
                 ("scenarios", Json::Arr(scenarios)),
                 (
                     "policy_note",
@@ -311,7 +332,7 @@ pub fn ops(args: &GateArgs) -> (Json, usize) {
 /// each, and returns the `BENCH_service.json` document with the number
 /// of scenarios run.
 pub fn service(args: &GateArgs) -> (Json, usize) {
-    let cat = service_kernels::catalog();
+    let cat = family_catalog();
     let points = service_kernels::run_all(&cat, |name| args.wants(name));
     for p in &points {
         println!(
@@ -342,7 +363,7 @@ pub fn service(args: &GateArgs) -> (Json, usize) {
             "harness",
             "crates/bench/src/gates.rs; deterministic simulator virtual time, fixed seeds, workers pinned to 1; the test `bench_service_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte".into(),
         ),
-        ("scale_factor", Json::fixed(service_kernels::SCALE_FACTOR, 3)),
+        ("scale_factor", Json::fixed(FAMILY_SCALE_FACTOR, 3)),
         (
             "invariant",
             "offered == completed + failed + rejected + in_flight, asserted per run".into(),
@@ -353,4 +374,21 @@ pub fn service(args: &GateArgs) -> (Json, usize) {
         ),
     ]);
     (doc, points.len())
+}
+
+/// Renders the `BENCH_paper.json` document: the model-only figures'
+/// tables, each row on one line.
+pub fn paper() -> Json {
+    let tables = figures::model_tables();
+    Json::Obj(vec![
+        (
+            "suite",
+            "model-only paper figures: Figure 4's sensitivity sweeps (analytical model) and Section 4.4's profiled parameters (simulator virtual time)".into(),
+        ),
+        (
+            "harness",
+            "crates/bench/src/figures.rs; the test `bench_paper_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures all` rewrites it".into(),
+        ),
+        ("tables", Json::Arr(tables.iter().map(Table::json).collect())),
+    ])
 }

@@ -5,36 +5,35 @@
 //! * [`experiments`] — measurement routines behind every figure of the
 //!   paper (shared/unshared throughput sweeps, model validation, policy
 //!   comparison) over the simulated CMP.
-//! * [`output`] — CSV emission and quick ASCII charts so each figure
-//!   binary prints the same series the paper plots; the ordered JSON
+//! * [`figures`] — every figure of the paper as named panels, each a
+//!   table with its CSV, chart and summary, and the `figures` binary's
+//!   command line.
+//! * [`output`] — CSV emission and ASCII charts; the ordered JSON
 //!   emitter, the byte-for-byte comparison and the command line of the
 //!   two trajectory binaries.
-//! * [`gates`] — the two committed trajectory documents,
-//!   `BENCH_ops.json` and `BENCH_service.json`, which `tests/gates.rs`
-//!   reproduces byte for byte.
-//! * [`par_kernels`], [`subsume_kernels`], [`spill_kernels`] — the
-//!   deterministic simulator-virtual-time scenarios of `BENCH_ops.json`
-//!   (morsel-parallel wiring, subsumption sharing and policy points,
-//!   spill peak memory).
-//! * [`service_kernels`] — the open-system tail-latency scenarios of
-//!   `BENCH_service.json`.
+//! * [`gates`] — the three committed documents, `BENCH_ops.json`,
+//!   `BENCH_service.json` and `BENCH_paper.json`, which `tests/gates.rs`
+//!   reproduces byte for byte, and the simulator-virtual-time scenarios
+//!   behind them (morsel-parallel wiring, subsumption sharing and policy
+//!   points, spill peak memory, the open-system service loop).
 //!
-//! Binaries: one per table/figure (see README.md's "Quick tour") —
-//! `fig1_q6_sharing`, `fig2_speedups`, `fig4_sensitivity`,
-//! `fig5_validation`, `fig6_policies`, `sec44_params`, `ablations`, and
-//! `all_figures` (runs everything, writes `results/*.csv`) — plus
-//! `bench_ops` and `bench_service`, which rewrite the two committed
-//! documents. Wall-clock measurement is `benchmark/`'s job.
+//! Binaries: `figures` (`figures <fig1|fig2|fig4|fig5|fig6|sec44|ablations|all>
+//! [panel] [--quick]`, writes `results/*.csv`; see README.md's "Quick
+//! tour"), and `bench_ops` and `bench_service`, which rewrite their
+//! committed documents. The paper's claims are asserted in
+//! `tests/paper_claims.rs` through the same measurement the figures
+//! use. Wall-clock measurement is `benchmark/`'s job.
 
 use cordoba_engine::{EngineConfig, ParallelConfig, Policy};
 
 pub mod experiments;
+pub mod figures;
 pub mod gates;
 pub mod output;
-pub mod par_kernels;
-pub mod service_kernels;
-pub mod spill_kernels;
-pub mod subsume_kernels;
+mod par_kernels;
+mod service_kernels;
+mod spill_kernels;
+mod subsume_kernels;
 
 /// The crate's one engine configuration: explicit contexts and policy,
 /// morsel workers pinned to 1 so `CORDOBA_WORKERS` in the environment

@@ -1,29 +1,28 @@
 //! Result emission: CSV files under `results/` plus compact ASCII
-//! charts on stdout, so each figure binary both archives and displays
-//! the series the paper plots; and the JSON emitter behind the two
-//! committed trajectory files (`BENCH_ops.json`, `BENCH_service.json`),
-//! whose gate is reproduction byte for byte ([`check_file`]).
+//! charts on stdout, so each figure both archives and displays the
+//! series the paper plots; and the JSON emitter behind the three
+//! committed documents (`BENCH_ops.json`, `BENCH_service.json`,
+//! `BENCH_paper.json`), whose gate is reproduction byte for byte
+//! ([`check_file`]).
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Directory results are written to (workspace-relative).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = std::env::var("CORDOBA_RESULTS").unwrap_or_else(|_| "results".into());
     PathBuf::from(dir)
 }
 
-/// Writes a CSV with the given header and rows.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
+/// Writes a CSV: its header line, then one line per row.
+pub(crate) fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     let dir = results_dir();
     fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(name);
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{}", header.join(",")).expect("write header");
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
-    }
+    let lines: Vec<&str> = std::iter::once(header)
+        .chain(rows.iter().map(String::as_str))
+        .collect();
+    fs::write(&path, lines.join("\n") + "\n").expect("write csv");
     path
 }
 
@@ -31,7 +30,11 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
 ///
 /// `series` maps a label to `(x, y)` points; x values are assumed sorted
 /// and shared across series (missing points are skipped).
-pub fn ascii_chart(title: &str, ylabel: &str, series: &[(String, Vec<(f64, f64)>)]) -> String {
+pub(crate) fn ascii_chart(
+    title: &str,
+    ylabel: &str,
+    series: &[(String, Vec<(f64, f64)>)],
+) -> String {
     const WIDTH: usize = 64;
     let mut out = String::new();
     out.push_str(&format!("## {title}\n"));
@@ -54,16 +57,6 @@ pub fn ascii_chart(title: &str, ylabel: &str, series: &[(String, Vec<(f64, f64)>
     out
 }
 
-/// Formats a float column.
-pub fn f(v: f64) -> String {
-    format!("{v:.6}")
-}
-
-/// Prints where a CSV landed.
-pub fn announce(path: &Path) {
-    println!("wrote {}", path.display());
-}
-
 /// A JSON value whose objects keep insertion order, so rendering the
 /// same records twice gives the same bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +65,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, already formatted (an integer, or [`Json::fixed`]).
+    /// A number, already formatted (an integer, or `Json::fixed`).
     Num(String),
     /// A string (escaped on rendering).
     Str(String),
@@ -84,7 +77,7 @@ pub enum Json {
 
 impl Json {
     /// A float with a fixed number of decimals.
-    pub fn fixed(v: f64, decimals: usize) -> Self {
+    pub(crate) fn fixed(v: f64, decimals: usize) -> Self {
         Json::Num(format!("{v:.decimals$}"))
     }
 
@@ -189,7 +182,7 @@ pub struct GateArgs {
 impl GateArgs {
     /// Parses the arguments after the program name; the error is the
     /// usage message.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+    pub(crate) fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut parsed = GateArgs::default();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -200,7 +193,7 @@ impl GateArgs {
         Ok(parsed)
     }
 
-    /// [`GateArgs::parse`] over the process arguments; prints the usage
+    /// `GateArgs::parse` over the process arguments; prints the usage
     /// message and exits 2 on misuse.
     pub fn from_env(bin: &str) -> Self {
         Self::parse(std::env::args().skip(1)).unwrap_or_else(|usage| {
@@ -210,7 +203,7 @@ impl GateArgs {
     }
 
     /// Whether the scenario `name` is selected.
-    pub fn wants(&self, name: &str) -> bool {
+    pub(crate) fn wants(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
@@ -386,11 +379,7 @@ mod tests {
             "CORDOBA_RESULTS",
             std::env::temp_dir().join("cordoba-test-results"),
         );
-        let path = write_csv(
-            "test.csv",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
+        let path = write_csv("test.csv", "a,b", &["1,2".into(), "3,4".into()]);
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4\n");
         std::env::remove_var("CORDOBA_RESULTS");

@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// One serial-vs-parallel measurement pair.
-pub struct ParPair {
+pub(crate) struct ParPair {
     /// Scenario name (stable across PRs).
     pub name: &'static str,
     /// Input rows processed.
@@ -46,12 +46,12 @@ pub struct ParPair {
 impl ParPair {
     /// Serial / parallel — how much the morsel wiring contracts the
     /// measurement.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         self.serial / self.parallel
     }
 
     /// The pair's `BENCH_ops.json` record.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         Json::Obj(vec![
             ("name", self.name.into()),
             ("rows", self.rows.into()),
@@ -123,7 +123,7 @@ fn scan(table: &str) -> Box<PhysicalPlan> {
 }
 
 /// `σ_q6(lineitem)` projected to revenue — the parallel pipeline shape.
-pub fn pipeline_plan() -> PhysicalPlan {
+pub(crate) fn pipeline_plan() -> PhysicalPlan {
     PhysicalPlan::Project {
         input: Box::new(PhysicalPlan::Filter {
             input: scan("lineitem"),
@@ -137,7 +137,7 @@ pub fn pipeline_plan() -> PhysicalPlan {
 
 /// Q1-style grouped sum over the Q6 selection — the partial-aggregate
 /// merge shape.
-pub fn aggregate_plan() -> PhysicalPlan {
+pub(crate) fn aggregate_plan() -> PhysicalPlan {
     PhysicalPlan::Aggregate {
         input: Box::new(PhysicalPlan::Filter {
             input: scan("lineitem"),
@@ -156,7 +156,7 @@ pub fn aggregate_plan() -> PhysicalPlan {
 /// # Panics
 ///
 /// Panics if the plan fails to wire or faults mid-run.
-pub fn run_virtual(
+fn run_virtual(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     workers: usize,
@@ -180,7 +180,7 @@ pub fn run_virtual(
 /// Measures one virtual-time pair: serial wiring vs `workers` morsel
 /// workers, both on `workers` contexts (same machine, different
 /// wiring). Asserts the two runs return identical rows.
-pub fn virtual_pair(
+pub(crate) fn virtual_pair(
     catalog: &Catalog,
     name: &'static str,
     plan: &PhysicalPlan,
@@ -218,7 +218,7 @@ pub fn virtual_pair(
 /// hand-off per morsel of 4 KiB pages) rather than a speedup, and sits
 /// below 1× wherever threads outnumber cores — the honest counterpart
 /// of the virtual-time pairs.
-pub fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -> ParPair {
+pub(crate) fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -> ParPair {
     let plan = crate::spill_kernels::join_plan();
     let serial_cfg = WiringConfig::serial();
     let par_cfg = WiringConfig {

@@ -21,22 +21,9 @@ use crate::engine_cfg;
 use crate::output::Json;
 use cordoba_engine::{run_service, ArrivalSchedule, Policy, Report, ServiceConfig};
 use cordoba_sim::{LatencySummary, VTime};
-use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::arrivals::{bursty, chaos, poisson_mix, ramp};
 use cordoba_workload::{family_specs, CostProfile, FamilyConfig};
-
-/// Scale factor of the service scenarios' catalog.
-pub const SCALE_FACTOR: f64 = 0.002;
-
-/// The fixed benchmark catalog (same scale/seed as the subsume suite).
-pub fn catalog() -> Catalog {
-    generate(&TpchConfig {
-        scale_factor: SCALE_FACTOR,
-        seed: 11,
-        ..TpchConfig::default()
-    })
-}
 
 /// The seeded family workload: distinct but nested Q6/Q1-style
 /// windows, so the sharing path does real subsumption work.
@@ -53,7 +40,7 @@ fn family_pool(seed: u64, families: usize, per_family: usize) -> Vec<cordoba_eng
 
 /// One scenario's committed record.
 #[derive(Debug, Clone)]
-pub struct ServicePoint {
+pub(crate) struct ServicePoint {
     /// Scenario name (stable; a renamed scenario fails the byte gate).
     pub name: &'static str,
     /// `"A"` (deterministic structure) or `"B"` (stochastic, seeded).
@@ -88,7 +75,7 @@ pub struct ServicePoint {
 
 impl ServicePoint {
     /// The scenario's `BENCH_service.json` record.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         let l = &self.latency;
         Json::Obj(vec![
             ("name", self.name.into()),
@@ -156,7 +143,7 @@ fn point(
 /// member of a burst co-resides in the formation window, so the
 /// dispatcher must fan a wide fragment out to all of them and fan their
 /// residual results back in. Asserts that sharing actually happened.
-pub fn fanout_share_burst(cat: &Catalog) -> ServicePoint {
+fn fanout_share_burst(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(11, 2, 4);
     let mut schedule: ArrivalSchedule = Vec::new();
     for (b, burst_at) in [1_000u64, 4_000_000].into_iter().enumerate() {
@@ -188,7 +175,7 @@ pub fn fanout_share_burst(cat: &Catalog) -> ServicePoint {
 /// Suite A: the same coincident family burst on 8 contexts — the
 /// scalability point, where sharing trades redundant work against lost
 /// parallelism.
-pub fn fanout_scale_n8(cat: &Catalog) -> ServicePoint {
+fn fanout_scale_n8(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(13, 4, 4);
     let schedule: ArrivalSchedule = pool
         .iter()
@@ -214,7 +201,7 @@ pub fn fanout_scale_n8(cat: &Catalog) -> ServicePoint {
 /// Suite B: Poisson arrivals of the family mix at moderate load —
 /// the tail-latency baseline every other stochastic scenario is read
 /// against.
-pub fn poisson_baseline(cat: &Catalog) -> ServicePoint {
+fn poisson_baseline(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(17, 2, 4);
     let schedule = poisson_mix(&pool, 48, 250_000, 23);
     let cfg = ServiceConfig {
@@ -236,7 +223,7 @@ pub fn poisson_baseline(cat: &Catalog) -> ServicePoint {
 /// Suite B: an on/off source — tight 6-query bursts separated by long
 /// idle gaps. Bursts queue behind each other, so the tail (p99/p999)
 /// stretches far beyond the Poisson baseline's.
-pub fn burst_onoff(cat: &Catalog) -> ServicePoint {
+fn burst_onoff(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(19, 2, 4);
     let schedule = bursty(&pool, 8, 6, 500, 1_500_000, 29);
     let cfg = ServiceConfig {
@@ -258,7 +245,7 @@ pub fn burst_onoff(cat: &Catalog) -> ServicePoint {
 /// Suite B: the Poisson baseline under a chaos campaign — a quarter of
 /// the arrivals carry injected faults and must fail without disturbing
 /// their group peers. Asserts the failure path is actually exercised.
-pub fn chaos_poisson(cat: &Catalog) -> ServicePoint {
+fn chaos_poisson(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(17, 2, 4);
     let schedule = chaos(poisson_mix(&pool, 48, 250_000, 23), 0.25, 31);
     let cfg = ServiceConfig {
@@ -283,7 +270,7 @@ pub fn chaos_poisson(cat: &Catalog) -> ServicePoint {
 /// time cap — offered load grows past capacity, so late arrivals are
 /// rejected (backpressure) and the cap strands queries in flight.
 /// Asserts all four dispositions appear.
-pub fn saturation_ramp(cat: &Catalog) -> ServicePoint {
+fn saturation_ramp(cat: &Catalog) -> ServicePoint {
     let pool = family_pool(17, 2, 4);
     let schedule = ramp(&pool, 64, 500_000, 500, 37);
     let cap = schedule[schedule.len() - 1].0;
@@ -311,7 +298,7 @@ pub fn saturation_ramp(cat: &Catalog) -> ServicePoint {
 }
 
 /// Runs every scenario (in declared order) against the shared catalog.
-pub fn run_all(cat: &Catalog, want: impl Fn(&str) -> bool) -> Vec<ServicePoint> {
+pub(crate) fn run_all(cat: &Catalog, want: impl Fn(&str) -> bool) -> Vec<ServicePoint> {
     type Scenario = fn(&Catalog) -> ServicePoint;
     let scenarios: [(&str, Scenario); 6] = [
         ("fanout_share_burst", fanout_share_burst),

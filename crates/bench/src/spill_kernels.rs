@@ -27,7 +27,7 @@ struct SpillRun {
 }
 
 /// Deterministic TPC-H catalog for the spill scenarios.
-pub fn catalog(scale_factor: f64) -> Catalog {
+pub(crate) fn catalog(scale_factor: f64) -> Catalog {
     generate(&TpchConfig {
         scale_factor,
         seed: 1,
@@ -67,7 +67,7 @@ fn sort_plan() -> PhysicalPlan {
 /// `orders ⋈ lineitem` on orderkey with `orders` as the build side —
 /// the hybrid-hash-join scenario's plan (the whole build arena must fit
 /// or spill).
-pub fn join_plan() -> PhysicalPlan {
+pub(crate) fn join_plan() -> PhysicalPlan {
     PhysicalPlan::HashJoin {
         build: scan("orders"),
         probe: scan("lineitem"),
@@ -107,7 +107,7 @@ fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -> Sp
 
 /// One checked past-memory scenario: the same plan run in memory and
 /// under a budget of a quarter of its input.
-pub struct SpillPoint {
+pub(crate) struct SpillPoint {
     /// Scenario name (stable across PRs).
     pub name: &'static str,
     /// Stored bytes of the table the budget is sized against.
@@ -123,12 +123,12 @@ pub struct SpillPoint {
 impl SpillPoint {
     /// Peak tracked memory over the budget — the ratio item 5's hybrid
     /// hash join is held to.
-    pub fn peak_over_budget(&self) -> f64 {
+    pub(crate) fn peak_over_budget(&self) -> f64 {
         self.peak_bytes as f64 / self.budget_bytes as f64
     }
 
     /// The scenario's `BENCH_ops.json` record.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         Json::Obj(vec![
             ("name", self.name.into()),
             ("input_bytes", self.input_bytes.into()),
@@ -182,13 +182,13 @@ fn checked_scenario(
 
 /// External sorted runs + k-way merge vs the in-memory sort; the
 /// output must be order-identical.
-pub fn sort_spill(catalog: &Catalog) -> SpillPoint {
+pub(crate) fn sort_spill(catalog: &Catalog) -> SpillPoint {
     checked_scenario(catalog, "sort_spill", &sort_plan(), "lineitem", true)
 }
 
 /// Dynamic hybrid hash join vs the in-memory join, budgeted against
 /// the build side; the output must be multiset-identical.
-pub fn join_spill(catalog: &Catalog) -> SpillPoint {
+pub(crate) fn join_spill(catalog: &Catalog) -> SpillPoint {
     checked_scenario(catalog, "join_spill", &join_plan(), "orders", false)
 }
 

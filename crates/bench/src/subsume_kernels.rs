@@ -17,22 +17,9 @@ use cordoba_engine::{
     run_once, run_open_loop_collecting, EngineConfig, Policy, QueryModelInfo, QuerySpec,
 };
 use cordoba_exec::subsume::coverage_estimate;
-use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::{family_specs, CostProfile, FamilyConfig};
 use std::collections::HashMap;
-
-/// Scale factor of every subsume scenario's catalog.
-pub const SCALE_FACTOR: f64 = 0.002;
-
-/// The fixed catalog for every subsume scenario.
-pub fn catalog() -> Catalog {
-    generate(&TpchConfig {
-        scale_factor: SCALE_FACTOR,
-        seed: 11,
-        ..TpchConfig::default()
-    })
-}
 
 fn cached_cfg(contexts: usize, policy: Policy, cache: usize) -> EngineConfig {
     EngineConfig {
@@ -50,7 +37,7 @@ fn profiled(catalog: &Catalog, spec: &QuerySpec) -> QueryModelInfo {
 
 /// One measured subsumption scenario.
 #[derive(Debug, Clone)]
-pub struct SubsumePoint {
+pub(crate) struct SubsumePoint {
     /// Scenario name (gate key in `BENCH_ops.json`).
     pub name: &'static str,
     /// Queries in the workload.
@@ -78,25 +65,25 @@ pub struct SubsumePoint {
 
 impl SubsumePoint {
     /// Measured speedup `Z = unshared / shared` (virtual time ratio).
-    pub fn measured_z(&self) -> f64 {
+    pub(crate) fn measured_z(&self) -> f64 {
         self.unshared_vt / self.shared_vt
     }
 
     /// The predicted `Z` (NaN when the scenario carries no prediction).
-    pub fn predicted_z(&self) -> f64 {
+    pub(crate) fn predicted_z(&self) -> f64 {
         self.predicted.map_or(f64::NAN, |s| s.z)
     }
 
     /// Whether the advisor's verdict ([`Speedup::favors_sharing`], ties
     /// share) matches the measured win/loss (`None` when the scenario
     /// carries no prediction).
-    pub fn advisor_agrees(&self) -> Option<bool> {
+    pub(crate) fn advisor_agrees(&self) -> Option<bool> {
         self.predicted
             .map(|s| s.favors_sharing(0.0) == (self.measured_z() >= 1.0))
     }
 
     /// The scenario's `BENCH_ops.json` record.
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         Json::Obj(vec![
             ("name", self.name.into()),
             ("queries", self.queries.into()),
@@ -150,7 +137,7 @@ fn predicted_chain(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: 
 /// Runs a family workload shared (always-share, cache on) and unshared
 /// (never-share), asserting result equality, and returns the measured
 /// point with the advisor's prediction for one family's group.
-pub fn group_scenario(
+pub(crate) fn group_scenario(
     catalog: &Catalog,
     name: &'static str,
     family_cfg: &FamilyConfig,
@@ -209,7 +196,7 @@ pub fn group_scenario(
 /// then the narrower members arrive and are served from the fragment
 /// cache. Baseline = the cold wide query's response; shared = the mean
 /// replayed response. Asserts the cache actually hit.
-pub fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
+pub(crate) fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
     let specs = family_specs(
         &CostProfile::paper(),
         &FamilyConfig {
@@ -259,7 +246,7 @@ pub fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
 /// decision actually bites — in a staggered closed loop nothing ever
 /// batches and every policy degenerates to never-share.
 #[derive(Debug, Clone)]
-pub struct PolicyPoint {
+pub(crate) struct PolicyPoint {
     /// Contexts the machine has.
     pub contexts: usize,
     /// Never-share makespan (virtual time).
@@ -274,17 +261,17 @@ pub struct PolicyPoint {
 
 impl PolicyPoint {
     /// Always-share speedup over never-share (`< 1` is the loss regime).
-    pub fn always_z(&self) -> f64 {
+    pub(crate) fn always_z(&self) -> f64 {
         self.never / self.always
     }
 
     /// Model-guided speedup over never-share.
-    pub fn model_z(&self) -> f64 {
+    pub(crate) fn model_z(&self) -> f64 {
         self.never / self.model
     }
 
     /// The point's `BENCH_ops.json` record (`speedup` = never / model).
-    pub fn json(&self, name: &str) -> Json {
+    pub(crate) fn json(&self, name: &str) -> Json {
         Json::Obj(vec![
             ("name", name.into()),
             ("contexts", self.contexts.into()),
@@ -308,7 +295,7 @@ impl PolicyPoint {
 /// the shared pivot outweighs the saved common work, always-share falls
 /// behind never-share, and the advisor must decline (or downsize) the
 /// group.
-pub fn delivery_heavy_costs() -> CostProfile {
+pub(crate) fn delivery_heavy_costs() -> CostProfile {
     CostProfile {
         filter: cordoba_exec::OpCost::new(0.8, 100.0),
         ..CostProfile::paper()
@@ -321,7 +308,7 @@ pub fn delivery_heavy_costs() -> CostProfile {
 /// by query name, exactly as the dispatcher consumes them. The fragment
 /// cache is disabled so the measurement isolates the admission
 /// decision; all three runs are asserted result-identical.
-pub fn policy_scenario(
+pub(crate) fn policy_scenario(
     catalog: &Catalog,
     costs: &CostProfile,
     family_cfg: &FamilyConfig,
@@ -369,7 +356,7 @@ mod tests {
     /// renamed per member to hand it the bench's per-member models.)
     #[test]
     fn predicted_z_is_the_policys_own_number() {
-        let catalog = catalog();
+        let catalog = crate::gates::family_catalog();
         let heavy = delivery_heavy_costs();
         let paper = CostProfile::paper();
         // (costs, family seed, families, contexts) of every

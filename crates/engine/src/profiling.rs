@@ -21,7 +21,7 @@ use cordoba_exec::PhysicalPlan;
 use cordoba_storage::Catalog;
 
 /// Raw numbers from one profiling pass (reported alongside the model,
-/// and printed by the `sec44_params` harness to mirror the paper's
+/// and printed by the `figures sec44` harness to mirror the paper's
 /// Section 4.4 example).
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
