@@ -350,6 +350,37 @@ pub fn policy_comparison(
 }
 
 #[cfg(test)]
+mod tests {
+    use super::*;
+    use cordoba_workload::{q4, q6};
+
+    #[test]
+    fn q6_sharing_helps_on_one_context_hurts_on_many() {
+        // The headline result (Figure 1) on the real engine.
+        let cfg = ExpConfig::quick();
+        let catalog = cfg.catalog();
+        let spec = q6(&cfg.costs);
+        let work = query_work(&catalog, &spec);
+        let uni = sharing_speedup(&catalog, &spec, 8, 1, 1, work, cfg.measure_floor);
+        assert!(uni.z > 1.2, "n=1 expected sharing win, got {uni:?}");
+        let cmp = sharing_speedup(&catalog, &spec, 8, 32, 1, work, cfg.measure_floor);
+        assert!(cmp.z < 0.7, "n=32 expected sharing loss, got {cmp:?}");
+    }
+
+    #[test]
+    fn q4_sharing_always_helps() {
+        let cfg = ExpConfig::quick();
+        let catalog = cfg.catalog();
+        let spec = q4(&cfg.costs);
+        let work = query_work(&catalog, &spec);
+        for contexts in [1usize, 8] {
+            let p = sharing_speedup(&catalog, &spec, 8, contexts, 1, work, cfg.measure_floor);
+            assert!(p.z > 1.0, "contexts={contexts}: {p:?}");
+        }
+    }
+}
+
+#[cfg(test)]
 mod partition_tests {
     use super::*;
     use cordoba_core::OperatorSpec;

@@ -1,9 +1,8 @@
-//! Integration: the experiment harness behind the figure binaries runs
+//! Integration: the experiment harness behind the `figures` binary runs
 //! end-to-end at a tiny scale and produces sane measurements — the
 //! same code path CI would need to regenerate every figure.
 
 use cordoba_bench::experiments::{query_work, sharing_speedup, ExpConfig};
-use cordoba_bench::output::ascii_chart;
 use cordoba_workload::q6;
 
 #[test]
@@ -13,7 +12,7 @@ fn q6_speedup_point_measures_both_modes() {
     let spec = q6(&cfg.costs);
     let work = query_work(&catalog, &spec);
     assert!(work > 0, "solo profiling measured no work");
-    let point = sharing_speedup(&catalog, &spec, 4, 2, work, 6);
+    let point = sharing_speedup(&catalog, &spec, 4, 2, 1, work, 6);
     assert!(point.shared > 0.0, "shared throughput not measured");
     assert!(point.unshared > 0.0, "unshared throughput not measured");
     assert!(point.z.is_finite() && point.z > 0.0, "Z = {}", point.z);
@@ -28,24 +27,10 @@ fn q6_sharing_beats_unshared_on_a_uniprocessor() {
     let catalog = cfg.catalog();
     let spec = q6(&cfg.costs);
     let work = query_work(&catalog, &spec);
-    let point = sharing_speedup(&catalog, &spec, 8, 1, work, 6);
+    let point = sharing_speedup(&catalog, &spec, 8, 1, 1, work, 6);
     assert!(
         point.z > 1.0,
         "sharing should win on 1 context: Z = {}",
         point.z
     );
-}
-
-#[test]
-fn ascii_chart_renders_every_series() {
-    let chart = ascii_chart(
-        "title",
-        "y",
-        &[
-            ("shared".to_string(), vec![(1.0, 1.0), (2.0, 2.0)]),
-            ("unshared".to_string(), vec![(1.0, 2.0), (2.0, 1.0)]),
-        ],
-    );
-    assert!(chart.contains("title"));
-    assert!(chart.contains("shared") && chart.contains("unshared"));
 }

