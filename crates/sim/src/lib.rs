@@ -86,6 +86,7 @@ pub mod trace;
 pub use sched::{RunOutcome, SimConfig, Simulator, StopReason};
 pub use stats::{Histogram, LatencySummary, SimStats, TaskStats};
 pub use task::{DetachedCtx, Spawner, Step, StepStatus, Task, TaskCtx, TaskId};
+pub use trace::Span;
 
 /// Virtual time / work units. One unit is an abstract "cost unit"; the
 /// engine calibrates operator costs in these units.

@@ -20,17 +20,17 @@ use crate::VTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Safety valve: a task yielding this many consecutive zero-cost steps
+/// is considered buggy and aborts the simulation with a panic.
+const MAX_ZERO_COST_SPINS: u32 = 1_000_000;
+
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of hardware contexts (the paper sweeps 1, 2, 8, 32).
     pub contexts: usize,
-    /// Safety valve: a task yielding this many consecutive zero-cost
-    /// steps is considered buggy and aborts the simulation with a panic.
-    pub max_zero_cost_spins: u32,
-    /// Record per-step busy intervals for [`Simulator::trace`] /
-    /// [`crate::trace::render_gantt`]. Off by default (long experiment
-    /// runs would accumulate millions of spans).
+    /// Record per-step busy intervals for [`Simulator::trace`]. Off by
+    /// default (long experiment runs would accumulate millions of spans).
     pub trace: bool,
 }
 
@@ -38,7 +38,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             contexts: 1,
-            max_zero_cost_spins: 1_000_000,
             trace: false,
         }
     }
@@ -334,7 +333,7 @@ impl Simulator {
         if step.cost == 0 && step.status == StepStatus::Yield {
             slot.zero_spins += 1;
             assert!(
-                slot.zero_spins <= self.config.max_zero_cost_spins,
+                slot.zero_spins <= MAX_ZERO_COST_SPINS,
                 "task '{}' spun {} zero-cost yields: livelock bug",
                 self.names[id.0],
                 slot.zero_spins
@@ -799,11 +798,7 @@ mod tests {
                 Step::yielded(0)
             }
         }
-        let mut sim = Simulator::with_config(SimConfig {
-            contexts: 1,
-            max_zero_cost_spins: 100,
-            ..SimConfig::default()
-        });
+        let mut sim = Simulator::new(1);
         sim.spawn("spinner", Box::new(Spinner));
         sim.run_to_idle();
     }
@@ -821,9 +816,6 @@ mod tests {
         let spans = sim.trace();
         assert_eq!(spans.len(), 5, "one span per costed step");
         assert!(spans.iter().all(|s| s.end - s.start == 10));
-        let gantt = crate::trace::render_gantt(spans, 2, 20);
-        assert!(gantt.contains("ctx  0"));
-        assert!(gantt.contains("ctx  1"));
         // Disabled by default.
         let mut quiet = Simulator::new(1);
         quiet.spawn("a", Box::new(Burn { steps: 2, cost: 5 }));

@@ -3,7 +3,7 @@
 //! work-sharing model depends on (bounded channels propagate back
 //! pressure from slow consumers to producers).
 
-use cordoba_sim::{channel, Simulator, Step, Task, TaskCtx, VTime};
+use cordoba_sim::{channel, SimConfig, SimStats, Simulator, Span, Step, Task, TaskCtx, VTime};
 
 struct Producer {
     tx: channel::Sender<u64>,
@@ -46,9 +46,14 @@ impl Task for Consumer {
     }
 }
 
-/// Runs a `stages`-deep relay pipeline and returns (finish time, spans).
-fn run_pipeline(contexts: usize, items: u64, costs: &[VTime]) -> (VTime, usize) {
-    let mut sim = Simulator::new(contexts);
+/// Runs a `stages`-deep relay pipeline, traced, and returns its finish
+/// time, every busy span and the machine statistics.
+fn run_pipeline(contexts: usize, items: u64, costs: &[VTime]) -> (VTime, Vec<Span>, SimStats) {
+    let mut sim = Simulator::with_config(SimConfig {
+        contexts,
+        trace: true,
+        ..SimConfig::default()
+    });
     let (tx, mut rx) = channel::bounded(8);
     sim.spawn(
         "producer",
@@ -109,7 +114,7 @@ fn run_pipeline(contexts: usize, items: u64, costs: &[VTime]) -> (VTime, usize) 
     );
     let outcome = sim.run_to_idle();
     assert!(outcome.completed_all(), "pipeline deadlocked: {outcome:?}");
-    (sim.now(), sim.trace().len())
+    (sim.now(), sim.trace().to_vec(), sim.stats())
 }
 
 #[test]
@@ -117,6 +122,10 @@ fn identical_runs_produce_identical_schedules() {
     for contexts in [1usize, 2, 4, 32] {
         let a = run_pipeline(contexts, 500, &[7, 3, 5]);
         let b = run_pipeline(contexts, 500, &[7, 3, 5]);
+        assert!(
+            !a.1.is_empty(),
+            "trace recorded no span on {contexts} contexts"
+        );
         assert_eq!(a, b, "divergent schedule on {contexts} contexts");
     }
 }
@@ -127,8 +136,8 @@ fn slow_consumer_throttles_producer() {
     // the pipeline to finish at the consumer's rate (the model's "slow
     // consumers throttle producers" premise).
     let items = 400u64;
-    let (fast_t, _) = run_pipeline(2, items, &[5, 5]);
-    let (slow_t, _) = run_pipeline(2, items, &[5, 50]);
+    let (fast_t, ..) = run_pipeline(2, items, &[5, 5]);
+    let (slow_t, ..) = run_pipeline(2, items, &[5, 50]);
     assert!(
         slow_t >= items * 50,
         "consumer-bound time {slow_t} below its sequential floor"
@@ -143,7 +152,7 @@ fn slow_consumer_throttles_producer() {
 fn added_contexts_never_slow_a_pipeline_down() {
     let mut prev = VTime::MAX;
     for contexts in [1usize, 2, 3, 4] {
-        let (t, _) = run_pipeline(contexts, 300, &[4, 4, 4, 4]);
+        let (t, ..) = run_pipeline(contexts, 300, &[4, 4, 4, 4]);
         assert!(
             t <= prev,
             "{contexts} contexts slower than {} ({t} vs {prev})",
