@@ -24,6 +24,8 @@
 //! `tests/paper_claims.rs` through the same measurement the figures
 //! use. Wall-clock measurement is `benchmark/`'s job.
 
+#![warn(unreachable_pub)]
+
 use cordoba_engine::{EngineConfig, ParallelConfig, Policy};
 
 pub mod experiments;

@@ -35,7 +35,7 @@ pub struct PivotObservation {
 
 impl PivotObservation {
     /// Active time per unit of forward progress, `p_φ(M)`.
-    pub fn p(&self) -> f64 {
+    fn p(&self) -> f64 {
         self.active_time / self.progress_units
     }
 }
@@ -50,26 +50,7 @@ pub struct PivotFit {
     /// Residual sum of squares of the fit (0 for an exact fit).
     pub rss: f64,
     /// Number of observations used.
-    pub observations: usize,
-}
-
-/// Estimates an operator's total `p` from an unshared profiling run.
-///
-/// Returns an error if `progress_units` is not positive.
-pub fn p_from_profile(active_time: f64, progress_units: f64) -> Result<f64> {
-    if progress_units.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-        || !progress_units.is_finite()
-    {
-        return Err(ModelError::Estimation(format!(
-            "progress must be positive and finite, got {progress_units}"
-        )));
-    }
-    if !active_time.is_finite() || active_time < 0.0 {
-        return Err(ModelError::Estimation(format!(
-            "active time must be non-negative and finite, got {active_time}"
-        )));
-    }
-    Ok(active_time / progress_units)
+    observations: usize,
 }
 
 /// Fits `p_φ(M) = w + M·s` by ordinary least squares over observations at
@@ -177,14 +158,6 @@ mod tests {
             active_time: p * 100.0,
             progress_units: 100.0,
         }
-    }
-
-    #[test]
-    fn p_from_profile_basic() {
-        assert!((p_from_profile(200.0, 100.0).unwrap() - 2.0).abs() < 1e-12);
-        assert!(p_from_profile(1.0, 0.0).is_err());
-        assert!(p_from_profile(-1.0, 1.0).is_err());
-        assert!(p_from_profile(f64::NAN, 1.0).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! data (join keys, group keys, operator ids), never for keys an
 //! adversary controls.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx multiplier (golden-ratio derived, as in rustc's FxHasher).
@@ -76,7 +76,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` producing [`FxHasher`]s (zero state, zero allocation).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// The shared hot-path map alias: a `HashMap` using [`FxHasher`].
 /// Every integer-keyed map on an execution hot path (hash-join build,
@@ -84,12 +84,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// swapped in one place.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// `HashSet` companion to [`FxHashMap`].
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn deterministic_across_hasher_instances() {
@@ -117,7 +115,7 @@ mod tests {
     #[test]
     fn byte_writes_cover_partial_words() {
         // 0..8..n byte inputs all hash without panicking and differ.
-        let mut seen = FxHashSet::default();
+        let mut seen = HashSet::new();
         for n in 0..32usize {
             let bytes: Vec<u8> = (0..n as u8).collect();
             let mut h = FxHasher::default();
@@ -133,7 +131,7 @@ mod tests {
     fn spread_over_sequential_keys() {
         // Sequential keys must not collapse into few buckets: check the
         // low 8 bits (the bucket index for small maps) spread out.
-        let mut low_bits = FxHashSet::default();
+        let mut low_bits = HashSet::new();
         for k in 0i64..256 {
             let mut h = FxHasher::default();
             h.write_i64(k);

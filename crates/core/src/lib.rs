@@ -24,14 +24,14 @@
 //! | `x(m,n)` | group rate of forward progress | [`sharing::SharingEvaluator::unshared_rate`], [`sharing::SharingEvaluator::shared_rate`] |
 //! | `Z(m,n)` | benefit of sharing, `x_shared / x_unshared` | [`sharing::SharingEvaluator::speedup`], all of it in [`sharing::SharingEvaluator::evaluate`] |
 //! | `r_unshared`, `u_unshared` | an unshared group's peak rate and utilization, closed or open system (Section 5.1); queries sharing nothing are the degenerate group (nothing below a zero-cost pivot) | [`sharing::SharingEvaluator::unshared_rate`] / [`unshared_utilization`](sharing::SharingEvaluator::unshared_utilization) |
-//! | `e(k) = k^κ` | the one contention term (Section 4.1.4's `n^κ`): effective speedup of `k` morsel workers; divides every `w`-derived term, never `s`; `κ` from [`estimate::estimate_k`] | [`WorkerScaling`], taken by [`sharing::SharingEvaluator::with_workers`] |
+//! | `e(k) = k^κ` | the one contention term (Section 4.1.4's `n^κ`): effective speedup of `k` morsel workers; divides every `w`-derived term, never `s`; `κ` from [`estimate::estimate_k`] | [`WorkerScaling`](sharing::WorkerScaling), taken by [`sharing::SharingEvaluator::with_workers`] |
 //! | share? | `Z ≥ 1 + hysteresis`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by `cordoba-engine`'s `Policy::decide` |
 //!
 //! Each equation is written once: one evaluator family serves the
 //! serial model and the worker-scaled one, contention is the one
-//! [`WorkerScaling`] term, and the one advisor — the engine's
-//! `Policy::decide` — takes its verdict over the [`Speedup`] assembled
-//! here.
+//! [`WorkerScaling`](sharing::WorkerScaling) term, and the one advisor
+//! — the engine's `Policy::decide` — takes its verdict over the
+//! [`Speedup`](sharing::Speedup) assembled here.
 //!
 //! ## Quick start
 //!
@@ -60,21 +60,21 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod error;
+mod error;
 pub mod estimate;
-pub mod fxhash;
+mod fxhash;
 pub mod joins;
-pub mod linalg;
-pub mod operator;
+mod linalg;
+mod operator;
 pub mod phases;
 pub mod plan;
-pub mod query;
+mod query;
 pub mod sharing;
 
 pub use error::{ModelError, Result};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHasher};
 pub use operator::OperatorSpec;
 pub use plan::{NodeId, PlanSpec};
 pub use query::QueryModel;
-pub use sharing::{SharingEvaluator, Speedup, WorkerScaling};

@@ -10,7 +10,7 @@ use crate::error::{ModelError, Result};
 
 /// Solves the square system `A x = b` by Gaussian elimination with
 /// partial pivoting. `a` is row-major, `n x n`.
-pub fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
+fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
     if a.len() != n * n || b.len() != n {
         return Err(ModelError::Estimation(format!(
             "dimension mismatch: a={} b={} n={n}",
@@ -68,7 +68,7 @@ pub fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
 /// Ordinary least squares: finds `x` minimizing `‖A x − b‖₂` where `A` is
 /// `rows x cols` (row-major) with `rows ≥ cols`, via the normal equations
 /// `AᵀA x = Aᵀb`.
-pub fn least_squares(a: &[f64], b: &[f64], rows: usize, cols: usize) -> Result<Vec<f64>> {
+pub(crate) fn least_squares(a: &[f64], b: &[f64], rows: usize, cols: usize) -> Result<Vec<f64>> {
     if a.len() != rows * cols || b.len() != rows {
         return Err(ModelError::Estimation(format!(
             "dimension mismatch: a={} b={} rows={rows} cols={cols}",
@@ -97,7 +97,7 @@ pub fn least_squares(a: &[f64], b: &[f64], rows: usize, cols: usize) -> Result<V
 }
 
 /// Residual sum of squares of a candidate solution.
-pub fn rss(a: &[f64], b: &[f64], x: &[f64], rows: usize, cols: usize) -> f64 {
+pub(crate) fn rss(a: &[f64], b: &[f64], x: &[f64], rows: usize, cols: usize) -> f64 {
     (0..rows)
         .map(|r| {
             let pred: f64 = (0..cols).map(|c| a[r * cols + c] * x[c]).sum();

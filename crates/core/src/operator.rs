@@ -30,7 +30,7 @@ pub struct OperatorSpec {
     /// consume its entire input before producing output, which decouples
     /// the rates of the plan below it from the plan above it
     /// (paper Section 5.2).
-    pub blocking: bool,
+    pub(crate) blocking: bool,
 }
 
 impl OperatorSpec {
@@ -79,7 +79,7 @@ impl OperatorSpec {
     }
 
     /// Total output-side work per unit of forward progress, `Σ_j s_j`.
-    pub fn s_total(&self) -> f64 {
+    fn s_total(&self) -> f64 {
         self.output_cost.iter().sum()
     }
 
@@ -100,12 +100,6 @@ impl OperatorSpec {
     /// (paper Section 4.1.1).
     pub fn p(&self) -> f64 {
         self.w() + self.s_total()
-    }
-
-    /// `p` when this operator serves as a pivot feeding `m` consumers:
-    /// `p_φ(m) = w_φ + m · s` (paper Section 4.3).
-    pub fn p_as_pivot(&self, m: usize) -> f64 {
-        self.w() + m as f64 * self.s_per_consumer()
     }
 }
 
@@ -128,15 +122,6 @@ mod tests {
         assert!((op.s_total() - 1.5).abs() < 1e-12);
         assert!((op.p() - 6.5).abs() < 1e-12);
         assert!((op.s_per_consumer() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pivot_cost_grows_linearly_with_sharers() {
-        // Paper Section 4.4: Q6 scan pivot, p_phi(M) = 9.66 + 10.34 M.
-        let scan = OperatorSpec::new("scan", vec![9.66], vec![10.34]);
-        assert!((scan.p_as_pivot(1) - 20.0).abs() < 1e-9);
-        assert!((scan.p_as_pivot(10) - (9.66 + 103.4)).abs() < 1e-9);
-        assert!((scan.p_as_pivot(0) - 9.66).abs() < 1e-9);
     }
 
     #[test]

@@ -10,15 +10,15 @@ pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
     /// Raw index into the plan arena (stable for the plan's lifetime).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct PlanNode {
-    pub(crate) op: OperatorSpec,
-    pub(crate) children: Vec<NodeId>,
+struct PlanNode {
+    op: OperatorSpec,
+    children: Vec<NodeId>,
 }
 
 /// Builder for a [`PlanSpec`]: add nodes bottom-up, then [`PlanBuilder::finish`]
@@ -36,8 +36,6 @@ pub struct PlanBuilder {
 pub struct PlanSpec {
     nodes: Vec<PlanNode>,
     root: NodeId,
-    /// parent[i] = parent of node i, or usize::MAX for the root.
-    parent: Vec<usize>,
 }
 
 impl PlanSpec {
@@ -77,7 +75,7 @@ impl PlanSpec {
     }
 
     /// The root node id.
-    pub fn root(&self) -> NodeId {
+    pub(crate) fn root(&self) -> NodeId {
         self.root
     }
 
@@ -87,23 +85,17 @@ impl PlanSpec {
     }
 
     /// Children of `id` (inputs of the operator).
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn children(&self, id: NodeId) -> &[NodeId] {
         &self.nodes[id.0].children
     }
 
-    /// Parent of `id`, or `None` for the root.
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        let p = self.parent[id.0];
-        (p != usize::MAX).then_some(NodeId(p))
-    }
-
     /// Iterates over all node ids in arena order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId)
     }
 
     /// Validates that `id` belongs to this plan.
-    pub fn check_node(&self, id: NodeId) -> Result<()> {
+    pub(crate) fn check_node(&self, id: NodeId) -> Result<()> {
         if id.0 < self.nodes.len() {
             Ok(())
         } else {
@@ -114,7 +106,7 @@ impl PlanSpec {
     /// Node ids in the subtree rooted at `pivot`, including `pivot`
     /// itself ("below φ" in the paper includes the pivot's inputs; the
     /// pivot is returned so callers can treat it specially).
-    pub fn subtree(&self, pivot: NodeId) -> Result<Vec<NodeId>> {
+    fn subtree(&self, pivot: NodeId) -> Result<Vec<NodeId>> {
         self.check_node(pivot)?;
         let mut out = Vec::new();
         let mut stack = vec![pivot];
@@ -148,7 +140,12 @@ impl PlanSpec {
     /// Whether this plan and `other` have structurally identical subtrees
     /// rooted at the given pivots (same shape, operator names and costs) —
     /// the precondition for merging them into a sharing group.
-    pub fn subtree_equivalent(&self, pivot: NodeId, other: &PlanSpec, other_pivot: NodeId) -> bool {
+    pub(crate) fn subtree_equivalent(
+        &self,
+        pivot: NodeId,
+        other: &PlanSpec,
+        other_pivot: NodeId,
+    ) -> bool {
         fn eq(a: &PlanSpec, an: NodeId, b: &PlanSpec, bn: NodeId) -> bool {
             let (na, nb) = (&a.nodes[an.0], &b.nodes[bn.0]);
             na.op == nb.op
@@ -222,7 +219,6 @@ impl PlanBuilder {
         Ok(PlanSpec {
             nodes: self.nodes,
             root,
-            parent,
         })
     }
 }
@@ -288,13 +284,6 @@ mod tests {
         // Above the root there is nothing; below it is everything else.
         assert!(plan.above(agg).unwrap().is_empty());
         assert_eq!(plan.below(agg).unwrap(), vec![scan]);
-    }
-
-    #[test]
-    fn parent_links() {
-        let (plan, scan, agg) = q6_like();
-        assert_eq!(plan.parent(scan), Some(agg));
-        assert_eq!(plan.parent(agg), None);
     }
 
     #[test]

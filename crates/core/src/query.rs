@@ -21,11 +21,6 @@ impl<'a> QueryModel<'a> {
         Self { plan }
     }
 
-    /// The underlying plan.
-    pub fn plan(&self) -> &'a PlanSpec {
-        self.plan
-    }
-
     /// `p_max`: the largest per-unit-progress work among all operators.
     pub fn p_max(&self) -> f64 {
         self.plan

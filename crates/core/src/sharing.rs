@@ -37,11 +37,11 @@ pub enum SystemKind {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkerScaling {
     /// Morsel workers per query (`k ≥ 1`).
-    pub workers: u32,
+    workers: u32,
     /// Scaling exponent `κ` (`0 < κ ≤ 1`): measured intra-query
     /// speedup is `k^κ`. `κ = 1` is ideal linear scaling; a host whose
     /// throughput is flat in `k` fits `κ → 0`.
-    pub kappa: f64,
+    kappa: f64,
 }
 
 impl WorkerScaling {
@@ -76,7 +76,7 @@ impl WorkerScaling {
     /// Effective speedup of parallelizable work: `e(k) = k^κ`
     /// (`1` exactly for one worker, without the `powf`: the serial
     /// model is the one admission evaluates per arrival).
-    pub fn effective(&self) -> f64 {
+    fn effective(&self) -> f64 {
         if self.workers == 1 {
             1.0
         } else {
@@ -200,7 +200,7 @@ impl SharingEvaluator {
     /// structurally identical sub-plan. Each entry is `(plan, pivot)`;
     /// all pivoted subtrees must be equivalent
     /// (see [`PlanSpec::subtree_equivalent`]).
-    pub fn heterogeneous(queries: &[(&PlanSpec, NodeId)]) -> Result<Self> {
+    fn heterogeneous(queries: &[(&PlanSpec, NodeId)]) -> Result<Self> {
         let (first_plan, first_pivot) = *queries.first().ok_or(ModelError::EmptyGroup)?;
         first_plan.check_node(first_pivot)?;
         for &(plan, pivot) in &queries[1..] {
@@ -298,7 +298,7 @@ impl SharingEvaluator {
     }
 
     /// Number of queries in the group (`m`).
-    pub fn m(&self) -> usize {
+    fn m(&self) -> usize {
         self.members.len()
     }
 
@@ -323,7 +323,7 @@ impl SharingEvaluator {
     /// residual filters}. As `k → ∞` this floors at the serial
     /// multiplexing cost `Σ_m s_mφ` — the pivot bottleneck intra-query
     /// parallelism cannot dissolve.
-    pub fn shared_p_max(&self) -> f64 {
+    fn shared_p_max(&self) -> f64 {
         let below = self.scaled_max(self.below.iter().copied());
         let above = self.scaled_max(
             self.members
@@ -350,7 +350,7 @@ impl SharingEvaluator {
     /// `u_shared = u'_shared / p_max_shared`. The paper's key observation
     /// (Section 6.3): this is *bounded* no matter how many sharers join,
     /// which caps the benefit of sharing on large machines.
-    pub fn shared_utilization(&self) -> f64 {
+    fn shared_utilization(&self) -> f64 {
         self.shared_total_work() / self.shared_p_max()
     }
 

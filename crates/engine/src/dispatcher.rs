@@ -41,8 +41,8 @@ use std::sync::Arc;
 /// An arrival awaiting group formation.
 #[derive(Debug, Clone)]
 pub(crate) struct Arrival {
-    pub submission: usize,
-    pub spec: QuerySpec,
+    submission: usize,
+    spec: QuerySpec,
 }
 
 /// A forming (not yet dispatched) sharing group.
@@ -75,56 +75,56 @@ fn root_out_per_tuple(plan: &PhysicalPlan) -> f64 {
 }
 
 /// Per-submission result buffers (run-once collection mode).
-pub(crate) type CollectBuffers = Vec<Rc<RefCell<Vec<Arc<Page>>>>>;
+type CollectBuffers = Vec<Rc<RefCell<Vec<Arc<Page>>>>>;
 
 /// Shared mutable engine state (single-threaded simulator world).
 pub(crate) struct EngineCore {
-    pub catalog: Rc<Catalog>,
-    pub wiring: WiringConfig,
-    pub policy: Policy,
-    pub contexts: usize,
+    pub(crate) catalog: Rc<Catalog>,
+    pub(crate) wiring: WiringConfig,
+    pub(crate) policy: Policy,
+    pub(crate) contexts: usize,
     /// Group-formation window in virtual time.
-    pub window: VTime,
+    pub(crate) window: VTime,
     /// Closed system: completed queries are resubmitted.
-    pub resubmit: bool,
-    pub max_group: usize,
-    pub sink_cost: OpCost,
-    pub arrivals: VecDeque<Arrival>,
-    pub pending: Vec<PendingGroup>,
-    pub dispatcher: Option<TaskId>,
+    pub(crate) resubmit: bool,
+    pub(crate) max_group: usize,
+    pub(crate) sink_cost: OpCost,
+    pub(crate) arrivals: VecDeque<Arrival>,
+    pub(crate) pending: Vec<PendingGroup>,
+    pub(crate) dispatcher: Option<TaskId>,
     /// `(submission id, error)` per failed query: plans rejected at
     /// instantiation and runtime faults (e.g. unsorted merge inputs,
     /// spill I/O errors, exhausted memory budgets). Failed queries
     /// never appear in `completion_records` and are not resubmitted.
-    pub failures: Vec<(usize, ExecError)>,
+    pub(crate) failures: Vec<(usize, ExecError)>,
     /// Submission ids refused at admission (bounded admission queue
     /// full): they hold a position in every per-submission table but
     /// never entered `arrivals`.
-    pub rejections: Vec<usize>,
+    pub(crate) rejections: Vec<usize>,
     /// Submission time by submission id (0 for pre-run submissions).
-    pub arrival_times: Vec<VTime>,
+    pub(crate) arrival_times: Vec<VTime>,
     /// `(submission id, completion time)` pairs, for response times.
-    pub completion_records: Vec<(usize, VTime)>,
+    pub(crate) completion_records: Vec<(usize, VTime)>,
     /// Sizes of dispatched groups (sharing diagnostics).
-    pub group_sizes: Vec<usize>,
-    pub next_submission: usize,
+    pub(crate) group_sizes: Vec<usize>,
+    pub(crate) next_submission: usize,
     /// Arrivals scheduled by an open-system driver but not yet
     /// submitted; keeps the dispatcher alive while the schedule drains.
-    pub external_arrivals_pending: usize,
+    pub(crate) external_arrivals_pending: usize,
     /// Queries admitted but not yet completed (the closed system's
     /// multiprogramming level) — the denominator of the fair-share
     /// effective-processor estimate handed to the policy.
-    pub live_queries: usize,
-    pub group_seq: u64,
+    pub(crate) live_queries: usize,
+    pub(crate) group_seq: u64,
     /// Result collection buffers by submission id (run-once mode).
-    pub collect: Option<CollectBuffers>,
+    pub(crate) collect: Option<CollectBuffers>,
     /// Cache of completed shared-fragment outputs (`None` = disabled).
-    pub fragment_cache: Option<crate::fragment_cache::FragmentCache>,
+    pub(crate) fragment_cache: Option<crate::fragment_cache::FragmentCache>,
     /// Arrivals that joined a group under a structurally *different*
     /// (subsuming) pivot — sharing the old equality test would miss.
-    pub subsume_joins: u64,
+    pub(crate) subsume_joins: u64,
     /// Times a pending group's pivot was replaced by a wider arrival's.
-    pub pivot_widenings: u64,
+    pub(crate) pivot_widenings: u64,
 }
 
 impl EngineCore {
@@ -151,7 +151,7 @@ impl EngineCore {
 }
 
 /// The engine's control task: forms and dispatches sharing groups.
-pub struct DispatcherTask {
+pub(crate) struct DispatcherTask {
     pub(crate) core: Rc<RefCell<EngineCore>>,
 }
 

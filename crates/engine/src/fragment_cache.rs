@@ -25,12 +25,12 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct CachedFragment {
     /// Fingerprint of the pivot (bucket key).
-    pub fingerprint: u64,
+    fingerprint: u64,
     /// The pivot plan whose output the pages are.
-    pub pivot: PhysicalPlan,
+    pub(crate) pivot: PhysicalPlan,
     /// Captured output pages, filled by the capture sink as the group
     /// runs.
-    pub pages: Rc<RefCell<Vec<Arc<Page>>>>,
+    pub(crate) pages: Rc<RefCell<Vec<Arc<Page>>>>,
     /// Set by the capture sink when the pivot drained without faults;
     /// only ready entries are servable.
     pub ready: Rc<Cell<bool>>,
@@ -54,11 +54,11 @@ pub struct FragmentCache {
     /// LRU order: front = least recently used.
     entries: VecDeque<CachedFragment>,
     /// Lookups that found a servable subsuming fragment.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that found none.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Entries displaced by inserts past capacity.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 impl FragmentCache {
@@ -103,16 +103,6 @@ impl FragmentCache {
             self.entries.pop_front();
             self.evictions += 1;
         }
-    }
-
-    /// Number of resident entries (ready or in-flight).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -179,7 +169,7 @@ mod tests {
         e.ready.set(true);
         cache.insert(e);
         assert_eq!(cache.evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         // (0,20) was evicted; (0,10) survives but cannot cover (12,18).
         assert!(cache.lookup(fp, &banded(1, 9)).is_some());
         assert!(cache.lookup(fp, &banded(12, 18)).is_none());

@@ -22,10 +22,10 @@
 //!   (paper Section 8): the model-guided policy admits a query into a
 //!   sharing group only if the analytical model predicts the expanded
 //!   group does not lose ([`policy::sharing_group`] is the one pricing,
-//!   [`Policy::decide`] the one advisor: its [`Decision`] carries
+//!   [`Policy::decide`] the one advisor: its [`policy::Decision`] carries
 //!   `cordoba-core`'s one verdict, `Speedup::favors_sharing`, with the
 //!   predicted `Z` behind it).
-//! * [`run`] — the one run loop on the simulated CMP and its one
+//! * [`Run`] — the one run loop on the simulated CMP and its one
 //!   [`Report`]. A [`Run`] is parameterised by arrival source, admission
 //!   bound, capture and stop condition: [`run_once`] (a batch),
 //!   [`ClosedLoop`]/[`measure_throughput`] (every completion is
@@ -47,19 +47,19 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod dispatcher;
+mod dispatcher;
 pub mod fragment_cache;
 pub mod policy;
 pub mod profiling;
-pub mod query;
-pub mod run;
+mod query;
+mod run;
 pub mod sharing;
 pub mod thread_exec;
 
 pub use cordoba_exec::{ExecError, MemoryConfig, ParallelConfig};
-pub use fragment_cache::{CachedFragment, FragmentCache};
-pub use policy::{Decision, OverlapInfo, Policy, QueryModelInfo};
+pub use policy::{OverlapInfo, Policy, QueryModelInfo};
 pub use query::QuerySpec;
 pub use run::{
     measure_throughput, run_once, run_open_loop_collecting, run_service, ArrivalSchedule,

@@ -95,7 +95,7 @@ pub struct Decision {
     /// The predicted speedup (`Z`, `x_shared`, `x_unshared`, ...).
     pub speedup: Speedup,
     /// Processors the group was priced at.
-    pub n: f64,
+    n: f64,
 }
 
 /// A sharing policy.
@@ -127,7 +127,7 @@ impl Policy {
     }
 
     /// Whether this policy ever forms groups.
-    pub fn may_share(&self) -> bool {
+    pub(crate) fn may_share(&self) -> bool {
         !matches!(self, Policy::NeverShare)
     }
 
@@ -175,7 +175,7 @@ impl Policy {
     /// `n · (m + 1) / live_queries`, which makes sharing more attractive
     /// exactly when the machine is saturated (the regime where the
     /// paper shows sharing pays off).
-    pub fn admit_overlap(
+    pub(crate) fn admit_overlap(
         &self,
         group: &[OverlapInfo<'_>],
         candidate: OverlapInfo<'_>,
@@ -190,7 +190,7 @@ impl Policy {
         }
     }
 
-    /// [`Policy::admit_overlap`] for an exact-overlap group given by
+    /// `Policy::admit_overlap` for an exact-overlap group given by
     /// name (every coverage 1). Kept because `benchmark/` times it.
     pub fn admit(&self, group_names: &[String], candidate: &str, effective_contexts: f64) -> bool {
         let exact = |name| OverlapInfo {

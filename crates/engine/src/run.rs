@@ -364,12 +364,12 @@ impl Run {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> VTime {
+    fn now(&self) -> VTime {
         self.sim.now()
     }
 
     /// Completions so far.
-    pub fn completions(&self) -> usize {
+    fn completions(&self) -> usize {
         self.core.borrow().completion_records.len()
     }
 
@@ -668,9 +668,9 @@ pub struct Throughput {
     /// Queries per unit of virtual time over the measurement window.
     pub per_time: f64,
     /// Completions counted in the window.
-    pub completions: usize,
+    completions: usize,
     /// Window length (virtual time).
-    pub window: VTime,
+    window: VTime,
 }
 
 /// Measures steady-state throughput adaptively: warms up until every

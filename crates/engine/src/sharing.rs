@@ -1,7 +1,7 @@
 //! Sub-plan surgery: detecting shareable subtrees and splitting a
 //! member query into (shared pivot sub-plan, private above-fragment).
 //!
-//! [`split_with_residual`] is the one split, on both substrates: the
+//! `split_with_residual` is the one split, on both substrates: the
 //! dispatcher calls it for every member of a sharing group, and
 //! `thread_exec` for each consumer of its pivot. The group runs a pivot
 //! that semantically contains the member's own
@@ -13,8 +13,8 @@
 //! the exact split.
 
 use cordoba_exec::expr::Predicate;
-use cordoba_exec::plan::SchemaRef;
 use cordoba_exec::subsume::{peel_filters, subsume_residual};
+use cordoba_exec::SchemaRef;
 use cordoba_exec::{ExecError, PhysicalPlan};
 use cordoba_storage::Catalog;
 
@@ -56,7 +56,7 @@ fn split_at_pivot(
 /// private fragment sees exactly the rows its own pivot would have
 /// produced, in the same order. Returns `Ok(None)` when the member's
 /// whole plan *is* its pivot and no residual is needed.
-pub fn split_with_residual(
+pub(crate) fn split_with_residual(
     plan: &PhysicalPlan,
     own_pivot: &PhysicalPlan,
     group_pivot: &PhysicalPlan,
@@ -114,7 +114,7 @@ fn rewrite_first(
 /// Preorder index of the first occurrence of `pivot` within `plan`
 /// (indices match the task labels produced by `cordoba_exec::wiring` and
 /// the node order of profiled model plans).
-pub fn pivot_preorder(plan: &PhysicalPlan, pivot: &PhysicalPlan) -> Option<usize> {
+pub(crate) fn pivot_preorder(plan: &PhysicalPlan, pivot: &PhysicalPlan) -> Option<usize> {
     fn walk(plan: &PhysicalPlan, pivot: &PhysicalPlan, idx: &mut usize) -> Option<usize> {
         let my = *idx;
         *idx += 1;

@@ -44,8 +44,8 @@
 use crate::query::QuerySpec;
 use crate::sharing::split_with_residual;
 use cordoba_exec::ops::{Handoff, Inlet, Outlet};
-use cordoba_exec::plan::SchemaRef;
 use cordoba_exec::wiring::{self, WiringConfig};
+use cordoba_exec::SchemaRef;
 use cordoba_exec::{ExecError, MemoryBroker, ParallelConfig, PhysicalPlan, QueryResources};
 use cordoba_storage::{Catalog, Value};
 use std::panic;

@@ -17,7 +17,7 @@ pub struct OpCost {
     /// Work units per input tuple processed (the model's `w`).
     pub per_tuple: f64,
     /// Fixed work units per input page (header/dispatch overhead).
-    pub per_page: f64,
+    per_page: f64,
     /// Work units per output tuple *per consumer* (the model's `s`).
     pub out_per_tuple: f64,
 }

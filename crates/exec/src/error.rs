@@ -82,7 +82,7 @@ impl ExecError {
     }
 
     /// Shorthand for a [`ExecError::Spill`] from an I/O error.
-    pub fn spill(op: &'static str, err: impl fmt::Display) -> Self {
+    pub(crate) fn spill(op: &'static str, err: impl fmt::Display) -> Self {
         ExecError::Spill {
             op,
             detail: err.to_string(),
@@ -137,7 +137,7 @@ impl FaultCell {
     }
 
     /// Whether a fault has been recorded.
-    pub fn is_set(&self) -> bool {
+    pub(crate) fn is_set(&self) -> bool {
         self.0.borrow().is_some()
     }
 

@@ -1,5 +1,5 @@
 //! Scalar expressions, predicates, and aggregate specifications — the
-//! plan-side trees. Operators run them compiled ([`crate::vexpr`]); the
+//! plan-side trees. Operators run them compiled ([`crate::CompiledExpr`]); the
 //! tuple-at-a-time tree walk (`eval`) lives beside the oracle in
 //! [`crate::reference`].
 
@@ -141,7 +141,7 @@ impl Predicate {
 }
 
 /// Wrapper allowing `col_cmp` to take plain literals.
-pub struct LitValue(pub ScalarExpr);
+pub struct LitValue(pub(crate) ScalarExpr);
 impl From<i64> for LitValue {
     fn from(v: i64) -> Self {
         LitValue(ScalarExpr::IntLit(v))

@@ -25,24 +25,23 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod cost;
-pub mod error;
+mod cost;
+mod error;
 pub mod expr;
-pub mod memory;
+mod memory;
 pub mod ops;
-pub mod parallel;
-pub mod plan;
+mod parallel;
+mod plan;
 pub mod reference;
 pub mod subsume;
-pub mod vexpr;
+mod vexpr;
 pub mod wiring;
 
 pub use cost::OpCost;
 pub use error::{ExecError, FaultCell};
-pub use expr::{Agg, CmpOp, Predicate, ScalarExpr};
 pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
-pub use parallel::{MorselDispenser, ParallelConfig};
-pub use plan::{JoinKind, PhysicalPlan};
-pub use subsume::{coverage_estimate, fingerprint, subsume_residual, NormPred};
-pub use vexpr::{CompiledExpr, CompiledExprs, CompiledPredicate, ExprScratch};
+pub use parallel::ParallelConfig;
+pub use plan::{concat_schemas, JoinKind, PhysicalPlan, SchemaRef};
+pub use vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};

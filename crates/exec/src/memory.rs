@@ -64,7 +64,8 @@ impl BrokerState {
     }
 }
 
-/// Shared per-query memory account. See the [module docs](self).
+/// Shared per-query memory account: an operator asks it for a grant
+/// before buffering, and a refused grant is the signal to spill.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBroker(Arc<BrokerState>);
 
@@ -77,7 +78,7 @@ impl MemoryBroker {
     }
 
     /// A broker that refuses grants past `bytes` of tracked memory.
-    pub fn with_budget(bytes: usize) -> Self {
+    pub(crate) fn with_budget(bytes: usize) -> Self {
         MemoryBroker(Arc::new(BrokerState {
             budget: Some(bytes),
             used: AtomicUsize::new(0),
@@ -86,7 +87,7 @@ impl MemoryBroker {
     }
 
     /// The configured budget, if any.
-    pub fn budget(&self) -> Option<usize> {
+    pub(crate) fn budget(&self) -> Option<usize> {
         self.0.budget
     }
 
@@ -96,14 +97,14 @@ impl MemoryBroker {
     /// Safe under concurrent workers: the budget check and the charge
     /// are one atomic compare-exchange, so racing grants can never
     /// jointly overshoot the budget.
-    pub fn try_grant(&self, bytes: usize) -> bool {
+    pub(crate) fn try_grant(&self, bytes: usize) -> bool {
         self.try_grant_leaving(bytes, 0)
     }
 
     /// [`MemoryBroker::try_grant`], refused unless `headroom` more
     /// bytes would still fit afterwards: how an operator keeps room for
     /// the frame of the stream it will spill to.
-    pub fn try_grant_leaving(&self, bytes: usize, headroom: usize) -> bool {
+    fn try_grant_leaving(&self, bytes: usize, headroom: usize) -> bool {
         let granted = self
             .0
             .used
@@ -126,13 +127,13 @@ impl MemoryBroker {
     /// Takes `bytes` unconditionally, still tracked against the peak.
     /// For fixed overheads that spilling cannot eliminate (the frame of
     /// an open spill stream).
-    pub fn grant(&self, bytes: usize) {
+    pub(crate) fn grant(&self, bytes: usize) {
         let prev = self.0.used.fetch_add(bytes, Ordering::AcqRel);
         self.0.bump_peak(prev.saturating_add(bytes));
     }
 
     /// Returns `bytes` to the account.
-    pub fn release(&self, bytes: usize) {
+    pub(crate) fn release(&self, bytes: usize) {
         // Saturating decrement: a release can never underflow the
         // account even if callers double-release under a race.
         let _ = self
@@ -188,7 +189,7 @@ pub struct SpillContext {
 
 impl SpillContext {
     /// Binds `cfg`'s policy to one query's broker and fault cell.
-    pub fn new(cfg: &MemoryConfig, broker: MemoryBroker, fault: FaultCell) -> Self {
+    pub(crate) fn new(cfg: &MemoryConfig, broker: MemoryBroker, fault: FaultCell) -> Self {
         SpillContext {
             broker,
             fault,

@@ -347,7 +347,7 @@ impl AggCore {
     /// columns and aggregate list), which the parallel executor
     /// guarantees by construction. `Sum`/`Avg` float totals depend on
     /// the merge order, so workers are always merged in index order.
-    pub(crate) fn merge(&mut self, other: AggCore) {
+    fn merge(&mut self, other: AggCore) {
         let cols = &mut self.cols;
         // The slot here of each of `other`'s slots.
         let mut into = vec![0; other.cols.rows.len()];
@@ -395,7 +395,7 @@ impl AggCore {
     }
 
     /// Ends consumption: queues every group for emission, sorted by key.
-    pub(crate) fn start_emit(&mut self) {
+    fn start_emit(&mut self) {
         let mut order: Vec<(Vec<KeyVal>, u32)> = match &mut self.index {
             GroupIndex::Single => (0..self.cols.rows.len() as u32)
                 .map(|slot| (Vec::new(), slot))
@@ -411,7 +411,7 @@ impl AggCore {
     /// rows of the output schema) until [`EMIT_BATCH_PAGES`] pages have
     /// filled, closing the page in hand too; returns whether it ran out
     /// of groups.
-    pub(crate) fn emit_step(&mut self, mut emit: impl FnMut(Arc<Page>)) -> bool {
+    fn emit_step(&mut self, mut emit: impl FnMut(Arc<Page>)) -> bool {
         let mut builder = PageBuilder::new(self.out_schema.clone());
         let mut pages = 0;
         let exhausted = loop {
@@ -484,9 +484,9 @@ impl Deposit {
     }
 }
 
-/// Hash-aggregate kernel: an [`AggCore`] plus its cost. What is left
+/// Hash-aggregate kernel: an `AggCore` plus its cost. What is left
 /// of the operator here is that fold and the sorted emission, a batch
-/// of pages per call; [`crate::ops::shell`] runs it as a task.
+/// of pages per call; [`super::OperatorShell`] runs it as a task.
 pub struct AggregateKernel {
     in_schema: Arc<Schema>,
     core: AggCore,

@@ -165,7 +165,7 @@ impl BuildTable {
 
     /// Bytes held for the rows, what the join is granted for the table:
     /// the arena, or at row width 0 the keys.
-    pub fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         if self.row_width == 0 {
             self.keys.len() * KEY_BYTES
         } else {
@@ -285,7 +285,7 @@ impl<'a> Iterator for MatchIter<'a> {
 /// `hash % parts`, and FxHash's low bits are too weak for that (its
 /// low bit tracks key parity at every level, which would make every
 /// later pass route a pair as the one before it did).
-pub(crate) fn partition_of(key: i64, level: u32, parts: usize) -> usize {
+fn partition_of(key: i64, level: u32, parts: usize) -> usize {
     if parts <= 1 {
         return 0;
     }

@@ -92,7 +92,7 @@ impl Side {
 }
 
 /// Merge-join kernel: port 0 is the left input, port 1 the right.
-pub struct MergeJoinKernel {
+pub(crate) struct MergeJoinKernel {
     /// Each side's schema and key column.
     inputs: [(Arc<Schema>, usize); 2],
     sides: [Side; 2],
@@ -107,7 +107,7 @@ impl MergeJoinKernel {
     /// columns `left_key` and `right_key`; `out_schema` must be
     /// left ++ right. Errs when a key column is out of range or not
     /// `Int`.
-    pub fn new(
+    pub(crate) fn new(
         left: Arc<Schema>,
         right: Arc<Schema>,
         left_key: usize,

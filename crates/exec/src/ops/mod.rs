@@ -3,23 +3,23 @@
 //! Every operator — scan, filter, project, aggregate, sort, hash join,
 //! merge join, nested-loop join and sink — is a [`Kernel`]: state plus
 //! a page function that one task, the [`OperatorShell`], runs behind
-//! the page-exchange protocol (see [`shell`]), reading and delivering
-//! through the one channel layer ([`port`]) on either substrate. So is
+//! the page-exchange protocol, reading and delivering through the one
+//! channel layer ([`Inlet`] / [`Outlet`]) on either substrate. So is
 //! every task of a morsel group: its workers
 //! (`parallel::MorselKernel`) and its merge.
 
-pub mod aggregate;
-pub mod filter;
-pub mod hash_join;
-pub mod merge_join;
-pub mod nlj;
-pub mod port;
-pub mod project;
-pub mod scan;
-pub mod shell;
-pub mod sink;
-pub mod sort;
-pub mod sort_key;
+pub(crate) mod aggregate;
+mod filter;
+mod hash_join;
+mod merge_join;
+mod nlj;
+pub(crate) mod port;
+mod project;
+mod scan;
+pub(crate) mod shell;
+mod sink;
+mod sort;
+mod sort_key;
 
 #[cfg(test)]
 mod join_properties;
@@ -28,16 +28,15 @@ pub(crate) mod testutil;
 
 pub use aggregate::AggregateKernel;
 pub use filter::FilterKernel;
-pub use hash_join::{BuildTable, HashJoinKernel};
-pub use merge_join::MergeJoinKernel;
+pub use hash_join::{BuildTable, HashJoinKernel, MatchIter};
+pub(crate) use merge_join::MergeJoinKernel;
 pub use nlj::NljKernel;
 pub use port::{Handoff, Inlet, Outlet};
 pub use project::ProjectKernel;
 pub use scan::ScanKernel;
-pub use shell::{Kernel, OperatorShell, Pages};
+pub use shell::{Drained, Kernel, OperatorShell, PageWork, Pages, PortClosed};
 pub use sink::SinkKernel;
 pub use sort::SortKernel;
-pub use sort_key::{KeyScratch, PackedKeySpec};
 
 use cordoba_sim::{TaskCtx, VTime};
 use cordoba_storage::{DataType, Page, Schema, TupleRef};
@@ -118,7 +117,7 @@ impl Fanout {
 
     /// Queues the end of the producer's morsel `index`, told to the
     /// consumers once the pages queued before it are delivered.
-    pub(crate) fn end_morsel(&mut self, index: usize) {
+    fn end_morsel(&mut self, index: usize) {
         self.morsel_end = Some(index);
     }
 
@@ -175,7 +174,7 @@ impl Fanout {
 
     /// Discards everything undelivered (query abort): consumers already
     /// served a page keep it, the rest never see it.
-    pub(crate) fn abandon(&mut self) {
+    fn abandon(&mut self) {
         self.pending = None;
         self.queue.clear();
         self.morsel_end = None;
@@ -184,7 +183,7 @@ impl Fanout {
 
 /// A totally ordered key component for grouping and sorting.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum KeyVal {
+pub(crate) enum KeyVal {
     /// Integer key.
     Int(i64),
     /// Float key under IEEE total order.
@@ -197,7 +196,7 @@ pub enum KeyVal {
 
 /// `f64` wrapper ordered by `total_cmp` so it can key `BTreeMap`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TotalF64(pub f64);
+pub(crate) struct TotalF64(pub(crate) f64);
 impl Eq for TotalF64 {}
 impl PartialOrd for TotalF64 {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -212,11 +211,7 @@ impl Ord for TotalF64 {
 
 /// Validates that `col` is an `Int` column of `schema` — the join-key
 /// contract shared by the hash and merge joins.
-pub(crate) fn int_key(
-    what: &str,
-    schema: &Arc<Schema>,
-    col: usize,
-) -> Result<(), crate::error::ExecError> {
+fn int_key(what: &str, schema: &Arc<Schema>, col: usize) -> Result<(), crate::error::ExecError> {
     let dtype = schema
         .fields()
         .get(col)
@@ -231,7 +226,7 @@ pub(crate) fn int_key(
 }
 
 /// Extracts the `cols` of a tuple as an ordered key.
-pub fn key_of(tuple: &TupleRef<'_>, cols: &[usize]) -> Vec<KeyVal> {
+pub(crate) fn key_of(tuple: &TupleRef<'_>, cols: &[usize]) -> Vec<KeyVal> {
     cols.iter()
         .map(|&i| match tuple.schema().fields()[i].dtype {
             DataType::Int => KeyVal::Int(tuple.get_int(i)),
@@ -243,7 +238,7 @@ pub fn key_of(tuple: &TupleRef<'_>, cols: &[usize]) -> Vec<KeyVal> {
 }
 
 /// Encodes a [`KeyVal`] back into raw row bytes for its field type.
-pub fn encode_keyval(out: &mut Vec<u8>, key: &KeyVal, dtype: DataType) {
+fn encode_keyval(out: &mut Vec<u8>, key: &KeyVal, dtype: DataType) {
     match (key, dtype) {
         (KeyVal::Int(v), DataType::Int) => out.extend_from_slice(&v.to_le_bytes()),
         (KeyVal::Float(v), DataType::Float) => out.extend_from_slice(&v.0.to_le_bytes()),
@@ -259,7 +254,7 @@ pub fn encode_keyval(out: &mut Vec<u8>, key: &KeyVal, dtype: DataType) {
 
 /// Type-default row bytes for a schema (0 / 0.0 / epoch / spaces) —
 /// the fill for unmatched LEFT OUTER probe rows.
-pub fn default_row_bytes(schema: &Arc<Schema>) -> Vec<u8> {
+fn default_row_bytes(schema: &Arc<Schema>) -> Vec<u8> {
     let mut out = Vec::with_capacity(schema.row_width());
     for f in schema.fields() {
         match f.dtype {

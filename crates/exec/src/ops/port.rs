@@ -211,7 +211,7 @@ impl Inlet {
     /// Stops reading (the query failed): a simulator channel swallows
     /// whatever is sent from now on, and an OS link hangs up, so its
     /// producers stop serving this consumer.
-    pub fn close(&mut self, ctx: &mut TaskCtx<'_>) {
+    pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
             In::Sim(rx) => rx.close(ctx),
             In::Link(feed) => feed.hang_up(ctx),
@@ -363,7 +363,7 @@ impl Outlet {
     /// consumer hung up, like a closed simulator channel, swallows the
     /// page. A group link gathers it into the morsel in progress.
     #[inline]
-    pub fn send(&mut self, page: Arc<Page>, ctx: &mut TaskCtx<'_>) -> Result<(), Arc<Page>> {
+    pub(crate) fn send(&mut self, page: Arc<Page>, ctx: &mut TaskCtx<'_>) -> Result<(), Arc<Page>> {
         match &mut self.0 {
             Out::Sim(tx) => tx.try_send(page, ctx),
             Out::Os(link) => {
@@ -383,7 +383,7 @@ impl Outlet {
     /// far: a group link hands the morsel off, and says `false` when a
     /// simulator channel had no room (the caller is registered as a
     /// waiter and asks again). Any other outlet has nothing to do.
-    pub fn end_morsel(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
+    pub(crate) fn end_morsel(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
         match &mut self.0 {
             Out::Group(link) => link.end_morsel(index, ctx),
             Out::Sim(_) | Out::Os(_) => true,
@@ -394,7 +394,7 @@ impl Outlet {
     /// whose stream has closed): nothing sent here is read. A simulator
     /// channel never says so.
     #[inline]
-    pub fn is_hung_up(&self) -> bool {
+    pub(crate) fn is_hung_up(&self) -> bool {
         match &self.0 {
             Out::Sim(_) => false,
             Out::Os(link) => link.tx.is_none(),
@@ -406,7 +406,7 @@ impl Outlet {
     /// the partial last morsel and lets go of its end (the driver that
     /// made the link hangs up, after the error if the producer failed);
     /// a group link ends its worker's stream.
-    pub fn close(&mut self, ctx: &mut TaskCtx<'_>) {
+    pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
             Out::Sim(tx) => tx.close(ctx),
             Out::Os(link) => {

@@ -91,52 +91,52 @@ pub type Pages = Vec<Arc<Page>>;
 /// input"`; empty for an operator with one input) and the schema every
 /// page on it must have — `None` for a port whose pages the kernel
 /// never reads, which is not checked.
-pub type Port = (&'static str, Option<Arc<Schema>>);
+pub(crate) type Port = (&'static str, Option<Arc<Schema>>);
 
 /// Runs once, in the step the shell finishes (see
 /// [`OperatorShell::on_done`]).
-pub type OnDone = Box<dyn FnOnce(&mut TaskCtx<'_>)>;
+type OnDone = Box<dyn FnOnce(&mut TaskCtx<'_>)>;
 
 /// What [`Kernel::on_page`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageWork {
     /// Virtual work of the call.
-    pub cost: VTime,
+    pub(crate) cost: VTime,
     /// Rows of forward progress it stands for (0 while an operator only
     /// loads the side it will later be probed with).
-    pub progress: usize,
+    pub(crate) progress: usize,
 }
 
 /// What [`Kernel::on_close`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortClosed {
     /// Virtual work of the call (the sort itself, a merge cascade).
-    pub cost: VTime,
+    pub(crate) cost: VTime,
     /// The least this step may cost in all.
-    pub min_tick: VTime,
+    pub(crate) min_tick: VTime,
     /// The kernel is done: no `drain` follows, and the task finishes
     /// once this call's output is delivered.
-    pub last: bool,
+    pub(crate) last: bool,
 }
 
 /// What [`Kernel::drain`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Drained {
     /// Virtual work of the call.
-    pub cost: VTime,
+    pub(crate) cost: VTime,
     /// Rows of forward progress it stands for (a scan's page).
-    pub progress: usize,
+    pub(crate) progress: usize,
     /// It was the last call.
     pub last: bool,
     /// The call finished the producer's morsel with this index: the
     /// shell tells its consumers after the call's pages
     /// ([`Outlet::end_morsel`](super::Outlet::end_morsel)).
-    pub morsel: Option<usize>,
+    pub(crate) morsel: Option<usize>,
 }
 
 impl Drained {
     /// The last call, emitting nothing at no cost.
-    pub const LAST: Drained = Drained {
+    pub(crate) const LAST: Drained = Drained {
         cost: 0,
         progress: 0,
         last: true,
@@ -144,7 +144,7 @@ impl Drained {
     };
 
     /// A call that is not the last, costing `cost`.
-    pub const fn batch(cost: VTime) -> Self {
+    pub(crate) const fn batch(cost: VTime) -> Self {
         Drained {
             cost,
             progress: 0,
@@ -154,8 +154,8 @@ impl Drained {
     }
 }
 
-/// An operator: state plus a page function. See the [module docs](self)
-/// for when the shell makes each call.
+/// An operator: state plus a page function, called by the
+/// [`OperatorShell`] that runs it.
 pub trait Kernel {
     /// The operator's name in faults.
     fn name(&self) -> &'static str;
@@ -233,7 +233,8 @@ impl Input {
     }
 }
 
-/// The task that runs a [`Kernel`]. See the [module docs](self).
+/// The task that runs a [`Kernel`] behind the page-exchange protocol
+/// (see the [`ops`](crate::ops) module docs).
 pub struct OperatorShell {
     kernel: Box<dyn Kernel>,
     inputs: Vec<Input>,

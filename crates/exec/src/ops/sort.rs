@@ -131,7 +131,7 @@ struct Emit {
 
 /// Sort kernel (ascending by the given key columns, major first): the
 /// buffered pages and their keys, the spilled runs, and the emission
-/// cursor. [`crate::ops::shell`] runs it as a task.
+/// cursor. [`super::OperatorShell`] runs it as a task.
 pub struct SortKernel {
     key_cols: Vec<usize>,
     cost: OpCost,

@@ -24,6 +24,7 @@
 //!   matching the trimmed-string comparison of `KeyVal::Str` for all
 //!   ASCII contents (pages store only ASCII).
 
+#[cfg(test)]
 use super::{key_of, KeyVal};
 use cordoba_storage::{DataType, Page, Schema};
 use std::sync::Arc;
@@ -41,7 +42,7 @@ struct PackedField {
 
 /// Reusable typed gather buffers for packed key extraction.
 #[derive(Debug, Default)]
-pub struct KeyScratch {
+pub(crate) struct KeyScratch {
     i: Vec<i64>,
     f: Vec<f64>,
     d: Vec<i32>,
@@ -49,7 +50,7 @@ pub struct KeyScratch {
 
 /// A packed sort-key layout for key columns totalling ≤ 8 bytes.
 #[derive(Debug, Clone)]
-pub struct PackedKeySpec {
+pub(crate) struct PackedKeySpec {
     fields: Vec<PackedField>,
 }
 
@@ -58,7 +59,7 @@ impl PackedKeySpec {
     /// or `None` when the combined key width exceeds 8 bytes (callers
     /// fall back to the general `Vec<KeyVal>` path). Column indices
     /// must be in range (validated by the operator constructors).
-    pub fn try_new(schema: &Arc<Schema>, keys: &[usize]) -> Option<Self> {
+    pub(crate) fn try_new(schema: &Arc<Schema>, keys: &[usize]) -> Option<Self> {
         let total: usize = keys.iter().map(|&c| schema.fields()[c].dtype.width()).sum();
         if total > 8 {
             return None;
@@ -83,7 +84,7 @@ impl PackedKeySpec {
     /// Appends one packed key per row of `page` to `out` — one typed
     /// column gather per numeric key field, one raw-row pass per string
     /// field, no per-row allocation.
-    pub fn extend_keys(&self, page: &Page, scratch: &mut KeyScratch, out: &mut Vec<u64>) {
+    pub(crate) fn extend_keys(&self, page: &Page, scratch: &mut KeyScratch, out: &mut Vec<u64>) {
         let start = out.len();
         out.resize(start + page.rows(), 0);
         let dst = &mut out[start..];
@@ -177,9 +178,10 @@ fn pack_one(key: &[KeyVal], spec: &PackedKeySpec) -> u64 {
     packed
 }
 
-/// The general path's per-row key: [`key_of`] over the same columns.
-/// Kept here so sort and merge share one definition with the tests.
-pub fn general_key(page: &Page, row: usize, keys: &[usize]) -> Vec<KeyVal> {
+/// The general path's per-row key: [`key_of`] over the same columns,
+/// the order the tests pin packed keys against.
+#[cfg(test)]
+fn general_key(page: &Page, row: usize, keys: &[usize]) -> Vec<KeyVal> {
     key_of(&page.tuple(row), keys)
 }
 

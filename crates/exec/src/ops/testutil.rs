@@ -80,8 +80,8 @@ pub(crate) fn run_shell(
 
 /// Drains a page stream, counting rows.
 pub(crate) struct CountingSink {
-    pub rx: Receiver<Arc<Page>>,
-    pub rows: Rc<Cell<usize>>,
+    pub(crate) rx: Receiver<Arc<Page>>,
+    pub(crate) rows: Rc<Cell<usize>>,
 }
 
 impl Task for CountingSink {

@@ -4,7 +4,7 @@
 //! project}* chain over a scan — and an aggregate directly above one —
 //! as a morsel group: `k` workers plus a merge, every one of them an
 //! [`OperatorShell`](crate::ops::OperatorShell). The table is split into
-//! page-range [morsels](cordoba_storage::morsel) claimed from a shared
+//! page-range [morsels](cordoba_storage::Morsel) claimed from a shared
 //! atomic [`MorselDispenser`], and each worker is a `MorselKernel`: a
 //! kernel with no ports that runs its claimed pages through privately
 //! compiled copies of the chain's own kernels (no shared mutable state),
@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// Pages per claimed morsel when the config does not override it:
 /// large enough to amortize a dispenser round-trip, small enough to
 /// balance skewed filters across workers.
-pub const DEFAULT_MORSEL_PAGES: usize = 4;
+const DEFAULT_MORSEL_PAGES: usize = 4;
 
 /// Intra-query parallelism knob, threaded from the engine config down
 /// to the wiring.
@@ -89,7 +89,7 @@ impl ParallelConfig {
     }
 
     /// The worker count with the zero case normalized away.
-    pub fn effective_workers(&self) -> usize {
+    pub(crate) fn effective_workers(&self) -> usize {
         self.workers.max(1)
     }
 }
@@ -97,7 +97,7 @@ impl ParallelConfig {
 /// Shared atomic hand-out of morsels: workers race on one counter and
 /// each morsel index is claimed exactly once, in increasing order.
 #[derive(Debug)]
-pub struct MorselDispenser {
+pub(crate) struct MorselDispenser {
     page_count: usize,
     granularity: usize,
     next: AtomicUsize,
@@ -106,7 +106,7 @@ pub struct MorselDispenser {
 impl MorselDispenser {
     /// A dispenser over `page_count` pages in morsels of `granularity`
     /// pages (`0` treated as `1`).
-    pub fn new(page_count: usize, granularity: usize) -> Self {
+    pub(crate) fn new(page_count: usize, granularity: usize) -> Self {
         MorselDispenser {
             page_count,
             granularity: granularity.max(1),
@@ -117,7 +117,7 @@ impl MorselDispenser {
     /// Claims the next unclaimed morsel, or `None` when the page list
     /// is exhausted. Returns the morsel's index so callers can restore
     /// sequential order when reassembling per-morsel outputs.
-    pub fn claim(&self) -> Option<(usize, Morsel)> {
+    pub(crate) fn claim(&self) -> Option<(usize, Morsel)> {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         morsel_at(self.page_count, self.granularity, idx).map(|m| (idx, m))
     }
@@ -148,13 +148,13 @@ pub(crate) struct MorselKernel {
 /// What an aggregate group's worker does with the chain's pages.
 pub(crate) struct Fold {
     /// Its private core.
-    pub core: AggCore,
+    pub(crate) core: AggCore,
     /// The aggregate's plan cost, charged per folded page.
-    pub cost: OpCost,
+    pub(crate) cost: OpCost,
     /// The worker's index: its slot in `deposit`.
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// Where the core goes when the table runs out.
-    pub deposit: Deposit,
+    pub(crate) deposit: Deposit,
 }
 
 impl MorselKernel {

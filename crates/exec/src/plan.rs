@@ -301,7 +301,10 @@ pub fn concat_schemas(left: &Arc<Schema>, right: &Arc<Schema>) -> Arc<Schema> {
 
 /// Infers the storage type of an expression against a schema, returning
 /// a typed error on out-of-range column indices.
-pub fn expr_type_checked(expr: &ScalarExpr, schema: &Arc<Schema>) -> Result<DataType, ExecError> {
+pub(crate) fn expr_type_checked(
+    expr: &ScalarExpr,
+    schema: &Arc<Schema>,
+) -> Result<DataType, ExecError> {
     match expr {
         ScalarExpr::Col(i) => schema
             .fields()

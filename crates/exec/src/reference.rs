@@ -378,18 +378,18 @@ impl Scalar<'_> {
     }
 
     /// Owned [`Value`] (results, tests).
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
-            Scalar::Int(v) => Value::Int(*v),
-            Scalar::Float(v) => Value::Float(*v),
-            Scalar::Date(v) => Value::Date(*v),
-            Scalar::Str(v) => Value::Str((*v).to_string()),
+            Scalar::Int(v) => Value::Int(v),
+            Scalar::Float(v) => Value::Float(v),
+            Scalar::Date(v) => Value::Date(v),
+            Scalar::Str(v) => Value::Str(v.to_string()),
         }
     }
 }
 
 /// The tuple-at-a-time tree walk the oracle and the tests run; engine
-/// code evaluates [`crate::vexpr`] programs instead (lint rule
+/// code evaluates [`crate::CompiledExpr`] programs instead (lint rule
 /// `oracle-in-engine`).
 impl ScalarExpr {
     /// Evaluates against a tuple.
@@ -467,7 +467,7 @@ impl Predicate {
 /// `%`-wildcard LIKE matcher: splits the pattern at `%` and requires the
 /// fragments to appear in order, honoring anchors at the ends. The tree
 /// walk's and the tests'; operators match a pattern compiled once by
-/// [`crate::vexpr`] (lint rule `oracle-in-engine`).
+/// [`crate::CompiledPredicate`] (lint rule `oracle-in-engine`).
 pub fn like_match(s: &str, pattern: &str) -> bool {
     let parts: Vec<&str> = pattern.split('%').collect();
     if parts.len() == 1 {

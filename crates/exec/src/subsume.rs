@@ -18,7 +18,7 @@
 //!   condition for subsumption, so the engine's fragment cache can
 //!   bucket in-flight and completed fragments by fingerprint and only
 //!   run the full lattice test within a bucket.
-//! * [`NormPred`] — a conjunction normalized into per-column intervals
+//! * `NormPred` — a conjunction normalized into per-column intervals
 //!   over `Int`/`Float`/`Date` columns plus an opaque "rest" (clauses
 //!   the lattice cannot order, compared structurally). Interval
 //!   containment per column gives the subsumption partial order.
@@ -41,7 +41,7 @@ use std::hash::{Hash, Hasher};
 /// `Int`, `Float` and `Date` participate in the lattice; string
 /// comparisons stay in the structural "rest".
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundValue {
+enum BoundValue {
     /// Integer constant.
     Int(i64),
     /// Float constant.
@@ -75,11 +75,11 @@ impl BoundValue {
 /// One side of a column interval: the constant plus whether it is
 /// attained (`<=`/`>=` vs `<`/`>`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bound {
+struct Bound {
     /// The constant.
-    pub value: BoundValue,
+    value: BoundValue,
     /// Whether the endpoint itself satisfies the clause.
-    pub inclusive: bool,
+    inclusive: bool,
 }
 
 /// Whether a lower bound `wide` admits everything a lower bound
@@ -112,11 +112,11 @@ fn hi_covers(wide: Option<Bound>, narrow: Option<Bound>) -> bool {
 
 /// The interval a conjunction pins one column into.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ColInterval {
+struct ColInterval {
     /// Greatest lower bound seen, if any.
-    pub lo: Option<Bound>,
+    lo: Option<Bound>,
     /// Least upper bound seen, if any.
-    pub hi: Option<Bound>,
+    hi: Option<Bound>,
 }
 
 impl ColInterval {
@@ -145,7 +145,7 @@ impl ColInterval {
 
     /// Whether `self` (the wide interval) contains `other` (the narrow
     /// one): every row admitted by `other` is admitted by `self`.
-    pub fn contains(&self, other: &ColInterval) -> bool {
+    fn contains(&self, other: &ColInterval) -> bool {
         lo_covers(self.lo, other.lo) && hi_covers(self.hi, other.hi)
     }
 }
@@ -154,18 +154,18 @@ impl ColInterval {
 /// the lattice cannot order (`Or`, `Not`, `Like`, `Ne`, expression
 /// comparisons), kept whole and compared structurally.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NormPred {
+struct NormPred {
     /// Interval per constrained column index.
-    pub bounds: BTreeMap<usize, ColInterval>,
+    bounds: BTreeMap<usize, ColInterval>,
     /// Conjuncts outside the lattice, in flattening order.
-    pub rest: Vec<Predicate>,
+    rest: Vec<Predicate>,
 }
 
 impl NormPred {
     /// Normalizes a predicate treated as a conjunction. A range clause
     /// its column's interval cannot order (a literal of another type
     /// than the bound in place, or NaN) stays whole in `rest`.
-    pub fn normalize(pred: &Predicate) -> Self {
+    fn normalize(pred: &Predicate) -> Self {
         let mut norm = NormPred::default();
         for clause in flatten_conjuncts(pred) {
             let ordered = range_clause(clause).is_some_and(|(col, side)| {
@@ -187,7 +187,7 @@ impl NormPred {
     /// satisfying `other` satisfies `self`. Interval containment per
     /// column; rest clauses of the wide side must appear structurally
     /// in the narrow side.
-    pub fn subsumes(&self, other: &NormPred) -> bool {
+    fn subsumes(&self, other: &NormPred) -> bool {
         for (col, wide_iv) in &self.bounds {
             let narrow_iv = other.bounds.get(col).copied().unwrap_or_default();
             if !wide_iv.contains(&narrow_iv) {
@@ -272,9 +272,9 @@ fn range_clause(pred: &Predicate) -> Option<(usize, Side)> {
 #[derive(Debug, Clone)]
 pub struct PeeledPivot<'a> {
     /// Every predicate of the root filter chain, outermost first.
-    pub predicates: Vec<&'a Predicate>,
+    predicates: Vec<&'a Predicate>,
     /// The sub-plan below the filter chain.
-    pub base: &'a PhysicalPlan,
+    base: &'a PhysicalPlan,
     /// Cost of the innermost peeled filter (the natural cost to charge
     /// a residual filter), if the chain is non-empty.
     pub filter_cost: Option<OpCost>,
@@ -402,7 +402,7 @@ const HALF: f64 = 0.5;
 /// Estimated fraction of `wide`'s output that satisfies `narrow` — the
 /// coverage `c_m` the partial-overlap model prices. The estimate
 /// multiplies per-column interval-width ratios where both sides pin
-/// both ends, and charges the default selectivity [`HALF`] per
+/// both ends, and charges the default selectivity ½ per
 /// constraint side the narrow fragment adds over the wide one. Clamped
 /// to `[MIN_COVERAGE, 1]`; exact matches return exactly 1.
 pub fn coverage_estimate(wide: &PhysicalPlan, narrow: &PhysicalPlan) -> f64 {

@@ -415,7 +415,7 @@ enum Out {
 /// page-at-a-time evaluation: the numeric ones as one [`NumProgram`],
 /// string columns and literals as pass-throughs.
 #[derive(Debug, Clone)]
-pub struct CompiledExprs {
+pub(crate) struct CompiledExprs {
     prog: NumProgram,
     outs: Vec<Out>,
 }
@@ -424,7 +424,7 @@ impl CompiledExprs {
     /// Compiles `exprs` against the input `schema`, erring on type
     /// errors (e.g. arithmetic over strings) — the plans the
     /// tree-walking `eval` would panic on at runtime.
-    pub fn compile(exprs: &[ScalarExpr], schema: &Arc<Schema>) -> Result<Self, ExecError> {
+    pub(crate) fn compile(exprs: &[ScalarExpr], schema: &Arc<Schema>) -> Result<Self, ExecError> {
         let mut prog = NumProgram::default();
         let outs = exprs
             .iter()
@@ -454,8 +454,10 @@ impl CompiledExprs {
     ///
     /// # Panics
     ///
-    /// As [`CompiledExpr::encode_column`], per output.
-    pub fn encode_rows(
+    /// Panics if an output's evaluated type does not match its field's
+    /// type or a string does not fit its field width — the same plan
+    /// bugs the tree-walking path panics on.
+    pub(crate) fn encode_rows(
         &self,
         page: &Page,
         scratch: &mut ExprScratch,
@@ -500,13 +502,13 @@ impl CompiledExprs {
         match &self.outs[i] {
             Out::StrCol(c) => {
                 let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
+                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("type mismatch: string column for {dtype:?} field");
                 };
                 let in_schema = page.schema();
                 let in_off = in_schema.offset(*c);
                 let DataType::Str(in_width) = in_schema.fields()[*c].dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
+                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("StrCol over non-string input column");
                 };
                 assert_eq!(in_width, width, "string field width mismatch");
@@ -517,7 +519,7 @@ impl CompiledExprs {
             }
             Out::StrLit(s) => {
                 let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_column)
+                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("type mismatch: string literal for {dtype:?} field");
                 };
                 assert!(
@@ -541,7 +543,7 @@ impl CompiledExprs {
                 (NumType::Date, DataType::Date) => {
                     scatter(&scratch.dates[slot], out, offset, stride, i32::to_le_bytes)
                 }
-                // lint: allow(documented '# Panics' contract of encode_column)
+                // lint: allow(documented '# Panics' contract of encode_rows)
                 (ty, dtype) => panic!("type mismatch: {ty:?} column for {dtype:?} field"),
             },
         }
@@ -549,7 +551,7 @@ impl CompiledExprs {
 }
 
 /// A scalar expression compiled for page-at-a-time evaluation: a
-/// [`CompiledExprs`] list of one.
+/// `CompiledExprs` list of one.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr(CompiledExprs);
 
@@ -593,30 +595,6 @@ impl CompiledExpr {
             // lint: allow(documented '# Panics' contract of eval_f64_into)
             NumType::Date => panic!("date expression is not numeric"),
         }
-    }
-
-    /// Evaluates over all rows of `page` and encodes the result column
-    /// into a row-major byte buffer: row `r`'s field bytes land at
-    /// `out[r * stride + offset ..]`. `dtype` is the output field type
-    /// (drives the encoding width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the evaluated type does not match `dtype` or a string
-    /// does not fit its field width — the same plan bugs the
-    /// tree-walking path panics on.
-    pub fn encode_column(
-        &self,
-        page: &Page,
-        scratch: &mut ExprScratch,
-        dtype: DataType,
-        out: &mut [u8],
-        offset: usize,
-        stride: usize,
-    ) {
-        self.0.prog.evaluate(page, scratch);
-        self.0
-            .encode_evaluated(0, page, scratch, dtype, out, offset, stride);
     }
 }
 
@@ -1188,19 +1166,10 @@ mod tests {
         ];
         let mut scratch = ExprScratch::default();
         let w = out_schema.row_width();
-        let mut bytes = vec![0u8; p.rows() * w];
-        for (i, e) in exprs.iter().enumerate() {
-            CompiledExpr::compile(e, p.schema())
-                .expect("compiles")
-                .encode_column(
-                    &p,
-                    &mut scratch,
-                    out_schema.fields()[i].dtype,
-                    &mut bytes,
-                    out_schema.offset(i),
-                    w,
-                );
-        }
+        let mut bytes = Vec::new();
+        CompiledExprs::compile(&exprs, p.schema())
+            .expect("compiles")
+            .encode_rows(&p, &mut scratch, &out_schema, &mut bytes);
         let mut b = PageBuilder::new(out_schema);
         for row in bytes.chunks_exact(w) {
             assert!(b.push_raw(row));

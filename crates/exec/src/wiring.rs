@@ -14,7 +14,7 @@
 //!
 //! `group` is the single definition of what gets parallelised: with
 //! more than one worker configured, each such fragment becomes a morsel
-//! group ([`crate::parallel`]) — worker shells and a merge shell, linked
+//! group — worker shells and a merge shell, linked
 //! by the channel layer's group link. [`instantiate_into`] puts the
 //! whole group into the caller's simulator; [`run_local`] — the one
 //! local driver, how real threads run a plan — keeps the serial
@@ -62,8 +62,8 @@ pub struct WiringConfig {
     /// Intra-query parallelism. With the default single worker the
     /// wiring is exactly the classic one-task-per-operator layout;
     /// with more, {filter | project}* chains over scans (and
-    /// aggregates directly above them) become morsel groups (see
-    /// [`crate::parallel`]), which preserve the serial row order.
+    /// aggregates directly above them) become morsel groups, which
+    /// preserve the serial row order.
     pub parallel: ParallelConfig,
 }
 
@@ -93,8 +93,9 @@ impl WiringConfig {
 }
 
 /// Tasks spawned for one plan, labeled `"{label}/{preorder}:{op}"`.
-/// Ids are `None` when spawned mid-run through a [`TaskCtx`].
-pub type SpawnedOps = Vec<(Option<TaskId>, String)>;
+/// Ids are `None` when spawned mid-run through a
+/// [`TaskCtx`](cordoba_sim::TaskCtx).
+type SpawnedOps = Vec<(Option<TaskId>, String)>;
 
 /// Instantiates `plan`, delivering root output to every outlet in
 /// `outs` (the root's `cost.out_per_tuple` is charged per consumer).
@@ -653,7 +654,7 @@ fn row_kernel(
 /// result pages. The query's fault (e.g. an unsorted merge input) comes
 /// back as `Err`, and so does a graph that wedged
 /// ([`ExecError::Stalled`]).
-pub fn run_and_collect_pages(
+fn run_and_collect_pages(
     sim: &mut Simulator,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
@@ -699,7 +700,7 @@ fn failure_of(outcome: &RunOutcome, fault: &FaultCell) -> Result<(), ExecError> 
     })
 }
 
-/// As [`run_and_collect_pages`], decoded to rows — convenience for
+/// As `run_and_collect_pages`, decoded to rows — convenience for
 /// tests and harnesses.
 pub fn run_and_collect(
     sim: &mut Simulator,

@@ -211,7 +211,7 @@ fn a_failed_hash_join_returns_its_memory_and_files() {
     // queued (or one is being probed) when the files go bad.
     let join = |spill: &SpillContext| {
         let (s, cost) = (kv_schema(), OpCost::default());
-        let out = cordoba_exec::plan::concat_schemas(&s, &s);
+        let out = cordoba_exec::concat_schemas(&s, &s);
         let spill = spill.clone();
         let join = HashJoinKernel::new(0, 0, JoinKind::Inner, s.clone(), s, out, cost, cost, spill);
         Box::new(join.expect("valid keys"))
@@ -292,7 +292,7 @@ fn a_foreign_page_faults_every_operator_with_a_typed_error() {
     // misaligned rows in a release build.
     let s = kv_schema();
     let cost = OpCost::default();
-    let pair = cordoba_exec::plan::concat_schemas(&s, &s);
+    let pair = cordoba_exec::concat_schemas(&s, &s);
     let out1 = Schema::new(vec![Field::new("n", DataType::Int)]);
     let kernels: Vec<(Box<dyn Kernel>, usize)> = vec![
         (

@@ -35,7 +35,7 @@ fn sort(spill: SpillContext) -> SortKernel {
 
 fn join(spill: SpillContext) -> HashJoinKernel {
     let (s, cost) = (kv_schema(), OpCost::default());
-    let out = cordoba_exec::plan::concat_schemas(&s, &s);
+    let out = cordoba_exec::concat_schemas(&s, &s);
     HashJoinKernel::new(0, 0, JoinKind::Inner, s.clone(), s, out, cost, cost, spill)
         .expect("valid keys")
 }

@@ -10,8 +10,8 @@
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::ops::BuildTable;
-use cordoba_exec::vexpr::{CompiledPredicate, ExprScratch};
 use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, PhysicalPlan};
+use cordoba_exec::{CompiledPredicate, ExprScratch};
 use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, DataType, Date, Field, Schema, TableBuilder, Value};
 use proptest::prelude::*;

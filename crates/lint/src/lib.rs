@@ -75,6 +75,8 @@
 //! literals, and lifetimes, so tokens inside literals or docs never
 //! trip a rule.
 
+#![warn(unreachable_pub)]
+
 use std::fmt;
 use std::path::{Path, PathBuf};
 

@@ -76,12 +76,13 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod channel;
-pub mod sched;
-pub mod stats;
-pub mod task;
-pub mod trace;
+mod sched;
+mod stats;
+mod task;
+mod trace;
 
 pub use sched::{RunOutcome, SimConfig, Simulator, StopReason};
 pub use stats::{Histogram, LatencySummary, SimStats, TaskStats};

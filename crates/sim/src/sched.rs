@@ -29,18 +29,10 @@ const MAX_ZERO_COST_SPINS: u32 = 1_000_000;
 pub struct SimConfig {
     /// Number of hardware contexts (the paper sweeps 1, 2, 8, 32).
     pub contexts: usize,
-    /// Record per-step busy intervals for [`Simulator::trace`]. Off by
-    /// default (long experiment runs would accumulate millions of spans).
+    /// Record per-step busy intervals for [`Simulator::trace`]. Off in
+    /// [`Simulator::new`] (long experiment runs would accumulate millions
+    /// of spans).
     pub trace: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            contexts: 1,
-            trace: false,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +116,7 @@ impl Simulator {
     pub fn new(contexts: usize) -> Self {
         Self::with_config(SimConfig {
             contexts,
-            ..SimConfig::default()
+            trace: false,
         })
     }
 
@@ -170,11 +162,6 @@ impl Simulator {
     /// Current virtual time.
     pub fn now(&self) -> VTime {
         self.now
-    }
-
-    /// Number of contexts being simulated.
-    pub fn contexts(&self) -> usize {
-        self.config.contexts
     }
 
     /// Per-task statistics (active time, steps, forward progress).
@@ -808,7 +795,6 @@ mod tests {
         let mut sim = Simulator::with_config(SimConfig {
             contexts: 2,
             trace: true,
-            ..SimConfig::default()
         });
         sim.spawn("a", Box::new(Burn { steps: 3, cost: 10 }));
         sim.spawn("b", Box::new(Burn { steps: 2, cost: 10 }));
@@ -1038,7 +1024,6 @@ mod tests {
         let mut sim = Simulator::with_config(SimConfig {
             contexts: spec.contexts,
             trace: true,
-            ..SimConfig::default()
         });
         sim.force_heap = force_heap;
         let mut tasks: Vec<Scripted> = spec

@@ -24,11 +24,11 @@ pub struct TaskStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Virtual time at the end of the run.
-    pub makespan: VTime,
+    pub(crate) makespan: VTime,
     /// Number of contexts simulated.
-    pub contexts: usize,
+    pub(crate) contexts: usize,
     /// Busy time per context.
-    pub busy: Vec<VTime>,
+    pub(crate) busy: Vec<VTime>,
 }
 
 impl SimStats {
@@ -63,29 +63,12 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a histogram from a batch of samples.
     pub fn from_samples(samples: Vec<VTime>) -> Self {
         Self {
             samples,
             sorted: false,
         }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: VTime) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 
     /// Number of recorded samples.
@@ -213,8 +196,7 @@ mod tests {
 
     #[test]
     fn single_sample_dominates_every_quantile() {
-        let mut h = Histogram::new();
-        h.record(42);
+        let mut h = Histogram::from_samples(vec![42]);
         let s = h.summary().expect("one sample");
         assert_eq!((s.count, s.min, s.max), (1, 42, 42));
         assert_eq!((s.p50, s.p90, s.p99, s.p999), (42, 42, 42, 42));
@@ -223,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_yields_none_everywhere() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
@@ -253,26 +235,5 @@ mod tests {
         assert_eq!(h.quantile(-0.1), None);
         assert_eq!(h.quantile(1.1), None);
         assert_eq!(h.quantile(f64::NAN), None, "NaN is outside [0, 1]");
-    }
-
-    #[test]
-    fn quantile_resorts_after_late_records() {
-        let mut h = Histogram::from_samples(vec![50, 60]);
-        assert_eq!(h.quantile(0.0), Some(50));
-        // A record after a quantile call invalidates the sort; the next
-        // quantile must see the new minimum, not a stale order.
-        h.record(5);
-        assert_eq!(h.quantile(0.0), Some(5));
-        assert_eq!(h.quantile(1.0), Some(60));
-    }
-
-    #[test]
-    fn merge_and_record_are_order_insensitive() {
-        let mut a = Histogram::from_samples(vec![5, 1, 9]);
-        let b = Histogram::from_samples(vec![3, 7]);
-        a.merge(&b);
-        a.record(2);
-        let mut c = Histogram::from_samples(vec![1, 2, 3, 5, 7, 9]);
-        assert_eq!(a.summary(), c.summary(), "same multiset, same summary");
     }
 }

@@ -90,7 +90,7 @@ pub struct TaskCtx<'a> {
 
 impl TaskCtx<'_> {
     /// The id of the currently running task.
-    pub fn task_id(&self) -> TaskId {
+    pub(crate) fn task_id(&self) -> TaskId {
         self.task_id
     }
 

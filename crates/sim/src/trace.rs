@@ -9,11 +9,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Span {
     /// The executing task.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// The context it ran on.
-    pub context: usize,
+    pub(crate) context: usize,
     /// Step start (virtual time).
-    pub start: VTime,
+    pub(crate) start: VTime,
     /// Step end (`start + cost`).
-    pub end: VTime,
+    pub(crate) end: VTime,
 }

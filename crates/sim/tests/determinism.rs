@@ -52,7 +52,6 @@ fn run_pipeline(contexts: usize, items: u64, costs: &[VTime]) -> (VTime, Vec<Spa
     let mut sim = Simulator::with_config(SimConfig {
         contexts,
         trace: true,
-        ..SimConfig::default()
     });
     let (tx, mut rx) = channel::bounded(8);
     sim.spawn(

@@ -45,16 +45,6 @@ impl Catalog {
         self.tables.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
     /// Total bytes across all tables.
     pub fn byte_size(&self) -> usize {
         self.tables.values().map(|t| t.byte_size()).sum()
@@ -78,10 +68,10 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut c = Catalog::new();
-        assert!(c.is_empty());
+        assert!(c.tables.is_empty());
         c.register(tiny("orders"));
         c.register(tiny("lineitem"));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.tables.len(), 2);
         assert!(c.get("orders").is_some());
         assert!(c.get("nation").is_none());
         assert_eq!(c.expect("lineitem").row_count(), 1);
@@ -101,7 +91,7 @@ mod tests {
         let mut c = Catalog::new();
         c.register(tiny("t"));
         c.register(tiny("t"));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.tables.len(), 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Date {
     }
 
     /// Decomposes back into (year, month, day) — `civil_from_days`.
-    pub fn ymd(self) -> (i32, u32, u32) {
+    fn ymd(self) -> (i32, u32, u32) {
         let z = self.0 as i64 + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097;
@@ -55,7 +55,7 @@ impl Date {
     }
 
     /// Signed distance in days (`self - other`).
-    pub fn days_since(self, other: Date) -> i32 {
+    pub(crate) fn days_since(self, other: Date) -> i32 {
         self.0 - other.0
     }
 }

@@ -7,7 +7,9 @@
 //!
 //! * fixed-width row [`Page`]s (default 4 KiB) described by a [`Schema`],
 //! * immutable in-memory [`Table`]s composed of shared pages,
-//! * a [`Catalog`] of named tables, and
+//! * a [`Catalog`] of named tables,
+//! * [`spill`] files that operators over their memory budget write and
+//!   read back a frame at a time, and
 //! * a deterministic, seeded [`tpch`] generator for the `customer`,
 //!   `orders` and `lineitem` tables with the value distributions that
 //!   queries Q1, Q6, Q4 and Q13 depend on.
@@ -20,22 +22,22 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod catalog;
-pub mod date;
-pub mod morsel;
-pub mod page;
-pub mod schema;
+mod catalog;
+mod date;
+mod morsel;
+mod page;
+mod schema;
 pub mod spill;
-pub mod table;
+mod table;
 pub mod tpch;
-pub mod value;
+mod value;
 
 pub use catalog::Catalog;
 pub use date::Date;
-pub use morsel::{morsel_at, morsel_count, morsels, Morsel};
+pub use morsel::{morsel_at, Morsel};
 pub use page::{Page, PageBuilder, TupleRef, PAGE_SIZE};
 pub use schema::{DataType, Field, Schema};
-pub use spill::{SpillFile, SpillReader, SpillWriter};
 pub use table::{Table, TableBuilder};
 pub use value::Value;

@@ -17,37 +17,11 @@ pub struct Morsel {
     pub end: usize,
 }
 
-impl Morsel {
-    /// Number of pages in the morsel.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the morsel covers no pages.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-
-    /// The page indices of the morsel.
-    pub fn pages(&self) -> std::ops::Range<usize> {
-        self.start..self.end
-    }
-}
-
-/// Splits `page_count` pages into morsels of at most `granularity`
-/// pages. The final morsel may be short; `granularity = 0` is treated
-/// as 1. Covers every page exactly once, in order.
-pub fn morsels(page_count: usize, granularity: usize) -> impl Iterator<Item = Morsel> {
-    let granularity = granularity.max(1);
-    (0..page_count.div_ceil(granularity)).map(move |i| Morsel {
-        start: i * granularity,
-        end: ((i + 1) * granularity).min(page_count),
-    })
-}
-
-/// The morsel at index `idx` of the `morsels(page_count, granularity)`
-/// sequence, or `None` past the end — the random-access form a shared
-/// atomic dispenser needs.
+/// The morsel at index `idx` when `page_count` pages are split into
+/// morsels of at most `granularity` pages, or `None` past the end. The
+/// final morsel may be short; `granularity = 0` is treated as 1. In
+/// index order the morsels cover every page exactly once — the
+/// random-access form a shared atomic dispenser needs.
 pub fn morsel_at(page_count: usize, granularity: usize, idx: usize) -> Option<Morsel> {
     let granularity = granularity.max(1);
     let start = idx.checked_mul(granularity)?;
@@ -60,40 +34,38 @@ pub fn morsel_at(page_count: usize, granularity: usize, idx: usize) -> Option<Mo
     })
 }
 
-/// Number of morsels `morsels(page_count, granularity)` yields.
-pub fn morsel_count(page_count: usize, granularity: usize) -> usize {
-    page_count.div_ceil(granularity.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every morsel of the split, in index order.
+    fn morsels(pages: usize, g: usize) -> Vec<Morsel> {
+        (0..).map_while(|i| morsel_at(pages, g, i)).collect()
+    }
 
     #[test]
     fn morsels_tile_the_page_list_exactly() {
         for pages in [0usize, 1, 5, 8, 17, 100] {
             for g in [1usize, 2, 3, 8, 200] {
-                let all: Vec<Morsel> = morsels(pages, g).collect();
-                assert_eq!(all.len(), morsel_count(pages, g));
+                let all = morsels(pages, g);
+                assert_eq!(all.len(), pages.div_ceil(g));
                 let mut covered = 0;
-                for (i, m) in all.iter().enumerate() {
+                for m in &all {
                     assert_eq!(m.start, covered, "contiguous from {covered}");
-                    assert!(!m.is_empty());
-                    assert!(m.len() <= g);
-                    assert_eq!(morsel_at(pages, g, i), Some(*m));
+                    assert!(m.start < m.end);
+                    assert!(m.end - m.start <= g);
                     covered = m.end;
                 }
                 assert_eq!(covered, pages, "pages={pages} g={g}");
-                assert_eq!(morsel_at(pages, g, all.len()), None);
             }
         }
     }
 
     #[test]
     fn zero_granularity_behaves_as_one() {
-        let all: Vec<Morsel> = morsels(3, 0).collect();
+        let all = morsels(3, 0);
         assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|m| m.len() == 1));
+        assert!(all.iter().all(|m| m.end - m.start == 1));
         assert_eq!(morsel_at(3, 0, 2), Some(Morsel { start: 2, end: 3 }));
     }
 }

@@ -26,7 +26,7 @@ impl Page {
     /// # Panics
     ///
     /// Panics if `data` is not exactly `rows * row_width` bytes.
-    pub fn from_payload(schema: Arc<Schema>, data: Box<[u8]>, rows: usize) -> Arc<Page> {
+    pub(crate) fn from_payload(schema: Arc<Schema>, data: Box<[u8]>, rows: usize) -> Arc<Page> {
         assert_eq!(
             data.len(),
             rows * schema.row_width(),
@@ -43,11 +43,6 @@ impl Page {
     /// Number of rows stored.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Whether the page holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
     }
 
     /// A cursor over row `row`.
@@ -290,7 +285,7 @@ impl<'a> TupleRef<'a> {
     }
 
     /// Reads any field as a dynamically-typed [`Value`].
-    pub fn get_value(&self, idx: usize) -> Value {
+    fn get_value(&self, idx: usize) -> Value {
         match self.page.schema.fields()[idx].dtype {
             DataType::Int => Value::Int(self.get_int(idx)),
             DataType::Float => Value::Float(self.get_float(idx)),
@@ -312,18 +307,6 @@ impl<'a> TupleRef<'a> {
     #[inline]
     pub fn raw(&self) -> &'a [u8] {
         &self.page.data[self.base..self.base + self.page.schema.row_width()]
-    }
-
-    /// Copies this row's raw bytes into a builder with the same schema.
-    /// Cheap row forwarding for filters and fan-out operators.
-    pub fn copy_into(&self, builder: &mut PageBuilder) -> bool {
-        debug_assert_eq!(
-            self.page.schema().row_width(),
-            builder.schema.row_width(),
-            "copy_into requires layout-compatible schemas"
-        );
-        let width = self.page.schema.row_width();
-        builder.push_raw(&self.page.data[self.base..self.base + width])
     }
 }
 
@@ -364,7 +347,7 @@ impl PageBuilder {
     }
 
     /// Rows that still fit.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.capacity_rows - self.rows
     }
 
@@ -373,19 +356,9 @@ impl PageBuilder {
         self.rows == self.capacity_rows
     }
 
-    /// Rows currently buffered.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Whether no rows are buffered.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// Maximum rows per page for this schema/page size.
-    pub fn capacity(&self) -> usize {
-        self.capacity_rows
     }
 
     /// Appends a row of values. Returns `false` (without writing) if the
@@ -524,9 +497,9 @@ mod tests {
     fn capacity_matches_page_size() {
         let s = schema(); // row width = 8+8+4+6 = 26
         let b = PageBuilder::new(s.clone());
-        assert_eq!(b.capacity(), PAGE_SIZE / 26);
+        assert_eq!(b.capacity_rows, PAGE_SIZE / 26);
         let small = PageBuilder::with_page_size(s, 52);
-        assert_eq!(small.capacity(), 2);
+        assert_eq!(small.capacity_rows, 2);
     }
 
     #[test]
@@ -575,7 +548,7 @@ mod tests {
         ]);
         let page = b.finish();
         let mut b2 = PageBuilder::new(page.schema().clone());
-        assert!(page.tuple(0).copy_into(&mut b2));
+        assert!(b2.push_raw(page.tuple(0).raw()));
         let copy = b2.finish();
         assert_eq!(copy.tuple(0).to_values(), page.tuple(0).to_values());
     }
@@ -720,7 +693,7 @@ mod tests {
         let mut emitted = Vec::new();
         out.push_selected(&page, &[1, 2, 3, 7, 9], |full| emitted.push(keys(&full)));
         assert_eq!(emitted, vec![vec![1, 2], vec![3, 7]]);
-        assert_eq!(out.rows(), 1);
+        assert_eq!(out.rows, 1);
         // A builder left full is the caller's to flush: the next call
         // emits it before appending.
         out.push_selected(&page, &[0], |full| emitted.push(keys(&full)));

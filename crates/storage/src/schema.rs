@@ -107,23 +107,6 @@ impl Schema {
         self.offsets[idx]
     }
 
-    /// Index of the field named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field does not exist — schema/field mismatches are
-    /// programming errors in plan construction, caught in tests.
-    pub fn index_of(&self, name: &str) -> usize {
-        self.try_index_of(name)
-            // lint: allow(documented '# Panics' wrapper; try_index_of is the fallible twin)
-            .unwrap_or_else(|| panic!("no field '{name}' in schema {:?}", self.field_names()))
-    }
-
-    /// Index of the field named `name`, or `None`.
-    pub fn try_index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// The field names, for diagnostics.
     pub fn field_names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
@@ -156,16 +139,8 @@ mod tests {
     #[test]
     fn index_lookup() {
         let s = sample();
-        assert_eq!(s.index_of("ship"), 2);
-        assert_eq!(s.try_index_of("nope"), None);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "no field 'missing'")]
-    fn missing_field_panics() {
-        sample().index_of("missing");
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl SpillWriter {
     }
 
     /// Payload bytes written so far (excluding record headers).
-    pub fn bytes(&self) -> u64 {
+    fn bytes(&self) -> u64 {
         self.rows() * self.schema.row_width() as u64
     }
 
@@ -299,11 +299,6 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    /// Schema of the pages this reader yields.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.source.schema
-    }
-
     /// Makes the next `bytes` of the file available at the front of
     /// `unread`. What is buffered already moves to the front of the
     /// frame and one read fills the rest (a regular file gives all it

@@ -11,9 +11,10 @@
 //! Everything is seeded and deterministic: the same
 //! [`TpchConfig`] always yields byte-identical tables.
 
-pub mod text;
+mod text;
 
-pub use text::{matches_special_requests, CommentGenerator};
+pub use text::matches_special_requests;
+use text::CommentGenerator;
 
 use crate::catalog::Catalog;
 use crate::date::Date;
@@ -25,24 +26,24 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// TPC-H's five order priorities (uniformly distributed in `o_orderpriority`).
-pub const ORDER_PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"];
+const ORDER_PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"];
 
 /// TPC-H's seven ship modes (uniform in `l_shipmode`).
-pub const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 
 /// First order date in the population.
-pub fn start_date() -> Date {
+fn start_date() -> Date {
     Date::from_ymd(1992, 1, 1)
 }
 
 /// `CURRENTDATE` used by dbgen to derive `l_returnflag`.
-pub fn current_date() -> Date {
+fn current_date() -> Date {
     Date::from_ymd(1995, 6, 17)
 }
 
 /// Last admissible order date (dbgen: 1998-12-01 minus 121 days, so all
 /// derived lineitem dates stay inside 1998).
-pub fn end_order_date() -> Date {
+fn end_order_date() -> Date {
     Date::from_ymd(1998, 8, 2)
 }
 
@@ -82,18 +83,18 @@ impl TpchConfig {
     }
 
     /// Number of customers at this scale.
-    pub fn customers(&self) -> usize {
+    fn customers(&self) -> usize {
         ((150_000.0 * self.scale_factor).round() as usize).max(1)
     }
 
     /// Number of orders at this scale.
-    pub fn orders(&self) -> usize {
+    fn orders(&self) -> usize {
         ((1_500_000.0 * self.scale_factor).round() as usize).max(1)
     }
 }
 
 /// Schema of the generated `customer` table.
-pub fn customer_schema() -> Arc<Schema> {
+fn customer_schema() -> Arc<Schema> {
     Schema::new(vec![
         Field::new("c_custkey", DataType::Int),
         Field::new("c_nationkey", DataType::Int),
@@ -103,7 +104,7 @@ pub fn customer_schema() -> Arc<Schema> {
 }
 
 /// Schema of the generated `orders` table.
-pub fn orders_schema() -> Arc<Schema> {
+fn orders_schema() -> Arc<Schema> {
     Schema::new(vec![
         Field::new("o_orderkey", DataType::Int),
         Field::new("o_custkey", DataType::Int),
@@ -114,7 +115,7 @@ pub fn orders_schema() -> Arc<Schema> {
 }
 
 /// Schema of the generated `lineitem` table.
-pub fn lineitem_schema() -> Arc<Schema> {
+fn lineitem_schema() -> Arc<Schema> {
     Schema::new(vec![
         Field::new("l_orderkey", DataType::Int),
         Field::new("l_quantity", DataType::Float),
@@ -141,7 +142,7 @@ pub fn generate(config: &TpchConfig) -> Catalog {
 }
 
 /// Generates the `customer` table.
-pub fn generate_customer(config: &TpchConfig) -> Arc<Table> {
+fn generate_customer(config: &TpchConfig) -> Arc<Table> {
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x01);
     let segments = [
         "AUTOMOBILE",
@@ -164,7 +165,7 @@ pub fn generate_customer(config: &TpchConfig) -> Arc<Table> {
 
 /// Generates `orders` and its dependent `lineitem` rows together so the
 /// foreign-key relationship and date derivations match dbgen's.
-pub fn generate_orders_and_lineitem(config: &TpchConfig) -> (Arc<Table>, Arc<Table>) {
+fn generate_orders_and_lineitem(config: &TpchConfig) -> (Arc<Table>, Arc<Table>) {
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x02);
     let mut comments = CommentGenerator::new(config.seed ^ 0x03, config.special_comment_rate);
     let customers = config.customers() as i64;
@@ -229,6 +230,14 @@ pub fn generate_orders_and_lineitem(config: &TpchConfig) -> (Arc<Table>, Arc<Tab
 mod tests {
     use super::*;
 
+    fn index_of(schema: &Schema, name: &str) -> usize {
+        schema
+            .fields()
+            .iter()
+            .position(|f| f.name == name)
+            .expect("field exists")
+    }
+
     fn small() -> TpchConfig {
         TpchConfig {
             scale_factor: 0.002,
@@ -286,10 +295,10 @@ mod tests {
         let li = catalog.expect("lineitem");
         let s = li.schema().clone();
         let (k, ship, commit, receipt) = (
-            s.index_of("l_orderkey"),
-            s.index_of("l_shipdate"),
-            s.index_of("l_commitdate"),
-            s.index_of("l_receiptdate"),
+            index_of(&s, "l_orderkey"),
+            index_of(&s, "l_shipdate"),
+            index_of(&s, "l_commitdate"),
+            index_of(&s, "l_receiptdate"),
         );
         for page in li.pages() {
             for t in page.tuples() {
@@ -307,10 +316,10 @@ mod tests {
         let li = catalog.expect("lineitem");
         let s = li.schema().clone();
         let (rf, ls, ship, receipt) = (
-            s.index_of("l_returnflag"),
-            s.index_of("l_linestatus"),
-            s.index_of("l_shipdate"),
-            s.index_of("l_receiptdate"),
+            index_of(&s, "l_returnflag"),
+            index_of(&s, "l_linestatus"),
+            index_of(&s, "l_shipdate"),
+            index_of(&s, "l_receiptdate"),
         );
         let current = current_date();
         let mut seen = std::collections::BTreeSet::new();
@@ -350,9 +359,9 @@ mod tests {
         let li = catalog.expect("lineitem");
         let s = li.schema().clone();
         let (ship, disc, qty) = (
-            s.index_of("l_shipdate"),
-            s.index_of("l_discount"),
-            s.index_of("l_quantity"),
+            index_of(&s, "l_shipdate"),
+            index_of(&s, "l_discount"),
+            index_of(&s, "l_quantity"),
         );
         let lo = Date::from_ymd(1994, 1, 1);
         let hi = Date::from_ymd(1995, 1, 1);
@@ -383,7 +392,7 @@ mod tests {
         };
         let catalog = generate(&cfg);
         let orders = catalog.expect("orders");
-        let idx = orders.schema().index_of("o_comment");
+        let idx = index_of(orders.schema(), "o_comment");
         let mut special = 0usize;
         for page in orders.pages() {
             for t in page.tuples() {

@@ -34,19 +34,19 @@ const WORDS: [&str; 24] = [
 ];
 
 /// Maximum generated comment length (must fit the `o_comment` column).
-pub const MAX_COMMENT_LEN: usize = 48;
+const MAX_COMMENT_LEN: usize = 48;
 
 /// Streaming comment generator with a configured rate of comments
 /// matching `LIKE '%special%requests%'`.
 #[derive(Debug)]
-pub struct CommentGenerator {
+pub(crate) struct CommentGenerator {
     rng: SmallRng,
     special_rate: f64,
 }
 
 impl CommentGenerator {
     /// Creates a generator. `special_rate` is clamped to `[0, 1]`.
-    pub fn new(seed: u64, special_rate: f64) -> Self {
+    pub(crate) fn new(seed: u64, special_rate: f64) -> Self {
         use rand::SeedableRng;
         Self {
             rng: SmallRng::seed_from_u64(seed),
@@ -56,7 +56,7 @@ impl CommentGenerator {
 
     /// Produces the next comment. An independent `rng` decides the
     /// special/plain split so callers can interleave other draws.
-    pub fn next_comment(&mut self, coin: &mut SmallRng) -> String {
+    pub(crate) fn next_comment(&mut self, coin: &mut SmallRng) -> String {
         if coin.gen_bool(self.special_rate) {
             self.special_comment()
         } else {
@@ -65,7 +65,7 @@ impl CommentGenerator {
     }
 
     /// A comment guaranteed to match `%special%requests%`.
-    pub fn special_comment(&mut self) -> String {
+    fn special_comment(&mut self) -> String {
         let mid = WORDS[self.rng.gen_range(0..WORDS.len())];
         let mut c = format!("special {mid} requests");
         c.truncate(MAX_COMMENT_LEN);
@@ -73,7 +73,7 @@ impl CommentGenerator {
     }
 
     /// A comment guaranteed NOT to match `%special%requests%`.
-    pub fn plain_comment(&mut self) -> String {
+    fn plain_comment(&mut self) -> String {
         loop {
             let n = self.rng.gen_range(3..=6);
             let mut c = String::new();

@@ -3,7 +3,7 @@
 //! machinery. The plan-based executors (reference and simulator) are
 //! tested against these.
 
-use cordoba_storage::tpch::text::matches_special_requests;
+use cordoba_storage::tpch::matches_special_requests;
 use cordoba_storage::{Catalog, Date};
 use std::collections::BTreeMap;
 
@@ -11,23 +11,23 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Q1Group {
     /// `l_returnflag`.
-    pub returnflag: String,
+    pub(crate) returnflag: String,
     /// `l_linestatus`.
-    pub linestatus: String,
+    pub(crate) linestatus: String,
     /// `sum(l_quantity)`.
     pub sum_qty: f64,
     /// `sum(l_extendedprice)`.
-    pub sum_base_price: f64,
+    pub(crate) sum_base_price: f64,
     /// `sum(l_extendedprice * (1 - l_discount))`.
-    pub sum_disc_price: f64,
+    pub(crate) sum_disc_price: f64,
     /// `sum(l_extendedprice * (1 - l_discount) * (1 + l_tax))`.
-    pub sum_charge: f64,
+    pub(crate) sum_charge: f64,
     /// `avg(l_quantity)`.
-    pub avg_qty: f64,
+    pub(crate) avg_qty: f64,
     /// `avg(l_extendedprice)`.
-    pub avg_price: f64,
+    pub(crate) avg_price: f64,
     /// `avg(l_discount)`.
-    pub avg_disc: f64,
+    pub(crate) avg_disc: f64,
     /// `count(*)`.
     pub count: i64,
 }

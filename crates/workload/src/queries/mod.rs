@@ -27,33 +27,33 @@ pub fn all(costs: &CostProfile) -> Vec<QuerySpec> {
 /// Column indices of the generated `lineitem` schema
 /// (see `cordoba_storage::tpch::lineitem_schema`).
 pub(crate) mod li {
-    pub const ORDERKEY: usize = 0;
-    pub const QUANTITY: usize = 1;
-    pub const EXTENDEDPRICE: usize = 2;
-    pub const DISCOUNT: usize = 3;
-    pub const TAX: usize = 4;
-    pub const RETURNFLAG: usize = 5;
-    pub const LINESTATUS: usize = 6;
-    pub const SHIPDATE: usize = 7;
-    pub const COMMITDATE: usize = 8;
-    pub const RECEIPTDATE: usize = 9;
+    pub(crate) const ORDERKEY: usize = 0;
+    pub(crate) const QUANTITY: usize = 1;
+    pub(crate) const EXTENDEDPRICE: usize = 2;
+    pub(crate) const DISCOUNT: usize = 3;
+    pub(crate) const TAX: usize = 4;
+    pub(crate) const RETURNFLAG: usize = 5;
+    pub(crate) const LINESTATUS: usize = 6;
+    pub(crate) const SHIPDATE: usize = 7;
+    pub(crate) const COMMITDATE: usize = 8;
+    pub(crate) const RECEIPTDATE: usize = 9;
 }
 
 /// Column indices of the generated `orders` schema.
-pub(crate) mod ord {
-    pub const ORDERKEY: usize = 0;
-    pub const CUSTKEY: usize = 1;
-    pub const ORDERDATE: usize = 2;
-    pub const ORDERPRIORITY: usize = 3;
-    pub const COMMENT: usize = 4;
+mod ord {
+    pub(crate) const ORDERKEY: usize = 0;
+    pub(crate) const CUSTKEY: usize = 1;
+    pub(crate) const ORDERDATE: usize = 2;
+    pub(crate) const ORDERPRIORITY: usize = 3;
+    pub(crate) const COMMENT: usize = 4;
 }
 
 /// Column indices of the generated `customer` schema.
-pub(crate) mod cust {
-    pub const CUSTKEY: usize = 0;
+mod cust {
+    pub(crate) const CUSTKEY: usize = 0;
     /// Width of the customer schema (Q13's join output places the
     /// build-side columns after these).
-    pub const WIDTH: usize = 4;
+    pub(crate) const WIDTH: usize = 4;
 }
 
 #[cfg(test)]

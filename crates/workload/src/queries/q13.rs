@@ -24,7 +24,7 @@ use cordoba_exec::{JoinKind, PhysicalPlan};
 
 /// The shareable sub-plan: per-customer qualifying-order counts,
 /// outer-joined onto the customer table.
-pub(crate) fn q13_join(costs: &CostProfile) -> PhysicalPlan {
+fn q13_join(costs: &CostProfile) -> PhysicalPlan {
     let qualifying_orders = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::Scan {
             table: "orders".into(),

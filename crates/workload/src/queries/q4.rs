@@ -26,7 +26,7 @@ use cordoba_storage::Date;
 
 /// The shareable join sub-plan (EXISTS semi join of filtered orders
 /// against late lineitems).
-pub(crate) fn q4_join(costs: &CostProfile) -> PhysicalPlan {
+fn q4_join(costs: &CostProfile) -> PhysicalPlan {
     let late_lineitems = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::Scan {
             table: "lineitem".into(),

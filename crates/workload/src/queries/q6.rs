@@ -35,11 +35,11 @@ pub(crate) fn lineitem_scan(costs: &CostProfile) -> PhysicalPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Q6Params {
     /// Ship-date window start year (window is one calendar year).
-    pub year: i32,
+    year: i32,
     /// Discount band center (±0.01, like the official query's `0.06`).
-    pub discount: f64,
+    discount: f64,
     /// Quantity upper bound (exclusive).
-    pub max_quantity: f64,
+    max_quantity: f64,
 }
 
 impl Default for Q6Params {

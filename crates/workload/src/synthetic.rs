@@ -3,15 +3,11 @@
 
 use cordoba_core::{NodeId, OperatorSpec, PlanSpec};
 
-/// The baseline 3-stage query of Section 6 / Figure 3: bottom `p = 10`,
-/// pivot `w = 6, s = 1`, top `p = 10`. Work sharing eliminates ~60% of
-/// the query's work; `u = 2.7` processors per query at peak.
-pub fn three_stage() -> (PlanSpec, NodeId) {
-    three_stage_with_s(1.0)
-}
-
-/// The 3-stage query with a configurable pivot output cost `s`
-/// (Figure 4 center sweeps s ∈ {0, .25, .5, 1, 2, 4}).
+/// The 3-stage query of Section 6 / Figure 3 with pivot output cost
+/// `s`: bottom `p = 10`, pivot `w = 6`, top `p = 10` (Figure 4 center
+/// sweeps s ∈ {0, .25, .5, 1, 2, 4}). At the baseline `s = 1` work
+/// sharing eliminates ~60% of the query's work; `u = 2.7` processors
+/// per query at peak.
 pub fn three_stage_with_s(s: f64) -> (PlanSpec, NodeId) {
     let mut b = PlanSpec::new();
     let bottom = b.add_leaf(OperatorSpec::new("bottom", vec![10.0], vec![]));
@@ -68,7 +64,7 @@ mod tests {
 
     #[test]
     fn three_stage_matches_paper_anchors() {
-        let (plan, pivot) = three_stage();
+        let (plan, pivot) = three_stage_with_s(1.0);
         let q = QueryModel::new(&plan);
         assert!((q.total_work() - 27.0).abs() < 1e-12);
         assert!((q.peak_utilization() - 2.7).abs() < 1e-12);

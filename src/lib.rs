@@ -25,6 +25,10 @@
 //! * [`workload`] (`cordoba-workload`) — TPC-H Q1/Q6/Q4/Q13 plans and
 //!   the synthetic workloads of the paper's sensitivity analysis.
 //!
+//! Each crate exports only what the others, the tests, the examples and
+//! the wall-clock benchmark call; paths are those crates' own (e.g.
+//! `cordoba::exec::ops::OperatorShell`, `cordoba::model::sharing`).
+//!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
 pub use cordoba_core as model;

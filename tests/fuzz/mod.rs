@@ -34,10 +34,10 @@
 use cordoba::engine::sharing::contains_subtree;
 use cordoba::engine::{thread_exec, ArrivalSchedule, EngineConfig, ParallelConfig, Policy};
 use cordoba::engine::{QuerySpec, Run, SharingCounters, Source, Stop};
+use cordoba::exec::concat_schemas;
 use cordoba::exec::expr::CmpOp::{self, Ge, Gt, Le, Lt, Ne};
 use cordoba::exec::expr::ScalarExpr::{self, Add, Mul, Sub};
 use cordoba::exec::expr::{Agg, Predicate};
-use cordoba::exec::plan::concat_schemas;
 use cordoba::exec::wiring::{self, WiringConfig};
 use cordoba::exec::{reference, ExecError, JoinKind, MemoryConfig, OpCost, PhysicalPlan as Plan};
 use cordoba::sim::Simulator;

@@ -11,8 +11,8 @@
 mod fuzz;
 
 use cordoba::exec::expr::Agg;
-use cordoba::exec::vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};
 use cordoba::exec::PhysicalPlan;
+use cordoba::exec::{CompiledExpr, CompiledPredicate, ExprScratch};
 use fuzz::Case;
 use fuzz::Substrate::{self, Batch, Threads};
 
