@@ -42,6 +42,6 @@ pub mod wiring;
 pub use cost::OpCost;
 pub use error::{ExecError, FaultCell};
 pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
-pub use parallel::ParallelConfig;
+pub use parallel::{MorselDispenser, ParallelConfig};
 pub use plan::{concat_schemas, JoinKind, PhysicalPlan, SchemaRef};
 pub use vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};

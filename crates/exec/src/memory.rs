@@ -78,7 +78,7 @@ impl MemoryBroker {
     }
 
     /// A broker that refuses grants past `bytes` of tracked memory.
-    pub(crate) fn with_budget(bytes: usize) -> Self {
+    pub fn with_budget(bytes: usize) -> Self {
         MemoryBroker(Arc::new(BrokerState {
             budget: Some(bytes),
             used: AtomicUsize::new(0),
@@ -97,7 +97,7 @@ impl MemoryBroker {
     /// Safe under concurrent workers: the budget check and the charge
     /// are one atomic compare-exchange, so racing grants can never
     /// jointly overshoot the budget.
-    pub(crate) fn try_grant(&self, bytes: usize) -> bool {
+    pub fn try_grant(&self, bytes: usize) -> bool {
         self.try_grant_leaving(bytes, 0)
     }
 
@@ -127,13 +127,13 @@ impl MemoryBroker {
     /// Takes `bytes` unconditionally, still tracked against the peak.
     /// For fixed overheads that spilling cannot eliminate (the frame of
     /// an open spill stream).
-    pub(crate) fn grant(&self, bytes: usize) {
+    pub fn grant(&self, bytes: usize) {
         let prev = self.0.used.fetch_add(bytes, Ordering::AcqRel);
         self.0.bump_peak(prev.saturating_add(bytes));
     }
 
     /// Returns `bytes` to the account.
-    pub(crate) fn release(&self, bytes: usize) {
+    pub fn release(&self, bytes: usize) {
         // Saturating decrement: a release can never underflow the
         // account even if callers double-release under a race.
         let _ = self

@@ -97,7 +97,7 @@ impl ParallelConfig {
 /// Shared atomic hand-out of morsels: workers race on one counter and
 /// each morsel index is claimed exactly once, in increasing order.
 #[derive(Debug)]
-pub(crate) struct MorselDispenser {
+pub struct MorselDispenser {
     page_count: usize,
     granularity: usize,
     next: AtomicUsize,
@@ -106,7 +106,7 @@ pub(crate) struct MorselDispenser {
 impl MorselDispenser {
     /// A dispenser over `page_count` pages in morsels of `granularity`
     /// pages (`0` treated as `1`).
-    pub(crate) fn new(page_count: usize, granularity: usize) -> Self {
+    pub fn new(page_count: usize, granularity: usize) -> Self {
         MorselDispenser {
             page_count,
             granularity: granularity.max(1),
@@ -117,7 +117,7 @@ impl MorselDispenser {
     /// Claims the next unclaimed morsel, or `None` when the page list
     /// is exhausted. Returns the morsel's index so callers can restore
     /// sequential order when reassembling per-morsel outputs.
-    pub(crate) fn claim(&self) -> Option<(usize, Morsel)> {
+    pub fn claim(&self) -> Option<(usize, Morsel)> {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
         morsel_at(self.page_count, self.granularity, idx).map(|m| (idx, m))
     }

@@ -654,11 +654,11 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
             ),
             (
                 ".eval(",
-                "compile the expression (`vexpr::CompiledExpr` / `CompiledPredicate`)",
+                "compile the expression (`cordoba_exec::CompiledExpr` / `CompiledPredicate`)",
             ),
             (
                 "like_match(",
-                "compile the predicate (`vexpr::CompiledPredicate` splits the pattern once)",
+                "compile the predicate (`cordoba_exec::CompiledPredicate` splits the pattern once)",
             ),
         ] {
             if oracle_scoped && code.contains(tok) {

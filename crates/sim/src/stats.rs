@@ -49,26 +49,22 @@ impl SimStats {
 }
 
 /// A response-time (or any latency) distribution: exact nearest-rank
-/// quantiles over the recorded samples plus power-of-two buckets for
-/// compact machine-readable reports.
+/// quantiles over the recorded samples.
 ///
 /// Samples are kept exactly (a service run records one value per
 /// completed query — thousands, not billions), so quantiles are true
-/// order statistics rather than bucket approximations; the log2 buckets
-/// exist only for rendering histograms in `summary.json`-style output.
+/// order statistics rather than bucket approximations.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
+    /// The samples, sorted ascending.
     samples: Vec<VTime>,
-    sorted: bool,
 }
 
 impl Histogram {
     /// Builds a histogram from a batch of samples.
-    pub fn from_samples(samples: Vec<VTime>) -> Self {
-        Self {
-            samples,
-            sorted: false,
-        }
+    pub fn from_samples(mut samples: Vec<VTime>) -> Self {
+        samples.sort_unstable();
+        Self { samples }
     }
 
     /// Number of recorded samples.
@@ -81,22 +77,14 @@ impl Histogram {
         self.samples.is_empty()
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
     /// Nearest-rank quantile: the smallest recorded sample such that at
     /// least `⌈q·N⌉` samples are ≤ it (`q = 0` yields the minimum,
     /// `q = 1` the maximum). `None` on an empty histogram or a `q`
     /// outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<VTime> {
+    pub fn quantile(&self, q: f64) -> Option<VTime> {
         if self.samples.is_empty() || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        self.ensure_sorted();
         let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1);
         Some(self.samples[rank.min(self.samples.len()) - 1])
     }
@@ -112,12 +100,11 @@ impl Histogram {
 
     /// The standard tail summary (`count`/`min`/`mean`/`p50`/`p90`/
     /// `p99`/`p999`/`max`), or `None` when empty.
-    pub fn summary(&mut self) -> Option<LatencySummary> {
+    pub fn summary(&self) -> Option<LatencySummary> {
         if self.samples.is_empty() {
             return None;
         }
         let mean = self.mean().expect("non-empty");
-        self.ensure_sorted();
         Some(LatencySummary {
             count: self.samples.len() as u64,
             min: self.samples[0],
@@ -182,7 +169,7 @@ mod tests {
     fn quantiles_are_exact_nearest_rank() {
         // 1..=100 makes nearest-rank quantiles directly readable:
         // p50 = 50th sample = 50, p99 = 99, p999 = ⌈99.9⌉ = 100.
-        let mut h = Histogram::from_samples((1..=100).rev().collect());
+        let h = Histogram::from_samples((1..=100).rev().collect());
         assert_eq!(h.len(), 100);
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.50), Some(50));
@@ -196,7 +183,7 @@ mod tests {
 
     #[test]
     fn single_sample_dominates_every_quantile() {
-        let mut h = Histogram::from_samples(vec![42]);
+        let h = Histogram::from_samples(vec![42]);
         let s = h.summary().expect("one sample");
         assert_eq!((s.count, s.min, s.max), (1, 42, 42));
         assert_eq!((s.p50, s.p90, s.p99, s.p999), (42, 42, 42, 42));
@@ -205,7 +192,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_yields_none_everywhere() {
-        let mut h = Histogram::default();
+        let h = Histogram::default();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
@@ -217,7 +204,7 @@ mod tests {
         // With N = 4, q·N lands exactly on integer ranks at the
         // quartiles. Nearest-rank uses ⌈q·N⌉, so a q *at* the boundary
         // selects that rank, and any q just above it moves to the next.
-        let mut h = Histogram::from_samples(vec![10, 20, 30, 40]);
+        let h = Histogram::from_samples(vec![10, 20, 30, 40]);
         assert_eq!(h.quantile(0.25), Some(10), "⌈1.0⌉ = rank 1");
         assert_eq!(h.quantile(0.26), Some(20), "⌈1.04⌉ = rank 2");
         assert_eq!(h.quantile(0.50), Some(20), "⌈2.0⌉ = rank 2");
@@ -231,7 +218,7 @@ mod tests {
 
     #[test]
     fn quantile_rejects_out_of_range_and_nan_q() {
-        let mut h = Histogram::from_samples(vec![1, 2, 3]);
+        let h = Histogram::from_samples(vec![1, 2, 3]);
         assert_eq!(h.quantile(-0.1), None);
         assert_eq!(h.quantile(1.1), None);
         assert_eq!(h.quantile(f64::NAN), None, "NaN is outside [0, 1]");

@@ -3,7 +3,7 @@
 //!
 //! A morsel is a half-open page-index range `[start, end)` over a
 //! table's page list. Workers claim morsels from a shared counter (see
-//! `cordoba_exec::parallel::MorselDispenser`) and process the pages of
+//! `cordoba_exec::MorselDispenser`) and process the pages of
 //! each claimed range independently; because morsel indices are claimed
 //! in increasing order, reassembling per-morsel outputs by morsel index
 //! restores the exact sequential row order.
