@@ -620,41 +620,56 @@ impl StrCol {
 }
 
 /// A `%`-wildcard LIKE pattern, split into byte fragments once at
-/// compile time (bytes compare as the tree walk's `str`s do).
+/// compile time (bytes compare as the tree walk's `str`s do). An empty
+/// fragment is `None` and never compared: it matches anything, and
+/// comparing an empty `Vec`'s dangling pointer costs a slow `memcmp`.
 #[derive(Debug, Clone)]
-struct LikePattern {
-    /// The fragment before the first `%`: the field starts with it.
-    head: Vec<u8>,
-    /// The non-empty fragments between `%`s: found in order, no overlap.
-    middle: Vec<Vec<u8>>,
-    /// The fragment after the last `%`: the rest ends with it. `None`
-    /// for a pattern without `%`, which the field must equal.
-    tail: Option<Vec<u8>>,
+enum LikePattern {
+    /// No `%`: the field equals the pattern (is empty, for `None`).
+    Exact(Option<Vec<u8>>),
+    /// At least one `%`.
+    Wild {
+        /// The fragment before the first `%`: the field starts with it.
+        head: Option<Vec<u8>>,
+        /// The non-empty fragments between `%`s: found in order, no
+        /// overlap.
+        middle: Vec<Vec<u8>>,
+        /// The fragment after the last `%`: the rest ends with it.
+        tail: Option<Vec<u8>>,
+    },
 }
 
 impl LikePattern {
     fn new(pattern: &str) -> Self {
-        let mut parts = pattern.split('%').map(|p| p.as_bytes().to_vec());
-        let head = parts.next().unwrap_or_default();
-        let tail = parts.next_back();
-        let middle = parts.filter(|p| !p.is_empty()).collect();
-        Self { head, middle, tail }
+        let fragment = |p: &str| (!p.is_empty()).then(|| p.as_bytes().to_vec());
+        let mut parts = pattern.split('%');
+        let head = parts.next().and_then(fragment);
+        let Some(tail) = parts.next_back() else {
+            return Self::Exact(head);
+        };
+        Self::Wild {
+            head,
+            middle: parts.filter_map(fragment).collect(),
+            tail: fragment(tail),
+        }
     }
 
     fn matches(&self, s: &[u8]) -> bool {
-        let Some(tail) = &self.tail else {
-            return s == self.head;
+        let (head, middle, tail) = match self {
+            Self::Exact(None) => return s.is_empty(),
+            Self::Exact(Some(whole)) => return s == whole.as_slice(),
+            Self::Wild { head, middle, tail } => (head, middle, tail),
         };
-        let Some(mut rest) = s.strip_prefix(&self.head[..]) else {
+        let Some(mut rest) = head.as_deref().map_or(Some(s), |h| s.strip_prefix(h)) else {
             return false;
         };
-        for frag in &self.middle {
+        for frag in middle {
             match find(rest, frag) {
                 Some(at) => rest = &rest[at + frag.len()..],
                 None => return false,
             }
         }
-        rest.strip_suffix(&tail[..]).is_some()
+        tail.as_deref().is_none_or(|tail| rest.ends_with(tail))
     }
 }
 
@@ -690,10 +705,11 @@ enum Refiner {
         op: CmpOp,
     },
     /// `string column <op> literal` over the space-trimmed field bytes.
+    /// The empty literal is `None`, compared as a length test.
     StrLit {
         col: StrCol,
         op: CmpOp,
-        lit: Vec<u8>,
+        lit: Option<Vec<u8>>,
     },
     /// `string column <op> string column`.
     StrCols { l: StrCol, r: StrCol, op: CmpOp },
@@ -740,7 +756,11 @@ impl Refiner {
             }
             Refiner::StrLit { col, op, lit } => {
                 let field = col.reader(page);
-                retain(sel, |row| op.holds(field(row).cmp(lit)));
+                match lit {
+                    // `field.cmp(b"")` without the zero-length compare.
+                    None => retain(sel, |row| op.holds(field(row).len().cmp(&0))),
+                    Some(lit) => retain(sel, |row| op.holds(field(row).cmp(lit))),
+                }
             }
             Refiner::StrCols { l, r, op } => {
                 let (a, b) = (l.reader(page), r.reader(page));
@@ -952,7 +972,7 @@ fn compile_cmp(
                     width: lw,
                 },
                 op,
-                lit: lit.as_bytes().to_vec(),
+                lit: (!lit.is_empty()).then(|| lit.as_bytes().to_vec()),
             },
             (ScalarExpr::Col(l), ScalarExpr::Col(r)) => Refiner::StrCols {
                 l: StrCol { col: *l, width: lw },
@@ -1463,6 +1483,51 @@ mod tests {
             }
             let halves = assert_matches_tree_walk(&Predicate::col_cmp(3, CmpOp::Eq, "AIR"), &p);
             assert_eq!(halves.len(), n as usize / 2);
+        }
+    }
+
+    #[test]
+    fn empty_literals_and_fragments_match_tree_walk() {
+        // Empty and all-space fields both read as "" once trimmed.
+        let schema = Schema::new(vec![Field::new("s", DataType::Str(4))]);
+        let mut b = PageBuilder::new(schema);
+        for s in ["", "    ", "a", " ", "ab", "  b", "abcd", "", " a  "] {
+            b.push_row(&[Value::Str(s.into())]);
+        }
+        let p = b.finish();
+        let like = |pattern: &str| Predicate::Like {
+            col: 0,
+            pattern: pattern.into(),
+        };
+        let empty_rows = [0, 1, 3, 7];
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let pred = Predicate::col_cmp(0, op, "");
+            let sel = assert_matches_tree_walk(&pred, &p);
+            let want: Vec<u32> = match op {
+                CmpOp::Eq | CmpOp::Le => empty_rows.to_vec(),
+                CmpOp::Ne | CmpOp::Gt => vec![2, 4, 5, 6, 8],
+                CmpOp::Lt => vec![],
+                CmpOp::Ge => (0..9).collect(),
+            };
+            assert_eq!(sel, want, "{pred:?}");
+            let mirrored = Predicate::cmp(ScalarExpr::StrLit("".into()), op, ScalarExpr::col(0));
+            assert_matches_tree_walk(&mirrored, &p);
+        }
+        assert_eq!(assert_matches_tree_walk(&like(""), &p), empty_rows);
+        assert_eq!(
+            assert_matches_tree_walk(&Predicate::Not(Box::new(like(""))), &p),
+            [2, 4, 5, 6, 8]
+        );
+        for pattern in ["%", "%%", "a%", "%b", "%a%", "a%%", "%%b", "% %", " %", "a"] {
+            assert_matches_tree_walk(&like(pattern), &p);
+            assert_matches_tree_walk(&Predicate::Not(Box::new(like(pattern))), &p);
         }
     }
 

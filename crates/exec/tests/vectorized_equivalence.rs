@@ -13,7 +13,8 @@ use cordoba_exec::ops::BuildTable;
 use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, PhysicalPlan};
 use cordoba_exec::{CompiledPredicate, ExprScratch};
 use cordoba_sim::Simulator;
-use cordoba_storage::{Catalog, DataType, Date, Field, Schema, TableBuilder, Value};
+use cordoba_storage::tpch::{self, TpchConfig};
+use cordoba_storage::{Catalog, DataType, Date, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
 
 fn scan(table: &str) -> Box<PhysicalPlan> {
@@ -30,37 +31,45 @@ fn try_run_sim(cat: &Catalog, plan: &PhysicalPlan) -> Result<Vec<Vec<Value>>, Ex
     wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault)
 }
 
-/// Selects `LIKE pattern` and its negation over a one-column `Str(4)`
-/// table of `strings` and compares each page with the oracle's
-/// `like_match` over the trimmed field.
-fn assert_like_matches_oracle(strings: &[String], pattern: &str) {
-    let schema = Schema::new(vec![Field::new("s", DataType::Str(4))]);
-    let mut tb = TableBuilder::with_page_size("t", schema.clone(), 64);
-    for s in strings {
-        tb.push_row(&[Value::Str(s.clone())]);
-    }
-    let table = tb.finish();
+/// Selects `LIKE pattern` and its negation on column `col` of `table`
+/// and compares each page with the oracle's `like_match` over the
+/// trimmed field. Returns how many rows `LIKE` selected.
+fn assert_like_matches_oracle_on(table: &Table, col: usize, pattern: &str) -> usize {
     let like = Predicate::Like {
-        col: 0,
+        col,
         pattern: pattern.to_string(),
     };
     let (mut scratch, mut sel) = (ExprScratch::default(), Vec::new());
+    let mut matched = 0;
     for (pred, want) in [
         (like.clone(), true),
         (Predicate::Not(Box::new(like)), false),
     ] {
-        let compiled = CompiledPredicate::compile(&pred, &schema).expect("compiles");
+        let compiled = CompiledPredicate::compile(&pred, table.schema()).expect("compiles");
         for page in table.pages() {
             compiled.select(page, &mut scratch, &mut sel);
             let expected: Vec<u32> = page
                 .tuples()
                 .enumerate()
-                .filter(|(_, t)| reference::like_match(t.get_str(0), pattern) == want)
+                .filter(|(_, t)| reference::like_match(t.get_str(col), pattern) == want)
                 .map(|(r, _)| r as u32)
                 .collect();
-            assert_eq!(sel, expected, "{pred:?} over {strings:?}");
+            assert_eq!(sel, expected, "{pred:?} on {}", table.name());
+            matched += usize::from(want) * sel.len();
         }
     }
+    matched
+}
+
+/// [`assert_like_matches_oracle_on`] a one-column `Str(4)` table of
+/// `strings`.
+fn assert_like_matches_oracle(strings: &[String], pattern: &str) {
+    let schema = Schema::new(vec![Field::new("s", DataType::Str(4))]);
+    let mut tb = TableBuilder::with_page_size("t", schema, 64);
+    for s in strings {
+        tb.push_row(&[Value::Str(s.clone())]);
+    }
+    assert_like_matches_oracle_on(&tb.finish(), 0, pattern);
 }
 
 /// The shapes a random pattern rarely hits: no, leading, trailing and
@@ -79,6 +88,36 @@ fn compiled_like_edge_cases_match_oracle() {
         "%ab%ab%", "%b%b", "ab%ab", "%ababa%", "ababa%", "%a%b%a%", "% %", "a %", "%a",
     ] {
         assert_like_matches_oracle(&strings, pattern);
+    }
+}
+
+/// Q13's filter and the shapes around it over the generated
+/// `orders.o_comment`: a `Str(48)` column of space-padded pseudo-text,
+/// some of it planted with `special … requests`, which the short `[ab ]`
+/// strings never are.
+#[test]
+fn compiled_like_on_padded_comments_matches_oracle() {
+    let catalog = tpch::generate(&TpchConfig::scale(0.002));
+    let orders = catalog.get("orders").expect("orders is generated");
+    let fields = orders.schema().fields();
+    let col = fields.iter().position(|f| f.name == "o_comment");
+    let col = col.expect("orders has o_comment");
+    assert_eq!(fields[col].dtype, DataType::Str(48));
+    for pattern in [
+        "%special%requests%",
+        "%",
+        "%%",
+        "",
+        "special%",
+        "%requests",
+        "% %",
+    ] {
+        let matched = assert_like_matches_oracle_on(orders, col, pattern);
+        match pattern {
+            "%" | "%%" => assert_eq!(matched, orders.row_count(), "{pattern}"),
+            "%special%requests%" => assert!(matched > 0, "the generator plants {pattern}"),
+            _ => {}
+        }
     }
 }
 
