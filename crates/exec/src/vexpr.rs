@@ -621,12 +621,12 @@ impl StrCol {
 
 /// A `%`-wildcard LIKE pattern, split into byte fragments once at
 /// compile time (bytes compare as the tree walk's `str`s do). An empty
-/// fragment is `None` and never compared: it matches anything, and
+/// head or tail is `None` and never compared: it matches anything, and
 /// comparing an empty `Vec`'s dangling pointer costs a slow `memcmp`.
 #[derive(Debug, Clone)]
 enum LikePattern {
-    /// No `%`: the field equals the pattern (is empty, for `None`).
-    Exact(Option<Vec<u8>>),
+    /// No `%`: the field equals the pattern.
+    Exact(Vec<u8>),
     /// At least one `%`.
     Wild {
         /// The fragment before the first `%`: the field starts with it.
@@ -643,12 +643,12 @@ impl LikePattern {
     fn new(pattern: &str) -> Self {
         let fragment = |p: &str| (!p.is_empty()).then(|| p.as_bytes().to_vec());
         let mut parts = pattern.split('%');
-        let head = parts.next().and_then(fragment);
+        let head = parts.next().unwrap_or_default();
         let Some(tail) = parts.next_back() else {
-            return Self::Exact(head);
+            return Self::Exact(head.as_bytes().to_vec());
         };
         Self::Wild {
-            head,
+            head: fragment(head),
             middle: parts.filter_map(fragment).collect(),
             tail: fragment(tail),
         }
@@ -656,8 +656,7 @@ impl LikePattern {
 
     fn matches(&self, s: &[u8]) -> bool {
         let (head, middle, tail) = match self {
-            Self::Exact(None) => return s.is_empty(),
-            Self::Exact(Some(whole)) => return s == whole.as_slice(),
+            Self::Exact(whole) => return s == whole.as_slice(),
             Self::Wild { head, middle, tail } => (head, middle, tail),
         };
         let Some(mut rest) = head.as_deref().map_or(Some(s), |h| s.strip_prefix(h)) else {
@@ -705,11 +704,10 @@ enum Refiner {
         op: CmpOp,
     },
     /// `string column <op> literal` over the space-trimmed field bytes.
-    /// The empty literal is `None`, compared as a length test.
     StrLit {
         col: StrCol,
         op: CmpOp,
-        lit: Option<Vec<u8>>,
+        lit: Vec<u8>,
     },
     /// `string column <op> string column`.
     StrCols { l: StrCol, r: StrCol, op: CmpOp },
@@ -756,11 +754,7 @@ impl Refiner {
             }
             Refiner::StrLit { col, op, lit } => {
                 let field = col.reader(page);
-                match lit {
-                    // `field.cmp(b"")` without the zero-length compare.
-                    None => retain(sel, |row| op.holds(field(row).len().cmp(&0))),
-                    Some(lit) => retain(sel, |row| op.holds(field(row).cmp(lit))),
-                }
+                retain(sel, |row| op.holds(field(row).cmp(lit)));
             }
             Refiner::StrCols { l, r, op } => {
                 let (a, b) = (l.reader(page), r.reader(page));
@@ -972,7 +966,7 @@ fn compile_cmp(
                     width: lw,
                 },
                 op,
-                lit: (!lit.is_empty()).then(|| lit.as_bytes().to_vec()),
+                lit: lit.as_bytes().to_vec(),
             },
             (ScalarExpr::Col(l), ScalarExpr::Col(r)) => Refiner::StrCols {
                 l: StrCol { col: *l, width: lw },
