@@ -1,18 +1,22 @@
-//! Regenerates the paper's figures ([`cordoba_bench::figures`]): each
-//! panel writes `results/<name>.csv` and prints its chart, rows and
-//! summary.
+//! Regenerates the paper's figures and the operator and service
+//! scenarios ([`cordoba_bench::figures`]): each panel writes
+//! `results/<name>.csv` and prints its chart, rows and summary.
 //!
 //! Usage (from the repo root):
 //! `cargo run --release -p cordoba-bench --bin figures -- <figure|all> [panel] [--quick]`
-//! * `<figure>` — `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `sec44` or
-//!   `ablations`; `all` runs every figure in turn and rewrites
-//!   `BENCH_paper.json` ([`cordoba_bench::gates::paper`]).
+//! * `<figure>` — `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `sec44`,
+//!   `ablations`, `ops` or `service`; `all` runs every figure in turn.
 //! * `[panel]` — one panel of the figure: `fig2 scan`, `fig5 workers`,
-//!   `ablations groups`, …
+//!   `ops spill`, … A single panel only prints.
 //! * `--quick` — `ExpConfig::quick`'s smaller scale (`fig4` is the
-//!   model alone, and `sec44` always runs at the default scale).
+//!   model alone, and `sec44`, `ops` and `service` always run at their
+//!   own scale).
 //!
-//! Anything else prints the usage line and exits 2.
+//! A run that covers every table of a committed document rewrites it
+//! ([`cordoba_bench::gates::DOCUMENTS`]): `figures ops` rewrites
+//! `BENCH_ops.json`, `figures service` `BENCH_service.json`, and
+//! `figures all` those two and `BENCH_paper.json`. Anything else prints
+//! the usage line and exits 2, before running anything.
 
 use cordoba_bench::figures::Args;
 use cordoba_bench::gates;
@@ -20,18 +24,19 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = Args::from_env();
-    args.run();
-    if args.figure.is_some() {
-        return ExitCode::SUCCESS;
-    }
-    match std::fs::write(gates::PAPER_FILE, gates::paper().render()) {
-        Ok(()) => {
-            println!("{}: written", gates::PAPER_FILE);
-            ExitCode::SUCCESS
+    let ran = args.run();
+    let mut status = ExitCode::SUCCESS;
+    for doc in gates::DOCUMENTS.iter().filter(|doc| args.covers(doc)) {
+        let tables = ran
+            .iter()
+            .filter(|(figure, _)| doc.figures.contains(figure));
+        match std::fs::write(doc.file, doc.render(tables.map(|(_, table)| table))) {
+            Ok(()) => println!("{}: written", doc.file),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", doc.file);
+                status = ExitCode::FAILURE;
+            }
         }
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", gates::PAPER_FILE);
-            ExitCode::FAILURE
-        }
     }
+    status
 }

@@ -1,16 +1,18 @@
-//! The paper's figures. Each figure is a list of named panels, and a
-//! panel is a function from an [`ExpConfig`] to one `Table`: the CSV
-//! it writes under `results/`, the chart it prints and its summary
-//! lines. `Table::render` is the one place a figure is printed or
-//! written. The `figures` binary picks figures and panels ([`Args`]);
-//! [`crate::gates::paper`] gates the model-only tables (Figure 4 and
-//! Section 4.4) byte for byte as `BENCH_paper.json`.
+//! The paper's figures, and the operator and service scenarios. Each
+//! figure is a list of named panels, and a panel is a function from an
+//! [`ExpConfig`] to one [`Table`]: the CSV it writes under `results/`,
+//! the chart it prints and its summary lines. `Table::render` is the
+//! one place a table is printed or written, and `Table::json` the one
+//! way a table enters a committed document ([`crate::gates`]: figures
+//! `ops` and `service`, and the model-only Figure 4 and Section 4.4).
+//! The `figures` binary picks figures and panels ([`Args`]).
 
 use crate::engine_cfg;
 use crate::experiments::{
     fit_sim_kappa, fit_thread_kappa, model_speedup, optimal_partition, policy_comparison,
     profile_all, query_work, sharing_speedup, speedup_sweep, ExpConfig,
 };
+use crate::gates::{self, Document};
 use crate::output::{ascii_chart, write_csv, Json};
 use cordoba_core::sharing::{SharingEvaluator, WorkerScaling};
 use cordoba_core::{NodeId, PlanSpec};
@@ -25,21 +27,21 @@ use cordoba_workload::{q1, q13, q4, q6, CostProfile};
 type Series = (String, Vec<(f64, f64)>);
 
 /// What one panel produces.
-pub(crate) struct Table {
+pub struct Table {
     title: String,
     /// File name under `results/`.
     csv: &'static str,
     /// The CSV's header line.
     header: &'static str,
     /// The CSV's rows, one line each.
-    rows: Vec<String>,
+    pub(crate) rows: Vec<String>,
     /// The chart's y label and series, when the panel plots one.
     chart: Option<(&'static str, Vec<Series>)>,
     summary: Vec<String>,
 }
 
 impl Table {
-    fn new(title: impl Into<String>, csv: &'static str, header: &'static str) -> Self {
+    pub(crate) fn new(title: impl Into<String>, csv: &'static str, header: &'static str) -> Self {
         Table {
             title: title.into(),
             csv,
@@ -65,14 +67,23 @@ impl Table {
         println!("wrote {}\n", path.display());
     }
 
-    /// The table as a `BENCH_paper.json` record: its CSV name, header
-    /// and rows, one row per line.
+    /// The table as a committed document's record: its CSV name,
+    /// header and rows, one row per line. A cell is a number when it
+    /// parses as one, `true` / `false`, `null` when empty, and a string
+    /// otherwise.
     pub(crate) fn json(&self) -> Json {
-        let cell = |c: &str| match c.parse::<f64>() {
-            Ok(v) if v.is_finite() => Json::Num(c.to_string()),
+        let cell = |c: &str| match c {
+            "" => Json::Null,
+            "true" | "false" => Json::Bool(c == "true"),
+            _ if c.parse::<f64>().is_ok_and(f64::is_finite) => Json::Num(c.to_string()),
             _ => c.into(),
         };
-        let line = |l: &str| Json::Arr(l.split(',').map(cell).collect());
+        let columns = self.header.split(',').count();
+        let line = |l: &str| {
+            let cells: Vec<Json> = l.split(',').map(cell).collect();
+            assert_eq!(cells.len(), columns, "{}: a row of {l:?}", self.csv);
+            Json::Arr(cells)
+        };
         let rows = self.rows.iter().map(|r| line(r)).collect();
         let header = self.header.split(',').map(Json::from).collect();
         Json::Obj(vec![
@@ -87,7 +98,7 @@ impl Table {
 type Panel = (&'static str, fn(&ExpConfig) -> Table);
 
 /// Every figure and its panels, in the order `all` runs them.
-const FIGURES: [(&str, &[Panel]); 7] = [
+const FIGURES: [(&str, &[Panel]); 9] = [
     ("fig1", &[("q6", fig1)]),
     ("fig2", &[("scan", fig2_scan), ("join", fig2_join)]),
     (
@@ -118,31 +129,37 @@ const FIGURES: [(&str, &[Panel]); 7] = [
             ("groups", group_size),
         ],
     ),
+    (
+        "ops",
+        &[
+            ("spill", gates::spill),
+            ("parallel", gates::parallel),
+            ("subsume", gates::subsume),
+            ("policy", gates::policy),
+        ],
+    ),
+    ("service", &[("scenarios", gates::service)]),
 ];
 
-/// The model-only tables `BENCH_paper.json` holds: Figure 4's four
-/// sweeps and Section 4.4's parameters. Neither reads the scale of an
-/// [`ExpConfig`].
-pub(crate) fn model_tables() -> Vec<Table> {
-    let model_only = FIGURES
-        .iter()
-        .filter(|(f, _)| matches!(*f, "fig4" | "sec44"));
-    let panels = model_only.flat_map(|(_, panels)| panels.iter());
-    panels
-        .map(|(_, panel)| panel(&ExpConfig::default()))
-        .collect()
+/// Every panel's table of the named figures, in [`FIGURES`]' order, at
+/// the default scale.
+pub(crate) fn tables_of(figures: &[&str]) -> Vec<Table> {
+    let named = FIGURES.iter().filter(|(f, _)| figures.contains(f));
+    let panels = named.flat_map(|(_, panels)| panels.iter());
+    let cfg = ExpConfig::default();
+    panels.map(|(_, panel)| panel(&cfg)).collect()
 }
 
 /// The `figures` command line:
-/// `<fig1|fig2|fig4|fig5|fig6|sec44|ablations|all> [panel] [--quick]`.
+/// `<fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|all> [panel] [--quick]`.
 #[derive(Debug, PartialEq)]
 pub struct Args {
     /// The figure to run; `None` runs them all.
-    pub figure: Option<&'static str>,
+    pub(crate) figure: Option<&'static str>,
     /// One panel of that figure; `None` runs every panel.
-    pub panel: Option<&'static str>,
+    pub(crate) panel: Option<&'static str>,
     /// `--quick`: [`ExpConfig::quick`]'s scale.
-    pub quick: bool,
+    pub(crate) quick: bool,
 }
 
 impl Args {
@@ -189,21 +206,35 @@ impl Args {
         })
     }
 
-    /// Runs and renders every selected panel.
-    pub fn run(&self) {
+    /// Runs and renders every selected panel; returns each table with
+    /// its figure's name.
+    pub fn run(&self) -> Vec<(&'static str, Table)> {
         let cfg = if self.quick {
             ExpConfig::quick()
         } else {
             ExpConfig::default()
         };
+        let mut tables = Vec::new();
         for (figure, panels) in FIGURES {
             for (panel, run) in panels {
                 if self.figure.is_none_or(|f| f == figure) && self.panel.is_none_or(|p| p == *panel)
                 {
-                    run(&cfg).render();
+                    let table = run(&cfg);
+                    table.render();
+                    tables.push((figure, table));
                 }
             }
         }
+        tables
+    }
+
+    /// Whether the run covers every table of `doc`, and so rewrites it.
+    pub fn covers(&self, doc: &Document) -> bool {
+        self.panel.is_none()
+            && doc
+                .figures
+                .iter()
+                .all(|f| self.figure.is_none_or(|g| g == *f))
     }
 }
 
@@ -650,6 +681,7 @@ fn group_size(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::{DOCUMENTS, OPS, PAPER, SERVICE};
 
     #[test]
     fn figures_args_name_a_figure_a_panel_and_quick() {
@@ -661,17 +693,46 @@ mod tests {
                 quick,
             })
         };
-        assert_eq!(parse(&["all", "--quick"]), args(None, None, true));
-        assert_eq!(
-            parse(&["fig5", "workers"]),
-            args(Some("fig5"), Some("workers"), false)
-        );
-        let groups = parse(&["--quick", "ablations", "groups"]);
-        assert_eq!(groups, args(Some("ablations"), Some("groups"), true));
+        // Each accepted command line, and the documents it rewrites: a
+        // run covering every table of a document.
+        for (line, parsed, rewrites) in [
+            (
+                &["all", "--quick"][..],
+                args(None, None, true),
+                &[OPS, SERVICE, PAPER][..],
+            ),
+            (
+                &["fig5", "workers"],
+                args(Some("fig5"), Some("workers"), false),
+                &[],
+            ),
+            (
+                &["--quick", "ablations", "groups"],
+                args(Some("ablations"), Some("groups"), true),
+                &[],
+            ),
+            (&["fig4"], args(Some("fig4"), None, false), &[]),
+            (&["ops"], args(Some("ops"), None, false), &[OPS]),
+            (&["service"], args(Some("service"), None, false), &[SERVICE]),
+            (
+                &["ops", "spill"],
+                args(Some("ops"), Some("spill"), false),
+                &[],
+            ),
+        ] {
+            assert_eq!(parse(line), parsed, "{line:?}");
+            let parsed = parsed.expect("accepted");
+            let written = DOCUMENTS.iter().filter(|doc| parsed.covers(doc));
+            let written: Vec<_> = written.map(|doc| doc.file).collect();
+            let expected: Vec<_> = rewrites.iter().map(|doc| doc.file).collect();
+            assert_eq!(written, expected, "{line:?}");
+        }
         for (bad, refused) in [
             (&["fig9"][..], "unknown figure 'fig9'"),
             (&["fig5", "jion"], "unknown panel 'jion' of fig5"),
             (&["fig1", "--quik"], "unknown flag '--quik'"),
+            (&["ops", "nosuch"], "unknown panel 'nosuch' of ops"),
+            (&["service", "--filter", "x"], "unknown flag '--filter'"),
         ] {
             assert_eq!(parse(bad), Err(refused.to_string()));
         }

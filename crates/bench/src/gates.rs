@@ -2,51 +2,99 @@
 //! `BENCH_service.json` and `BENCH_paper.json`: every number in them is
 //! simulator virtual time, tracked bytes or the analytical model under
 //! fixed seeds, so the same source renders the same bytes on any host
-//! and a document is gated by reproduction, not by tolerance.
+//! and a document is gated by reproduction, not by tolerance. A
+//! [`Document`] is the tables of whole figures of [`crate::figures`];
 //! `tests/gates.rs` renders each one and compares it byte for byte with
-//! the committed file ([`crate::output::check_file`]); the `bench_ops`
-//! and `bench_service` binaries rewrite a file, or print a `--filter`
-//! subset, and `figures all` rewrites `BENCH_paper.json`. Wall-clock
+//! the committed file ([`crate::output::check_file`]), and a `figures`
+//! run that covers every table of a document rewrites it. Wall-clock
 //! questions (ns/row per operator, thread hand-offs) belong to
 //! `benchmark/`.
 //!
-//! * [`ops`] — what only virtual time can pin at operator level: what
-//!   morsel-parallel wiring buys on a `k`-context machine, when
-//!   subsumption sharing wins or loses, and how far past its budget a
-//!   spilling operator's tracked memory peaks.
-//! * [`service`] — the open-system service loop's counts, throughput
-//!   and p50/p99/p999 response times.
-//! * [`paper`] — the paper's model-only figures: Figure 4's sweeps and
+//! * [`OPS`] — figure `ops`, what only virtual time can pin at operator
+//!   level: how far past its budget a spilling operator's tracked
+//!   memory peaks (panel `spill`), what morsel-parallel wiring buys on a
+//!   `k`-context machine (`parallel`), and when subsumption sharing wins
+//!   or loses (`subsume`, `policy`).
+//! * [`SERVICE`] — figure `service`: the open-system service loop's
+//!   counts, throughput and p50/p99/p999 response times.
+//! * [`PAPER`] — the paper's model-only figures: Figure 4's sweeps and
 //!   Section 4.4's profiled parameters.
 
+use crate::experiments::ExpConfig;
 use crate::figures::{self, Table};
-use crate::output::{GateArgs, Json};
-use crate::par_kernels::{self, ParPair};
-use crate::service_kernels::{self, ServicePoint};
-use crate::spill_kernels;
-use crate::subsume_kernels::{self, PolicyPoint, SubsumePoint};
+use crate::output::Json;
+use crate::{par_kernels, service_kernels, spill_kernels, subsume_kernels};
 use cordoba_exec::PhysicalPlan;
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::{CostProfile, FamilyConfig};
-use std::cell::LazyCell;
 
-/// The file [`ops`] renders.
-pub const OPS_FILE: &str = "BENCH_ops.json";
+/// A committed document: every panel's table of its figures, in
+/// [`crate::figures`]' order, under a `suite` and a `harness` line. Its
+/// panels ignore the [`ExpConfig`], so `--quick` renders the same bytes.
+pub struct Document {
+    /// The file, relative to the repo root.
+    pub file: &'static str,
+    suite: &'static str,
+    harness: &'static str,
+    /// The figures whose tables it holds.
+    pub figures: &'static [&'static str],
+}
 
-/// The file [`service`] renders.
-pub const SERVICE_FILE: &str = "BENCH_service.json";
+impl Document {
+    /// Runs every panel of the document's figures.
+    pub fn tables(&self) -> Vec<Table> {
+        figures::tables_of(self.figures)
+    }
 
-/// The file [`paper`] renders.
-pub const PAPER_FILE: &str = "BENCH_paper.json";
+    /// The document's text: `suite`, `harness` and the tables, each row
+    /// on one line.
+    pub fn render<'a>(&self, tables: impl IntoIterator<Item = &'a Table>) -> String {
+        let tables = tables.into_iter().map(Table::json).collect();
+        Json::Obj(vec![
+            ("suite", self.suite.into()),
+            ("harness", self.harness.into()),
+            ("tables", Json::Arr(tables)),
+        ])
+        .render()
+    }
+}
+
+/// `BENCH_ops.json`: the `ops` figure.
+pub const OPS: Document = Document {
+    file: "BENCH_ops.json",
+    suite: "deterministic simulator-virtual-time gates: spill peak memory (budget = max(input/4, 8 pages); output equality and peak <= 1.25 x budget asserted in-harness), morsel-parallel wiring, subsumption sharing (policy: batch makespans under never/always/model-guided sharing; speedup = never/model)",
+    harness: "crates/bench/src/gates.rs; the test `bench_ops_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures ops` rewrites it (wall clock is measured by benchmark/)",
+    figures: &["ops"],
+};
+
+/// `BENCH_service.json`: the `service` figure.
+pub const SERVICE: Document = Document {
+    file: "BENCH_service.json",
+    suite: "open-system service loop: tail-latency scenarios (Suite A fan-out/scale, Suite B Poisson/burst/chaos/saturation); offered == completed + failed + rejected + in_flight, asserted per run",
+    harness: "crates/bench/src/gates.rs; deterministic simulator virtual time, fixed seeds, workers pinned to 1; the test `bench_service_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures service` rewrites it",
+    figures: &["service"],
+};
+
+/// `BENCH_paper.json`: Figure 4 and Section 4.4.
+pub const PAPER: Document = Document {
+    file: "BENCH_paper.json",
+    suite: "model-only paper figures: Figure 4's sensitivity sweeps (analytical model) and Section 4.4's profiled parameters (simulator virtual time)",
+    harness: "crates/bench/src/figures.rs; the test `bench_paper_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures all` rewrites it",
+    figures: &["fig4", "sec44"],
+};
+
+/// Every committed document.
+pub const DOCUMENTS: [Document; 3] = [OPS, SERVICE, PAPER];
 
 /// Scale factor of the spill and parallel scenarios' catalog.
 const SCALE_FACTOR: f64 = 0.02;
 
-/// Scale factor of the catalog the subsume and service scenarios share.
+/// Scale factor of the catalog the subsume, policy and service
+/// scenarios share.
 const FAMILY_SCALE_FACTOR: f64 = 0.002;
 
-/// The catalog the subsume and service scenarios share.
+/// The catalog the subsume, policy and service scenarios share.
 pub(crate) fn family_catalog() -> Catalog {
     generate(&TpchConfig {
         scale_factor: FAMILY_SCALE_FACTOR,
@@ -55,101 +103,91 @@ pub(crate) fn family_catalog() -> Catalog {
     })
 }
 
-/// Morsel workers for the parallel section.
+/// Morsel workers of the parallel panel.
 const PAR_WORKERS: usize = 4;
-
-/// A catalog generated when the first selected scenario reads it.
-type LazyCatalog = LazyCell<Catalog>;
 
 /// Past-memory scenarios: the sort and the hash join under a quarter of
 /// their input, with output equality and the peak bound asserted.
-fn spill_section(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
-    type Scenario = fn(&Catalog) -> spill_kernels::SpillPoint;
-    let scenarios: [(&str, Scenario); 2] = [
-        ("sort_spill", spill_kernels::sort_spill),
-        ("join_spill", spill_kernels::join_spill),
-    ];
-    let mut records = Vec::new();
-    for (name, run) in scenarios {
-        if !args.wants(name) {
-            continue;
-        }
-        let p = run(cat);
-        println!(
-            "{:<24} input {:>8} B  budget {:>8} B  peak {:>8} B ({:.3}x budget)  in-memory peak {:>8} B",
+pub(crate) fn spill(_: &ExpConfig) -> Table {
+    let title = "Operators: tracked peak memory under max(input/4, 8 pages)";
+    let header = "name,scale_factor,input_bytes,budget_bytes,peak_bytes,peak_over_budget,\
+                  in_memory_peak_bytes";
+    let mut table = Table::new(title, "ops_spill.csv", header);
+    let cat = spill_kernels::catalog(SCALE_FACTOR);
+    for p in [
+        spill_kernels::sort_spill(&cat),
+        spill_kernels::join_spill(&cat),
+    ] {
+        table.rows.push(format!(
+            "{},{SCALE_FACTOR},{},{},{},{:.3},{}",
             p.name,
             p.input_bytes,
             p.budget_bytes,
             p.peak_bytes,
             p.peak_over_budget(),
             p.in_memory_peak_bytes,
-        );
-        records.push(p.json());
+        ));
     }
-    records
-}
-
-fn print_pair(p: &ParPair, unit: &str) {
-    println!(
-        "{:<24} {:>8} rows  serial {:>10.0} {unit}  {}-worker {:>10.0} {unit}  speedup {:.2}x",
-        p.name,
-        p.rows,
-        p.serial,
-        p.workers,
-        p.parallel,
-        p.speedup()
-    );
+    table
 }
 
 /// Serial wiring vs [`PAR_WORKERS`] morsel workers, virtual makespan.
-fn parallel_section(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
+pub(crate) fn parallel(_: &ExpConfig) -> Table {
+    let title = "Operators: serial wiring vs morsel workers, virtual makespan";
+    let header = "name,scale_factor,rows,workers,serial,parallel,speedup,note";
+    let mut table = Table::new(title, "ops_parallel.csv", header);
+    let cat = spill_kernels::catalog(SCALE_FACTOR);
     type Plan = fn() -> PhysicalPlan;
     let scenarios: [(&str, Plan, &str); 2] = [
         (
             "par_scan_filter",
             par_kernels::pipeline_plan,
-            "morsel-parallel scan+filter+project vs serial wiring, virtual makespan",
+            "morsel-parallel scan+filter+project vs serial wiring; virtual makespan",
         ),
         (
             "par_aggregate",
             par_kernels::aggregate_plan,
-            "per-worker partial aggregates merged in worker order, virtual makespan",
+            "per-worker partial aggregates merged in worker order; virtual makespan",
         ),
     ];
-    let mut records = Vec::new();
     for (name, plan, note) in scenarios {
-        if !args.wants(name) {
-            continue;
-        }
-        let p = par_kernels::virtual_pair(cat, name, &plan(), PAR_WORKERS, note);
-        print_pair(&p, "vt");
-        records.push(p.json());
+        let p = par_kernels::virtual_pair(&cat, name, &plan(), PAR_WORKERS);
+        table.rows.push(format!(
+            "{name},{SCALE_FACTOR},{},{PAR_WORKERS},{},{},{:.2},{note}",
+            p.rows,
+            p.serial,
+            p.parallel,
+            p.speedup()
+        ));
     }
-    records
-}
-
-fn print_subsume(p: &SubsumePoint) {
-    println!(
-        "{:<24} {:>2} queries n={} unshared {:>9.0} vt  shared {:>9.0} vt  z {:.3}  \
-         predicted {:.3}  cache {}h/{}m/{}e  subsume-joins {}",
-        p.name,
-        p.queries,
-        p.contexts,
-        p.unshared_vt,
-        p.shared_vt,
-        p.measured_z(),
-        p.predicted_z(),
-        p.hits,
-        p.misses,
-        p.evictions,
-        p.subsume_joins,
-    );
+    table
 }
 
 /// Distinct-but-nested query families shared through a wide fragment
 /// plus residual filters, and the fragment cache's replay path.
-fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
-    let mut records = Vec::new();
+pub(crate) fn subsume(_: &ExpConfig) -> Table {
+    let title = "Operators: subsumption sharing of nested query families";
+    let header = "name,scale_factor,queries,contexts,unshared_vt,shared_vt,speedup,predicted_z,\
+                  advisor_agrees,cache_hits,cache_misses,cache_evictions,subsume_joins,note";
+    let mut table = Table::new(title, "ops_subsume.csv", header);
+    let cat = family_catalog();
+    let mut row = |name: &str, p: &subsume_kernels::SubsumePoint, note: &str| {
+        let predicted = p.predicted.map_or(String::new(), |s| format!("{:.3}", s.z));
+        let agrees = p.advisor_agrees().map_or(String::new(), |a| a.to_string());
+        table.rows.push(format!(
+            "{name},{FAMILY_SCALE_FACTOR},{},{},{:.0},{:.0},{:.3},{predicted},{agrees},{},{},{},{},\
+             {note}",
+            p.queries,
+            p.contexts,
+            p.unshared_vt,
+            p.shared_vt,
+            p.measured_z(),
+            p.hits,
+            p.misses,
+            p.evictions,
+            p.subsume_joins,
+        ));
+    };
     let groups = [
         (
             "subsume_group_m4_n1",
@@ -165,10 +203,7 @@ fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
         ),
     ];
     for (name, family, contexts, note) in groups {
-        if !args.wants(name) {
-            continue;
-        }
-        let p = subsume_kernels::group_scenario(cat, name, &family, contexts, note);
+        let p = subsume_kernels::group_scenario(&cat, name, &family, contexts);
         if contexts == 1 {
             assert!(
                 p.measured_z() > 1.0,
@@ -183,20 +218,17 @@ fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
                 p.measured_z()
             );
         }
-        print_subsume(&p);
-        records.push(p.json());
+        row(name, &p, note);
     }
-    if args.wants("subsume_cache_replay_n1") {
-        let p = subsume_kernels::cache_replay_scenario(cat);
-        assert!(
-            p.measured_z() > 1.0,
-            "cache replay must beat the cold run: z = {:.3}",
-            p.measured_z()
-        );
-        print_subsume(&p);
-        records.push(p.json());
-    }
-    records
+    let p = subsume_kernels::cache_replay_scenario(&cat);
+    assert!(
+        p.measured_z() > 1.0,
+        "cache replay must beat the cold run: z = {:.3}",
+        p.measured_z()
+    );
+    let note = "cold wide fragment vs cached replay for late nested arrivals (response time ratio)";
+    row("subsume_cache_replay_n1", &p, note);
+    table
 }
 
 /// The fig6-style policy comparison over two cost profiles that span
@@ -204,10 +236,12 @@ fn subsume_scenarios(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
 /// per-consumer delivery is cheap and sharing (almost) always wins;
 /// under delivery-heavy costs always-share loses at high parallelism
 /// and the advisor must decline or downsize the groups.
-fn subsume_policy(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
-    if !args.wants("subsume_policy") {
-        return Vec::new();
-    }
+pub(crate) fn policy(_: &ExpConfig) -> Table {
+    let title = "Operators: never / always / model-guided sharing, batch makespan";
+    let header = "name,scale_factor,contexts,never_vt,always_vt,model_vt,always_z,speedup,\
+                  model_groups";
+    let mut table = Table::new(title, "ops_policy.csv", header);
+    let cat = family_catalog();
     let family = FamilyConfig {
         seed: 17,
         families: 2,
@@ -220,31 +254,30 @@ fn subsume_policy(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
             subsume_kernels::delivery_heavy_costs(),
         ),
     ];
-    let mut points: Vec<(String, PolicyPoint)> = Vec::new();
+    let mut points = Vec::new();
     for (prefix, costs) in &profiles {
         for contexts in [2usize, 8] {
-            let name = format!("{prefix}_n{contexts}");
-            let p = subsume_kernels::policy_scenario(cat, costs, &family, contexts);
-            println!(
-                "{name:<24} n={}  makespan never {:>8.0}  always {:>8.0}  model {:>8.0}  \
-                 z(always) {:.3}  z(model) {:.3}  groups {:?}",
+            let p = subsume_kernels::policy_scenario(&cat, costs, &family, contexts);
+            let groups: Vec<String> = p.model_groups.iter().map(usize::to_string).collect();
+            table.rows.push(format!(
+                "{prefix}_n{contexts},{FAMILY_SCALE_FACTOR},{},{:.0},{:.0},{:.0},{:.3},{:.3},{}",
                 p.contexts,
                 p.never,
                 p.always,
                 p.model,
                 p.always_z(),
                 p.model_z(),
-                p.model_groups,
-            );
-            points.push((name, p));
+                groups.join("+"),
+            ));
+            points.push(p);
         }
     }
-    let wins = &points[0].1;
+    let wins = &points[0];
     assert!(
         wins.always_z() > 1.0 && wins.model_z() > 1.0,
         "paper costs at n=2 must be a sharing win: {wins:?}"
     );
-    let loses = &points[3].1;
+    let loses = &points[3];
     assert!(
         loses.always_z() < 1.0,
         "delivery-heavy costs at n=8 must be a sharing loss: {loses:?}"
@@ -253,142 +286,52 @@ fn subsume_policy(args: &GateArgs, cat: &LazyCatalog) -> Vec<Json> {
         loses.model_z() >= 1.0,
         "the advisor must decline losing groups: {loses:?}"
     );
-    points.iter().map(|(name, p)| p.json(name)).collect()
+    table
 }
 
-/// Runs the operator scenarios `args` selects, printing one line each,
-/// and returns the `BENCH_ops.json` document with the number of lines
-/// printed. A filter that `par_hash_join` contains also prints the one
-/// wall-clock pair (serial vs thread-driver hash join), which never
-/// enters the document.
-pub fn ops(args: &GateArgs) -> (Json, usize) {
-    let cat: LazyCatalog = LazyCell::new(|| spill_kernels::catalog(SCALE_FACTOR));
-    let sub_cat: LazyCatalog = LazyCell::new(family_catalog);
-
-    let spill = spill_section(args, &cat);
-    let parallel = parallel_section(args, &cat);
-    let scenarios = subsume_scenarios(args, &sub_cat);
-    let policy = subsume_policy(args, &sub_cat);
-    let mut records = spill.len() + parallel.len() + scenarios.len() + policy.len();
-    // Print-only, and only when asked for by name: a wall-clock number
-    // has no place in a file gated by reproduction.
-    if args
-        .filter
-        .as_deref()
-        .is_some_and(|f| "par_hash_join".contains(f))
-    {
-        print_pair(
-            &par_kernels::join_wall_clock_pair(&cat, PAR_WORKERS, 3),
-            "ns",
-        );
-        records += 1;
-    }
-
-    let doc = Json::Obj(vec![
-        (
-            "suite",
-            "deterministic simulator-virtual-time gates: spill peak memory, morsel-parallel wiring, subsumption sharing".into(),
-        ),
-        (
-            "harness",
-            "crates/bench/src/gates.rs; the test `bench_ops_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte (wall clock is measured by benchmark/)".into(),
-        ),
-        (
-            "spill",
-            Json::Obj(vec![
-                ("scale_factor", Json::fixed(SCALE_FACTOR, 2)),
-                (
-                    "scenario",
-                    "budget = max(input/4, 8 pages); output equality and peak <= 1.25 x budget asserted in-harness".into(),
-                ),
-                ("runs", Json::Arr(spill)),
-            ]),
-        ),
-        (
-            "parallel",
-            Json::Obj(vec![
-                ("scale_factor", Json::fixed(SCALE_FACTOR, 2)),
-                ("workers", PAR_WORKERS.into()),
-                ("pairs", Json::Arr(parallel)),
-            ]),
-        ),
-        (
-            "subsume",
-            Json::Obj(vec![
-                ("scale_factor", Json::fixed(FAMILY_SCALE_FACTOR, 3)),
-                ("scenarios", Json::Arr(scenarios)),
-                (
-                    "policy_note",
-                    "batch makespans under never/always/model-guided sharing; speedup = never/model".into(),
-                ),
-                ("policy", Json::Arr(policy)),
-            ]),
-        ),
-    ]);
-    (doc, records)
-}
-
-/// Runs the service-loop scenarios `args` selects, printing one line
-/// each, and returns the `BENCH_service.json` document with the number
-/// of scenarios run.
-pub fn service(args: &GateArgs) -> (Json, usize) {
+/// The service loop's scenarios, one row each, with the accounting
+/// invariant asserted per run.
+pub(crate) fn service(_: &ExpConfig) -> Table {
+    let title = "Service loop: tail latency under open-system arrivals";
+    let header = "name,suite,scale_factor,contexts,capacity,offered,completed,failed,rejected,\
+                  in_flight,makespan,throughput,utilization,mean_group,latency_count,latency_min,\
+                  latency_mean,latency_p50,latency_p90,latency_p99,latency_p999,latency_max,note";
+    let mut table = Table::new(title, "service_scenarios.csv", header);
     let cat = family_catalog();
-    let points = service_kernels::run_all(&cat, |name| args.wants(name));
-    for p in &points {
-        println!(
-            "{:<20} [{}] n={} cap={:<2} {:>3} offered: {:>3}c/{}f/{}r/{}i  p50 {:>9} p99 {:>9} p999 {:>9}  util {:.2}  group {:.2}",
-            p.name,
-            p.suite,
-            p.contexts,
-            p.capacity,
-            p.offered,
-            p.completed,
-            p.failed,
-            p.rejected,
-            p.in_flight,
-            p.latency.p50,
-            p.latency.p99,
-            p.latency.p999,
-            p.utilization,
-            p.mean_group,
+    for (name, suite, note, run) in service_kernels::SCENARIOS {
+        let (cfg, r) = run(&cat);
+        let failed = r.failures.len();
+        assert_eq!(
+            r.offered,
+            r.completed + failed + r.rejected + r.in_flight,
+            "{name}: {r:?}"
         );
+        let l = r
+            .latency()
+            .summary()
+            .unwrap_or_else(|| panic!("{name}: every scenario must complete something"));
+        table.rows.push(format!(
+            "{name},{suite},{FAMILY_SCALE_FACTOR},{},{},{},{},{failed},{},{},{},{:.9},{:.4},{:.3},\
+             {},{},{:.1},{},{},{},{},{},{note}",
+            cfg.engine.contexts,
+            cfg.admission_capacity,
+            r.offered,
+            r.completed,
+            r.rejected,
+            r.in_flight,
+            r.makespan,
+            r.throughput(),
+            r.stats.utilization(),
+            r.mean_group_size(),
+            l.count,
+            l.min,
+            l.mean,
+            l.p50,
+            l.p90,
+            l.p99,
+            l.p999,
+            l.max,
+        ));
     }
-
-    let doc = Json::Obj(vec![
-        (
-            "suite",
-            "open-system service loop: tail-latency scenarios (Suite A fan-out/scale, Suite B Poisson/burst/chaos/saturation)".into(),
-        ),
-        (
-            "harness",
-            "crates/bench/src/gates.rs; deterministic simulator virtual time, fixed seeds, workers pinned to 1; the test `bench_service_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte".into(),
-        ),
-        ("scale_factor", Json::fixed(FAMILY_SCALE_FACTOR, 3)),
-        (
-            "invariant",
-            "offered == completed + failed + rejected + in_flight, asserted per run".into(),
-        ),
-        (
-            "scenarios",
-            Json::Arr(points.iter().map(ServicePoint::json).collect()),
-        ),
-    ]);
-    (doc, points.len())
-}
-
-/// Renders the `BENCH_paper.json` document: the model-only figures'
-/// tables, each row on one line.
-pub fn paper() -> Json {
-    let tables = figures::model_tables();
-    Json::Obj(vec![
-        (
-            "suite",
-            "model-only paper figures: Figure 4's sensitivity sweeps (analytical model) and Section 4.4's profiled parameters (simulator virtual time)".into(),
-        ),
-        (
-            "harness",
-            "crates/bench/src/figures.rs; the test `bench_paper_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures all` rewrites it".into(),
-        ),
-        ("tables", Json::Arr(tables.iter().map(Table::json).collect())),
-    ])
+    table
 }

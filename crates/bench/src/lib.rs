@@ -6,21 +6,22 @@
 //!   paper (shared/unshared throughput sweeps, model validation, policy
 //!   comparison) over the simulated CMP.
 //! * [`figures`] — every figure of the paper as named panels, each a
-//!   table with its CSV, chart and summary, and the `figures` binary's
-//!   command line.
+//!   table with its CSV, chart and summary, the operator and service
+//!   scenarios as two more figures (`ops`, `service`), and the
+//!   `figures` binary's command line.
 //! * [`output`] — CSV emission and ASCII charts; the ordered JSON
-//!   emitter, the byte-for-byte comparison and the command line of the
-//!   two trajectory binaries.
+//!   emitter and the byte-for-byte comparison.
 //! * [`gates`] — the three committed documents, `BENCH_ops.json`,
-//!   `BENCH_service.json` and `BENCH_paper.json`, which `tests/gates.rs`
-//!   reproduces byte for byte, and the simulator-virtual-time scenarios
-//!   behind them (morsel-parallel wiring, subsumption sharing and policy
-//!   points, spill peak memory, the open-system service loop).
+//!   `BENCH_service.json` and `BENCH_paper.json`, each a list of
+//!   figure tables that `tests/gates.rs` reproduces byte for byte, and
+//!   the simulator-virtual-time panels behind the first two
+//!   (morsel-parallel wiring, subsumption sharing and policy points,
+//!   spill peak memory, the open-system service loop).
 //!
-//! Binaries: `figures` (`figures <fig1|fig2|fig4|fig5|fig6|sec44|ablations|all>
+//! One binary, `figures` (`figures <fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|all>
 //! [panel] [--quick]`, writes `results/*.csv`; see README.md's "Quick
-//! tour"), and `bench_ops` and `bench_service`, which rewrite their
-//! committed documents. The paper's claims are asserted in
+//! tour"); a run that covers every table of a committed document
+//! rewrites it. The paper's claims are asserted in
 //! `tests/paper_claims.rs` through the same measurement the figures
 //! use. Wall-clock measurement is `benchmark/`'s job.
 

@@ -60,12 +60,12 @@ pub(crate) fn ascii_chart(
 /// A JSON value whose objects keep insertion order, so rendering the
 /// same records twice gives the same bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, already formatted (an integer, or `Json::fixed`).
+    /// A number, already formatted.
     Num(String),
     /// A string (escaped on rendering).
     Str(String),
@@ -76,13 +76,8 @@ pub enum Json {
 }
 
 impl Json {
-    /// A float with a fixed number of decimals.
-    pub(crate) fn fixed(v: f64, decimals: usize) -> Self {
-        Json::Num(format!("{v:.decimals$}"))
-    }
-
     /// The whole document: two-space indent, trailing newline.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
         out.push('\n');
@@ -152,86 +147,6 @@ impl From<&str> for Json {
     }
 }
 
-impl From<bool> for Json {
-    fn from(b: bool) -> Self {
-        Json::Bool(b)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::Num(v.to_string())
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Self {
-        Json::Num(v.to_string())
-    }
-}
-
-/// The command line of the two trajectory binaries: `--filter <substr>`
-/// runs the scenarios whose name contains the substring and only prints
-/// them; without it the binary rewrites its file.
-#[derive(Debug, Default, PartialEq)]
-pub struct GateArgs {
-    /// `--filter`: substring a scenario name must contain.
-    pub filter: Option<String>,
-}
-
-impl GateArgs {
-    /// Parses the arguments after the program name; the error is the
-    /// usage message.
-    pub(crate) fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut parsed = GateArgs::default();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--filter" => parsed.filter = Some(args.next().ok_or("--filter needs a value")?),
-                other => return Err(format!("unknown argument '{other}'")),
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// `GateArgs::parse` over the process arguments; prints the usage
-    /// message and exits 2 on misuse.
-    pub fn from_env(bin: &str) -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|usage| {
-            eprintln!("{bin}: {usage} (usage: {bin} [--filter <substr>])");
-            std::process::exit(2)
-        })
-    }
-
-    /// Whether the scenario `name` is selected.
-    pub(crate) fn wants(&self, name: &str) -> bool {
-        self.filter.as_deref().is_none_or(|f| name.contains(f))
-    }
-
-    /// Finishes a run that produced `records` scenario records rendered
-    /// into `doc`: a filtered run is print-only, anything else rewrites
-    /// `file`. Returns whether the run succeeded.
-    pub fn finish(&self, file: &str, records: usize, doc: &Json) -> bool {
-        if let Some(f) = &self.filter {
-            if records == 0 {
-                eprintln!("no scenario matched the filter '{f}'");
-            } else {
-                println!("filtered run: {file} not written");
-            }
-            return records > 0;
-        }
-        match fs::write(file, doc.render()) {
-            Ok(()) => {
-                println!("{file}: written");
-                true
-            }
-            Err(e) => {
-                eprintln!("cannot write {file}: {e}");
-                false
-            }
-        }
-    }
-}
-
 /// The lines on which `committed` and `fresh` differ, as `- line N:` /
 /// `+ line N:` report lines (empty when the texts are equal). Texts of
 /// equal length are compared line by line; otherwise the common head
@@ -292,20 +207,23 @@ mod tests {
     fn document(points: &[(&str, f64)]) -> String {
         Json::Obj(vec![
             ("suite", "demo \"quoted\"".into()),
-            ("groups", Json::Arr(vec![4usize.into(), 4usize.into()])),
+            ("groups", Json::Arr(vec![Json::Num("4".into()); 2])),
             (
                 "scenarios",
                 Json::Arr(
                     points
                         .iter()
                         .map(|&(name, z)| {
-                            Json::Obj(vec![("name", name.into()), ("z", Json::fixed(z, 3))])
+                            Json::Obj(vec![
+                                ("name", name.into()),
+                                ("z", Json::Num(format!("{z:.3}"))),
+                            ])
                         })
                         .collect(),
                 ),
             ),
             ("predicted", Json::Null),
-            ("agrees", true.into()),
+            ("agrees", Json::Bool(true)),
         ])
         .render()
     }
@@ -318,24 +236,6 @@ mod tests {
              {\n      \"name\": \"a\",\n      \"z\": 1.000\n    }\n  ],\n  \
              \"predicted\": null,\n  \"agrees\": true\n}\n"
         );
-    }
-
-    #[test]
-    fn gate_args_take_a_filter_and_nothing_else() {
-        let parse = |args: &[&str]| GateArgs::parse(args.iter().map(|a| a.to_string()));
-        assert_eq!(parse(&[]), Ok(GateArgs::default()));
-        let filtered = parse(&["--filter", "par_"]).expect("a filter parses");
-        assert!(filtered.wants("par_aggregate") && !filtered.wants("sort_spill"));
-        assert_eq!(
-            parse(&["--check", "BENCH_ops.json"]),
-            Err("unknown argument '--check'".to_string()),
-            "the committed files are gated by tests/gates.rs"
-        );
-        for bad in [&["--filter"][..], &["--quick"], &["--filter", "par_", "x"]] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
-        // A filter that selects nothing is a failed run, not an empty one.
-        assert!(!filtered.finish("unused.json", 0, &Json::Null));
     }
 
     #[test]

@@ -9,59 +9,28 @@
 //! split — a deterministic, host-independent record of what the
 //! threading model buys on a `k`-context machine. (Wall clock would be
 //! meaningless here: CI containers often pin this harness to one core.)
-//!
-//! The hash-join pair is the honest counterpoint: it runs the same
-//! worker shells on OS threads ([`wiring::run_local`]) against the
-//! serial wiring and reports wall clock, whatever the host actually
-//! delivers — printed by `bench_ops --filter par_hash_join`, never
-//! committed.
 
-use crate::output::Json;
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
-use cordoba_exec::{OpCost, ParallelConfig, PhysicalPlan, QueryResources};
+use cordoba_exec::{OpCost, ParallelConfig, PhysicalPlan};
 use cordoba_sim::Simulator;
 use cordoba_storage::{Catalog, Date, Value};
-use std::hint::black_box;
-use std::time::Instant;
 
-/// One serial-vs-parallel measurement pair.
+/// One serial-vs-parallel virtual-time pair.
 pub(crate) struct ParPair {
-    /// Scenario name (stable across PRs).
-    pub name: &'static str,
     /// Input rows processed.
     pub rows: usize,
-    /// Morsel workers on the parallel side.
-    pub workers: usize,
-    /// Serial measurement (virtual time units or nanoseconds).
-    pub serial: f64,
-    /// Parallel measurement in the same units.
-    pub parallel: f64,
-    /// `"sim-vtime"` or `"wall-clock"`.
-    pub substrate: &'static str,
-    /// One-line description.
-    pub note: &'static str,
+    /// Serial virtual makespan.
+    pub serial: u64,
+    /// Virtual makespan with the morsel workers.
+    pub parallel: u64,
 }
 
 impl ParPair {
     /// Serial / parallel — how much the morsel wiring contracts the
-    /// measurement.
+    /// makespan.
     pub(crate) fn speedup(&self) -> f64 {
-        self.serial / self.parallel
-    }
-
-    /// The pair's `BENCH_ops.json` record.
-    pub(crate) fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("name", self.name.into()),
-            ("rows", self.rows.into()),
-            ("workers", self.workers.into()),
-            ("substrate", self.substrate.into()),
-            ("serial", Json::fixed(self.serial, 0)),
-            ("parallel", Json::fixed(self.parallel, 0)),
-            ("speedup", Json::fixed(self.speedup(), 2)),
-            ("note", self.note.into()),
-        ])
+        self.serial as f64 / self.parallel as f64
     }
 }
 
@@ -182,10 +151,9 @@ fn run_virtual(
 /// wiring). Asserts the two runs return identical rows.
 pub(crate) fn virtual_pair(
     catalog: &Catalog,
-    name: &'static str,
+    name: &str,
     plan: &PhysicalPlan,
     workers: usize,
-    note: &'static str,
 ) -> ParPair {
     let contexts = workers.max(2);
     let (serial_rows, serial_t) = run_virtual(catalog, plan, 1, contexts);
@@ -195,72 +163,14 @@ pub(crate) fn virtual_pair(
         "{name}: parallel wiring changed the result rows"
     );
     ParPair {
-        name,
         rows: catalog
             .expect("lineitem")
             .pages()
             .iter()
             .map(|p| p.rows())
             .sum(),
-        workers,
-        serial: serial_t as f64,
-        parallel: par_t as f64,
-        substrate: "sim-vtime",
-        note,
-    }
-}
-
-/// Measures the real-thread hash-join pair: `orders ⋈ lineitem` through
-/// the serial wiring vs the thread driver with `workers` morsel worker
-/// threads per join input, wall clock. Both inputs are bare scans, so
-/// the workers have no per-tuple work to split and the join itself is
-/// one task: the pair prices the thread seam (one bounded-channel
-/// hand-off per morsel of 4 KiB pages) rather than a speedup, and sits
-/// below 1× wherever threads outnumber cores — the honest counterpart
-/// of the virtual-time pairs.
-pub(crate) fn join_wall_clock_pair(catalog: &Catalog, workers: usize, samples: usize) -> ParPair {
-    let plan = crate::spill_kernels::join_plan();
-    let serial_cfg = WiringConfig::serial();
-    let par_cfg = WiringConfig {
-        parallel: ParallelConfig::with_workers(workers),
-        ..WiringConfig::serial()
-    };
-    let run = |cfg: &WiringConfig| {
-        wiring::run_local(catalog, &plan, cfg, &QueryResources::default()).expect("join runs")
-    };
-    assert_eq!(
-        wiring::page_rows(&run(&serial_cfg)),
-        wiring::page_rows(&run(&par_cfg)),
-        "the thread driver changed the join's rows"
-    );
-    let time_ns = |cfg: &WiringConfig| {
-        let mut best = f64::INFINITY;
-        for _ in 0..samples.max(1) {
-            let t = Instant::now();
-            black_box(run(cfg));
-            best = best.min(t.elapsed().as_secs_f64() * 1e9);
-        }
-        best
-    };
-    let rows = ["lineitem", "orders"]
-        .iter()
-        .map(|t| {
-            catalog
-                .expect(t)
-                .pages()
-                .iter()
-                .map(|p| p.rows())
-                .sum::<usize>()
-        })
-        .sum();
-    ParPair {
-        name: "par_hash_join",
-        rows,
-        workers,
-        serial: time_ns(&serial_cfg),
-        parallel: time_ns(&par_cfg),
-        substrate: "wall-clock",
-        note: "serial wiring vs morsel worker groups on real threads feeding one hash join; bare-scan inputs leave the workers nothing but the per-morsel hand-off, so < 1x when threads outnumber cores",
+        serial: serial_t,
+        parallel: par_t,
     }
 }
 
@@ -276,7 +186,7 @@ mod tests {
             ("par_scan_filter", pipeline_plan()),
             ("par_aggregate", aggregate_plan()),
         ] {
-            let pair = virtual_pair(&cat, name, &plan, 4, "");
+            let pair = virtual_pair(&cat, name, &plan, 4);
             assert!(
                 pair.speedup() >= 2.0,
                 "{name}: expected >= 2x virtual contraction at 4 workers, got {:.2}x \
@@ -316,13 +226,5 @@ mod tests {
             let active: u64 = ids.iter().map(|&id| sim.task_stats(id).active).sum();
             assert_eq!((ids.len(), active), (4, 602_953), "{name}");
         }
-    }
-
-    #[test]
-    fn join_pair_preserves_results() {
-        let cat = catalog(0.002);
-        let pair = join_wall_clock_pair(&cat, 4, 1);
-        assert!(pair.serial > 0.0 && pair.parallel > 0.0);
-        assert_eq!(pair.substrate, "wall-clock");
     }
 }

@@ -11,7 +11,6 @@
 //! budget, peak tracked memory ≤ 1.25× budget, output identical to the
 //! in-memory run.
 
-use crate::output::Json;
 use cordoba_exec::wiring::{self, WiringConfig};
 use cordoba_exec::{reference, JoinKind, MemoryConfig, OpCost, PhysicalPlan};
 use cordoba_sim::Simulator;
@@ -67,7 +66,7 @@ fn sort_plan() -> PhysicalPlan {
 /// `orders ⋈ lineitem` on orderkey with `orders` as the build side —
 /// the hybrid-hash-join scenario's plan (the whole build arena must fit
 /// or spill).
-pub(crate) fn join_plan() -> PhysicalPlan {
+fn join_plan() -> PhysicalPlan {
     PhysicalPlan::HashJoin {
         build: scan("orders"),
         probe: scan("lineitem"),
@@ -125,18 +124,6 @@ impl SpillPoint {
     /// hash join is held to.
     pub(crate) fn peak_over_budget(&self) -> f64 {
         self.peak_bytes as f64 / self.budget_bytes as f64
-    }
-
-    /// The scenario's `BENCH_ops.json` record.
-    pub(crate) fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("name", self.name.into()),
-            ("input_bytes", self.input_bytes.into()),
-            ("budget_bytes", self.budget_bytes.into()),
-            ("peak_bytes", self.peak_bytes.into()),
-            ("peak_over_budget", Json::fixed(self.peak_over_budget(), 3)),
-            ("in_memory_peak_bytes", self.in_memory_peak_bytes.into()),
-        ])
     }
 }
 

@@ -1,4 +1,4 @@
-//! Subsumption-sharing scenarios for the `bench_ops` harness: measured
+//! Subsumption-sharing scenarios of `BENCH_ops.json`: measured
 //! `Z(m, n)` of sharing a *wide* selection fragment among distinct but
 //! nested query windows (no two queries byte-identical — the historic
 //! equality matcher would share nothing here), plus the fragment-cache
@@ -9,7 +9,6 @@
 //! gated tightly.
 
 use crate::engine_cfg;
-use crate::output::Json;
 use cordoba_core::sharing::Speedup;
 use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
@@ -38,8 +37,6 @@ fn profiled(catalog: &Catalog, spec: &QuerySpec) -> QueryModelInfo {
 /// One measured subsumption scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct SubsumePoint {
-    /// Scenario name (gate key in `BENCH_ops.json`).
-    pub name: &'static str,
     /// Queries in the workload.
     pub queries: usize,
     /// Simulated hardware contexts.
@@ -59,8 +56,6 @@ pub(crate) struct SubsumePoint {
     pub evictions: u64,
     /// Members admitted via subsumption (pivot differed from group's).
     pub subsume_joins: u64,
-    /// What the scenario exercises.
-    pub note: &'static str,
 }
 
 impl SubsumePoint {
@@ -80,36 +75,6 @@ impl SubsumePoint {
     pub(crate) fn advisor_agrees(&self) -> Option<bool> {
         self.predicted
             .map(|s| s.favors_sharing(0.0) == (self.measured_z() >= 1.0))
-    }
-
-    /// The scenario's `BENCH_ops.json` record.
-    pub(crate) fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("name", self.name.into()),
-            ("queries", self.queries.into()),
-            ("contexts", self.contexts.into()),
-            ("unshared_vt", Json::fixed(self.unshared_vt, 0)),
-            ("shared_vt", Json::fixed(self.shared_vt, 0)),
-            ("speedup", Json::fixed(self.measured_z(), 3)),
-            (
-                "predicted_z",
-                self.predicted.map_or(Json::Null, |s| Json::fixed(s.z, 3)),
-            ),
-            (
-                "advisor_agrees",
-                self.advisor_agrees().map_or(Json::Null, Json::from),
-            ),
-            (
-                "cache",
-                Json::Obj(vec![
-                    ("hits", self.hits.into()),
-                    ("misses", self.misses.into()),
-                    ("evictions", self.evictions.into()),
-                ]),
-            ),
-            ("subsume_joins", self.subsume_joins.into()),
-            ("note", self.note.into()),
-        ])
     }
 }
 
@@ -139,10 +104,9 @@ fn predicted_chain(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: 
 /// point with the advisor's prediction for one family's group.
 pub(crate) fn group_scenario(
     catalog: &Catalog,
-    name: &'static str,
+    name: &str,
     family_cfg: &FamilyConfig,
     contexts: usize,
-    note: &'static str,
 ) -> SubsumePoint {
     let specs = family_specs(&CostProfile::paper(), family_cfg);
     for (i, a) in specs.iter().enumerate() {
@@ -178,7 +142,6 @@ pub(crate) fn group_scenario(
         .collect();
     let n_eff = contexts as f64 * family_cfg.per_family as f64 / specs.len() as f64;
     SubsumePoint {
-        name,
         queries: specs.len(),
         contexts,
         unshared_vt: unshared.makespan as f64,
@@ -188,7 +151,6 @@ pub(crate) fn group_scenario(
         misses: shared.sharing.fingerprint_misses,
         evictions: shared.sharing.fingerprint_evictions,
         subsume_joins: shared.sharing.subsume_joins,
-        note,
     }
 }
 
@@ -226,7 +188,6 @@ pub(crate) fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
         .sum::<f64>()
         / (report.response_times.len() - 1) as f64;
     SubsumePoint {
-        name: "subsume_cache_replay_n1",
         queries: specs.len(),
         contexts: 1,
         unshared_vt: cold,
@@ -236,7 +197,6 @@ pub(crate) fn cache_replay_scenario(catalog: &Catalog) -> SubsumePoint {
         misses: report.sharing.fingerprint_misses,
         evictions: report.sharing.fingerprint_evictions,
         subsume_joins: report.sharing.subsume_joins,
-        note: "cold wide fragment vs cached replay for late nested arrivals (response time ratio)",
     }
 }
 
@@ -268,23 +228,6 @@ impl PolicyPoint {
     /// Model-guided speedup over never-share.
     pub(crate) fn model_z(&self) -> f64 {
         self.never / self.model
-    }
-
-    /// The point's `BENCH_ops.json` record (`speedup` = never / model).
-    pub(crate) fn json(&self, name: &str) -> Json {
-        Json::Obj(vec![
-            ("name", name.into()),
-            ("contexts", self.contexts.into()),
-            ("never_vt", Json::fixed(self.never, 0)),
-            ("always_vt", Json::fixed(self.always, 0)),
-            ("model_vt", Json::fixed(self.model, 0)),
-            ("always_z", Json::fixed(self.always_z(), 3)),
-            ("speedup", Json::fixed(self.model_z(), 3)),
-            (
-                "model_groups",
-                Json::Arr(self.model_groups.iter().map(|&g| g.into()).collect()),
-            ),
-        ])
     }
 }
 
@@ -360,7 +303,7 @@ mod tests {
         let heavy = delivery_heavy_costs();
         let paper = CostProfile::paper();
         // (costs, family seed, families, contexts) of every
-        // `subsume_group*` / `subsume_policy*` scenario of `bench_ops`.
+        // `subsume_group*` / `subsume_policy*` scenario of `BENCH_ops.json`.
         for (costs, seed, families, contexts) in [
             (&paper, 11, 1, vec![1]),
             (&paper, 13, 2, vec![4]),

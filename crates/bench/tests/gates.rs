@@ -4,34 +4,34 @@
 //! (`- line N` committed, `+ line N` fresh). Every scenario pins its own
 //! worker count, so the documents must not move under `CORDOBA_WORKERS`
 //! either. To move a number on purpose, rewrite the file with
-//! `cargo run --release -p cordoba-bench --bin bench_ops` (or
-//! `bench_service`, or `figures -- all --quick` for `BENCH_paper.json`)
-//! and commit the diff.
+//! `cargo run --release -p cordoba-bench --bin figures -- ops` (or
+//! `service`, or `all --quick` for all three, `BENCH_paper.json`
+//! included) and commit the diff.
 
-use cordoba_bench::gates;
-use cordoba_bench::output::{check_file, GateArgs, Json};
+use cordoba_bench::gates::{self, Document};
+use cordoba_bench::output::check_file;
 use std::path::Path;
 
-fn reproduces(file: &str, doc: Json) {
+fn reproduces(doc: &Document) {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(file);
-    if let Err(report) = check_file(&committed, &doc.render()) {
+        .join(doc.file);
+    if let Err(report) = check_file(&committed, &doc.render(&doc.tables())) {
         panic!("{report}");
     }
 }
 
 #[test]
 fn bench_ops_json_reproduces_byte_for_byte() {
-    reproduces(gates::OPS_FILE, gates::ops(&GateArgs::default()).0);
+    reproduces(&gates::OPS);
 }
 
 #[test]
 fn bench_service_json_reproduces_byte_for_byte() {
-    reproduces(gates::SERVICE_FILE, gates::service(&GateArgs::default()).0);
+    reproduces(&gates::SERVICE);
 }
 
 #[test]
 fn bench_paper_json_reproduces_byte_for_byte() {
-    reproduces(gates::PAPER_FILE, gates::paper());
+    reproduces(&gates::PAPER);
 }

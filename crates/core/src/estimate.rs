@@ -18,12 +18,11 @@
 
 use crate::error::{ModelError, Result};
 use crate::linalg;
-use serde::{Deserialize, Serialize};
 
 /// One profiled data point for a pivot operator: with `sharers` consumers
 /// attached, the operator was active `active_time` units while the group
 /// made `progress_units` units of forward progress.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PivotObservation {
     /// Number of consumers the pivot was serving (`M`).
     pub sharers: usize,
@@ -41,7 +40,7 @@ impl PivotObservation {
 }
 
 /// Result of fitting the pivot law `p_φ(M) = w + M·s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PivotFit {
     /// Estimated private work per unit of forward progress (`w_φ`).
     pub w: f64,

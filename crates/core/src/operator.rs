@@ -1,7 +1,6 @@
 //! Per-operator work parameters (`w`, `s`, `p` from the paper's Table 1).
 
 use crate::error::{check_cost, Result};
-use serde::{Deserialize, Serialize};
 
 /// Work parameters of a single operator in a query plan.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The total work per unit of forward progress is
 /// `p = Σ_i w_i + Σ_j s_j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     /// Human-readable operator name (used in reports and errors only).
     pub name: String,

@@ -2,10 +2,9 @@
 
 use crate::error::{ModelError, Result};
 use crate::operator::OperatorSpec;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node inside one [`PlanSpec`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -15,7 +14,7 @@ impl NodeId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PlanNode {
     op: OperatorSpec,
     children: Vec<NodeId>,
@@ -32,7 +31,7 @@ pub struct PlanBuilder {
 ///
 /// The tree is immutable after construction; the model only ever needs to
 /// read per-node `p` values and subtree membership ("below the pivot").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanSpec {
     nodes: Vec<PlanNode>,
     root: NodeId,

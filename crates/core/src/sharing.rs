@@ -3,13 +3,12 @@
 
 use crate::error::{ModelError, Result};
 use crate::plan::{NodeId, PlanSpec};
-use serde::{Deserialize, Serialize};
 
 /// Queueing regime for the unshared baseline (paper Section 5.1).
 ///
 /// The distinction only matters when group members have mismatched peak
 /// rates; for identical queries both regimes coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SystemKind {
     /// Closed system: every completed query is immediately replaced, so
     /// faster queries raise group throughput. `r_unshared` is the
@@ -34,7 +33,7 @@ pub enum SystemKind {
 /// in the morsel engine every parallel group funnels through one merge
 /// task, exactly the serialization point the paper analyzes — so
 /// worker scaling divides `w` terms but never `s` terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerScaling {
     /// Morsel workers per query (`k ≥ 1`).
     workers: u32,
@@ -87,7 +86,7 @@ impl WorkerScaling {
 
 /// One member query of a (potential) sharing group, reduced to the three
 /// quantities the group equations need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupMember {
     /// `s_mφ`: cost for the pivot to emit one unit of forward progress to
     /// this member.
@@ -148,7 +147,7 @@ impl GroupMember {
 /// moves work onto more processors, it does not remove any. The default
 /// [`WorkerScaling::serial`] has `e = 1` exactly and is the paper's
 /// model unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharingEvaluator {
     /// `p_k` for operators strictly below the pivot (single shared instance).
     below: Vec<f64>,
@@ -163,7 +162,7 @@ pub struct SharingEvaluator {
 }
 
 /// Full result of one sharing evaluation at a given processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Speedup {
     /// `Z(m, n) = x_shared / x_unshared`; sharing is a net win iff > 1.
     pub z: f64,

@@ -9,10 +9,9 @@
 //! profiled simulations recover them (Section 3.1).
 
 use cordoba_sim::VTime;
-use serde::{Deserialize, Serialize};
 
 /// Cost parameters of one operator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
     /// Work units per input tuple processed (the model's `w`).
     pub per_tuple: f64,

@@ -4,10 +4,9 @@
 //! [`crate::reference`].
 
 use cordoba_storage::Date;
-use serde::{Deserialize, Serialize};
 
 /// A scalar expression over a tuple.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ScalarExpr {
     /// Column by index (resolved against the input schema at plan build).
     Col(usize),
@@ -55,7 +54,7 @@ impl ScalarExpr {
 }
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum CmpOp {
     Eq,
@@ -96,7 +95,7 @@ impl CmpOp {
 }
 
 /// A boolean predicate over a tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true (useful default).
     True,
@@ -164,7 +163,7 @@ impl From<&str> for LitValue {
 }
 
 /// Aggregate function specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Agg {
     /// `COUNT(*)`.
     Count,

@@ -4,11 +4,10 @@ use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::{Agg, Predicate, ScalarExpr};
 use cordoba_storage::{Catalog, DataType, Field, Schema};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Join semantics supported by the hash join operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Emit probe ⨝ build rows for every key match.
     Inner,
@@ -29,7 +28,7 @@ pub enum JoinKind {
 /// a narrower predicate window merges into a wider one via
 /// [`crate::subsume::subsume_residual`], re-applying the non-implied clauses
 /// as a residual filter on the shared fragment's output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Full scan of a catalog table.
     Scan {
@@ -132,23 +131,13 @@ pub enum PhysicalPlan {
     },
 }
 
-/// Serializable wrapper for schema references in [`PhysicalPlan::Source`].
+/// Shared schema reference in [`PhysicalPlan::Source`].
 #[derive(Debug, Clone)]
 pub struct SchemaRef(pub Arc<Schema>);
 
 impl PartialEq for SchemaRef {
     fn eq(&self, other: &Self) -> bool {
         self.0 == other.0
-    }
-}
-impl Serialize for SchemaRef {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(s)
-    }
-}
-impl<'de> Deserialize<'de> for SchemaRef {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(SchemaRef(Arc::new(Schema::deserialize(d)?)))
     }
 }
 

@@ -4,10 +4,9 @@
 //! Section 6.
 
 use crate::VTime;
-use serde::{Deserialize, Serialize};
 
 /// Statistics for one task.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TaskStats {
     /// Total virtual time the task spent executing steps (busy time).
     pub active: VTime,
@@ -21,7 +20,7 @@ pub struct TaskStats {
 }
 
 /// Machine-level statistics for a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Virtual time at the end of the run.
     pub(crate) makespan: VTime,
@@ -120,7 +119,7 @@ impl Histogram {
 
 /// The tail-latency summary of one [`Histogram`] (quantiles are
 /// nearest-rank order statistics, not bucket midpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples summarized.
     pub count: u64,

@@ -3,9 +3,7 @@
 use crate::VTime;
 
 /// Identifier of a spawned task, unique within one [`crate::Simulator`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) usize);
 
 impl TaskId {

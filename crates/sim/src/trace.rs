@@ -3,10 +3,9 @@
 //! pivot shows up as one long lane while the other contexts idle).
 
 use crate::{TaskId, VTime};
-use serde::{Deserialize, Serialize};
 
 /// One busy interval: a task occupying a context for `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// The executing task.
     pub(crate) task: TaskId,

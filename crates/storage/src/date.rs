@@ -3,7 +3,6 @@
 //! so TPC-H date predicates (`l_shipdate >= date '1994-01-01'`) are
 //! exact.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A calendar date, stored as days since the Unix epoch.
@@ -11,7 +10,7 @@ use std::fmt;
 /// Ordering and arithmetic on the raw day count make range predicates a
 /// single integer comparison — the representation the engine's scans
 /// operate on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date(pub i32);
 
 impl Date {

@@ -1,12 +1,11 @@
 //! Schemas: ordered, named, fixed-width fields with precomputed byte
 //! offsets for page layout.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Storage type of one field. All types are fixed-width so a page holds
 /// `floor(page_size / row_width)` rows with O(1) random access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     /// 64-bit signed integer (8 bytes).
     Int,
@@ -30,7 +29,7 @@ impl DataType {
 }
 
 /// One named field in a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name (TPC-H style, e.g. `l_shipdate`).
     pub name: String,
@@ -49,7 +48,7 @@ impl Field {
 }
 
 /// An ordered set of fields with precomputed offsets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
     offsets: Vec<usize>,

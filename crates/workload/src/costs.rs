@@ -11,10 +11,9 @@
 //! wins in the paper.
 
 use cordoba_exec::OpCost;
-use serde::{Deserialize, Serialize};
 
 /// The cost parameters used to build query plans.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Table scan (the Q1/Q6 pivot).
     pub scan: OpCost,
