@@ -109,23 +109,26 @@ const PAR_WORKERS: usize = 4;
 /// Past-memory scenarios: the sort and the hash join under a quarter of
 /// their input, with output equality and the peak bound asserted.
 pub(crate) fn spill(_: &ExpConfig) -> Table {
-    let title = "Operators: tracked peak memory under max(input/4, 8 pages)";
+    let title = "Operators: tracked peak memory and spilled bytes under max(input/4, 8 pages)";
     let header = "name,scale_factor,input_bytes,budget_bytes,peak_bytes,peak_over_budget,\
-                  in_memory_peak_bytes";
+                  in_memory_peak_bytes,spill_bytes";
     let mut table = Table::new(title, "ops_spill.csv", header);
     let cat = spill_kernels::catalog(SCALE_FACTOR);
     for p in [
         spill_kernels::sort_spill(&cat),
         spill_kernels::join_spill(&cat),
+        spill_kernels::sort_agg_spill(&cat),
+        spill_kernels::join_agg_spill(&cat),
     ] {
         table.rows.push(format!(
-            "{},{SCALE_FACTOR},{},{},{},{:.3},{}",
+            "{},{SCALE_FACTOR},{},{},{},{:.3},{},{}",
             p.name,
             p.input_bytes,
             p.budget_bytes,
             p.peak_bytes,
             p.peak_over_budget(),
             p.in_memory_peak_bytes,
+            p.spill_bytes,
         ));
     }
     table

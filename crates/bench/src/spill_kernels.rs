@@ -11,6 +11,7 @@
 //! budget, peak tracked memory ≤ 1.25× budget, output identical to the
 //! in-memory run.
 
+use cordoba_exec::expr::{Agg, ScalarExpr};
 use cordoba_exec::wiring::{self, WiringConfig};
 use cordoba_exec::{reference, JoinKind, MemoryConfig, OpCost, PhysicalPlan};
 use cordoba_sim::Simulator;
@@ -23,6 +24,8 @@ struct SpillRun {
     rows: Vec<Vec<Value>>,
     /// High-water mark of tracked operator memory, in bytes.
     peak_bytes: usize,
+    /// Bytes written to spill files.
+    spill_bytes: usize,
 }
 
 /// Deterministic TPC-H catalog for the spill scenarios.
@@ -78,6 +81,31 @@ fn join_plan() -> PhysicalPlan {
     }
 }
 
+/// `count(*), sum(l_extendedprice)` over [`sort_plan`]: the sort's
+/// consumer reads two of its columns.
+fn sort_agg_plan() -> PhysicalPlan {
+    PhysicalPlan::Aggregate {
+        input: Box::new(sort_plan()),
+        group_by: vec![],
+        aggs: vec![
+            ("rows".into(), Agg::Count),
+            ("sum_price".into(), Agg::Sum(ScalarExpr::col(2))),
+        ],
+        cost: OpCost::default(),
+    }
+}
+
+/// `count(*)` over [`join_plan`]: the join's consumer reads none of its
+/// columns.
+fn join_agg_plan() -> PhysicalPlan {
+    PhysicalPlan::Aggregate {
+        input: Box::new(join_plan()),
+        group_by: vec![],
+        aggs: vec![("rows".into(), Agg::Count)],
+        cost: OpCost::default(),
+    }
+}
+
 /// Runs `plan` to completion under `budget` (`None` = unbounded) and
 /// returns the rows plus the broker's peak.
 ///
@@ -101,6 +129,7 @@ fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -> Sp
     SpillRun {
         rows,
         peak_bytes: res.broker.peak(),
+        spill_bytes: res.broker.spilled(),
     }
 }
 
@@ -117,6 +146,8 @@ pub(crate) struct SpillPoint {
     pub peak_bytes: usize,
     /// Peak tracked memory of the unbounded run.
     pub in_memory_peak_bytes: usize,
+    /// Bytes the budgeted run wrote to spill files.
+    pub spill_bytes: usize,
 }
 
 impl SpillPoint {
@@ -164,6 +195,7 @@ fn checked_scenario(
         budget_bytes,
         peak_bytes: spilled.peak_bytes,
         in_memory_peak_bytes: in_memory.peak_bytes,
+        spill_bytes: spilled.spill_bytes,
     }
 }
 
@@ -177,6 +209,22 @@ pub(crate) fn sort_spill(catalog: &Catalog) -> SpillPoint {
 /// the build side; the output must be multiset-identical.
 pub(crate) fn join_spill(catalog: &Catalog) -> SpillPoint {
     checked_scenario(catalog, "join_spill", &join_plan(), "orders", false)
+}
+
+/// [`sort_spill`]'s sort under an aggregate, budgeted alike.
+pub(crate) fn sort_agg_spill(catalog: &Catalog) -> SpillPoint {
+    checked_scenario(
+        catalog,
+        "sort_agg_spill",
+        &sort_agg_plan(),
+        "lineitem",
+        true,
+    )
+}
+
+/// [`join_spill`]'s join under a count, budgeted alike.
+pub(crate) fn join_agg_spill(catalog: &Catalog) -> SpillPoint {
+    checked_scenario(catalog, "join_agg_spill", &join_agg_plan(), "orders", true)
 }
 
 #[cfg(test)]

@@ -9,11 +9,13 @@ use cordoba_engine::{
     ExecError, ParallelConfig, Policy, QuerySpec, Report, Run, ServiceConfig, SharingCounters,
     Source, Stop,
 };
+use cordoba_exec::expr::{Agg, ScalarExpr};
+use cordoba_exec::{JoinKind, PhysicalPlan};
 use cordoba_sim::VTime;
 use cordoba_storage::tpch::{generate, TpchConfig};
-use cordoba_storage::Catalog;
+use cordoba_storage::{Catalog, Value};
 use cordoba_workload::arrivals::{bursty, chaos, poisson_arrivals, poisson_mix, ramp};
-use cordoba_workload::{q1, q6, CostProfile};
+use cordoba_workload::{q1, q13, q4, q6, CostProfile};
 use std::collections::HashMap;
 
 fn catalog() -> Catalog {
@@ -372,4 +374,90 @@ fn virtual_time_is_pinned() {
     let never = run_once(&cat, &batch, &engine_cfg(Policy::NeverShare));
     let always = run_once(&cat, &batch, &engine_cfg(Policy::AlwaysShare));
     assert_eq!((never.makespan, always.makespan), (269_630, 368_303));
+}
+
+/// The blocking operators' shapes: TPC-H Q4 (a semi join under a
+/// grouped count), Q13 (a left outer join under one), `count(*),
+/// sum(l_extendedprice)` over `lineitem` sorted by `l_shipdate`, and
+/// `count(*)` over `orders ⋈ lineitem` on the order key — the four plans
+/// the wall-clock benchmark's `join_sort` workload runs.
+fn blocking_pool() -> Vec<QuerySpec> {
+    let costs = CostProfile::paper();
+    let scan = |table: &str| {
+        Box::new(PhysicalPlan::Scan {
+            table: table.into(),
+            cost: costs.scan,
+        })
+    };
+    let sort_agg = PhysicalPlan::Aggregate {
+        input: Box::new(PhysicalPlan::Sort {
+            input: scan("lineitem"),
+            keys: vec![7],
+            cost: costs.sort,
+        }),
+        group_by: vec![],
+        aggs: vec![
+            ("rows".into(), Agg::Count),
+            ("sum_price".into(), Agg::Sum(ScalarExpr::col(2))),
+        ],
+        cost: costs.aggregate,
+    };
+    let join_agg = PhysicalPlan::Aggregate {
+        input: Box::new(PhysicalPlan::HashJoin {
+            build: scan("orders"),
+            probe: scan("lineitem"),
+            build_key: 0,
+            probe_key: 0,
+            kind: JoinKind::Inner,
+            build_cost: costs.join_build,
+            probe_cost: costs.join_probe,
+        }),
+        group_by: vec![],
+        aggs: vec![("rows".into(), Agg::Count)],
+        cost: costs.aggregate,
+    };
+    vec![
+        q4(&costs),
+        q13(&costs),
+        QuerySpec::unshared("sort_agg", sort_agg),
+        QuerySpec::unshared("join_agg", join_agg),
+    ]
+}
+
+/// Virtual time and rows of the blocking operators are pinned: what
+/// these four plans return, and when, at 1 and 2 contexts, unbudgeted.
+/// The values were recorded before sorts and hash joins carried only
+/// the columns their consumers read; which columns an operator carries
+/// is not the model's business, so they must never move.
+#[test]
+fn blocking_operators_virtual_time_is_pinned() {
+    let cat = catalog();
+    let int = Value::Int;
+    let q4 = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"]
+        .into_iter()
+        .zip([16, 23, 22, 25, 25])
+        .map(|(priority, count)| vec![Value::Str(priority.into()), int(count)]);
+    let q13 = [1, 3, 8, 13, 25, 24, 32, 52, 39, 26, 28, 17, 13, 8, 5, 3, 3]
+        .into_iter()
+        .zip(2..)
+        .map(|(custdist, c_count)| vec![int(c_count), int(custdist)]);
+    let rows = vec![
+        q4.collect(),
+        q13.collect(),
+        vec![vec![int(12_070), Value::Float(156_581_309.046_865_1)]],
+        vec![vec![int(12_070)]],
+    ];
+    for (contexts, makespan, responses) in [
+        (1, 1_299_029, [536_281, 1_051_277, 1_226_382, 1_299_028]),
+        (2, 653_770, [259_603, 535_909, 636_646, 653_769]),
+    ] {
+        let cfg = EngineConfig {
+            contexts,
+            ..engine_cfg(Policy::NeverShare)
+        };
+        let out = run_once(&cat, &blocking_pool(), &cfg);
+        assert_eq!(out.makespan, makespan, "{contexts} contexts");
+        assert_eq!(out.response_times, responses, "{contexts} contexts");
+        assert_eq!(out.results, rows, "{contexts} contexts");
+    }
 }

@@ -46,6 +46,8 @@ struct BrokerState {
     budget: Option<usize>,
     used: AtomicUsize,
     peak: AtomicUsize,
+    /// Bytes of the spill streams finished on this account.
+    spilled: AtomicUsize,
 }
 
 impl BrokerState {
@@ -83,6 +85,7 @@ impl MemoryBroker {
             budget: Some(bytes),
             used: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            spilled: AtomicUsize::new(0),
         }))
     }
 
@@ -152,6 +155,12 @@ impl MemoryBroker {
     /// High-water mark of granted bytes over the broker's lifetime.
     pub fn peak(&self) -> usize {
         self.0.peak.load(Ordering::Acquire)
+    }
+
+    /// Bytes written to spill files on this account, each file counted
+    /// once, when its stream is finished.
+    pub fn spilled(&self) -> usize {
+        self.0.spilled.load(Ordering::Acquire)
     }
 }
 
@@ -325,9 +334,13 @@ impl SpillIo<'_> {
         self.typed(to.stream.write_raw_rows(payload, rows))
     }
 
-    /// Seals a stream for reading; its frame goes back.
+    /// Seals a stream for reading, counting its bytes as spilled; its
+    /// frame goes back.
     pub(crate) fn finish(&self, stream: SpillStream) -> Result<SpillFile, ExecError> {
-        self.typed(stream.stream.finish())
+        let file = self.typed(stream.stream.finish())?;
+        let bytes = file.bytes() as usize;
+        self.ctx.broker.0.spilled.fetch_add(bytes, Ordering::AcqRel);
+        Ok(file)
     }
 
     /// Opens a sealed stream with a granted frame of `frame_pages`
