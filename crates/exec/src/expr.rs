@@ -177,6 +177,65 @@ pub enum Agg {
     Max(ScalarExpr),
 }
 
+/// A plan-side tree that reads columns of its input by index.
+pub(crate) trait Columns: Clone {
+    /// Calls `f` on every column reference, which it may rewrite.
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize));
+}
+
+/// A bare column index: a group-by, sort or join key.
+impl Columns for usize {
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize)) {
+        f(self);
+    }
+}
+
+impl<T: Columns> Columns for Vec<T> {
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize)) {
+        self.iter_mut().for_each(|x| x.visit_cols(f));
+    }
+}
+
+impl Columns for ScalarExpr {
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            ScalarExpr::Col(col) => f(col),
+            ScalarExpr::Add(a, b) | ScalarExpr::Sub(a, b) | ScalarExpr::Mul(a, b) => {
+                a.visit_cols(f);
+                b.visit_cols(f);
+            }
+            ScalarExpr::IntLit(_)
+            | ScalarExpr::FloatLit(_)
+            | ScalarExpr::DateLit(_)
+            | ScalarExpr::StrLit(_) => {}
+        }
+    }
+}
+
+impl Columns for Predicate {
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            Predicate::True => {}
+            Predicate::Cmp { left, right, .. } => {
+                left.visit_cols(f);
+                right.visit_cols(f);
+            }
+            Predicate::And(parts) | Predicate::Or(parts) => parts.visit_cols(f),
+            Predicate::Not(inner) => inner.visit_cols(f),
+            Predicate::Like { col, .. } => f(col),
+        }
+    }
+}
+
+impl Columns for Agg {
+    fn visit_cols(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            Agg::Count => {}
+            Agg::Sum(e) | Agg::Avg(e) | Agg::Min(e) | Agg::Max(e) => e.visit_cols(f),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,6 +12,7 @@
 use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Predicate;
+use crate::ops::page_builder;
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port};
 use crate::vexpr::{CompiledPredicate, ExprScratch};
 use cordoba_storage::{Page, PageBuilder, Schema};
@@ -40,6 +41,14 @@ impl FilterKernel {
             scratch: ExprScratch::default(),
             sel: Vec::new(),
         })
+    }
+
+    /// The filter with its output pages sized for rows `width` bytes
+    /// wide: over a narrowed input, as many rows as the unnarrowed
+    /// pages would hold.
+    pub(crate) fn paged_as(self, width: usize) -> Self {
+        let builder = page_builder(self.schema.clone(), width);
+        Self { builder, ..self }
     }
 }
 

@@ -28,6 +28,21 @@
 //! to a one-column `Int` schema, and a later pass, which reads a build
 //! partition back, reads that stored schema and its key column 0.
 //!
+//! # Live columns
+//!
+//! The join carries only what its consumer reads: its probe rows keep
+//! the probe columns read plus the key, its build rows the build
+//! columns read plus the key (the wiring decides which;
+//! [`HashJoinKernel::new`] carries them all). Each input page is
+//! compacted as it arrives, so the arena, the output rows and every
+//! spilled build and probe row are narrow, and later passes read the
+//! same narrow schemas back. An inner or left outer join whose consumer
+//! reads no build column keeps keys alone, in the existence joins'
+//! key-only table, but without their run collapse: there every
+//! duplicate build key is one more match. Output pages hold as many
+//! rows as pages of unnarrowed rows would, so a narrowed join charges
+//! the same virtual time as a whole one.
+//!
 //! # Out-of-core operation (dynamic hybrid hash join)
 //!
 //! With a budgeted [`MemoryBroker`] the join follows the dynamic hybrid
@@ -72,11 +87,11 @@ use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::memory::{MemoryBroker, SpillContext, SpillCursor, SpillIo, SpillStream};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
-use crate::ops::{default_row_bytes, int_key};
+use crate::ops::{default_row_bytes, int_key, page_builder, Carry};
 use crate::plan::JoinKind;
 use cordoba_sim::VTime;
 use cordoba_storage::spill::SpillFile;
-use cordoba_storage::{DataType, Field, Page, PageBuilder, Schema, PAGE_SIZE};
+use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -383,18 +398,29 @@ enum Tail {
 
 /// Hash-join kernel.
 pub struct HashJoinKernel {
+    /// The key column of the build input's pages.
     build_key: usize,
-    probe_key: usize,
     kind: JoinKind,
     build_cost: OpCost,
     probe_cost: OpCost,
-    build_schema: Arc<Schema>,
-    probe_schema: Arc<Schema>,
-    /// What the build side keeps, spills and reloads: its rows, or for
-    /// an existence join its keys alone, as one `Int` column ...
+    /// The build columns the join carries: the key alone when it keeps
+    /// keys alone.
+    build: Carry,
+    /// Whether the build side keeps keys alone, so the join emits no
+    /// build column: an existence join, or one whose consumers read
+    /// none.
+    keys_only: bool,
+    /// The probe columns it carries.
+    probe: Carry,
+    /// What the build side keeps, spills and reloads: the carried build
+    /// rows — the keys, as one `Int` column, when it keeps keys alone
+    /// ...
     stored: Arc<Schema>,
     /// ... keyed by this column of it.
     stored_key: usize,
+    /// The key column of a carried probe row, what the probe side
+    /// spills and reloads.
+    probe_stored_key: usize,
     build_defaults: Vec<u8>,
     builder: PageBuilder,
     tail: Tail,
@@ -434,26 +460,59 @@ impl HashJoinKernel {
         spill: SpillContext,
     ) -> Result<Self, ExecError> {
         int_key("hash join build", &build_schema, build_key)?;
-        int_key("hash join probe", &probe_schema, probe_key)?;
-        let (stored, stored_key) = match kind {
-            JoinKind::Semi | JoinKind::Anti => {
-                let key = Field::new(build_schema.fields()[build_key].name.clone(), DataType::Int);
-                (Schema::new(vec![key]), 0)
-            }
-            JoinKind::Inner | JoinKind::LeftOuter => (build_schema.clone(), build_key),
+        let keys_only = matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let build = match keys_only {
+            true => Carry::new(&build_schema, vec![build_key])?,
+            false => Carry::all(&build_schema),
+        };
+        let probe = Carry::all(&probe_schema);
+        let width = out_schema.row_width();
+        let costs = (build_cost, probe_cost);
+        let sides = [(build, build_key), (probe, probe_key)];
+        Self::carrying(kind, sides, keys_only, out_schema, width, costs, spill)
+    }
+
+    /// A hash join that carries the columns `.0` of each of its inputs,
+    /// `[build, probe]`, keyed by their column `.1`, which each carries.
+    /// With `keys_only` the build side keeps its keys alone (and carries
+    /// nothing else). The join emits rows of `out_schema` — the carried
+    /// probe columns, then, for an inner or left outer join that keeps
+    /// build rows, the carried build columns — on pages that hold as
+    /// many rows as pages of `width`-byte rows would.
+    pub(crate) fn carrying(
+        kind: JoinKind,
+        [(build, build_key), (probe, probe_key)]: [(Carry, usize); 2],
+        keys_only: bool,
+        out_schema: Arc<Schema>,
+        width: usize,
+        (build_cost, probe_cost): (OpCost, OpCost),
+        spill: SpillContext,
+    ) -> Result<Self, ExecError> {
+        int_key("hash join build", build.input(), build_key)?;
+        int_key("hash join probe", probe.input(), probe_key)?;
+        let carried = |carry: &Carry, key: usize, side: &str| {
+            let missing = || ExecError::plan(format!("a hash join's {side} side carries its key"));
+            carry.position(key).ok_or_else(missing)
+        };
+        let stored_key = carried(&build, build_key, "build")?;
+        let stored = build.schema().clone();
+        let build_defaults = match keys_only {
+            true => Vec::new(),
+            false => default_row_bytes(&stored),
         };
         let mut join = Self {
             build_key,
-            probe_key,
             kind,
             build_cost,
             probe_cost,
-            build_defaults: default_row_bytes(&build_schema),
-            build_schema,
-            probe_schema,
+            build_defaults,
+            probe_stored_key: carried(&probe, probe_key, "probe")?,
+            keys_only,
+            build,
+            probe,
             stored,
             stored_key,
-            builder: PageBuilder::new(out_schema),
+            builder: page_builder(out_schema, width),
             tail: Tail::Flush,
             keys: Vec::new(),
             routed: Vec::new(),
@@ -466,15 +525,15 @@ impl HashJoinKernel {
         Ok(join)
     }
 
-    /// Whether the join only asks if a build key exists, and so keeps
-    /// keys alone.
-    fn keys_only(&self) -> bool {
+    /// Whether the join only asks if a build key exists, so a run of
+    /// one build key keeps its first.
+    fn collapses(&self) -> bool {
         matches!(self.kind, JoinKind::Semi | JoinKind::Anti)
     }
 
-    /// An empty build table: key-only for an existence join.
+    /// An empty build table: key-only when the join keeps keys alone.
     fn new_table(&self) -> BuildTable {
-        BuildTable::new(if self.keys_only() {
+        BuildTable::new(if self.keys_only {
             0
         } else {
             self.stored.row_width()
@@ -513,15 +572,16 @@ impl HashJoinKernel {
 
     /// Routes one build page of the open pass, keyed by its column
     /// `key_col`, into the partitions, spilling victims until the
-    /// resident demand fits the budget. An existence join first drops
-    /// each key equal to the one kept before it.
+    /// resident demand fits the budget: a page of stored rows, or when
+    /// the join keeps keys alone any page with the key. An existence
+    /// join first drops each key equal to the one kept before it.
     fn build_page(&mut self, page: &Page, key_col: usize) -> Result<(), ExecError> {
-        let keys_only = self.keys_only();
+        let keys_only = self.keys_only;
         let lone = matches!(self.pass.parts[..], [Part::Resident { .. }]);
         if keys_only || !lone {
             page.gather_i64(key_col, &mut self.keys);
         }
-        if keys_only {
+        if self.collapses() {
             let last = &mut self.pass.last_key;
             self.keys.retain(|&key| last.replace(key) != Some(key));
         }
@@ -626,10 +686,11 @@ impl HashJoinKernel {
         Ok(())
     }
 
-    /// Probes one page of the open pass: resident partitions join it at
-    /// once, spilled partitions stream its rows to disk.
+    /// Probes one page of carried probe rows in the open pass: resident
+    /// partitions join it at once, spilled partitions stream its rows to
+    /// disk.
     fn probe_page(&mut self, page: &Page, out: &mut Pages) -> Result<(), ExecError> {
-        page.gather_i64(self.probe_key, &mut self.keys);
+        page.gather_i64(self.probe_stored_key, &mut self.keys);
         let pass = &mut self.pass;
         let fan = pass.parts.len();
         let io = self.spill.io(OP);
@@ -645,7 +706,7 @@ impl HashJoinKernel {
                     &self.build_defaults,
                 ),
                 Part::Spilled { stream, .. } => {
-                    spill_row(&io, stream, &self.probe_schema, pass.frame, probe_raw)?
+                    spill_row(&io, stream, self.probe.schema(), pass.frame, probe_raw)?
                 }
             }
         }
@@ -812,11 +873,12 @@ impl Kernel for HashJoinKernel {
     /// The build input is read to its end before the probe input.
     fn ports(&self) -> Vec<Port> {
         vec![
-            ("build input", Some(self.build_schema.clone())),
-            ("probe input", Some(self.probe_schema.clone())),
+            ("build input", Some(self.build.input().clone())),
+            ("probe input", Some(self.probe.input().clone())),
         ]
     }
 
+    /// Takes the columns the join carries of an input page.
     fn on_page(
         &mut self,
         port: usize,
@@ -824,10 +886,13 @@ impl Kernel for HashJoinKernel {
         out: &mut Pages,
     ) -> Result<PageWork, ExecError> {
         let cost = if port == 0 {
-            self.build_page(page, self.build_key)?;
+            match self.keys_only {
+                true => self.build_page(page, self.build_key)?,
+                false => self.build_page(&self.build.apply(page), self.stored_key)?,
+            }
             self.build_cost
         } else {
-            self.probe_page(page, out)?;
+            self.probe_page(&self.probe.apply(page), out)?;
             self.probe_cost
         };
         Ok(PageWork {
@@ -884,7 +949,7 @@ mod tests {
     use crate::ops::testutil::{drive, pages_of, run_shell};
     use crate::plan::concat_schemas;
     use crate::wiring::page_rows;
-    use cordoba_storage::{TableBuilder, Value};
+    use cordoba_storage::{DataType, Field, TableBuilder, Value};
     use std::path::PathBuf;
 
     fn build_side() -> (Arc<Schema>, Vec<Vec<Value>>) {
@@ -1340,6 +1405,68 @@ mod tests {
             assert!(broker.peak() <= budget, "{kind:?}: peak {}", broker.peak());
             assert_eq!(broker.used(), 0, "{kind:?}");
         }
+    }
+
+    /// An inner or left outer join of `ps` probe rows with `bs` build
+    /// rows on their first columns that carries probe column 0 alone
+    /// and keeps build keys alone, its pages sized for whole rows.
+    fn key_only_join(kind: JoinKind, bs: &Arc<Schema>, ps: &Arc<Schema>) -> HashJoinKernel {
+        let probe = Carry::new(ps, vec![0]).expect("in range");
+        let build = Carry::new(bs, vec![0]).expect("in range");
+        let width = ps.row_width() + bs.row_width();
+        let costs = (OpCost::default(), OpCost::default());
+        let (out, spill) = (probe.schema().clone(), SpillContext::unbounded());
+        let sides = [(build, 0), (probe, 0)];
+        HashJoinKernel::carrying(kind, sides, true, out, width, costs, spill).expect("valid")
+    }
+
+    #[test]
+    fn joins_that_read_no_build_column_keep_every_duplicate_build_key() {
+        // Build keys in runs of 3 — clustered, as an existence join
+        // would collapse them — matched 3 times per probe row, and an
+        // unmatched probe key once by the outer join.
+        let (bs, _) = build_side();
+        let (ps, _) = probe_side();
+        let build = pages_of(&bs, &clustered_rows(30, 3));
+        let probe_keys = [4, 12, 0, 9, 4];
+        let probe: Vec<Vec<Value>> = probe_keys
+            .iter()
+            .map(|&k| vec![Value::Int(k), Value::Int(-k)])
+            .collect();
+        for (kind, per_key) in [(JoinKind::Inner, [3, 0]), (JoinKind::LeftOuter, [3, 1])] {
+            let mut join = key_only_join(kind, &bs, &ps);
+            let got = drive(&mut join, &[&build, &pages_of(&ps, &probe)]).expect("joins");
+            let want: Vec<Vec<Value>> = probe_keys
+                .iter()
+                .flat_map(|&k| vec![vec![Value::Int(k)]; per_key[usize::from(k >= 10)]])
+                .collect();
+            assert_eq!(got, want, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_narrowed_join_emits_the_pages_of_its_whole_rows() {
+        // 8 B rows carried of 32 B joined rows: every page holds the
+        // 128 rows a 32 B page would, the tail excepted.
+        let (build, probe) = spill_fixture();
+        let inputs = [pages_of(&build.0, &build.1), pages_of(&probe.0, &probe.1)];
+        let pages = |join: &mut HashJoinKernel| {
+            let mut out = Pages::new();
+            for (port, pages) in inputs.iter().enumerate() {
+                for page in pages {
+                    join.on_page(port, page, &mut out).expect("input page");
+                }
+                join.on_close(port, &mut out).expect("end of input");
+            }
+            while !join.drain(&mut out).expect("flush").last {}
+            out.iter().map(|page| page.rows()).collect::<Vec<_>>()
+        };
+        let (bs, ps) = (&build.0, &probe.0);
+        let spill = SpillContext::unbounded();
+        let whole = pages(&mut join_of(JoinKind::Inner, spill, bs, ps));
+        let narrow = pages(&mut key_only_join(JoinKind::Inner, bs, ps));
+        assert_eq!(narrow, whole);
+        assert!(whole.len() > 2 && whole[0] == PAGE_SIZE / 32, "{whole:?}");
     }
 
     /// The sealed ([`SpillFile`]) build sides of the open pass's

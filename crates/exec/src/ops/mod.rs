@@ -38,9 +38,12 @@ pub use shell::{Drained, Kernel, OperatorShell, PageWork, Pages, PortClosed};
 pub use sink::SinkKernel;
 pub use sort::SortKernel;
 
+use crate::error::ExecError;
+use crate::plan::column_range_error;
 use cordoba_sim::{TaskCtx, VTime};
-use cordoba_storage::{DataType, Page, Schema, TupleRef};
+use cordoba_storage::{DataType, Page, PageBuilder, Schema, TupleRef, PAGE_SIZE};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Delivers produced pages, in order, to one or more consumers,
@@ -209,16 +212,108 @@ impl Ord for TotalF64 {
     }
 }
 
+/// The columns a narrowing operator (a sort, either side of a hash
+/// join) keeps of its input's rows: those at `cols`, ascending, of
+/// pages of `input`, as rows of `schema`. Keeping every column costs
+/// nothing: [`Carry::apply`] hands the page on as it came.
+#[derive(Debug, Clone)]
+pub(crate) struct Carry {
+    input: Arc<Schema>,
+    cols: Vec<usize>,
+    schema: Arc<Schema>,
+    /// The byte ranges of an input row the kept columns occupy,
+    /// adjacent ones merged.
+    spans: Vec<Range<usize>>,
+}
+
+impl Carry {
+    /// Every column of `input`.
+    pub(crate) fn all(input: &Arc<Schema>) -> Self {
+        let width = input.row_width();
+        Carry {
+            input: input.clone(),
+            cols: (0..input.len()).collect(),
+            schema: input.clone(),
+            spans: std::iter::once(0..width).collect(),
+        }
+    }
+
+    /// The columns `cols` (ascending) of `input`, erring when there are
+    /// none or one is out of range.
+    pub(crate) fn new(input: &Arc<Schema>, cols: Vec<usize>) -> Result<Self, ExecError> {
+        if cols.iter().copied().eq(0..input.len()) {
+            return Ok(Carry::all(input));
+        }
+        if cols.is_empty() {
+            return Err(ExecError::plan("an operator carries a column at least"));
+        }
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let mut fields = Vec::with_capacity(cols.len());
+        for &col in &cols {
+            let field = input.fields().get(col);
+            let field = field.ok_or_else(|| column_range_error("carried", col, input))?;
+            let start = input.offset(col);
+            let end = start + field.dtype.width();
+            match spans.last_mut() {
+                Some(last) if last.end == start => last.end = end,
+                _ => spans.push(start..end),
+            }
+            fields.push(field.clone());
+        }
+        Ok(Carry {
+            input: input.clone(),
+            cols,
+            schema: Schema::new(fields),
+            spans,
+        })
+    }
+
+    /// The schema of the pages the operator reads.
+    pub(crate) fn input(&self) -> &Arc<Schema> {
+        &self.input
+    }
+
+    /// The schema of the rows it keeps.
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Where input column `col` sits in a kept row, if it is kept.
+    pub(crate) fn position(&self, col: usize) -> Option<usize> {
+        self.cols.iter().position(|&c| c == col)
+    }
+
+    /// The kept columns of `page`: the page itself when they are all of
+    /// it, else a compacted copy.
+    pub(crate) fn apply(&self, page: &Arc<Page>) -> Arc<Page> {
+        if Arc::ptr_eq(&self.schema, &self.input) {
+            return page.clone();
+        }
+        page.compact(self.schema.clone(), &self.spans)
+    }
+}
+
+/// A builder for pages of `schema` rows that each hold as many rows as
+/// a [`PAGE_SIZE`] page of `width`-byte rows. A narrowing operator's
+/// pages hold as many rows as its unnarrowed ones would, so page
+/// counts — and with them every step and virtual-time charge — do not
+/// depend on which columns it carries.
+pub(crate) fn page_builder(schema: Arc<Schema>, width: usize) -> PageBuilder {
+    let rows = PAGE_SIZE / width;
+    let page_size = rows * schema.row_width();
+    PageBuilder::with_page_size(schema, page_size)
+}
+
 /// Validates that `col` is an `Int` column of `schema` — the join-key
 /// contract shared by the hash and merge joins.
-fn int_key(what: &str, schema: &Arc<Schema>, col: usize) -> Result<(), crate::error::ExecError> {
+fn int_key(what: &str, schema: &Arc<Schema>, col: usize) -> Result<(), ExecError> {
     let dtype = schema
         .fields()
         .get(col)
         .map(|f| f.dtype)
-        .ok_or_else(|| crate::plan::column_range_error(what, col, schema))?;
+        .ok_or_else(|| column_range_error(what, col, schema))?;
     if dtype != DataType::Int {
-        return Err(crate::error::ExecError::plan(format!(
+        return Err(ExecError::plan(format!(
             "{what} key column {col} must be Int, got {dtype:?}"
         )));
     }

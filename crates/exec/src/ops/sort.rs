@@ -2,10 +2,10 @@
 //! the result — the canonical blocking operator of the paper's
 //! Section 5.2 phase decomposition.
 //!
-//! Buffered pages are kept whole; intake appends one `(key, (page,
-//! row))` entry per row to a single flat vector and the sort orders
-//! that vector, so no row moves until emission slices it straight out
-//! of its page's payload. Keys totalling ≤ 8 bytes pack into an
+//! Buffered pages are kept whole. The sort builds one `(key, (page,
+//! row))` entry per buffered row in a single flat vector, sized to the
+//! batch, and orders that vector, so no row moves until emission
+//! slices it straight out of its page's payload. Keys totalling ≤ 8 bytes pack into an
 //! order-preserving `u64` ([`PackedKeySpec`], gathered page-at-a-time)
 //! and are ordered by a stable LSD **radix sort** that skips every
 //! byte position on which all keys of the batch agree (a date key
@@ -16,6 +16,18 @@
 //! emission is a gather of cache misses: it prefetches the row
 //! `AHEAD` sorted positions on ([`Page::prefetch_row`]) before it
 //! copies the current one.
+//!
+//! # Live columns
+//!
+//! A sort carries only the columns its consumer reads, plus its keys;
+//! the wiring decides which ([`SortKernel::new`] carries them all).
+//! Intake compacts those columns of each page into a page of the sort's
+//! own, so the buffered pages, their grants, the spilled runs and the
+//! merge all hold narrow rows; when the carried columns are the whole
+//! input row, the page is buffered as it came, with no copy. Output
+//! pages and emission batches are sized by the *unnarrowed* row width:
+//! a narrowed sort emits as many rows per page and per step as a whole
+//! one, so it charges the same virtual time.
 //!
 //! # Out-of-core operation
 //!
@@ -39,10 +51,11 @@ use crate::error::ExecError;
 use crate::memory::{SpillContext, SpillCursor};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
-use crate::ops::{key_of, KeyVal};
+use crate::ops::{key_of, page_builder, Carry, KeyVal};
 use cordoba_sim::VTime;
 use cordoba_storage::spill::SpillFile;
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The operator's name in faults.
@@ -68,23 +81,26 @@ enum Keys {
     Packed {
         spec: PackedKeySpec,
         scratch: KeyScratch,
-        /// The keys of the page in hand.
+        /// The keys of one buffered page.
         page_keys: Vec<u64>,
-        /// The buffer the radix passes alternate the rows with.
-        tmp: Vec<(u64, Loc)>,
     },
-    /// The wide keys of the buffered rows, in arrival order.
+    /// The wide keys of the buffered rows, in arrival order, while they
+    /// are sorted.
     General(Vec<Vec<KeyVal>>),
 }
 
-/// Sorts `rows` by key: a stable LSD radix sort, one byte of the key
-/// per pass, least significant first. A first scan ORs `key ^ first`
-/// to learn on which byte positions the keys differ at all; only those
-/// get a counting pass (the others would move nothing). The passes
-/// scatter between `rows` and `tmp`, and the result ends up in `rows`.
-fn radix_sort(rows: &mut Vec<(u64, Loc)>, tmp: &mut Vec<(u64, Loc)>) {
+/// Sorts `rows` by key and returns where in it the sorted rows are: a
+/// stable LSD radix sort, one byte of the key per pass, least
+/// significant first. A first scan ORs `key ^ first` to learn on which
+/// byte positions the keys differ at all; only those get a counting
+/// pass (the others would move nothing). The passes scatter between
+/// `rows` and as many entries again appended to it — one allocation,
+/// reserved by the caller, rather than two — so the result is its first
+/// or its second half.
+fn radix_sort(rows: &mut Vec<(u64, Loc)>) -> Range<usize> {
+    let n = rows.len();
     let Some(&(first, _)) = rows.first() else {
-        return;
+        return 0..0;
     };
     let differing = rows.iter().fold(0, |acc, &(key, _)| acc | (key ^ first));
     let shifts: Vec<u32> = (0..64)
@@ -92,7 +108,7 @@ fn radix_sort(rows: &mut Vec<(u64, Loc)>, tmp: &mut Vec<(u64, Loc)>) {
         .filter(|&shift| (differing >> shift) & 0xFF != 0)
         .collect();
     if shifts.is_empty() {
-        return;
+        return 0..n;
     }
     let mut counts = vec![[0usize; 256]; shifts.len()];
     for &(key, _) in rows.iter() {
@@ -100,21 +116,24 @@ fn radix_sort(rows: &mut Vec<(u64, Loc)>, tmp: &mut Vec<(u64, Loc)>) {
             count[(key >> shift) as u8 as usize] += 1;
         }
     }
-    // Every slot is overwritten by the first scatter; only new ones
-    // need a value.
-    tmp.resize(rows.len(), (0, (0, 0)));
+    rows.resize(2 * n, (0, (0, 0)));
+    let (mut from, mut to) = rows.split_at_mut(n);
     for (slots, &shift) in counts.iter_mut().zip(&shifts) {
         // Digit counts become each digit's first output slot.
         let mut at = 0;
         for slot in slots.iter_mut() {
             at += std::mem::replace(slot, at);
         }
-        for &row in rows.iter() {
+        for &row in from.iter() {
             let slot = &mut slots[(row.0 >> shift) as u8 as usize];
-            tmp[*slot] = row;
+            to[*slot] = row;
             *slot += 1;
         }
-        std::mem::swap(rows, tmp);
+        std::mem::swap(&mut from, &mut to);
+    }
+    match shifts.len() % 2 {
+        0 => 0..n,
+        _ => n..2 * n,
     }
 }
 
@@ -145,13 +164,24 @@ struct Emit {
 pub struct SortKernel {
     key_cols: Vec<usize>,
     cost: OpCost,
+    /// The columns the sort carries of its input ...
+    carry: Carry,
+    /// ... as rows of this schema, the rows it buffers, spills and emits.
     schema: Arc<Schema>,
+    /// The input's unnarrowed row width, which sizes the output pages
+    /// and the emission batches.
+    width: usize,
     /// Buffered input pages (rows are emitted from here by reference).
     pages: Vec<Arc<Page>>,
-    /// What the sort orders, one entry per buffered row: its sort word
-    /// — the packed key, or on the wide-key path the row's arrival
-    /// number, which indexes [`Keys::General`] — and where the row is.
+    /// Rows on the buffered pages.
+    buffered: usize,
+    /// What the sort orders, one entry per buffered row, built when it
+    /// sorts: its sort word — the packed key, or on the wide-key path
+    /// the row's arrival number, which indexes [`Keys::General`] — and
+    /// where the row is.
     rows: Vec<(u64, Loc)>,
+    /// Where in `rows` the sorted entries are, once sorted.
+    sorted: Range<usize>,
     keys: Keys,
     /// `None` until the input has ended and again once every row has
     /// left.
@@ -177,6 +207,21 @@ impl SortKernel {
         cost: OpCost,
         spill: SpillContext,
     ) -> Result<Self, ExecError> {
+        let width = schema.row_width();
+        Self::carrying(Carry::all(&schema), keys, cost, spill, width)
+    }
+
+    /// A sort that keeps only the columns `carry` names of its input,
+    /// keyed by `keys` of the kept rows, with its output pages and
+    /// emission batches sized for input rows `width` bytes wide.
+    pub(crate) fn carrying(
+        carry: Carry,
+        keys: Vec<usize>,
+        cost: OpCost,
+        spill: SpillContext,
+        width: usize,
+    ) -> Result<Self, ExecError> {
+        let schema = carry.schema().clone();
         for &k in &keys {
             if k >= schema.len() {
                 return Err(crate::plan::column_range_error("sort key", k, &schema));
@@ -187,17 +232,20 @@ impl SortKernel {
                 spec,
                 scratch: KeyScratch::default(),
                 page_keys: Vec::new(),
-                tmp: Vec::new(),
             },
             None => Keys::General(Vec::new()),
         };
         Ok(Self {
             key_cols: keys,
             cost,
-            emit_batch_rows: (EMIT_BYTES / schema.row_width()).max(1),
+            emit_batch_rows: (EMIT_BYTES / width).max(1),
+            carry,
             schema,
+            width,
             pages: Vec::new(),
+            buffered: 0,
             rows: Vec::new(),
+            sorted: 0..0,
             keys: keys_state,
             emit: None,
             run_frame: spill.frame_pages(1),
@@ -207,25 +255,61 @@ impl SortKernel {
         })
     }
 
-    /// Orders `rows` by key (stable: equal keys keep arrival order,
-    /// matching the reference executor). The wide keys are not needed
-    /// after it.
+    /// Builds `rows` over the buffered pages, in arrival order, and
+    /// orders it by key (stable: equal keys keep arrival order,
+    /// matching the reference executor). `rows` is reserved to the
+    /// batch's size — twice it for the radix passes — not grown by
+    /// doubling: beside the pages it is what the sort holds at its peak.
     fn sort_rows(&mut self) {
-        match &mut self.keys {
-            Keys::Packed { tmp, .. } => radix_sort(&mut self.rows, tmp),
+        let passes = match self.keys {
+            Keys::Packed { .. } => 2,
+            Keys::General(_) => 1,
+        };
+        self.rows.clear();
+        self.rows.reserve_exact(passes * self.buffered);
+        for (at, page) in self.pages.iter().enumerate() {
+            let locs = (0..page.rows() as u32).map(|row| (at as u32, row));
+            match &mut self.keys {
+                Keys::Packed {
+                    spec,
+                    scratch,
+                    page_keys,
+                    ..
+                } => {
+                    page_keys.clear();
+                    spec.extend_keys(page, scratch, page_keys);
+                    self.rows.extend(page_keys.iter().copied().zip(locs));
+                }
+                Keys::General(keys) => {
+                    let arrivals = keys.len() as u64..;
+                    keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
+                    self.rows.extend(arrivals.zip(locs));
+                }
+            }
+        }
+        self.sorted = match &mut self.keys {
+            Keys::Packed { .. } => radix_sort(&mut self.rows),
             Keys::General(keys) => {
                 let key = |row: &(u64, Loc)| &keys[row.0 as usize];
                 self.rows.sort_by(|a, b| key(a).cmp(key(b)));
                 keys.clear();
+                0..self.rows.len()
             }
-        }
+        };
+    }
+
+    /// The buffered rows in key order, once sorted.
+    fn sorted_rows(&self) -> &[(u64, Loc)] {
+        &self.rows[self.sorted.clone()]
     }
 
     /// Drops the buffered pages and returns their grant; `rows` keeps
     /// its capacity for the next batch.
     fn free_buffered(&mut self) {
         self.pages.clear();
+        self.buffered = 0;
         self.rows.clear();
+        self.sorted = 0..0;
         self.spill.broker.release(self.granted);
         self.granted = 0;
     }
@@ -233,14 +317,14 @@ impl SortKernel {
     /// Sorts the buffered batch, writes it out as one run, and frees
     /// its memory. Returns the number of rows spilled.
     fn spill_run(&mut self) -> Result<usize, ExecError> {
-        let rows = self.rows.len();
+        let rows = self.buffered;
         if rows == 0 {
             return Ok(0);
         }
         self.sort_rows();
         let io = self.spill.io(OP);
         let mut run = io.create(self.schema.clone(), self.run_frame)?;
-        for &(_, (page, row)) in &self.rows {
+        for &(_, (page, row)) in self.sorted_rows() {
             io.push(&mut run, raw_row(&self.pages[page as usize], row as usize))?;
         }
         self.runs.push(io.finish(run)?);
@@ -312,16 +396,17 @@ impl Kernel for SortKernel {
     }
 
     fn ports(&self) -> Vec<Port> {
-        vec![("", Some(self.schema.clone()))]
+        vec![("", Some(self.carry.input().clone()))]
     }
 
-    /// Buffers one page: record row locations and extract its keys.
+    /// Buffers one page — the columns it carries of it.
     fn on_page(
         &mut self,
         _: usize,
         page: &Arc<Page>,
         _: &mut Pages,
     ) -> Result<PageWork, ExecError> {
+        let page = &self.carry.apply(page);
         let mut cost = self.cost.input_cost(page.rows());
         let bytes = page.byte_len();
         if !self.spill.grant_beside(bytes, &self.schema, self.run_frame) {
@@ -333,25 +418,7 @@ impl Kernel for SortKernel {
             self.spill.broker.grant(bytes);
         }
         self.granted += bytes;
-        let page_idx = self.pages.len() as u32;
-        let locs = (0..page.rows() as u32).map(|r| (page_idx, r));
-        match &mut self.keys {
-            Keys::Packed {
-                spec,
-                scratch,
-                page_keys,
-                ..
-            } => {
-                page_keys.clear();
-                spec.extend_keys(page, scratch, page_keys);
-                self.rows.extend(page_keys.iter().copied().zip(locs));
-            }
-            Keys::General(keys) => {
-                let arrivals = keys.len() as u64..;
-                keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
-                self.rows.extend(arrivals.zip(locs));
-            }
-        }
+        self.buffered += page.rows();
         self.pages.push(page.clone());
         Ok(PageWork {
             cost,
@@ -368,14 +435,14 @@ impl Kernel for SortKernel {
             // structure; the log factor is ~constant across the paper's
             // scales.
             self.sort_rows();
-            let cost = self.cost.input_cost(self.rows.len());
+            let cost = self.cost.input_cost(self.buffered);
             (cost, Source::Buffered { next: 0 })
         } else {
             let (cost, merge) = self.begin_merge()?;
             (cost, Source::Runs(merge))
         };
         self.emit = Some(Emit {
-            builder: PageBuilder::new(self.schema.clone()),
+            builder: page_builder(self.schema.clone(), self.width),
             from,
         });
         Ok(PortClosed {
@@ -394,12 +461,13 @@ impl Kernel for SortKernel {
         };
         let (cost, finished) = match from {
             Source::Buffered { next } => {
-                let end = (*next + self.emit_batch_rows).min(self.rows.len());
+                let sorted = &self.rows[self.sorted.clone()];
+                let end = (*next + self.emit_batch_rows).min(sorted.len());
                 for at in *next..end {
-                    if let Some(&(_, (page, row))) = self.rows.get(at + AHEAD) {
+                    if let Some(&(_, (page, row))) = sorted.get(at + AHEAD) {
                         self.pages[page as usize].prefetch_row(row as usize);
                     }
-                    let (_, (page, row)) = self.rows[at];
+                    let (_, (page, row)) = sorted[at];
                     emit_row(
                         builder,
                         out,
@@ -407,7 +475,7 @@ impl Kernel for SortKernel {
                     );
                 }
                 *next = end;
-                (1, end == self.rows.len())
+                (1, end == sorted.len())
             }
             Source::Runs(merge) => {
                 let mut emitted = 0usize;
@@ -1020,6 +1088,101 @@ mod tests {
         sort.release();
         assert_eq!(broker.used(), 0, "the buffered page's grant came back");
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    /// `(k, pad, seq, x)` rows, 40 B wide: `k` in `0..keys` scattered,
+    /// `seq` the arrival number.
+    fn wide_rows(n: i64, keys: i64) -> (Arc<Schema>, Vec<Vec<Value>>) {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("pad", DataType::Str(16)),
+            Field::new("seq", DataType::Int),
+            Field::new("x", DataType::Float),
+        ]);
+        let rows = (0..n)
+            .map(|i| {
+                let pad = Value::Str(format!("p{}", i % 7));
+                vec![
+                    Value::Int(i * 7919 % keys),
+                    pad,
+                    Value::Int(i),
+                    Value::Float(0.5),
+                ]
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    /// A sort of `schema` pages keyed by column 0 that carries columns 0
+    /// and 2 alone, its pages sized for the whole row.
+    fn narrow_sort(schema: &Arc<Schema>, spill: SpillContext) -> SortKernel {
+        let carry = Carry::new(schema, vec![0, 2]).expect("in range");
+        let width = schema.row_width();
+        SortKernel::carrying(carry, vec![0], OpCost::default(), spill, width).expect("valid")
+    }
+
+    /// The rows of every page each `drain` call emits, call by call.
+    fn emissions(sort: &mut SortKernel, pages: &[Arc<Page>]) -> Vec<Vec<usize>> {
+        let mut out = Pages::new();
+        for page in pages {
+            sort.on_page(0, page, &mut out).expect("intake");
+        }
+        sort.on_close(0, &mut out).expect("sorts");
+        let mut calls = Vec::new();
+        loop {
+            let mut out = Pages::new();
+            let last = sort.drain(&mut out).expect("emits").last;
+            if last {
+                return calls;
+            }
+            calls.push(out.iter().map(|p| p.rows()).collect());
+        }
+    }
+
+    #[test]
+    fn a_narrowed_sort_emits_the_pages_and_batches_of_its_whole_rows() {
+        // 16 B carried of 40 B rows: each emission call and each page
+        // holds what it would at 40 B, over a batch boundary and a tail.
+        let (schema, rows) = wide_rows(3000, 50);
+        let pages = pages_of(&schema, &rows);
+        let whole = emissions(
+            &mut sort_of(&schema, vec![0], SpillContext::unbounded()),
+            &pages,
+        );
+        let narrow = emissions(&mut narrow_sort(&schema, SpillContext::unbounded()), &pages);
+        assert_eq!(narrow, whole);
+        assert!(whole.len() > 2, "{whole:?}");
+        let per_page = PAGE_SIZE / schema.row_width();
+        assert!(whole.iter().flatten().any(|&rows| rows == per_page));
+    }
+
+    #[test]
+    fn a_narrowed_sort_spills_cascades_and_keeps_the_stable_order() {
+        // 160 KiB of input carried as 64 KiB under a one-page budget:
+        // one-page runs, merged two at a time in cascades. Fifty keys
+        // over 4 000 rows tie across every run boundary.
+        let (schema, rows) = wide_rows(4000, 50);
+        let mut want: Vec<(i64, i64)> = rows
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[2].as_int().unwrap()))
+            .collect();
+        want.sort_by_key(|&(k, _)| k);
+        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let broker = spill.broker.clone();
+        let mut sort = narrow_sort(&schema, spill);
+        let got = drive(&mut sort, &[&pages_of(&schema, &rows)]).expect("spills");
+        let got: Vec<(i64, i64)> = got
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+            .collect();
+        assert_eq!(got, want);
+        let carried = 4000 * 16;
+        assert!(
+            broker.spilled() > 2 * carried,
+            "the runs were merged in cascades: {} B spilled",
+            broker.spilled()
+        );
+        assert_eq!(broker.used(), 0);
     }
 
     #[test]

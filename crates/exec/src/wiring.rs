@@ -27,25 +27,43 @@
 //! either a simulator channel or a link to another thread. A plan on
 //! one thread therefore feeds or reads a plan on another through the
 //! same operators, with no task in between ([`run_local_between`]).
+//!
+//! # Live columns
+//!
+//! `wire` hands each node the set of its output columns its consumer
+//! reads and gets back the columns the node's pages actually carry (its
+//! layout). Each node remaps its own column references — filter
+//! predicates, project expressions, aggregate keys and arguments, sort
+//! and join keys — through its child's layout (`Layout::remap`, over
+//! the one column visitor of each expression type). Only sorts and hash
+//! joins carry less than all of their output: what is read of them,
+//! plus their keys. A plan root (and so a shared pivot's root, whose
+//! consumers are `Source` feeds and the fragment cache), a `Source`
+//! leaf, a merge join and a nested-loop join carry every column, and a
+//! filter carries what its input does. Every count that divides by a
+//! row width divides by the unnarrowed one, so pages hold the same
+//! rows, steps are the same and virtual time does not depend on what is
+//! carried. Plans, their fingerprints and the reference executor never
+//! see a layout.
 
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
-use crate::expr::Agg;
+use crate::expr::{Agg, Columns, ScalarExpr};
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
 use crate::ops::aggregate::{AggCore, Deposit};
 use crate::ops::port::{GroupHandoff, LinkRx, LinkTx};
 use crate::ops::shell::{PageWork, Port, PortClosed};
 use crate::ops::{
-    AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Inlet, Kernel, MergeJoinKernel,
+    AggregateKernel, Carry, Fanout, FilterKernel, HashJoinKernel, Inlet, Kernel, MergeJoinKernel,
     NljKernel, OperatorShell, Outlet, Pages, ProjectKernel, ScanKernel, SinkKernel, SortKernel,
 };
 use crate::parallel::{Fold, MorselDispenser, MorselKernel, ParallelConfig};
-use crate::plan::PhysicalPlan;
+use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_sim::channel::{self, Receiver};
 use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskId};
 use cordoba_storage::{Catalog, Page, Schema, Value};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -149,9 +167,12 @@ fn build(
         resources.broker.clone(),
         resources.fault.clone(),
     );
+    // The root's consumers — a collector, a shared pivot's `Source`
+    // feeds, the fragment cache — read every column.
     wire(
         catalog,
         plan,
+        &None,
         outs,
         sources,
         label,
@@ -236,9 +257,10 @@ struct Chain<'p> {
     pages: Arc<[Arc<Page>]>,
     /// Scan cost, charged per input page.
     scan_cost: OpCost,
-    /// The nodes above the scan, bottom-up, each with the schemas it
-    /// reads and produces (one `Arc` each, shared by every worker).
-    stages: Vec<(&'p PhysicalPlan, Arc<Schema>, Arc<Schema>)>,
+    /// The nodes above the scan, bottom-up, each with the columns it
+    /// reads (all of its input's) and the schema it produces (one `Arc`
+    /// each, shared by every worker).
+    stages: Vec<(&'p PhysicalPlan, Layout, Arc<Schema>)>,
     /// The schema the chain produces.
     schema: Arc<Schema>,
     /// The chain root's per-consumer output cost (`s`).
@@ -276,7 +298,7 @@ fn chain<'p>(catalog: &Catalog, plan: &'p PhysicalPlan) -> Result<Option<Chain<'
         _ => chain.schema.clone(),
     };
     let input = std::mem::replace(&mut chain.schema, output.clone());
-    chain.stages.push((plan, input, output));
+    chain.stages.push((plan, Layout::full(&input), output));
     chain.out_per_tuple = cost.out_per_tuple;
     Ok(Some(chain))
 }
@@ -441,10 +463,110 @@ fn shell(
     Box::new(OperatorShell::new(kernel, inputs, fanout, fault.clone()))
 }
 
+/// Output columns a consumer reads, ascending; `None` is every one.
+type Live = Option<BTreeSet<usize>>;
+
+/// What a node's pages carry: `cols[j]`, ascending, is the node's
+/// output column at position `j` of its rows, whose schema is
+/// `schema`. Every node carries what its consumer reads; only sorts and
+/// hash joins carry less than all of their output.
+struct Layout {
+    /// The node's output schema, the plan's.
+    logical: Arc<Schema>,
+    cols: Vec<usize>,
+    schema: Arc<Schema>,
+}
+
+impl Layout {
+    /// Every column of `schema`.
+    fn full(schema: &Arc<Schema>) -> Self {
+        Layout {
+            logical: schema.clone(),
+            cols: (0..schema.len()).collect(),
+            schema: schema.clone(),
+        }
+    }
+
+    /// The columns `cols` (ascending) of the output schema `logical`.
+    fn of(logical: &Arc<Schema>, cols: Vec<usize>) -> Self {
+        if cols.len() == logical.len() {
+            return Layout::full(logical);
+        }
+        let fields = cols.iter().map(|&c| logical.fields()[c].clone());
+        Layout {
+            schema: Schema::new(fields.collect()),
+            logical: logical.clone(),
+            cols,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.cols.len() == self.logical.len()
+    }
+
+    /// The unnarrowed row width: every count that divides by a row
+    /// width divides by this one.
+    fn width(&self) -> usize {
+        self.logical.row_width()
+    }
+
+    /// Where output column `col` sits in the rows. A column the pages
+    /// do not carry is one the output does not have.
+    fn at(&self, col: usize) -> Result<usize, ExecError> {
+        let at = self.cols.binary_search(&col);
+        at.map_err(|_| crate::plan::column_range_error("column", col, &self.logical))
+    }
+
+    /// Where each of `cols` sits in the rows.
+    fn positions(&self, cols: &BTreeSet<usize>) -> Result<Vec<usize>, ExecError> {
+        cols.iter().map(|&col| self.at(col)).collect()
+    }
+
+    /// `x` with each column it reads replaced by where that column sits
+    /// in the rows: what a node runs over its child's pages.
+    fn remap<T: Columns>(&self, x: &T) -> Result<T, ExecError> {
+        let mut x = x.clone();
+        if !self.is_full() {
+            let mut failed = None;
+            x.visit_cols(&mut |col| match self.at(*col) {
+                Ok(at) => *col = at,
+                Err(e) => failed = Some(e),
+            });
+            failed.map_or(Ok(()), Err)?;
+        }
+        Ok(x)
+    }
+}
+
+/// `live` with the columns `x` reads added.
+fn reading<T: Columns>(live: &Live, x: &T) -> Live {
+    let mut live = live.clone()?;
+    x.clone().visit_cols(&mut |col| {
+        live.insert(*col);
+    });
+    Some(live)
+}
+
+/// The columns `x` reads.
+fn reads<T: Columns>(x: &T) -> Live {
+    reading(&Some(BTreeSet::new()), x)
+}
+
+/// What a narrowing node carries of `width` output columns: what its
+/// consumer reads plus `keys`, `None` when that is every column (or
+/// none: a row must carry something).
+fn carried(live: &Live, keys: &[usize], width: usize) -> Live {
+    let cols = reading(live, &keys.to_vec())?;
+    (!cols.is_empty() && cols.len() < width).then_some(cols)
+}
+
+/// Wires `plan` delivering to `outs`, its pages carrying at least the
+/// output columns in `live`, and returns what they carry.
 #[allow(clippy::too_many_arguments)]
 fn wire(
     catalog: &Catalog,
     plan: &PhysicalPlan,
+    live: &Live,
     outs: Vec<Outlet>,
     sources: &mut VecDeque<Inlet>,
     label: &str,
@@ -453,14 +575,14 @@ fn wire(
     preorder: &mut usize,
     built: &mut Built,
     threads: &mut Option<&mut ThreadWorkers>,
-) -> Result<(), ExecError> {
+) -> Result<Layout, ExecError> {
     let fault = &sctx.fault;
     let outs = if cfg.parallel.effective_workers() > 1 {
         let wired = try_wire_parallel(
             catalog, plan, outs, label, cfg, fault, preorder, built, threads,
         )?;
         match wired {
-            None => return Ok(()),
+            None => return Ok(Layout::full(&plan.try_output_schema(catalog)?)),
             Some(outs) => outs,
         }
     } else {
@@ -472,20 +594,23 @@ fn wire(
     // Child receivers are created before this node's task so that
     // Source receivers are consumed in preorder.
     let mut child_input = |child: &PhysicalPlan,
+                           live: &Live,
                            sources: &mut VecDeque<Inlet>,
                            preorder: &mut usize,
                            built: &mut Built|
-     -> Result<Inlet, ExecError> {
-        if let PhysicalPlan::Source { .. } = child {
+     -> Result<(Inlet, Layout), ExecError> {
+        if let PhysicalPlan::Source { schema } = child {
             *preorder += 1;
-            return sources
+            let rx = sources
                 .pop_front()
-                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"));
+                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
+            return Ok((rx, Layout::full(&schema.0)));
         }
         let (tx, rx) = channel::bounded(cfg.queue_capacity);
-        wire(
+        let layout = wire(
             catalog,
             child,
+            live,
             vec![tx.into()],
             sources,
             label,
@@ -495,131 +620,201 @@ fn wire(
             built,
             threads,
         )?;
-        Ok(rx.into())
+        Ok((rx.into(), layout))
     };
 
-    // The node's kernel, its inputs in the kernel's port order, and its
-    // per-consumer output cost.
-    let (kernel, inputs, out_per_tuple): (Box<dyn Kernel>, Vec<Inlet>, f64) = match plan {
-        PhysicalPlan::Scan { table, cost } => {
-            let pages = catalog
-                .get(table)
-                .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?
-                .pages()
-                .to_vec();
-            let kernel = ScanKernel::new(pages, *cost);
-            (Box::new(kernel), vec![], cost.out_per_tuple)
-        }
-        PhysicalPlan::Source { schema } => {
-            // Source as root: relay external pages to the consumers.
-            let rx = sources
-                .pop_front()
-                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
-            (Box::new(Relay(schema.0.clone())), vec![rx], 0.0)
-        }
-        PhysicalPlan::Filter { input, cost, .. } | PhysicalPlan::Project { input, cost, .. } => {
-            let in_schema = input.try_output_schema(catalog)?;
-            let out_schema = plan.try_output_schema(catalog)?;
-            let rx = child_input(input, sources, preorder, built)?;
-            let kernel = row_kernel(plan, &in_schema, &out_schema)?;
-            (kernel, vec![rx], cost.out_per_tuple)
-        }
-        PhysicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            cost,
-        } => {
-            let in_schema = input.try_output_schema(catalog)?;
-            let out_schema = plan.try_output_schema(catalog)?;
-            let rx = child_input(input, sources, preorder, built)?;
-            let aggs = aggs.iter().map(|(_, a)| a.clone()).collect();
-            let kernel =
-                AggregateKernel::new(in_schema, group_by.clone(), aggs, out_schema, *cost)?;
-            (Box::new(kernel), vec![rx], cost.out_per_tuple)
-        }
-        PhysicalPlan::Sort { input, keys, cost } => {
-            let schema = input.try_output_schema(catalog)?;
-            let rx = child_input(input, sources, preorder, built)?;
-            let kernel = SortKernel::new(schema, keys.clone(), *cost, sctx.clone())?;
-            (Box::new(kernel), vec![rx], cost.out_per_tuple)
-        }
-        PhysicalPlan::HashJoin {
-            build,
-            probe,
-            build_key,
-            probe_key,
-            kind,
-            build_cost,
-            probe_cost,
-        } => {
-            let build_schema = build.try_output_schema(catalog)?;
-            let probe_schema = probe.try_output_schema(catalog)?;
-            let out_schema = plan.try_output_schema(catalog)?;
-            let rx_build = child_input(build, sources, preorder, built)?;
-            let rx_probe = child_input(probe, sources, preorder, built)?;
-            let kernel = HashJoinKernel::new(
-                *build_key,
-                *probe_key,
-                *kind,
-                build_schema,
-                probe_schema,
-                out_schema,
-                *build_cost,
-                *probe_cost,
-                sctx.clone(),
-            )?;
-            let inputs = vec![rx_build, rx_probe];
-            (Box::new(kernel), inputs, probe_cost.out_per_tuple)
-        }
-        PhysicalPlan::NestedLoopJoin {
-            outer,
-            inner,
-            predicate,
-            cost,
-        } => {
-            let outer_schema = outer.try_output_schema(catalog)?;
-            let inner_schema = inner.try_output_schema(catalog)?;
-            let pair_schema = plan.try_output_schema(catalog)?;
-            let rx_outer = child_input(outer, sources, preorder, built)?;
-            let rx_inner = child_input(inner, sources, preorder, built)?;
-            let predicate = predicate.clone();
-            let kernel = NljKernel::new(outer_schema, inner_schema, predicate, pair_schema, *cost)?;
-            (
-                Box::new(kernel),
-                vec![rx_inner, rx_outer],
-                cost.out_per_tuple,
-            )
-        }
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            cost,
-        } => {
-            let left_schema = left.try_output_schema(catalog)?;
-            let right_schema = right.try_output_schema(catalog)?;
-            let out_schema = plan.try_output_schema(catalog)?;
-            let rx_left = child_input(left, sources, preorder, built)?;
-            let rx_right = child_input(right, sources, preorder, built)?;
-            let kernel = MergeJoinKernel::new(
-                left_schema,
-                right_schema,
-                *left_key,
-                *right_key,
-                out_schema,
-                *cost,
-            )?;
-            (
-                Box::new(kernel),
-                vec![rx_left, rx_right],
-                cost.out_per_tuple,
-            )
-        }
-    };
+    // The node's kernel, its inputs in the kernel's port order, its
+    // per-consumer output cost and what its pages carry.
+    let (kernel, inputs, out_per_tuple, layout): (Box<dyn Kernel>, Vec<Inlet>, f64, Layout) =
+        match plan {
+            PhysicalPlan::Scan { table, cost } => {
+                let table = catalog
+                    .get(table)
+                    .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
+                let kernel = ScanKernel::new(table.pages().to_vec(), *cost);
+                let layout = Layout::full(table.schema());
+                (Box::new(kernel), vec![], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Source { schema } => {
+                // Source as root: relay external pages to the consumers.
+                let rx = sources
+                    .pop_front()
+                    .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
+                let layout = Layout::full(&schema.0);
+                (Box::new(Relay(schema.0.clone())), vec![rx], 0.0, layout)
+            }
+            PhysicalPlan::Filter {
+                input,
+                predicate,
+                cost,
+            } => {
+                let live = reading(live, predicate);
+                let (rx, layout) = child_input(input, &live, sources, preorder, built)?;
+                let kernel = row_kernel(plan, &layout, &layout.schema)?;
+                (kernel, vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Project { input, exprs, cost } => {
+                let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
+                let out_schema = plan.try_output_schema(catalog)?;
+                let (rx, child) = child_input(input, &reads(&exprs), sources, preorder, built)?;
+                let kernel = row_kernel(plan, &child, &out_schema)?;
+                let layout = Layout::full(&out_schema);
+                (kernel, vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+                cost,
+            } => {
+                let out_schema = plan.try_output_schema(catalog)?;
+                let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
+                let live = reading(&reads(group_by), &aggs);
+                let (rx, child) = child_input(input, &live, sources, preorder, built)?;
+                let (by, aggs) = (child.remap(group_by)?, child.remap(&aggs)?);
+                let layout = Layout::full(&out_schema);
+                let kernel = AggregateKernel::new(child.schema, by, aggs, out_schema, *cost)?;
+                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Sort { input, keys, cost } => {
+                let logical = plan.try_output_schema(catalog)?;
+                let carried = carried(live, keys, logical.len());
+                let (rx, child) = child_input(input, &carried, sources, preorder, built)?;
+                let (kernel, layout) = match carried {
+                    // Keys out of range fail in the kernel's check.
+                    None => {
+                        let kernel = SortKernel::carrying(
+                            Carry::all(&child.schema),
+                            child.remap(keys)?,
+                            *cost,
+                            sctx.clone(),
+                            child.width(),
+                        )?;
+                        (kernel, child)
+                    }
+                    Some(cols) => {
+                        let carry = Carry::new(&child.schema, child.positions(&cols)?)?;
+                        let layout = Layout::of(&logical, cols.into_iter().collect());
+                        let keys = layout.remap(keys)?;
+                        let width = layout.width();
+                        let kernel = SortKernel::carrying(carry, keys, *cost, sctx.clone(), width)?;
+                        (kernel, layout)
+                    }
+                };
+                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::HashJoin {
+                build,
+                probe,
+                build_key,
+                probe_key,
+                kind,
+                build_cost,
+                probe_cost,
+            } => {
+                let logical = plan.try_output_schema(catalog)?;
+                let probe_width = probe.try_output_schema(catalog)?.len();
+                let build_width = build.try_output_schema(catalog)?.len();
+                // What the consumer reads of each side: the output is the
+                // probe's columns, then for an inner or left outer join
+                // the build's.
+                let (probe_live, build_live) = match live {
+                    None => (None, None),
+                    Some(live) => {
+                        let (probe, build): (BTreeSet<usize>, _) =
+                            live.iter().partition(|&&c| c < probe_width);
+                        let build = build.into_iter().map(|c| c - probe_width).collect();
+                        (Some(probe), Some(build))
+                    }
+                };
+                // A join that reads no build column keeps keys alone.
+                let keys_only = match kind {
+                    JoinKind::Semi | JoinKind::Anti => true,
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        build_live.as_ref().is_some_and(BTreeSet::is_empty)
+                    }
+                };
+                let build_carried = match keys_only {
+                    true => Some(BTreeSet::from([*build_key])),
+                    false => carried(&build_live, &[*build_key], build_width),
+                };
+                let probe_carried = carried(&probe_live, &[*probe_key], probe_width);
+                let (rx_build, build_in) =
+                    child_input(build, &build_carried, sources, preorder, built)?;
+                let (rx_probe, probe_in) =
+                    child_input(probe, &probe_carried, sources, preorder, built)?;
+                let carry = |input: &Layout, cols: &Live, key: usize| {
+                    let carry = match cols {
+                        None => Carry::all(&input.schema),
+                        Some(cols) => Carry::new(&input.schema, input.positions(cols)?)?,
+                    };
+                    Ok::<_, ExecError>((carry, input.at(key)?))
+                };
+                let sides = [
+                    carry(&build_in, &build_carried, *build_key)?,
+                    carry(&probe_in, &probe_carried, *probe_key)?,
+                ];
+                let all = |width| (0..width).collect::<BTreeSet<usize>>();
+                let probe_cols = probe_carried.unwrap_or_else(|| all(probe_width));
+                let mut cols: Vec<usize> = probe_cols.into_iter().collect();
+                if !keys_only {
+                    let build_cols = build_carried.unwrap_or_else(|| all(build_width));
+                    cols.extend(build_cols.into_iter().map(|c| c + probe_width));
+                }
+                let layout = Layout::of(&logical, cols);
+                let kernel = HashJoinKernel::carrying(
+                    *kind,
+                    sides,
+                    keys_only,
+                    layout.schema.clone(),
+                    layout.width(),
+                    (*build_cost, *probe_cost),
+                    sctx.clone(),
+                )?;
+                let inputs = vec![rx_build, rx_probe];
+                (Box::new(kernel), inputs, probe_cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::NestedLoopJoin {
+                outer,
+                inner,
+                predicate,
+                cost,
+            } => {
+                let pair_schema = plan.try_output_schema(catalog)?;
+                let (rx_outer, outer) = child_input(outer, &None, sources, preorder, built)?;
+                let (rx_inner, inner) = child_input(inner, &None, sources, preorder, built)?;
+                let predicate = predicate.clone();
+                let layout = Layout::full(&pair_schema);
+                let kernel =
+                    NljKernel::new(outer.schema, inner.schema, predicate, pair_schema, *cost)?;
+                let inputs = vec![rx_inner, rx_outer];
+                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                cost,
+            } => {
+                let out_schema = plan.try_output_schema(catalog)?;
+                let (rx_left, left) = child_input(left, &None, sources, preorder, built)?;
+                let (rx_right, right) = child_input(right, &None, sources, preorder, built)?;
+                let layout = Layout::full(&out_schema);
+                let kernel = MergeJoinKernel::new(
+                    left.schema,
+                    right.schema,
+                    *left_key,
+                    *right_key,
+                    out_schema,
+                    *cost,
+                )?;
+                let inputs = vec![rx_left, rx_right];
+                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+            }
+        };
     built.push((name, shell(kernel, inputs, outs, out_per_tuple, fault)));
-    Ok(())
+    Ok(layout)
 }
 
 /// The kernel of a filter or project `node`, reading `input` pages and
@@ -627,21 +822,26 @@ fn wire(
 /// morsel worker.
 fn row_kernel(
     node: &PhysicalPlan,
-    input: &Arc<Schema>,
+    input: &Layout,
     output: &Arc<Schema>,
 ) -> Result<Box<dyn Kernel + Send>, ExecError> {
+    let schema = input.schema.clone();
     match node {
         PhysicalPlan::Filter {
             predicate, cost, ..
-        } => Ok(Box::new(FilterKernel::new(
-            input.clone(),
-            predicate.clone(),
-            *cost,
-        )?)),
+        } => {
+            let filter = FilterKernel::new(schema, input.remap(predicate)?, *cost)?;
+            Ok(Box::new(filter.paged_as(input.width())))
+        }
         PhysicalPlan::Project { exprs, cost, .. } => {
-            let exprs = exprs.iter().map(|(_, e)| e.clone()).collect();
-            let (input, output) = (input.clone(), output.clone());
-            Ok(Box::new(ProjectKernel::new(input, output, exprs, *cost)?))
+            let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
+            let exprs = input.remap(&exprs)?;
+            Ok(Box::new(ProjectKernel::new(
+                schema,
+                output.clone(),
+                exprs,
+                *cost,
+            )?))
         }
         other => Err(ExecError::plan(format!(
             "{} is no row stage",

@@ -6,6 +6,7 @@
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use crate::Date;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default page size in bytes, as in the paper ("typical size of 4K").
@@ -110,6 +111,26 @@ impl Page {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = row;
+    }
+
+    /// The page's rows cut to the byte ranges `spans` of each row, laid
+    /// end to end in that order, as a page of `schema`: the columns an
+    /// operator keeps of its input when its consumers read only some.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a span lies outside a row or the spans do not add up
+    /// to `schema`'s row width.
+    pub fn compact(&self, schema: Arc<Schema>, spans: &[Range<usize>]) -> Arc<Page> {
+        let width = schema.row_width();
+        assert_eq!(spans.iter().map(Range::len).sum::<usize>(), width);
+        let mut data = Vec::with_capacity(self.rows * width);
+        for row in self.raw_rows() {
+            for span in spans {
+                data.extend_from_slice(&row[span.clone()]);
+            }
+        }
+        Page::from_payload(schema, data.into_boxed_slice(), self.rows)
     }
 
     /// Iterates over raw row byte slices (each exactly `row_width`
@@ -515,6 +536,25 @@ mod tests {
         assert_eq!(t.get_float(1), 1.25);
         assert_eq!(t.get_date(2), Date::from_ymd(1994, 1, 1));
         assert_eq!(t.get_str(3), "RAIL");
+    }
+
+    #[test]
+    fn compact_keeps_the_spans_of_every_row_in_order() {
+        // `s` (bytes 20..26) then `k` (0..8): columns reordered, `p` and
+        // `d` dropped, across three rows.
+        let mut b = PageBuilder::new(schema());
+        for i in 0..3 {
+            let s = Value::Str(format!("r{i}"));
+            b.push_row(&[Value::Int(i), Value::Float(0.5), Value::Date(Date(7)), s]);
+        }
+        let kept = Schema::new(vec![
+            Field::new("s", DataType::Str(6)),
+            Field::new("k", DataType::Int),
+        ]);
+        let page = b.finish().compact(kept, &[20..26, 0..8]);
+        let rows: Vec<Vec<Value>> = page.tuples().map(|t| t.to_values()).collect();
+        let want = (0..3).map(|i| vec![Value::Str(format!("r{i}")), Value::Int(i)]);
+        assert_eq!(rows, want.collect::<Vec<_>>());
     }
 
     #[test]

@@ -1105,11 +1105,110 @@ fn labels(plan: &Plan) -> [String; 2] {
     [full.split('(').next().unwrap_or_default().into(), full]
 }
 
+/// The columns `x` reads, added to `cols`.
+fn expr_cols(x: &ScalarExpr, cols: &mut BTreeSet<usize>) {
+    match x {
+        ScalarExpr::Col(c) => drop(cols.insert(*c)),
+        Add(a, b) | Sub(a, b) | Mul(a, b) => [a, b].iter().for_each(|e| expr_cols(e, cols)),
+        _ => {}
+    }
+}
+
+/// The columns `p` reads, added to `cols`.
+fn predicate_cols(p: &Predicate, cols: &mut BTreeSet<usize>) {
+    match p {
+        Predicate::True => {}
+        Predicate::Cmp { left, right, .. } => [left, right].iter().for_each(|e| expr_cols(e, cols)),
+        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().for_each(|p| predicate_cols(p, cols)),
+        Predicate::Not(p) => predicate_cols(p, cols),
+        Predicate::Like { col, .. } => drop(cols.insert(*col)),
+    }
+}
+
+/// Whether a sort or hash join in `plan` has a consumer that reads a
+/// strict subset of its columns — what the wiring narrows. `live` is
+/// what `plan`'s consumer reads (`None`: every column); the root of a
+/// plan and of its `pivot` are read whole.
+fn narrows(case: &Case, plan: &Plan, live: Option<BTreeSet<usize>>, pivot: Option<&Plan>) -> bool {
+    let live = live.filter(|_| pivot != Some(plan));
+    let width = |p: &Plan| p.try_output_schema(&case.catalog).map_or(0, |s| s.len());
+    let strict = live.as_ref().is_some_and(|cols| cols.len() < width(plan));
+    let with = |live: &Option<BTreeSet<usize>>, key: usize| {
+        live.clone().map(|mut cols| {
+            cols.insert(key);
+            cols
+        })
+    };
+    let mut cols = BTreeSet::new();
+    match plan {
+        Plan::Scan { .. } | Plan::Source { .. } => false,
+        Plan::Filter {
+            input, predicate, ..
+        } => {
+            predicate_cols(predicate, &mut cols);
+            let live = live.map(|live| &live | &cols);
+            narrows(case, input, live, pivot)
+        }
+        Plan::Project { input, exprs, .. } => {
+            exprs.iter().for_each(|(_, e)| expr_cols(e, &mut cols));
+            narrows(case, input, Some(cols), pivot)
+        }
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            ..
+        } => {
+            cols.extend(group_by);
+            for (_, agg) in aggs {
+                if let Agg::Sum(e) | Agg::Avg(e) | Agg::Min(e) | Agg::Max(e) = agg {
+                    expr_cols(e, &mut cols);
+                }
+            }
+            narrows(case, input, Some(cols), pivot)
+        }
+        Plan::Sort { input, keys, .. } => {
+            let live = live.map(|live| live.into_iter().chain(keys.iter().copied()).collect());
+            strict || narrows(case, input, live, pivot)
+        }
+        Plan::HashJoin {
+            build,
+            probe,
+            build_key,
+            probe_key,
+            kind,
+            ..
+        } => {
+            let probe_width = width(probe);
+            let split = |cols: &BTreeSet<usize>| -> (BTreeSet<usize>, BTreeSet<usize>) {
+                let (probe, build): (_, BTreeSet<usize>) =
+                    cols.iter().partition(|&&c| c < probe_width);
+                (probe, build.into_iter().map(|c| c - probe_width).collect())
+            };
+            let (probe_live, mut build_live) = match &live {
+                Some(cols) => split(cols),
+                None => ((0..probe_width).collect(), (0..width(build)).collect()),
+            };
+            // An existence join reads its build side's key alone.
+            if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+                build_live.clear();
+            }
+            strict
+                || narrows(case, probe, with(&Some(probe_live), *probe_key), pivot)
+                || narrows(case, build, with(&Some(build_live), *build_key), pivot)
+        }
+        Plan::NestedLoopJoin { .. } | Plan::MergeJoin { .. } => {
+            let mut children = plan.children().into_iter();
+            children.any(|child| narrows(case, child, None, pivot))
+        }
+    }
+}
+
 /// Adds what a passing case covered to `seen`: its operators, its
 /// substrate, `shared` or `unshared`, and `spill`, `group>1`, `subsume`,
-/// `cache-hit` and `merge-span` (an equal-key group of a merge-join input
+/// `cache-hit`, `merge-span` (an equal-key group of a merge-join input
 /// across a page boundary, pages as the reference lays them out: the
-/// sort's and a scanned table's own).
+/// sort's and a scanned table's own) and `narrowed` (see [`narrows`]).
 fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
     for plan in case.nodes() {
         seen.extend(labels(plan));
@@ -1143,9 +1242,23 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
         ("group>1".into(), observed.groups.iter().any(|&g| g > 1)),
         ("subsume".into(), observed.sharing.subsume_joins > 0),
         ("cache-hit".into(), observed.sharing.fingerprint_hits > 0),
+        (NARROWED.into(), narrowed(case)),
     ];
     seen.extend(flags.into_iter().filter(|f| f.1).map(|f| f.0));
 }
+
+/// Whether a sort or hash join of one of `case`'s queries carries less
+/// than all of its columns ([`narrows`]).
+fn narrowed(case: &Case) -> bool {
+    let queries = case.queries.iter();
+    queries
+        .map(|(_, q)| q)
+        .any(|q| narrows(case, &q.plan, None, q.pivot.as_ref()))
+}
+
+/// The floor a case reaches when a sort or hash join in it carries
+/// less than all of its columns.
+pub const NARROWED: &str = "narrowed";
 
 /// The four hash-join kinds, as [`Case::has`] names them.
 pub const JOIN_KINDS: [&str; 4] = [
@@ -1172,9 +1285,13 @@ pub fn any(_: &Config) -> bool {
 }
 
 /// Runs the first `cases` cases of `substrate` and asserts they reached
-/// every operator, every join kind and `floor`.
+/// every operator, every join kind, [`NARROWED`] and `floor`.
 pub fn run_cases(substrate: Substrate, cases: u64, floor: &[&str]) {
-    let every = OPERATORS.iter().chain(&JOIN_KINDS).chain(floor);
+    let every = OPERATORS
+        .iter()
+        .chain(&JOIN_KINDS)
+        .chain(&[NARROWED])
+        .chain(floor);
     run(
         substrate,
         0,

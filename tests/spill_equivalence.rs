@@ -31,7 +31,14 @@ fn spilled_sort_is_bit_identical_to_in_memory() {
     let tiny = |c: &Config| c.budget_pages.is_some_and(|p| p <= 2);
     let keep = |c: &Case| c.has("sort");
     let name = "spilled_sort_is_bit_identical_to_in_memory";
-    fuzz::run_slice(name, Threads, CASES, tiny, keep, &["sort", "spill"]);
+    fuzz::run_slice(
+        name,
+        Threads,
+        CASES,
+        tiny,
+        keep,
+        &["sort", "spill", fuzz::NARROWED],
+    );
 }
 
 /// An inner hash join under a budget, in the engine, returns the
@@ -57,7 +64,7 @@ fn spilled_join_kinds_match_in_memory() {
 fn existence_joins_match_the_reference_at_every_budget_and_shape() {
     let keep = |c: &Case| c.has("hashjoin(Semi)") || c.has("hashjoin(Anti)");
     let name = "existence_joins_match_the_reference_at_every_budget_and_shape";
-    let floor = ["hashjoin(Semi)", "hashjoin(Anti)", "spill"];
+    let floor = ["hashjoin(Semi)", "hashjoin(Anti)", "spill", fuzz::NARROWED];
     fuzz::run_slice(name, Threads, 2 * CASES, budgeted, keep, &floor);
 }
 
