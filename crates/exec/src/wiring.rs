@@ -466,6 +466,10 @@ fn shell(
 /// Output columns a consumer reads, ascending; `None` is every one.
 type Live = Option<BTreeSet<usize>>;
 
+/// A wired node: its kernel, its inputs in the kernel's port order, its
+/// per-consumer output cost and what its pages carry.
+type Node = (Box<dyn Kernel>, Vec<Inlet>, f64, Layout);
+
 /// What a node's pages carry: `cols[j]`, ascending, is the node's
 /// output column at position `j` of its rows, whose schema is
 /// `schema`. Every node carries what its consumer reads; only sorts and
@@ -517,9 +521,14 @@ impl Layout {
         at.map_err(|_| crate::plan::column_range_error("column", col, &self.logical))
     }
 
-    /// Where each of `cols` sits in the rows.
-    fn positions(&self, cols: &BTreeSet<usize>) -> Result<Vec<usize>, ExecError> {
-        cols.iter().map(|&col| self.at(col)).collect()
+    /// What a narrowing node over these pages keeps of their rows: the
+    /// output columns `cols`.
+    fn carry(&self, cols: &Live) -> Result<Carry, ExecError> {
+        let Some(cols) = cols else {
+            return Ok(Carry::all(&self.schema));
+        };
+        let at = cols.iter().map(|&col| self.at(col));
+        Carry::new(&self.schema, at.collect::<Result<_, _>>()?)
     }
 
     /// `x` with each column it reads replaced by where that column sits
@@ -558,6 +567,11 @@ fn reads<T: Columns>(x: &T) -> Live {
 fn carried(live: &Live, keys: &[usize], width: usize) -> Live {
     let cols = reading(live, &keys.to_vec())?;
     (!cols.is_empty() && cols.len() < width).then_some(cols)
+}
+
+/// `cols` in order, or every one of `width` columns.
+fn every(cols: Live, width: usize) -> Vec<usize> {
+    cols.map_or_else(|| (0..width).collect(), |cols| cols.into_iter().collect())
 }
 
 /// Wires `plan` delivering to `outs`, its pages carrying at least the
@@ -623,196 +637,168 @@ fn wire(
         Ok((rx.into(), layout))
     };
 
-    // The node's kernel, its inputs in the kernel's port order, its
-    // per-consumer output cost and what its pages carry.
-    let (kernel, inputs, out_per_tuple, layout): (Box<dyn Kernel>, Vec<Inlet>, f64, Layout) =
-        match plan {
-            PhysicalPlan::Scan { table, cost } => {
-                let table = catalog
-                    .get(table)
-                    .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
-                let kernel = ScanKernel::new(table.pages().to_vec(), *cost);
-                let layout = Layout::full(table.schema());
-                (Box::new(kernel), vec![], cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::Source { schema } => {
-                // Source as root: relay external pages to the consumers.
-                let rx = sources
-                    .pop_front()
-                    .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
-                let layout = Layout::full(&schema.0);
-                (Box::new(Relay(schema.0.clone())), vec![rx], 0.0, layout)
-            }
-            PhysicalPlan::Filter {
-                input,
-                predicate,
-                cost,
-            } => {
-                let live = reading(live, predicate);
-                let (rx, layout) = child_input(input, &live, sources, preorder, built)?;
-                let kernel = row_kernel(plan, &layout, &layout.schema)?;
-                (kernel, vec![rx], cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::Project { input, exprs, cost } => {
-                let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
-                let out_schema = plan.try_output_schema(catalog)?;
-                let (rx, child) = child_input(input, &reads(&exprs), sources, preorder, built)?;
-                let kernel = row_kernel(plan, &child, &out_schema)?;
-                let layout = Layout::full(&out_schema);
-                (kernel, vec![rx], cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                cost,
-            } => {
-                let out_schema = plan.try_output_schema(catalog)?;
-                let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
-                let live = reading(&reads(group_by), &aggs);
-                let (rx, child) = child_input(input, &live, sources, preorder, built)?;
-                let (by, aggs) = (child.remap(group_by)?, child.remap(&aggs)?);
-                let layout = Layout::full(&out_schema);
-                let kernel = AggregateKernel::new(child.schema, by, aggs, out_schema, *cost)?;
-                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::Sort { input, keys, cost } => {
-                let logical = plan.try_output_schema(catalog)?;
-                let carried = carried(live, keys, logical.len());
-                let (rx, child) = child_input(input, &carried, sources, preorder, built)?;
-                let (kernel, layout) = match carried {
-                    // Keys out of range fail in the kernel's check.
-                    None => {
-                        let kernel = SortKernel::carrying(
-                            Carry::all(&child.schema),
-                            child.remap(keys)?,
-                            *cost,
-                            sctx.clone(),
-                            child.width(),
-                        )?;
-                        (kernel, child)
-                    }
-                    Some(cols) => {
-                        let carry = Carry::new(&child.schema, child.positions(&cols)?)?;
-                        let layout = Layout::of(&logical, cols.into_iter().collect());
-                        let keys = layout.remap(keys)?;
-                        let width = layout.width();
-                        let kernel = SortKernel::carrying(carry, keys, *cost, sctx.clone(), width)?;
-                        (kernel, layout)
-                    }
-                };
-                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::HashJoin {
-                build,
-                probe,
-                build_key,
-                probe_key,
-                kind,
-                build_cost,
-                probe_cost,
-            } => {
-                let logical = plan.try_output_schema(catalog)?;
-                let probe_width = probe.try_output_schema(catalog)?.len();
-                let build_width = build.try_output_schema(catalog)?.len();
-                // What the consumer reads of each side: the output is the
-                // probe's columns, then for an inner or left outer join
-                // the build's.
-                let (probe_live, build_live) = match live {
-                    None => (None, None),
-                    Some(live) => {
-                        let (probe, build): (BTreeSet<usize>, _) =
-                            live.iter().partition(|&&c| c < probe_width);
-                        let build = build.into_iter().map(|c| c - probe_width).collect();
-                        (Some(probe), Some(build))
-                    }
-                };
-                // A join that reads no build column keeps keys alone.
-                let keys_only = match kind {
-                    JoinKind::Semi | JoinKind::Anti => true,
-                    JoinKind::Inner | JoinKind::LeftOuter => {
-                        build_live.as_ref().is_some_and(BTreeSet::is_empty)
-                    }
-                };
-                let build_carried = match keys_only {
-                    true => Some(BTreeSet::from([*build_key])),
-                    false => carried(&build_live, &[*build_key], build_width),
-                };
-                let probe_carried = carried(&probe_live, &[*probe_key], probe_width);
-                let (rx_build, build_in) =
-                    child_input(build, &build_carried, sources, preorder, built)?;
-                let (rx_probe, probe_in) =
-                    child_input(probe, &probe_carried, sources, preorder, built)?;
-                let carry = |input: &Layout, cols: &Live, key: usize| {
-                    let carry = match cols {
-                        None => Carry::all(&input.schema),
-                        Some(cols) => Carry::new(&input.schema, input.positions(cols)?)?,
-                    };
-                    Ok::<_, ExecError>((carry, input.at(key)?))
-                };
-                let sides = [
-                    carry(&build_in, &build_carried, *build_key)?,
-                    carry(&probe_in, &probe_carried, *probe_key)?,
-                ];
-                let all = |width| (0..width).collect::<BTreeSet<usize>>();
-                let probe_cols = probe_carried.unwrap_or_else(|| all(probe_width));
-                let mut cols: Vec<usize> = probe_cols.into_iter().collect();
-                if !keys_only {
-                    let build_cols = build_carried.unwrap_or_else(|| all(build_width));
-                    cols.extend(build_cols.into_iter().map(|c| c + probe_width));
+    let (kernel, inputs, out_per_tuple, layout): Node = match plan {
+        PhysicalPlan::Scan { table, cost } => {
+            let table = catalog
+                .get(table)
+                .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
+            let kernel = ScanKernel::new(table.pages().to_vec(), *cost);
+            let layout = Layout::full(table.schema());
+            (Box::new(kernel), vec![], cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::Source { schema } => {
+            // Source as root: relay external pages to the consumers.
+            let rx = sources
+                .pop_front()
+                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
+            let layout = Layout::full(&schema.0);
+            (Box::new(Relay(schema.0.clone())), vec![rx], 0.0, layout)
+        }
+        PhysicalPlan::Filter {
+            input,
+            predicate,
+            cost,
+        } => {
+            let live = reading(live, predicate);
+            let (rx, layout) = child_input(input, &live, sources, preorder, built)?;
+            let kernel = row_kernel(plan, &layout, &layout.schema)?;
+            (kernel, vec![rx], cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::Project { input, exprs, cost } => {
+            let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
+            let out_schema = plan.try_output_schema(catalog)?;
+            let (rx, child) = child_input(input, &reads(&exprs), sources, preorder, built)?;
+            let kernel = row_kernel(plan, &child, &out_schema)?;
+            let layout = Layout::full(&out_schema);
+            (kernel, vec![rx], cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            cost,
+        } => {
+            let out_schema = plan.try_output_schema(catalog)?;
+            let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
+            let live = reading(&reads(group_by), &aggs);
+            let (rx, child) = child_input(input, &live, sources, preorder, built)?;
+            let (by, aggs) = (child.remap(group_by)?, child.remap(&aggs)?);
+            let layout = Layout::full(&out_schema);
+            let kernel = AggregateKernel::new(child.schema, by, aggs, out_schema, *cost)?;
+            (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::Sort { input, keys, cost } => {
+            let logical = plan.try_output_schema(catalog)?;
+            let carried = carried(live, keys, logical.len());
+            let (rx, child) = child_input(input, &carried, sources, preorder, built)?;
+            let carry = child.carry(&carried)?;
+            let layout = Layout::of(&logical, every(carried, logical.len()));
+            // Over a full layout, keys out of range fail the kernel's check.
+            let keys = layout.remap(keys)?;
+            let width = layout.width();
+            let kernel = SortKernel::carrying(carry, keys, *cost, sctx.clone(), width)?;
+            (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::HashJoin {
+            build,
+            probe,
+            build_key,
+            probe_key,
+            kind,
+            build_cost,
+            probe_cost,
+        } => {
+            let logical = plan.try_output_schema(catalog)?;
+            let probe_width = probe.try_output_schema(catalog)?.len();
+            let build_width = build.try_output_schema(catalog)?.len();
+            // What the consumer reads of each side: the output is the
+            // probe's columns, then for an inner or left outer join
+            // the build's.
+            let (probe_live, build_live) = match live {
+                None => (None, None),
+                Some(live) => {
+                    let (probe, build): (BTreeSet<usize>, _) =
+                        live.iter().partition(|&&c| c < probe_width);
+                    let build = build.into_iter().map(|c| c - probe_width).collect();
+                    (Some(probe), Some(build))
                 }
-                let layout = Layout::of(&logical, cols);
-                let kernel = HashJoinKernel::carrying(
-                    *kind,
-                    sides,
-                    keys_only,
-                    layout.schema.clone(),
-                    layout.width(),
-                    (*build_cost, *probe_cost),
-                    sctx.clone(),
-                )?;
-                let inputs = vec![rx_build, rx_probe];
-                (Box::new(kernel), inputs, probe_cost.out_per_tuple, layout)
+            };
+            // A join that reads no build column keeps keys alone.
+            let keys_only = match kind {
+                JoinKind::Semi | JoinKind::Anti => true,
+                JoinKind::Inner | JoinKind::LeftOuter => {
+                    build_live.as_ref().is_some_and(BTreeSet::is_empty)
+                }
+            };
+            let build_carried = match keys_only {
+                true => Some(BTreeSet::from([*build_key])),
+                false => carried(&build_live, &[*build_key], build_width),
+            };
+            let probe_carried = carried(&probe_live, &[*probe_key], probe_width);
+            let (rx_build, build_in) =
+                child_input(build, &build_carried, sources, preorder, built)?;
+            let (rx_probe, probe_in) =
+                child_input(probe, &probe_carried, sources, preorder, built)?;
+            let sides = [
+                (build_in.carry(&build_carried)?, build_in.at(*build_key)?),
+                (probe_in.carry(&probe_carried)?, probe_in.at(*probe_key)?),
+            ];
+            let mut cols = every(probe_carried, probe_width);
+            if !keys_only {
+                let build_cols = every(build_carried, build_width).into_iter();
+                cols.extend(build_cols.map(|c| c + probe_width));
             }
-            PhysicalPlan::NestedLoopJoin {
-                outer,
-                inner,
-                predicate,
-                cost,
-            } => {
-                let pair_schema = plan.try_output_schema(catalog)?;
-                let (rx_outer, outer) = child_input(outer, &None, sources, preorder, built)?;
-                let (rx_inner, inner) = child_input(inner, &None, sources, preorder, built)?;
-                let predicate = predicate.clone();
-                let layout = Layout::full(&pair_schema);
-                let kernel =
-                    NljKernel::new(outer.schema, inner.schema, predicate, pair_schema, *cost)?;
-                let inputs = vec![rx_inner, rx_outer];
-                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
-            }
-            PhysicalPlan::MergeJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-                cost,
-            } => {
-                let out_schema = plan.try_output_schema(catalog)?;
-                let (rx_left, left) = child_input(left, &None, sources, preorder, built)?;
-                let (rx_right, right) = child_input(right, &None, sources, preorder, built)?;
-                let layout = Layout::full(&out_schema);
-                let kernel = MergeJoinKernel::new(
-                    left.schema,
-                    right.schema,
-                    *left_key,
-                    *right_key,
-                    out_schema,
-                    *cost,
-                )?;
-                let inputs = vec![rx_left, rx_right];
-                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
-            }
-        };
+            let layout = Layout::of(&logical, cols);
+            let kernel = HashJoinKernel::carrying(
+                *kind,
+                sides,
+                keys_only,
+                layout.schema.clone(),
+                layout.width(),
+                (*build_cost, *probe_cost),
+                sctx.clone(),
+            )?;
+            let inputs = vec![rx_build, rx_probe];
+            (Box::new(kernel), inputs, probe_cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::NestedLoopJoin {
+            outer,
+            inner,
+            predicate,
+            cost,
+        } => {
+            let pair_schema = plan.try_output_schema(catalog)?;
+            let (rx_outer, outer) = child_input(outer, &None, sources, preorder, built)?;
+            let (rx_inner, inner) = child_input(inner, &None, sources, preorder, built)?;
+            let predicate = predicate.clone();
+            let layout = Layout::full(&pair_schema);
+            let kernel = NljKernel::new(outer.schema, inner.schema, predicate, pair_schema, *cost)?;
+            let inputs = vec![rx_inner, rx_outer];
+            (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+        }
+        PhysicalPlan::MergeJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+            cost,
+        } => {
+            let out_schema = plan.try_output_schema(catalog)?;
+            let (rx_left, left) = child_input(left, &None, sources, preorder, built)?;
+            let (rx_right, right) = child_input(right, &None, sources, preorder, built)?;
+            let layout = Layout::full(&out_schema);
+            let kernel = MergeJoinKernel::new(
+                left.schema,
+                right.schema,
+                *left_key,
+                *right_key,
+                out_schema,
+                *cost,
+            )?;
+            let inputs = vec![rx_left, rx_right];
+            (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+        }
+    };
     built.push((name, shell(kernel, inputs, outs, out_per_tuple, fault)));
     Ok(layout)
 }
