@@ -477,7 +477,8 @@ type Node = (Box<dyn Kernel>, Vec<Inlet>, f64, Layout);
 struct Layout {
     /// The node's output schema, the plan's.
     logical: Arc<Schema>,
-    cols: Vec<usize>,
+    /// `None`: every column, in order.
+    cols: Option<Vec<usize>>,
     schema: Arc<Schema>,
 }
 
@@ -486,7 +487,7 @@ impl Layout {
     fn full(schema: &Arc<Schema>) -> Self {
         Layout {
             logical: schema.clone(),
-            cols: (0..schema.len()).collect(),
+            cols: None,
             schema: schema.clone(),
         }
     }
@@ -500,12 +501,8 @@ impl Layout {
         Layout {
             schema: Schema::new(fields.collect()),
             logical: logical.clone(),
-            cols,
+            cols: Some(cols),
         }
-    }
-
-    fn is_full(&self) -> bool {
-        self.cols.len() == self.logical.len()
     }
 
     /// The unnarrowed row width: every count that divides by a row
@@ -517,8 +514,12 @@ impl Layout {
     /// Where output column `col` sits in the rows. A column the pages
     /// do not carry is one the output does not have.
     fn at(&self, col: usize) -> Result<usize, ExecError> {
-        let at = self.cols.binary_search(&col);
-        at.map_err(|_| crate::plan::column_range_error("column", col, &self.logical))
+        let at = match &self.cols {
+            None if col < self.logical.len() => Some(col),
+            None => None,
+            Some(cols) => cols.binary_search(&col).ok(),
+        };
+        at.ok_or_else(|| crate::plan::column_range_error("column", col, &self.logical))
     }
 
     /// What a narrowing node over these pages keeps of their rows: the
@@ -535,7 +536,7 @@ impl Layout {
     /// in the rows: what a node runs over its child's pages.
     fn remap<T: Columns>(&self, x: &T) -> Result<T, ExecError> {
         let mut x = x.clone();
-        if !self.is_full() {
+        if self.cols.is_some() {
             let mut failed = None;
             x.visit_cols(&mut |col| match self.at(*col) {
                 Ok(at) => *col = at,
