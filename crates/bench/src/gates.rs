@@ -12,9 +12,9 @@
 //!
 //! * [`OPS`] — figure `ops`, what only virtual time can pin at operator
 //!   level: how far past its budget a spilling operator's tracked
-//!   memory peaks (panel `spill`), what morsel-parallel wiring buys on a
-//!   `k`-context machine (`parallel`), and when subsumption sharing wins
-//!   or loses (`subsume`, `policy`).
+//!   memory peaks and how many bytes it spills (panel `spill`), what
+//!   morsel-parallel wiring buys on a `k`-context machine (`parallel`),
+//!   and when subsumption sharing wins or loses (`subsume`, `policy`).
 //! * [`SERVICE`] — figure `service`: the open-system service loop's
 //!   counts, throughput and p50/p99/p999 response times.
 //! * [`PAPER`] — the paper's model-only figures: Figure 4's sweeps and
