@@ -5,12 +5,13 @@
 //! Buffered pages are kept whole. The sort builds one `(key, (page,
 //! row))` entry per buffered row in a single flat vector, sized to the
 //! batch, and orders that vector, so no row moves until emission
-//! slices it straight out of its page's payload. Keys totalling ≤ 8 bytes pack into an
-//! order-preserving `u64` ([`PackedKeySpec`], gathered page-at-a-time)
-//! and are ordered by a stable LSD **radix sort** that skips every
-//! byte position on which all keys of the batch agree (a date key
-//! spanning a few years takes 2 passes of 8). Wider keys fall back to
-//! per-row [`KeyVal`] tuples under a stable comparison sort.
+//! slices it straight out of its page's payload. Keys totalling ≤ 8
+//! bytes pack into an order-preserving `u64` ([`PackedKeySpec`],
+//! gathered page-at-a-time) and are ordered by a stable LSD **radix
+//! sort** that skips every byte position on which all keys of the batch
+//! agree (a date key spanning a few years takes 2 passes of 8). Wider
+//! keys fall back to per-row [`KeyVal`] tuples under a stable
+//! comparison sort.
 //!
 //! Key order visits the buffered pages at random, so the in-memory
 //! emission is a gather of cache misses: it prefetches the row
@@ -261,12 +262,13 @@ impl SortKernel {
     /// batch's size — twice it for the radix passes — not grown by
     /// doubling: beside the pages it is what the sort holds at its peak.
     fn sort_rows(&mut self) {
-        let passes = match self.keys {
+        // The radix passes scatter into a second batch of entries.
+        let copies = match self.keys {
             Keys::Packed { .. } => 2,
             Keys::General(_) => 1,
         };
         self.rows.clear();
-        self.rows.reserve_exact(passes * self.buffered);
+        self.rows.reserve_exact(copies * self.buffered);
         for (at, page) in self.pages.iter().enumerate() {
             let locs = (0..page.rows() as u32).map(|row| (at as u32, row));
             match &mut self.keys {
