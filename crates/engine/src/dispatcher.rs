@@ -331,7 +331,8 @@ impl DispatcherTask {
             let pages = hit.pages.borrow().clone();
             let replay = Box::new(ScanKernel::new(pages, OpCost::per_tuple(0.0)));
             let fanout = Fanout::new(outs, root_out_per_tuple(pivot));
-            let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default());
+            let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default())
+                .morsel_pages(core.wiring.parallel.morsel_pages);
             ctx.spawn_task(format!("g{gid}/cached"), Box::new(task));
             return Ok(None);
         }
@@ -372,6 +373,7 @@ impl DispatcherTask {
                 Fanout::none(),
                 FaultCell::default(),
             )
+            .morsel_pages(core.wiring.parallel.morsel_pages)
             .on_done(Box::new(move |_ctx| {
                 // Servable only if the pivot drained without faulting.
                 if fault.get().is_none() {
@@ -458,7 +460,8 @@ impl DispatcherTask {
             vec![rx.into()],
             Fanout::none(),
             FaultCell::default(),
-        );
+        )
+        .morsel_pages(core.wiring.parallel.morsel_pages);
         let sink = sink.on_done(Box::new(move |ctx| {
             // The engine core can be gone when a time-capped or
             // cancelled run tears down while sinks still drain; there

@@ -32,6 +32,12 @@
 //!   most `queue_capacity × morsel_pages` pages (16 × 4) are in flight
 //!   per consumer, as `Arc`s.
 //!
+//! Both substrates move the same granularity: every operator's shell,
+//! on a thread's run loop as in the simulator, makes up to
+//! `morsel_pages` kernel calls a step, so a scan pivot's step gathers
+//! exactly the morsel its links hand off, and a consumer's step reads
+//! the hand-off it holds (never waiting on the link mid-step).
+//!
 //! Faults stay per query: a consumer that fails hangs up its link and
 //! the producer stops serving it at its next hand-off while its peers
 //! go on, and once every consumer has hung up the pivot's root stops

@@ -303,19 +303,36 @@ fn failures_index_offered_positions_under_rejections() {
     assert_eq!(report.submitted, report.offered - report.rejected);
 }
 
-/// Virtual time is pinned: the values below were recorded at the commit
-/// before the run loops were collapsed into `Run`, and must never move.
-#[test]
-fn virtual_time_is_pinned() {
+/// One page per simulated step: the protocol before steps moved a
+/// morsel, under which every number pinned at its side was recorded.
+const ONE_PAGE: ParallelConfig = ParallelConfig {
+    workers: 1,
+    morsel_pages: 1,
+};
+
+/// `engine_cfg(policy)` at `parallel`.
+fn engine_cfg_at(policy: Policy, parallel: ParallelConfig) -> EngineConfig {
+    EngineConfig {
+        parallel,
+        ..engine_cfg(policy)
+    }
+}
+
+/// The pinned service run: a bursty schedule of Q6 and Q1 under the
+/// model-guided policy with a fragment cache, admission bounded at 8,
+/// steps of `parallel.morsel_pages` pages. Returns its report and the
+/// makespans of one Q1+Q6 batch never and always shared. Checks on the
+/// way that row capture does not perturb time.
+fn pinned_service_run(parallel: ParallelConfig) -> (Report, (VTime, VTime)) {
     let cat = catalog();
     let mut models = HashMap::new();
     for spec in pool() {
-        let mut profile_cfg = engine_cfg(Policy::NeverShare);
+        let mut profile_cfg = engine_cfg_at(Policy::NeverShare, parallel);
         profile_cfg.contexts = 1;
         let (info, _) = profile_query(&cat, &spec, &profile_cfg).expect("profiles");
         models.insert(spec.name.clone(), info);
     }
-    let mut engine = engine_cfg(Policy::model_guided(models));
+    let mut engine = engine_cfg_at(Policy::model_guided(models), parallel);
     engine.fragment_cache = 2;
     let schedule = bursty(&pool(), 3, 4, 10, 200_000, 21);
     let bounded = ServiceConfig {
@@ -324,6 +341,32 @@ fn virtual_time_is_pinned() {
         time_cap: None,
     };
     let report = run_service(&cat, schedule.clone(), &bounded);
+
+    // Capture must not perturb time: the same schedule, unbounded, with
+    // and without row capture.
+    let unbounded = ServiceConfig {
+        admission_capacity: usize::MAX,
+        ..bounded
+    };
+    let plain = run_service(&cat, schedule.clone(), &unbounded);
+    let (captured, rows) = run_open_loop_collecting(&cat, schedule, &engine, u64::MAX / 4);
+    assert_eq!(plain.dispositions, captured.dispositions);
+    assert_eq!(plain.response_times, captured.response_times);
+    assert!(plain.results.is_empty() && plain.task_stats.is_empty());
+    assert_eq!(rows.len(), captured.offered);
+
+    let batch = [pool()[1].clone(), pool()[0].clone()];
+    let never = run_once(&cat, &batch, &engine_cfg_at(Policy::NeverShare, parallel));
+    let always = run_once(&cat, &batch, &engine_cfg_at(Policy::AlwaysShare, parallel));
+    (report, (never.makespan, always.makespan))
+}
+
+/// Virtual time is pinned: the values below were recorded at the commit
+/// before the run loops were collapsed into `Run`, and must never move
+/// at one page per step.
+#[test]
+fn virtual_time_is_pinned() {
+    let (report, (never, always)) = pinned_service_run(ONE_PAGE);
     let done = |at, response| Disposition::Completed { at, response };
     assert_eq!(report.makespan, 1_111_181);
     assert_eq!(
@@ -356,24 +399,47 @@ fn virtual_time_is_pinned() {
             ..SharingCounters::default()
         }
     );
+    assert_eq!((never, always), (269_630, 368_303));
+}
 
-    // Capture must not perturb time: the same schedule, unbounded, with
-    // and without row capture.
-    let unbounded = ServiceConfig {
-        admission_capacity: usize::MAX,
-        ..bounded
-    };
-    let plain = run_service(&cat, schedule.clone(), &unbounded);
-    let (captured, rows) = run_open_loop_collecting(&cat, schedule, &engine, u64::MAX / 4);
-    assert_eq!(plain.dispositions, captured.dispositions);
-    assert_eq!(plain.response_times, captured.response_times);
-    assert!(plain.results.is_empty() && plain.task_stats.is_empty());
-    assert_eq!(rows.len(), captured.offered);
-
-    let batch = [pool()[1].clone(), pool()[0].clone()];
-    let never = run_once(&cat, &batch, &engine_cfg(Policy::NeverShare));
-    let always = run_once(&cat, &batch, &engine_cfg(Policy::AlwaysShare));
-    assert_eq!((never.makespan, always.makespan), (269_630, 368_303));
+/// The same run at the default morsel size, recorded when simulated
+/// steps began to move a morsel of pages.
+#[test]
+fn virtual_time_is_pinned_at_the_default_morsel() {
+    let (report, (never, always)) = pinned_service_run(ParallelConfig::with_workers(1));
+    let done = |at, response| Disposition::Completed { at, response };
+    assert_eq!(report.makespan, 1_110_788);
+    assert_eq!(
+        report.response_times,
+        [764_829, 842_829, 842_860, 842_841, 910_345, 912_643, 912_644, 912_713]
+    );
+    assert_eq!(
+        report.dispositions,
+        [
+            done(878_074, 842_860),
+            done(800_053, 764_829),
+            done(878_075, 842_841),
+            done(878_073, 842_829),
+            done(1_108_419, 910_345),
+            done(1_110_718, 912_644),
+            done(1_110_717, 912_643),
+            done(1_110_787, 912_713),
+            Disposition::Rejected,
+            Disposition::Rejected,
+            Disposition::Rejected,
+            Disposition::Rejected,
+        ]
+    );
+    assert_eq!(report.group_sizes, [3, 1, 4]);
+    assert_eq!(
+        report.sharing,
+        SharingCounters {
+            fingerprint_misses: 3,
+            fingerprint_evictions: 1,
+            ..SharingCounters::default()
+        }
+    );
+    assert_eq!((never, always), (269_644, 368_497));
 }
 
 /// The blocking operators' shapes: TPC-H Q4 (a semi join under a
@@ -424,14 +490,9 @@ fn blocking_pool() -> Vec<QuerySpec> {
     ]
 }
 
-/// Virtual time and rows of the blocking operators are pinned: what
-/// these four plans return, and when, at 1 and 2 contexts, unbudgeted.
-/// The values were recorded before sorts and hash joins carried only
-/// the columns their consumers read; which columns an operator carries
-/// is not the model's business, so they must never move.
-#[test]
-fn blocking_operators_virtual_time_is_pinned() {
-    let cat = catalog();
+/// What the four blocking plans return: Q4's and Q13's groups, then
+/// `sort_agg`'s and `join_agg`'s one row each.
+fn blocking_rows() -> Vec<Vec<Vec<Value>>> {
     let int = Value::Int;
     let q4 = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"]
         .into_iter()
@@ -441,23 +502,58 @@ fn blocking_operators_virtual_time_is_pinned() {
         .into_iter()
         .zip(2..)
         .map(|(custdist, c_count)| vec![int(c_count), int(custdist)]);
-    let rows = vec![
+    vec![
         q4.collect(),
         q13.collect(),
         vec![vec![int(12_070), Value::Float(156_581_309.046_865_1)]],
         vec![vec![int(12_070)]],
-    ];
-    for (contexts, makespan, responses) in [
-        (1, 1_299_029, [536_281, 1_051_277, 1_226_382, 1_299_028]),
-        (2, 653_770, [259_603, 535_909, 636_646, 653_769]),
-    ] {
+    ]
+}
+
+/// Runs the four blocking plans unshared, unbudgeted, at `parallel`,
+/// on each context count of `pins` (with the makespan and the four
+/// response times it must produce) and checks those and the rows.
+fn check_blocking(parallel: ParallelConfig, pins: [(usize, VTime, [VTime; 4]); 2]) {
+    let cat = catalog();
+    let rows = blocking_rows();
+    for (contexts, makespan, responses) in pins {
         let cfg = EngineConfig {
             contexts,
-            ..engine_cfg(Policy::NeverShare)
+            ..engine_cfg_at(Policy::NeverShare, parallel)
         };
         let out = run_once(&cat, &blocking_pool(), &cfg);
         assert_eq!(out.makespan, makespan, "{contexts} contexts");
         assert_eq!(out.response_times, responses, "{contexts} contexts");
         assert_eq!(out.results, rows, "{contexts} contexts");
     }
+}
+
+/// Virtual time and rows of the blocking operators are pinned: what
+/// these four plans return, and when, at 1 and 2 contexts, unbudgeted,
+/// one page per step. The values were recorded before sorts and hash
+/// joins carried only the columns their consumers read; which columns
+/// an operator carries is not the model's business, so they must never
+/// move.
+#[test]
+fn blocking_operators_virtual_time_is_pinned() {
+    check_blocking(
+        ONE_PAGE,
+        [
+            (1, 1_299_029, [536_281, 1_051_277, 1_226_382, 1_299_028]),
+            (2, 653_770, [259_603, 535_909, 636_646, 653_769]),
+        ],
+    );
+}
+
+/// The same at the default morsel size, recorded when simulated steps
+/// began to move a morsel of pages: the rows are the same.
+#[test]
+fn blocking_operators_virtual_time_is_pinned_at_the_default_morsel() {
+    check_blocking(
+        ParallelConfig::with_workers(1),
+        [
+            (1, 1_299_030, [629_767, 1_061_898, 1_234_449, 1_299_029]),
+            (2, 657_261, [291_819, 550_301, 624_604, 657_260]),
+        ],
+    );
 }

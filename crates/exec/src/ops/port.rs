@@ -155,6 +155,13 @@ impl Feed {
         }
     }
 
+    /// Whether `recv` would return a page without reading the link. A
+    /// faulted query's reads as closed.
+    fn holds_page(&self) -> bool {
+        let ahead = || self.ahead.get(&self.next).is_some_and(|p| !p.is_empty());
+        !self.fault.is_set() && (!self.morsel.as_slice().is_empty() || ahead())
+    }
+
     fn hang_up(&mut self, ctx: &mut TaskCtx<'_>) {
         if let Some(LinkRx::GroupSim(rx)) = &self.rx {
             rx.close(ctx);
@@ -205,6 +212,18 @@ impl Inlet {
         match &mut self.0 {
             In::Sim(rx) => Ok(rx.try_recv(ctx)),
             In::Link(feed) => feed.recv(ctx),
+        }
+    }
+
+    /// Whether [`Inlet::recv`] would return a page now, without waiting:
+    /// a simulator channel holds one, or a link one of the hand-off it
+    /// is unpacking (or of the next in order, already arrived). Registers
+    /// nothing and never blocks; `false` for an input that has ended.
+    #[inline]
+    pub(crate) fn is_ready(&self) -> bool {
+        match &self.0 {
+            In::Sim(rx) => !rx.is_empty(),
+            In::Link(feed) => feed.holds_page(),
         }
     }
 

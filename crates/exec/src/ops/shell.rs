@@ -15,7 +15,7 @@
 //!   produced. A full consumer ends the step ([`Step::blocked`]) before
 //!   anything new is read, so pages are neither lost nor reordered and
 //!   at most one kernel call's output is ever queued.
-//! * **One page per step.** With nothing left to deliver the shell
+//! * **A page per call.** With nothing left to deliver the shell
 //!   reads one page from the port [`Kernel::next_port`] names — by
 //!   default the first open one in the order of [`Kernel::ports`]
 //!   (build before probe, inner before outer), so ports are read to
@@ -24,20 +24,34 @@
 //!   [`Kernel::on_page`]. An empty channel registers the task as a
 //!   waiter and blocks (an input from another thread blocks the thread
 //!   instead: see [`port`](super::port)). A closed one calls
-//!   [`Kernel::on_close`]; the step still yields, for at least the
-//!   `min_tick` the kernel asks (the blocking operators' close step
-//!   always advances virtual time, the streaming ones' costs nothing).
-//!   A kernel that answers `last` there (the sink) is done: the shell
-//!   closes its consumers and finishes in that same step, at no less
-//!   than `min_tick`.
+//!   [`Kernel::on_close`], for at least the `min_tick` the kernel asks
+//!   of the step (the blocking operators' close step always advances
+//!   virtual time, the streaming ones' costs nothing). A kernel that
+//!   answers `last` there (the sink) is done: the shell closes its
+//!   consumers and finishes in that same step, at no less than
+//!   `min_tick`.
 //! * **Drain.** With every port closed — from the first step, for a
-//!   kernel with none (the scan, one page per call) — each step calls
-//!   [`Kernel::drain`] until it reports `last`; once that output is
-//!   delivered the shell closes its consumers and is done — in the same
-//!   step when nothing is left to deliver. (Filter and project end
-//!   that way: tail and close in one step. The operators that emit in
-//!   batches have always finished with a separate closing step, and
-//!   keep it by answering a final [`Drained::LAST`].)
+//!   kernel with none (the scan and a morsel worker, a page per call)
+//!   — the shell calls [`Kernel::drain`] until it reports `last`; once
+//!   that output is delivered the shell closes its consumers and is
+//!   done — in the same step when nothing is left to deliver. (The
+//!   operators that emit in batches answer a final [`Drained::LAST`].)
+//! * **A morsel per step.** A step makes up to
+//!   [`OperatorShell::morsel_pages`] such calls, one after the other
+//!   while everything is delivered, and reports the sum of their costs
+//!   and deliveries as one step; the wiring sizes it by
+//!   `ParallelConfig::morsel_pages`, so a scan or a morsel worker moves
+//!   a morsel a step. A step ends early when the fan-out could not
+//!   deliver everything (blocked, one call's output queued), when a
+//!   call answers `last` (done), when a call sets a `min_tick` (so a
+//!   blocking operator's close keeps a step of its own), and when the
+//!   port the next call would read has no page in hand
+//!   ([`Inlet::is_ready`]): only a step's first read may wait, so a
+//!   port that runs dry mid-step ends it as a yield and registers no
+//!   waiter. An input from another thread goes on only through the
+//!   hand-off it holds. Rows and every call's charge do not depend on
+//!   the size; at one page per step the schedule is the one-page
+//!   protocol's, step for step.
 //! * **Who charges what.** The kernel returns the work (`w` side) of
 //!   each call and the progress it stands for; the shell adds the
 //!   delivery cost (`s` side) its [`Fanout`] charges per consumer, and
@@ -58,11 +72,12 @@
 //!   undelivered output is abandoned, the consumers see end-of-stream,
 //!   and the step is [`Step::done`] at cost 1.
 //! * **Nobody listening.** Once every consumer is an OS link found hung
-//!   up ([`Fanout::is_unheard`]) the step that delivered ends the task
-//!   the same way, but sets no fault and keeps its cost: a pivot whose
-//!   consumer threads have all failed stops within a morsel instead of
-//!   running on for nobody. A simulator channel never reports this;
-//!   there a consumer's abort is the engine's to propagate.
+//!   up ([`Fanout::is_unheard`]) the call whose delivery found it ends
+//!   the step and the task the same way, but sets no fault and keeps
+//!   its cost: a pivot whose consumer threads have all failed stops
+//!   within a morsel instead of running on for nobody. A simulator
+//!   channel never reports this; there a consumer's abort is the
+//!   engine's to propagate.
 //! * **Done, once.** The hook set with [`OperatorShell::on_done`] runs
 //!   in the step that returns [`Step::done`], on the failure path too:
 //!   the engine's query accounting hangs off its sinks'.
@@ -247,6 +262,8 @@ pub struct OperatorShell {
     fanout: Fanout,
     fault: FaultCell,
     on_done: Option<OnDone>,
+    /// The most kernel calls one step makes.
+    morsel_pages: usize,
 }
 
 impl OperatorShell {
@@ -279,7 +296,17 @@ impl OperatorShell {
             fanout,
             fault,
             on_done: None,
+            morsel_pages: 1,
         }
+    }
+
+    /// Makes up to `pages` kernel calls per step (`0` treated as `1`)
+    /// instead of one, so a step moves a morsel of pages; see the `ops`
+    /// module's shell docs for when a step ends early.
+    #[must_use]
+    pub fn morsel_pages(mut self, pages: usize) -> Self {
+        self.morsel_pages = pages.max(1);
+        self
     }
 
     /// Runs `f` once, in the step this task finishes — whether the
@@ -290,7 +317,17 @@ impl OperatorShell {
         self
     }
 
-    /// The kernel call this step is for; `None` when the input it reads
+    /// Whether the next kernel call can be made without waiting: every
+    /// input has ended (the call drains), or the port it reads has a
+    /// page in hand. Registers nothing.
+    fn ready(&self) -> bool {
+        if !self.open.contains(&true) {
+            return true;
+        }
+        self.inputs[self.kernel.next_port(&self.open)].rx.is_ready()
+    }
+
+    /// The next kernel call of this step; `None` when the input it reads
     /// has nothing yet. Returns the call's cost and the step's floor.
     fn call_kernel(&mut self, ctx: &mut TaskCtx<'_>) -> Result<Option<(VTime, VTime)>, ExecError> {
         if !self.open.contains(&true) {
@@ -355,15 +392,29 @@ impl Task for OperatorShell {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let (mut cost, mut drained) = self.fanout.flush(ctx);
         let mut min_tick = 0;
-        if drained && !self.last {
+        let mut calls = 0;
+        while drained && !self.last && calls < self.morsel_pages {
+            // Only the first read of a step may wait; a later one needs a
+            // page in hand.
+            if calls > 0 && !self.ready() {
+                break;
+            }
             match self.call_kernel(ctx) {
                 Ok(Some((work, floor))) => {
-                    (cost, min_tick) = (cost + work, floor);
+                    cost += work;
                     if !self.out.is_empty() {
                         self.fanout.extend(&mut self.out);
                     }
                     let (delivery, all) = self.fanout.flush(ctx);
                     (cost, drained) = (cost + delivery, all);
+                    calls += 1;
+                    if floor > 0 {
+                        min_tick = floor;
+                        break;
+                    }
+                    if self.fanout.is_unheard() {
+                        break;
+                    }
                 }
                 Ok(None) => return Step::blocked(cost),
                 Err(err) => return self.fail(ctx, err),
@@ -557,6 +608,12 @@ mod tests {
                 done,
                 detached: DetachedCtx::new(),
             }
+        }
+
+        /// Steps of up to `pages` kernel calls.
+        fn morsel(mut self, pages: usize) -> Self {
+            self.shell = self.shell.morsel_pages(pages);
+            self
         }
 
         fn step(&mut self) -> Step {
@@ -953,5 +1010,173 @@ mod tests {
         );
         assert_eq!(rig.calls(), "page0 page0 page0 release");
         assert_eq!(rig.done.get(), 1, "the input check's failure path too");
+    }
+
+    #[test]
+    fn a_multi_page_step_charges_the_sum_of_its_calls() {
+        // Six pages in hand, four calls a step: 4 then 2, each call 10 of
+        // work plus 1 to deliver its one row; the rows stay in order.
+        let mut rig = Rig::new(8, |_| ()).morsel(4);
+        rig.feed(0, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(rig.step(), Step::yielded(4 * (10 + 1)));
+        assert_eq!(rig.calls(), "page0 page0 page0 page0");
+        assert_eq!(rig.step(), Step::yielded(2 * (10 + 1)));
+        assert_eq!(rig.calls().matches("page0").count(), 6);
+        let read: Vec<_> = (0..6).map(|_| rig.read()).collect();
+        assert_eq!(read, [1, 2, 3, 4, 5, 6].map(Ok));
+    }
+
+    #[test]
+    fn a_full_consumer_ends_a_multi_page_step_with_one_calls_output_queued() {
+        // Three copies of each page into a two-page channel: the first
+        // call's third copy finds it full, so the step ends blocked
+        // after one call, not four, with that copy queued.
+        let mut rig = Rig::new(2, |k| k.copies = 3).morsel(4);
+        rig.feed(0, &[1, 2]);
+        assert_eq!(rig.step(), Step::blocked(10 + 2));
+        assert_eq!(rig.calls(), "page0");
+        assert_eq!(
+            [rig.read(), rig.read(), rig.read()],
+            [Ok(1), Ok(1), Err(false)]
+        );
+        // The queued copy goes first; page 2's three copies fill the
+        // channel again.
+        assert_eq!(rig.step(), Step::blocked(1 + 10 + 1));
+        assert_eq!(rig.calls(), "page0 page0");
+        assert_eq!([rig.read(), rig.read()], [Ok(1), Ok(2)]);
+    }
+
+    #[test]
+    fn a_dry_port_ends_a_multi_page_step_as_a_yield_registering_no_waiter() {
+        let mut rig = Rig::new(8, |_| ()).morsel(4);
+        rig.feed(0, &[1, 2]);
+        assert_eq!(rig.step(), Step::yielded(2 * (10 + 1)));
+        assert_eq!(rig.calls(), "page0 page0");
+        rig.detached.drain_wakes();
+        rig.feed(0, &[3]);
+        assert!(
+            rig.detached.drain_wakes().is_empty(),
+            "no waiter registered"
+        );
+        // Only a step's first read waits: an empty port then blocks it.
+        assert_eq!(rig.step(), Step::yielded(10 + 1));
+        assert_eq!(rig.step(), Step::blocked(0));
+        rig.feed(0, &[4]);
+        let woken = rig.detached.drain_wakes();
+        assert_eq!(woken.iter().map(|t| t.index()).collect::<Vec<_>>(), [SHELL]);
+    }
+
+    #[test]
+    fn a_close_with_a_min_tick_ends_its_multi_page_step() {
+        // The close (3, raised to its floor of 5) is a step of its own;
+        // the two batches and the last call then share one.
+        let mut rig = Rig::new(8, |k| {
+            k.min_tick = 5;
+            k.batches = 2;
+        })
+        .morsel(4);
+        rig.feed(0, &[1]);
+        rig.close(0);
+        assert_eq!(
+            rig.step(),
+            Step::yielded(10 + 1),
+            "a closed port is no page"
+        );
+        assert_eq!(rig.step(), Step::yielded(5));
+        assert_eq!(rig.calls(), "page0 close0");
+        assert_eq!(rig.step(), Step::done(2 * (2 + 1)));
+        assert_eq!(rig.calls(), "page0 close0 drain drain drain");
+        assert_eq!(rig.done.get(), 1);
+    }
+
+    #[test]
+    fn a_close_without_a_min_tick_drains_in_the_same_multi_page_step() {
+        let mut rig = Rig::new(8, |k| k.tail = true).morsel(4);
+        rig.close(0);
+        // The close costs 3; the last call's tail costs 1 to deliver.
+        assert_eq!(rig.step(), Step::done(3 + 1));
+        assert_eq!(rig.calls(), "close0 drain");
+        assert_eq!([rig.read(), rig.read()], [Ok(-1), Err(true)]);
+    }
+
+    #[test]
+    fn last_mid_step_finishes_in_that_step() {
+        // Two batches and the last call of a kernel without ports, four
+        // calls a step: one step, three calls, done.
+        let mut rig = Rig::new(8, |k| {
+            k.ports = 0;
+            k.batches = 2;
+        })
+        .morsel(4);
+        assert_eq!(rig.step(), Step::done(2 * (2 + 1)));
+        assert_eq!(rig.calls(), "drain drain drain");
+        assert_eq!(rig.done.get(), 1);
+        assert_eq!(
+            [rig.read(), rig.read(), rig.read()],
+            [Ok(-1), Ok(-1), Err(true)]
+        );
+    }
+
+    #[test]
+    fn a_link_from_another_thread_is_read_through_its_hand_off_only() {
+        // A hand-off of two pages, four calls a step: the step ends when
+        // the hand-off does, without waiting on the link.
+        let (link, rx) = std::sync::mpsc::sync_channel(4);
+        assert!(link.send(Ok(vec![page(1), page(2)])).is_ok());
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let (tx, _out) = channel::bounded(8);
+        let fault = FaultCell::default();
+        let kernel = Box::new(Scripted::new(&calls));
+        let fanout = Fanout::new(vec![tx.into()], 1.0);
+        let mut shell =
+            OperatorShell::new(kernel, vec![Inlet::os(rx, &fault)], fanout, fault).morsel_pages(4);
+        let mut detached = DetachedCtx::new();
+        assert_eq!(
+            shell.step(&mut detached.ctx(SHELL)),
+            Step::yielded(2 * (10 + 1))
+        );
+        assert_eq!(calls.borrow().join(" "), "page0 page0");
+        // The next step's first read may wait on the link: it hung up.
+        drop(link);
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(3));
+        assert_eq!(calls.borrow().join(" "), "page0 page0 close0 drain");
+    }
+
+    #[test]
+    fn a_multi_page_shell_whose_consumers_on_other_threads_all_hung_up_stops_within_a_morsel() {
+        // As the one-page case, four calls a step over hand-offs of two
+        // pages: the call whose hand-off finds the last consumer gone
+        // ends the task mid-step.
+        let (gone, _) = std::sync::mpsc::sync_channel(4);
+        let (link, peer) = std::sync::mpsc::sync_channel(4);
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let fault = FaultCell::default();
+        let outs = [gone, link].map(|tx| Outlet::os(tx, 2, &fault));
+        let (tx, rx) = channel::bounded(8);
+        let mut shell = OperatorShell::new(
+            Box::new(Scripted::new(&calls)),
+            vec![rx.clone().into()],
+            Fanout::new(outs.into(), 1.0),
+            fault.clone(),
+        )
+        .morsel_pages(4);
+        let mut detached = DetachedCtx::new();
+        for x in 0..7 {
+            assert!(tx.try_send(page(x), &mut detached.ctx(0)).is_ok());
+        }
+        assert_eq!(
+            shell.step(&mut detached.ctx(SHELL)),
+            Step::yielded(4 * (10 + 2))
+        );
+        assert_eq!(peer.try_iter().count(), 2);
+        drop(peer);
+        assert_eq!(
+            shell.step(&mut detached.ctx(SHELL)),
+            Step::done(2 * (10 + 2))
+        );
+        assert!(rx.is_finished(), "the producer is cancelled");
+        let calls = calls.borrow().join(" ");
+        assert_eq!(calls, "page0 page0 page0 page0 page0 page0 release");
+        assert!(!fault.is_set());
     }
 }

@@ -38,9 +38,10 @@ use std::ops::Range;
 use shuttle_lite::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Pages per claimed morsel when the config does not override it:
-/// large enough to amortize a dispenser round-trip, small enough to
-/// balance skewed filters across workers.
+/// Pages per claimed morsel and per simulated step when the config does
+/// not override it: large enough to amortize a dispenser round-trip and
+/// a scheduler step, small enough to balance skewed filters across
+/// workers.
 const DEFAULT_MORSEL_PAGES: usize = 4;
 
 /// Intra-query parallelism knob, threaded from the engine config down
@@ -51,7 +52,12 @@ pub struct ParallelConfig {
     /// is the serial one-task-per-operator wiring; `0` is treated as
     /// `1`.
     pub workers: usize,
-    /// Pages per claimed morsel (`0` treated as `1`).
+    /// Pages per morsel (`0` treated as `1`), the one granularity of
+    /// both substrates: what a morsel worker claims, what an OS link
+    /// hands off, and the most pages an operator's task moves in one
+    /// simulated step (its kernel calls then add up to one step). Rows
+    /// and per-row charges do not depend on it; `1` is the one-page
+    /// protocol, step for step.
     pub morsel_pages: usize,
 }
 

@@ -426,14 +426,14 @@ fn try_wire_parallel(
     };
     let base = format!("{label}/{}", *preorder);
     *preorder += group.nodes;
-    let k = group.workers.len();
+    let (k, morsel) = (group.workers.len(), cfg.parallel.morsel_pages);
     let inlet = match threads {
         None => {
             let (tx, rx) = channel::bounded(cfg.queue_capacity);
             let links = std::iter::repeat_n(tx, k);
             for (w, (kernel, tx)) in group.workers.into_iter().zip(links).enumerate() {
                 let outlet = Outlet::group(LinkTx::Sim(tx), fault);
-                let worker = shell(kernel, vec![], vec![outlet], 0.0, fault);
+                let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel, fault);
                 built.push((format!("{base}:{}[{w}]", group.kind), worker));
             }
             Inlet::group(LinkRx::GroupSim(rx), k, fault)
@@ -444,23 +444,33 @@ fn try_wire_parallel(
             Inlet::group(LinkRx::GroupOs(rx), k, fault)
         }
     };
-    let merge = shell(group.merge, vec![inlet], outs, group.out_per_tuple, fault);
+    let merge = shell(
+        group.merge,
+        vec![inlet],
+        outs,
+        group.out_per_tuple,
+        morsel,
+        fault,
+    );
     built.push((format!("{base}:{}", group.merge_name), merge));
     Ok(None)
 }
 
 /// The task that runs `kernel`: an [`OperatorShell`] reading `inputs`
 /// (in the kernel's port order) and delivering to `outs` at
-/// `out_per_tuple` per consumer, its failure the query's `fault`.
+/// `out_per_tuple` per consumer, up to `morsel_pages` pages a step, its
+/// failure the query's `fault`.
 fn shell(
     kernel: Box<dyn Kernel>,
     inputs: Vec<Inlet>,
     outs: Vec<Outlet>,
     out_per_tuple: f64,
+    morsel_pages: usize,
     fault: &FaultCell,
 ) -> Box<dyn Task> {
     let fanout = Fanout::new(outs, out_per_tuple);
-    Box::new(OperatorShell::new(kernel, inputs, fanout, fault.clone()))
+    let shell = OperatorShell::new(kernel, inputs, fanout, fault.clone());
+    Box::new(shell.morsel_pages(morsel_pages))
 }
 
 /// Output columns a consumer reads, ascending; `None` is every one.
@@ -591,7 +601,7 @@ fn wire(
     built: &mut Built,
     threads: &mut Option<&mut ThreadWorkers>,
 ) -> Result<Layout, ExecError> {
-    let fault = &sctx.fault;
+    let (fault, morsel) = (&sctx.fault, cfg.parallel.morsel_pages);
     let outs = if cfg.parallel.effective_workers() > 1 {
         let wired = try_wire_parallel(
             catalog, plan, outs, label, cfg, fault, preorder, built, threads,
@@ -800,7 +810,8 @@ fn wire(
             (Box::new(kernel), inputs, cost.out_per_tuple, layout)
         }
     };
-    built.push((name, shell(kernel, inputs, outs, out_per_tuple, fault)));
+    let task = shell(kernel, inputs, outs, out_per_tuple, morsel, fault);
+    built.push((name, task));
     Ok(layout)
 }
 
@@ -847,24 +858,25 @@ fn run_and_collect_pages(
     sink_cost: OpCost,
     fault: &FaultCell,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
-    let buf = spawn_collector(sim, rx, sink_cost, fault);
+    let buf = spawn_collector(sim, rx, sink_cost, 1, fault);
     let outcome = sim.run_to_idle();
     failure_of(&outcome, fault)?;
     Ok(buf.take())
 }
 
 /// Spawns a sink that collects the pages on `rx` into the returned
-/// buffer.
+/// buffer, up to `morsel_pages` pages a step.
 fn spawn_collector(
     sim: &mut Simulator,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
+    morsel_pages: usize,
     fault: &FaultCell,
 ) -> Rc<RefCell<Vec<Arc<Page>>>> {
     let buf = Rc::new(RefCell::new(Vec::new()));
     let sink = Box::new(SinkKernel::new(sink_cost).collecting(buf.clone()));
     let collector = OperatorShell::new(sink, vec![rx.into()], Fanout::none(), fault.clone());
-    sim.spawn("collector", Box::new(collector));
+    sim.spawn("collector", Box::new(collector.morsel_pages(morsel_pages)));
     buf
 }
 
@@ -958,13 +970,14 @@ pub fn run_local_between(
     }
     let collected = collect.map(|rx| {
         let fault = &resources.fault;
-        spawn_collector(&mut sim, rx, OpCost::default(), fault)
+        let morsel = cfg.parallel.morsel_pages;
+        spawn_collector(&mut sim, rx, OpCost::default(), morsel, fault)
     });
     // The scope joins every worker before returning and re-raises a
     // worker's panic.
     thread::scope(|scope| {
         for (kernel, link) in workers {
-            scope.spawn(move || run_worker(kernel, link));
+            scope.spawn(move || run_worker(kernel, link, cfg.parallel.morsel_pages));
         }
         let outcome = sim.run_to_idle();
         // A run that stopped with merges still live (a stall) must hang
@@ -996,13 +1009,18 @@ pub fn run_feeding<T, R>(
 
 /// Runs one morsel worker on this thread: its shell is built here, with
 /// a fault cell of its own, and runs to its end in a run loop of its own,
-/// feeding its group's `link`.
-fn run_worker(kernel: Box<dyn Kernel + Send>, link: mpsc::SyncSender<GroupHandoff>) {
+/// up to `morsel_pages` pages a step, feeding its group's `link`.
+fn run_worker(
+    kernel: Box<dyn Kernel + Send>,
+    link: mpsc::SyncSender<GroupHandoff>,
+    morsel_pages: usize,
+) {
     run_feeding(std::slice::from_ref(&link), || {
         let fault = FaultCell::default();
         let outlet = Outlet::group(LinkTx::Os(link.clone()), &fault);
         let mut sim = Simulator::new(1);
-        sim.spawn("worker", shell(kernel, vec![], vec![outlet], 0.0, &fault));
+        let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel_pages, &fault);
+        sim.spawn("worker", worker);
         failure_of(&sim.run_to_idle(), &fault)
     });
 }
@@ -1645,19 +1663,16 @@ mod tests {
         group(cat, plan, &par).expect("wires").expect("a group")
     }
 
-    /// A worker's shell feeding its end of a group's OS link.
+    /// A worker's shell feeding its end of a group's OS link, up to
+    /// `morsel_pages` pages a step.
     fn os_worker(
         kernel: Box<dyn Kernel + Send>,
         link: &mpsc::SyncSender<GroupHandoff>,
+        morsel_pages: usize,
     ) -> Box<dyn Task> {
         let fault = FaultCell::default();
-        shell(
-            kernel,
-            vec![],
-            vec![Outlet::group(LinkTx::Os(link.clone()), &fault)],
-            0.0,
-            &fault,
-        )
+        let outlet = Outlet::group(LinkTx::Os(link.clone()), &fault);
+        shell(kernel, vec![], vec![outlet], 0.0, morsel_pages, &fault)
     }
 
     #[test]
@@ -1668,7 +1683,7 @@ mod tests {
         // the one-page tail, and the end of the worker's stream.
         let mut group = group_of(&forty_pages(), &from_key(48), 1, 3);
         let (link, rx) = mpsc::sync_channel(64);
-        let mut worker = os_worker(group.workers.remove(0), &link);
+        let mut worker = os_worker(group.workers.remove(0), &link, 1);
         let mut detached = cordoba_sim::DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         for _ in 0..2 {
@@ -1687,6 +1702,27 @@ mod tests {
     }
 
     #[test]
+    fn morsel_group_worker_moves_a_morsel_per_step_at_its_morsel_size() {
+        // The same worker, three pages a step: each step claims a morsel,
+        // runs it and hands it off; the step that runs the one-page tail
+        // also finds the dispenser empty and ends the worker.
+        let mut group = group_of(&forty_pages(), &from_key(48), 1, 3);
+        let (link, rx) = mpsc::sync_channel(64);
+        let mut worker = os_worker(group.workers.remove(0), &link, 3);
+        let mut detached = cordoba_sim::DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for i in 0..13 {
+            assert_eq!(worker.step(ctx).status, StepStatus::Yield);
+            let handoff = rx.try_recv().expect("a morsel a step");
+            let pages = if i == 0 { 0 } else { 3 };
+            assert!(matches!(handoff, Ok(Some((at, ref p))) if at == i && p.len() == pages));
+        }
+        assert_eq!(worker.step(ctx).status, StepStatus::Done);
+        let rest: Vec<_> = rx.try_iter().map(|h| h.expect("no fault")).collect();
+        assert!(matches!(rest[..], [Some((13, ref tail)), None] if tail.len() == 1));
+    }
+
+    #[test]
     fn morsel_group_worker_stops_within_a_morsel_of_its_merge_hanging_up() {
         let cat = forty_pages();
         let pages: Arc<[Arc<Page>]> = cat.expect("t40").pages().into();
@@ -1699,7 +1735,7 @@ mod tests {
                 let stages: Vec<Box<dyn Kernel + Send>> = vec![Box::new(filter.expect("compiles"))];
                 let (pages, dispenser) = (pages.clone(), dispenser.clone());
                 let kernel = MorselKernel::new(pages, dispenser, OpCost::default(), stages, None);
-                os_worker(Box::new(kernel), &link)
+                os_worker(Box::new(kernel), &link, 1)
             })
             .collect();
         let mut detached = cordoba_sim::DetachedCtx::new();
@@ -1737,13 +1773,13 @@ mod tests {
         let mut detached = cordoba_sim::DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         for kernel in group.workers {
-            let mut worker = os_worker(kernel, &link);
+            let mut worker = os_worker(kernel, &link, 1);
             while worker.step(ctx).status != StepStatus::Done {}
         }
         let fault = FaultCell::default();
         let (out, emitted) = channel::bounded(4);
         let inlet = Inlet::group(LinkRx::GroupOs(rx), 2, &fault);
-        let mut merge = shell(group.merge, vec![inlet], vec![out.into()], 0.0, &fault);
+        let mut merge = shell(group.merge, vec![inlet], vec![out.into()], 0.0, 1, &fault);
         while merge.step(ctx).status != StepStatus::Done {}
         let cordoba_sim::channel::Recv::Value(page) = emitted.try_recv(ctx) else {
             panic!("one group emitted");
@@ -1752,8 +1788,9 @@ mod tests {
         drop(link);
     }
 
-    /// A stage that fails on the page after its first `pages`.
-    struct FailsAfter(usize);
+    /// A stage that fails on the page after the first `pages` its group
+    /// runs, whichever worker runs it: the countdown is shared.
+    struct FailsAfter(Arc<std::sync::atomic::AtomicUsize>);
 
     impl Kernel for FailsAfter {
         fn name(&self) -> &'static str {
@@ -1768,11 +1805,12 @@ mod tests {
             page: &Arc<Page>,
             out: &mut Pages,
         ) -> Result<PageWork, ExecError> {
-            let detail = "worker broke".into();
-            self.0 = self
-                .0
-                .checked_sub(1)
-                .ok_or(ExecError::Injected { detail })?;
+            let relaxed = std::sync::atomic::Ordering::Relaxed;
+            let countdown = self.0.fetch_update(relaxed, relaxed, |n| n.checked_sub(1));
+            if countdown.is_err() {
+                let detail = "worker broke".into();
+                return Err(ExecError::Injected { detail });
+            }
             out.push(page.clone());
             Ok(PageWork::default())
         }
@@ -1781,16 +1819,19 @@ mod tests {
     #[test]
     fn morsel_group_worker_error_fails_the_query_on_both_substrates() {
         // Three workers over four-page morsels feed a sort (which holds
-        // grants) through the group's link; worker 0 fails on the third
-        // page of its second morsel.
+        // grants) through the group's link; whichever worker runs the
+        // group's 31st page (of 188) fails on it. (A countdown of one
+        // worker's own could go untouched on threads, its peers taking
+        // every morsel first.)
         let cat = paged_catalog();
         let t = cat.expect("t");
         let pages: Arc<[Arc<Page>]> = t.pages().into();
         let workers = || -> Vec<Box<dyn Kernel + Send>> {
             let dispenser = Arc::new(MorselDispenser::new(pages.len(), 4));
+            let countdown = Arc::new(std::sync::atomic::AtomicUsize::new(30));
             (0..3)
-                .map(|w| {
-                    let stage = FailsAfter(if w == 0 { 6 } else { usize::MAX });
+                .map(|_| {
+                    let stage = FailsAfter(countdown.clone());
                     let stages: Vec<Box<dyn Kernel + Send>> = vec![Box::new(stage)];
                     let (pages, dispenser) = (pages.clone(), dispenser.clone());
                     let kernel =
@@ -1810,6 +1851,7 @@ mod tests {
             detail: "worker broke".into(),
         };
         let cfg = WiringConfig::serial();
+        let morsel = cfg.parallel.morsel_pages;
         // The simulator: the workers' shells beside the sort's, their
         // fault the query's.
         let broker = MemoryBroker::unbounded();
@@ -1824,7 +1866,7 @@ mod tests {
             let outlet = Outlet::group(LinkTx::Sim(tx), &res.fault);
             sim.spawn(
                 format!("w{w}"),
-                shell(kernel, vec![], vec![outlet], 0.0, &res.fault),
+                shell(kernel, vec![], vec![outlet], 0.0, morsel, &res.fault),
             );
         }
         let mut sources = VecDeque::from([Inlet::group(LinkRx::GroupSim(rx), 3, &res.fault)]);
@@ -1851,7 +1893,7 @@ mod tests {
         let (link, rx) = mpsc::sync_channel(4);
         thread::scope(|scope| {
             for (kernel, link) in workers().into_iter().zip(std::iter::repeat_n(link, 3)) {
-                scope.spawn(move || run_worker(kernel, link));
+                scope.spawn(move || run_worker(kernel, link, morsel));
             }
             let sources = vec![Inlet::group(LinkRx::GroupOs(rx), 3, &res.fault)];
             let got = run_local_between(&cat, &sort, sources, vec![], &cfg, &res);

@@ -1027,11 +1027,24 @@ pub fn checked(case: &Case) -> Observed {
     check(case).unwrap_or_else(|why| panic!("{why}\n{case:?}"))
 }
 
+/// Pages a simulated step and a claimed morsel move on `substrate`: the
+/// default on the engine's substrates, so their steps move a morsel; one
+/// on threads, so a small table still splits into many morsels for the
+/// workers to race on. (The seam sizes its own.)
+fn morsel_pages(substrate: Substrate) -> usize {
+    match substrate {
+        Batch | Schedule => ParallelConfig::default().morsel_pages,
+        Threads | Seam => 1,
+    }
+}
+
 /// Runs `case` on its substrate.
 fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed), String> {
     let (c, cat, q) = (&case.config, &case.catalog, &case.queries[0].1);
-    let mut parallel = ParallelConfig::with_workers(c.workers);
-    parallel.morsel_pages = 1;
+    let parallel = ParallelConfig {
+        workers: c.workers,
+        morsel_pages: morsel_pages(c.substrate),
+    };
     let mut seen = Observed::default();
     let outcomes: Vec<Outcome> = match c.substrate {
         Batch | Schedule => {
@@ -1243,6 +1256,7 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
         ("subsume".into(), observed.sharing.subsume_joins > 0),
         ("cache-hit".into(), observed.sharing.fingerprint_hits > 0),
         (NARROWED.into(), narrowed(case)),
+        (MULTI_PAGE.into(), multi_page(case)),
     ];
     seen.extend(flags.into_iter().filter(|f| f.1).map(|f| f.0));
 }
@@ -1259,6 +1273,23 @@ fn narrowed(case: &Case) -> bool {
 /// The floor a case reaches when a sort or hash join in it carries
 /// less than all of its columns.
 pub const NARROWED: &str = "narrowed";
+
+/// Whether `case` ran on the simulator at more than a page a step and
+/// one of its scans holds more than one morsel of pages, so some step
+/// made several kernel calls.
+fn multi_page(case: &Case) -> bool {
+    let morsel = morsel_pages(case.config.substrate);
+    let pages = |table: &str| case.catalog.get(table).map_or(0, |t| t.pages().len());
+    let scans = case.nodes().into_iter().filter_map(|plan| match plan {
+        Plan::Scan { table, .. } => Some(pages(table)),
+        _ => None,
+    });
+    matches!(case.config.substrate, Batch | Schedule) && morsel > 1 && scans.max() > Some(morsel)
+}
+
+/// The floor a case reaches when it ran [`multi_page`] steps; every
+/// default run of a simulator substrate must.
+pub const MULTI_PAGE: &str = "multi-page";
 
 /// The four hash-join kinds, as [`Case::has`] names them.
 pub const JOIN_KINDS: [&str; 4] = [
@@ -1285,12 +1316,15 @@ pub fn any(_: &Config) -> bool {
 }
 
 /// Runs the first `cases` cases of `substrate` and asserts they reached
-/// every operator, every join kind, [`NARROWED`] and `floor`.
+/// every operator, every join kind, [`NARROWED`], on the simulator's
+/// substrates [`MULTI_PAGE`], and `floor`.
 pub fn run_cases(substrate: Substrate, cases: u64, floor: &[&str]) {
+    let simulated = matches!(substrate, Batch | Schedule);
     let every = OPERATORS
         .iter()
         .chain(&JOIN_KINDS)
         .chain(&[NARROWED])
+        .chain(simulated.then_some(&MULTI_PAGE))
         .chain(floor);
     run(
         substrate,
