@@ -858,25 +858,24 @@ fn run_and_collect_pages(
     sink_cost: OpCost,
     fault: &FaultCell,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
-    let buf = spawn_collector(sim, rx, sink_cost, 1, fault);
+    let buf = spawn_collector(sim, rx, sink_cost, fault);
     let outcome = sim.run_to_idle();
     failure_of(&outcome, fault)?;
     Ok(buf.take())
 }
 
 /// Spawns a sink that collects the pages on `rx` into the returned
-/// buffer, up to `morsel_pages` pages a step.
+/// buffer.
 fn spawn_collector(
     sim: &mut Simulator,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
-    morsel_pages: usize,
     fault: &FaultCell,
 ) -> Rc<RefCell<Vec<Arc<Page>>>> {
     let buf = Rc::new(RefCell::new(Vec::new()));
     let sink = Box::new(SinkKernel::new(sink_cost).collecting(buf.clone()));
     let collector = OperatorShell::new(sink, vec![rx.into()], Fanout::none(), fault.clone());
-    sim.spawn("collector", Box::new(collector.morsel_pages(morsel_pages)));
+    sim.spawn("collector", Box::new(collector));
     buf
 }
 
@@ -970,8 +969,7 @@ pub fn run_local_between(
     }
     let collected = collect.map(|rx| {
         let fault = &resources.fault;
-        let morsel = cfg.parallel.morsel_pages;
-        spawn_collector(&mut sim, rx, OpCost::default(), morsel, fault)
+        spawn_collector(&mut sim, rx, OpCost::default(), fault)
     });
     // The scope joins every worker before returning and re-raises a
     // worker's panic.
