@@ -27,7 +27,7 @@
 
 #![warn(unreachable_pub)]
 
-use cordoba_engine::{EngineConfig, ParallelConfig, Policy};
+use cordoba_engine::{EngineConfig, Policy};
 
 pub mod experiments;
 pub mod figures;
@@ -38,15 +38,13 @@ mod service_kernels;
 mod spill_kernels;
 mod subsume_kernels;
 
-/// The crate's one engine configuration: explicit contexts and policy,
-/// morsel workers pinned to 1 so `CORDOBA_WORKERS` in the environment
-/// cannot perturb a committed number (`EngineConfig::default()` reads
-/// it). Scenarios that want more set the field over this base.
+/// The crate's one engine configuration: explicit contexts and policy
+/// over the defaults (one morsel worker). Scenarios that want more
+/// workers set `parallel` over this base.
 pub fn engine_cfg(contexts: usize, policy: Policy) -> EngineConfig {
     EngineConfig {
         contexts,
         policy,
-        parallel: ParallelConfig::with_workers(1),
         ..EngineConfig::default()
     }
 }

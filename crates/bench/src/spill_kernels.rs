@@ -119,7 +119,7 @@ fn run_plan(catalog: &Catalog, plan: &PhysicalPlan, budget: Option<usize>) -> Sp
             query_budget: budget,
             ..MemoryConfig::default()
         },
-        ..WiringConfig::serial()
+        ..WiringConfig::default()
     };
     let mut sim = Simulator::new(2);
     let (rx, _ops, res) =

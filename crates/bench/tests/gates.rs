@@ -1,12 +1,10 @@
 //! The byte gates: each committed document must be what this source
 //! renders, byte for byte. A changed digit, a renamed or dropped
 //! scenario fails its test with every differing line printed
-//! (`- line N` committed, `+ line N` fresh). Every scenario pins its own
-//! worker count, so the documents must not move under `CORDOBA_WORKERS`
-//! either. To move a number on purpose, rewrite the file with
-//! `cargo run --release -p cordoba-bench --bin figures -- ops` (or
-//! `service`, or `all --quick` for all three, `BENCH_paper.json`
-//! included) and commit the diff.
+//! (`- line N` committed, `+ line N` fresh). To move a number on
+//! purpose, rewrite the file with `cargo run --release -p cordoba-bench
+//! --bin figures -- ops` (or `service`, or `all --quick` for all three,
+//! `BENCH_paper.json` included) and commit the diff.
 
 use cordoba_bench::gates::{self, Document};
 use cordoba_bench::output::check_file;

@@ -104,9 +104,7 @@ impl Default for EngineConfig {
             max_group: 64,
             sink_cost: OpCost::per_tuple(0.1),
             memory: MemoryConfig::default(),
-            // Consults CORDOBA_WORKERS (default 1) — see
-            // `ParallelConfig::from_env`.
-            parallel: ParallelConfig::from_env(),
+            parallel: ParallelConfig::default(),
             fragment_cache: 0,
         }
     }
@@ -753,82 +751,78 @@ mod tests {
         reference::execute(catalog, &query().plan)
     }
 
+    /// Morsel workers the engine tests run at: the serial wiring and one
+    /// whose scan chains and aggregates become morsel groups.
+    const WORKERS: [usize; 2] = [1, 4];
+
+    fn cfg(contexts: usize, policy: Policy, workers: usize) -> EngineConfig {
+        EngineConfig {
+            contexts,
+            policy,
+            parallel: ParallelConfig::with_workers(workers),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn run_once_unshared_matches_reference() {
         let cat = catalog();
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let out = run_once(&cat, &[query(), query()], &cfg);
-        assert_eq!(out.results.len(), 2);
-        for r in &out.results {
-            assert_eq!(r, &expected_rows(&cat));
+        for workers in WORKERS {
+            let cfg = cfg(2, Policy::NeverShare, workers);
+            let out = run_once(&cat, &[query(), query()], &cfg);
+            assert_eq!(out.results.len(), 2);
+            for r in &out.results {
+                assert_eq!(r, &expected_rows(&cat));
+            }
+            // Never-share: all groups are singletons.
+            assert_eq!(out.group_sizes, vec![1, 1]);
         }
-        // Never-share: all groups are singletons.
-        assert_eq!(out.group_sizes, vec![1, 1]);
     }
 
     #[test]
     fn run_once_shared_matches_reference_and_merges() {
         let cat = catalog();
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::AlwaysShare,
-            ..Default::default()
-        };
-        let out = run_once(&cat, &[query(), query(), query()], &cfg);
-        assert_eq!(out.group_sizes, vec![3], "all three queries must merge");
-        for r in &out.results {
-            assert_eq!(r, &expected_rows(&cat));
+        for workers in WORKERS {
+            let cfg = cfg(2, Policy::AlwaysShare, workers);
+            let out = run_once(&cat, &[query(), query(), query()], &cfg);
+            assert_eq!(out.group_sizes, vec![3], "all three queries must merge");
+            for r in &out.results {
+                assert_eq!(r, &expected_rows(&cat));
+            }
         }
     }
 
     #[test]
     fn shared_scan_runs_once_saving_work() {
         let cat = catalog();
-        let never = EngineConfig {
-            contexts: 1,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let always = EngineConfig {
-            contexts: 1,
-            policy: Policy::AlwaysShare,
-            ..Default::default()
-        };
-        let out_n = run_once(&cat, &[query(), query(), query(), query()], &never);
-        let out_s = run_once(&cat, &[query(), query(), query(), query()], &always);
-        // On one context the shared batch must finish faster (the scan's
-        // private work happens once instead of four times).
-        assert!(
-            out_s.makespan < out_n.makespan,
-            "shared {} vs unshared {}",
-            out_s.makespan,
-            out_n.makespan
-        );
-        // Exactly one shared scan task vs four private ones.
-        let scans = |o: &Report| {
-            o.task_stats
-                .iter()
-                .filter(|(n, _)| n.contains("scan(t)"))
-                .count()
-        };
-        assert_eq!(scans(&out_s), 1);
-        assert_eq!(scans(&out_n), 4);
+        let batch = [query(), query(), query(), query()];
+        for workers in WORKERS {
+            let out_n = run_once(&cat, &batch, &cfg(1, Policy::NeverShare, workers));
+            let out_s = run_once(&cat, &batch, &cfg(1, Policy::AlwaysShare, workers));
+            // On one context the shared batch must finish faster (the
+            // scan's private work happens once instead of four times).
+            assert!(
+                out_s.makespan < out_n.makespan,
+                "shared {} vs unshared {} at {workers} workers",
+                out_s.makespan,
+                out_n.makespan
+            );
+            // Exactly one shared scan task vs four private ones.
+            let scans = |o: &Report| {
+                o.task_stats
+                    .iter()
+                    .filter(|(n, _)| n.contains("scan(t)"))
+                    .count()
+            };
+            assert_eq!(scans(&out_s), 1);
+            assert_eq!(scans(&out_n), 4);
+        }
     }
 
     #[test]
     fn parallel_engine_matches_reference_and_spawns_morsel_workers() {
         let cat = catalog();
-        let cfg = EngineConfig {
-            contexts: 4,
-            policy: Policy::NeverShare,
-            parallel: ParallelConfig::with_workers(4),
-            ..Default::default()
-        };
-        let out = run_once(&cat, &[query(), query()], &cfg);
+        let out = run_once(&cat, &[query(), query()], &cfg(4, Policy::NeverShare, 4));
         assert!(out.failures.is_empty(), "failures: {:?}", out.failures);
         for r in &out.results {
             assert_eq!(r, &expected_rows(&cat));
@@ -861,14 +855,7 @@ mod tests {
         }
         let mut cat = Catalog::new();
         cat.register(b.finish());
-        let serial = EngineConfig {
-            contexts: 4,
-            policy: Policy::NeverShare,
-            // Pinned (Default consults CORDOBA_WORKERS): this arm must
-            // stay serial for the comparison to mean anything.
-            parallel: ParallelConfig::with_workers(1),
-            ..Default::default()
-        };
+        let serial = cfg(4, Policy::NeverShare, 1);
         let par = EngineConfig {
             contexts: 4,
             policy: Policy::NeverShare,
@@ -903,37 +890,35 @@ mod tests {
                 cost: OpCost::default(),
             },
         );
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let out = run_once(&cat, &[query(), bad, query()], &cfg);
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert_eq!(out.failures[0].0, 1, "submission id of the bad query");
-        assert!(
-            matches!(out.failures[0].1, ExecError::PlanType(_)),
-            "{:?}",
-            out.failures[0].1
-        );
-        assert_eq!(out.results[0], expected_rows(&cat));
-        assert!(out.results[1].is_empty(), "failed query has no rows");
-        assert_eq!(out.results[2], expected_rows(&cat));
+        for workers in WORKERS {
+            let cfg = cfg(2, Policy::NeverShare, workers);
+            let out = run_once(&cat, &[query(), bad.clone(), query()], &cfg);
+            assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+            assert_eq!(out.failures[0].0, 1, "submission id of the bad query");
+            assert!(
+                matches!(out.failures[0].1, ExecError::PlanType(_)),
+                "{:?}",
+                out.failures[0].1
+            );
+            assert_eq!(out.results[0], expected_rows(&cat));
+            assert!(out.results[1].is_empty(), "failed query has no rows");
+            assert_eq!(out.results[2], expected_rows(&cat));
+        }
     }
 
     /// Runs `specs` as one always-share batch on one context and on
-    /// two. Channels hold a page, and the pivot emits more than one to
-    /// each member, so a member feed left open wedges the pivot.
-    fn shared_batches(cat: &Catalog, specs: &[QuerySpec]) -> [Report; 2] {
-        [1, 2].map(|contexts| {
-            let cfg = EngineConfig {
-                contexts,
-                policy: Policy::AlwaysShare,
-                queue_capacity: 1,
-                ..Default::default()
-            };
-            run_once(cat, specs, &cfg)
-        })
+    /// two, at each of [`WORKERS`]. Channels hold a page, and the pivot
+    /// emits more than one to each member, so a member feed left open
+    /// wedges the pivot.
+    fn shared_batches(cat: &Catalog, specs: &[QuerySpec]) -> Vec<Report> {
+        let at = |contexts, workers| EngineConfig {
+            queue_capacity: 1,
+            ..cfg(contexts, Policy::AlwaysShare, workers)
+        };
+        [1, 2]
+            .into_iter()
+            .flat_map(|c| WORKERS.map(|w| run_once(cat, specs, &at(c, w))))
+            .collect()
     }
 
     /// `plan`'s row count.
@@ -1046,48 +1031,39 @@ mod tests {
 
     #[test]
     fn closed_loop_reports_throughput() {
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let report = closed_loop_report(&cfg, 2, 2_000_000);
-        assert!(report.completed > 4, "{report:?}");
-        assert!(report.throughput() > 0.0);
-        assert!((report.mean_group_size() - 1.0).abs() < 1e-9);
-        // Two clients on two contexts keep the machine mostly busy.
-        assert!(report.stats.utilization() > 0.5);
-        // Every completion was resubmitted: the two clients' current
-        // queries are the only ones in flight.
-        assert_eq!(report.offered, report.completed + 2);
-        assert_eq!(report.in_flight, 2);
+        for workers in WORKERS {
+            let report = closed_loop_report(&cfg(2, Policy::NeverShare, workers), 2, 2_000_000);
+            assert!(report.completed > 4, "{report:?}");
+            assert!(report.throughput() > 0.0);
+            assert!((report.mean_group_size() - 1.0).abs() < 1e-9);
+            // Two clients on two contexts keep the machine mostly busy.
+            assert!(report.stats.utilization() > 0.5);
+            // Every completion was resubmitted: the two clients' current
+            // queries are the only ones in flight.
+            assert_eq!(report.offered, report.completed + 2);
+            assert_eq!(report.in_flight, 2);
+        }
     }
 
     #[test]
     fn closed_loop_always_share_forms_groups_repeatedly() {
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::AlwaysShare,
-            ..Default::default()
-        };
-        let report = closed_loop_report(&cfg, 4, 2_000_000);
-        // Groups keep re-forming as the closed loop resubmits.
-        assert!(report.group_sizes.len() > 2);
-        assert!(report.mean_group_size() > 1.5, "{:?}", report.group_sizes);
+        for workers in WORKERS {
+            let report = closed_loop_report(&cfg(2, Policy::AlwaysShare, workers), 4, 2_000_000);
+            // Groups keep re-forming as the closed loop resubmits.
+            assert!(report.group_sizes.len() > 2);
+            assert!(report.mean_group_size() > 1.5, "{:?}", report.group_sizes);
+        }
     }
 
     #[test]
     fn completions_are_timestamped_within_the_horizon() {
-        let cfg = EngineConfig {
-            contexts: 1,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let report = closed_loop_report(&cfg, 1, 500_000);
-        assert!(report.completed > 0);
-        for d in &report.dispositions {
-            if let Disposition::Completed { at, response } = d {
-                assert!(*at <= 500_000 && response <= at);
+        for workers in WORKERS {
+            let report = closed_loop_report(&cfg(1, Policy::NeverShare, workers), 1, 500_000);
+            assert!(report.completed > 0);
+            for d in &report.dispositions {
+                if let Disposition::Completed { at, response } = d {
+                    assert!(*at <= 500_000 && response <= at);
+                }
             }
         }
     }
@@ -1095,15 +1071,13 @@ mod tests {
     #[test]
     fn measured_throughput_counts_a_window_of_completions() {
         let cat = catalog();
-        let cfg = EngineConfig {
-            contexts: 2,
-            policy: Policy::NeverShare,
-            ..Default::default()
-        };
-        let tp = measure_throughput(&cat, &[query(), query()], &cfg, 8, 1_000_000_000);
-        assert!(tp.completions >= 8, "{tp:?}");
-        assert!(tp.window > 0);
-        assert!((tp.per_time - tp.completions as f64 / tp.window as f64).abs() < 1e-12);
+        for workers in WORKERS {
+            let cfg = cfg(2, Policy::NeverShare, workers);
+            let tp = measure_throughput(&cat, &[query(), query()], &cfg, 8, 1_000_000_000);
+            assert!(tp.completions >= 8, "{tp:?}");
+            assert!(tp.window > 0);
+            assert!((tp.per_time - tp.completions as f64 / tp.window as f64).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -1127,13 +1101,9 @@ mod tests {
         assert_eq!((report.offered, report.failures.len()), (1, 1));
     }
 
-    fn service(policy: Policy, contexts: usize, time_cap: Option<VTime>) -> ServiceConfig {
+    fn service(engine: EngineConfig, time_cap: Option<VTime>) -> ServiceConfig {
         ServiceConfig {
-            engine: EngineConfig {
-                contexts,
-                policy,
-                ..Default::default()
-            },
+            engine,
             admission_capacity: usize::MAX,
             time_cap,
         }
@@ -1144,50 +1114,51 @@ mod tests {
         // Arrivals far apart never co-reside in the formation window,
         // so even always-share dispatches singletons; a burst merges.
         let cat = catalog();
-        let cfg = service(Policy::AlwaysShare, 2, None);
-        let sparse: ArrivalSchedule = (0..6).map(|i| (i * 50_000_000, query())).collect();
-        let sparse_report = run_service(&cat, sparse, &cfg);
-        assert!(
-            sparse_report.group_sizes.iter().all(|&g| g == 1),
-            "{:?}",
-            sparse_report.group_sizes
-        );
-        let burst: ArrivalSchedule = (0..6).map(|_| (1000, query())).collect();
-        let burst_report = run_service(&cat, burst, &cfg);
-        assert_eq!(burst_report.group_sizes, vec![6]);
-        assert_eq!(burst_report.completed, 6);
-        assert!(burst_report
-            .dispositions
-            .iter()
-            .all(|d| matches!(d, Disposition::Completed { .. })));
-        let p_max = burst_report.latency().quantile(1.0).unwrap();
-        assert_eq!(p_max, *burst_report.response_times.iter().max().unwrap());
+        for workers in WORKERS {
+            let cfg = service(cfg(2, Policy::AlwaysShare, workers), None);
+            let sparse: ArrivalSchedule = (0..6).map(|i| (i * 50_000_000, query())).collect();
+            let sparse_report = run_service(&cat, sparse, &cfg);
+            assert!(
+                sparse_report.group_sizes.iter().all(|&g| g == 1),
+                "{:?}",
+                sparse_report.group_sizes
+            );
+            let burst: ArrivalSchedule = (0..6).map(|_| (1000, query())).collect();
+            let burst_report = run_service(&cat, burst, &cfg);
+            assert_eq!(burst_report.group_sizes, vec![6]);
+            assert_eq!(burst_report.completed, 6);
+            assert!(burst_report
+                .dispositions
+                .iter()
+                .all(|d| matches!(d, Disposition::Completed { .. })));
+            let p_max = burst_report.latency().quantile(1.0).unwrap();
+            assert_eq!(p_max, *burst_report.response_times.iter().max().unwrap());
+        }
     }
 
     #[test]
     fn schedule_run_respects_time_cap() {
         let cat = catalog();
-        let schedule: ArrivalSchedule = (0..50).map(|_| (0, query())).collect();
-        let report = run_service(
-            &cat,
-            schedule,
-            &service(Policy::NeverShare, 1, Some(50_000)),
-        );
-        assert!(report.completed < 50, "cap must cut the run short");
-        assert!(report.makespan <= 50_000);
-        // The cut-off queries are accounted, not dropped: `report()`
-        // asserts offered == completed + failed + rejected + in_flight.
-        assert_eq!(
-            report.in_flight,
-            50 - report.completed - report.failures.len()
-        );
-        assert!(report.in_flight > 0);
-        let in_flight = report
-            .dispositions
-            .iter()
-            .filter(|d| **d == Disposition::InFlight)
-            .count();
-        assert_eq!(in_flight, report.in_flight);
+        for workers in WORKERS {
+            let schedule: ArrivalSchedule = (0..50).map(|_| (0, query())).collect();
+            let cfg = service(cfg(1, Policy::NeverShare, workers), Some(50_000));
+            let report = run_service(&cat, schedule, &cfg);
+            assert!(report.completed < 50, "cap must cut the run short");
+            assert!(report.makespan <= 50_000);
+            // The cut-off queries are accounted, not dropped: `report()`
+            // asserts offered == completed + failed + rejected + in_flight.
+            assert_eq!(
+                report.in_flight,
+                50 - report.completed - report.failures.len()
+            );
+            assert!(report.in_flight > 0);
+            let in_flight = report
+                .dispositions
+                .iter()
+                .filter(|d| **d == Disposition::InFlight)
+                .count();
+            assert_eq!(in_flight, report.in_flight);
+        }
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //! The simulator is the measurement substrate (deterministic, scales to
 //! 32 contexts on any host); this module runs the *same* engine on real
 //! hardware. There is no second executor: every plan runs through the
-//! one local driver ([`wiring::run_local`], serial wiring —
-//! `CORDOBA_WORKERS` cannot perturb it), a private single-context run
-//! loop per OS thread, so compiled expressions, [`FaultCell`] and
-//! [`MemoryBroker`] behave exactly as in a simulated run and the rows
-//! are bit-identical to [`crate::run_once`]'s — float bits and row
-//! order included.
+//! one local driver ([`wiring::run_local`], serial wiring unless a
+//! caller sets workers), a private single-context run loop per OS
+//! thread, so compiled expressions, [`FaultCell`] and [`MemoryBroker`]
+//! behave exactly as in a simulated run and the rows are bit-identical
+//! to [`crate::run_once`]'s — float bits and row order included.
 //!
 //! * **Unshared** — worker threads claim queries from one counter and
-//!   run one graph per query ([`wiring::run_serial`]); the
-//!   morsel-parallel variant runs the same graph through
-//!   [`wiring::run_local`], whose morsel workers' shells get an OS
-//!   thread each.
+//!   run one graph per query through [`wiring::run_local`]: at
+//!   [`WiringConfig::default`], or, in the morsel-parallel variant,
+//!   with morsel workers whose shells get an OS thread each.
 //! * **Shared** — the calling thread runs the pivot's graph once and
 //!   its root fans out to one thread per consumer, as a simulated
 //!   shared pivot fans out to its members: the root's [`Fanout`] writes
@@ -131,7 +129,8 @@ fn try_unshared(
     broker: &MemoryBroker,
 ) -> Vec<Result<Rows, ExecError>> {
     run_claimed(m, threads, || {
-        let pages = wiring::run_serial(catalog, plan, &QueryResources::charging(broker))?;
+        let res = QueryResources::charging(broker);
+        let pages = wiring::run_local(catalog, plan, &WiringConfig::default(), &res)?;
         Ok(wiring::page_rows(&pages))
     })
 }
@@ -171,7 +170,7 @@ pub fn run_unshared_parallel(
     let start = Instant::now();
     let cfg = WiringConfig {
         parallel: *parallel,
-        ..WiringConfig::serial()
+        ..WiringConfig::default()
     };
     let results = run_claimed(m, threads, || {
         let pages = wiring::run_local(catalog, &spec.plan, &cfg, &QueryResources::default())?;
@@ -262,7 +261,7 @@ fn try_shared(
     if plans.is_empty() {
         return Vec::new();
     }
-    let cfg = &WiringConfig::serial();
+    let cfg = &WiringConfig::default();
     thread::scope(|scope| {
         // One bounded link per consumer: the fan-out serialization
         // point of the model.
@@ -412,11 +411,7 @@ mod tests {
     /// The serial simulated engine's rows for `spec`: the denominator
     /// every threaded mode must reproduce exactly.
     fn serial_rows(cat: &Catalog, spec: &QuerySpec) -> Rows {
-        let cfg = EngineConfig {
-            parallel: ParallelConfig::with_workers(1),
-            ..EngineConfig::default()
-        };
-        let mut out = run_once(cat, std::slice::from_ref(spec), &cfg);
+        let mut out = run_once(cat, std::slice::from_ref(spec), &EngineConfig::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         out.results.remove(0)
     }
@@ -484,7 +479,7 @@ mod tests {
         // A scan pivot of every length the hand-off can meet: empty, one
         // page, and 0, 1 and `morsel_pages - 1` pages beyond a full
         // morsel.
-        let mp = WiringConfig::serial().parallel.morsel_pages;
+        let mp = WiringConfig::default().parallel.morsel_pages;
         for pages in [0, 1, mp - 1, mp, mp + 1, 2 * mp - 1, 2 * mp] {
             let cat = sized_catalog(256 * pages as i64 - pages.min(1) as i64);
             assert_eq!(cat.expect("t").pages().len(), pages);

@@ -35,8 +35,6 @@ fn engine_cfg(policy: Policy) -> EngineConfig {
     EngineConfig {
         contexts: 2,
         policy,
-        // Pinned: EngineConfig::default() consults CORDOBA_WORKERS.
-        parallel: ParallelConfig::with_workers(1),
         ..EngineConfig::default()
     }
 }

@@ -154,11 +154,15 @@ proptest! {
         let plan = hash_inner();
         let expected = reference::canonicalize(reference::execute(&catalog, &plan));
 
-        let mut sim = Simulator::new(3);
-        let (rx, _ops, res) =
-            wiring::instantiate(&mut sim, &catalog, &plan, "hj", &wiring::WiringConfig::default())
+        // At one morsel worker and at four, whose scans are morsel groups.
+        for workers in [1, 4] {
+            let parallel = crate::ParallelConfig::with_workers(workers);
+            let cfg = wiring::WiringConfig { parallel, ..Default::default() };
+            let mut sim = Simulator::new(3);
+            let (rx, _ops, res) = wiring::instantiate(&mut sim, &catalog, &plan, "hj", &cfg)
                 .expect("plan wires"); // lint: allow(property-test harness; generated plans always wire)
-        let rows = wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
-        prop_assert_eq!(rows.map(reference::canonicalize), Ok(expected));
+            let rows = wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
+            prop_assert_eq!(rows.map(reference::canonicalize), Ok(expected.clone()));
+        }
     }
 }

@@ -79,21 +79,6 @@ impl ParallelConfig {
         }
     }
 
-    /// Reads `CORDOBA_WORKERS` from the environment, falling back to
-    /// the default single worker. `ParallelConfig::default()` never
-    /// consults the environment; the engine-facing configs
-    /// (`WiringConfig`, `EngineConfig`) construct their parallel knob
-    /// through here so a CI leg can force intra-query parallelism on
-    /// for an entire test run.
-    pub fn from_env() -> Self {
-        let workers = std::env::var("CORDOBA_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1);
-        Self::with_workers(workers)
-    }
-
     /// The worker count with the zero case normalized away.
     pub(crate) fn effective_workers(&self) -> usize {
         self.workers.max(1)

@@ -453,7 +453,8 @@ mod tests {
             vec!["k", "v", "tag", "k_r", "v_r", "tag_r", "k_r_r", "v_r_r", "tag_r_r"]
         );
         let res = crate::QueryResources::default();
-        let pages = crate::wiring::run_serial(&cat, &plan, &res).expect("runs");
+        let cfg = crate::wiring::WiringConfig::default();
+        let pages = crate::wiring::run_local(&cat, &plan, &cfg, &res).expect("runs");
         assert_eq!(
             crate::wiring::page_rows(&pages),
             crate::reference::execute(&cat, &plan)

@@ -86,26 +86,14 @@ pub struct WiringConfig {
 }
 
 impl Default for WiringConfig {
+    /// 16-page queues, unbounded memory and one worker: one task per
+    /// operator. Real-thread executors start from this and set
+    /// `parallel` explicitly.
     fn default() -> Self {
-        Self {
-            // Consults CORDOBA_WORKERS so a CI leg (or a user) can force
-            // intra-query parallelism across every default-configured
-            // run; unset, this is the single-worker serial wiring.
-            parallel: ParallelConfig::from_env(),
-            ..Self::serial()
-        }
-    }
-}
-
-impl WiringConfig {
-    /// The default wiring with intra-query parallelism pinned off,
-    /// whatever `CORDOBA_WORKERS` says: one task per operator. Real-
-    /// thread executors start from this and set `parallel` explicitly.
-    pub fn serial() -> Self {
         Self {
             queue_capacity: 16,
             memory: MemoryConfig::default(),
-            parallel: ParallelConfig::with_workers(1),
+            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -929,7 +917,7 @@ pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
 /// thread, and every group worker's shell is built on a scoped OS
 /// thread of its own, in a run loop of its own, feeding its group's
 /// merge over a bounded OS link ([`run_feeding`]). With one worker
-/// configured there are no groups and no threads: see [`run_serial`].
+/// configured there are no groups and no threads.
 pub fn run_local(
     catalog: &Catalog,
     plan: &PhysicalPlan,
@@ -1023,17 +1011,6 @@ fn run_worker(
     });
 }
 
-/// [`run_local`] at one worker, whatever `CORDOBA_WORKERS` says: the
-/// serial one-task-per-operator wiring ([`WiringConfig::serial`]) in
-/// one run loop on the calling thread.
-pub fn run_serial(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    resources: &QueryResources,
-) -> Result<Vec<Arc<Page>>, ExecError> {
-    run_local(catalog, plan, &WiringConfig::serial(), resources)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,9 +1052,7 @@ mod tests {
             ],
             cost: OpCost::default(),
         };
-        // Pinned serial (Default consults CORDOBA_WORKERS): the
-        // assertions below name the task-per-operator wiring.
-        let cfg = WiringConfig::serial();
+        let cfg = WiringConfig::default();
         let mut sim = Simulator::new(2);
         let (rx, spawned, res) = instantiate(&mut sim, &cat, &plan, "q0", &cfg).expect("wires");
         assert_eq!(spawned.len(), 3);
@@ -1239,9 +1214,7 @@ mod tests {
             predicate: Predicate::col_cmp(0, CmpOp::Lt, 60i64),
             cost: OpCost::default(),
         };
-        // Pinned to one worker (not Default, which consults
-        // CORDOBA_WORKERS): this test is *about* the serial wiring.
-        let cfg = WiringConfig::serial();
+        let cfg = WiringConfig::default();
         let mut sim = Simulator::new(1);
         let (_rx, spawned, _res) = instantiate(&mut sim, &cat, &plan, "q0", &cfg).expect("wires");
         let mut names: Vec<&str> = spawned.iter().map(|(_, n)| n.as_str()).collect();
@@ -1312,11 +1285,14 @@ mod tests {
                 cost: OpCost::default(),
             },
         ];
-        for plan in cases {
-            let err = instantiate(&mut sim, &cat, &plan, "bad", &WiringConfig::default())
-                .err()
-                .unwrap_or_else(|| panic!("plan must be rejected: {plan:?}"));
-            assert!(matches!(err, ExecError::PlanType(_)), "{plan:?}: {err}");
+        // Serial, and with scan chains wired as morsel groups.
+        for cfg in [WiringConfig::default(), threaded(4)] {
+            for plan in &cases {
+                let err = instantiate(&mut sim, &cat, plan, "bad", &cfg)
+                    .err()
+                    .unwrap_or_else(|| panic!("plan must be rejected: {plan:?}"));
+                assert!(matches!(err, ExecError::PlanType(_)), "{plan:?}: {err}");
+            }
         }
         // Nothing was spawned by any failed instantiation.
         assert!(sim.run_to_idle().completed_all());
@@ -1399,9 +1375,9 @@ mod tests {
     }
 
     #[test]
-    fn run_serial_ignores_the_worker_environment() {
-        // Whatever CORDOBA_WORKERS says, the serial helper reproduces
-        // the one-worker wiring's rows.
+    fn default_run_local_is_one_worker_and_returns_its_grants() {
+        // The default config is the one-worker wiring: its rows, and a
+        // broker that saw the sort's grants and got them all back.
         let cat = paged_catalog();
         let plan = PhysicalPlan::Sort {
             input: Box::new(PhysicalPlan::Scan {
@@ -1412,11 +1388,12 @@ mod tests {
             cost: OpCost::default(),
         };
         let res = QueryResources::default();
-        let pages = run_serial(&cat, &plan, &res).expect("runs");
+        let cfg = WiringConfig::default();
+        assert_eq!(cfg.parallel.workers, 1);
+        let pages = run_local(&cat, &plan, &cfg, &res).expect("runs");
         assert_eq!(page_rows(&pages), run_plan(&cat, &plan, 1));
         assert!(res.broker.peak() > 0, "the sort charged the broker");
         assert_eq!(res.broker.used(), 0);
-        assert_eq!(WiringConfig::serial().parallel.workers, 1);
     }
 
     fn low_keys(cutoff: i64) -> Box<PhysicalPlan> {
@@ -1436,7 +1413,7 @@ mod tests {
                 workers,
                 morsel_pages: 1,
             },
-            ..WiringConfig::serial()
+            ..WiringConfig::default()
         }
     }
 
@@ -1482,7 +1459,8 @@ mod tests {
         }
         for plan in &plans {
             let res = QueryResources::default();
-            let want = page_rows(&run_serial(&cat, plan, &res).expect("runs"));
+            let want =
+                page_rows(&run_local(&cat, plan, &WiringConfig::default(), &res).expect("runs"));
             assert_eq!(want, crate::reference::execute(&cat, plan));
             for workers in [2, 4, 8] {
                 let got = run_local(&cat, plan, &threaded(workers), &res).expect("runs");
@@ -1537,7 +1515,8 @@ mod tests {
         // the whole build side (1.5x at eight pages) would break.
         for budget in [2 * PAGE_SIZE, 8 * PAGE_SIZE] {
             let serial = MemoryBroker::with_budget(budget);
-            run_serial(&cat, &same_pages, &QueryResources::charging(&serial)).expect("serial join");
+            let res = QueryResources::charging(&serial);
+            run_local(&cat, &same_pages, &WiringConfig::default(), &res).expect("serial join");
             for workers in [2, 4] {
                 let at = format!("budget={budget} workers={workers}");
                 let mut cfg = threaded(workers);
@@ -1848,7 +1827,7 @@ mod tests {
         let broke = ExecError::Injected {
             detail: "worker broke".into(),
         };
-        let cfg = WiringConfig::serial();
+        let cfg = WiringConfig::default();
         let morsel = cfg.parallel.morsel_pages;
         // The simulator: the workers' shells beside the sort's, their
         // fault the query's.

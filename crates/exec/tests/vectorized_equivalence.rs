@@ -10,7 +10,7 @@
 
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::ops::BuildTable;
-use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, PhysicalPlan};
+use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, ParallelConfig, PhysicalPlan};
 use cordoba_exec::{CompiledPredicate, ExprScratch};
 use cordoba_sim::Simulator;
 use cordoba_storage::tpch::{self, TpchConfig};
@@ -22,12 +22,24 @@ fn scan(table: &str) -> Box<PhysicalPlan> {
     Box::new(PhysicalPlan::Scan { table, cost })
 }
 
-/// Runs `plan` through the simulator wiring; `Err` carries either an
-/// instantiation rejection or a runtime fault.
-fn try_run_sim(cat: &Catalog, plan: &PhysicalPlan) -> Result<Vec<Vec<Value>>, ExecError> {
+/// Morsel workers every simulated run is made at: the serial wiring and
+/// one whose scan chains become morsel groups.
+const WORKERS: [usize; 2] = [1, 4];
+
+/// Runs `plan` through the simulator wiring at `workers` morsel workers;
+/// `Err` carries either an instantiation rejection or a runtime fault.
+fn try_run_sim(
+    cat: &Catalog,
+    plan: &PhysicalPlan,
+    workers: usize,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let parallel = ParallelConfig::with_workers(workers);
+    let cfg = wiring::WiringConfig {
+        parallel,
+        ..Default::default()
+    };
     let mut sim = Simulator::new(3);
-    let (rx, _ops, res) =
-        wiring::instantiate(&mut sim, cat, plan, "vq", &wiring::WiringConfig::default())?;
+    let (rx, _ops, res) = wiring::instantiate(&mut sim, cat, plan, "vq", &cfg)?;
     wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault)
 }
 
@@ -224,8 +236,8 @@ fn key_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 }
 
 /// Runs `keys` (with an arrival stamp appended to each row) through the
-/// sort operator; the stamps in output order.
-fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>]) -> Vec<usize> {
+/// sort operator at `workers` morsel workers; the stamps in output order.
+fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>], workers: usize) -> Vec<usize> {
     let ncols = fields.len();
     fields.push(Field::new("seq", DataType::Int));
     let mut tb = TableBuilder::with_page_size("t", Schema::new(fields), 256);
@@ -240,7 +252,7 @@ fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>]) -> Vec<usize> {
         cost: OpCost::default(),
     };
     let stamp = |row: &Vec<Value>| row[ncols].as_int().expect("seq is Int") as usize;
-    let rows = try_run_sim(&cat, &plan).expect("sort runs");
+    let rows = try_run_sim(&cat, &plan, workers).expect("sort runs");
     rows.iter().map(stamp).collect()
 }
 
@@ -272,7 +284,10 @@ proptest! {
                 let (fields, keys) = adversarial_keys(shape, &raw[..n]);
                 let mut want: Vec<usize> = (0..n).collect();
                 want.sort_by(|&a, &b| key_order(&keys[a], &keys[b]));
-                prop_assert_eq!(sorted_stamps(fields, &keys), want, "shape {} n {}", shape, n);
+                for workers in WORKERS {
+                    let got = sorted_stamps(fields.clone(), &keys, workers);
+                    prop_assert_eq!(&got, &want, "shape {} n {} workers {}", shape, n, workers);
+                }
             }
         }
     }
@@ -342,9 +357,11 @@ fn unsorted_merge_input_returns_typed_error() {
         right_key: 0,
         cost: OpCost::default(),
     };
-    let err = try_run_sim(&cat, &plan).expect_err("unsorted input must fail");
-    let (side, prev, key) = ("left", 5, 2);
-    assert_eq!(err, ExecError::UnsortedMergeInput { side, prev, key });
+    for workers in WORKERS {
+        let err = try_run_sim(&cat, &plan, workers).expect_err("unsorted input must fail");
+        let (side, prev, key) = ("left", 5, 2);
+        assert_eq!(err, ExecError::UnsortedMergeInput { side, prev, key });
+    }
 }
 
 /// Malformed plans come back as typed instantiation errors — every
@@ -414,8 +431,11 @@ fn malformed_plans_return_typed_errors() {
             cost,
         },
     ];
-    for plan in cases {
-        let err = try_run_sim(&cat, &plan).expect_err("malformed plan must be rejected");
-        assert!(matches!(err, ExecError::PlanType(_)), "{plan:?}: {err}");
+    for (plan, workers) in cases.iter().flat_map(|p| WORKERS.map(|w| (p, w))) {
+        let err = try_run_sim(&cat, plan, workers).expect_err("malformed plan must be rejected");
+        assert!(
+            matches!(err, ExecError::PlanType(_)),
+            "{plan:?} at {workers}: {err}"
+        );
     }
 }

@@ -21,7 +21,9 @@
 //!    in simulator-deterministic modules (`core`, `sim`, `storage`,
 //!    `exec`, `engine`, `workload`), excepting the real-thread modules
 //!    (`engine::thread_exec`). Virtual time comes from the scheduler;
-//!    wall clocks there would break replayability.
+//!    wall clocks there would break replayability. The same modules
+//!    read no `env::var`: a setting the environment can change behind
+//!    a default would make a run depend on the shell that started it.
 //! 4. **`Ordering::Relaxed` allowlist** — every `Ordering::Relaxed`
 //!    outside the audited files (`exec::memory`'s monotone peak CAS,
 //!    `exec::parallel`'s morsel counter) is flagged, so a new Relaxed
@@ -91,7 +93,8 @@ pub enum Rule {
     /// `unimplemented!` in non-test hot-crate code without a
     /// `// lint: allow(reason)` escape.
     PanicSite,
-    /// `Instant` / `SystemTime` in a simulator-deterministic module.
+    /// `Instant` / `SystemTime` or an `env::var` read in a
+    /// simulator-deterministic module.
     NondeterministicClock,
     /// `Ordering::Relaxed` outside the audited allowlist.
     RelaxedOrdering,
@@ -164,7 +167,7 @@ pub struct Config {
     pub unsafe_allowed_files: Vec<String>,
     /// Path prefixes whose non-test code must be panic-free.
     pub panic_free_prefixes: Vec<String>,
-    /// Path prefixes that must not read wall clocks.
+    /// Path prefixes that must not read wall clocks or the environment.
     pub deterministic_prefixes: Vec<String>,
     /// Files exempt from the deterministic-time rule (real-thread
     /// modules measured with honest wall clocks).
@@ -636,6 +639,15 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
                     .into(),
             );
         }
+        if det_scoped && code.contains("env::var") {
+            push(
+                i,
+                Rule::NondeterministicClock,
+                "environment read in a simulator-deterministic module; take the setting \
+                 as a config field so defaults do not depend on the environment"
+                    .into(),
+            );
+        }
         // Rule 4: Relaxed-ordering allowlist.
         if code.contains("Ordering::Relaxed") && !listed(file, &cfg.relaxed_allowed_files) {
             push(
@@ -650,7 +662,7 @@ pub fn lint_source(file: &str, source: &str, cfg: &Config) -> Vec<Finding> {
         for (tok, instead) in [
             (
                 "reference::execute",
-                "run the plan through `wiring` (e.g. `wiring::run_serial`)",
+                "run the plan through `wiring` (e.g. `wiring::run_local`)",
             ),
             (
                 ".eval(",
@@ -964,6 +976,20 @@ mod tests {
         assert_eq!(got, vec![Rule::NondeterministicClock; 2]);
         let got = rules("fn f() { let _ = std::time::SystemTime::now(); }");
         assert_eq!(got, vec![Rule::NondeterministicClock]);
+    }
+
+    #[test]
+    fn seeded_environment_reads_are_caught() {
+        let got = rules("fn f() -> Option<String> { std::env::var(\"W\").ok() }");
+        assert_eq!(got, vec![Rule::NondeterministicClock]);
+        let got = rules("use std::env;\nfn f() -> bool { env::var_os(\"W\").is_some() }");
+        assert_eq!(got, vec![Rule::NondeterministicClock]);
+        let read = "fn f() { let _ = std::env::var(\"W\"); }";
+        let msg = lint_source("probe.rs", read, &cfg_for("probe.rs"));
+        assert!(msg[0].message.starts_with("environment read"), "{msg:?}");
+        let mut cfg = cfg_for("sim.rs");
+        cfg.deterministic_exceptions = vec!["sim.rs".into()];
+        assert!(lint_source("sim.rs", read, &cfg).is_empty());
     }
 
     #[test]

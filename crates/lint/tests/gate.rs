@@ -16,8 +16,8 @@ use std::process::Command;
 /// call, a second run loop and a bridge task across the sharing seam in
 /// engine-shaped paths; a second pricing of a sharing group in a
 /// bench-shaped path; an operator opening a spill file past
-/// `SpillContext::io`.
-const SEEDS: [(&str, &str, &str); 11] = [
+/// `SpillContext::io`; a default read from the environment.
+const SEEDS: [(&str, &str, &str); 12] = [
     (
         "crates/exec/src/bad.rs",
         "pub fn bad(p: *const u8) -> u8 {\n    let v = unsafe { *p };\n    Some(v).unwrap()\n}\n",
@@ -72,6 +72,11 @@ const SEEDS: [(&str, &str, &str); 11] = [
         "crates/exec/src/ops/own_stream.rs",
         "fn spill_run(&mut self) -> io::Result<SpillFile> {\n    let mut run = SpillWriter::create(&self.dir, self.schema.clone())?;\n    self.rows.iter().try_for_each(|r| run.push_row(r))?;\n    run.finish()\n}\n",
         "one-spill-io",
+    ),
+    (
+        "crates/exec/src/env_default.rs",
+        "pub fn workers() -> usize {\n    std::env::var(\"WORKERS\").ok().and_then(|v| v.parse().ok()).unwrap_or(1)\n}\n",
+        "nondeterministic-clock",
     ),
 ];
 

@@ -3,12 +3,25 @@
 //! the synchronous reference executor and the naive straight-line
 //! implementations produce.
 
-use cordoba::engine::{run_once, EngineConfig, Policy};
+use cordoba::engine::{run_once, EngineConfig, ParallelConfig, Policy};
 use cordoba::exec::reference;
 use cordoba::storage::tpch::{generate, TpchConfig};
 use cordoba::storage::Value;
 use cordoba::workload::queries::all;
 use cordoba::workload::CostProfile;
+
+/// Morsel workers every test runs at: the serial wiring and one whose
+/// scan chains and aggregates become morsel groups.
+const WORKERS: [usize; 2] = [1, 4];
+
+fn cfg(contexts: usize, policy: Policy, workers: usize) -> EngineConfig {
+    EngineConfig {
+        contexts,
+        policy,
+        parallel: ParallelConfig::with_workers(workers),
+        ..EngineConfig::default()
+    }
+}
 
 fn catalog() -> cordoba::storage::Catalog {
     generate(&TpchConfig {
@@ -28,18 +41,16 @@ fn every_query_matches_reference_unshared_and_shared() {
             (Policy::NeverShare, "never"),
             (Policy::AlwaysShare, "always"),
         ] {
-            let cfg = EngineConfig {
-                contexts: 4,
-                policy,
-                ..EngineConfig::default()
-            };
-            let out = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
-            for (i, rows) in out.results.iter().enumerate() {
-                assert_eq!(
-                    rows, &expected,
-                    "{} member {i} under {label} diverged",
-                    spec.name
-                );
+            for workers in WORKERS {
+                let cfg = cfg(4, policy.clone(), workers);
+                let out = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
+                for (i, rows) in out.results.iter().enumerate() {
+                    assert_eq!(
+                        rows, &expected,
+                        "{} member {i} under {label}, {workers} workers, diverged",
+                        spec.name
+                    );
+                }
             }
         }
     }
@@ -48,44 +59,30 @@ fn every_query_matches_reference_unshared_and_shared() {
 #[test]
 fn shared_groups_form_only_under_sharing_policies() {
     let catalog = catalog();
-    let spec = &all(&CostProfile::paper())[0];
-    let never = run_once(
-        &catalog,
-        &vec![spec.clone(); 4],
-        &EngineConfig {
-            contexts: 2,
-            policy: Policy::NeverShare,
-            ..EngineConfig::default()
-        },
-    );
-    assert_eq!(never.group_sizes, vec![1, 1, 1, 1]);
-    let always = run_once(
-        &catalog,
-        &vec![spec.clone(); 4],
-        &EngineConfig {
-            contexts: 2,
-            policy: Policy::AlwaysShare,
-            ..EngineConfig::default()
-        },
-    );
-    assert_eq!(always.group_sizes, vec![4]);
+    let batch = vec![all(&CostProfile::paper())[0].clone(); 4];
+    for workers in WORKERS {
+        let never = run_once(&catalog, &batch, &cfg(2, Policy::NeverShare, workers));
+        assert_eq!(never.group_sizes, vec![1, 1, 1, 1]);
+        let always = run_once(&catalog, &batch, &cfg(2, Policy::AlwaysShare, workers));
+        assert_eq!(always.group_sizes, vec![4]);
+    }
 }
 
 #[test]
 fn q6_revenue_matches_naive_through_the_simulated_engine() {
     let catalog = catalog();
-    let spec = cordoba::workload::q6(&CostProfile::paper());
-    let cfg = EngineConfig {
-        contexts: 8,
-        policy: Policy::AlwaysShare,
-        ..EngineConfig::default()
-    };
-    let out = run_once(&catalog, &vec![spec; 2], &cfg);
+    let batch = vec![cordoba::workload::q6(&CostProfile::paper()); 2];
     let naive = cordoba::workload::naive::q6(&catalog);
-    for rows in &out.results {
-        assert_eq!(rows.len(), 1);
-        let got = rows[0][0].as_float().unwrap();
-        assert!((got - naive).abs() < 1e-6 * naive.abs());
+    for workers in WORKERS {
+        let out = run_once(&catalog, &batch, &cfg(8, Policy::AlwaysShare, workers));
+        for rows in &out.results {
+            assert_eq!(rows.len(), 1);
+            let got = rows[0][0].as_float().unwrap();
+            assert!(
+                (got - naive).abs() < 1e-6 * naive.abs(),
+                "{workers} workers"
+            );
+        }
     }
 }
 
@@ -97,18 +94,15 @@ fn mixed_q1_q6_group_merges_at_the_common_scan_and_stays_correct() {
     let costs = CostProfile::paper();
     let q1 = cordoba::workload::q1(&costs);
     let q6 = cordoba::workload::q6(&costs);
-    let cfg = EngineConfig {
-        contexts: 4,
-        policy: Policy::AlwaysShare,
-        ..EngineConfig::default()
-    };
-    let out = run_once(&catalog, &[q1.clone(), q6.clone(), q1.clone()], &cfg);
-    assert_eq!(out.group_sizes, vec![3], "Q1+Q6 must merge at the scan");
     let expect_q1 = reference::execute(&catalog, &q1.plan);
     let expect_q6 = reference::execute(&catalog, &q6.plan);
-    assert_eq!(out.results[0], expect_q1);
-    assert_eq!(out.results[1], expect_q6);
-    assert_eq!(out.results[2], expect_q1);
+    for workers in WORKERS {
+        let cfg = cfg(4, Policy::AlwaysShare, workers);
+        let out = run_once(&catalog, &[q1.clone(), q6.clone(), q1.clone()], &cfg);
+        assert_eq!(out.group_sizes, vec![3], "Q1+Q6 must merge at the scan");
+        let want = [expect_q1.clone(), expect_q6.clone(), expect_q1.clone()];
+        assert_eq!(out.results, want, "{workers} workers");
+    }
 }
 
 #[test]
@@ -123,27 +117,27 @@ fn clients_with_different_predicates_share_one_scan() {
     let clients: Vec<_> = (0..6)
         .map(|c| q6_with_params(&costs, Q6Params::for_client(c)))
         .collect();
-    let cfg = EngineConfig {
-        contexts: 4,
-        policy: Policy::AlwaysShare,
-        ..EngineConfig::default()
-    };
-    let out = run_once(&catalog, &clients, &cfg);
-    // One group, one scan, six private filter/aggregate chains.
-    assert_eq!(out.group_sizes, vec![6]);
-    let scans = out
-        .task_stats
+    let expected: Vec<_> = clients
         .iter()
-        .filter(|(n, _)| n.contains("scan(lineitem)"))
-        .count();
-    assert_eq!(scans, 1, "exactly one shared scan instance");
-    // Every client gets its own (distinct, correct) answer.
-    let mut revenues = Vec::new();
-    for (spec, rows) in clients.iter().zip(&out.results) {
-        let expected = reference::execute(&catalog, &spec.plan);
-        assert_eq!(rows, &expected, "{:?}", spec.name);
-        revenues.push(rows[0][0].as_float().unwrap());
+        .map(|spec| reference::execute(&catalog, &spec.plan))
+        .collect();
+    for workers in WORKERS {
+        let out = run_once(&catalog, &clients, &cfg(4, Policy::AlwaysShare, workers));
+        // One group, one scan, six private filter/aggregate chains.
+        assert_eq!(out.group_sizes, vec![6]);
+        let scans = out
+            .task_stats
+            .iter()
+            .filter(|(n, _)| n.contains("scan(lineitem)"))
+            .count();
+        assert_eq!(scans, 1, "exactly one shared scan instance");
+        assert_eq!(out.results, expected, "{workers} workers");
     }
+    // Every client gets its own (distinct, correct) answer.
+    let revenues: Vec<f64> = expected
+        .iter()
+        .map(|rows| rows[0][0].as_float().unwrap())
+        .collect();
     let distinct = {
         let mut r: Vec<u64> = revenues.iter().map(|v| v.to_bits()).collect();
         r.sort_unstable();
@@ -182,22 +176,16 @@ fn model_guided_policy_results_always_correct() {
         }
         m
     };
-    let cfg = EngineConfig {
-        contexts: 2,
-        policy: Policy::ModelGuided {
-            models,
-            hysteresis: 0.0,
-        },
-        ..EngineConfig::default()
+    let policy = Policy::ModelGuided {
+        models,
+        hysteresis: 0.0,
     };
-    let out = run_once(&catalog, &specs, &cfg);
-    for (spec, rows) in specs.iter().zip(&out.results) {
-        assert_eq!(
-            rows,
-            &reference::execute(&catalog, &spec.plan),
-            "{}",
-            spec.name
-        );
+    for workers in WORKERS {
+        let out = run_once(&catalog, &specs, &cfg(2, policy.clone(), workers));
+        for (spec, rows) in specs.iter().zip(&out.results) {
+            let want = reference::execute(&catalog, &spec.plan);
+            assert_eq!(rows, &want, "{} at {workers} workers", spec.name);
+        }
     }
 }
 
@@ -205,15 +193,13 @@ fn model_guided_policy_results_always_correct() {
 fn results_are_deterministic_across_runs() {
     let catalog = catalog();
     let spec = cordoba::workload::q13(&CostProfile::paper());
-    let cfg = EngineConfig {
-        contexts: 8,
-        policy: Policy::AlwaysShare,
-        ..EngineConfig::default()
-    };
-    let a = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
-    let b = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.makespan, b.makespan, "virtual time must be bit-identical");
-    let rows_a: Vec<Vec<Value>> = a.results.into_iter().flatten().collect();
-    assert!(!rows_a.is_empty());
+    for workers in WORKERS {
+        let cfg = cfg(8, Policy::AlwaysShare, workers);
+        let a = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
+        let b = run_once(&catalog, &vec![spec.clone(); 3], &cfg);
+        assert_eq!(a.results, b.results);
+        assert_eq!(a.makespan, b.makespan, "virtual time must be bit-identical");
+        let rows_a: Vec<Vec<Value>> = a.results.into_iter().flatten().collect();
+        assert!(!rows_a.is_empty());
+    }
 }

@@ -1503,7 +1503,7 @@ fn smaller_plans(plan: &Plan) -> Vec<Plan> {
 /// shares.
 fn valid(case: &Case) -> bool {
     let seam_shares = case.config.substrate == Seam && case.config.share;
-    let cfg = WiringConfig::serial();
+    let cfg = WiringConfig::default();
     case.queries.iter().all(|(_, q)| {
         let (plan, cat) = (&q.plan, &case.catalog);
         let typed = || wiring::instantiate(&mut Simulator::new(1), cat, plan, "v", &cfg).is_ok();
