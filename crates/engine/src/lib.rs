@@ -48,8 +48,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![warn(unreachable_pub)]
+// Test code may call the oracle, start threads and touch files: the
+// workspace policy (`clippy.toml`) binds the library, not its tests.
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
-mod dispatcher;
 pub mod fragment_cache;
 pub mod policy;
 pub mod profiling;

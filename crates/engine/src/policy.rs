@@ -59,6 +59,10 @@ pub struct QueryModelInfo {
 /// this does not compare the members' pivot subtrees: the dispatcher
 /// only groups queries whose pivots subsume one another, and fitted
 /// costs that differ in the last digit are no reason to refuse.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one pricing of a group: wide member, s / c and the residual ratio live here"
+)]
 pub fn sharing_group(members: &[(&QueryModelInfo, f64)]) -> Result<SharingEvaluator, ModelError> {
     // `min_by` over the reversed order: the first of the widest.
     let (wide, _) = members

@@ -49,15 +49,24 @@
 //! and are ordinary [`ArrivalSchedule`]s — the run is agnostic to how
 //! the schedule was drawn.
 
-use crate::dispatcher::{DispatcherTask, EngineCore};
+// The dispatcher is a child of the run loop: its `core` is
+// `pub(super)`, so no other engine module can build a second
+// `DispatcherTask` (rule 6, one run loop).
+mod dispatcher;
+
 use crate::policy::Policy;
 use crate::query::QuerySpec;
 use cordoba_exec::wiring::{page_rows, WiringConfig};
 use cordoba_exec::{ExecError, MemoryConfig, OpCost, ParallelConfig};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the engine's control tasks step themselves; they run no operator"
+)]
 use cordoba_sim::{
     Histogram, RunOutcome, SimStats, Simulator, Step, StopReason, Task, TaskCtx, TaskStats, VTime,
 };
 use cordoba_storage::{Catalog, Value};
+use dispatcher::{DispatcherTask, EngineCore};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -225,6 +234,10 @@ struct Arrivals {
     capacity: usize,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the engine's control tasks step themselves; they run no operator"
+)]
 impl Task for Arrivals {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let now = ctx.now();
@@ -293,6 +306,10 @@ impl Run {
     /// queries a [`Source::Schedule`] arrival may find (at least 1;
     /// `usize::MAX` = unbounded); `capture` keeps every query's result
     /// rows and the per-task statistics for the [`Report`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one run loop builds the one simulator"
+    )]
     pub fn new(
         catalog: &Catalog,
         cfg: &EngineConfig,

@@ -31,6 +31,10 @@ use cordoba_exec::subsume::{coverage_estimate, fingerprint, subsume_residual};
 use cordoba_exec::wiring::{instantiate_into, WiringConfig};
 use cordoba_exec::{ExecError, FaultCell, OpCost, PhysicalPlan, QueryResources};
 use cordoba_sim::channel::{self};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the engine's control tasks step themselves; they run no operator"
+)]
 use cordoba_sim::{Spawner, Step, Task, TaskCtx, TaskId, VTime};
 use cordoba_storage::{Catalog, Page};
 use std::cell::RefCell;
@@ -152,7 +156,7 @@ impl EngineCore {
 
 /// The engine's control task: forms and dispatches sharing groups.
 pub(crate) struct DispatcherTask {
-    pub(crate) core: Rc<RefCell<EngineCore>>,
+    pub(super) core: Rc<RefCell<EngineCore>>,
 }
 
 impl DispatcherTask {
@@ -493,6 +497,10 @@ impl DispatcherTask {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the engine's control tasks step themselves; they run no operator"
+)]
 impl Task for DispatcherTask {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let now = ctx.now();

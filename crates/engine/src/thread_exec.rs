@@ -56,6 +56,10 @@ use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-thread executor times its batches with an honest wall clock"
+)]
 use std::time::{Duration, Instant};
 
 /// Outcome of a threaded run.
@@ -71,6 +75,10 @@ type Rows = Vec<Vec<Value>>;
 
 /// The report of a batch every query of which succeeded, else its first
 /// (submission-order) error.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-thread executor times its batches with an honest wall clock"
+)]
 fn report(
     start: Instant,
     results: Vec<Result<Rows, ExecError>>,
@@ -86,6 +94,10 @@ fn report(
 /// A single worker is the calling thread itself: a thread that only
 /// waits for one other adds a start, a sleep and a wake-up to every
 /// call and nothing else.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "query-level threads: one of the two places OS threads start"
+)]
 fn run_claimed(
     m: usize,
     threads: usize,
@@ -143,10 +155,17 @@ fn try_unshared(
 ///
 /// Panics if a query fails (a plan that does not type-check, or a
 /// runtime fault such as an unsorted merge input).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-thread executor times its batches with an honest wall clock"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "documented '# Panics' contract of this harness entry point"
+)]
 pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usize) -> ThreadReport {
     let start = Instant::now();
     let results = try_unshared(catalog, &spec.plan, m, threads, &MemoryBroker::unbounded());
-    // lint: allow(documented '# Panics' contract of this harness entry point)
     report(start, results).expect("unshared query failed")
 }
 
@@ -160,6 +179,10 @@ pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usiz
 /// same queries and the same `ops/*` tasks as [`run_unshared`], but
 /// each scan → filter → project (→ aggregate) fragment spread across
 /// morsel workers instead of a single thread of control.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-thread executor times its batches with an honest wall clock"
+)]
 pub fn run_unshared_parallel(
     catalog: &Catalog,
     spec: &QuerySpec,
@@ -252,6 +275,10 @@ fn consume(
 /// The fallible core of [`run_shared`]: `pivot` runs once and feeds one
 /// consumer per entry of `plans` (each must contain `pivot`); one
 /// outcome per consumer. With no consumer the pivot does not run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sharing seam's consumer threads: one of the two places OS threads start"
+)]
 fn try_shared(
     catalog: &Catalog,
     pivot: &PhysicalPlan,
@@ -289,8 +316,15 @@ fn try_shared(
 ///
 /// Panics if `spec` has no pivot, or if a query fails (a plan that does
 /// not type-check, or a runtime fault).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-thread executor times its batches with an honest wall clock"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "documented '# Panics' contract of this harness entry point"
+)]
 pub fn run_shared(catalog: &Catalog, spec: &QuerySpec, m: usize) -> ThreadReport {
-    // lint: allow(documented '# Panics' contract of this harness entry point)
     let pivot = spec.pivot.as_ref().expect("shared run needs a pivot");
     let start = Instant::now();
     let results = try_shared(
@@ -299,7 +333,6 @@ pub fn run_shared(catalog: &Catalog, spec: &QuerySpec, m: usize) -> ThreadReport
         &vec![&spec.plan; m],
         &MemoryBroker::unbounded(),
     );
-    // lint: allow(documented '# Panics' contract of this harness entry point)
     report(start, results).expect("shared query failed")
 }
 

@@ -3,6 +3,11 @@
 //! every one is completed, failed, rejected, or in flight — and virtual
 //! time is pinned.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code, exempt from the panic-free rule"
+)]
+
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
     run_once, run_open_loop_collecting, run_service, ArrivalSchedule, Disposition, EngineConfig,

@@ -308,6 +308,10 @@ impl SpillIo<'_> {
 
     /// A new row stream for rows of `schema`, with a granted frame of
     /// `frame_pages` pages (see [`SpillContext::frame_pages`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stream opens where its frame is granted"
+    )]
     pub(crate) fn create(
         &self,
         schema: std::sync::Arc<Schema>,
@@ -349,6 +353,10 @@ impl SpillIo<'_> {
     /// [`SpillIo::next_page`] hands out. A cursor cannot do with less
     /// than a page of each, so under a one-page frame it holds, and is
     /// granted, two.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stream opens where its frame is granted"
+    )]
     pub(crate) fn open(
         &self,
         file: SpillFile,

@@ -377,7 +377,10 @@ impl AggCore {
                     into[oslot as usize] = *map.entry(key).or_insert_with(|| cols.new_slot());
                 }
             }
-            // lint: allow(both states were constructed from the same aggregate config)
+            #[expect(
+                clippy::unreachable,
+                reason = "both states were constructed from the same aggregate config"
+            )]
             _ => unreachable!("identical aggregate configs share one GroupIndex variant"),
         }
         for (&slot, n) in into.iter().zip(&other.cols.rows) {

@@ -160,7 +160,7 @@ proptest! {
             let cfg = wiring::WiringConfig { parallel, ..Default::default() };
             let mut sim = Simulator::new(3);
             let (rx, _ops, res) = wiring::instantiate(&mut sim, &catalog, &plan, "hj", &cfg)
-                .expect("plan wires"); // lint: allow(property-test harness; generated plans always wire)
+                .expect("plan wires");
             let rows = wiring::run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
             prop_assert_eq!(rows.map(reference::canonicalize), Ok(expected.clone()));
         }

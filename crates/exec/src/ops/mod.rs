@@ -342,7 +342,10 @@ fn encode_keyval(out: &mut Vec<u8>, key: &KeyVal, dtype: DataType) {
             out.extend_from_slice(s.as_bytes());
             out.extend(std::iter::repeat_n(b' ', n - s.len()));
         }
-        // lint: allow(group keys are derived from the schema they encode back into)
+        #[expect(
+            clippy::panic,
+            reason = "group keys are derived from the schema they encode back into"
+        )]
         (k, d) => panic!("key {k:?} does not match field type {d:?}"),
     }
 }

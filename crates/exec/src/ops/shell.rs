@@ -95,6 +95,10 @@
 use crate::error::{ExecError, FaultCell};
 use crate::ops::{Fanout, Inlet};
 use cordoba_sim::channel::Recv;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one operator shell: every operator is a Kernel it steps"
+)]
 use cordoba_sim::{Step, Task, TaskCtx, VTime};
 use cordoba_storage::{Page, Schema};
 use std::sync::Arc;
@@ -359,6 +363,10 @@ impl OperatorShell {
     }
 
     /// The failure path (see the [module docs](self)).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one operator shell: every operator is a Kernel it steps"
+    )]
     fn fail(&mut self, ctx: &mut TaskCtx<'_>, err: ExecError) -> Step {
         self.fault.set(err);
         self.out.clear();
@@ -369,6 +377,10 @@ impl OperatorShell {
     /// Ends the task before its inputs have: they close, so upstream
     /// runs out into the void, and the kernel returns its grants and
     /// files.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one operator shell: every operator is a Kernel it steps"
+    )]
     fn stop(&mut self, ctx: &mut TaskCtx<'_>, cost: VTime) -> Step {
         for input in &mut self.inputs {
             input.rx.close(ctx);
@@ -379,6 +391,10 @@ impl OperatorShell {
 
     /// Ends the stream downstream, runs the `on_done` hook, and ends
     /// the task at `cost`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one operator shell: every operator is a Kernel it steps"
+    )]
     fn finish(&mut self, ctx: &mut TaskCtx<'_>, cost: VTime) -> Step {
         self.fanout.close(ctx);
         if let Some(on_done) = self.on_done.take() {
@@ -388,6 +404,10 @@ impl OperatorShell {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one operator shell: every operator is a Kernel it steps"
+)]
 impl Task for OperatorShell {
     fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
         let (mut cost, mut drained) = self.fanout.flush(ctx);

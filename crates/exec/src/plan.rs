@@ -148,9 +148,12 @@ impl PhysicalPlan {
     ///
     /// Panics on unknown tables or out-of-range column indices — use
     /// [`PhysicalPlan::try_output_schema`] for a fallible derivation.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' wrapper; the fallible twin is try_output_schema"
+    )]
     pub fn output_schema(&self, catalog: &Catalog) -> Arc<Schema> {
         self.try_output_schema(catalog)
-            // lint: allow(documented '# Panics' wrapper; fallible twin is try_output_schema)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

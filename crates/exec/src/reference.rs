@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Executes a plan, returning materialized result rows.
+#[expect(clippy::disallowed_methods, reason = "the oracle's own entry point")]
 pub fn execute(catalog: &Catalog, plan: &PhysicalPlan) -> Vec<Vec<Value>> {
     let table = execute_table(catalog, plan);
     table.scan_values().collect()
@@ -23,12 +24,18 @@ pub fn execute(catalog: &Catalog, plan: &PhysicalPlan) -> Vec<Vec<Value>> {
 
 /// Executes a plan into an intermediate table (page-backed, so nested
 /// operators reuse the same tuple machinery as the simulator tasks).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the oracle recurses into itself and runs on its own tree walk"
+)]
 pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
     match plan {
-        // lint: allow(documented catalog lookup panic; oracle executor runs on validated plans)
         PhysicalPlan::Scan { table, .. } => catalog.expect(table).clone(),
+        #[expect(
+            clippy::panic,
+            reason = "documented oracle limitation: Source leaves only exist in engine wiring"
+        )]
         PhysicalPlan::Source { .. } => {
-            // lint: allow(documented oracle limitation: Source leaves only exist in engine wiring)
             panic!("reference executor cannot run plans with Source leaves")
         }
         PhysicalPlan::Filter {
@@ -291,24 +298,31 @@ impl RefAcc {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "the oracle's tree walk; aggregate inputs type-check as numeric before execution"
+    )]
     fn update(&mut self, agg: &Agg, tuple: &TupleRef<'_>) {
         match (self, agg) {
             (RefAcc::Count(n), Agg::Count) => *n += 1,
-            // lint: allow(aggregate inputs type-check as numeric before execution)
             (RefAcc::Sum(s), Agg::Sum(e)) => *s += e.eval(tuple).as_f64().expect("numeric"),
             (RefAcc::Avg { sum, count }, Agg::Avg(e)) => {
-                *sum += e.eval(tuple).as_f64().expect("numeric"); // lint: allow(type-checked numeric)
+                *sum += e.eval(tuple).as_f64().expect("numeric");
                 *count += 1;
             }
             (RefAcc::Min(m), Agg::Min(e)) => {
-                let v = e.eval(tuple).as_f64().expect("numeric"); // lint: allow(type-checked numeric)
+                let v = e.eval(tuple).as_f64().expect("numeric");
                 *m = Some(m.map_or(v, |c| c.min(v)));
             }
             (RefAcc::Max(m), Agg::Max(e)) => {
-                let v = e.eval(tuple).as_f64().expect("numeric"); // lint: allow(type-checked numeric)
+                let v = e.eval(tuple).as_f64().expect("numeric");
                 *m = Some(m.map_or(v, |c| c.max(v)));
             }
-            // lint: allow(accumulators were built from this same spec list)
+            #[expect(
+                clippy::panic,
+                reason = "accumulators were built from this same spec list"
+            )]
             _ => panic!("accumulator/spec mismatch"),
         }
     }
@@ -334,7 +348,10 @@ fn keyval_to_value(k: &KeyVal, dtype: DataType) -> Value {
         (KeyVal::Float(v), DataType::Float) => Value::Float(v.0),
         (KeyVal::Date(v), DataType::Date) => Value::Date(cordoba_storage::Date(*v)),
         (KeyVal::Str(s), DataType::Str(_)) => Value::Str(s.clone()),
-        // lint: allow(group keys are derived from the schema they decode against)
+        #[expect(
+            clippy::panic,
+            reason = "group keys are derived from the schema they decode against"
+        )]
         (k, d) => panic!("key {k:?} does not match type {d:?}"),
     }
 }
@@ -389,8 +406,9 @@ impl Scalar<'_> {
 }
 
 /// The tuple-at-a-time tree walk the oracle and the tests run; engine
-/// code evaluates [`crate::CompiledExpr`] programs instead (lint rule
-/// `oracle-in-engine`).
+/// code evaluates [`crate::CompiledExpr`] programs instead (the
+/// policy's rule 5: `clippy.toml` disallows this `eval` in exec and
+/// engine).
 impl ScalarExpr {
     /// Evaluates against a tuple.
     ///
@@ -399,6 +417,10 @@ impl ScalarExpr {
     /// Panics on type errors (e.g. arithmetic on strings) — plans are
     /// validated by construction and tests; expression typing bugs are
     /// programming errors.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the tree walk recurses into itself"
+    )]
     pub fn eval<'a>(&'a self, tuple: &TupleRef<'a>) -> Scalar<'a> {
         match self {
             ScalarExpr::Col(i) => match tuple.schema().fields()[*i].dtype {
@@ -426,8 +448,11 @@ fn numeric<'a>(a: Scalar<'a>, b: Scalar<'a>, op: &str, f: impl Fn(f64, f64) -> f
             Scalar::Int(r as i64)
         }
         (x, y) => {
+            #[expect(
+                clippy::panic,
+                reason = "plans type-check before execution; a non-numeric operand here is a checker bug"
+            )]
             let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
-                // lint: allow(plans type-check before execution; a non-numeric operand here is a checker bug)
                 panic!("non-numeric operands for '{op}': {x:?}, {y:?}")
             };
             Scalar::Float(f(x, y))
@@ -437,6 +462,10 @@ fn numeric<'a>(a: Scalar<'a>, b: Scalar<'a>, op: &str, f: impl Fn(f64, f64) -> f
 
 impl Predicate {
     /// Evaluates against a tuple.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the tree walk recurses into itself and matches LIKE per row"
+    )]
     pub fn eval(&self, tuple: &TupleRef<'_>) -> bool {
         match self {
             Predicate::True => true,
@@ -446,12 +475,17 @@ impl Predicate {
                     (Scalar::Int(x), Scalar::Int(y)) => x.cmp(&y),
                     (Scalar::Date(x), Scalar::Date(y)) => x.cmp(&y),
                     (Scalar::Str(x), Scalar::Str(y)) => x.cmp(y),
+                    #[expect(
+                        clippy::panic,
+                        clippy::expect_used,
+                        reason = "plans type-check before execution, so comparisons only reach \
+                                  comparable types; engine data has no NaNs"
+                    )]
                     (x, y) => {
                         let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
-                            // lint: allow(plans type-check before execution; comparisons only reach comparable types)
                             panic!("incomparable operands: {x:?} vs {y:?}")
                         };
-                        x.partial_cmp(&y).expect("non-NaN comparison") // lint: allow(documented: engine data has no NaNs)
+                        x.partial_cmp(&y).expect("non-NaN comparison")
                     }
                 };
                 op.holds(ord)
@@ -467,7 +501,7 @@ impl Predicate {
 /// `%`-wildcard LIKE matcher: splits the pattern at `%` and requires the
 /// fragments to appear in order, honoring anchors at the ends. The tree
 /// walk's and the tests'; operators match a pattern compiled once by
-/// [`crate::CompiledPredicate`] (lint rule `oracle-in-engine`).
+/// [`crate::CompiledPredicate`] (the policy's rule 5).
 pub fn like_match(s: &str, pattern: &str) -> bool {
     let parts: Vec<&str> = pattern.split('%').collect();
     if parts.len() == 1 {

@@ -385,10 +385,10 @@ fn residual_clauses(
             keep.push(clause.clone());
         }
     }
-    match keep.len() {
-        0 => Predicate::True,
-        1 => keep.pop().expect("len checked"), // lint: allow(match arm guarantees one element)
-        _ => Predicate::And(keep),
+    match <[_; 1]>::try_from(keep) {
+        Ok([only]) => only,
+        Err(keep) if keep.is_empty() => Predicate::True,
+        Err(keep) => Predicate::And(keep),
     }
 }
 

@@ -476,6 +476,10 @@ impl CompiledExprs {
     /// Encodes output `i`, its register already evaluated over `page`:
     /// row `r`'s field bytes land at `out[r * stride + offset ..]`.
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' contract of encode_rows"
+    )]
     fn encode_evaluated(
         &self,
         i: usize,
@@ -502,13 +506,11 @@ impl CompiledExprs {
         match &self.outs[i] {
             Out::StrCol(c) => {
                 let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("type mismatch: string column for {dtype:?} field");
                 };
                 let in_schema = page.schema();
                 let in_off = in_schema.offset(*c);
                 let DataType::Str(in_width) = in_schema.fields()[*c].dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("StrCol over non-string input column");
                 };
                 assert_eq!(in_width, width, "string field width mismatch");
@@ -519,7 +521,6 @@ impl CompiledExprs {
             }
             Out::StrLit(s) => {
                 let DataType::Str(width) = dtype else {
-                    // lint: allow(documented '# Panics' contract of encode_rows)
                     panic!("type mismatch: string literal for {dtype:?} field");
                 };
                 assert!(
@@ -543,7 +544,6 @@ impl CompiledExprs {
                 (NumType::Date, DataType::Date) => {
                     scatter(&scratch.dates[slot], out, offset, stride, i32::to_le_bytes)
                 }
-                // lint: allow(documented '# Panics' contract of encode_rows)
                 (ty, dtype) => panic!("type mismatch: {ty:?} column for {dtype:?} field"),
             },
         }
@@ -580,9 +580,12 @@ impl CompiledExpr {
     /// # Panics
     ///
     /// Panics if the expression is a string or date (not numeric).
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' contract of eval_f64_into"
+    )]
     pub fn eval_f64_into(&self, page: &Page, scratch: &mut ExprScratch, out: &mut Vec<f64>) {
         let Out::Num(Reg { ty, slot }) = self.0.outs[0] else {
-            // lint: allow(documented '# Panics' contract of eval_f64_into)
             panic!("string expression is not numeric");
         };
         self.0.prog.evaluate(page, scratch);
@@ -592,7 +595,6 @@ impl CompiledExpr {
         match ty {
             NumType::Float => out.extend_from_slice(&scratch.floats[slot]),
             NumType::Int => out.extend(scratch.ints[slot].iter().map(|&x| x as f64)),
-            // lint: allow(documented '# Panics' contract of eval_f64_into)
             NumType::Date => panic!("date expression is not numeric"),
         }
     }

@@ -932,6 +932,10 @@ pub fn run_local(
 /// feed the plan's `Source` leaves in preorder, and the root delivers
 /// to `outs` or, when there are none, into the pages returned. Either
 /// way the run has ended, and dropped every port, when this returns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the local run: each group worker's shell on a scoped thread of its own"
+)]
 pub fn run_local_between(
     catalog: &Catalog,
     plan: &PhysicalPlan,

@@ -6,6 +6,13 @@
 //! survives, every input is closed, and downstream sees end-of-stream
 //! — after the pages delivered before the fault, and nothing else.
 
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test code: it plants files to fail spills and fails by panicking"
+)]
+
 use cordoba_exec::expr::{Agg, Predicate, ScalarExpr};
 use cordoba_exec::ops::{
     AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, NljKernel, OperatorShell,

@@ -2,6 +2,11 @@
 //! schema derivation, and canonicalization — behaves as the engine and
 //! workload crates assume.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code: it checks the reference executor itself"
+)]
+
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::{reference, JoinKind, OpCost, PhysicalPlan};
 use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};

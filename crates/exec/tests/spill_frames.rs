@@ -6,6 +6,11 @@
 //! byte, and hold the 1.25 × budget contract from the smallest budget
 //! at which the streams they cannot do without fit it.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code, exempt from the panic-free rule"
+)]
+
 use cordoba_exec::ops::{HashJoinKernel, Kernel, Pages, SortKernel};
 use cordoba_exec::{JoinKind, MemoryBroker, OpCost, SpillContext};
 use cordoba_storage::spill::frame_bytes;

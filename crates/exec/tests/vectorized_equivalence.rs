@@ -8,6 +8,13 @@
 //! reference executor, are the root differential fuzzer's (the root
 //! `tests/vectorized_equivalence.rs` and `tests/equivalence.rs`).
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test code: it compares against the oracle's evaluator and fails by panicking"
+)]
+
 use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use cordoba_exec::ops::BuildTable;
 use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, ParallelConfig, PhysicalPlan};

@@ -1,130 +1,136 @@
-//! The lint as a gate: the workspace is clean under the real policy, and
-//! the `cordoba-lint` binary has teeth — each seeded violation, alone in
-//! a scratch root laid out like the workspace (so its relative path
-//! scopes the rules exactly as in-tree code would), makes it exit 1 with
-//! an offender line that names the seeded file and its rule.
+//! The workspace policy as one gate: the sources are copied to a scratch
+//! tree, each seed in `seeds/` becomes a module of the crates it is listed
+//! for, and `cargo clippy --lib` runs there once, beside a token match for
+//! the one rule clippy cannot express. The findings must be exactly the
+//! seeds' marks: a line ending `//~ lint …` yields those lints, no other.
 
-use cordoba_lint::{lint_workspace, Config};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-/// `(path, source, rule)`: naked unsafe + unwrap, a tree-walk `eval`
-/// call, the oracle's per-row `like_match`, a second threaded executor
-/// and an operator with a `step` of its own — in an operator module,
-/// and a relay task beside the wiring — in exec-shaped paths; an oracle
-/// call, a second run loop and a bridge task across the sharing seam in
-/// engine-shaped paths; a second pricing of a sharing group in a
-/// bench-shaped path; an operator opening a spill file past
-/// `SpillContext::io`; a default read from the environment.
-const SEEDS: [(&str, &str, &str); 12] = [
-    (
-        "crates/exec/src/bad.rs",
-        "pub fn bad(p: *const u8) -> u8 {\n    let v = unsafe { *p };\n    Some(v).unwrap()\n}\n",
-        "panic-site",
-    ),
-    (
-        "crates/engine/src/oracle.rs",
-        "pub fn slow(c: &Catalog, p: &PhysicalPlan) -> Rows {\n    cordoba_exec::reference::execute(c, p)\n}\n",
-        "oracle-in-engine",
-    ),
-    (
-        "crates/exec/src/tree_walk.rs",
-        "pub fn keep(p: &Predicate, t: &TupleRef) -> bool {\n    p.eval(t)\n}\n",
-        "oracle-in-engine",
-    ),
-    (
-        "crates/exec/src/like_per_row.rs",
-        "pub fn keep(comment: &str) -> bool {\n    like_match(comment, \"%special%requests%\")\n}\n",
-        "oracle-in-engine",
-    ),
-    (
-        "crates/engine/src/second_loop.rs",
-        "pub fn run_again(core: Core) {\n    let mut sim = Simulator::new(1);\n    sim.spawn(\"dispatcher\", Box::new(DispatcherTask { core }));\n}\n",
-        "one-run-loop",
-    ),
-    (
-        "crates/engine/src/bridge.rs",
-        "impl Task for SeamBridge {\n    fn step(&mut self, ctx: &mut TaskCtx) -> Step {\n        self.fanout.pump(ctx);\n        Step::blocked(0)\n    }\n}\n",
-        "one-operator-shell",
-    ),
-    (
-        "crates/exec/src/second_executor.rs",
-        "pub fn par_kernel(parts: &[Part]) {\n    std::thread::scope(|s| parts.iter().for_each(|p| drop(s.spawn(|| p.run()))));\n}\n",
-        "one-thread-driver",
-    ),
-    (
-        "crates/exec/src/ops/limit.rs",
-        "impl Task for LimitTask {\n    fn step(&mut self, ctx: &mut TaskCtx) -> Step {\n        self.pump(ctx)\n    }\n}\n",
-        "one-operator-shell",
-    ),
-    (
-        "crates/exec/src/relay.rs",
-        "impl Task for RelayTask {\n    fn step(&mut self, ctx: &mut TaskCtx) -> Step {\n        self.fanout.pump(ctx);\n        Step::blocked(0)\n    }\n}\n",
-        "one-operator-shell",
-    ),
-    (
-        "crates/bench/src/second_pricing.rs",
-        "pub fn predicted_z(s: f64, c: f64) -> f64 {\n    let m = GroupMember::new(s / c, vec![]).with_partial_overlap(c, 0.1 * s / c);\n    SharingEvaluator::from_parts(vec![], 1.0, vec![m]).map_or(f64::NAN, |e| e.speedup(1.0))\n}\n",
-        "one-sharing-model",
-    ),
-    (
-        "crates/exec/src/ops/own_stream.rs",
-        "fn spill_run(&mut self) -> io::Result<SpillFile> {\n    let mut run = SpillWriter::create(&self.dir, self.schema.clone())?;\n    self.rows.iter().try_for_each(|r| run.push_row(r))?;\n    run.finish()\n}\n",
-        "one-spill-io",
-    ),
-    (
-        "crates/exec/src/env_default.rs",
-        "pub fn workers() -> usize {\n    std::env::var(\"WORKERS\").ok().and_then(|v| v.parse().ok()).unwrap_or(1)\n}\n",
-        "nondeterministic-clock",
-    ),
+/// Each seed and the crates whose rules it breaks.
+const SEEDS: [(&str, &str); 11] = [
+    ("unsafe_and_panics", "storage exec engine"),
+    ("clock_and_env", "core sim storage exec engine workload"),
+    ("relaxed", "exec"),
+    ("oracle_in_exec", "exec"),
+    ("oracle_in_engine", "engine"),
+    ("second_loop", "engine"),
+    ("second_threads", "exec engine"),
+    ("operator_tasks", "exec engine"),
+    ("second_pricing", "exec engine workload bench"),
+    ("own_files", "storage exec engine"),
+    ("own_stream", "exec"),
+];
+
+type Findings = BTreeMap<(String, usize), Vec<String>>; // (file, line) → lints
+
+/// Copies `from` to `to` without `target/`, listing the crates' sources.
+fn copy(from: &Path, to: &Path, rel: &Path, sources: &mut Vec<String>) {
+    if from.is_dir() {
+        fs::create_dir_all(to).expect("mkdir");
+        for entry in fs::read_dir(from).expect("a readable tree") {
+            let name = entry.expect("a directory entry").file_name();
+            let (from, to, rel) = (from.join(&name), to.join(&name), rel.join(&name));
+            if name != "target" {
+                copy(&from, &to, &rel, sources);
+            }
+        }
+    } else {
+        fs::copy(from, to).expect("copy a source file");
+        let rel = rel.to_string_lossy();
+        let krate = rel.starts_with("src/") || rel.starts_with("crates/") && rel.contains("/src/");
+        if krate && rel.ends_with(".rs") && !rel.starts_with("crates/lint/") {
+            sources.push(rel.into_owned());
+        }
+    }
+}
+
+/// Rule 4's audited `Ordering::Relaxed` sites: the model-checked peak
+/// CAS and claim counters, and the spill-file name counter.
+const RELAXED_OWNERS: [&str; 4] = [
+    "crates/exec/src/memory.rs",
+    "crates/exec/src/parallel.rs",
+    "crates/engine/src/thread_exec.rs",
+    "crates/storage/src/spill.rs",
 ];
 
 #[test]
-fn workspace_lint_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (findings, scanned) =
-        lint_workspace(&root, &Config::workspace()).expect("workspace readable");
-    assert!(scanned > 50, "expected the full tree, scanned {scanned}");
-    let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-    assert!(
-        findings.is_empty(),
-        "workspace lint violations:\n{}",
-        rendered.join("\n")
-    );
-}
-
-#[test]
-fn every_seeded_violation_fails_the_binary_and_names_its_rule() {
-    let mut missed = Vec::new();
-    for (i, (path, source, rule)) in SEEDS.iter().enumerate() {
-        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("lint-seed-{i}"));
-        let _ = fs::remove_dir_all(&root);
-        let file = root.join(path);
-        fs::create_dir_all(file.parent().expect("a seed lives in a directory")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "").expect("write the root manifest");
-        fs::write(&file, source).expect("write the seed");
-
-        let out = Command::new(env!("CARGO_BIN_EXE_cordoba-lint"))
-            .current_dir(&root)
-            .output()
-            .expect("run cordoba-lint");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let named = stdout
-            .lines()
-            .any(|l| l.starts_with(&format!("{path}:")) && l.contains(&format!("[{rule}]")));
-        if out.status.code() != Some(1) || !named {
-            missed.push(format!(
-                "{path} [{rule}]: exit {:?}\n{stdout}{}",
-                out.status.code(),
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        fs::remove_dir_all(&root).expect("remove the scratch root");
+fn clippy_and_the_residue_catch_every_seed_and_nothing_else() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("policy-gate");
+    let tree = scratch.join("tree");
+    let _ = fs::remove_dir_all(&tree);
+    let mut sources = Vec::new();
+    for item in ["crates", "src", "vendor", "Cargo.toml", "Cargo.lock"] {
+        let (from, to) = (repo.join(item), tree.join(item));
+        copy(&from, &to, Path::new(item), &mut sources);
     }
-    assert!(
-        missed.is_empty(),
-        "cordoba-lint let seeded violations through:\n{}",
-        missed.join("\n")
-    );
+    let mut expected = Findings::new();
+    for (seed, crates) in SEEDS {
+        let source = fs::read_to_string(repo.join(format!("crates/lint/seeds/{seed}.rs")));
+        let source = source.expect("a seed");
+        for krate in crates.split(' ') {
+            let file = format!("crates/{krate}/src/{seed}.rs");
+            fs::write(tree.join(&file), &source).expect("write the seed");
+            let root = tree.join(format!("crates/{krate}/src/lib.rs"));
+            let decl = fs::read_to_string(&root).expect("a crate root");
+            let decl = decl + &format!("#[allow(dead_code)]\nmod {seed};\n");
+            fs::write(&root, decl).expect("declare the seed");
+            for (i, line) in source.lines().enumerate() {
+                if let Some((_, lints)) = line.split_once("//~ ") {
+                    let lints = lints.split_whitespace().map(String::from).collect();
+                    expected.insert((file.clone(), i + 1), lints);
+                }
+            }
+            sources.push(file);
+        }
+    }
+
+    let args = "clippy --offline --lib --message-format=json-diagnostic-short -- --cap-lints warn";
+    let out = Command::new(env!("CARGO"))
+        .args(args.split(' '))
+        .env("CARGO_TARGET_DIR", scratch.join("target"))
+        .current_dir(&tree)
+        .output()
+        .expect("run cargo");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let needs = "this gate needs the toolchain's `clippy` component";
+    assert!(out.status.success(), "{needs}:\n{stderr}");
+    let mut found = Findings::new();
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        // A diagnostic renders as `file:line:col: level: message`, and
+        // its own code comes last, after its children's.
+        let Some(rendered) = line.split(r#""rendered":""#).nth(1) else {
+            continue; // an artifact, not a diagnostic
+        };
+        let mut at = rendered.splitn(3, ':');
+        let file = at.next().unwrap_or(rendered).to_string();
+        let line_no = at.next().and_then(|n| n.parse().ok()).unwrap_or(0);
+        let code = line
+            .rsplit_once(r#""code":{"code":""#)
+            .map(|(_, c)| c.split('"').next());
+        let code = code.flatten().unwrap_or("?").to_string();
+        found.entry((file, line_no)).or_default().push(code);
+    }
+    // Rule 4, which clippy cannot express (a disallowed path names no enum
+    // variant), as a token match over non-test, non-comment lines.
+    for file in sources
+        .iter()
+        .filter(|f| !RELAXED_OWNERS.contains(&f.as_str()))
+    {
+        let source = fs::read_to_string(tree.join(file)).expect("a source");
+        let code = source.split("\n#[cfg(test)]\nmod tests").next();
+        for (i, line) in code.unwrap_or(&source).lines().enumerate() {
+            if line.contains("Ordering::Relaxed") && !line.trim_start().starts_with("//") {
+                let relaxed = found.entry((file.clone(), i + 1)).or_default();
+                relaxed.push("relaxed-ordering".into());
+            }
+        }
+    }
+    for lints in found.values_mut().chain(expected.values_mut()) {
+        lints.sort();
+    }
+    assert_eq!(found, expected, "found (left), the seeds' marks (right)");
 }

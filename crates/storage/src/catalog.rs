@@ -31,8 +31,11 @@ impl Catalog {
     /// Looks a table up, panicking with a listing of known tables —
     /// mis-wired plans are programming errors.
     pub fn expect(&self, name: &str) -> &Arc<Table> {
+        #[expect(
+            clippy::panic,
+            reason = "documented lookup-or-panic helper; get() is the fallible twin"
+        )]
         self.get(name).unwrap_or_else(|| {
-            // lint: allow(documented lookup-or-panic helper; get() is the fallible twin)
             panic!(
                 "no table '{name}' in catalog (have: {:?})",
                 self.tables.keys().collect::<Vec<_>>()

@@ -23,10 +23,20 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![warn(unreachable_pub)]
+// Test code may call the oracle, start threads and touch files: the
+// workspace policy (`clippy.toml`) binds the library, not its tests.
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod catalog;
 mod date;
 mod morsel;
+// The one module with `unsafe`: the page gathers' unchecked reads, each
+// block under a `// SAFETY:` proof (`clippy::undocumented_unsafe_blocks`);
+// Miri runs this crate's tests.
+#[expect(
+    unsafe_code,
+    reason = "the page gathers' unchecked reads, proved in bounds"
+)]
 mod page;
 mod schema;
 pub mod spill;

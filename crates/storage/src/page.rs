@@ -324,26 +324,35 @@ impl<'a> TupleRef<'a> {
 
     /// Reads an `Int` field.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "field_slice returns exactly the schema width for this field"
+    )]
     pub fn get_int(&self, idx: usize) -> i64 {
         debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Int);
-        // lint: allow(field_slice returns exactly the schema width for this field)
         i64::from_le_bytes(self.field_slice(idx).try_into().expect("8 bytes"))
     }
 
     /// Reads a `Float` field.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "field_slice returns exactly the schema width for this field"
+    )]
     pub fn get_float(&self, idx: usize) -> f64 {
         debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Float);
-        // lint: allow(field_slice returns exactly the schema width for this field)
         f64::from_le_bytes(self.field_slice(idx).try_into().expect("8 bytes"))
     }
 
     /// Reads a `Date` field.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "field_slice returns exactly the schema width for this field"
+    )]
     pub fn get_date(&self, idx: usize) -> Date {
         debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Date);
         Date(i32::from_le_bytes(
-            // lint: allow(field_slice returns exactly the schema width for this field)
             self.field_slice(idx).try_into().expect("4 bytes"),
         ))
     }
@@ -352,7 +361,10 @@ impl<'a> TupleRef<'a> {
     #[inline]
     pub fn get_str(&self, idx: usize) -> &'a str {
         let raw = self.field_slice(idx);
-        // lint: allow(append_row asserts ASCII at write time, so pages never hold non-UTF-8)
+        #[expect(
+            clippy::expect_used,
+            reason = "append_row asserts ASCII at write time, so pages never hold non-UTF-8"
+        )]
         let s = std::str::from_utf8(raw).expect("pages store only ASCII strings");
         s.trim_end_matches(' ')
     }
@@ -460,7 +472,10 @@ impl PageBuilder {
                     self.data.extend_from_slice(s.as_bytes());
                     self.data.extend(std::iter::repeat_n(b' ', n - s.len()));
                 }
-                // lint: allow(documented append_row contract: values must match the schema)
+                #[expect(
+                    clippy::panic,
+                    reason = "documented append_row contract: values must match the schema"
+                )]
                 (dt, v) => panic!(
                     "type mismatch at field {i} ('{}'): schema {dt:?}, value {v:?}",
                     self.schema.fields()[i].name

@@ -30,6 +30,10 @@
 
 use crate::page::{Page, PAGE_SIZE};
 use crate::schema::Schema;
+#[expect(
+    clippy::disallowed_types,
+    reason = "storage::spill owns the spill files"
+)]
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -65,6 +69,10 @@ pub fn frame_bytes(schema: &Schema, pages: usize) -> usize {
 /// obtain the readable [`SpillFile`]; a writer dropped unfinished
 /// removes its partial file.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "storage::spill owns the spill files"
+)]
 pub struct SpillWriter {
     file: File,
     path: PathBuf,
@@ -91,6 +99,11 @@ impl SpillWriter {
 
     /// [`SpillWriter::create`] with a frame of `frame_pages` pages
     /// ([`frame_bytes`] of memory).
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "storage::spill owns the spill files"
+    )]
     pub fn create_framed(dir: &Path, schema: Arc<Schema>, frame_pages: usize) -> io::Result<Self> {
         let name = format!(
             "cordoba-spill-{}-{}.bin",
@@ -215,6 +228,10 @@ impl SpillWriter {
 }
 
 impl Drop for SpillWriter {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "storage::spill owns the spill files"
+    )]
     fn drop(&mut self) {
         if !self.finished {
             let _ = fs::remove_file(&self.path);
@@ -268,6 +285,10 @@ impl SpillFile {
 
     /// [`SpillFile::into_reader`] with a frame of `frame_pages` pages
     /// ([`frame_bytes`] of memory, beside the page handed out).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "storage::spill owns the spill files"
+    )]
     pub fn into_reader_framed(self, frame_pages: usize) -> io::Result<SpillReader> {
         Ok(SpillReader {
             file: File::open(&self.path)?,
@@ -280,6 +301,10 @@ impl SpillFile {
 }
 
 impl Drop for SpillFile {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "storage::spill owns the spill files"
+    )]
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.path);
     }
@@ -287,6 +312,10 @@ impl Drop for SpillFile {
 
 /// Sequential reader over a spill file's page records.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "storage::spill owns the spill files"
+)]
 pub struct SpillReader {
     file: File,
     /// Zeroed once when the file is opened and refilled in place.

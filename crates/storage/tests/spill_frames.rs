@@ -6,6 +6,14 @@
 //! is a typed I/O error from `next_page`, never a panic, a short page
 //! or a silently missing tail.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test code: it corrupts spill files on purpose and fails by panicking"
+)]
+
 use cordoba_storage::spill::{SpillFile, SpillWriter, MAX_FRAME_PAGES};
 use cordoba_storage::{DataType, Field, Page, PageBuilder, Schema, PAGE_SIZE};
 use proptest::prelude::*;
