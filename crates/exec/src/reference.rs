@@ -6,12 +6,24 @@
 //! The tree-walk evaluator it runs on ([`ScalarExpr::eval`],
 //! [`Predicate::eval`], [`Scalar`]) is defined here too, so it is the
 //! oracle's and the tests', not a second evaluation path for operators.
+//!
+//! A row that is an input row, or two input rows end to end, is copied
+//! as its encoded bytes: the rows filter, sort and the semi and anti
+//! joins keep, and the `probe ++ build` (`left ++ right`, `outer ++
+//! inner`) rows of the joins. A left-outer miss's build side is one row
+//! of defaults (`0`, `0.0`, day 0, `""`), encoded once per join. What
+//! the oracle decides still decodes, tuple at a time, through the tree
+//! walk: predicates, sort, group and join keys (`key_of`), projections
+//! and aggregates, whose rows are the only ones built from [`Value`]s.
 
-use crate::expr::{Agg, Predicate, ScalarExpr};
+use crate::expr::{Agg, CmpOp, Predicate, ScalarExpr};
 use crate::ops::{key_of, KeyVal};
 use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_core::FxHashMap;
-use cordoba_storage::{Catalog, DataType, Date, Table, TableBuilder, TupleRef, Value};
+use cordoba_storage::{
+    Catalog, DataType, Date, PageBuilder, Schema, Table, TableBuilder, TupleRef, Value,
+};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -46,7 +58,7 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
             for page in input.pages() {
                 for t in page.tuples() {
                     if predicate.eval(&t) {
-                        out.push_row(&t.to_values());
+                        out.push_raw(t.raw());
                     }
                 }
             }
@@ -101,16 +113,16 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
         }
         PhysicalPlan::Sort { input, keys, .. } => {
             let input = execute_table(catalog, input);
-            let mut rows: Vec<(Vec<KeyVal>, Vec<Value>)> = Vec::new();
+            let mut rows: Vec<(Vec<KeyVal>, &[u8])> = Vec::new();
             for page in input.pages() {
                 for t in page.tuples() {
-                    rows.push((key_of(&t, keys), t.to_values()));
+                    rows.push((key_of(&t, keys), t.raw()));
                 }
             }
             rows.sort_by(|a, b| a.0.cmp(&b.0));
             let mut out = TableBuilder::new("sort", input.schema().clone());
             for (_, row) in rows {
-                out.push_row(&row);
+                out.push_raw(row);
             }
             out.finish()
         }
@@ -125,59 +137,28 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
             let build_t = execute_table(catalog, build);
             let probe_t = execute_table(catalog, probe);
             let schema = plan.output_schema(catalog);
-            let mut map: FxHashMap<i64, Vec<Vec<Value>>> = FxHashMap::default();
+            let mut map: FxHashMap<i64, Vec<&[u8]>> = FxHashMap::default();
             for page in build_t.pages() {
                 for t in page.tuples() {
-                    map.entry(t.get_int(*build_key))
-                        .or_default()
-                        .push(t.to_values());
+                    map.entry(t.get_int(*build_key)).or_default().push(t.raw());
                 }
             }
-            let defaults: Vec<Value> = build_t
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| default_value(f.dtype))
-                .collect();
+            let defaults = default_row(build_t.schema());
             let mut out = TableBuilder::new("hashjoin", schema);
+            let mut row = Vec::new();
             for page in probe_t.pages() {
                 for t in page.tuples() {
-                    let probe_row = t.to_values();
-                    let matches = map.get(&t.get_int(*probe_key));
-                    match kind {
-                        JoinKind::Inner => {
-                            if let Some(rows) = matches {
-                                for b in rows {
-                                    let mut row = probe_row.clone();
-                                    row.extend(b.iter().cloned());
-                                    out.push_row(&row);
-                                }
+                    match (kind, map.get(&t.get_int(*probe_key))) {
+                        (JoinKind::Semi, Some(_)) | (JoinKind::Anti, None) => out.push_raw(t.raw()),
+                        (JoinKind::Inner | JoinKind::LeftOuter, Some(builds)) => {
+                            for b in builds {
+                                out.push_raw(joined(&mut row, t.raw(), b));
                             }
                         }
-                        JoinKind::Semi => {
-                            if matches.is_some() {
-                                out.push_row(&probe_row);
-                            }
+                        (JoinKind::LeftOuter, None) => {
+                            out.push_raw(joined(&mut row, t.raw(), &defaults));
                         }
-                        JoinKind::Anti => {
-                            if matches.is_none() {
-                                out.push_row(&probe_row);
-                            }
-                        }
-                        JoinKind::LeftOuter => match matches {
-                            Some(rows) => {
-                                for b in rows {
-                                    let mut row = probe_row.clone();
-                                    row.extend(b.iter().cloned());
-                                    out.push_row(&row);
-                                }
-                            }
-                            None => {
-                                let mut row = probe_row.clone();
-                                row.extend(defaults.iter().cloned());
-                                out.push_row(&row);
-                            }
-                        },
+                        (JoinKind::Inner | JoinKind::Semi, None) | (JoinKind::Anti, Some(_)) => {}
                     }
                 }
             }
@@ -195,16 +176,16 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
             let left_t = execute_table(catalog, left);
             let right_t = execute_table(catalog, right);
             let schema = plan.output_schema(catalog);
-            let mut left_rows: Vec<(i64, Vec<Value>)> = Vec::new();
+            let mut left_rows: Vec<(i64, &[u8])> = Vec::new();
             for page in left_t.pages() {
                 for t in page.tuples() {
-                    left_rows.push((t.get_int(*left_key), t.to_values()));
+                    left_rows.push((t.get_int(*left_key), t.raw()));
                 }
             }
-            let mut right_rows: Vec<(i64, Vec<Value>)> = Vec::new();
+            let mut right_rows: Vec<(i64, &[u8])> = Vec::new();
             for page in right_t.pages() {
                 for t in page.tuples() {
-                    right_rows.push((t.get_int(*right_key), t.to_values()));
+                    right_rows.push((t.get_int(*right_key), t.raw()));
                 }
             }
             assert!(
@@ -216,6 +197,7 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
                 "right input sorted"
             );
             let mut out = TableBuilder::new("mergejoin", schema);
+            let mut row = Vec::new();
             let (mut i, mut j) = (0usize, 0usize);
             while i < left_rows.len() && j < right_rows.len() {
                 match left_rows[i].0.cmp(&right_rows[j].0) {
@@ -231,11 +213,9 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
                         while j < right_rows.len() && right_rows[j].0 == key {
                             j += 1;
                         }
-                        for l in &left_rows[li..i] {
-                            for r in &right_rows[rj..j] {
-                                let mut row = l.1.clone();
-                                row.extend(r.1.iter().cloned());
-                                out.push_row(&row);
+                        for (_, l) in &left_rows[li..i] {
+                            for (_, r) in &right_rows[rj..j] {
+                                out.push_raw(joined(&mut row, l, r));
                             }
                         }
                     }
@@ -255,17 +235,17 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
             let mut out = TableBuilder::new("nlj", schema.clone());
             // Materialize candidate pairs through a one-row page so the
             // predicate sees exactly what the task sees.
-            let mut probe = cordoba_storage::PageBuilder::new(schema);
+            let mut probe = PageBuilder::new(schema);
+            let mut row = Vec::new();
             for opage in outer_t.pages() {
                 for ot in opage.tuples() {
                     for ipage in inner_t.pages() {
                         for it in ipage.tuples() {
-                            let mut raw = ot.raw().to_vec();
-                            raw.extend_from_slice(it.raw());
-                            assert!(probe.push_raw(&raw));
+                            let pair = joined(&mut row, ot.raw(), it.raw());
+                            assert!(probe.push_raw(pair));
                             let candidate = probe.finish_and_reset();
                             if predicate.eval(&candidate.tuple(0)) {
-                                out.push_row(&candidate.tuple(0).to_values());
+                                out.push_raw(pair);
                             }
                         }
                     }
@@ -365,10 +345,59 @@ fn default_value(dtype: DataType) -> Value {
     }
 }
 
-/// Sorts rows into a canonical order for multiset comparison in tests.
+/// `schema`'s [`default_value`]s as one encoded row: the build side a
+/// left-outer miss carries, encoded once per join.
+fn default_row(schema: &Arc<Schema>) -> Vec<u8> {
+    let values: Vec<Value> = schema
+        .fields()
+        .iter()
+        .map(|f| default_value(f.dtype))
+        .collect();
+    let mut page = PageBuilder::new(schema.clone());
+    assert!(page.push_row(&values), "an empty page takes a row");
+    page.finish().payload().to_vec()
+}
+
+/// The row `head ++ tail`, assembled in `buf` (reused across rows).
+fn joined<'b>(buf: &'b mut Vec<u8>, head: &[u8], tail: &[u8]) -> &'b [u8] {
+    buf.clear();
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(tail);
+    buf
+}
+
+/// Sorts rows into a canonical order for multiset comparison in tests:
+/// lexicographic over a total order on values, so equal multisets
+/// canonicalise to the same rows, NaNs and signed zeros included.
 pub fn canonicalize(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by_cached_key(|row| format!("{row:?}"));
+    rows.sort_unstable_by(|a, b| {
+        let first_difference = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| value_order(x, y))
+            .find(|o| o.is_ne());
+        first_difference.unwrap_or_else(|| a.len().cmp(&b.len()))
+    });
     rows
+}
+
+/// A total order on values: the variant first, then integers and dates
+/// numerically, floats by [`f64::total_cmp`] (which tells every bit
+/// pattern apart) and strings bytewise.
+fn value_order(a: &Value, b: &Value) -> Ordering {
+    let variant = |v: &Value| match v {
+        Value::Int(_) => 0,
+        Value::Float(_) => 1,
+        Value::Date(_) => 2,
+        Value::Str(_) => 3,
+    };
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
+        (Value::Date(x), Value::Date(y)) => x.cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
+        _ => variant(a).cmp(&variant(b)),
+    }
 }
 
 /// A scalar the tree walk evaluated from a tuple.
@@ -477,15 +506,18 @@ impl Predicate {
                     (Scalar::Str(x), Scalar::Str(y)) => x.cmp(y),
                     #[expect(
                         clippy::panic,
-                        clippy::expect_used,
                         reason = "plans type-check before execution, so comparisons only reach \
-                                  comparable types; engine data has no NaNs"
+                                  comparable types"
                     )]
                     (x, y) => {
                         let (Some(x), Some(y)) = (x.as_f64(), y.as_f64()) else {
                             panic!("incomparable operands: {x:?} vs {y:?}")
                         };
-                        x.partial_cmp(&y).expect("non-NaN comparison")
+                        // IEEE: NaN is unordered, so only `Ne` holds.
+                        let Some(ord) = x.partial_cmp(&y) else {
+                            return *op == CmpOp::Ne;
+                        };
+                        ord
                     }
                 };
                 op.holds(ord)
@@ -503,30 +535,24 @@ impl Predicate {
 /// walk's and the tests'; operators match a pattern compiled once by
 /// [`crate::CompiledPredicate`] (the policy's rule 5).
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let parts: Vec<&str> = pattern.split('%').collect();
-    if parts.len() == 1 {
+    let mut parts = pattern.split('%');
+    let head = parts.next().unwrap_or_default();
+    let Some(mut part) = parts.next() else {
         return s == pattern;
+    };
+    if !s.starts_with(head) {
+        return false;
     }
-    let mut pos = 0usize;
-    for (i, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
+    let mut pos = head.len();
+    // Every fragment after the head; the last is anchored at the end.
+    for next in parts {
+        match s[pos..].find(part) {
+            Some(at) => pos += at + part.len(),
+            None => return false,
         }
-        if i == 0 {
-            if !s.starts_with(part) {
-                return false;
-            }
-            pos = part.len();
-        } else if i == parts.len() - 1 {
-            return s.len() >= pos && s[pos..].ends_with(part);
-        } else {
-            match s[pos..].find(part) {
-                Some(at) => pos += at + part.len(),
-                None => return false,
-            }
-        }
+        part = next;
     }
-    true
+    s[pos..].ends_with(part)
 }
 
 #[cfg(test)]
@@ -634,11 +660,15 @@ mod tests {
             vec![Value::Int(1)],
             vec![Value::Int(10)],
         ];
-        let c = canonicalize(rows);
-        assert_eq!(c[0], vec![Value::Int(1)]);
-        // Note: canonical order is lexicographic on Debug strings, not
-        // numeric — fine for equality comparison purposes.
-        assert_eq!(c.len(), 3);
+        // Integers order numerically (a Debug-string order put 10 before 2).
+        assert_eq!(
+            canonicalize(rows),
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+                vec![Value::Int(10)]
+            ]
+        );
     }
 
     #[test]

@@ -1582,6 +1582,53 @@ mod tests {
         }
     }
 
+    /// The oracle's tree walk follows IEEE as the compiled leaves do:
+    /// NaN is unordered (only `Ne` holds) and `-0.0 == 0.0`.
+    #[test]
+    fn nan_and_signed_zeros_match_tree_walk() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]);
+        let mut b = PageBuilder::new(schema);
+        let xs = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+        ];
+        for x in xs {
+            b.push_row(&[Value::Float(x)]);
+        }
+        let p = b.finish();
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            for lit in [f64::NAN, 0.0] {
+                assert_matches_tree_walk(&Predicate::col_cmp(0, op, lit), &p);
+                let mirrored = Predicate::cmp(ScalarExpr::FloatLit(lit), op, ScalarExpr::col(0));
+                assert_matches_tree_walk(&mirrored, &p);
+            }
+            assert_matches_tree_walk(
+                &Predicate::cmp(ScalarExpr::col(0), op, ScalarExpr::col(0)),
+                &p,
+            );
+        }
+        assert_eq!(
+            assert_matches_tree_walk(&Predicate::col_cmp(0, CmpOp::Eq, 0.0), &p),
+            [2, 3]
+        );
+        assert_eq!(
+            assert_matches_tree_walk(&Predicate::col_cmp(0, CmpOp::Ne, f64::NAN), &p),
+            [0, 1, 2, 3, 4, 5, 6]
+        );
+    }
+
     /// The fixture's rows under a schema whose field 1 is a `Date`, not
     /// the `Float` the predicates below were compiled for.
     fn page_of_another_schema() -> Arc<Page> {

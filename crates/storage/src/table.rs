@@ -67,7 +67,7 @@ impl Table {
     pub fn scan_values(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         self.pages
             .iter()
-            .flat_map(|p| p.tuples().map(|t| t.to_values()).collect::<Vec<_>>())
+            .flat_map(|p| p.tuples().map(|t| t.to_values()))
     }
 }
 
@@ -103,17 +103,38 @@ impl TableBuilder {
     /// Appends one row.
     pub fn push_row(&mut self, values: &[Value]) {
         if !self.current.push_row(values) {
-            let full = std::mem::replace(
-                &mut self.current,
-                PageBuilder::with_page_size(self.schema.clone(), self.page_size),
-            );
-            self.pages.push(full.finish());
+            self.start_page();
             assert!(
                 self.current.push_row(values),
                 "fresh page must accept a row"
             );
         }
         self.row_count += 1;
+    }
+
+    /// Appends one row already encoded for this schema (exactly
+    /// `row_width` bytes, e.g. a [`crate::TupleRef::raw`], or two of
+    /// them end to end for a concatenated schema).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `row_width` bytes long.
+    pub fn push_raw(&mut self, row: &[u8]) {
+        assert_eq!(row.len(), self.schema.row_width(), "raw row width");
+        if !self.current.push_raw(row) {
+            self.start_page();
+            assert!(self.current.push_raw(row), "fresh page must accept a row");
+        }
+        self.row_count += 1;
+    }
+
+    /// Freezes the full page in progress and starts an empty one.
+    fn start_page(&mut self) {
+        let full = std::mem::replace(
+            &mut self.current,
+            PageBuilder::with_page_size(self.schema.clone(), self.page_size),
+        );
+        self.pages.push(full.finish());
     }
 
     /// Freezes into an immutable table.
@@ -170,6 +191,27 @@ mod tests {
             .map(|row| row[0].as_int().unwrap())
             .collect();
         assert_eq!(keys, (0..10).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn raw_rows_rebuild_the_same_pages() {
+        let t = build(10, 64);
+        let mut b = TableBuilder::with_page_size("copy", schema(), 64);
+        for page in t.pages() {
+            page.raw_rows().for_each(|row| b.push_raw(row));
+        }
+        let copy = b.finish();
+        assert_eq!(copy.row_count(), 10);
+        let payloads = |t: &Table| -> Vec<Vec<u8>> {
+            t.pages().iter().map(|p| p.payload().to_vec()).collect()
+        };
+        assert_eq!(payloads(&copy), payloads(&t));
+    }
+
+    #[test]
+    #[should_panic(expected = "raw row width")]
+    fn raw_row_of_another_width_is_refused() {
+        TableBuilder::new("t", schema()).push_raw(&[0; 8]);
     }
 
     #[test]
