@@ -77,8 +77,7 @@ pub fn fit_pivot(observations: &[PivotObservation]) -> Result<PivotFit> {
         ));
     }
     let rows = observations.len();
-    let mut a = Vec::with_capacity(rows * 2);
-    let mut b = Vec::with_capacity(rows);
+    let mut points = Vec::with_capacity(rows);
     for obs in observations {
         if obs.progress_units.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ModelError::Estimation(format!(
@@ -86,17 +85,15 @@ pub fn fit_pivot(observations: &[PivotObservation]) -> Result<PivotFit> {
                 obs.sharers
             )));
         }
-        a.extend_from_slice(&[1.0, obs.sharers as f64]);
-        b.push(obs.p());
+        points.push((obs.sharers as f64, obs.p()));
     }
-    let x = linalg::least_squares(&a, &b, rows, 2)?;
-    let rss = linalg::rss(&a, &b, &x, rows, 2);
+    let line = linalg::fit_line(&points)?;
     // Noise can push an intercept/slope slightly negative; clamp with a
     // tolerance so garbage fits still error out loudly.
     let clamp = |v: f64, what: &str| -> Result<f64> {
         if v >= 0.0 {
             Ok(v)
-        } else if v > -1e-6 * b.iter().fold(1.0_f64, |m, x| m.max(x.abs())) {
+        } else if v > -1e-6 * points.iter().fold(1.0_f64, |m, &(_, p)| m.max(p.abs())) {
             Ok(0.0)
         } else {
             Err(ModelError::Estimation(format!(
@@ -105,9 +102,9 @@ pub fn fit_pivot(observations: &[PivotObservation]) -> Result<PivotFit> {
         }
     };
     Ok(PivotFit {
-        w: clamp(x[0], "w")?,
-        s: clamp(x[1], "s")?,
-        rss,
+        w: clamp(line.intercept, "w")?,
+        s: clamp(line.slope, "s")?,
+        rss: line.rss,
         observations: rows,
     })
 }
@@ -140,11 +137,8 @@ pub fn estimate_k(samples: &[(u32, f64)]) -> Result<f64> {
             "samples must cover at least 2 distinct context counts".into(),
         ));
     }
-    let rows = usable.len();
-    let a: Vec<f64> = usable.iter().flat_map(|&(ln_n, _)| [1.0, ln_n]).collect();
-    let b: Vec<f64> = usable.iter().map(|&(_, ln_x)| ln_x).collect();
-    let x = linalg::least_squares(&a, &b, rows, 2)?;
-    Ok(x[1].clamp(f64::MIN_POSITIVE, 1.0))
+    let line = linalg::fit_line(&usable)?;
+    Ok(line.slope.clamp(f64::MIN_POSITIVE, 1.0))
 }
 
 #[cfg(test)]

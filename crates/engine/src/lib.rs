@@ -25,9 +25,13 @@
 //!   [`Policy::decide`] the one advisor: its [`policy::Decision`] carries
 //!   `cordoba-core`'s one verdict, `Speedup::favors_sharing`, with the
 //!   predicted `Z` behind it).
-//! * [`Run`] — the one run loop on the simulated CMP and its one
-//!   [`Report`]. A [`Run`] is parameterised by arrival source, admission
-//!   bound, capture and stop condition: [`run_once`] (a batch),
+//! * [`Run`] — the one run loop and its one [`Report`]: its dispatcher
+//!   decides what to share, and its groups run in one of two places,
+//!   the simulated CMP or OS threads ([`run_once_on_threads`], a batch
+//!   whose dispatched groups run through the wiring's local driver;
+//!   wall-clock, host-bound, rows bit-identical to [`run_once`]'s). A
+//!   [`Run`] is parameterised by arrival source, admission bound,
+//!   capture and stop condition: [`run_once`] (a batch),
 //!   [`ClosedLoop`]/[`measure_throughput`] (every completion is
 //!   resubmitted — the Little's Law regime of Section 1.2) and
 //!   [`run_service`] (the open system of Section 5.1: arrivals pass a
@@ -40,10 +44,10 @@
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
 //!   [`cordoba_core::PlanSpec`] the policy can evaluate.
-//! * [`thread_exec`] — the same operator graph on OS threads, through
-//!   the wiring's one local driver: OS links only at the sharing seam,
-//!   where a pivot's fan-out feeds consumer fragments' ports
-//!   (wall-clock, host-bound; rows bit-identical to [`run_once`]).
+//! * [`thread_exec`] — batches of copies of one query on OS threads
+//!   (unshared, morsel-parallel, shared), each a configuration of
+//!   [`run_once_on_threads`]: the shapes the benchmark, the examples
+//!   and the contention re-fit time.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -64,7 +68,7 @@ pub use cordoba_exec::{ExecError, MemoryConfig, ParallelConfig};
 pub use policy::{OverlapInfo, Policy, QueryModelInfo};
 pub use query::QuerySpec;
 pub use run::{
-    measure_throughput, run_once, run_open_loop_collecting, run_service, ArrivalSchedule,
-    ClosedLoop, Disposition, EngineConfig, OnceOutcome, Report, Run, ServiceConfig, ServiceReport,
-    SharingCounters, Source, Stop, Throughput,
+    measure_throughput, run_once, run_once_on_threads, run_open_loop_collecting, run_service,
+    ArrivalSchedule, ClosedLoop, Disposition, EngineConfig, OnceOutcome, Report, Run,
+    ServiceConfig, ServiceReport, SharingCounters, Source, Stop, Throughput,
 };

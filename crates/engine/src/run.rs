@@ -1,5 +1,11 @@
 //! The engine's one run loop and its one report.
 //!
+//! One dispatcher decides what to share, and its groups run in one of
+//! two places: as tasks on the simulated CMP (every source below), or,
+//! for a batch, on OS threads ([`run_once_on_threads`]): the simulator
+//! runs only the dispatcher, which hands each group it dispatches to
+//! the `threads` child module instead of spawning its tasks.
+//!
 //! The paper measures one engine under two regimes: the closed system
 //! of Section 1.2 (`m` clients each keep one query in flight; every
 //! completion is resubmitted — Little's Law) and the open system of
@@ -51,8 +57,10 @@
 
 // The dispatcher is a child of the run loop: its `core` is
 // `pub(super)`, so no other engine module can build a second
-// `DispatcherTask` (rule 6, one run loop).
+// `DispatcherTask` (rule 6, one run loop). So is the thread substrate
+// its groups are handed to.
 mod dispatcher;
+mod threads;
 
 use crate::policy::Policy;
 use crate::query::QuerySpec;
@@ -290,7 +298,7 @@ fn dispositions_of(core: &EngineCore) -> Vec<Disposition> {
     dispositions
 }
 
-/// One steppable engine run on the simulated CMP: build it, [`advance`]
+/// One steppable engine run: build it, [`advance`]
 /// it (once, or repeatedly for adaptive measurements), read its
 /// [`report`].
 ///
@@ -352,6 +360,7 @@ impl Run {
                 .then(|| crate::fragment_cache::FragmentCache::new(cfg.fragment_cache)),
             subsume_joins: 0,
             pivot_widenings: 0,
+            threads: None,
         }));
         let mut sim = Simulator::new(cfg.contexts);
         // Spawn order fixes virtual time: a batch is queued before the
@@ -437,8 +446,7 @@ impl Run {
             let arrived = core.next_submission;
             for (submission, disposition) in dispositions_of(&core)[..arrived].iter().enumerate() {
                 if *disposition == Disposition::InFlight {
-                    core.failures.push((submission, stalled.clone()));
-                    core.live_queries = core.live_queries.saturating_sub(1);
+                    core.finish(submission, Err(stalled.clone()));
                 }
             }
         }
@@ -610,6 +618,28 @@ pub fn run_once(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> O
     let mut run = Run::new(catalog, cfg, Source::Batch(specs), usize::MAX, true);
     run.advance(Stop::Idle);
     run.report()
+}
+
+/// Runs a batch of queries once on OS threads: the dispatcher forms and
+/// dispatches every group exactly as for [`run_once`], and the groups
+/// then run on threads, at most `cfg.contexts` at once, each shared
+/// pivot once. Rows are bit-identical to [`run_once`]'s; `makespan`
+/// and completion times are wall-clock nanoseconds.
+///
+/// `ModelGuided` runs the decisions the dispatcher makes at
+/// `cfg.contexts` simulated contexts; they are not priced on wall
+/// clock. A fragment cache captures nothing here: a batch looks every
+/// fragment up before any group is dispatched. `stats` and
+/// `task_stats` are the simulator's, which ran only the dispatcher.
+pub fn run_once_on_threads(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> Report {
+    let mut run = Run::new(catalog, cfg, Source::Batch(specs), usize::MAX, true);
+    run.core.borrow_mut().threads = Some(Vec::new());
+    run.advance(Stop::Idle);
+    let makespan = threads::run(&mut run.core.borrow_mut());
+    Report {
+        makespan,
+        ..run.report()
+    }
 }
 
 /// Runs the service: queries arrive per `schedule`, pass the bounded
@@ -924,9 +954,10 @@ mod tests {
     }
 
     /// Runs `specs` as one always-share batch on one context and on
-    /// two, at each of [`WORKERS`]. Channels hold a page, and the pivot
-    /// emits more than one to each member, so a member feed left open
-    /// wedges the pivot.
+    /// two, at each of [`WORKERS`], in the simulator and on OS threads.
+    /// Channels and links hold a page (a hand-off), and the pivot emits
+    /// more than one to each member, so a member feed left open wedges
+    /// the pivot.
     fn shared_batches(cat: &Catalog, specs: &[QuerySpec]) -> Vec<Report> {
         let at = |contexts, workers| EngineConfig {
             queue_capacity: 1,
@@ -934,7 +965,13 @@ mod tests {
         };
         [1, 2]
             .into_iter()
-            .flat_map(|c| WORKERS.map(|w| run_once(cat, specs, &at(c, w))))
+            .flat_map(|c| WORKERS.map(|w| at(c, w)))
+            .flat_map(|cfg| {
+                [
+                    run_once(cat, specs, &cfg),
+                    run_once_on_threads(cat, specs, &cfg),
+                ]
+            })
             .collect()
     }
 
@@ -1034,6 +1071,98 @@ mod tests {
                 out.completed + out.failures.len() + out.rejected + out.in_flight
             );
             assert_eq!((out.completed, out.in_flight), (2, 0));
+        }
+    }
+
+    /// The simulator and OS threads run the dispatcher's groups to the
+    /// same rows (float bits), groups and failures (position and
+    /// variant), under both sharing policies, at each of [`WORKERS`] on
+    /// one context and on two. The batch holds a pivot that faults at
+    /// run time (a merge join over unsorted input), an ill-typed pivot,
+    /// a member lacking its pivot and two chaos members, one over the
+    /// faulting pivot (whose fault comes first), beside two healthy
+    /// queries.
+    #[test]
+    fn threads_and_the_simulator_agree_on_rows_groups_and_failures() {
+        let cat = catalog();
+        let u = PhysicalPlan::Scan {
+            table: "u".into(),
+            cost: OpCost::new(4.0, 2.0),
+        };
+        let merge = PhysicalPlan::MergeJoin {
+            left: Box::new(u.clone()),
+            right: Box::new(scan()),
+            left_key: 0,
+            right_key: 0,
+            cost: OpCost::default(),
+        };
+        let faulting = QuerySpec::shared_at("faulting", count(merge.clone()), merge);
+        let ill_pivot = PhysicalPlan::Filter {
+            input: Box::new(u),
+            predicate: Predicate::col_cmp(9, CmpOp::Lt, 256i64),
+            cost: OpCost::per_tuple(0.5),
+        };
+        let ill = QuerySpec::shared_at("ill", count(ill_pivot.clone()), ill_pivot);
+        let stray = QuerySpec {
+            plan: count(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::per_tuple(1.0),
+            }),
+            ..query()
+        };
+        let injected = Some(ExecError::Injected {
+            detail: "chaos".into(),
+        });
+        let chaos = |spec| QuerySpec {
+            chaos: injected.clone(),
+            ..spec
+        };
+        let (q, f) = (query(), faulting);
+        let specs = [
+            q.clone(),
+            f.clone(),
+            ill.clone(),
+            stray,
+            chaos(q.clone()),
+            q,
+            f.clone(),
+            ill,
+            chaos(f),
+        ];
+        let bits = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
+            let bit = |v: &Value| match v {
+                Value::Float(x) => Value::Int(x.to_bits() as i64),
+                other => other.clone(),
+            };
+            rows.iter().map(|r| r.iter().map(bit).collect()).collect()
+        };
+        let failed = |r: &Report| -> Vec<_> {
+            let failures = r.failures.iter();
+            failures
+                .map(|(k, e)| (*k, std::mem::discriminant(e)))
+                .collect()
+        };
+        for policy in [Policy::NeverShare, Policy::AlwaysShare] {
+            for (workers, contexts) in WORKERS.into_iter().flat_map(|w| [(w, 1), (w, 2)]) {
+                let cfg = cfg(contexts, policy.clone(), workers);
+                let sim = run_once(&cat, &specs, &cfg);
+                let threads = run_once_on_threads(&cat, &specs, &cfg);
+                let at = format!("{policy:?} workers={workers} contexts={contexts}");
+                assert_eq!(threads.group_sizes, sim.group_sizes, "{at}");
+                assert_eq!(
+                    failed(&threads),
+                    failed(&sim),
+                    "{at}: {:?}",
+                    threads.failures
+                );
+                assert_eq!((sim.completed, threads.completed), (2, 2), "{at}");
+                for (k, d) in sim.dispositions.iter().enumerate() {
+                    if matches!(d, Disposition::Completed { .. }) {
+                        let (want, got) = (bits(&sim.results[k]), bits(&threads.results[k]));
+                        assert_eq!(got, want, "{at}: query {k}");
+                    }
+                }
+            }
         }
     }
 

@@ -21,7 +21,13 @@
 //! pages of each fresh shared pivot are captured, and a later arrival
 //! whose pivot a cached fragment subsumes replays the pages through its
 //! residual instead of re-running the pivot.
+//!
+//! A run on OS threads forms and dispatches the same groups: at
+//! dispatch each member is split as below, one whose split fails fails
+//! here, and the group is handed over to [`super::threads`] instead of
+//! spawning tasks.
 
+use super::threads::Group;
 use crate::fragment_cache::CachedFragment;
 use crate::policy::{OverlapInfo, Policy};
 use crate::query::QuerySpec;
@@ -45,8 +51,18 @@ use std::sync::Arc;
 /// An arrival awaiting group formation.
 #[derive(Debug, Clone)]
 pub(crate) struct Arrival {
-    submission: usize,
-    spec: QuerySpec,
+    pub(super) submission: usize,
+    pub(super) spec: QuerySpec,
+}
+
+impl Arrival {
+    /// Its fragment over its group's pivot, `at`. A member without a
+    /// pivot of its own is split at the group's, which fails it unless
+    /// its plan holds that.
+    fn split(&self, at: &PhysicalPlan, cat: &Catalog) -> Result<Option<PhysicalPlan>, ExecError> {
+        let own = self.spec.pivot.as_ref().unwrap_or(at);
+        split_with_residual(&self.spec.plan, own, at, cat)
+    }
 }
 
 /// A forming (not yet dispatched) sharing group.
@@ -129,6 +145,9 @@ pub(crate) struct EngineCore {
     pub(crate) subsume_joins: u64,
     /// Times a pending group's pivot was replaced by a wider arrival's.
     pub(crate) pivot_widenings: u64,
+    /// On OS threads: the dispatched groups, handed over to run once
+    /// the simulator idles (`None`: groups spawn simulator tasks).
+    pub(crate) threads: Option<Vec<Group>>,
 }
 
 impl EngineCore {
@@ -151,6 +170,17 @@ impl EngineCore {
         } else {
             self.rejections.push(submission);
         }
+    }
+
+    /// Records the end of an admitted query: its completion time, or the
+    /// error that failed it (a plan rejected at instantiation, a runtime
+    /// fault, injected chaos, a stall). Either way it is no longer live.
+    pub(crate) fn finish(&mut self, submission: usize, end: Result<VTime, ExecError>) {
+        match end {
+            Ok(at) => self.completion_records.push((submission, at)),
+            Err(err) => self.failures.push((submission, err)),
+        }
+        self.live_queries = self.live_queries.saturating_sub(1);
     }
 }
 
@@ -269,13 +299,6 @@ impl DispatcherTask {
         }
     }
 
-    /// Records a query rejected at instantiation (malformed plan): it
-    /// counts as finished (failed), never as a completion.
-    fn fail_query(core: &mut EngineCore, submission: usize, err: &ExecError) {
-        core.failures.push((submission, err.clone()));
-        core.live_queries = core.live_queries.saturating_sub(1);
-    }
-
     fn spawn_group(
         core: &mut EngineCore,
         core_rc: &Rc<RefCell<EngineCore>>,
@@ -285,6 +308,9 @@ impl DispatcherTask {
         core.group_sizes.push(group.members.len());
         let gid = core.group_seq;
         core.group_seq += 1;
+        if core.threads.is_some() {
+            return Self::hand_over(core, group);
+        }
         let Some(pivot) = &group.pivot else {
             for member in group.members {
                 let plan = member.spec.plan.clone();
@@ -303,16 +329,29 @@ impl DispatcherTask {
             .unzip();
         let shared = Self::spawn_pivot(core, ctx, gid, &group, pivot, outs);
         for (member, feed) in group.members.into_iter().zip(feeds) {
-            // A member without a pivot of its own is split at the
-            // group's, which fails it unless its plan holds that.
-            let own = member.spec.pivot.as_ref().unwrap_or(pivot);
             let fragment = match &shared {
-                Ok(_) => split_with_residual(&member.spec.plan, own, pivot, &core.catalog),
+                Ok(_) => member.split(pivot, &core.catalog),
                 Err(err) => Err(err.clone()),
             };
             let faults = shared.iter().flatten().cloned().collect();
             Self::spawn_member(core, core_rc, ctx, member, fragment, Some(feed), faults);
         }
+    }
+
+    /// Hands `group` over to run on OS threads: each member is split as
+    /// for its attachment in the simulator, and one whose split fails
+    /// fails here, as it would there.
+    fn hand_over(core: &mut EngineCore, group: PendingGroup) {
+        let (pivot, mut members) = (group.pivot.as_ref(), Vec::new());
+        for member in group.members {
+            match pivot.map_or(Ok(None), |pivot| member.split(pivot, &core.catalog)) {
+                Ok(fragment) => members.push((member, fragment)),
+                Err(err) => core.finish(member.submission, Err(err)),
+            }
+        }
+        core.threads
+            .get_or_insert_with(Vec::new)
+            .push((group.pivot, members));
     }
 
     /// Spawns a group's pivot delivering to `outs`: a replay of its
@@ -441,7 +480,7 @@ impl DispatcherTask {
                 if let Some(feed) = feed {
                     feed.close(ctx);
                 }
-                Self::fail_query(core, member.submission, &err);
+                core.finish(member.submission, Err(err));
                 return;
             }
         };
@@ -477,14 +516,10 @@ impl DispatcherTask {
             // A fault anywhere in this query's operator graph (its
             // private fragment or the shared pivot) turns the finish
             // into a failure: no completion, no resubmission.
-            if let Some(err) = faults.iter().find_map(|f| f.get()) {
-                core.failures.push((submission, err));
-                core.live_queries = core.live_queries.saturating_sub(1);
-                return;
-            }
-            core.completion_records.push((submission, ctx.now()));
-            core.live_queries = core.live_queries.saturating_sub(1);
-            if core.resubmit {
+            let fault = faults.iter().find_map(|f| f.get());
+            let resubmit = fault.is_none() && core.resubmit;
+            core.finish(submission, fault.map_or(Ok(ctx.now()), Err));
+            if resubmit {
                 core.offer(spec, ctx.now(), true);
                 let dispatcher = core.dispatcher;
                 drop(core);

@@ -2,8 +2,8 @@
 //! member query into (shared pivot sub-plan, private above-fragment).
 //!
 //! `split_with_residual` is the one split, on both substrates: the
-//! dispatcher calls it for every member of a sharing group, and
-//! `thread_exec` for each consumer of its pivot. The group runs a pivot
+//! dispatcher calls it for every member of a sharing group, whether the
+//! group then runs in the simulator or on OS threads. The group runs a pivot
 //! that semantically contains the member's own
 //! ([`cordoba_exec::subsume`]); the member's own pivot subtree becomes a
 //! [`PhysicalPlan::Source`] leaf, under a residual filter that

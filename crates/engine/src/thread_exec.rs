@@ -1,66 +1,22 @@
-//! Real-thread executor: the engine's operator graph on OS threads.
+//! Batches of copies of one query on OS threads: the shapes the
+//! wall-clock benchmark, the examples and the contention re-fit run.
 //!
-//! The simulator is the measurement substrate (deterministic, scales to
-//! 32 contexts on any host); this module runs the *same* engine on real
-//! hardware. There is no second executor: every plan runs through the
-//! one local driver ([`wiring::run_local`], serial wiring unless a
-//! caller sets workers), a private single-context run loop per OS
-//! thread, so compiled expressions, [`FaultCell`] and [`MemoryBroker`]
-//! behave exactly as in a simulated run and the rows are bit-identical
-//! to [`crate::run_once`]'s — float bits and row order included.
+//! There is no second driver here. Each entry point is a configuration
+//! of [`crate::run_once_on_threads`]: the engine's dispatcher forms the
+//! groups as for a simulated batch, and the run's thread substrate runs
+//! them — a query alone through [`wiring::run_local`], a shared pivot
+//! once on one thread with each member's fragment on a thread of its
+//! own, fed over the OS links of the sharing seam
+//! ([`cordoba_exec::ops::Outlet::os`], [`cordoba_exec::ops::Inlet::os`]).
+//! Rows are bit-identical to [`crate::run_once`]'s — float bits and row
+//! order included.
 //!
-//! * **Unshared** — worker threads claim queries from one counter and
-//!   run one graph per query through [`wiring::run_local`]: at
-//!   [`WiringConfig::default`], or, in the morsel-parallel variant,
-//!   with morsel workers whose shells get an OS thread each.
-//! * **Shared** — the calling thread runs the pivot's graph once and
-//!   its root fans out to one thread per consumer, as a simulated
-//!   shared pivot fans out to its members: the root's [`Fanout`] writes
-//!   OS links ([`Outlet::os`]) where it would write simulator channels,
-//!   and each consumer's private above-fragment reads its link through
-//!   the port of the operator above its `Source` leaf ([`Inlet::os`]) —
-//!   no task in between on either side
-//!   ([`wiring::run_local_between`]). A link hands off morsels of
-//!   [`ParallelConfig::morsel_pages`] pivot pages (for a scan pivot the
-//!   table's own `Arc<Page>`s — nothing is copied): one hand-off (a
-//!   lock, often a futex wake) per morsel per consumer, not per page.
-//!   OS channels exist only at this sharing seam, exactly where the
-//!   model's per-consumer `s` lives — the producer pays the real
-//!   (wall-clock) `M·s`. A link holds `queue_capacity` hand-offs, so at
-//!   most `queue_capacity × morsel_pages` pages (16 × 4) are in flight
-//!   per consumer, as `Arc`s.
-//!
-//! Both substrates move the same granularity: every operator's shell,
-//! on a thread's run loop as in the simulator, makes up to
-//! `morsel_pages` kernel calls a step, so a scan pivot's step gathers
-//! exactly the morsel its links hand off, and a consumer's step reads
-//! the hand-off it holds (never waiting on the link mid-step).
-//!
-//! Faults stay per query: a consumer that fails hangs up its link and
-//! the producer stops serving it at its next hand-off while its peers
-//! go on, and once every consumer has hung up the pivot's root stops
-//! too; a pivot fault travels down every link, so no consumer mistakes
-//! a truncated pivot for end-of-stream.
-//!
-//! [`Fanout`]: cordoba_exec::ops::Fanout
-//! [`FaultCell`]: cordoba_exec::FaultCell
+//! [`wiring::run_local`]: cordoba_exec::wiring::run_local
 
-use crate::query::QuerySpec;
-use crate::sharing::split_with_residual;
-use cordoba_exec::ops::{Handoff, Inlet, Outlet};
-use cordoba_exec::wiring::{self, WiringConfig};
-use cordoba_exec::SchemaRef;
-use cordoba_exec::{ExecError, MemoryBroker, ParallelConfig, PhysicalPlan, QueryResources};
+use crate::{run_once_on_threads, EngineConfig, Policy, QuerySpec};
+use cordoba_exec::{ExecError, ParallelConfig};
 use cordoba_storage::{Catalog, Value};
-use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
-#[expect(
-    clippy::disallowed_types,
-    reason = "the real-thread executor times its batches with an honest wall clock"
-)]
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Outcome of a threaded run.
 #[derive(Debug)]
@@ -71,80 +27,23 @@ pub struct ThreadReport {
     pub elapsed: Duration,
 }
 
-type Rows = Vec<Vec<Value>>;
-
-/// The report of a batch every query of which succeeded, else its first
+/// Runs `m` copies of `spec` once on threads under `cfg`: the report of
+/// a batch every query of which succeeded, else its first
 /// (submission-order) error.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the real-thread executor times its batches with an honest wall clock"
-)]
-fn report(
-    start: Instant,
-    results: Vec<Result<Rows, ExecError>>,
-) -> Result<ThreadReport, ExecError> {
-    Ok(ThreadReport {
-        results: results.into_iter().collect::<Result<_, _>>()?,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Runs `job` for each of `m` queries on up to `threads` workers that
-/// claim query indexes from one counter; outcomes in submission order.
-/// A single worker is the calling thread itself: a thread that only
-/// waits for one other adds a start, a sleep and a wake-up to every
-/// call and nothing else.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "query-level threads: one of the two places OS threads start"
-)]
-fn run_claimed(
-    m: usize,
-    threads: usize,
-    job: impl Fn() -> Result<Rows, ExecError> + Sync,
-) -> Vec<Result<Rows, ExecError>> {
-    if threads.min(m) <= 1 {
-        return (0..m).map(|_| job()).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, Result<Rows, ExecError>)> = thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(m))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= m {
-                            break done;
-                        }
-                        done.push((i, job()));
-                    }
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| panic::resume_unwind(p)))
-            .collect()
-    });
-    // fetch_add handed each index 0..m to exactly one worker.
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
-}
-
-/// The fallible core of [`run_unshared`]: one outcome per query.
-fn try_unshared(
+fn copies(
     catalog: &Catalog,
-    plan: &PhysicalPlan,
+    spec: &QuerySpec,
     m: usize,
-    threads: usize,
-    broker: &MemoryBroker,
-) -> Vec<Result<Rows, ExecError>> {
-    run_claimed(m, threads, || {
-        let res = QueryResources::charging(broker);
-        let pages = wiring::run_local(catalog, plan, &WiringConfig::default(), &res)?;
-        Ok(wiring::page_rows(&pages))
-    })
+    cfg: EngineConfig,
+) -> Result<ThreadReport, ExecError> {
+    let report = run_once_on_threads(catalog, &vec![spec.clone(); m], &cfg);
+    match report.failures.into_iter().next() {
+        Some((_, err)) => Err(err),
+        None => Ok(ThreadReport {
+            results: report.results,
+            elapsed: Duration::from_nanos(report.makespan),
+        }),
+    }
 }
 
 /// Executes `m` copies of `spec` without sharing on up to `threads`
@@ -156,33 +55,24 @@ fn try_unshared(
 /// Panics if a query fails (a plan that does not type-check, or a
 /// runtime fault such as an unsorted merge input).
 #[expect(
-    clippy::disallowed_types,
-    reason = "the real-thread executor times its batches with an honest wall clock"
-)]
-#[expect(
     clippy::expect_used,
     reason = "documented '# Panics' contract of this harness entry point"
 )]
 pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usize) -> ThreadReport {
-    let start = Instant::now();
-    let results = try_unshared(catalog, &spec.plan, m, threads, &MemoryBroker::unbounded());
-    report(start, results).expect("unshared query failed")
+    let report = run_unshared_parallel(catalog, spec, m, threads, &ParallelConfig::default());
+    report.expect("unshared query failed")
 }
 
 /// Executes `m` copies of `spec` without sharing, each query running
-/// its operator graph through [`wiring::run_local`] with
-/// `parallel.workers` morsel worker threads per parallel fragment.
-/// `threads` bounds how many *queries* run concurrently, so total
-/// thread pressure is `threads × (1 + fragments × workers)`.
+/// its operator graph with `parallel.workers` morsel worker threads per
+/// parallel fragment. `threads` bounds how many *queries* run
+/// concurrently, so total thread pressure is `threads × (1 + fragments
+/// × workers)`.
 ///
 /// This is the unshared baseline the contention re-fit measures: the
 /// same queries and the same `ops/*` tasks as [`run_unshared`], but
 /// each scan → filter → project (→ aggregate) fragment spread across
 /// morsel workers instead of a single thread of control.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the real-thread executor times its batches with an honest wall clock"
-)]
 pub fn run_unshared_parallel(
     catalog: &Catalog,
     spec: &QuerySpec,
@@ -190,16 +80,9 @@ pub fn run_unshared_parallel(
     threads: usize,
     parallel: &ParallelConfig,
 ) -> Result<ThreadReport, ExecError> {
-    let start = Instant::now();
-    let cfg = WiringConfig {
-        parallel: *parallel,
-        ..WiringConfig::default()
-    };
-    let results = run_claimed(m, threads, || {
-        let pages = wiring::run_local(catalog, &spec.plan, &cfg, &QueryResources::default())?;
-        Ok(wiring::page_rows(&pages))
-    });
-    report(start, results)
+    let mut cfg = EngineConfig::default();
+    (cfg.contexts, cfg.parallel) = (threads.max(1), *parallel);
+    copies(catalog, spec, m, cfg)
 }
 
 /// Measures unshared throughput (queries per wall-clock second) of the
@@ -227,87 +110,6 @@ pub fn worker_scaling_samples(
     Ok(samples)
 }
 
-/// Runs the pivot's graph once on the calling thread, its root feeding
-/// every link in `txs`. A pivot that fails (or wedges) sends its error
-/// down every link instead of just hanging up ([`wiring::run_feeding`]),
-/// so the error is the last thing a consumer reads and no page behind
-/// it is ever served.
-fn produce(
-    catalog: &Catalog,
-    pivot: &PhysicalPlan,
-    txs: Vec<mpsc::SyncSender<Handoff>>,
-    cfg: &WiringConfig,
-    broker: &MemoryBroker,
-) {
-    let res = QueryResources::charging(broker);
-    let morsel = cfg.parallel.morsel_pages;
-    wiring::run_feeding(&txs, || {
-        let outs = txs
-            .iter()
-            .map(|tx| Outlet::os(tx.clone(), morsel, &res.fault));
-        wiring::run_local_between(catalog, pivot, vec![], outs.collect(), cfg, &res)
-    });
-}
-
-/// Runs one consumer: its private above-fragment of `plan` (everything
-/// above the pivot, or a bare `Source` when the whole plan is shared)
-/// over the pivot's pages arriving on `rx`.
-fn consume(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    pivot: &PhysicalPlan,
-    rx: mpsc::Receiver<Handoff>,
-    cfg: &WiringConfig,
-    broker: &MemoryBroker,
-) -> Result<Rows, ExecError> {
-    let fragment = match split_with_residual(plan, pivot, pivot, catalog)? {
-        Some(fragment) => fragment,
-        None => PhysicalPlan::Source {
-            schema: SchemaRef(pivot.try_output_schema(catalog)?),
-        },
-    };
-    let res = QueryResources::charging(broker);
-    let feed = vec![Inlet::os(rx, &res.fault)];
-    let pages = wiring::run_local_between(catalog, &fragment, feed, vec![], cfg, &res)?;
-    Ok(wiring::page_rows(&pages))
-}
-
-/// The fallible core of [`run_shared`]: `pivot` runs once and feeds one
-/// consumer per entry of `plans` (each must contain `pivot`); one
-/// outcome per consumer. With no consumer the pivot does not run.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the sharing seam's consumer threads: one of the two places OS threads start"
-)]
-fn try_shared(
-    catalog: &Catalog,
-    pivot: &PhysicalPlan,
-    plans: &[&PhysicalPlan],
-    broker: &MemoryBroker,
-) -> Vec<Result<Rows, ExecError>> {
-    if plans.is_empty() {
-        return Vec::new();
-    }
-    let cfg = &WiringConfig::default();
-    thread::scope(|scope| {
-        // One bounded link per consumer: the fan-out serialization
-        // point of the model.
-        let (txs, consumers): (Vec<_>, Vec<_>) = plans
-            .iter()
-            .map(|&plan| {
-                let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
-                let consumer = scope.spawn(move || consume(catalog, plan, pivot, rx, cfg, broker));
-                (tx, consumer)
-            })
-            .unzip();
-        produce(catalog, pivot, txs, cfg, broker);
-        consumers
-            .into_iter()
-            .map(|c| c.join().unwrap_or_else(|p| panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
 /// Executes `m` copies of `spec` with the pivot sub-plan shared: the
 /// pivot's operator graph runs once and fans its pages out, a morsel
 /// per hand-off, to `m` consumer threads over bounded links.
@@ -317,36 +119,29 @@ fn try_shared(
 /// Panics if `spec` has no pivot, or if a query fails (a plan that does
 /// not type-check, or a runtime fault).
 #[expect(
-    clippy::disallowed_types,
-    reason = "the real-thread executor times its batches with an honest wall clock"
-)]
-#[expect(
     clippy::expect_used,
     reason = "documented '# Panics' contract of this harness entry point"
 )]
 pub fn run_shared(catalog: &Catalog, spec: &QuerySpec, m: usize) -> ThreadReport {
-    let pivot = spec.pivot.as_ref().expect("shared run needs a pivot");
-    let start = Instant::now();
-    let results = try_shared(
-        catalog,
-        pivot,
-        &vec![&spec.plan; m],
-        &MemoryBroker::unbounded(),
-    );
-    report(start, results).expect("shared query failed")
+    spec.pivot.as_ref().expect("shared run needs a pivot");
+    let mut cfg = EngineConfig::default();
+    (cfg.policy, cfg.max_group) = (Policy::AlwaysShare, m.max(1));
+    copies(catalog, spec, m, cfg).expect("shared query failed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_once, EngineConfig};
+    use crate::{run_once, Report};
     use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
-    use cordoba_exec::ops::Fanout;
-    use cordoba_exec::{reference, FaultCell, JoinKind, OpCost};
+    use cordoba_exec::ops::{Fanout, Handoff, Inlet, Outlet};
+    use cordoba_exec::{reference, FaultCell, JoinKind, OpCost, PhysicalPlan};
     use cordoba_sim::channel::Recv;
     use cordoba_sim::{DetachedCtx, TaskCtx};
     use cordoba_storage::{DataType, Field, Page, PageBuilder, Schema, TableBuilder};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+
+    type Rows = Vec<Vec<Value>>;
 
     fn kv_schema() -> Arc<Schema> {
         Schema::new(vec![
@@ -449,6 +244,19 @@ mod tests {
         out.results.remove(0)
     }
 
+    /// `specs` run once on two threads under `policy`, sharing in one
+    /// group. Each query's broker is checked empty as its run returns
+    /// (debug builds).
+    fn on_threads(cat: &Catalog, specs: &[QuerySpec], policy: Policy) -> Report {
+        let cfg = EngineConfig {
+            contexts: 2,
+            policy,
+            max_group: specs.len().max(1),
+            ..EngineConfig::default()
+        };
+        run_once_on_threads(cat, specs, &cfg)
+    }
+
     #[test]
     fn unshared_threads_match_reference() {
         let cat = catalog();
@@ -483,21 +291,22 @@ mod tests {
         c
     }
 
-    /// Every threaded mode reproduces the serial engine's rows for
-    /// `spec` at each `m`, and returns every granted byte.
+    /// `m` copies of `spec`, unshared on two threads and shared in one
+    /// group, reproduce the serial engine's rows at each `m`.
     fn assert_bit_identical(cat: &Catalog, spec: &QuerySpec, ms: &[usize]) {
         let want = bits(&serial_rows(cat, spec));
-        let pivot = spec.pivot.as_ref().unwrap();
         for &m in ms {
-            let broker = MemoryBroker::unbounded();
-            let unshared = try_unshared(cat, &spec.plan, m, 2, &broker);
-            let shared = try_shared(cat, pivot, &vec![&spec.plan; m], &broker);
-            assert_eq!((unshared.len(), shared.len()), (m, m));
-            for rows in unshared.iter().chain(&shared) {
-                let rows = rows.as_ref().expect("query runs");
-                assert_eq!(bits(rows), want, "{} m={m}", spec.name);
+            for (policy, groups) in [(Policy::NeverShare, m), (Policy::AlwaysShare, m.min(1))] {
+                let report = on_threads(cat, &vec![spec.clone(); m], policy);
+                assert!(report.failures.is_empty(), "{:?}", report.failures);
+                assert_eq!(
+                    (report.results.len(), report.group_sizes.len()),
+                    (m, groups)
+                );
+                for rows in &report.results {
+                    assert_eq!(bits(rows), want, "{} m={m}", spec.name);
+                }
             }
-            assert_eq!(broker.used(), 0, "{} m={m}: grants leaked", spec.name);
         }
     }
 
@@ -512,7 +321,7 @@ mod tests {
         // A scan pivot of every length the hand-off can meet: empty, one
         // page, and 0, 1 and `morsel_pages - 1` pages beyond a full
         // morsel.
-        let mp = WiringConfig::default().parallel.morsel_pages;
+        let mp = ParallelConfig::default().morsel_pages;
         for pages in [0, 1, mp - 1, mp, mp + 1, 2 * mp - 1, 2 * mp] {
             let cat = sized_catalog(256 * pages as i64 - pages.min(1) as i64);
             assert_eq!(cat.expect("t").pages().len(), pages);
@@ -527,60 +336,57 @@ mod tests {
         // may return the rows it computed from the truncated stream.
         let cat = catalog();
         let pivot = merge_join("u", "t");
-        let plan = sum_v(pivot.clone());
-        let broker = MemoryBroker::unbounded();
-        let results = try_shared(&cat, &pivot, &[&plan, &plan, &plan], &broker);
-        assert_eq!(results.len(), 3);
-        for r in &results {
+        let spec = QuerySpec::shared_at("bad", sum_v(pivot.clone()), pivot);
+        let report = on_threads(&cat, &vec![spec.clone(); 3], Policy::AlwaysShare);
+        assert_eq!(
+            (report.group_sizes.as_slice(), report.failures.len()),
+            (&[3][..], 3)
+        );
+        for (_, r) in &report.failures {
             assert!(
-                matches!(r, Err(ExecError::UnsortedMergeInput { side: "left", .. })),
+                matches!(r, ExecError::UnsortedMergeInput { side: "left", .. }),
                 "{r:?}"
             );
         }
-        assert_eq!(broker.used(), 0);
         // Unshared, the same plan fails the same way, per query.
-        for r in try_unshared(&cat, &plan, 2, 2, &broker) {
-            assert!(
-                matches!(r, Err(ExecError::UnsortedMergeInput { .. })),
-                "{r:?}"
-            );
+        let report = on_threads(&cat, &[spec.clone(), spec], Policy::NeverShare);
+        assert_eq!(report.failures.len(), 2);
+        for (_, r) in &report.failures {
+            assert!(matches!(r, ExecError::UnsortedMergeInput { .. }), "{r:?}");
         }
-        assert_eq!(broker.used(), 0);
     }
 
     #[test]
     fn consumer_fault_leaves_its_peers_exact() {
         let cat = catalog();
         let pivot = scan("u");
+        let member = |plan| QuerySpec {
+            name: "m".into(),
+            plan,
+            pivot: Some(pivot.clone()),
+            chaos: None,
+        };
         let good = sum_v(pivot.clone());
         // Faults at run time, above the pivot: its left input (the
         // shared scan of `u`) is unsorted.
         let faulty = merge_join("u", "t");
-        // Never starts: the pivot does not occur in it, so the consumer
-        // hangs up before receiving a page.
+        // Never starts: the pivot does not occur in it, so its split
+        // fails at dispatch and the pivot feeds its peers alone.
         let foreign = scan("t");
-        let broker = MemoryBroker::unbounded();
-        let results = try_shared(&cat, &pivot, &[&good, &faulty, &foreign, &good], &broker);
-        let want = bits(&serial_rows(
-            &cat,
-            &QuerySpec::unshared("good", good.clone()),
-        ));
-        assert_eq!(bits(results[0].as_ref().expect("peer runs")), want);
-        assert_eq!(bits(results[3].as_ref().expect("peer runs")), want);
+        let specs = [good.clone(), faulty, foreign, good.clone()].map(member);
+        let report = on_threads(&cat, &specs, Policy::AlwaysShare);
+        assert_eq!(report.group_sizes, [4]);
+        let want = bits(&serial_rows(&cat, &QuerySpec::unshared("good", good)));
+        assert_eq!(bits(&report.results[0]), want);
+        assert_eq!(bits(&report.results[3]), want);
+        let [(1, ref faulty), (2, ref foreign)] = report.failures[..] else {
+            panic!("{:?}", report.failures);
+        };
         assert!(
-            matches!(
-                results[1],
-                Err(ExecError::UnsortedMergeInput { side: "left", .. })
-            ),
-            "{:?}",
-            results[1]
+            matches!(faulty, ExecError::UnsortedMergeInput { side: "left", .. }),
+            "{faulty:?}"
         );
-        assert!(
-            matches!(results[2], Err(ExecError::PlanType(_))),
-            "{:?}",
-            results[2]
-        );
-        assert_eq!(broker.used(), 0);
+        assert!(matches!(foreign, ExecError::PlanType(_)), "{foreign:?}");
     }
 
     #[test]
@@ -619,11 +425,25 @@ mod tests {
 
     #[test]
     fn no_consumer_means_the_pivot_does_not_run() {
-        // The join pivot would charge the broker for its build side.
+        // The join pivot would charge a broker for its build side. Both
+        // members lack it, so both fail at dispatch and their group
+        // hands over no member: the pivot has nobody to run for.
         let (cat, spec) = (catalog(), join_query());
-        let broker = MemoryBroker::unbounded();
-        assert!(try_shared(&cat, spec.pivot.as_ref().unwrap(), &[], &broker).is_empty());
-        assert_eq!(broker.peak(), 0, "the pivot ran for nobody");
+        let stray = QuerySpec {
+            plan: scan("t"),
+            ..spec.clone()
+        };
+        let report = on_threads(&cat, &[stray.clone(), stray], Policy::AlwaysShare);
+        assert_eq!(
+            (report.group_sizes.as_slice(), report.completed),
+            (&[2][..], 0)
+        );
+        for (_, err) in &report.failures {
+            assert!(
+                err.to_string().contains("pivot sub-plan not found"),
+                "{err}"
+            );
+        }
         assert!(run_shared(&cat, &spec, 0).results.is_empty());
     }
 

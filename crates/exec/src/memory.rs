@@ -25,9 +25,9 @@
 //! beside their frames (`SpillContext::grant_beside`).
 //!
 //! The account is lock-free atomic state behind an `Arc`, so one
-//! broker can serve operator graphs running on several OS threads
-//! (`engine::thread_exec` charges a whole batch to one) as well as the
-//! single-threaded simulator; clones share the same account. Single-threaded `peak()`
+//! broker can serve operator graphs running on several OS threads as
+//! well as the single-threaded simulator; clones share the same
+//! account. Single-threaded `peak()`
 //! semantics are unchanged: with one caller, `peak` is exactly the
 //! maximum of `used` over the grant history.
 

@@ -84,7 +84,7 @@
 //!
 //! The ports and the fan-out are the one channel layer's [`Inlet`]s and
 //! [`Outlet`](super::Outlet)s, so the same shell runs on either side of
-//! a thread boundary: `engine::thread_exec`'s sharing seam is a pivot
+//! a thread boundary: the engine's sharing seam on threads is a pivot
 //! whose root fans out to consumers on other threads, each reading the
 //! pivot's pages through its own port. A morsel group is shells too: a
 //! worker is a kernel with no ports whose calls each report the morsel

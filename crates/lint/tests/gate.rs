@@ -55,7 +55,7 @@ fn copy(from: &Path, to: &Path, rel: &Path, sources: &mut Vec<String>) {
 const RELAXED_OWNERS: [&str; 4] = [
     "crates/exec/src/memory.rs",
     "crates/exec/src/parallel.rs",
-    "crates/engine/src/thread_exec.rs",
+    "crates/engine/src/run/threads.rs",
     "crates/storage/src/spill.rs",
 ];
 

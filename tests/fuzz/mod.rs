@@ -32,7 +32,7 @@
 #![allow(dead_code)]
 
 use cordoba::engine::sharing::contains_subtree;
-use cordoba::engine::{thread_exec, ArrivalSchedule, EngineConfig, ParallelConfig, Policy};
+use cordoba::engine::{run_once_on_threads, ArrivalSchedule, EngineConfig, ParallelConfig, Policy};
 use cordoba::engine::{QuerySpec, Run, SharingCounters, Source, Stop};
 use cordoba::exec::concat_schemas;
 use cordoba::exec::expr::CmpOp::{self, Ge, Gt, Le, Lt, Ne};
@@ -62,7 +62,8 @@ pub enum Substrate {
     Schedule,
     /// `wiring::run_local`: morsel workers on OS threads.
     Threads,
-    /// `thread_exec`'s sharing seam: `run_shared` or `run_unshared`.
+    /// The engine on OS threads ([`run_once_on_threads`]): copies of
+    /// one query, shared over the seam's links or not.
     Seam,
 }
 
@@ -86,11 +87,11 @@ const MAX_ROWS: usize = 5_000;
 pub struct Config {
     /// Where the case runs.
     pub substrate: Substrate,
-    /// Morsel workers (on the seam: unshared worker threads).
+    /// Morsel workers (on the seam: threads that run its groups).
     pub workers: usize,
     /// Per-query budget in pages, spilling to the case's own directory.
     pub budget_pages: Option<usize>,
-    /// `AlwaysShare` rather than `NeverShare` (on the seam: `run_shared`).
+    /// `AlwaysShare` rather than `NeverShare`.
     pub share: bool,
     /// Fragment-cache capacity.
     pub cache: usize,
@@ -962,7 +963,7 @@ pub fn may_exhaust(case: &Case) -> bool {
 pub struct Observed {
     /// Whether the case opened a spill file and every query completed.
     pub spilled: bool,
-    /// Sizes of the sharing groups (on the seam: the shared copies).
+    /// Sizes of the sharing groups.
     pub groups: Vec<usize>,
     /// The engine's subsumption and fragment-cache counters.
     pub sharing: SharingCounters,
@@ -1047,7 +1048,7 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
     };
     let mut seen = Observed::default();
     let outcomes: Vec<Outcome> = match c.substrate {
-        Batch | Schedule => {
+        Batch | Schedule | Seam => {
             let policy = [Policy::NeverShare, Policy::AlwaysShare][usize::from(c.share)].clone();
             let cfg = EngineConfig {
                 contexts: c.contexts,
@@ -1060,19 +1061,37 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
                 parallel,
                 fragment_cache: c.cache,
             };
-            let specs: Vec<QuerySpec> = case.queries.iter().map(|(_, q)| q.clone()).collect();
-            let source = match c.substrate {
-                Batch => Source::Batch(&specs),
-                _ => Source::Schedule(case.queries.clone()),
+            // The seam runs `contexts` copies of its one query.
+            let specs: Vec<QuerySpec> = match c.substrate {
+                Seam => vec![q.clone(); c.contexts],
+                _ => case.queries.iter().map(|(_, q)| q.clone()).collect(),
             };
-            let mut run = Run::new(cat, &cfg, source, usize::MAX, true);
-            run.advance(Stop::Idle);
-            let report = run.report();
+            let run = |source| {
+                let mut run = Run::new(cat, &cfg, source, usize::MAX, true);
+                run.advance(Stop::Idle);
+                run.report()
+            };
+            let report = match c.substrate {
+                Batch => run(Source::Batch(&specs)),
+                Schedule => run(Source::Schedule(case.queries.clone())),
+                // On `workers` threads, the seam sizing its own morsels.
+                _ => {
+                    let parallel = ParallelConfig::default();
+                    let cfg = EngineConfig {
+                        contexts: c.workers,
+                        parallel,
+                        ..cfg.clone()
+                    };
+                    run_once_on_threads(cat, &specs, &cfg)
+                }
+            };
             if report.completed + report.failures.len() != specs.len() {
                 return Err(format!("{} of {} finished", report.completed, specs.len()));
             }
+            let query = |i| if c.substrate == Seam { 0 } else { i };
+            let results = report.results.into_iter().enumerate();
             let mut outcomes: Vec<Outcome> =
-                report.results.into_iter().map(Ok).enumerate().collect();
+                results.map(|(i, rows)| (query(i), Ok(rows))).collect();
             for (i, err) in report.failures {
                 outcomes[i].1 = Err(err);
             }
@@ -1093,19 +1112,6 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
                 return Err(format!("the broker still holds {} bytes", broker.used()));
             }
             vec![(0, rows.map(|pages| wiring::page_rows(&pages)))]
-        }
-        Seam => {
-            let report = match c.share {
-                true => thread_exec::run_shared(cat, q, c.contexts),
-                false => thread_exec::run_unshared(cat, q, c.contexts, c.workers),
-            };
-            let copies = report.results.len();
-            if copies != c.contexts {
-                return Err(format!("{copies} results for {} copies", c.contexts));
-            }
-            seen.groups = vec![if c.share { copies } else { 1 }];
-            let results = report.results.into_iter();
-            results.map(|rows| (0, Ok(rows))).collect()
         }
     };
     Ok((outcomes, seen))
