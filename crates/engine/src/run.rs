@@ -630,7 +630,8 @@ pub fn run_once(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> O
 /// `cfg.contexts` simulated contexts; they are not priced on wall
 /// clock. A fragment cache captures nothing here: a batch looks every
 /// fragment up before any group is dispatched. `stats` and
-/// `task_stats` are the simulator's, which ran only the dispatcher.
+/// `task_stats` are empty: the simulator ran only the dispatcher, so
+/// its numbers describe none of the run.
 pub fn run_once_on_threads(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> Report {
     let mut run = Run::new(catalog, cfg, Source::Batch(specs), usize::MAX, true);
     run.core.borrow_mut().threads = Some(Vec::new());
@@ -638,6 +639,8 @@ pub fn run_once_on_threads(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineC
     let makespan = threads::run(&mut run.core.borrow_mut());
     Report {
         makespan,
+        stats: SimStats::default(),
+        task_stats: Vec::new(),
         ..run.report()
     }
 }
@@ -1041,6 +1044,31 @@ mod tests {
             assert_eq!(out.results[0], expected_rows(&cat));
             assert_eq!(out.results[2], expected_rows(&cat));
         }
+    }
+
+    #[test]
+    fn a_group_whose_members_all_fail_hands_over_no_pivot() {
+        // Both members lack the scan pivot they name, so both fail their
+        // split at dispatch: nothing is left for the pivot to run for,
+        // and no group reaches the thread runner.
+        let cat = catalog();
+        let stray = QuerySpec {
+            name: "stray".into(),
+            plan: count(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::per_tuple(1.0),
+            }),
+            pivot: Some(scan()),
+            chaos: None,
+        };
+        let specs = [stray.clone(), stray];
+        let cfg = cfg(2, Policy::AlwaysShare, 1);
+        let mut run = Run::new(&cat, &cfg, Source::Batch(&specs), usize::MAX, true);
+        run.core.borrow_mut().threads = Some(Vec::new());
+        run.advance(Stop::Idle);
+        let core = run.core.borrow();
+        assert_eq!(core.group_sizes, [2]);
+        assert_eq!(core.threads.as_ref().map(Vec::len), Some(0));
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl DispatcherTask {
 
     /// Hands `group` over to run on OS threads: each member is split as
     /// for its attachment in the simulator, and one whose split fails
-    /// fails here, as it would there.
+    /// fails here, as it would there. A group none of whose members is
+    /// left is not handed over: its pivot has nobody to run for.
     fn hand_over(core: &mut EngineCore, group: PendingGroup) {
         let (pivot, mut members) = (group.pivot.as_ref(), Vec::new());
         for member in group.members {
@@ -349,9 +350,9 @@ impl DispatcherTask {
                 Err(err) => core.finish(member.submission, Err(err)),
             }
         }
-        core.threads
-            .get_or_insert_with(Vec::new)
-            .push((group.pivot, members));
+        if let (Some(groups), false) = (core.threads.as_mut(), members.is_empty()) {
+            groups.push((group.pivot, members));
+        }
     }
 
     /// Spawns a group's pivot delivering to `outs`: a replay of its

@@ -56,8 +56,8 @@ use std::thread::{self, ScopedJoinHandle};
 
 /// A dispatched group handed over to run on threads: the pivot its
 /// members' fragments read (`None` for a query with nothing to share),
-/// and the members whose split succeeded, each with its fragment over
-/// the pivot (`None` when the whole query is the pivot).
+/// and the members whose split succeeded (at least one), each with its
+/// fragment over the pivot (`None` when the whole query is the pivot).
 pub(super) type Group = (Option<PhysicalPlan>, Vec<(Arrival, Option<PhysicalPlan>)>);
 
 /// A query's result pages, or the error that failed it.
@@ -74,6 +74,9 @@ pub(super) fn run(core: &mut EngineCore) -> VTime {
     let start = std::time::Instant::now();
     let now = || VTime::try_from(start.elapsed().as_nanos()).unwrap_or(VTime::MAX);
     let groups = core.threads.take().unwrap_or_default();
+    // A pivot runs only for members: the dispatcher hands over no group
+    // whose every member failed its split.
+    debug_assert!(groups.iter().all(|(_, members)| !members.is_empty()));
     let (cat, cfg) = (&*core.catalog, &core.wiring);
     // A group runs from the thread that claims it: each member's
     // outcome and wall-clock end, in member order. Each query's run

@@ -112,7 +112,9 @@ pub fn worker_scaling_samples(
 
 /// Executes `m` copies of `spec` with the pivot sub-plan shared: the
 /// pivot's operator graph runs once and fans its pages out, a morsel
-/// per hand-off, to `m` consumer threads over bounded links.
+/// per hand-off, to `m` consumer threads over bounded links. At `m = 1`
+/// the copy is a group of one and runs unshared, its whole plan on one
+/// thread with no link, so its time holds no sharing seam.
 ///
 /// # Panics
 ///
@@ -425,9 +427,10 @@ mod tests {
 
     #[test]
     fn no_consumer_means_the_pivot_does_not_run() {
-        // The join pivot would charge a broker for its build side. Both
-        // members lack it, so both fail at dispatch and their group
-        // hands over no member: the pivot has nobody to run for.
+        // Both members lack the join pivot, so both fail at dispatch.
+        // Their group is not handed over, so its pivot never runs: the
+        // runner asserts (debug builds) that every group it is handed
+        // has a member, and `run::tests` checks nothing was handed over.
         let (cat, spec) = (catalog(), join_query());
         let stray = QuerySpec {
             plan: scan("t"),

@@ -20,7 +20,7 @@ pub struct TaskStats {
 }
 
 /// Machine-level statistics for a run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Virtual time at the end of the run.
     pub(crate) makespan: VTime,
