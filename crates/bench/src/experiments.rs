@@ -342,10 +342,7 @@ pub fn policy_comparison(
         q4_fraction,
         never: run(Policy::NeverShare),
         always: run(Policy::AlwaysShare),
-        model: run(Policy::ModelGuided {
-            models: models.clone(),
-            hysteresis: 0.0,
-        }),
+        model: run(Policy::model_guided(models.clone())),
     }
 }
 

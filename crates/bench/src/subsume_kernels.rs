@@ -74,7 +74,7 @@ impl SubsumePoint {
     /// carries no prediction).
     pub(crate) fn advisor_agrees(&self) -> Option<bool> {
         self.predicted
-            .map(|s| s.favors_sharing(0.0) == (self.measured_z() >= 1.0))
+            .map(|s| s.favors_sharing() == (self.measured_z() >= 1.0))
     }
 }
 

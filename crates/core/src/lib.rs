@@ -25,7 +25,7 @@
 //! | `Z(m,n)` | benefit of sharing, `x_shared / x_unshared` | [`sharing::SharingEvaluator::speedup`], all of it in [`sharing::SharingEvaluator::evaluate`] |
 //! | `r_unshared`, `u_unshared` | an unshared group's peak rate and utilization, closed or open system (Section 5.1); queries sharing nothing are the degenerate group (nothing below a zero-cost pivot) | [`sharing::SharingEvaluator::unshared_rate`] / [`unshared_utilization`](sharing::SharingEvaluator::unshared_utilization) |
 //! | `e(k) = k^κ` | the one contention term (Section 4.1.4's `n^κ`): effective speedup of `k` morsel workers; divides every `w`-derived term, never `s`; `κ` from [`estimate::estimate_k`] | [`WorkerScaling`](sharing::WorkerScaling), taken by [`sharing::SharingEvaluator::with_workers`] |
-//! | share? | `Z ≥ 1 + hysteresis`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by `cordoba-engine`'s `Policy::decide` |
+//! | share? | `Z ≥ 1`, ties share — the one comparison | [`sharing::Speedup::favors_sharing`], taken by `cordoba-engine`'s `Policy::decide` |
 //!
 //! Each equation is written once: one evaluator family serves the
 //! serial model and the worker-scaled one, contention is the one

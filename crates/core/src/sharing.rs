@@ -177,13 +177,12 @@ pub struct Speedup {
 }
 
 impl Speedup {
-    /// The share / don't-share verdict: `Z ≥ 1 + hysteresis`, up to
-    /// rounding. Ties (`Z = 1`) share: sharing that predicts neither
-    /// gain nor loss still removes redundant work from the system,
-    /// freeing capacity for *other* queries the single-group model
-    /// cannot see.
-    pub fn favors_sharing(&self, hysteresis: f64) -> bool {
-        self.z >= 1.0 + hysteresis - 1e-9
+    /// The share / don't-share verdict: `Z ≥ 1`, up to rounding. Ties
+    /// (`Z = 1`) share: sharing that predicts neither gain nor loss
+    /// still removes redundant work from the system, freeing capacity
+    /// for *other* queries the single-group model cannot see.
+    pub fn favors_sharing(&self) -> bool {
+        self.z >= 1.0 - 1e-9
     }
 }
 

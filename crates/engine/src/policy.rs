@@ -93,8 +93,8 @@ pub fn sharing_group(members: &[(&QueryModelInfo, f64)]) -> Result<SharingEvalua
 /// A share/don't-share verdict with the numbers behind it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
-    /// Whether to share: [`Speedup::favors_sharing`] at the policy's
-    /// hysteresis (`Z ≥ 1 + hysteresis`; ties share).
+    /// Whether to share: [`Speedup::favors_sharing`] (`Z ≥ 1`; ties
+    /// share).
     pub share: bool,
     /// The predicted speedup (`Z`, `x_shared`, `x_unshared`, ...).
     pub speedup: Speedup,
@@ -111,23 +111,17 @@ pub enum Policy {
     #[default]
     NeverShare,
     /// Merge only when the analytical model predicts the expanded group
-    /// does not lose to unshared execution (`Z(m+1, n) ≥ 1 + hysteresis`).
+    /// does not lose to unshared execution (`Z(m+1, n) ≥ 1`).
     ModelGuided {
         /// Per-query-name model parameters (from profiling).
         models: HashMap<String, QueryModelInfo>,
-        /// Extra predicted benefit required before sharing (guards
-        /// against borderline flapping under estimation noise).
-        hysteresis: f64,
     },
 }
 
 impl Policy {
     /// Convenience constructor for the model-guided policy.
     pub fn model_guided(models: HashMap<String, QueryModelInfo>) -> Self {
-        Policy::ModelGuided {
-            models,
-            hysteresis: 0.0,
-        }
+        Policy::ModelGuided { models }
     }
 
     /// Whether this policy ever forms groups.
@@ -146,7 +140,7 @@ impl Policy {
         candidate: OverlapInfo<'_>,
         effective_contexts: f64,
     ) -> Option<Decision> {
-        let Policy::ModelGuided { models, hysteresis } = self else {
+        let Policy::ModelGuided { models } = self else {
             return None;
         };
         let members = group
@@ -158,7 +152,7 @@ impl Policy {
         let n = effective_contexts.max(1.0);
         let speedup = sharing_group(&members).ok()?.evaluate(n).ok()?;
         Some(Decision {
-            share: speedup.favors_sharing(*hysteresis),
+            share: speedup.favors_sharing(),
             speedup,
             n,
         })
@@ -286,17 +280,6 @@ mod tests {
         let group: Vec<String> = vec!["q6".into(); 8];
         assert!(p.admit(&group, "q6", 0.5));
         assert!(p.admit(&group, "q6", 1.3));
-    }
-
-    #[test]
-    fn hysteresis_blocks_borderline() {
-        let mut models = HashMap::new();
-        models.insert("q6".to_string(), q6_info());
-        let strict = Policy::ModelGuided {
-            models,
-            hysteresis: 10.0,
-        };
-        assert!(!strict.admit(&["q6".into()], "q6", 1.0));
     }
 
     fn overlap(name: &str, coverage: f64) -> OverlapInfo<'_> {

@@ -88,10 +88,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Sharing policy.
     pub policy: Policy,
-    /// Group-formation window (virtual time): arrivals within the
-    /// window of a compatible open group may merge with it. Stands in
-    /// for stage-queue residence in the paper's packet engine.
-    pub window: VTime,
     /// Maximum members per sharing group.
     pub max_group: usize,
     /// Cost charged by the client-side sink per result tuple.
@@ -117,7 +113,6 @@ impl Default for EngineConfig {
             contexts: 1,
             queue_capacity: 16,
             policy: Policy::NeverShare,
-            window: 2_000,
             max_group: 64,
             sink_cost: OpCost::per_tuple(0.1),
             memory: MemoryConfig::default(),
@@ -339,7 +334,6 @@ impl Run {
             },
             policy: cfg.policy.clone(),
             contexts: cfg.contexts,
-            window: cfg.window,
             resubmit,
             max_group: cfg.max_group,
             sink_cost: cfg.sink_cost,
@@ -1170,13 +1164,22 @@ mod tests {
                 .map(|(k, e)| (*k, std::mem::discriminant(e)))
                 .collect()
         };
+        let axes = WORKERS
+            .into_iter()
+            .flat_map(|w| [(w, 1, 0), (w, 2, 0), (w, 1, 1), (w, 2, 1)]);
         for policy in [Policy::NeverShare, Policy::AlwaysShare] {
-            for (workers, contexts) in WORKERS.into_iter().flat_map(|w| [(w, 1), (w, 2)]) {
-                let cfg = cfg(contexts, policy.clone(), workers);
+            for (workers, contexts, fragment_cache) in axes.clone() {
+                let cfg = EngineConfig {
+                    fragment_cache,
+                    ..cfg(contexts, policy.clone(), workers)
+                };
                 let sim = run_once(&cat, &specs, &cfg);
                 let threads = run_once_on_threads(&cat, &specs, &cfg);
-                let at = format!("{policy:?} workers={workers} contexts={contexts}");
+                let at = format!(
+                    "{policy:?} workers={workers} contexts={contexts} cache={fragment_cache}"
+                );
                 assert_eq!(threads.group_sizes, sim.group_sizes, "{at}");
+                assert_eq!(threads.sharing, sim.sharing, "{at}");
                 assert_eq!(
                     failed(&threads),
                     failed(&sim),

@@ -25,7 +25,9 @@
 //! A run on OS threads forms and dispatches the same groups: at
 //! dispatch each member is split as below, one whose split fails fails
 //! here, and the group is handed over to [`super::threads`] instead of
-//! spawning tasks.
+//! spawning tasks. A fresh shared pivot enters the fragment cache there
+//! too, so both substrates evict alike, but stays in flight: nothing on
+//! threads captures its pages, so it is never served.
 
 use super::threads::Group;
 use crate::fragment_cache::CachedFragment;
@@ -43,10 +45,19 @@ use cordoba_sim::channel::{self};
 )]
 use cordoba_sim::{Spawner, Step, Task, TaskCtx, TaskId, VTime};
 use cordoba_storage::{Catalog, Page};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// The group-formation window (virtual time): an arrival within it of
+/// a compatible open group may merge with it. Stands in for stage-queue
+/// residence in the paper's packet engine.
+const WINDOW: VTime = 2_000;
+
+/// What a fresh pivot's capture sink fills: its cache entry's pages,
+/// and the flag that makes them servable.
+type Capture = (Rc<RefCell<Vec<Arc<Page>>>>, Rc<Cell<bool>>);
 
 /// An arrival awaiting group formation.
 #[derive(Debug, Clone)]
@@ -103,8 +114,6 @@ pub(crate) struct EngineCore {
     pub(crate) wiring: WiringConfig,
     pub(crate) policy: Policy,
     pub(crate) contexts: usize,
-    /// Group-formation window in virtual time.
-    pub(crate) window: VTime,
     /// Closed system: completed queries are resubmitted.
     pub(crate) resubmit: bool,
     pub(crate) max_group: usize,
@@ -283,11 +292,7 @@ impl DispatcherTask {
                 }
             }
             if !joined {
-                let window = if core.policy.may_share() {
-                    core.window
-                } else {
-                    0
-                };
+                let window = if core.policy.may_share() { WINDOW } else { 0 };
                 core.pending.push(PendingGroup {
                     fingerprint: arrival.spec.pivot.as_ref().map(fingerprint),
                     pivot: arrival.spec.pivot.clone(),
@@ -308,6 +313,7 @@ impl DispatcherTask {
         core.group_sizes.push(group.members.len());
         let gid = core.group_seq;
         core.group_seq += 1;
+        let capture = Self::cache_in_flight(core, &group);
         if core.threads.is_some() {
             return Self::hand_over(core, group);
         }
@@ -327,7 +333,7 @@ impl DispatcherTask {
                 (tx.into(), rx)
             })
             .unzip();
-        let shared = Self::spawn_pivot(core, ctx, gid, &group, pivot, outs);
+        let shared = Self::spawn_pivot(core, ctx, gid, &group, pivot, outs, capture);
         for (member, feed) in group.members.into_iter().zip(feeds) {
             let fragment = match &shared {
                 Ok(_) => member.split(pivot, &core.catalog),
@@ -355,9 +361,27 @@ impl DispatcherTask {
         }
     }
 
+    /// Enters a fresh shared pivot's output into the fragment cache, in
+    /// flight, when one is configured and the policy may share — on
+    /// either substrate, so both count the same evictions — and returns
+    /// what the simulator's capture sink fills. On threads nothing
+    /// fills it: it stays in flight and is never served.
+    fn cache_in_flight(core: &mut EngineCore, group: &PendingGroup) -> Option<Capture> {
+        let pivot = group.pivot.as_ref().filter(|_| group.cached.is_none())?;
+        let cache = core
+            .fragment_cache
+            .as_mut()
+            .filter(|_| core.policy.may_share())?;
+        let fp = group.fingerprint.unwrap_or_else(|| fingerprint(pivot));
+        let entry = CachedFragment::in_flight(fp, pivot.clone());
+        let capture = (entry.pages.clone(), entry.ready.clone());
+        cache.insert(entry);
+        Some(capture)
+    }
+
     /// Spawns a group's pivot delivering to `outs`: a replay of its
-    /// cached pages, or one instance of `pivot` (with a capture sink
-    /// when a fragment cache is configured). Returns the fault cell the
+    /// cached pages, or one instance of `pivot`, with a sink capturing
+    /// its pages into `capture` if given. Returns the fault cell the
     /// members' sinks must watch — none for a replay, whose pages come
     /// from a completed, fault-free run — or the error that rejected
     /// the pivot, in which case nothing was spawned.
@@ -368,6 +392,7 @@ impl DispatcherTask {
         group: &PendingGroup,
         pivot: &PhysicalPlan,
         mut outs: Vec<Outlet>,
+        capture: Option<Capture>,
     ) -> Result<Option<FaultCell>, ExecError> {
         if let Some(hit) = &group.cached {
             // Replay the cached pages: the pivot's input work is
@@ -384,11 +409,9 @@ impl DispatcherTask {
         // member's private fragment gets another, so one member's
         // overrun cannot starve its peers.
         let res = QueryResources::for_config(&core.wiring.memory);
-        // With a cache configured, one extra consumer captures the
-        // pivot's pages for later replay — the pivot pays the same `s`
-        // for it as for any member. Under never-share the cache is
-        // never consulted, so capturing would be pure overhead: skip it.
-        let capture_rx = (core.policy.may_share() && core.fragment_cache.is_some()).then(|| {
+        // One extra consumer captures the pivot's pages for later
+        // replay — the pivot pays the same `s` for it as for any member.
+        let capture_rx = capture.is_some().then(|| {
             let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
             outs.push(tx.into());
             rx
@@ -403,14 +426,9 @@ impl DispatcherTask {
             &core.wiring,
             &res,
         )?;
-        if let Some(rx) = capture_rx {
-            let entry = CachedFragment::in_flight(
-                group.fingerprint.unwrap_or_else(|| fingerprint(pivot)),
-                pivot.clone(),
-            );
-            let ready = entry.ready.clone();
+        if let (Some(rx), Some((pages, ready))) = (capture_rx, capture) {
             let fault = res.fault.clone();
-            let capture = SinkKernel::new(OpCost::per_tuple(0.0)).collecting(entry.pages.clone());
+            let capture = SinkKernel::new(OpCost::per_tuple(0.0)).collecting(pages);
             let sink = OperatorShell::new(
                 Box::new(capture),
                 vec![rx.into()],
@@ -425,12 +443,6 @@ impl DispatcherTask {
                 }
             }));
             ctx.spawn_task(format!("g{gid}/capture"), Box::new(sink));
-            // The cache was present when the capture channel opened,
-            // but a teardown path may have dropped it since; the
-            // capture sink then just drains.
-            if let Some(cache) = core.fragment_cache.as_mut() {
-                cache.insert(entry);
-            }
         }
         Ok(Some(res.fault))
     }

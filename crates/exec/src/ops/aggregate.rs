@@ -27,10 +27,10 @@ use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::expr::Agg;
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
-use crate::ops::{encode_keyval, key_of, KeyVal};
+use crate::ops::{key_of, Key};
 use crate::vexpr::{ExprScratch, NumProgram, Reg};
 use cordoba_core::FxHashMap;
-use cordoba_storage::{Page, PageBuilder, Schema};
+use cordoba_storage::{NumCell, Page, PageBuilder, Schema};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -158,10 +158,10 @@ enum GroupIndex {
         memo: Box<[(u64, u32); 1 << MEMO_BITS]>,
         /// The decoded ordered key of each slot, computed once per
         /// *group* for emission.
-        keys: Vec<Vec<KeyVal>>,
+        keys: Vec<Key>,
     },
     /// Wide keys: ordered map keyed by the decoded tuple key.
-    Wide(BTreeMap<Vec<KeyVal>, u32>),
+    Wide(BTreeMap<Key, u32>),
 }
 
 /// The reusable aggregation core: the compiled input program plus group
@@ -185,7 +185,7 @@ pub(crate) struct AggCore {
     /// The slot of each row of the page in hand.
     slots: Vec<u32>,
     /// Groups not yet emitted, in key order.
-    order: std::vec::IntoIter<(Vec<KeyVal>, u32)>,
+    order: std::vec::IntoIter<(Key, u32)>,
     row_bytes: Vec<u8>,
 }
 
@@ -399,9 +399,9 @@ impl AggCore {
 
     /// Ends consumption: queues every group for emission, sorted by key.
     fn start_emit(&mut self) {
-        let mut order: Vec<(Vec<KeyVal>, u32)> = match &mut self.index {
+        let mut order: Vec<(Key, u32)> = match &mut self.index {
             GroupIndex::Single => (0..self.cols.rows.len() as u32)
-                .map(|slot| (Vec::new(), slot))
+                .map(|slot| (Key::default(), slot))
                 .collect(),
             GroupIndex::Packed { keys, .. } => std::mem::take(keys).into_iter().zip(0..).collect(),
             GroupIndex::Wide(map) => std::mem::take(map).into_iter().collect(),
@@ -413,8 +413,8 @@ impl AggCore {
     /// Emits queued groups (key columns then aggregate outputs, as raw
     /// rows of the output schema) until [`EMIT_BATCH_PAGES`] pages have
     /// filled, closing the page in hand too; returns whether it ran out
-    /// of groups.
-    fn emit_step(&mut self, mut emit: impl FnMut(Arc<Page>)) -> bool {
+    /// of groups. Errs if a group key does not fit its output field.
+    fn emit_step(&mut self, mut emit: impl FnMut(Arc<Page>)) -> Result<bool, ExecError> {
         let mut builder = PageBuilder::new(self.out_schema.clone());
         let mut pages = 0;
         let exhausted = loop {
@@ -423,14 +423,14 @@ impl AggCore {
             };
             let (row, slot) = (&mut self.row_bytes, slot as usize);
             row.clear();
-            for (i, k) in key.iter().enumerate() {
-                encode_keyval(row, k, self.out_schema.fields()[i].dtype);
+            for (k, field) in key.0.iter().zip(self.out_schema.fields()) {
+                k.encode(field.dtype, row).map_err(ExecError::plan)?;
             }
             let rows = self.cols.rows[slot];
             for out in &self.outs {
                 let v = match *out {
                     AggOut::Count => {
-                        row.extend_from_slice(&rows.to_le_bytes());
+                        row.extend_from_slice(&rows.to_cell());
                         continue;
                     }
                     AggOut::Sum(i) => self.cols.sums[i].vals[slot],
@@ -438,7 +438,7 @@ impl AggCore {
                     AggOut::Min(i) => self.cols.mins[i].vals[slot].unwrap_or_default(),
                     AggOut::Max(i) => self.cols.maxs[i].vals[slot].unwrap_or_default(),
                 };
-                row.extend_from_slice(&v.to_le_bytes());
+                row.extend_from_slice(&v.to_cell());
             }
             if !builder.push_raw(row) {
                 emit(builder.finish_and_reset());
@@ -452,7 +452,7 @@ impl AggCore {
         if !builder.is_empty() {
             emit(builder.finish_and_reset());
         }
-        exhausted
+        Ok(exhausted)
     }
 }
 
@@ -568,7 +568,7 @@ impl Kernel for AggregateKernel {
         if self.emitted {
             return Ok(Drained::LAST);
         }
-        self.emitted = self.core.emit_step(|page| out.push(page));
+        self.emitted = self.core.emit_step(|page| out.push(page))?;
         Ok(Drained::batch(1))
     }
 }
@@ -824,7 +824,10 @@ mod tests {
     fn emitted(mut core: AggCore) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
         core.start_emit();
-        while !core.emit_step(|page| rows.extend(page.tuples().map(|t| t.to_values()))) {}
+        while !core
+            .emit_step(|page| rows.extend(page.tuples().map(|t| t.to_values())))
+            .expect("keys fit")
+        {}
         rows
     }
 

@@ -87,11 +87,11 @@ use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::memory::{MemoryBroker, SpillContext, SpillCursor, SpillIo, SpillStream};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
-use crate::ops::{default_row_bytes, int_key, page_builder, Carry};
+use crate::ops::{int_key, page_builder, zero_row, Carry};
 use crate::plan::JoinKind;
 use cordoba_sim::VTime;
 use cordoba_storage::spill::SpillFile;
-use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
+use cordoba_storage::{NumCell, Page, PageBuilder, Schema, PAGE_SIZE};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -249,7 +249,7 @@ impl BuildTable {
         }
         self.keys
             .iter()
-            .try_for_each(|key| io.push(stream, &key.to_le_bytes()))
+            .try_for_each(|key| io.push(stream, &key.to_cell()))
     }
 
     /// Whether any build row has `key`.
@@ -498,7 +498,7 @@ impl HashJoinKernel {
         let stored = build.schema().clone();
         let build_defaults = match keys_only {
             true => Vec::new(),
-            false => default_row_bytes(&stored),
+            false => zero_row(&stored).map_err(ExecError::plan)?,
         };
         let mut join = Self {
             build_key,
@@ -635,7 +635,7 @@ impl HashJoinKernel {
                 match &mut parts[partition_of(key, level, fan)] {
                     Part::Resident { table, .. } => table.insert_row(key, &[]),
                     Part::Spilled { stream, .. } => {
-                        spill_row(&io, stream, &self.stored, frame, &key.to_le_bytes())?
+                        spill_row(&io, stream, &self.stored, frame, &key.to_cell())?
                     }
                 }
             }
@@ -998,7 +998,7 @@ mod tests {
         // Key 2's two rows come back in build order (20 then 21).
         let values: Vec<i64> = bt
             .matches(2)
-            .map(|raw| i64::from_le_bytes(raw[8..16].try_into().unwrap()))
+            .map(|raw| i64::from_cell(raw[8..16].try_into().unwrap()))
             .collect();
         assert_eq!(values, vec![20, 21]);
         assert_eq!(bt.matches(99).count(), 0);

@@ -1,4 +1,4 @@
-//! Operators and their shared machinery (fan-out, key encoding).
+//! Operators and their shared machinery (fan-out, group and sort keys).
 //!
 //! Every operator — scan, filter, project, aggregate, sort, hash join,
 //! merge join, nested-loop join and sink — is a [`Kernel`]: state plus
@@ -41,7 +41,8 @@ pub use sort::SortKernel;
 use crate::error::ExecError;
 use crate::plan::column_range_error;
 use cordoba_sim::{TaskCtx, VTime};
-use cordoba_storage::{DataType, Page, PageBuilder, Schema, TupleRef, PAGE_SIZE};
+use cordoba_storage::{CellError, DataType, Page, PageBuilder, Schema, TupleRef, Value, PAGE_SIZE};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -184,33 +185,44 @@ impl Fanout {
     }
 }
 
-/// A totally ordered key component for grouping and sorting.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum KeyVal {
-    /// Integer key.
-    Int(i64),
-    /// Float key under IEEE total order.
-    Float(TotalF64),
-    /// Date key (day number).
-    Date(i32),
-    /// String key.
-    Str(String),
+/// A group or sort key: its cells compared in turn by
+/// [`Value::total_cmp`], a key before its extensions. A newtype only so
+/// that a key can key a `BTreeMap`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Key(pub(crate) Vec<Value>);
+
+impl Key {
+    /// The order of two rows of cells: the first cells that differ
+    /// under [`Value::total_cmp`], else the shorter row first.
+    pub(crate) fn order(a: &[Value], b: &[Value]) -> Ordering {
+        let first_difference = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne());
+        first_difference.unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
 }
 
-/// `f64` wrapper ordered by `total_cmp` so it can key `BTreeMap`s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct TotalF64(pub(crate) f64);
-impl Eq for TotalF64 {}
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        Key::order(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
 }
+
+impl Eq for Key {}
 
 /// The columns a narrowing operator (a sort, either side of a hash
 /// join) keeps of its input's rows: those at `cols`, ascending, of
@@ -321,69 +333,24 @@ fn int_key(what: &str, schema: &Arc<Schema>, col: usize) -> Result<(), ExecError
 }
 
 /// Extracts the `cols` of a tuple as an ordered key.
-pub(crate) fn key_of(tuple: &TupleRef<'_>, cols: &[usize]) -> Vec<KeyVal> {
-    cols.iter()
-        .map(|&i| match tuple.schema().fields()[i].dtype {
-            DataType::Int => KeyVal::Int(tuple.get_int(i)),
-            DataType::Float => KeyVal::Float(TotalF64(tuple.get_float(i))),
-            DataType::Date => KeyVal::Date(tuple.get_date(i).0),
-            DataType::Str(_) => KeyVal::Str(tuple.get_str(i).to_string()),
-        })
-        .collect()
+pub(crate) fn key_of(tuple: &TupleRef<'_>, cols: &[usize]) -> Key {
+    Key(cols.iter().map(|&i| tuple.get_value(i)).collect())
 }
 
-/// Encodes a [`KeyVal`] back into raw row bytes for its field type.
-fn encode_keyval(out: &mut Vec<u8>, key: &KeyVal, dtype: DataType) {
-    match (key, dtype) {
-        (KeyVal::Int(v), DataType::Int) => out.extend_from_slice(&v.to_le_bytes()),
-        (KeyVal::Float(v), DataType::Float) => out.extend_from_slice(&v.0.to_le_bytes()),
-        (KeyVal::Date(v), DataType::Date) => out.extend_from_slice(&v.to_le_bytes()),
-        (KeyVal::Str(s), DataType::Str(n)) => {
-            out.extend_from_slice(s.as_bytes());
-            out.extend(std::iter::repeat_n(b' ', n - s.len()));
-        }
-        #[expect(
-            clippy::panic,
-            reason = "group keys are derived from the schema they encode back into"
-        )]
-        (k, d) => panic!("key {k:?} does not match field type {d:?}"),
-    }
-}
-
-/// Type-default row bytes for a schema (0 / 0.0 / epoch / spaces) —
-/// the fill for unmatched LEFT OUTER probe rows.
-fn default_row_bytes(schema: &Arc<Schema>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(schema.row_width());
+/// A row of `schema`'s [`Value::zero`] cells: the build side a
+/// left-outer join's unmatched probe row carries.
+pub(crate) fn zero_row(schema: &Schema) -> Result<Vec<u8>, CellError> {
+    let mut row = Vec::with_capacity(schema.row_width());
     for f in schema.fields() {
-        match f.dtype {
-            DataType::Int => out.extend_from_slice(&0i64.to_le_bytes()),
-            DataType::Float => out.extend_from_slice(&0f64.to_le_bytes()),
-            DataType::Date => out.extend_from_slice(&0i32.to_le_bytes()),
-            DataType::Str(n) => out.extend(std::iter::repeat_n(b' ', n)),
-        }
+        Value::zero(f.dtype).encode(f.dtype, &mut row)?;
     }
-    out
+    Ok(row)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cordoba_storage::{Field, PageBuilder, Value};
-
-    #[test]
-    fn total_f64_orders_nan_consistently() {
-        let mut v = [
-            TotalF64(f64::NAN),
-            TotalF64(1.0),
-            TotalF64(-1.0),
-            TotalF64(0.0),
-        ];
-        v.sort();
-        assert_eq!(v[0].0, -1.0);
-        assert_eq!(v[1].0, 0.0);
-        assert_eq!(v[2].0, 1.0);
-        assert!(v[3].0.is_nan());
-    }
 
     #[test]
     fn key_extraction_and_encoding_round_trip() {
@@ -397,17 +364,14 @@ mod tests {
         let page = b.finish();
         let key = key_of(&page.tuple(0), &[0, 1, 2]);
         assert_eq!(
-            key,
-            vec![
-                KeyVal::Int(9),
-                KeyVal::Float(TotalF64(1.5)),
-                KeyVal::Str("ab".into())
-            ]
+            key.0,
+            vec![Value::Int(9), Value::Float(1.5), Value::Str("ab".into())]
         );
         // Encode back and compare to the original raw row.
         let mut bytes = Vec::new();
-        for (k, f) in key.iter().zip(schema.fields()) {
-            encode_keyval(&mut bytes, k, f.dtype);
+        for (k, f) in key.0.iter().zip(schema.fields()) {
+            k.encode(f.dtype, &mut bytes)
+                .expect("a key fits its own field");
         }
         assert_eq!(bytes.as_slice(), page.tuple(0).raw());
     }
@@ -419,7 +383,7 @@ mod tests {
             Field::new("d", DataType::Date),
             Field::new("s", DataType::Str(7)),
         ]);
-        let bytes = default_row_bytes(&schema);
+        let bytes = zero_row(&schema).expect("zeros fit");
         assert_eq!(bytes.len(), schema.row_width());
         // Reading the default row yields the type defaults.
         let mut b = PageBuilder::new(schema);
@@ -462,11 +426,12 @@ mod tests {
 
     #[test]
     fn keyvals_sort_lexicographically() {
-        let a = vec![KeyVal::Str("A".into()), KeyVal::Str("F".into())];
-        let b = vec![KeyVal::Str("A".into()), KeyVal::Str("O".into())];
-        let c = vec![KeyVal::Str("N".into()), KeyVal::Str("F".into())];
-        let mut v = vec![c.clone(), b.clone(), a.clone()];
+        let key = |cells: &[&str]| Key(cells.iter().map(|&s| Value::from(s)).collect());
+        let (a, b, c) = (key(&["A", "F"]), key(&["A", "O"]), key(&["N", "F"]));
+        // A key sorts before its extensions.
+        let (short, long) = (key(&["A"]), key(&["A", "", ""]));
+        let mut v = vec![c.clone(), long.clone(), b.clone(), a.clone(), short.clone()];
         v.sort();
-        assert_eq!(v, vec![a, b, c]);
+        assert_eq!(v, vec![short, long, a, b, c]);
     }
 }

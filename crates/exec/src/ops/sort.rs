@@ -10,8 +10,9 @@
 //! gathered page-at-a-time) and are ordered by a stable LSD **radix
 //! sort** that skips every byte position on which all keys of the batch
 //! agree (a date key spanning a few years takes 2 passes of 8). Wider
-//! keys fall back to per-row [`KeyVal`] tuples under a stable
-//! comparison sort.
+//! keys fall back to per-row [`Key`]s — their cells under
+//! [`Value::total_cmp`](cordoba_storage::Value::total_cmp), the order the
+//! packed word keeps too — under a stable comparison sort.
 //!
 //! Key order visits the buffered pages at random, so the in-memory
 //! emission is a gather of cache misses: it prefetches the row
@@ -52,7 +53,7 @@ use crate::error::ExecError;
 use crate::memory::{SpillContext, SpillCursor};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
-use crate::ops::{key_of, page_builder, Carry, KeyVal};
+use crate::ops::{key_of, page_builder, Carry, Key};
 use cordoba_sim::VTime;
 use cordoba_storage::spill::SpillFile;
 use cordoba_storage::{Page, PageBuilder, Schema, PAGE_SIZE};
@@ -87,7 +88,7 @@ enum Keys {
     },
     /// The wide keys of the buffered rows, in arrival order, while they
     /// are sorted.
-    General(Vec<Vec<KeyVal>>),
+    General(Vec<Key>),
 }
 
 /// Sorts `rows` by key and returns where in it the sorted rows are: a
@@ -517,7 +518,7 @@ impl Kernel for SortKernel {
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Head {
     Packed(u64),
-    General(Vec<KeyVal>),
+    General(Key),
     Done,
 }
 
@@ -698,7 +699,7 @@ mod tests {
     use super::*;
     use crate::error::FaultCell;
     use crate::ops::testutil::{drive, pages_of, run_shell};
-    use cordoba_storage::{DataType, Field, Value};
+    use cordoba_storage::{DataType, Field, NumCell, Value};
 
     fn sort_of(schema: &Arc<Schema>, keys: Vec<usize>, spill: SpillContext) -> SortKernel {
         SortKernel::new(schema.clone(), keys, OpCost::default(), spill).expect("valid sort keys")
@@ -961,7 +962,7 @@ mod tests {
         for run in runs {
             let mut stream = io.create(schema.clone(), 1).expect("create run");
             for (k, seq) in run {
-                let raw = [k.to_le_bytes(), seq.to_le_bytes()].concat();
+                let raw = [k.to_cell(), seq.to_cell()].concat();
                 io.push(&mut stream, &raw).expect("write run");
             }
             sort.runs.push(io.finish(stream).expect("seal run"));

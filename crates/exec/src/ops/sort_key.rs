@@ -3,13 +3,15 @@
 //!
 //! Any key-column combination totalling ≤ 8 bytes (a single `Int`,
 //! `Float` or `Date`, short strings, `Date`+flag composites) packs into
-//! one `u64` per row whose **unsigned integer order equals the
-//! tuple-key order** the tree-walking [`key_of`](super::key_of) path
-//! produces. Key extraction then runs page-at-a-time — one typed
-//! [`Page`] gather per key column folded into the packed buffer —
-//! instead of materializing a `Vec<KeyVal>` (one heap allocation plus
-//! per-field dispatch) for every row, and the sort itself radix-sorts
-//! the words (the merge compares them) instead of walking enum vectors.
+//! one `u64` per row whose **unsigned integer order equals the key
+//! order**: the row's key cells compared in turn by
+//! [`Value::total_cmp`](cordoba_storage::Value::total_cmp), as the
+//! general path's [`Key`](super::Key)s are. Key extraction then runs
+//! page-at-a-time — one typed [`Page`] gather per key column folded
+//! into the packed buffer — instead of decoding a `Key` (one heap
+//! allocation plus per-field dispatch) for every row, and the sort
+//! itself radix-sorts the words (the merge compares them) instead of
+//! walking vectors of cells.
 //!
 //! Per-column encodings (each placed big-endian-style, major key in the
 //! most significant bytes, zero-padded at the bottom):
@@ -18,24 +20,24 @@
 //!   signed order onto unsigned order);
 //! * `Date`: the same bias on the `i32` day number (4 bytes);
 //! * `Float`: the IEEE total-order trick — negative values bit-flip,
-//!   positive values set the sign bit — matching
-//!   [`TotalF64`](super::TotalF64)'s `total_cmp` order exactly;
-//! * `Str(n)`: the trailing-space-trimmed bytes padded with `0x00`,
-//!   matching the trimmed-string comparison of `KeyVal::Str` for all
-//!   ASCII contents (pages store only ASCII).
+//!   positive values set the sign bit — matching `f64::total_cmp`
+//!   exactly;
+//! * `Str(n)`: the cell's content (its bytes without the space
+//!   padding) padded with `0x00`, matching bytewise string order
+//!   because a stored string holds no NUL byte.
 
 #[cfg(test)]
-use super::{key_of, KeyVal};
+use super::{key_of, Key};
+#[cfg(test)]
+use cordoba_storage::Value;
 use cordoba_storage::{DataType, Page, Schema};
 use std::sync::Arc;
 
-/// One key column in a packed layout: where it lives in the row and
-/// how far its encoding shifts left within the packed `u64`.
+/// One key column in a packed layout: which it is and how far its
+/// encoding shifts left within the packed `u64`.
 #[derive(Debug, Clone, Copy)]
 struct PackedField {
     col: usize,
-    offset: usize,
-    width: usize,
     shift: u32,
     dtype: DataType,
 }
@@ -57,7 +59,7 @@ pub(crate) struct PackedKeySpec {
 impl PackedKeySpec {
     /// Builds the packed layout for `keys` (major first) over `schema`,
     /// or `None` when the combined key width exceeds 8 bytes (callers
-    /// fall back to the general `Vec<KeyVal>` path). Column indices
+    /// fall back to the general [`Key`](super::Key) path). Column indices
     /// must be in range (validated by the operator constructors).
     pub(crate) fn try_new(schema: &Arc<Schema>, keys: &[usize]) -> Option<Self> {
         let total: usize = keys.iter().map(|&c| schema.fields()[c].dtype.width()).sum();
@@ -71,8 +73,6 @@ impl PackedKeySpec {
             let width = dtype.width();
             fields.push(PackedField {
                 col,
-                offset: schema.offset(col),
-                width,
                 shift: (8 * (8 - at - width)) as u32,
                 dtype,
             });
@@ -82,8 +82,8 @@ impl PackedKeySpec {
     }
 
     /// Appends one packed key per row of `page` to `out` — one typed
-    /// column gather per numeric key field, one raw-row pass per string
-    /// field, no per-row allocation.
+    /// column gather per numeric key field, one pass over the cells of
+    /// each string field, no per-row allocation.
     pub(crate) fn extend_keys(&self, page: &Page, scratch: &mut KeyScratch, out: &mut Vec<u64>) {
         let start = out.len();
         out.resize(start + page.rows(), 0);
@@ -109,10 +109,10 @@ impl PackedKeySpec {
                         *k |= enc_date(v) << shift;
                     }
                 }
-                DataType::Str(_) => {
-                    let (off, w) = (field.offset, field.width);
-                    for (k, raw) in dst.iter_mut().zip(page.raw_rows()) {
-                        *k |= enc_str(&raw[off..off + w], w) << shift;
+                DataType::Str(w) => {
+                    let content = page.str_cells(field.col, w);
+                    for (row, k) in dst.iter_mut().enumerate() {
+                        *k |= enc_str(content(row), w) << shift;
                     }
                 }
             }
@@ -144,13 +144,12 @@ fn enc_f64(v: f64) -> u64 {
     }
 }
 
-/// Trimmed bytes, big-endian-packed into `width` bytes with `0x00`
-/// padding: unsigned order equals trimmed lexicographic string order.
+/// A string cell's content, big-endian-packed into `width` bytes with
+/// `0x00` padding: unsigned order equals bytewise string order.
 #[inline]
-fn enc_str(raw: &[u8], width: usize) -> u64 {
-    let trimmed = raw.len() - raw.iter().rev().take_while(|&&b| b == b' ').count();
+fn enc_str(content: &[u8], width: usize) -> u64 {
     let mut enc = 0u64;
-    for (i, &b) in raw[..trimmed].iter().enumerate() {
+    for (i, &b) in content.iter().enumerate() {
         enc |= (b as u64) << (8 * (width - 1 - i));
     }
     enc
@@ -160,18 +159,14 @@ fn enc_str(raw: &[u8], width: usize) -> u64 {
 /// unit tests pin `extend_keys` against, and a readable spec of the
 /// encoding.
 #[cfg(test)]
-fn pack_one(key: &[KeyVal], spec: &PackedKeySpec) -> u64 {
+fn pack_one(key: &Key, spec: &PackedKeySpec) -> u64 {
     let mut packed = 0u64;
-    for (k, f) in key.iter().zip(&spec.fields) {
-        let enc = match k {
-            KeyVal::Int(v) => enc_i64(*v),
-            KeyVal::Float(v) => enc_f64(v.0),
-            KeyVal::Date(v) => enc_date(*v),
-            KeyVal::Str(s) => {
-                let mut padded = vec![b' '; f.width];
-                padded[..s.len()].copy_from_slice(s.as_bytes());
-                enc_str(&padded, f.width)
-            }
+    for (cell, f) in key.0.iter().zip(&spec.fields) {
+        let enc = match cell {
+            Value::Int(v) => enc_i64(*v),
+            Value::Float(v) => enc_f64(*v),
+            Value::Date(d) => enc_date(d.0),
+            Value::Str(s) => enc_str(s.as_bytes(), f.dtype.width()),
         };
         packed |= enc << f.shift;
     }
@@ -181,14 +176,15 @@ fn pack_one(key: &[KeyVal], spec: &PackedKeySpec) -> u64 {
 /// The general path's per-row key: [`key_of`] over the same columns,
 /// the order the tests pin packed keys against.
 #[cfg(test)]
-fn general_key(page: &Page, row: usize, keys: &[usize]) -> Vec<KeyVal> {
+fn general_key(page: &Page, row: usize, keys: &[usize]) -> Key {
     key_of(&page.tuple(row), keys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cordoba_storage::{Date, Field, PageBuilder, Value};
+    use cordoba_storage::{Date, Field, PageBuilder};
+    use proptest::prelude::*;
 
     fn page() -> Arc<Page> {
         let schema = Schema::new(vec![
@@ -228,34 +224,93 @@ mod tests {
         b.finish()
     }
 
+    /// Asserts that the packed layout of `keys` orders every pair of
+    /// rows of `p` as their decoded keys do.
+    fn assert_packed_order(p: &Page, keys: &[usize]) {
+        let spec = PackedKeySpec::try_new(p.schema(), keys).expect("≤ 8 bytes");
+        let mut packed = Vec::new();
+        spec.extend_keys(p, &mut KeyScratch::default(), &mut packed);
+        assert_eq!(packed.len(), p.rows());
+        for a in 0..p.rows() {
+            for b in 0..p.rows() {
+                let (ka, kb) = (general_key(p, a, keys), general_key(p, b, keys));
+                assert_eq!(
+                    packed[a].cmp(&packed[b]),
+                    ka.cmp(&kb),
+                    "keys {keys:?}: rows {a} vs {b} ({ka:?} vs {kb:?})"
+                );
+            }
+        }
+    }
+
     /// Every packed layout must order exactly like the decoded keys.
     #[test]
     fn packed_order_matches_keyval_order() {
         let p = page();
-        let mut scratch = KeyScratch::default();
-        for keys in [
-            vec![0usize],
-            vec![1],
-            vec![2],
-            vec![3],
-            vec![2, 3],
-            vec![3, 2],
-            vec![2, 2],
-        ] {
-            let spec = PackedKeySpec::try_new(p.schema(), &keys).expect("≤ 8 bytes");
-            let mut packed = Vec::new();
-            spec.extend_keys(&p, &mut scratch, &mut packed);
-            assert_eq!(packed.len(), p.rows());
-            for a in 0..p.rows() {
-                for b in 0..p.rows() {
-                    let ka = general_key(&p, a, &keys);
-                    let kb = general_key(&p, b, &keys);
-                    assert_eq!(
-                        packed[a].cmp(&packed[b]),
-                        ka.cmp(&kb),
-                        "keys {keys:?}: rows {a} vs {b} ({ka:?} vs {kb:?})"
-                    );
-                }
+        for keys in [[0].as_slice(), &[1], &[2], &[3], &[2, 3], &[3, 2], &[2, 2]] {
+            assert_packed_order(&p, keys);
+        }
+    }
+
+    /// A row of random cells of every type: integers and days of the
+    /// whole range or near zero (so keys tie), floats of any bit
+    /// pattern, ±0.0, ±∞ or NaNs of either sign with random payloads,
+    /// and ASCII strings without NUL — with inner and trailing spaces,
+    /// the byte above NUL and the top one.
+    fn random_row() -> impl Strategy<Value = Vec<Value>> {
+        let int = (any::<i64>(), -2..2i64, any::<bool>()).prop_map(|(x, near, wide)| match wide {
+            true => x,
+            false => near,
+        });
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -1.5];
+        let float = (
+            0..3u8,
+            any::<f64>(),
+            0..6usize,
+            1..1u64 << 52,
+            any::<bool>(),
+        )
+            .prop_map(move |(kind, bits, special, payload, negative)| match kind {
+                0 => bits,
+                1 => specials[special],
+                _ => f64::from_bits((negative as u64) << 63 | 0x7ff0_0000_0000_0000 | payload),
+            });
+        let day = (i32::MIN..=i32::MAX, -2..2i32, any::<bool>())
+            .prop_map(|(x, near, wide)| Date(if wide { x } else { near }));
+        (
+            int,
+            float,
+            day,
+            "[ ab\u{1}\u{7f}]{0,3}",
+            "[\u{1}-\u{7f}]{0,8}",
+        )
+            .prop_map(|(i, f, d, short, long)| {
+                let cells = [Value::Int(i), Value::Float(f), Value::Date(d)];
+                [cells.as_slice(), &[Value::Str(short), Value::Str(long)]].concat()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed key's unsigned order is `Value::total_cmp`'s, key
+        /// cell by key cell, on random cells of every type.
+        #[test]
+        fn packed_order_is_total_cmp_on_random_cells(rows in collection::vec(random_row(), 1..24)) {
+            let schema = Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("d", DataType::Date),
+                Field::new("s", DataType::Str(3)),
+                Field::new("w", DataType::Str(8)),
+            ]);
+            let mut b = PageBuilder::new(schema);
+            for row in &rows {
+                prop_assert!(b.push_row(row));
+            }
+            let p = b.finish();
+            for keys in [[0].as_slice(), &[1], &[2], &[3], &[4], &[2, 3], &[3, 2], &[3, 3]] {
+                assert_packed_order(&p, keys);
             }
         }
     }

@@ -11,19 +11,17 @@
 //! as its encoded bytes: the rows filter, sort and the semi and anti
 //! joins keep, and the `probe ++ build` (`left ++ right`, `outer ++
 //! inner`) rows of the joins. A left-outer miss's build side is one row
-//! of defaults (`0`, `0.0`, day 0, `""`), encoded once per join. What
-//! the oracle decides still decodes, tuple at a time, through the tree
-//! walk: predicates, sort, group and join keys (`key_of`), projections
-//! and aggregates, whose rows are the only ones built from [`Value`]s.
+//! of zero cells ([`Value::zero`]), encoded once per join. What the
+//! oracle decides still decodes, tuple at a time, through the tree
+//! walk: predicates, sort, group and join keys (`key_of`, ordered by
+//! [`Value::total_cmp`]), projections and aggregates, whose rows are the
+//! only ones built from [`Value`]s.
 
 use crate::expr::{Agg, CmpOp, Predicate, ScalarExpr};
-use crate::ops::{key_of, KeyVal};
+use crate::ops::{key_of, zero_row, Key};
 use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_core::FxHashMap;
-use cordoba_storage::{
-    Catalog, DataType, Date, PageBuilder, Schema, Table, TableBuilder, TupleRef, Value,
-};
-use std::cmp::Ordering;
+use cordoba_storage::{Catalog, DataType, Date, PageBuilder, Table, TableBuilder, TupleRef, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -85,7 +83,7 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
         } => {
             let input = execute_table(catalog, input);
             let schema = plan.output_schema(catalog);
-            let mut groups: BTreeMap<Vec<KeyVal>, Vec<RefAcc>> = BTreeMap::new();
+            let mut groups: BTreeMap<Key, Vec<RefAcc>> = BTreeMap::new();
             for page in input.pages() {
                 for t in page.tuples() {
                     let key = key_of(&t, group_by);
@@ -98,22 +96,15 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
                 }
             }
             let mut out = TableBuilder::new("aggregate", schema.clone());
-            for (key, accs) in groups {
-                let mut row: Vec<Value> = key
-                    .iter()
-                    .zip(schema.fields())
-                    .map(|(k, f)| keyval_to_value(k, f.dtype))
-                    .collect();
-                for acc in &accs {
-                    row.push(acc.finish());
-                }
+            for (Key(mut row), accs) in groups {
+                row.extend(accs.iter().map(RefAcc::finish));
                 out.push_row(&row);
             }
             out.finish()
         }
         PhysicalPlan::Sort { input, keys, .. } => {
             let input = execute_table(catalog, input);
-            let mut rows: Vec<(Vec<KeyVal>, &[u8])> = Vec::new();
+            let mut rows: Vec<(Key, &[u8])> = Vec::new();
             for page in input.pages() {
                 for t in page.tuples() {
                     rows.push((key_of(&t, keys), t.raw()));
@@ -143,7 +134,8 @@ pub fn execute_table(catalog: &Catalog, plan: &PhysicalPlan) -> Arc<Table> {
                     map.entry(t.get_int(*build_key)).or_default().push(t.raw());
                 }
             }
-            let defaults = default_row(build_t.schema());
+            #[expect(clippy::expect_used, reason = "a zero cell fits its own field")]
+            let defaults = zero_row(build_t.schema()).expect("zero cells fit");
             let mut out = TableBuilder::new("hashjoin", schema);
             let mut row = Vec::new();
             for page in probe_t.pages() {
@@ -322,42 +314,6 @@ impl RefAcc {
     }
 }
 
-fn keyval_to_value(k: &KeyVal, dtype: DataType) -> Value {
-    match (k, dtype) {
-        (KeyVal::Int(v), DataType::Int) => Value::Int(*v),
-        (KeyVal::Float(v), DataType::Float) => Value::Float(v.0),
-        (KeyVal::Date(v), DataType::Date) => Value::Date(cordoba_storage::Date(*v)),
-        (KeyVal::Str(s), DataType::Str(_)) => Value::Str(s.clone()),
-        #[expect(
-            clippy::panic,
-            reason = "group keys are derived from the schema they decode against"
-        )]
-        (k, d) => panic!("key {k:?} does not match type {d:?}"),
-    }
-}
-
-fn default_value(dtype: DataType) -> Value {
-    match dtype {
-        DataType::Int => Value::Int(0),
-        DataType::Float => Value::Float(0.0),
-        DataType::Date => Value::Date(cordoba_storage::Date(0)),
-        DataType::Str(_) => Value::Str(String::new()),
-    }
-}
-
-/// `schema`'s [`default_value`]s as one encoded row: the build side a
-/// left-outer miss carries, encoded once per join.
-fn default_row(schema: &Arc<Schema>) -> Vec<u8> {
-    let values: Vec<Value> = schema
-        .fields()
-        .iter()
-        .map(|f| default_value(f.dtype))
-        .collect();
-    let mut page = PageBuilder::new(schema.clone());
-    assert!(page.push_row(&values), "an empty page takes a row");
-    page.finish().payload().to_vec()
-}
-
 /// The row `head ++ tail`, assembled in `buf` (reused across rows).
 fn joined<'b>(buf: &'b mut Vec<u8>, head: &[u8], tail: &[u8]) -> &'b [u8] {
     buf.clear();
@@ -367,37 +323,11 @@ fn joined<'b>(buf: &'b mut Vec<u8>, head: &[u8], tail: &[u8]) -> &'b [u8] {
 }
 
 /// Sorts rows into a canonical order for multiset comparison in tests:
-/// lexicographic over a total order on values, so equal multisets
+/// lexicographic under [`Value::total_cmp`], so equal multisets
 /// canonicalise to the same rows, NaNs and signed zeros included.
 pub fn canonicalize(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_unstable_by(|a, b| {
-        let first_difference = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| value_order(x, y))
-            .find(|o| o.is_ne());
-        first_difference.unwrap_or_else(|| a.len().cmp(&b.len()))
-    });
+    rows.sort_unstable_by(|a, b| Key::order(a, b));
     rows
-}
-
-/// A total order on values: the variant first, then integers and dates
-/// numerically, floats by [`f64::total_cmp`] (which tells every bit
-/// pattern apart) and strings bytewise.
-fn value_order(a: &Value, b: &Value) -> Ordering {
-    let variant = |v: &Value| match v {
-        Value::Int(_) => 0,
-        Value::Float(_) => 1,
-        Value::Date(_) => 2,
-        Value::Str(_) => 3,
-    };
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
-        (Value::Date(x), Value::Date(y)) => x.cmp(y),
-        (Value::Str(x), Value::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
-        _ => variant(a).cmp(&variant(b)),
-    }
 }
 
 /// A scalar the tree walk evaluated from a tuple.

@@ -62,7 +62,7 @@
 use crate::error::ExecError;
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
 use crate::plan::expr_type_checked;
-use cordoba_storage::{DataType, Page, Schema};
+use cordoba_storage::{DataType, NumCell, Page, Schema, Value};
 use std::sync::Arc;
 
 /// Result type of a numeric program node.
@@ -405,8 +405,9 @@ enum Out {
     /// Pass a string column through untouched (projection only; the
     /// page bytes are already space-padded to the field width).
     StrCol(usize),
-    /// Broadcast a string literal.
-    StrLit(String),
+    /// Broadcast a string literal, checked against the `Str` cell
+    /// contract at compile.
+    StrLit(Value),
     /// A register of the list's numeric program.
     Num(Reg),
 }
@@ -437,10 +438,12 @@ impl CompiledExprs {
                 {
                     Ok(Out::StrCol(*i))
                 }
-                ScalarExpr::StrLit(s) if !s.is_ascii() => Err(ExecError::plan(format!(
-                    "string literal {s:?} is not ASCII (pages store ASCII only)"
-                ))),
-                ScalarExpr::StrLit(s) => Ok(Out::StrLit(s.clone())),
+                ScalarExpr::StrLit(s) => {
+                    // Typed as the plan types it: a `Str` of its length.
+                    let lit = Value::Str(s.clone());
+                    lit.check(DataType::Str(s.len())).map_err(ExecError::plan)?;
+                    Ok(Out::StrLit(lit))
+                }
                 other => prog.add(other, schema).map(Out::Num),
             })
             .collect::<Result<_, _>>()?;
@@ -490,17 +493,16 @@ impl CompiledExprs {
         offset: usize,
         stride: usize,
     ) {
-        /// Writes each value's `N` little-endian bytes into its row.
-        fn scatter<T: Copy, const N: usize>(
+        /// Writes each value's cell into its row.
+        fn scatter<T: NumCell<N>, const N: usize>(
             vals: &[T],
             out: &mut [u8],
             offset: usize,
             stride: usize,
-            bytes: impl Fn(T) -> [u8; N],
         ) {
             for (r, &x) in vals.iter().enumerate() {
                 let dst = r * stride + offset;
-                out[dst..dst + N].copy_from_slice(&bytes(x));
+                out[dst..dst + N].copy_from_slice(&x.to_cell());
             }
         }
         match &self.outs[i] {
@@ -519,30 +521,23 @@ impl CompiledExprs {
                     out[dst..dst + width].copy_from_slice(&raw[in_off..in_off + width]);
                 }
             }
-            Out::StrLit(s) => {
-                let DataType::Str(width) = dtype else {
-                    panic!("type mismatch: string literal for {dtype:?} field");
-                };
-                assert!(
-                    s.len() <= width && s.is_ascii(),
-                    "string '{s}' does not fit ASCII field of width {width}"
-                );
-                let mut padded = vec![b' '; width];
-                padded[..s.len()].copy_from_slice(s.as_bytes());
+            Out::StrLit(lit) => {
+                let mut cell = Vec::with_capacity(dtype.width());
+                if let Err(err) = lit.encode(dtype, &mut cell) {
+                    panic!("string literal: {err}");
+                }
                 for r in 0..page.rows() {
                     let dst = r * stride + offset;
-                    out[dst..dst + width].copy_from_slice(&padded);
+                    out[dst..dst + cell.len()].copy_from_slice(&cell);
                 }
             }
             &Out::Num(Reg { ty, slot }) => match (ty, dtype) {
-                (NumType::Int, DataType::Int) => {
-                    scatter(&scratch.ints[slot], out, offset, stride, i64::to_le_bytes)
-                }
+                (NumType::Int, DataType::Int) => scatter(&scratch.ints[slot], out, offset, stride),
                 (NumType::Float, DataType::Float) => {
-                    scatter(&scratch.floats[slot], out, offset, stride, f64::to_le_bytes)
+                    scatter(&scratch.floats[slot], out, offset, stride)
                 }
                 (NumType::Date, DataType::Date) => {
-                    scatter(&scratch.dates[slot], out, offset, stride, i32::to_le_bytes)
+                    scatter(&scratch.dates[slot], out, offset, stride)
                 }
                 (ty, dtype) => panic!("type mismatch: {ty:?} column for {dtype:?} field"),
             },
@@ -608,16 +603,11 @@ struct StrCol {
 }
 
 impl StrCol {
-    /// A reader of the column's bytes by row of `page`, in place and
-    /// trimmed as `get_str` trims them.
+    /// A reader of the column's contents by row of `page`, in place
+    /// ([`Page::str_cells`]).
     fn reader<'a>(self, page: &'a Page) -> impl Fn(u32) -> &'a [u8] {
-        let (off, w) = field_at(page, self.col, DataType::Str(self.width));
-        let data = page.payload();
-        move |row| {
-            let at = row as usize * w + off;
-            let field = &data[at..at + self.width];
-            &field[..field.iter().rposition(|&b| b != b' ').map_or(0, |i| i + 1)]
-        }
+        let content = page.str_cells(self.col, self.width);
+        move |row| content(row as usize)
     }
 }
 
@@ -738,9 +728,9 @@ impl Refiner {
     fn refine(&self, page: &Page, scratch: &mut ExprScratch, sel: &mut Vec<u32>) {
         match self {
             &Refiner::ColLit { col, op, lit } => match lit {
-                Lit::I(x) => retain_col(sel, page, col, DataType::Int, op, x, i64::from_le_bytes),
-                Lit::F(x) => retain_col(sel, page, col, DataType::Float, op, x, f64::from_le_bytes),
-                Lit::D(x) => retain_col(sel, page, col, DataType::Date, op, x, i32::from_le_bytes),
+                Lit::I(x) => retain_col(sel, page, col, op, x),
+                Lit::F(x) => retain_col(sel, page, col, op, x),
+                Lit::D(x) => retain_col(sel, page, col, op, x),
             },
             Refiner::Cmp { prog, l, r, op } => {
                 prog.evaluate(page, scratch);
@@ -791,37 +781,18 @@ impl Refiner {
     }
 }
 
-/// Resolves field `col` on this page to `(offset in the row, row
-/// width)`, asserting — as `Page::gather_*` do — that it has the
-/// compile-time type: a page of another schema fails here instead of
-/// comparing another column's bytes. Reads are checked payload slices.
-fn field_at(page: &Page, col: usize, want: DataType) -> (usize, usize) {
-    let schema = page.schema();
-    let dtype = schema.fields()[col].dtype;
-    assert_eq!(dtype, want, "select type mismatch on field {col}");
-    (schema.offset(col), schema.row_width())
-}
-
-/// Keeps the rows of `sel` whose field `col`, decoded in place from its
-/// `N` bytes at `row * row_width + offset`, satisfies `<op> lit`.
-fn retain_col<T: PartialOrd + Copy, const N: usize>(
+/// Keeps the rows of `sel` whose field `col`, read in place
+/// ([`Page::cells`], which asserts the page's field has the
+/// compile-time type), satisfies `<op> lit`.
+fn retain_col<T: NumCell<N> + PartialOrd, const N: usize>(
     sel: &mut Vec<u32>,
     page: &Page,
     col: usize,
-    want: DataType,
     op: CmpOp,
     lit: T,
-    decode: impl Fn([u8; N]) -> T,
 ) {
-    let (off, w) = field_at(page, col, want);
-    let data = page.payload();
-    let field = |row: u32| {
-        let at = row as usize * w + off;
-        let mut bytes = [0; N];
-        bytes.copy_from_slice(&data[at..at + N]);
-        decode(bytes)
-    };
-    retain_cmp(sel, op, field, |_| lit);
+    let field = page.cells::<T, N>(col);
+    retain_cmp(sel, op, |row| field(row as usize), |_| lit);
 }
 
 /// Keeps the rows of `sel` where `a[row] <op> b[row]`.
@@ -1199,6 +1170,20 @@ mod tests {
             assert_eq!(g.get_str(3), t.get_str(3));
             assert_eq!(g.get_str(4), "ab");
         }
+    }
+
+    #[test]
+    fn nul_and_non_ascii_string_literals_error_at_compile() {
+        let p = page();
+        for lit in ["a\0", "\0", "é"] {
+            let expr = ScalarExpr::StrLit(lit.into());
+            let err = CompiledExpr::compile(&expr, p.schema()).unwrap_err();
+            assert!(matches!(err, ExecError::PlanType(_)), "{lit:?}: {err}");
+            assert!(err.to_string().contains("ASCII without NUL"), "{err}");
+        }
+        // A literal with inner and trailing spaces is a cell like any
+        // other; the trailing ones are its padding.
+        assert!(CompiledExpr::compile(&ScalarExpr::StrLit("a b ".into()), p.schema()).is_ok());
     }
 
     #[test]
@@ -1662,7 +1647,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "select type mismatch on field 1")]
+    #[should_panic(expected = "type mismatch on field 1")]
     fn page_of_another_schema_trips_the_assertion() {
         let pred = Predicate::col_cmp(1, CmpOp::Ge, 0.0);
         let compiled = CompiledPredicate::compile(&pred, page().schema()).expect("compiles");

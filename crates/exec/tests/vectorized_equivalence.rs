@@ -21,7 +21,9 @@ use cordoba_exec::{reference, wiring, ExecError, JoinKind, OpCost, ParallelConfi
 use cordoba_exec::{CompiledPredicate, ExprScratch};
 use cordoba_sim::Simulator;
 use cordoba_storage::tpch::{self, TpchConfig};
-use cordoba_storage::{Catalog, DataType, Date, Field, Schema, Table, TableBuilder, Value};
+use cordoba_storage::{
+    Catalog, DataType, Date, Field, NumCell, Schema, Table, TableBuilder, Value,
+};
 use proptest::prelude::*;
 
 fn scan(table: &str) -> Box<PhysicalPlan> {
@@ -269,7 +271,7 @@ fn sorted_stamps(mut fields: Vec<Field>, keys: &[Vec<Value>], workers: usize) ->
 fn assert_lookups(table: &BuildTable, rows: &[(i64, i64)], probes: &[i64]) {
     for &key in probes {
         let want: Vec<i64> = rows.iter().filter(|r| r.0 == key).map(|r| r.1).collect();
-        let payload = |raw: &[u8]| i64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
+        let payload = |raw: &[u8]| i64::from_cell(raw[8..16].try_into().expect("8 bytes"));
         let got: Vec<i64> = table.matches(key).map(payload).collect();
         assert_eq!(got, want, "key {key}");
         assert_eq!(table.contains(key), !want.is_empty(), "key {key}");
@@ -342,7 +344,7 @@ proptest! {
 
         let mut by_row = BuildTable::new(16);
         for &(k, v) in &rows {
-            by_row.insert_row(k, &[k.to_le_bytes(), v.to_le_bytes()].concat());
+            by_row.insert_row(k, &[k.to_cell(), v.to_cell()].concat());
         }
         prop_assert_eq!(by_row.arena(), by_page.arena());
         prop_assert_eq!(by_row.rows(), rows.len());

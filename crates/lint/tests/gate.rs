@@ -13,7 +13,7 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 /// Each seed and the crates whose rules it breaks.
-const SEEDS: [(&str, &str); 11] = [
+const SEEDS: [(&str, &str); 12] = [
     ("unsafe_and_panics", "storage exec engine"),
     ("clock_and_env", "core sim storage exec engine workload"),
     ("relaxed", "exec"),
@@ -25,6 +25,7 @@ const SEEDS: [(&str, &str); 11] = [
     ("second_pricing", "exec engine workload bench"),
     ("own_files", "storage exec engine"),
     ("own_stream", "exec"),
+    ("own_cells", "exec engine"),
 ];
 
 type Findings = BTreeMap<(String, usize), Vec<String>>; // (file, line) → lints

@@ -6,6 +6,8 @@
 //! substrate:
 //!
 //! * fixed-width row [`Page`]s (default 4 KiB) described by a [`Schema`],
+//!   their cells encoded, decoded and ordered by one codec ([`Value`],
+//!   [`NumCell`]),
 //! * immutable in-memory [`Table`]s composed of shared pages,
 //! * a [`Catalog`] of named tables,
 //! * [`spill`] files that operators over their memory budget write and
@@ -30,12 +32,12 @@
 mod catalog;
 mod date;
 mod morsel;
-// The one module with `unsafe`: the page gathers' unchecked reads, each
-// block under a `// SAFETY:` proof (`clippy::undocumented_unsafe_blocks`);
-// Miri runs this crate's tests.
+// The one module with `unsafe`: the gather's unchecked read and the
+// prefetch hint, each block under a `// SAFETY:` proof
+// (`clippy::undocumented_unsafe_blocks`); Miri runs this crate's tests.
 #[expect(
     unsafe_code,
-    reason = "the page gathers' unchecked reads, proved in bounds"
+    reason = "the gather's unchecked read, proved in bounds, and the prefetch hint"
 )]
 mod page;
 mod schema;
@@ -50,4 +52,4 @@ pub use morsel::{morsel_at, Morsel};
 pub use page::{Page, PageBuilder, TupleRef, PAGE_SIZE};
 pub use schema::{DataType, Field, Schema};
 pub use table::{Table, TableBuilder};
-pub use value::Value;
+pub use value::{CellError, NumCell, Value};

@@ -4,7 +4,7 @@
 //! producer-consumer synchronization cost.
 
 use crate::schema::{DataType, Schema};
-use crate::value::Value;
+use crate::value::{read_cell, trim_padding, NumCell, Value};
 use crate::Date;
 use std::ops::Range;
 use std::sync::Arc;
@@ -153,35 +153,14 @@ impl Page {
         self.payload().chunks_exact(self.schema.row_width())
     }
 
-    /// Gathers an `Int` column into `out` (cleared first). One schema
-    /// lookup and one bounds proof per page; the per-row loads are
-    /// unchecked.
+    /// Gathers an `Int` column into `out` (cleared first): one schema
+    /// lookup and one bounds proof per page, unchecked per-row loads.
     ///
     /// # Panics
     ///
     /// Panics if field `col` is not `Int`.
     pub fn gather_i64(&self, col: usize, out: &mut Vec<i64>) {
-        let (off, w) = self.gather_bounds(col, DataType::Int);
-        out.clear();
-        out.reserve(self.rows);
-        // Per-page bounds proof for the unchecked reads: `gather_bounds`
-        // asserted off + 8 <= w (the Int field ends inside its row) and
-        // rows * w <= data.len() (every row lies inside the payload),
-        // so for each r < rows the 8-byte read spans r*w + off ..
-        // r*w + off + 8 ≤ (r+1)*w ≤ rows*w ≤ data.len().
-        for r in 0..self.rows {
-            debug_assert!(
-                r * w + off + 8 <= self.data.len(),
-                "gather_i64 row out of bounds"
-            );
-            // SAFETY: in bounds by the proof above (re-checked per row
-            // by the debug_assert! in debug/Miri builds); read_unaligned
-            // has no alignment requirement and i64 has no invalid bits.
-            let v = unsafe {
-                std::ptr::read_unaligned(self.data.as_ptr().add(r * w + off).cast::<i64>())
-            };
-            out.push(i64::from_le(v));
-        }
+        self.gather(col, out);
     }
 
     /// Gathers a `Float` column into `out` (cleared first); see
@@ -191,25 +170,7 @@ impl Page {
     ///
     /// Panics if field `col` is not `Float`.
     pub fn gather_f64(&self, col: usize, out: &mut Vec<f64>) {
-        let (off, w) = self.gather_bounds(col, DataType::Float);
-        out.clear();
-        out.reserve(self.rows);
-        // Per-page bounds proof as in `gather_i64`: off + 8 <= w and
-        // rows * w <= data.len() (both asserted by `gather_bounds`), so
-        // r*w + off + 8 ≤ (r+1)*w ≤ rows*w ≤ data.len() for r < rows.
-        for r in 0..self.rows {
-            debug_assert!(
-                r * w + off + 8 <= self.data.len(),
-                "gather_f64 row out of bounds"
-            );
-            // SAFETY: in bounds by the proof above (re-checked per row
-            // by the debug_assert!); read_unaligned has no alignment
-            // requirement and u64 has no invalid bit patterns.
-            let v = unsafe {
-                std::ptr::read_unaligned(self.data.as_ptr().add(r * w + off).cast::<u64>())
-            };
-            out.push(f64::from_bits(u64::from_le(v)));
-        }
+        self.gather(col, out);
     }
 
     /// Gathers a `Date` column (day numbers) into `out` (cleared
@@ -219,38 +180,73 @@ impl Page {
     ///
     /// Panics if field `col` is not `Date`.
     pub fn gather_date(&self, col: usize, out: &mut Vec<i32>) {
-        let (off, w) = self.gather_bounds(col, DataType::Date);
+        self.gather(col, out);
+    }
+
+    /// The one gather loop: column `col`'s cells into `out` (cleared
+    /// first), asserting the field is a `T::DTYPE`.
+    fn gather<T: NumCell<N>, const N: usize>(&self, col: usize, out: &mut Vec<T>) {
+        let (off, w) = self.field(col, T::DTYPE);
+        // The bounds proof for the unchecked reads: the cell ends inside
+        // its row (off + N <= w) and every row lies inside the payload
+        // (rows * w <= data.len()), so for each r < rows the read spans
+        // r*w + off .. r*w + off + N <= (r+1)*w <= rows*w <= data.len().
+        assert!(off + N <= w && self.rows * w <= self.data.len());
         out.clear();
         out.reserve(self.rows);
-        // Per-page bounds proof as in `gather_i64`, with Date's 4-byte
-        // width: off + 4 <= w and rows * w <= data.len() (asserted by
-        // `gather_bounds`), so r*w + off + 4 ≤ (r+1)*w ≤ data.len().
         for r in 0..self.rows {
             debug_assert!(
-                r * w + off + 4 <= self.data.len(),
-                "gather_date row out of bounds"
+                r * w + off + N <= self.data.len(),
+                "gather row out of bounds"
             );
-            // SAFETY: in bounds by the proof above (re-checked per row
-            // by the debug_assert!); read_unaligned has no alignment
-            // requirement and i32 has no invalid bit patterns.
-            let v = unsafe {
-                std::ptr::read_unaligned(self.data.as_ptr().add(r * w + off).cast::<i32>())
+            // SAFETY: in bounds by the proof above (re-checked per row by
+            // the debug_assert! in debug and Miri builds); read_unaligned
+            // has no alignment requirement and a byte array has no
+            // invalid bit patterns.
+            let cell = unsafe {
+                std::ptr::read_unaligned(self.data.as_ptr().add(r * w + off).cast::<[u8; N]>())
             };
-            out.push(i32::from_le(v));
+            out.push(T::from_cell(cell));
         }
     }
 
-    /// Validates the invariant the unchecked gather loops rely on and
-    /// returns `(field offset, row width)`.
-    fn gather_bounds(&self, col: usize, want: DataType) -> (usize, usize) {
+    /// A reader of column `col`'s cells by row, each a checked read of
+    /// the payload in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if field `col` is not a `T::DTYPE`, and the reader if its
+    /// row is out of range.
+    pub fn cells<T: NumCell<N>, const N: usize>(&self, col: usize) -> impl Fn(usize) -> T + '_ {
+        let (off, w) = self.field(col, T::DTYPE);
+        let data = self.payload();
+        move |row| T::from_cell(read_cell(data, row * w + off))
+    }
+
+    /// A reader of the `Str(width)` column `col`'s contents by row: the
+    /// cell's bytes in place, without their padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if field `col` is not a `Str(width)`, and the reader if
+    /// its row is out of range.
+    pub fn str_cells<'a>(&'a self, col: usize, width: usize) -> impl Fn(usize) -> &'a [u8] + 'a {
+        let (off, w) = self.field(col, DataType::Str(width));
+        let data = self.payload();
+        move |row| {
+            let at = row * w + off;
+            trim_padding(&data[at..at + width])
+        }
+    }
+
+    /// The one check a typed read of column `col` makes per page: the
+    /// field is a `want`, so a page of another schema fails here instead
+    /// of reading another column's bytes. Returns `(field offset, row
+    /// width)`.
+    fn field(&self, col: usize, want: DataType) -> (usize, usize) {
         let dtype = self.schema.fields()[col].dtype;
-        assert_eq!(dtype, want, "gather type mismatch on field {col}");
-        let w = self.schema.row_width();
-        let off = self.schema.offset(col);
-        // Proves every unchecked read below stays in bounds: field ends
-        // within the row, and all rows lie within the payload.
-        assert!(off + dtype.width() <= w && self.rows * w <= self.data.len());
-        (off, w)
+        assert_eq!(dtype, want, "type mismatch on field {col}");
+        (self.schema.offset(col), self.schema.row_width())
     }
 
     /// Copies the rows selected by `sel` (ascending row indices) into a
@@ -315,62 +311,50 @@ impl<'a> TupleRef<'a> {
         &self.page.schema
     }
 
+    /// Reads field `idx`'s cell, a `T`.
     #[inline]
-    fn field_slice(&self, idx: usize) -> &'a [u8] {
-        let schema = &self.page.schema;
-        let off = self.base + schema.offset(idx);
-        &self.page.data[off..off + schema.fields()[idx].dtype.width()]
+    fn cell<T: NumCell<N>, const N: usize>(&self, idx: usize) -> T {
+        debug_assert_eq!(self.page.schema.fields()[idx].dtype, T::DTYPE);
+        T::from_cell(read_cell(
+            &self.page.data,
+            self.base + self.page.schema.offset(idx),
+        ))
     }
 
     /// Reads an `Int` field.
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "field_slice returns exactly the schema width for this field"
-    )]
     pub fn get_int(&self, idx: usize) -> i64 {
-        debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Int);
-        i64::from_le_bytes(self.field_slice(idx).try_into().expect("8 bytes"))
+        self.cell(idx)
     }
 
     /// Reads a `Float` field.
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "field_slice returns exactly the schema width for this field"
-    )]
     pub fn get_float(&self, idx: usize) -> f64 {
-        debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Float);
-        f64::from_le_bytes(self.field_slice(idx).try_into().expect("8 bytes"))
+        self.cell(idx)
     }
 
     /// Reads a `Date` field.
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "field_slice returns exactly the schema width for this field"
-    )]
     pub fn get_date(&self, idx: usize) -> Date {
-        debug_assert_eq!(self.page.schema.fields()[idx].dtype, DataType::Date);
-        Date(i32::from_le_bytes(
-            self.field_slice(idx).try_into().expect("4 bytes"),
-        ))
+        Date(self.cell(idx))
     }
 
-    /// Reads a `Str` field, trimming the space padding.
+    /// Reads a `Str` field, without its space padding.
     #[inline]
     pub fn get_str(&self, idx: usize) -> &'a str {
-        let raw = self.field_slice(idx);
+        let schema = &self.page.schema;
+        let at = self.base + schema.offset(idx);
+        let cell = &self.page.data[at..at + schema.fields()[idx].dtype.width()];
         #[expect(
             clippy::expect_used,
-            reason = "append_row asserts ASCII at write time, so pages never hold non-UTF-8"
+            reason = "push_row checks every string is ASCII, so pages never hold non-UTF-8"
         )]
-        let s = std::str::from_utf8(raw).expect("pages store only ASCII strings");
-        s.trim_end_matches(' ')
+        std::str::from_utf8(trim_padding(cell)).expect("pages store only ASCII strings")
     }
 
     /// Reads any field as a dynamically-typed [`Value`].
-    fn get_value(&self, idx: usize) -> Value {
+    #[inline]
+    pub fn get_value(&self, idx: usize) -> Value {
         match self.page.schema.fields()[idx].dtype {
             DataType::Int => Value::Int(self.get_int(idx)),
             DataType::Float => Value::Float(self.get_float(idx)),
@@ -446,40 +430,26 @@ impl PageBuilder {
         self.rows == 0
     }
 
-    /// Appends a row of values. Returns `false` (without writing) if the
-    /// page is full.
+    /// Appends a row of values, each cell encoded by [`Value::encode`].
+    /// Returns `false` (without writing) if the page is full.
     ///
     /// # Panics
     ///
-    /// Panics if the values do not match the schema (arity or types) or
-    /// a string exceeds its field width.
+    /// Panics if the values do not match the schema (arity or types), or
+    /// a string is not ASCII, holds a NUL byte or exceeds its field
+    /// width.
+    #[expect(
+        clippy::panic,
+        reason = "documented push_row contract: values must fit the schema"
+    )]
     pub fn push_row(&mut self, values: &[Value]) -> bool {
         assert_eq!(values.len(), self.schema.len(), "arity mismatch");
         if self.is_full() {
             return false;
         }
-        for (i, v) in values.iter().enumerate() {
-            let dtype = self.schema.fields()[i].dtype;
-            match (dtype, v) {
-                (DataType::Int, Value::Int(x)) => self.data.extend_from_slice(&x.to_le_bytes()),
-                (DataType::Float, Value::Float(x)) => self.data.extend_from_slice(&x.to_le_bytes()),
-                (DataType::Date, Value::Date(d)) => self.data.extend_from_slice(&d.0.to_le_bytes()),
-                (DataType::Str(n), Value::Str(s)) => {
-                    assert!(
-                        s.len() <= n && s.is_ascii(),
-                        "string '{s}' does not fit ASCII field of width {n}"
-                    );
-                    self.data.extend_from_slice(s.as_bytes());
-                    self.data.extend(std::iter::repeat_n(b' ', n - s.len()));
-                }
-                #[expect(
-                    clippy::panic,
-                    reason = "documented append_row contract: values must match the schema"
-                )]
-                (dt, v) => panic!(
-                    "type mismatch at field {i} ('{}'): schema {dt:?}, value {v:?}",
-                    self.schema.fields()[i].name
-                ),
+        for (field, v) in self.schema.fields().iter().zip(values) {
+            if let Err(err) = v.encode(field.dtype, &mut self.data) {
+                panic!("field '{}': {err}", field.name);
             }
         }
         self.rows += 1;
@@ -707,6 +677,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ASCII without NUL")]
+    fn nul_byte_in_a_string_panics() {
+        // A NUL byte reads as the packed sort key's padding: "a\0" would
+        // sort as "a".
+        let mut b = PageBuilder::new(schema());
+        b.push_row(&[
+            Value::Int(1),
+            Value::Float(2.0),
+            Value::Date(Date(3)),
+            Value::Str("a\0".into()),
+        ]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn tuple_out_of_range_panics() {
         let b = PageBuilder::new(schema());
@@ -739,14 +723,23 @@ mod tests {
 
     #[test]
     fn gather_columns_match_tuple_accessors() {
+        let strs = ["", "x", "a b", "abcdef", " lead", "\x01~"];
+        let floats = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let rows: Vec<Vec<Value>> = (0..37)
+            .map(|i| {
+                let nan = f64::from_bits(0x7ff8_0000_0000_0000 | i as u64);
+                let f = [floats[i % 4], nan, i as f64 * 0.5 - 3.0][i % 3];
+                vec![
+                    Value::Int(i as i64 * 7 - 100),
+                    Value::Float(if i % 5 == 0 { -f } else { f }),
+                    Value::Date(Date(i as i32 * 11 - 50)),
+                    Value::Str(strs[i % strs.len()].into()),
+                ]
+            })
+            .collect();
         let mut b = PageBuilder::new(schema());
-        for i in 0..37 {
-            b.push_row(&[
-                Value::Int(i * 7 - 100),
-                Value::Float(i as f64 * 0.5 - 3.0),
-                Value::Date(Date(i as i32 * 11 - 50)),
-                Value::Str("x".into()),
-            ]);
+        for row in &rows {
+            b.push_row(row);
         }
         let page = b.finish();
         let (mut ints, mut floats, mut dates) = (Vec::new(), Vec::new(), Vec::new());
@@ -754,10 +747,27 @@ mod tests {
         page.gather_f64(1, &mut floats);
         page.gather_date(2, &mut dates);
         assert_eq!(ints.len(), 37);
+        let (int, float) = (page.cells::<i64, 8>(0), page.cells::<f64, 8>(1));
+        let (date, text) = (page.cells::<i32, 4>(2), page.str_cells(3, 6));
         for (r, t) in page.tuples().enumerate() {
             assert_eq!(ints[r], t.get_int(0));
-            assert_eq!(floats[r], t.get_float(1));
+            assert_eq!(floats[r].to_bits(), t.get_float(1).to_bits());
             assert_eq!(dates[r], t.get_date(2).0);
+            assert_eq!(
+                (int(r), float(r).to_bits(), date(r)),
+                (ints[r], floats[r].to_bits(), dates[r])
+            );
+            assert_eq!(text(r), t.get_str(3).as_bytes());
+            // Every cell round-trips through the one encoder, bit for
+            // bit, and each encodes as the bytes the row holds.
+            let mut raw = Vec::new();
+            for (field, v) in schema().fields().iter().zip(&rows[r]) {
+                v.encode(field.dtype, &mut raw).expect("fits");
+            }
+            assert_eq!(raw, t.raw());
+            for (i, want) in rows[r].iter().enumerate() {
+                assert!(t.get_value(i).total_cmp(want).is_eq(), "row {r} field {i}");
+            }
         }
         // Gather clears previous contents.
         page.gather_i64(0, &mut ints);
@@ -765,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gather type mismatch")]
+    #[should_panic(expected = "type mismatch on field 1")]
     fn gather_wrong_type_panics() {
         let mut b = PageBuilder::new(schema());
         b.push_row(&[

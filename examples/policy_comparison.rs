@@ -40,10 +40,7 @@ fn main() {
         };
         let never = run(Policy::NeverShare);
         let always = run(Policy::AlwaysShare);
-        let model = run(Policy::ModelGuided {
-            models: models.clone(),
-            hysteresis: 0.0,
-        });
+        let model = run(Policy::model_guided(models.clone()));
         let winner = if model >= never && model >= always {
             "model"
         } else if always >= never {

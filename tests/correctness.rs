@@ -176,10 +176,7 @@ fn model_guided_policy_results_always_correct() {
         }
         m
     };
-    let policy = Policy::ModelGuided {
-        models,
-        hysteresis: 0.0,
-    };
+    let policy = Policy::model_guided(models);
     for workers in WORKERS {
         let out = run_once(&catalog, &specs, &cfg(2, policy.clone(), workers));
         for (spec, rows) in specs.iter().zip(&out.results) {

@@ -1054,7 +1054,6 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
                 contexts: c.contexts,
                 queue_capacity: 16,
                 policy,
-                window: 2_000,
                 max_group: 64,
                 sink_cost: OpCost::per_tuple(0.1),
                 memory,
