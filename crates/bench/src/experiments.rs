@@ -7,7 +7,7 @@ use cordoba_core::{ModelError, NodeId, PlanSpec};
 use cordoba_engine::policy::sharing_group;
 use cordoba_engine::profiling::profile_query;
 use cordoba_engine::{
-    measure_throughput, run_once, thread_exec, EngineConfig, ParallelConfig, Policy,
+    measure_throughput, run_once, thread_exec, EngineConfig, ExecError, ParallelConfig, Policy,
     QueryModelInfo, QuerySpec,
 };
 use cordoba_sim::VTime;
@@ -276,14 +276,38 @@ pub(crate) fn fit_sim_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: 
     estimate_k(&samples).unwrap_or(f64::MIN_POSITIVE)
 }
 
+/// Measures unshared throughput (queries per wall-clock second) of the
+/// engine's own operator tasks on real threads at each morsel worker
+/// count, running one query at a time so the samples isolate
+/// *intra*-query scaling.
+///
+/// Feed the samples to [`estimate_k`] to recover the scaling exponent
+/// `κ` of `e(k) = k^κ` for this host — the paper's aggregate-bandwidth
+/// contention form, fitted on the same operator tasks the simulator
+/// prices.
+fn worker_scaling_samples(
+    catalog: &Catalog,
+    spec: &QuerySpec,
+    repeats: usize,
+    worker_counts: &[u32],
+) -> Result<Vec<(u32, f64)>, ExecError> {
+    let mut samples = Vec::with_capacity(worker_counts.len());
+    for &k in worker_counts {
+        let cfg = ParallelConfig::with_workers(k.max(1) as usize);
+        let report = thread_exec::run_unshared_parallel(catalog, spec, repeats.max(1), 1, &cfg)?;
+        let secs = report.elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
+        samples.push((k.max(1), repeats.max(1) as f64 / secs));
+    }
+    Ok(samples)
+}
+
 /// Fits `κ` of the *real-thread* morsel executor on this host:
-/// wall-clock throughput from
-/// [`cordoba_engine::thread_exec::worker_scaling_samples`]. On a
+/// wall-clock throughput from [`worker_scaling_samples`]. On a
 /// single-core runner the samples are flat and `κ` fits ≈ 0 — the
 /// honest answer that intra-query parallelism buys this host nothing.
 pub(crate) fn fit_thread_kappa(catalog: &Catalog, spec: &QuerySpec, worker_counts: &[u32]) -> f64 {
-    let samples = thread_exec::worker_scaling_samples(catalog, spec, 3, worker_counts)
-        .expect("threaded scaling run");
+    let samples =
+        worker_scaling_samples(catalog, spec, 3, worker_counts).expect("threaded scaling run");
     estimate_k(&samples).unwrap_or(f64::MIN_POSITIVE)
 }
 
@@ -362,6 +386,19 @@ mod tests {
         assert!(uni.z > 1.2, "n=1 expected sharing win, got {uni:?}");
         let cmp = sharing_speedup(&catalog, &spec, 8, 32, 1, work, cfg.measure_floor);
         assert!(cmp.z < 0.7, "n=32 expected sharing loss, got {cmp:?}");
+    }
+
+    #[test]
+    fn worker_scaling_samples_cover_requested_counts() {
+        let cfg = ExpConfig::quick();
+        let catalog = cfg.catalog();
+        let samples = worker_scaling_samples(&catalog, &q6(&cfg.costs), 2, &[1, 2]).unwrap();
+        assert_eq!(samples.len(), 2);
+        assert_eq!(samples[0].0, 1);
+        assert_eq!(samples[1].0, 2);
+        for (k, x) in samples {
+            assert!(x > 0.0, "throughput at k={k} must be positive, got {x}");
+        }
     }
 
     #[test]

@@ -18,13 +18,17 @@
 //!   member's fragment reads its link through the port of the operator
 //!   above its `Source` leaf ([`Inlet::os`]) — no task in between on
 //!   either side ([`wiring::run_local_between`]). A link hands off
-//!   morsels of `morsel_pages` pivot pages (for a scan pivot the table's
-//!   own `Arc<Page>`s — nothing is copied): one hand-off (a lock, often a
-//!   futex wake) per morsel per member, not per page. OS channels exist
-//!   only at this sharing seam, exactly where the model's per-consumer
-//!   `s` lives — the producer pays the real (wall-clock) `M·s`. A link
-//!   holds `queue_capacity` hand-offs, so at most `queue_capacity ×
-//!   morsel_pages` pages are in flight per member, as `Arc`s.
+//!   numbered morsels of `morsel_pages` pivot pages (for a scan pivot
+//!   the table's own `Arc<Page>`s — nothing is copied), then an end
+//!   hand-off when the pivot closes — the one protocol of every link
+//!   across threads, a morsel group's included: one hand-off (a lock,
+//!   often a futex wake) per morsel per member, not per page. Between
+//!   plans, OS channels exist only at this sharing seam, exactly where
+//!   the model's per-consumer `s` lives — the producer pays the real
+//!   (wall-clock) `M·s`. A link holds `queue_capacity` hand-offs, so at
+//!   most `queue_capacity × morsel_pages` pages are in flight per
+//!   member, as `Arc`s. A member reads end-of-stream at its pivot's end
+//!   hand-off, not when the driver lets go of the links.
 //!
 //! Every plan runs in the one local driver, a private single-context
 //! run loop per thread, so compiled expressions, fault cells and
@@ -156,10 +160,11 @@ fn run_shared(
                 let consume = move || {
                     let Some(fragment) = fragment else {
                         // The whole query is the pivot: it reads its link
-                        // to the end, as a simulated member's sink reads
-                        // its feed.
-                        let morsels = rx.iter().collect::<Result<Vec<_>, _>>();
-                        return (morsels.map(|m| m.concat()), now());
+                        // up to the end hand-off, as a simulated member's
+                        // sink reads its feed.
+                        let morsels = rx.iter().map_while(Result::transpose);
+                        let pages: Result<Vec<_>, _> = morsels.map(|m| m.map(|(_, p)| p)).collect();
+                        return (pages.map(|m| m.concat()), now());
                     };
                     let res = QueryResources::for_config(&cfg.memory);
                     let feed = vec![Inlet::os(rx, &res.fault)];

@@ -7,19 +7,33 @@
 //! * **OS threads** — `std::sync::mpsc::sync_channel` between run loops
 //!   on two threads: a full channel blocks the sending *thread* and an
 //!   empty one the receiving thread, so neither end ever reports full or
-//!   empty, and a dropped end is a hang-up. A page link carries a
-//!   [`Handoff`] — a morsel of pages, so crossing costs one lock (often
-//!   a futex wake) per morsel, not per page — or the error that ended
-//!   the producer.
+//!   empty, and a dropped end is a hang-up.
 //!
 //! [`Inlet`] and [`Outlet`] are the page ports: the shell reads every
 //! input through an `Inlet` and its [`Fanout`](super::Fanout) delivers
 //! through `Outlet`s, so an operator is wired across a thread boundary
 //! exactly as within one run loop.
 //!
-//! Across threads, order is the contract:
-//! * an outlet gathers `morsel_pages` pages per hand-off and flushes the
-//!   partial last one when its stream closes — never an empty one;
+//! **Links.** Every page link between run loops — the sharing seam's
+//! OS links and a morsel group's link to its merge, on either substrate
+//! — carries one [`Handoff`]: a numbered morsel of pages, so crossing
+//! costs one lock (often a futex wake) per morsel, not per page; the
+//! end of one producer's stream; or the error that ended it. A seam
+//! outlet ([`Outlet::os`]) cuts a morsel every `morsel_pages` pages and
+//! numbers them itself; a group worker's hands off each morsel its
+//! kernel finishes ([`Drained::morsel`](super::shell::Drained::morsel))
+//! whole, tagged with the morsel's index — empty if the chain kept no
+//! row of it — and a simulator channel with no room blocks the worker
+//! until the merge reads. The inlet releases morsels in index order, so
+//! a group's rows are the serial wiring's for any worker count. It
+//! reads as closed once every producer has ended its stream (a
+//! simulator channel closes with its last outlet; on an OS link each
+//! outlet's last hand-off says so), in the step that ends the last
+//! producer, not when its thread exits.
+//!
+//! Order is every link's contract:
+//! * an outlet hands off whole morsels and flushes the partial last one
+//!   when its stream closes — a seam's never an empty one;
 //! * once the producer's query has faulted it hands nothing more off and
 //!   discards the pages in hand; the driver sends the error down the
 //!   link after them (`wiring::run_feeding`), so no consumer mistakes a
@@ -29,19 +43,6 @@
 //!   hand-off, while its peers go on; once every consumer is gone the
 //!   producer's shell ends the stream early (see
 //!   [`Fanout::is_unheard`](super::Fanout::is_unheard)).
-//!
-//! **Group links.** The workers of a morsel group share one link to
-//! their merge, a simulator channel or an OS one, carrying
-//! `GroupHandoff`s. A worker's kernel reports each morsel it finishes
-//! ([`Drained::morsel`](super::shell::Drained::morsel)); its outlet
-//! hands the morsel off whole, tagged with its index — empty if the
-//! chain kept no row of it — and a simulator channel with no room
-//! blocks the worker until the merge reads. The inlet releases morsels
-//! in index order, so the rows are the serial wiring's for any worker
-//! count. It reads as closed once every worker has ended its stream
-//! (the simulator channel closes with the last worker's outlet; on an
-//! OS link each outlet's last hand-off says so), in the step that ends
-//! the last worker, not when its thread exits.
 //!
 //! **Reorder bound.** The inlet holds the morsels that finished ahead
 //! of the one it must release next, and the link up to its capacity
@@ -59,14 +60,10 @@ use cordoba_storage::Page;
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
-/// One hand-off across threads: a morsel of pages, or the error that
-/// ended the producer early.
-pub type Handoff = Result<Vec<Arc<Page>>, ExecError>;
-
-/// One hand-off on a morsel group's link: a morsel a worker finished —
-/// its index and every page it produced — or `None`, the end of that
-/// worker's stream; or the error that ended the worker.
-pub(crate) type GroupHandoff = Result<Option<(usize, Vec<Arc<Page>>)>, ExecError>;
+/// One hand-off on a link: a morsel a producer finished — its index and
+/// every page of it — or `None`, the end of that producer's stream; or
+/// the error that ended the producer early.
+pub type Handoff = Result<Option<(usize, Vec<Arc<Page>>)>, ExecError>;
 
 /// Where an operator reads one input from.
 pub struct Inlet(In);
@@ -79,12 +76,10 @@ enum In {
 
 /// The reading end of a link, as a [`Feed`] reads it.
 pub(crate) enum LinkRx {
-    /// A producer on another thread: its hand-offs come in order.
+    /// Producers on other threads.
     Os(mpsc::Receiver<Handoff>),
-    /// A morsel group on other threads.
-    GroupOs(mpsc::Receiver<GroupHandoff>),
     /// A morsel group in the same run loop.
-    GroupSim(Receiver<GroupHandoff>),
+    Sim(Receiver<Handoff>),
 }
 
 /// A link being read.
@@ -118,19 +113,17 @@ impl Feed {
                 self.morsel = pages.into_iter();
                 continue;
             }
-            let next = self.next;
             let handoff = match &self.rx {
                 None => return Ok(Recv::Closed),
-                Some(LinkRx::Os(rx)) => rx.recv().map(|h| h.map(|pages| Some((next, pages)))),
-                Some(LinkRx::GroupOs(rx)) => rx.recv(),
-                Some(LinkRx::GroupSim(rx)) => match rx.try_recv(ctx) {
+                Some(LinkRx::Os(rx)) => rx.recv(),
+                Some(LinkRx::Sim(rx)) => match rx.try_recv(ctx) {
                     Recv::Value(handoff) => Ok(handoff),
                     Recv::Empty => return Ok(Recv::Empty),
                     Recv::Closed => Err(mpsc::RecvError),
                 },
             };
             match handoff {
-                Ok(Ok(Some((index, pages)))) if index == next => {
+                Ok(Ok(Some((index, pages)))) if index == self.next => {
                     self.next += 1;
                     self.morsel = pages.into_iter();
                 }
@@ -147,9 +140,9 @@ impl Feed {
                     self.hang_up(ctx);
                     return Err(err);
                 }
-                // Every producer closed and hung up: end of stream. (A
-                // gap left in a group's morsels is a worker thread that
-                // panicked, which its driver re-raises.)
+                // Every producer closed and hung up: end of stream. (On an
+                // OS link that is a producer thread that panicked, which
+                // its driver re-raises.)
                 Err(mpsc::RecvError) => self.rx = None,
             }
         }
@@ -163,7 +156,7 @@ impl Feed {
     }
 
     fn hang_up(&mut self, ctx: &mut TaskCtx<'_>) {
-        if let Some(LinkRx::GroupSim(rx)) = &self.rx {
+        if let Some(LinkRx::Sim(rx)) = &self.rx {
             rx.close(ctx);
         }
         self.rx = None;
@@ -179,27 +172,24 @@ impl From<Receiver<Arc<Page>>> for Inlet {
 }
 
 impl Inlet {
-    /// Reads the OS link `rx`, one page per call whatever each hand-off
-    /// holds, for the query whose fault is `fault`: once that is set
-    /// the query needs no more input, so the link hangs up and reads as
-    /// closed.
+    /// Reads the OS link `rx` from one producer, one page per call
+    /// whatever each hand-off holds, for the query whose fault is
+    /// `fault`: once that is set the query needs no more input, so the
+    /// link hangs up and reads as closed.
     pub fn os(rx: mpsc::Receiver<Handoff>, fault: &FaultCell) -> Self {
-        Self::link(LinkRx::Os(rx), 1, fault)
+        Self::group(LinkRx::Os(rx), 1, fault)
     }
 
-    /// Reads a morsel group's link from its `workers` workers, releasing
-    /// their morsels in index order; `fault` as in [`Inlet::os`].
-    pub(crate) fn group(rx: LinkRx, workers: usize, fault: &FaultCell) -> Self {
-        Self::link(rx, workers, fault)
-    }
-
-    fn link(rx: LinkRx, open: usize, fault: &FaultCell) -> Self {
+    /// Reads a link from its `producers` (a morsel group's workers),
+    /// releasing their morsels in index order; `fault` as in
+    /// [`Inlet::os`].
+    pub(crate) fn group(rx: LinkRx, producers: usize, fault: &FaultCell) -> Self {
         Inlet(In::Link(Box::new(Feed {
             rx: Some(rx),
             morsel: Vec::new().into_iter(),
             ahead: BTreeMap::new(),
             next: 0,
-            open,
+            open: producers,
             fault: fault.clone(),
         })))
     }
@@ -228,7 +218,7 @@ impl Inlet {
     }
 
     /// Stops reading (the query failed): a simulator channel swallows
-    /// whatever is sent from now on, and an OS link hangs up, so its
+    /// whatever is sent from now on, and a link hangs up, so its
     /// producers stop serving this consumer.
     pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
@@ -241,74 +231,41 @@ impl Inlet {
 /// Where an operator delivers its pages to one consumer.
 pub struct Outlet(Out);
 
-/// The links are boxed, as in `In`.
+/// A link is boxed, as in `In`.
 enum Out {
     Sim(Sender<Arc<Page>>),
-    Os(Box<Link>),
-    Group(Box<GroupLink>),
+    Link(Box<Link>),
 }
 
-/// The producing end of an OS link.
+/// The sending end of a link.
+pub(crate) enum LinkTx {
+    Os(mpsc::SyncSender<Handoff>),
+    Sim(Sender<Handoff>),
+}
+
+/// A producer's end of a link.
 struct Link {
     /// `None` once the consumer hung up or the stream closed.
-    tx: Option<mpsc::SyncSender<Handoff>>,
-    /// The morsel being gathered, handed off at `morsel_pages`.
+    tx: Option<LinkTx>,
+    /// The pages of the morsel in progress.
     morsel: Vec<Arc<Page>>,
-    morsel_pages: usize,
+    /// The index of the morsel in progress.
+    index: usize,
+    /// Pages per morsel of a link that cuts its own; `None` when the
+    /// producer ends each morsel ([`Outlet::end_morsel`]).
+    cut: Option<usize>,
     /// The producing query's fault.
     fault: FaultCell,
 }
 
 impl Link {
-    /// Gathers `page`, handing the morsel off once it is full; a link
-    /// whose consumer hung up swallows it.
-    fn push(&mut self, page: Arc<Page>) {
-        if self.tx.is_some() {
-            self.morsel.push(page);
-            if self.morsel.len() >= self.morsel_pages {
-                self.flush();
-            }
-        }
-    }
-
-    /// Hands the gathered morsel off, unless the producer has faulted;
-    /// a consumer found hung up stops being served.
-    fn flush(&mut self) {
-        let handoff = std::mem::take(&mut self.morsel);
-        if handoff.is_empty() || self.fault.is_set() {
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            if tx.send(Ok(handoff)).is_err() {
-                self.tx = None;
-            }
-        }
-    }
-}
-
-/// The sending end of a morsel group's link.
-pub(crate) enum LinkTx {
-    Os(mpsc::SyncSender<GroupHandoff>),
-    Sim(Sender<GroupHandoff>),
-}
-
-/// A group worker's end of its group's link.
-struct GroupLink {
-    /// `None` once the merge hung up or the stream closed.
-    tx: Option<LinkTx>,
-    /// The pages of the morsel in progress.
-    morsel: Vec<Arc<Page>>,
-    /// The worker's fault.
-    fault: FaultCell,
-}
-
-impl GroupLink {
     /// Hands morsel `index` off, whole; `false` when a simulator channel
-    /// had no room (the worker is registered as a waiter and keeps the
-    /// pages). A faulted worker hands nothing more off, and a merge
+    /// had no room (the producer is registered as a waiter and keeps the
+    /// pages). A faulted producer hands nothing more off, and a consumer
     /// found hung up stops being served.
-    fn end_morsel(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
+    fn hand_off(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
         let pages = std::mem::take(&mut self.morsel);
+        self.index = index + 1;
         if self.fault.is_set() {
             return true;
         }
@@ -332,14 +289,18 @@ impl GroupLink {
         }
     }
 
-    /// Ends the worker's stream: the simulator channel closes with the
-    /// group's last outlet; an OS link says so in a last hand-off, unless
-    /// the worker faulted (its driver sends the error instead).
+    /// Hands off the partial last morsel, if any, and ends the stream: a
+    /// simulator channel closes with its last outlet; an OS link says so
+    /// in a last hand-off, unless the producer faulted (its driver sends
+    /// the error instead).
     fn close(&mut self, ctx: &mut TaskCtx<'_>) {
+        if !self.morsel.is_empty() {
+            self.hand_off(self.index, ctx);
+        }
         match self.tx.take() {
             Some(LinkTx::Sim(tx)) => tx.close(ctx),
             Some(LinkTx::Os(tx)) if !self.fault.is_set() => {
-                // A merge that hung up has no use for it.
+                // A consumer that hung up has no use for it.
                 let _ = tx.send(Ok(None));
             }
             _ => {}
@@ -354,44 +315,47 @@ impl From<Sender<Arc<Page>>> for Outlet {
 }
 
 impl Outlet {
-    /// Feeds the OS link `tx` in hand-offs of `morsel_pages` pages (`0`
-    /// treated as `1`) until `fault` — the producing query's — is set.
+    /// Feeds the OS link `tx` in morsels of `morsel_pages` pages (`0`
+    /// treated as `1`), numbered from 0, until `fault` — the producing
+    /// query's — is set.
     pub fn os(tx: mpsc::SyncSender<Handoff>, morsel_pages: usize, fault: &FaultCell) -> Self {
-        Outlet(Out::Os(Box::new(Link {
-            tx: Some(tx),
-            morsel: Vec::new(),
-            morsel_pages: morsel_pages.max(1),
-            fault: fault.clone(),
-        })))
+        Self::link(LinkTx::Os(tx), Some(morsel_pages.max(1)), fault)
     }
 
     /// A morsel group worker's end of its group's link: each morsel the
-    /// worker finishes goes to the merge whole, until `fault` — the
+    /// worker ends goes to the merge whole, until `fault` — the
     /// worker's — is set.
     pub(crate) fn group(tx: LinkTx, fault: &FaultCell) -> Self {
-        Outlet(Out::Group(Box::new(GroupLink {
+        Self::link(tx, None, fault)
+    }
+
+    fn link(tx: LinkTx, cut: Option<usize>, fault: &FaultCell) -> Self {
+        Outlet(Out::Link(Box::new(Link {
             tx: Some(tx),
             morsel: Vec::new(),
+            index: 0,
+            cut,
             fault: fault.clone(),
         })))
     }
 
     /// Hands `page` on; `Err` gives it back when a simulator channel is
-    /// full (the caller is registered as a waiter). A full OS link
-    /// blocks the thread until the consumer takes a hand-off; one whose
-    /// consumer hung up, like a closed simulator channel, swallows the
-    /// page. A group link gathers it into the morsel in progress.
+    /// full (the caller is registered as a waiter). A link gathers it
+    /// into the morsel in progress, and a seam's hands the morsel off
+    /// once it is full — blocking the thread until the consumer takes a
+    /// hand-off, if the link is full. A link whose consumer hung up,
+    /// like a closed simulator channel, swallows the page.
     #[inline]
     pub(crate) fn send(&mut self, page: Arc<Page>, ctx: &mut TaskCtx<'_>) -> Result<(), Arc<Page>> {
         match &mut self.0 {
             Out::Sim(tx) => tx.try_send(page, ctx),
-            Out::Os(link) => {
-                link.push(page);
-                Ok(())
-            }
-            Out::Group(link) => {
+            Out::Link(link) => {
                 if link.tx.is_some() {
                     link.morsel.push(page);
+                    if link.cut.is_some_and(|n| link.morsel.len() >= n) {
+                        // A seam's link is an OS one: it always has room.
+                        link.hand_off(link.index, ctx);
+                    }
                 }
                 Ok(())
             }
@@ -399,13 +363,13 @@ impl Outlet {
     }
 
     /// The producer finished its morsel `index` with the pages sent so
-    /// far: a group link hands the morsel off, and says `false` when a
-    /// simulator channel had no room (the caller is registered as a
-    /// waiter and asks again). Any other outlet has nothing to do.
+    /// far: a group worker's link hands the morsel off, and says `false`
+    /// when a simulator channel had no room (the caller is registered as
+    /// a waiter and asks again). Any other outlet has nothing to do.
     pub(crate) fn end_morsel(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
         match &mut self.0 {
-            Out::Group(link) => link.end_morsel(index, ctx),
-            Out::Sim(_) | Out::Os(_) => true,
+            Out::Link(link) if link.cut.is_none() => link.hand_off(index, ctx),
+            _ => true,
         }
     }
 
@@ -416,23 +380,565 @@ impl Outlet {
     pub(crate) fn is_hung_up(&self) -> bool {
         match &self.0 {
             Out::Sim(_) => false,
-            Out::Os(link) => link.tx.is_none(),
-            Out::Group(link) => link.tx.is_none(),
+            Out::Link(link) => link.tx.is_none(),
         }
     }
 
-    /// Ends the stream: a simulator channel closes; an OS link hands off
-    /// the partial last morsel and lets go of its end (the driver that
-    /// made the link hangs up, after the error if the producer failed);
-    /// a group link ends its worker's stream.
+    /// Ends the stream: a simulator channel closes; a link hands off
+    /// its partial last morsel and ends the producer's stream.
     pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
             Out::Sim(tx) => tx.close(ctx),
-            Out::Os(link) => {
-                link.flush();
-                link.tx = None;
+            Out::Link(link) => link.close(ctx),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::Fanout;
+    use cordoba_sim::DetachedCtx;
+    use cordoba_storage::{DataType, Field, PageBuilder, Schema, Value};
+
+    /// Pages per hand-off of the seams below.
+    const MORSEL: usize = 4;
+
+    /// `n` distinct one-row pages.
+    fn pivot_pages(n: usize) -> Vec<Arc<Page>> {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        (0..n)
+            .map(|i| {
+                let mut b = PageBuilder::new(schema.clone());
+                b.push_row(&[Value::Int(i as i64)]);
+                b.finish()
+            })
+            .collect()
+    }
+
+    /// A seam stepped by hand: the pivot root's fan-out over one link
+    /// per consumer, the pivot's fault cell, and `produce`'s own
+    /// senders; the consumers' receiving ends go to the caller.
+    struct Seam {
+        fanout: Fanout,
+        fault: FaultCell,
+        txs: Vec<mpsc::SyncSender<Handoff>>,
+    }
+
+    fn seam(consumers: usize, morsel_pages: usize) -> (Seam, Vec<mpsc::Receiver<Handoff>>) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..consumers).map(|_| mpsc::sync_channel(16)).unzip();
+        let fault = FaultCell::default();
+        let outs = txs
+            .iter()
+            .map(|tx| Outlet::os(tx.clone(), morsel_pages, &fault))
+            .collect();
+        let fanout = Fanout::new(outs, 0.0);
+        (Seam { fanout, fault, txs }, rxs)
+    }
+
+    impl Seam {
+        /// The pivot's root delivers `pages`, one per step.
+        fn emit(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) {
+            for page in pages {
+                self.fanout.extend(&mut vec![page.clone()]);
+                assert!(self.fanout.flush(ctx).1, "an OS link is never full");
             }
-            Out::Group(link) => link.close(ctx),
+        }
+
+        /// As `produce` ends: the run's ports go (with whatever they
+        /// were gathering), then the pivot's error if it failed, then
+        /// the hang-up.
+        fn finish(self) {
+            drop(self.fanout);
+            if let Some(err) = self.fault.take() {
+                for tx in &self.txs {
+                    let _ = tx.send(Err(err.clone()));
+                }
+            }
+        }
+    }
+
+    /// Reads `inlet` to its end as the port of a consumer's operator:
+    /// the pages it fed, how many reads that took, and the pivot's error
+    /// if one ended it.
+    fn read_all(
+        mut inlet: Inlet,
+        ctx: &mut TaskCtx<'_>,
+    ) -> (Vec<Arc<Page>>, usize, Option<ExecError>) {
+        let (mut fed, mut reads) = (Vec::new(), 0);
+        loop {
+            reads += 1;
+            match inlet.recv(ctx) {
+                Ok(Recv::Value(page)) => fed.push(page),
+                Ok(Recv::Closed) => return (fed, reads, None),
+                Ok(Recv::Empty) => panic!("an OS link blocks instead"),
+                Err(err) => return (fed, reads, Some(err)),
+            }
+        }
+    }
+
+    fn same_pages(got: &[Arc<Page>], want: &[Arc<Page>]) -> bool {
+        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| Arc::ptr_eq(g, w))
+    }
+
+    /// The pages of a link's morsel hand-offs, in the order they came.
+    fn handed_pages(handoffs: Vec<Option<(usize, Vec<Arc<Page>>)>>) -> Vec<Arc<Page>> {
+        handoffs
+            .into_iter()
+            .flatten()
+            .flat_map(|(_, p)| p)
+            .collect()
+    }
+
+    #[test]
+    fn the_seam_hands_off_whole_morsels_and_the_partial_tail() {
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        for n in [
+            0,
+            1,
+            MORSEL - 1,
+            MORSEL,
+            MORSEL + 1,
+            2 * MORSEL - 1,
+            2 * MORSEL,
+        ] {
+            let pages = pivot_pages(n);
+            let (mut seam, mut rxs) = seam(2, MORSEL);
+            seam.emit(&pages, ctx);
+            seam.fanout.close(ctx);
+            seam.finish();
+            // One consumer's raw link: full morsels numbered from 0, then
+            // the tail, never an empty hand-off, then exactly one end.
+            let raw = rxs.remove(0);
+            let mut handoffs: Vec<_> = raw.try_iter().map(|h| h.expect("no fault")).collect();
+            assert!(matches!(handoffs.pop(), Some(None)), "n={n}: the end");
+            let numbered: Vec<_> = handoffs
+                .iter()
+                .map(|h| h.as_ref().map(|(i, p)| (*i, p.len())))
+                .collect();
+            let mut want = vec![MORSEL; n / MORSEL];
+            want.extend((n % MORSEL > 0).then_some(n % MORSEL));
+            let want: Vec<_> = want.into_iter().enumerate().map(Some).collect();
+            assert_eq!(numbered, want, "n={n}");
+            assert!(same_pages(&handed_pages(handoffs), &pages), "n={n}");
+            // The other's port: the same pages (not copies), one per
+            // read, then end-of-stream.
+            let port = Inlet::os(rxs.remove(0), &FaultCell::default());
+            let (fed, reads, fault) = read_all(port, ctx);
+            assert!(same_pages(&fed, &pages), "n={n}");
+            assert_eq!(reads, n + 1, "n={n}");
+            assert!(fault.is_none(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_hung_up_consumer_is_dropped_at_the_next_hand_off() {
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        let pages = pivot_pages(3 * MORSEL);
+        // How many outlets are gathering a page: its strong count less
+        // the test's own.
+        let gathering = |page: &Arc<Page>| Arc::strong_count(page) - 1;
+        let (mut seam, mut rxs) = seam(2, MORSEL);
+        let peer = rxs.remove(1);
+        let failed = FaultCell::default();
+        let mut port = Inlet::os(rxs.remove(0), &failed);
+        seam.emit(&pages[..MORSEL], ctx);
+        // Consumer 0's query fails after the first hand-off, in an
+        // operator other than the one reading the link: its port reads
+        // as closed, the morsel in hand unread, and hangs up. Nothing
+        // tells the fan-out until the next hand-off; from then on the
+        // peer alone is served, exactly.
+        failed.set(ExecError::plan("consumer broke"));
+        assert!(matches!(port.recv(ctx), Ok(Recv::Closed)));
+        seam.emit(&pages[MORSEL..2 * MORSEL - 1], ctx);
+        assert_eq!(gathering(&pages[MORSEL]), 2);
+        seam.emit(&pages[2 * MORSEL - 1..=2 * MORSEL], ctx);
+        assert_eq!(gathering(&pages[2 * MORSEL]), 1, "the peer's outlet only");
+        let got: Vec<_> = peer.try_iter().map(|h| h.expect("no fault")).collect();
+        assert!(same_pages(&handed_pages(got), &pages[..2 * MORSEL]));
+        // The last consumer goes: nothing tells the fan-out until the
+        // next morsel is full, and then it reports that nobody listens,
+        // which the pivot root's shell takes as the end of its output.
+        drop(peer);
+        seam.emit(&pages[2 * MORSEL + 1..3 * MORSEL - 1], ctx);
+        assert!(!seam.fanout.is_unheard());
+        seam.emit(&pages[3 * MORSEL - 1..3 * MORSEL], ctx);
+        assert_eq!(gathering(&pages[3 * MORSEL - 1]), 0);
+        assert!(seam.fanout.is_unheard(), "the pivot is cancelled");
+    }
+
+    #[test]
+    fn a_pivot_fault_discards_the_morsel_in_hand() {
+        let mut detached = DetachedCtx::new();
+        let ctx = &mut detached.ctx(0);
+        let pages = pivot_pages(MORSEL + 2);
+        let (mut seam, mut rxs) = seam(1, MORSEL);
+        let inlet = Inlet::os(rxs.remove(0), &FaultCell::default());
+        // One full hand-off is out and two pages are in hand when the
+        // pivot faults and its root ends the stream, as a failing
+        // operator's shell does.
+        seam.emit(&pages, ctx);
+        let err = ExecError::plan("pivot broke");
+        seam.fault.set(err.clone());
+        seam.fanout.close(ctx);
+        seam.finish();
+        // The consumer was fed the first morsel and nothing of the
+        // second, and its query fails with the pivot's error.
+        let (fed, _, fault) = read_all(inlet, ctx);
+        assert!(same_pages(&fed, &pages[..MORSEL]));
+        assert_eq!(fault, Some(err));
+    }
+
+    /// Model check of the links across threads, in the manner of
+    /// `crates/sim/tests/model_channel.rs`: each producer thread and each
+    /// consumer thread is a step machine, and every merge order of their
+    /// steps must leave each consumer that stayed with either its
+    /// producers' complete page sequence, in index order, then
+    /// end-of-stream — or a producer's error. A truncated stream that
+    /// reads as end-of-stream is the bug this guards against. The
+    /// producers are the sharing seam's pivot feeding two consumers, and
+    /// a morsel group's two workers feeding one merge.
+    mod seam_model {
+        use super::*;
+        use shuttle_lite::explore::{count, interleavings};
+
+        /// Pages per hand-off, and pages a healthy pivot emits: one full
+        /// hand-off, then a partial one that only its close flushes.
+        const MORSEL: usize = 2;
+        const PAGES: usize = 3;
+
+        /// One consumer thread, reading its link through the port of
+        /// the operator above its `Source` leaf. A thread blocked in
+        /// `recv` makes no progress, so a step that would park is
+        /// skipped; to know which steps would, the link ends at `tap`
+        /// and a hand-off crosses to the port's own link (`wire`) only
+        /// at the step that needs it.
+        struct Consumer {
+            tap: mpsc::Receiver<Handoff>,
+            wire: Option<mpsc::SyncSender<Handoff>>,
+            port: Inlet,
+            /// Pages of each morsel crossed so far, by index.
+            crossed: BTreeMap<usize, usize>,
+            /// Producers, and the end hand-offs crossed so far.
+            producers: usize,
+            ends: usize,
+            /// Whether an error has crossed.
+            failed: bool,
+            fed: Vec<Arc<Page>>,
+            fault: Option<ExecError>,
+            done: bool,
+        }
+
+        impl Consumer {
+            fn new(tap: mpsc::Receiver<Handoff>, producers: usize) -> Self {
+                let (wire, rx) = mpsc::sync_channel(16);
+                Consumer {
+                    tap,
+                    wire: Some(wire),
+                    port: Inlet::group(LinkRx::Os(rx), producers, &FaultCell::default()),
+                    crossed: BTreeMap::new(),
+                    producers,
+                    ends: 0,
+                    failed: false,
+                    fed: Vec::new(),
+                    fault: None,
+                    done: false,
+                }
+            }
+
+            /// Whether the port's next read returns without parking,
+            /// judged by the index order the link promises: the morsel
+            /// of the next page has crossed, or an error, or every end
+            /// (or the tap hung up).
+            fn ready(&self) -> bool {
+                let in_order = (0..).map_while(|i| self.crossed.get(&i)).sum::<usize>();
+                self.fed.len() < in_order
+                    || self.failed
+                    || self.ends == self.producers
+                    || self.wire.is_none()
+            }
+
+            fn step(&mut self, ctx: &mut TaskCtx<'_>) {
+                if self.done {
+                    return;
+                }
+                if !self.ready() {
+                    match self.tap.try_recv() {
+                        Ok(handoff) => {
+                            match &handoff {
+                                Ok(Some((index, pages))) => {
+                                    self.crossed.insert(*index, pages.len());
+                                }
+                                Ok(None) => self.ends += 1,
+                                Err(_) => self.failed = true,
+                            }
+                            let wire = self.wire.as_ref().expect("the producers have not hung up");
+                            wire.send(handoff).expect("the port listens");
+                        }
+                        Err(mpsc::TryRecvError::Empty) => return,
+                        Err(mpsc::TryRecvError::Disconnected) => self.wire = None,
+                    }
+                    if !self.ready() {
+                        return;
+                    }
+                }
+                match self.port.recv(ctx) {
+                    Ok(Recv::Value(page)) => self.fed.push(page),
+                    Ok(Recv::Closed) => {
+                        let ended = self.ends == self.producers || self.wire.is_none();
+                        assert!(ended, "end-of-stream before every producer's end");
+                        self.done = true;
+                    }
+                    Ok(Recv::Empty) => panic!("an OS link blocks instead"),
+                    Err(err) => (self.fault, self.done) = (Some(err), true),
+                }
+            }
+        }
+
+        /// The producer thread: `emitted` pages, then the pivot's root
+        /// ends the stream — after it faulted, if `faulty` — then
+        /// `produce`'s tail.
+        struct Producer {
+            seam: Option<Seam>,
+            pages: Vec<Arc<Page>>,
+            emitted: usize,
+            faulty: bool,
+            op: usize,
+        }
+
+        impl Producer {
+            fn step(&mut self, ctx: &mut TaskCtx<'_>) {
+                let Some(seam) = &mut self.seam else {
+                    return;
+                };
+                if self.op < self.emitted {
+                    seam.emit(&self.pages[self.op..=self.op], ctx);
+                } else if self.op == self.emitted {
+                    if self.faulty {
+                        seam.fault.set(ExecError::plan("pivot broke"));
+                    }
+                    seam.fanout.close(ctx);
+                } else {
+                    self.seam.take().expect("checked above").finish();
+                }
+                self.op += 1;
+            }
+        }
+
+        /// Explores every interleaving of one producer (`emitted + 2`
+        /// ops) and two consumers; consumer 0 hangs up at its op
+        /// `hang_up`, if given. Returns how many were explored.
+        fn explore(emitted: usize, faulty: bool, hang_up: Option<usize>) -> usize {
+            let lens = [emitted + 2, 3, 4];
+            let pages = pivot_pages(PAGES);
+            let (explored, exhausted) = interleavings(&lens, usize::MAX, |seq| {
+                let mut detached = DetachedCtx::new();
+                let ctx = &mut detached.ctx(0);
+                let (seam, taps) = seam(2, MORSEL);
+                let mut producer = Producer {
+                    seam: Some(seam),
+                    pages: pages.clone(),
+                    emitted,
+                    faulty,
+                    op: 0,
+                };
+                let mut consumers: Vec<_> = taps
+                    .into_iter()
+                    .map(|tap| Some(Consumer::new(tap, 1)))
+                    .collect();
+                let mut ops = [0usize; 3];
+                for &t in seq {
+                    match t {
+                        0 => producer.step(ctx),
+                        c => {
+                            if c == 1 && hang_up == Some(ops[1]) {
+                                // Its own failure: the thread ends and
+                                // drops its end of the link.
+                                consumers[0] = None;
+                            }
+                            if let Some(consumer) = &mut consumers[c - 1] {
+                                consumer.step(ctx);
+                            }
+                        }
+                    }
+                    ops[t] += 1;
+                }
+                // Nothing is left to race: run each thread to its end.
+                while producer.seam.is_some() {
+                    producer.step(ctx);
+                }
+                for consumer in consumers.iter_mut().flatten() {
+                    while !consumer.done {
+                        consumer.step(ctx);
+                    }
+                    let fed = &consumer.fed;
+                    match &consumer.fault {
+                        Some(err) => assert!(faulty, "seq {seq:?}: {err} from a healthy pivot"),
+                        None => {
+                            assert!(!faulty, "seq {seq:?}: a failed pivot read as end-of-stream");
+                            assert!(
+                                same_pages(fed, &pages[..emitted]),
+                                "seq {seq:?}: truncated or reordered: {} of {emitted} pages",
+                                fed.len()
+                            );
+                        }
+                    }
+                    // Whatever was fed is a prefix of the pivot's output.
+                    assert!(same_pages(fed, &pages[..fed.len()]), "seq {seq:?}");
+                }
+            });
+            assert!(exhausted);
+            assert_eq!(explored, count(&lens));
+            explored
+        }
+
+        /// The acceptance floor per scenario, as in the channel suite.
+        const MIN_INTERLEAVINGS: usize = 1_000;
+
+        #[test]
+        fn flush_on_close_delivers_the_partial_tail_to_everyone() {
+            assert!(explore(PAGES, false, None) >= MIN_INTERLEAVINGS);
+        }
+
+        #[test]
+        fn a_consumer_hang_up_leaves_its_peer_exact() {
+            // Before its first hand-off, between the two, and after both.
+            for at in 0..3 {
+                assert!(explore(PAGES, false, Some(at)) >= MIN_INTERLEAVINGS);
+            }
+        }
+
+        #[test]
+        fn a_pivot_fault_reaches_every_consumer_as_an_error() {
+            // With nothing, a partial morsel, and a just-flushed morsel
+            // in the fan-out's hand; and with a consumer leaving too.
+            for emitted in 0..=PAGES {
+                assert!(explore(emitted, true, None) >= MIN_INTERLEAVINGS);
+            }
+            assert!(explore(PAGES, true, Some(1)) >= MIN_INTERLEAVINGS);
+        }
+
+        /// One worker thread of a morsel group: a worker's shell ends
+        /// each of its morsels, one page each, through its fan-out, then
+        /// its stream — after it faulted, at op `fails`, if given — and
+        /// then its driver's tail (`wiring::run_feeding`).
+        struct Worker {
+            fanout: Option<Fanout>,
+            fault: FaultCell,
+            tx: mpsc::SyncSender<Handoff>,
+            /// Its morsels' indexes, which are also its pages'.
+            morsels: [usize; 2],
+            fails: Option<usize>,
+            op: usize,
+        }
+
+        impl Worker {
+            fn new(
+                tx: &mpsc::SyncSender<Handoff>,
+                morsels: [usize; 2],
+                fails: Option<usize>,
+            ) -> Self {
+                let fault = FaultCell::default();
+                let outlet = Outlet::group(LinkTx::Os(tx.clone()), &fault);
+                Worker {
+                    fanout: Some(Fanout::new(vec![outlet], 0.0)),
+                    fault,
+                    tx: tx.clone(),
+                    morsels,
+                    fails,
+                    op: 0,
+                }
+            }
+
+            fn step(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) {
+                let Some(fanout) = &mut self.fanout else {
+                    return;
+                };
+                if self.fails == Some(self.op) {
+                    self.fault.set(ExecError::plan("worker broke"));
+                }
+                match self.morsels.get(self.op) {
+                    Some(&index) => {
+                        fanout.extend(&mut vec![pages[index].clone()]);
+                        fanout.end_morsel(index);
+                        assert!(fanout.flush(ctx).1, "an OS link is never full");
+                    }
+                    None if self.op == self.morsels.len() => fanout.close(ctx),
+                    None => {
+                        self.fanout = None;
+                        if let Some(err) = self.fault.take() {
+                            let _ = self.tx.send(Err(err));
+                        }
+                    }
+                }
+                self.op += 1;
+            }
+        }
+
+        /// Explores every interleaving of a group's two workers (four
+        /// ops each; worker 0 ends morsels 0 and 2, worker 1 morsels 1
+        /// and 3, and worker 0 faults at its op `fails`, if given) and
+        /// the merge reading their link. Returns how many were explored.
+        fn explore_group(fails: Option<usize>) -> usize {
+            let lens = [4, 4, 4];
+            let pages = pivot_pages(4);
+            let (explored, exhausted) = interleavings(&lens, usize::MAX, |seq| {
+                let mut detached = DetachedCtx::new();
+                let ctx = &mut detached.ctx(0);
+                let (tx, tap) = mpsc::sync_channel(16);
+                let mut workers = [
+                    Worker::new(&tx, [0, 2], fails),
+                    Worker::new(&tx, [1, 3], None),
+                ];
+                drop(tx);
+                let mut merge = Consumer::new(tap, 2);
+                for &t in seq {
+                    match t {
+                        2 => merge.step(ctx),
+                        w => workers[w].step(&pages, ctx),
+                    }
+                }
+                // Nothing is left to race: run each thread to its end.
+                for worker in &mut workers {
+                    while worker.fanout.is_some() {
+                        worker.step(&pages, ctx);
+                    }
+                }
+                while !merge.done {
+                    merge.step(ctx);
+                }
+                let fed = &merge.fed;
+                match (&merge.fault, fails) {
+                    (Some(err), None) => panic!("seq {seq:?}: {err} from healthy workers"),
+                    (None, Some(_)) => panic!("seq {seq:?}: a failed worker read as end-of-stream"),
+                    (None, None) => assert!(
+                        same_pages(fed, &pages),
+                        "seq {seq:?}: truncated or out of index order: {} of 4 pages",
+                        fed.len()
+                    ),
+                    (Some(_), Some(_)) => {}
+                }
+                // Whatever was fed is a prefix of the group's output.
+                assert!(same_pages(fed, &pages[..fed.len()]), "seq {seq:?}");
+            });
+            assert!(exhausted);
+            assert_eq!(explored, count(&lens));
+            explored
+        }
+
+        #[test]
+        fn a_group_link_releases_morsels_in_index_order_after_both_workers_end() {
+            assert!(explore_group(None) >= MIN_INTERLEAVINGS);
+        }
+
+        #[test]
+        fn a_worker_fault_reaches_the_merge_as_an_error() {
+            // Before its first morsel, between its two, and at its close.
+            for at in 0..3 {
+                assert!(explore_group(Some(at)) >= MIN_INTERLEAVINGS);
+            }
         }
     }
 }

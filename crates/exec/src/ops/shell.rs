@@ -921,10 +921,10 @@ mod tests {
     #[test]
     fn an_input_from_another_thread_fails_the_query_with_its_producers_error() {
         // A link from a producer on another thread: one hand-off of two
-        // pages, then the error that ended the producer.
+        // pages, morsel 0, then the error that ended the producer.
         let (link, rx) = std::sync::mpsc::sync_channel(4);
         let broke = ExecError::plan("producer broke");
-        assert!(link.send(Ok(vec![page(1), page(2)])).is_ok());
+        assert!(link.send(Ok(Some((0, vec![page(1), page(2)])))).is_ok());
         assert!(link.send(Err(broke.clone())).is_ok());
         let calls = Rc::new(RefCell::new(Vec::new()));
         let (tx, out) = channel::bounded(8);
@@ -943,7 +943,7 @@ mod tests {
         assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(1));
         assert_eq!(fault.get(), Some(broke));
         assert_eq!(calls.borrow().join(" "), "page0 page0 release");
-        assert!(link.send(Ok(vec![page(3)])).is_err(), "hung up");
+        assert!(link.send(Ok(Some((1, vec![page(3)])))).is_err(), "hung up");
         let ctx = &mut detached.ctx(1);
         let read = [out.try_recv(ctx), out.try_recv(ctx)];
         assert!(matches!(read, [Recv::Value(_), Recv::Value(_)]));
@@ -1139,10 +1139,10 @@ mod tests {
 
     #[test]
     fn a_link_from_another_thread_is_read_through_its_hand_off_only() {
-        // A hand-off of two pages, four calls a step: the step ends when
-        // the hand-off does, without waiting on the link.
+        // A hand-off of two pages, morsel 0, four calls a step: the step
+        // ends when the hand-off does, without waiting on the link.
         let (link, rx) = std::sync::mpsc::sync_channel(4);
-        assert!(link.send(Ok(vec![page(1), page(2)])).is_ok());
+        assert!(link.send(Ok(Some((0, vec![page(1), page(2)])))).is_ok());
         let calls = Rc::new(RefCell::new(Vec::new()));
         let (tx, _out) = channel::bounded(8);
         let fault = FaultCell::default();
@@ -1156,8 +1156,9 @@ mod tests {
             Step::yielded(2 * (10 + 1))
         );
         assert_eq!(calls.borrow().join(" "), "page0 page0");
-        // The next step's first read may wait on the link: it hung up.
-        drop(link);
+        // The next step's first read may wait on the link: it reads the
+        // producer's end hand-off.
+        assert!(link.send(Ok(None)).is_ok());
         assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(3));
         assert_eq!(calls.borrow().join(" "), "page0 page0 close0 drain");
     }

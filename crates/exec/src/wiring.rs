@@ -14,13 +14,14 @@
 //!
 //! `group` is the single definition of what gets parallelised: with
 //! more than one worker configured, each such fragment becomes a morsel
-//! group — worker shells and a merge shell, linked
-//! by the channel layer's group link. [`instantiate_into`] puts the
-//! whole group into the caller's simulator; [`run_local`] — the one
-//! local driver, how real threads run a plan — keeps the serial
-//! operators and each group's merge in one run loop on the calling
-//! thread and builds every worker's shell on an OS thread of its own,
-//! driven as any producer feeding another thread is ([`run_feeding`]).
+//! group — worker shells and a merge shell, linked by one of the
+//! channel layer's links, as the sharing seam's pivot and members are.
+//! [`instantiate_into`] puts the whole group into the caller's
+//! simulator; [`run_local`] — the one local driver, how real threads run
+//! a plan — keeps the serial operators and each group's merge in one run
+//! loop on the calling thread and builds every worker's shell on an OS
+//! thread of its own, driven as any producer feeding another thread is
+//! ([`run_feeding`]).
 //!
 //! A plan's ends are the channel layer's ports ([`Inlet`], [`Outlet`]):
 //! `Source` leaves read inlets and the root delivers to outlets, each
@@ -51,7 +52,7 @@ use crate::error::{ExecError, FaultCell};
 use crate::expr::{Agg, Columns, ScalarExpr};
 use crate::memory::{MemoryConfig, QueryResources, SpillContext};
 use crate::ops::aggregate::{AggCore, Deposit};
-use crate::ops::port::{GroupHandoff, LinkRx, LinkTx};
+use crate::ops::port::{Handoff, LinkRx, LinkTx};
 use crate::ops::shell::{PageWork, Port, PortClosed};
 use crate::ops::{
     AggregateKernel, Carry, Fanout, FilterKernel, HashJoinKernel, Inlet, Kernel, MergeJoinKernel,
@@ -133,7 +134,7 @@ type Built = Vec<(String, Box<dyn Task>)>;
 
 /// Morsel-group workers bound for OS threads, each with its end of its
 /// group's link (see [`run_local`]).
-type ThreadWorkers = Vec<(Box<dyn Kernel + Send>, mpsc::SyncSender<GroupHandoff>)>;
+type ThreadWorkers = Vec<(Box<dyn Kernel + Send>, mpsc::SyncSender<Handoff>)>;
 
 /// Constructs every task of `plan` without spawning any. With
 /// `threads`, morsel groups are linked by OS channels and their
@@ -424,12 +425,12 @@ fn try_wire_parallel(
                 let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel, fault);
                 built.push((format!("{base}:{}[{w}]", group.kind), worker));
             }
-            Inlet::group(LinkRx::GroupSim(rx), k, fault)
+            Inlet::group(LinkRx::Sim(rx), k, fault)
         }
         Some(threads) => {
             let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
             threads.extend(group.workers.into_iter().zip(std::iter::repeat_n(tx, k)));
-            Inlet::group(LinkRx::GroupOs(rx), k, fault)
+            Inlet::group(LinkRx::Os(rx), k, fault)
         }
     };
     let merge = shell(
@@ -986,8 +987,8 @@ pub fn run_local_between(
 /// every link, after everything it handed off, so no consumer mistakes
 /// a truncated stream for end-of-stream. (A consumer that already hung
 /// up has an error of its own.)
-pub fn run_feeding<T, R>(
-    links: &[mpsc::SyncSender<Result<T, ExecError>>],
+pub fn run_feeding<R>(
+    links: &[mpsc::SyncSender<Handoff>],
     run: impl FnOnce() -> Result<R, ExecError>,
 ) {
     if let Err(err) = run() {
@@ -1002,7 +1003,7 @@ pub fn run_feeding<T, R>(
 /// up to `morsel_pages` pages a step, feeding its group's `link`.
 fn run_worker(
     kernel: Box<dyn Kernel + Send>,
-    link: mpsc::SyncSender<GroupHandoff>,
+    link: mpsc::SyncSender<Handoff>,
     morsel_pages: usize,
 ) {
     run_feeding(std::slice::from_ref(&link), || {
@@ -1648,7 +1649,7 @@ mod tests {
     /// `morsel_pages` pages a step.
     fn os_worker(
         kernel: Box<dyn Kernel + Send>,
-        link: &mpsc::SyncSender<GroupHandoff>,
+        link: &mpsc::SyncSender<Handoff>,
         morsel_pages: usize,
     ) -> Box<dyn Task> {
         let fault = FaultCell::default();
@@ -1759,7 +1760,7 @@ mod tests {
         }
         let fault = FaultCell::default();
         let (out, emitted) = channel::bounded(4);
-        let inlet = Inlet::group(LinkRx::GroupOs(rx), 2, &fault);
+        let inlet = Inlet::group(LinkRx::Os(rx), 2, &fault);
         let mut merge = shell(group.merge, vec![inlet], vec![out.into()], 0.0, 1, &fault);
         while merge.step(ctx).status != StepStatus::Done {}
         let cordoba_sim::channel::Recv::Value(page) = emitted.try_recv(ctx) else {
@@ -1850,7 +1851,7 @@ mod tests {
                 shell(kernel, vec![], vec![outlet], 0.0, morsel, &res.fault),
             );
         }
-        let mut sources = VecDeque::from([Inlet::group(LinkRx::GroupSim(rx), 3, &res.fault)]);
+        let mut sources = VecDeque::from([Inlet::group(LinkRx::Sim(rx), 3, &res.fault)]);
         let (out, collected) = channel::bounded(4);
         instantiate_into(
             &mut sim,
@@ -1876,7 +1877,7 @@ mod tests {
             for (kernel, link) in workers().into_iter().zip(std::iter::repeat_n(link, 3)) {
                 scope.spawn(move || run_worker(kernel, link, morsel));
             }
-            let sources = vec![Inlet::group(LinkRx::GroupOs(rx), 3, &res.fault)];
+            let sources = vec![Inlet::group(LinkRx::Os(rx), 3, &res.fault)];
             let got = run_local_between(&cat, &sort, sources, vec![], &cfg, &res);
             assert_eq!(got.map(|pages| pages.len()), Err(broke), "threads");
         });

@@ -154,7 +154,7 @@ impl Page {
     }
 
     /// Gathers an `Int` column into `out` (cleared first): one schema
-    /// lookup and one bounds proof per page, unchecked per-row loads.
+    /// lookup per page, one fixed-width read per row.
     ///
     /// # Panics
     ///
@@ -187,27 +187,9 @@ impl Page {
     /// first), asserting the field is a `T::DTYPE`.
     fn gather<T: NumCell<N>, const N: usize>(&self, col: usize, out: &mut Vec<T>) {
         let (off, w) = self.field(col, T::DTYPE);
-        // The bounds proof for the unchecked reads: the cell ends inside
-        // its row (off + N <= w) and every row lies inside the payload
-        // (rows * w <= data.len()), so for each r < rows the read spans
-        // r*w + off .. r*w + off + N <= (r+1)*w <= rows*w <= data.len().
-        assert!(off + N <= w && self.rows * w <= self.data.len());
         out.clear();
-        out.reserve(self.rows);
-        for r in 0..self.rows {
-            debug_assert!(
-                r * w + off + N <= self.data.len(),
-                "gather row out of bounds"
-            );
-            // SAFETY: in bounds by the proof above (re-checked per row by
-            // the debug_assert! in debug and Miri builds); read_unaligned
-            // has no alignment requirement and a byte array has no
-            // invalid bit patterns.
-            let cell = unsafe {
-                std::ptr::read_unaligned(self.data.as_ptr().add(r * w + off).cast::<[u8; N]>())
-            };
-            out.push(T::from_cell(cell));
-        }
+        let rows = self.data[..self.rows * w].chunks_exact(w);
+        out.extend(rows.map(|row| T::from_cell(read_cell::<N>(row, off))));
     }
 
     /// A reader of column `col`'s cells by row, each a checked read of
