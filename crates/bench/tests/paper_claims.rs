@@ -9,7 +9,7 @@ use cordoba_bench::engine_cfg;
 use cordoba_bench::experiments::{
     policy_comparison, profile_all, query_work, sharing_speedup, ExpConfig, PolicyPoint,
 };
-use cordoba_engine::{ClosedLoop, Policy, QuerySpec};
+use cordoba_engine::{Policy, QuerySpec, Run, Source, Stop};
 use cordoba_storage::Catalog;
 use cordoba_workload::{q1, q4, q6};
 
@@ -139,12 +139,18 @@ fn shared_utilization_is_capped_while_unshared_scales() {
     let cfg = ExpConfig::quick();
     let catalog = cfg.catalog();
     let clients = vec![q6(&cfg.costs); 16];
-    let mut shared = ClosedLoop::new(&catalog, &clients, &engine_cfg(32, Policy::AlwaysShare));
-    shared.run_until_completions(64, 8_000_000_000);
-    let mut unshared = ClosedLoop::new(&catalog, &clients, &engine_cfg(32, Policy::NeverShare));
-    unshared.run_until_completions(64, 8_000_000_000);
-    let busy_shared = shared.stats().mean_busy_contexts();
-    let busy_unshared = unshared.stats().mean_busy_contexts();
+    // Mean busy contexts of the closed system at 64 completions.
+    let busy = |policy| {
+        let source = Source::Closed(&clients);
+        let mut run = Run::new(&catalog, &engine_cfg(32, policy), source, usize::MAX, false);
+        run.advance(Stop::Completions {
+            target: 64,
+            time_cap: 8_000_000_000,
+        });
+        run.report().stats.mean_busy_contexts()
+    };
+    let busy_shared = busy(Policy::AlwaysShare);
+    let busy_unshared = busy(Policy::NeverShare);
     assert!(
         busy_shared < 6.0,
         "shared Q6 should use only a few contexts, got {busy_shared:.1}"

@@ -31,15 +31,16 @@
 //!   whose dispatched groups run through the wiring's local driver;
 //!   wall-clock, host-bound, rows bit-identical to [`run_once`]'s). A
 //!   [`Run`] is parameterised by arrival source, admission bound,
-//!   capture and stop condition: [`run_once`] (a batch),
-//!   [`ClosedLoop`]/[`measure_throughput`] (every completion is
-//!   resubmitted — the Little's Law regime of Section 1.2) and
-//!   [`run_service`] (the open system of Section 5.1: arrivals pass a
-//!   bounded admission queue with typed rejection when full, the
-//!   sharing policy acts as a per-arrival merge controller) are
-//!   configurations of it. Every offered query gets an explicit
-//!   disposition (completed / failed / rejected / in flight), so
-//!   tail-latency accounting always balances.
+//!   capture and stop condition: [`run_once`] (a batch), a [`Run`]
+//!   over [`Source::Closed`] advanced by [`Stop::Completions`], as
+//!   [`measure_throughput`] does (every completion is resubmitted — the
+//!   Little's Law regime of Section 1.2), and [`run_service`] (the open
+//!   system of Section 5.1: arrivals pass a bounded admission queue
+//!   with typed rejection when full, the sharing policy acts as a
+//!   per-arrival merge controller) are configurations of it. The run
+//!   keeps one record per offered query, so its report gives every
+//!   offered query exactly one [`Disposition`] (completed / failed /
+//!   rejected / in flight) and tail-latency accounting always balances.
 //! * [`profiling`] — the paper's Section 3.1 parameter estimation:
 //!   profile a query with and without sharing, solve for each
 //!   operator's `p` and the pivot's `(w, s)`, and emit a
@@ -69,6 +70,6 @@ pub use policy::{OverlapInfo, Policy, QueryModelInfo};
 pub use query::QuerySpec;
 pub use run::{
     measure_throughput, run_once, run_once_on_threads, run_open_loop_collecting, run_service,
-    ArrivalSchedule, ClosedLoop, Disposition, EngineConfig, OnceOutcome, Report, Run,
-    ServiceConfig, ServiceReport, SharingCounters, Source, Stop, Throughput,
+    ArrivalSchedule, Disposition, EngineConfig, OnceOutcome, Report, Run, ServiceConfig,
+    ServiceReport, SharingCounters, Source, Stop, Throughput,
 };

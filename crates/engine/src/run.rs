@@ -21,8 +21,13 @@
 //! * whether result rows and per-task statistics are captured,
 //! * the [`Stop`] condition of each [`Run::advance`] call.
 //!
-//! Every offered query ends in exactly one [`Disposition`], so the books
-//! of every [`Report`] balance:
+//! The run keeps one book: a record per offered query, indexed by its
+//! offered position, holding when it was offered, its [`Disposition`]
+//! and, when the run captures, its result pages. A query is offered in
+//! flight or rejected, and an in-flight query ends once — completed or
+//! failed — so every offered query has exactly one disposition. The
+//! report reads the book, and counts completions from a second record
+//! kept in completion order, so its books balance from two sources:
 //!
 //! ```text
 //! offered == completed + failures + rejected + in_flight
@@ -178,7 +183,9 @@ pub enum Source<'a> {
     /// All submitted at t = 0, each run once.
     Batch(&'a [QuerySpec]),
     /// A closed system (paper Section 1.2): one client per entry, all
-    /// submitted at t = 0, each resubmitted on every completion.
+    /// submitted at t = 0, each resubmitted on every completion. Advance
+    /// it by [`Stop::Completions`] for adaptive measurements
+    /// ([`measure_throughput`]).
     Closed(&'a [QuerySpec]),
     /// An open system (paper Section 5.1): queries arrive per schedule,
     /// independent of completions.
@@ -270,29 +277,6 @@ impl Task for Arrivals {
     }
 }
 
-/// Disposition of every offered query, by offered position — the one
-/// walk over the engine's completion, failure and rejection records.
-/// Every arrival takes the next submission id, admitted or not, so
-/// positions are submission ids; scheduled arrivals a time cap cut off
-/// follow them, in flight.
-fn dispositions_of(core: &EngineCore) -> Vec<Disposition> {
-    let offered = core.next_submission + core.external_arrivals_pending;
-    let mut dispositions = vec![Disposition::InFlight; offered];
-    for &(submission, done) in &core.completion_records {
-        dispositions[submission] = Disposition::Completed {
-            at: done,
-            response: done.saturating_sub(core.arrival_times[submission]),
-        };
-    }
-    for (submission, err) in &core.failures {
-        dispositions[*submission] = Disposition::Failed(err.clone());
-    }
-    for &submission in &core.rejections {
-        dispositions[submission] = Disposition::Rejected;
-    }
-    dispositions
-}
-
 /// One steppable engine run: build it, [`advance`]
 /// it (once, or repeatedly for adaptive measurements), read its
 /// [`report`].
@@ -340,16 +324,13 @@ impl Run {
             arrivals: VecDeque::new(),
             pending: Vec::new(),
             dispatcher: None,
-            failures: Vec::new(),
-            rejections: Vec::new(),
-            arrival_times: Vec::new(),
+            queries: Vec::new(),
             completion_records: Vec::new(),
             group_sizes: Vec::new(),
-            next_submission: 0,
             external_arrivals_pending: schedule.as_ref().map_or(0, Vec::len),
             live_queries: 0,
             group_seq: 0,
-            collect: capture.then(Vec::new),
+            capture,
             fragment_cache: (cfg.fragment_cache > 0)
                 .then(|| crate::fragment_cache::FragmentCache::new(cfg.fragment_cache)),
             subsume_joins: 0,
@@ -391,11 +372,6 @@ impl Run {
         self.core.borrow().completion_records.len()
     }
 
-    /// Machine statistics so far.
-    pub fn stats(&self) -> SimStats {
-        self.sim.stats()
-    }
-
     /// Runs until `stop` (or until the simulator has nothing left to
     /// run) and returns why the simulator stopped. This is the one stop
     /// rule: on [`StopReason::Deadlock`] — live tasks none of which can
@@ -435,11 +411,10 @@ impl Run {
                 reason: "deadlock",
                 live_tasks: outcome.live_tasks,
             };
-            // Arrivals only: a deadlocked simulator has no arrival left
-            // to deliver, but a not-yet-offered query is never failed.
-            let arrived = core.next_submission;
-            for (submission, disposition) in dispositions_of(&core)[..arrived].iter().enumerate() {
-                if *disposition == Disposition::InFlight {
+            // Offered queries only: a scheduled arrival the deadlock cut
+            // off was never offered, so it stays in flight.
+            for submission in 0..core.queries.len() {
+                if matches!(core.queries[submission].disposition, Disposition::InFlight) {
                     core.finish(submission, Err(stalled.clone()));
                 }
             }
@@ -455,37 +430,51 @@ impl Run {
     /// must be completed, failed, rejected, or in flight.
     pub fn report(&self) -> Report {
         let core = self.core.borrow();
-        let dispositions = dispositions_of(&core);
+        // Scheduled arrivals a time cap cut off follow the offered
+        // queries, in flight.
+        let cut_off = std::iter::repeat_n(Disposition::InFlight, core.external_arrivals_pending);
+        let dispositions: Vec<Disposition> = core
+            .queries
+            .iter()
+            .map(|query| query.disposition.clone())
+            .chain(cut_off)
+            .collect();
         let count = |want: &Disposition| dispositions.iter().filter(|d| *d == want).count();
-        let failures: Vec<(usize, ExecError)> = dispositions
+        let failures: Vec<(usize, ExecError)> = core
+            .queries
             .iter()
             .enumerate()
-            .filter_map(|(position, d)| match d {
+            .filter_map(|(position, query)| match &query.disposition {
                 Disposition::Failed(err) => Some((position, err.clone())),
                 _ => None,
             })
             .collect();
-        let (results, task_stats) = match &core.collect {
-            Some(buffers) => (
-                buffers.iter().map(|b| page_rows(&b.borrow())).collect(),
-                self.sim
-                    .all_task_stats()
-                    .map(|(_, name, stats)| (name.to_string(), *stats))
-                    .collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
+        let results = core
+            .queries
+            .iter()
+            .filter_map(|query| query.rows.as_ref())
+            .map(|rows| page_rows(&rows.borrow()))
+            .collect();
+        let task_stats = if core.capture {
+            let stats = self.sim.all_task_stats();
+            stats
+                .map(|(_, name, stats)| (name.to_string(), *stats))
+                .collect()
+        } else {
+            Vec::new()
         };
+        let rejected = count(&Disposition::Rejected);
         let report = Report {
             offered: dispositions.len(),
-            submitted: core.next_submission - core.rejections.len(),
+            submitted: core.queries.len() - rejected,
             completed: core.completion_records.len(),
-            rejected: count(&Disposition::Rejected),
+            rejected,
             in_flight: count(&Disposition::InFlight),
             makespan: self.sim.now(),
             response_times: core
                 .completion_records
                 .iter()
-                .map(|&(submission, done)| done.saturating_sub(core.arrival_times[submission]))
+                .map(|&(submission, done)| done.saturating_sub(core.queries[submission].at))
                 .collect(),
             dispositions,
             failures,
@@ -675,35 +664,6 @@ pub fn run_open_loop_collecting(
     (report, rows)
 }
 
-/// A closed system (clients submitted, dispatcher spawned, nothing run
-/// yet) for adaptive measurements: a [`Run`] over [`Source::Closed`],
-/// whose accessors it exposes.
-pub struct ClosedLoop(Run);
-
-impl ClosedLoop {
-    /// Builds the closed system without running it. Each entry of
-    /// `clients` is one client's query.
-    pub fn new(catalog: &Catalog, clients: &[QuerySpec], cfg: &EngineConfig) -> Self {
-        let source = Source::Closed(clients);
-        Self(Run::new(catalog, cfg, source, usize::MAX, false))
-    }
-
-    /// Runs until at least `target` total completions or the virtual
-    /// `time_cap`; returns whether the target was reached.
-    pub fn run_until_completions(&mut self, target: usize, time_cap: VTime) -> bool {
-        self.0.advance(Stop::Completions { target, time_cap });
-        self.0.completions() >= target
-    }
-}
-
-impl std::ops::Deref for ClosedLoop {
-    type Target = Run;
-
-    fn deref(&self) -> &Run {
-        &self.0
-    }
-}
-
 /// Measured steady-state throughput of a closed system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
@@ -727,13 +687,14 @@ pub fn measure_throughput(
     measure_target: usize,
     time_cap: VTime,
 ) -> Throughput {
-    let mut cl = ClosedLoop::new(catalog, clients, cfg);
-    cl.run_until_completions(clients.len(), time_cap);
-    let t0 = cl.now();
-    let c0 = cl.completions();
-    cl.run_until_completions(c0 + measure_target, time_cap.saturating_mul(4));
-    let window = cl.now().saturating_sub(t0);
-    let completions = cl.completions() - c0;
+    let mut run = Run::new(catalog, cfg, Source::Closed(clients), usize::MAX, false);
+    let target = clients.len();
+    run.advance(Stop::Completions { target, time_cap });
+    let (t0, c0) = (run.now(), run.completions());
+    let (target, time_cap) = (c0 + measure_target, time_cap.saturating_mul(4));
+    run.advance(Stop::Completions { target, time_cap });
+    let window = run.now().saturating_sub(t0);
+    let completions = run.completions() - c0;
     Throughput {
         per_time: if window == 0 {
             0.0
@@ -746,7 +707,7 @@ pub fn measure_throughput(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
     use cordoba_exec::{reference, PhysicalPlan};
@@ -1106,6 +1067,7 @@ mod tests {
     /// queries.
     #[test]
     fn threads_and_the_simulator_agree_on_rows_groups_and_failures() {
+        use threads::bits;
         let cat = catalog();
         let u = PhysicalPlan::Scan {
             table: "u".into(),
@@ -1151,13 +1113,6 @@ mod tests {
             ill,
             chaos(f),
         ];
-        let bits = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
-            let bit = |v: &Value| match v {
-                Value::Float(x) => Value::Int(x.to_bits() as i64),
-                other => other.clone(),
-            };
-            rows.iter().map(|r| r.iter().map(bit).collect()).collect()
-        };
         let failed = |r: &Report| -> Vec<_> {
             let failures = r.failures.iter();
             failures
@@ -1199,11 +1154,15 @@ mod tests {
 
     /// A closed system of `clients` advanced to the virtual `horizon`.
     fn closed_loop_report(cfg: &EngineConfig, clients: usize, horizon: VTime) -> Report {
-        let cat = catalog();
-        let mut cl = ClosedLoop::new(&cat, &vec![query(); clients], cfg);
-        assert!(!cl.run_until_completions(usize::MAX, horizon));
-        assert_eq!(cl.now(), horizon);
-        cl.report()
+        let (cat, clients) = (catalog(), vec![query(); clients]);
+        let mut run = Run::new(&cat, cfg, Source::Closed(&clients), usize::MAX, false);
+        let stop = Stop::Completions {
+            target: usize::MAX,
+            time_cap: horizon,
+        };
+        assert_eq!(run.advance(stop), StopReason::TimeLimit);
+        assert_eq!(run.now(), horizon);
+        run.report()
     }
 
     #[test]
@@ -1272,10 +1231,30 @@ mod tests {
                 cost: OpCost::default(),
             },
         );
-        let mut cl = ClosedLoop::new(&cat, &[bad], &EngineConfig::default());
-        assert!(!cl.run_until_completions(1, 1_000_000));
-        let report = cl.report();
-        assert_eq!((report.offered, report.failures.len()), (1, 1));
+        let clients = [bad];
+        let source = Source::Closed(&clients);
+        let mut run = Run::new(&cat, &EngineConfig::default(), source, usize::MAX, false);
+        let stop = Stop::Completions {
+            target: 1,
+            time_cap: 1_000_000,
+        };
+        assert_eq!(run.advance(stop), StopReason::Deadlock);
+        let report = run.report();
+        assert_eq!((report.offered, report.completed), (1, 0));
+        assert_eq!(report.failures.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "query 0 ended but was not in flight")]
+    fn finishing_a_query_twice_panics() {
+        // One record per query: a second finish would overwrite the
+        // first, so it is refused at the call.
+        let (cat, specs) = (catalog(), [query()]);
+        let source = Source::Batch(&specs);
+        let run = Run::new(&cat, &EngineConfig::default(), source, usize::MAX, false);
+        let mut core = run.core.borrow_mut();
+        core.finish(0, Ok(1_000));
+        core.finish(0, Ok(2_000));
     }
 
     fn service(engine: EngineConfig, time_cap: Option<VTime>) -> ServiceConfig {
@@ -1376,6 +1355,269 @@ mod tests {
                 ),
                 "{d:?}"
             );
+        }
+    }
+
+    /// The dispatcher's groups on OS threads against the serial engine:
+    /// rows by float bits, pivot and member faults, and a group none of
+    /// whose members is left. Its fixtures serve `thread_exec`'s tests too.
+    pub(crate) mod threads {
+        use crate::thread_exec::run_shared;
+        use crate::{run_once, run_once_on_threads, EngineConfig, Policy, QuerySpec, Report};
+        use cordoba_exec::expr::{Agg, CmpOp, Predicate, ScalarExpr};
+        use cordoba_exec::{ExecError, JoinKind, OpCost, ParallelConfig, PhysicalPlan};
+        use cordoba_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
+        use std::sync::Arc;
+
+        type Rows = Vec<Vec<Value>>;
+
+        fn kv_schema() -> Arc<Schema> {
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("v", DataType::Float),
+            ])
+        }
+
+        /// `t` is sorted on `k` and its `v` sums exactly in any order (the
+        /// morsel-parallel tests need that); `u` goes unsorted after 1500
+        /// rows (a merge join over it faults mid-stream, with result pages
+        /// already out) and its `v` sums are order-sensitive in the last
+        /// bits.
+        pub(crate) fn catalog() -> Catalog {
+            let mut t = TableBuilder::new("t", kv_schema());
+            let mut u = TableBuilder::new("u", kv_schema());
+            for i in 0..2000 {
+                t.push_row(&[Value::Int(i), Value::Float((i % 13) as f64)]);
+                let k = if i < 1500 { i } else { i % 97 };
+                u.push_row(&[Value::Int(k), Value::Float((i % 13) as f64 * 0.1)]);
+            }
+            let mut c = Catalog::new();
+            c.register(t.finish());
+            c.register(u.finish());
+            c
+        }
+
+        fn scan(table: &str) -> PhysicalPlan {
+            PhysicalPlan::Scan {
+                table: table.into(),
+                cost: OpCost::default(),
+            }
+        }
+
+        pub(crate) fn sum_v(input: PhysicalPlan) -> PhysicalPlan {
+            PhysicalPlan::Aggregate {
+                input: Box::new(input),
+                group_by: vec![],
+                aggs: vec![("s".into(), Agg::Sum(ScalarExpr::col(1)))],
+                cost: OpCost::default(),
+            }
+        }
+
+        fn below(input: PhysicalPlan, k: i64) -> PhysicalPlan {
+            PhysicalPlan::Filter {
+                input: Box::new(input),
+                predicate: Predicate::col_cmp(0, CmpOp::Lt, k),
+                cost: OpCost::default(),
+            }
+        }
+
+        /// sum(v) over the low keys of `table`, shareable at the scan.
+        fn scan_query(table: &str, k: i64) -> QuerySpec {
+            QuerySpec::shared_at("sq", sum_v(below(scan(table), k)), scan(table))
+        }
+
+        pub(crate) fn query() -> QuerySpec {
+            scan_query("t", 1000)
+        }
+
+        /// sum(v) over a semi join, shareable at the join.
+        fn join_query() -> QuerySpec {
+            let join = PhysicalPlan::HashJoin {
+                build: Box::new(below(scan("t"), 40)),
+                probe: Box::new(scan("u")),
+                build_key: 0,
+                probe_key: 0,
+                kind: JoinKind::Semi,
+                build_cost: OpCost::default(),
+                probe_cost: OpCost::default(),
+            };
+            QuerySpec::shared_at("jq", sum_v(join.clone()), join)
+        }
+
+        pub(crate) fn merge_join(left: &str, right: &str) -> PhysicalPlan {
+            PhysicalPlan::MergeJoin {
+                left: Box::new(scan(left)),
+                right: Box::new(scan(right)),
+                left_key: 0,
+                right_key: 0,
+                cost: OpCost::default(),
+            }
+        }
+
+        /// Rows with floats replaced by their bit patterns: equality on
+        /// these is bit-for-bit, which `Value`'s `==` is not (`-0.0`, NaN).
+        pub(crate) fn bits(rows: &Rows) -> Rows {
+            let bit = |v: &Value| match v {
+                Value::Float(f) => Value::Int(f.to_bits() as i64),
+                other => other.clone(),
+            };
+            rows.iter().map(|r| r.iter().map(bit).collect()).collect()
+        }
+
+        /// The serial simulated engine's rows for `spec`: the denominator
+        /// every threaded mode must reproduce exactly.
+        fn serial_rows(cat: &Catalog, spec: &QuerySpec) -> Rows {
+            let mut out = run_once(cat, std::slice::from_ref(spec), &EngineConfig::default());
+            assert!(out.failures.is_empty(), "{:?}", out.failures);
+            out.results.remove(0)
+        }
+
+        /// `specs` run once on two threads under `policy`, sharing in one
+        /// group. Each query's broker is checked empty as its run returns
+        /// (debug builds).
+        fn on_threads(cat: &Catalog, specs: &[QuerySpec], policy: Policy) -> Report {
+            let cfg = EngineConfig {
+                contexts: 2,
+                policy,
+                max_group: specs.len().max(1),
+                ..EngineConfig::default()
+            };
+            run_once_on_threads(cat, specs, &cfg)
+        }
+
+        /// A catalog whose `t` holds `rows` rows (256 to the page) with
+        /// order-sensitive `v` sums.
+        fn sized_catalog(rows: i64) -> Catalog {
+            let mut t = TableBuilder::new("t", kv_schema());
+            for i in 0..rows {
+                t.push_row(&[Value::Int(i), Value::Float((i % 13) as f64 * 0.1)]);
+            }
+            let mut c = Catalog::new();
+            c.register(t.finish());
+            c
+        }
+
+        /// `m` copies of `spec`, unshared on two threads and shared in one
+        /// group, reproduce the serial engine's rows at each `m`.
+        fn assert_bit_identical(cat: &Catalog, spec: &QuerySpec, ms: &[usize]) {
+            let want = bits(&serial_rows(cat, spec));
+            for &m in ms {
+                for (policy, groups) in [(Policy::NeverShare, m), (Policy::AlwaysShare, m.min(1))] {
+                    let report = on_threads(cat, &vec![spec.clone(); m], policy);
+                    assert!(report.failures.is_empty(), "{:?}", report.failures);
+                    assert_eq!(
+                        (report.results.len(), report.group_sizes.len()),
+                        (m, groups)
+                    );
+                    for rows in &report.results {
+                        assert_eq!(bits(rows), want, "{} m={m}", spec.name);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn threads_reproduce_the_serial_engine_bit_for_bit() {
+            let cat = catalog();
+            let q = scan_query("u", 50);
+            let whole = QuerySpec::shared_at("whole", q.plan.clone(), q.plan.clone());
+            for spec in [q, join_query(), whole] {
+                assert_bit_identical(&cat, &spec, &[1, 2, 4]);
+            }
+            // A scan pivot of every length the hand-off can meet: empty, one
+            // page, and 0, 1 and `morsel_pages - 1` pages beyond a full
+            // morsel.
+            let mp = ParallelConfig::default().morsel_pages;
+            for pages in [0, 1, mp - 1, mp, mp + 1, 2 * mp - 1, 2 * mp] {
+                let cat = sized_catalog(256 * pages as i64 - pages.min(1) as i64);
+                assert_eq!(cat.expect("t").pages().len(), pages);
+                assert_bit_identical(&cat, &scan_query("t", 1 << 20), &[1, 3]);
+            }
+        }
+
+        #[test]
+        fn pivot_fault_fails_every_consumer() {
+            // The pivot merge-joins `u`, which goes unsorted after 1500
+            // rows: it faults with join pages already delivered. No consumer
+            // may return the rows it computed from the truncated stream.
+            let cat = catalog();
+            let pivot = merge_join("u", "t");
+            let spec = QuerySpec::shared_at("bad", sum_v(pivot.clone()), pivot);
+            let report = on_threads(&cat, &vec![spec.clone(); 3], Policy::AlwaysShare);
+            assert_eq!(
+                (report.group_sizes.as_slice(), report.failures.len()),
+                (&[3][..], 3)
+            );
+            for (_, r) in &report.failures {
+                assert!(
+                    matches!(r, ExecError::UnsortedMergeInput { side: "left", .. }),
+                    "{r:?}"
+                );
+            }
+            // Unshared, the same plan fails the same way, per query.
+            let report = on_threads(&cat, &[spec.clone(), spec], Policy::NeverShare);
+            assert_eq!(report.failures.len(), 2);
+            for (_, r) in &report.failures {
+                assert!(matches!(r, ExecError::UnsortedMergeInput { .. }), "{r:?}");
+            }
+        }
+
+        #[test]
+        fn consumer_fault_leaves_its_peers_exact() {
+            let cat = catalog();
+            let pivot = scan("u");
+            let member = |plan| QuerySpec {
+                name: "m".into(),
+                plan,
+                pivot: Some(pivot.clone()),
+                chaos: None,
+            };
+            let good = sum_v(pivot.clone());
+            // Faults at run time, above the pivot: its left input (the
+            // shared scan of `u`) is unsorted.
+            let faulty = merge_join("u", "t");
+            // Never starts: the pivot does not occur in it, so its split
+            // fails at dispatch and the pivot feeds its peers alone.
+            let foreign = scan("t");
+            let specs = [good.clone(), faulty, foreign, good.clone()].map(member);
+            let report = on_threads(&cat, &specs, Policy::AlwaysShare);
+            assert_eq!(report.group_sizes, [4]);
+            let want = bits(&serial_rows(&cat, &QuerySpec::unshared("good", good)));
+            assert_eq!(bits(&report.results[0]), want);
+            assert_eq!(bits(&report.results[3]), want);
+            let [(1, ref faulty), (2, ref foreign)] = report.failures[..] else {
+                panic!("{:?}", report.failures);
+            };
+            assert!(
+                matches!(faulty, ExecError::UnsortedMergeInput { side: "left", .. }),
+                "{faulty:?}"
+            );
+            assert!(matches!(foreign, ExecError::PlanType(_)), "{foreign:?}");
+        }
+
+        #[test]
+        fn no_consumer_means_the_pivot_does_not_run() {
+            // Both members lack the join pivot, so both fail at dispatch.
+            // Their group is not handed over, so its pivot never runs: the
+            // runner asserts (debug builds) that every group it is handed
+            // has a member, and `run::tests` checks nothing was handed over.
+            let (cat, spec) = (catalog(), join_query());
+            let stray = QuerySpec {
+                plan: scan("t"),
+                ..spec.clone()
+            };
+            let report = on_threads(&cat, &[stray.clone(), stray], Policy::AlwaysShare);
+            assert_eq!(
+                (report.group_sizes.as_slice(), report.completed),
+                (&[2][..], 0)
+            );
+            for (_, err) in &report.failures {
+                assert!(
+                    err.to_string().contains("pivot sub-plan not found"),
+                    "{err}"
+                );
+            }
+            assert!(run_shared(&cat, &spec, 0).results.is_empty());
         }
     }
 }

@@ -30,6 +30,7 @@
 //! threads captures its pages, so it is never served.
 
 use super::threads::Group;
+use super::Disposition;
 use crate::fragment_cache::CachedFragment;
 use crate::policy::{OverlapInfo, Policy};
 use crate::query::QuerySpec;
@@ -78,10 +79,9 @@ impl Arrival {
 
 /// A forming (not yet dispatched) sharing group.
 pub(crate) struct PendingGroup {
-    /// The group's (possibly widened) pivot.
-    pivot: Option<PhysicalPlan>,
-    /// Fingerprint of `pivot`'s filter-peeled base (bucket key).
-    fingerprint: Option<u64>,
+    /// The group's (possibly widened) pivot and the fingerprint of its
+    /// filter-peeled base (the bucket key).
+    pivot: Option<(PhysicalPlan, u64)>,
     /// When set, the pivot's output replays from these cached pages
     /// instead of executing the pivot.
     cached: Option<CachedFragment>,
@@ -105,8 +105,17 @@ fn root_out_per_tuple(plan: &PhysicalPlan) -> f64 {
     }
 }
 
-/// Per-submission result buffers (run-once collection mode).
-type CollectBuffers = Vec<Rc<RefCell<Vec<Arc<Page>>>>>;
+/// One offered query's record, by submission id: the run's one book
+/// of what it was offered and what became of each query.
+pub(crate) struct Offered {
+    /// When the query was offered (0 for a batch).
+    pub(crate) at: VTime,
+    /// What became of it: [`Disposition::Rejected`] from the offer on,
+    /// or [`Disposition::InFlight`] until [`EngineCore::finish`].
+    pub(crate) disposition: Disposition,
+    /// Its result pages, filled by its sink — only when the run captures.
+    pub(crate) rows: Option<Rc<RefCell<Vec<Arc<Page>>>>>,
+}
 
 /// Shared mutable engine state (single-threaded simulator world).
 pub(crate) struct EngineCore {
@@ -121,22 +130,14 @@ pub(crate) struct EngineCore {
     pub(crate) arrivals: VecDeque<Arrival>,
     pub(crate) pending: Vec<PendingGroup>,
     pub(crate) dispatcher: Option<TaskId>,
-    /// `(submission id, error)` per failed query: plans rejected at
-    /// instantiation and runtime faults (e.g. unsorted merge inputs,
-    /// spill I/O errors, exhausted memory budgets). Failed queries
-    /// never appear in `completion_records` and are not resubmitted.
-    pub(crate) failures: Vec<(usize, ExecError)>,
-    /// Submission ids refused at admission (bounded admission queue
-    /// full): they hold a position in every per-submission table but
-    /// never entered `arrivals`.
-    pub(crate) rejections: Vec<usize>,
-    /// Submission time by submission id (0 for pre-run submissions).
-    pub(crate) arrival_times: Vec<VTime>,
-    /// `(submission id, completion time)` pairs, for response times.
+    /// Every offered query, indexed by submission id — its offered
+    /// position, admitted or not.
+    pub(crate) queries: Vec<Offered>,
+    /// `(submission id, completion time)` in completion order, for
+    /// response times.
     pub(crate) completion_records: Vec<(usize, VTime)>,
     /// Sizes of dispatched groups (sharing diagnostics).
     pub(crate) group_sizes: Vec<usize>,
-    pub(crate) next_submission: usize,
     /// Arrivals scheduled by an open-system driver but not yet
     /// submitted; keeps the dispatcher alive while the schedule drains.
     pub(crate) external_arrivals_pending: usize,
@@ -145,8 +146,8 @@ pub(crate) struct EngineCore {
     /// effective-processor estimate handed to the policy.
     pub(crate) live_queries: usize,
     pub(crate) group_seq: u64,
-    /// Result collection buffers by submission id (run-once mode).
-    pub(crate) collect: Option<CollectBuffers>,
+    /// Whether each query's result pages are kept ([`Offered::rows`]).
+    pub(crate) capture: bool,
     /// Cache of completed shared-fragment outputs (`None` = disabled).
     pub(crate) fragment_cache: Option<crate::fragment_cache::FragmentCache>,
     /// Arrivals that joined a group under a structurally *different*
@@ -160,36 +161,46 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// Offers a query at `now`. Every offered query takes the next
-    /// submission id — so ids are offered positions — but only an
-    /// admitted one (`admit`) enters the arrival queue; a refused one is
-    /// recorded in `rejections` and never runs.
+    /// Offers a query at `now`: it takes the next submission id, so ids
+    /// are offered positions. Only an admitted one (`admit`) enters the
+    /// arrival queue, in flight; a refused one is recorded as rejected
+    /// and never runs.
     pub(crate) fn offer(&mut self, spec: QuerySpec, now: VTime, admit: bool) {
-        let submission = self.next_submission;
-        self.next_submission += 1;
-        if let Some(collect) = &mut self.collect {
-            debug_assert_eq!(collect.len(), submission);
-            collect.push(Rc::new(RefCell::new(Vec::new())));
-        }
-        debug_assert_eq!(self.arrival_times.len(), submission);
-        self.arrival_times.push(now);
-        if admit {
+        let submission = self.queries.len();
+        let disposition = if admit {
             self.arrivals.push_back(Arrival { submission, spec });
             self.live_queries += 1;
+            Disposition::InFlight
         } else {
-            self.rejections.push(submission);
-        }
+            Disposition::Rejected
+        };
+        self.queries.push(Offered {
+            at: now,
+            disposition,
+            rows: self.capture.then(Rc::default),
+        });
     }
 
     /// Records the end of an admitted query: its completion time, or the
     /// error that failed it (a plan rejected at instantiation, a runtime
     /// fault, injected chaos, a stall). Either way it is no longer live.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the query is in flight: a query ends once.
     pub(crate) fn finish(&mut self, submission: usize, end: Result<VTime, ExecError>) {
-        match end {
-            Ok(at) => self.completion_records.push((submission, at)),
-            Err(err) => self.failures.push((submission, err)),
-        }
-        self.live_queries = self.live_queries.saturating_sub(1);
+        let query = &mut self.queries[submission];
+        let in_flight = matches!(query.disposition, Disposition::InFlight);
+        assert!(in_flight, "query {submission} ended but was not in flight");
+        query.disposition = match end {
+            Ok(at) => {
+                self.completion_records.push((submission, at));
+                let response = at.saturating_sub(query.at);
+                Disposition::Completed { at, response }
+            }
+            Err(err) => Disposition::Failed(err),
+        };
+        self.live_queries -= 1;
     }
 }
 
@@ -206,13 +217,10 @@ impl DispatcherTask {
                 if let Some(pivot) = &arrival.spec.pivot {
                     let fp = fingerprint(pivot);
                     for group in core.pending.iter_mut() {
-                        if group.fingerprint != Some(fp) || group.members.len() >= core.max_group {
-                            continue;
-                        }
-                        // A fingerprint implies a pivot; a pivot-less
-                        // group can never share, so skip it rather than
-                        // take the engine down on a malformed group.
-                        let Some(group_pivot) = group.pivot.as_ref() else {
+                        let open = group.members.len() < core.max_group;
+                        let Some((group_pivot, _)) =
+                            group.pivot.as_ref().filter(|&&(_, f)| f == fp && open)
+                        else {
                             continue;
                         };
                         let exact = group_pivot == pivot;
@@ -257,7 +265,7 @@ impl DispatcherTask {
                         let n_eff = n_eff.min(core.contexts as f64);
                         if core.policy.admit_overlap(&member_infos, candidate, n_eff) {
                             if widen {
-                                group.pivot = Some(wide);
+                                group.pivot = Some((wide, fp));
                                 core.pivot_widenings += 1;
                             }
                             if !exact {
@@ -278,8 +286,7 @@ impl DispatcherTask {
                         if let Some(cache) = core.fragment_cache.as_mut() {
                             if let Some(hit) = cache.lookup(fp, pivot) {
                                 core.pending.push(PendingGroup {
-                                    pivot: Some(hit.pivot.clone()),
-                                    fingerprint: Some(fp),
+                                    pivot: Some((hit.pivot.clone(), fp)),
                                     cached: Some(hit),
                                     members: vec![arrival.clone()],
                                     // Nothing to wait for: replay at once.
@@ -293,9 +300,9 @@ impl DispatcherTask {
             }
             if !joined {
                 let window = if core.policy.may_share() { WINDOW } else { 0 };
+                let pivot = arrival.spec.pivot.as_ref();
                 core.pending.push(PendingGroup {
-                    fingerprint: arrival.spec.pivot.as_ref().map(fingerprint),
-                    pivot: arrival.spec.pivot.clone(),
+                    pivot: pivot.map(|pivot| (pivot.clone(), fingerprint(pivot))),
                     cached: None,
                     members: vec![arrival],
                     due: now + window,
@@ -317,7 +324,7 @@ impl DispatcherTask {
         if core.threads.is_some() {
             return Self::hand_over(core, group);
         }
-        let Some(pivot) = &group.pivot else {
+        let Some((pivot, _)) = &group.pivot else {
             for member in group.members {
                 let plan = member.spec.plan.clone();
                 Self::spawn_member(core, core_rc, ctx, member, Ok(Some(plan)), None, vec![]);
@@ -349,7 +356,7 @@ impl DispatcherTask {
     /// fails here, as it would there. A group none of whose members is
     /// left is not handed over: its pivot has nobody to run for.
     fn hand_over(core: &mut EngineCore, group: PendingGroup) {
-        let (pivot, mut members) = (group.pivot.as_ref(), Vec::new());
+        let (pivot, mut members) = (group.pivot.as_ref().map(|(p, _)| p), Vec::new());
         for member in group.members {
             match pivot.map_or(Ok(None), |pivot| member.split(pivot, &core.catalog)) {
                 Ok(fragment) => members.push((member, fragment)),
@@ -357,7 +364,7 @@ impl DispatcherTask {
             }
         }
         if let (Some(groups), false) = (core.threads.as_mut(), members.is_empty()) {
-            groups.push((group.pivot, members));
+            groups.push((group.pivot.map(|(pivot, _)| pivot), members));
         }
     }
 
@@ -367,13 +374,12 @@ impl DispatcherTask {
     /// what the simulator's capture sink fills. On threads nothing
     /// fills it: it stays in flight and is never served.
     fn cache_in_flight(core: &mut EngineCore, group: &PendingGroup) -> Option<Capture> {
-        let pivot = group.pivot.as_ref().filter(|_| group.cached.is_none())?;
+        let (pivot, fp) = group.pivot.as_ref().filter(|_| group.cached.is_none())?;
         let cache = core
             .fragment_cache
             .as_mut()
             .filter(|_| core.policy.may_share())?;
-        let fp = group.fingerprint.unwrap_or_else(|| fingerprint(pivot));
-        let entry = CachedFragment::in_flight(fp, pivot.clone());
+        let entry = CachedFragment::in_flight(*fp, pivot.clone());
         let capture = (entry.pages.clone(), entry.ready.clone());
         cache.insert(entry);
         Some(capture)
@@ -506,8 +512,8 @@ impl DispatcherTask {
             faults.push(cell);
         }
         let mut kernel = SinkKernel::new(core.sink_cost);
-        if let Some(collect) = &core.collect {
-            kernel = kernel.collecting(collect[member.submission].clone());
+        if let Some(rows) = &core.queries[member.submission].rows {
+            kernel = kernel.collecting(rows.clone());
         }
         let engine = Rc::downgrade(core_rc);
         let (spec, submission) = (member.spec, member.submission);
@@ -564,7 +570,8 @@ impl Task for DispatcherTask {
                 i += 1;
             }
         }
-        // Dispatch in arrival order for determinism.
+        // Dispatch by due time. Among groups due together the order is
+        // deterministic but not arrival order: `swap_remove` scrambles it.
         due.sort_by_key(|g| g.due);
         let dispatched = !due.is_empty();
         for group in due {

@@ -99,8 +99,8 @@ pub(super) fn run(core: &mut EngineCore) -> VTime {
     });
     let members = groups.iter().flat_map(|(_, members)| members);
     for ((member, _), (mut outcome, at)) in members.zip(done.into_iter().flatten()) {
-        if let (Ok(pages), Some(collect)) = (&mut outcome, &core.collect) {
-            *collect[member.submission].borrow_mut() = std::mem::take(pages);
+        if let (Ok(pages), Some(rows)) = (&mut outcome, &core.queries[member.submission].rows) {
+            *rows.borrow_mut() = std::mem::take(pages);
         }
         let chaos = member.spec.chaos.clone().map_or(Ok(()), Err);
         core.finish(member.submission, outcome.and(chaos).map(|_| at));
