@@ -2,22 +2,49 @@
 //! the result — the canonical blocking operator of the paper's
 //! Section 5.2 phase decomposition.
 //!
-//! Buffered pages are kept whole. The sort builds one `(key, (page,
-//! row))` entry per buffered row in a single flat vector, sized to the
-//! batch, and orders that vector, so no row moves until emission
-//! slices it straight out of its page's payload. Keys totalling ≤ 8
-//! bytes pack into an order-preserving `u64` ([`PackedKeySpec`],
-//! gathered page-at-a-time) and are ordered by a stable LSD **radix
-//! sort** that skips every byte position on which all keys of the batch
-//! agree (a date key spanning a few years takes 2 passes of 8). Wider
-//! keys fall back to per-row [`Key`]s — their cells under
-//! [`Value::total_cmp`](cordoba_storage::Value::total_cmp), the order the
-//! packed word keeps too — under a stable comparison sort.
+//! # The order
 //!
-//! Key order visits the buffered pages at random, so the in-memory
-//! emission is a gather of cache misses: it prefetches the row
-//! `AHEAD` sorted positions on ([`Page::prefetch_row`]) before it
-//! copies the current one.
+//! Buffered pages are kept whole. The sort orders one flat vector of
+//! `u64`s, the **order**, holding one element per buffered row: its
+//! sort key and its place, `(page, row)`. No row moves until emission
+//! slices it straight out of its page's payload. The order takes one of
+//! three forms:
+//!
+//! * **One word a row.** Keys totalling ≤ 8 bytes pack into an
+//!   order-preserving `u64` ([`PackedKeySpec`]), gathered a page at a
+//!   time straight into the order, which learns the batch's smallest
+//!   key, its largest and the bits on which keys differ as it goes.
+//!   When the spread `(max − min) >> tz` (`tz`: the low bits every key
+//!   shares) fits beside the place — `page` and `row` take as many bits
+//!   as the batch's page count and its fullest page need — each row
+//!   becomes one word, `((key − min) >> tz) << loc_bits | page <<
+//!   row_bits | row`. A stable LSD **radix sort** orders the words over
+//!   their key digits alone, skipping every digit on which all keys
+//!   agree (a date key spanning a few years takes 2 passes of 8). The
+//!   words arrive in place order, so stability keeps equal keys in
+//!   arrival order and the place bits are never sorted.
+//! * **An entry a row.** A spread that does not fit (a `Float` key of
+//!   both signs, an `Int` key spanning more than the 40-odd bits a few
+//!   thousand pages leave) keeps the key whole beside the place, `[key,
+//!   page << 32 | row]`, and the same radix sort orders the entries over
+//!   the digits on which keys differ.
+//! * **Compared entries.** Wider keys fall back to per-row [`Key`]s —
+//!   their cells under
+//!   [`Value::total_cmp`](cordoba_storage::Value::total_cmp), the order
+//!   the packed word keeps too — and a stable comparison sort orders
+//!   entries `[arrival, page << 32 | row]` by them.
+//!
+//! The order is reserved to the batch, not grown by doubling, and the
+//! radix passes scatter into a second half of it: 16 B a row as words,
+//! 32 B as entries, 16 B as compared entries. It is not on the broker's
+//! books — only the buffered pages are granted — and beside narrow rows
+//! (12 B for the benchmark's `sort_agg`) it is a large share of what
+//! the sort holds.
+//!
+//! Key order visits the buffered pages at random, so emitting or
+//! spilling the sorted rows is a gather of cache misses: it prefetches
+//! the row `AHEAD` sorted positions on ([`Page::prefetch_row`]) before
+//! it copies the current one.
 //!
 //! # Live columns
 //!
@@ -37,8 +64,8 @@
 //! [`MemoryBroker`](crate::MemoryBroker), which is asked to leave room
 //! for the frame of the run stream. When a grant is refused the task
 //! **spills**: it sorts the buffered batch, writes it to a
-//! [`SpillFile`] as a sorted run, and releases the memory (the key
-//! vectors keep their capacity for the next batch). After input ends
+//! [`SpillFile`] as a sorted run, and releases the memory (the order
+//! keeps its capacity for the next batch). After input ends
 //! the runs are k-way merged — cascaded first if there are more runs
 //! than the budget allows open cursors — by a **loser tree** over
 //! `(key, run index)`: one root-to-leaf replay per row instead of a
@@ -69,73 +96,254 @@ const EMIT_BYTES: usize = 16 * 1024;
 /// Cursor fan-in cap for one merge pass.
 const MAX_MERGE_FANOUT: usize = 64;
 
-/// How many sorted positions ahead of the row it copies the in-memory
-/// emission prefetches: far enough to hide a cache miss, near enough
-/// that the line is still cached when its row's turn comes.
+/// How many sorted positions ahead of the row it copies a walk of the
+/// sorted order prefetches: far enough to hide a cache miss, near
+/// enough that the line is still cached when its row's turn comes.
 const AHEAD: usize = 16;
 
-/// Where a buffered row sits: `(page, row)` into the kernel's pages.
-type Loc = (u32, u32);
-
-/// How rows get their sort word: packed into it when the key columns
-/// fit a machine word, else kept beside as per-row tuples.
+/// How rows get their sort key: packed into a machine word when the
+/// key columns fit one, else kept beside as per-row tuples.
 enum Keys {
     Packed {
         spec: PackedKeySpec,
         scratch: KeyScratch,
-        /// The keys of one buffered page.
-        page_keys: Vec<u64>,
     },
     /// The wide keys of the buffered rows, in arrival order, while they
     /// are sorted.
     General(Vec<Key>),
 }
 
-/// Sorts `rows` by key and returns where in it the sorted rows are: a
-/// stable LSD radix sort, one byte of the key per pass, least
-/// significant first. A first scan ORs `key ^ first` to learn on which
-/// byte positions the keys differ at all; only those get a counting
-/// pass (the others would move nothing). The passes scatter between
-/// `rows` and as many entries again appended to it — one allocation,
-/// reserved by the caller, rather than two — so the result is its first
-/// or its second half.
-fn radix_sort(rows: &mut Vec<(u64, Loc)>) -> Range<usize> {
-    let n = rows.len();
-    let Some(&(first, _)) = rows.first() else {
-        return 0..0;
+/// How an element of the order holds its row's place: in the low
+/// `page_bits + row_bits` bits of its last word, page above row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Places {
+    /// Words an element takes: 1 for a word, 2 for an entry.
+    stride: usize,
+    page_bits: u32,
+    row_bits: u32,
+}
+
+impl Places {
+    /// An entry's place word: page and row, 32 bits each.
+    const ENTRY: Places = Places {
+        stride: 2,
+        page_bits: 32,
+        row_bits: 32,
     };
-    let differing = rows.iter().fold(0, |acc, &(key, _)| acc | (key ^ first));
-    let shifts: Vec<u32> = (0..64)
-        .step_by(8)
-        .filter(|&shift| (differing >> shift) & 0xFF != 0)
-        .collect();
-    if shifts.is_empty() {
-        return 0..n;
-    }
-    let mut counts = vec![[0usize; 256]; shifts.len()];
-    for &(key, _) in rows.iter() {
-        for (count, &shift) in counts.iter_mut().zip(&shifts) {
-            count[(key >> shift) as u8 as usize] += 1;
+
+    /// Word places over `pages`: as many bits as the page count and the
+    /// fullest page need.
+    fn words(pages: &[Arc<Page>]) -> Self {
+        let bits = |count: usize| usize::BITS - count.saturating_sub(1).leading_zeros();
+        let rows = pages.iter().map(|p| p.rows()).max().unwrap_or(0);
+        Places {
+            stride: 1,
+            page_bits: bits(pages.len()),
+            row_bits: bits(rows),
         }
     }
-    rows.resize(2 * n, (0, (0, 0)));
-    let (mut from, mut to) = rows.split_at_mut(n);
-    for (slots, &shift) in counts.iter_mut().zip(&shifts) {
+
+    /// Bits the place takes at the bottom of a word.
+    fn bits(self) -> u32 {
+        self.page_bits + self.row_bits
+    }
+
+    fn encode(self, page: usize, row: usize) -> u64 {
+        (page as u64) << self.row_bits | row as u64
+    }
+
+    fn decode(self, word: u64) -> (usize, usize) {
+        let mask = |bits: u32| (1u64 << bits) - 1;
+        let page = (word >> self.row_bits) & mask(self.page_bits);
+        (page as usize, (word & mask(self.row_bits)) as usize)
+    }
+}
+
+/// The radix sort's digits, least significant first: each one's shift
+/// in an element's key (its first word), 8 bits wide, and how often
+/// each of its values occurs, counted as the order is built.
+struct Digits(Vec<(u32, [usize; 256])>);
+
+impl Digits {
+    fn new(shifts: impl Iterator<Item = u32>) -> Self {
+        Digits(shifts.map(|shift| (shift, [0; 256])).collect())
+    }
+
+    fn count(&mut self, key: u64) {
+        for (shift, count) in &mut self.0 {
+            count[(key >> *shift) as u8 as usize] += 1;
+        }
+    }
+}
+
+/// Sorts the first half of `items`, elements of `S` words, by key and
+/// returns where in `items` the sorted elements are: a stable LSD radix
+/// sort, one counted digit per pass, least significant first. A digit
+/// whose values all fall in one bucket is skipped (its pass would move
+/// nothing). The passes scatter between the two halves of `items`, so
+/// the result is its first or its second half.
+fn radix_sort<const S: usize>(items: &mut [[u64; S]], digits: Digits) -> Range<usize> {
+    let n = items.len() / 2;
+    let (mut from, mut to) = items.split_at_mut(n);
+    let mut passes = 0;
+    for (shift, mut slots) in digits.0 {
+        if slots.contains(&n) {
+            continue;
+        }
         // Digit counts become each digit's first output slot.
         let mut at = 0;
         for slot in slots.iter_mut() {
             at += std::mem::replace(slot, at);
         }
-        for &row in from.iter() {
-            let slot = &mut slots[(row.0 >> shift) as u8 as usize];
-            to[*slot] = row;
+        for &item in from.iter() {
+            let slot = &mut slots[(item[0] >> shift) as u8 as usize];
+            to[*slot] = item;
             *slot += 1;
         }
         std::mem::swap(&mut from, &mut to);
+        passes += 1;
     }
-    match shifts.len() % 2 {
+    match passes % 2 {
         0 => 0..n,
         _ => n..2 * n,
+    }
+}
+
+/// [`Order::try_for_each_row`] over `sorted`, the order's sorted
+/// elements of `S` words, the last holding the place, prefetching the
+/// row `AHEAD` positions on (see the module docs).
+fn rows_in_order<'a, const S: usize>(
+    sorted: &[[u64; S]],
+    places: Places,
+    pages: &'a [Arc<Page>],
+    range: Range<usize>,
+    mut f: impl FnMut(&'a [u8]) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    for at in range {
+        if let Some(ahead) = sorted.get(at + AHEAD) {
+            let (page, row) = places.decode(ahead[S - 1]);
+            pages[page].prefetch_row(row);
+        }
+        let (page, row) = places.decode(sorted[at][S - 1]);
+        f(raw_row(&pages[page], row))?;
+    }
+    Ok(())
+}
+
+/// What the sort orders: one element per buffered row (see the module
+/// docs, "The order"), and where the sorted ones are once sorted.
+struct Order {
+    words: Vec<u64>,
+    /// The sorted elements, counted in elements.
+    sorted: Range<usize>,
+    places: Places,
+}
+
+impl Order {
+    /// Builds the order of the rows of `pages` by their packed keys and
+    /// sorts it: one word a row when the keys' spread and the place fit
+    /// in 64 bits, else an entry a row.
+    fn sort_packed(&mut self, pages: &[Arc<Page>], spec: &PackedKeySpec, scratch: &mut KeyScratch) {
+        let words = &mut self.words;
+        let (mut min, mut max, mut differing) = (u64::MAX, 0, 0);
+        for page in pages {
+            let start = words.len();
+            spec.extend_keys(page, scratch, words);
+            let Some(&first) = words.first() else {
+                continue;
+            };
+            for &key in &words[start..] {
+                min = min.min(key);
+                max = max.max(key);
+                differing |= key ^ first;
+            }
+        }
+        let n = words.len();
+        if n == 0 {
+            self.sorted = 0..0;
+            return;
+        }
+        let tz = differing.trailing_zeros().min(63);
+        let key_bits = u64::BITS - ((max - min) >> tz).leading_zeros();
+        let places = Places::words(pages);
+        let loc_bits = places.bits();
+        if loc_bits < 64 && key_bits <= 64 - loc_bits {
+            let shifts = (loc_bits..loc_bits + key_bits).step_by(8);
+            let mut digits = Digits::new(shifts);
+            let mut unplaced = words.iter_mut();
+            for (page, p) in pages.iter().enumerate() {
+                for (row, word) in (0..p.rows()).zip(&mut unplaced) {
+                    *word = ((*word - min) >> tz) << loc_bits | places.encode(page, row);
+                    digits.count(*word);
+                }
+            }
+            words.resize(2 * n, 0);
+            self.sorted = radix_sort::<1>(words.as_chunks_mut().0, digits);
+            self.places = places;
+        } else {
+            let shifts = (0..64).step_by(8);
+            let mut digits = Digits::new(shifts.filter(|&s| (differing >> s) & 0xFF != 0));
+            words.reserve_exact(3 * n);
+            words.resize(4 * n, 0);
+            // Spread each key into its entry from the last row back, so
+            // no key is overwritten before it is read.
+            let mut at = n;
+            for (page, p) in pages.iter().enumerate().rev() {
+                for row in (0..p.rows()).rev() {
+                    at -= 1;
+                    let key = words[at];
+                    words[2 * at] = key;
+                    words[2 * at + 1] = Places::ENTRY.encode(page, row);
+                    digits.count(key);
+                }
+            }
+            self.sorted = radix_sort::<2>(words.as_chunks_mut().0, digits);
+            self.places = Places::ENTRY;
+        }
+    }
+
+    /// Builds the order of the rows of `pages` as compared entries and
+    /// sorts it by `keys`, which it fills and empties.
+    fn sort_general(&mut self, pages: &[Arc<Page>], keys: &mut Vec<Key>, key_cols: &[usize]) {
+        for (page, p) in pages.iter().enumerate() {
+            for (row, tuple) in p.tuples().enumerate() {
+                let arrival = keys.len() as u64;
+                keys.push(key_of(&tuple, key_cols));
+                self.words
+                    .extend([arrival, Places::ENTRY.encode(page, row)]);
+            }
+        }
+        let entries = self.words.as_chunks_mut::<2>().0;
+        entries.sort_by(|a, b| keys[a[0] as usize].cmp(&keys[b[0] as usize]));
+        self.sorted = 0..keys.len();
+        self.places = Places::ENTRY;
+        keys.clear();
+    }
+
+    /// How many rows are sorted.
+    fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// Hands `f` the rows at positions `range` of key order, in order,
+    /// each one sliced out of its page of `pages`.
+    fn try_for_each_row<'a>(
+        &self,
+        pages: &'a [Arc<Page>],
+        range: Range<usize>,
+        f: impl FnMut(&'a [u8]) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        let (places, sorted) = (self.places, self.sorted.clone());
+        match places.stride {
+            1 => rows_in_order::<1>(&self.words.as_chunks().0[sorted], places, pages, range, f),
+            _ => rows_in_order::<2>(&self.words.as_chunks().0[sorted], places, pages, range, f),
+        }
+    }
+
+    /// Empties the order; it keeps its capacity for the next batch.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.sorted = 0..0;
     }
 }
 
@@ -177,13 +385,8 @@ pub struct SortKernel {
     pages: Vec<Arc<Page>>,
     /// Rows on the buffered pages.
     buffered: usize,
-    /// What the sort orders, one entry per buffered row, built when it
-    /// sorts: its sort word — the packed key, or on the wide-key path
-    /// the row's arrival number, which indexes [`Keys::General`] — and
-    /// where the row is.
-    rows: Vec<(u64, Loc)>,
-    /// Where in `rows` the sorted entries are, once sorted.
-    sorted: Range<usize>,
+    /// What the sort orders, built when it sorts.
+    order: Order,
     keys: Keys,
     /// `None` until the input has ended and again once every row has
     /// left.
@@ -233,7 +436,6 @@ impl SortKernel {
             Some(spec) => Keys::Packed {
                 spec,
                 scratch: KeyScratch::default(),
-                page_keys: Vec::new(),
             },
             None => Keys::General(Vec::new()),
         };
@@ -246,8 +448,11 @@ impl SortKernel {
             width,
             pages: Vec::new(),
             buffered: 0,
-            rows: Vec::new(),
-            sorted: 0..0,
+            order: Order {
+                words: Vec::new(),
+                sorted: 0..0,
+                places: Places::ENTRY,
+            },
             keys: keys_state,
             emit: None,
             run_frame: spill.frame_pages(1),
@@ -257,62 +462,27 @@ impl SortKernel {
         })
     }
 
-    /// Builds `rows` over the buffered pages, in arrival order, and
-    /// orders it by key (stable: equal keys keep arrival order,
-    /// matching the reference executor). `rows` is reserved to the
-    /// batch's size — twice it for the radix passes — not grown by
-    /// doubling: beside the pages it is what the sort holds at its peak.
+    /// Builds the order over the buffered pages, in arrival order, and
+    /// sorts it by key (stable: equal keys keep arrival order, matching
+    /// the reference executor). The order is reserved to the batch's
+    /// size — twice it for the radix passes — not grown by doubling:
+    /// beside the pages it is what the sort holds at its peak.
     fn sort_rows(&mut self) {
-        // The radix passes scatter into a second batch of entries.
-        let copies = match self.keys {
-            Keys::Packed { .. } => 2,
-            Keys::General(_) => 1,
-        };
-        self.rows.clear();
-        self.rows.reserve_exact(copies * self.buffered);
-        for (at, page) in self.pages.iter().enumerate() {
-            let locs = (0..page.rows() as u32).map(|row| (at as u32, row));
-            match &mut self.keys {
-                Keys::Packed {
-                    spec,
-                    scratch,
-                    page_keys,
-                    ..
-                } => {
-                    page_keys.clear();
-                    spec.extend_keys(page, scratch, page_keys);
-                    self.rows.extend(page_keys.iter().copied().zip(locs));
-                }
-                Keys::General(keys) => {
-                    let arrivals = keys.len() as u64..;
-                    keys.extend(page.tuples().map(|t| key_of(&t, &self.key_cols)));
-                    self.rows.extend(arrivals.zip(locs));
-                }
-            }
+        let order = &mut self.order;
+        order.clear();
+        order.words.reserve_exact(2 * self.buffered);
+        match &mut self.keys {
+            Keys::Packed { spec, scratch } => order.sort_packed(&self.pages, spec, scratch),
+            Keys::General(keys) => order.sort_general(&self.pages, keys, &self.key_cols),
         }
-        self.sorted = match &mut self.keys {
-            Keys::Packed { .. } => radix_sort(&mut self.rows),
-            Keys::General(keys) => {
-                let key = |row: &(u64, Loc)| &keys[row.0 as usize];
-                self.rows.sort_by(|a, b| key(a).cmp(key(b)));
-                keys.clear();
-                0..self.rows.len()
-            }
-        };
     }
 
-    /// The buffered rows in key order, once sorted.
-    fn sorted_rows(&self) -> &[(u64, Loc)] {
-        &self.rows[self.sorted.clone()]
-    }
-
-    /// Drops the buffered pages and returns their grant; `rows` keeps
-    /// its capacity for the next batch.
+    /// Drops the buffered pages and returns their grant; the order
+    /// keeps its capacity for the next batch.
     fn free_buffered(&mut self) {
         self.pages.clear();
         self.buffered = 0;
-        self.rows.clear();
-        self.sorted = 0..0;
+        self.order.clear();
         self.spill.broker.release(self.granted);
         self.granted = 0;
     }
@@ -327,9 +497,9 @@ impl SortKernel {
         self.sort_rows();
         let io = self.spill.io(OP);
         let mut run = io.create(self.schema.clone(), self.run_frame)?;
-        for &(_, (page, row)) in self.sorted_rows() {
-            io.push(&mut run, raw_row(&self.pages[page as usize], row as usize))?;
-        }
+        let sorted = 0..self.order.len();
+        let push = |raw| io.push(&mut run, raw);
+        self.order.try_for_each_row(&self.pages, sorted, push)?;
         self.runs.push(io.finish(run)?);
         self.free_buffered();
         Ok(rows)
@@ -464,21 +634,15 @@ impl Kernel for SortKernel {
         };
         let (cost, finished) = match from {
             Source::Buffered { next } => {
-                let sorted = &self.rows[self.sorted.clone()];
-                let end = (*next + self.emit_batch_rows).min(sorted.len());
-                for at in *next..end {
-                    if let Some(&(_, (page, row))) = sorted.get(at + AHEAD) {
-                        self.pages[page as usize].prefetch_row(row as usize);
-                    }
-                    let (_, (page, row)) = sorted[at];
-                    emit_row(
-                        builder,
-                        out,
-                        raw_row(&self.pages[page as usize], row as usize),
-                    );
-                }
+                let sorted = self.order.len();
+                let end = (*next + self.emit_batch_rows).min(sorted);
+                self.order
+                    .try_for_each_row(&self.pages, *next..end, |raw| {
+                        emit_row(builder, out, raw);
+                        Ok(())
+                    })?;
                 *next = end;
-                (1, end == sorted.len())
+                (1, end == sorted)
             }
             Source::Runs(merge) => {
                 let mut emitted = 0usize;
@@ -913,6 +1077,73 @@ mod tests {
         assert_eq!(got, want, "spilled sort must equal in-memory stable sort");
     }
 
+    /// Takes `rows` into a sort keyed by column 0 and ends its input:
+    /// the form of its order and the bytes the order holds then, and the
+    /// rows it emits.
+    fn order_bytes_and_rows(
+        schema: &Arc<Schema>,
+        rows: &[Vec<Value>],
+    ) -> (Places, usize, Vec<Vec<Value>>) {
+        let pages = pages_of(schema, rows);
+        let mut sort = sort_of(schema, vec![0], SpillContext::unbounded());
+        let mut out = Pages::new();
+        for page in &pages {
+            sort.on_page(0, page, &mut out).expect("intake");
+        }
+        sort.on_close(0, &mut out).expect("sorts");
+        let held = sort.order.words.capacity() * std::mem::size_of::<u64>();
+        let places = sort.order.places;
+        while !sort.drain(&mut out).expect("emits").last {}
+        (places, held, crate::wiring::page_rows(&out))
+    }
+
+    #[test]
+    fn a_fitting_key_orders_one_word_a_row() {
+        // 5 000 rows of (date, seq) over 15 pages, dates spanning seven
+        // years: the spread and the place fit one word.
+        let schema = Schema::new(vec![
+            Field::new("d", DataType::Date),
+            Field::new("seq", DataType::Int),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..5000)
+            .map(|i| {
+                let day = cordoba_storage::Date(8000 + (i * 7919 % 2500) as i32);
+                vec![Value::Date(day), Value::Int(i)]
+            })
+            .collect();
+        assert!(pages_of(&schema, &rows).len() > 8);
+        let (places, bytes, got) = order_bytes_and_rows(&schema, &rows);
+        assert_eq!(places.stride, 1);
+        let n = rows.len();
+        assert!(bytes <= 16 * n, "{bytes} B for {n} rows");
+        let mut want = rows;
+        want.sort_by_key(|r| r[0].as_date().expect("date").0);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_key_too_wide_for_the_place_orders_entries_stably() {
+        // Int keys over the whole range, five rows each, scattered: no
+        // room for the place, so the order keeps each key beside it.
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("seq", DataType::Int),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..5000i64)
+            .map(|i| {
+                let k = (i * 7919 % 1000).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                vec![Value::Int(k), Value::Int(i)]
+            })
+            .collect();
+        let (places, bytes, got) = order_bytes_and_rows(&schema, &rows);
+        assert_eq!(places, Places::ENTRY);
+        let n = rows.len();
+        assert!(bytes <= 32 * n, "{bytes} B for {n} rows");
+        let mut want = rows;
+        want.sort_by_key(|r| r[0].as_int().expect("int"));
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn one_page_budget_forces_cascaded_merges() {
         // merge_fanout clamps to 2, and ~16 runs of one page each force
@@ -1021,6 +1252,39 @@ mod tests {
             keys,
             vec![i64::MIN, i64::MIN, -1, -1, 0, 7, i64::MAX, i64::MAX]
         );
+    }
+
+    #[test]
+    fn tiny_budget_spills_wide_float_keys_through_entries() {
+        // Fifty float keys of both signs span all 64 bits of the packed
+        // key, so every batch orders entries. A one-page budget makes
+        // one-page runs, merged two at a time in cascades, and the keys
+        // tie across every run boundary.
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Float),
+            Field::new("seq", DataType::Int),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..4000i64)
+            .map(|i| {
+                vec![
+                    Value::Float((i * 7919 % 50 - 25) as f64 * 0.75),
+                    Value::Int(i),
+                ]
+            })
+            .collect();
+        let want = run_sort(rows.clone(), schema.clone(), vec![0]);
+        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let broker = spill.broker.clone();
+        let mut sort = sort_of(&schema, vec![0], spill);
+        let got = drive(&mut sort, &[&pages_of(&schema, &rows)]).expect("spills");
+        assert_eq!(sort.order.places, Places::ENTRY, "the last run's order");
+        assert_eq!(got, want);
+        assert!(
+            broker.spilled() > 2 * 4000 * 16,
+            "the runs were merged in cascades: {} B spilled",
+            broker.spilled()
+        );
+        assert_eq!(broker.used(), 0);
     }
 
     #[test]

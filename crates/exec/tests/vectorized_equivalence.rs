@@ -214,6 +214,20 @@ fn adversarial_keys(shape: u8, raw: &[i64]) -> (Vec<Field>, Vec<Vec<Value>>) {
             specials[pick(x, 10)]
         }),
         6 => float(&|x| f64::from_bits(x as u64)),
+        // A spread that exactly fills the bits the row's place leaves in
+        // the sort's word, and one a bit wider: the widest spread a word
+        // holds and the narrowest that takes an entry, each end of it
+        // drawn for a quarter of the rows.
+        8 | 9 => {
+            let spread = (1u64 << place_room(raw.len())) - u64::from(shape == 8);
+            let low = -(1i64 << 58);
+            let offset = move |x: i64| match pick(x, 4) {
+                0 => 0,
+                1 => spread,
+                _ => (x as u64) % spread,
+            };
+            int(&|x| low.wrapping_add_unsigned(offset(x)))
+        }
         // A packed composite: Str(2) major, Date minor.
         _ => {
             let fields = vec![
@@ -228,6 +242,14 @@ fn adversarial_keys(shape: u8, raw: &[i64]) -> (Vec<Field>, Vec<Vec<Value>>) {
             (fields, keys.collect())
         }
     }
+}
+
+/// The key bits a row's place leaves in the sort's 64-bit word when
+/// `n` rows arrive on `sorted_stamps`' pages: as many bits as the page
+/// count needs, and as each page's 16 rows of 16 B need.
+fn place_room(n: usize) -> u32 {
+    let bits = |count: usize| usize::BITS - count.saturating_sub(1).leading_zeros();
+    64 - bits(n.div_ceil(16)) - bits(16)
 }
 
 /// The order the sort operator must realize on key tuples, written
@@ -288,7 +310,7 @@ proptest! {
     fn radix_order_is_the_stable_sort_by_key(
         raw in proptest::collection::vec(any::<i64>(), 3000..3001),
     ) {
-        for shape in 0u8..8 {
+        for shape in 0u8..10 {
             for n in [0usize, 1, 2, 255, 256, 257, 1000 + raw[0].unsigned_abs() as usize % 2000] {
                 let (fields, keys) = adversarial_keys(shape, &raw[..n]);
                 let mut want: Vec<usize> = (0..n).collect();
