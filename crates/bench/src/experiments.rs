@@ -14,6 +14,7 @@ use cordoba_sim::VTime;
 use cordoba_storage::tpch::{generate, TpchConfig};
 use cordoba_storage::Catalog;
 use cordoba_workload::CostProfile;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Experiment-wide configuration.
@@ -312,17 +313,19 @@ pub(crate) fn fit_thread_kappa(catalog: &Catalog, spec: &QuerySpec, worker_count
 }
 
 /// Profiles every query in `specs` (paper Section 3.1), returning the
-/// per-name model map the model-guided policy needs.
+/// per-name model map the model-guided policy needs. Of the specs that
+/// share a name, the first is the one profiled.
 pub fn profile_all(catalog: &Catalog, specs: &[QuerySpec]) -> HashMap<String, QueryModelInfo> {
     let cfg = engine_cfg(1, Policy::NeverShare);
-    specs
-        .iter()
-        .map(|spec| {
+    let mut models = HashMap::new();
+    for spec in specs {
+        if let Entry::Vacant(slot) = models.entry(spec.name.clone()) {
             let (info, _) = profile_query(catalog, spec, &cfg)
                 .unwrap_or_else(|e| panic!("profiling {} failed: {e}", spec.name));
-            (spec.name.clone(), info)
-        })
-        .collect()
+            slot.insert(info);
+        }
+    }
+    models
 }
 
 /// One point of the Figure 6 policy comparison.

@@ -9,29 +9,19 @@
 //! gated tightly.
 
 use crate::engine_cfg;
+use crate::experiments::profile_all;
 use cordoba_core::sharing::Speedup;
 use cordoba_engine::policy::sharing_group;
-use cordoba_engine::profiling::profile_query;
-use cordoba_engine::{
-    run_once, run_open_loop_collecting, EngineConfig, Policy, QueryModelInfo, QuerySpec,
-};
+use cordoba_engine::{run_once, run_open_loop_collecting, EngineConfig, Policy, QuerySpec};
 use cordoba_exec::subsume::coverage_estimate;
 use cordoba_storage::Catalog;
 use cordoba_workload::{family_specs, CostProfile, FamilyConfig};
-use std::collections::HashMap;
 
 fn cached_cfg(contexts: usize, policy: Policy, cache: usize) -> EngineConfig {
     EngineConfig {
         fragment_cache: cache,
         ..engine_cfg(contexts, policy)
     }
-}
-
-/// Profiles `spec` the way the model-guided policy consumes it.
-fn profiled(catalog: &Catalog, spec: &QuerySpec) -> QueryModelInfo {
-    profile_query(catalog, spec, &engine_cfg(1, Policy::NeverShare))
-        .unwrap_or_else(|e| panic!("profiling {} failed: {e}", spec.name))
-        .0
 }
 
 /// One measured subsumption scenario.
@@ -85,13 +75,16 @@ impl SubsumePoint {
 /// `effective_contexts` is the group's fair share of the machine.
 fn predicted_chain(catalog: &Catalog, chain: &[&QuerySpec], effective_contexts: f64) -> Speedup {
     let wide_pivot = chain[0].pivot.as_ref().expect("family specs have pivots");
-    let models: Vec<QueryModelInfo> = chain.iter().map(|spec| profiled(catalog, spec)).collect();
+    // Members of one shape share a name, not a window: each is
+    // profiled on its own.
+    let one = |spec: &&QuerySpec| profile_all(catalog, std::slice::from_ref(*spec));
+    let models: Vec<_> = chain.iter().map(one).collect();
     let members: Vec<_> = chain
         .iter()
         .zip(&models)
-        .map(|(spec, model)| {
+        .map(|(spec, profiled)| {
             let narrow = spec.pivot.as_ref().expect("family specs have pivots");
-            (model, coverage_estimate(wide_pivot, narrow))
+            (&profiled[&spec.name], coverage_estimate(wide_pivot, narrow))
         })
         .collect();
     sharing_group(&members)
@@ -258,12 +251,7 @@ pub(crate) fn policy_scenario(
     contexts: usize,
 ) -> PolicyPoint {
     let specs = family_specs(costs, family_cfg);
-    let mut models: HashMap<String, QueryModelInfo> = HashMap::new();
-    for spec in &specs {
-        if !models.contains_key(&spec.name) {
-            models.insert(spec.name.clone(), profiled(catalog, spec));
-        }
-    }
+    let models = profile_all(catalog, &specs);
     let run = |policy: Policy| run_once(catalog, &specs, &cached_cfg(contexts, policy, 0));
     let never = run(Policy::NeverShare);
     let always = run(Policy::AlwaysShare);
@@ -322,11 +310,8 @@ mod tests {
                     ..specs[j * families].clone()
                 })
                 .collect();
+            let models = profile_all(&catalog, &chain);
             let chain: Vec<&QuerySpec> = chain.iter().collect();
-            let models: HashMap<String, QueryModelInfo> = chain
-                .iter()
-                .map(|spec| (spec.name.clone(), profiled(&catalog, spec)))
-                .collect();
             let policy = Policy::model_guided(models);
             let wide = chain[0].pivot.as_ref().unwrap();
             let infos: Vec<OverlapInfo<'_>> = chain

@@ -329,7 +329,6 @@ impl Run {
             group_sizes: Vec::new(),
             external_arrivals_pending: schedule.as_ref().map_or(0, Vec::len),
             live_queries: 0,
-            group_seq: 0,
             capture,
             fragment_cache: (cfg.fragment_cache > 0)
                 .then(|| crate::fragment_cache::FragmentCache::new(cfg.fragment_cache)),

@@ -136,7 +136,9 @@ pub(crate) struct EngineCore {
     /// `(submission id, completion time)` in completion order, for
     /// response times.
     pub(crate) completion_records: Vec<(usize, VTime)>,
-    /// Sizes of dispatched groups (sharing diagnostics).
+    /// Sizes of dispatched groups (sharing diagnostics), in dispatch
+    /// order: a group's index is its id, the `g{id}` of its tasks'
+    /// labels.
     pub(crate) group_sizes: Vec<usize>,
     /// Arrivals scheduled by an open-system driver but not yet
     /// submitted; keeps the dispatcher alive while the schedule drains.
@@ -145,7 +147,6 @@ pub(crate) struct EngineCore {
     /// multiprogramming level) — the denominator of the fair-share
     /// effective-processor estimate handed to the policy.
     pub(crate) live_queries: usize,
-    pub(crate) group_seq: u64,
     /// Whether each query's result pages are kept ([`Offered::rows`]).
     pub(crate) capture: bool,
     /// Cache of completed shared-fragment outputs (`None` = disabled).
@@ -317,9 +318,8 @@ impl DispatcherTask {
         ctx: &mut TaskCtx<'_>,
         group: PendingGroup,
     ) {
+        let gid = core.group_sizes.len();
         core.group_sizes.push(group.members.len());
-        let gid = core.group_seq;
-        core.group_seq += 1;
         let capture = Self::cache_in_flight(core, &group);
         if core.threads.is_some() {
             return Self::hand_over(core, group);
@@ -394,7 +394,7 @@ impl DispatcherTask {
     fn spawn_pivot(
         core: &mut EngineCore,
         ctx: &mut TaskCtx<'_>,
-        gid: u64,
+        gid: usize,
         group: &PendingGroup,
         pivot: &PhysicalPlan,
         mut outs: Vec<Outlet>,

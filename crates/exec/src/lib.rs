@@ -44,7 +44,7 @@ pub mod wiring;
 
 pub use cost::OpCost;
 pub use error::{ExecError, FaultCell};
-pub use memory::{MemoryBroker, MemoryConfig, QueryResources, SpillContext};
+pub use memory::{MemoryBroker, MemoryConfig, QueryResources};
 pub use parallel::{MorselDispenser, ParallelConfig};
 pub use plan::{concat_schemas, JoinKind, PhysicalPlan, SchemaRef};
 pub use vexpr::{CompiledExpr, CompiledPredicate, ExprScratch};

@@ -1,5 +1,7 @@
-//! Per-query memory broker: grant/release accounting with an optional
-//! hard budget.
+//! A query's context — [`QueryResources`]: its fault slot, its memory
+//! broker and its spill directory, one of each shared by every operator
+//! of the query, made from a [`MemoryConfig`] by
+//! [`QueryResources::for_config`].
 //!
 //! Every memory-hungry operator in a query shares one [`MemoryBroker`].
 //! Before buffering input (a sort's page list, a join's build arena)
@@ -13,7 +15,7 @@
 //! # Spill streams
 //!
 //! What an operator spills to is a stream it opens through
-//! `SpillContext::io`, and a stream's memory is its **frame** (see
+//! `QueryResources::io`, and a stream's memory is its **frame** (see
 //! [`cordoba_storage::spill`]): `SpillIo::create` / `open` grant the
 //! frame for the life of the stream and finishing or dropping the
 //! stream returns it, so an open stream is on the books for exactly as
@@ -21,8 +23,8 @@
 //! itself. How many pages a frame gets is not configured but derived
 //! where the stream is opened, from the budget, what is left of it and
 //! the number of streams the operator is about to hold open at once
-//! (`SpillContext::frame_pages`); operators then fit themselves in
-//! beside their frames (`SpillContext::grant_beside`).
+//! (`QueryResources::frame_pages`); operators then fit themselves in
+//! beside their frames (`QueryResources::grant_beside`).
 //!
 //! The account is lock-free atomic state behind an `Arc`, so one
 //! broker can serve operator graphs running on several OS threads as
@@ -174,35 +176,40 @@ pub struct MemoryConfig {
     pub spill_dir: Option<PathBuf>,
 }
 
-impl MemoryConfig {
-    /// Builds a fresh broker honouring this config's budget.
-    pub fn broker(&self) -> MemoryBroker {
-        match self.query_budget {
-            Some(b) => MemoryBroker::with_budget(b),
-            None => MemoryBroker::unbounded(),
-        }
-    }
-}
-
-/// Everything an out-of-core operator needs to spill: the query's
-/// memory account, its fault slot, and where spill files go.
+/// One query's context, shared by every operator of the query: its
+/// fault slot, its memory account and where its spill files go. The
+/// dispatcher gives a shared pivot and each member fragment one of
+/// their own.
 #[derive(Debug, Clone)]
-pub struct SpillContext {
-    /// The query's shared memory account.
-    pub broker: MemoryBroker,
-    /// The query's shared fault slot.
+pub struct QueryResources {
+    /// Shared fault slot — first runtime error wins.
     pub fault: FaultCell,
+    /// Shared memory account.
+    pub broker: MemoryBroker,
     /// Directory spill files are created in.
     pub dir: PathBuf,
 }
 
-impl SpillContext {
-    /// Binds `cfg`'s policy to one query's broker and fault cell.
-    pub(crate) fn new(cfg: &MemoryConfig, broker: MemoryBroker, fault: FaultCell) -> Self {
-        SpillContext {
-            broker,
-            fault,
+impl QueryResources {
+    /// Fresh resources honouring `cfg`: its budget, and its spill
+    /// directory or else the system temp dir.
+    pub fn for_config(cfg: &MemoryConfig) -> Self {
+        QueryResources {
+            fault: FaultCell::default(),
+            broker: match cfg.query_budget {
+                Some(b) => MemoryBroker::with_budget(b),
+                None => MemoryBroker::unbounded(),
+            },
             dir: cfg.spill_dir.clone().unwrap_or_else(std::env::temp_dir),
+        }
+    }
+
+    /// Resources with a `bytes` budget, spilling to the system temp dir.
+    pub fn with_budget(bytes: usize) -> Self {
+        let broker = MemoryBroker::with_budget(bytes);
+        QueryResources {
+            broker,
+            ..QueryResources::default()
         }
     }
 
@@ -228,31 +235,13 @@ impl SpillContext {
         let frame = spill::frame_bytes(schema, pages);
         self.broker.try_grant_leaving(bytes, frame)
     }
-
-    /// An unbounded context (never spills) — the default for direct
-    /// operator construction in tests and benches.
-    pub fn unbounded() -> Self {
-        SpillContext::new(
-            &MemoryConfig::default(),
-            MemoryBroker::unbounded(),
-            FaultCell::default(),
-        )
-    }
-
-    /// A context with a `bytes` budget and default policy, spilling to
-    /// the system temp dir.
-    pub fn with_budget(bytes: usize) -> Self {
-        SpillContext::new(
-            &MemoryConfig::default(),
-            MemoryBroker::with_budget(bytes),
-            FaultCell::default(),
-        )
-    }
 }
 
-impl Default for SpillContext {
+impl Default for QueryResources {
+    /// Unbounded resources, whose operators never spill — the default
+    /// for direct operator construction in tests and benches.
     fn default() -> Self {
-        SpillContext::unbounded()
+        QueryResources::for_config(&MemoryConfig::default())
     }
 }
 
@@ -286,7 +275,7 @@ impl Drop for FrameGrant {
 /// spill path becomes a query fault, and the one place a stream's frame
 /// is granted.
 pub(crate) struct SpillIo<'a> {
-    ctx: &'a SpillContext,
+    ctx: &'a QueryResources,
     op: &'static str,
 }
 
@@ -307,7 +296,7 @@ impl SpillIo<'_> {
     }
 
     /// A new row stream for rows of `schema`, with a granted frame of
-    /// `frame_pages` pages (see [`SpillContext::frame_pages`]).
+    /// `frame_pages` pages (see [`QueryResources::frame_pages`]).
     #[expect(
         clippy::disallowed_methods,
         reason = "a stream opens where its frame is granted"
@@ -376,37 +365,6 @@ impl SpillIo<'_> {
     }
 }
 
-/// The per-query runtime resources the wiring layer threads through a
-/// plan: one fault slot and one memory account shared by every
-/// operator of the query.
-#[derive(Debug, Clone, Default)]
-pub struct QueryResources {
-    /// Shared fault slot — first runtime error wins.
-    pub fault: FaultCell,
-    /// Shared memory account.
-    pub broker: MemoryBroker,
-}
-
-impl QueryResources {
-    /// Fresh resources honouring `cfg`'s budget.
-    pub fn for_config(cfg: &MemoryConfig) -> Self {
-        QueryResources {
-            fault: FaultCell::default(),
-            broker: cfg.broker(),
-        }
-    }
-
-    /// Fresh resources (own fault slot) charging an existing account —
-    /// for executors that run several operator graphs against one
-    /// broker.
-    pub fn charging(broker: &MemoryBroker) -> Self {
-        QueryResources {
-            fault: FaultCell::default(),
-            broker: broker.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,8 +424,9 @@ mod tests {
             query_budget: Some(4096),
             ..MemoryConfig::default()
         };
-        assert_eq!(cfg.broker().budget(), Some(4096));
-        assert_eq!(MemoryConfig::default().broker().budget(), None);
+        let budget = |cfg| QueryResources::for_config(cfg).broker.budget();
+        assert_eq!(budget(&cfg), Some(4096));
+        assert_eq!(budget(&MemoryConfig::default()), None);
     }
 
     #[test]
@@ -521,7 +480,6 @@ mod tests {
 
     #[test]
     fn spill_context_defaults_to_temp_dir() {
-        let ctx = SpillContext::unbounded();
-        assert_eq!(ctx.dir, std::env::temp_dir());
+        assert_eq!(QueryResources::default().dir, std::env::temp_dir());
     }
 }

@@ -69,7 +69,7 @@
 //! join.
 //!
 //! Every open stream holds its frame, granted where it is opened
-//! (`SpillContext::io`) for as long as it is open. A pass sizes the
+//! (`QueryResources::io`) for as long as it is open. A pass sizes the
 //! frames of the streams it opens when it starts, for one stream per
 //! partition in each of its two phases; at a later level the cursor of
 //! the file it reads fits beside them. The resident partitions share
@@ -85,7 +85,7 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::{MemoryBroker, SpillContext, SpillCursor, SpillIo, SpillStream};
+use crate::memory::{MemoryBroker, QueryResources, SpillCursor, SpillIo, SpillStream};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::{int_key, page_builder, zero_row, Carry};
 use crate::plan::JoinKind;
@@ -428,7 +428,7 @@ pub struct HashJoinKernel {
     keys: Vec<i64>,
     /// Rows of the build page in hand routed to each partition.
     routed: Vec<usize>,
-    spill: SpillContext,
+    spill: QueryResources,
     /// The open pass: level 0's until the probe input ends, then each
     /// pending pair's in turn.
     pass: Pass,
@@ -443,9 +443,9 @@ impl HashJoinKernel {
     /// `out_schema` must be the plan-derived schema for `kind`
     /// (probe ++ build for Inner/LeftOuter, probe only for Semi/Anti);
     /// `build_schema` / `probe_schema` are the input schemas (default
-    /// fill for outer joins, key-column validation). `spill` supplies
-    /// the query's memory account and spill directory;
-    /// [`SpillContext::unbounded`] reproduces the fully in-memory
+    /// fill for outer joins, key-column validation). `spill` is the
+    /// query's context, its memory account and spill directory;
+    /// [`QueryResources::default`] reproduces the fully in-memory
     /// behaviour. Errs when a key column is out of range or not `Int`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -457,7 +457,7 @@ impl HashJoinKernel {
         out_schema: Arc<Schema>,
         build_cost: OpCost,
         probe_cost: OpCost,
-        spill: SpillContext,
+        spill: QueryResources,
     ) -> Result<Self, ExecError> {
         int_key("hash join build", &build_schema, build_key)?;
         let keys_only = matches!(kind, JoinKind::Semi | JoinKind::Anti);
@@ -486,7 +486,7 @@ impl HashJoinKernel {
         out_schema: Arc<Schema>,
         width: usize,
         (build_cost, probe_cost): (OpCost, OpCost),
-        spill: SpillContext,
+        spill: QueryResources,
     ) -> Result<Self, ExecError> {
         int_key("hash join build", build.input(), build_key)?;
         int_key("hash join probe", probe.input(), probe_key)?;
@@ -1059,7 +1059,7 @@ mod tests {
         assert_eq!(broker.used(), 10 * PAGE_SIZE, "nothing granted");
     }
 
-    fn run_join_with(kind: JoinKind, spill: SpillContext) -> Vec<Vec<Value>> {
+    fn run_join_with(kind: JoinKind, spill: QueryResources) -> Vec<Vec<Value>> {
         let (bs, brows) = build_side();
         let (ps, prows) = probe_side();
         run_join_rows(kind, spill, (bs, brows), (ps, prows))
@@ -1069,7 +1069,7 @@ mod tests {
     /// their first columns, at the default costs.
     fn join_of(
         kind: JoinKind,
-        spill: SpillContext,
+        spill: QueryResources,
         bs: &Arc<Schema>,
         ps: &Arc<Schema>,
     ) -> HashJoinKernel {
@@ -1094,7 +1094,7 @@ mod tests {
 
     fn run_join_rows(
         kind: JoinKind,
-        spill: SpillContext,
+        spill: QueryResources,
         (bs, brows): (Arc<Schema>, Vec<Vec<Value>>),
         (ps, prows): (Arc<Schema>, Vec<Vec<Value>>),
     ) -> Vec<Vec<Value>> {
@@ -1107,7 +1107,7 @@ mod tests {
     }
 
     fn run_join(kind: JoinKind) -> Vec<Vec<Value>> {
-        run_join_with(kind, SpillContext::unbounded())
+        run_join_with(kind, QueryResources::default())
     }
 
     #[test]
@@ -1180,7 +1180,7 @@ mod tests {
         ] {
             let got = run_join_rows(
                 kind,
-                SpillContext::unbounded(),
+                QueryResources::default(),
                 (bs.clone(), vec![]),
                 (ps.clone(), prows.clone()),
             );
@@ -1227,11 +1227,11 @@ mod tests {
         ] {
             let want = run_join_rows(
                 kind,
-                SpillContext::unbounded(),
+                QueryResources::default(),
                 (build.0.clone(), build.1.clone()),
                 (probe.0.clone(), probe.1.clone()),
             );
-            let spill = SpillContext::with_budget(8 * PAGE_SIZE);
+            let spill = QueryResources::with_budget(8 * PAGE_SIZE);
             let broker = spill.broker.clone();
             let got = run_join_rows(
                 kind,
@@ -1254,11 +1254,11 @@ mod tests {
         let (build, probe) = spill_fixture();
         let want = run_join_rows(
             JoinKind::Inner,
-            SpillContext::unbounded(),
+            QueryResources::default(),
             (build.0.clone(), build.1.clone()),
             (probe.0.clone(), probe.1.clone()),
         );
-        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let spill = QueryResources::with_budget(PAGE_SIZE);
         let broker = spill.broker.clone();
         let got = run_join_rows(JoinKind::Inner, spill, build, probe);
         assert_eq!(sorted(got), sorted(want));
@@ -1278,7 +1278,7 @@ mod tests {
             pages_of(&bs, &brows),
             pages_of(&ps, &[vec![Value::Int(42), Value::Int(0)]]),
         ];
-        let spill = SpillContext::with_budget(4 * PAGE_SIZE);
+        let spill = QueryResources::with_budget(4 * PAGE_SIZE);
         let broker = spill.broker.clone();
         let mut join = join_of(JoinKind::Inner, spill, &bs, &ps);
         let err = drive(&mut join, &[&inputs[0], &inputs[1]]).expect_err("cannot fit");
@@ -1302,7 +1302,7 @@ mod tests {
             pages_of(&bs, &brows),
             pages_of(&wrong, &[vec![Value::Int(1)]]),
         ];
-        let spill = SpillContext::unbounded();
+        let spill = QueryResources::default();
         let (fault, broker) = (spill.fault.clone(), spill.broker.clone());
         let join = join_of(JoinKind::Inner, spill, &bs, &ps);
         let out = run_shell(Box::new(join), inputs, &fault);
@@ -1323,7 +1323,7 @@ mod tests {
         let (build, probe) = spill_fixture();
         // Build side ~125 KiB vs a 32 KiB budget (≈4× over).
         let budget = 8 * PAGE_SIZE;
-        let spill = SpillContext::with_budget(budget);
+        let spill = QueryResources::with_budget(budget);
         let broker = spill.broker.clone();
         let got = run_join_rows(JoinKind::Inner, spill, build, probe);
         assert!(!got.is_empty());
@@ -1378,11 +1378,11 @@ mod tests {
 
     /// A budgeted spill context whose directory does not exist yet: the
     /// first spill file a join opens creates it.
-    fn fresh_dir_budget(tag: &str, budget: usize) -> (SpillContext, PathBuf) {
+    fn fresh_dir_budget(tag: &str, budget: usize) -> (QueryResources, PathBuf) {
         let name = format!("cordoba-hash-join-{tag}-{}", std::process::id());
         let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
-        let mut spill = SpillContext::with_budget(budget);
+        let mut spill = QueryResources::with_budget(budget);
         spill.dir = dir.clone();
         (spill, dir)
     }
@@ -1415,7 +1415,7 @@ mod tests {
         let build = Carry::new(bs, vec![0]).expect("in range");
         let width = ps.row_width() + bs.row_width();
         let costs = (OpCost::default(), OpCost::default());
-        let (out, spill) = (probe.schema().clone(), SpillContext::unbounded());
+        let (out, spill) = (probe.schema().clone(), QueryResources::default());
         let sides = [(build, 0), (probe, 0)];
         HashJoinKernel::carrying(kind, sides, true, out, width, costs, spill).expect("valid")
     }
@@ -1462,7 +1462,7 @@ mod tests {
             out.iter().map(|page| page.rows()).collect::<Vec<_>>()
         };
         let (bs, ps) = (&build.0, &probe.0);
-        let spill = SpillContext::unbounded();
+        let spill = QueryResources::default();
         let whole = pages(&mut join_of(JoinKind::Inner, spill, bs, ps));
         let narrow = pages(&mut key_only_join(JoinKind::Inner, bs, ps));
         assert_eq!(narrow, whole);
@@ -1528,7 +1528,7 @@ mod tests {
         let (ps, _) = probe_side();
         let build = pages_of(&bs, &scattered(&clustered_rows(8000, 1)));
         let probe = pages_of(&ps, &probe_rows());
-        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let spill = QueryResources::with_budget(PAGE_SIZE);
         let broker = spill.broker.clone();
         let mut join = join_of(JoinKind::Semi, spill, &bs, &ps);
         let mut out = Pages::new();
@@ -1565,7 +1565,7 @@ mod tests {
             .collect();
         let budget = 16 * PAGE_SIZE;
         let inputs = [pages_of(&build.0, &build.1), pages_of(&probe.0, &probe.1)];
-        let spill = SpillContext::with_budget(budget);
+        let spill = QueryResources::with_budget(budget);
         let broker = spill.broker.clone();
         let mut join = join_of(JoinKind::Inner, spill, &build.0, &probe.0);
         let mut out = Pages::new();
@@ -1589,7 +1589,7 @@ mod tests {
         let written: u64 = spilled_builds(&join).iter().map(|file| file.bytes()).sum();
         assert!(written < read, "wrote {written} B of {read}");
         while !join.drain(&mut out).expect("spilled pairs").last {}
-        let want = run_join_rows(JoinKind::Inner, SpillContext::unbounded(), build, probe);
+        let want = run_join_rows(JoinKind::Inner, QueryResources::default(), build, probe);
         assert_eq!(sorted(page_rows(&out)), sorted(want));
         assert_eq!(broker.used(), 0);
     }

@@ -455,7 +455,7 @@ impl Task for OperatorShell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::SpillContext;
+    use crate::memory::QueryResources;
     use crate::ops::testutil::{pages_of, CountingSink};
     use crate::ops::Outlet;
     use cordoba_sim::channel::{self, Receiver, Sender};
@@ -486,7 +486,7 @@ mod tests {
         /// `next_port` names the last open port, not the first.
         reversed: bool,
         /// What a running operator holds: a grant and a spill file.
-        held: Option<(SpillContext, SpillFile)>,
+        held: Option<(QueryResources, SpillFile)>,
     }
 
     impl Scripted {
@@ -858,7 +858,7 @@ mod tests {
         for fails in ["page", "close", "drain"] {
             let dir =
                 std::env::temp_dir().join(format!("cordoba-shell-{fails}-{}", std::process::id()));
-            let mut spill = SpillContext::with_budget(1 << 20);
+            let mut spill = QueryResources::with_budget(1 << 20);
             spill.dir = dir.clone();
             let io = spill.io("scripted");
             let mut stream = io.create(schema(), 1).expect("spill dir");

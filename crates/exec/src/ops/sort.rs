@@ -77,7 +77,7 @@
 
 use crate::cost::OpCost;
 use crate::error::ExecError;
-use crate::memory::{SpillContext, SpillCursor};
+use crate::memory::{QueryResources, SpillCursor};
 use crate::ops::shell::{Drained, Kernel, PageWork, Pages, Port, PortClosed};
 use crate::ops::sort_key::{KeyScratch, PackedKeySpec};
 use crate::ops::{key_of, page_builder, Carry, Key};
@@ -392,7 +392,7 @@ pub struct SortKernel {
     /// left.
     emit: Option<Emit>,
     emit_batch_rows: usize,
-    spill: SpillContext,
+    spill: QueryResources,
     /// Pages in the frame of the stream a run is written through.
     run_frame: usize,
     /// Bytes currently granted for the buffered pages.
@@ -403,14 +403,14 @@ pub struct SortKernel {
 
 impl SortKernel {
     /// Creates a sort over pages of `schema`, erring when a key column
-    /// is out of range. `spill` supplies the query's memory account and
-    /// spill directory; [`SpillContext::unbounded`] reproduces the fully
+    /// is out of range. `spill` is the query's context, its memory account
+    /// and spill directory; [`QueryResources::default`] reproduces the fully
     /// in-memory behaviour.
     pub fn new(
         schema: Arc<Schema>,
         keys: Vec<usize>,
         cost: OpCost,
-        spill: SpillContext,
+        spill: QueryResources,
     ) -> Result<Self, ExecError> {
         let width = schema.row_width();
         Self::carrying(Carry::all(&schema), keys, cost, spill, width)
@@ -423,7 +423,7 @@ impl SortKernel {
         carry: Carry,
         keys: Vec<usize>,
         cost: OpCost,
-        spill: SpillContext,
+        spill: QueryResources,
         width: usize,
     ) -> Result<Self, ExecError> {
         let schema = carry.schema().clone();
@@ -767,7 +767,7 @@ struct RunCursor {
 
 impl RunCursor {
     /// Loads the next page of the run and extracts its keys.
-    fn load_next(&mut self, keys: &mut Keys, spill: &SpillContext) -> Result<(), ExecError> {
+    fn load_next(&mut self, keys: &mut Keys, spill: &QueryResources) -> Result<(), ExecError> {
         self.page = spill.io(OP).next_page(&mut self.reader)?;
         self.row = 0;
         if let Some(page) = &self.page {
@@ -810,7 +810,7 @@ impl KWayMerge {
         frame: usize,
         keys: &mut Keys,
         key_cols: &[usize],
-        spill: &SpillContext,
+        spill: &QueryResources,
     ) -> Result<Self, ExecError> {
         let mut merge = KWayMerge {
             cursors: Vec::with_capacity(runs.len()),
@@ -843,7 +843,7 @@ impl KWayMerge {
         &mut self,
         keys: &mut Keys,
         key_cols: &[usize],
-        spill: &SpillContext,
+        spill: &QueryResources,
     ) -> Result<(), ExecError> {
         let Some(winner) = self.tournament.winner() else {
             return Ok(());
@@ -865,7 +865,7 @@ mod tests {
     use crate::ops::testutil::{drive, pages_of, run_shell};
     use cordoba_storage::{DataType, Field, NumCell, Value};
 
-    fn sort_of(schema: &Arc<Schema>, keys: Vec<usize>, spill: SpillContext) -> SortKernel {
+    fn sort_of(schema: &Arc<Schema>, keys: Vec<usize>, spill: QueryResources) -> SortKernel {
         SortKernel::new(schema.clone(), keys, OpCost::default(), spill).expect("valid sort keys")
     }
 
@@ -873,14 +873,14 @@ mod tests {
         rows: Vec<Vec<Value>>,
         schema: Arc<Schema>,
         keys: Vec<usize>,
-        spill: SpillContext,
+        spill: QueryResources,
     ) -> Vec<Vec<Value>> {
         let pages = pages_of(&schema, &rows);
         drive(&mut sort_of(&schema, keys, spill), &[&pages]).expect("sort must not fault")
     }
 
     fn run_sort(rows: Vec<Vec<Value>>, schema: Arc<Schema>, keys: Vec<usize>) -> Vec<Vec<Value>> {
-        run_sort_with(rows, schema, keys, SpillContext::unbounded())
+        run_sort_with(rows, schema, keys, QueryResources::default())
     }
 
     #[test]
@@ -1016,7 +1016,7 @@ mod tests {
             Field::new("k", DataType::Int),
             Field::new("seq", DataType::Int),
         ]);
-        let batch = sort_of(&schema, vec![0], SpillContext::unbounded()).emit_batch_rows;
+        let batch = sort_of(&schema, vec![0], QueryResources::default()).emit_batch_rows;
         let per_page = PAGE_SIZE / schema.row_width();
         for n in [
             0,
@@ -1050,7 +1050,7 @@ mod tests {
             schema,
             vec![7],
             OpCost::default(),
-            SpillContext::unbounded(),
+            QueryResources::default(),
         )
         .err()
         .expect("constructor must reject");
@@ -1069,7 +1069,7 @@ mod tests {
         let want = run_sort(rows.clone(), schema.clone(), vec![0]);
 
         // Budget of 4 pages vs ~16 pages of input: several spilled runs.
-        let spill = SpillContext::with_budget(4 * PAGE_SIZE);
+        let spill = QueryResources::with_budget(4 * PAGE_SIZE);
         let broker = spill.broker.clone();
         let got = run_sort_with(rows, schema, vec![0], spill);
         assert!(broker.peak() > 0, "broker must have tracked memory");
@@ -1085,7 +1085,7 @@ mod tests {
         rows: &[Vec<Value>],
     ) -> (Places, usize, Vec<Vec<Value>>) {
         let pages = pages_of(schema, rows);
-        let mut sort = sort_of(schema, vec![0], SpillContext::unbounded());
+        let mut sort = sort_of(schema, vec![0], QueryResources::default());
         let mut out = Pages::new();
         for page in &pages {
             sort.on_page(0, page, &mut out).expect("intake");
@@ -1156,7 +1156,12 @@ mod tests {
             .map(|i| vec![Value::Int(((i * 31) % 11) - 5), Value::Int(i)])
             .collect();
         let want = run_sort(rows.clone(), schema.clone(), vec![0]);
-        let got = run_sort_with(rows, schema, vec![0], SpillContext::with_budget(PAGE_SIZE));
+        let got = run_sort_with(
+            rows,
+            schema,
+            vec![0],
+            QueryResources::with_budget(PAGE_SIZE),
+        );
         assert_eq!(got, want);
     }
 
@@ -1188,7 +1193,7 @@ mod tests {
             Field::new("k", DataType::Int),
             Field::new("seq", DataType::Int),
         ]);
-        let mut sort = sort_of(&schema, vec![0], SpillContext::unbounded());
+        let mut sort = sort_of(&schema, vec![0], QueryResources::default());
         let io = sort.spill.io(OP);
         for run in runs {
             let mut stream = io.create(schema.clone(), 1).expect("create run");
@@ -1273,7 +1278,7 @@ mod tests {
             })
             .collect();
         let want = run_sort(rows.clone(), schema.clone(), vec![0]);
-        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let spill = QueryResources::with_budget(PAGE_SIZE);
         let broker = spill.broker.clone();
         let mut sort = sort_of(&schema, vec![0], spill);
         let got = drive(&mut sort, &[&pages_of(&schema, &rows)]).expect("spills");
@@ -1308,7 +1313,7 @@ mod tests {
             rows,
             schema,
             vec![0, 1],
-            SpillContext::with_budget(2 * PAGE_SIZE),
+            QueryResources::with_budget(2 * PAGE_SIZE),
         );
         assert_eq!(got, want);
     }
@@ -1321,7 +1326,7 @@ mod tests {
             Field::new("b", DataType::Int),
         ]);
         let pages = pages_of(&wrong, &[vec![Value::Int(1), Value::Int(2)]]);
-        let sort = sort_of(&sort_schema, vec![0], SpillContext::unbounded());
+        let sort = sort_of(&sort_schema, vec![0], QueryResources::default());
         let fault = FaultCell::default();
         let out = run_shell(Box::new(sort), vec![pages], &fault);
         assert_eq!(
@@ -1343,7 +1348,7 @@ mod tests {
         std::fs::write(&blocker, b"not a directory").expect("create blocker");
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         let rows: Vec<Vec<Value>> = (0..2000).map(|i| vec![Value::Int(i)]).collect();
-        let mut spill = SpillContext::with_budget(PAGE_SIZE);
+        let mut spill = QueryResources::with_budget(PAGE_SIZE);
         spill.dir = blocker.clone();
         let broker = spill.broker.clone();
         let mut sort = sort_of(&schema, vec![0], spill);
@@ -1382,7 +1387,7 @@ mod tests {
 
     /// A sort of `schema` pages keyed by column 0 that carries columns 0
     /// and 2 alone, its pages sized for the whole row.
-    fn narrow_sort(schema: &Arc<Schema>, spill: SpillContext) -> SortKernel {
+    fn narrow_sort(schema: &Arc<Schema>, spill: QueryResources) -> SortKernel {
         let carry = Carry::new(schema, vec![0, 2]).expect("in range");
         let width = schema.row_width();
         SortKernel::carrying(carry, vec![0], OpCost::default(), spill, width).expect("valid")
@@ -1413,10 +1418,10 @@ mod tests {
         let (schema, rows) = wide_rows(3000, 50);
         let pages = pages_of(&schema, &rows);
         let whole = emissions(
-            &mut sort_of(&schema, vec![0], SpillContext::unbounded()),
+            &mut sort_of(&schema, vec![0], QueryResources::default()),
             &pages,
         );
-        let narrow = emissions(&mut narrow_sort(&schema, SpillContext::unbounded()), &pages);
+        let narrow = emissions(&mut narrow_sort(&schema, QueryResources::default()), &pages);
         assert_eq!(narrow, whole);
         assert!(whole.len() > 2, "{whole:?}");
         let per_page = PAGE_SIZE / schema.row_width();
@@ -1434,7 +1439,7 @@ mod tests {
             .map(|r| (r[0].as_int().unwrap(), r[2].as_int().unwrap()))
             .collect();
         want.sort_by_key(|&(k, _)| k);
-        let spill = SpillContext::with_budget(PAGE_SIZE);
+        let spill = QueryResources::with_budget(PAGE_SIZE);
         let broker = spill.broker.clone();
         let mut sort = narrow_sort(&schema, spill);
         let got = drive(&mut sort, &[&pages_of(&schema, &rows)]).expect("spills");
@@ -1458,7 +1463,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..20_000).rev().map(|v| vec![Value::Int(v)]).collect();
         // ~156 KiB of input against a 32 KiB budget (≥ 4× over).
         let budget = 8 * PAGE_SIZE;
-        let spill = SpillContext::with_budget(budget);
+        let spill = QueryResources::with_budget(budget);
         let broker = spill.broker.clone();
         let got = run_sort_with(rows, schema, vec![0], spill);
         assert_eq!(got.len(), 20_000);

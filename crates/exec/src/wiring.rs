@@ -31,9 +31,9 @@
 //!
 //! # Live columns
 //!
-//! `wire` hands each node the set of its output columns its consumer
-//! reads and gets back the columns the node's pages actually carry (its
-//! layout). Each node remaps its own column references — filter
+//! `Wiring::wire` hands each node the set of its output columns its
+//! consumer reads and gets back the columns the node's pages actually
+//! carry (its layout). Each node remaps its own column references — filter
 //! predicates, project expressions, aggregate keys and arguments, sort
 //! and join keys — through its child's layout (`Layout::remap`, over
 //! the one column visitor of each expression type). Only sorts and hash
@@ -50,7 +50,7 @@
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
 use crate::expr::{Agg, Columns, ScalarExpr};
-use crate::memory::{MemoryConfig, QueryResources, SpillContext};
+use crate::memory::{MemoryConfig, QueryResources};
 use crate::ops::aggregate::{AggCore, Deposit};
 use crate::ops::port::{Handoff, LinkRx, LinkTx};
 use crate::ops::shell::{PageWork, Port, PortClosed};
@@ -75,8 +75,9 @@ pub struct WiringConfig {
     /// Channel capacity in pages between adjacent operators. Finite so
     /// slow consumers throttle producers, as the model assumes.
     pub queue_capacity: usize,
-    /// Per-query memory policy (budget, spill directory, recursion
-    /// cap). The default is unbounded — no spilling.
+    /// Per-query memory policy (budget, spill directory), what each
+    /// query's [`QueryResources`] are made from. The default is
+    /// unbounded — no spilling.
     pub memory: MemoryConfig,
     /// Intra-query parallelism. With the default single worker the
     /// wiring is exactly the classic one-task-per-operator layout;
@@ -107,8 +108,9 @@ type SpawnedOps = Vec<(Option<TaskId>, String)>;
 /// Instantiates `plan`, delivering root output to every outlet in
 /// `outs` (the root's `cost.out_per_tuple` is charged per consumer).
 /// [`PhysicalPlan::Source`] leaves consume inlets from `sources` in
-/// plan preorder. Runtime faults land in `resources.fault`; buffering
-/// operators charge `resources.broker` and spill per `cfg.memory`.
+/// plan preorder. Every operator runs in `resources`: runtime faults
+/// land in its `fault`, and buffering operators charge its `broker` and
+/// spill to its `dir`.
 ///
 /// Construction is all-or-nothing: on `Err`, no task has been spawned.
 #[allow(clippy::too_many_arguments)]
@@ -122,7 +124,8 @@ pub fn instantiate_into(
     cfg: &WiringConfig,
     resources: &QueryResources,
 ) -> Result<SpawnedOps, ExecError> {
-    let built = build(catalog, plan, outs, sources, label, cfg, resources, None)?;
+    let wiring = Wiring::new(catalog, cfg, resources, label, sources, false);
+    let (built, _) = wiring.build(plan, outs)?;
     Ok(built
         .into_iter()
         .map(|(name, task)| (sim.spawn_task(name.clone(), task), name))
@@ -136,42 +139,22 @@ type Built = Vec<(String, Box<dyn Task>)>;
 /// group's link (see [`run_local`]).
 type ThreadWorkers = Vec<(Box<dyn Kernel + Send>, mpsc::SyncSender<Handoff>)>;
 
-/// Constructs every task of `plan` without spawning any. With
-/// `threads`, morsel groups are linked by OS channels and their
-/// workers land there instead of among the returned tasks.
-#[allow(clippy::too_many_arguments)]
-fn build(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    outs: Vec<Outlet>,
-    sources: &mut VecDeque<Inlet>,
-    label: &str,
-    cfg: &WiringConfig,
-    resources: &QueryResources,
-    mut threads: Option<&mut ThreadWorkers>,
-) -> Result<Built, ExecError> {
-    let mut built = Built::new();
-    let sctx = SpillContext::new(
-        &cfg.memory,
-        resources.broker.clone(),
-        resources.fault.clone(),
-    );
-    // The root's consumers — a collector, a shared pivot's `Source`
-    // feeds, the fragment cache — read every column.
-    wire(
-        catalog,
-        plan,
-        &None,
-        outs,
-        sources,
-        label,
-        cfg,
-        &sctx,
-        &mut 0,
-        &mut built,
-        &mut threads,
-    )?;
-    Ok(built)
+/// One plan being wired: what every node is built from, and the tasks
+/// built so far, in spawn order, named `"{label}/{preorder}:{op}"`.
+struct Wiring<'a> {
+    catalog: &'a Catalog,
+    cfg: &'a WiringConfig,
+    /// The query's context, every operator's.
+    res: &'a QueryResources,
+    label: &'a str,
+    /// Inlets for the plan's `Source` leaves, in preorder.
+    sources: &'a mut VecDeque<Inlet>,
+    /// The preorder index of the next plan node.
+    preorder: usize,
+    built: Built,
+    /// `Some` when morsel groups are linked by OS channels: their
+    /// workers land here instead of among the built tasks.
+    threads: Option<ThreadWorkers>,
 }
 
 /// Instantiates `plan` and returns the root output receiver, the
@@ -391,60 +374,6 @@ fn group(
     }))
 }
 
-/// Wires the morsel group rooted at `plan`, if it is one, delivering
-/// to `outs` (which are given back otherwise). Its workers are named
-/// `{base}:{kind}[w]`, its merge `{base}:{merge_name}`. The group is the
-/// same on both substrates; this only decides where the worker shells
-/// run: in the caller's simulator, linked to the merge by a simulator
-/// channel, or — with `threads` — each on an OS thread of its own,
-/// linked by an OS one.
-#[allow(clippy::too_many_arguments)]
-fn try_wire_parallel(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    outs: Vec<Outlet>,
-    label: &str,
-    cfg: &WiringConfig,
-    fault: &FaultCell,
-    preorder: &mut usize,
-    built: &mut Built,
-    threads: &mut Option<&mut ThreadWorkers>,
-) -> Result<Option<Vec<Outlet>>, ExecError> {
-    let Some(group) = group(catalog, plan, &cfg.parallel)? else {
-        return Ok(Some(outs));
-    };
-    let base = format!("{label}/{}", *preorder);
-    *preorder += group.nodes;
-    let (k, morsel) = (group.workers.len(), cfg.parallel.morsel_pages);
-    let inlet = match threads {
-        None => {
-            let (tx, rx) = channel::bounded(cfg.queue_capacity);
-            let links = std::iter::repeat_n(tx, k);
-            for (w, (kernel, tx)) in group.workers.into_iter().zip(links).enumerate() {
-                let outlet = Outlet::group(LinkTx::Sim(tx), fault);
-                let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel, fault);
-                built.push((format!("{base}:{}[{w}]", group.kind), worker));
-            }
-            Inlet::group(LinkRx::Sim(rx), k, fault)
-        }
-        Some(threads) => {
-            let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity);
-            threads.extend(group.workers.into_iter().zip(std::iter::repeat_n(tx, k)));
-            Inlet::group(LinkRx::Os(rx), k, fault)
-        }
-    };
-    let merge = shell(
-        group.merge,
-        vec![inlet],
-        outs,
-        group.out_per_tuple,
-        morsel,
-        fault,
-    );
-    built.push((format!("{base}:{}", group.merge_name), merge));
-    Ok(None)
-}
-
 /// The task that runs `kernel`: an [`OperatorShell`] reading `inputs`
 /// (in the kernel's port order) and delivering to `outs` at
 /// `out_per_tuple` per consumer, up to `morsel_pages` pages a step, its
@@ -574,234 +503,294 @@ fn every(cols: Live, width: usize) -> Vec<usize> {
     cols.map_or_else(|| (0..width).collect(), |cols| cols.into_iter().collect())
 }
 
-/// Wires `plan` delivering to `outs`, its pages carrying at least the
-/// output columns in `live`, and returns what they carry.
-#[allow(clippy::too_many_arguments)]
-fn wire(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    live: &Live,
-    outs: Vec<Outlet>,
-    sources: &mut VecDeque<Inlet>,
-    label: &str,
-    cfg: &WiringConfig,
-    sctx: &SpillContext,
-    preorder: &mut usize,
-    built: &mut Built,
-    threads: &mut Option<&mut ThreadWorkers>,
-) -> Result<Layout, ExecError> {
-    let (fault, morsel) = (&sctx.fault, cfg.parallel.morsel_pages);
-    let outs = if cfg.parallel.effective_workers() > 1 {
-        let wired = try_wire_parallel(
-            catalog, plan, outs, label, cfg, fault, preorder, built, threads,
-        )?;
-        match wired {
-            None => return Ok(Layout::full(&plan.try_output_schema(catalog)?)),
-            Some(outs) => outs,
-        }
-    } else {
-        outs
-    };
-    let my_idx = *preorder;
-    *preorder += 1;
-    let name = format!("{label}/{my_idx}:{}", plan.op_name());
-    // Child receivers are created before this node's task so that
-    // Source receivers are consumed in preorder.
-    let mut child_input = |child: &PhysicalPlan,
-                           live: &Live,
-                           sources: &mut VecDeque<Inlet>,
-                           preorder: &mut usize,
-                           built: &mut Built|
-     -> Result<(Inlet, Layout), ExecError> {
-        if let PhysicalPlan::Source { schema } = child {
-            *preorder += 1;
-            let rx = sources
-                .pop_front()
-                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
-            return Ok((rx, Layout::full(&schema.0)));
-        }
-        let (tx, rx) = channel::bounded(cfg.queue_capacity);
-        let layout = wire(
+impl<'a> Wiring<'a> {
+    /// Wiring for one plan labelled `label`, its `Source` leaves fed
+    /// from `sources`; with `threaded`, morsel groups are linked by OS
+    /// channels and their workers kept for OS threads.
+    fn new(
+        catalog: &'a Catalog,
+        cfg: &'a WiringConfig,
+        res: &'a QueryResources,
+        label: &'a str,
+        sources: &'a mut VecDeque<Inlet>,
+        threaded: bool,
+    ) -> Self {
+        Wiring {
             catalog,
-            child,
-            live,
-            vec![tx.into()],
-            sources,
-            label,
             cfg,
-            sctx,
-            preorder,
-            built,
-            threads,
-        )?;
-        Ok((rx.into(), layout))
-    };
+            res,
+            label,
+            sources,
+            preorder: 0,
+            built: Built::new(),
+            threads: threaded.then(ThreadWorkers::new),
+        }
+    }
 
-    let (kernel, inputs, out_per_tuple, layout): Node = match plan {
-        PhysicalPlan::Scan { table, cost } => {
-            let table = catalog
-                .get(table)
-                .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
-            let kernel = ScanKernel::new(table.pages().to_vec(), *cost);
-            let layout = Layout::full(table.schema());
-            (Box::new(kernel), vec![], cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::Source { schema } => {
-            // Source as root: relay external pages to the consumers.
-            let rx = sources
-                .pop_front()
-                .ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))?;
-            let layout = Layout::full(&schema.0);
-            (Box::new(Relay(schema.0.clone())), vec![rx], 0.0, layout)
-        }
-        PhysicalPlan::Filter {
-            input,
-            predicate,
-            cost,
-        } => {
-            let live = reading(live, predicate);
-            let (rx, layout) = child_input(input, &live, sources, preorder, built)?;
-            let kernel = row_kernel(plan, &layout, &layout.schema)?;
-            (kernel, vec![rx], cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::Project { input, exprs, cost } => {
-            let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
-            let out_schema = plan.try_output_schema(catalog)?;
-            let (rx, child) = child_input(input, &reads(&exprs), sources, preorder, built)?;
-            let kernel = row_kernel(plan, &child, &out_schema)?;
-            let layout = Layout::full(&out_schema);
-            (kernel, vec![rx], cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            cost,
-        } => {
-            let out_schema = plan.try_output_schema(catalog)?;
-            let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
-            let live = reading(&reads(group_by), &aggs);
-            let (rx, child) = child_input(input, &live, sources, preorder, built)?;
-            let (by, aggs) = (child.remap(group_by)?, child.remap(&aggs)?);
-            let layout = Layout::full(&out_schema);
-            let kernel = AggregateKernel::new(child.schema, by, aggs, out_schema, *cost)?;
-            (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::Sort { input, keys, cost } => {
-            let logical = plan.try_output_schema(catalog)?;
-            let carried = carried(live, keys, logical.len());
-            let (rx, child) = child_input(input, &carried, sources, preorder, built)?;
-            let carry = child.carry(&carried)?;
-            let layout = Layout::of(&logical, every(carried, logical.len()));
-            // Over a full layout, keys out of range fail the kernel's check.
-            let keys = layout.remap(keys)?;
-            let width = layout.width();
-            let kernel = SortKernel::carrying(carry, keys, *cost, sctx.clone(), width)?;
-            (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::HashJoin {
-            build,
-            probe,
-            build_key,
-            probe_key,
-            kind,
-            build_cost,
-            probe_cost,
-        } => {
-            let logical = plan.try_output_schema(catalog)?;
-            let probe_width = probe.try_output_schema(catalog)?.len();
-            let build_width = build.try_output_schema(catalog)?.len();
-            // What the consumer reads of each side: the output is the
-            // probe's columns, then for an inner or left outer join
-            // the build's.
-            let (probe_live, build_live) = match live {
-                None => (None, None),
-                Some(live) => {
-                    let (probe, build): (BTreeSet<usize>, _) =
-                        live.iter().partition(|&&c| c < probe_width);
-                    let build = build.into_iter().map(|c| c - probe_width).collect();
-                    (Some(probe), Some(build))
+    /// Constructs every task of `plan`, delivering to `outs`, without
+    /// spawning any; returns them with the workers bound for threads.
+    fn build(
+        mut self,
+        plan: &PhysicalPlan,
+        outs: Vec<Outlet>,
+    ) -> Result<(Built, ThreadWorkers), ExecError> {
+        // The root's consumers — a collector, a shared pivot's `Source`
+        // feeds, the fragment cache — read every column.
+        self.wire(plan, &None, outs)?;
+        Ok((self.built, self.threads.unwrap_or_default()))
+    }
+
+    /// The inlet of the next `Source` leaf in preorder.
+    fn source(&mut self) -> Result<Inlet, ExecError> {
+        let rx = self.sources.pop_front();
+        rx.ok_or_else(|| ExecError::plan("a receiver per Source leaf, in preorder"))
+    }
+
+    /// Wires the morsel group rooted at `plan`, if more than one worker
+    /// is configured and it is one, delivering to `outs` (which are
+    /// given back otherwise). Its workers are named `{base}:{kind}[w]`,
+    /// its merge `{base}:{merge_name}`. The group is the same on both
+    /// substrates; this only decides where the worker shells run: in the
+    /// caller's simulator, linked to the merge by a simulator channel,
+    /// or — with `threads` — each on an OS thread of its own, linked by
+    /// an OS one.
+    fn try_parallel(
+        &mut self,
+        plan: &PhysicalPlan,
+        outs: Vec<Outlet>,
+    ) -> Result<Option<Vec<Outlet>>, ExecError> {
+        let (par, fault) = (&self.cfg.parallel, &self.res.fault);
+        let group = match par.effective_workers() > 1 {
+            true => group(self.catalog, plan, par)?,
+            false => None,
+        };
+        let Some(group) = group else {
+            return Ok(Some(outs));
+        };
+        let base = format!("{}/{}", self.label, self.preorder);
+        self.preorder += group.nodes;
+        let (k, morsel) = (group.workers.len(), par.morsel_pages);
+        let inlet = match &mut self.threads {
+            None => {
+                let (tx, rx) = channel::bounded(self.cfg.queue_capacity);
+                let links = std::iter::repeat_n(tx, k);
+                for (w, (kernel, tx)) in group.workers.into_iter().zip(links).enumerate() {
+                    let outlet = Outlet::group(LinkTx::Sim(tx), fault);
+                    let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel, fault);
+                    let name = format!("{base}:{}[{w}]", group.kind);
+                    self.built.push((name, worker));
                 }
-            };
-            // A join that reads no build column keeps keys alone.
-            let keys_only = match kind {
-                JoinKind::Semi | JoinKind::Anti => true,
-                JoinKind::Inner | JoinKind::LeftOuter => {
-                    build_live.as_ref().is_some_and(BTreeSet::is_empty)
-                }
-            };
-            let build_carried = match keys_only {
-                true => Some(BTreeSet::from([*build_key])),
-                false => carried(&build_live, &[*build_key], build_width),
-            };
-            let probe_carried = carried(&probe_live, &[*probe_key], probe_width);
-            let (rx_build, build_in) =
-                child_input(build, &build_carried, sources, preorder, built)?;
-            let (rx_probe, probe_in) =
-                child_input(probe, &probe_carried, sources, preorder, built)?;
-            let sides = [
-                (build_in.carry(&build_carried)?, build_in.at(*build_key)?),
-                (probe_in.carry(&probe_carried)?, probe_in.at(*probe_key)?),
-            ];
-            let mut cols = every(probe_carried, probe_width);
-            if !keys_only {
-                let build_cols = every(build_carried, build_width).into_iter();
-                cols.extend(build_cols.map(|c| c + probe_width));
+                Inlet::group(LinkRx::Sim(rx), k, fault)
             }
-            let layout = Layout::of(&logical, cols);
-            let kernel = HashJoinKernel::carrying(
-                *kind,
-                sides,
-                keys_only,
-                layout.schema.clone(),
-                layout.width(),
-                (*build_cost, *probe_cost),
-                sctx.clone(),
-            )?;
-            let inputs = vec![rx_build, rx_probe];
-            (Box::new(kernel), inputs, probe_cost.out_per_tuple, layout)
+            Some(threads) => {
+                let (tx, rx) = mpsc::sync_channel(self.cfg.queue_capacity);
+                threads.extend(group.workers.into_iter().zip(std::iter::repeat_n(tx, k)));
+                Inlet::group(LinkRx::Os(rx), k, fault)
+            }
+        };
+        let (merge, per_tuple) = (group.merge, group.out_per_tuple);
+        let merge = shell(merge, vec![inlet], outs, per_tuple, morsel, fault);
+        let name = format!("{base}:{}", group.merge_name);
+        self.built.push((name, merge));
+        Ok(None)
+    }
+
+    /// The inlet a node reads `child` through, the child's pages
+    /// carrying at least its output columns in `live`, and what they
+    /// carry. A node wires its children before it builds its own task,
+    /// so `Source` inlets are taken in preorder.
+    fn input(&mut self, child: &PhysicalPlan, live: &Live) -> Result<(Inlet, Layout), ExecError> {
+        if let PhysicalPlan::Source { schema } = child {
+            self.preorder += 1;
+            return Ok((self.source()?, Layout::full(&schema.0)));
         }
-        PhysicalPlan::NestedLoopJoin {
-            outer,
-            inner,
-            predicate,
-            cost,
-        } => {
-            let pair_schema = plan.try_output_schema(catalog)?;
-            let (rx_outer, outer) = child_input(outer, &None, sources, preorder, built)?;
-            let (rx_inner, inner) = child_input(inner, &None, sources, preorder, built)?;
-            let predicate = predicate.clone();
-            let layout = Layout::full(&pair_schema);
-            let kernel = NljKernel::new(outer.schema, inner.schema, predicate, pair_schema, *cost)?;
-            let inputs = vec![rx_inner, rx_outer];
-            (Box::new(kernel), inputs, cost.out_per_tuple, layout)
-        }
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            cost,
-        } => {
-            let out_schema = plan.try_output_schema(catalog)?;
-            let (rx_left, left) = child_input(left, &None, sources, preorder, built)?;
-            let (rx_right, right) = child_input(right, &None, sources, preorder, built)?;
-            let layout = Layout::full(&out_schema);
-            let kernel = MergeJoinKernel::new(
-                left.schema,
-                right.schema,
-                *left_key,
-                *right_key,
-                out_schema,
-                *cost,
-            )?;
-            let inputs = vec![rx_left, rx_right];
-            (Box::new(kernel), inputs, cost.out_per_tuple, layout)
-        }
-    };
-    let task = shell(kernel, inputs, outs, out_per_tuple, morsel, fault);
-    built.push((name, task));
-    Ok(layout)
+        let (tx, rx) = channel::bounded(self.cfg.queue_capacity);
+        let layout = self.wire(child, live, vec![tx.into()])?;
+        Ok((rx.into(), layout))
+    }
+
+    /// Wires `plan` delivering to `outs`, its pages carrying at least the
+    /// output columns in `live`, and returns what they carry.
+    fn wire(
+        &mut self,
+        plan: &PhysicalPlan,
+        live: &Live,
+        outs: Vec<Outlet>,
+    ) -> Result<Layout, ExecError> {
+        let catalog = self.catalog;
+        let Some(outs) = self.try_parallel(plan, outs)? else {
+            return Ok(Layout::full(&plan.try_output_schema(catalog)?));
+        };
+        let name = format!("{}/{}:{}", self.label, self.preorder, plan.op_name());
+        self.preorder += 1;
+        let (kernel, inputs, out_per_tuple, layout): Node = match plan {
+            PhysicalPlan::Scan { table, cost } => {
+                let table = catalog
+                    .get(table)
+                    .ok_or_else(|| ExecError::plan(format!("no table '{table}' in catalog")))?;
+                let kernel = ScanKernel::new(table.pages().to_vec(), *cost);
+                let layout = Layout::full(table.schema());
+                (Box::new(kernel), vec![], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Source { schema } => {
+                // Source as root: relay external pages to the consumers.
+                let layout = Layout::full(&schema.0);
+                (
+                    Box::new(Relay(schema.0.clone())),
+                    vec![self.source()?],
+                    0.0,
+                    layout,
+                )
+            }
+            PhysicalPlan::Filter {
+                input,
+                predicate,
+                cost,
+            } => {
+                let live = reading(live, predicate);
+                let (rx, layout) = self.input(input, &live)?;
+                let kernel = row_kernel(plan, &layout, &layout.schema)?;
+                (kernel, vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Project { input, exprs, cost } => {
+                let exprs: Vec<ScalarExpr> = exprs.iter().map(|(_, e)| e.clone()).collect();
+                let out_schema = plan.try_output_schema(catalog)?;
+                let (rx, child) = self.input(input, &reads(&exprs))?;
+                let kernel = row_kernel(plan, &child, &out_schema)?;
+                let layout = Layout::full(&out_schema);
+                (kernel, vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+                cost,
+            } => {
+                let out_schema = plan.try_output_schema(catalog)?;
+                let aggs: Vec<Agg> = aggs.iter().map(|(_, a)| a.clone()).collect();
+                let live = reading(&reads(group_by), &aggs);
+                let (rx, child) = self.input(input, &live)?;
+                let (by, aggs) = (child.remap(group_by)?, child.remap(&aggs)?);
+                let layout = Layout::full(&out_schema);
+                let kernel = AggregateKernel::new(child.schema, by, aggs, out_schema, *cost)?;
+                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::Sort { input, keys, cost } => {
+                let logical = plan.try_output_schema(catalog)?;
+                let carried = carried(live, keys, logical.len());
+                let (rx, child) = self.input(input, &carried)?;
+                let carry = child.carry(&carried)?;
+                let layout = Layout::of(&logical, every(carried, logical.len()));
+                // Over a full layout, keys out of range fail the kernel's check.
+                let keys = layout.remap(keys)?;
+                let width = layout.width();
+                let kernel = SortKernel::carrying(carry, keys, *cost, self.res.clone(), width)?;
+                (Box::new(kernel), vec![rx], cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::HashJoin {
+                build,
+                probe,
+                build_key,
+                probe_key,
+                kind,
+                build_cost,
+                probe_cost,
+            } => {
+                let logical = plan.try_output_schema(catalog)?;
+                let probe_width = probe.try_output_schema(catalog)?.len();
+                let build_width = build.try_output_schema(catalog)?.len();
+                // What the consumer reads of each side: the output is the
+                // probe's columns, then for an inner or left outer join
+                // the build's.
+                let (probe_live, build_live) = match live {
+                    None => (None, None),
+                    Some(live) => {
+                        let (probe, build): (BTreeSet<usize>, _) =
+                            live.iter().partition(|&&c| c < probe_width);
+                        let build = build.into_iter().map(|c| c - probe_width).collect();
+                        (Some(probe), Some(build))
+                    }
+                };
+                // A join that reads no build column keeps keys alone.
+                let keys_only = match kind {
+                    JoinKind::Semi | JoinKind::Anti => true,
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        build_live.as_ref().is_some_and(BTreeSet::is_empty)
+                    }
+                };
+                let build_carried = match keys_only {
+                    true => Some(BTreeSet::from([*build_key])),
+                    false => carried(&build_live, &[*build_key], build_width),
+                };
+                let probe_carried = carried(&probe_live, &[*probe_key], probe_width);
+                let (rx_build, build_in) = self.input(build, &build_carried)?;
+                let (rx_probe, probe_in) = self.input(probe, &probe_carried)?;
+                let sides = [
+                    (build_in.carry(&build_carried)?, build_in.at(*build_key)?),
+                    (probe_in.carry(&probe_carried)?, probe_in.at(*probe_key)?),
+                ];
+                let mut cols = every(probe_carried, probe_width);
+                if !keys_only {
+                    let build_cols = every(build_carried, build_width).into_iter();
+                    cols.extend(build_cols.map(|c| c + probe_width));
+                }
+                let layout = Layout::of(&logical, cols);
+                let kernel = HashJoinKernel::carrying(
+                    *kind,
+                    sides,
+                    keys_only,
+                    layout.schema.clone(),
+                    layout.width(),
+                    (*build_cost, *probe_cost),
+                    self.res.clone(),
+                )?;
+                let inputs = vec![rx_build, rx_probe];
+                (Box::new(kernel), inputs, probe_cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::NestedLoopJoin {
+                outer,
+                inner,
+                predicate,
+                cost,
+            } => {
+                let pair_schema = plan.try_output_schema(catalog)?;
+                let (rx_outer, outer) = self.input(outer, &None)?;
+                let (rx_inner, inner) = self.input(inner, &None)?;
+                let predicate = predicate.clone();
+                let layout = Layout::full(&pair_schema);
+                let kernel =
+                    NljKernel::new(outer.schema, inner.schema, predicate, pair_schema, *cost)?;
+                let inputs = vec![rx_inner, rx_outer];
+                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+            }
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                cost,
+            } => {
+                let out_schema = plan.try_output_schema(catalog)?;
+                let (rx_left, left) = self.input(left, &None)?;
+                let (rx_right, right) = self.input(right, &None)?;
+                let layout = Layout::full(&out_schema);
+                let kernel = MergeJoinKernel::new(
+                    left.schema,
+                    right.schema,
+                    *left_key,
+                    *right_key,
+                    out_schema,
+                    *cost,
+                )?;
+                let inputs = vec![rx_left, rx_right];
+                (Box::new(kernel), inputs, cost.out_per_tuple, layout)
+            }
+        };
+        let (morsel, fault) = (self.cfg.parallel.morsel_pages, &self.res.fault);
+        let task = shell(kernel, inputs, outs, out_per_tuple, morsel, fault);
+        self.built.push((name, task));
+        Ok(layout)
+    }
 }
 
 /// The kernel of a filter or project `node`, reading `input` pages and
@@ -909,9 +898,10 @@ pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
 }
 
 /// Runs `plan` to completion on real threads — the one local driver,
-/// the same `ops/*` kernels as any simulated run — charging
-/// `resources.broker` (its budget is what bounds the query;
-/// `cfg.memory` contributes the spill policy).
+/// the same `ops/*` kernels as any simulated run — in `resources`, the
+/// query's context: its broker's budget bounds the query and its
+/// operators spill to its `dir`. `cfg.memory` is read only by whoever
+/// made `resources` ([`QueryResources::for_config`]).
 ///
 /// The plan is wired once: serial operators and each morsel group's
 /// merge run in a private single-context run loop on the calling
@@ -933,6 +923,7 @@ pub fn run_local(
 /// feed the plan's `Source` leaves in preorder, and the root delivers
 /// to `outs` or, when there are none, into the pages returned. Either
 /// way the run has ended, and dropped every port, when this returns.
+/// The plan runs in `resources`, as in [`run_local`].
 #[expect(
     clippy::disallowed_methods,
     reason = "the local run: each group worker's shell on a scoped thread of its own"
@@ -954,9 +945,9 @@ pub fn run_local_between(
     } else {
         outs
     };
-    let mut workers = ThreadWorkers::new();
-    let (sources, threads) = (&mut sources.into(), Some(&mut workers));
-    let built = build(catalog, plan, outs, sources, "q", cfg, resources, threads)?;
+    let mut sources = sources.into();
+    let wiring = Wiring::new(catalog, cfg, resources, "q", &mut sources, true);
+    let (built, workers) = wiring.build(plan, outs)?;
     for (name, task) in built {
         sim.spawn(name, task);
     }
@@ -1020,7 +1011,6 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Predicate, ScalarExpr};
-    use crate::memory::MemoryBroker;
     use cordoba_sim::StepStatus;
     use cordoba_storage::{DataType, Field, Schema, TableBuilder, Value};
 
@@ -1482,9 +1472,10 @@ mod tests {
 
     #[test]
     fn thread_driver_join_honours_its_budget() {
-        // A 12-page build side under a budget: the join is the serial
-        // wiring's `HashJoinKernel`, so it spills instead of forcing
-        // grants and cleans up after itself.
+        // A six-page build side (the semi join carries its 3 000 8-byte
+        // keys alone) under a budget: the join is the serial wiring's
+        // `HashJoinKernel`, so it spills into the configured directory
+        // instead of forcing grants, and cleans up after itself.
         use cordoba_storage::PAGE_SIZE;
         let cat = paged_catalog();
         let join = |input: fn() -> Box<PhysicalPlan>| PhysicalPlan::HashJoin {
@@ -1515,20 +1506,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cordoba-wiring-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("spill dir");
         // At two pages the operator's fixed per-partition buffers
-        // dominate (the serial wiring itself peaks at 6x); from six
-        // pages up it holds its 1.25x contract, which forced grants for
-        // the whole build side (1.5x at eight pages) would break.
-        for budget in [2 * PAGE_SIZE, 8 * PAGE_SIZE] {
-            let serial = MemoryBroker::with_budget(budget);
-            let res = QueryResources::charging(&serial);
-            run_local(&cat, &same_pages, &WiringConfig::default(), &res).expect("serial join");
+        // dominate (the serial wiring itself peaks at 2.5x); at six it
+        // still spills and holds its 1.25x contract. From seven pages
+        // up the build side fits and nothing spills.
+        for budget in [2 * PAGE_SIZE, 6 * PAGE_SIZE] {
+            let serial = QueryResources::with_budget(budget);
+            run_local(&cat, &same_pages, &WiringConfig::default(), &serial).expect("serial join");
+            let serial = serial.broker;
             for workers in [2, 4] {
                 let at = format!("budget={budget} workers={workers}");
                 let mut cfg = threaded(workers);
+                cfg.memory.query_budget = Some(budget);
                 cfg.memory.spill_dir = Some(dir.clone());
-                let broker = MemoryBroker::with_budget(budget);
-                let got = run_local(&cat, &plan, &cfg, &QueryResources::charging(&broker))
-                    .expect("join runs under budget");
+                let res = QueryResources::for_config(&cfg.memory);
+                let got = run_local(&cat, &plan, &cfg, &res).expect("join runs under budget");
+                let broker = res.broker;
                 let got = crate::reference::canonicalize(page_rows(&got));
                 assert_eq!(got, want, "{at}");
                 assert!(
@@ -1541,19 +1533,63 @@ mod tests {
                     broker.peak(),
                     serial.peak()
                 );
-                if budget == 8 * PAGE_SIZE {
+                if budget == 6 * PAGE_SIZE {
                     assert!(
                         broker.peak() * 4 <= budget * 5,
                         "{at}: peak {} over 1.25 x budget",
                         broker.peak()
                     );
                 }
+                assert!(broker.spilled() > 0, "{at}: the join spilled into `dir`");
                 assert_eq!(broker.used(), 0, "{at}: grants leaked");
                 let left = std::fs::read_dir(&dir).expect("spill dir").count();
                 assert_eq!(left, 0, "{at}: spill files left behind");
             }
         }
         std::fs::remove_dir(&dir).expect("empty spill dir");
+    }
+
+    #[test]
+    fn wired_sort_spills_to_the_configured_dir_on_both_drivers() {
+        // A file stands where the spill directory should be: a sort
+        // over budget fails creating its first run, on the simulator and
+        // on threads alike, so the config's `spill_dir` is what the
+        // operator spilled to.
+        use cordoba_storage::PAGE_SIZE;
+        let blocker =
+            std::env::temp_dir().join(format!("cordoba-wiring-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").expect("create blocker");
+        let cat = paged_catalog();
+        let plan = PhysicalPlan::Sort {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "t".into(),
+                cost: OpCost::default(),
+            }),
+            keys: vec![0, 1],
+            cost: OpCost::default(),
+        };
+        let cfg = WiringConfig {
+            memory: MemoryConfig {
+                query_budget: Some(2 * PAGE_SIZE),
+                spill_dir: Some(blocker.clone()),
+            },
+            ..WiringConfig::default()
+        };
+        let mut sim = Simulator::new(1);
+        let (rx, _, res) = instantiate(&mut sim, &cat, &plan, "q", &cfg).expect("wires");
+        let simulated = run_and_collect(&mut sim, rx, OpCost::default(), &res.fault);
+        assert_eq!(res.broker.used(), 0, "simulator: grants leaked");
+        let res = QueryResources::for_config(&cfg.memory);
+        let threaded = run_local(&cat, &plan, &cfg, &res).map(|pages| page_rows(&pages));
+        assert_eq!(res.broker.used(), 0, "threads: grants leaked");
+        let _ = std::fs::remove_file(&blocker);
+        for (on, got) in [("simulator", simulated), ("threads", threaded)] {
+            let err = got.expect_err(on);
+            assert!(
+                matches!(err, ExecError::Spill { op: "sort", .. }),
+                "{on}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1571,19 +1607,13 @@ mod tests {
         };
         let page = cat.expect("t").pages()[0].clone();
         let held = Arc::strong_count(&page);
-        let broker = MemoryBroker::unbounded();
-        let err = run_local(
-            &cat,
-            &plan,
-            &threaded(4),
-            &QueryResources::charging(&broker),
-        )
-        .expect_err("unsorted input");
+        let res = QueryResources::default();
+        let err = run_local(&cat, &plan, &threaded(4), &res).expect_err("unsorted input");
         assert!(
             matches!(err, ExecError::UnsortedMergeInput { .. }),
             "{err:?}"
         );
-        assert_eq!(broker.used(), 0);
+        assert_eq!(res.broker.used(), 0);
         // Returning at all means no worker deadlocked on its channel;
         // every worker shared the table's page list, so the count is
         // back only if all eight threads are gone.
@@ -1836,8 +1866,7 @@ mod tests {
         let morsel = cfg.parallel.morsel_pages;
         // The simulator: the workers' shells beside the sort's, their
         // fault the query's.
-        let broker = MemoryBroker::unbounded();
-        let res = QueryResources::charging(&broker);
+        let res = QueryResources::default();
         let mut sim = Simulator::new(2);
         let (link, rx) = channel::bounded(4);
         for (w, (kernel, tx)) in workers()
@@ -1866,12 +1895,11 @@ mod tests {
         .expect("wires");
         let got = run_and_collect(&mut sim, collected, OpCost::default(), &res.fault);
         assert_eq!(got, Err(broke.clone()), "simulator");
-        assert!(broker.peak() > 0, "the sort charged the broker");
-        assert_eq!(broker.used(), 0, "simulator: grants leaked");
+        assert!(res.broker.peak() > 0, "the sort charged the broker");
+        assert_eq!(res.broker.used(), 0, "simulator: grants leaked");
         // OS threads: each worker driven as `run_local` drives it.
         let held = Arc::strong_count(&pages[0]);
-        let broker = MemoryBroker::unbounded();
-        let res = QueryResources::charging(&broker);
+        let res = QueryResources::default();
         let (link, rx) = mpsc::sync_channel(4);
         thread::scope(|scope| {
             for (kernel, link) in workers().into_iter().zip(std::iter::repeat_n(link, 3)) {
@@ -1881,7 +1909,7 @@ mod tests {
             let got = run_local_between(&cat, &sort, sources, vec![], &cfg, &res);
             assert_eq!(got.map(|pages| pages.len()), Err(broke), "threads");
         });
-        assert_eq!(broker.used(), 0, "threads: grants leaked");
+        assert_eq!(res.broker.used(), 0, "threads: grants leaked");
         assert_eq!(
             Arc::strong_count(&pages[0]),
             held,

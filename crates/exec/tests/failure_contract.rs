@@ -18,7 +18,7 @@ use cordoba_exec::ops::{
     AggregateKernel, Fanout, FilterKernel, HashJoinKernel, Kernel, NljKernel, OperatorShell,
     ProjectKernel, SortKernel,
 };
-use cordoba_exec::{ExecError, JoinKind, MemoryBroker, OpCost, SpillContext};
+use cordoba_exec::{ExecError, JoinKind, MemoryBroker, OpCost, QueryResources};
 use cordoba_sim::channel::{self, Recv};
 use cordoba_sim::{DetachedCtx, StepStatus, Task};
 use cordoba_storage::{DataType, Field, Page, Schema, TableBuilder, Value, PAGE_SIZE};
@@ -50,10 +50,10 @@ fn foreign_page() -> Arc<Page> {
 }
 
 /// A budgeted spill context with a spill directory of its own.
-fn budgeted(tag: &str, budget: usize) -> (SpillContext, MemoryBroker, PathBuf) {
+fn budgeted(tag: &str, budget: usize) -> (QueryResources, MemoryBroker, PathBuf) {
     let dir = std::env::temp_dir().join(format!("cordoba-failure-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("spill dir");
-    let mut spill = SpillContext::with_budget(budget);
+    let mut spill = QueryResources::with_budget(budget);
     spill.dir = dir.clone();
     let broker = spill.broker.clone();
     (spill, broker, dir)
@@ -112,7 +112,7 @@ fn ruin_spill_files(dir: &PathBuf, cut: Cut) {
 fn run_to_fault(
     kernel: Box<dyn Kernel>,
     inputs: Vec<Vec<Arc<Page>>>,
-    spill: &SpillContext,
+    spill: &QueryResources,
     ruin: Option<(&PathBuf, Cut, When)>,
 ) -> (ExecError, usize) {
     let mut detached = DetachedCtx::new();
@@ -181,7 +181,7 @@ fn a_failed_sort_returns_its_memory_and_files() {
     // 16 000 rows (63 pages) under a four-page budget: runs on disk and
     // pages in memory when the foreign page arrives; the final merge
     // under way when the files are cut short.
-    let sort = |spill: &SpillContext| {
+    let sort = |spill: &QueryResources| {
         let cost = OpCost::default();
         Box::new(SortKernel::new(kv_schema(), vec![0], cost, spill.clone()).expect("valid keys"))
     };
@@ -216,7 +216,7 @@ fn a_failed_hash_join_returns_its_memory_and_files() {
     // spilled by the time the foreign build page arrives; spilled probe
     // streams are open when the foreign probe page does; and pairs are
     // queued (or one is being probed) when the files go bad.
-    let join = |spill: &SpillContext| {
+    let join = |spill: &QueryResources| {
         let (s, cost) = (kv_schema(), OpCost::default());
         let out = cordoba_exec::concat_schemas(&s, &s);
         let spill = spill.clone();
@@ -266,7 +266,7 @@ fn a_semi_join_whose_key_files_are_cut_returns_its_memory_and_files() {
     // are cut once mid-build-spill, 40 of 63 build pages in, while the
     // build still writes them (the only spill files there are then),
     // and once mid-spilled-pair, key files among the probe files.
-    let semi = |spill: &SpillContext| {
+    let semi = |spill: &QueryResources| {
         let (k, s, cost) = (JoinKind::Semi, kv_schema(), OpCost::default());
         let spill = spill.clone();
         let join = HashJoinKernel::new(0, 0, k, s.clone(), s.clone(), s, cost, cost, spill);
@@ -336,7 +336,7 @@ fn a_foreign_page_faults_every_operator_with_a_typed_error() {
         let (op, ports) = (kernel.name(), kernel.ports().len());
         let mut inputs = vec![kv_pages(300, 10); ports];
         inputs[bad_port] = poisoned(inputs[bad_port].clone(), 1);
-        let spill = SpillContext::unbounded();
+        let spill = QueryResources::default();
         let (err, read) = run_to_fault(kernel, inputs, &spill, None);
         assert!(
             matches!(&err, ExecError::InputPageMismatch { op: o, .. } if *o == op),

@@ -12,7 +12,7 @@
 )]
 
 use cordoba_exec::ops::{HashJoinKernel, Kernel, Pages, SortKernel};
-use cordoba_exec::{JoinKind, MemoryBroker, OpCost, SpillContext};
+use cordoba_exec::{JoinKind, MemoryBroker, OpCost, QueryResources};
 use cordoba_storage::spill::frame_bytes;
 use cordoba_storage::{DataType, Field, Page, Schema, TableBuilder, Value, PAGE_SIZE};
 use std::sync::Arc;
@@ -34,11 +34,11 @@ fn kv_pages(n: usize, keys: usize) -> Vec<Arc<Page>> {
     tb.finish().pages().to_vec()
 }
 
-fn sort(spill: SpillContext) -> SortKernel {
+fn sort(spill: QueryResources) -> SortKernel {
     SortKernel::new(kv_schema(), vec![0], OpCost::default(), spill).expect("valid keys")
 }
 
-fn join(spill: SpillContext) -> HashJoinKernel {
+fn join(spill: QueryResources) -> HashJoinKernel {
     let (s, cost) = (kv_schema(), OpCost::default());
     let out = cordoba_exec::concat_schemas(&s, &s);
     HashJoinKernel::new(0, 0, JoinKind::Inner, s.clone(), s, out, cost, cost, spill)
@@ -75,9 +75,9 @@ fn run(kernel: &mut dyn Kernel, inputs: &[&[Arc<Page>]]) -> Vec<(i64, i64, i64)>
 }
 
 /// A `pages`-page budget spilling to a directory of its own.
-fn budgeted(tag: &str, pages: usize) -> (SpillContext, MemoryBroker, std::path::PathBuf) {
+fn budgeted(tag: &str, pages: usize) -> (QueryResources, MemoryBroker, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("cordoba-frames-{tag}-{}", std::process::id()));
-    let mut spill = SpillContext::with_budget(pages * PAGE_SIZE);
+    let mut spill = QueryResources::with_budget(pages * PAGE_SIZE);
     spill.dir = dir.clone();
     let broker = spill.broker.clone();
     (spill, broker, dir)
@@ -148,7 +148,7 @@ fn sort_and_join_stay_inside_every_budget_with_their_frames_counted() {
 
         // Ten times the budget (60 pages at least) through the sort.
         let input = kv_pages((10 * pages).max(60) * 256, 5000);
-        let want = run(&mut sort(SpillContext::unbounded()), &[&input]);
+        let want = run(&mut sort(QueryResources::default()), &[&input]);
         let (spill, broker, dir) = budgeted("sort", pages);
         let got = run(&mut sort(spill), &[&input]);
         assert_eq!(got, want, "{pages} pages: the stable in-memory order");
@@ -171,7 +171,7 @@ fn sort_and_join_stay_inside_every_budget_with_their_frames_counted() {
         // A build side of four times the budget (12 pages at least).
         let n = (4 * pages).max(12) * 256;
         let (build, probe) = (kv_pages(n, n / 3), kv_pages(n + n / 5, n / 2));
-        let mut want = run(&mut join(SpillContext::unbounded()), &[&build, &probe]);
+        let mut want = run(&mut join(QueryResources::default()), &[&build, &probe]);
         let (spill, broker, dir) = budgeted("join", pages);
         let mut got = run(&mut join(spill), &[&build, &probe]);
         // Spilled partitions come back partition by partition.

@@ -1,4 +1,4 @@
-// Rule 10: spill streams opened past `SpillContext::io`.
+// Rule 10: spill streams opened past `QueryResources::io`.
 use cordoba_storage::{spill::SpillFile, spill::SpillWriter, Schema};
 use std::{io::Result, path::Path, sync::Arc};
 fn create(d: &Path, s: Arc<Schema>) -> Result<(SpillWriter, SpillWriter)> { Ok((SpillWriter::create(d, s.clone())?, SpillWriter::create_framed(d, s, 4)?)) } //~ clippy::disallowed_methods clippy::disallowed_methods

@@ -1099,16 +1099,16 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
             outcomes
         }
         Threads => {
-            let broker = memory.broker();
+            let resources = cordoba::exec::QueryResources::for_config(&memory);
             let cfg = WiringConfig {
                 queue_capacity: 16,
                 memory,
                 parallel,
             };
-            let resources = cordoba::exec::QueryResources::charging(&broker);
             let rows = wiring::run_local(cat, &q.plan, &cfg, &resources);
-            if broker.used() != 0 {
-                return Err(format!("the broker still holds {} bytes", broker.used()));
+            let held = resources.broker.used();
+            if held != 0 {
+                return Err(format!("the broker still holds {held} bytes"));
             }
             vec![(0, rows.map(|pages| wiring::page_rows(&pages)))]
         }
