@@ -5,17 +5,19 @@
 //! Usage (from the repo root):
 //! `cargo run --release -p cordoba-bench --bin figures -- <figure|all> [panel] [--quick]`
 //! * `<figure>` — `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `sec44`,
-//!   `ablations`, `ops` or `service`; `all` runs every figure in turn.
+//!   `ablations`, `ops`, `service` or `size`; `all` runs every figure in
+//!   turn.
 //! * `[panel]` — one panel of the figure: `fig2 scan`, `fig5 workers`,
 //!   `ops spill`, … A single panel only prints.
 //! * `--quick` — `ExpConfig::quick`'s smaller scale (`fig4` is the
-//!   model alone, and `sec44`, `ops` and `service` always run at their
-//!   own scale).
+//!   model alone, and `sec44`, `ops`, `service` and `size` always run at
+//!   their own scale).
 //!
 //! A run that covers every table of a committed document rewrites it
 //! ([`cordoba_bench::gates::DOCUMENTS`]): `figures ops` rewrites
-//! `BENCH_ops.json`, `figures service` `BENCH_service.json`, and
-//! `figures all` those two and `BENCH_paper.json`. Anything else prints
+//! `BENCH_ops.json`, `figures service` `BENCH_service.json`, `figures
+//! size` `BENCH_size.json`, and `figures all` those three and
+//! `BENCH_paper.json`. Anything else prints
 //! the usage line and exits 2, before running anything.
 
 use cordoba_bench::figures::Args;

@@ -14,6 +14,7 @@ use crate::experiments::{
 };
 use crate::gates::{self, Document};
 use crate::output::{ascii_chart, write_csv, Json};
+use crate::size;
 use cordoba_core::sharing::{SharingEvaluator, WorkerScaling};
 use cordoba_core::{NodeId, PlanSpec};
 use cordoba_engine::profiling::profile_query;
@@ -98,7 +99,7 @@ impl Table {
 type Panel = (&'static str, fn(&ExpConfig) -> Table);
 
 /// Every figure and its panels, in the order `all` runs them.
-const FIGURES: [(&str, &[Panel]); 9] = [
+const FIGURES: [(&str, &[Panel]); 10] = [
     ("fig1", &[("q6", fig1)]),
     ("fig2", &[("scan", fig2_scan), ("join", fig2_join)]),
     (
@@ -139,6 +140,7 @@ const FIGURES: [(&str, &[Panel]); 9] = [
         ],
     ),
     ("service", &[("scenarios", gates::service)]),
+    ("size", &[("crates", size::crates)]),
 ];
 
 /// Every panel's table of the named figures, in [`FIGURES`]' order, at
@@ -151,7 +153,7 @@ pub(crate) fn tables_of(figures: &[&str]) -> Vec<Table> {
 }
 
 /// The `figures` command line:
-/// `<fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|all> [panel] [--quick]`.
+/// `<fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|size|all> [panel] [--quick]`.
 #[derive(Debug, PartialEq)]
 pub struct Args {
     /// The figure to run; `None` runs them all.
@@ -681,7 +683,7 @@ fn group_size(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gates::{DOCUMENTS, OPS, PAPER, SERVICE};
+    use crate::gates::{DOCUMENTS, OPS, PAPER, SERVICE, SIZE};
 
     #[test]
     fn figures_args_name_a_figure_a_panel_and_quick() {
@@ -699,7 +701,7 @@ mod tests {
             (
                 &["all", "--quick"][..],
                 args(None, None, true),
-                &[OPS, SERVICE, PAPER][..],
+                &[OPS, SERVICE, PAPER, SIZE][..],
             ),
             (
                 &["fig5", "workers"],
@@ -714,6 +716,7 @@ mod tests {
             (&["fig4"], args(Some("fig4"), None, false), &[]),
             (&["ops"], args(Some("ops"), None, false), &[OPS]),
             (&["service"], args(Some("service"), None, false), &[SERVICE]),
+            (&["size"], args(Some("size"), None, false), &[SIZE]),
             (
                 &["ops", "spill"],
                 args(Some("ops"), Some("spill"), false),

@@ -1,8 +1,9 @@
-//! The three committed documents, `BENCH_ops.json`,
-//! `BENCH_service.json` and `BENCH_paper.json`: every number in them is
-//! simulator virtual time, tracked bytes or the analytical model under
-//! fixed seeds, so the same source renders the same bytes on any host
-//! and a document is gated by reproduction, not by tolerance. A
+//! The four committed documents, `BENCH_ops.json`,
+//! `BENCH_service.json`, `BENCH_paper.json` and `BENCH_size.json`: every
+//! number in them is simulator virtual time, tracked bytes, the
+//! analytical model under fixed seeds or a count over the source, so
+//! the same source renders the same bytes on any host and a document is
+//! gated by reproduction, not by tolerance. A
 //! [`Document`] is the tables of whole figures of [`crate::figures`];
 //! `tests/gates.rs` renders each one and compares it byte for byte with
 //! the committed file ([`crate::output::check_file`]), and a `figures`
@@ -19,6 +20,8 @@
 //!   counts, throughput and p50/p99/p999 response times.
 //! * [`PAPER`] — the paper's model-only figures: Figure 4's sweeps and
 //!   Section 4.4's profiled parameters.
+//! * [`SIZE`] — figure `size`: each package's code lines, public items,
+//!   opt-outs, `unsafe` blocks and tests.
 
 use crate::experiments::ExpConfig;
 use crate::figures::{self, Table};
@@ -84,8 +87,16 @@ pub const PAPER: Document = Document {
     figures: &["fig4", "sec44"],
 };
 
+/// `BENCH_size.json`: the `size` figure.
+pub const SIZE: Document = Document {
+    file: "BENCH_size.json",
+    suite: "code size and public surface per package: code lines, public items, #[expect] opt-outs and unsafe blocks before each file's first #[cfg(test)], and #[test] functions (crates/bench/src/size.rs)",
+    harness: "crates/bench/src/size.rs; read from the source tree, so it moves with every change to the code; the test `bench_size_json_reproduces_byte_for_byte` (crates/bench/tests/gates.rs) reproduces this file byte for byte; `figures size` rewrites it",
+    figures: &["size"],
+};
+
 /// Every committed document.
-pub const DOCUMENTS: [Document; 3] = [OPS, SERVICE, PAPER];
+pub const DOCUMENTS: [Document; 4] = [OPS, SERVICE, PAPER, SIZE];
 
 /// Scale factor of the spill and parallel scenarios' catalog.
 const SCALE_FACTOR: f64 = 0.02;

@@ -11,14 +11,15 @@
 //!   `figures` binary's command line.
 //! * [`output`] — CSV emission and ASCII charts; the ordered JSON
 //!   emitter and the byte-for-byte comparison.
-//! * [`gates`] — the three committed documents, `BENCH_ops.json`,
-//!   `BENCH_service.json` and `BENCH_paper.json`, each a list of
+//! * [`gates`] — the four committed documents, `BENCH_ops.json`,
+//!   `BENCH_service.json`, `BENCH_paper.json` and `BENCH_size.json`
+//!   (code size per package), each a list of
 //!   figure tables that `tests/gates.rs` reproduces byte for byte, and
 //!   the simulator-virtual-time panels behind the first two
 //!   (morsel-parallel wiring, subsumption sharing and policy points,
 //!   spill peak memory, the open-system service loop).
 //!
-//! One binary, `figures` (`figures <fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|all>
+//! One binary, `figures` (`figures <fig1|fig2|fig4|fig5|fig6|sec44|ablations|ops|service|size|all>
 //! [panel] [--quick]`, writes `results/*.csv`; see README.md's "Quick
 //! tour"); a run that covers every table of a committed document
 //! rewrites it. The paper's claims are asserted in
@@ -35,6 +36,7 @@ pub mod gates;
 pub mod output;
 mod par_kernels;
 mod service_kernels;
+mod size;
 mod spill_kernels;
 mod subsume_kernels;
 

@@ -3,8 +3,8 @@
 //! scenario fails its test with every differing line printed
 //! (`- line N` committed, `+ line N` fresh). To move a number on
 //! purpose, rewrite the file with `cargo run --release -p cordoba-bench
-//! --bin figures -- ops` (or `service`, or `all --quick` for all three,
-//! `BENCH_paper.json` included) and commit the diff.
+//! --bin figures -- ops` (or `service`, or `size`, or `all --quick` for
+//! all four, `BENCH_paper.json` included) and commit the diff.
 
 use cordoba_bench::gates::{self, Document};
 use cordoba_bench::output::check_file;
@@ -32,4 +32,9 @@ fn bench_service_json_reproduces_byte_for_byte() {
 #[test]
 fn bench_paper_json_reproduces_byte_for_byte() {
     reproduces(&gates::PAPER);
+}
+
+#[test]
+fn bench_size_json_reproduces_byte_for_byte() {
+    reproduces(&gates::SIZE);
 }
