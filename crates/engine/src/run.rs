@@ -342,10 +342,7 @@ impl Run {
         for spec in batch {
             core.borrow_mut().offer(spec.clone(), 0, true);
         }
-        let dispatcher = sim.spawn(
-            "dispatcher",
-            Box::new(DispatcherTask { core: core.clone() }),
-        );
+        let dispatcher = sim.spawn("dispatcher", Box::new(DispatcherTask::new(&core)));
         core.borrow_mut().dispatcher = Some(dispatcher);
         if let Some(schedule) = schedule {
             sim.spawn(
@@ -405,18 +402,7 @@ impl Run {
             }
         };
         if outcome.reason == StopReason::Deadlock {
-            let mut core = self.core.borrow_mut();
-            let stalled = ExecError::Stalled {
-                reason: "deadlock",
-                live_tasks: outcome.live_tasks,
-            };
-            // Offered queries only: a scheduled arrival the deadlock cut
-            // off was never offered, so it stays in flight.
-            for submission in 0..core.queries.len() {
-                if matches!(core.queries[submission].disposition, Disposition::InFlight) {
-                    core.finish(submission, Err(stalled.clone()));
-                }
-            }
+            self.core.borrow_mut().stall(outcome.live_tasks);
         }
         outcome.reason
     }
@@ -536,8 +522,9 @@ pub struct Report {
     /// Machine statistics (utilization etc.).
     pub stats: SimStats,
     /// Result rows per arrived query, by offered position — filled only
-    /// when the run captures. Rejected queries have no rows, failed ones
-    /// empty (or partial, for runtime faults) rows — check `failures`.
+    /// when the run captures, as each query's sink finishes. Rejected and
+    /// in-flight queries have no rows, failed ones empty (or partial, for
+    /// runtime faults) rows — check `failures`.
     pub results: Vec<Vec<Vec<Value>>>,
     /// Per-task `(label, stats)` for profiling — filled only when the
     /// run captures.
@@ -604,9 +591,12 @@ pub fn run_once(catalog: &Catalog, specs: &[QuerySpec], cfg: &EngineConfig) -> O
 
 /// Runs a batch of queries once on OS threads: the dispatcher forms and
 /// dispatches every group exactly as for [`run_once`], and the groups
-/// then run on threads, at most `cfg.contexts` at once, each shared
-/// pivot once. Rows are bit-identical to [`run_once`]'s; `makespan`
-/// and completion times are wall-clock nanoseconds.
+/// then run on at most `cfg.contexts` threads, the calling thread among
+/// them, each in a one-context run loop on the thread that claims it,
+/// wired as the simulator wires it (each shared pivot once); only morsel
+/// workers start threads of their own. Rows are bit-identical to
+/// [`run_once`]'s; `makespan` and completion times are wall-clock
+/// nanoseconds.
 ///
 /// `ModelGuided` runs the decisions the dispatcher makes at
 /// `cfg.contexts` simulated contexts; they are not priced on wall
@@ -1003,8 +993,10 @@ pub(crate) mod tests {
     #[test]
     fn a_group_whose_members_all_fail_hands_over_no_pivot() {
         // Both members lack the scan pivot they name, so both fail their
-        // split at dispatch: nothing is left for the pivot to run for,
-        // and no group reaches the thread runner.
+        // split, which comes before anything is spawned: nothing is left
+        // for the pivot to run for, so no task is spawned for the group
+        // — in the simulator, and on threads, which spawn it through the
+        // same code.
         let cat = catalog();
         let stray = QuerySpec {
             name: "stray".into(),
@@ -1017,12 +1009,16 @@ pub(crate) mod tests {
         };
         let specs = [stray.clone(), stray];
         let cfg = cfg(2, Policy::AlwaysShare, 1);
-        let mut run = Run::new(&cat, &cfg, Source::Batch(&specs), usize::MAX, true);
-        run.core.borrow_mut().threads = Some(Vec::new());
-        run.advance(Stop::Idle);
-        let core = run.core.borrow();
-        assert_eq!(core.group_sizes, [2]);
-        assert_eq!(core.threads.as_ref().map(Vec::len), Some(0));
+        let sim = run_once(&cat, &specs, &cfg);
+        let tasks: Vec<_> = sim.task_stats.iter().map(|(name, _)| name).collect();
+        assert_eq!(tasks, ["dispatcher"]);
+        for out in [sim, run_once_on_threads(&cat, &specs, &cfg)] {
+            assert_eq!((out.group_sizes.as_slice(), out.completed), (&[2][..], 0));
+            for (_, err) in &out.failures {
+                let split = err.to_string().contains("pivot sub-plan not found");
+                assert!(split, "{err}");
+            }
+        }
     }
 
     #[test]
@@ -1057,13 +1053,13 @@ pub(crate) mod tests {
     }
 
     /// The simulator and OS threads run the dispatcher's groups to the
-    /// same rows (float bits), groups and failures (position and
-    /// variant), under both sharing policies, at each of [`WORKERS`] on
-    /// one context and on two. The batch holds a pivot that faults at
-    /// run time (a merge join over unsorted input), an ill-typed pivot,
-    /// a member lacking its pivot and two chaos members, one over the
-    /// faulting pivot (whose fault comes first), beside two healthy
-    /// queries.
+    /// same rows (float bits), groups and failures (position and error),
+    /// under both sharing policies, at each of [`WORKERS`] on one
+    /// context and on two. The batch holds a pivot that faults at run
+    /// time (a merge join over unsorted input), an ill-typed pivot with a
+    /// member lacking it (whose split error comes first), a member
+    /// lacking its pivot and two chaos members, one over the faulting
+    /// pivot (whose fault comes first), beside two healthy queries.
     #[test]
     fn threads_and_the_simulator_agree_on_rows_groups_and_failures() {
         use threads::bits;
@@ -1085,7 +1081,13 @@ pub(crate) mod tests {
             predicate: Predicate::col_cmp(9, CmpOp::Lt, 256i64),
             cost: OpCost::per_tuple(0.5),
         };
-        let ill = QuerySpec::shared_at("ill", count(ill_pivot.clone()), ill_pivot);
+        let ill = QuerySpec::shared_at("ill", count(ill_pivot.clone()), ill_pivot.clone());
+        let ill_stray = QuerySpec {
+            name: "ill-stray".into(),
+            plan: count(scan()),
+            pivot: Some(ill_pivot),
+            chaos: None,
+        };
         let stray = QuerySpec {
             plan: count(PhysicalPlan::Scan {
                 table: "t".into(),
@@ -1110,14 +1112,9 @@ pub(crate) mod tests {
             q,
             f.clone(),
             ill,
+            ill_stray,
             chaos(f),
         ];
-        let failed = |r: &Report| -> Vec<_> {
-            let failures = r.failures.iter();
-            failures
-                .map(|(k, e)| (*k, std::mem::discriminant(e)))
-                .collect()
-        };
         let axes = WORKERS
             .into_iter()
             .flat_map(|w| [(w, 1, 0), (w, 2, 0), (w, 1, 1), (w, 2, 1)]);
@@ -1134,12 +1131,7 @@ pub(crate) mod tests {
                 );
                 assert_eq!(threads.group_sizes, sim.group_sizes, "{at}");
                 assert_eq!(threads.sharing, sim.sharing, "{at}");
-                assert_eq!(
-                    failed(&threads),
-                    failed(&sim),
-                    "{at}: {:?}",
-                    threads.failures
-                );
+                assert_eq!(threads.failures, sim.failures, "{at}");
                 assert_eq!((sim.completed, threads.completed), (2, 2), "{at}");
                 for (k, d) in sim.dispositions.iter().enumerate() {
                     if matches!(d, Disposition::Completed { .. }) {
@@ -1576,7 +1568,8 @@ pub(crate) mod tests {
             // shared scan of `u`) is unsorted.
             let faulty = merge_join("u", "t");
             // Never starts: the pivot does not occur in it, so its split
-            // fails at dispatch and the pivot feeds its peers alone.
+            // fails before anything is spawned and the pivot feeds its
+            // peers alone.
             let foreign = scan("t");
             let specs = [good.clone(), faulty, foreign, good.clone()].map(member);
             let report = on_threads(&cat, &specs, Policy::AlwaysShare);
@@ -1596,10 +1589,10 @@ pub(crate) mod tests {
 
         #[test]
         fn no_consumer_means_the_pivot_does_not_run() {
-            // Both members lack the join pivot, so both fail at dispatch.
-            // Their group is not handed over, so its pivot never runs: the
-            // runner asserts (debug builds) that every group it is handed
-            // has a member, and `run::tests` checks nothing was handed over.
+            // Both members lack the join pivot, so both fail their split,
+            // before anything is spawned: their group spawns nothing, so
+            // its pivot never runs (`run::tests` checks no task is
+            // spawned for such a group).
             let (cat, spec) = (catalog(), join_query());
             let stray = QuerySpec {
                 plan: scan("t"),

@@ -22,14 +22,16 @@
 //! whose pivot a cached fragment subsumes replays the pages through its
 //! residual instead of re-running the pivot.
 //!
-//! A run on OS threads forms and dispatches the same groups: at
-//! dispatch each member is split as below, one whose split fails fails
-//! here, and the group is handed over to [`super::threads`] instead of
-//! spawning tasks. A fresh shared pivot enters the fragment cache there
+//! A run on OS threads forms and dispatches the same groups, and hands
+//! each one over to [`super::threads`] instead of spawning it, which
+//! spawns it through the same [`DispatcherTask::spawn_group`] into a
+//! run loop of its own, where a lone member runs its whole plan. Each
+//! member is split before anything is spawned, and a member whose split
+//! fails fails alone; a group none of whose members is left spawns
+//! nothing. A fresh shared pivot enters the fragment cache on threads
 //! too, so both substrates evict alike, but stays in flight: nothing on
 //! threads captures its pages, so it is never served.
 
-use super::threads::Group;
 use super::Disposition;
 use crate::fragment_cache::CachedFragment;
 use crate::policy::{OverlapInfo, Policy};
@@ -37,14 +39,14 @@ use crate::query::QuerySpec;
 use crate::sharing::split_with_residual;
 use cordoba_exec::ops::{Fanout, OperatorShell, Outlet, ScanKernel, SinkKernel};
 use cordoba_exec::subsume::{coverage_estimate, fingerprint, subsume_residual};
-use cordoba_exec::wiring::{instantiate_into, WiringConfig};
+use cordoba_exec::wiring::{instantiate_into, Place, WiringConfig};
 use cordoba_exec::{ExecError, FaultCell, OpCost, PhysicalPlan, QueryResources};
 use cordoba_sim::channel::{self};
 #[expect(
     clippy::disallowed_types,
     reason = "the engine's control tasks step themselves; they run no operator"
 )]
-use cordoba_sim::{Spawner, Step, Task, TaskCtx, TaskId, VTime};
+use cordoba_sim::{DetachedCtx, Step, Task, TaskCtx, TaskId, VTime};
 use cordoba_storage::{Catalog, Page};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -60,6 +62,22 @@ const WINDOW: VTime = 2_000;
 /// and the flag that makes them servable.
 type Capture = (Rc<RefCell<Vec<Arc<Page>>>>, Rc<Cell<bool>>);
 
+/// Reports a member's end, in the step its sink finishes: the member,
+/// the pages its sink collected (none unless the run keeps rows), and
+/// the fault that failed it (its pivot's first), if one did.
+pub(super) type End = Rc<dyn Fn(&mut TaskCtx<'_>, Arrival, Vec<Arc<Page>>, Option<ExecError>)>;
+
+/// What a group is spawned with, in either place it runs, and where its
+/// members end.
+pub(super) struct Env<'a> {
+    pub(super) catalog: &'a Catalog,
+    pub(super) wiring: &'a WiringConfig,
+    pub(super) sink_cost: OpCost,
+    /// Whether member sinks collect their pages.
+    pub(super) capture: bool,
+    pub(super) end: &'a End,
+}
+
 /// An arrival awaiting group formation.
 #[derive(Debug, Clone)]
 pub(crate) struct Arrival {
@@ -67,24 +85,14 @@ pub(crate) struct Arrival {
     pub(super) spec: QuerySpec,
 }
 
-impl Arrival {
-    /// Its fragment over its group's pivot, `at`. A member without a
-    /// pivot of its own is split at the group's, which fails it unless
-    /// its plan holds that.
-    fn split(&self, at: &PhysicalPlan, cat: &Catalog) -> Result<Option<PhysicalPlan>, ExecError> {
-        let own = self.spec.pivot.as_ref().unwrap_or(at);
-        split_with_residual(&self.spec.plan, own, at, cat)
-    }
-}
-
 /// A forming (not yet dispatched) sharing group.
 pub(crate) struct PendingGroup {
     /// The group's (possibly widened) pivot and the fingerprint of its
     /// filter-peeled base (the bucket key).
     pivot: Option<(PhysicalPlan, u64)>,
-    /// When set, the pivot's output replays from these cached pages
-    /// instead of executing the pivot.
-    cached: Option<CachedFragment>,
+    /// When set, the pivot's output replays these pages of a cached
+    /// fragment instead of executing the pivot.
+    replay: Option<Vec<Arc<Page>>>,
     members: Vec<Arrival>,
     due: VTime,
 }
@@ -156,9 +164,10 @@ pub(crate) struct EngineCore {
     pub(crate) subsume_joins: u64,
     /// Times a pending group's pivot was replaced by a wider arrival's.
     pub(crate) pivot_widenings: u64,
-    /// On OS threads: the dispatched groups, handed over to run once
-    /// the simulator idles (`None`: groups spawn simulator tasks).
-    pub(crate) threads: Option<Vec<Group>>,
+    /// On OS threads: the dispatched groups and their ids, handed over
+    /// to run once the simulator idles (`None`: groups spawn simulator
+    /// tasks).
+    pub(crate) threads: Option<Vec<(usize, PendingGroup)>>,
 }
 
 impl EngineCore {
@@ -203,14 +212,62 @@ impl EngineCore {
         };
         self.live_queries -= 1;
     }
+
+    /// Fails every offered query still in flight: the run loop it ran
+    /// in wedged with `live_tasks` tasks left. (A scheduled arrival cut
+    /// off was never offered, so it stays in flight.)
+    pub(crate) fn stall(&mut self, live_tasks: usize) {
+        let stalled = ExecError::Stalled {
+            reason: "deadlock",
+            live_tasks,
+        };
+        for submission in 0..self.queries.len() {
+            if matches!(self.queries[submission].disposition, Disposition::InFlight) {
+                self.finish(submission, Err(stalled.clone()));
+            }
+        }
+    }
 }
 
 /// The engine's control task: forms and dispatches sharing groups.
 pub(crate) struct DispatcherTask {
-    pub(super) core: Rc<RefCell<EngineCore>>,
+    core: Rc<RefCell<EngineCore>>,
+    /// Where its members end: in `core`'s books.
+    end: End,
 }
 
 impl DispatcherTask {
+    pub(super) fn new(core: &Rc<RefCell<EngineCore>>) -> Self {
+        let engine = Rc::downgrade(core);
+        let end: End = Rc::new(move |ctx, member, pages, fault| {
+            // The engine core can be gone when a time-capped or
+            // cancelled run tears down while sinks still drain; there
+            // is nobody left to report to, so just exit.
+            let Some(engine) = engine.upgrade() else {
+                return;
+            };
+            let mut core = engine.borrow_mut();
+            if let Some(rows) = &core.queries[member.submission].rows {
+                *rows.borrow_mut() = pages;
+            }
+            // A fault anywhere in this query's operator graph (its
+            // private fragment or the shared pivot) turns the finish
+            // into a failure: no completion, no resubmission.
+            let resubmit = fault.is_none() && core.resubmit;
+            core.finish(member.submission, fault.map_or(Ok(ctx.now()), Err));
+            if resubmit {
+                core.offer(member.spec, ctx.now(), true);
+                let dispatcher = core.dispatcher;
+                drop(core);
+                if let Some(d) = dispatcher {
+                    ctx.wake(d);
+                }
+            }
+        });
+        let core = core.clone();
+        DispatcherTask { core, end }
+    }
+
     fn assimilate_arrivals(core: &mut EngineCore, now: VTime) {
         while let Some(arrival) = core.arrivals.pop_front() {
             let mut joined = false;
@@ -232,7 +289,7 @@ impl DispatcherTask {
                         // are fixed).
                         let (wide, widen) = if subsume_residual(group_pivot, pivot).is_some() {
                             (group_pivot.clone(), false)
-                        } else if group.cached.is_none()
+                        } else if group.replay.is_none()
                             && subsume_residual(pivot, group_pivot).is_some()
                         {
                             (pivot.clone(), true)
@@ -288,7 +345,7 @@ impl DispatcherTask {
                             if let Some(hit) = cache.lookup(fp, pivot) {
                                 core.pending.push(PendingGroup {
                                     pivot: Some((hit.pivot.clone(), fp)),
-                                    cached: Some(hit),
+                                    replay: Some(hit.pages.borrow().clone()),
                                     members: vec![arrival.clone()],
                                     // Nothing to wait for: replay at once.
                                     due: now,
@@ -304,7 +361,7 @@ impl DispatcherTask {
                 let pivot = arrival.spec.pivot.as_ref();
                 core.pending.push(PendingGroup {
                     pivot: pivot.map(|pivot| (pivot.clone(), fingerprint(pivot))),
-                    cached: None,
+                    replay: None,
                     members: vec![arrival],
                     due: now + window,
                 });
@@ -312,60 +369,72 @@ impl DispatcherTask {
         }
     }
 
-    fn spawn_group(
-        core: &mut EngineCore,
-        core_rc: &Rc<RefCell<EngineCore>>,
-        ctx: &mut TaskCtx<'_>,
+    /// Spawns `group` into `place`: its pivot once, fanning out to one
+    /// feed per member, and each member over its feed. Every member is
+    /// split first, and one whose split fails fails alone; a group none
+    /// of whose members is left spawns nothing, its pivot having nobody
+    /// to run for. A lone member in a [`LocalRun`] runs its whole plan.
+    /// Returns the members that failed here, each with its error; every
+    /// other member ends through `env.end`.
+    ///
+    /// [`LocalRun`]: cordoba_exec::wiring::LocalRun
+    pub(super) fn spawn_group(
+        place: &mut dyn Place,
+        env: &Env<'_>,
+        gid: usize,
         group: PendingGroup,
-    ) {
-        let gid = core.group_sizes.len();
-        core.group_sizes.push(group.members.len());
-        let capture = Self::cache_in_flight(core, &group);
-        if core.threads.is_some() {
-            return Self::hand_over(core, group);
-        }
-        let Some((pivot, _)) = &group.pivot else {
-            for member in group.members {
-                let plan = member.spec.plan.clone();
-                Self::spawn_member(core, core_rc, ctx, member, Ok(Some(plan)), None, vec![]);
-            }
-            return;
+        capture: Option<Capture>,
+    ) -> Vec<(usize, ExecError)> {
+        let (pivot, replay, members) = (group.pivot, group.replay, group.members);
+        // Each member over its whole plan, with no pivot to read.
+        let whole = |place: &mut dyn Place, members: Vec<Arrival>| -> Vec<_> {
+            let attach = |m: Arrival| {
+                let plan = m.spec.plan.clone();
+                Self::spawn_member(place, env, m, Ok(Some(plan)), None, vec![]).err()
+            };
+            members.into_iter().filter_map(attach).collect()
         };
+        let Some((pivot, _)) = &pivot else {
+            return whole(place, members);
+        };
+        // A member's fragment over the group's pivot. One without a pivot
+        // of its own is split at the group's, which fails it unless its
+        // plan holds that.
+        let split = |Arrival { spec, .. }: &Arrival| {
+            let own = spec.pivot.as_ref().unwrap_or(pivot);
+            split_with_residual(&spec.plan, own, pivot, env.catalog)
+        };
+        let fragments: Vec<_> = members.iter().map(split).collect();
+        if fragments.iter().all(Result::is_err) {
+            let failed = |(m, split): (&Arrival, Result<_, _>)| Some((m.submission, split.err()?));
+            return members.iter().zip(fragments).filter_map(failed).collect();
+        }
+        // Alone in a local run, a member whose split holds runs its whole
+        // plan: nobody shares its pivot there, and splitting at it would
+        // only cut the morsel groups that span it. (The simulator keeps
+        // the split, so its virtual time does not move.)
+        if members.len() == 1 && replay.is_none() && place.local().is_some() {
+            return whole(place, members);
+        }
         // One pivot instance, one feed per member.
-        let (outs, feeds): (Vec<Outlet>, Vec<_>) = group
-            .members
+        let (outs, feeds): (Vec<Outlet>, Vec<_>) = members
             .iter()
             .map(|_| {
-                let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+                let (tx, rx) = channel::bounded(env.wiring.queue_capacity);
                 (tx.into(), rx)
             })
             .unzip();
-        let shared = Self::spawn_pivot(core, ctx, gid, &group, pivot, outs, capture);
-        for (member, feed) in group.members.into_iter().zip(feeds) {
+        let shared = Self::spawn_pivot(place, env, gid, pivot, replay, outs, capture);
+        let attached = members.into_iter().zip(fragments).zip(feeds);
+        let attach = |((member, fragment), feed): ((Arrival, Result<_, _>), _)| {
             let fragment = match &shared {
-                Ok(_) => member.split(pivot, &core.catalog),
-                Err(err) => Err(err.clone()),
+                Ok(_) => fragment,
+                Err(err) => fragment.and(Err(err.clone())),
             };
             let faults = shared.iter().flatten().cloned().collect();
-            Self::spawn_member(core, core_rc, ctx, member, fragment, Some(feed), faults);
-        }
-    }
-
-    /// Hands `group` over to run on OS threads: each member is split as
-    /// for its attachment in the simulator, and one whose split fails
-    /// fails here, as it would there. A group none of whose members is
-    /// left is not handed over: its pivot has nobody to run for.
-    fn hand_over(core: &mut EngineCore, group: PendingGroup) {
-        let (pivot, mut members) = (group.pivot.as_ref().map(|(p, _)| p), Vec::new());
-        for member in group.members {
-            match pivot.map_or(Ok(None), |pivot| member.split(pivot, &core.catalog)) {
-                Ok(fragment) => members.push((member, fragment)),
-                Err(err) => core.finish(member.submission, Err(err)),
-            }
-        }
-        if let (Some(groups), false) = (core.threads.as_mut(), members.is_empty()) {
-            groups.push((group.pivot.map(|(pivot, _)| pivot), members));
-        }
+            Self::spawn_member(place, env, member, fragment, Some(feed), faults).err()
+        };
+        attached.filter_map(attach).collect()
     }
 
     /// Enters a fresh shared pivot's output into the fragment cache, in
@@ -374,7 +443,7 @@ impl DispatcherTask {
     /// what the simulator's capture sink fills. On threads nothing
     /// fills it: it stays in flight and is never served.
     fn cache_in_flight(core: &mut EngineCore, group: &PendingGroup) -> Option<Capture> {
-        let (pivot, fp) = group.pivot.as_ref().filter(|_| group.cached.is_none())?;
+        let (pivot, fp) = group.pivot.as_ref().filter(|_| group.replay.is_none())?;
         let cache = core
             .fragment_cache
             .as_mut()
@@ -385,51 +454,51 @@ impl DispatcherTask {
         Some(capture)
     }
 
-    /// Spawns a group's pivot delivering to `outs`: a replay of its
+    /// Spawns a group's pivot delivering to `outs`: a `replay` of its
     /// cached pages, or one instance of `pivot`, with a sink capturing
     /// its pages into `capture` if given. Returns the fault cell the
     /// members' sinks must watch — none for a replay, whose pages come
     /// from a completed, fault-free run — or the error that rejected
     /// the pivot, in which case nothing was spawned.
     fn spawn_pivot(
-        core: &mut EngineCore,
-        ctx: &mut TaskCtx<'_>,
+        place: &mut dyn Place,
+        env: &Env<'_>,
         gid: usize,
-        group: &PendingGroup,
         pivot: &PhysicalPlan,
+        replay: Option<Vec<Arc<Page>>>,
         mut outs: Vec<Outlet>,
         capture: Option<Capture>,
     ) -> Result<Option<FaultCell>, ExecError> {
-        if let Some(hit) = &group.cached {
+        let morsel = env.wiring.parallel.morsel_pages;
+        if let Some(pages) = replay {
             // Replay the cached pages: the pivot's input work is
             // already paid; only per-consumer delivery remains.
-            let pages = hit.pages.borrow().clone();
             let replay = Box::new(ScanKernel::new(pages, OpCost::per_tuple(0.0)));
             let fanout = Fanout::new(outs, root_out_per_tuple(pivot));
             let task = OperatorShell::new(replay, vec![], fanout, FaultCell::default())
-                .morsel_pages(core.wiring.parallel.morsel_pages);
-            ctx.spawn_task(format!("g{gid}/cached"), Box::new(task));
+                .morsel_pages(morsel);
+            place.spawn_task(format!("g{gid}/cached"), Box::new(task));
             return Ok(None);
         }
         // The shared pivot gets its own broker/fault pair; each
         // member's private fragment gets another, so one member's
         // overrun cannot starve its peers.
-        let res = QueryResources::for_config(&core.wiring.memory);
+        let res = QueryResources::for_config(&env.wiring.memory);
         // One extra consumer captures the pivot's pages for later
         // replay — the pivot pays the same `s` for it as for any member.
         let capture_rx = capture.is_some().then(|| {
-            let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+            let (tx, rx) = channel::bounded(env.wiring.queue_capacity);
             outs.push(tx.into());
             rx
         });
         instantiate_into(
-            ctx,
-            &core.catalog,
+            place,
+            env.catalog,
             pivot,
             outs,
             &mut VecDeque::new(),
             &format!("g{gid}/shared"),
-            &core.wiring,
+            env.wiring,
             &res,
         )?;
         if let (Some(rx), Some((pages, ready))) = (capture_rx, capture) {
@@ -441,14 +510,14 @@ impl DispatcherTask {
                 Fanout::none(),
                 FaultCell::default(),
             )
-            .morsel_pages(core.wiring.parallel.morsel_pages)
+            .morsel_pages(morsel)
             .on_done(Box::new(move |_ctx| {
                 // Servable only if the pivot drained without faulting.
                 if fault.get().is_none() {
                     ready.set(true);
                 }
             }));
-            ctx.spawn_task(format!("g{gid}/capture"), Box::new(sink));
+            place.spawn_task(format!("g{gid}/capture"), Box::new(sink));
         }
         Ok(Some(res.fault))
     }
@@ -457,19 +526,18 @@ impl DispatcherTask {
     /// member's channel from its group's pivot if it shares one, and
     /// spawns its sink over the fragment's output — over `feed` itself
     /// when `fragment` is `None`, the whole query being the pivot. The
-    /// sink fails the query on a fault in any of `faults` (the
-    /// pivot's, first), in the fragment, or injected by chaos. On an
-    /// error the feed is closed, so the pivot never blocks on it, and
-    /// only this query fails.
+    /// sink ends the member through `env.end`, failed by a fault in any
+    /// of `faults` (the pivot's, first), in the fragment, or injected by
+    /// chaos. On an error the feed is closed, so the pivot never blocks
+    /// on it, and only this member fails: it comes back with its error.
     fn spawn_member(
-        core: &mut EngineCore,
-        core_rc: &Rc<RefCell<EngineCore>>,
-        ctx: &mut TaskCtx<'_>,
+        place: &mut dyn Place,
+        env: &Env<'_>,
         member: Arrival,
         fragment: Result<Option<PhysicalPlan>, ExecError>,
         feed: Option<channel::Receiver<Arc<Page>>>,
         mut faults: Vec<FaultCell>,
-    ) {
+    ) -> Result<(), (usize, ExecError)> {
         let label = format!("q{}/{}", member.submission, member.spec.name);
         let input = fragment.and_then(|fragment| {
             let Some(plan) = fragment else {
@@ -477,17 +545,17 @@ impl DispatcherTask {
                     .clone()
                     .ok_or_else(|| ExecError::plan("no pivot feeds the member"));
             };
-            let res = QueryResources::for_config(&core.wiring.memory);
-            let (tx, rx) = channel::bounded(core.wiring.queue_capacity);
+            let res = QueryResources::for_config(&env.wiring.memory);
+            let (tx, rx) = channel::bounded(env.wiring.queue_capacity);
             let mut sources = feed.iter().map(|feed| feed.clone().into()).collect();
             instantiate_into(
-                ctx,
-                &core.catalog,
+                place,
+                env.catalog,
                 &plan,
                 vec![tx.into()],
                 &mut sources,
                 &label,
-                &core.wiring,
+                env.wiring,
                 &res,
             )?;
             faults.push(res.fault);
@@ -497,10 +565,12 @@ impl DispatcherTask {
             Ok(rx) => rx,
             Err(err) => {
                 if let Some(feed) = feed {
-                    feed.close(ctx);
+                    // Nothing has stepped since the feed was made — its
+                    // pivot was spawned in this same dispatch — so the
+                    // close wakes nobody and needs no task's context.
+                    feed.close(&mut DetachedCtx::new().ctx(0));
                 }
-                core.finish(member.submission, Err(err));
-                return;
+                return Err((member.submission, err));
             }
         };
         if let Some(err) = &member.spec.chaos {
@@ -511,43 +581,25 @@ impl DispatcherTask {
             cell.set(err.clone());
             faults.push(cell);
         }
-        let mut kernel = SinkKernel::new(core.sink_cost);
-        if let Some(rows) = &core.queries[member.submission].rows {
+        let rows = Rc::new(RefCell::new(Vec::new()));
+        let mut kernel = SinkKernel::new(env.sink_cost);
+        if env.capture {
             kernel = kernel.collecting(rows.clone());
         }
-        let engine = Rc::downgrade(core_rc);
-        let (spec, submission) = (member.spec, member.submission);
+        let end = env.end.clone();
         let sink = OperatorShell::new(
             Box::new(kernel),
             vec![rx.into()],
             Fanout::none(),
             FaultCell::default(),
         )
-        .morsel_pages(core.wiring.parallel.morsel_pages);
-        let sink = sink.on_done(Box::new(move |ctx| {
-            // The engine core can be gone when a time-capped or
-            // cancelled run tears down while sinks still drain; there
-            // is nobody left to report to, so just exit.
-            let Some(engine) = engine.upgrade() else {
-                return;
-            };
-            let mut core = engine.borrow_mut();
-            // A fault anywhere in this query's operator graph (its
-            // private fragment or the shared pivot) turns the finish
-            // into a failure: no completion, no resubmission.
+        .morsel_pages(env.wiring.parallel.morsel_pages)
+        .on_done(Box::new(move |ctx| {
             let fault = faults.iter().find_map(|f| f.get());
-            let resubmit = fault.is_none() && core.resubmit;
-            core.finish(submission, fault.map_or(Ok(ctx.now()), Err));
-            if resubmit {
-                core.offer(spec, ctx.now(), true);
-                let dispatcher = core.dispatcher;
-                drop(core);
-                if let Some(d) = dispatcher {
-                    ctx.wake(d);
-                }
-            }
+            end(ctx, member, rows.take(), fault);
         }));
-        ctx.spawn_task(format!("{label}/sink"), Box::new(sink));
+        place.spawn_task(format!("{label}/sink"), Box::new(sink));
+        Ok(())
     }
 }
 
@@ -575,7 +627,23 @@ impl Task for DispatcherTask {
         due.sort_by_key(|g| g.due);
         let dispatched = !due.is_empty();
         for group in due {
-            Self::spawn_group(&mut core, &self.core, ctx, group);
+            let gid = core.group_sizes.len();
+            core.group_sizes.push(group.members.len());
+            let capture = Self::cache_in_flight(&mut core, &group);
+            if let Some(groups) = core.threads.as_mut() {
+                groups.push((gid, group));
+                continue;
+            }
+            let env = Env {
+                catalog: &core.catalog,
+                wiring: &core.wiring,
+                sink_cost: core.sink_cost,
+                capture: core.capture,
+                end: &self.end,
+            };
+            for (submission, err) in Self::spawn_group(ctx, &env, gid, group, capture) {
+                core.finish(submission, Err(err));
+            }
         }
         if let Some(next_due) = core.pending.iter().map(|g| g.due).min() {
             let delay = next_due.saturating_sub(now);

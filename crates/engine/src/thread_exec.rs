@@ -4,14 +4,14 @@
 //! There is no second driver here, and no link: each entry point is a
 //! configuration of [`crate::run_once_on_threads`]. The engine's
 //! dispatcher forms the groups as for a simulated batch, and the run's
-//! thread substrate runs them — a query alone through
-//! [`wiring::run_local`], a shared pivot once on one thread with each
-//! member's fragment on a thread of its own, fed over the links of the
-//! sharing seam (`cordoba_exec::ops::port`, whose tests pin the link's
-//! protocol). Rows are bit-identical to [`crate::run_once`]'s — float
-//! bits and row order included.
+//! thread substrate runs each group, wired as the simulator wires it,
+//! in a one-context run loop on the thread that claims it ([`LocalRun`]):
+//! a shared pivot once, fanning out to its members' fragments in the
+//! same loop. Only morsel workers run on threads of their own. Rows are
+//! bit-identical to [`crate::run_once`]'s — float bits and row order
+//! included.
 //!
-//! [`wiring::run_local`]: cordoba_exec::wiring::run_local
+//! [`LocalRun`]: cordoba_exec::wiring::LocalRun
 
 use crate::{run_once_on_threads, EngineConfig, Policy, QuerySpec};
 use cordoba_exec::{ExecError, ParallelConfig};
@@ -47,8 +47,8 @@ fn copies(
 }
 
 /// Executes `m` copies of `spec` without sharing on up to `threads`
-/// worker threads, each running the query's operator graph in a private
-/// run loop.
+/// threads, each query's operator graph in a private run loop on the
+/// thread that claims it.
 ///
 /// # Panics
 ///
@@ -66,8 +66,8 @@ pub fn run_unshared(catalog: &Catalog, spec: &QuerySpec, m: usize, threads: usiz
 /// Executes `m` copies of `spec` without sharing, each query running
 /// its operator graph with `parallel.workers` morsel worker threads per
 /// parallel fragment. `threads` bounds how many *queries* run
-/// concurrently, so total thread pressure is `threads × (1 + fragments
-/// × workers)`.
+/// concurrently, so total thread pressure is at most `threads × (1 +
+/// fragments × workers)`.
 ///
 /// This is the unshared baseline the contention re-fit measures: the
 /// same queries and the same `ops/*` tasks as [`run_unshared`], but
@@ -85,11 +85,11 @@ pub fn run_unshared_parallel(
     copies(catalog, spec, m, cfg)
 }
 
-/// Executes `m` copies of `spec` with the pivot sub-plan shared: the
-/// pivot's operator graph runs once and fans its pages out, a morsel
-/// per hand-off, to `m` consumer threads over bounded links. At `m = 1`
-/// the copy is a group of one and runs unshared, its whole plan on one
-/// thread with no link, so its time holds no sharing seam.
+/// Executes `m` copies of `spec` with the pivot sub-plan shared: one
+/// group, run on the calling thread in one run loop, where the pivot's
+/// operator graph runs once and fans its pages out to the `m` members'
+/// fragments over bounded channels. At `m = 1` the copy is a group of
+/// one and runs unshared, its whole plan with no fan-out.
 ///
 /// # Panics
 ///

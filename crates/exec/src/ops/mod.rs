@@ -31,7 +31,7 @@ pub use filter::FilterKernel;
 pub use hash_join::{BuildTable, HashJoinKernel, MatchIter};
 pub(crate) use merge_join::MergeJoinKernel;
 pub use nlj::NljKernel;
-pub use port::{Handoff, Inlet, Outlet};
+pub use port::{Inlet, Outlet};
 pub use project::ProjectKernel;
 pub use scan::ScanKernel;
 pub use shell::{Drained, Kernel, OperatorShell, PageWork, Pages, PortClosed};
@@ -95,12 +95,12 @@ impl Fanout {
         Self::new(Vec::new(), 0.0)
     }
 
-    /// Whether every consumer is an OS link found hung up, so nothing
-    /// delivered from now on is read: the producer should stop. A
-    /// fan-out with no consumers, or with a simulator channel among
+    /// Whether every consumer is a morsel group's OS link found hung up,
+    /// so nothing delivered from now on is read: the worker should stop.
+    /// A fan-out with no consumers, or with a simulator channel among
     /// them, is never unheard.
     #[inline]
-    pub fn is_unheard(&self) -> bool {
+    pub(crate) fn is_unheard(&self) -> bool {
         !self.outs.is_empty() && self.outs.iter().all(Outlet::is_hung_up)
     }
 

@@ -14,35 +14,35 @@
 //! through `Outlet`s, so an operator is wired across a thread boundary
 //! exactly as within one run loop.
 //!
-//! **Links.** Every page link between run loops — the sharing seam's
-//! OS links and a morsel group's link to its merge, on either substrate
-//! — carries one [`Handoff`]: a numbered morsel of pages, so crossing
-//! costs one lock (often a futex wake) per morsel, not per page; the
-//! end of one producer's stream; or the error that ended it. A seam
-//! outlet ([`Outlet::os`]) cuts a morsel every `morsel_pages` pages and
-//! numbers them itself; a group worker's hands off each morsel its
-//! kernel finishes ([`Drained::morsel`](super::shell::Drained::morsel))
+//! **Links.** A plan's operators, and a shared pivot's fan-out to its
+//! members, meet over simulator channels in one run loop, on either
+//! substrate. The one link between run loops is a morsel group's, from
+//! its workers to its merge: in the simulator a channel of the merge's
+//! run loop, on threads an OS link from each worker's thread. It carries
+//! one [`Handoff`]: a numbered morsel of pages, so crossing costs one
+//! lock (often a futex wake) per morsel, not per page; the end of one
+//! worker's stream; or the error that ended it. A worker hands off each
+//! morsel its kernel finishes ([`Drained::morsel`](super::shell::Drained::morsel))
 //! whole, tagged with the morsel's index — empty if the chain kept no
 //! row of it — and a simulator channel with no room blocks the worker
 //! until the merge reads. The inlet releases morsels in index order, so
 //! a group's rows are the serial wiring's for any worker count. It
-//! reads as closed once every producer has ended its stream (a
-//! simulator channel closes with its last outlet; on an OS link each
-//! outlet's last hand-off says so), in the step that ends the last
-//! producer, not when its thread exits.
+//! reads as closed once every worker has ended its stream (a simulator
+//! channel closes with its last outlet; on an OS link each outlet's last
+//! hand-off says so), in the step that ends the last worker, not when
+//! its thread exits.
 //!
-//! Order is every link's contract:
-//! * an outlet hands off whole morsels and flushes the partial last one
-//!   when its stream closes — a seam's never an empty one;
-//! * once the producer's query has faulted it hands nothing more off and
-//!   discards the pages in hand; the driver sends the error down the
-//!   link after them (`wiring::run_feeding`), so no consumer mistakes a
-//!   truncated stream for end-of-stream;
-//! * a consumer hangs up once its query has failed, whichever of its
-//!   operators failed, and stops being served at the producer's next
-//!   hand-off, while its peers go on; once every consumer is gone the
-//!   producer's shell ends the stream early (see
-//!   [`Fanout::is_unheard`](super::Fanout::is_unheard)).
+//! Order is the link's contract:
+//! * an outlet hands off each morsel whole, and what it gathered past
+//!   the last one when its stream closes;
+//! * once the worker has faulted it hands nothing more off and discards
+//!   the pages in hand; on threads its driver sends the error down the
+//!   link after them, so the merge never mistakes a truncated stream for
+//!   end-of-stream;
+//! * a merge hangs up once its query has failed, whichever of its
+//!   operators failed, and stops being served at each worker's next
+//!   hand-off; a worker whose every consumer is gone ends its stream
+//!   early (see [`Fanout::is_unheard`](super::Fanout::is_unheard)).
 //!
 //! **Reorder bound.** The inlet holds the morsels that finished ahead
 //! of the one it must release next, and the link up to its capacity
@@ -60,10 +60,10 @@ use cordoba_storage::Page;
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
-/// One hand-off on a link: a morsel a producer finished — its index and
-/// every page of it — or `None`, the end of that producer's stream; or
-/// the error that ended the producer early.
-pub type Handoff = Result<Option<(usize, Vec<Arc<Page>>)>, ExecError>;
+/// One hand-off on a link: a morsel a worker finished — its index and
+/// every page of it — or `None`, the end of that worker's stream; or
+/// the error that ended the worker early.
+pub(crate) type Handoff = Result<Option<(usize, Vec<Arc<Page>>)>, ExecError>;
 
 /// Where an operator reads one input from.
 pub struct Inlet(In);
@@ -76,9 +76,9 @@ enum In {
 
 /// The reading end of a link, as a [`Feed`] reads it.
 pub(crate) enum LinkRx {
-    /// Producers on other threads.
+    /// Workers on other threads.
     Os(mpsc::Receiver<Handoff>),
-    /// A morsel group in the same run loop.
+    /// Workers in the same run loop.
     Sim(Receiver<Handoff>),
 }
 
@@ -93,7 +93,7 @@ struct Feed {
     ahead: BTreeMap<usize, Vec<Arc<Page>>>,
     /// The index of the morsel to release next.
     next: usize,
-    /// Producers that have not ended their stream yet.
+    /// Workers that have not ended their stream yet.
     open: usize,
     /// The reading query's fault.
     fault: FaultCell,
@@ -140,8 +140,8 @@ impl Feed {
                     self.hang_up(ctx);
                     return Err(err);
                 }
-                // Every producer closed and hung up: end of stream. (On an
-                // OS link that is a producer thread that panicked, which
+                // Every worker closed and hung up: end of stream. (On an
+                // OS link that is a worker thread that panicked, which
                 // its driver re-raises.)
                 Err(mpsc::RecvError) => self.rx = None,
             }
@@ -172,17 +172,11 @@ impl From<Receiver<Arc<Page>>> for Inlet {
 }
 
 impl Inlet {
-    /// Reads the OS link `rx` from one producer, one page per call
-    /// whatever each hand-off holds, for the query whose fault is
-    /// `fault`: once that is set the query needs no more input, so the
-    /// link hangs up and reads as closed.
-    pub fn os(rx: mpsc::Receiver<Handoff>, fault: &FaultCell) -> Self {
-        Self::group(LinkRx::Os(rx), 1, fault)
-    }
-
-    /// Reads a link from its `producers` (a morsel group's workers),
-    /// releasing their morsels in index order; `fault` as in
-    /// [`Inlet::os`].
+    /// Reads a morsel group's link from its `producers` (the group's
+    /// workers), one page per call whatever each hand-off holds,
+    /// releasing their morsels in index order, for the query whose fault
+    /// is `fault`: once that is set the query needs no more input, so
+    /// the link hangs up and reads as closed.
     pub(crate) fn group(rx: LinkRx, producers: usize, fault: &FaultCell) -> Self {
         Inlet(In::Link(Box::new(Feed {
             rx: Some(rx),
@@ -196,7 +190,7 @@ impl Inlet {
 
     /// The next page. [`Recv::Empty`] (simulator only) registered the
     /// caller as a waiter; an OS link blocks the thread instead. `Err`
-    /// is a producer's error, after which the link reads as closed.
+    /// is a worker's error, after which the link reads as closed.
     #[inline]
     pub fn recv(&mut self, ctx: &mut TaskCtx<'_>) -> Result<Recv<Arc<Page>>, ExecError> {
         match &mut self.0 {
@@ -219,7 +213,7 @@ impl Inlet {
 
     /// Stops reading (the query failed): a simulator channel swallows
     /// whatever is sent from now on, and a link hangs up, so its
-    /// producers stop serving this consumer.
+    /// workers stop serving this merge.
     pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
             In::Sim(rx) => rx.close(ctx),
@@ -243,26 +237,23 @@ pub(crate) enum LinkTx {
     Sim(Sender<Handoff>),
 }
 
-/// A producer's end of a link.
+/// A worker's end of its group's link.
 struct Link {
-    /// `None` once the consumer hung up or the stream closed.
+    /// `None` once the merge hung up or the stream closed.
     tx: Option<LinkTx>,
     /// The pages of the morsel in progress.
     morsel: Vec<Arc<Page>>,
     /// The index of the morsel in progress.
     index: usize,
-    /// Pages per morsel of a link that cuts its own; `None` when the
-    /// producer ends each morsel ([`Outlet::end_morsel`]).
-    cut: Option<usize>,
-    /// The producing query's fault.
+    /// The worker's fault.
     fault: FaultCell,
 }
 
 impl Link {
     /// Hands morsel `index` off, whole; `false` when a simulator channel
-    /// had no room (the producer is registered as a waiter and keeps the
-    /// pages). A faulted producer hands nothing more off, and a consumer
-    /// found hung up stops being served.
+    /// had no room (the worker is registered as a waiter and keeps the
+    /// pages). A faulted worker hands nothing more off, and a merge found
+    /// hung up stops being served.
     fn hand_off(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
         let pages = std::mem::take(&mut self.morsel);
         self.index = index + 1;
@@ -289,10 +280,10 @@ impl Link {
         }
     }
 
-    /// Hands off the partial last morsel, if any, and ends the stream: a
-    /// simulator channel closes with its last outlet; an OS link says so
-    /// in a last hand-off, unless the producer faulted (its driver sends
-    /// the error instead).
+    /// Hands off what was gathered past the last morsel, if anything, and
+    /// ends the stream: a simulator channel closes with its last outlet;
+    /// an OS link says so in a last hand-off, unless the worker faulted
+    /// (its driver sends the error instead).
     fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         if !self.morsel.is_empty() {
             self.hand_off(self.index, ctx);
@@ -300,7 +291,7 @@ impl Link {
         match self.tx.take() {
             Some(LinkTx::Sim(tx)) => tx.close(ctx),
             Some(LinkTx::Os(tx)) if !self.fault.is_set() => {
-                // A consumer that hung up has no use for it.
+                // A merge that hung up has no use for it.
                 let _ = tx.send(Ok(None));
             }
             _ => {}
@@ -315,36 +306,22 @@ impl From<Sender<Arc<Page>>> for Outlet {
 }
 
 impl Outlet {
-    /// Feeds the OS link `tx` in morsels of `morsel_pages` pages (`0`
-    /// treated as `1`), numbered from 0, until `fault` — the producing
-    /// query's — is set.
-    pub fn os(tx: mpsc::SyncSender<Handoff>, morsel_pages: usize, fault: &FaultCell) -> Self {
-        Self::link(LinkTx::Os(tx), Some(morsel_pages.max(1)), fault)
-    }
-
     /// A morsel group worker's end of its group's link: each morsel the
     /// worker ends goes to the merge whole, until `fault` — the
     /// worker's — is set.
     pub(crate) fn group(tx: LinkTx, fault: &FaultCell) -> Self {
-        Self::link(tx, None, fault)
-    }
-
-    fn link(tx: LinkTx, cut: Option<usize>, fault: &FaultCell) -> Self {
         Outlet(Out::Link(Box::new(Link {
             tx: Some(tx),
             morsel: Vec::new(),
             index: 0,
-            cut,
             fault: fault.clone(),
         })))
     }
 
     /// Hands `page` on; `Err` gives it back when a simulator channel is
     /// full (the caller is registered as a waiter). A link gathers it
-    /// into the morsel in progress, and a seam's hands the morsel off
-    /// once it is full — blocking the thread until the consumer takes a
-    /// hand-off, if the link is full. A link whose consumer hung up,
-    /// like a closed simulator channel, swallows the page.
+    /// into the morsel in progress; one whose merge hung up, like a
+    /// closed simulator channel, swallows the page.
     #[inline]
     pub(crate) fn send(&mut self, page: Arc<Page>, ctx: &mut TaskCtx<'_>) -> Result<(), Arc<Page>> {
         match &mut self.0 {
@@ -352,29 +329,25 @@ impl Outlet {
             Out::Link(link) => {
                 if link.tx.is_some() {
                     link.morsel.push(page);
-                    if link.cut.is_some_and(|n| link.morsel.len() >= n) {
-                        // A seam's link is an OS one: it always has room.
-                        link.hand_off(link.index, ctx);
-                    }
                 }
                 Ok(())
             }
         }
     }
 
-    /// The producer finished its morsel `index` with the pages sent so
-    /// far: a group worker's link hands the morsel off, and says `false`
-    /// when a simulator channel had no room (the caller is registered as
-    /// a waiter and asks again). Any other outlet has nothing to do.
+    /// The worker finished its morsel `index` with the pages sent so
+    /// far: its link hands the morsel off, and says `false` when a
+    /// simulator channel had no room (the caller is registered as a
+    /// waiter and asks again). A simulator channel has nothing to do.
     pub(crate) fn end_morsel(&mut self, index: usize, ctx: &mut TaskCtx<'_>) -> bool {
         match &mut self.0 {
-            Out::Link(link) if link.cut.is_none() => link.hand_off(index, ctx),
-            _ => true,
+            Out::Link(link) => link.hand_off(index, ctx),
+            Out::Sim(_) => true,
         }
     }
 
-    /// Whether this is a link whose consumer was found hung up (or
-    /// whose stream has closed): nothing sent here is read. A simulator
+    /// Whether this is a link whose merge was found hung up (or whose
+    /// stream has closed): nothing sent here is read. A simulator
     /// channel never says so.
     #[inline]
     pub(crate) fn is_hung_up(&self) -> bool {
@@ -385,7 +358,8 @@ impl Outlet {
     }
 
     /// Ends the stream: a simulator channel closes; a link hands off
-    /// its partial last morsel and ends the producer's stream.
+    /// what it gathered past its last morsel and ends the worker's
+    /// stream.
     pub(crate) fn close(&mut self, ctx: &mut TaskCtx<'_>) {
         match &mut self.0 {
             Out::Sim(tx) => tx.close(ctx),
@@ -398,10 +372,10 @@ impl Outlet {
 mod tests {
     use super::*;
     use crate::ops::Fanout;
-    use cordoba_sim::DetachedCtx;
+    use cordoba_sim::{channel, DetachedCtx};
     use cordoba_storage::{DataType, Field, PageBuilder, Schema, Value};
 
-    /// Pages per hand-off of the seams below.
+    /// Pages per morsel of the links below.
     const MORSEL: usize = 4;
 
     /// `n` distinct one-row pages.
@@ -416,51 +390,48 @@ mod tests {
             .collect()
     }
 
-    /// A seam stepped by hand: the pivot root's fan-out over one link
-    /// per consumer, the pivot's fault cell, and `produce`'s own
-    /// senders; the consumers' receiving ends go to the caller.
-    struct Seam {
+    /// A morsel worker stepped by hand: its shell's fan-out over its
+    /// group's OS link, its fault cell, and its driver's sender; the
+    /// merge's end of the link goes to the caller.
+    struct Stepped {
         fanout: Fanout,
         fault: FaultCell,
-        txs: Vec<mpsc::SyncSender<Handoff>>,
+        tx: mpsc::SyncSender<Handoff>,
     }
 
-    fn seam(consumers: usize, morsel_pages: usize) -> (Seam, Vec<mpsc::Receiver<Handoff>>) {
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..consumers).map(|_| mpsc::sync_channel(16)).unzip();
+    fn stepped() -> (Stepped, mpsc::Receiver<Handoff>) {
+        let (tx, rx) = mpsc::sync_channel(16);
         let fault = FaultCell::default();
-        let outs = txs
-            .iter()
-            .map(|tx| Outlet::os(tx.clone(), morsel_pages, &fault))
-            .collect();
-        let fanout = Fanout::new(outs, 0.0);
-        (Seam { fanout, fault, txs }, rxs)
+        let outlet = Outlet::group(LinkTx::Os(tx.clone()), &fault);
+        let fanout = Fanout::new(vec![outlet], 0.0);
+        (Stepped { fanout, fault, tx }, rx)
     }
 
-    impl Seam {
-        /// The pivot's root delivers `pages`, one per step.
-        fn emit(&mut self, pages: &[Arc<Page>], ctx: &mut TaskCtx<'_>) {
-            for page in pages {
-                self.fanout.extend(&mut vec![page.clone()]);
-                assert!(self.fanout.flush(ctx).1, "an OS link is never full");
+    impl Stepped {
+        /// The worker's kernel emits `pages`, ending morsel `index` with
+        /// them if given.
+        fn emit(&mut self, pages: &[Arc<Page>], index: Option<usize>, ctx: &mut TaskCtx<'_>) {
+            self.fanout.extend(&mut pages.to_vec());
+            if let Some(index) = index {
+                self.fanout.end_morsel(index);
             }
+            assert!(self.fanout.flush(ctx).1, "an OS link is never full");
         }
 
-        /// As `produce` ends: the run's ports go (with whatever they
-        /// were gathering), then the pivot's error if it failed, then
-        /// the hang-up.
-        fn finish(self) {
+        /// As its driver ends: the shell closes its stream, then the run's
+        /// ports go, then the worker's error follows if it failed.
+        fn finish(mut self, ctx: &mut TaskCtx<'_>) {
+            self.fanout.close(ctx);
             drop(self.fanout);
             if let Some(err) = self.fault.take() {
-                for tx in &self.txs {
-                    let _ = tx.send(Err(err.clone()));
-                }
+                let _ = self.tx.send(Err(err));
             }
         }
     }
 
     /// Reads `inlet` to its end as the port of a consumer's operator:
-    /// the pages it fed, how many reads that took, and the pivot's error
-    /// if one ended it.
+    /// the pages it fed, how many reads that took, and the producer's
+    /// error if one ended it.
     fn read_all(
         mut inlet: Inlet,
         ctx: &mut TaskCtx<'_>,
@@ -492,6 +463,9 @@ mod tests {
 
     #[test]
     fn the_seam_hands_off_whole_morsels_and_the_partial_tail() {
+        // A group link across threads: the worker ends a morsel with each
+        // full `MORSEL` pages; the tail it emits ends no morsel, and its
+        // close hands that off too.
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         for n in [
@@ -504,13 +478,15 @@ mod tests {
             2 * MORSEL,
         ] {
             let pages = pivot_pages(n);
-            let (mut seam, mut rxs) = seam(2, MORSEL);
-            seam.emit(&pages, ctx);
-            seam.fanout.close(ctx);
-            seam.finish();
-            // One consumer's raw link: full morsels numbered from 0, then
-            // the tail, never an empty hand-off, then exactly one end.
-            let raw = rxs.remove(0);
+            let (mut worker, raw) = stepped();
+            let (full, tail) = pages.split_at(n / MORSEL * MORSEL);
+            for (i, morsel) in full.chunks(MORSEL).enumerate() {
+                worker.emit(morsel, Some(i), ctx);
+            }
+            worker.emit(tail, None, ctx);
+            worker.finish(ctx);
+            // The raw link: full morsels numbered from 0, then the tail,
+            // never an empty hand-off, then exactly one end.
             let mut handoffs: Vec<_> = raw.try_iter().map(|h| h.expect("no fault")).collect();
             assert!(matches!(handoffs.pop(), Some(None)), "n={n}: the end");
             let numbered: Vec<_> = handoffs
@@ -521,10 +497,14 @@ mod tests {
             want.extend((n % MORSEL > 0).then_some(n % MORSEL));
             let want: Vec<_> = want.into_iter().enumerate().map(Some).collect();
             assert_eq!(numbered, want, "n={n}");
-            assert!(same_pages(&handed_pages(handoffs), &pages), "n={n}");
-            // The other's port: the same pages (not copies), one per
-            // read, then end-of-stream.
-            let port = Inlet::os(rxs.remove(0), &FaultCell::default());
+            assert!(same_pages(&handed_pages(handoffs.clone()), &pages), "n={n}");
+            // The merge's port over the same hand-offs: the same pages
+            // (not copies), one per read, then end-of-stream.
+            let (wire, rx) = mpsc::sync_channel(16);
+            for handoff in handoffs.into_iter().chain([None]) {
+                assert!(wire.send(Ok(handoff)).is_ok());
+            }
+            let port = Inlet::group(LinkRx::Os(rx), 1, &FaultCell::default());
             let (fed, reads, fault) = read_all(port, ctx);
             assert!(same_pages(&fed, &pages), "n={n}");
             assert_eq!(reads, n + 1, "n={n}");
@@ -536,37 +516,29 @@ mod tests {
     fn a_hung_up_consumer_is_dropped_at_the_next_hand_off() {
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
-        let pages = pivot_pages(3 * MORSEL);
+        let pages = pivot_pages(2 * MORSEL);
         // How many outlets are gathering a page: its strong count less
         // the test's own.
         let gathering = |page: &Arc<Page>| Arc::strong_count(page) - 1;
-        let (mut seam, mut rxs) = seam(2, MORSEL);
-        let peer = rxs.remove(1);
+        let (mut worker, rx) = stepped();
         let failed = FaultCell::default();
-        let mut port = Inlet::os(rxs.remove(0), &failed);
-        seam.emit(&pages[..MORSEL], ctx);
-        // Consumer 0's query fails after the first hand-off, in an
-        // operator other than the one reading the link: its port reads
-        // as closed, the morsel in hand unread, and hangs up. Nothing
-        // tells the fan-out until the next hand-off; from then on the
-        // peer alone is served, exactly.
-        failed.set(ExecError::plan("consumer broke"));
+        let mut port = Inlet::group(LinkRx::Os(rx), 1, &failed);
+        worker.emit(&pages[..MORSEL], Some(0), ctx);
+        assert!(matches!(port.recv(ctx), Ok(Recv::Value(_))));
+        // The merge's query fails after the first hand-off, in an
+        // operator other than the one reading the link: its port reads as
+        // closed, the morsel in hand unread, and hangs up. Nothing tells
+        // the worker until its next hand-off, which finds nobody: from
+        // then on nothing is gathered, and its fan-out is unheard.
+        failed.set(ExecError::plan("merge broke"));
         assert!(matches!(port.recv(ctx), Ok(Recv::Closed)));
-        seam.emit(&pages[MORSEL..2 * MORSEL - 1], ctx);
-        assert_eq!(gathering(&pages[MORSEL]), 2);
-        seam.emit(&pages[2 * MORSEL - 1..=2 * MORSEL], ctx);
-        assert_eq!(gathering(&pages[2 * MORSEL]), 1, "the peer's outlet only");
-        let got: Vec<_> = peer.try_iter().map(|h| h.expect("no fault")).collect();
-        assert!(same_pages(&handed_pages(got), &pages[..2 * MORSEL]));
-        // The last consumer goes: nothing tells the fan-out until the
-        // next morsel is full, and then it reports that nobody listens,
-        // which the pivot root's shell takes as the end of its output.
-        drop(peer);
-        seam.emit(&pages[2 * MORSEL + 1..3 * MORSEL - 1], ctx);
-        assert!(!seam.fanout.is_unheard());
-        seam.emit(&pages[3 * MORSEL - 1..3 * MORSEL], ctx);
-        assert_eq!(gathering(&pages[3 * MORSEL - 1]), 0);
-        assert!(seam.fanout.is_unheard(), "the pivot is cancelled");
+        worker.emit(&pages[MORSEL..2 * MORSEL - 1], None, ctx);
+        assert_eq!(gathering(&pages[MORSEL]), 1);
+        assert!(!worker.fanout.is_unheard());
+        worker.emit(&pages[2 * MORSEL - 1..], Some(1), ctx);
+        assert_eq!(gathering(&pages[MORSEL]), 0);
+        assert!(worker.fanout.is_unheard(), "the worker is cancelled");
+        worker.finish(ctx);
     }
 
     #[test]
@@ -574,54 +546,219 @@ mod tests {
         let mut detached = DetachedCtx::new();
         let ctx = &mut detached.ctx(0);
         let pages = pivot_pages(MORSEL + 2);
-        let (mut seam, mut rxs) = seam(1, MORSEL);
-        let inlet = Inlet::os(rxs.remove(0), &FaultCell::default());
-        // One full hand-off is out and two pages are in hand when the
-        // pivot faults and its root ends the stream, as a failing
-        // operator's shell does.
-        seam.emit(&pages, ctx);
-        let err = ExecError::plan("pivot broke");
-        seam.fault.set(err.clone());
-        seam.fanout.close(ctx);
-        seam.finish();
-        // The consumer was fed the first morsel and nothing of the
-        // second, and its query fails with the pivot's error.
+        let (mut worker, rx) = stepped();
+        let inlet = Inlet::group(LinkRx::Os(rx), 1, &FaultCell::default());
+        // One morsel is out and two pages of the next are in hand when
+        // the worker faults and its shell ends the stream, as a failing
+        // operator's shell does; its driver then sends the error.
+        worker.emit(&pages[..MORSEL], Some(0), ctx);
+        worker.emit(&pages[MORSEL..], None, ctx);
+        let err = ExecError::plan("worker broke");
+        worker.fault.set(err.clone());
+        worker.finish(ctx);
+        // The merge was fed the first morsel and nothing of the second,
+        // and its query fails with the worker's error.
         let (fed, _, fault) = read_all(inlet, ctx);
         assert!(same_pages(&fed, &pages[..MORSEL]));
         assert_eq!(fault, Some(err));
     }
 
-    /// Model check of the links across threads, in the manner of
-    /// `crates/sim/tests/model_channel.rs`: each producer thread and each
-    /// consumer thread is a step machine, and every merge order of their
-    /// steps must leave each consumer that stayed with either its
-    /// producers' complete page sequence, in index order, then
-    /// end-of-stream — or a producer's error. A truncated stream that
-    /// reads as end-of-stream is the bug this guards against. The
-    /// producers are the sharing seam's pivot feeding two consumers, and
-    /// a morsel group's two workers feeding one merge.
+    /// Model checks in the manner of `crates/sim/tests/model_channel.rs`:
+    /// every merge order of the steps of a few step machines must leave
+    /// each consumer that stayed with either its producers' complete
+    /// page sequence, in order, then end-of-stream — or a producer's
+    /// error. A truncated stream that reads as complete is the bug these
+    /// guard against. The machines are a shared pivot's root fanning out
+    /// to two member sinks in the group's one run loop, and a morsel
+    /// group's two workers on threads of their own feeding one merge over
+    /// an OS link.
     mod seam_model {
         use super::*;
         use shuttle_lite::explore::{count, interleavings};
 
-        /// Pages per hand-off, and pages a healthy pivot emits: one full
-        /// hand-off, then a partial one that only its close flushes.
-        const MORSEL: usize = 2;
+        /// Pages a healthy pivot emits, and its feeds' capacity: a member
+        /// that falls behind blocks the pivot, whose last pages then wait
+        /// in its fan-out until its close flushes them.
         const PAGES: usize = 3;
+        const FEED: usize = 1;
 
-        /// One consumer thread, reading its link through the port of
-        /// the operator above its `Source` leaf. A thread blocked in
-        /// `recv` makes no progress, so a step that would park is
-        /// skipped; to know which steps would, the link ends at `tap`
-        /// and a hand-off crosses to the port's own link (`wire`) only
-        /// at the step that needs it.
+        /// The pivot's root in the group's run loop: `emitted` pages, a
+        /// page a step, then it ends its stream — after it faulted, if
+        /// `faulty`. A step whose delivery finds a full feed retries the
+        /// delivery alone, as a blocked task's next step does.
+        struct Pivot {
+            fanout: Fanout,
+            fault: FaultCell,
+            pages: Vec<Arc<Page>>,
+            emitted: usize,
+            faulty: bool,
+            op: usize,
+            done: bool,
+        }
+
+        impl Pivot {
+            fn step(&mut self, ctx: &mut TaskCtx<'_>) {
+                if self.done || !self.fanout.flush(ctx).1 {
+                    return;
+                }
+                if self.op < self.emitted {
+                    self.fanout.extend(&mut vec![self.pages[self.op].clone()]);
+                    self.fanout.flush(ctx);
+                } else {
+                    if self.faulty {
+                        // The failure path: nothing undelivered goes out.
+                        self.fault.set(ExecError::plan("pivot broke"));
+                        self.fanout.abandon();
+                    }
+                    self.fanout.close(ctx);
+                    self.done = true;
+                }
+                self.op += 1;
+            }
+        }
+
+        /// A member's sink reading its feed through its port, a read a
+        /// step; at end-of-stream it fails if its pivot's fault is set.
+        struct Member {
+            port: Inlet,
+            pivot: FaultCell,
+            fed: Vec<Arc<Page>>,
+            fault: Option<ExecError>,
+            done: bool,
+        }
+
+        impl Member {
+            fn step(&mut self, ctx: &mut TaskCtx<'_>) {
+                if self.done {
+                    return;
+                }
+                match self.port.recv(ctx) {
+                    Ok(Recv::Value(page)) => self.fed.push(page),
+                    Ok(Recv::Empty) => {}
+                    Ok(Recv::Closed) => (self.fault, self.done) = (self.pivot.get(), true),
+                    Err(err) => panic!("a simulator channel carries no error: {err}"),
+                }
+            }
+        }
+
+        /// Explores every interleaving of the pivot (`emitted + 2` ops)
+        /// and two members; member 0 hangs up at its op `hang_up`, if
+        /// given. Returns how many were explored.
+        fn explore(emitted: usize, faulty: bool, hang_up: Option<usize>) -> usize {
+            let lens = [emitted + 2, 3, 4];
+            let pages = pivot_pages(PAGES);
+            let (explored, exhausted) = interleavings(&lens, usize::MAX, |seq| {
+                let mut detached = DetachedCtx::new();
+                let ctx = &mut detached.ctx(0);
+                let fault = FaultCell::default();
+                let (outs, feeds): (Vec<Outlet>, Vec<_>) = (0..2)
+                    .map(|_| {
+                        let (tx, rx) = channel::bounded(FEED);
+                        (tx.into(), rx)
+                    })
+                    .unzip();
+                let mut pivot = Pivot {
+                    fanout: Fanout::new(outs, 0.0),
+                    fault: fault.clone(),
+                    pages: pages.clone(),
+                    emitted,
+                    faulty,
+                    op: 0,
+                    done: false,
+                };
+                let mut members: Vec<_> = feeds
+                    .into_iter()
+                    .map(|rx| Member {
+                        port: rx.into(),
+                        pivot: fault.clone(),
+                        fed: Vec::new(),
+                        fault: None,
+                        done: false,
+                    })
+                    .collect();
+                let mut ops = [0usize; 3];
+                for &t in seq {
+                    match t {
+                        0 => pivot.step(ctx),
+                        m => {
+                            let member = &mut members[m - 1];
+                            if m == 1 && hang_up == Some(ops[1]) && !member.done {
+                                // Its own failure: its fragment stops
+                                // reading, and its feed swallows the rest.
+                                member.port.close(ctx);
+                                member.done = true;
+                            }
+                            member.step(ctx);
+                        }
+                    }
+                    ops[t] += 1;
+                }
+                // Nothing is left to race: run the loop to its end.
+                while !(pivot.done && members.iter().all(|m| m.done)) {
+                    pivot.step(ctx);
+                    members.iter_mut().for_each(|m| m.step(ctx));
+                }
+                let stayed = members.iter().skip(usize::from(hang_up.is_some()));
+                for member in stayed {
+                    let fed = &member.fed;
+                    match &member.fault {
+                        Some(err) => assert!(faulty, "seq {seq:?}: {err} from a healthy pivot"),
+                        None => {
+                            assert!(!faulty, "seq {seq:?}: a failed pivot read as end-of-stream");
+                            assert!(
+                                same_pages(fed, &pages[..emitted]),
+                                "seq {seq:?}: truncated or reordered: {} of {emitted} pages",
+                                fed.len()
+                            );
+                        }
+                    }
+                    // Whatever was fed is a prefix of the pivot's output.
+                    assert!(same_pages(fed, &pages[..fed.len()]), "seq {seq:?}");
+                }
+            });
+            assert!(exhausted);
+            assert_eq!(explored, count(&lens));
+            explored
+        }
+
+        /// The acceptance floor per scenario, as in the channel suite.
+        const MIN_INTERLEAVINGS: usize = 1_000;
+
+        #[test]
+        fn flush_on_close_delivers_the_partial_tail_to_everyone() {
+            assert!(explore(PAGES, false, None) >= MIN_INTERLEAVINGS);
+        }
+
+        #[test]
+        fn a_consumer_hang_up_leaves_its_peer_exact() {
+            // Before its first read, after it, and after two.
+            for at in 0..3 {
+                assert!(explore(PAGES, false, Some(at)) >= MIN_INTERLEAVINGS);
+            }
+        }
+
+        #[test]
+        fn a_pivot_fault_reaches_every_consumer_as_an_error() {
+            // With nothing, one page, and every page in the fan-out's
+            // hand or out; and with a member leaving too.
+            for emitted in 0..=PAGES {
+                assert!(explore(emitted, true, None) >= MIN_INTERLEAVINGS);
+            }
+            assert!(explore(PAGES, true, Some(1)) >= MIN_INTERLEAVINGS);
+        }
+
+        /// One merge thread, reading its group's link through its port. A
+        /// thread blocked in `recv` makes no progress, so a step that
+        /// would park is skipped; to know which steps would, the link ends
+        /// at `tap` and a hand-off crosses to the port's own link (`wire`)
+        /// only at the step that needs it.
         struct Consumer {
             tap: mpsc::Receiver<Handoff>,
             wire: Option<mpsc::SyncSender<Handoff>>,
             port: Inlet,
             /// Pages of each morsel crossed so far, by index.
             crossed: BTreeMap<usize, usize>,
-            /// Producers, and the end hand-offs crossed so far.
+            /// Workers, and the end hand-offs crossed so far.
             producers: usize,
             ends: usize,
             /// Whether an error has crossed.
@@ -697,133 +834,10 @@ mod tests {
             }
         }
 
-        /// The producer thread: `emitted` pages, then the pivot's root
-        /// ends the stream — after it faulted, if `faulty` — then
-        /// `produce`'s tail.
-        struct Producer {
-            seam: Option<Seam>,
-            pages: Vec<Arc<Page>>,
-            emitted: usize,
-            faulty: bool,
-            op: usize,
-        }
-
-        impl Producer {
-            fn step(&mut self, ctx: &mut TaskCtx<'_>) {
-                let Some(seam) = &mut self.seam else {
-                    return;
-                };
-                if self.op < self.emitted {
-                    seam.emit(&self.pages[self.op..=self.op], ctx);
-                } else if self.op == self.emitted {
-                    if self.faulty {
-                        seam.fault.set(ExecError::plan("pivot broke"));
-                    }
-                    seam.fanout.close(ctx);
-                } else {
-                    self.seam.take().expect("checked above").finish();
-                }
-                self.op += 1;
-            }
-        }
-
-        /// Explores every interleaving of one producer (`emitted + 2`
-        /// ops) and two consumers; consumer 0 hangs up at its op
-        /// `hang_up`, if given. Returns how many were explored.
-        fn explore(emitted: usize, faulty: bool, hang_up: Option<usize>) -> usize {
-            let lens = [emitted + 2, 3, 4];
-            let pages = pivot_pages(PAGES);
-            let (explored, exhausted) = interleavings(&lens, usize::MAX, |seq| {
-                let mut detached = DetachedCtx::new();
-                let ctx = &mut detached.ctx(0);
-                let (seam, taps) = seam(2, MORSEL);
-                let mut producer = Producer {
-                    seam: Some(seam),
-                    pages: pages.clone(),
-                    emitted,
-                    faulty,
-                    op: 0,
-                };
-                let mut consumers: Vec<_> = taps
-                    .into_iter()
-                    .map(|tap| Some(Consumer::new(tap, 1)))
-                    .collect();
-                let mut ops = [0usize; 3];
-                for &t in seq {
-                    match t {
-                        0 => producer.step(ctx),
-                        c => {
-                            if c == 1 && hang_up == Some(ops[1]) {
-                                // Its own failure: the thread ends and
-                                // drops its end of the link.
-                                consumers[0] = None;
-                            }
-                            if let Some(consumer) = &mut consumers[c - 1] {
-                                consumer.step(ctx);
-                            }
-                        }
-                    }
-                    ops[t] += 1;
-                }
-                // Nothing is left to race: run each thread to its end.
-                while producer.seam.is_some() {
-                    producer.step(ctx);
-                }
-                for consumer in consumers.iter_mut().flatten() {
-                    while !consumer.done {
-                        consumer.step(ctx);
-                    }
-                    let fed = &consumer.fed;
-                    match &consumer.fault {
-                        Some(err) => assert!(faulty, "seq {seq:?}: {err} from a healthy pivot"),
-                        None => {
-                            assert!(!faulty, "seq {seq:?}: a failed pivot read as end-of-stream");
-                            assert!(
-                                same_pages(fed, &pages[..emitted]),
-                                "seq {seq:?}: truncated or reordered: {} of {emitted} pages",
-                                fed.len()
-                            );
-                        }
-                    }
-                    // Whatever was fed is a prefix of the pivot's output.
-                    assert!(same_pages(fed, &pages[..fed.len()]), "seq {seq:?}");
-                }
-            });
-            assert!(exhausted);
-            assert_eq!(explored, count(&lens));
-            explored
-        }
-
-        /// The acceptance floor per scenario, as in the channel suite.
-        const MIN_INTERLEAVINGS: usize = 1_000;
-
-        #[test]
-        fn flush_on_close_delivers_the_partial_tail_to_everyone() {
-            assert!(explore(PAGES, false, None) >= MIN_INTERLEAVINGS);
-        }
-
-        #[test]
-        fn a_consumer_hang_up_leaves_its_peer_exact() {
-            // Before its first hand-off, between the two, and after both.
-            for at in 0..3 {
-                assert!(explore(PAGES, false, Some(at)) >= MIN_INTERLEAVINGS);
-            }
-        }
-
-        #[test]
-        fn a_pivot_fault_reaches_every_consumer_as_an_error() {
-            // With nothing, a partial morsel, and a just-flushed morsel
-            // in the fan-out's hand; and with a consumer leaving too.
-            for emitted in 0..=PAGES {
-                assert!(explore(emitted, true, None) >= MIN_INTERLEAVINGS);
-            }
-            assert!(explore(PAGES, true, Some(1)) >= MIN_INTERLEAVINGS);
-        }
-
         /// One worker thread of a morsel group: a worker's shell ends
         /// each of its morsels, one page each, through its fan-out, then
         /// its stream — after it faulted, at op `fails`, if given — and
-        /// then its driver's tail (`wiring::run_feeding`).
+        /// then its driver's tail (`wiring::run_worker`'s).
         struct Worker {
             fanout: Option<Fanout>,
             fault: FaultCell,

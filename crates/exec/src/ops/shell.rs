@@ -64,17 +64,17 @@
 //!   declares no schema (the sink's, whose rows nobody reads) is not
 //!   checked.
 //! * **Failure, in one place.** An error from the input check, from
-//!   any kernel call or from an input's producer on another thread ends
+//!   any kernel call or from an input's worker on another thread ends
 //!   the task the same way: the query's [`FaultCell`] takes the error,
 //!   every input is closed (upstream runs out into the void instead of
-//!   blocking; a producer on another thread stops serving this query),
+//!   blocking; a worker on another thread stops serving this query),
 //!   [`Kernel::release`] returns the kernel's grants and files,
 //!   undelivered output is abandoned, the consumers see end-of-stream,
 //!   and the step is [`Step::done`] at cost 1.
 //! * **Nobody listening.** Once every consumer is an OS link found hung
 //!   up ([`Fanout::is_unheard`]) the call whose delivery found it ends
 //!   the step and the task the same way, but sets no fault and keeps
-//!   its cost: a pivot whose consumer threads have all failed stops
+//!   its cost: a morsel worker whose merge's query has failed stops
 //!   within a morsel instead of running on for nobody. A simulator
 //!   channel never reports this; there a consumer's abort is the
 //!   engine's to propagate.
@@ -84,13 +84,11 @@
 //!
 //! The ports and the fan-out are the one channel layer's [`Inlet`]s and
 //! [`Outlet`](super::Outlet)s, so the same shell runs on either side of
-//! a thread boundary: the engine's sharing seam on threads is a pivot
-//! whose root fans out to consumers on other threads, each reading the
-//! pivot's pages through its own port. A morsel group is shells too: a
-//! worker is a kernel with no ports whose calls each report the morsel
-//! they finish ([`Drained::morsel`]), and its outlet hands each morsel to
-//! the group's merge whole; the merge is a kernel reading the group's
-//! link through one port.
+//! a thread boundary. A morsel group is shells too: a worker is a kernel
+//! with no ports whose calls each report the morsel they finish
+//! ([`Drained::morsel`]), and its outlet hands each morsel to the
+//! group's merge whole — across threads, in the local driver; the merge
+//! is a kernel reading the group's link through one port.
 
 use crate::error::{ExecError, FaultCell};
 use crate::ops::{Fanout, Inlet};
@@ -456,6 +454,7 @@ impl Task for OperatorShell {
 mod tests {
     use super::*;
     use crate::memory::QueryResources;
+    use crate::ops::port::{Handoff, LinkRx, LinkTx};
     use crate::ops::testutil::{pages_of, CountingSink};
     use crate::ops::Outlet;
     use cordoba_sim::channel::{self, Receiver, Sender};
@@ -485,6 +484,9 @@ mod tests {
         close_last: bool,
         /// `next_port` names the last open port, not the first.
         reversed: bool,
+        /// Each `drain` call ends a morsel, numbered from this one, as a
+        /// morsel worker's calls do.
+        morsel: Option<usize>,
         /// What a running operator holds: a grant and a spill file.
         held: Option<(QueryResources, SpillFile)>,
     }
@@ -503,6 +505,7 @@ mod tests {
                 min_tick: 0,
                 close_last: false,
                 reversed: false,
+                morsel: None,
                 held: None,
             }
         }
@@ -562,11 +565,13 @@ mod tests {
                 out.push(page(-1));
             }
             self.batches = self.batches.saturating_sub(1);
+            let morsel = self.morsel;
+            self.morsel = morsel.map(|i| i + 1);
             Ok(Drained {
                 cost: if last { 0 } else { 2 },
                 progress: usize::from(emits),
                 last,
-                morsel: None,
+                morsel,
             })
         }
         fn release(&mut self) {
@@ -920,8 +925,9 @@ mod tests {
 
     #[test]
     fn an_input_from_another_thread_fails_the_query_with_its_producers_error() {
-        // A link from a producer on another thread: one hand-off of two
-        // pages, morsel 0, then the error that ended the producer.
+        // A morsel group's link from its one worker on another thread: one
+        // hand-off of two pages, morsel 0, then the error that ended the
+        // worker.
         let (link, rx) = std::sync::mpsc::sync_channel(4);
         let broke = ExecError::plan("producer broke");
         assert!(link.send(Ok(Some((0, vec![page(1), page(2)])))).is_ok());
@@ -931,8 +937,8 @@ mod tests {
         let fault = FaultCell::default();
         let kernel = Box::new(Scripted::new(&calls));
         let fanout = Fanout::new(vec![tx.into()], 1.0);
-        let mut shell =
-            OperatorShell::new(kernel, vec![Inlet::os(rx, &fault)], fanout, fault.clone());
+        let inlet = Inlet::group(LinkRx::Os(rx), 1, &fault);
+        let mut shell = OperatorShell::new(kernel, vec![inlet], fanout, fault.clone());
         let mut detached = DetachedCtx::new();
         // A page per step, whatever the hand-off held ...
         for _ in 0..2 {
@@ -950,40 +956,42 @@ mod tests {
         assert!(matches!(out.try_recv(ctx), Recv::Closed));
     }
 
+    /// A morsel worker's shell: its kernel ends a morsel with each of
+    /// `morsels` pages, every one handed to two merges on other threads
+    /// over group links, `pages` kernel calls a step. The first merge is
+    /// gone from the start; the second's end goes to the caller.
+    fn worker_of_two(
+        calls: &Rc<RefCell<Vec<String>>>,
+        fault: &FaultCell,
+        morsels: usize,
+        pages: usize,
+    ) -> (OperatorShell, std::sync::mpsc::Receiver<Handoff>) {
+        let (gone, _) = std::sync::mpsc::sync_channel(4);
+        let (link, peer) = std::sync::mpsc::sync_channel(8);
+        let outs = [gone, link].map(|tx| Outlet::group(LinkTx::Os(tx), fault));
+        let mut kernel = Scripted::new(calls);
+        (kernel.ports, kernel.batches, kernel.morsel) = (0, morsels, Some(0));
+        let fanout = Fanout::new(outs.into(), 1.0);
+        let shell = OperatorShell::new(Box::new(kernel), vec![], fanout, fault.clone());
+        (shell.morsel_pages(pages), peer)
+    }
+
     #[test]
     fn a_shell_whose_consumers_on_other_threads_all_hung_up_stops_within_a_morsel() {
-        // Two consumers on other threads, two pages per hand-off; the
-        // first is gone from the start.
-        let (gone, _) = std::sync::mpsc::sync_channel(4);
-        let (link, peer) = std::sync::mpsc::sync_channel(4);
         let calls = Rc::new(RefCell::new(Vec::new()));
         let fault = FaultCell::default();
-        let outs = [gone, link].map(|tx| Outlet::os(tx, 2, &fault));
-        let (tx, rx) = channel::bounded(8);
-        let mut shell = OperatorShell::new(
-            Box::new(Scripted::new(&calls)),
-            vec![rx.clone().into()],
-            Fanout::new(outs.into(), 1.0),
-            fault.clone(),
-        );
+        let (mut shell, peer) = worker_of_two(&calls, &fault, 5, 1);
         let mut detached = DetachedCtx::new();
-        for x in 0..5 {
-            assert!(tx.try_send(page(x), &mut detached.ctx(0)).is_ok());
-        }
-        // The first hand-off finds one consumer gone; its peer is served.
+        // The first hand-off finds one merge gone; its peer is served.
         for _ in 0..2 {
-            assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(10 + 2));
+            assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(2 + 2));
         }
-        assert_eq!(peer.try_iter().count(), 1);
-        // The peer goes too: nothing tells the shell until the next
-        // hand-off, and then it stops, unfaulted, its input closed with a
-        // page unread and its kernel released.
+        assert_eq!(peer.try_iter().count(), 2);
+        // The peer goes too: nothing tells the shell until its next
+        // hand-off, and then it stops, unfaulted, its kernel released.
         drop(peer);
-        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::yielded(10 + 2));
-        assert!(!rx.is_finished());
-        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(10 + 2));
-        assert!(rx.is_finished(), "the producer is cancelled");
-        assert_eq!(calls.borrow().join(" "), "page0 page0 page0 page0 release");
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(2 + 2));
+        assert_eq!(calls.borrow().join(" "), "drain drain drain release");
         assert!(!fault.is_set());
     }
 
@@ -1139,8 +1147,9 @@ mod tests {
 
     #[test]
     fn a_link_from_another_thread_is_read_through_its_hand_off_only() {
-        // A hand-off of two pages, morsel 0, four calls a step: the step
-        // ends when the hand-off does, without waiting on the link.
+        // A group link from one worker: a hand-off of two pages, morsel
+        // 0, four calls a step. The step ends when the hand-off does,
+        // without waiting on the link.
         let (link, rx) = std::sync::mpsc::sync_channel(4);
         assert!(link.send(Ok(Some((0, vec![page(1), page(2)])))).is_ok());
         let calls = Rc::new(RefCell::new(Vec::new()));
@@ -1148,8 +1157,8 @@ mod tests {
         let fault = FaultCell::default();
         let kernel = Box::new(Scripted::new(&calls));
         let fanout = Fanout::new(vec![tx.into()], 1.0);
-        let mut shell =
-            OperatorShell::new(kernel, vec![Inlet::os(rx, &fault)], fanout, fault).morsel_pages(4);
+        let inlet = Inlet::group(LinkRx::Os(rx), 1, &fault);
+        let mut shell = OperatorShell::new(kernel, vec![inlet], fanout, fault).morsel_pages(4);
         let mut detached = DetachedCtx::new();
         assert_eq!(
             shell.step(&mut detached.ctx(SHELL)),
@@ -1157,7 +1166,7 @@ mod tests {
         );
         assert_eq!(calls.borrow().join(" "), "page0 page0");
         // The next step's first read may wait on the link: it reads the
-        // producer's end hand-off.
+        // worker's end hand-off.
         assert!(link.send(Ok(None)).is_ok());
         assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(3));
         assert_eq!(calls.borrow().join(" "), "page0 page0 close0 drain");
@@ -1165,39 +1174,21 @@ mod tests {
 
     #[test]
     fn a_multi_page_shell_whose_consumers_on_other_threads_all_hung_up_stops_within_a_morsel() {
-        // As the one-page case, four calls a step over hand-offs of two
-        // pages: the call whose hand-off finds the last consumer gone
-        // ends the task mid-step.
-        let (gone, _) = std::sync::mpsc::sync_channel(4);
-        let (link, peer) = std::sync::mpsc::sync_channel(4);
+        // As the one-page case, four calls a step: the call whose hand-off
+        // finds the last merge gone ends the task mid-step.
         let calls = Rc::new(RefCell::new(Vec::new()));
         let fault = FaultCell::default();
-        let outs = [gone, link].map(|tx| Outlet::os(tx, 2, &fault));
-        let (tx, rx) = channel::bounded(8);
-        let mut shell = OperatorShell::new(
-            Box::new(Scripted::new(&calls)),
-            vec![rx.clone().into()],
-            Fanout::new(outs.into(), 1.0),
-            fault.clone(),
-        )
-        .morsel_pages(4);
+        let (mut shell, peer) = worker_of_two(&calls, &fault, 7, 4);
         let mut detached = DetachedCtx::new();
-        for x in 0..7 {
-            assert!(tx.try_send(page(x), &mut detached.ctx(0)).is_ok());
-        }
         assert_eq!(
             shell.step(&mut detached.ctx(SHELL)),
-            Step::yielded(4 * (10 + 2))
+            Step::yielded(4 * (2 + 2))
         );
-        assert_eq!(peer.try_iter().count(), 2);
+        assert_eq!(peer.try_iter().count(), 4);
         drop(peer);
-        assert_eq!(
-            shell.step(&mut detached.ctx(SHELL)),
-            Step::done(2 * (10 + 2))
-        );
-        assert!(rx.is_finished(), "the producer is cancelled");
+        assert_eq!(shell.step(&mut detached.ctx(SHELL)), Step::done(2 + 2));
         let calls = calls.borrow().join(" ");
-        assert_eq!(calls, "page0 page0 page0 page0 page0 page0 release");
+        assert_eq!(calls, "drain drain drain drain drain release");
         assert!(!fault.is_set());
     }
 }

@@ -53,7 +53,7 @@ pub struct ParallelConfig {
     /// `1`.
     pub workers: usize,
     /// Pages per morsel (`0` treated as `1`), the one granularity of
-    /// both substrates: what a morsel worker claims, what an OS link
+    /// both substrates: what a morsel worker claims, what its link
     /// hands off, and the most pages an operator's task moves in one
     /// simulated step (its kernel calls then add up to one step). Rows
     /// and per-row charges do not depend on it; `1` is the one-page

@@ -14,20 +14,20 @@
 //!
 //! `group` is the single definition of what gets parallelised: with
 //! more than one worker configured, each such fragment becomes a morsel
-//! group — worker shells and a merge shell, linked by one of the
-//! channel layer's links, as the sharing seam's pivot and members are.
-//! [`instantiate_into`] puts the whole group into the caller's
-//! simulator; [`run_local`] — the one local driver, how real threads run
-//! a plan — keeps the serial operators and each group's merge in one run
-//! loop on the calling thread and builds every worker's shell on an OS
-//! thread of its own, driven as any producer feeding another thread is
-//! ([`run_feeding`]).
+//! group — worker shells and a merge shell, linked by the channel
+//! layer's one link. Where [`instantiate_into`] puts a plan is a
+//! [`Place`]: into a simulator, or a running task's context, the whole
+//! group goes as tasks; into a [`LocalRun`] — the one local driver, how
+//! real threads run plans — the serial operators and each group's merge
+//! go into one run loop on the calling thread, and every worker's shell
+//! is built on an OS thread of its own, feeding the merge over an OS
+//! link. [`run_local`] runs one plan so; the engine runs a whole sharing
+//! group in one local run.
 //!
 //! A plan's ends are the channel layer's ports ([`Inlet`], [`Outlet`]):
-//! `Source` leaves read inlets and the root delivers to outlets, each
-//! either a simulator channel or a link to another thread. A plan on
-//! one thread therefore feeds or reads a plan on another through the
-//! same operators, with no task in between ([`run_local_between`]).
+//! `Source` leaves read inlets and the root delivers to outlets, so a
+//! shared pivot's root feeds its members' fragments in the same run
+//! loop with no task in between.
 //!
 //! # Live columns
 //!
@@ -50,7 +50,7 @@
 use crate::cost::OpCost;
 use crate::error::{ExecError, FaultCell};
 use crate::expr::{Agg, Columns, ScalarExpr};
-use crate::memory::{MemoryConfig, QueryResources};
+use crate::memory::{MemoryBroker, MemoryConfig, QueryResources};
 use crate::ops::aggregate::{AggCore, Deposit};
 use crate::ops::port::{Handoff, LinkRx, LinkTx};
 use crate::ops::shell::{PageWork, Port, PortClosed};
@@ -61,7 +61,7 @@ use crate::ops::{
 use crate::parallel::{Fold, MorselDispenser, MorselKernel, ParallelConfig};
 use crate::plan::{JoinKind, PhysicalPlan};
 use cordoba_sim::channel::{self, Receiver};
-use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskId};
+use cordoba_sim::{RunOutcome, Simulator, Spawner, StopReason, Task, TaskCtx, TaskId};
 use cordoba_storage::{Catalog, Page, Schema, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -105,17 +105,32 @@ impl Default for WiringConfig {
 /// [`TaskCtx`](cordoba_sim::TaskCtx).
 type SpawnedOps = Vec<(Option<TaskId>, String)>;
 
-/// Instantiates `plan`, delivering root output to every outlet in
-/// `outs` (the root's `cost.out_per_tuple` is charged per consumer).
-/// [`PhysicalPlan::Source`] leaves consume inlets from `sources` in
-/// plan preorder. Every operator runs in `resources`: runtime faults
-/// land in its `fault`, and buffering operators charge its `broker` and
-/// spill to its `dir`.
+/// Where [`instantiate_into`] puts a plan's tasks: a run loop to spawn
+/// them into, where a morsel group's workers are tasks like any other,
+/// or a [`LocalRun`], whose workers each run on an OS thread of their
+/// own.
+pub trait Place: Spawner {
+    /// The local run this is, if it is one.
+    fn local(&mut self) -> Option<&mut LocalRun> {
+        None
+    }
+}
+
+impl Place for Simulator {}
+
+impl Place for TaskCtx<'_> {}
+
+/// Instantiates `plan` into `place`, delivering root output to every
+/// outlet in `outs` (the root's `cost.out_per_tuple` is charged per
+/// consumer). [`PhysicalPlan::Source`] leaves consume inlets from
+/// `sources` in plan preorder. Every operator runs in `resources`:
+/// runtime faults land in its `fault`, and buffering operators charge
+/// its `broker` and spill to its `dir`.
 ///
 /// Construction is all-or-nothing: on `Err`, no task has been spawned.
 #[allow(clippy::too_many_arguments)]
 pub fn instantiate_into(
-    sim: &mut dyn Spawner,
+    place: &mut dyn Place,
     catalog: &Catalog,
     plan: &PhysicalPlan,
     outs: Vec<Outlet>,
@@ -124,20 +139,25 @@ pub fn instantiate_into(
     cfg: &WiringConfig,
     resources: &QueryResources,
 ) -> Result<SpawnedOps, ExecError> {
-    let wiring = Wiring::new(catalog, cfg, resources, label, sources, false);
-    let (built, _) = wiring.build(plan, outs)?;
+    let local = place.local().is_some();
+    let wiring = Wiring::new(catalog, cfg, resources, label, sources, local);
+    let (built, workers) = wiring.build(plan, outs)?;
+    if let Some(local) = place.local() {
+        local.workers.extend(workers);
+        local.brokers.push(resources.broker.clone());
+    }
     Ok(built
         .into_iter()
-        .map(|(name, task)| (sim.spawn_task(name.clone(), task), name))
+        .map(|(name, task)| (place.spawn_task(name.clone(), task), name))
         .collect())
 }
 
 /// Operator tasks built for one plan, named, in spawn order.
 type Built = Vec<(String, Box<dyn Task>)>;
 
-/// Morsel-group workers bound for OS threads, each with its end of its
-/// group's link (see [`run_local`]).
-type ThreadWorkers = Vec<(Box<dyn Kernel + Send>, mpsc::SyncSender<Handoff>)>;
+/// A morsel-group worker bound for an OS thread: its kernel, its end of
+/// its group's link and the pages a step it runs (see [`LocalRun`]).
+type ThreadWorker = (Box<dyn Kernel + Send>, mpsc::SyncSender<Handoff>, usize);
 
 /// One plan being wired: what every node is built from, and the tasks
 /// built so far, in spawn order, named `"{label}/{preorder}:{op}"`.
@@ -154,7 +174,7 @@ struct Wiring<'a> {
     built: Built,
     /// `Some` when morsel groups are linked by OS channels: their
     /// workers land here instead of among the built tasks.
-    threads: Option<ThreadWorkers>,
+    threads: Option<Vec<ThreadWorker>>,
 }
 
 /// Instantiates `plan` and returns the root output receiver, the
@@ -523,7 +543,7 @@ impl<'a> Wiring<'a> {
             sources,
             preorder: 0,
             built: Built::new(),
-            threads: threaded.then(ThreadWorkers::new),
+            threads: threaded.then(Vec::new),
         }
     }
 
@@ -533,7 +553,7 @@ impl<'a> Wiring<'a> {
         mut self,
         plan: &PhysicalPlan,
         outs: Vec<Outlet>,
-    ) -> Result<(Built, ThreadWorkers), ExecError> {
+    ) -> Result<(Built, Vec<ThreadWorker>), ExecError> {
         // The root's consumers — a collector, a shared pivot's `Source`
         // feeds, the fragment cache — read every column.
         self.wire(plan, &None, outs)?;
@@ -584,7 +604,8 @@ impl<'a> Wiring<'a> {
             }
             Some(threads) => {
                 let (tx, rx) = mpsc::sync_channel(self.cfg.queue_capacity);
-                threads.extend(group.workers.into_iter().zip(std::iter::repeat_n(tx, k)));
+                let workers = group.workers.into_iter();
+                threads.extend(workers.map(|kernel| (kernel, tx.clone(), morsel)));
                 Inlet::group(LinkRx::Os(rx), k, fault)
             }
         };
@@ -826,26 +847,10 @@ fn row_kernel(
     }
 }
 
-/// Runs `sim` to idle with a collecting sink on `rx` and returns the
-/// result pages. The query's fault (e.g. an unsorted merge input) comes
-/// back as `Err`, and so does a graph that wedged
-/// ([`ExecError::Stalled`]).
-fn run_and_collect_pages(
-    sim: &mut Simulator,
-    rx: Receiver<Arc<Page>>,
-    sink_cost: OpCost,
-    fault: &FaultCell,
-) -> Result<Vec<Arc<Page>>, ExecError> {
-    let buf = spawn_collector(sim, rx, sink_cost, fault);
-    let outcome = sim.run_to_idle();
-    failure_of(&outcome, fault)?;
-    Ok(buf.take())
-}
-
 /// Spawns a sink that collects the pages on `rx` into the returned
 /// buffer.
 fn spawn_collector(
-    sim: &mut Simulator,
+    sim: &mut dyn Spawner,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
     fault: &FaultCell,
@@ -853,7 +858,7 @@ fn spawn_collector(
     let buf = Rc::new(RefCell::new(Vec::new()));
     let sink = Box::new(SinkKernel::new(sink_cost).collecting(buf.clone()));
     let collector = OperatorShell::new(sink, vec![rx.into()], Fanout::none(), fault.clone());
-    sim.spawn("collector", Box::new(collector));
+    sim.spawn_task("collector".into(), Box::new(collector));
     buf
 }
 
@@ -876,17 +881,19 @@ fn failure_of(outcome: &RunOutcome, fault: &FaultCell) -> Result<(), ExecError> 
     })
 }
 
-/// As `run_and_collect_pages`, decoded to rows — convenience for
-/// tests and harnesses.
+/// Runs `sim` to idle with a collecting sink on `rx` and returns the
+/// result rows — convenience for tests and harnesses. The query's fault
+/// (e.g. an unsorted merge input) comes back as `Err`, and so does a
+/// graph that wedged ([`ExecError::Stalled`]).
 pub fn run_and_collect(
     sim: &mut Simulator,
     rx: Receiver<Arc<Page>>,
     sink_cost: OpCost,
     fault: &FaultCell,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
-    Ok(page_rows(&run_and_collect_pages(
-        sim, rx, sink_cost, fault,
-    )?))
+    let buf = spawn_collector(sim, rx, sink_cost, fault);
+    failure_of(&sim.run_to_idle(), fault)?;
+    Ok(page_rows(&buf.take()))
 }
 
 /// Decodes result pages to rows, in page order.
@@ -897,114 +904,125 @@ pub fn page_rows(pages: &[Arc<Page>]) -> Vec<Vec<Value>> {
         .collect()
 }
 
+/// The one local driver: a one-context run loop on the calling thread,
+/// into which plans are instantiated ([`Place`]), and the morsel-group
+/// workers bound for OS threads of their own. [`run_local`] runs one
+/// plan in one; the engine runs a whole sharing group in one.
+pub struct LocalRun {
+    sim: Simulator,
+    workers: Vec<ThreadWorker>,
+    /// The brokers of the queries instantiated here, each checked empty
+    /// once the run has ended (debug builds).
+    brokers: Vec<MemoryBroker>,
+}
+
+impl Default for LocalRun {
+    fn default() -> Self {
+        LocalRun {
+            sim: Simulator::new(1),
+            workers: Vec::new(),
+            brokers: Vec::new(),
+        }
+    }
+}
+
+impl Spawner for LocalRun {
+    fn spawn_task(&mut self, name: String, task: Box<dyn Task>) -> Option<TaskId> {
+        Some(self.sim.spawn(name, task))
+    }
+}
+
+impl Place for LocalRun {
+    fn local(&mut self) -> Option<&mut LocalRun> {
+        Some(self)
+    }
+}
+
+impl LocalRun {
+    /// Runs the loop to its end on this thread, each worker's shell on
+    /// a scoped OS thread of its own feeding its group's merge over a
+    /// bounded OS link, and returns how the loop ended. The scope joins
+    /// every worker before this returns and re-raises a worker's panic.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the local run: each group worker's shell on a scoped thread of its own"
+    )]
+    pub fn run(self) -> RunOutcome {
+        let (mut sim, brokers) = (self.sim, self.brokers);
+        let outcome = thread::scope(|scope| {
+            for worker in self.workers {
+                scope.spawn(move || run_worker(worker));
+            }
+            let outcome = sim.run_to_idle();
+            // A run that stopped with merges still live (a stall) must
+            // hang up on their workers, or the scope's join would wait on
+            // a full link forever.
+            drop(sim);
+            outcome
+        });
+        // Every query returned every byte granted to it — unless the run
+        // stalled with operators still holding theirs.
+        let idle = outcome.reason == StopReason::Idle;
+        debug_assert!(!idle || brokers.iter().all(|b| b.used() == 0));
+        outcome
+    }
+}
+
 /// Runs `plan` to completion on real threads — the one local driver,
 /// the same `ops/*` kernels as any simulated run — in `resources`, the
 /// query's context: its broker's budget bounds the query and its
 /// operators spill to its `dir`. `cfg.memory` is read only by whoever
 /// made `resources` ([`QueryResources::for_config`]).
 ///
-/// The plan is wired once: serial operators and each morsel group's
-/// merge run in a private single-context run loop on the calling
-/// thread, and every group worker's shell is built on a scoped OS
-/// thread of its own, in a run loop of its own, feeding its group's
-/// merge over a bounded OS link ([`run_feeding`]). With one worker
-/// configured there are no groups and no threads.
+/// The plan is wired once into a [`LocalRun`]: serial operators and
+/// each morsel group's merge run in a private single-context run loop
+/// on the calling thread, and every group worker's shell on a scoped OS
+/// thread of its own. With one worker configured there are no groups
+/// and no threads.
 pub fn run_local(
     catalog: &Catalog,
     plan: &PhysicalPlan,
     cfg: &WiringConfig,
     resources: &QueryResources,
 ) -> Result<Vec<Arc<Page>>, ExecError> {
-    run_local_between(catalog, plan, Vec::new(), Vec::new(), cfg, resources)
-}
-
-/// [`run_local`] between ports of the caller's — typically links to
-/// plans on other threads ([`Inlet::os`], [`Outlet::os`]): `sources`
-/// feed the plan's `Source` leaves in preorder, and the root delivers
-/// to `outs` or, when there are none, into the pages returned. Either
-/// way the run has ended, and dropped every port, when this returns.
-/// The plan runs in `resources`, as in [`run_local`].
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the local run: each group worker's shell on a scoped thread of its own"
-)]
-pub fn run_local_between(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    sources: Vec<Inlet>,
-    outs: Vec<Outlet>,
-    cfg: &WiringConfig,
-    resources: &QueryResources,
-) -> Result<Vec<Arc<Page>>, ExecError> {
-    let mut sim = Simulator::new(1);
-    let mut collect = None;
-    let outs = if outs.is_empty() {
-        let (tx, rx) = channel::bounded(cfg.queue_capacity);
-        collect = Some(rx);
-        vec![tx.into()]
-    } else {
-        outs
-    };
-    let mut sources = sources.into();
-    let wiring = Wiring::new(catalog, cfg, resources, "q", &mut sources, true);
-    let (built, workers) = wiring.build(plan, outs)?;
-    for (name, task) in built {
-        sim.spawn(name, task);
-    }
-    let collected = collect.map(|rx| {
-        let fault = &resources.fault;
-        spawn_collector(&mut sim, rx, OpCost::default(), fault)
-    });
-    // The scope joins every worker before returning and re-raises a
-    // worker's panic.
-    thread::scope(|scope| {
-        for (kernel, link) in workers {
-            scope.spawn(move || run_worker(kernel, link, cfg.parallel.morsel_pages));
-        }
-        let outcome = sim.run_to_idle();
-        // A run that stopped with merges still live (a stall) must hang
-        // up on their workers, or the scope's join would wait on a full
-        // link forever.
-        drop(sim);
-        failure_of(&outcome, &resources.fault)?;
-        Ok(collected.map(|buf| buf.take()).unwrap_or_default())
-    })
-}
-
-/// Runs a producer on this thread whose consumers are on other threads,
-/// each reading one of `links`. `run` is the producer's whole run: when
-/// it returns, its outlets over `links` are gone, with whatever they
-/// were gathering. A producer that failed then sends its error down
-/// every link, after everything it handed off, so no consumer mistakes
-/// a truncated stream for end-of-stream. (A consumer that already hung
-/// up has an error of its own.)
-pub fn run_feeding<R>(
-    links: &[mpsc::SyncSender<Handoff>],
-    run: impl FnOnce() -> Result<R, ExecError>,
-) {
-    if let Err(err) = run() {
-        for tx in links {
-            let _ = tx.send(Err(err.clone()));
-        }
-    }
+    let mut local = LocalRun::default();
+    let (tx, rx) = channel::bounded(cfg.queue_capacity);
+    let mut sources = VecDeque::new();
+    let outs = vec![tx.into()];
+    instantiate_into(
+        &mut local,
+        catalog,
+        plan,
+        outs,
+        &mut sources,
+        "q",
+        cfg,
+        resources,
+    )?;
+    let fault = &resources.fault;
+    let collected = spawn_collector(&mut local, rx, OpCost::default(), fault);
+    failure_of(&local.run(), fault)?;
+    Ok(collected.take())
 }
 
 /// Runs one morsel worker on this thread: its shell is built here, with
 /// a fault cell of its own, and runs to its end in a run loop of its own,
-/// up to `morsel_pages` pages a step, feeding its group's `link`.
-fn run_worker(
-    kernel: Box<dyn Kernel + Send>,
-    link: mpsc::SyncSender<Handoff>,
-    morsel_pages: usize,
-) {
-    run_feeding(std::slice::from_ref(&link), || {
-        let fault = FaultCell::default();
-        let outlet = Outlet::group(LinkTx::Os(link.clone()), &fault);
-        let mut sim = Simulator::new(1);
-        let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel_pages, &fault);
-        sim.spawn("worker", worker);
-        failure_of(&sim.run_to_idle(), &fault)
-    });
+/// up to `morsel_pages` pages a step, feeding its group's `link`. A
+/// worker that failed then sends its error down the link, after
+/// everything it handed off, so the merge never mistakes a truncated
+/// stream for its end. (A merge that already hung up has an error of
+/// its own.)
+fn run_worker((kernel, link, morsel_pages): ThreadWorker) {
+    let fault = FaultCell::default();
+    let outlet = Outlet::group(LinkTx::Os(link.clone()), &fault);
+    let worker = shell(kernel, vec![], vec![outlet], 0.0, morsel_pages, &fault);
+    let mut sim = Simulator::new(1);
+    sim.spawn("worker", worker);
+    let ended = failure_of(&sim.run_to_idle(), &fault);
+    drop(sim);
+    if let Err(err) = ended {
+        let _ = link.send(Err(err));
+    }
 }
 
 #[cfg(test)]
@@ -1897,18 +1915,25 @@ mod tests {
         assert_eq!(got, Err(broke.clone()), "simulator");
         assert!(res.broker.peak() > 0, "the sort charged the broker");
         assert_eq!(res.broker.used(), 0, "simulator: grants leaked");
-        // OS threads: each worker driven as `run_local` drives it.
+        // OS threads: the workers on threads of a local run, as it
+        // places its own groups' workers, the sort in its loop.
         let held = Arc::strong_count(&pages[0]);
         let res = QueryResources::default();
         let (link, rx) = mpsc::sync_channel(4);
-        thread::scope(|scope| {
-            for (kernel, link) in workers().into_iter().zip(std::iter::repeat_n(link, 3)) {
-                scope.spawn(move || run_worker(kernel, link, morsel));
-            }
-            let sources = vec![Inlet::group(LinkRx::Os(rx), 3, &res.fault)];
-            let got = run_local_between(&cat, &sort, sources, vec![], &cfg, &res);
-            assert_eq!(got.map(|pages| pages.len()), Err(broke), "threads");
-        });
+        let mut local = LocalRun::default();
+        let bound = workers()
+            .into_iter()
+            .map(|kernel| (kernel, link.clone(), morsel));
+        local.workers.extend(bound);
+        drop(link);
+        let mut sources = VecDeque::from([Inlet::group(LinkRx::Os(rx), 3, &res.fault)]);
+        let (out, collected) = channel::bounded(4);
+        let outs = vec![out.into()];
+        instantiate_into(&mut local, &cat, &sort, outs, &mut sources, "q", &cfg, &res)
+            .expect("wires");
+        let buf = spawn_collector(&mut local, collected, OpCost::default(), &res.fault);
+        let got = failure_of(&local.run(), &res.fault).map(|()| buf.take().len());
+        assert_eq!(got, Err(broke), "threads");
         assert_eq!(res.broker.used(), 0, "threads: grants leaked");
         assert_eq!(
             Arc::strong_count(&pages[0]),

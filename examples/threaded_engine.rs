@@ -1,7 +1,10 @@
 //! Real-thread shared scan: the engine's sharing machinery on OS
 //! threads with wall-clock timing (the simulator is the measurement
 //! substrate for the paper's figures; this shows the design also runs
-//! on real hardware).
+//! on real hardware). Unshared, the copies spread over the host's
+//! threads, one run loop per query; shared, they form one group whose
+//! pivot scans once and fans out to every member in one run loop on one
+//! thread — the work saved against the parallelism given up.
 //!
 //! Run with: `cargo run --release --example threaded_engine`
 
@@ -30,11 +33,11 @@ fn main() {
         unshared.elapsed, m
     );
     println!(
-        "shared:   {:>10.2?}  (one scan fanned out to {} consumers)",
+        "shared:   {:>10.2?}  (one scan fanned out to {} members on one thread)",
         shared.elapsed, m
     );
     let ratio = unshared.elapsed.as_secs_f64() / shared.elapsed.as_secs_f64().max(1e-9);
     println!("\nwall-clock speedup of sharing: {ratio:.2}x on this host");
-    println!("(on a machine with >= {m} idle cores, expect sharing to win less or lose —");
+    println!("(the more idle cores the unshared copies get, the less sharing wins —");
     println!(" the exact trade-off the analytical model predicts)");
 }

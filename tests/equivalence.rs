@@ -44,7 +44,7 @@ fn local_threads() {
 
 #[test]
 fn thread_seam() {
-    fuzz::run_cases(Substrate::Seam, CASES, &["group>1"]);
+    fuzz::run_cases(Substrate::Seam, CASES, &["group>1", fuzz::GROUPS]);
 }
 
 #[test]

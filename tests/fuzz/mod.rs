@@ -4,7 +4,9 @@
 //! Case `n` is a pure function of `n` that reads no environment: a case
 //! number names one case in every CI leg. Its substrate is
 //! `SUBSTRATES[n % 4]`; the rest of its configuration and its data and
-//! plans come from two generators seeded with `n`.
+//! plans come from two generators seeded with `n`, and its group bound
+//! (`max_group`, from `1..=m` for a batch of `m`) from a third, drawn
+//! after both so the others' draws do not move with it.
 //!
 //! * Tables have an `Int` key and up to four `Int`, `Float`, `Date` or
 //!   `Str` columns. They are empty, hot-key, few-key or distinct-key, on
@@ -63,7 +65,8 @@ pub enum Substrate {
     /// `wiring::run_local`: morsel workers on OS threads.
     Threads,
     /// The engine on OS threads ([`run_once_on_threads`]): copies of
-    /// one query, shared over the seam's links or not.
+    /// one query, shared in groups of up to `max_group` or not, each
+    /// group run on the thread that claims it.
     Seam,
 }
 
@@ -75,6 +78,9 @@ const WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
 const BUDGETS: [Option<usize>; 6] = [None, Some(64), Some(16), Some(4), Some(2), Some(1)];
 const CACHES: [usize; 2] = [0, 8];
 const CONTEXTS: [usize; 4] = [1, 2, 4, 8];
+/// The default group bound: larger than any case's batch, so no group is
+/// ever closed by it.
+const MAX_GROUP: usize = 64;
 
 /// Arrival time of a late query: long after the early ones finished.
 const LATE: u64 = 1_000_000_000;
@@ -87,7 +93,7 @@ const MAX_ROWS: usize = 5_000;
 pub struct Config {
     /// Where the case runs.
     pub substrate: Substrate,
-    /// Morsel workers (on the seam: threads that run its groups).
+    /// Morsel workers (on the seam: threads that claim its groups).
     pub workers: usize,
     /// Per-query budget in pages, spilling to the case's own directory.
     pub budget_pages: Option<usize>,
@@ -97,6 +103,10 @@ pub struct Config {
     pub cache: usize,
     /// Simulated contexts (on the seam: copies of the query).
     pub contexts: usize,
+    /// The most members a sharing group takes: drawn from `1..=m` for a
+    /// batch of `m` queries ([`Case::generate`]), so a shared batch
+    /// splits into groups the policies alone never form.
+    pub max_group: usize,
 }
 
 impl Default for Config {
@@ -108,6 +118,7 @@ impl Default for Config {
             share: false,
             cache: CACHES[0],
             contexts: CONTEXTS[0],
+            max_group: MAX_GROUP,
         }
     }
 }
@@ -150,6 +161,7 @@ impl Config {
         step(&|c| std::mem::take(&mut c.share));
         step(&|c| down(&CACHES, &mut c.cache));
         step(&|c| down(&CONTEXTS, &mut c.contexts));
+        step(&|c| std::mem::replace(&mut c.max_group, MAX_GROUP) != MAX_GROUP);
         out
     }
 }
@@ -204,6 +216,17 @@ impl Case {
             Seam => g.batch(1, false),
             s => g.batch(members, s == Schedule),
         };
+        let mut config = config;
+        if config.substrate != Threads {
+            // After every other draw, from a stream of its own, so the
+            // draws above do not move with it.
+            let m = if config.substrate == Seam {
+                config.contexts
+            } else {
+                queries.len()
+            };
+            config.max_group = 1 + Rng(n.rotate_left(32) ^ 0x6d61_785f_6772_6f75).below(m);
+        }
         let mut case = Case::new(g.catalog, queries, config);
         case.drawn = RefCell::new(g.drawn);
         case
@@ -1054,7 +1077,7 @@ fn execute(case: &Case, memory: MemoryConfig) -> Result<(Vec<Outcome>, Observed)
                 contexts: c.contexts,
                 queue_capacity: 16,
                 policy,
-                max_group: 64,
+                max_group: c.max_group,
                 sink_cost: OpCost::per_tuple(0.1),
                 memory,
                 parallel,
@@ -1223,7 +1246,8 @@ fn narrows(case: &Case, plan: &Plan, live: Option<BTreeSet<usize>>, pivot: Optio
 }
 
 /// Adds what a passing case covered to `seen`: its operators, its
-/// substrate, `shared` or `unshared`, and `spill`, `group>1`, `subsume`,
+/// substrate, `shared` or `unshared`, and `spill`, `group>1`,
+/// [`GROUPS`], `subsume`,
 /// `cache-hit`, `merge-span` (an equal-key group of a merge-join input
 /// across a page boundary, pages as the reference lays them out: the
 /// sort's and a scanned table's own) and `narrowed` (see [`narrows`]).
@@ -1258,6 +1282,10 @@ fn cover(case: &Case, observed: &Observed, seen: &mut BTreeSet<String>) {
         (sharing.into(), true),
         ("spill".into(), observed.spilled),
         ("group>1".into(), observed.groups.iter().any(|&g| g > 1)),
+        (
+            GROUPS.into(),
+            observed.groups.len() > 1 && observed.groups.iter().any(|&g| g > 1),
+        ),
         ("subsume".into(), observed.sharing.subsume_joins > 0),
         ("cache-hit".into(), observed.sharing.fingerprint_hits > 0),
         (NARROWED.into(), narrowed(case)),
@@ -1278,6 +1306,11 @@ fn narrowed(case: &Case) -> bool {
 /// The floor a case reaches when a sort or hash join in it carries
 /// less than all of its columns.
 pub const NARROWED: &str = "narrowed";
+
+/// The floor a case reaches when its batch ran as two or more groups,
+/// one of them shared: on the seam, groups that up to `workers`
+/// claiming threads run at once.
+pub const GROUPS: &str = "groups>1";
 
 /// Whether `case` ran on the simulator at more than a page a step and
 /// one of its scans holds more than one morsel of pages, so some step

@@ -67,10 +67,10 @@ fn grouped() -> (Catalog, QuerySpec) {
     (catalog, QuerySpec::shared_at("grouped", plan, scan))
 }
 
-/// The real-thread seam runs the engine's own operator graph: shared or
-/// not, on one, two or four copies, its rows are the reference's, float
-/// bits and row order included, and so are the simulated engine's when
-/// four copies share.
+/// The engine's groups on OS threads run the engine's own operator
+/// graph: shared or not, on one, two or four copies, its rows are the
+/// reference's, float bits and row order included, and so are the
+/// simulated engine's when four copies share.
 #[test]
 fn threaded_and_simulated_execution_agree() {
     let costs = CostProfile::paper();
